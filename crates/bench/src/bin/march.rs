@@ -9,23 +9,17 @@
 //!  "wall_s":...,"cells_per_s":...,"tets_per_los":...,
 //!  "seed_wall_s":...,"speedup":...,"par_wall_s":...,
 //!  "edge_evals":...,"edge_evals_seed":...,
-//!  "entry_hint_hits":...,"entry_hint_misses":...,
-//!  "packet":...,"packet_wall_s":...,"packet_speedup":...,
-//!  "packet_lanes_occupancy":...,"packet_scalar_fallbacks":...}
+//!  "entry_hint_hits":...,"entry_hint_misses":...}
 //! ```
 //!
 //! `wall_s`/`cells_per_s` time the *single-threaded* coherent kernel (the
 //! apples-to-apples number against `seed_wall_s`, the single-threaded
 //! reference); `speedup` is their ratio. `par_wall_s` is the tiled parallel
-//! render on all host threads. `packet_wall_s` is the single-threaded
-//! SIMD ray-packet kernel at the requested width and `packet_speedup` its
-//! ratio over the scalar coherent kernel; `packet_lanes_occupancy` is the
-//! mean fraction of live lanes per packet step. Any kernel mismatch exits
-//! nonzero — CI runs this bin as a smoke test.
+//! render on all host threads. Any kernel mismatch exits nonzero — CI runs
+//! this bin as a smoke test.
 //!
 //! ```text
-//! cargo run --release -p dtfe-bench --bin march \
-//!     [-- --scale small|medium|paper] [--packet N] [--repeat K]
+//! cargo run --release -p dtfe-bench --bin march [-- --scale small|medium|paper]
 //! ```
 
 use dtfe_bench::Scale;
@@ -41,27 +35,10 @@ use dtfe_nbody::datasets::galaxy_box;
 use dtfe_telemetry::json::number;
 use std::time::Instant;
 
-/// `--flag N` from the process arguments, or `default` when absent.
-fn flag_usize(name: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    for w in args.windows(2) {
-        if w[0] == name {
-            return w[1]
-                .parse()
-                .unwrap_or_else(|_| panic!("{name} wants an unsigned integer, got {:?}", w[1]));
-        }
-    }
-    default
-}
-
 fn main() {
     let scale = Scale::from_args();
     let n = scale.pick(4_000, 32_000, 200_000);
     let grid_n = scale.pick(96, 192, 384);
-    // Requested packet width (0 = scalar dispatch; MarchOptions rounds
-    // 2..=7 down to 4 and ≥8 to 8) and timed repetitions per kernel.
-    let packet = flag_usize("--packet", 8);
-    let reps = flag_usize("--repeat", 5).max(1);
 
     let box_len = 16.0;
     let (particles, _halos) = galaxy_box(box_len, n, 24, 7);
@@ -83,9 +60,9 @@ fn main() {
     let serial = MarchOptions::new().samples(2).parallel(false);
     let parallel = MarchOptions::new().samples(2).parallel(true);
 
-    // The reported wall time of each kernel is the minimum over `reps`
-    // repetitions, which estimates the interference-free time on a shared
-    // host.
+    // How many timed repetitions per kernel; the reported wall time is the
+    // minimum, which estimates the interference-free time on a shared host.
+    const REPS: usize = 5;
 
     // Old configuration first, timed with only its own field resident — the
     // production process only ever holds one mesh, and the two ~40 MB
@@ -101,7 +78,7 @@ fn main() {
         let _ = surface_density_reference(&field_old, &index_old, &grid, &serial);
         let mut best = f64::INFINITY;
         let mut out = None;
-        for _ in 0..reps {
+        for _ in 0..REPS {
             let t0 = Instant::now();
             let r = surface_density_reference(&field_old, &index_old, &grid, &serial);
             best = best.min(t0.elapsed().as_secs_f64());
@@ -120,7 +97,7 @@ fn main() {
     let _ = surface_density_with_index(&field, &index, &grid, &serial);
     let mut wall_s = f64::INFINITY;
     let mut coh = None;
-    for _ in 0..reps {
+    for _ in 0..REPS {
         let t0 = Instant::now();
         let r = surface_density_with_index(&field, &index, &grid, &serial);
         wall_s = wall_s.min(t0.elapsed().as_secs_f64());
@@ -131,20 +108,6 @@ fn main() {
     let t0 = Instant::now();
     let (par_field, par_stats) = surface_density_with_index(&field, &index, &grid, &parallel);
     let par_wall_s = t0.elapsed().as_secs_f64();
-
-    // SIMD ray-packet leg: the same single-threaded render with bundles of
-    // coherent lines of sight classified per tetrahedron in SIMD lanes.
-    let packet_opts = serial.clone().packet(packet);
-    let _ = surface_density_with_index(&field, &index, &grid, &packet_opts);
-    let mut packet_wall_s = f64::INFINITY;
-    let mut pk = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let r = surface_density_with_index(&field, &index, &grid, &packet_opts);
-        packet_wall_s = packet_wall_s.min(t0.elapsed().as_secs_f64());
-        pk = Some(r);
-    }
-    let (packet_field, packet_stats) = pk.unwrap();
 
     // The whole point of the rewrite: same bits, fewer cycles. A mismatch
     // anywhere is a hard failure (CI runs this bin as a smoke test).
@@ -157,10 +120,6 @@ fn main() {
         eprintln!("MISMATCH: tiled parallel field differs from reference kernel");
         ok = false;
     }
-    if packet_field.data != seed_field.data {
-        eprintln!("MISMATCH: packet field (width {packet}) differs from reference kernel");
-        ok = false;
-    }
     for (name, a, b) in [
         ("crossings", seed_stats.crossings, coh_stats.crossings),
         (
@@ -170,16 +129,6 @@ fn main() {
         ),
         ("failures", seed_stats.failures, coh_stats.failures),
         ("par crossings", seed_stats.crossings, par_stats.crossings),
-        (
-            "packet crossings",
-            seed_stats.crossings,
-            packet_stats.crossings,
-        ),
-        (
-            "packet perturbations",
-            seed_stats.perturbations,
-            packet_stats.perturbations,
-        ),
     ] {
         if a != b {
             eprintln!("MISMATCH: {name} {a} (reference) vs {b}");
@@ -210,7 +159,7 @@ fn main() {
             let ps_opts = serial.clone().estimator(EstimatorKind::PsDtfe);
             let _ = surface_density_with_index(&ps, &ps_index, &grid, &ps_opts);
             let mut best = f64::INFINITY;
-            for _ in 0..reps {
+            for _ in 0..REPS {
                 let t0 = Instant::now();
                 let (f, _) = surface_density_with_index(&ps, &ps_index, &grid, &ps_opts);
                 best = best.min(t0.elapsed().as_secs_f64());
@@ -231,30 +180,12 @@ fn main() {
     let los = cells * serial.render.samples as f64;
     let tets_per_los = coh_stats.crossings as f64 / los;
     let speedup = seed_wall_s / wall_s.max(1e-12);
-    let packet_speedup = wall_s / packet_wall_s.max(1e-12);
-    // Mean fraction of live lanes per packet step, against the dispatched
-    // lane width (MarchOptions rounds the request to 1, 2, 4 or 8).
-    let lane_width = match packet {
-        0 => 0,
-        1 => 1,
-        2..=3 => 2,
-        4..=7 => 4,
-        _ => 8,
-    };
-    let packet_lanes_occupancy = if packet_stats.packet_steps == 0 || lane_width == 0 {
-        0.0
-    } else {
-        packet_stats.packet_lane_steps as f64
-            / (packet_stats.packet_steps as f64 * lane_width as f64)
-    };
     let mut out = String::from("{\"bench\":\"march\",\"estimator\":\"dtfe\"");
     out.push_str(&format!(
         ",\"n\":{n},\"grid\":{grid_n},\"threads\":{threads},\"wall_s\":{},\"cells_per_s\":{},\
          \"tets_per_los\":{},\"seed_wall_s\":{},\"speedup\":{},\"par_wall_s\":{},\
          \"build_s\":{},\"edge_evals\":{},\"edge_evals_seed\":{},\
-         \"entry_hint_hits\":{},\"entry_hint_misses\":{},\"psdtfe_wall_s\":{},\
-         \"packet\":{packet},\"packet_wall_s\":{},\"packet_speedup\":{},\
-         \"packet_lanes_occupancy\":{},\"packet_scalar_fallbacks\":{}}}\n",
+         \"entry_hint_hits\":{},\"entry_hint_misses\":{},\"psdtfe_wall_s\":{}}}\n",
         number(wall_s),
         number(cells / wall_s.max(1e-12)),
         number(tets_per_los),
@@ -267,10 +198,6 @@ fn main() {
         number(coh_stats.entry_hint_hits as f64),
         number(coh_stats.entry_hint_misses as f64),
         number(ps_wall_s),
-        number(packet_wall_s),
-        number(packet_speedup),
-        number(packet_lanes_occupancy),
-        number(packet_stats.packet_scalar_fallbacks as f64),
     ));
 
     let dir = dtfe_core::io::experiments_dir();
@@ -281,11 +208,7 @@ fn main() {
     println!("# march -> {}", path.display());
     println!(
         "n={n} grid={grid_n}x{grid_n} | reference {seed_wall_s:.3}s -> coherent {wall_s:.3}s \
-         (x{speedup:.2} single-thread) -> packet[{packet}] {packet_wall_s:.3}s \
-         (x{packet_speedup:.2} over coherent, {:.0}% lanes live, {} fallbacks) | \
-         parallel {par_wall_s:.3}s on {threads} threads",
-        100.0 * packet_lanes_occupancy,
-        packet_stats.packet_scalar_fallbacks,
+         (x{speedup:.2} single-thread) | parallel {par_wall_s:.3}s on {threads} threads"
     );
     println!(
         "cells/s {:.0} | tets/LOS {tets_per_los:.1} | edge evals {} -> {} ({:.0}% saved) | \

@@ -5,12 +5,11 @@
 //! Bernardeau & van de Weygaert for **volume-weighted velocity fields**
 //! (paper ref. \[1\]). [`ScalarField`] is the [`FieldEstimator`] backend for
 //! any per-vertex scalar — velocity components, temperatures, or the
-//! densities [`DtfeField`] special cases — rendering through the same
-//! marching kernel as every other backend.
+//! densities [`DtfeField`](crate::density::DtfeField) special cases —
+//! rendering through the same marching kernel as every other backend.
 
-use crate::density::{DtfeField, TetInterp};
+use crate::density::TetInterp;
 use crate::estimator::{vertex_interp, DegeneratePolicy, DegenerateTetError, FieldEstimator};
-use crate::grid::{Field2, GridSpec2};
 use crate::marching::{HullIndex, MarchCache, MarchStats};
 use dtfe_delaunay::{Delaunay, Located, TetId};
 use dtfe_geometry::plucker::{ray_tetra, Plucker, Ray};
@@ -27,10 +26,6 @@ pub struct ScalarField<'a> {
     /// [`FieldEstimator`] seam.
     march: OnceLock<MarchCache>,
 }
-
-/// Pre-trait name of [`ScalarField`].
-#[deprecated(since = "0.6.0", note = "renamed to `ScalarField`")]
-pub type VertexField<'a> = ScalarField<'a>;
 
 impl<'a> ScalarField<'a> {
     /// Build from per-vertex `values` (indexed by `VertexId`).
@@ -143,27 +138,6 @@ impl<'a> ScalarField<'a> {
         }
         total
     }
-
-    /// Project the field integral onto a 2D grid (serial, no degeneracy
-    /// perturbation).
-    #[deprecated(
-        since = "0.6.0",
-        note = "render through the estimator seam instead: \
-                `marching::surface_density(&field, grid, &opts)` — same \
-                integral, with perturbation handling and parallelism"
-    )]
-    pub fn project(&self, grid: &GridSpec2, z_range: Option<(f64, f64)>) -> Field2 {
-        let index = HullIndex::build(self);
-        let mut out = Field2::zeros(*grid);
-        let mut stats = MarchStats::default();
-        for j in 0..grid.ny {
-            for i in 0..grid.nx {
-                let v = self.integrate_los(&index, grid.center(i, j), z_range, &mut stats);
-                out.set(i, j, v);
-            }
-        }
-        out
-    }
 }
 
 /// `ScalarField` renders through the shared marching kernel like every
@@ -211,19 +185,11 @@ pub fn volume_weighted_mean(field: &ScalarField<'_>) -> f64 {
     }
 }
 
-/// Convenience: the density field's values as a `ScalarField`.
-#[deprecated(
-    since = "0.6.0",
-    note = "`DtfeField` implements `FieldEstimator` directly; code that \
-            treats all quantities uniformly can take `&dyn FieldEstimator`"
-)]
-pub fn density_as_vertex_field(field: &DtfeField) -> ScalarField<'_> {
-    ScalarField::new(field.delaunay(), field.vertex_densities().to_vec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::GridSpec2;
+    use crate::marching::{surface_density, MarchOptions};
     use dtfe_delaunay::DelaunayBuilder;
 
     fn jittered_cloud(n_side: usize, seed: u64) -> Vec<Vec3> {
@@ -330,31 +296,30 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn project_constant_field_gives_chords() {
+    fn rendered_constant_field_gives_chords() {
         let pts = jittered_cloud(4, 11);
         let del = DelaunayBuilder::new().build(&pts).unwrap();
         let field = ScalarField::new(&del, vec![2.0; del.num_vertices()]);
         let grid = GridSpec2::covering(Vec2::new(1.0, 1.0), Vec2::new(2.5, 2.5), 6, 6);
-        let proj = field.project(&grid, None);
+        let opts = MarchOptions::new().parallel(false);
+        let proj = surface_density(&field, &grid, &opts);
         // Constant 2 × chord length: all positive, bounded by 2 × hull z-extent.
         for v in &proj.data {
             assert!(*v > 0.0 && *v < 2.0 * 5.0);
         }
         // Clipping halves a symmetric interval roughly in half.
-        let clipped = field.project(&grid, Some((0.0, 1.8)));
+        let clipped = surface_density(&field, &grid, &opts.z_range(0.0, 1.8));
         for (c, f) in clipped.data.iter().zip(&proj.data) {
             assert!(c <= f);
         }
     }
 
     #[test]
-    #[allow(deprecated)]
     fn density_view_matches_dtfe() {
         use crate::density::{DtfeField, Mass};
         let pts = jittered_cloud(3, 17);
         let dtfe = DtfeField::build(&pts, Mass::Uniform(1.0)).unwrap();
-        let vf = density_as_vertex_field(&dtfe);
+        let vf = ScalarField::new(dtfe.delaunay(), dtfe.vertex_densities().to_vec());
         let mut seed = 9;
         let q = Vec3::new(1.1, 1.2, 1.3);
         let a = vf.value_at(q, &mut seed);

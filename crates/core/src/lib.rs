@@ -81,8 +81,7 @@ pub use estimator::{DegenerateTetError, EstimatorKind, FieldEstimator};
 pub use fields::ScalarField;
 pub use grid::{Field2, Field3, GridError, GridSpec2, GridSpec3};
 pub use marching::{
-    packet_scratch_bytes, surface_density, surface_density_reference, surface_density_with_index,
-    HullIndex, MarchOptions, MAX_PACKET_WIDTH,
+    surface_density, surface_density_reference, surface_density_with_index, HullIndex, MarchOptions,
 };
 pub use psdtfe::{PsDtfeDivergence, PsDtfeField, StreamField};
 pub use render::{RenderOptions, RenderOptionsError};

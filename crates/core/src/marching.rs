@@ -44,27 +44,19 @@
 //!   is fast-forwarded into the tile; rows where any tile saw a
 //!   perturbation (extra draws) are recomputed with the sequential stream,
 //!   so the output matches the serial kernel draw for draw.
-//! * **Ray-packet marching** ([`MarchOptions::packet`], DESIGN.md §4k) —
-//!   bundles of 4–8 row-adjacent vertical lines of sight march together,
-//!   evaluating each tetrahedron's six Plücker side products for every
-//!   lane in one SIMD pass ([`dtfe_geometry::simd`]) and classifying each
-//!   lane through the scalar code path, so results stay bit-identical.
-//!   Any lane that trips a degeneracy ejects the whole segment to the
-//!   scalar kernel, preserving the sequential-RNG taint semantics.
 
 use crate::density::EntryFacet;
 use crate::estimator::FieldEstimator;
 use crate::grid::{Field2, GridSpec2};
 use crate::render::RenderOptions;
 use dtfe_delaunay::{Delaunay, TetId};
-use dtfe_geometry::plucker::{
-    hit_from_sides, normalize_tet, ray_tetra, ray_tetra_seeded, seed_edge_map, FaceSeed, Plucker,
-    Ray, FACE_EDGES, TET_FACES,
-};
+use dtfe_geometry::plucker::{normalize_tet, ray_tetra_seeded, FaceSeed, Plucker, Ray};
 use dtfe_geometry::predicates::{orient2d, Orientation};
-use dtfe_geometry::simd::{vertical_tet_sides_masked, F64xN, PacketMoments, PacketSides};
 use dtfe_geometry::{Aabb2, Vec2, Vec3};
 use rayon::prelude::*;
+
+mod reference;
+pub use reference::surface_density_reference;
 
 /// Options for the marching kernel: the shared [`RenderOptions`] knobs plus
 /// the degeneracy-perturbation parameters specific to this kernel.
@@ -93,13 +85,6 @@ pub struct MarchOptions {
     /// keeps its best-effort value; with exact entry handling this is
     /// practically unreachable).
     pub max_perturb: usize,
-    /// Ray-packet width for the vertical-LOS fast path (DESIGN.md §4k).
-    /// `0` renders with the scalar kernel; `1` exercises the packet
-    /// scheduler with single-lane packets; other values clamp to the
-    /// compiled widths (`2..=7` → 4 lanes, `≥ 8` → 8 lanes). Results are
-    /// bit-identical to the scalar kernel at every width — a segment whose
-    /// lane trips a degeneracy is recomputed scalar-sequentially.
-    pub packet: usize,
 }
 
 impl Default for MarchOptions {
@@ -108,7 +93,6 @@ impl Default for MarchOptions {
             render: RenderOptions::default(),
             epsilon: 1e-7,
             max_perturb: 64,
-            packet: 0,
         }
     }
 }
@@ -135,12 +119,6 @@ impl MarchOptions {
         self.max_perturb = n;
         self
     }
-
-    /// Set the ray-packet width (see [`MarchOptions::packet`]).
-    pub fn packet(mut self, w: usize) -> MarchOptions {
-        self.packet = w;
-        self
-    }
 }
 
 /// Default tile edge when [`RenderOptions::tile`] is 0.
@@ -152,7 +130,8 @@ const NO_FACET: u32 = u32::MAX;
 // ---------------------------------------------------------------------------
 // Per-field traversal cache.
 
-/// One pre-normalized tetrahedron: positions with the [`ray_tetra`]
+/// One pre-normalized tetrahedron: positions with the
+/// [`ray_tetra`](dtfe_geometry::plucker::ray_tetra)
 /// orientation swap already applied, vertex ids in the same order (the
 /// labels the shared-edge reuse keys on), and the neighbor slots copied
 /// verbatim so a traversal step reads exactly one 128-byte record.
@@ -222,19 +201,6 @@ impl MarchCache {
     pub fn bytes(&self) -> usize {
         std::mem::size_of::<MarchCache>() + self.tets.capacity() * std::mem::size_of::<CachedTet>()
     }
-}
-
-/// Upper bound on the transient scratch the packet scheduler allocates
-/// while rendering one row segment of `cells` cells at `samples` samples
-/// per cell: the LOS coordinate queue, the per-LOS value buffer
-/// (multi-sample renders only), and the fixed lane state. The service
-/// layer folds this into its tile-cache byte accounting so the LRU budget
-/// invariant stays honest when packet rendering is enabled.
-pub fn packet_scratch_bytes(cells: usize, samples: usize) -> usize {
-    let lanes = cells * samples.max(1);
-    std::mem::size_of::<PacketScratch>()
-        + lanes * (std::mem::size_of::<Vec2>() + std::mem::size_of::<f64>())
-        + MAX_LANE_POOL * std::mem::size_of::<PacketLane>()
 }
 
 // ---------------------------------------------------------------------------
@@ -494,23 +460,8 @@ pub struct MarchStats {
     pub entry_hint_misses: u64,
     /// Plücker edge side-products evaluated (`core.plucker_edge_evals`);
     /// the reference kernel pays 6 per ray–tetrahedron test, the coherent
-    /// kernel fewer, and the packet kernel counts each batched 6-edge SIMD
-    /// evaluation as 6 regardless of how many lanes it served.
+    /// kernel fewer.
     pub edge_evals: u64,
-    /// Packet-kernel group steps: batched side-product evaluations, one
-    /// per (packet, tetrahedron) pair.
-    pub packet_steps: u64,
-    /// Total lane-steps those group steps served; lane occupancy is
-    /// `packet_lane_steps / (packet_steps × width)`.
-    pub packet_lane_steps: u64,
-    /// Histogram of live lanes per packet step (`core.packet_lanes_active`):
-    /// `packet_lanes[g]` counts group steps that classified `g` lanes at
-    /// once. Index 0 is unused; compiled widths never exceed 8.
-    pub packet_lanes: [u64; 9],
-    /// Row segments recomputed by the scalar kernel after a packet lane
-    /// tripped a degeneracy or step-overflow edge case
-    /// (`core.packet_scalar_fallbacks`).
-    pub packet_scalar_fallbacks: u64,
 }
 
 impl MarchStats {
@@ -521,12 +472,6 @@ impl MarchStats {
         self.entry_hint_hits += o.entry_hint_hits;
         self.entry_hint_misses += o.entry_hint_misses;
         self.edge_evals += o.edge_evals;
-        self.packet_steps += o.packet_steps;
-        self.packet_lane_steps += o.packet_lane_steps;
-        for (dst, src) in self.packet_lanes.iter_mut().zip(o.packet_lanes.iter()) {
-            *dst += src;
-        }
-        self.packet_scalar_fallbacks += o.packet_scalar_fallbacks;
     }
 }
 
@@ -879,22 +824,13 @@ pub fn surface_density_with_index<E: FieldEstimator + ?Sized>(
         } else {
             DEFAULT_TILE
         };
-        render_tiled(&ctx, grid, samples, tile, opts.packet, &mut out, &mut stats);
+        render_tiled(&ctx, grid, samples, tile, &mut out, &mut stats);
     } else {
         for (j, chunk) in out.data.chunks_mut(grid.nx).enumerate() {
             let mut seed = row_seed(j);
             let mut hint = NO_FACET;
-            render_row_segment_auto(
-                &ctx,
-                grid,
-                samples,
-                opts.packet,
-                j,
-                0,
-                &mut seed,
-                &mut stats,
-                &mut hint,
-                chunk,
+            render_row_segment(
+                &ctx, grid, samples, j, 0, &mut seed, &mut stats, &mut hint, chunk,
             );
         }
     }
@@ -907,13 +843,6 @@ pub fn surface_density_with_index<E: FieldEstimator + ?Sized>(
     dtfe_telemetry::counter_add!("core.entry_hint_hit", stats.entry_hint_hits);
     dtfe_telemetry::counter_add!("core.entry_hint_miss", stats.entry_hint_misses);
     dtfe_telemetry::counter_add!("core.plucker_edge_evals", stats.edge_evals);
-    dtfe_telemetry::counter_add!(
-        "core.packet_scalar_fallbacks",
-        stats.packet_scalar_fallbacks
-    );
-    for g in 1..MAX_PACKET_WIDTH + 1 {
-        dtfe_telemetry::hist_record_n!("core.packet_lanes_active", g, stats.packet_lanes[g]);
-    }
     drop(span);
     (out, stats)
 }
@@ -937,731 +866,6 @@ fn render_row_segment<E: FieldEstimator + ?Sized>(
     }
 }
 
-// ---------------------------------------------------------------------------
-// The packet kernel (DESIGN.md §4k).
-
-/// Widest compiled packet; [`MarchOptions::packet`] values clamp to it.
-pub const MAX_PACKET_WIDTH: usize = 8;
-
-/// The scheduler keeps up to `LANE_POOL_FACTOR × W` lanes in flight while
-/// advancing at most `W` per batched evaluation. A pool wider than the
-/// SIMD width is what fills lanes: with only `W` live rays the z-front
-/// rarely has `W` of them inside one tetrahedron, but a 4× pool keeps
-/// enough nearby columns marching that the laggard's tetrahedron usually
-/// holds a full group.
-const LANE_POOL_FACTOR: usize = 4;
-
-/// Upper bound of the live-lane pool across packet widths (scratch-size
-/// accounting; `LANE_POOL_FACTOR` must not exceed 4).
-const MAX_LANE_POOL: usize = 4 * MAX_PACKET_WIDTH;
-
-/// One live lane of a marching packet: which LOS it renders, where it is in
-/// the traversal, and its accumulated integral. The two fields the
-/// scheduler scans every round — the lane's current tetrahedron and its
-/// synchronization height — live in dense parallel arrays (`ts` / `zs` in
-/// [`packet_march_segment`]) instead, so those scans touch a few cache
-/// lines rather than one 70-byte struct per lane.
-#[derive(Clone, Copy)]
-struct PacketLane {
-    /// Index into the segment's LOS queue (and value buffer).
-    los: u32,
-    /// The lane ray's Plücker moment `l̂ × x` (direction is always `+z`).
-    rv: Vec3,
-    xi: Vec2,
-    total: f64,
-    steps: usize,
-    crossings: u64,
-}
-
-/// Transient per-segment buffers of the packet scheduler. Kept as a named
-/// struct so [`packet_scratch_bytes`] and the byte-accounting unit test can
-/// measure exactly what the renderer allocates.
-struct PacketScratch {
-    /// LOS coordinates, in the scalar kernel's draw order (cell-major,
-    /// sample-minor) so pre-drawing the jitters replays the identical RNG
-    /// stream.
-    queue: Vec<Vec2>,
-    /// Per-LOS integrals (multi-sample renders only): lanes finish out of
-    /// order, so values are buffered and each cell is summed in sample
-    /// order afterwards — the scalar accumulation order, bit for bit.
-    values: Vec<f64>,
-}
-
-impl PacketScratch {
-    fn for_segment(cells: usize, samples: usize) -> PacketScratch {
-        let lanes = cells * samples.max(1);
-        PacketScratch {
-            queue: Vec::with_capacity(lanes),
-            values: if samples > 1 {
-                vec![0.0; lanes]
-            } else {
-                Vec::new()
-            },
-        }
-    }
-
-    /// Measured heap + inline bytes of this scratch.
-    #[cfg(test)]
-    fn bytes(&self) -> usize {
-        std::mem::size_of::<PacketScratch>()
-            + self.queue.capacity() * std::mem::size_of::<Vec2>()
-            + self.values.capacity() * std::mem::size_of::<f64>()
-    }
-}
-
-/// [`render_row_segment`] with the packet width applied: `packet == 0`
-/// renders scalar; any other value dispatches to a compiled lane width
-/// (1, 2, 4, or 8). Drop-in equivalent — output, RNG stream, and the
-/// perturbation/failure/crossing counters are bit-identical to the scalar
-/// renderer at every width.
-#[allow(clippy::too_many_arguments)]
-fn render_row_segment_auto<E: FieldEstimator + ?Sized>(
-    ctx: &MarchCtx<'_, E>,
-    grid: &GridSpec2,
-    samples: usize,
-    packet: usize,
-    j: usize,
-    i0: usize,
-    seed: &mut u64,
-    stats: &mut MarchStats,
-    hint: &mut u32,
-    out: &mut [f64],
-) {
-    match packet {
-        0 => render_row_segment(ctx, grid, samples, j, i0, seed, stats, hint, out),
-        1 => render_row_segment_packet::<E, 1>(ctx, grid, samples, j, i0, seed, stats, hint, out),
-        2..=3 => {
-            render_row_segment_packet::<E, 2>(ctx, grid, samples, j, i0, seed, stats, hint, out)
-        }
-        4..=7 => {
-            render_row_segment_packet::<E, 4>(ctx, grid, samples, j, i0, seed, stats, hint, out)
-        }
-        _ => render_row_segment_packet::<E, 8>(ctx, grid, samples, j, i0, seed, stats, hint, out),
-    }
-}
-
-/// Speculatively render a row segment with `W`-lane packets; on the first
-/// degeneracy (or step overflow) discard the speculative output *and*
-/// stats wholesale and recompute the segment with the plain scalar kernel
-/// from the segment's starting RNG state — the same taint policy the tile
-/// scheduler applies to rows. A perturbation consumes RNG draws the packet
-/// path pre-drew under the no-perturbation assumption, so nothing
-/// speculated after it can be kept.
-#[allow(clippy::too_many_arguments)]
-fn render_row_segment_packet<E: FieldEstimator + ?Sized, const W: usize>(
-    ctx: &MarchCtx<'_, E>,
-    grid: &GridSpec2,
-    samples: usize,
-    j: usize,
-    i0: usize,
-    seed: &mut u64,
-    stats: &mut MarchStats,
-    hint: &mut u32,
-    out: &mut [f64],
-) {
-    let (seed0, hint0) = (*seed, *hint);
-    let mut trial = MarchStats::default();
-    if packet_march_segment::<E, W>(ctx, grid, samples, j, i0, seed, &mut trial, hint, out) {
-        stats.merge(&trial);
-        return;
-    }
-    stats.packet_scalar_fallbacks += 1;
-    *seed = seed0;
-    *hint = hint0;
-    render_row_segment(ctx, grid, samples, j, i0, seed, stats, hint, out);
-}
-
-/// Batched side products of a lane group against one tetrahedron,
-/// evaluated at vector width `N ≥ group.len()` and scattered back to one
-/// `[f64; 6]` row per lane. Only the edges named by `todo` are evaluated
-/// and scattered — the caller pre-fills the rest of each lane's row with
-/// products carried over the face the group just exited
-/// ([`seed_edge_map`]). The arithmetic per lane is identical at every
-/// width (elementwise mul/add, never fused), so the caller may pick the
-/// narrowest compiled width that fits the group.
-/// Per-lane `z` of the crossing through face `fi`, vectorized over the
-/// packet. Each lane evaluates *exactly* the scalar sequence
-/// [`classify_face`](dtfe_geometry::plucker::classify_face) +
-/// [`face_point`](dtfe_geometry::plucker::face_point) produce for that
-/// face's barycentric weights and point — same sign flips, same summation
-/// order, same per-lane IEEE divisions (vector divides round each lane
-/// exactly like scalar divides), same multiply/add association — so the
-/// result is bit-for-bit the `p.z` the scalar kernel extracts from
-/// [`hit_from_sides`].
-#[inline]
-fn face_z<const N: usize>(sides: &PacketSides<N>, fi: usize, verts: &[Vec3; 4]) -> F64xN<N> {
-    let [(e0, r0), (e1, r1), (e2, r2)] = FACE_EDGES[fi];
-    let [ia, ib, ic] = TET_FACES[fi];
-    let (az, bz, cz) = (verts[ia].z, verts[ib].z, verts[ic].z);
-    let mut out = [0.0; N];
-    for (l, o) in out.iter_mut().enumerate() {
-        let p0 = if r0 { -sides[e0].0[l] } else { sides[e0].0[l] };
-        let p1 = if r1 { -sides[e1].0[l] } else { sides[e1].0[l] };
-        let p2 = if r2 { -sides[e2].0[l] } else { sides[e2].0[l] };
-        let sum = p0 + p1 + p2;
-        *o = (p1 / sum) * az + (p2 / sum) * bz + (p0 / sum) * cz;
-    }
-    F64xN(out)
-}
-
-/// Outcome of one cohesive run of a packet group (see [`packet_run`]):
-/// `None` is the taint signal (a lane hit what the scalar kernel answers
-/// with a perturbation), `Some(any_finished)` reports whether any lane of
-/// the whole pool retired during the run.
-type RunOutcome = Option<bool>;
-
-/// March one group of lanes from tetrahedron `start` until the group
-/// splits or every member retires. Compiled at vector width `N` (= the
-/// configured packet width); the group may *grow* up to `N` mid-run.
-///
-/// The run is the scheduler's unit of amortization, and three mechanisms
-/// keep it long while keeping lanes grouped:
-///
-/// * **Join-on-entry** — each time the group advances into a new
-///   tetrahedron, any waiting pool lane currently sitting in that
-///   tetrahedron is swept into the group. Coherent columns cross the same
-///   tetrahedra, so groups re-form *during* runs instead of requiring a
-///   scheduling round at a synchronized z-front.
-/// * **Mid-run retirement** — a lane that hits the z cutoff or leaves the
-///   hull is dropped from the group (slot-compacting the packet state)
-///   without ending the run for the survivors.
-/// * **Shared-face seeding** — the group advances through one shared exit
-///   face, so the scalar kernel's seed reuse applies group-wide: the edge
-///   mapping is computed once per step ([`seed_edge_map`]) and each lane's
-///   carried products are copied bitwise within the packet.
-///
-/// Each step performs one masked side-product evaluation for the whole
-/// group. Classification takes the *uniform fast path* when every lane
-/// enters through one common face and exits through another (the
-/// overwhelmingly common case for coherent lanes): the per-face sign tests
-/// reduce to lane bitmasks, and the enter/exit heights come from
-/// [`face_z`] — the barycentric divisions vectorized across lanes. Any
-/// divergence (different faces per lane, a potential degeneracy, a grazing
-/// zero) falls back to the per-lane [`hit_from_sides`] path, which
-/// reproduces the scalar kernel's exact decisions including the taint
-/// signal (`None`).
-#[allow(clippy::too_many_arguments)]
-fn packet_run<E: FieldEstimator + ?Sized, const N: usize>(
-    ctx: &MarchCtx<'_, E>,
-    lanes: &mut [PacketLane],
-    group: &[usize],
-    start: TetId,
-    pool_len: usize,
-    ts: &mut [TetId],
-    zs: &mut [f64],
-    finished: &mut [bool],
-    stats: &mut MarchStats,
-) -> RunOutcome {
-    let mut g = group.len();
-    let mut grp = [0usize; N];
-    grp[..g].copy_from_slice(group);
-    let mut in_group = 0u64;
-    let mut rv_pk = PacketMoments::<N>::splat(lanes[grp[0]].rv);
-    for (slot, &k) in group.iter().enumerate() {
-        rv_pk.set_lane(slot, lanes[k].rv);
-        in_group |= 1 << k;
-    }
-    // z-front bound: the height of the lowest waiting lane that could
-    // ever join this group. An unfilled group stops once its front passes
-    // it — waiting lanes can only be swept in while the group is at their
-    // height, so racing past them forfeits occupancy the pool exists to
-    // provide. Only *nearby* columns count: a lane can join only if its
-    // vertical line pierces a tetrahedron the group crosses, which
-    // confines candidates to columns within roughly a tetrahedron width
-    // of the group's. Lanes further out would break runs for merges that
-    // can never happen. The radius is estimated from the seed
-    // tetrahedron's footprint (doubled: tetrahedra higher up the column
-    // may be larger). A full group ignores the bound (nothing to gain)
-    // and runs until membership changes.
-    let xi0 = lanes[grp[0]].xi;
-    let join_r = {
-        let ct0 = ctx.cache.tet(start);
-        let mut ext = 0.0f64;
-        for p in &ct0.pts {
-            ext = ext.max((p.x - xi0.x).abs()).max((p.y - xi0.y).abs());
-        }
-        2.0 * ext
-    };
-    let mut z2 = f64::INFINITY;
-    for k in 0..pool_len {
-        if in_group & (1 << k) == 0
-            && !finished[k]
-            && zs[k] < z2
-            && (lanes[k].xi.x - xi0.x).abs() <= join_r
-            && (lanes[k].xi.y - xi0.y).abs() <= join_r
-        {
-            z2 = zs[k];
-        }
-    }
-    let mut sides: PacketSides<N> = [F64xN::ZERO; 6];
-    let mut t = start;
-    let mut todo: u8 = 0b11_1111;
-    let mut reuse = [(0u8, 0u8); 3];
-    let mut n_reuse = 0usize;
-    let mut any_finished = false;
-    loop {
-        let ct = ctx.cache.tet(t);
-        if n_reuse > 0 {
-            // Sources are edge indices of the previous tetrahedron and
-            // destinations of this one, so gather the (whole-packet) rows
-            // before scattering — a source row may be another pair's
-            // destination.
-            let tmp = [
-                sides[reuse[0].1 as usize],
-                sides[reuse[1].1 as usize],
-                sides[reuse[2].1 as usize],
-            ];
-            for (m, &(dst, _)) in reuse[..n_reuse].iter().enumerate() {
-                sides[dst as usize] = tmp[m];
-            }
-        }
-        vertical_tet_sides_masked(&rv_pk, &ct.pts, todo, &mut sides);
-        stats.edge_evals += u64::from(todo.count_ones());
-        stats.packet_steps += 1;
-        stats.packet_lane_steps += g as u64;
-        stats.packet_lanes[g.min(MAX_PACKET_WIDTH)] += 1;
-        // One interpolant fetch serves the whole group (pure in `t`).
-        let ti = ctx.field.tet_interp(t);
-
-        // Group classification via per-edge lane sign masks: bit `l` of
-        // `pos_m[e]` / `neg_m[e]` records whether lane `l`'s product
-        // against edge `e` is strictly positive / negative — the exact
-        // sign tests `classify_face` performs per lane. Each edge is
-        // shared by two faces with opposite orientation, so the per-face
-        // Enter / Exit / Miss masks below are pure bitwise combinations:
-        // half the comparisons of a face-major sweep and no flip
-        // branches. Later faces overwrite earlier ones exactly as
-        // `hit_from_sides` overwrites `hit.enter`/`hit.exit`.
-        let mut pos_m = [0u32; 6];
-        let mut neg_m = [0u32; 6];
-        for (e, side) in sides.iter().enumerate() {
-            let mut p = 0u32;
-            let mut q = 0u32;
-            for l in 0..g {
-                let v = side.0[l];
-                p |= u32::from(v > 0.0) << l;
-                q |= u32::from(v < 0.0) << l;
-            }
-            pos_m[e] = p;
-            neg_m[e] = q;
-        }
-        let full: u32 = (1u32 << g) - 1;
-        let mut fe = usize::MAX;
-        let mut fx = usize::MAX;
-        let mut uniform = true;
-        for (fi, fedges) in FACE_EDGES.iter().enumerate() {
-            let [(e0, r0), (e1, r1), (e2, r2)] = *fedges;
-            // Oriented-positive mask of a reversed edge is its negative
-            // mask (the product flips sign with edge direction).
-            let (p0, n0) = if r0 {
-                (neg_m[e0], pos_m[e0])
-            } else {
-                (pos_m[e0], neg_m[e0])
-            };
-            let (p1, n1) = if r1 {
-                (neg_m[e1], pos_m[e1])
-            } else {
-                (pos_m[e1], neg_m[e1])
-            };
-            let (p2, n2) = if r2 {
-                (neg_m[e2], pos_m[e2])
-            } else {
-                (pos_m[e2], neg_m[e2])
-            };
-            let enter_m = p0 & p1 & p2;
-            let exit_m = n0 & n1 & n2;
-            let miss_m = (p0 | p1 | p2) & (n0 | n1 | n2);
-            if enter_m == full {
-                fe = fi;
-            } else if exit_m == full {
-                fx = fi;
-            } else if miss_m != full {
-                uniform = false;
-            }
-        }
-
-        let mut common_nxt = u32::MAX;
-        let mut common_exit = usize::MAX;
-        let mut cohesive = true;
-        // Height of the surviving group front after this step (minimum
-        // exit z over lanes that keep marching), tested against `z2`.
-        let mut z_run = f64::INFINITY;
-        // Slots whose lane retires this step (bit per *slot*, compacted
-        // after the per-lane pass so packet state stays slot-aligned).
-        let mut remove_m = 0u32;
-
-        if uniform && fe != usize::MAX && fx != usize::MAX {
-            // Uniform fast path: one enter face, one exit face, shared by
-            // every lane. The heights are the only per-lane quantities.
-            let zin = face_z(&sides, fe, &ct.pts);
-            let zout = face_z(&sides, fx, &ct.pts);
-            let nxt = ct.neighbors[fx];
-            let exits_hull = ctx.cache.tet(nxt).ids[3] == u32::MAX;
-            common_nxt = nxt;
-            common_exit = fx;
-            for (slot, &k) in grp.iter().enumerate().take(g) {
-                let lane = &mut lanes[k];
-                lane.steps += 1;
-                if lane.steps > ctx.max_steps {
-                    return None; // scalar kernel would perturb here
-                }
-                lane.crossings += 1;
-                stats.crossings += 1;
-                let (mut a, mut b) = (zin.0[slot], zout.0[slot]);
-                if b < a {
-                    (a, b) = (b, a);
-                }
-                zs[k] = b;
-                if let Some((zlo, zhi)) = ctx.z_range {
-                    a = a.max(zlo);
-                    b = b.min(zhi);
-                }
-                if b > a {
-                    let mid = Vec3::new(lane.xi.x, lane.xi.y, 0.5 * (a + b));
-                    lane.total += (ti.rho0 + ti.grad.dot(mid - ti.v0)) * (b - a);
-                }
-                let cut = match ctx.z_range {
-                    Some((_, zhi)) => zout.0[slot] >= zhi,
-                    None => false,
-                };
-                if cut || exits_hull {
-                    finished[k] = true;
-                    any_finished = true;
-                    remove_m |= 1 << slot;
-                } else {
-                    ts[k] = nxt;
-                    if zs[k] < z_run {
-                        z_run = zs[k];
-                    }
-                }
-            }
-        } else {
-            // Divergent (or potentially degenerate) group: gather each
-            // lane's products and run the scalar classification verbatim.
-            for (slot, &k) in grp.iter().enumerate().take(g) {
-                let mut row = [0.0f64; 6];
-                for (e, side) in sides.iter().enumerate() {
-                    row[e] = side.0[slot];
-                }
-                let lane = &mut lanes[k];
-                lane.steps += 1;
-                if lane.steps > ctx.max_steps {
-                    return None; // scalar kernel would perturb here
-                }
-                let (hit, exit_face) = hit_from_sides(&row, &ct.pts);
-                if hit.degenerate || !hit.is_through() {
-                    return None; // scalar kernel would perturb here
-                }
-                let (_, p_in) = hit.enter.unwrap();
-                let (_, p_out) = hit.exit.unwrap();
-                let exit_face = exit_face.unwrap();
-                lane.crossings += 1;
-                stats.crossings += 1;
-
-                let (mut a, mut b) = (p_in.z, p_out.z);
-                if b < a {
-                    (a, b) = (b, a);
-                }
-                zs[k] = b;
-                if let Some((zlo, zhi)) = ctx.z_range {
-                    a = a.max(zlo);
-                    b = b.min(zhi);
-                }
-                if b > a {
-                    let mid = Vec3::new(lane.xi.x, lane.xi.y, 0.5 * (a + b));
-                    lane.total += (ti.rho0 + ti.grad.dot(mid - ti.v0)) * (b - a);
-                }
-                let cut = match ctx.z_range {
-                    Some((_, zhi)) => p_out.z >= zhi,
-                    None => false,
-                };
-                let nxt = ct.neighbors[exit_face];
-                if cut || ctx.cache.tet(nxt).ids[3] == u32::MAX {
-                    finished[k] = true;
-                    any_finished = true;
-                    remove_m |= 1 << slot;
-                    continue;
-                }
-                ts[k] = nxt;
-                if zs[k] < z_run {
-                    z_run = zs[k];
-                }
-                if common_nxt == u32::MAX {
-                    common_nxt = nxt;
-                    common_exit = exit_face;
-                } else if common_nxt != nxt || common_exit != exit_face {
-                    cohesive = false;
-                }
-            }
-        }
-
-        // Drop retired lanes from the group, compacting the packet state
-        // (membership, moments, side products) so slots stay dense.
-        if remove_m != 0 {
-            let mut w = 0usize;
-            for slot in 0..g {
-                if remove_m & (1 << slot) != 0 {
-                    in_group &= !(1u64 << grp[slot]);
-                    continue;
-                }
-                if w != slot {
-                    grp[w] = grp[slot];
-                    rv_pk.x.0[w] = rv_pk.x.0[slot];
-                    rv_pk.y.0[w] = rv_pk.y.0[slot];
-                    rv_pk.z.0[w] = rv_pk.z.0[slot];
-                    for side in sides.iter_mut() {
-                        side.0[w] = side.0[slot];
-                    }
-                }
-                w += 1;
-            }
-            g = w;
-        }
-        if g == 0 || !cohesive || common_nxt == u32::MAX {
-            return Some(any_finished);
-        }
-
-        // Join-on-entry: sweep waiting pool lanes that already sit in the
-        // tetrahedron the group is entering. Their packet slots start with
-        // no carried products, so a join forces a full evaluation next
-        // step (the carried mapping would not cover the new lanes).
-        let mut joined = false;
-        if g < N {
-            for k in 0..pool_len {
-                if in_group & (1 << k) == 0 && !finished[k] && ts[k] == common_nxt {
-                    grp[g] = k;
-                    rv_pk.set_lane(g, lanes[k].rv);
-                    in_group |= 1 << k;
-                    g += 1;
-                    joined = true;
-                    if g == N {
-                        break;
-                    }
-                }
-            }
-        }
-        if joined {
-            // Joined lanes left the waiting set; the z-front moves up.
-            z2 = f64::INFINITY;
-            for k in 0..pool_len {
-                if in_group & (1 << k) == 0
-                    && !finished[k]
-                    && zs[k] < z2
-                    && (lanes[k].xi.x - xi0.x).abs() <= join_r
-                    && (lanes[k].xi.y - xi0.y).abs() <= join_r
-                {
-                    z2 = zs[k];
-                }
-            }
-        }
-        if g < N && z_run > z2 {
-            return Some(any_finished);
-        }
-        if joined || remove_m != 0 {
-            // Slots moved or appeared: recompute everything next step.
-            // (After compaction the reuse mapping's slot values are still
-            // valid — compaction moves whole rows — but a join adds lanes
-            // whose rows are stale, so the conservative reset keeps the
-            // mapping honest in both cases.)
-            todo = 0b11_1111;
-            n_reuse = 0;
-        } else {
-            // Carry the common exit face's products into the next step:
-            // the entry face of the next tetrahedron is the slot whose
-            // neighbor points back at the one just exited, exactly as the
-            // scalar kernel derives it.
-            let nt = ctx.cache.tet(common_nxt);
-            match nt.neighbors.iter().position(|&n| n == t) {
-                Some(entry_face) => {
-                    (todo, reuse, n_reuse) =
-                        seed_edge_map(&ct.ids, common_exit, &nt.ids, entry_face);
-                }
-                None => {
-                    todo = 0b11_1111;
-                    n_reuse = 0;
-                }
-            }
-        }
-        t = common_nxt;
-    }
-}
-
-/// The packet scheduler: march every LOS of the segment in `W`-lane
-/// packets, one batched 6-edge side-product evaluation per (packet,
-/// tetrahedron) group. Returns `false` (taint) the moment any lane would
-/// perturb; the caller falls back to the scalar kernel.
-///
-/// Bit-identity with the scalar renderer holds lane by lane: jitters are
-/// pre-drawn in the scalar draw order (valid exactly while no perturbation
-/// occurs — the taint condition), entry lookups run scalar in LOS order so
-/// the hint chain matches, each lane's six side products are the exact
-/// `side_vertical` expression the seeded scalar kernel evaluates (seed-
-/// reused products are bitwise equal to recomputed ones, see
-/// [`FaceSeed`]), classification goes through the shared
-/// [`hit_from_sides`], and multi-sample cells are reduced in sample order.
-#[allow(clippy::too_many_arguments)]
-fn packet_march_segment<E: FieldEstimator + ?Sized, const W: usize>(
-    ctx: &MarchCtx<'_, E>,
-    grid: &GridSpec2,
-    samples: usize,
-    j: usize,
-    i0: usize,
-    seed: &mut u64,
-    stats: &mut MarchStats,
-    hint: &mut u32,
-    out: &mut [f64],
-) -> bool {
-    let cells = out.len();
-    let mut scratch = PacketScratch::for_segment(cells, samples);
-    if samples <= 1 {
-        for k in 0..cells {
-            scratch.queue.push(grid.center(i0 + k, j));
-        }
-    } else {
-        for k in 0..cells {
-            let base = Vec2::new(
-                grid.origin.x + (i0 + k) as f64 * grid.cell.x,
-                grid.origin.y + j as f64 * grid.cell.y,
-            );
-            for _ in 0..samples {
-                let xi =
-                    base + Vec2::new(rand_unit(seed) * grid.cell.x, rand_unit(seed) * grid.cell.y);
-                scratch.queue.push(xi);
-            }
-        }
-    }
-
-    let nq = scratch.queue.len();
-    let pool = LANE_POOL_FACTOR * W;
-    let mut next = 0usize;
-    let mut lanes: Vec<PacketLane> = Vec::with_capacity(pool);
-    // Scheduler-hot lane state, dense so the per-round scans stay inside a
-    // few cache lines: current tetrahedron and synchronization height
-    // (exit z of the last crossed tet; fresh lanes start at `-∞` so they
-    // catch up first).
-    let mut ts = [TetId::MAX; MAX_LANE_POOL];
-    let mut zs = [f64::INFINITY; MAX_LANE_POOL];
-    loop {
-        // Refill in LOS order; lookups happen scalar, threading the hint
-        // exactly as the scalar renderer does.
-        while lanes.len() < pool && next < nq {
-            let xi = scratch.queue[next];
-            let los = next as u32;
-            next += 1;
-            match entry_lookup(ctx, xi, hint, stats) {
-                None => {
-                    if samples <= 1 {
-                        out[los as usize] = 0.0;
-                    } else {
-                        scratch.values[los as usize] = 0.0;
-                    }
-                    dtfe_telemetry::hist_record!("core.tets_per_los", 0u64);
-                }
-                Some(ghost) => {
-                    let rv = Plucker::from_ray(&Ray::vertical(xi.x, xi.y)).v;
-                    ts[lanes.len()] = ctx.del.tet(ghost).neighbors[3];
-                    zs[lanes.len()] = f64::NEG_INFINITY;
-                    lanes.push(PacketLane {
-                        los,
-                        rv,
-                        xi,
-                        total: 0.0,
-                        steps: 0,
-                        crossings: 0,
-                    });
-                }
-            }
-        }
-        if lanes.is_empty() {
-            break;
-        }
-
-        // z-front sweep: the lane lagging lowest in z names the
-        // tetrahedron to advance, and every lane currently inside it
-        // advances together on one batched side-product evaluation; the
-        // rest wait. Keeping all lanes at a common z front is what forms
-        // large groups — coherent columns cross the same tetrahedra at
-        // nearby heights, so the laggard repeatedly lands in a tet where
-        // the others already sit. (Lockstep advancement never re-forms
-        // groups: one extra sliver crossed by one lane offsets its whole
-        // sequence.) n ≤ pool, so the scans are a few cache lines.
-        let n = lanes.len();
-        let mut lag = 0usize;
-        for k in 1..n {
-            if zs[k] < zs[lag] {
-                lag = k;
-            }
-        }
-        let t = ts[lag];
-        let mut finished = [false; MAX_LANE_POOL];
-        // The laggard advances unconditionally (progress guarantee); up to
-        // `W - 1` further lanes sharing its tetrahedron join the batch.
-        // The run does not stop at any z bound: lanes left behind are
-        // swept in mid-run the moment the group enters their tetrahedron
-        // (join-on-entry, see [`packet_run`]), so long cohesive runs and
-        // group formation no longer trade off against each other.
-        let mut group = [0usize; W];
-        group[0] = lag;
-        let mut g = 1usize;
-        for (k, &tk) in ts.iter().enumerate().take(n) {
-            if k != lag && g < W && tk == t {
-                group[g] = k;
-                g += 1;
-            }
-        }
-        let run = packet_run::<E, W>(
-            ctx,
-            &mut lanes,
-            &group[..g],
-            t,
-            n,
-            &mut ts,
-            &mut zs,
-            &mut finished,
-            stats,
-        );
-        let any_finished = match run {
-            None => return false, // taint: the caller re-renders scalar
-            Some(af) => af,
-        };
-
-        // Retire finished lanes (order within the compaction is
-        // irrelevant: each lane writes its own slot).
-        if any_finished {
-            let mut w_idx = 0usize;
-            for k in 0..n {
-                let lane = lanes[k];
-                if finished[k] {
-                    if samples <= 1 {
-                        out[lane.los as usize] = lane.total;
-                    } else {
-                        scratch.values[lane.los as usize] = lane.total;
-                    }
-                    dtfe_telemetry::hist_record!("core.tets_per_los", lane.crossings);
-                } else {
-                    lanes[w_idx] = lane;
-                    ts[w_idx] = ts[k];
-                    zs[w_idx] = zs[k];
-                    w_idx += 1;
-                }
-            }
-            lanes.truncate(w_idx);
-        }
-    }
-
-    if samples > 1 {
-        // Scalar accumulation order: per cell, samples left to right.
-        for (c, slot) in out.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for &v in &scratch.values[c * samples..(c + 1) * samples] {
-                acc += v;
-            }
-            *slot = acc / samples as f64;
-        }
-    }
-    true
-}
-
 /// 2D-tiled parallel render. Each worker owns a square tile so consecutive
 /// cells keep mesh locality in x *and* y. Bit-identity with the serial
 /// kernel rests on deterministic RNG accounting: a cell consumes exactly
@@ -1674,7 +878,6 @@ fn render_tiled<E: FieldEstimator + ?Sized>(
     grid: &GridSpec2,
     samples: usize,
     tile: usize,
-    packet: usize,
     out: &mut Field2,
     stats: &mut MarchStats,
 ) {
@@ -1713,11 +916,10 @@ fn render_tiled<E: FieldEstimator + ?Sized>(
                 }
                 let mut s = MarchStats::default();
                 let off = (j - j0) * w;
-                render_row_segment_auto(
+                render_row_segment(
                     ctx,
                     grid,
                     samples,
-                    packet,
                     j,
                     i0,
                     &mut seed,
@@ -1769,17 +971,11 @@ fn render_tiled<E: FieldEstimator + ?Sized>(
             .map(|(j, chunk)| {
                 let mut s = MarchStats::default();
                 if tainted[j] {
-                    // A perturbation consumes RNG draws, which the packet
-                    // scheduler cannot speculate through — tainted rows are
-                    // always recomputed with the plain scalar kernel.
                     let mut seed = row_seed(j);
                     let mut hint = NO_FACET;
                     render_row_segment(
                         ctx, grid, samples, j, 0, &mut seed, &mut s, &mut hint, chunk,
                     );
-                    if packet > 0 {
-                        s.packet_scalar_fallbacks += 1;
-                    }
                 }
                 s
             })
@@ -1844,192 +1040,11 @@ fn cell_value_inner<E: FieldEstimator + ?Sized>(
     acc / samples as f64
 }
 
-// ---------------------------------------------------------------------------
-// The reference kernel (the equivalence oracle).
-
-/// The pre-coherence marching kernel, kept verbatim: per-cell binned hull
-/// queries (each tallied as an entry-hint miss), per-step [`ray_tetra`]
-/// with no cross-face reuse (6 edge evaluations per test), row-parallel
-/// scheduling. The rendered field and the
-/// crossings/perturbations/failures counters are bit-identical to
-/// [`surface_density_with_index`] on the same field and grid — the
-/// equivalence proptests and CI's march-bench smoke step assert exactly
-/// that, and the bench bin reports the speedup against this path.
-pub fn surface_density_reference<E: FieldEstimator + ?Sized>(
-    field: &E,
-    index: &HullIndex,
-    grid: &GridSpec2,
-    opts: &MarchOptions,
-) -> (Field2, MarchStats) {
-    let eps = opts.epsilon * grid.cell.norm();
-    let row = |j: usize, out: &mut [f64], stats: &mut MarchStats| {
-        let mut seed = row_seed(j);
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = reference_cell_value(field, index, grid, i, j, eps, opts, &mut seed, stats);
-        }
-    };
-    let mut out = Field2::zeros(*grid);
-    let mut stats = MarchStats::default();
-    if opts.render.parallel {
-        let collected: Vec<MarchStats> = out
-            .data
-            .par_chunks_mut(grid.nx)
-            .enumerate()
-            .map(|(j, chunk)| {
-                let mut s = MarchStats::default();
-                row(j, chunk, &mut s);
-                s
-            })
-            .collect();
-        for s in &collected {
-            stats.merge(s);
-        }
-    } else {
-        for (j, chunk) in out.data.chunks_mut(grid.nx).enumerate() {
-            row(j, chunk, &mut stats);
-        }
-    }
-    (out, stats)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn reference_cell_value<E: FieldEstimator + ?Sized>(
-    field: &E,
-    index: &HullIndex,
-    grid: &GridSpec2,
-    i: usize,
-    j: usize,
-    eps: f64,
-    opts: &MarchOptions,
-    seed: &mut u64,
-    stats: &mut MarchStats,
-) -> f64 {
-    if opts.render.samples <= 1 {
-        return reference_march_one(field, index, grid.center(i, j), eps, opts, seed, stats);
-    }
-    let base = Vec2::new(
-        grid.origin.x + i as f64 * grid.cell.x,
-        grid.origin.y + j as f64 * grid.cell.y,
-    );
-    let mut acc = 0.0;
-    for _ in 0..opts.render.samples {
-        let xi = base + Vec2::new(rand_unit(seed) * grid.cell.x, rand_unit(seed) * grid.cell.y);
-        acc += reference_march_one(field, index, xi, eps, opts, seed, stats);
-    }
-    acc / opts.render.samples as f64
-}
-
-fn reference_march_one<E: FieldEstimator + ?Sized>(
-    field: &E,
-    index: &HullIndex,
-    xi: Vec2,
-    eps: f64,
-    opts: &MarchOptions,
-    seed: &mut u64,
-    stats: &mut MarchStats,
-) -> f64 {
-    let crossings_before = stats.crossings;
-    let v = reference_march_cell_inner(
-        field,
-        index,
-        xi,
-        opts.render.z_range,
-        eps,
-        opts.max_perturb,
-        seed,
-        stats,
-    );
-    dtfe_telemetry::hist_record!("core.tets_per_los", stats.crossings - crossings_before);
-    v
-}
-
-#[allow(clippy::too_many_arguments)]
-fn reference_march_cell_inner<E: FieldEstimator + ?Sized>(
-    field: &E,
-    index: &HullIndex,
-    xi: Vec2,
-    z_range: Option<(f64, f64)>,
-    eps: f64,
-    max_perturb: usize,
-    seed: &mut u64,
-    stats: &mut MarchStats,
-) -> f64 {
-    let del = field.delaunay();
-    let mut xi_cur = xi;
-    let mut attempts = 0usize;
-    let max_steps = del.num_tets() + del.num_ghosts() + 16;
-    'restart: loop {
-        stats.entry_hint_misses += 1;
-        let Some(ghost) = index.query(xi_cur) else {
-            return 0.0;
-        };
-        let mut t = del.tet(ghost).neighbors[3];
-        let ray = Ray::vertical(xi_cur.x, xi_cur.y);
-        let pl = Plucker::from_ray(&ray);
-        let mut total = 0.0;
-        let mut steps = 0usize;
-        loop {
-            steps += 1;
-            if steps > max_steps {
-                match perturb_or_fail(del, t, xi_cur, eps, max_perturb, seed, &mut attempts, stats)
-                {
-                    Some(x) => {
-                        xi_cur = x;
-                        continue 'restart;
-                    }
-                    None => return total,
-                }
-            }
-            let verts = del.tet_points(t);
-            let hit = ray_tetra(&pl, &verts);
-            stats.edge_evals += 6;
-            if hit.degenerate || !hit.is_through() {
-                match perturb_or_fail(del, t, xi_cur, eps, max_perturb, seed, &mut attempts, stats)
-                {
-                    Some(x) => {
-                        xi_cur = x;
-                        continue 'restart;
-                    }
-                    None => return total,
-                }
-            }
-            let (_, p_in) = hit.enter.unwrap();
-            let (exit_face, p_out) = hit.exit.unwrap();
-            stats.crossings += 1;
-
-            let (mut a, mut b) = (p_in.z, p_out.z);
-            if b < a {
-                (a, b) = (b, a);
-            }
-            if let Some((zlo, zhi)) = z_range {
-                a = a.max(zlo);
-                b = b.min(zhi);
-            }
-            if b > a {
-                let ti = field.tet_interp(t);
-                let mid = Vec3::new(xi_cur.x, xi_cur.y, 0.5 * (a + b));
-                let rho_mid = ti.rho0 + ti.grad.dot(mid - ti.v0);
-                total += rho_mid * (b - a);
-            }
-            if let Some((_, zhi)) = z_range {
-                if p_out.z >= zhi {
-                    return total;
-                }
-            }
-
-            let next = del.tet(t).neighbors[exit_face];
-            if del.tet(next).is_ghost() {
-                return total;
-            }
-            t = next;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::density::{DtfeField, Mass};
+    use dtfe_geometry::plucker::ray_tetra;
     use dtfe_geometry::Vec3;
 
     fn jittered_cloud(n_side: usize, seed: u64) -> Vec<Vec3> {
@@ -2246,6 +1261,7 @@ mod tests {
             MarchOptions::new().samples(2).parallel(false),
             MarchOptions::new().z_range(0.5, 3.5).parallel(false),
             MarchOptions::new().parallel(true).tile(8),
+            MarchOptions::new().samples(3).parallel(true).tile(8),
         ] {
             let (a, sa) = surface_density_reference(&field, &index, &grid, &opts);
             let (b, sb) = surface_density_with_index(&field, &index, &grid, &opts);
@@ -2365,105 +1381,6 @@ mod tests {
             let (b, sb) = surface_density_with_index(&field, &index, &grid, &opts);
             assert_eq!(a.data, b.data);
             assert_eq!(sa, sb);
-        }
-    }
-
-    #[test]
-    fn packet_widths_bit_identical_to_scalar_and_reference() {
-        let pts = jittered_cloud(5, 101);
-        let field = DtfeField::build(&pts, Mass::Uniform(1.0)).unwrap();
-        let index = HullIndex::build(&field);
-        let grid = GridSpec2::covering(Vec2::new(-0.3, -0.1), Vec2::new(4.6, 4.7), 33, 27);
-        for samples in [1usize, 3] {
-            for parallel in [false, true] {
-                let base_opts = MarchOptions::new().samples(samples).parallel(parallel);
-                let (reference, sr) = surface_density_reference(&field, &index, &grid, &base_opts);
-                let (scalar, _) = surface_density_with_index(&field, &index, &grid, &base_opts);
-                assert_eq!(reference.data, scalar.data);
-                for packet in [1usize, 4, 8] {
-                    let opts = base_opts.clone().packet(packet);
-                    let (pk, sp) = surface_density_with_index(&field, &index, &grid, &opts);
-                    assert_eq!(
-                        scalar.data, pk.data,
-                        "packet {packet} samples {samples} parallel {parallel}"
-                    );
-                    assert_eq!(sr.crossings, sp.crossings);
-                    assert_eq!(sr.perturbations, sp.perturbations);
-                    assert_eq!(sr.failures, sp.failures);
-                    assert!(sp.packet_steps > 0, "packet path not exercised");
-                    // The lanes-per-step histogram is consistent with the
-                    // step counters and the compiled width.
-                    let hist_total: u64 = sp.packet_lanes.iter().sum();
-                    assert_eq!(hist_total, sp.packet_steps);
-                    let w_eff = match packet {
-                        1 => 1,
-                        2..=7 => 4,
-                        _ => 8,
-                    } as u64;
-                    assert!(sp.packet_lane_steps <= sp.packet_steps * w_eff);
-                    assert!(sp.packet_lane_steps >= sp.packet_steps);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn packet_z_range_bit_identical() {
-        let pts = jittered_cloud(5, 103);
-        let field = DtfeField::build(&pts, Mass::Uniform(1.0)).unwrap();
-        let index = HullIndex::build(&field);
-        let grid = GridSpec2::covering(Vec2::new(0.1, 0.1), Vec2::new(4.3, 4.3), 25, 25);
-        let base = MarchOptions::new().z_range(0.5, 3.5).parallel(false);
-        let (scalar, _) = surface_density_with_index(&field, &index, &grid, &base);
-        for packet in [4usize, 8] {
-            let (pk, _) =
-                surface_density_with_index(&field, &index, &grid, &base.clone().packet(packet));
-            assert_eq!(scalar.data, pk.data, "packet {packet}");
-        }
-    }
-
-    #[test]
-    fn packet_falls_back_on_degenerate_lattice() {
-        // Vertex-aligned rays over an exact lattice force perturbations;
-        // every tainted segment must eject to the scalar kernel and land on
-        // the identical sequential-stream result.
-        let pts: Vec<Vec3> = (0..4)
-            .flat_map(|i| {
-                (0..4)
-                    .flat_map(move |j| (0..4).map(move |k| Vec3::new(i as f64, j as f64, k as f64)))
-            })
-            .collect();
-        let field = DtfeField::build(&pts, Mass::Uniform(1.0)).unwrap();
-        let index = HullIndex::build(&field);
-        let grid = GridSpec2::covering(Vec2::new(-0.5, -0.5), Vec2::new(3.5, 3.5), 8, 8);
-        let opts_ser = MarchOptions::new().parallel(false);
-        let (ser, ss) = surface_density_with_index(&field, &index, &grid, &opts_ser);
-        assert!(ss.perturbations > 0, "scene not degenerate enough");
-        for packet in [1usize, 4, 8] {
-            for parallel in [false, true] {
-                let opts = MarchOptions::new().parallel(parallel).packet(packet);
-                let (pk, sp) = surface_density_with_index(&field, &index, &grid, &opts);
-                assert_eq!(ser.data, pk.data, "packet {packet} parallel {parallel}");
-                assert_eq!(ss.perturbations, sp.perturbations);
-                assert_eq!(ss.crossings, sp.crossings);
-                assert!(
-                    sp.packet_scalar_fallbacks > 0,
-                    "degenerate rows must be counted as scalar fallbacks"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn packet_scratch_estimate_covers_measured_allocation() {
-        for (cells, samples) in [(1usize, 1usize), (64, 1), (64, 4), (192, 8), (2048, 64)] {
-            let scratch = PacketScratch::for_segment(cells, samples);
-            assert!(
-                packet_scratch_bytes(cells, samples) >= scratch.bytes(),
-                "estimate {} < measured {} for {cells} cells × {samples} samples",
-                packet_scratch_bytes(cells, samples),
-                scratch.bytes()
-            );
         }
     }
 

@@ -1,0 +1,188 @@
+//! The reference kernel (the equivalence oracle).
+
+use super::{perturb_or_fail, rand_unit, row_seed, HullIndex, MarchOptions, MarchStats};
+use crate::estimator::FieldEstimator;
+use crate::grid::{Field2, GridSpec2};
+use dtfe_geometry::plucker::{ray_tetra, Plucker, Ray};
+use dtfe_geometry::{Vec2, Vec3};
+use rayon::prelude::*;
+
+/// The pre-coherence marching kernel, kept verbatim: per-cell binned hull
+/// queries (each tallied as an entry-hint miss), per-step [`ray_tetra`]
+/// with no cross-face reuse (6 edge evaluations per test), row-parallel
+/// scheduling. The rendered field and the
+/// crossings/perturbations/failures counters are bit-identical to
+/// [`surface_density_with_index`](super::surface_density_with_index) on
+/// the same field and grid — the equivalence proptests and CI's march-bench
+/// smoke step assert exactly that, and the bench bin reports the speedup
+/// against this path.
+pub fn surface_density_reference<E: FieldEstimator + ?Sized>(
+    field: &E,
+    index: &HullIndex,
+    grid: &GridSpec2,
+    opts: &MarchOptions,
+) -> (Field2, MarchStats) {
+    let eps = opts.epsilon * grid.cell.norm();
+    let row = |j: usize, out: &mut [f64], stats: &mut MarchStats| {
+        let mut seed = row_seed(j);
+        for (i, slot) in out.iter_mut().enumerate() {
+            *slot = reference_cell_value(field, index, grid, i, j, eps, opts, &mut seed, stats);
+        }
+    };
+    let mut out = Field2::zeros(*grid);
+    let mut stats = MarchStats::default();
+    if opts.render.parallel {
+        let collected: Vec<MarchStats> = out
+            .data
+            .par_chunks_mut(grid.nx)
+            .enumerate()
+            .map(|(j, chunk)| {
+                let mut s = MarchStats::default();
+                row(j, chunk, &mut s);
+                s
+            })
+            .collect();
+        for s in &collected {
+            stats.merge(s);
+        }
+    } else {
+        for (j, chunk) in out.data.chunks_mut(grid.nx).enumerate() {
+            row(j, chunk, &mut stats);
+        }
+    }
+    (out, stats)
+}
+
+#[allow(clippy::too_many_arguments)]
+fn reference_cell_value<E: FieldEstimator + ?Sized>(
+    field: &E,
+    index: &HullIndex,
+    grid: &GridSpec2,
+    i: usize,
+    j: usize,
+    eps: f64,
+    opts: &MarchOptions,
+    seed: &mut u64,
+    stats: &mut MarchStats,
+) -> f64 {
+    if opts.render.samples <= 1 {
+        return reference_march_one(field, index, grid.center(i, j), eps, opts, seed, stats);
+    }
+    let base = Vec2::new(
+        grid.origin.x + i as f64 * grid.cell.x,
+        grid.origin.y + j as f64 * grid.cell.y,
+    );
+    let mut acc = 0.0;
+    for _ in 0..opts.render.samples {
+        let xi = base + Vec2::new(rand_unit(seed) * grid.cell.x, rand_unit(seed) * grid.cell.y);
+        acc += reference_march_one(field, index, xi, eps, opts, seed, stats);
+    }
+    acc / opts.render.samples as f64
+}
+
+fn reference_march_one<E: FieldEstimator + ?Sized>(
+    field: &E,
+    index: &HullIndex,
+    xi: Vec2,
+    eps: f64,
+    opts: &MarchOptions,
+    seed: &mut u64,
+    stats: &mut MarchStats,
+) -> f64 {
+    let crossings_before = stats.crossings;
+    let v = reference_march_cell_inner(
+        field,
+        index,
+        xi,
+        opts.render.z_range,
+        eps,
+        opts.max_perturb,
+        seed,
+        stats,
+    );
+    dtfe_telemetry::hist_record!("core.tets_per_los", stats.crossings - crossings_before);
+    v
+}
+
+#[allow(clippy::too_many_arguments)]
+fn reference_march_cell_inner<E: FieldEstimator + ?Sized>(
+    field: &E,
+    index: &HullIndex,
+    xi: Vec2,
+    z_range: Option<(f64, f64)>,
+    eps: f64,
+    max_perturb: usize,
+    seed: &mut u64,
+    stats: &mut MarchStats,
+) -> f64 {
+    let del = field.delaunay();
+    let mut xi_cur = xi;
+    let mut attempts = 0usize;
+    let max_steps = del.num_tets() + del.num_ghosts() + 16;
+    'restart: loop {
+        stats.entry_hint_misses += 1;
+        let Some(ghost) = index.query(xi_cur) else {
+            return 0.0;
+        };
+        let mut t = del.tet(ghost).neighbors[3];
+        let ray = Ray::vertical(xi_cur.x, xi_cur.y);
+        let pl = Plucker::from_ray(&ray);
+        let mut total = 0.0;
+        let mut steps = 0usize;
+        loop {
+            steps += 1;
+            if steps > max_steps {
+                match perturb_or_fail(del, t, xi_cur, eps, max_perturb, seed, &mut attempts, stats)
+                {
+                    Some(x) => {
+                        xi_cur = x;
+                        continue 'restart;
+                    }
+                    None => return total,
+                }
+            }
+            let verts = del.tet_points(t);
+            let hit = ray_tetra(&pl, &verts);
+            stats.edge_evals += 6;
+            if hit.degenerate || !hit.is_through() {
+                match perturb_or_fail(del, t, xi_cur, eps, max_perturb, seed, &mut attempts, stats)
+                {
+                    Some(x) => {
+                        xi_cur = x;
+                        continue 'restart;
+                    }
+                    None => return total,
+                }
+            }
+            let (_, p_in) = hit.enter.unwrap();
+            let (exit_face, p_out) = hit.exit.unwrap();
+            stats.crossings += 1;
+
+            let (mut a, mut b) = (p_in.z, p_out.z);
+            if b < a {
+                (a, b) = (b, a);
+            }
+            if let Some((zlo, zhi)) = z_range {
+                a = a.max(zlo);
+                b = b.min(zhi);
+            }
+            if b > a {
+                let ti = field.tet_interp(t);
+                let mid = Vec3::new(xi_cur.x, xi_cur.y, 0.5 * (a + b));
+                let rho_mid = ti.rho0 + ti.grad.dot(mid - ti.v0);
+                total += rho_mid * (b - a);
+            }
+            if let Some((_, zhi)) = z_range {
+                if p_out.z >= zhi {
+                    return total;
+                }
+            }
+
+            let next = del.tet(t).neighbors[exit_face];
+            if del.tet(next).is_ghost() {
+                return total;
+            }
+            t = next;
+        }
+    }
+}

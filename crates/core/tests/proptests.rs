@@ -117,36 +117,17 @@ proptest! {
         prop_assert_eq!(sr.perturbations, ss.perturbations);
         prop_assert_eq!(sr.failures, ss.failures);
         prop_assert!(ss.edge_evals <= sr.edge_evals);
-        // Packet marching at every width is bit-identical to the scalar
-        // coherent kernel (and hence to the reference).
-        for packet in [1usize, 4, 8] {
-            let popts = opts.clone().packet(packet);
-            let (pk, sk) = surface_density_with_index(&field, &index, &grid, &popts);
-            prop_assert_eq!(&serial.data, &pk.data, "serial packet {}", packet);
-            prop_assert_eq!(ss.crossings, sk.crossings);
-            prop_assert_eq!(ss.perturbations, sk.perturbations);
-            prop_assert_eq!(ss.failures, sk.failures);
-        }
+        let par_opts = opts.parallel(true).tile(tile);
         for threads in [1usize, 2, 8] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            for packet in [0usize, 1, 4, 8] {
-                let par_opts = opts.clone().parallel(true).tile(tile).packet(packet);
-                let (par, sp) =
-                    pool.install(|| surface_density_with_index(&field, &index, &grid, &par_opts));
-                prop_assert_eq!(
-                    &serial.data,
-                    &par.data,
-                    "threads {} tile {} packet {}",
-                    threads,
-                    tile,
-                    packet
-                );
-                prop_assert_eq!(ss.crossings, sp.crossings);
-                prop_assert_eq!(ss.perturbations, sp.perturbations);
-            }
+            let (par, sp) =
+                pool.install(|| surface_density_with_index(&field, &index, &grid, &par_opts));
+            prop_assert_eq!(&serial.data, &par.data, "threads {} tile {}", threads, tile);
+            prop_assert_eq!(ss.crossings, sp.crossings);
+            prop_assert_eq!(ss.perturbations, sp.perturbations);
         }
     }
 
@@ -173,80 +154,55 @@ proptest! {
         let (reference, sr) = surface_density_reference(&field, &index, &grid, &opts);
         prop_assert_eq!(&reference.data, &serial.data);
         prop_assert_eq!(sr.perturbations, ss.perturbations);
-        // Degenerate lanes must eject packets back to the scalar path and
-        // still land on the same bits.
-        for packet in [1usize, 4, 8] {
-            let popts = MarchOptions::new().parallel(false).packet(packet);
-            let (pk, sk) = surface_density_with_index(&field, &index, &grid, &popts);
-            prop_assert_eq!(&serial.data, &pk.data, "serial packet {}", packet);
-            prop_assert_eq!(ss.perturbations, sk.perturbations);
-            prop_assert_eq!(ss.crossings, sk.crossings);
-            if ss.perturbations > 0 {
-                prop_assert!(sk.packet_scalar_fallbacks > 0, "packet {}", packet);
-            }
-        }
+        let par_opts = MarchOptions::new().parallel(true).tile(tile);
         for threads in [2usize, 8] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            for packet in [0usize, 1, 4, 8] {
-                let par_opts = MarchOptions::new().parallel(true).tile(tile).packet(packet);
-                let (par, sp) =
-                    pool.install(|| surface_density_with_index(&field, &index, &grid, &par_opts));
-                prop_assert_eq!(
-                    &serial.data,
-                    &par.data,
-                    "threads {} tile {} packet {}",
-                    threads,
-                    tile,
-                    packet
-                );
-                prop_assert_eq!(ss.perturbations, sp.perturbations);
-                prop_assert_eq!(ss.crossings, sp.crossings);
-            }
+            let (par, sp) =
+                pool.install(|| surface_density_with_index(&field, &index, &grid, &par_opts));
+            prop_assert_eq!(&serial.data, &par.data, "threads {} tile {}", threads, tile);
+            prop_assert_eq!(ss.perturbations, sp.perturbations);
+            prop_assert_eq!(ss.crossings, sp.crossings);
         }
     }
 
     #[test]
-    fn packet_bit_identical_across_estimator_backends(
+    fn render_bit_identical_across_estimator_backends(
         pts in cloud_strategy(24, 80),
         tile in 1usize..12,
     ) {
-        // The packet kernel is generic over `FieldEstimator`: every backend
-        // named by `EstimatorKind` (DTFE, PS-DTFE, its velocity divergence,
-        // and the stochastic reconstruction) must render bit-identically to
-        // the reference kernel at every packet width and thread count.
+        // The kernel is generic over `FieldEstimator`: every backend named
+        // by `EstimatorKind` (DTFE, PS-DTFE, its velocity divergence, and
+        // the stochastic reconstruction) must render bit-identically to the
+        // reference kernel at every thread count.
         fn check<E: FieldEstimator + ?Sized>(field: &E, grid: &GridSpec2, tile: usize, label: &str) {
             let index = HullIndex::build(field);
             let opts = MarchOptions::new().parallel(false);
             let (reference, sr) = surface_density_reference(field, &index, grid, &opts);
-            for packet in [1usize, 4, 8] {
-                let popts = opts.clone().packet(packet);
-                let (pk, sk) = surface_density_with_index(field, &index, grid, &popts);
-                prop_assert_eq!(&reference.data, &pk.data, "{} serial packet {}", label, packet);
-                prop_assert_eq!(sr.crossings, sk.crossings);
-                prop_assert_eq!(sr.perturbations, sk.perturbations);
-                for threads in [1usize, 2, 8] {
-                    let pool = rayon::ThreadPoolBuilder::new()
-                        .num_threads(threads)
-                        .build()
-                        .unwrap();
-                    let par_opts = opts.clone().parallel(true).tile(tile).packet(packet);
-                    let (par, sp) =
-                        pool.install(|| surface_density_with_index(field, &index, grid, &par_opts));
-                    prop_assert_eq!(
-                        &reference.data,
-                        &par.data,
-                        "{} threads {} tile {} packet {}",
-                        label,
-                        threads,
-                        tile,
-                        packet
-                    );
-                    prop_assert_eq!(sr.crossings, sp.crossings);
-                    prop_assert_eq!(sr.perturbations, sp.perturbations);
-                }
+            let (serial, ss) = surface_density_with_index(field, &index, grid, &opts);
+            prop_assert_eq!(&reference.data, &serial.data, "{} serial", label);
+            prop_assert_eq!(sr.crossings, ss.crossings);
+            prop_assert_eq!(sr.perturbations, ss.perturbations);
+            let par_opts = opts.parallel(true).tile(tile);
+            for threads in [1usize, 2, 8] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let (par, sp) =
+                    pool.install(|| surface_density_with_index(field, &index, grid, &par_opts));
+                prop_assert_eq!(
+                    &reference.data,
+                    &par.data,
+                    "{} threads {} tile {}",
+                    label,
+                    threads,
+                    tile
+                );
+                prop_assert_eq!(sr.crossings, sp.crossings);
+                prop_assert_eq!(sr.perturbations, sp.perturbations);
             }
         }
 

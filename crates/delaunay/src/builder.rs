@@ -6,9 +6,8 @@ use dtfe_geometry::Vec3;
 /// Alias for the triangulation the builder produces.
 pub type Triangulation = Delaunay;
 
-/// Typed construction failure. Unlike the deprecated free-function path,
-/// every failure mode — including non-finite coordinates, which used to
-/// panic — surfaces as a `Result`.
+/// Typed construction failure: every failure mode — including non-finite
+/// coordinates — surfaces as a `Result`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BuildError {
     /// Fewer than four affinely independent points: no 3D triangulation

@@ -75,8 +75,8 @@ pub use validate::ValidationError;
 use dtfe_geometry::Vec3;
 
 /// Serial Morton/input-order construction shared by the builder's
-/// single-thread path, the parallel prefix, and the deprecated shims.
-/// Assumes finite coordinates (the builder checks; the shims assert).
+/// single-thread path and the parallel prefix. Assumes finite coordinates
+/// (the builder checks).
 pub(crate) fn build_serial(input: &[Vec3], order: &[u32]) -> Result<Delaunay, DelaunayError> {
     let mut d = insert::bootstrap(input, order)?;
     for &idx in order {
@@ -86,12 +86,6 @@ pub(crate) fn build_serial(input: &[Vec3], order: &[u32]) -> Result<Delaunay, De
         }
     }
     Ok(d)
-}
-
-/// Free-function shim over [`DelaunayBuilder`] with default settings.
-#[deprecated(since = "0.2.0", note = "use `DelaunayBuilder::new().build(points)`")]
-pub fn triangulate(points: &[Vec3]) -> Result<Triangulation, BuildError> {
-    DelaunayBuilder::new().build(points)
 }
 
 /// Errors from triangulation construction.
@@ -155,42 +149,6 @@ impl std::fmt::Debug for Delaunay {
 }
 
 impl Delaunay {
-    /// Triangulate `input`, inserting in Morton order. Duplicate points are
-    /// merged. Fails with [`DelaunayError::Degenerate`] when the input has no
-    /// four affinely independent points.
-    #[deprecated(since = "0.2.0", note = "use `DelaunayBuilder::new().build(points)`")]
-    pub fn build(input: &[Vec3]) -> Result<Delaunay, DelaunayError> {
-        Self::build_with_order(input, true)
-    }
-
-    /// Triangulate without the Morton spatial sort (insertion in input
-    /// order). Mainly for the ablation bench; the builder's default spatial
-    /// sort is faster on large inputs.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `DelaunayBuilder::new().spatial_sort(false).build(points)`"
-    )]
-    pub fn build_insertion_order(input: &[Vec3]) -> Result<Delaunay, DelaunayError> {
-        Self::build_with_order(input, false)
-    }
-
-    fn build_with_order(input: &[Vec3], spatial_sort: bool) -> Result<Delaunay, DelaunayError> {
-        // The historical contract of the deprecated entry points: panic on
-        // non-finite coordinates. The builder reports BuildError instead.
-        assert!(
-            input.iter().all(|p| p.is_finite()),
-            "non-finite input coordinates"
-        );
-        // Same canonical order as the builder, so the deprecated path yields
-        // the identical mesh.
-        let order: Vec<u32> = if spatial_sort {
-            morton::stratified_order(input)
-        } else {
-            (0..input.len() as u32).collect()
-        };
-        build_serial(input, &order)
-    }
-
     /// Number of (unique) vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {

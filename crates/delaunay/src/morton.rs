@@ -66,10 +66,9 @@ pub fn morton_order(points: &[Vec3]) -> Vec<u32> {
 
 /// The canonical spatially-sorted insertion order: Morton order, split into
 /// [`STREAMS`] contiguous chunks (sizes differing by at most one), emitted
-/// round-robin. Every construction path — serial, parallel, and the
-/// deprecated shims — inserts in exactly this order, which is what makes
-/// their outputs identical even on inputs whose Delaunay triangulation is
-/// not unique.
+/// round-robin. Every construction path — serial and parallel — inserts
+/// in exactly this order, which is what makes their outputs identical even
+/// on inputs whose Delaunay triangulation is not unique.
 pub fn stratified_order(points: &[Vec3]) -> Vec<u32> {
     interleave(&morton_order(points), STREAMS)
 }

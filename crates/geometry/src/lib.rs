@@ -19,17 +19,12 @@
 //!   helpers used by the DTFE interpolation itself.
 //! * [`aabb`] — axis-aligned boxes used for domain decomposition and ghost
 //!   zones.
-//! * [`simd`] — structure-of-arrays `f64` lane types and the packet
-//!   vertical-side kernel behind the ray-packet marching path (DESIGN.md
-//!   §4k). Bit-identical per lane to the scalar Plücker products; the
-//!   `simd-intrinsics` cargo feature adds an AVX2 specialization.
 
 pub mod aabb;
 pub mod expansion;
 pub mod mat;
 pub mod plucker;
 pub mod predicates;
-pub mod simd;
 pub mod tetra;
 pub mod vec;
 

@@ -263,10 +263,8 @@ pub const TET_EDGES: [(usize, usize); 6] = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 
 
 /// Each face of [`TET_FACES`] as three (index into [`TET_EDGES`], reversed?)
 /// pairs; a reversed edge enters the face's directed-edge product negated.
-/// This is the same sign table `ray_tetra` writes out literally. Public so
-/// the packet marching kernel can classify several lanes' side products
-/// against the same faces [`hit_from_sides`] inspects.
-pub const FACE_EDGES: [[(usize, bool); 3]; 4] = [
+/// This is the same sign table `ray_tetra` writes out literally.
+const FACE_EDGES: [[(usize, bool); 3]; 4] = [
     [(4, false), (5, true), (3, true)],  // (1,3,2): s13, -s23, -s12
     [(1, false), (5, false), (2, true)], // (0,2,3): s02, s23, -s03
     [(2, false), (4, true), (0, true)],  // (0,3,1): s03, -s13, -s01
@@ -285,7 +283,7 @@ pub const FACE_EDGES: [[(usize, bool); 3]; 4] = [
 /// direction-matched pairs preserve bit-identity.)
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaceSeed {
-    /// Directed global-vertex-id pairs, in the exit face's [`FACE_EDGES`]
+    /// Directed global-vertex-id pairs, in the exit face's `FACE_EDGES`
     /// order.
     pub edges: [(u32, u32); 3],
     /// The canonical (unsigned, `i < j` direction) side-products.
@@ -299,52 +297,6 @@ impl FaceSeed {
         edges: [(u32::MAX, u32::MAX); 3],
         s: [0.0; 3],
     };
-}
-
-/// The seed-reuse mapping of [`ray_tetra_seeded`] as pure topology: which
-/// canonical edges of the *next* tetrahedron direction-match a canonical
-/// edge of the face just exited, given only the two tetrahedra's global
-/// vertex ids and the shared face's local indices on each side. Returns a
-/// six-bit mask of the edges that still need evaluation (bit `e` set =
-/// evaluate edge `e` of [`TET_EDGES`]) plus up to three
-/// `(next_edge, prev_edge)` copy pairs for the matched ones.
-///
-/// The mapping depends only on vertex *ids*, not on any ray, so a packet
-/// kernel marching several rays through the same pair of tetrahedra
-/// computes it once and applies the copies to every lane; each copied value
-/// is bitwise the one [`ray_tetra_seeded`] would reuse for that lane (see
-/// [`FaceSeed`]).
-pub fn seed_edge_map(
-    prev_ids: &[u32; 4],
-    exit_face: usize,
-    next_ids: &[u32; 4],
-    entry_face: usize,
-) -> (u8, [(u8, u8); 3], usize) {
-    let key = |i: u32, j: u32| ((i as u64) << 32) | j as u64;
-    let fe_prev = FACE_EDGES[exit_face];
-    let mut seed_keys = [0u64; 3];
-    for (m, &(e, _)) in fe_prev.iter().enumerate() {
-        let (i, j) = TET_EDGES[e];
-        seed_keys[m] = key(prev_ids[i], prev_ids[j]);
-    }
-    let mut todo: u8 = 0b11_1111;
-    let mut map = [(0u8, 0u8); 3];
-    let mut n = 0usize;
-    // Only the entry face's edges can name a shared geometric edge — the
-    // same confinement `ray_tetra_seeded` applies.
-    for &(e, _) in &FACE_EDGES[entry_face] {
-        let (i, j) = TET_EDGES[e];
-        let k = key(next_ids[i], next_ids[j]);
-        for (m, &sk) in seed_keys.iter().enumerate() {
-            if k == sk {
-                todo &= !(1u8 << e);
-                map[n] = (e as u8, fe_prev[m].0 as u8);
-                n += 1;
-                break;
-            }
-        }
-    }
-    (todo, map, n)
 }
 
 /// [`Plucker::side`] against the directed edge `p0 → p1`, specialized for a
@@ -370,13 +322,9 @@ fn side_vertical(rv: Vec3, p0: Vec3, p1: Vec3) -> f64 {
 /// Classify a line against a tetrahedron from its six canonical edge
 /// side-products (in [`TET_EDGES`] order, vertex order already
 /// normalized), returning the hit and the local exit face. This is the
-/// classification half of [`ray_tetra_seeded`]; the packet kernel in
-/// `dtfe-core` computes the products for several lanes at once
-/// (`crate::simd::vertical_tet_sides`) and routes each lane through this
-/// exact code path, which is what keeps packet results bit-identical to
-/// the scalar march.
+/// classification half of [`ray_tetra_seeded`].
 #[inline]
-pub fn hit_from_sides(s: &[f64; 6], verts: &[Vec3; 4]) -> (RayTetraHit, Option<usize>) {
+fn hit_from_sides(s: &[f64; 6], verts: &[Vec3; 4]) -> (RayTetraHit, Option<usize>) {
     let mut hit = RayTetraHit::MISS;
     let mut exit_face = None;
     for (fi, fe) in FACE_EDGES.iter().enumerate() {
@@ -702,55 +650,6 @@ mod tests {
         assert_eq!(up_hit, ray_tetra(&r, &upper));
         assert!(up_hit.is_through());
         assert!(seeded_evals < 6, "no shared-face reuse happened");
-    }
-
-    #[test]
-    fn seed_edge_map_mirrors_seeded_reuse() {
-        // The topology-only mapping must clear exactly the edges
-        // ray_tetra_seeded skips when given the same seed and entry face,
-        // and each copy pair must name the identical directed id pair on
-        // both sides of the shared face.
-        let apex_lo = Vec3::new(0.3, 0.2, -1.0);
-        let apex_hi = Vec3::new(0.25, 0.3, 1.0);
-        let mut lo = [A, B, C, apex_lo];
-        let mut lo_ids = [0u32, 1, 2, 3];
-        if normalize_tet(&mut lo) {
-            lo_ids.swap(2, 3);
-        }
-        let r = Plucker::from_ray(&Ray::vertical(0.2, 0.25));
-        let mut evals = 0u64;
-        let (lo_hit, seed) = ray_tetra_seeded(&r, &lo, &lo_ids, None, None, &mut evals);
-        let (exit_face, _) = lo_hit.exit.unwrap();
-
-        let mut up = [B, A, C, apex_hi];
-        let mut up_ids = [1u32, 0, 2, 4];
-        if normalize_tet(&mut up) {
-            up_ids.swap(2, 3);
-        }
-        // The entry face is opposite the one vertex not on the shared face.
-        let entry_face = up_ids.iter().position(|&id| id == 4).unwrap();
-
-        let mut seeded_evals = 0u64;
-        let (up_hit, _) = ray_tetra_seeded(
-            &r,
-            &up,
-            &up_ids,
-            Some(&seed),
-            Some(entry_face),
-            &mut seeded_evals,
-        );
-        assert!(up_hit.is_through());
-
-        let (todo, map, n) = seed_edge_map(&lo_ids, exit_face, &up_ids, entry_face);
-        assert_eq!(seeded_evals, u64::from(todo.count_ones()));
-        assert_eq!(n, 6 - todo.count_ones() as usize);
-        assert!(n >= 1, "no direction-matched edge across the shared face");
-        for &(dst, src) in &map[..n] {
-            let (di, dj) = TET_EDGES[dst as usize];
-            let (si, sj) = TET_EDGES[src as usize];
-            assert_eq!((up_ids[di], up_ids[dj]), (lo_ids[si], lo_ids[sj]));
-            assert_eq!(todo & (1 << dst), 0, "mapped edge {dst} still marked todo");
-        }
     }
 
     #[test]

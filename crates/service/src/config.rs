@@ -94,17 +94,6 @@ pub struct ServiceConfig {
     pub window_buckets: usize,
     /// Width of each rotating-window bucket.
     pub window_width: Duration,
-    /// Ray-packet width the render path hands to
-    /// [`MarchOptions::packet`](dtfe_core::marching::MarchOptions::packet):
-    /// `0` renders scalar, `1..=8` selects a compiled packet lane width.
-    /// Output is bit-identical at every setting (the packet kernel's
-    /// correctness contract), so this is purely a throughput knob. The
-    /// default is `0`: on the 1-core SSE2 baseline this repo benchmarks
-    /// on, the scalar coherent kernel's seed reuse still beats the packet
-    /// path (see DESIGN.md §4k for the measured occupancy ceiling);
-    /// operators on wider-vector hosts can raise it after checking the
-    /// `march` bench packet legs.
-    pub packet: usize,
 }
 
 impl ServiceConfig {
@@ -148,7 +137,6 @@ impl ServiceConfig {
             slow_threshold: Some(Duration::from_millis(500)),
             window_buckets: 10,
             window_width: Duration::from_secs(1),
-            packet: 0,
         }
     }
 
@@ -206,12 +194,6 @@ impl ServiceConfig {
         if self.window_buckets > 0 && self.window_width.is_zero() {
             return Err("window_width must be positive when window_buckets > 0".into());
         }
-        if self.packet > dtfe_core::marching::MAX_PACKET_WIDTH {
-            return Err(format!(
-                "packet must be in 0..={} (0 = scalar)",
-                dtfe_core::marching::MAX_PACKET_WIDTH
-            ));
-        }
         Ok(())
     }
 }
@@ -267,12 +249,6 @@ mod tests {
         let mut c = ServiceConfig::new(f64::NAN, 64);
         c.ghost_margin = f64::NAN;
         assert!(c.validate().is_err());
-        let mut c = ServiceConfig::new(4.0, 64);
-        c.packet = dtfe_core::marching::MAX_PACKET_WIDTH + 1;
-        assert!(c.validate().is_err());
-        let mut c = ServiceConfig::new(4.0, 64);
-        c.packet = 4;
-        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]

@@ -338,7 +338,6 @@ impl Service {
         let opts = MarchOptions::new()
             .samples(samples)
             .parallel(false)
-            .packet(cfg.packet)
             .estimator(estimator)
             .z_range(
                 req.center.z - cfg.field_len * 0.5,

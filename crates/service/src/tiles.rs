@@ -254,27 +254,8 @@ impl TileData {
         // are re-materialised by every shard holding a replica of this
         // tile, so they are real per-shard memory the budget must see even
         // though they logically "belong" to a neighbouring cell.
-        base + self.ghost_bytes() + render_scratch_bound(&self.field)
+        base + self.ghost_bytes()
     }
-}
-
-/// Worst-case transient scratch one render against this tile may allocate
-/// when packet marching is enabled ([`ServiceConfig::packet`] > 0): the
-/// serial render path hands [`packet_march_segment`] whole grid rows, so
-/// the bound is one maximal row at the request caps. Charged per resident
-/// tile (renders run against cached tiles), keeping the LRU budget an
-/// upper bound on true per-tile RSS rather than only on retained state.
-///
-/// [`ServiceConfig::packet`]: crate::config::ServiceConfig::packet
-/// [`packet_march_segment`]: dtfe_core::marching
-fn render_scratch_bound(field: &Option<TileField>) -> usize {
-    if field.is_none() {
-        return 0;
-    }
-    dtfe_core::marching::packet_scratch_bytes(
-        crate::config::ServiceConfig::MAX_RESOLUTION,
-        crate::config::ServiceConfig::MAX_SAMPLES,
-    )
 }
 
 /// Bytes one ghost particle's duplicated position costs a shard.
@@ -373,25 +354,17 @@ mod tests {
     }
 
     #[test]
-    fn tile_bytes_cover_packet_render_scratch() {
+    fn tile_bytes_charge_only_resident_state() {
         let pts = cloud(400, 42, 4.0);
         let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(4.0));
         let snap = snap_from(pts, bounds, 1, 0.5);
         let tile = TileData::build(&snap, 0, EstimatorKind::Dtfe, 0.5, 1);
         assert!(tile.field.is_some());
-        // The charged estimate covers the worst transient the packet
-        // scheduler may allocate for a render against this tile (one
-        // maximal row segment at the request caps) on top of the resident
-        // mesh estimate, keeping the LRU budget ≥ true peak per-tile RSS.
-        let scratch = dtfe_core::marching::packet_scratch_bytes(
-            crate::config::ServiceConfig::MAX_RESOLUTION,
-            crate::config::ServiceConfig::MAX_SAMPLES,
-        );
-        assert!(scratch > 0);
-        assert!(tile.bytes >= scratch);
-        // A tile with no field never renders, so it is not charged.
-        let empty = TileData::synthetic(0, 64);
-        assert!(empty.bytes < scratch);
+        // A render allocates nothing per row, so the charge is the mesh
+        // estimate plus ghosts: well under 1 MiB at 400 particles.
+        assert!(tile.bytes < 1 << 20, "charged {} B", tile.bytes);
+        // A tile with no field holds only its header.
+        assert_eq!(TileData::synthetic(0, 0).estimate_bytes(), 64);
     }
 
     #[test]

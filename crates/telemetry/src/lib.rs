@@ -114,18 +114,3 @@ macro_rules! hist_record {
         }
     };
 }
-
-/// Record `n` occurrences of the same sample value into the named histogram
-/// in one registry visit — for callers that tallied a dense local histogram
-/// (e.g. lanes-per-step counts) and flush it after the hot loop.
-#[macro_export]
-macro_rules! hist_record_n {
-    ($name:expr, $v:expr, $n:expr) => {
-        if $crate::is_enabled() {
-            static __DTFE_TELEMETRY_ID: ::std::sync::OnceLock<usize> = ::std::sync::OnceLock::new();
-            let id =
-                *__DTFE_TELEMETRY_ID.get_or_init(|| $crate::recorder::register_histogram($name));
-            $crate::recorder::record_histogram_n(id, $v as u64, $n as u64);
-        }
-    };
-}

@@ -75,30 +75,6 @@ impl Histogram {
         self.sum = self.sum.saturating_add(v);
     }
 
-    /// Record `n` occurrences of the same sample value in one shot — what
-    /// a caller that kept its own dense tally (the packet kernel's
-    /// lanes-per-step array) uses to dump it into the registry without
-    /// paying `n` individual `record` calls.
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let idx = bucket_index(v);
-        if idx >= self.buckets.len() {
-            self.buckets.resize(idx + 1, 0);
-        }
-        self.buckets[idx] += n;
-        if self.count == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-        self.count += n;
-        self.sum = self.sum.saturating_add(v.saturating_mul(n));
-    }
-
     pub fn count(&self) -> u64 {
         self.count
     }
@@ -274,21 +250,6 @@ mod tests {
             let (lo, hi) = bucket_range(bucket_index(v));
             assert!(lo <= v && v <= hi);
         }
-    }
-
-    #[test]
-    fn record_n_equals_repeated_record() {
-        let mut bulk = Histogram::new();
-        let mut loop_h = Histogram::new();
-        for (v, n) in [(3u64, 5u64), (1000, 2), (0, 7), (42, 0), (1 << 30, 3)] {
-            bulk.record_n(v, n);
-            for _ in 0..n {
-                loop_h.record(v);
-            }
-        }
-        assert_eq!(bulk, loop_h);
-        assert_eq!(bulk.count(), 17);
-        assert_eq!(bulk.quantile(0.5), loop_h.quantile(0.5));
     }
 
     #[test]

@@ -510,29 +510,6 @@ pub fn record_histogram(id: usize, v: u64) {
     });
 }
 
-/// Bulk form of [`record_histogram`]: `n` occurrences of the same value in
-/// one registry visit. The packet marching kernel tallies lanes-per-step in
-/// a local array during the render and dumps each bin through here once,
-/// instead of calling `record_histogram` millions of times from the hot loop.
-#[inline]
-pub fn record_histogram_n(id: usize, v: u64, n: u64) {
-    if id >= HIST_CAP || n == 0 {
-        return;
-    }
-    with_shard(|s| {
-        s.hists.lock().unwrap()[id]
-            .get_or_insert_with(Histogram::new)
-            .record_n(v, n);
-        let (buckets, width_us) = s.window;
-        if buckets > 0 {
-            let now_us = clock::now_us();
-            let wh = &mut s.whists.lock().unwrap()[id];
-            let wh = wh.get_or_insert_with(|| WindowedHistogram::new(buckets, width_us));
-            wh.record_n_at(now_us, v, n);
-        }
-    });
-}
-
 // ---------------------------------------------------------------------------
 // Spans
 // ---------------------------------------------------------------------------

@@ -66,22 +66,6 @@ impl WindowedHistogram {
         self.record_at(clock::now_us(), v);
     }
 
-    /// Record `n` occurrences of the same value at an explicit timestamp
-    /// (the windowed companion of [`Histogram::record_n`]).
-    pub fn record_n_at(&mut self, now_us: u64, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let epoch = now_us / self.width_us;
-        let idx = (epoch % self.slots.len() as u64) as usize;
-        let slot = &mut self.slots[idx];
-        if slot.epoch != epoch {
-            slot.hist = Histogram::new();
-            slot.epoch = epoch;
-        }
-        slot.hist.record_n(v, n);
-    }
-
     /// Merge every slot still inside the window ending at `now_us` into
     /// one histogram. Deterministic: slots are merged in index order and
     /// the same `(now_us, recordings)` history always yields an equal
@@ -258,22 +242,6 @@ mod tests {
         assert!(spike_only.quantile(0.5).unwrap() >= 900_000);
         // Epoch 5: everything has aged out.
         assert!(h.merged_at(5 * W + 1).is_empty());
-    }
-
-    #[test]
-    fn record_n_matches_repeated_record_and_ages_out() {
-        let mut bulk = WindowedHistogram::new(3, W);
-        let mut loop_h = WindowedHistogram::new(3, W);
-        for (t, v, n) in [(10, 5u64, 4u64), (W + 3, 9, 2), (W + 3, 9, 0)] {
-            bulk.record_n_at(t, v, n);
-            for _ in 0..n {
-                loop_h.record_at(t, v);
-            }
-        }
-        assert_eq!(bulk.merged_at(W + 4), loop_h.merged_at(W + 4));
-        assert_eq!(bulk.merged_at(W + 4).count(), 6);
-        // After a full rotation only the epoch-1 samples remain.
-        assert_eq!(bulk.merged_at(3 * W + 1).count(), 2);
     }
 
     #[test]
