@@ -1,6 +1,5 @@
 //! Criterion benches of the Delaunay substrate: construction (with the
-//! Morton-order ablation from DESIGN.md), the parallel-build thread sweep,
-//! and point location.
+//! insertion-order ablation from DESIGN.md) and point location.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dtfe_delaunay::DelaunayBuilder;
@@ -20,34 +19,18 @@ fn cloud(n: usize, seed: u64) -> Vec<Vec3> {
 fn bench_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("delaunay_build");
     group.sample_size(10);
-    for &n in &[2_000usize, 10_000] {
+    for &n in &[8_000usize, 32_000] {
         let pts = cloud(n, 42);
-        group.bench_with_input(BenchmarkId::new("morton", n), &pts, |b, pts| {
-            b.iter(|| DelaunayBuilder::new().threads(1).build(pts).unwrap())
+        group.bench_with_input(BenchmarkId::new("brio", n), &pts, |b, pts| {
+            b.iter(|| DelaunayBuilder::new().build(pts).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("input_order", n), &pts, |b, pts| {
             b.iter(|| {
                 DelaunayBuilder::new()
-                    .threads(1)
                     .spatial_sort(false)
                     .build(pts)
                     .unwrap()
             })
-        });
-    }
-    group.finish();
-}
-
-/// The issue's scaling experiment: identical input, 1/2/4/8 builder threads.
-/// Thread count 1 is the serial path; the others run the round-synchronous
-/// parallel insertion, which produces the same mesh (see `parallel.rs`).
-fn bench_build_threads(c: &mut Criterion) {
-    let mut group = c.benchmark_group("delaunay_build_threads");
-    group.sample_size(10);
-    let pts = cloud(20_000, 42);
-    for &threads in &[1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &pts, |b, pts| {
-            b.iter(|| DelaunayBuilder::new().threads(threads).build(pts).unwrap())
         });
     }
     group.finish();
@@ -96,6 +79,6 @@ fn bench_locate(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().measurement_time(std::time::Duration::from_secs(3));
-    targets = bench_build, bench_build_threads, bench_locate
+    targets = bench_build, bench_locate
 }
 criterion_main!(benches);

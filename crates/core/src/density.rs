@@ -44,6 +44,35 @@ pub struct DtfeField {
     march: OnceLock<MarchCache>,
 }
 
+/// Eq. 2 over `del`'s current slot order: `ρ̂_i = (d+1) m_i / W_i`, merged
+/// duplicates accumulating their masses.
+fn vertex_densities(del: &Delaunay, n_input: usize, mass: &Mass) -> Vec<f64> {
+    let mut vmass = vec![0.0f64; del.num_vertices()];
+    match mass {
+        Mass::Uniform(m) => {
+            if n_input == del.num_vertices() {
+                vmass.fill(*m);
+            } else {
+                for i in 0..n_input {
+                    vmass[del.vertex_of_input(i) as usize] += m;
+                }
+            }
+        }
+        Mass::PerParticle(ms) => {
+            assert_eq!(ms.len(), n_input, "mass count != input point count");
+            for (i, &m) in ms.iter().enumerate() {
+                vmass[del.vertex_of_input(i) as usize] += m;
+            }
+        }
+    }
+    let star = del.vertex_star_volumes();
+    vmass
+        .iter()
+        .zip(&star)
+        .map(|(&m, &w)| if w > 0.0 { 4.0 * m / w } else { 0.0 })
+        .collect()
+}
+
 impl DtfeField {
     /// Triangulate `points` and estimate densities.
     pub fn build(points: &[Vec3], mass: Mass) -> Result<DtfeField, BuildError> {
@@ -65,67 +94,33 @@ impl DtfeField {
     ///
     /// The triangulation's tetrahedron slots are renumbered into
     /// cache-coherent BFS order ([`Delaunay::compact_reorder`]) so marching
-    /// rays touch mostly-contiguous memory. Density estimation runs on the
-    /// *original* slot order and the per-tet interpolants are then permuted
-    /// along with the slots, so every density, gradient, and rendered field
-    /// is bit-identical to the unordered construction — the reorder is pure
-    /// data movement. `TetId`s obtained from this field's
-    /// [`DtfeField::delaunay`] are consistent with every accessor; only
-    /// ids retained from `del` *before* this call go stale — use
-    /// [`DtfeField::from_delaunay_unordered`] if you need those to survive.
-    pub fn from_delaunay_for_inputs(del: Delaunay, n_input: usize, mass: Mass) -> DtfeField {
-        let mut field = Self::from_delaunay_unordered(del, n_input, mass);
-        let remap = field.del.compact_reorder();
-        let mut interp = vec![
-            TetInterp {
-                v0: Vec3::ZERO,
-                rho0: 0.0,
-                grad: Vec3::ZERO,
-            };
-            field.del.num_slots()
-        ];
-        for (old, &new) in remap.iter().enumerate() {
-            if new != dtfe_delaunay::NONE {
-                interp[new as usize] = field.interp[old];
-            }
-        }
-        field.interp = interp;
-        field
+    /// rays touch mostly-contiguous memory. The vertex densities are summed
+    /// over the *original* slot order first (a star volume is a float sum,
+    /// so its bits depend on that order); the per-tet interpolants depend
+    /// only on each tetrahedron's own vertices and are built straight into
+    /// the new order. Every density, gradient, and rendered field is
+    /// therefore bit-identical to the unordered construction. `TetId`s
+    /// obtained from this field's [`DtfeField::delaunay`] are consistent
+    /// with every accessor; only ids retained from `del` *before* this call
+    /// go stale — use [`DtfeField::from_delaunay_unordered`] if you need
+    /// those to survive.
+    pub fn from_delaunay_for_inputs(mut del: Delaunay, n_input: usize, mass: Mass) -> DtfeField {
+        let vertex_density = vertex_densities(&del, n_input, &mass);
+        del.compact_reorder();
+        Self::with_densities(del, vertex_density)
     }
 
     /// As [`DtfeField::from_delaunay_for_inputs`] but keeping `del`'s slot
     /// numbering (no cache reordering pass), so `TetId`s held by the caller
     /// stay valid.
     pub fn from_delaunay_unordered(del: Delaunay, n_input: usize, mass: Mass) -> DtfeField {
-        // Vertex masses: merged duplicates accumulate.
-        let mut vmass = vec![0.0f64; del.num_vertices()];
-        match &mass {
-            Mass::Uniform(m) => {
-                if n_input == del.num_vertices() {
-                    vmass.fill(*m);
-                } else {
-                    for i in 0..n_input {
-                        vmass[del.vertex_of_input(i) as usize] += m;
-                    }
-                }
-            }
-            Mass::PerParticle(ms) => {
-                assert_eq!(ms.len(), n_input, "mass count != input point count");
-                for (i, &m) in ms.iter().enumerate() {
-                    vmass[del.vertex_of_input(i) as usize] += m;
-                }
-            }
-        }
+        let vertex_density = vertex_densities(&del, n_input, &mass);
+        Self::with_densities(del, vertex_density)
+    }
 
-        // Eq. 2: ρ̂_i = (d+1) m_i / W_i.
-        let star = del.vertex_star_volumes();
-        let vertex_density: Vec<f64> = vmass
-            .iter()
-            .zip(&star)
-            .map(|(&m, &w)| if w > 0.0 { 4.0 * m / w } else { 0.0 })
-            .collect();
-
-        // Per-tet constant gradients (Eq. 1), computed in parallel.
+    /// Per-tet constant gradients (Eq. 1) over `del`'s current slots,
+    /// computed in parallel.
+    fn with_densities(del: Delaunay, vertex_density: Vec<f64>) -> DtfeField {
         let slots = del.num_slots();
         let interp: Vec<TetInterp> = (0..slots as u32)
             .into_par_iter()

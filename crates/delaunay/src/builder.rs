@@ -1,6 +1,6 @@
 //! The [`DelaunayBuilder`] construction API.
 
-use crate::{morton, parallel, Delaunay, DelaunayError, ValidationError};
+use crate::{morton, Delaunay, DelaunayError, ValidationError};
 use dtfe_geometry::Vec3;
 
 /// Alias for the triangulation the builder produces.
@@ -58,21 +58,12 @@ impl From<DelaunayError> for BuildError {
     }
 }
 
-/// In auto mode (no explicit [`DelaunayBuilder::threads`] call), inputs
-/// below this size build serially: round-synchronization overhead beats the
-/// parallel win on small meshes.
-const AUTO_PARALLEL_MIN: usize = 4096;
-
 /// Builder for [`Delaunay`] triangulations — the single public construction
 /// entry point.
 ///
-/// Defaults: Morton (BRIO) spatial sort on, thread count chosen
-/// automatically (serial for small inputs, the global Rayon pool otherwise),
-/// no post-build validation.
-///
-/// The parallel and serial paths produce the *same* triangulation (identical
-/// as an abstract simplicial complex, for every thread count); see
-/// `parallel.rs` for why.
+/// Defaults: canonical BRIO insertion order on, no post-build validation.
+/// Construction is serial; callers parallelise across triangulations (tiles,
+/// work items), never inside one.
 ///
 /// # Example
 ///
@@ -91,7 +82,6 @@ const AUTO_PARALLEL_MIN: usize = 4096;
 ///     })
 ///     .collect();
 /// let tri = DelaunayBuilder::new()
-///     .threads(2)
 ///     .spatial_sort(true)
 ///     .validate(true)
 ///     .build(&pts)
@@ -100,7 +90,6 @@ const AUTO_PARALLEL_MIN: usize = 4096;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct DelaunayBuilder {
-    threads: Option<usize>,
     no_spatial_sort: bool,
     validate: bool,
 }
@@ -111,17 +100,7 @@ impl DelaunayBuilder {
         DelaunayBuilder::default()
     }
 
-    /// Use exactly `n` worker threads: `1` forces the serial path, `n > 1`
-    /// runs the parallel path in a dedicated pool of `n` threads. Without
-    /// this call the builder decides automatically: serial below ~4k points
-    /// or when the ambient Rayon pool has a single worker, the global pool
-    /// otherwise.
-    pub fn threads(mut self, n: usize) -> DelaunayBuilder {
-        self.threads = Some(n.max(1));
-        self
-    }
-
-    /// Insert in Morton (BRIO) order (`true`, default) or input order
+    /// Insert in the canonical BRIO order (`true`, default) or input order
     /// (`false`, mainly for the ablation bench).
     pub fn spatial_sort(mut self, yes: bool) -> DelaunayBuilder {
         self.no_spatial_sort = !yes;
@@ -146,48 +125,51 @@ impl DelaunayBuilder {
         let order: Vec<u32> = if self.no_spatial_sort {
             (0..points.len() as u32).collect()
         } else {
-            morton::stratified_order(points)
+            morton::brio_order(points)
         };
-        // Round accounting from the parallel path, published below from the
-        // *caller's* thread (the round driver runs on a Rayon worker, which
-        // a thread-locally installed recorder would not cover).
-        let mut rounds = parallel::RoundStats::default();
-        let d = match self.threads {
-            Some(1) => crate::build_serial(points, &order)?,
-            Some(n) => match rayon::ThreadPoolBuilder::new().num_threads(n).build() {
-                Ok(pool) => pool.install(|| parallel::triangulate(points, &order, &mut rounds))?,
-                // Pool creation can only fail in exotic environments; the
-                // global pool still yields the identical mesh.
-                Err(_) => parallel::triangulate(points, &order, &mut rounds)?,
-            },
-            // Auto mode: small inputs and single-worker pools gain nothing
-            // from round synchronization — build serially (the mesh is
-            // identical either way).
-            None if points.len() < AUTO_PARALLEL_MIN || rayon::current_num_threads() < 2 => {
-                crate::build_serial(points, &order)?
-            }
-            None => parallel::triangulate(points, &order, &mut rounds)?,
-        };
+        let d = crate::build_serial(points, &order)?;
         if self.validate {
             d.validate().map_err(BuildError::Validation)?;
         }
+        // Every input either became a vertex or hit `Located::Vertex`.
+        let merged = points.len() - d.num_vertices();
         dtfe_telemetry::counter_add!("delaunay.points_inserted", d.num_vertices() as u64);
-        if rounds.rounds > 0 {
-            dtfe_telemetry::counter_add!("delaunay.rounds", rounds.rounds);
-            dtfe_telemetry::counter_add!("delaunay.round_inserted", rounds.inserted);
-            dtfe_telemetry::counter_add!("delaunay.duplicates_merged", rounds.duplicates);
-            dtfe_telemetry::counter_add!("delaunay.cache_hits", rounds.cache_hits);
-            dtfe_telemetry::counter_add!("delaunay.scans", rounds.scans);
-            dtfe_telemetry::counter_add!("delaunay.deferred", rounds.deferred);
-            if dtfe_telemetry::is_enabled() {
-                for &k in &rounds.per_round {
-                    dtfe_telemetry::hist_record!("delaunay.points_per_round", k);
-                }
-            }
-        } else {
-            dtfe_telemetry::counter_add!("delaunay.serial_builds", 1);
-        }
+        dtfe_telemetry::counter_add!("delaunay.duplicates_merged", merged as u64);
+        dtfe_telemetry::counter_add!("delaunay.serial_builds", 1);
         drop(span);
         Ok(d)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn merged_duplicates_are_counted() {
+        let mut s = 0x5EED_u64;
+        let mut r = move || {
+            s ^= s >> 12;
+            s ^= s << 25;
+            s ^= s >> 27;
+            (s.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut pts: Vec<Vec3> = (0..400).map(|_| Vec3::new(r(), r(), r())).collect();
+        let dups: Vec<Vec3> = pts.iter().step_by(9).copied().collect();
+        pts.extend_from_slice(&dups);
+        pts.push(pts[0]);
+
+        let rec = dtfe_telemetry::Recorder::new("dups");
+        let guard = rec.install();
+        let d = DelaunayBuilder::new().build(&pts).unwrap();
+        drop(guard);
+        assert_eq!(d.num_vertices(), 400);
+        let m = rec.snapshot().metrics;
+        assert_eq!(
+            m.counter("delaunay.duplicates_merged"),
+            dups.len() as u64 + 1
+        );
+        assert_eq!(m.counter("delaunay.points_inserted"), 400);
+        assert_eq!(m.counter("delaunay.serial_builds"), 1);
     }
 }

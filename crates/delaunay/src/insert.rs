@@ -6,35 +6,70 @@ use crate::mesh::{TetId, VertexId, INFINITE, NONE};
 use crate::{Delaunay, DelaunayError};
 use dtfe_geometry::predicates::{insphere, orient2d, orient3d, Orientation};
 use dtfe_geometry::{Vec2, Vec3};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
-/// Minimal multiply-xor hasher for the (u64-keyed) facet map — the standard
-/// SipHash is measurably slow in this hot path and HashDoS is irrelevant for
-/// internal geometry ids.
+/// One entry of the [`EdgeTable`].
+#[derive(Clone, Copy, Default)]
+struct EdgeSlot {
+    key: u64,
+    tet: TetId,
+    /// Cavity the entry belongs to; anything else reads as empty.
+    stamp: u32,
+    face: u8,
+}
+
+/// Open-addressed table that pairs up the faces of a cavity's new
+/// tetrahedra across the boundary edge they share. Every edge of the cavity
+/// boundary is offered exactly twice (once from each flanking facet), so
+/// entries are never deleted, and a per-cavity stamp empties the table
+/// without touching it.
 #[derive(Default)]
-pub(crate) struct FxHasher(u64);
+struct EdgeTable {
+    slots: Vec<EdgeSlot>,
+    stamp: u32,
+}
 
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
+impl EdgeTable {
+    /// Empty the table for a cavity of `facets` boundary facets
+    /// (`3·facets/2` edges), growing it to keep the load at most one half.
+    fn begin(&mut self, facets: usize) {
+        let want = (3 * facets).next_power_of_two().max(64);
+        if self.slots.len() < want {
+            self.slots = vec![EdgeSlot::default(); want];
+            self.stamp = 0;
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.slots.fill(EdgeSlot::default());
+            self.stamp = 1;
         }
     }
 
+    /// Offer face `face` of `tet` over the edge `key`: the first offer is
+    /// stored and returns `None`, the second returns what the first stored.
     #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517cc1b727220a95);
+    fn pair(&mut self, key: u64, tet: TetId, face: u8) -> Option<(TetId, u8)> {
+        let mask = self.slots.len() - 1;
+        // Fibonacci hashing: the top bits of the product index the table.
+        let shift = 64 - self.slots.len().trailing_zeros();
+        let mut i = (key.wrapping_mul(0x9E3779B97F4A7C15) >> shift) as usize;
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.stamp != self.stamp {
+                *slot = EdgeSlot {
+                    key,
+                    tet,
+                    stamp: self.stamp,
+                    face,
+                };
+                return None;
+            }
+            if slot.key == key {
+                return Some((slot.tet, slot.face));
+            }
+            i = (i + 1) & mask;
+        }
     }
 }
-
-pub(crate) type FacetMap = HashMap<u64, (TetId, u8), BuildHasherDefault<FxHasher>>;
 
 /// Reusable buffers for the insertion loop.
 #[derive(Default)]
@@ -43,16 +78,15 @@ pub(crate) struct Scratch {
     conflict: Vec<TetId>,
     /// Boundary facets as `(outside_tet, face_index_in_outside_tet)`.
     boundary: Vec<(TetId, u8)>,
-    /// Edge-of-boundary-facet → (new tet, face index) for wiring the new
-    /// tetrahedra to each other.
-    facet_map: FacetMap,
+    /// Wires the new tetrahedra to each other.
+    edges: EdgeTable,
     created: Vec<TetId>,
 }
 
-/// Key for the facet map: the two vertices of a new tet's face other than
+/// Key for the edge table: the two vertices of a new tet's face other than
 /// the inserted point, order-normalized.
 #[inline]
-pub(crate) fn edge_key(a: VertexId, b: VertexId) -> u64 {
+fn edge_key(a: VertexId, b: VertexId) -> u64 {
     let (lo, hi) = if a < b { (a, b) } else { (b, a) };
     ((lo as u64) << 32) | hi as u64
 }
@@ -62,14 +96,9 @@ pub(crate) fn edge_key(a: VertexId, b: VertexId) -> u64 {
 /// outward-oriented w.r.t. `o`, its normal pointing into the cavity).
 /// Reversing two vertices makes `(f0, f2, f1, vid)` positively oriented.
 /// Ghosts are canonicalized — `INFINITE` moved to slot 3 by an even
-/// permutation (a 3-cycle), preserving orientation. Shared by the serial
-/// and parallel insertion paths so their cavities are bit-identical.
+/// permutation (a 3-cycle), preserving orientation.
 #[inline]
-pub(crate) fn star_record(
-    f: [VertexId; 3],
-    vid: VertexId,
-    o: TetId,
-) -> ([VertexId; 4], [TetId; 4]) {
+fn star_record(f: [VertexId; 3], vid: VertexId, o: TetId) -> ([VertexId; 4], [TetId; 4]) {
     let mut verts = [f[0], f[2], f[1], vid];
     let mut nbrs = [NONE, NONE, NONE, o];
     if let Some(k) = verts[..3].iter().position(|&v| v == INFINITE) {
@@ -160,8 +189,8 @@ pub(crate) fn bootstrap(input: &[Vec3], order: &[u32]) -> Result<Delaunay, Delau
         d.tets[t0 as usize].neighbors[i] = g;
         *slot = g;
     }
-    // Wire ghost-ghost adjacency over the hull edges via the generic map.
-    let mut map: FacetMap = FacetMap::default();
+    // Wire ghost-ghost adjacency over the hull edges.
+    d.scratch.edges.begin(ghosts.len());
     for &g in &ghosts {
         let verts = d.tets[g as usize].verts;
         for l in 0..3usize {
@@ -172,19 +201,12 @@ pub(crate) fn bootstrap(input: &[Vec3], order: &[u32]) -> Result<Delaunay, Delau
                 1 => (verts[0], verts[2]),
                 _ => (verts[0], verts[1]),
             };
-            let key = edge_key(u, v);
-            match map.remove(&key) {
-                Some((other, ol)) => {
-                    d.tets[g as usize].neighbors[l] = other;
-                    d.tets[other as usize].neighbors[ol as usize] = g;
-                }
-                None => {
-                    map.insert(key, (g, l as u8));
-                }
+            if let Some((other, ol)) = d.scratch.edges.pair(edge_key(u, v), g, l as u8) {
+                d.tets[g as usize].neighbors[l] = other;
+                d.tets[other as usize].neighbors[ol as usize] = g;
             }
         }
     }
-    debug_assert!(map.is_empty());
     d.hint = t0;
     Ok(d)
 }
@@ -247,7 +269,6 @@ impl Delaunay {
         scratch.stack.clear();
         scratch.conflict.clear();
         scratch.boundary.clear();
-        scratch.facet_map.clear();
         scratch.created.clear();
 
         debug_assert!(self.in_conflict(start, p), "located tet must conflict");
@@ -283,6 +304,8 @@ impl Delaunay {
         }
 
         // --- Star the cavity boundary from the new point ---
+        scratch.edges.begin(scratch.boundary.len());
+        let mut paired = 0usize;
         for &(o, j) in &scratch.boundary {
             // Facet as seen from the outside tet: outward w.r.t. `o`, i.e.
             // its normal points into the cavity (toward p). Reversing two
@@ -314,18 +337,18 @@ impl Delaunay {
                 }
                 debug_assert_eq!(n, 2);
                 let key = edge_key(uv[0], uv[1]);
-                match scratch.facet_map.remove(&key) {
-                    Some((other, ol)) => {
-                        self.tets[t_new as usize].neighbors[l] = other;
-                        self.tets[other as usize].neighbors[ol as usize] = t_new;
-                    }
-                    None => {
-                        scratch.facet_map.insert(key, (t_new, l as u8));
-                    }
+                if let Some((other, ol)) = scratch.edges.pair(key, t_new, l as u8) {
+                    self.tets[t_new as usize].neighbors[l] = other;
+                    self.tets[other as usize].neighbors[ol as usize] = t_new;
+                    paired += 1;
                 }
             }
         }
-        debug_assert!(scratch.facet_map.is_empty(), "unpaired cavity facets");
+        debug_assert_eq!(
+            2 * paired,
+            3 * scratch.boundary.len(),
+            "unpaired cavity facets"
+        );
 
         #[cfg(debug_assertions)]
         for &t in &scratch.created {
@@ -374,5 +397,55 @@ mod tests {
         assert_eq!(d.num_tets(), 1);
         assert_eq!(d.num_ghosts(), 4);
         d.validate().unwrap();
+    }
+
+    #[test]
+    fn edge_table_pairs_each_key_once_per_cavity() {
+        let mut table = EdgeTable::default();
+        for cavity in 0..3u32 {
+            table.begin(8);
+            let keys: Vec<u64> = (0..12).map(|k| edge_key(k, k + 100)).collect();
+            for (i, &key) in keys.iter().enumerate() {
+                assert_eq!(table.pair(key, cavity * 100 + i as u32, 1), None);
+            }
+            for (i, &key) in keys.iter().enumerate() {
+                let first = (cavity * 100 + i as u32, 1);
+                assert_eq!(table.pair(key, 999, 2), Some(first));
+            }
+        }
+    }
+
+    #[test]
+    fn far_outside_point_grows_the_edge_table() {
+        // A point far outside a round cloud sees about half of its hull:
+        // a cavity with far more boundary facets than any interior insertion
+        // made, so the edge table has to grow before the star is wired.
+        let mut s = 0xFA2_u64;
+        let mut r = move || {
+            s ^= s >> 12;
+            s ^= s << 25;
+            s ^= s >> 27;
+            (s.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut pts = Vec::new();
+        while pts.len() < 1000 {
+            let p = Vec3::new(r() - 0.5, r() - 0.5, r() - 0.5);
+            if p.norm() <= 0.5 {
+                pts.push(p);
+            }
+        }
+        let mut d = crate::DelaunayBuilder::new().build(&pts).unwrap();
+        let before = d.scratch.edges.slots.len();
+        let ghosts = d.num_ghosts();
+        d.insert_point(Vec3::new(40.0, 30.0, 20.0));
+        let facets = d.scratch.boundary.len();
+        assert!(facets > 64, "cavity has only {facets} boundary facets");
+        assert!(facets > ghosts / 3, "{facets} of {ghosts} hull facets");
+        assert!(
+            d.scratch.edges.slots.len() > before,
+            "table of {before} slots did not grow for {facets} facets"
+        );
+        d.validate().unwrap();
+        d.validate_delaunay_global().unwrap();
     }
 }

@@ -29,15 +29,17 @@
 //! All orientation decisions go through the exact predicates of
 //! [`dtfe_geometry::predicates`], so the structure is sound for the
 //! degenerate inputs cosmological data actually contains (lattice initial
-//! conditions, cospherical points). Points are inserted in Morton order
-//! (a BRIO-style spatial sort), which keeps consecutive locates short.
+//! conditions, cospherical points).
 //!
-//! # Parallel construction
+//! # Insertion order
 //!
-//! [`DelaunayBuilder`] is the single construction entry point. With more
-//! than one thread it inserts Morton-ordered batches of *spatially
-//! independent* points concurrently (see `parallel.rs`); the parallel and
-//! serial paths produce the identical mesh.
+//! [`DelaunayBuilder`] is the single construction entry point. It inserts in
+//! a BRIO order (see `morton.rs`): rounds drawn by a hash of each point's
+//! coordinates, coarsest first, Morton-sorted inside a round, which keeps
+//! consecutive locates short. The order depends only on the point set, so
+//! the same particles give the same mesh however the caller sequenced them.
+//! One triangulation is built by one thread; parallelism lives a level up,
+//! across tiles and work items.
 //!
 //! # Example
 //!
@@ -62,7 +64,6 @@ mod insert;
 mod locate;
 mod mesh;
 mod morton;
-mod parallel;
 mod queries;
 mod reorder;
 pub mod validate;
@@ -74,9 +75,8 @@ pub use validate::ValidationError;
 
 use dtfe_geometry::Vec3;
 
-/// Serial Morton/input-order construction shared by the builder's
-/// single-thread path and the parallel prefix. Assumes finite coordinates
-/// (the builder checks).
+/// Insert `input` in `order`. Assumes finite coordinates (the builder
+/// checks).
 pub(crate) fn build_serial(input: &[Vec3], order: &[u32]) -> Result<Delaunay, DelaunayError> {
     let mut d = insert::bootstrap(input, order)?;
     for &idx in order {

@@ -62,6 +62,10 @@ impl Delaunay {
         // structure would loop forever; better to panic loudly.
         let mut steps = 0usize;
         let max_steps = 8 * (self.tets.len() + 16);
+        // The face the walk entered `cur` through. Its orientation test is
+        // the exact negation of the one that just sent the walk across it,
+        // so it can never separate `cur` from `p` and is not evaluated.
+        let mut entered = usize::MAX;
         'walk: loop {
             steps += 1;
             assert!(steps <= max_steps, "visibility walk failed to terminate");
@@ -72,6 +76,9 @@ impl Delaunay {
             let rot = (next_rand(seed) % 4) as usize;
             for k in 0..4 {
                 let i = (k + rot) & 3;
+                if i == entered {
+                    continue;
+                }
                 let [fa, fb, fc] = tet.face(i);
                 let (a, b, c) = (
                     self.points[fa as usize],
@@ -84,9 +91,13 @@ impl Delaunay {
                 if orient3d(a, b, c, p).is_negative() {
                     let n = tet.neighbors[i];
                     debug_assert_ne!(n, NONE);
-                    if self.tets[n as usize].is_ghost() {
+                    let next = &self.tets[n as usize];
+                    if next.is_ghost() {
                         return Located::Ghost(n);
                     }
+                    entered = next
+                        .index_of_neighbor(cur)
+                        .expect("adjacency not reciprocal");
                     cur = n;
                     continue 'walk;
                 }

@@ -1,33 +1,39 @@
-//! Morton-order (Z-curve) spatial sort for insertion locality.
+//! The canonical insertion order: a biased randomized insertion order
+//! (BRIO) whose rounds are Morton (Z-curve) sorted.
 //!
-//! Inserting points in a space-filling-curve order is the standard BRIO
-//! trick: consecutive points are spatially close, so the remembering walk
-//! from the previous insertion's tetrahedron is O(1) on average instead of
-//! O(n^(1/3)).
+//! Every point is assigned a *level* by a hash of its coordinate bits: level
+//! `k` or coarser with probability `8^-k`. Levels are inserted coarsest
+//! first, so each round roughly octuples the mesh and the points already in
+//! it are a uniform sample of the whole cloud; inside a round the points go
+//! in Morton order, so consecutive insertions are spatial neighbours and the
+//! remembering walk from the previous insertion's tetrahedron is O(1) on
+//! average instead of O(n^(1/3)).
 //!
-//! The *canonical* insertion order used by [`crate::DelaunayBuilder`]
-//! ([`stratified_order`]) additionally interleaves [`STREAMS`] contiguous
-//! chunks of the Morton sequence round-robin. Order-consecutive points are
-//! then spread across distant regions of the curve — which is what lets the
-//! parallel rounds in `parallel.rs` accept many spatially independent
-//! insertions per round — while each *stream* stays Morton-contiguous, so
-//! walks seeded from a per-stream hint remain short.
+//! The order is a pure function of the point *set*: the level comes from the
+//! coordinates, never from the input index, and Morton ties are broken by
+//! the coordinates themselves. Two callers holding the same particles in a
+//! different sequence (two ranks of the batch framework, a served tile and
+//! its offline reference) therefore insert the same coordinates in the same
+//! sequence and get the same mesh — also on inputs whose Delaunay
+//! triangulation is not unique.
 
 use dtfe_geometry::{Aabb3, Vec3};
+use std::cmp::Ordering;
 
-/// Number of interleaved Morton streams in [`stratified_order`].
-///
-/// Part of the canonical order definition: changing it changes which
-/// triangulation degenerate (e.g. cospherical) inputs resolve to, so it is a
-/// fixed constant, never derived from the thread count or input size.
-pub(crate) const STREAMS: usize = 64;
+/// Morton resolution per axis; three axes leave the top four key bits for
+/// the BRIO round.
+const AXIS_BITS: u32 = 20;
+/// Coarsest level a point can be hashed to (`8^15` exceeds any `u32`-indexed
+/// input, so the cap is never what empties a level).
+const MAX_LEVEL: u32 = 15;
 
-/// Interleave the low 21 bits of three coordinates into a 63-bit Morton key.
+/// Interleave the low [`AXIS_BITS`] bits of three coordinates into a 60-bit
+/// Morton key.
 #[inline]
 fn morton3(x: u32, y: u32, z: u32) -> u64 {
     #[inline]
     fn spread(v: u32) -> u64 {
-        let mut v = (v as u64) & 0x1F_FFFF; // 21 bits
+        let mut v = (v as u64) & ((1 << AXIS_BITS) - 1);
         v = (v | (v << 32)) & 0x1F00000000FFFF;
         v = (v | (v << 16)) & 0x1F0000FF0000FF;
         v = (v | (v << 8)) & 0x100F00F00F00F00F;
@@ -38,138 +44,145 @@ fn morton3(x: u32, y: u32, z: u32) -> u64 {
     spread(x) | (spread(y) << 1) | (spread(z) << 2)
 }
 
-/// Indices of `points` sorted by Morton key within their bounding box.
-pub fn morton_order(points: &[Vec3]) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..points.len() as u32).collect();
+/// BRIO level of a point: `k` with probability `7/8 · 8^-k`, from a
+/// splitmix64 mix of the coordinate bits (`-0.0` hashes as `0.0`, so points
+/// that compare equal share a level).
+#[inline]
+fn level(p: Vec3) -> u32 {
+    #[inline]
+    fn mix(mut h: u64) -> u64 {
+        h = (h ^ (h >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94D049BB133111EB);
+        h ^ (h >> 31)
+    }
+    let bits = |c: f64| (c + 0.0).to_bits();
+    let h = mix(mix(mix(bits(p.x)) ^ bits(p.y)) ^ bits(p.z));
+    (h.trailing_zeros() / 3).min(MAX_LEVEL)
+}
+
+/// Indices of `points` in canonical insertion order: by BRIO round (coarsest
+/// level first), then by Morton key within the cloud's bounding box, then by
+/// coordinates.
+pub(crate) fn brio_order(points: &[Vec3]) -> Vec<u32> {
     let Some(bbox) = Aabb3::from_points(points.iter().copied()) else {
-        return order;
+        return Vec::new();
     };
     let ext = bbox.extent();
     let scale = |e: f64| {
         if e > 0.0 {
-            ((1u32 << 21) - 1) as f64 / e
+            ((1u32 << AXIS_BITS) - 1) as f64 / e
         } else {
             0.0
         }
     };
     let (sx, sy, sz) = (scale(ext.x), scale(ext.y), scale(ext.z));
-    let key = |p: Vec3| {
-        morton3(
-            ((p.x - bbox.lo.x) * sx) as u32,
-            ((p.y - bbox.lo.y) * sy) as u32,
-            ((p.z - bbox.lo.z) * sz) as u32,
-        )
+    let mut keyed: Vec<(u64, u32)> = points
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| {
+            let cell = morton3(
+                ((p.x - bbox.lo.x) * sx) as u32,
+                ((p.y - bbox.lo.y) * sy) as u32,
+                ((p.z - bbox.lo.z) * sz) as u32,
+            );
+            let round = (MAX_LEVEL - level(p)) as u64;
+            ((round << (3 * AXIS_BITS)) | cell, i as u32)
+        })
+        .collect();
+    // Points sharing a round and a Morton cell are ordered by their
+    // coordinates, not by input position; exact duplicates are
+    // interchangeable.
+    let by_coords = |a: u32, b: u32| -> Ordering {
+        let (p, q) = (points[a as usize], points[b as usize]);
+        p.x.total_cmp(&q.x)
+            .then(p.y.total_cmp(&q.y))
+            .then(p.z.total_cmp(&q.z))
     };
-    order.sort_by_key(|&i| key(points[i as usize]));
-    order
-}
-
-/// The canonical spatially-sorted insertion order: Morton order, split into
-/// [`STREAMS`] contiguous chunks (sizes differing by at most one), emitted
-/// round-robin. Every construction path — serial and parallel — inserts
-/// in exactly this order, which is what makes their outputs identical even
-/// on inputs whose Delaunay triangulation is not unique.
-pub fn stratified_order(points: &[Vec3]) -> Vec<u32> {
-    interleave(&morton_order(points), STREAMS)
-}
-
-/// Round-robin interleave of `streams` contiguous chunks of `order`.
-fn interleave(order: &[u32], streams: usize) -> Vec<u32> {
-    let n = order.len();
-    if n <= streams {
-        return order.to_vec();
-    }
-    let (base, rem) = (n / streams, n % streams);
-    // Chunk `c` starts at `c*base + min(c, rem)`: the first `rem` chunks
-    // hold one extra element.
-    let start = |c: usize| c * base + c.min(rem);
-    let mut out = Vec::with_capacity(n);
-    for row in 0..base + (rem > 0) as usize {
-        for c in 0..streams {
-            let i = start(c) + row;
-            if i < start(c + 1) {
-                out.push(order[i]);
-            }
-        }
-    }
-    out
+    keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| by_coords(a.1, b.1)));
+    keyed.into_iter().map(|(_, i)| i).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn cloud(n: usize) -> Vec<Vec3> {
+        let mut s = 0x0DD5EED_u64;
+        let mut r = move || {
+            s ^= s >> 12;
+            s ^= s << 25;
+            s ^= s >> 27;
+            (s.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        (0..n)
+            .map(|_| Vec3::new(8.0 * r(), 8.0 * r(), 8.0 * r()))
+            .collect()
+    }
+
     #[test]
     fn order_is_permutation() {
-        let pts: Vec<Vec3> = (0..100)
-            .map(|i| {
-                let f = i as f64;
-                Vec3::new(
-                    (f * 0.37).fract() * 8.0,
-                    (f * 0.71).fract() * 8.0,
-                    (f * 0.13).fract() * 8.0,
-                )
-            })
-            .collect();
-        let mut order = morton_order(&pts);
-        order.sort_unstable();
-        assert_eq!(order, (0..100).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn nearby_points_nearby_in_order() {
-        // Two clusters far apart: the order must not interleave them.
-        let mut pts = Vec::new();
-        for i in 0..10 {
-            pts.push(Vec3::new(i as f64 * 1e-3, 0.0, 0.0));
-        }
-        for i in 0..10 {
-            pts.push(Vec3::new(1000.0 + i as f64 * 1e-3, 0.0, 0.0));
-        }
-        let order = morton_order(&pts);
-        let first_cluster: Vec<bool> = order.iter().map(|&i| i < 10).collect();
-        let transitions = first_cluster.windows(2).filter(|w| w[0] != w[1]).count();
-        assert_eq!(transitions, 1, "clusters interleaved: {order:?}");
-    }
-
-    #[test]
-    fn empty_and_singleton() {
-        assert!(morton_order(&[]).is_empty());
-        assert_eq!(morton_order(&[Vec3::ZERO]), vec![0]);
-    }
-
-    #[test]
-    fn stratified_is_permutation() {
-        for n in [0usize, 1, 5, STREAMS - 1, STREAMS, STREAMS + 1, 1000, 1037] {
-            let pts: Vec<Vec3> = (0..n)
-                .map(|i| {
-                    let f = i as f64;
-                    Vec3::new(
-                        (f * 0.37).fract() * 8.0,
-                        (f * 0.71).fract() * 8.0,
-                        (f * 0.13).fract() * 8.0,
-                    )
-                })
-                .collect();
-            let mut order = stratified_order(&pts);
+        for n in [0usize, 1, 5, 100, 1037] {
+            let mut order = brio_order(&cloud(n));
             order.sort_unstable();
             assert_eq!(order, (0..n as u32).collect::<Vec<u32>>(), "n={n}");
         }
     }
 
     #[test]
-    fn stratified_round_robins_the_chunks() {
-        // 2·STREAMS points on a line: Morton order is coordinate order, so
-        // chunk c is {2c, 2c+1} and the interleave must emit all chunk heads
-        // before any chunk tails.
-        let pts: Vec<Vec3> = (0..2 * STREAMS)
-            .map(|i| Vec3::new(i as f64, 0.0, 0.0))
-            .collect();
-        let order = stratified_order(&pts);
-        let heads: Vec<u32> = order[..STREAMS].to_vec();
-        let tails: Vec<u32> = order[STREAMS..].to_vec();
-        assert!(heads.iter().all(|&i| i % 2 == 0), "{heads:?}");
-        assert!(tails.iter().all(|&i| i % 2 == 1), "{tails:?}");
+    fn order_depends_on_the_set_not_the_sequence() {
+        // Same points (with duplicates and a shared Morton cell) presented
+        // reversed: the coordinate sequence inserted must be identical.
+        let mut pts = cloud(500);
+        pts.extend_from_slice(&cloud(40));
+        pts.push(pts[7] + Vec3::new(1e-13, 0.0, 0.0));
+        let coords = |pts: &[Vec3]| -> Vec<[u64; 3]> {
+            brio_order(pts)
+                .iter()
+                .map(|&i| {
+                    let p = pts[i as usize];
+                    [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()]
+                })
+                .collect()
+        };
+        let forward = coords(&pts);
+        pts.reverse();
+        assert_eq!(forward, coords(&pts));
+    }
+
+    #[test]
+    fn rounds_grow_eightfold_and_are_morton_sorted() {
+        let pts = cloud(40_000);
+        let order = brio_order(&pts);
+        let levels: Vec<u32> = order.iter().map(|&i| level(pts[i as usize])).collect();
+        assert!(levels.windows(2).all(|w| w[0] >= w[1]), "coarsest first");
+        let last = levels.iter().filter(|&&l| l == 0).count() as f64;
+        let frac = last / pts.len() as f64;
+        assert!((frac - 0.875).abs() < 0.01, "final round holds {frac}");
+        let coarser = levels.iter().filter(|&&l| l >= 2).count() as f64;
+        let frac = coarser / pts.len() as f64;
+        assert!((frac - 1.0 / 64.0).abs() < 0.005, "levels >= 2 hold {frac}");
+    }
+
+    #[test]
+    fn nearby_points_nearby_within_a_round() {
+        // Two clusters far apart: inside any one round the order must not
+        // interleave them.
+        let mut pts = Vec::new();
+        for i in 0..200 {
+            pts.push(Vec3::new(i as f64 * 1e-3, 0.0, 0.0));
+        }
+        for i in 0..200 {
+            pts.push(Vec3::new(1000.0 + i as f64 * 1e-3, 0.0, 0.0));
+        }
+        let order = brio_order(&pts);
+        let rounds = order.chunk_by(|&a, &b| level(pts[a as usize]) == level(pts[b as usize]));
+        for round in rounds {
+            let transitions = round
+                .windows(2)
+                .filter(|w| (w[0] < 200) != (w[1] < 200))
+                .count();
+            assert!(transitions <= 1, "clusters interleaved: {round:?}");
+        }
     }
 
     #[test]
@@ -178,5 +191,7 @@ mod tests {
         assert!(morton3(0, 0, 0) < morton3(0, 1, 0));
         assert!(morton3(0, 0, 0) < morton3(0, 0, 1));
         assert!(morton3(1, 1, 1) < morton3(2, 2, 2));
+        let top = (1 << AXIS_BITS) - 1;
+        assert!(morton3(top, top, top) < 1 << (3 * AXIS_BITS));
     }
 }

@@ -267,12 +267,7 @@ fn execute_item(
     let grid = GridSpec2::square(center.xy(), cfg.field_len, cfg.resolution);
 
     let sp = span!("framework.triangulate_item", n = local.len());
-    // Each rank is one worker of the distributed experiment; the builder is
-    // pinned to a single thread so ranks don't oversubscribe the machine.
-    let del = match dtfe_delaunay::DelaunayBuilder::new()
-        .threads(1)
-        .build(&local)
-    {
+    let del = match dtfe_delaunay::DelaunayBuilder::new().build(&local) {
         Ok(d) => d,
         Err(_) => return (sp.end().cpu_s, 0.0, Some(Field2::zeros(grid))),
     };

@@ -43,10 +43,6 @@ pub struct ServiceConfig {
     /// coefficients are deliberately conservative; fit them from
     /// measurements with [`WorkloadModel::fit`] for accurate pricing.
     pub model: WorkloadModel,
-    /// Threads per tile triangulation build. The default `1` matches the
-    /// batch framework's per-item builds (and keeps meshes bit-identical
-    /// with it); raise it on big dedicated machines.
-    pub builder_threads: usize,
     /// Install a process-global telemetry recorder for the service's
     /// lifetime, so cache/queue/latency metrics appear in
     /// [`Service::metrics_json`](crate::Service::metrics_json).
@@ -122,7 +118,6 @@ impl ServiceConfig {
             admission_budget_s: 30.0,
             default_deadline: None,
             model: default_model(),
-            builder_threads: 1,
             telemetry: false,
             read_timeout: Some(Duration::from_secs(10)),
             write_timeout: Some(Duration::from_secs(10)),

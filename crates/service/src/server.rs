@@ -630,7 +630,6 @@ fn serve_batch(inner: &Inner, tile: &TileKey, mut jobs: Vec<Job>) {
             tile.tile,
             tile.estimator,
             inner.cfg.ghost_margin,
-            inner.cfg.builder_threads,
         ))
     });
     let build_us = build_t0.elapsed().as_micros() as u64;

@@ -136,16 +136,14 @@ fn tile_seed(snapshot: &str, tile: usize) -> u64 {
 impl TileData {
     /// Build the tile artifact from a snapshot's padded particle set.
     ///
-    /// The builder settings mirror the batch framework's per-item path
-    /// (`threads(builder_threads)`, default 1): given the same particle
-    /// sequence, the mesh — and any field rendered from it — is
-    /// bit-identical with the offline pipeline.
+    /// The mesh comes from the one [`DelaunayBuilder`] the batch framework's
+    /// per-item path uses: given the same particle set, it — and any field
+    /// rendered from it — is bit-identical with the offline pipeline.
     pub fn build(
         snap: &SnapshotData,
         tile: usize,
         estimator: EstimatorKind,
         ghost_margin: f64,
-        threads: usize,
     ) -> TileData {
         let local = snap.tile_particles(tile, ghost_margin);
         let span = dtfe_telemetry::span!(
@@ -155,20 +153,14 @@ impl TileData {
             estimator = estimator.label()
         );
         let field = match estimator.tile_kind() {
-            EstimatorKind::Dtfe => DelaunayBuilder::new()
-                .threads(threads)
-                .build(&local)
-                .ok()
-                .map(|del| {
-                    let f =
-                        DtfeField::from_delaunay_for_inputs(del, local.len(), Mass::Uniform(1.0));
-                    let idx = HullIndex::build(&f);
-                    TileField::Dtfe(f, idx)
-                }),
+            EstimatorKind::Dtfe => DelaunayBuilder::new().build(&local).ok().map(|del| {
+                let f = DtfeField::from_delaunay_for_inputs(del, local.len(), Mass::Uniform(1.0));
+                let idx = HullIndex::build(&f);
+                TileField::Dtfe(f, idx)
+            }),
             EstimatorKind::PsDtfe | EstimatorKind::VelocityDivergence => {
                 let vels = demo_velocities(&local, &snap.bounds);
                 DelaunayBuilder::new()
-                    .threads(threads)
                     .build(&local)
                     .ok()
                     .and_then(|del| {
@@ -192,14 +184,11 @@ impl TileData {
             }
         };
         drop(span);
-        // Interior = particles inside the un-inflated cell; the rest of
-        // the padded set are ghosts shared with neighbouring tiles.
+        // Interior = particles inside the un-inflated cell (which lies
+        // inside the padded box `local` was cut from); the rest of the
+        // padded set are ghosts shared with neighbouring tiles.
         let cell = snap.decomp.rank_box(tile);
-        let interior = snap
-            .particles
-            .iter()
-            .filter(|&&p| cell.contains_closed(p))
-            .count();
+        let interior = local.iter().filter(|&&p| cell.contains_closed(p)).count();
         let mut td = TileData {
             field,
             n_particles: local.len(),
@@ -305,7 +294,7 @@ mod tests {
         let pts = cloud(400, 42, 4.0);
         let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(4.0));
         let snap = snap_from(pts, bounds, 1, 0.5);
-        let tile = TileData::build(&snap, 0, EstimatorKind::Dtfe, 0.5, 1);
+        let tile = TileData::build(&snap, 0, EstimatorKind::Dtfe, 0.5);
         let Some(TileField::Dtfe(field, _)) = &tile.field else {
             panic!("400 random points triangulate");
         };
@@ -323,7 +312,7 @@ mod tests {
             .collect();
         let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(2.0));
         let snap = snap_from(pts, bounds, 1, 0.5);
-        let tile = TileData::build(&snap, 0, EstimatorKind::Dtfe, 0.5, 1);
+        let tile = TileData::build(&snap, 0, EstimatorKind::Dtfe, 0.5);
         assert!(tile.field.is_none());
         assert_eq!(tile.n_particles, 20);
         assert!(tile.bytes > 0);
@@ -339,7 +328,7 @@ mod tests {
         let ghost = 1.0;
         let snap = snap_from(pts.clone(), bounds, 2, ghost);
         for tile in 0..snap.decomp.num_ranks() {
-            let built = TileData::build(&snap, tile, EstimatorKind::Dtfe, ghost, 1);
+            let built = TileData::build(&snap, tile, EstimatorKind::Dtfe, ghost);
             let cell = snap.decomp.rank_box(tile);
             let interior = pts.iter().filter(|&&p| cell.contains_closed(p)).count();
             let padded = snap.tile_particles(tile, ghost).len();
@@ -358,7 +347,7 @@ mod tests {
         let pts = cloud(400, 42, 4.0);
         let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(4.0));
         let snap = snap_from(pts, bounds, 1, 0.5);
-        let tile = TileData::build(&snap, 0, EstimatorKind::Dtfe, 0.5, 1);
+        let tile = TileData::build(&snap, 0, EstimatorKind::Dtfe, 0.5);
         assert!(tile.field.is_some());
         // A render allocates nothing per row, so the charge is the mesh
         // estimate plus ghosts: well under 1 MiB at 400 particles.
@@ -381,7 +370,7 @@ mod tests {
         let pts = cloud(300, 7, 4.0);
         let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(4.0));
         let snap = snap_from(pts, bounds, 1, 0.5);
-        let tile = TileData::build(&snap, 0, EstimatorKind::PsDtfe, 0.5, 1);
+        let tile = TileData::build(&snap, 0, EstimatorKind::PsDtfe, 0.5);
         let tf = tile.field.as_ref().expect("psdtfe build");
         let grid = GridSpec2::square(dtfe_geometry::Vec2::new(1.0, 1.0), 2.0, 8);
         let dens = tf.render(
@@ -408,8 +397,8 @@ mod tests {
         let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(4.0));
         let snap = snap_from(pts, bounds, 1, 0.5);
         let kind = EstimatorKind::Stochastic { realizations: 2 };
-        let t1 = TileData::build(&snap, 0, kind, 0.5, 1);
-        let t2 = TileData::build(&snap, 0, kind, 0.5, 1);
+        let t1 = TileData::build(&snap, 0, kind, 0.5);
+        let t2 = TileData::build(&snap, 0, kind, 0.5);
         let (Some(TileField::Stochastic(f1, _)), Some(TileField::Stochastic(f2, _))) =
             (&t1.field, &t2.field)
         else {

@@ -23,7 +23,7 @@
 //!     let _g = rec.install();
 //!     let sp = span!("triangulate", n = 4096);
 //!     counter_add!("delaunay.points_inserted", 4096);
-//!     hist_record!("delaunay.points_per_round", 128);
+//!     hist_record!("core.tets_per_los", 128);
 //!     let times = sp.end(); // SpanTimes { wall_s, cpu_s }
 //!     assert!(times.wall_s >= 0.0);
 //! }

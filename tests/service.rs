@@ -142,7 +142,7 @@ fn multi_tile_service_matches_offline_tile_render() {
         .copied()
         .filter(|&p| tile_box.contains_closed(p))
         .collect();
-    let del = DelaunayBuilder::new().threads(1).build(&local).unwrap();
+    let del = DelaunayBuilder::new().build(&local).unwrap();
     let field = DtfeField::from_delaunay_for_inputs(del, local.len(), Mass::Uniform(1.0));
     let index = HullIndex::build(&field);
     let grid = GridSpec2::try_square(center.xy(), field_len, resolution).unwrap();
