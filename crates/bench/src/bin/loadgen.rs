@@ -41,11 +41,6 @@
 //!   recorder dump (Chrome-trace JSON) and stats document after the run
 //!   (directly, bypassing the fault proxy in chaos mode) — CI feeds
 //!   these to `trace_check`.
-//! * `--ab-telemetry` runs a closed-loop in-process A/B leg before the
-//!   main phases: the same warm render timed with telemetry disabled vs
-//!   enabled. The delta lands in the report and the run fails if the
-//!   enabled path costs more than 50% extra — the "disabled telemetry
-//!   is (near) free, enabled telemetry is cheap" claim, enforced.
 //!
 //! ```text
 //! cargo run --release -p dtfe-bench --bin loadgen [-- --requests 400 --rate 100]
@@ -112,7 +107,6 @@ struct Args {
     /// Write the server's stats document JSON here.
     stats_out: Option<PathBuf>,
     /// Run the telemetry-off vs telemetry-on A/B leg.
-    ab_telemetry: bool,
     /// Boot an N-shard in-process cluster and drive all traffic through
     /// the ring-aware [`ClusterClient`] (0 = off).
     cluster: usize,
@@ -172,7 +166,7 @@ fn usage() -> ! {
          [--rate R] [--zipf S] [--tiles N] [--box-len L] [--field-len L] [--resolution N] \
          [--particles N] [--senders N] [--seed N] [--estimators dtfe,psdtfe,...] [--shutdown] \
          [--chaos SEED] [--client naive|retry] [--out FILE] [--trace] \
-         [--slo p99=MS,error_rate=FRAC] [--dump-out FILE] [--stats-out FILE] [--ab-telemetry] \
+         [--slo p99=MS,error_rate=FRAC] [--dump-out FILE] [--stats-out FILE] \
          [--cluster N] [--cluster-addrs A,B,C] [--kill-shard I]"
     );
     std::process::exit(2)
@@ -202,7 +196,6 @@ fn parse_args() -> Args {
         slo: None,
         dump_out: None,
         stats_out: None,
-        ab_telemetry: false,
         cluster: 0,
         cluster_addrs: Vec::new(),
         kill_shard: None,
@@ -247,7 +240,6 @@ fn parse_args() -> Args {
             "--slo" => args.slo = Some(Slo::parse(&val()).unwrap_or_else(|| usage())),
             "--dump-out" => args.dump_out = Some(PathBuf::from(val())),
             "--stats-out" => args.stats_out = Some(PathBuf::from(val())),
-            "--ab-telemetry" => args.ab_telemetry = true,
             "--cluster" => args.cluster = val().parse().unwrap_or_else(|_| usage()),
             "--cluster-addrs" => {
                 args.cluster_addrs = val().split(',').map(|s| s.trim().to_string()).collect();
@@ -511,35 +503,6 @@ fn percentile_ms(sorted_us: &[u64], p: f64) -> f64 {
     sorted_us[idx] as f64 / 1e3
 }
 
-/// The `--ab-telemetry` leg: the same warm (cache-hit) render timed
-/// closed-loop against two fresh in-process services, telemetry disabled
-/// vs enabled. Runs before the main service exists so the "off" leg truly
-/// exercises the disabled-recorder fast path (no global recorder
-/// installed). Returns `(off_ms, on_ms)` mean per-render latency.
-fn telemetry_ab_leg(args: &Args, bounds: Aabb3) -> (f64, f64) {
-    let leg = |telemetry: bool| -> f64 {
-        let mut cfg = ServiceConfig::new(args.field_len, args.resolution);
-        cfg.tiles = args.tiles;
-        cfg.telemetry = telemetry;
-        let svc = Service::start(&args.snapshots, cfg).expect("start A/B service");
-        let req = RenderRequest::new(&args.snapshot_id, bounds.center());
-        svc.render(&req).expect("A/B warm render");
-        let iters = 50;
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            svc.render(&req).expect("A/B render");
-        }
-        let mean_ms = t0.elapsed().as_secs_f64() * 1e3 / iters as f64;
-        svc.drain();
-        mean_ms
-    };
-    // Off first: the on-leg's recorder uninstalls on drop either way, but
-    // this order never even transiently installs one before the off leg.
-    let off_ms = leg(false);
-    let on_ms = leg(true);
-    (off_ms, on_ms)
-}
-
 fn main() -> ExitCode {
     let args = parse_args();
     if args.chaos.is_some() && args.addr.is_some() {
@@ -569,7 +532,7 @@ fn main() -> ExitCode {
     let tiles = decomp.num_ranks();
 
     // Self-seed the demo snapshot for any mode that runs a local service.
-    if args.addr.is_none() || args.ab_telemetry {
+    if args.addr.is_none() {
         std::fs::create_dir_all(&args.snapshots).expect("create snapshot dir");
         let path = args.snapshots.join(format!("{}.snap", args.snapshot_id));
         if !path.is_file() {
@@ -577,18 +540,6 @@ fn main() -> ExitCode {
                 clustered_box(&ClusteredBoxSpec::new(bounds, args.particles, 24, 1234));
             write_snapshot(&path, &[points], bounds).expect("write demo snapshot");
         }
-    }
-
-    // A/B leg first: it must run while no global telemetry recorder is
-    // installed, which stops being true once the main in-process service
-    // starts.
-    let ab = args.ab_telemetry.then(|| telemetry_ab_leg(&args, bounds));
-    if let Some((off_ms, on_ms)) = ab {
-        eprintln!(
-            "# ab-telemetry: warm render off {off_ms:.3} ms, on {on_ms:.3} ms \
-             ({:+.1}%)",
-            (on_ms / off_ms.max(1e-9) - 1.0) * 100.0
-        );
     }
 
     // Cluster mode: boot in-process shards (or adopt external listeners),
@@ -1238,19 +1189,6 @@ fn main() -> ExitCode {
         ),
     };
 
-    // A/B telemetry overhead: generous 50% bound on the *enabled* path
-    // for a warm (microsecond-scale) render; the disabled path is the
-    // baseline by construction.
-    let ab_breached = ab.map(|(off_ms, on_ms)| on_ms > off_ms * 1.5) == Some(true);
-    let ab_json = match ab {
-        None => "null".to_string(),
-        Some((off_ms, on_ms)) => format!(
-            "{{\"off_ms\":{},\"on_ms\":{},\"delta_frac\":{}}}",
-            number(off_ms),
-            number(on_ms),
-            number(on_ms / off_ms.max(1e-9) - 1.0),
-        ),
-    };
     let out = format!(
         "{{\"bench\":\"service\",\"mode\":\"{}\",\"tiles\":{tiles},\"requests\":{},\
          \"rate\":{},\"zipf\":{},\"completed\":{completed},\"errors\":{},\
@@ -1262,7 +1200,7 @@ fn main() -> ExitCode {
          \"throughput_rps\":{},\"p50_ms\":{},\"p99_ms\":{},\
          \"cold_p50_ms\":{},\"warm_p50_ms\":{},\"mean_lag_ms\":{},\
          \"trace\":{},\"stages\":{stages_json},\"error_rate\":{},\"slo\":{slo_json},\
-         \"ab_telemetry\":{ab_json},\"cluster\":{},\"kill_shard\":{},\"shards\":{shards_json},\
+         \"cluster\":{},\"kill_shard\":{},\"shards\":{shards_json},\
          \"server\":{stats_json}}}\n",
         if args.chaos.is_some() {
             "chaos"
@@ -1363,13 +1301,6 @@ fn main() -> ExitCode {
     for b in &slo_breaches {
         eprintln!("error: SLO breached: {b}");
     }
-    if ab_breached {
-        let (off_ms, on_ms) = ab.unwrap();
-        eprintln!(
-            "error: telemetry overhead: warm render {on_ms:.3} ms enabled vs \
-             {off_ms:.3} ms disabled exceeds the 50% bound"
-        );
-    }
     for e in errors.iter().take(5) {
         eprintln!("error: {e}");
     }
@@ -1424,7 +1355,7 @@ fn main() -> ExitCode {
     if args.chaos.is_none() && args.kill_shard.is_none() && (!errors.is_empty() || !accounted) {
         return ExitCode::FAILURE;
     }
-    if !slo_breaches.is_empty() || ab_breached {
+    if !slo_breaches.is_empty() {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

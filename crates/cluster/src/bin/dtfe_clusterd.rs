@@ -27,13 +27,10 @@
 //! README's "Running a 3-node cluster" walkthrough.
 
 use dtfe_cluster::{ClusterConfig, ClusterNode};
-use dtfe_geometry::{Aabb3, Vec3};
-use dtfe_nbody::halos::{clustered_box, ClusteredBoxSpec};
-use dtfe_nbody::snapshot::write_snapshot;
 use dtfe_service::{Service, ServiceConfig, TcpServer};
 use std::io::Write;
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -142,19 +139,6 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-/// Same demo snapshot as `dtfe-served --demo` (id `demo`, seed 1234), so
-/// cluster responses are comparable bit-for-bit with a single node's.
-fn write_demo(dir: &Path) -> std::io::Result<()> {
-    let path = dir.join("demo.snap");
-    if path.is_file() {
-        return Ok(());
-    }
-    let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(32.0));
-    let (points, _halos) = clustered_box(&ClusteredBoxSpec::new(bounds, 120_000, 24, 1234));
-    write_snapshot(&path, &[points], bounds)?;
-    Ok(())
 }
 
 fn service_config(args: &Args, telemetry: bool) -> ServiceConfig {
@@ -287,7 +271,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if args.demo {
-        if let Err(e) = write_demo(&args.snapshots) {
+        if let Err(e) = dtfe_service::tiles::write_demo_snapshot(&args.snapshots) {
             eprintln!("cannot write demo snapshot: {e}");
             return ExitCode::FAILURE;
         }

@@ -17,9 +17,7 @@ use crate::ring::{key_of, HashRing};
 use dtfe_framework::Decomposition;
 use dtfe_geometry::Aabb3;
 use dtfe_service::client::{ClientConfig, ResilientClient};
-use dtfe_service::{
-    EstimatorKind, RenderRequest, RenderResponse, RouteInfo, ServiceError, TileKey,
-};
+use dtfe_service::{RenderRequest, RenderResponse, ServiceError, TileKey};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 
@@ -109,18 +107,10 @@ impl ClusterClient {
         if !req.center.is_finite() || !geo.decomp.bounds.contains_closed(req.center) {
             return None;
         }
-        // Mirror the server's estimator normalisation so client and shard
-        // hash the same canonical key.
-        let estimator = match req.estimator {
-            EstimatorKind::Stochastic { realizations: 0 } => EstimatorKind::Stochastic {
-                realizations: EstimatorKind::DEFAULT_REALIZATIONS,
-            },
-            k => k,
-        };
         let key = TileKey::new(
             req.snapshot.clone(),
             geo.decomp.rank_of(req.center),
-            estimator,
+            req.estimator.normalized(),
         );
         Some(key_of(&key))
     }
@@ -150,13 +140,10 @@ impl ClusterClient {
             self.live.iter_mut().for_each(|l| *l = true);
             candidates = self.ring.replicas(ringkey, want, &self.live);
         }
-        let route = RouteInfo {
-            redirect: true,
-            epoch: 0,
-        };
+        let redirected = req.clone().redirect(true);
         let mut last: Option<ServiceError> = None;
         for shard in candidates {
-            match self.clients[shard].render_routed(req, route) {
+            match self.clients[shard].render(&redirected) {
                 Ok(resp) => return Ok((resp, self.repin(shard))),
                 // Transport give-up or drain: someone on the path is
                 // down. Blame the right shard (a redirect may have moved
@@ -183,14 +170,11 @@ impl ClusterClient {
         // dead ones still get a try — a wrong liveness guess only costs a
         // fast connect failure, while skipping them could strand the
         // request with reachable shards left.
-        let fallback = RouteInfo {
-            redirect: false,
-            epoch: 0,
-        };
+        let proxied = req.clone().redirect(false);
         let mut order: Vec<usize> = (0..self.clients.len()).filter(|&i| self.live[i]).collect();
         order.extend((0..self.clients.len()).filter(|&i| !self.live[i]));
         for shard in order {
-            match self.clients[shard].render_routed(req, fallback) {
+            match self.clients[shard].render(&proxied) {
                 Ok(resp) => {
                     self.live[shard] = true;
                     return Ok((resp, self.repin(shard)));

@@ -37,13 +37,12 @@
 
 use crate::ring::{key_of, HashRing};
 use crate::router::{cheapest, ShardGauges};
-use dtfe_service::wire::{read_frame, write_frame};
 use dtfe_service::{
-    Handled, RenderRequest, Request, RequestHandler, Response, RouteInfo, Service, ServiceError,
+    Client, Handled, RenderRequest, Request, RequestHandler, Response, Service, ServiceError,
     ShardHeartbeat,
 };
 use std::collections::{HashMap, HashSet};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -417,25 +416,7 @@ impl RequestHandler for ClusterNode {
         &self.service
     }
 
-    fn handle(&self, req: Request) -> Handled {
-        match req {
-            Request::Render(r) => self.handle_render(r, RouteInfo::default()),
-            Request::RenderRouted(r, route) => self.handle_render(r, route),
-            Request::Gossip(hb) => {
-                self.absorb(&hb);
-                Handled::ready(Response::Gossip(self.heartbeat()))
-            }
-            Request::Stats => Handled::ready(Response::Stats(self.service.stats_document())),
-            Request::Health => Handled::ready(Response::Health(self.service.health())),
-            Request::Dump => Handled::ready(Response::Dump(self.service.dump_trace())),
-            // Unreachable: the transport intercepts Shutdown.
-            Request::Shutdown => Handled::ready(Response::ShutdownAck),
-        }
-    }
-}
-
-impl ClusterNode {
-    fn handle_render(&self, r: RenderRequest, route: RouteInfo) -> Handled {
+    fn render(&self, r: RenderRequest) -> Handled {
         let owner = match self.route(&r) {
             Ok(Routing::Local) => return self.serve_local(&r),
             Ok(Routing::Remote { owner }) => owner,
@@ -443,7 +424,7 @@ impl ClusterNode {
             // here rather than burn a hop.
             Err(e) => return Handled::ready(Response::Error(e)),
         };
-        if route.redirect {
+        if r.redirect {
             // Ring-aware client: hand it the owner instead of proxying.
             dtfe_telemetry::counter_add!("cluster.not_mine", 1);
             return Handled::ready(Response::Error(ServiceError::NotMine {
@@ -455,14 +436,13 @@ impl ClusterNode {
         // instead of forwarding again — no proxy loops — and any failure
         // falls back to a bit-identical local render.
         dtfe_telemetry::counter_add!("cluster.proxied", 1);
-        let epoch = self.epoch.load(Ordering::SeqCst);
         let service = self.service.clone();
         let timeout = proxy_timeout(&r, self.service.config());
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::Builder::new()
             .name("dtfe-proxy".into())
             .spawn(move || {
-                let result = match proxy_render(owner, &r, epoch, timeout) {
+                let result = match proxy_render(owner, &r, timeout) {
                     Some(outcome) => outcome,
                     None => {
                         dtfe_telemetry::counter_add!("cluster.forward_failovers", 1);
@@ -473,6 +453,11 @@ impl ClusterNode {
             })
             .expect("spawn proxy thread");
         Handled::Pending(rx)
+    }
+
+    fn gossip(&self, hb: ShardHeartbeat) -> Response {
+        self.absorb(&hb);
+        Response::Gossip(self.heartbeat())
     }
 }
 
@@ -493,30 +478,14 @@ fn proxy_timeout(r: &RenderRequest, cfg: &dtfe_service::ServiceConfig) -> Durati
 fn proxy_render(
     owner: SocketAddr,
     r: &RenderRequest,
-    epoch: u64,
     timeout: Duration,
 ) -> Option<Result<dtfe_service::RenderResponse, ServiceError>> {
-    let stream = TcpStream::connect_timeout(&owner, timeout).ok()?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    let mut reader = std::io::BufReader::new(stream.try_clone().ok()?);
-    let mut writer = std::io::BufWriter::new(stream);
-    let req = Request::RenderRouted(
-        r.clone(),
-        RouteInfo {
-            redirect: true,
-            epoch,
-        },
-    );
-    write_frame(&mut writer, &req.encode()).ok()?;
-    let payload = read_frame(&mut reader).ok()?;
-    match Response::decode(&payload).ok()? {
+    let hop = Request::Render(r.clone().redirect(true));
+    match peer(owner, timeout)?.call(&hop).ok()? {
         Response::Field(resp) => Some(Ok(resp)),
         // Ring disagreement or a shard on its way out: both are repaired
         // by serving locally, not by relaying the refusal.
-        Response::Error(ServiceError::NotMine { .. })
-        | Response::Error(ServiceError::ShuttingDown) => None,
+        Response::Error(ServiceError::NotMine { .. } | ServiceError::ShuttingDown) => None,
         Response::Error(e) => Some(Err(e)),
         _ => None,
     }
@@ -528,16 +497,16 @@ fn gossip_exchange(
     hb: &ShardHeartbeat,
     timeout: Duration,
 ) -> Option<ShardHeartbeat> {
-    let stream = TcpStream::connect_timeout(&addr, timeout).ok()?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    let mut reader = std::io::BufReader::new(stream.try_clone().ok()?);
-    let mut writer = std::io::BufWriter::new(stream);
-    write_frame(&mut writer, &Request::Gossip(hb.clone()).encode()).ok()?;
-    let payload = read_frame(&mut reader).ok()?;
-    match Response::decode(&payload).ok()? {
+    match peer(addr, timeout)?
+        .call(&Request::Gossip(hb.clone()))
+        .ok()?
+    {
         Response::Gossip(peer_hb) => Some(peer_hb),
         _ => None,
     }
+}
+
+/// A connection to a peer shard with one deadline on every socket step.
+fn peer(addr: SocketAddr, timeout: Duration) -> Option<Client> {
+    Client::connect_timeout(&addr, timeout, Some(timeout), Some(timeout)).ok()
 }

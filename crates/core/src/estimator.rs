@@ -231,6 +231,19 @@ impl EstimatorKind {
         }
     }
 
+    /// The canonical form every tile key is built from: an unspecified
+    /// stochastic realization count (`0`) takes
+    /// [`Self::DEFAULT_REALIZATIONS`]. Server and ring-aware client both
+    /// hash this form, so they cannot disagree about a request's owner.
+    pub fn normalized(self) -> EstimatorKind {
+        match self {
+            EstimatorKind::Stochastic { realizations: 0 } => EstimatorKind::Stochastic {
+                realizations: Self::DEFAULT_REALIZATIONS,
+            },
+            k => k,
+        }
+    }
+
     /// The estimator whose *built artifact* serves this kind: a
     /// velocity-divergence render is a view over the PS-DTFE tile, so both
     /// share one cache entry.

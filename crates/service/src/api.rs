@@ -87,6 +87,13 @@ pub struct RenderRequest {
     /// Request-scoped trace context; `None` means untraced (the resilient
     /// client mints one automatically so retries share an id).
     pub trace: Option<TraceContext>,
+    /// How a cluster shard treats this request when it does not own the
+    /// tile. `true`: answer [`NotMine`](crate::ServiceError::NotMine) with
+    /// the owner's address, so a ring-aware client goes straight to the
+    /// owner. `false`: serve anyway (proxy/failover mode — any shard can
+    /// build any tile bit-identically). A single-node server owns every
+    /// tile and ignores it.
+    pub redirect: bool,
 }
 
 impl RenderRequest {
@@ -101,6 +108,7 @@ impl RenderRequest {
             deadline_ms: 0,
             estimator: EstimatorKind::Dtfe,
             trace: None,
+            redirect: false,
         }
     }
 
@@ -113,6 +121,12 @@ impl RenderRequest {
     /// Attach a trace context to this request.
     pub fn traced(mut self, trace: TraceContext) -> RenderRequest {
         self.trace = Some(trace);
+        self
+    }
+
+    /// Ask a non-owning cluster shard to redirect instead of proxying.
+    pub fn redirect(mut self, redirect: bool) -> RenderRequest {
+        self.redirect = redirect;
         self
     }
 }
@@ -172,21 +186,6 @@ pub struct RenderResponse {
     /// Row-major `ny × nx` surface-density values.
     pub data: Vec<f64>,
     pub meta: ResponseMeta,
-}
-
-/// Routing metadata attached to a v5 routed render request — how a
-/// cluster shard should treat a request for a tile it does not own.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RouteInfo {
-    /// `true`: answer [`NotMine`](crate::ServiceError::NotMine) with the
-    /// owner's address instead of serving, so a ring-aware client can go
-    /// straight to the owner. `false`: serve anyway (proxy/failover mode —
-    /// any shard can build any tile bit-identically).
-    pub redirect: bool,
-    /// The sender's ring epoch (bumped per live-view change). A shard
-    /// seeing a stale epoch knows the client's ring view predates a
-    /// rebalance; currently informational, carried for observability.
-    pub epoch: u64,
 }
 
 /// One shard's gossip heartbeat: liveness plus the live load gauges the

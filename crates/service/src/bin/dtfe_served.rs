@@ -12,12 +12,9 @@
 //! exits 0. `--demo` seeds the snapshot directory with a clustered demo
 //! snapshot (id `demo`) so a smoke run needs no dataset.
 
-use dtfe_geometry::{Aabb3, Vec3};
-use dtfe_nbody::halos::{clustered_box, ClusteredBoxSpec};
-use dtfe_nbody::snapshot::write_snapshot;
 use dtfe_service::{Service, ServiceConfig, TcpServer};
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -90,21 +87,6 @@ fn parse_args() -> Args {
     args
 }
 
-/// Write the demo snapshot (id `demo`): a 32³-box clustered particle set,
-/// dense enough that a cold tile build costs hundreds of milliseconds
-/// while a warm render costs ~10 ms — the cold/warm split the cache
-/// exists for stays visible over the wire round-trip floor.
-fn write_demo(dir: &Path) -> std::io::Result<()> {
-    let path = dir.join("demo.snap");
-    if path.is_file() {
-        return Ok(());
-    }
-    let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(32.0));
-    let (points, _halos) = clustered_box(&ClusteredBoxSpec::new(bounds, 120_000, 24, 1234));
-    write_snapshot(&path, &[points], bounds)?;
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args = parse_args();
     if let Err(e) = std::fs::create_dir_all(&args.snapshots) {
@@ -112,7 +94,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if args.demo {
-        if let Err(e) = write_demo(&args.snapshots) {
+        if let Err(e) = dtfe_service::tiles::write_demo_snapshot(&args.snapshots) {
             eprintln!("cannot write demo snapshot: {e}");
             return ExitCode::FAILURE;
         }

@@ -1,16 +1,10 @@
 //! Seeded, deterministic socket-level fault injection.
 //!
-//! Two interposers over the same rule vocabulary:
-//!
-//! - [`FaultyStream`] wraps any `Read + Write` transport and injects
-//!   faults on the *write* path at frame granularity (a frame is
-//!   everything buffered between flushes — exactly what
-//!   [`wire::write_frame`](crate::wire::write_frame) produces). Cheap,
-//!   in-process, no threads; unit tests wrap a client's stream in it.
-//! - [`ChaosProxy`] is an in-process TCP proxy that sits between a real
-//!   client and a real server, parses the wire framing, and decides each
-//!   forwarded frame's fate. `loadgen --chaos <seed>` and the chaos
-//!   conformance suite drive traffic through it.
+//! [`ChaosProxy`] is an in-process TCP proxy that sits between a real
+//! client and a real server, parses the wire framing, and decides each
+//! forwarded frame's fate. `loadgen --chaos <seed>` and the chaos
+//! conformance suite drive traffic through it; it is the only fault
+//! injector on sockets.
 //!
 //! Decisions reuse the deterministic draw primitive from
 //! [`dtfe_simcluster::faults`]: each frame's fate depends only on
@@ -260,8 +254,7 @@ impl SocketFaultPlan {
     }
 }
 
-/// Counters of injected events, shared by [`ChaosProxy`] and
-/// [`FaultyStream`].
+/// Counters of the events a [`ChaosProxy`] injected.
 #[derive(Debug, Default)]
 pub struct ChaosStats {
     pub forwarded: AtomicU64,
@@ -337,122 +330,6 @@ fn flip_payload_bit(frame: &mut [u8], seed: u64, conn: u64, dir: Direction, seq:
     let bit_index = (draw * (span * 8) as f64) as usize;
     let at = FRAME_HEADER + (bit_index / 8).min(span - 1);
     frame[at] ^= 1 << (bit_index % 8);
-}
-
-// ------------------------------------------------------------ FaultyStream
-
-/// A `Read + Write` wrapper that injects the plan's faults on the write
-/// path, treating everything buffered between flushes as one frame
-/// (matching [`wire::write_frame`](crate::wire::write_frame)'s
-/// write-write-write-flush shape).
-///
-/// Fault semantics over a wrapped stream: `Drop` discards the frame
-/// silently (a byte blackhole — pair with a read timeout on the other
-/// side), `Truncate` forwards the first half then errors, `Stall` sleeps
-/// then errors, `Reset` errors immediately, `Delay`/`Split`/`BitFlip`
-/// behave like the proxy. Reads pass through untouched.
-pub struct FaultyStream<S: Read + Write> {
-    inner: S,
-    plan: Arc<SocketFaultPlan>,
-    conn: u64,
-    direction: Direction,
-    seq: u64,
-    buf: Vec<u8>,
-    pub stats: Arc<ChaosStats>,
-}
-
-impl<S: Read + Write> FaultyStream<S> {
-    /// Wrap `inner`, attributing frames to connection `conn` in
-    /// `direction` under `plan`.
-    pub fn new(inner: S, plan: Arc<SocketFaultPlan>, conn: u64, direction: Direction) -> Self {
-        FaultyStream {
-            inner,
-            plan,
-            conn,
-            direction,
-            seq: 0,
-            buf: Vec::new(),
-            stats: Arc::new(ChaosStats::default()),
-        }
-    }
-
-    /// The wrapped stream (for shutdown calls and the like).
-    pub fn get_ref(&self) -> &S {
-        &self.inner
-    }
-
-    /// Unwrap, discarding any unflushed buffered frame.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: Read + Write> Read for FaultyStream<S> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.inner.read(buf)
-    }
-}
-
-impl<S: Read + Write> Write for FaultyStream<S> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.buf.extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        let mut frame = std::mem::take(&mut self.buf);
-        if frame.is_empty() {
-            return self.inner.flush();
-        }
-        let seq = self.seq;
-        self.seq += 1;
-        let action = self.plan.decide(self.conn, self.direction, seq);
-        self.stats.record(action);
-        match action {
-            SocketAction::Deliver => {
-                self.inner.write_all(&frame)?;
-                self.inner.flush()
-            }
-            SocketAction::Drop => Ok(()), // swallowed: blackhole
-            SocketAction::Delay(by) => {
-                std::thread::sleep(by);
-                self.inner.write_all(&frame)?;
-                self.inner.flush()
-            }
-            SocketAction::Truncate => {
-                self.inner.write_all(&frame[..frame.len() / 2])?;
-                let _ = self.inner.flush();
-                Err(std::io::Error::new(
-                    ErrorKind::ConnectionAborted,
-                    "chaos: frame truncated",
-                ))
-            }
-            SocketAction::Split => {
-                let mid = frame.len() / 2;
-                self.inner.write_all(&frame[..mid])?;
-                self.inner.flush()?;
-                std::thread::sleep(Duration::from_millis(1));
-                self.inner.write_all(&frame[mid..])?;
-                self.inner.flush()
-            }
-            SocketAction::Stall(for_) => {
-                std::thread::sleep(for_);
-                Err(std::io::Error::new(
-                    ErrorKind::ConnectionAborted,
-                    "chaos: stalled connection",
-                ))
-            }
-            SocketAction::Reset => Err(std::io::Error::new(
-                ErrorKind::ConnectionReset,
-                "chaos: connection reset",
-            )),
-            SocketAction::BitFlip => {
-                flip_payload_bit(&mut frame, self.plan.seed, self.conn, self.direction, seq);
-                self.inner.write_all(&frame)?;
-                self.inner.flush()
-            }
-        }
-    }
 }
 
 // ------------------------------------------------------------- ChaosProxy
@@ -797,40 +674,5 @@ mod tests {
             .map(|(a, b)| (a ^ b).count_ones())
             .sum();
         assert_eq!(diff_bits, 1, "exactly one bit flipped");
-    }
-
-    #[test]
-    fn faulty_stream_bitflip_is_rejected_by_the_reader() {
-        let plan = Arc::new(SocketFaultPlan::seeded(1).rule(SocketFaultRule::all().bitflip(1.0)));
-        let mut s = FaultyStream::new(
-            std::io::Cursor::new(Vec::new()),
-            plan,
-            0,
-            Direction::ToServer,
-        );
-        crate::wire::write_frame(&mut s, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
-        assert_eq!(s.stats.bitflipped.load(Ordering::Relaxed), 1);
-        let mut cursor = std::io::Cursor::new(s.into_inner().into_inner());
-        assert!(matches!(
-            crate::wire::read_frame(&mut cursor),
-            Err(crate::wire::WireError::ChecksumMismatch)
-        ));
-    }
-
-    #[test]
-    fn faulty_stream_split_and_deliver_stay_intact() {
-        let plan = Arc::new(SocketFaultPlan::seeded(2).rule(SocketFaultRule::all().split(1.0)));
-        let mut s = FaultyStream::new(
-            std::io::Cursor::new(Vec::new()),
-            plan,
-            0,
-            Direction::ToServer,
-        );
-        crate::wire::write_frame(&mut s, b"split me carefully").unwrap();
-        let mut cursor = std::io::Cursor::new(s.into_inner().into_inner());
-        assert_eq!(
-            crate::wire::read_frame(&mut cursor).unwrap(),
-            b"split me carefully"
-        );
     }
 }

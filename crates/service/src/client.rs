@@ -1,8 +1,9 @@
 //! The resilient wire client: timeouts, retries, backoff, and hedging.
 //!
-//! [`Client`](crate::Client) trusts the network; this one doesn't. Every
-//! attempt runs with connect/read/write timeouts; failures are classified
-//! and handled per class:
+//! [`Client`] is the connection; this is pure policy over it. A bare
+//! `Client` trusts the network; this one doesn't. Every attempt runs on
+//! a [`Client::connect_timeout`] connection; failures are classified and
+//! handled per class:
 //!
 //! - **Back-pressure** (`Overloaded`, `Quarantined`): wait out the
 //!   server's `retry_after_ms` hint (jittered, so a shed burst of clients
@@ -36,9 +37,9 @@
 use crate::api::{HealthStatus, RenderRequest, RenderResponse, TraceContext};
 use crate::error::ServiceError;
 use crate::stats_doc::StatsDocument;
-use crate::wire::{read_frame, write_frame, Request, Response, WireError};
-use std::io::{BufReader, BufWriter};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use crate::tcp::Client;
+use crate::wire::{Request, Response};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -118,14 +119,14 @@ enum AttemptError {
 const MAX_REDIRECTS: u32 = 3;
 
 /// A blocking wire client that survives a hostile network. Not `Sync` —
-/// one instance per thread, like [`Client`](crate::Client).
+/// one instance per thread, like [`Client`].
 pub struct ResilientClient {
     /// Candidate endpoints; `current` indexes the one in use. A plain
     /// [`ResilientClient::new`] client has exactly one.
     endpoints: Vec<SocketAddr>,
     current: usize,
     cfg: ClientConfig,
-    conn: Option<(BufReader<TcpStream>, BufWriter<TcpStream>)>,
+    conn: Option<Client>,
     rng: u64,
     pub stats: Arc<ClientStats>,
 }
@@ -211,60 +212,17 @@ impl ResilientClient {
                 sampled: self.cfg.sample_traces,
             });
         }
-        match self.call(&Request::Render(req))? {
-            Response::Field(resp) => Ok(resp),
-            Response::Error(e) => Err(e),
-            other => Err(ServiceError::Internal(format!(
-                "unexpected response {other:?}"
-            ))),
-        }
-    }
-
-    /// Render via a v5 routed frame: like [`ResilientClient::render`] but
-    /// carrying cluster routing metadata. With `route.redirect` set, a
-    /// non-owning shard answers `NotMine` and the client follows the named
-    /// owner (bounded) instead of the shard proxying server-side.
-    pub fn render_routed(
-        &mut self,
-        req: &RenderRequest,
-        route: crate::api::RouteInfo,
-    ) -> Result<RenderResponse, ServiceError> {
-        let mut req = req.clone();
-        if req.trace.is_none() {
-            req.trace = Some(TraceContext {
-                id: self.mint_trace_id(),
-                sampled: self.cfg.sample_traces,
-            });
-        }
-        match self.call(&Request::RenderRouted(req, route))? {
-            Response::Field(resp) => Ok(resp),
-            Response::Error(e) => Err(e),
-            other => Err(ServiceError::Internal(format!(
-                "unexpected response {other:?}"
-            ))),
-        }
+        self.call(&Request::Render(req))?.into_field()
     }
 
     /// Readiness probe with the retry discipline.
     pub fn health(&mut self) -> Result<HealthStatus, ServiceError> {
-        match self.call(&Request::Health)? {
-            Response::Health(h) => Ok(h),
-            Response::Error(e) => Err(e),
-            other => Err(ServiceError::Internal(format!(
-                "unexpected response {other:?}"
-            ))),
-        }
+        self.call(&Request::Health)?.into_health()
     }
 
     /// Fetch the server's typed stats document with the retry discipline.
     pub fn stats(&mut self) -> Result<StatsDocument, ServiceError> {
-        match self.call(&Request::Stats)? {
-            Response::Stats(doc) => Ok(doc),
-            Response::Error(e) => Err(e),
-            other => Err(ServiceError::Internal(format!(
-                "unexpected response {other:?}"
-            ))),
-        }
+        self.call(&Request::Stats)?.into_stats()
     }
 
     /// Fetch the server's stats document as JSON text (the wire payload,
@@ -276,23 +234,14 @@ impl ResilientClient {
     /// Fetch the server's flight-recorder dump (Chrome-trace JSON) with
     /// the retry discipline.
     pub fn dump(&mut self) -> Result<String, ServiceError> {
-        match self.call(&Request::Dump)? {
-            Response::Dump(json) => Ok(json),
-            Response::Error(e) => Err(e),
-            other => Err(ServiceError::Internal(format!(
-                "unexpected response {other:?}"
-            ))),
-        }
+        self.call(&Request::Dump)?.into_dump()
     }
 
     /// Ask the server to drain and exit. Not retried past transport
     /// failures that may mean "the server already shut down".
     pub fn shutdown(&mut self) -> Result<(), ServiceError> {
         match self.attempt(&Request::Shutdown) {
-            Ok(Response::ShutdownAck) => Ok(()),
-            Ok(other) => Err(ServiceError::Internal(format!(
-                "unexpected response {other:?}"
-            ))),
+            Ok(resp) => resp.into_ack(),
             Err(AttemptError::Fatal(e)) | Err(AttemptError::RetryAfter(_, e)) => Err(e),
             Err(AttemptError::Transport(msg)) => Err(ServiceError::Internal(format!(
                 "transport during shutdown: {msg}"
@@ -360,10 +309,9 @@ impl ResilientClient {
     /// One attempt on the cached connection (reconnecting if absent).
     fn attempt(&mut self, req: &Request) -> Result<Response, AttemptError> {
         if self.conn.is_none() {
-            self.conn = Some(self.connect()?);
+            self.conn = Some(connect(self.endpoint(), &self.cfg, &self.stats)?);
         }
-        let (reader, writer) = self.conn.as_mut().unwrap();
-        let result = exchange(reader, writer, req);
+        let result = exchange(self.conn.as_mut().unwrap(), req);
         if matches!(result, Err(AttemptError::Transport(_))) {
             self.conn = None;
         }
@@ -387,8 +335,8 @@ impl ResilientClient {
                              req: Request,
                              stats: Arc<ClientStats>| {
             std::thread::spawn(move || {
-                let result = connect_raw(addr, &cfg, &stats)
-                    .and_then(|(mut r, mut w)| classify_response(exchange(&mut r, &mut w, &req)));
+                let result = connect(addr, &cfg, &stats)
+                    .and_then(|mut conn| classify_response(exchange(&mut conn, &req)));
                 let _ = tx.send(result);
             })
         };
@@ -435,10 +383,6 @@ impl ResilientClient {
         }
     }
 
-    fn connect(&mut self) -> Result<(BufReader<TcpStream>, BufWriter<TcpStream>), AttemptError> {
-        connect_raw(self.endpoint(), &self.cfg, &self.stats)
-    }
-
     /// Deterministic jitter in `[0.5, 1.5)` of the base wait — breaks up
     /// synchronized retry herds without giving up replayability.
     fn jitter(&mut self, base: Duration) -> Duration {
@@ -467,43 +411,30 @@ impl ResilientClient {
     }
 }
 
-fn connect_raw(
+/// A fresh connection under the config's timeouts, counted.
+fn connect(
     addr: SocketAddr,
     cfg: &ClientConfig,
     stats: &ClientStats,
-) -> Result<(BufReader<TcpStream>, BufWriter<TcpStream>), AttemptError> {
-    let stream = TcpStream::connect_timeout(&addr, cfg.connect_timeout)
-        .map_err(|e| AttemptError::Transport(format!("connect: {e}")))?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(cfg.read_timeout);
-    let _ = stream.set_write_timeout(cfg.write_timeout);
-    let reader = BufReader::new(
-        stream
-            .try_clone()
-            .map_err(|e| AttemptError::Transport(format!("clone: {e}")))?,
-    );
+) -> Result<Client, AttemptError> {
+    let conn = Client::connect_timeout(
+        &addr,
+        cfg.connect_timeout,
+        cfg.read_timeout,
+        cfg.write_timeout,
+    )
+    .map_err(|e| AttemptError::Transport(format!("connect: {e}")))?;
     stats.reconnects.fetch_add(1, Ordering::Relaxed);
     dtfe_telemetry::counter_add!("client.reconnects", 1);
-    Ok((reader, BufWriter::new(stream)))
+    Ok(conn)
 }
 
-/// Write one request, read one response. Every wire-level failure —
-/// including a checksum-rejected corrupt frame — is a transport error:
-/// the bytes on this connection can no longer be trusted.
-fn exchange(
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut BufWriter<TcpStream>,
-    req: &Request,
-) -> Result<Response, AttemptError> {
-    write_frame(writer, &req.encode())
-        .map_err(|e| AttemptError::Transport(format!("send: {e}")))?;
-    let payload = read_frame(reader).map_err(|e| match e {
-        WireError::ChecksumMismatch => {
-            AttemptError::Transport("corrupt frame (checksum)".to_string())
-        }
-        other => AttemptError::Transport(format!("recv: {other}")),
-    })?;
-    Response::decode(&payload).map_err(|e| AttemptError::Transport(format!("decode: {e}")))
+/// One request/response on `conn`. Every wire-level failure — including a
+/// checksum-rejected corrupt frame — is a transport error: the bytes on
+/// this connection can no longer be trusted.
+fn exchange(conn: &mut Client, req: &Request) -> Result<Response, AttemptError> {
+    conn.call(req)
+        .map_err(|e| AttemptError::Transport(e.to_string()))
 }
 
 /// Split a successful exchange into retry classes: back-pressure errors
@@ -544,8 +475,9 @@ mod tests {
         }
     }
 
+    use crate::wire::{read_frame, write_frame};
+    use std::io::{BufReader, BufWriter};
     use std::net::TcpListener;
-    use std::sync::atomic::AtomicU64;
 
     /// A listener that accepts connections, counts them, and never
     /// responds — every client attempt against it ends in a read timeout.

@@ -70,13 +70,10 @@ pub mod wire;
 
 pub use admission::Admission;
 pub use api::{
-    HealthStatus, RenderRequest, RenderResponse, ResponseMeta, RouteInfo, ShardHeartbeat, Stage,
-    TraceContext,
+    HealthStatus, RenderRequest, RenderResponse, ResponseMeta, ShardHeartbeat, Stage, TraceContext,
 };
 pub use cache::{QuarantinePolicy, TileCache};
-pub use chaos::{
-    ChaosProxy, ChaosStats, Direction, FaultyStream, SocketFaultPlan, SocketFaultRule,
-};
+pub use chaos::{ChaosProxy, ChaosStats, Direction, SocketFaultPlan, SocketFaultRule};
 pub use client::{ClientConfig, ClientStats, ResilientClient};
 pub use config::ServiceConfig;
 pub use dtfe_core::EstimatorKind;

@@ -297,20 +297,15 @@ impl Service {
         // Normalise the estimator: an unspecified stochastic realization
         // count (0) takes the default; past the cap each realization is a
         // full rebuild, so it is a typed refusal, not a silent clamp.
-        let estimator = match req.estimator {
-            EstimatorKind::Stochastic { realizations: 0 } => EstimatorKind::Stochastic {
-                realizations: EstimatorKind::DEFAULT_REALIZATIONS,
-            },
-            EstimatorKind::Stochastic { realizations }
-                if realizations > ServiceConfig::MAX_REALIZATIONS =>
-            {
+        let estimator = req.estimator.normalized();
+        if let EstimatorKind::Stochastic { realizations } = estimator {
+            if realizations > ServiceConfig::MAX_REALIZATIONS {
                 return Err(ServiceError::InvalidRequest(format!(
                     "stochastic realizations {realizations} exceeds cap {}",
                     ServiceConfig::MAX_REALIZATIONS
                 )));
             }
-            k => k,
-        };
+        }
 
         // Loading the snapshot is part of submission: unknown/corrupt ids
         // fail fast, before admission charges anything. Corrupt and
@@ -426,12 +421,6 @@ impl Service {
                 "field center must be finite".into(),
             ));
         }
-        let estimator = match req.estimator {
-            EstimatorKind::Stochastic { realizations: 0 } => EstimatorKind::Stochastic {
-                realizations: EstimatorKind::DEFAULT_REALIZATIONS,
-            },
-            k => k,
-        };
         let snap = inner.registry.get(&req.snapshot)?;
         if !snap.bounds.contains_closed(req.center) {
             return Err(ServiceError::InvalidRequest(format!(
@@ -442,7 +431,7 @@ impl Service {
         Ok(TileKey::new(
             req.snapshot.clone(),
             snap.decomp.rank_of(req.center),
-            estimator,
+            req.estimator.normalized(),
         ))
     }
 

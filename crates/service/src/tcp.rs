@@ -1,5 +1,7 @@
 //! TCP transport: a thread-per-connection server over [`wire`](crate::wire)
-//! and a blocking [`Client`].
+//! and the blocking [`Client`] — the one connection primitive every
+//! caller (tests, `loadgen`, [`ResilientClient`](crate::ResilientClient),
+//! the cluster's proxy and gossip hops) speaks the protocol through.
 //!
 //! The listener runs nonblocking with a short poll so a wire `Shutdown`
 //! (the SIGTERM-equivalent in tests and CI, where signals are awkward)
@@ -19,7 +21,7 @@
 //! request order, and a peer that floods requests blocks at the channel
 //! bound instead of growing an unbounded queue.
 
-use crate::api::RenderRequest;
+use crate::api::{HealthStatus, RenderRequest, RenderResponse, ShardHeartbeat};
 use crate::error::ServiceError;
 use crate::server::Service;
 use crate::wire::{read_frame, write_frame, Request, Response, WireError};
@@ -35,7 +37,7 @@ use std::time::Duration;
 /// order, so pipelined responses are never reordered.
 pub enum Handled {
     Ready(Box<Response>),
-    Pending(mpsc::Receiver<Result<crate::api::RenderResponse, ServiceError>>),
+    Pending(mpsc::Receiver<Result<RenderResponse, ServiceError>>),
 }
 
 impl Handled {
@@ -45,18 +47,25 @@ impl Handled {
     }
 }
 
-/// What the TCP transport serves: anything that can turn a decoded
-/// [`Request`] into a [`Handled`] slot. The plain [`Service`] is the
+/// What differs between the servers this transport fronts: how a render
+/// is answered and whether gossip is spoken. The plain [`Service`] is the
 /// single-node handler; the cluster tier wraps a `Service` with ring
-/// ownership checks and peer forwarding while reusing this transport
-/// unchanged. `Shutdown` never reaches the handler — the transport acks
-/// it and stops the accept loop itself.
+/// ownership checks and peer forwarding. `Stats`, `Health`, `Dump` and
+/// `Shutdown` never reach the handler — the transport answers them from
+/// [`RequestHandler::service`] itself.
 pub trait RequestHandler: Send + Sync {
     /// The underlying service (the transport reads its connection limits
-    /// and timeouts, and drains it on shutdown).
+    /// and timeouts, answers control frames from it, and drains it on
+    /// shutdown).
     fn service(&self) -> &Service;
-    /// Answer one request. Called from connection reader threads.
-    fn handle(&self, req: Request) -> Handled;
+    /// Answer one render. Called from connection reader threads.
+    fn render(&self, req: RenderRequest) -> Handled;
+    /// Answer a peer's heartbeat with our own; only cluster shards do.
+    fn gossip(&self, _hb: ShardHeartbeat) -> Response {
+        Response::Error(ServiceError::InvalidRequest(
+            "gossip frame sent to a non-cluster server".into(),
+        ))
+    }
 }
 
 impl RequestHandler for Service {
@@ -64,22 +73,12 @@ impl RequestHandler for Service {
         self
     }
 
-    fn handle(&self, req: Request) -> Handled {
-        match req {
-            // A single-node server owns every tile: routed renders are
-            // plain renders and redirect flags have nothing to redirect.
-            Request::Render(r) | Request::RenderRouted(r, _) => match self.submit(&r) {
-                Ok(reply) => Handled::Pending(reply),
-                Err(e) => Handled::ready(Response::Error(e)),
-            },
-            Request::Gossip(_) => Handled::ready(Response::Error(ServiceError::InvalidRequest(
-                "gossip frame sent to a non-cluster server".into(),
-            ))),
-            Request::Stats => Handled::ready(Response::Stats(self.stats_document())),
-            Request::Health => Handled::ready(Response::Health(self.health())),
-            Request::Dump => Handled::ready(Response::Dump(self.dump_trace())),
-            // Unreachable: the transport intercepts Shutdown.
-            Request::Shutdown => Handled::ready(Response::ShutdownAck),
+    /// A single-node server owns every tile: `redirect` has nothing to
+    /// redirect to.
+    fn render(&self, req: RenderRequest) -> Handled {
+        match self.submit(&req) {
+            Ok(reply) => Handled::Pending(reply),
+            Err(e) => Handled::ready(Response::Error(e)),
         }
     }
 }
@@ -172,7 +171,8 @@ impl TcpServer {
 }
 
 fn handle_connection(stream: TcpStream, handler: &dyn RequestHandler, stop: &AtomicBool) {
-    let cfg = handler.service().config();
+    let service = handler.service();
+    let cfg = service.config();
     let _ = stream.set_nodelay(true);
     // Slow-loris defense: a peer that goes silent mid-frame (or stops
     // draining responses) hits these timeouts and is disconnected.
@@ -241,7 +241,11 @@ fn handle_connection(stream: TcpStream, handler: &dyn RequestHandler, stop: &Ato
                 stop.store(true, Ordering::SeqCst);
                 return;
             }
-            Ok(req) => handler.handle(req),
+            Ok(Request::Render(r)) => handler.render(r),
+            Ok(Request::Gossip(hb)) => Handled::ready(handler.gossip(hb)),
+            Ok(Request::Stats) => Handled::ready(Response::Stats(service.stats_document())),
+            Ok(Request::Health) => Handled::ready(Response::Health(service.health())),
+            Ok(Request::Dump) => Handled::ready(Response::Dump(service.dump_trace())),
         };
         if tx.send(slot).is_err() {
             break; // writer died (socket gone)
@@ -251,13 +255,14 @@ fn handle_connection(stream: TcpStream, handler: &dyn RequestHandler, stop: &Ato
     let _ = writer_thread.join();
 }
 
-/// Blocking client for the wire protocol (used by `loadgen`, tests, and
-/// the CI smoke run).
+/// One blocking connection speaking the wire protocol.
 ///
-/// This is the *naive* client: no timeouts, no retries, no hedging — it
-/// trusts the network. Use [`ResilientClient`](crate::ResilientClient)
-/// anywhere the network might misbehave; `loadgen --client naive` keeps
-/// this one around as the comparison baseline.
+/// On its own this is the *naive* client: [`Client::connect`] sets no
+/// timeouts and nothing retries — it trusts the network (`loadgen
+/// --client naive` keeps it as the comparison baseline).
+/// [`ResilientClient`](crate::ResilientClient) is retry/hedge policy over
+/// [`Client::connect_timeout`] connections; use it anywhere the network
+/// might misbehave.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
@@ -265,7 +270,23 @@ pub struct Client {
 
 impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
+        Client::over(TcpStream::connect(addr)?)
+    }
+
+    /// Connect within `connect`, then bound every read and write.
+    pub fn connect_timeout(
+        addr: &SocketAddr,
+        connect: Duration,
+        read: Option<Duration>,
+        write: Option<Duration>,
+    ) -> std::io::Result<Client> {
+        let stream = TcpStream::connect_timeout(addr, connect)?;
+        let _ = stream.set_read_timeout(read);
+        let _ = stream.set_write_timeout(write);
+        Client::over(stream)
+    }
+
+    fn over(stream: TcpStream) -> std::io::Result<Client> {
         let _ = stream.set_nodelay(true);
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {
@@ -281,62 +302,35 @@ impl Client {
         Response::decode(&payload)
     }
 
+    /// `call`, with a transport failure collapsed into the service error
+    /// type the typed methods below return.
+    fn ask(&mut self, req: &Request) -> Result<Response, ServiceError> {
+        self.call(req)
+            .map_err(|e| ServiceError::Internal(format!("wire: {e}")))
+    }
+
     /// Render, collapsing transport and service failures into one result.
-    pub fn render(
-        &mut self,
-        req: &RenderRequest,
-    ) -> Result<crate::api::RenderResponse, ServiceError> {
-        match self.call(&Request::Render(req.clone())) {
-            Ok(Response::Field(resp)) => Ok(resp),
-            Ok(Response::Error(e)) => Err(e),
-            Ok(other) => Err(ServiceError::Internal(format!(
-                "unexpected response {other:?}"
-            ))),
-            Err(e) => Err(ServiceError::Internal(format!("wire: {e}"))),
-        }
+    pub fn render(&mut self, req: &RenderRequest) -> Result<RenderResponse, ServiceError> {
+        self.ask(&Request::Render(req.clone()))?.into_field()
     }
 
     /// Fetch the server's typed stats document.
     pub fn stats(&mut self) -> Result<crate::stats_doc::StatsDocument, ServiceError> {
-        match self.call(&Request::Stats) {
-            Ok(Response::Stats(doc)) => Ok(doc),
-            Ok(other) => Err(ServiceError::Internal(format!(
-                "unexpected response {other:?}"
-            ))),
-            Err(e) => Err(ServiceError::Internal(format!("wire: {e}"))),
-        }
+        self.ask(&Request::Stats)?.into_stats()
     }
 
     /// Fetch the server's flight-recorder dump (Chrome-trace JSON).
     pub fn dump(&mut self) -> Result<String, ServiceError> {
-        match self.call(&Request::Dump) {
-            Ok(Response::Dump(json)) => Ok(json),
-            Ok(other) => Err(ServiceError::Internal(format!(
-                "unexpected response {other:?}"
-            ))),
-            Err(e) => Err(ServiceError::Internal(format!("wire: {e}"))),
-        }
+        self.ask(&Request::Dump)?.into_dump()
     }
 
     /// Cheap readiness probe.
-    pub fn health(&mut self) -> Result<crate::api::HealthStatus, ServiceError> {
-        match self.call(&Request::Health) {
-            Ok(Response::Health(h)) => Ok(h),
-            Ok(other) => Err(ServiceError::Internal(format!(
-                "unexpected response {other:?}"
-            ))),
-            Err(e) => Err(ServiceError::Internal(format!("wire: {e}"))),
-        }
+    pub fn health(&mut self) -> Result<HealthStatus, ServiceError> {
+        self.ask(&Request::Health)?.into_health()
     }
 
     /// Ask the server to drain and exit; resolves once the ack arrives.
     pub fn shutdown(&mut self) -> Result<(), ServiceError> {
-        match self.call(&Request::Shutdown) {
-            Ok(Response::ShutdownAck) => Ok(()),
-            Ok(other) => Err(ServiceError::Internal(format!(
-                "unexpected response {other:?}"
-            ))),
-            Err(e) => Err(ServiceError::Internal(format!("wire: {e}"))),
-        }
+        self.ask(&Request::Shutdown)?.into_ack()
     }
 }

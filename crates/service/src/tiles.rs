@@ -121,6 +121,25 @@ pub fn demo_velocities(points: &[Vec3], bounds: &Aabb3) -> Vec<Vec3> {
         .collect()
 }
 
+/// Write the demo snapshot (`demo.snap`, id `demo`) into `dir` unless it
+/// exists: a 32³-box clustered particle set, dense enough that a cold
+/// tile build costs hundreds of milliseconds while a warm render costs
+/// ~10 ms — the cold/warm split the cache exists for stays visible over
+/// the wire round-trip floor. `dtfe-served --demo` and `dtfe-clusterd
+/// --demo` both call this, so cluster responses are comparable
+/// bit-for-bit with a single node's.
+pub fn write_demo_snapshot(dir: &std::path::Path) -> std::io::Result<()> {
+    let path = dir.join("demo.snap");
+    if path.is_file() {
+        return Ok(());
+    }
+    let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(32.0));
+    let spec = dtfe_nbody::halos::ClusteredBoxSpec::new(bounds, 120_000, 24, 1234);
+    let (points, _halos) = dtfe_nbody::halos::clustered_box(&spec);
+    dtfe_nbody::snapshot::write_snapshot(&path, &[points], bounds)?;
+    Ok(())
+}
+
 /// FNV-1a over the snapshot id, mixed with the tile index: a stable
 /// stochastic-jitter seed so repeated builds of one tile are bit-identical
 /// while distinct tiles decorrelate.

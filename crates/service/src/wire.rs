@@ -11,31 +11,24 @@
 //! decoding demands exact consumption (trailing bytes are an error,
 //! catching framing bugs early).
 //!
-//! The protocol is tiny — a handful of request kinds, a handful of
-//! response kinds, no negotiation — and versioned per message rather than
-//! per connection. Render requests come in three generations (mirroring
-//! the snapshot format's v1/v2 precedent): the legacy v1 frame
-//! ([`REQ_RENDER`]) carries no estimator and decodes as classic DTFE, the
-//! v2 frame ([`REQ_RENDER_V2`]) appends an estimator tag + parameter, and
-//! the v4 frame ([`REQ_RENDER_V4`]) appends a trace-context block (flags
-//! byte + 16-byte trace id) so retries and hedges of one logical request
-//! correlate server-side. Field responses likewise: the v3 frame
-//! ([`RESP_FIELD_V3`]) appends the `degraded` stale-serving flag, the v4
-//! frame ([`RESP_FIELD_V4`]) appends the per-stage timing breakdown
-//! (admission/build) plus the echoed trace context, and legacy
-//! [`RESP_FIELD`] frames decode with the defaults. Writers always emit
-//! the newest generation; readers accept all of them, counting v1/v2
-//! request frames on the `service.wire_legacy_requests` telemetry counter
-//! so operators can watch old clients age out. `Stats` answers the typed,
-//! versioned [`StatsDocument`]; `Dump` exports the server's flight
-//! recorder as Chrome-trace JSON; `Health` answers readiness probes
-//! without the cost of a full `Stats` document. `Shutdown` is the
+//! The protocol is tiny — six request kinds, seven response kinds, no
+//! negotiation — and has exactly one layout per message (the table of
+//! live tags is DESIGN.md §4e "Wire protocol"). A render request carries
+//! the estimator, a trace block (flags byte + 16-byte trace id, so
+//! retries and hedges of one logical request correlate server-side) and
+//! a routing flags byte (bit 0 = redirect, see
+//! [`RenderRequest::redirect`]); a field response carries the grid, the
+//! serving metadata (cache hit, batch size, per-stage timings, the
+//! `degraded` stale-serving flag, the echoed trace block) and the values.
+//! `Stats` answers the typed, versioned [`StatsDocument`]; `Dump` exports
+//! the server's flight recorder as Chrome-trace JSON; `Health` answers
+//! readiness probes without the cost of a full `Stats` document;
+//! `Gossip` exchanges cluster heartbeats. `Shutdown` is the
 //! SIGTERM-equivalent — the server acks, drains, and exits its accept
 //! loop.
 
 use crate::api::{
-    HealthStatus, RenderRequest, RenderResponse, ResponseMeta, RouteInfo, ShardHeartbeat,
-    TraceContext,
+    HealthStatus, RenderRequest, RenderResponse, ResponseMeta, ShardHeartbeat, TraceContext,
 };
 use crate::error::ServiceError;
 use crate::stats_doc::StatsDocument;
@@ -51,11 +44,6 @@ pub const MAX_FRAME: usize = 64 << 20;
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
     Render(RenderRequest),
-    /// v5 routed render: the v4 payload plus cluster routing metadata
-    /// (redirect-on-`NotMine` flag and the sender's ring epoch). A
-    /// single-node server treats it exactly like [`Request::Render`] — it
-    /// owns every tile.
-    RenderRouted(RenderRequest, RouteInfo),
     /// Cluster shard gossip: the sender's heartbeat; the receiver answers
     /// [`Response::Gossip`] with its own.
     Gossip(ShardHeartbeat),
@@ -201,12 +189,16 @@ impl Enc {
     fn f64(&mut self, v: f64) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
+    /// `u16` length + UTF-8 bytes. A longer string (a panic payload in an
+    /// error message) is cut at the last `char` boundary that fits, so
+    /// the frame stays decodable and the error stays typed.
     fn str(&mut self, s: &str) {
-        let bytes = s.as_bytes();
-        debug_assert!(bytes.len() <= u16::MAX as usize);
-        self.0
-            .extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-        self.0.extend_from_slice(bytes);
+        let mut n = s.len().min(u16::MAX as usize);
+        while !s.is_char_boundary(n) {
+            n -= 1;
+        }
+        self.u16(n as u16);
+        self.0.extend_from_slice(&s.as_bytes()[..n]);
     }
 }
 
@@ -253,41 +245,32 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// Legacy v1 render frame: no estimator field, decodes as DTFE.
-const REQ_RENDER: u8 = 1;
+// Tag values 1, 4 and 6 (requests) and 1 and 5 (responses) belonged to
+// frame generations retired with no external client; they decode as
+// `BadTag` like any other unknown byte and must not be reused.
 const REQ_STATS: u8 = 2;
 const REQ_SHUTDOWN: u8 = 3;
-/// v2 render frame: v1 layout plus `u8` estimator tag + `u16` parameter.
-const REQ_RENDER_V2: u8 = 4;
 const REQ_HEALTH: u8 = 5;
-/// v4 render frame: v2 layout plus a trace block (`u8` flags + 16-byte
-/// trace id; flags `0` = untraced, `1` = traced, `3` = traced + sampled).
-const REQ_RENDER_V4: u8 = 6;
 const REQ_DUMP: u8 = 7;
-/// v5 routed render frame: v4 layout plus a routing block (`u8` flags +
-/// `u64` ring epoch) — the cluster tier's redirect/proxy request.
-const REQ_RENDER_V5: u8 = 8;
-/// Shard gossip frame carrying a [`ShardHeartbeat`].
+const REQ_RENDER: u8 = 8;
 const REQ_GOSSIP: u8 = 9;
 
-/// Legacy field frame: no `degraded` flag (decodes as `degraded=false`).
-const RESP_FIELD: u8 = 1;
 const RESP_ERROR: u8 = 2;
 const RESP_STATS: u8 = 3;
 const RESP_SHUTDOWN_ACK: u8 = 4;
-/// v3 field frame: v1 layout plus the `u8` `degraded` flag.
-const RESP_FIELD_V3: u8 = 5;
 const RESP_HEALTH: u8 = 6;
-/// v4 field frame: v3 layout plus `u64` admission/build stage timings and
-/// the echoed trace block, inserted before the data length.
-const RESP_FIELD_V4: u8 = 7;
+const RESP_FIELD: u8 = 7;
 const RESP_DUMP: u8 = 8;
-/// Gossip answer carrying the receiver's [`ShardHeartbeat`].
 const RESP_GOSSIP: u8 = 9;
 
-/// Trace-block flag bits (v4 frames).
+/// Trace-block flag bits (`0` = untraced, `1` = traced, `3` = traced +
+/// sampled).
 const TRACE_PRESENT: u8 = 1;
 const TRACE_SAMPLED: u8 = 2;
+
+/// Routing flag bits of a render request. `ROUTE_REDIRECT` asks a shard
+/// to answer `NotMine` (with the owner address) instead of proxying.
+const ROUTE_REDIRECT: u8 = 1;
 
 fn encode_trace(e: &mut Enc, trace: &Option<TraceContext>) {
     match trace {
@@ -299,6 +282,15 @@ fn encode_trace(e: &mut Enc, trace: &Option<TraceContext>) {
             e.u8(TRACE_PRESENT | if t.sampled { TRACE_SAMPLED } else { 0 });
             e.0.extend_from_slice(&t.id);
         }
+    }
+}
+
+/// A strict wire bool: `0` or `1`, anything else is a bad tag.
+fn decode_flag(d: &mut Dec) -> Result<bool, WireError> {
+    match d.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        t => Err(WireError::BadTag(t)),
     }
 }
 
@@ -314,11 +306,7 @@ fn decode_trace(d: &mut Dec) -> Result<Option<TraceContext>, WireError> {
     }))
 }
 
-/// Routing-block flag bits (v5 frames). `ROUTE_REDIRECT` asks the shard
-/// to answer `NotMine` (with the owner address) instead of proxying.
-const ROUTE_REDIRECT: u8 = 1;
-
-fn encode_render_body(e: &mut Enc, r: &RenderRequest) {
+fn encode_render(e: &mut Enc, r: &RenderRequest) {
     e.str(&r.snapshot);
     e.f64(r.center.x);
     e.f64(r.center.y);
@@ -330,6 +318,32 @@ fn encode_render_body(e: &mut Enc, r: &RenderRequest) {
     e.u8(tag);
     e.u16(param);
     encode_trace(e, &r.trace);
+    e.u8(if r.redirect { ROUTE_REDIRECT } else { 0 });
+}
+
+fn decode_render(d: &mut Dec) -> Result<RenderRequest, WireError> {
+    let snapshot = d.str()?;
+    let center = Vec3::new(d.f64()?, d.f64()?, d.f64()?);
+    let resolution = d.u32()?;
+    let samples = d.u32()?;
+    let deadline_ms = d.u64()?;
+    let (etag, param) = (d.u8()?, d.u16()?);
+    let estimator = EstimatorKind::from_wire_code(etag, param).ok_or(WireError::BadTag(etag))?;
+    let trace = decode_trace(d)?;
+    let flags = d.u8()?;
+    if flags & !ROUTE_REDIRECT != 0 {
+        return Err(WireError::BadTag(flags));
+    }
+    Ok(RenderRequest {
+        snapshot,
+        center,
+        resolution,
+        samples,
+        deadline_ms,
+        estimator,
+        trace,
+        redirect: flags & ROUTE_REDIRECT != 0,
+    })
 }
 
 fn encode_heartbeat(e: &mut Enc, hb: &ShardHeartbeat) {
@@ -356,11 +370,7 @@ fn decode_heartbeat(d: &mut Dec) -> Result<ShardHeartbeat, WireError> {
     let backlog_ms = d.u64()?;
     let resident_bytes = d.u64()?;
     let resident_tiles = d.u64()?;
-    let draining = match d.u8()? {
-        0 => false,
-        1 => true,
-        t => return Err(WireError::BadTag(t)),
-    };
+    let draining = decode_flag(d)?;
     let n = d.u16()? as usize;
     let mut hot = Vec::with_capacity(n);
     for _ in 0..n {
@@ -384,14 +394,8 @@ impl Request {
         let mut e = Enc(Vec::new());
         match self {
             Request::Render(r) => {
-                e.u8(REQ_RENDER_V4);
-                encode_render_body(&mut e, r);
-            }
-            Request::RenderRouted(r, route) => {
-                e.u8(REQ_RENDER_V5);
-                encode_render_body(&mut e, r);
-                e.u8(if route.redirect { ROUTE_REDIRECT } else { 0 });
-                e.u64(route.epoch);
+                e.u8(REQ_RENDER);
+                encode_render(&mut e, r);
             }
             Request::Gossip(hb) => {
                 e.u8(REQ_GOSSIP);
@@ -408,61 +412,7 @@ impl Request {
     pub fn decode(buf: &[u8]) -> Result<Request, WireError> {
         let mut d = Dec { buf, at: 0 };
         let req = match d.u8()? {
-            REQ_RENDER => {
-                // Legacy v1 frame: pre-estimator clients mean classic DTFE.
-                dtfe_telemetry::counter_add!("service.wire_legacy_requests", 1);
-                Request::Render(RenderRequest {
-                    snapshot: d.str()?,
-                    center: Vec3::new(d.f64()?, d.f64()?, d.f64()?),
-                    resolution: d.u32()?,
-                    samples: d.u32()?,
-                    deadline_ms: d.u64()?,
-                    estimator: EstimatorKind::Dtfe,
-                    trace: None,
-                })
-            }
-            tag @ (REQ_RENDER_V2 | REQ_RENDER_V4 | REQ_RENDER_V5) => {
-                if tag == REQ_RENDER_V2 {
-                    // Pre-trace clients; counted so operators can watch
-                    // them age out.
-                    dtfe_telemetry::counter_add!("service.wire_legacy_requests", 1);
-                }
-                let snapshot = d.str()?;
-                let center = Vec3::new(d.f64()?, d.f64()?, d.f64()?);
-                let resolution = d.u32()?;
-                let samples = d.u32()?;
-                let deadline_ms = d.u64()?;
-                let (etag, param) = (d.u8()?, d.u16()?);
-                let estimator =
-                    EstimatorKind::from_wire_code(etag, param).ok_or(WireError::BadTag(etag))?;
-                let trace = if tag != REQ_RENDER_V2 {
-                    decode_trace(&mut d)?
-                } else {
-                    None
-                };
-                let req = RenderRequest {
-                    snapshot,
-                    center,
-                    resolution,
-                    samples,
-                    deadline_ms,
-                    estimator,
-                    trace,
-                };
-                if tag == REQ_RENDER_V5 {
-                    let flags = d.u8()?;
-                    if flags & !ROUTE_REDIRECT != 0 {
-                        return Err(WireError::BadTag(flags));
-                    }
-                    let route = RouteInfo {
-                        redirect: flags & ROUTE_REDIRECT != 0,
-                        epoch: d.u64()?,
-                    };
-                    Request::RenderRouted(req, route)
-                } else {
-                    Request::Render(req)
-                }
-            }
+            REQ_RENDER => Request::Render(decode_render(&mut d)?),
             REQ_GOSSIP => Request::Gossip(decode_heartbeat(&mut d)?),
             REQ_STATS => Request::Stats,
             REQ_HEALTH => Request::Health,
@@ -546,7 +496,7 @@ impl Response {
         let mut e = Enc(Vec::new());
         match self {
             Response::Field(resp) => {
-                e.u8(RESP_FIELD_V4);
+                e.u8(RESP_FIELD);
                 e.f64(resp.grid.origin.x);
                 e.f64(resp.grid.origin.y);
                 e.f64(resp.grid.cell.x);
@@ -606,37 +556,27 @@ impl Response {
     pub fn decode(buf: &[u8]) -> Result<Response, WireError> {
         let mut d = Dec { buf, at: 0 };
         let resp = match d.u8()? {
-            // The field-frame generations share the layout up to the
-            // `degraded` flag; v4 inserts stage timings + trace before the
-            // data length. Older frames decode with the defaults.
-            tag @ (RESP_FIELD | RESP_FIELD_V3 | RESP_FIELD_V4) => {
+            RESP_FIELD => {
                 let origin = Vec2::new(d.f64()?, d.f64()?);
                 let cell = Vec2::new(d.f64()?, d.f64()?);
                 let nx = d.u32()? as usize;
                 let ny = d.u32()? as usize;
-                let cache_hit = match d.u8()? {
-                    0 => false,
-                    1 => true,
-                    t => return Err(WireError::BadTag(t)),
-                };
+                let cache_hit = decode_flag(&mut d)?;
                 let batch_size = d.u32()?;
                 let queue_us = d.u64()?;
                 let render_us = d.u64()?;
-                let degraded = if tag != RESP_FIELD {
-                    match d.u8()? {
-                        0 => false,
-                        1 => true,
-                        t => return Err(WireError::BadTag(t)),
-                    }
-                } else {
-                    false
-                };
-                let (admission_us, build_us, trace) = if tag == RESP_FIELD_V4 {
-                    (d.u64()?, d.u64()?, decode_trace(&mut d)?)
-                } else {
-                    (0, 0, None)
-                };
+                let degraded = decode_flag(&mut d)?;
+                let admission_us = d.u64()?;
+                let build_us = d.u64()?;
+                let trace = decode_trace(&mut d)?;
                 let n = d.u64()? as usize;
+                // A consumer indexes `data[j * nx + i]`: a count that
+                // disagrees with the grid must never decode.
+                if nx.checked_mul(ny) != Some(n) {
+                    return Err(WireError::Malformed(format!(
+                        "field of {n} values announced as {nx} x {ny}"
+                    )));
+                }
                 // `n` is bounded by the frame cap; still cross-check against
                 // the remaining payload before reserving.
                 if n.checked_mul(8).is_none_or(|b| d.buf.len() - d.at < b) {
@@ -678,31 +618,68 @@ impl Response {
                 let bytes = d.take(n)?;
                 Response::Dump(String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)?)
             }
-            RESP_HEALTH => {
-                let flag = |d: &mut Dec| -> Result<bool, WireError> {
-                    match d.u8()? {
-                        0 => Ok(false),
-                        1 => Ok(true),
-                        t => Err(WireError::BadTag(t)),
-                    }
-                };
-                Response::Health(HealthStatus {
-                    ok: flag(&mut d)?,
-                    draining: flag(&mut d)?,
-                    resident_tiles: d.u64()?,
-                    resident_bytes: d.u64()?,
-                    stale_tiles: d.u64()?,
-                    quarantined_tiles: d.u64()?,
-                    queue_depth: d.u64()?,
-                    backlog_ms: d.u64()?,
-                })
-            }
+            RESP_HEALTH => Response::Health(HealthStatus {
+                ok: decode_flag(&mut d)?,
+                draining: decode_flag(&mut d)?,
+                resident_tiles: d.u64()?,
+                resident_bytes: d.u64()?,
+                stale_tiles: d.u64()?,
+                quarantined_tiles: d.u64()?,
+                queue_depth: d.u64()?,
+                backlog_ms: d.u64()?,
+            }),
             RESP_GOSSIP => Response::Gossip(decode_heartbeat(&mut d)?),
             RESP_SHUTDOWN_ACK => Response::ShutdownAck,
             t => return Err(WireError::BadTag(t)),
         };
         d.finish()?;
         Ok(resp)
+    }
+}
+
+/// Typed replies: each request kind has one success variant; anything
+/// else is the server's typed error or a protocol violation.
+impl Response {
+    fn unexpected(self) -> ServiceError {
+        match self {
+            Response::Error(e) => e,
+            other => ServiceError::Internal(format!("unexpected response {other:?}")),
+        }
+    }
+
+    pub fn into_field(self) -> Result<RenderResponse, ServiceError> {
+        match self {
+            Response::Field(resp) => Ok(resp),
+            other => Err(other.unexpected()),
+        }
+    }
+
+    pub fn into_stats(self) -> Result<StatsDocument, ServiceError> {
+        match self {
+            Response::Stats(doc) => Ok(doc),
+            other => Err(other.unexpected()),
+        }
+    }
+
+    pub fn into_health(self) -> Result<HealthStatus, ServiceError> {
+        match self {
+            Response::Health(h) => Ok(h),
+            other => Err(other.unexpected()),
+        }
+    }
+
+    pub fn into_dump(self) -> Result<String, ServiceError> {
+        match self {
+            Response::Dump(json) => Ok(json),
+            other => Err(other.unexpected()),
+        }
+    }
+
+    pub fn into_ack(self) -> Result<(), ServiceError> {
+        match self {
+            Response::ShutdownAck => Ok(()),
+            other => Err(other.unexpected()),
+        }
     }
 }
 
@@ -737,6 +714,7 @@ mod tests {
                     deadline_ms: 250,
                     estimator: est,
                     trace,
+                    redirect: false,
                 }));
             }
         }
@@ -751,22 +729,13 @@ mod tests {
         let base = RenderRequest::new("demo", Vec3::new(1.0, 2.0, 3.0))
             .estimator(EstimatorKind::PsDtfe)
             .traced(TraceContext::sampled([0x3C; 16]));
-        for route in [
-            RouteInfo {
-                redirect: true,
-                epoch: 7,
-            },
-            RouteInfo {
-                redirect: false,
-                epoch: 0,
-            },
-        ] {
-            let req = Request::RenderRouted(base.clone(), route);
+        for redirect in [true, false] {
+            let req = Request::Render(base.clone().redirect(redirect));
             assert_eq!(Request::decode(&req.encode()).unwrap(), req);
         }
         // Unknown route-flag bits are rejected, not silently ignored.
-        let mut bytes = Request::RenderRouted(base, RouteInfo::default()).encode();
-        let at = bytes.len() - 9; // flags byte precedes the u64 epoch
+        let mut bytes = Request::Render(base).encode();
+        let at = bytes.len() - 1; // the routing flags byte ends the frame
         bytes[at] = 0x40;
         assert!(matches!(
             Request::decode(&bytes),
@@ -805,40 +774,11 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v2_render_decodes_without_trace() {
-        // Hand-crafted v2 frame: the pre-trace layout.
-        let mut e = Enc(Vec::new());
-        e.u8(REQ_RENDER_V2);
-        e.str("old");
-        e.f64(0.5);
-        e.f64(1.5);
-        e.f64(2.5);
-        e.u32(64);
-        e.u32(2);
-        e.u64(100);
-        let (tag, param) = EstimatorKind::PsDtfe.wire_code();
-        e.u8(tag);
-        e.u16(param);
-        let req = Request::decode(&e.0).unwrap();
-        assert_eq!(
-            req,
-            Request::Render(RenderRequest {
-                snapshot: "old".into(),
-                center: Vec3::new(0.5, 1.5, 2.5),
-                resolution: 64,
-                samples: 2,
-                deadline_ms: 100,
-                estimator: EstimatorKind::PsDtfe,
-                trace: None,
-            })
-        );
-    }
-
-    #[test]
     fn bad_trace_flags_are_rejected() {
         let mut bytes = Request::Render(RenderRequest::new("x", Vec3::ZERO)).encode();
-        // Trace flags byte sits 17 bytes from the end (flags + 16-byte id).
-        let at = bytes.len() - 17;
+        // Trace flags byte sits 18 bytes from the end (flags + 16-byte id
+        // + routing flags).
+        let at = bytes.len() - 18;
         bytes[at] = 0x80;
         assert!(matches!(
             Request::decode(&bytes),
@@ -847,39 +787,12 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_render_decodes_as_dtfe() {
-        // Hand-crafted v1 frame: tag 1, then the pre-estimator layout.
-        let mut e = Enc(Vec::new());
-        e.u8(REQ_RENDER);
-        e.str("old");
-        e.f64(0.5);
-        e.f64(1.5);
-        e.f64(2.5);
-        e.u32(64);
-        e.u32(2);
-        e.u64(100);
-        let req = Request::decode(&e.0).unwrap();
-        assert_eq!(
-            req,
-            Request::Render(RenderRequest {
-                snapshot: "old".into(),
-                center: Vec3::new(0.5, 1.5, 2.5),
-                resolution: 64,
-                samples: 2,
-                deadline_ms: 100,
-                estimator: EstimatorKind::Dtfe,
-                trace: None,
-            })
-        );
-    }
-
-    #[test]
     fn bad_estimator_tag_is_rejected() {
         let req = Request::Render(RenderRequest::new("x", Vec3::ZERO));
         let mut bytes = req.encode();
-        // The estimator tag precedes the u16 param and the 17-byte trace
-        // block, so it is the 20th-from-last byte of a v4 frame.
-        let at = bytes.len() - 20;
+        // The estimator tag precedes the u16 param, the 17-byte trace block
+        // and the routing flags byte: 21st from the end.
+        let at = bytes.len() - 21;
         bytes[at] = 0xEE;
         assert!(matches!(
             Request::decode(&bytes),
@@ -968,49 +881,9 @@ mod tests {
     }
 
     #[test]
-    fn field_v4_frame_roundtrips_stage_timings_and_trace() {
+    fn field_frame_roundtrips_stage_timings_and_trace() {
         let resp = Response::Field(sample_field_response());
         assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
-    }
-
-    #[test]
-    fn legacy_field_frames_decode_with_defaults() {
-        // Stripping the v4 additions (stage timings + trace block) off a
-        // fresh encode reconstructs exactly what older servers emit.
-        let resp = sample_field_response();
-        let mut bytes = Response::Field(resp.clone()).encode();
-        // Layout: tag(1) + grid(4*8+2*4) + cache_hit(1) + batch(4) +
-        // queue(8) + render(8) = 62 bytes before the degraded flag, then
-        // admission(8) + build(8) + trace flags(1) + id(16) = 33 v4 bytes.
-        let degraded_at = 1 + 4 * 8 + 2 * 4 + 1 + 4 + 8 + 8;
-        let v4_block = degraded_at + 1..degraded_at + 1 + 33;
-
-        // v3: degraded flag survives; stage timings and trace default.
-        bytes[0] = RESP_FIELD_V3;
-        bytes.drain(v4_block.clone());
-        match Response::decode(&bytes).unwrap() {
-            Response::Field(got) => {
-                assert_eq!(got.data, resp.data);
-                assert!(got.meta.degraded);
-                assert!(got.meta.cache_hit);
-                assert_eq!(got.meta.admission_us, 0);
-                assert_eq!(got.meta.build_us, 0);
-                assert_eq!(got.meta.trace, None);
-            }
-            other => panic!("expected field, got {other:?}"),
-        }
-
-        // v1: the degraded flag is gone too.
-        bytes[0] = RESP_FIELD;
-        assert_eq!(bytes.remove(degraded_at), 1);
-        match Response::decode(&bytes).unwrap() {
-            Response::Field(got) => {
-                assert_eq!(got.data, resp.data);
-                assert!(!got.meta.degraded);
-                assert!(got.meta.cache_hit);
-            }
-            other => panic!("expected field, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1049,6 +922,34 @@ mod tests {
         });
         let bytes = resp.encode();
         assert_eq!(Response::decode(&bytes).unwrap(), resp);
+    }
+
+    #[test]
+    fn oversized_error_message_is_truncated_not_corrupted() {
+        // 35 000 two-byte chars = 70 000 bytes: the cut must land on a
+        // char boundary at or below u16::MAX.
+        let long = "é".repeat(35_000);
+        let resp = Response::Error(ServiceError::Internal(long.clone()));
+        match Response::decode(&resp.encode()).unwrap() {
+            Response::Error(ServiceError::Internal(got)) => {
+                assert_eq!(got.len(), u16::MAX as usize - 1);
+                assert!(long.starts_with(&got));
+            }
+            other => panic!("expected a typed internal error, got {other:?}"),
+        }
+        let exact = Response::Error(ServiceError::Internal("x".repeat(u16::MAX as usize)));
+        assert_eq!(Response::decode(&exact.encode()).unwrap(), exact);
+    }
+
+    #[test]
+    fn field_value_count_must_match_its_grid() {
+        let mut resp = sample_field_response();
+        resp.grid.nx = 64;
+        resp.grid.ny = 64;
+        assert!(matches!(
+            Response::decode(&Response::Field(resp).encode()),
+            Err(WireError::Malformed(_))
+        ));
     }
 
     #[test]

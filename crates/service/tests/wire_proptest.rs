@@ -68,6 +68,7 @@ proptest! {
         realizations in 1u16..64,
         trace_sel in 0u8..3,
         trace_seed in 0u64..u64::MAX,
+        redirect in 0u8..2,
     ) {
         let estimator = match est_sel {
             0 => EstimatorKind::Dtfe,
@@ -83,6 +84,7 @@ proptest! {
             deadline_ms,
             estimator,
             trace: trace_from(trace_sel, trace_seed),
+            redirect: redirect == 1,
         });
         let bytes = req.encode();
         prop_assert_eq!(Request::decode(&bytes).unwrap(), req);
@@ -223,10 +225,34 @@ proptest! {
             deadline_ms: 99,
             estimator: EstimatorKind::Stochastic { realizations: 3 },
             trace: trace_from(2, 0xDEADBEEF),
+            redirect: true,
         });
         let bytes = req.encode();
         let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
         prop_assert!(Request::decode(&bytes[..cut]).is_err());
+    }
+
+    #[test]
+    fn field_frames_whose_grid_disagrees_with_their_values_are_rejected(
+        nx in 1u32..24,
+        ny in 1u32..24,
+        lie in 0u32..4096,
+    ) {
+        prop_assume!(lie != nx);
+        let resp = Response::Field(RenderResponse {
+            grid: GridSpec2 {
+                origin: Vec2::new(0.0, 0.0),
+                cell: Vec2::new(1.0, 1.0),
+                nx: nx as usize,
+                ny: ny as usize,
+            },
+            data: vec![1.0; (nx * ny) as usize],
+            meta: ResponseMeta::default(),
+        });
+        // `nx` follows the tag byte and four f64s of origin and cell.
+        let mut bytes = resp.encode();
+        bytes[33..37].copy_from_slice(&lie.to_le_bytes());
+        prop_assert!(matches!(Response::decode(&bytes), Err(WireError::Malformed(_))));
     }
 
     #[test]
@@ -287,43 +313,25 @@ proptest! {
             Err(WireError::ChecksumMismatch)
         ));
     }
+}
 
-    #[test]
-    fn legacy_v1_render_frames_decode_as_dtfe(
-        id_bytes in prop::collection::vec(0u8..255, 0..40),
-        x in -1e9f64..1e9,
-        y in -1e9f64..1e9,
-        z in -1e9f64..1e9,
-        resolution in 0u32..4096,
-        samples in 0u32..256,
-        deadline_ms in 0u64..1_000_000,
-    ) {
-        // Hand-encode the pre-estimator v1 layout (tag 1).
-        let snapshot = id_from(id_bytes);
-        let mut bytes = vec![1u8];
-        bytes.extend_from_slice(&(snapshot.len() as u16).to_le_bytes());
-        bytes.extend_from_slice(snapshot.as_bytes());
-        for v in [x, y, z] {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        bytes.extend_from_slice(&resolution.to_le_bytes());
-        bytes.extend_from_slice(&samples.to_le_bytes());
-        bytes.extend_from_slice(&deadline_ms.to_le_bytes());
-        let expected = Request::Render(RenderRequest {
-            snapshot,
-            center: Vec3::new(x, y, z),
-            resolution,
-            samples,
-            deadline_ms,
-            estimator: EstimatorKind::Dtfe,
-            trace: None,
-        });
-        prop_assert_eq!(Request::decode(&bytes).unwrap(), expected);
-    }
-
-    #[test]
-    fn unknown_tags_rejected(tag in 9u8..255) {
-        prop_assert!(matches!(Request::decode(&[tag]), Err(WireError::BadTag(_))));
-        prop_assert!(matches!(Response::decode(&[tag]), Err(WireError::BadTag(_))));
+/// Every byte that is not a live tag — the five retired ones included —
+/// is `BadTag`; every live tag gets past the tag check (a one-byte
+/// payload is then complete or truncated, never a bad tag).
+#[test]
+fn exactly_the_live_tags_are_accepted() {
+    const LIVE_REQUESTS: [u8; 6] = [2, 3, 5, 7, 8, 9];
+    const LIVE_RESPONSES: [u8; 7] = [2, 3, 4, 6, 7, 8, 9];
+    for tag in 0u8..=255 {
+        assert_eq!(
+            !matches!(Request::decode(&[tag]), Err(WireError::BadTag(_))),
+            LIVE_REQUESTS.contains(&tag),
+            "request tag {tag}"
+        );
+        assert_eq!(
+            !matches!(Response::decode(&[tag]), Err(WireError::BadTag(_))),
+            LIVE_RESPONSES.contains(&tag),
+            "response tag {tag}"
+        );
     }
 }

@@ -13,10 +13,11 @@ use dtfe_repro::core::{
 };
 use dtfe_repro::delaunay::DelaunayBuilder;
 use dtfe_repro::framework::{run_distributed_snapshot, FieldRequest, FrameworkConfig};
-use dtfe_repro::geometry::{Aabb3, Vec3};
+use dtfe_repro::geometry::{Aabb3, Vec2, Vec3};
 use dtfe_repro::nbody::snapshot::write_snapshot;
 use dtfe_repro::service::{
-    Client, RenderRequest, Request, Response, Service, ServiceConfig, ServiceError, TcpServer,
+    Client, EstimatorKind, RenderRequest, RenderResponse, Request, Response, ResponseMeta, Service,
+    ServiceConfig, ServiceError, TcpServer, TraceContext,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -239,4 +240,83 @@ fn admission_sheds_with_retry_hint_when_budget_is_zero() {
     );
     service.drain();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Round-trip tests cannot see an encoder and decoder drifting together;
+/// these byte vectors pin the two frames every render exchanges.
+#[test]
+fn wire_layout_is_pinned() {
+    #[rustfmt::skip]
+    let request: &[u8] = &[
+        8,                                              // tag
+        1, 0, b's',                                     // snapshot: u16 length + UTF-8
+        0, 0, 0, 0, 0, 0, 0xF0, 0x3F,                   // center.x = 1.0
+        0, 0, 0, 0, 0, 0, 0x00, 0x40,                   // center.y = 2.0
+        0, 0, 0, 0, 0, 0, 0xE0, 0xBF,                   // center.z = -0.5
+        64, 0, 0, 0,                                    // resolution
+        2, 0, 0, 0,                                     // samples
+        250, 0, 0, 0, 0, 0, 0, 0,                       // deadline_ms
+        2, 0, 0,                                        // estimator psdtfe + u16 parameter
+        3,                                              // trace flags: present | sampled
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, // trace id
+        1,                                              // routing flags: redirect
+    ];
+    let id: [u8; 16] = std::array::from_fn(|i| i as u8);
+    let mut req = RenderRequest::new("s", Vec3::new(1.0, 2.0, -0.5))
+        .estimator(EstimatorKind::PsDtfe)
+        .traced(TraceContext::sampled(id))
+        .redirect(true);
+    req.resolution = 64;
+    req.samples = 2;
+    req.deadline_ms = 250;
+    let req = Request::Render(req);
+    assert_eq!(req.encode(), request);
+    assert_eq!(Request::decode(request).unwrap(), req);
+
+    #[rustfmt::skip]
+    let response: &[u8] = &[
+        7,                                              // tag
+        0, 0, 0, 0, 0, 0, 0xF0, 0x3F,                   // origin.x = 1.0
+        0, 0, 0, 0, 0, 0, 0x00, 0x40,                   // origin.y = 2.0
+        0, 0, 0, 0, 0, 0, 0xD0, 0x3F,                   // cell.x = 0.25
+        0, 0, 0, 0, 0, 0, 0xE0, 0x3F,                   // cell.y = 0.5
+        2, 0, 0, 0,                                     // nx
+        1, 0, 0, 0,                                     // ny
+        1,                                              // cache_hit
+        2, 0, 0, 0,                                     // batch_size
+        10, 0, 0, 0, 0, 0, 0, 0,                        // queue_us
+        20, 0, 0, 0, 0, 0, 0, 0,                        // render_us
+        1,                                              // degraded
+        3, 0, 0, 0, 0, 0, 0, 0,                         // admission_us
+        40, 0, 0, 0, 0, 0, 0, 0,                        // build_us
+        1,                                              // trace flags: present, unsampled
+        7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, // trace id
+        2, 0, 0, 0, 0, 0, 0, 0,                         // value count
+        0, 0, 0, 0, 0, 0, 0x14, 0x40,                   // 5.0
+        0, 0, 0, 0, 0, 0, 0x18, 0x40,                   // 6.0
+    ];
+    let resp = Response::Field(RenderResponse {
+        grid: GridSpec2 {
+            origin: Vec2::new(1.0, 2.0),
+            cell: Vec2::new(0.25, 0.5),
+            nx: 2,
+            ny: 1,
+        },
+        data: vec![5.0, 6.0],
+        meta: ResponseMeta {
+            cache_hit: true,
+            batch_size: 2,
+            admission_us: 3,
+            queue_us: 10,
+            build_us: 40,
+            render_us: 20,
+            trace: Some(TraceContext {
+                id: [7; 16],
+                sampled: false,
+            }),
+            degraded: true,
+        },
+    });
+    assert_eq!(resp.encode(), response);
+    assert_eq!(Response::decode(response).unwrap(), resp);
 }
