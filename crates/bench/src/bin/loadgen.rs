@@ -339,16 +339,15 @@ impl Conn {
         }
     }
 
-    /// `(retries, hedges, reconnects, giveups)` for the report.
-    fn client_stats(&self) -> (u64, u64, u64, u64) {
+    /// `[retries, reconnects, giveups]` for the report.
+    fn client_stats(&self) -> [u64; 3] {
         match self {
-            Conn::Resilient(client) => (
+            Conn::Resilient(client) => [
                 client.stats.retries.load(Ordering::Relaxed),
-                client.stats.hedges.load(Ordering::Relaxed),
                 client.stats.reconnects.load(Ordering::Relaxed),
                 client.stats.giveups.load(Ordering::Relaxed),
-            ),
-            _ => (0, 0, 0, 0),
+            ],
+            _ => [0; 3],
         }
     }
 }
@@ -621,7 +620,6 @@ fn main() -> ExitCode {
         max_retries: 5,
         backoff_base: Duration::from_millis(5),
         backoff_max: Duration::from_millis(200),
-        hedge_after: None,
         seed: args.seed ^ args.chaos.unwrap_or(0).rotate_left(17),
         sample_traces: args.trace,
     };
@@ -805,7 +803,7 @@ fn main() -> ExitCode {
     let est_counts = Arc::new(est_counts);
     let n_estimators = args.estimators.len();
     let (trace, seed) = (args.trace, args.seed);
-    let retry_totals = Arc::new([(); 4].map(|_| AtomicU64::new(0)));
+    let retry_totals = Arc::new([(); 3].map(|_| AtomicU64::new(0)));
     let senders: Vec<_> = (0..args.senders.max(1))
         .map(|_| {
             let schedule = schedule.clone();
@@ -876,8 +874,7 @@ fn main() -> ExitCode {
                             .push(format!("warm req {i} ({}): {e}", est.label())),
                     }
                 }
-                let (r, h, c, g) = conn.client_stats();
-                for (slot, v) in retry_totals.iter().zip([r, h, c, g]) {
+                for (slot, v) in retry_totals.iter().zip(conn.client_stats()) {
                     slot.fetch_add(v, Ordering::Relaxed);
                 }
             })
@@ -977,12 +974,7 @@ fn main() -> ExitCode {
         lag_us.load(Ordering::Relaxed) as f64 / 1e3 / args.requests as f64
     };
 
-    for (slot, v) in retry_totals.iter().zip([
-        cold_client_stats.0,
-        cold_client_stats.1,
-        cold_client_stats.2,
-        cold_client_stats.3,
-    ]) {
+    for (slot, v) in retry_totals.iter().zip(cold_client_stats) {
         slot.fetch_add(v, Ordering::Relaxed);
     }
 
@@ -1196,7 +1188,7 @@ fn main() -> ExitCode {
          \"estimators\":{{{est_json}}},\
          \"chaos_seed\":{},\"client\":\"{}\",\"corrupt\":{n_corrupt},\
          \"degraded\":{n_degraded},\"drain_ok\":{drain_ok},\"chaos\":{chaos_json},\
-         \"client_stats\":{{\"retries\":{},\"hedges\":{},\"reconnects\":{},\"giveups\":{}}},\
+         \"client_stats\":{{\"retries\":{},\"reconnects\":{},\"giveups\":{}}},\
          \"throughput_rps\":{},\"p50_ms\":{},\"p99_ms\":{},\
          \"cold_p50_ms\":{},\"warm_p50_ms\":{},\"mean_lag_ms\":{},\
          \"trace\":{},\"stages\":{stages_json},\"error_rate\":{},\"slo\":{slo_json},\
@@ -1220,7 +1212,6 @@ fn main() -> ExitCode {
         retry_totals[0].load(Ordering::Relaxed),
         retry_totals[1].load(Ordering::Relaxed),
         retry_totals[2].load(Ordering::Relaxed),
-        retry_totals[3].load(Ordering::Relaxed),
         number(throughput_rps),
         number(p50_ms),
         number(p99_ms),
@@ -1258,11 +1249,10 @@ fn main() -> ExitCode {
     if let Some(chaos_seed) = args.chaos {
         println!(
             "chaos seed={chaos_seed} client={} | corrupt {n_corrupt} | degraded {n_degraded} | \
-             request errors {} | retries {} hedges {} | drain_ok={drain_ok}",
+             request errors {} | retries {} | drain_ok={drain_ok}",
             args.client.label(),
             errors.len(),
             retry_totals[0].load(Ordering::Relaxed),
-            retry_totals[1].load(Ordering::Relaxed),
         );
     }
     if let Some(ctx) = &cluster_ctx {

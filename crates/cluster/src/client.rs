@@ -1,31 +1,40 @@
-//! Ring-aware cluster client.
+//! Ring-aware cluster client: the one layer that picks an endpoint.
 //!
-//! Holds one [`ResilientClient`] per shard and derives each request's
-//! candidate shards from the same deterministic ring the servers use, so
-//! the first hop almost always lands on the owner. Candidates are tried in
-//! ring order: a typed service error is a real answer (return it), a
-//! transport give-up marks the shard dead locally and moves on, and if
-//! every candidate fails the request falls back to *any* live shard in
-//! proxy mode (`redirect = false`) — a non-owner then serves the tile
-//! itself, bit-identically, rather than bouncing the client again.
+//! Holds one [`ResilientClient`] per shard — each is retry policy over
+//! that shard's single address — and derives each request's candidate
+//! shards from the same deterministic ring the servers use, so the first
+//! hop almost always lands on the owner. A request walks one ordered plan:
+//! the ring candidates with `redirect = true`, then *every* shard in proxy
+//! mode (`redirect = false`), where a non-owner serves the tile itself,
+//! bit-identically, rather than bouncing the client again. Per attempt: a
+//! typed service error is a real answer (return it); a transport give-up
+//! marks the shard that was called dead locally and moves on; a
+//! [`ServiceError::NotMine`] naming one of this client's shards is followed
+//! to that shard's client, at most [`MAX_REDIRECTS`] times per request. An
+//! owner that does not parse or is not one of the shards is a ring
+//! disagreement — it is not followed, and the proxy-mode tail of the plan
+//! repairs it. The shard that was called is the shard that answered (or
+//! gave up), so blame and per-shard accounting need no bookkeeping.
 //!
 //! The client tracks per-tile heat like the shards do, so its owner set
 //! widens to the replica set at the same threshold and hot-tile traffic
 //! spreads across replicas.
+//!
+//! Telemetry: `client.redirects`, `cluster.client_failovers`.
 
+use crate::node::DEFAULT_HEAT_THRESHOLD;
 use crate::ring::{key_of, HashRing};
 use dtfe_framework::Decomposition;
 use dtfe_geometry::Aabb3;
 use dtfe_service::client::{ClientConfig, ResilientClient};
 use dtfe_service::{RenderRequest, RenderResponse, ServiceError, TileKey};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 
-/// Client-side geometry of one registered snapshot: enough to map a field
-/// centre to its tile without asking a server.
-struct SnapshotGeo {
-    decomp: Decomposition,
-}
+/// How many `NotMine` redirects one request may follow — bounds the damage
+/// of two shards with disagreeing ring views bouncing a request between
+/// them.
+const MAX_REDIRECTS: u32 = 3;
 
 /// A client that routes renders to the owning shard of a cluster.
 pub struct ClusterClient {
@@ -36,8 +45,9 @@ pub struct ClusterClient {
     heat: HashMap<u64, u32>,
     live: Vec<bool>,
     clients: Vec<ResilientClient>,
-    cfg: ClientConfig,
-    snapshots: HashMap<String, SnapshotGeo>,
+    /// Per registered snapshot, the decomposition that maps a field centre
+    /// to its tile without asking a server.
+    snapshots: HashMap<String, Decomposition>,
 }
 
 impl ClusterClient {
@@ -63,11 +73,10 @@ impl ClusterClient {
             addrs: addrs.to_vec(),
             ring: HashRing::new(addrs.len(), vnodes),
             replication,
-            heat_threshold: 8,
+            heat_threshold: DEFAULT_HEAT_THRESHOLD,
             heat: HashMap::new(),
             live: vec![true; addrs.len()],
             clients,
-            cfg,
             snapshots: HashMap::new(),
         })
     }
@@ -82,34 +91,19 @@ impl ClusterClient {
     /// registry (`bounds` and `tiles` exactly as the servers load it), so
     /// tile ownership is computed locally.
     pub fn register_snapshot(&mut self, id: impl Into<String>, bounds: Aabb3, tiles: usize) {
-        self.snapshots.insert(
-            id.into(),
-            SnapshotGeo {
-                decomp: Decomposition::new(bounds, tiles),
-            },
-        );
-    }
-
-    /// Per-shard resilient client, for non-render calls (stats, health,
-    /// dump, shutdown) against a specific shard.
-    pub fn shard(&mut self, i: usize) -> &mut ResilientClient {
-        &mut self.clients[i]
-    }
-
-    /// Number of shards.
-    pub fn nshards(&self) -> usize {
-        self.addrs.len()
+        self.snapshots
+            .insert(id.into(), Decomposition::new(bounds, tiles));
     }
 
     /// The ring key this request maps to, if its snapshot is registered.
     fn ring_key(&self, req: &RenderRequest) -> Option<u64> {
-        let geo = self.snapshots.get(&req.snapshot)?;
-        if !req.center.is_finite() || !geo.decomp.bounds.contains_closed(req.center) {
+        let decomp = self.snapshots.get(&req.snapshot)?;
+        if !req.center.is_finite() || !decomp.bounds.contains_closed(req.center) {
             return None;
         }
         let key = TileKey::new(
             req.snapshot.clone(),
-            geo.decomp.rank_of(req.center),
+            decomp.rank_of(req.center),
             req.estimator.normalized(),
         );
         Some(key_of(&key))
@@ -140,97 +134,58 @@ impl ClusterClient {
             self.live.iter_mut().for_each(|l| *l = true);
             candidates = self.ring.replicas(ringkey, want, &self.live);
         }
-        let redirected = req.clone().redirect(true);
+        let mut follows = 0;
         let mut last: Option<ServiceError> = None;
-        for shard in candidates {
-            match self.clients[shard].render(&redirected) {
-                Ok(resp) => return Ok((resp, self.repin(shard))),
-                // Transport give-up or drain: someone on the path is
-                // down. Blame the right shard (a redirect may have moved
-                // the failure elsewhere), try the next replica.
-                Err(e @ (ServiceError::Internal(_) | ServiceError::ShuttingDown)) => {
-                    dtfe_telemetry::counter_add!("cluster.client_failovers", 1);
-                    self.note_failure(shard);
-                    last = Some(e);
-                }
-                // A redirect loop the resilient client gave up on: our
-                // ring view disagrees with the cluster's. Fall through to
-                // proxy mode below.
-                Err(ServiceError::NotMine { owner }) => {
-                    last = Some(ServiceError::NotMine { owner });
-                }
-                // Typed service answer (overload shed, bad request,
-                // deadline): that *is* the response.
-                Err(e) => return Err(e),
-            }
-        }
-        // Every candidate failed. Ask any shard to serve it in proxy mode:
-        // a non-owner builds the tile itself (bit-identical) instead of
+        // Ring candidates first, then every shard in proxy mode, where a
+        // non-owner builds the tile itself (bit-identical) instead of
         // redirecting us again. Presumed-live shards first, but presumed-
         // dead ones still get a try — a wrong liveness guess only costs a
         // fast connect failure, while skipping them could strand the
         // request with reachable shards left.
-        let proxied = req.clone().redirect(false);
-        let mut order: Vec<usize> = (0..self.clients.len()).filter(|&i| self.live[i]).collect();
-        order.extend((0..self.clients.len()).filter(|&i| !self.live[i]));
-        for shard in order {
-            match self.clients[shard].render(&proxied) {
-                Ok(resp) => {
-                    self.live[shard] = true;
-                    return Ok((resp, self.repin(shard)));
+        for redirect in [true, false] {
+            let req = req.clone().redirect(redirect);
+            let mut plan: VecDeque<usize> = if redirect {
+                std::mem::take(&mut candidates).into()
+            } else {
+                let mut all: Vec<usize> = (0..self.clients.len()).collect();
+                all.sort_by_key(|&i| !self.live[i]); // stable: live first
+                all.into()
+            };
+            while let Some(shard) = plan.pop_front() {
+                match self.clients[shard].render(&req) {
+                    Ok(resp) => {
+                        self.live[shard] = true;
+                        return Ok((resp, shard));
+                    }
+                    // Transport give-up or drain: the shard we called is
+                    // down. Try the next one.
+                    Err(e @ (ServiceError::Internal(_) | ServiceError::ShuttingDown)) => {
+                        dtfe_telemetry::counter_add!("cluster.client_failovers", 1);
+                        self.live[shard] = false;
+                        last = Some(e);
+                    }
+                    // Follow a redirect to one of our own shards. Anything
+                    // else (foreign or unparseable owner, follow budget
+                    // spent) means our ring view disagrees with the
+                    // cluster's, and proxy mode serves the request anyway.
+                    Err(ServiceError::NotMine { owner }) => {
+                        let target = owner
+                            .parse::<SocketAddr>()
+                            .ok()
+                            .and_then(|a| self.addrs.iter().position(|x| *x == a));
+                        if let Some(target) = target.filter(|_| follows < MAX_REDIRECTS) {
+                            follows += 1;
+                            dtfe_telemetry::counter_add!("client.redirects", 1);
+                            plan.push_front(target);
+                        }
+                        last = Some(ServiceError::NotMine { owner });
+                    }
+                    // Typed service answer (overload shed, bad request,
+                    // deadline): that *is* the response.
+                    Err(e) => return Err(e),
                 }
-                Err(e @ (ServiceError::Internal(_) | ServiceError::ShuttingDown)) => {
-                    dtfe_telemetry::counter_add!("cluster.client_failovers", 1);
-                    self.note_failure(shard);
-                    last = Some(e);
-                }
-                Err(e) => return Err(e),
             }
         }
         Err(last.unwrap_or_else(|| ServiceError::Internal("no live shards".into())))
-    }
-
-    /// Which shard actually answered: the one whose listener the resilient
-    /// client ended up pointing at (it may have followed a `NotMine`
-    /// redirect away from the shard we contacted).
-    fn served_by(&self, contacted: usize) -> usize {
-        let end = self.clients[contacted].endpoint();
-        self.addrs
-            .iter()
-            .position(|a| *a == end)
-            .unwrap_or(contacted)
-    }
-
-    /// After a success on `contacted`'s client: resolve who actually
-    /// served, and if the client drifted to another shard's listener by
-    /// following a redirect, re-pin it to its own shard so future routing
-    /// stays one-hop.
-    fn repin(&mut self, contacted: usize) -> usize {
-        let served = self.served_by(contacted);
-        if served != contacted {
-            if let Ok(fresh) = ResilientClient::new(self.addrs[contacted], self.cfg) {
-                self.clients[contacted] = fresh;
-            }
-        }
-        served
-    }
-
-    /// After a transport give-up on `contacted`'s client: mark the shard
-    /// whose listener actually failed. If the client drifted (it followed
-    /// a `NotMine` redirect and then hit the wall), the *redirect target*
-    /// is the dead one — blaming `contacted` would cascade false deaths
-    /// across healthy shards that merely pointed at the corpse.
-    fn note_failure(&mut self, contacted: usize) {
-        let end = self.clients[contacted].endpoint();
-        if end == self.addrs[contacted] {
-            self.live[contacted] = false;
-            return;
-        }
-        if let Some(target) = self.addrs.iter().position(|a| *a == end) {
-            self.live[target] = false;
-        }
-        if let Ok(fresh) = ResilientClient::new(self.addrs[contacted], self.cfg) {
-            self.clients[contacted] = fresh;
-        }
     }
 }

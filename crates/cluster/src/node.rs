@@ -47,6 +47,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// Default [`ClusterConfig::heat_threshold`], shared with the ring-aware
+/// client: both sides must widen a tile's owner set at the same count.
+pub(crate) const DEFAULT_HEAT_THRESHOLD: u32 = 8;
+
 /// Shard-local cluster settings. The ring geometry (`vnodes`) and
 /// `replication` must agree across every shard and ring-aware client, or
 /// redirects ping-pong; everything else is per-shard tunable.
@@ -75,7 +79,7 @@ impl Default for ClusterConfig {
             shard: 0,
             vnodes: 128,
             replication: 2,
-            heat_threshold: 8,
+            heat_threshold: DEFAULT_HEAT_THRESHOLD,
             hot_cap: 64,
             heartbeat_interval: Duration::from_millis(100),
             heartbeat_timeout: Duration::from_millis(1000),

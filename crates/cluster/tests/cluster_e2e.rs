@@ -152,7 +152,6 @@ fn client_config(seed: u64) -> ClientConfig {
         max_retries: 3,
         backoff_base: Duration::from_millis(2),
         backoff_max: Duration::from_millis(50),
-        hedge_after: None,
         seed,
         sample_traces: false,
     }

@@ -205,13 +205,16 @@ pub fn write_snapshot(
     Ok(())
 }
 
-/// Read only the header/table.
+/// Read only the header/table. Its claims are checked against the file's
+/// length before anything is sized from them, so every reader that
+/// allocates from a [`SnapshotInfo`] is bounded by the bytes on disk.
 pub fn read_info(path: &Path) -> Result<SnapshotInfo, SnapshotError> {
-    let mut r = BufReader::new(File::open(path)?);
-    read_info_from(&mut r)
+    let file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    read_info_from(&mut BufReader::new(file), file_len)
 }
 
-fn read_info_from(r: &mut impl Read) -> Result<SnapshotInfo, SnapshotError> {
+fn read_info_from(r: &mut impl Read, file_len: u64) -> Result<SnapshotInfo, SnapshotError> {
     let magic = read_u64(r)?;
     let legacy = match magic {
         MAGIC_V2 => false,
@@ -231,6 +234,25 @@ fn read_info_from(r: &mut impl Read) -> Result<SnapshotInfo, SnapshotError> {
     };
     let lo = Vec3::new(read_f64(r)?, read_f64(r)?, read_f64(r)?);
     let hi = Vec3::new(read_f64(r)?, read_f64(r)?, read_f64(r)?);
+    // `nranks` and `total` are untrusted: a table that cannot fit in the
+    // file (or a size that overflows) is malformed; a data section cut
+    // short is the unexpected EOF that reading it would hit.
+    let head_words: u64 = if legacy { 3 } else { 4 };
+    let table_end = nranks
+        .checked_mul(16)
+        .and_then(|table| table.checked_add((head_words + 6) * 8))
+        .filter(|&end| end <= file_len)
+        .ok_or(SnapshotError::MalformedTable)?;
+    let data_end = total
+        .checked_mul(24)
+        .and_then(|data| data.checked_add(table_end))
+        .ok_or(SnapshotError::MalformedTable)?;
+    if data_end > file_len {
+        return Err(SnapshotError::Io(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("header claims {data_end} bytes, file has {file_len}"),
+        )));
+    }
     let mut blocks = Vec::with_capacity(nranks as usize);
     for _ in 0..nranks {
         blocks.push((read_u64(r)?, read_u64(r)?));
@@ -500,6 +522,39 @@ mod tests {
         bytes[80] = 7;
         std::fs::write(&p, &bytes).unwrap();
         assert!(matches!(read_info(&p), Err(SnapshotError::MalformedTable)));
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn header_claims_beyond_the_file_are_typed_errors_not_allocations() {
+        // One particle is a 120-byte file: `nranks` at offset 8, `total` at
+        // 16, the one block's count at 88. Sizing a `Vec` from 2^60 panics
+        // with `capacity overflow`; from 10^12 it aborts in the allocator.
+        let p = tmp("hostile");
+        let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(1.0));
+        let cases: [(&[usize], u64, bool); 3] = [
+            (&[8], 1 << 60, false),
+            (&[16, 88], 1 << 60, false),
+            (&[16, 88], 1_000_000_000_000, true),
+        ];
+        for (offsets, claim, truncation) in cases {
+            write_snapshot(&p, &[vec![Vec3::splat(0.5)]], bounds).unwrap();
+            let mut bytes = std::fs::read(&p).unwrap();
+            assert_eq!(bytes.len(), 120);
+            for &at in offsets {
+                bytes[at..at + 8].copy_from_slice(&claim.to_le_bytes());
+            }
+            std::fs::write(&p, &bytes).unwrap();
+            for err in [read_info(&p).err(), read_all(&p).err(), verify(&p).err()] {
+                match err {
+                    Some(SnapshotError::Io(e)) if truncation => {
+                        assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof)
+                    }
+                    Some(SnapshotError::MalformedTable) if !truncation => {}
+                    other => panic!("{offsets:?} = {claim}: {other:?}"),
+                }
+            }
+        }
         std::fs::remove_file(&p).ok();
     }
 

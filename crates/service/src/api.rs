@@ -6,11 +6,11 @@ use dtfe_geometry::Vec3;
 
 /// A request-scoped trace context: a 16-byte id plus a sampling decision.
 ///
-/// Clients mint one per logical request (preserved across retries and
-/// hedges, so all server-side records of the same request correlate); the
-/// server threads it through every serving stage. Only **sampled** ids are
-/// recorded in the server's flight recorder unconditionally — unsampled
-/// ids still flow through responses for client-side correlation.
+/// Clients mint one per logical request (preserved across retries, so all
+/// server-side records of the same request correlate); the server threads
+/// it through every serving stage. Only **sampled** ids are recorded in
+/// the server's flight recorder unconditionally — unsampled ids still flow
+/// through responses for client-side correlation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceContext {
     /// 128-bit trace id (big-endian hex in human-readable output).

@@ -33,7 +33,9 @@
 
 use crate::error::ServiceError;
 use crate::tiles::{SharedTile, TileData, TileKey};
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -52,14 +54,6 @@ enum Slot {
 struct StaleEntry {
     data: SharedTile,
     last_used: u64,
-}
-
-/// Consecutive-failure record in the negative cache.
-struct NegEntry {
-    fails: u32,
-    /// Builds before this instant are refused with `Quarantined`. `None`
-    /// until the failure count crosses the policy threshold.
-    retry_at: Option<Instant>,
 }
 
 /// When and for how long a repeatedly failing tile key is quarantined.
@@ -96,6 +90,89 @@ impl QuarantinePolicy {
     }
 }
 
+/// Consecutive-failure record in a [`FailureLedger`].
+#[derive(Default)]
+struct NegEntry {
+    fails: u32,
+    /// Work before this instant is refused with `Quarantined`. `None`
+    /// until the failure count crosses the policy threshold.
+    retry_at: Option<Instant>,
+}
+
+/// The negative cache behind both quarantines (tile builds here, snapshot
+/// loads in the registry): consecutive failures per key under one
+/// [`QuarantinePolicy`]. Callers keep their own lock around it and their
+/// own telemetry counters.
+pub(crate) struct FailureLedger<K> {
+    policy: QuarantinePolicy,
+    entries: HashMap<K, NegEntry>,
+}
+
+impl<K: Hash + Eq> FailureLedger<K> {
+    pub(crate) fn new(policy: QuarantinePolicy) -> FailureLedger<K> {
+        FailureLedger {
+            policy,
+            entries: HashMap::new(),
+        }
+    }
+
+    /// `Some(retry_after_ms)` while `key` is inside a quarantine window.
+    pub(crate) fn gate<Q>(&self, key: &Q) -> Option<u64>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let at = self.entries.get(key)?.retry_at?;
+        let now = Instant::now();
+        (at > now).then(|| (at - now).as_millis().max(1) as u64)
+    }
+
+    /// Bump the key's consecutive-failure count; `true` when that armed a
+    /// quarantine window (the count is at or past the policy threshold).
+    pub(crate) fn record_failure(&mut self, key: K) -> bool {
+        let entry = self.entries.entry(key).or_default();
+        entry.fails = entry.fails.saturating_add(1);
+        let quarantined = entry.fails >= self.policy.after;
+        if quarantined {
+            entry.retry_at = Some(Instant::now() + self.policy.window(entry.fails));
+        }
+        quarantined
+    }
+
+    /// Forget the key's failures (it just succeeded).
+    pub(crate) fn clear<Q>(&mut self, key: &Q)
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.entries.remove(key);
+    }
+
+    /// Number of keys currently inside a quarantine window.
+    fn quarantined(&self) -> usize {
+        self.entries
+            .keys()
+            .filter(|&k| self.gate(k).is_some())
+            .count()
+    }
+}
+
+/// Run `f` under panic isolation: `Err(message)` if it panicked. Callers
+/// hand over a closure that owns its captures and hold no lock across the
+/// call, so a panic cannot leave shared state half-mutated — unwind safety
+/// holds by construction.
+pub(crate) fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|p| {
+        if let Some(s) = p.downcast_ref::<&str>() {
+            s.to_string()
+        } else if let Some(s) = p.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "<non-string payload>".to_string()
+        }
+    })
+}
+
 struct State {
     map: HashMap<TileKey, Slot>,
     /// Bytes held by `Ready` entries. `Building` slots are unsized (their
@@ -105,7 +182,7 @@ struct State {
     stale: HashMap<TileKey, StaleEntry>,
     stale_bytes: usize,
     /// Negative cache: consecutive build failures per key.
-    neg: HashMap<TileKey, NegEntry>,
+    neg: FailureLedger<TileKey>,
     /// Logical clock for LRU recency (monotonic per state mutation).
     tick: u64,
 }
@@ -133,7 +210,6 @@ pub struct CacheStats {
 pub struct TileCache {
     budget: usize,
     stale_budget: usize,
-    policy: QuarantinePolicy,
     state: Mutex<State>,
     cv: Condvar,
     pub stats: CacheStats,
@@ -155,13 +231,12 @@ impl TileCache {
         TileCache {
             budget: budget_bytes,
             stale_budget: stale_budget_bytes,
-            policy,
             state: Mutex::new(State {
                 map: HashMap::new(),
                 bytes: 0,
                 stale: HashMap::new(),
                 stale_bytes: 0,
-                neg: HashMap::new(),
+                neg: FailureLedger::new(policy),
                 tick: 0,
             }),
             cv: Condvar::new(),
@@ -213,12 +288,7 @@ impl TileCache {
 
     /// Number of keys currently inside a quarantine window.
     pub fn quarantined_entries(&self) -> usize {
-        let now = Instant::now();
-        let st = self.state.lock().unwrap();
-        st.neg
-            .values()
-            .filter(|n| n.retry_at.is_some_and(|at| at > now))
-            .count()
+        self.state.lock().unwrap().neg.quarantined()
     }
 
     /// Is the key resident right now? (Racy by nature — used only for
@@ -297,18 +367,12 @@ impl TileCache {
                 None => {
                     // Quarantine gate: a key that keeps failing is refused
                     // here, before any build is claimed.
-                    if let Some(neg) = st.neg.get(key) {
-                        if let Some(at) = neg.retry_at {
-                            let now = Instant::now();
-                            if at > now {
-                                self.stats
-                                    .quarantine_rejects
-                                    .fetch_add(1, Ordering::Relaxed);
-                                dtfe_telemetry::counter_add!("service.quarantine_rejects", 1);
-                                let ms = (at - now).as_millis().max(1) as u64;
-                                return Err(ServiceError::Quarantined { retry_after_ms: ms });
-                            }
-                        }
+                    if let Some(retry_after_ms) = st.neg.gate(key) {
+                        self.stats
+                            .quarantine_rejects
+                            .fetch_add(1, Ordering::Relaxed);
+                        dtfe_telemetry::counter_add!("service.quarantine_rejects", 1);
+                        return Err(ServiceError::Quarantined { retry_after_ms });
                     }
                     st.map.insert(key.clone(), Slot::Building);
                     drop(st);
@@ -316,15 +380,11 @@ impl TileCache {
                         "build closure consumed twice — \
                         a vacant slot can only be claimed once per call",
                     );
-                    // The closure owns its captures and the cache lock is
-                    // released, so a panic cannot leave shared state
-                    // half-mutated: unwind safety holds by construction.
-                    let built = catch_unwind(AssertUnwindSafe(build_fn)).unwrap_or_else(|p| {
+                    let built = catch_panic(build_fn).unwrap_or_else(|msg| {
                         self.stats.build_panics.fetch_add(1, Ordering::Relaxed);
                         dtfe_telemetry::counter_add!("service.build_panics", 1);
                         Err(ServiceError::Internal(format!(
-                            "tile build panicked: {}",
-                            panic_message(p.as_ref())
+                            "tile build panicked: {msg}"
                         )))
                     });
                     st = self.state.lock().unwrap();
@@ -332,7 +392,9 @@ impl TileCache {
                         Err(e) => {
                             st.map.remove(key);
                             self.stats.build_failures.fetch_add(1, Ordering::Relaxed);
-                            self.record_failure(&mut st, key);
+                            if st.neg.record_failure(key.clone()) {
+                                dtfe_telemetry::counter_add!("service.quarantined_tiles", 1);
+                            }
                             self.cv.notify_all();
                             return Err(e);
                         }
@@ -340,7 +402,7 @@ impl TileCache {
                             let data = Arc::new(data);
                             self.stats.misses.fetch_add(1, Ordering::Relaxed);
                             dtfe_telemetry::counter_add!("service.cache_misses", 1);
-                            st.neg.remove(key);
+                            st.neg.clear(key);
                             // A fresh build supersedes any stale copy.
                             if let Some(old) = st.stale.remove(key) {
                                 st.stale_bytes -= old.data.bytes;
@@ -353,21 +415,6 @@ impl TileCache {
                     }
                 }
             }
-        }
-    }
-
-    /// Bump the key's consecutive-failure count and (past the policy
-    /// threshold) arm its quarantine window.
-    fn record_failure(&self, st: &mut State, key: &TileKey) {
-        let neg = st.neg.entry(key.clone()).or_insert(NegEntry {
-            fails: 0,
-            retry_at: None,
-        });
-        neg.fails = neg.fails.saturating_add(1);
-        if neg.fails >= self.policy.after {
-            let window = self.policy.window(neg.fails);
-            neg.retry_at = Some(Instant::now() + window);
-            dtfe_telemetry::counter_add!("service.quarantined_tiles", 1);
         }
     }
 
@@ -445,17 +492,6 @@ impl TileCache {
                 st.stale_bytes -= e.data.bytes;
             }
         }
-    }
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(p: &(dyn std::any::Any + Send)) -> &str {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        s
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s
-    } else {
-        "<non-string payload>"
     }
 }
 
@@ -547,6 +583,16 @@ mod tests {
         // The slot is clean: a later build succeeds.
         let (_, hit) = cache.get_or_build(&key(0), || entry(10)).unwrap();
         assert!(!hit);
+    }
+
+    #[test]
+    fn catch_panic_returns_the_message_of_either_payload_type() {
+        assert_eq!(catch_panic(|| 7), Ok(7));
+        let r = catch_panic(|| -> u8 { panic!("static") });
+        assert_eq!(r, Err("static".to_string()));
+        let n = 3;
+        let r = catch_panic(|| -> u8 { panic!("formatted {n}") });
+        assert_eq!(r, Err("formatted 3".to_string()));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Service configuration.
 
-use dtfe_framework::{InterpModel, TimingSample, TriModel, WorkloadModel};
+use dtfe_framework::{InterpModel, TriModel, WorkloadModel};
 use std::time::Duration;
 
 /// Knobs of the serving layer. Mirrors the batch
@@ -206,13 +206,6 @@ pub fn default_model() -> WorkloadModel {
             beta: 1.0,
         },
     }
-}
-
-/// Fit the pricing model from measured `(n, t_tri, t_interp)` samples —
-/// re-exported convenience so servers can self-calibrate at startup by
-/// timing one tile build.
-pub fn fit_model(samples: &[TimingSample]) -> WorkloadModel {
-    WorkloadModel::fit(samples)
 }
 
 #[cfg(test)]

@@ -43,8 +43,8 @@
 //! run under panic isolation with a failure-quarantine negative cache;
 //! an optional `stale_while_revalidate` mode serves flagged degraded
 //! responses from evicted tiles under overload; and the seeded [`chaos`]
-//! injector plus the retrying/hedging [`ResilientClient`] make all of it
-//! testable deterministically (see `DESIGN.md` §4h).
+//! injector plus the retrying [`ResilientClient`] make all of it
+//! testable deterministically (see `DESIGN.md` §4c).
 //!
 //! Rendering semantics match the batch framework path bit-for-bit: a tile
 //! build uses the same builder settings as the framework's per-item path

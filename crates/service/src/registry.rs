@@ -16,7 +16,7 @@
 //! *not* quarantined — checking for it is one `stat`, and the usual fix
 //! (upload the file) should take effect immediately.
 
-use crate::cache::QuarantinePolicy;
+use crate::cache::{catch_panic, FailureLedger, QuarantinePolicy};
 use crate::config::ServiceConfig;
 use crate::error::ServiceError;
 use dtfe_framework::Decomposition;
@@ -25,7 +25,6 @@ use dtfe_nbody::snapshot::{self, SnapshotError};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
 
 /// A loaded, checksum-verified snapshot with its tile decomposition.
 #[derive(Debug)]
@@ -64,12 +63,6 @@ enum Slot {
     Ready(Arc<SnapshotData>),
 }
 
-/// Consecutive load-failure record for one snapshot id.
-struct NegEntry {
-    fails: u32,
-    retry_at: Option<Instant>,
-}
-
 /// Directory-backed snapshot store with single-flight loading.
 pub struct SnapshotRegistry {
     dir: PathBuf,
@@ -78,8 +71,7 @@ pub struct SnapshotRegistry {
     state: Mutex<HashMap<String, Slot>>,
     cv: Condvar,
     /// Negative cache of failing loads, same policy as tile builds.
-    neg: Mutex<HashMap<String, NegEntry>>,
-    policy: QuarantinePolicy,
+    neg: Mutex<FailureLedger<String>>,
 }
 
 /// Snapshot ids are path components; keep them boring so an id can never
@@ -101,12 +93,11 @@ impl SnapshotRegistry {
             ghost_margin: cfg.ghost_margin,
             state: Mutex::new(HashMap::new()),
             cv: Condvar::new(),
-            neg: Mutex::new(HashMap::new()),
-            policy: QuarantinePolicy {
+            neg: Mutex::new(FailureLedger::new(QuarantinePolicy {
                 after: cfg.quarantine_after,
                 base: cfg.quarantine_base,
                 max: cfg.quarantine_max,
-            },
+            })),
         }
     }
 
@@ -115,7 +106,10 @@ impl SnapshotRegistry {
         self.dir.join(format!("{id}.snap"))
     }
 
-    /// Fetch a snapshot, loading and verifying it on first use.
+    /// Fetch a snapshot, loading and verifying it on first use. Like a tile
+    /// build, the load runs under panic isolation, so a panicking load
+    /// takes the error path instead of leaving a permanent `Loading` slot
+    /// that parks every later request for the id.
     pub fn get(&self, id: &str) -> Result<Arc<SnapshotData>, ServiceError> {
         if !valid_id(id) {
             return Err(ServiceError::InvalidRequest(format!(
@@ -124,19 +118,9 @@ impl SnapshotRegistry {
         }
         // Quarantine gate before any slot is claimed: a file that keeps
         // failing verification is refused without touching the disk.
-        if let Some(at) = self
-            .neg
-            .lock()
-            .unwrap()
-            .get(id)
-            .and_then(|neg| neg.retry_at)
-        {
-            let now = Instant::now();
-            if at > now {
-                dtfe_telemetry::counter_add!("service.snapshot_quarantine_rejects", 1);
-                let ms = (at - now).as_millis().max(1) as u64;
-                return Err(ServiceError::Quarantined { retry_after_ms: ms });
-            }
+        if let Some(retry_after_ms) = self.neg.lock().unwrap().gate(id) {
+            dtfe_telemetry::counter_add!("service.snapshot_quarantine_rejects", 1);
+            return Err(ServiceError::Quarantined { retry_after_ms });
         }
         let mut st = self.state.lock().unwrap();
         loop {
@@ -151,13 +135,17 @@ impl SnapshotRegistry {
                 None => {
                     st.insert(id.to_string(), Slot::Loading);
                     drop(st);
-                    let loaded = self.load(id);
+                    let loaded = catch_panic(|| self.load(id)).unwrap_or_else(|msg| {
+                        Err(ServiceError::Internal(format!(
+                            "loading {id} panicked: {msg}"
+                        )))
+                    });
                     st = self.state.lock().unwrap();
                     match loaded {
                         Ok(data) => {
                             let data = Arc::new(data);
                             st.insert(id.to_string(), Slot::Ready(data.clone()));
-                            self.neg.lock().unwrap().remove(id);
+                            self.neg.lock().unwrap().clear(id);
                             self.cv.notify_all();
                             return Ok(data);
                         }
@@ -165,8 +153,10 @@ impl SnapshotRegistry {
                             st.remove(id);
                             // Missing files are cheap to re-check and fix;
                             // only actual load failures quarantine.
-                            if !matches!(e, ServiceError::UnknownSnapshot(_)) {
-                                self.record_failure(id);
+                            if !matches!(e, ServiceError::UnknownSnapshot(_))
+                                && self.neg.lock().unwrap().record_failure(id.to_string())
+                            {
+                                dtfe_telemetry::counter_add!("service.snapshots_quarantined", 1);
                             }
                             self.cv.notify_all();
                             return Err(e);
@@ -174,21 +164,6 @@ impl SnapshotRegistry {
                     }
                 }
             }
-        }
-    }
-
-    /// Bump the id's consecutive-failure count and (past the policy
-    /// threshold) arm its quarantine window.
-    fn record_failure(&self, id: &str) {
-        let mut neg = self.neg.lock().unwrap();
-        let entry = neg.entry(id.to_string()).or_insert(NegEntry {
-            fails: 0,
-            retry_at: None,
-        });
-        entry.fails = entry.fails.saturating_add(1);
-        if entry.fails >= self.policy.after {
-            entry.retry_at = Some(Instant::now() + self.policy.window(entry.fails));
-            dtfe_telemetry::counter_add!("service.snapshots_quarantined", 1);
         }
     }
 
@@ -306,6 +281,34 @@ mod tests {
             reg.get("bad"),
             Err(ServiceError::CorruptSnapshot(_))
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn hostile_header_is_corrupt_not_a_panic_or_a_parked_handler() {
+        // One particle, then the header's `total` (offset 16) and the one
+        // block's count (offset 88) claim 2^60 particles.
+        let dir = tmpdir("hostile");
+        let path = dir.join("bad.snap");
+        let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(1.0));
+        write_snapshot(&path, &[vec![Vec3::splat(0.5)]], bounds).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        for at in [16, 88] {
+            bytes[at..at + 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        let reg = Arc::new(SnapshotRegistry::new(&dir, &ServiceConfig::new(1.0, 16)));
+        // Each `get` runs on its own thread with a deadline: a parked
+        // caller is a test failure, not a hung suite.
+        for _ in 0..2 {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let reg = reg.clone();
+            std::thread::spawn(move || tx.send(reg.get("bad")));
+            let got = rx
+                .recv_timeout(std::time::Duration::from_secs(5))
+                .expect("get() panicked, or parked on a dead Loading slot");
+            assert!(matches!(got, Err(ServiceError::CorruptSnapshot(_))));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

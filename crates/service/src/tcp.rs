@@ -260,9 +260,9 @@ fn handle_connection(stream: TcpStream, handler: &dyn RequestHandler, stop: &Ato
 /// On its own this is the *naive* client: [`Client::connect`] sets no
 /// timeouts and nothing retries — it trusts the network (`loadgen
 /// --client naive` keeps it as the comparison baseline).
-/// [`ResilientClient`](crate::ResilientClient) is retry/hedge policy over
-/// [`Client::connect_timeout`] connections; use it anywhere the network
-/// might misbehave.
+/// [`ResilientClient`](crate::ResilientClient) is retry policy over
+/// [`Client::connect_timeout`] connections to one address; use it anywhere
+/// the network might misbehave.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,

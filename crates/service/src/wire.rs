@@ -14,8 +14,8 @@
 //! The protocol is tiny — six request kinds, seven response kinds, no
 //! negotiation — and has exactly one layout per message (the table of
 //! live tags is DESIGN.md §4e "Wire protocol"). A render request carries
-//! the estimator, a trace block (flags byte + 16-byte trace id, so
-//! retries and hedges of one logical request correlate server-side) and
+//! the estimator, a trace block (flags byte + 16-byte trace id, so the
+//! retries of one logical request correlate server-side) and
 //! a routing flags byte (bit 0 = redirect, see
 //! [`RenderRequest::redirect`]); a field response carries the grid, the
 //! serving metadata (cache hit, batch size, per-stage timings, the

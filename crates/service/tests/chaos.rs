@@ -102,8 +102,6 @@ fn chaos_sweep_never_corrupts_and_server_drains_clean() {
             max_retries: 6,
             backoff_base: Duration::from_millis(2),
             backoff_max: Duration::from_millis(50),
-            // Exercise the hedged path on some seeds.
-            hedge_after: (seed % 2 == 1).then_some(Duration::from_millis(150)),
             seed,
             sample_traces: false,
         };
