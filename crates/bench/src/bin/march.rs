@@ -9,14 +9,17 @@
 //!  "wall_s":...,"cells_per_s":...,"tets_per_los":...,
 //!  "seed_wall_s":...,"speedup":...,"par_wall_s":...,
 //!  "edge_evals":...,"edge_evals_seed":...,
-//!  "entry_hint_hits":...,"entry_hint_misses":...}
+//!  "entry_hint_hits":...,"entry_hint_misses":...,
+//!  "windowed_tets_per_los":...}
 //! ```
 //!
 //! `wall_s`/`cells_per_s` time the *single-threaded* coherent kernel (the
 //! apples-to-apples number against `seed_wall_s`, the single-threaded
 //! reference); `speedup` is their ratio. `par_wall_s` is the tiled parallel
-//! render on all host threads. Any kernel mismatch exits nonzero — CI runs
-//! this bin as a smoke test.
+//! render on all host threads. `windowed_tets_per_los` comes from one more
+//! pass through both kernels over the middle third of the cloud's depth,
+//! where the march enters at the window floor. Any kernel mismatch, windowed
+//! or not, exits nonzero — CI runs this bin as a smoke test.
 //!
 //! ```text
 //! cargo run --release -p dtfe-bench --bin march [-- --scale small|medium|paper]
@@ -64,11 +67,15 @@ fn main() {
     // minimum, which estimates the interference-free time on a shared host.
     const REPS: usize = 5;
 
+    // The windowed pass: the middle third of the cloud's depth, where every
+    // line of sight enters at the window floor instead of the hull.
+    let windowed = serial.clone().z_range(box_len / 3.0, 2.0 * box_len / 3.0);
+
     // Old configuration first, timed with only its own field resident — the
     // production process only ever holds one mesh, and the two ~40 MB
     // working sets would evict each other if both stayed live. The warm-up
     // pass pages the mesh in before any timed rep.
-    let (seed_field, seed_stats, seed_wall_s) = {
+    let (seed_field, seed_stats, seed_wall_s, (seed_win_field, seed_win_stats)) = {
         let del = DelaunayBuilder::new()
             .build(&particles)
             .expect("triangulation");
@@ -85,7 +92,8 @@ fn main() {
             out = Some(r);
         }
         let (f, s) = out.unwrap();
-        (f, s, best)
+        let w = surface_density_reference(&field_old, &index_old, &grid, &windowed);
+        (f, s, best, w)
     };
 
     let t0 = Instant::now();
@@ -108,6 +116,7 @@ fn main() {
     let t0 = Instant::now();
     let (par_field, par_stats) = surface_density_with_index(&field, &index, &grid, &parallel);
     let par_wall_s = t0.elapsed().as_secs_f64();
+    let (win_field, win_stats) = surface_density_with_index(&field, &index, &grid, &windowed);
 
     // The whole point of the rewrite: same bits, fewer cycles. A mismatch
     // anywhere is a hard failure (CI runs this bin as a smoke test).
@@ -120,6 +129,10 @@ fn main() {
         eprintln!("MISMATCH: tiled parallel field differs from reference kernel");
         ok = false;
     }
+    if win_field.data != seed_win_field.data {
+        eprintln!("MISMATCH: windowed coherent field differs from reference kernel");
+        ok = false;
+    }
     for (name, a, b) in [
         ("crossings", seed_stats.crossings, coh_stats.crossings),
         (
@@ -129,6 +142,21 @@ fn main() {
         ),
         ("failures", seed_stats.failures, coh_stats.failures),
         ("par crossings", seed_stats.crossings, par_stats.crossings),
+        (
+            "windowed crossings",
+            seed_win_stats.crossings,
+            win_stats.crossings,
+        ),
+        (
+            "windowed perturbations",
+            seed_win_stats.perturbations,
+            win_stats.perturbations,
+        ),
+        (
+            "windowed failures",
+            seed_win_stats.failures,
+            win_stats.failures,
+        ),
     ] {
         if a != b {
             eprintln!("MISMATCH: {name} {a} (reference) vs {b}");
@@ -179,13 +207,15 @@ fn main() {
     let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
     let los = cells * serial.render.samples as f64;
     let tets_per_los = coh_stats.crossings as f64 / los;
+    let windowed_tets_per_los = win_stats.crossings as f64 / los;
     let speedup = seed_wall_s / wall_s.max(1e-12);
     let mut out = String::from("{\"bench\":\"march\",\"estimator\":\"dtfe\"");
     out.push_str(&format!(
         ",\"n\":{n},\"grid\":{grid_n},\"threads\":{threads},\"wall_s\":{},\"cells_per_s\":{},\
          \"tets_per_los\":{},\"seed_wall_s\":{},\"speedup\":{},\"par_wall_s\":{},\
          \"build_s\":{},\"edge_evals\":{},\"edge_evals_seed\":{},\
-         \"entry_hint_hits\":{},\"entry_hint_misses\":{},\"psdtfe_wall_s\":{}}}\n",
+         \"entry_hint_hits\":{},\"entry_hint_misses\":{},\"psdtfe_wall_s\":{},\
+         \"windowed_tets_per_los\":{}}}\n",
         number(wall_s),
         number(cells / wall_s.max(1e-12)),
         number(tets_per_los),
@@ -198,6 +228,7 @@ fn main() {
         number(coh_stats.entry_hint_hits as f64),
         number(coh_stats.entry_hint_misses as f64),
         number(ps_wall_s),
+        number(windowed_tets_per_los),
     ));
 
     let dir = dtfe_core::io::experiments_dir();
@@ -211,7 +242,8 @@ fn main() {
          (x{speedup:.2} single-thread) | parallel {par_wall_s:.3}s on {threads} threads"
     );
     println!(
-        "cells/s {:.0} | tets/LOS {tets_per_los:.1} | edge evals {} -> {} ({:.0}% saved) | \
+        "cells/s {:.0} | tets/LOS {tets_per_los:.1} (middle-third window \
+         {windowed_tets_per_los:.1}) | edge evals {} -> {} ({:.0}% saved) | \
          entry hints {} hit / {} miss | psdtfe {ps_wall_s:.3}s",
         cells / wall_s.max(1e-12),
         seed_stats.edge_evals,

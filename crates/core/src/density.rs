@@ -119,44 +119,51 @@ impl DtfeField {
     }
 
     /// Per-tet constant gradients (Eq. 1) over `del`'s current slots,
-    /// computed in parallel.
+    /// computed in parallel on large meshes.
     fn with_densities(del: Delaunay, vertex_density: Vec<f64>) -> DtfeField {
+        /// Below this many slots the pass runs in the calling thread: the
+        /// vendored rayon spawns scoped OS threads per call, which costs
+        /// more than a serial pass over a batch work item's ~4k-slot mesh.
+        const PAR_MIN_SLOTS: usize = 1 << 15;
+
         let slots = del.num_slots();
-        let interp: Vec<TetInterp> = (0..slots as u32)
-            .into_par_iter()
-            .map(|t| {
-                let tet = del.tet_slot(t);
-                if !tet.is_live() || tet.is_ghost() {
-                    return TetInterp {
-                        v0: Vec3::ZERO,
-                        rho0: 0.0,
-                        grad: Vec3::ZERO,
-                    };
-                }
-                let v = [
-                    del.vertex(tet.verts[0]),
-                    del.vertex(tet.verts[1]),
-                    del.vertex(tet.verts[2]),
-                    del.vertex(tet.verts[3]),
-                ];
-                let f = [
-                    vertex_density[tet.verts[0] as usize],
-                    vertex_density[tet.verts[1] as usize],
-                    vertex_density[tet.verts[2] as usize],
-                    vertex_density[tet.verts[3] as usize],
-                ];
-                // Degenerate (coplanar) tetrahedra carry zero volume, so a
-                // zero gradient is the documented density policy — their
-                // contribution to any line-of-sight integral is negligible.
-                // See `estimator::DegeneratePolicy::ZeroGradient`.
-                let grad = linear_gradient(&v, &f).unwrap_or(Vec3::ZERO);
-                TetInterp {
-                    v0: v[0],
-                    rho0: f[0],
-                    grad,
-                }
-            })
-            .collect();
+        let interp_of = |t: u32| {
+            let tet = del.tet_slot(t);
+            if !tet.is_live() || tet.is_ghost() {
+                return TetInterp {
+                    v0: Vec3::ZERO,
+                    rho0: 0.0,
+                    grad: Vec3::ZERO,
+                };
+            }
+            let v = [
+                del.vertex(tet.verts[0]),
+                del.vertex(tet.verts[1]),
+                del.vertex(tet.verts[2]),
+                del.vertex(tet.verts[3]),
+            ];
+            let f = [
+                vertex_density[tet.verts[0] as usize],
+                vertex_density[tet.verts[1] as usize],
+                vertex_density[tet.verts[2] as usize],
+                vertex_density[tet.verts[3] as usize],
+            ];
+            // Degenerate (coplanar) tetrahedra carry zero volume, so a
+            // zero gradient is the documented density policy — their
+            // contribution to any line-of-sight integral is negligible.
+            // See `estimator::DegeneratePolicy::ZeroGradient`.
+            let grad = linear_gradient(&v, &f).unwrap_or(Vec3::ZERO);
+            TetInterp {
+                v0: v[0],
+                rho0: f[0],
+                grad,
+            }
+        };
+        let interp: Vec<TetInterp> = if slots < PAR_MIN_SLOTS {
+            (0..slots as u32).map(interp_of).collect()
+        } else {
+            (0..slots as u32).into_par_iter().map(interp_of).collect()
+        };
 
         DtfeField {
             del,

@@ -10,10 +10,9 @@
 
 use crate::density::TetInterp;
 use crate::estimator::{vertex_interp, DegeneratePolicy, DegenerateTetError, FieldEstimator};
-use crate::marching::{HullIndex, MarchCache, MarchStats};
+use crate::marching::MarchCache;
 use dtfe_delaunay::{Delaunay, Located, TetId};
-use dtfe_geometry::plucker::{ray_tetra, Plucker, Ray};
-use dtfe_geometry::{Vec2, Vec3};
+use dtfe_geometry::Vec3;
 use std::sync::OnceLock;
 
 /// A piecewise-linear field over an existing triangulation: one value per
@@ -89,55 +88,6 @@ impl<'a> ScalarField<'a> {
             Located::Ghost(_) => None,
         }
     }
-
-    /// Exact line-of-sight integral `∫ f(ξ, z) dz` through the vertical
-    /// line at `xi` — the same marching integral as the surface-density
-    /// kernel (Eq. 12), for this field.
-    pub fn integrate_los(
-        &self,
-        index: &HullIndex,
-        xi: Vec2,
-        z_range: Option<(f64, f64)>,
-        stats: &mut MarchStats,
-    ) -> f64 {
-        // March directly (no perturbation loop: callers wanting degeneracy
-        // handling should offset their query points; kept simple because the
-        // density kernel in `marching` is the production path).
-        let Some(ghost) = index.query(xi) else {
-            return 0.0;
-        };
-        let mut t = self.del.tet(ghost).neighbors[3];
-        let ray = Ray::vertical(xi.x, xi.y);
-        let pl = Plucker::from_ray(&ray);
-        let mut total = 0.0;
-        let max_steps = self.del.num_tets() + 16;
-        for _ in 0..max_steps {
-            let verts = self.del.tet_points(t);
-            let hit = ray_tetra(&pl, &verts);
-            if hit.degenerate || !hit.is_through() {
-                stats.perturbations += 1;
-                return total;
-            }
-            let (_, p_in) = hit.enter.unwrap();
-            let (exit_face, p_out) = hit.exit.unwrap();
-            stats.crossings += 1;
-            let (mut a, mut b) = (p_in.z.min(p_out.z), p_in.z.max(p_out.z));
-            if let Some((zlo, zhi)) = z_range {
-                a = a.max(zlo);
-                b = b.min(zhi);
-            }
-            if b > a {
-                let mid = Vec3::new(xi.x, xi.y, 0.5 * (a + b));
-                total += self.value_in_tet(t, mid) * (b - a);
-            }
-            let next = self.del.tet(t).neighbors[exit_face];
-            if self.del.tet(next).is_ghost() {
-                return total;
-            }
-            t = next;
-        }
-        total
-    }
 }
 
 /// `ScalarField` renders through the shared marching kernel like every
@@ -189,8 +139,9 @@ pub fn volume_weighted_mean(field: &ScalarField<'_>) -> f64 {
 mod tests {
     use super::*;
     use crate::grid::GridSpec2;
-    use crate::marching::{surface_density, MarchOptions};
+    use crate::marching::{march_cell, surface_density, HullIndex, MarchOptions, MarchStats};
     use dtfe_delaunay::DelaunayBuilder;
+    use dtfe_geometry::Vec2;
 
     fn jittered_cloud(n_side: usize, seed: u64) -> Vec<Vec3> {
         let mut s = seed;
@@ -265,14 +216,17 @@ mod tests {
         let field = ScalarField::new(&del, values);
         let index = HullIndex::build(&field);
         let xi = Vec2::new(1.7, 1.4);
+        let los = |f: &ScalarField<'_>, stats: &mut MarchStats| {
+            march_cell(f, &index, xi, None, 1e-9, 16, &mut 1, stats)
+        };
         let mut stats = MarchStats::default();
-        let got = field.integrate_los(&index, xi, None, &mut stats);
+        let got = los(&field, &mut stats);
         assert_eq!(stats.perturbations, 0);
         // Find a, b by marching the density-agnostic way: reuse the crossing
         // machinery through a constant-1 field to get the chord length and
         // first/last z.
         let ones = ScalarField::new(&del, vec![1.0; del.num_vertices()]);
-        let chord = ones.integrate_los(&index, xi, None, &mut MarchStats::default());
+        let chord = los(&ones, &mut MarchStats::default());
         // For f = z: integral = chord * midpoint_z; reconstruct midpoint by
         // f = z integral / chord and verify against a numeric scan.
         let mid_z = got / chord;

@@ -23,9 +23,37 @@
 //! `Perturb` routine (Fig. 2): nudge `ℓ` by at most `ε` toward a randomly
 //! chosen vertex of the offending tetrahedron and re-march.
 //!
+//! # The line of sight of a windowed render
+//!
+//! With `z_range = (z_lo, z_hi)` the line of sight is the *segment*
+//! `ξ × [z_lo, z_hi]`, and the march examines only the tetrahedra that
+//! segment meets. Its **window entry** is the unique finite tetrahedron
+//! `T₀` that *strictly* contains the point `(ξ, z_lo)` under the exact
+//! `orient3d` — all four face signs strictly positive. There is no window
+//! entry, and the line enters through the hull projection as above, when
+//!
+//! * a sign is zero (the floor point lies on a face, edge or vertex),
+//! * the point is outside the hull,
+//! * the render has no window, or
+//! * `z_lo` is not above the mesh's lowest vertex ([`MarchCache`]'s
+//!   `z_min`): the definition evaluated early, since no finite tetrahedron
+//!   reaches below `z_min` — which keeps meshes cropped at the window floor
+//!   (the batch framework's) on the hull path with no added work.
+//!
+//! From `T₀` the *same* loop runs with no carried face seed, exactly as
+//! after a hull entry, so clipping, the `z_out ≥ z_hi` exit, `Perturb` and
+//! every counter are one code path; a restart after `Perturb` re-enters by
+//! the same rule for the perturbed `ξ`. Strict containment is unique in a
+//! valid triangulation, so `T₀` does not depend on how it is found: the
+//! kernel walks to it from the previous line's `T₀`, the reference locates
+//! it from scratch, and the two agree on data and on every counter.
+//! `crossings` therefore counts the tetrahedra the *segment* meets;
+//! tetrahedra wholly below the window are never examined, so a degeneracy
+//! down there no longer perturbs a line it cannot contribute to.
+//!
 //! # Coherence (DESIGN.md §4f)
 //!
-//! The production path exploits three forms of coherence while staying
+//! The production path exploits four forms of coherence while staying
 //! **bit-identical** to the straightforward kernel (kept as
 //! [`surface_density_reference`], the equivalence oracle):
 //!
@@ -39,6 +67,10 @@
 //!   hull triangulation ([`HullIndex`] adjacency) instead of paying a
 //!   binned query per cell; exact-arithmetic ties bail to the binned query
 //!   so the entry facet never differs.
+//! * **Hinted window entry** — a windowed line finds its `T₀` by a
+//!   visibility walk from the previous line's `T₀` (the previous row's
+//!   first cell at a row start), with exact predicates; the hint can only
+//!   change how many steps the walk takes, never where it ends.
 //! * **Tiled parallelism** — workers render square 2D tiles
 //!   ([`RenderOptions::tile`]) instead of whole rows. Each row's RNG stream
 //!   is fast-forwarded into the tile; rows where any tile saw a
@@ -49,14 +81,14 @@ use crate::density::EntryFacet;
 use crate::estimator::FieldEstimator;
 use crate::grid::{Field2, GridSpec2};
 use crate::render::RenderOptions;
-use dtfe_delaunay::{Delaunay, TetId};
+use dtfe_delaunay::{Delaunay, TetId, NONE};
 use dtfe_geometry::plucker::{normalize_tet, ray_tetra_seeded, FaceSeed, Plucker, Ray};
-use dtfe_geometry::predicates::{orient2d, Orientation};
+use dtfe_geometry::predicates::{orient2d, orient3d_uncounted, Orientation};
 use dtfe_geometry::{Aabb2, Vec2, Vec3};
 use rayon::prelude::*;
 
 mod reference;
-pub use reference::surface_density_reference;
+pub use reference::{surface_density_reference, surface_density_reference_hull_entry};
 
 /// Options for the marching kernel: the shared [`RenderOptions`] knobs plus
 /// the degeneracy-perturbation parameters specific to this kernel.
@@ -76,7 +108,11 @@ pub struct MarchOptions {
     /// sample the cell centre is used; more samples average deterministic
     /// jittered lines of sight (the Monte-Carlo mean of Eq. 5, but with "one
     /// fewer degree of freedom in the error" since z is integrated exactly).
-    /// `z_range: None` integrates the full hull chord.
+    /// `z_range: None` integrates the full hull chord; with a window the
+    /// line of sight is the segment `ξ × [z_lo, z_hi]`, the march enters at
+    /// the window floor (module docs, "The line of sight of a windowed
+    /// render") and [`MarchStats::crossings`] counts only the tetrahedra
+    /// that segment meets.
     pub render: RenderOptions,
     /// Perturbation magnitude for degeneracy resolution, *relative to the
     /// cell diagonal* (paper Fig. 2's `ε`).
@@ -127,6 +163,28 @@ const DEFAULT_TILE: usize = 64;
 /// Sentinel facet index for "no entry hint".
 const NO_FACET: u32 = u32::MAX;
 
+/// Where the previous line of sight entered the mesh, threaded from cell to
+/// cell. Both members only shorten a search whose answer is unique, so a
+/// stale or foreign hint costs steps and never changes an entry.
+struct EntryHint {
+    /// Hull facet of the previous hull entry ([`NO_FACET`]: none yet).
+    facet: u32,
+    /// Where the previous window-entry walk ended ([`NONE`]: none yet).
+    window: TetId,
+    /// `window` after the current row's first cell: the start for the next
+    /// row's first cell, which lies one cell above it rather than a row
+    /// width away from the previous row's last.
+    row_window: TetId,
+}
+
+impl EntryHint {
+    const COLD: EntryHint = EntryHint {
+        facet: NO_FACET,
+        window: NONE,
+        row_window: NONE,
+    };
+}
+
 // ---------------------------------------------------------------------------
 // Per-field traversal cache.
 
@@ -146,48 +204,62 @@ struct CachedTet {
 /// Pre-normalized per-slot tetrahedra for the coherent marching kernel:
 /// one contiguous array so the hot loop does neither the `orient3d_det`
 /// sign test nor the four indirect vertex gathers per traversal step.
-/// Built lazily by [`DtfeField::march_cache`].
+/// Also holds `z_min`, the mesh's lowest vertex height: a window whose
+/// floor is not above it has no window entry (module docs), decided per
+/// render without touching the mesh. Built lazily by
+/// [`DtfeField::march_cache`].
 pub struct MarchCache {
     tets: Vec<CachedTet>,
+    z_min: f64,
 }
 
+/// Below this many slots [`MarchCache::build`] runs in the calling thread:
+/// the vendored rayon spawns scoped OS threads per call, which costs more
+/// than a serial pass over a small mesh (the batch path builds one cache
+/// per ~4k-slot work item, on ranks that already fill the cores).
+const PAR_BUILD_MIN_SLOTS: usize = 1 << 15;
+
 impl MarchCache {
-    /// One parallel pass over the slots of `del` (ghost and freed slots
-    /// hold inert zeros; the kernel never reads them).
+    /// One pass over the slots of `del`, parallel on large meshes (ghost
+    /// and freed slots hold inert zeros; the kernel never reads them).
     pub fn build(del: &Delaunay) -> MarchCache {
-        let _span = dtfe_telemetry::span!("core.march_cache_build", slots = del.num_slots());
-        let tets: Vec<CachedTet> = (0..del.num_slots() as u32)
-            .into_par_iter()
-            .map(|t| {
-                let tet = del.tet_slot(t);
-                if !tet.is_live() || tet.is_ghost() {
-                    // `ids[3] == u32::MAX` doubles as the hot loop's
-                    // "stepped out of the hull" test (a finite vertex id is
-                    // never the reserved MAX).
-                    return CachedTet {
-                        pts: [Vec3::ZERO; 4],
-                        ids: [u32::MAX; 4],
-                        neighbors: [u32::MAX; 4],
-                    };
-                }
-                let mut pts = [
-                    del.vertex(tet.verts[0]),
-                    del.vertex(tet.verts[1]),
-                    del.vertex(tet.verts[2]),
-                    del.vertex(tet.verts[3]),
-                ];
-                let mut ids = tet.verts;
-                if normalize_tet(&mut pts) {
-                    ids.swap(2, 3);
-                }
-                CachedTet {
-                    pts,
-                    ids,
-                    neighbors: tet.neighbors,
-                }
-            })
-            .collect();
-        MarchCache { tets }
+        let slots = del.num_slots();
+        let _span = dtfe_telemetry::span!("core.march_cache_build", slots = slots);
+        let record = |t: u32| {
+            let tet = del.tet_slot(t);
+            if !tet.is_live() || tet.is_ghost() {
+                // `ids[3] == u32::MAX` doubles as the hot loop's
+                // "stepped out of the hull" test (a finite vertex id is
+                // never the reserved MAX).
+                return CachedTet {
+                    pts: [Vec3::ZERO; 4],
+                    ids: [u32::MAX; 4],
+                    neighbors: [u32::MAX; 4],
+                };
+            }
+            let mut pts = [
+                del.vertex(tet.verts[0]),
+                del.vertex(tet.verts[1]),
+                del.vertex(tet.verts[2]),
+                del.vertex(tet.verts[3]),
+            ];
+            let mut ids = tet.verts;
+            if normalize_tet(&mut pts) {
+                ids.swap(2, 3);
+            }
+            CachedTet {
+                pts,
+                ids,
+                neighbors: tet.neighbors,
+            }
+        };
+        let tets: Vec<CachedTet> = if slots < PAR_BUILD_MIN_SLOTS {
+            (0..slots as u32).map(record).collect()
+        } else {
+            (0..slots as u32).into_par_iter().map(record).collect()
+        };
+        let z_min = del.vertices().iter().fold(f64::INFINITY, |m, v| m.min(v.z));
+        MarchCache { tets, z_min }
     }
 
     #[inline]
@@ -450,14 +522,27 @@ pub struct MarchStats {
     pub perturbations: u64,
     /// Rays abandoned after `max_perturb` restarts (best-effort value kept).
     pub failures: u64,
-    /// Total tetrahedron crossings.
+    /// Total tetrahedron crossings: the tetrahedra the marched lines of
+    /// sight examined. Under a window that is the tetrahedra the segment
+    /// `ξ × [z_lo, z_hi]` meets, not the whole hull chord.
     pub crossings: u64,
-    /// Entry searches resolved by walking from the previous cell's facet
-    /// (`core.entry_hint_hit`).
+    /// Hull-entry searches resolved by walking from the previous cell's
+    /// facet (`core.entry_hint_hit`).
     pub entry_hint_hits: u64,
-    /// Entry searches that fell back to the binned hull query
+    /// Hull-entry searches that fell back to the binned hull query
     /// (`core.entry_hint_miss`).
     pub entry_hint_misses: u64,
+    /// Lines that entered at their window entry `T₀`
+    /// (`core.window_entry_hit`).
+    pub window_entries: u64,
+    /// Window-entry walks that found no `T₀` — a tie, a floor point outside
+    /// the hull, or the step cap — and entered through the hull instead
+    /// (`core.window_entry_fallback`). Renders without a window, or whose
+    /// floor is not above the mesh, attempt no walk and count nothing here.
+    pub window_fallbacks: u64,
+    /// Tetrahedra visited by window-entry walks (`core.window_walk_steps`).
+    /// Their predicates are not booked on `geometry.orient3d_*`.
+    pub window_walk_steps: u64,
     /// Plücker edge side-products evaluated (`core.plucker_edge_evals`);
     /// the reference kernel pays 6 per ray–tetrahedron test, the coherent
     /// kernel fewer.
@@ -471,6 +556,9 @@ impl MarchStats {
         self.crossings += o.crossings;
         self.entry_hint_hits += o.entry_hint_hits;
         self.entry_hint_misses += o.entry_hint_misses;
+        self.window_entries += o.window_entries;
+        self.window_fallbacks += o.window_fallbacks;
+        self.window_walk_steps += o.window_walk_steps;
         self.edge_evals += o.edge_evals;
     }
 }
@@ -500,8 +588,10 @@ fn row_seed(j: usize) -> u64 {
 // The coherent kernel.
 
 /// Loop-invariant state of one render, hoisted out of the per-cell restart
-/// loop: the mesh handles, the traversal cache, the step bound, and the
-/// integration window. Generic over the estimator backend; with
+/// loop: the mesh handles, the traversal cache, the step bound, the
+/// integration window, and the floor a window entry is sought at (`None`
+/// when the render has no window or its floor is not above the mesh's
+/// lowest vertex). Generic over the estimator backend; with
 /// `E = DtfeField` this monomorphizes to exactly the pre-trait kernel, and
 /// `E = dyn FieldEstimator` serves runtime-selected backends.
 struct MarchCtx<'a, E: ?Sized> {
@@ -510,6 +600,7 @@ struct MarchCtx<'a, E: ?Sized> {
     cache: &'a MarchCache,
     index: &'a HullIndex,
     z_range: Option<(f64, f64)>,
+    window_floor: Option<f64>,
     eps: f64,
     max_perturb: usize,
     max_steps: usize,
@@ -524,12 +615,14 @@ impl<'a, E: FieldEstimator + ?Sized> MarchCtx<'a, E> {
         max_perturb: usize,
     ) -> MarchCtx<'a, E> {
         let del = field.delaunay();
+        let cache = field.march_cache();
         MarchCtx {
             field,
             del,
-            cache: field.march_cache(),
+            cache,
             index,
             z_range,
+            window_floor: z_range.map(|(lo, _)| lo).filter(|&lo| lo > cache.z_min),
             eps,
             max_perturb,
             max_steps: del.num_tets() + del.num_ghosts() + 16,
@@ -580,7 +673,7 @@ pub fn march_cell<E: FieldEstimator + ?Sized>(
     stats: &mut MarchStats,
 ) -> f64 {
     let ctx = MarchCtx::new(field, index, z_range, eps, max_perturb);
-    let mut hint = NO_FACET;
+    let mut hint = EntryHint::COLD;
     march_one(&ctx, xi, seed, stats, &mut hint)
 }
 
@@ -591,7 +684,7 @@ fn march_one<E: FieldEstimator + ?Sized>(
     xi: Vec2,
     seed: &mut u64,
     stats: &mut MarchStats,
-    hint: &mut u32,
+    hint: &mut EntryHint,
 ) -> f64 {
     let crossings_before = stats.crossings;
     let v = march_cell_inner(ctx, xi, seed, stats, hint);
@@ -631,12 +724,103 @@ fn entry_lookup<E: FieldEstimator + ?Sized>(
     Some(g)
 }
 
+/// The window entry of the line through `xi` (module docs): a visibility
+/// walk from the hinted tetrahedron to the one strictly containing
+/// `(ξ, z_lo)`, every sign from the exact `orient3d`. `None` — enter through
+/// the hull — when the render seeks no window entry, the walk leaves the
+/// hull, it ends on a tie, or it exceeds the step cap (a visibility walk on
+/// a Delaunay mesh with exact predicates cannot cycle, so the cap guards
+/// only a corrupted structure). Reads the triangulation's own records, not
+/// the [`MarchCache`]: the cache's float-normalized vertex order is not the
+/// exact orientation the face signs are defined against. Never inlined: it
+/// runs once per line, and folding it into the per-tetrahedron loop's
+/// function measurably slowed renders that have no window at all.
+#[inline(never)]
+fn window_entry<E: FieldEstimator + ?Sized>(
+    ctx: &MarchCtx<'_, E>,
+    xi: Vec2,
+    hint: &mut TetId,
+    stats: &mut MarchStats,
+) -> Option<TetId> {
+    let p = Vec3::new(xi.x, xi.y, ctx.window_floor?);
+    let del = ctx.del;
+    let usable = |t: TetId| {
+        (t as usize) < del.num_slots() && {
+            let tet = del.tet_slot(t);
+            tet.is_live() && !tet.is_ghost()
+        }
+    };
+    let mut cur = if usable(*hint) {
+        *hint
+    } else {
+        del.finite_tets().next()?
+    };
+    // The face the walk entered `cur` through: its sign is the exact
+    // negation of the one that sent the walk across it — strictly positive
+    // — so it is not evaluated again.
+    let mut entered = usize::MAX;
+    let mut found = None;
+    for _ in 0..ctx.max_steps {
+        stats.window_walk_steps += 1;
+        let tet = del.tet_slot(cur);
+        let mut strict = true;
+        let mut beyond = None;
+        for i in (0..4).filter(|&i| i != entered) {
+            let [a, b, c] = tet.face(i);
+            // Face `i` is outward-oriented: Negative means `p` is strictly
+            // beyond it, Positive strictly on the tetrahedron's side.
+            match orient3d_uncounted(del.vertex(a), del.vertex(b), del.vertex(c), p) {
+                Orientation::Negative => {
+                    beyond = Some(i);
+                    break;
+                }
+                Orientation::Zero => strict = false,
+                Orientation::Positive => {}
+            }
+        }
+        let Some(i) = beyond else {
+            // No face separates `cur` from `p`: it is the entry if the
+            // containment is strict, and a tie otherwise.
+            found = strict.then_some(cur);
+            break;
+        };
+        let next = del.tet_slot(tet.neighbors[i]);
+        if next.is_ghost() {
+            break; // strictly beyond a hull facet: outside the hull
+        }
+        entered = next
+            .index_of_neighbor(cur)
+            .expect("adjacency not reciprocal");
+        cur = tet.neighbors[i];
+    }
+    *hint = cur;
+    match found {
+        Some(_) => stats.window_entries += 1,
+        None => stats.window_fallbacks += 1,
+    }
+    found
+}
+
+/// Test support: the kernel's window entry for the line through `xi` with
+/// floor `z_lo`, walked from an arbitrary `hint` — any slot id, live or not.
+#[doc(hidden)]
+pub fn window_entry_with_hint<E: FieldEstimator + ?Sized>(
+    field: &E,
+    index: &HullIndex,
+    xi: Vec2,
+    z_lo: f64,
+    mut hint: TetId,
+) -> Option<TetId> {
+    let ctx = MarchCtx::new(field, index, Some((z_lo, f64::INFINITY)), 0.0, 0);
+    window_entry(&ctx, xi, &mut hint, &mut MarchStats::default())
+}
+
 fn march_cell_inner<E: FieldEstimator + ?Sized>(
     ctx: &MarchCtx<'_, E>,
     xi: Vec2,
     seed: &mut u64,
     stats: &mut MarchStats,
-    hint: &mut u32,
+    hint: &mut EntryHint,
 ) -> f64 {
     let mut xi_cur = xi;
     let mut attempts = 0usize;
@@ -644,10 +828,15 @@ fn march_cell_inner<E: FieldEstimator + ?Sized>(
     // perturbation), we restart the whole ray after Perturb so every
     // contribution comes from one consistent line; the difference is O(ε).
     'restart: loop {
-        let Some(ghost) = entry_lookup(ctx, xi_cur, hint, stats) else {
-            return 0.0;
+        // The first tetrahedron: the window entry where the line has one,
+        // else the tetrahedron above the hull-projection facet.
+        let mut t = match window_entry(ctx, xi_cur, &mut hint.window, stats) {
+            Some(t0) => t0,
+            None => match entry_lookup(ctx, xi_cur, &mut hint.facet, stats) {
+                Some(ghost) => ctx.del.tet(ghost).neighbors[3],
+                None => return 0.0,
+            },
         };
-        let mut t = ctx.del.tet(ghost).neighbors[3];
         let ray = Ray::vertical(xi_cur.x, xi_cur.y);
         let pl = Plucker::from_ray(&ray);
         let mut total = 0.0;
@@ -826,9 +1015,10 @@ pub fn surface_density_with_index<E: FieldEstimator + ?Sized>(
         };
         render_tiled(&ctx, grid, samples, tile, &mut out, &mut stats);
     } else {
+        let mut hint = EntryHint::COLD;
         for (j, chunk) in out.data.chunks_mut(grid.nx).enumerate() {
             let mut seed = row_seed(j);
-            let mut hint = NO_FACET;
+            hint.facet = NO_FACET;
             render_row_segment(
                 &ctx, grid, samples, j, 0, &mut seed, &mut stats, &mut hint, chunk,
             );
@@ -842,13 +1032,17 @@ pub fn surface_density_with_index<E: FieldEstimator + ?Sized>(
     dtfe_telemetry::counter_add!("core.march_failures", stats.failures);
     dtfe_telemetry::counter_add!("core.entry_hint_hit", stats.entry_hint_hits);
     dtfe_telemetry::counter_add!("core.entry_hint_miss", stats.entry_hint_misses);
+    dtfe_telemetry::counter_add!("core.window_entry_hit", stats.window_entries);
+    dtfe_telemetry::counter_add!("core.window_entry_fallback", stats.window_fallbacks);
+    dtfe_telemetry::counter_add!("core.window_walk_steps", stats.window_walk_steps);
     dtfe_telemetry::counter_add!("core.plucker_edge_evals", stats.edge_evals);
     drop(span);
     (out, stats)
 }
 
 /// Render cells `i0..i0+out.len()` of row `j` into `out`, threading the RNG
-/// stream, stats, and the entry hint left to right.
+/// stream, stats, and the entry hint left to right. The window hint starts
+/// from the previous segment's first cell (the cell below this one's).
 #[allow(clippy::too_many_arguments)]
 fn render_row_segment<E: FieldEstimator + ?Sized>(
     ctx: &MarchCtx<'_, E>,
@@ -858,11 +1052,15 @@ fn render_row_segment<E: FieldEstimator + ?Sized>(
     i0: usize,
     seed: &mut u64,
     stats: &mut MarchStats,
-    hint: &mut u32,
+    hint: &mut EntryHint,
     out: &mut [f64],
 ) {
+    hint.window = hint.row_window;
     for (k, slot) in out.iter_mut().enumerate() {
         *slot = cell_value_inner(ctx, grid, samples, i0 + k, j, seed, stats, hint);
+        if k == 0 {
+            hint.row_window = hint.window;
+        }
     }
 }
 
@@ -908,7 +1106,7 @@ fn render_tiled<E: FieldEstimator + ?Sized>(
             let w = i1 - i0;
             let mut values = vec![0.0; w * (j1 - j0)];
             let mut rows = Vec::with_capacity(j1 - j0);
-            let mut hint = NO_FACET;
+            let mut hint = EntryHint::COLD;
             for j in j0..j1 {
                 let mut seed = row_seed(j);
                 for _ in 0..draws_per_cell * i0 as u64 {
@@ -972,7 +1170,7 @@ fn render_tiled<E: FieldEstimator + ?Sized>(
                 let mut s = MarchStats::default();
                 if tainted[j] {
                     let mut seed = row_seed(j);
-                    let mut hint = NO_FACET;
+                    let mut hint = EntryHint::COLD;
                     render_row_segment(
                         ctx, grid, samples, j, 0, &mut seed, &mut s, &mut hint, chunk,
                     );
@@ -1000,7 +1198,7 @@ pub fn cell_value<E: FieldEstimator + ?Sized>(
     stats: &mut MarchStats,
 ) -> f64 {
     let ctx = MarchCtx::new(field, index, opts.render.z_range, eps, opts.max_perturb);
-    let mut hint = NO_FACET;
+    let mut hint = EntryHint::COLD;
     cell_value_inner(
         &ctx,
         grid,
@@ -1022,7 +1220,7 @@ fn cell_value_inner<E: FieldEstimator + ?Sized>(
     j: usize,
     seed: &mut u64,
     stats: &mut MarchStats,
-    hint: &mut u32,
+    hint: &mut EntryHint,
 ) -> f64 {
     if samples <= 1 {
         let xi = grid.center(i, j);

@@ -3,15 +3,19 @@
 use super::{perturb_or_fail, rand_unit, row_seed, HullIndex, MarchOptions, MarchStats};
 use crate::estimator::FieldEstimator;
 use crate::grid::{Field2, GridSpec2};
+use dtfe_delaunay::{Delaunay, Located, TetId, NONE};
 use dtfe_geometry::plucker::{ray_tetra, Plucker, Ray};
+use dtfe_geometry::predicates::orient3d;
 use dtfe_geometry::{Vec2, Vec3};
 use rayon::prelude::*;
 
-/// The pre-coherence marching kernel, kept verbatim: per-cell binned hull
-/// queries (each tallied as an entry-hint miss), per-step [`ray_tetra`]
-/// with no cross-face reuse (6 edge evaluations per test), row-parallel
-/// scheduling. The rendered field and the
-/// crossings/perturbations/failures counters are bit-identical to
+/// The pre-coherence marching kernel: per-cell binned hull queries (each
+/// tallied as an entry-hint miss), per-step [`ray_tetra`] with no
+/// cross-face reuse (6 edge evaluations per test), row-parallel
+/// scheduling, and — under a window — the window entry of the module docs
+/// found from scratch for every line (`reference_window_entry`). The
+/// rendered field and the crossings/perturbations/failures counters are
+/// bit-identical to
 /// [`surface_density_with_index`](super::surface_density_with_index) on
 /// the same field and grid — the equivalence proptests and CI's march-bench
 /// smoke step assert exactly that, and the bench bin reports the speedup
@@ -22,11 +26,70 @@ pub fn surface_density_reference<E: FieldEstimator + ?Sized>(
     grid: &GridSpec2,
     opts: &MarchOptions,
 ) -> (Field2, MarchStats) {
+    // Evaluated once per render, as the kernel does, but from the vertices
+    // themselves rather than the kernel's cached `z_min`.
+    let vertices = field.delaunay().vertices();
+    let z_min = vertices.iter().fold(f64::INFINITY, |m, v| m.min(v.z));
+    let floor = opts.render.z_range.map(|(lo, _)| lo);
+    reference_render(field, index, grid, opts, floor.filter(|&lo| lo > z_min))
+}
+
+/// [`surface_density_reference`] as it stood before window entry: every
+/// line enters through the hull projection, windowed or not. Kept one PR as
+/// test support, to pin window-entered == hull-entered output as a
+/// differential on fixed fixtures (equal bits there; not a theorem — a
+/// floor within an ulp of a face crossing, or a degeneracy below the
+/// window, may differ).
+#[doc(hidden)]
+pub fn surface_density_reference_hull_entry<E: FieldEstimator + ?Sized>(
+    field: &E,
+    index: &HullIndex,
+    grid: &GridSpec2,
+    opts: &MarchOptions,
+) -> (Field2, MarchStats) {
+    reference_render(field, index, grid, opts, None)
+}
+
+/// The window entry of the line through `xi` for floor `z_lo`, by the
+/// definition alone: locate `(ξ, z_lo)` from scratch with the
+/// triangulation's own stochastic walk, then demand four strictly positive
+/// face signs. Shares no code with the kernel's hinted walk.
+fn reference_window_entry(del: &Delaunay, xi: Vec2, z_lo: f64) -> Option<TetId> {
+    let p = Vec3::new(xi.x, xi.y, z_lo);
+    let Located::Finite(t) = del.locate_seeded(p, NONE, &mut 0x9E37_79B9_7F4A_7C15) else {
+        return None; // outside the hull, or exactly on a vertex
+    };
+    (0..4)
+        .all(|i| {
+            let [a, b, c] = del.tet(t).face(i);
+            orient3d(del.vertex(a), del.vertex(b), del.vertex(c), p).is_positive()
+        })
+        .then_some(t)
+}
+
+fn reference_render<E: FieldEstimator + ?Sized>(
+    field: &E,
+    index: &HullIndex,
+    grid: &GridSpec2,
+    opts: &MarchOptions,
+    window_floor: Option<f64>,
+) -> (Field2, MarchStats) {
     let eps = opts.epsilon * grid.cell.norm();
     let row = |j: usize, out: &mut [f64], stats: &mut MarchStats| {
         let mut seed = row_seed(j);
         for (i, slot) in out.iter_mut().enumerate() {
-            *slot = reference_cell_value(field, index, grid, i, j, eps, opts, &mut seed, stats);
+            *slot = reference_cell_value(
+                field,
+                index,
+                grid,
+                i,
+                j,
+                eps,
+                opts,
+                window_floor,
+                &mut seed,
+                stats,
+            );
         }
     };
     let mut out = Field2::zeros(*grid);
@@ -62,11 +125,15 @@ fn reference_cell_value<E: FieldEstimator + ?Sized>(
     j: usize,
     eps: f64,
     opts: &MarchOptions,
+    window_floor: Option<f64>,
     seed: &mut u64,
     stats: &mut MarchStats,
 ) -> f64 {
+    let mut march = |xi, seed: &mut u64| {
+        reference_march_one(field, index, xi, eps, opts, window_floor, seed, stats)
+    };
     if opts.render.samples <= 1 {
-        return reference_march_one(field, index, grid.center(i, j), eps, opts, seed, stats);
+        return march(grid.center(i, j), seed);
     }
     let base = Vec2::new(
         grid.origin.x + i as f64 * grid.cell.x,
@@ -75,17 +142,19 @@ fn reference_cell_value<E: FieldEstimator + ?Sized>(
     let mut acc = 0.0;
     for _ in 0..opts.render.samples {
         let xi = base + Vec2::new(rand_unit(seed) * grid.cell.x, rand_unit(seed) * grid.cell.y);
-        acc += reference_march_one(field, index, xi, eps, opts, seed, stats);
+        acc += march(xi, seed);
     }
     acc / opts.render.samples as f64
 }
 
+#[allow(clippy::too_many_arguments)]
 fn reference_march_one<E: FieldEstimator + ?Sized>(
     field: &E,
     index: &HullIndex,
     xi: Vec2,
     eps: f64,
     opts: &MarchOptions,
+    window_floor: Option<f64>,
     seed: &mut u64,
     stats: &mut MarchStats,
 ) -> f64 {
@@ -95,6 +164,7 @@ fn reference_march_one<E: FieldEstimator + ?Sized>(
         index,
         xi,
         opts.render.z_range,
+        window_floor,
         eps,
         opts.max_perturb,
         seed,
@@ -110,6 +180,7 @@ fn reference_march_cell_inner<E: FieldEstimator + ?Sized>(
     index: &HullIndex,
     xi: Vec2,
     z_range: Option<(f64, f64)>,
+    window_floor: Option<f64>,
     eps: f64,
     max_perturb: usize,
     seed: &mut u64,
@@ -120,11 +191,16 @@ fn reference_march_cell_inner<E: FieldEstimator + ?Sized>(
     let mut attempts = 0usize;
     let max_steps = del.num_tets() + del.num_ghosts() + 16;
     'restart: loop {
-        stats.entry_hint_misses += 1;
-        let Some(ghost) = index.query(xi_cur) else {
-            return 0.0;
+        let mut t = match window_floor.and_then(|z_lo| reference_window_entry(del, xi_cur, z_lo)) {
+            Some(t0) => t0,
+            None => {
+                stats.entry_hint_misses += 1;
+                match index.query(xi_cur) {
+                    Some(ghost) => del.tet(ghost).neighbors[3],
+                    None => return 0.0,
+                }
+            }
         };
-        let mut t = del.tet(ghost).neighbors[3];
         let ray = Ray::vertical(xi_cur.x, xi_cur.y);
         let pl = Plucker::from_ray(&ray);
         let mut total = 0.0;

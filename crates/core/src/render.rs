@@ -39,6 +39,14 @@ pub struct RenderOptions {
     /// Restrict the integral to `z ∈ [lo, hi]` (sub-volume fields). `None`
     /// uses the full extent: the marching kernel integrates the hull chord,
     /// the walking baseline lifts its 3D grid over the vertex z-extent.
+    ///
+    /// In the marching kernel a window makes the line of sight the segment
+    /// `ξ × [lo, hi]`: the march enters at the tetrahedron strictly
+    /// containing `(ξ, lo)` (through the hull projection when there is
+    /// none — see [`crate::marching`]) and leaves at `hi`, so it examines
+    /// only the tetrahedra the segment meets, and
+    /// [`MarchStats::crossings`](crate::marching::MarchStats::crossings) counts
+    /// those, not the whole hull chord.
     pub z_range: Option<(f64, f64)>,
     /// Parallelize over grid rows/columns with Rayon (the paper's OpenMP
     /// loop).

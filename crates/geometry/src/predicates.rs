@@ -122,7 +122,34 @@ pub fn orient3d_det(a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> f64 {
 /// `Positive` when `d` lies on the side of plane `(a, b, c)` such that
 /// `(a, b, c)` appears counterclockwise from `d` — equivalently, the signed
 /// volume `det[a-d, b-d, c-d] / 6` is positive.
+///
+/// This is the *counted* entry point: every call is booked on
+/// `geometry.orient3d_filtered` or `geometry.orient3d_exact`, the ledger
+/// the triangulation builder's predicate work is read from.
 pub fn orient3d(a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> Orientation {
+    let (o, exact) = orient3d_sign(a, b, c, d);
+    if exact {
+        dtfe_telemetry::counter_add!("geometry.orient3d_exact", 1);
+    } else {
+        dtfe_telemetry::counter_add!("geometry.orient3d_filtered", 1);
+    }
+    o
+}
+
+/// [`orient3d`] without the telemetry booking — the same filtered pass and
+/// the same exact fallback, so the same sign on every input. For callers
+/// that are not triangulation work and keep their own counters (the
+/// marching kernel's window-entry walk), so `geometry.predicate_calls_per_point`
+/// keeps measuring the builder alone.
+#[inline]
+pub fn orient3d_uncounted(a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> Orientation {
+    orient3d_sign(a, b, c, d).0
+}
+
+/// The sign core shared by [`orient3d`] and [`orient3d_uncounted`]: the
+/// orientation, and whether the exact fallback decided it.
+#[inline]
+fn orient3d_sign(a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> (Orientation, bool) {
     let adx = a.x - d.x;
     let ady = a.y - d.y;
     let adz = a.z - d.z;
@@ -146,11 +173,12 @@ pub fn orient3d(a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> Orientation {
         + cdx.abs() * (adybdz.abs() + adzbdy.abs());
 
     if det.abs() > O3D_BOUND * permanent {
-        dtfe_telemetry::counter_add!("geometry.orient3d_filtered", 1);
-        return Orientation::from_sign(if det > 0.0 { 1 } else { -1 });
+        return (
+            Orientation::from_sign(if det > 0.0 { 1 } else { -1 }),
+            false,
+        );
     }
-    dtfe_telemetry::counter_add!("geometry.orient3d_exact", 1);
-    orient3d_exact(a, b, c, d)
+    (orient3d_exact(a, b, c, d), true)
 }
 
 fn orient3d_exact(a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> Orientation {

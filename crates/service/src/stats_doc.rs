@@ -122,6 +122,14 @@ impl HistDigest {
 /// whole, histograms (cumulative and windowed) as quantile digests.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsDigest {
+    /// Every registry counter by name. The marching kernel bridges its
+    /// per-render `MarchStats` here: `core.los_marched`,
+    /// `core.tets_crossed`, `core.degenerate_restarts`,
+    /// `core.march_failures`, `core.plucker_edge_evals`,
+    /// `core.entry_hint_hit` / `core.entry_hint_miss` (hull entries only)
+    /// and — for z-windowed renders, which is every served render —
+    /// `core.window_entry_hit`, `core.window_entry_fallback` and
+    /// `core.window_walk_steps`.
     pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, f64>,
     pub histograms: BTreeMap<String, HistDigest>,
