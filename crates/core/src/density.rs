@@ -1,12 +1,13 @@
 //! The DTFE estimator: per-vertex densities and the piecewise-linear
 //! interpolant (paper §III-A).
 
-use crate::estimator::{entry_facets_of, FieldEstimator};
+use crate::estimator::{
+    entry_facets_of, integrate_vertex_field, vertex_interp, vertex_masses, DegeneratePolicy,
+    FieldEstimator, FieldView,
+};
 use crate::marching::MarchCache;
 use dtfe_delaunay::{BuildError, Delaunay, DelaunayBuilder, Located, TetId};
-use dtfe_geometry::tetra::{linear_gradient, volume};
 use dtfe_geometry::{Vec2, Vec3};
-use rayon::prelude::*;
 use std::sync::OnceLock;
 
 /// Particle masses for the density estimate.
@@ -47,26 +48,8 @@ pub struct DtfeField {
 /// Eq. 2 over `del`'s current slot order: `ρ̂_i = (d+1) m_i / W_i`, merged
 /// duplicates accumulating their masses.
 fn vertex_densities(del: &Delaunay, n_input: usize, mass: &Mass) -> Vec<f64> {
-    let mut vmass = vec![0.0f64; del.num_vertices()];
-    match mass {
-        Mass::Uniform(m) => {
-            if n_input == del.num_vertices() {
-                vmass.fill(*m);
-            } else {
-                for i in 0..n_input {
-                    vmass[del.vertex_of_input(i) as usize] += m;
-                }
-            }
-        }
-        Mass::PerParticle(ms) => {
-            assert_eq!(ms.len(), n_input, "mass count != input point count");
-            for (i, &m) in ms.iter().enumerate() {
-                vmass[del.vertex_of_input(i) as usize] += m;
-            }
-        }
-    }
     let star = del.vertex_star_volumes();
-    vmass
+    vertex_masses(del, n_input, mass)
         .iter()
         .zip(&star)
         .map(|(&m, &w)| if w > 0.0 { 4.0 * m / w } else { 0.0 })
@@ -78,14 +61,6 @@ impl DtfeField {
     pub fn build(points: &[Vec3], mass: Mass) -> Result<DtfeField, BuildError> {
         let del = DelaunayBuilder::new().build(points)?;
         Ok(Self::from_delaunay_for_inputs(del, points.len(), mass))
-    }
-
-    /// Use an existing triangulation whose vertices are the particles
-    /// (no merged duplicates, or uniform mass where merging is irrelevant
-    /// to the caller).
-    pub fn from_delaunay(del: Delaunay, mass: Mass) -> DtfeField {
-        let n = del.vertices().len();
-        Self::from_delaunay_for_inputs(del, n, mass)
     }
 
     /// Use an existing triangulation built from `n_input` input points
@@ -101,70 +76,21 @@ impl DtfeField {
     /// the new order. Every density, gradient, and rendered field is
     /// therefore bit-identical to the unordered construction. `TetId`s
     /// obtained from this field's [`DtfeField::delaunay`] are consistent
-    /// with every accessor; only ids retained from `del` *before* this call
-    /// go stale — use [`DtfeField::from_delaunay_unordered`] if you need
-    /// those to survive.
+    /// with every accessor; ids retained from `del` *before* this call go
+    /// stale.
     pub fn from_delaunay_for_inputs(mut del: Delaunay, n_input: usize, mass: Mass) -> DtfeField {
         let vertex_density = vertex_densities(&del, n_input, &mass);
         del.compact_reorder();
         Self::with_densities(del, vertex_density)
     }
 
-    /// As [`DtfeField::from_delaunay_for_inputs`] but keeping `del`'s slot
-    /// numbering (no cache reordering pass), so `TetId`s held by the caller
-    /// stay valid.
-    pub fn from_delaunay_unordered(del: Delaunay, n_input: usize, mass: Mass) -> DtfeField {
-        let vertex_density = vertex_densities(&del, n_input, &mass);
-        Self::with_densities(del, vertex_density)
-    }
-
-    /// Per-tet constant gradients (Eq. 1) over `del`'s current slots,
-    /// computed in parallel on large meshes.
+    /// Per-tet constant gradients (Eq. 1) over `del`'s current slots.
+    /// Degenerate (coplanar) tetrahedra carry zero volume, so a zero
+    /// gradient is the documented density policy
+    /// ([`DegeneratePolicy::ZeroGradient`], counted).
     fn with_densities(del: Delaunay, vertex_density: Vec<f64>) -> DtfeField {
-        /// Below this many slots the pass runs in the calling thread: the
-        /// vendored rayon spawns scoped OS threads per call, which costs
-        /// more than a serial pass over a batch work item's ~4k-slot mesh.
-        const PAR_MIN_SLOTS: usize = 1 << 15;
-
-        let slots = del.num_slots();
-        let interp_of = |t: u32| {
-            let tet = del.tet_slot(t);
-            if !tet.is_live() || tet.is_ghost() {
-                return TetInterp {
-                    v0: Vec3::ZERO,
-                    rho0: 0.0,
-                    grad: Vec3::ZERO,
-                };
-            }
-            let v = [
-                del.vertex(tet.verts[0]),
-                del.vertex(tet.verts[1]),
-                del.vertex(tet.verts[2]),
-                del.vertex(tet.verts[3]),
-            ];
-            let f = [
-                vertex_density[tet.verts[0] as usize],
-                vertex_density[tet.verts[1] as usize],
-                vertex_density[tet.verts[2] as usize],
-                vertex_density[tet.verts[3] as usize],
-            ];
-            // Degenerate (coplanar) tetrahedra carry zero volume, so a
-            // zero gradient is the documented density policy — their
-            // contribution to any line-of-sight integral is negligible.
-            // See `estimator::DegeneratePolicy::ZeroGradient`.
-            let grad = linear_gradient(&v, &f).unwrap_or(Vec3::ZERO);
-            TetInterp {
-                v0: v[0],
-                rho0: f[0],
-                grad,
-            }
-        };
-        let interp: Vec<TetInterp> = if slots < PAR_MIN_SLOTS {
-            (0..slots as u32).map(interp_of).collect()
-        } else {
-            (0..slots as u32).into_par_iter().map(interp_of).collect()
-        };
-
+        let interp = vertex_interp(&del, &vertex_density, DegeneratePolicy::ZeroGradient)
+            .expect("ZeroGradient policy is infallible");
         DtfeField {
             del,
             vertex_density,
@@ -179,11 +105,16 @@ impl DtfeField {
         &self.del
     }
 
+    /// Give up the field, keep its (reordered) triangulation.
+    pub(crate) fn into_delaunay(self) -> Delaunay {
+        self.del
+    }
+
     /// The marching kernel's pre-normalized tetrahedron cache, built on
     /// first use (one parallel pass over the slots).
     #[inline]
     pub fn march_cache(&self) -> &MarchCache {
-        self.march.get_or_init(|| MarchCache::build(&self.del))
+        self.view().cache
     }
 
     /// Vertex densities `ρ̂(x_i)` (Eq. 2), indexed by `VertexId`.
@@ -230,21 +161,7 @@ impl DtfeField {
     /// Total estimated mass `∫ ρ̂ dV` over the hull — equals the input mass
     /// up to floating-point roundoff (DTFE's conservation property).
     pub fn integrated_mass(&self) -> f64 {
-        self.del
-            .finite_tets()
-            .map(|t| {
-                let p = self.del.tet_points(t);
-                let vol = volume(p[0], p[1], p[2], p[3]);
-                let tet = self.del.tet(t);
-                let mean: f64 = tet
-                    .verts
-                    .iter()
-                    .map(|&v| self.vertex_density[v as usize])
-                    .sum::<f64>()
-                    / 4.0;
-                vol * mean
-            })
-            .sum()
+        integrate_vertex_field(&self.del, &self.vertex_density)
     }
 
     /// Ghost tetrahedra whose hull facet faces the *negative* integration
@@ -255,24 +172,9 @@ impl DtfeField {
     }
 }
 
-/// `DtfeField` is the canonical estimator: the trait methods are the same
-/// accessors the marching kernel called before the [`FieldEstimator`] seam
-/// existed, so rendering through the trait is bit-identical to the
-/// pre-trait kernel (asserted by the conformance suite).
 impl FieldEstimator for DtfeField {
-    #[inline]
-    fn delaunay(&self) -> &Delaunay {
-        &self.del
-    }
-
-    #[inline]
-    fn march_cache(&self) -> &MarchCache {
-        DtfeField::march_cache(self)
-    }
-
-    #[inline]
-    fn tet_interp(&self, t: TetId) -> &TetInterp {
-        &self.interp[t as usize]
+    fn view(&self) -> FieldView<'_> {
+        FieldView::new(&self.del, &self.march, &self.interp)
     }
 }
 
@@ -384,11 +286,23 @@ mod tests {
         assert!((field.integrated_mass() - 4.0).abs() < 1e-9);
     }
 
+    /// As [`DtfeField::from_delaunay_for_inputs`] without the cache
+    /// reordering pass: the construction-order mesh the reorder is held
+    /// against.
+    fn from_delaunay_unordered(del: Delaunay, n_input: usize, mass: Mass) -> DtfeField {
+        let vertex_density = vertex_densities(&del, n_input, &mass);
+        DtfeField::with_densities(del, vertex_density)
+    }
+
     #[test]
     fn reorder_preserves_interpolants() {
         // The cache reorder permutes slots only: every tetrahedron's
         // interpolant (v0, rho0, grad) must be carried over bit-for-bit,
         // since the marching integral is computed from exactly these.
+        use crate::grid::{Field2, GridSpec2};
+        use crate::marching::{
+            surface_density_reference, surface_density_with_index, HullIndex, MarchOptions,
+        };
         use dtfe_delaunay::DelaunayBuilder;
         let pts = jittered_cloud(5, 21);
         // Three identical deterministic builds: one kept unordered, one
@@ -398,7 +312,7 @@ mod tests {
         let mut d2 = DelaunayBuilder::new().build(&pts).unwrap();
         let d3 = DelaunayBuilder::new().build(&pts).unwrap();
         let remap = d2.compact_reorder();
-        let fa = DtfeField::from_delaunay_unordered(d1, pts.len(), Mass::Uniform(1.0));
+        let fa = from_delaunay_unordered(d1, pts.len(), Mass::Uniform(1.0));
         let fb = DtfeField::from_delaunay_for_inputs(d3, pts.len(), Mass::Uniform(1.0));
         // Densities are estimated before the reorder, so they are bitwise
         // equal, and the interpolants are merely permuted by the remap.
@@ -411,6 +325,21 @@ mod tests {
             }
         }
         assert_eq!(compared, fa.delaunay().num_tets());
+
+        // So the render cannot tell the two orders apart: the reference
+        // kernel on the construction-order mesh equals the coherent kernel
+        // on the cache-order mesh, full depth and under a window.
+        let grid = GridSpec2::covering(Vec2::new(-0.2, -0.2), Vec2::new(4.8, 4.8), 21, 17);
+        for opts in [
+            MarchOptions::new().samples(2).parallel(false),
+            MarchOptions::new().z_range(1.5, 3.2).parallel(false),
+        ] {
+            let (want, sr) = surface_density_reference(&fa, &HullIndex::build(&fa), &grid, &opts);
+            let (got, sk) = surface_density_with_index(&fb, &HullIndex::build(&fb), &grid, &opts);
+            let bits = |f: &Field2| f.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&want), bits(&got));
+            assert_eq!(sr.crossings, sk.crossings);
+        }
     }
 
     #[test]

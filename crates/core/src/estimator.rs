@@ -1,73 +1,91 @@
-//! The pluggable estimator seam: one trait from the mesh to the renderers.
+//! The estimator seam: one view from any backend to the renderers.
 //!
 //! The paper's pipeline — Delaunay mesh → per-simplex linear interpolant →
-//! exact line-of-sight integration (Eq. 12) — is generic over *what* is
-//! interpolated. [`FieldEstimator`] captures exactly what the marching
-//! kernel consumes: the triangulation, the pre-normalized traversal cache,
-//! and a per-tetrahedron linear interpolant. Every renderer in
-//! [`crate::marching`] is generic over this trait, so density
-//! ([`crate::density::DtfeField`]), arbitrary vertex-sampled scalars
-//! ([`crate::fields::ScalarField`]), phase-space estimates
-//! ([`crate::psdtfe::PsDtfeField`]), and smoothed stochastic
-//! reconstructions ([`crate::stochastic::StochasticField`]) all render
-//! through one code path — and `DtfeField` renders **bit-identically** to
-//! the pre-trait kernel, because the trait methods are the same accessors
-//! the kernel called before (the conformance suite asserts this against
-//! [`crate::marching::surface_density_reference`]).
+//! exact line-of-sight integration (Eq. 12) — has exactly one input, and
+//! [`FieldView`] is that input: the triangulation, its pre-normalized
+//! traversal cache, and one linear interpolant `(x₀, f₀, ∇f)` per
+//! tetrahedron slot (Eq. 1). Both kernels in [`crate::marching`] take a
+//! `FieldView` and nothing else, so each is compiled once however many
+//! backends exist. A backend is whatever *fills the table*:
+//! [`crate::density::DtfeField`] (Eq. 2 densities),
+//! [`crate::fields::ScalarField`] (any per-vertex scalar),
+//! [`crate::stochastic::StochasticField`] (a jittered, mass-rescaled mean)
+//! — all three through the one [`vertex_interp`] loop below — and
+//! [`crate::psdtfe::PsDtfeField`] with its divergence view (two
+//! per-simplex-constant tables over one mesh and one cache).
+//! [`FieldEstimator`] is the one-method trait that hands the view out.
 
-use crate::density::{EntryFacet, TetInterp};
+use crate::density::{EntryFacet, Mass, TetInterp};
 use crate::marching::MarchCache;
 use dtfe_delaunay::{Delaunay, TetId};
-use dtfe_geometry::tetra::linear_gradient;
+use dtfe_geometry::tetra::{linear_gradient, volume};
 use dtfe_geometry::Vec3;
+use rayon::prelude::*;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
-/// An integrable piecewise-linear field over a Delaunay mesh: everything
-/// the marching renderers need, nothing more.
+/// What the kernels render: three borrows.
 ///
-/// # Contract
-///
-/// * `tet_interp(t)` must be valid for every *finite live* tetrahedron slot
-///   of `delaunay()` (ghost/freed slots are never read by the kernel).
-/// * `march_cache()` must be built from the same triangulation
-///   `delaunay()` returns (use [`MarchCache::build`] lazily via
-///   `OnceLock`, as every in-tree backend does).
-/// * `entry_facets()` must list the downward hull facets of that same
-///   triangulation; the default implementation derives them from
-///   `delaunay()` and is correct for every backend.
-///
-/// Backends sharing one triangulation (e.g. a density field and its
-/// velocity-divergence view) may share the mesh, cache, and hull index;
-/// only `tet_interp` differs.
-pub trait FieldEstimator: Sync {
+/// * `interp[t]` must be valid for every *finite live* tetrahedron slot `t`
+///   of `del` (ghost/freed slots are never read by the kernel), so
+///   `interp.len() == del.num_slots()`.
+/// * `cache` must be [`MarchCache::build`] of that same `del` —
+///   [`FieldView::new`] guarantees it.
+#[derive(Clone, Copy)]
+pub struct FieldView<'a> {
     /// The triangulation the field is defined over.
-    fn delaunay(&self) -> &Delaunay;
+    pub del: &'a Delaunay,
+    /// The marching kernel's pre-normalized tetrahedron cache.
+    pub cache: &'a MarchCache,
+    /// Per-slot linear interpolant `f(x) = rho0 + grad · (x − v0)` (Eq. 1).
+    pub interp: &'a [TetInterp],
+}
 
-    /// The marching kernel's pre-normalized tetrahedron cache (lazily
-    /// built, shared across renders).
-    fn march_cache(&self) -> &MarchCache;
+impl<'a> FieldView<'a> {
+    /// The view over a backend's own storage. The traversal cache is built
+    /// from `del` on the first call (one pass over the slots) and shared by
+    /// every later view, whichever table it pairs with.
+    pub fn new(
+        del: &'a Delaunay,
+        cache: &'a OnceLock<MarchCache>,
+        interp: &'a [TetInterp],
+    ) -> FieldView<'a> {
+        FieldView {
+            del,
+            cache: cache.get_or_init(|| MarchCache::build(del)),
+            interp,
+        }
+    }
+}
 
-    /// The linear interpolant of finite tetrahedron `t`
-    /// (`f(x) = rho0 + grad · (x − v0)`, Eq. 1).
-    fn tet_interp(&self, t: TetId) -> &TetInterp;
+/// An integrable piecewise-linear field over a Delaunay mesh. A backend
+/// implements [`FieldEstimator::view`]; everything else is derived from it.
+/// Backends sharing one triangulation (a density field and its
+/// velocity-divergence view) hand out views that differ only in `interp`,
+/// so a [`crate::marching::HullIndex`] built for one serves the other.
+pub trait FieldEstimator: Sync {
+    /// The (mesh, traversal cache, interpolant table) the kernels render.
+    fn view(&self) -> FieldView<'_>;
 
-    /// Downward-facing hull facets projected to 2D (Eq. 14) — the entry
-    /// candidates for vertical lines of sight.
-    fn entry_facets(&self) -> Vec<EntryFacet> {
-        entry_facets_of(self.delaunay())
+    /// The triangulation the field is defined over.
+    fn delaunay(&self) -> &Delaunay {
+        self.view().del
     }
 
-    /// Evaluate the interpolant inside tetrahedron `t` (no containment
-    /// check).
-    #[inline]
-    fn value_in_tet(&self, t: TetId, p: Vec3) -> f64 {
-        let ti = self.tet_interp(t);
-        ti.rho0 + ti.grad.dot(p - ti.v0)
+    /// The marching kernel's traversal cache.
+    fn march_cache(&self) -> &MarchCache {
+        self.view().cache
+    }
+
+    /// The linear interpolant of finite tetrahedron `t`.
+    fn tet_interp(&self, t: TetId) -> &TetInterp {
+        &self.view().interp[t as usize]
     }
 }
 
 /// The downward hull facets (`n_hull · ẑ < 0`, Eq. 14) of a triangulation,
-/// projected into the x-y plane. Shared by every backend's
-/// [`FieldEstimator::entry_facets`].
+/// projected into the x-y plane: the entry candidates for vertical lines of
+/// sight.
 pub fn entry_facets_of(del: &Delaunay) -> Vec<EntryFacet> {
     let mut out = Vec::new();
     for g in del.ghost_tets() {
@@ -123,24 +141,33 @@ impl std::fmt::Display for DegenerateTetError {
 impl std::error::Error for DegenerateTetError {}
 
 /// Per-slot interpolant table for a vertex-sampled field: `values[v]` at
-/// each vertex, constant gradient per tetrahedron. Ghost/freed slots hold
-/// inert zeros. Degenerate tetrahedra follow `policy`.
+/// each vertex, constant gradient per tetrahedron (Eq. 1), over `del`'s
+/// current slot order. Ghost/freed slots hold inert zeros. Degenerate
+/// tetrahedra follow `policy`: the lowest offending slot is the error, or
+/// every zeroed gradient is counted. Parallel on large meshes; an
+/// interpolant depends only on its own tetrahedron, so the table's bits do
+/// not depend on how the pass is split.
 pub(crate) fn vertex_interp(
     del: &Delaunay,
     values: &[f64],
     policy: DegeneratePolicy,
 ) -> Result<Vec<TetInterp>, DegenerateTetError> {
-    let mut out = Vec::with_capacity(del.num_slots());
-    let mut zeroed = 0u64;
-    for t in 0..del.num_slots() as u32 {
+    /// Below this many slots the pass runs in the calling thread: the
+    /// vendored rayon spawns scoped OS threads per call, which costs more
+    /// than a serial pass over a batch work item's ~4k-slot mesh.
+    const PAR_MIN_SLOTS: usize = 1 << 15;
+
+    // Statistics only: neither publishes other data.
+    let singular = AtomicU64::new(0);
+    let first_singular = AtomicU32::new(u32::MAX);
+    let interp_of = |t: u32| {
         let tet = del.tet_slot(t);
         if !tet.is_live() || tet.is_ghost() {
-            out.push(TetInterp {
+            return TetInterp {
                 v0: Vec3::ZERO,
                 rho0: 0.0,
                 grad: Vec3::ZERO,
-            });
-            continue;
+            };
         }
         let v = [
             del.vertex(tet.verts[0]),
@@ -154,24 +181,81 @@ pub(crate) fn vertex_interp(
             values[tet.verts[2] as usize],
             values[tet.verts[3] as usize],
         ];
-        let grad = match (linear_gradient(&v, &f), policy) {
-            (Some(g), _) => g,
-            (None, DegeneratePolicy::Error) => return Err(DegenerateTetError { tet: t }),
-            (None, DegeneratePolicy::ZeroGradient) => {
-                zeroed += 1;
-                Vec3::ZERO
-            }
-        };
-        out.push(TetInterp {
+        let grad = linear_gradient(&v, &f).unwrap_or_else(|| {
+            singular.fetch_add(1, Ordering::Relaxed);
+            first_singular.fetch_min(t, Ordering::Relaxed);
+            Vec3::ZERO
+        });
+        TetInterp {
             v0: v[0],
             rho0: f[0],
             grad,
-        });
-    }
+        }
+    };
+    let slots = del.num_slots();
+    let out: Vec<TetInterp> = if slots < PAR_MIN_SLOTS {
+        (0..slots as u32).map(interp_of).collect()
+    } else {
+        (0..slots as u32).into_par_iter().map(interp_of).collect()
+    };
+    let zeroed = singular.into_inner();
     if zeroed > 0 {
-        dtfe_telemetry::counter_add!("core.degenerate_tet_zero_grad", zeroed);
+        match policy {
+            DegeneratePolicy::Error => {
+                return Err(DegenerateTetError {
+                    tet: first_singular.into_inner(),
+                })
+            }
+            // From the calling thread: rayon workers see no recorder.
+            DegeneratePolicy::ZeroGradient => {
+                dtfe_telemetry::counter_add!("core.degenerate_tet_zero_grad", zeroed)
+            }
+        }
     }
     Ok(out)
+}
+
+/// Per-vertex mass of `n_input` input particles: merged duplicates
+/// accumulate their masses through [`Delaunay::vertex_of_input`].
+pub(crate) fn vertex_masses(del: &Delaunay, n_input: usize, mass: &Mass) -> Vec<f64> {
+    let mut vmass = vec![0.0f64; del.num_vertices()];
+    match mass {
+        Mass::Uniform(m) => {
+            if n_input == del.num_vertices() {
+                vmass.fill(*m);
+            } else {
+                for i in 0..n_input {
+                    vmass[del.vertex_of_input(i) as usize] += m;
+                }
+            }
+        }
+        Mass::PerParticle(ms) => {
+            assert_eq!(ms.len(), n_input, "mass count != input point count");
+            for (i, &m) in ms.iter().enumerate() {
+                vmass[del.vertex_of_input(i) as usize] += m;
+            }
+        }
+    }
+    vmass
+}
+
+/// `∫ f dV` of a piecewise-linear vertex field over the finite mesh
+/// (tetrahedron-wise exact: volume × vertex mean).
+pub(crate) fn integrate_vertex_field(del: &Delaunay, values: &[f64]) -> f64 {
+    del.finite_tets()
+        .map(|t| {
+            let p = del.tet_points(t);
+            let vol = volume(p[0], p[1], p[2], p[3]);
+            let mean: f64 = del
+                .tet(t)
+                .verts
+                .iter()
+                .map(|&v| values[v as usize])
+                .sum::<f64>()
+                / 4.0;
+            vol * mean
+        })
+        .sum()
 }
 
 /// Which estimator a render should integrate — the request-level selector

@@ -9,7 +9,10 @@
 //! rendering through the same marching kernel as every other backend.
 
 use crate::density::TetInterp;
-use crate::estimator::{vertex_interp, DegeneratePolicy, DegenerateTetError, FieldEstimator};
+use crate::estimator::{
+    integrate_vertex_field, vertex_interp, DegeneratePolicy, DegenerateTetError, FieldEstimator,
+    FieldView,
+};
 use crate::marching::MarchCache;
 use dtfe_delaunay::{Delaunay, Located, TetId};
 use dtfe_geometry::Vec3;
@@ -36,15 +39,8 @@ impl<'a> ScalarField<'a> {
     /// Use [`ScalarField::try_new`] where a silent zero gradient is not
     /// acceptable (e.g. velocity fields feeding gradient estimates).
     pub fn new(del: &'a Delaunay, values: Vec<f64>) -> ScalarField<'a> {
-        assert_eq!(values.len(), del.num_vertices(), "one value per vertex");
-        let interp = vertex_interp(del, &values, DegeneratePolicy::ZeroGradient)
-            .expect("ZeroGradient policy is infallible");
-        ScalarField {
-            del,
-            values,
-            interp,
-            march: OnceLock::new(),
-        }
+        Self::with_policy(del, values, DegeneratePolicy::ZeroGradient)
+            .expect("ZeroGradient policy is infallible")
     }
 
     /// As [`ScalarField::new`], but a degenerate tetrahedron is a typed
@@ -53,8 +49,16 @@ impl<'a> ScalarField<'a> {
         del: &'a Delaunay,
         values: Vec<f64>,
     ) -> Result<ScalarField<'a>, DegenerateTetError> {
+        Self::with_policy(del, values, DegeneratePolicy::Error)
+    }
+
+    fn with_policy(
+        del: &'a Delaunay,
+        values: Vec<f64>,
+        policy: DegeneratePolicy,
+    ) -> Result<ScalarField<'a>, DegenerateTetError> {
         assert_eq!(values.len(), del.num_vertices(), "one value per vertex");
-        let interp = vertex_interp(del, &values, DegeneratePolicy::Error)?;
+        let interp = vertex_interp(del, &values, policy)?;
         Ok(ScalarField {
             del,
             values,
@@ -90,22 +94,9 @@ impl<'a> ScalarField<'a> {
     }
 }
 
-/// `ScalarField` renders through the shared marching kernel like every
-/// other backend.
 impl FieldEstimator for ScalarField<'_> {
-    #[inline]
-    fn delaunay(&self) -> &Delaunay {
-        self.del
-    }
-
-    #[inline]
-    fn march_cache(&self) -> &MarchCache {
-        self.march.get_or_init(|| MarchCache::build(self.del))
-    }
-
-    #[inline]
-    fn tet_interp(&self, t: TetId) -> &TetInterp {
-        &self.interp[t as usize]
+    fn view(&self) -> FieldView<'_> {
+        FieldView::new(self.del, &self.march, &self.interp)
     }
 }
 
@@ -113,23 +104,9 @@ impl FieldEstimator for ScalarField<'_> {
 /// `∫ f dV / ∫ dV` (tetrahedron-wise exact).
 pub fn volume_weighted_mean(field: &ScalarField<'_>) -> f64 {
     let del = field.delaunay();
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for t in del.finite_tets() {
-        let p = del.tet_points(t);
-        let vol = dtfe_geometry::tetra::volume(p[0], p[1], p[2], p[3]);
-        let tet = del.tet(t);
-        let mean: f64 = tet
-            .verts
-            .iter()
-            .map(|&v| field.values()[v as usize])
-            .sum::<f64>()
-            / 4.0;
-        num += vol * mean;
-        den += vol;
-    }
-    if den > 0.0 {
-        num / den
+    let hull_volume = integrate_vertex_field(del, &vec![1.0; del.num_vertices()]);
+    if hull_volume > 0.0 {
+        integrate_vertex_field(del, field.values()) / hull_volume
     } else {
         0.0
     }

@@ -20,15 +20,17 @@
 //!   (Eq. 4–5). This mimics the DTFE public software's kernel and is what
 //!   the Fig. 6 experiment reproduces.
 //! * [`grid`] — 2D/3D grid specifications and the field containers.
-//! * [`estimator`] — the [`FieldEstimator`] trait: the seam between "a
-//!   mesh with a per-tetrahedron linear interpolant" and the renderers.
-//!   Every render entry point is generic over it, so one kernel serves
-//!   DTFE density, arbitrary vertex scalars ([`fields::ScalarField`]),
-//!   phase-space estimates ([`psdtfe::PsDtfeField`] and its velocity
-//!   divergence), and smoothed stochastic reconstructions
-//!   ([`stochastic::StochasticField`]). [`EstimatorKind`] names a backend
-//!   at the request level (render options, service cache keys, the wire
-//!   protocol).
+//! * [`estimator`] — [`FieldView`], the one thing the kernels render: a
+//!   mesh, its traversal cache and one linear interpolant per tetrahedron.
+//!   A backend fills that table and hands the view out through the
+//!   one-method [`FieldEstimator`] trait; the shared vertex-field loops
+//!   (gradients, vertex masses, `∫ f dV`) live there too. One kernel,
+//!   compiled once, serves DTFE density, arbitrary vertex scalars
+//!   ([`fields::ScalarField`]), phase-space estimates
+//!   ([`psdtfe::PsDtfeField`] and its velocity divergence), and smoothed
+//!   stochastic reconstructions ([`stochastic::StochasticField`]).
+//!   [`EstimatorKind`] names a backend at the request level (render
+//!   options, service cache keys, the wire protocol).
 //!
 //! Parallelism follows the paper: the loop over grid cells is
 //! data-parallel (Rayon here, OpenMP in the paper). Per-cell entry points
@@ -77,7 +79,7 @@ pub mod stochastic;
 pub mod walking;
 
 pub use density::{DtfeField, Mass};
-pub use estimator::{DegenerateTetError, EstimatorKind, FieldEstimator};
+pub use estimator::{DegenerateTetError, EstimatorKind, FieldEstimator, FieldView};
 pub use fields::ScalarField;
 pub use grid::{Field2, Field3, GridError, GridSpec2, GridSpec3};
 pub use marching::{

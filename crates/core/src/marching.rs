@@ -77,8 +77,8 @@
 //!   perturbation (extra draws) are recomputed with the sequential stream,
 //!   so the output matches the serial kernel draw for draw.
 
-use crate::density::EntryFacet;
-use crate::estimator::FieldEstimator;
+use crate::density::{EntryFacet, TetInterp};
+use crate::estimator::{entry_facets_of, FieldEstimator, FieldView};
 use crate::grid::{Field2, GridSpec2};
 use crate::render::RenderOptions;
 use dtfe_delaunay::{Delaunay, TetId, NONE};
@@ -178,11 +178,13 @@ struct EntryHint {
 }
 
 impl EntryHint {
-    const COLD: EntryHint = EntryHint {
-        facet: NO_FACET,
-        window: NONE,
-        row_window: NONE,
-    };
+    fn cold() -> EntryHint {
+        EntryHint {
+            facet: NO_FACET,
+            window: NONE,
+            row_window: NONE,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -206,8 +208,8 @@ struct CachedTet {
 /// sign test nor the four indirect vertex gathers per traversal step.
 /// Also holds `z_min`, the mesh's lowest vertex height: a window whose
 /// floor is not above it has no window entry (module docs), decided per
-/// render without touching the mesh. Built lazily by
-/// [`DtfeField::march_cache`].
+/// render without touching the mesh. Built by a backend's first
+/// [`FieldView`].
 pub struct MarchCache {
     tets: Vec<CachedTet>,
     z_min: f64,
@@ -311,15 +313,17 @@ enum EntryWalk {
 }
 
 impl HullIndex {
-    /// Index all downward-facing hull facets of `field` — any
-    /// [`FieldEstimator`] backend.
+    /// Index all downward-facing hull facets of `field`'s triangulation —
+    /// any [`FieldEstimator`] backend; backends sharing a mesh share the
+    /// index.
     pub fn build<E: FieldEstimator + ?Sized>(field: &E) -> HullIndex {
-        Self::build_from_entry_facets(field.entry_facets())
+        Self::for_mesh(field.view().del)
     }
 
-    /// Index a caller-supplied facet list (for callers that already hold
-    /// the facets; [`HullIndex::build`] derives them from any estimator).
-    pub fn build_from_entry_facets(facets: Vec<EntryFacet>) -> HullIndex {
+    /// [`HullIndex::build`] for a caller that holds the mesh and does not
+    /// want the field's traversal cache built yet, as taking a view does.
+    pub fn for_mesh(del: &Delaunay) -> HullIndex {
+        let facets = entry_facets_of(del);
         let _span = dtfe_telemetry::span!("core.hull_index_build", facets = facets.len());
         assert!(
             !facets.is_empty(),
@@ -428,6 +432,7 @@ impl HullIndex {
 
     /// As [`HullIndex::query`], also returning the facet index (the next
     /// cell's walk hint).
+    #[inline(never)] // once per hull-entered line; see `march_one`
     fn query_with_facet(&self, q: Vec2) -> Option<(TetId, u32)> {
         if q.x < self.bounds.lo.x
             || q.y < self.bounds.lo.y
@@ -454,6 +459,7 @@ impl HullIndex {
     /// so a `Found`/`Outside` verdict is always the verdict
     /// [`HullIndex::query`] would reach — entry facets, and therefore
     /// rendered fields, are bit-identical with hints on or off.
+    #[inline(never)] // once per hull-entered line; see `march_one`
     fn walk_from(&self, start: u32, q: Vec2) -> EntryWalk {
         let mut fi = start as usize;
         if fi >= self.facets.len() {
@@ -588,16 +594,16 @@ fn row_seed(j: usize) -> u64 {
 // The coherent kernel.
 
 /// Loop-invariant state of one render, hoisted out of the per-cell restart
-/// loop: the mesh handles, the traversal cache, the step bound, the
-/// integration window, and the floor a window entry is sought at (`None`
+/// loop: the [`FieldView`]'s three borrows, the hull index, the step bound,
+/// the integration window, and the floor a window entry is sought at (`None`
 /// when the render has no window or its floor is not above the mesh's
-/// lowest vertex). Generic over the estimator backend; with
-/// `E = DtfeField` this monomorphizes to exactly the pre-trait kernel, and
-/// `E = dyn FieldEstimator` serves runtime-selected backends.
-struct MarchCtx<'a, E: ?Sized> {
-    field: &'a E,
+/// lowest vertex). Not generic: every backend, named or `dyn`, renders
+/// through this one kernel, so the `pub` entry points below are one-line
+/// shims over `field.view()`.
+struct MarchCtx<'a> {
     del: &'a Delaunay,
     cache: &'a MarchCache,
+    interp: &'a [TetInterp],
     index: &'a HullIndex,
     z_range: Option<(f64, f64)>,
     window_floor: Option<f64>,
@@ -606,20 +612,19 @@ struct MarchCtx<'a, E: ?Sized> {
     max_steps: usize,
 }
 
-impl<'a, E: FieldEstimator + ?Sized> MarchCtx<'a, E> {
+impl<'a> MarchCtx<'a> {
     fn new(
-        field: &'a E,
+        view: FieldView<'a>,
         index: &'a HullIndex,
         z_range: Option<(f64, f64)>,
         eps: f64,
         max_perturb: usize,
-    ) -> MarchCtx<'a, E> {
-        let del = field.delaunay();
-        let cache = field.march_cache();
+    ) -> MarchCtx<'a> {
+        let FieldView { del, cache, interp } = view;
         MarchCtx {
-            field,
             del,
             cache,
+            interp,
             index,
             z_range,
             window_floor: z_range.map(|(lo, _)| lo).filter(|&lo| lo > cache.z_min),
@@ -672,15 +677,28 @@ pub fn march_cell<E: FieldEstimator + ?Sized>(
     seed: &mut u64,
     stats: &mut MarchStats,
 ) -> f64 {
-    let ctx = MarchCtx::new(field, index, z_range, eps, max_perturb);
-    let mut hint = EntryHint::COLD;
-    march_one(&ctx, xi, seed, stats, &mut hint)
+    march_one(
+        &MarchCtx::new(field.view(), index, z_range, eps, max_perturb),
+        xi,
+        seed,
+        stats,
+        &mut EntryHint::cold(),
+    )
 }
 
 /// [`march_cell`] with the render-invariant state and the entry hint
 /// threaded through (the renderers' inner call).
-fn march_one<E: FieldEstimator + ?Sized>(
-    ctx: &MarchCtx<'_, E>,
+///
+/// This is the per-tetrahedron loop's function, and it exists once per
+/// binary. With a single instantiation every helper it reaches has a single
+/// caller and LLVM folds them all in here (2.7 kB → 5.1 kB measured) — the
+/// effect that cost ~4 % when it happened to `window_entry` alone. So the
+/// once-per-line searches and the cold `Perturb` path are pinned out of
+/// line, and this function out of the row loop: the shape the kernel had
+/// when it was compiled once per backend (DESIGN.md §4f).
+#[inline(never)]
+fn march_one(
+    ctx: &MarchCtx<'_>,
     xi: Vec2,
     seed: &mut u64,
     stats: &mut MarchStats,
@@ -697,8 +715,8 @@ fn march_one<E: FieldEstimator + ?Sized>(
 /// Locate the entry ghost for `xi`: walk from the hinted facet when one is
 /// set, fall back to the binned query on a tie or a cold hint. Either way
 /// the hint is left on the found facet for the next cell.
-fn entry_lookup<E: FieldEstimator + ?Sized>(
-    ctx: &MarchCtx<'_, E>,
+fn entry_lookup(
+    ctx: &MarchCtx<'_>,
     q: Vec2,
     hint: &mut u32,
     stats: &mut MarchStats,
@@ -736,8 +754,8 @@ fn entry_lookup<E: FieldEstimator + ?Sized>(
 /// runs once per line, and folding it into the per-tetrahedron loop's
 /// function measurably slowed renders that have no window at all.
 #[inline(never)]
-fn window_entry<E: FieldEstimator + ?Sized>(
-    ctx: &MarchCtx<'_, E>,
+fn window_entry(
+    ctx: &MarchCtx<'_>,
     xi: Vec2,
     hint: &mut TetId,
     stats: &mut MarchStats,
@@ -811,12 +829,16 @@ pub fn window_entry_with_hint<E: FieldEstimator + ?Sized>(
     z_lo: f64,
     mut hint: TetId,
 ) -> Option<TetId> {
-    let ctx = MarchCtx::new(field, index, Some((z_lo, f64::INFINITY)), 0.0, 0);
-    window_entry(&ctx, xi, &mut hint, &mut MarchStats::default())
+    window_entry(
+        &MarchCtx::new(field.view(), index, Some((z_lo, f64::INFINITY)), 0.0, 0),
+        xi,
+        &mut hint,
+        &mut MarchStats::default(),
+    )
 }
 
-fn march_cell_inner<E: FieldEstimator + ?Sized>(
-    ctx: &MarchCtx<'_, E>,
+fn march_cell_inner(
+    ctx: &MarchCtx<'_>,
     xi: Vec2,
     seed: &mut u64,
     stats: &mut MarchStats,
@@ -914,7 +936,7 @@ fn march_cell_inner<E: FieldEstimator + ?Sized>(
             }
             if b > a {
                 // Eq. 12: exact integral via the interval midpoint.
-                let ti = ctx.field.tet_interp(t);
+                let ti = &ctx.interp[t as usize];
                 let mid = Vec3::new(xi_cur.x, xi_cur.y, 0.5 * (a + b));
                 let rho_mid = ti.rho0 + ti.grad.dot(mid - ti.v0);
                 total += rho_mid * (b - a);
@@ -940,6 +962,8 @@ fn march_cell_inner<E: FieldEstimator + ?Sized>(
 
 /// The paper's `Perturb` (Fig. 2): move `ξ` by at most `eps` toward the
 /// projection of a randomly chosen vertex of the offending tetrahedron.
+#[cold]
+#[inline(never)]
 fn perturb(del: &Delaunay, t: TetId, xi: Vec2, eps: f64, seed: &mut u64) -> Vec2 {
     let tet = del.tet(t);
     for _ in 0..4 {
@@ -986,8 +1010,7 @@ pub fn surface_density_with_stats<E: FieldEstimator + ?Sized>(
     grid: &GridSpec2,
     opts: &MarchOptions,
 ) -> (Field2, MarchStats) {
-    let index = HullIndex::build(field);
-    surface_density_with_index(field, &index, grid, opts)
+    surface_density_with_index(field, &HullIndex::build(field), grid, opts)
 }
 
 /// As [`surface_density_with_stats`], but marching through a caller-supplied
@@ -1001,9 +1024,19 @@ pub fn surface_density_with_index<E: FieldEstimator + ?Sized>(
     grid: &GridSpec2,
     opts: &MarchOptions,
 ) -> (Field2, MarchStats) {
+    render(field.view(), index, grid, opts)
+}
+
+/// The render every `surface_density*` entry point is a shim over.
+fn render(
+    view: FieldView<'_>,
+    index: &HullIndex,
+    grid: &GridSpec2,
+    opts: &MarchOptions,
+) -> (Field2, MarchStats) {
     let span = dtfe_telemetry::span!("core.march_render", nx = grid.nx, ny = grid.ny);
     let eps = opts.epsilon * grid.cell.norm();
-    let ctx = MarchCtx::new(field, index, opts.render.z_range, eps, opts.max_perturb);
+    let ctx = MarchCtx::new(view, index, opts.render.z_range, eps, opts.max_perturb);
     let samples = opts.render.samples;
     let mut out = Field2::zeros(*grid);
     let mut stats = MarchStats::default();
@@ -1015,7 +1048,7 @@ pub fn surface_density_with_index<E: FieldEstimator + ?Sized>(
         };
         render_tiled(&ctx, grid, samples, tile, &mut out, &mut stats);
     } else {
-        let mut hint = EntryHint::COLD;
+        let mut hint = EntryHint::cold();
         for (j, chunk) in out.data.chunks_mut(grid.nx).enumerate() {
             let mut seed = row_seed(j);
             hint.facet = NO_FACET;
@@ -1044,8 +1077,9 @@ pub fn surface_density_with_index<E: FieldEstimator + ?Sized>(
 /// stream, stats, and the entry hint left to right. The window hint starts
 /// from the previous segment's first cell (the cell below this one's).
 #[allow(clippy::too_many_arguments)]
-fn render_row_segment<E: FieldEstimator + ?Sized>(
-    ctx: &MarchCtx<'_, E>,
+#[inline(never)] // keeps the cell loop apart from the tile scheduling around it
+fn render_row_segment(
+    ctx: &MarchCtx<'_>,
     grid: &GridSpec2,
     samples: usize,
     j: usize,
@@ -1071,8 +1105,8 @@ fn render_row_segment<E: FieldEstimator + ?Sized>(
 /// perturbs. Tiles fast-forward each row's seed past the cells to their
 /// left; any row where some tile perturbed is recomputed afterwards with
 /// the true sequential stream.
-fn render_tiled<E: FieldEstimator + ?Sized>(
-    ctx: &MarchCtx<'_, E>,
+fn render_tiled(
+    ctx: &MarchCtx<'_>,
     grid: &GridSpec2,
     samples: usize,
     tile: usize,
@@ -1106,7 +1140,7 @@ fn render_tiled<E: FieldEstimator + ?Sized>(
             let w = i1 - i0;
             let mut values = vec![0.0; w * (j1 - j0)];
             let mut rows = Vec::with_capacity(j1 - j0);
-            let mut hint = EntryHint::COLD;
+            let mut hint = EntryHint::cold();
             for j in j0..j1 {
                 let mut seed = row_seed(j);
                 for _ in 0..draws_per_cell * i0 as u64 {
@@ -1170,7 +1204,7 @@ fn render_tiled<E: FieldEstimator + ?Sized>(
                 let mut s = MarchStats::default();
                 if tainted[j] {
                     let mut seed = row_seed(j);
-                    let mut hint = EntryHint::COLD;
+                    let mut hint = EntryHint::cold();
                     render_row_segment(
                         ctx, grid, samples, j, 0, &mut seed, &mut s, &mut hint, chunk,
                     );
@@ -1197,23 +1231,27 @@ pub fn cell_value<E: FieldEstimator + ?Sized>(
     seed: &mut u64,
     stats: &mut MarchStats,
 ) -> f64 {
-    let ctx = MarchCtx::new(field, index, opts.render.z_range, eps, opts.max_perturb);
-    let mut hint = EntryHint::COLD;
     cell_value_inner(
-        &ctx,
+        &MarchCtx::new(
+            field.view(),
+            index,
+            opts.render.z_range,
+            eps,
+            opts.max_perturb,
+        ),
         grid,
         opts.render.samples,
         i,
         j,
         seed,
         stats,
-        &mut hint,
+        &mut EntryHint::cold(),
     )
 }
 
 #[allow(clippy::too_many_arguments)]
-fn cell_value_inner<E: FieldEstimator + ?Sized>(
-    ctx: &MarchCtx<'_, E>,
+fn cell_value_inner(
+    ctx: &MarchCtx<'_>,
     grid: &GridSpec2,
     samples: usize,
     i: usize,

@@ -1,7 +1,7 @@
 //! The reference kernel (the equivalence oracle).
 
 use super::{perturb_or_fail, rand_unit, row_seed, HullIndex, MarchOptions, MarchStats};
-use crate::estimator::FieldEstimator;
+use crate::estimator::{FieldEstimator, FieldView};
 use crate::grid::{Field2, GridSpec2};
 use dtfe_delaunay::{Delaunay, Located, TetId, NONE};
 use dtfe_geometry::plucker::{ray_tetra, Plucker, Ray};
@@ -17,29 +17,27 @@ use rayon::prelude::*;
 /// rendered field and the crossings/perturbations/failures counters are
 /// bit-identical to
 /// [`surface_density_with_index`](super::surface_density_with_index) on
-/// the same field and grid — the equivalence proptests and CI's march-bench
-/// smoke step assert exactly that, and the bench bin reports the speedup
-/// against this path.
+/// the same field and grid. That is asserted in tier-1
+/// (`tests/window_entry.rs`, `tests/estimators.rs`), by this crate's unit
+/// and property tests, and on every `perf --workload kernel_march` run,
+/// which verifies its renders against this path and reports the coherent
+/// kernel's cost beside it (`core.march_dense_ms`,
+/// `core.edge_evals_per_los`, `core.entry_hint_hit_ratio`).
 pub fn surface_density_reference<E: FieldEstimator + ?Sized>(
     field: &E,
     index: &HullIndex,
     grid: &GridSpec2,
     opts: &MarchOptions,
 ) -> (Field2, MarchStats) {
-    // Evaluated once per render, as the kernel does, but from the vertices
-    // themselves rather than the kernel's cached `z_min`.
-    let vertices = field.delaunay().vertices();
-    let z_min = vertices.iter().fold(f64::INFINITY, |m, v| m.min(v.z));
-    let floor = opts.render.z_range.map(|(lo, _)| lo);
-    reference_render(field, index, grid, opts, floor.filter(|&lo| lo > z_min))
+    reference_render(field.view(), index, grid, opts, true)
 }
 
-/// [`surface_density_reference`] as it stood before window entry: every
-/// line enters through the hull projection, windowed or not. Kept one PR as
-/// test support, to pin window-entered == hull-entered output as a
-/// differential on fixed fixtures (equal bits there; not a theorem — a
-/// floor within an ulp of a face crossing, or a degeneracy below the
-/// window, may differ).
+/// [`surface_density_reference`] with every line entering through the hull
+/// projection, windowed or not. Test support, kept on purpose: it is the
+/// one oracle that does not depend on the window-entry definition, so it
+/// pins window-entered == hull-entered output as a differential on fixed
+/// fixtures (equal bits there; not a theorem — a floor within an ulp of a
+/// face crossing, or a degeneracy below the window, may differ).
 #[doc(hidden)]
 pub fn surface_density_reference_hull_entry<E: FieldEstimator + ?Sized>(
     field: &E,
@@ -47,7 +45,7 @@ pub fn surface_density_reference_hull_entry<E: FieldEstimator + ?Sized>(
     grid: &GridSpec2,
     opts: &MarchOptions,
 ) -> (Field2, MarchStats) {
-    reference_render(field, index, grid, opts, None)
+    reference_render(field.view(), index, grid, opts, false)
 }
 
 /// The window entry of the line through `xi` for floor `z_lo`, by the
@@ -67,13 +65,19 @@ fn reference_window_entry(del: &Delaunay, xi: Vec2, z_lo: f64) -> Option<TetId> 
         .then_some(t)
 }
 
-fn reference_render<E: FieldEstimator + ?Sized>(
-    field: &E,
+/// `seek_window_entry`: enter at the window entry where the definition gives
+/// one. Its floor test is evaluated once per render, as the kernel does, but
+/// from the vertices themselves rather than the kernel's cached `z_min`.
+fn reference_render(
+    field: FieldView<'_>,
     index: &HullIndex,
     grid: &GridSpec2,
     opts: &MarchOptions,
-    window_floor: Option<f64>,
+    seek_window_entry: bool,
 ) -> (Field2, MarchStats) {
+    let z_min = (field.del.vertices().iter()).fold(f64::INFINITY, |m, v| m.min(v.z));
+    let floor = opts.render.z_range.map(|(lo, _)| lo);
+    let window_floor = floor.filter(|&lo| seek_window_entry && lo > z_min);
     let eps = opts.epsilon * grid.cell.norm();
     let row = |j: usize, out: &mut [f64], stats: &mut MarchStats| {
         let mut seed = row_seed(j);
@@ -117,8 +121,8 @@ fn reference_render<E: FieldEstimator + ?Sized>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn reference_cell_value<E: FieldEstimator + ?Sized>(
-    field: &E,
+fn reference_cell_value(
+    field: FieldView<'_>,
     index: &HullIndex,
     grid: &GridSpec2,
     i: usize,
@@ -148,8 +152,8 @@ fn reference_cell_value<E: FieldEstimator + ?Sized>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn reference_march_one<E: FieldEstimator + ?Sized>(
-    field: &E,
+fn reference_march_one(
+    field: FieldView<'_>,
     index: &HullIndex,
     xi: Vec2,
     eps: f64,
@@ -175,8 +179,8 @@ fn reference_march_one<E: FieldEstimator + ?Sized>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn reference_march_cell_inner<E: FieldEstimator + ?Sized>(
-    field: &E,
+fn reference_march_cell_inner(
+    field: FieldView<'_>,
     index: &HullIndex,
     xi: Vec2,
     z_range: Option<(f64, f64)>,
@@ -186,7 +190,7 @@ fn reference_march_cell_inner<E: FieldEstimator + ?Sized>(
     seed: &mut u64,
     stats: &mut MarchStats,
 ) -> f64 {
-    let del = field.delaunay();
+    let del = field.del;
     let mut xi_cur = xi;
     let mut attempts = 0usize;
     let max_steps = del.num_tets() + del.num_ghosts() + 16;
@@ -243,7 +247,7 @@ fn reference_march_cell_inner<E: FieldEstimator + ?Sized>(
                 b = b.min(zhi);
             }
             if b > a {
-                let ti = field.tet_interp(t);
+                let ti = &field.interp[t as usize];
                 let mid = Vec3::new(xi_cur.x, xi_cur.y, 0.5 * (a + b));
                 let rho_mid = ti.rho0 + ti.grad.dot(mid - ti.v0);
                 total += rho_mid * (b - a);

@@ -28,7 +28,7 @@
 //! detected by the **orientation sign** of each mapped tetrahedron.
 
 use crate::density::{Mass, TetInterp};
-use crate::estimator::{DegenerateTetError, FieldEstimator};
+use crate::estimator::{vertex_masses, DegenerateTetError, FieldEstimator, FieldView};
 use crate::marching::MarchCache;
 use dtfe_delaunay::{BuildError, Delaunay, DelaunayBuilder, TetId};
 use dtfe_geometry::tetra::{linear_gradient, signed_volume6, volume};
@@ -111,24 +111,7 @@ impl PsDtfeField {
 
         // Per-vertex mass (merged duplicates accumulate) and velocity
         // (merged duplicates average).
-        let mut vmass = vec![0.0f64; nv];
-        match &mass {
-            Mass::Uniform(m) => {
-                if n_input == nv {
-                    vmass.fill(*m);
-                } else {
-                    for i in 0..n_input {
-                        vmass[del.vertex_of_input(i) as usize] += m;
-                    }
-                }
-            }
-            Mass::PerParticle(ms) => {
-                assert_eq!(ms.len(), n_input, "mass count != input point count");
-                for (i, &m) in ms.iter().enumerate() {
-                    vmass[del.vertex_of_input(i) as usize] += m;
-                }
-            }
-        }
+        let vmass = vertex_masses(&del, n_input, &mass);
         let mut vvel = vec![Vec3::ZERO; nv];
         let mut vcount = vec![0u32; nv];
         for (i, &v) in velocities.iter().enumerate() {
@@ -271,44 +254,21 @@ impl PsDtfeField {
     }
 }
 
-/// PS-DTFE density renders through the shared marching kernel; the
-/// interpolant is constant per simplex.
+/// PS-DTFE density: the per-simplex-constant table.
 impl FieldEstimator for PsDtfeField {
-    #[inline]
-    fn delaunay(&self) -> &Delaunay {
-        &self.del
-    }
-
-    #[inline]
-    fn march_cache(&self) -> &MarchCache {
-        self.march.get_or_init(|| MarchCache::build(&self.del))
-    }
-
-    #[inline]
-    fn tet_interp(&self, t: TetId) -> &TetInterp {
-        &self.interp[t as usize]
+    fn view(&self) -> FieldView<'_> {
+        FieldView::new(&self.del, &self.march, &self.interp)
     }
 }
 
 /// Velocity-divergence view of a [`PsDtfeField`] (see
-/// [`PsDtfeField::divergence`]). Shares the mesh and marching cache with
-/// the density view — a hull index built for one serves both.
+/// [`PsDtfeField::divergence`]): the second table over the density view's
+/// mesh and marching cache — a hull index built for one serves both.
 pub struct PsDtfeDivergence<'a>(&'a PsDtfeField);
 
 impl FieldEstimator for PsDtfeDivergence<'_> {
-    #[inline]
-    fn delaunay(&self) -> &Delaunay {
-        &self.0.del
-    }
-
-    #[inline]
-    fn march_cache(&self) -> &MarchCache {
-        self.0.march_cache()
-    }
-
-    #[inline]
-    fn tet_interp(&self, t: TetId) -> &TetInterp {
-        &self.0.div_interp[t as usize]
+    fn view(&self) -> FieldView<'_> {
+        FieldView::new(&self.0.del, &self.0.march, &self.0.div_interp)
     }
 }
 

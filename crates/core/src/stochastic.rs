@@ -20,11 +20,13 @@
 //! bit for bit — on one thread or many, locally or in the serving layer.
 
 use crate::density::{DtfeField, Mass, TetInterp};
-use crate::estimator::{vertex_interp, DegeneratePolicy, FieldEstimator};
+use crate::estimator::{
+    integrate_vertex_field, vertex_interp, DegeneratePolicy, FieldEstimator, FieldView,
+};
 use crate::marching::MarchCache;
-use dtfe_delaunay::{BuildError, Delaunay, TetId};
-use dtfe_geometry::tetra::volume;
+use dtfe_delaunay::{BuildError, Delaunay};
 use dtfe_geometry::Vec3;
+use std::sync::OnceLock;
 
 /// Knobs for the stochastic reconstruction.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -74,12 +76,13 @@ impl StochasticOptions {
 /// The smoothed stochastic estimator: the base triangulation carrying the
 /// k-realization-averaged, mass-rescaled vertex densities.
 pub struct StochasticField {
-    /// Base DTFE field (owns the triangulation and the marching cache).
-    base: DtfeField,
+    /// The base triangulation, in the DTFE constructor's slot order.
+    del: Delaunay,
     /// Averaged and rescaled per-vertex densities.
     vertex_mean: Vec<f64>,
     /// Interpolants of the averaged field over the base mesh.
     interp: Vec<TetInterp>,
+    march: OnceLock<MarchCache>,
     /// The applied mass-conservation scale `M / ∫ ρ̄ dV`.
     scale: f64,
 }
@@ -92,7 +95,9 @@ impl StochasticField {
         opts: StochasticOptions,
     ) -> Result<StochasticField, BuildError> {
         assert!(opts.realizations >= 1, "need at least one realization");
-        let base = DtfeField::build(points, mass.clone())?;
+        // The mesh, in the slot order the DTFE constructor gives it; the
+        // base field's own densities and table are not kept.
+        let del = DtfeField::build(points, mass.clone())?.into_delaunay();
         let _span = dtfe_telemetry::span!(
             "core.stochastic_build",
             n = points.len(),
@@ -109,8 +114,7 @@ impl StochasticField {
         // vertex falling outside a jittered realization's hull contributes
         // zero for that realization — the global rescale absorbs the
         // resulting edge bias.
-        let verts = base.delaunay().vertices().to_vec();
-        let mut acc = vec![0.0f64; verts.len()];
+        let mut acc = vec![0.0f64; del.num_vertices()];
         let mut jittered = Vec::with_capacity(points.len());
         for r in 0..opts.realizations {
             jittered.clear();
@@ -130,7 +134,7 @@ impl StochasticField {
             let Ok(real) = DtfeField::build(&jittered, mass.clone()) else {
                 continue;
             };
-            for (a, &v) in acc.iter_mut().zip(&verts) {
+            for (a, &v) in acc.iter_mut().zip(del.vertices()) {
                 if let Some(rho) = real.density_at(v) {
                     *a += rho;
                 }
@@ -141,7 +145,7 @@ impl StochasticField {
 
         // Mass-conservation constraint: rescale so ∫ ρ̄ dV = M exactly.
         let m_true = total_mass(&mass, points.len());
-        let integral = integrate_vertex_field(base.delaunay(), &mean);
+        let integral = integrate_vertex_field(&del, &mean);
         let scale = if integral > 0.0 {
             m_true / integral
         } else {
@@ -151,19 +155,20 @@ impl StochasticField {
             *m *= scale;
         }
 
-        let interp = vertex_interp(base.delaunay(), &mean, DegeneratePolicy::ZeroGradient)
+        let interp = vertex_interp(&del, &mean, DegeneratePolicy::ZeroGradient)
             .expect("ZeroGradient policy is infallible");
         Ok(StochasticField {
-            base,
+            del,
             vertex_mean: mean,
             interp,
+            march: OnceLock::new(),
             scale,
         })
     }
 
     /// The base triangulation.
     pub fn delaunay(&self) -> &Delaunay {
-        self.base.delaunay()
+        &self.del
     }
 
     /// Averaged, rescaled per-vertex densities.
@@ -180,24 +185,13 @@ impl StochasticField {
     /// Total mass of the reconstruction `∫ ρ̄ dV` — equals the input mass
     /// exactly (to roundoff), by the rescaling constraint.
     pub fn integrated_mass(&self) -> f64 {
-        integrate_vertex_field(self.base.delaunay(), &self.vertex_mean)
+        integrate_vertex_field(&self.del, &self.vertex_mean)
     }
 }
 
 impl FieldEstimator for StochasticField {
-    #[inline]
-    fn delaunay(&self) -> &Delaunay {
-        self.base.delaunay()
-    }
-
-    #[inline]
-    fn march_cache(&self) -> &MarchCache {
-        self.base.march_cache()
-    }
-
-    #[inline]
-    fn tet_interp(&self, t: TetId) -> &TetInterp {
-        &self.interp[t as usize]
+    fn view(&self) -> FieldView<'_> {
+        FieldView::new(&self.del, &self.march, &self.interp)
     }
 }
 
@@ -220,25 +214,6 @@ fn total_mass(mass: &Mass, n_input: usize) -> f64 {
         Mass::Uniform(m) => m * n_input as f64,
         Mass::PerParticle(ms) => ms.iter().sum(),
     }
-}
-
-/// `∫ f dV` of a piecewise-linear vertex field over the finite mesh
-/// (tetrahedron-wise exact: volume × vertex mean).
-fn integrate_vertex_field(del: &Delaunay, values: &[f64]) -> f64 {
-    del.finite_tets()
-        .map(|t| {
-            let p = del.tet_points(t);
-            let vol = volume(p[0], p[1], p[2], p[3]);
-            let mean: f64 = del
-                .tet(t)
-                .verts
-                .iter()
-                .map(|&v| values[v as usize])
-                .sum::<f64>()
-                / 4.0;
-            vol * mean
-        })
-        .sum()
 }
 
 /// Counter-based stream: one independent seed per (run, realization,

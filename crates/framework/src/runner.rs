@@ -251,13 +251,18 @@ impl RunReport {
     }
 }
 
+/// What [`execute_item`] did: the particles in the item's cube, the phase
+/// times, and the rendered field.
+struct Executed {
+    n_local: usize,
+    t_tri: f64,
+    t_render: f64,
+    field: Field2,
+}
+
 /// Execute one work item: triangulate the particles in the item's cube and
-/// render its field. Returns phase times and (optionally) the field.
-fn execute_item(
-    all_particles: &[Vec3],
-    center: Vec3,
-    cfg: &FrameworkConfig,
-) -> (f64, f64, Option<Field2>) {
+/// render its field.
+fn execute_item(all_particles: &[Vec3], center: Vec3, cfg: &FrameworkConfig) -> Executed {
     let cube = Aabb3::cube(center, cfg.field_len);
     let local: Vec<Vec3> = all_particles
         .iter()
@@ -269,7 +274,14 @@ fn execute_item(
     let sp = span!("framework.triangulate_item", n = local.len());
     let del = match dtfe_delaunay::DelaunayBuilder::new().build(&local) {
         Ok(d) => d,
-        Err(_) => return (sp.end().cpu_s, 0.0, Some(Field2::zeros(grid))),
+        Err(_) => {
+            return Executed {
+                n_local: local.len(),
+                t_tri: sp.end().cpu_s,
+                t_render: 0.0,
+                field: Field2::zeros(grid),
+            }
+        }
     };
     let field = DtfeField::from_delaunay_for_inputs(del, local.len(), Mass::Uniform(1.0));
     let t_tri = sp.end().cpu_s;
@@ -290,7 +302,12 @@ fn execute_item(
     counter_add!("framework.items_executed", 1);
     hist_record!("framework.item_tri_us", (t_tri * 1e6) as u64);
     hist_record!("framework.item_interp_us", (t_render * 1e6) as u64);
-    (t_tri, t_render, Some(sigma))
+    Executed {
+        n_local: local.len(),
+        t_tri,
+        t_render,
+        field: sigma,
+    }
 }
 
 /// Bridge the fault-injection counters into the installed recorder, so the
@@ -378,7 +395,7 @@ fn run_rank_inner(
     // Time one random local work item (skip if there is none — contribute a
     // null sample that peers filter out).
     let mut rng = cfg.seed ^ ((me as u64) << 32) ^ 0x9E37_79B9;
-    let mut executed_early: Option<(usize, f64, f64, Option<Field2>)> = None;
+    let mut executed_early: Option<(usize, Executed)> = None;
     let my_sample = if local_centers.is_empty() {
         TimingSample {
             n: 0.0,
@@ -390,13 +407,14 @@ fn run_rank_inner(
         rng ^= rng >> 7;
         rng ^= rng << 17;
         let pick = (rng % local_centers.len() as u64) as usize;
-        let (t_tri, t_render, f) = execute_item(&all, local_centers[pick], cfg);
-        executed_early = Some((pick, t_tri, t_render, f));
-        TimingSample {
+        let done = execute_item(&all, local_centers[pick], cfg);
+        let sample = TimingSample {
             n: counts[pick].max(1.0),
-            t_tri,
-            t_interp: t_render,
-        }
+            t_tri: done.t_tri,
+            t_interp: done.t_render,
+        };
+        executed_early = Some((pick, done));
+        sample
     };
     let samples: Vec<TimingSample> = comm
         .allgather(my_sample)
@@ -429,7 +447,7 @@ fn run_rank_inner(
     let mut send_buckets: Vec<Vec<usize>> = Vec::new();
     if !my_sends.is_empty() {
         let packable: Vec<usize> = (0..local_centers.len())
-            .filter(|&i| executed_early.as_ref().is_none_or(|(p, ..)| *p != i))
+            .filter(|&i| executed_early.as_ref().is_none_or(|(p, _)| *p != i))
             .collect();
         let costs: Vec<f64> = packable.iter().map(|&i| predicted[i]).collect();
         let bins: Vec<f64> = my_sends.iter().map(|t| t.amount).collect();
@@ -508,27 +526,30 @@ fn run_rank_inner(
         }
     }
 
-    // Local execution (the test item's result is reused, not recomputed).
-    let record_item = |rep: &mut RankReport, n: f64, t_tri: f64, t_render: f64| {
+    // Book one executed item: its record against the model, the phase
+    // totals, and the field when asked for. `n` is the modelled particle
+    // count of a local item; a received item has none and is recorded with
+    // the cube count its execution just made.
+    let record_item = |rep: &mut RankReport, c: Vec3, n: Option<f64>, done: Executed| {
+        let n = n.unwrap_or(f64::max(1.0, done.n_local as f64));
         rep.records.push(ItemRecord {
             n_particles: n,
             predicted_tri: model.tri.predict(n),
             predicted_interp: model.interp.predict(n),
-            actual_tri: t_tri,
-            actual_interp: t_render,
+            actual_tri: done.t_tri,
+            actual_interp: done.t_render,
         });
         rep.fields_computed += 1;
-        rep.timings.triangulate += t_tri;
-        rep.timings.render += t_render;
-    };
-    let early_pick = executed_early.as_ref().map(|(p, ..)| *p);
-    if let Some((pick, t_tri, t_render, f)) = executed_early {
-        record_item(&mut report, counts[pick], t_tri, t_render);
+        rep.timings.triangulate += done.t_tri;
+        rep.timings.render += done.t_render;
         if cfg.keep_fields {
-            if let Some(f) = f {
-                report.fields.push((local_centers[pick], f));
-            }
+            rep.fields.push((c, done.field));
         }
+    };
+    // Local execution (the test item's result is reused, not recomputed).
+    let early_pick = executed_early.as_ref().map(|(p, _)| *p);
+    if let Some((pick, done)) = executed_early {
+        record_item(&mut report, local_centers[pick], Some(counts[pick]), done);
     }
     let kept: Vec<usize> = (0..local_centers.len())
         .filter(|&i| !is_sent[i] && early_pick != Some(i))
@@ -553,13 +574,7 @@ fn run_rank_inner(
             }
         }
         let c = local_centers[i];
-        let (t_tri, t_render, f) = execute_item(&all, c, cfg);
-        record_item(&mut report, counts[i], t_tri, t_render);
-        if cfg.keep_fields {
-            if let Some(f) = f {
-                report.fields.push((c, f));
-            }
-        }
+        record_item(&mut report, c, Some(counts[i]), execute_item(&all, c, cfg));
         // Keep the protocol responsive while computing: senders absorb acks
         // (so a long local phase doesn't read as death), receivers ack
         // early-arriving bundles (so senders settle instead of retrying).
@@ -604,13 +619,7 @@ fn run_rank_inner(
                     .iter()
                     .position(|&lc| lc == c)
                     .expect("reclaimed centre is one of this rank's items");
-                let (t_tri, t_render, f) = execute_item(&all, c, cfg);
-                record_item(&mut report, counts[i], t_tri, t_render);
-                if cfg.keep_fields {
-                    if let Some(f) = f {
-                        report.fields.push((c, f));
-                    }
-                }
+                record_item(&mut report, c, Some(counts[i]), execute_item(&all, c, cfg));
             }
         }
     }
@@ -630,23 +639,8 @@ fn run_rank_inner(
                 break;
             };
             for c in centers {
-                let (t_tri, t_render, f) = execute_item(&particles, c, cfg);
-                // Received items have no precomputed count; reuse the cube
-                // count against the sender's particles.
-                let n = f64::max(
-                    1.0,
-                    particles
-                        .iter()
-                        .filter(|p| Aabb3::cube(c, cfg.field_len).contains_closed(**p))
-                        .count() as f64,
-                );
-                record_item(&mut report, n, t_tri, t_render);
+                record_item(&mut report, c, None, execute_item(&particles, c, cfg));
                 report.received_items += 1;
-                if cfg.keep_fields {
-                    if let Some(f) = f {
-                        report.fields.push((c, f));
-                    }
-                }
             }
         }
         report.lost_transfers = ib.lost_transfers;

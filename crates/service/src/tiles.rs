@@ -15,8 +15,8 @@
 
 use crate::registry::SnapshotData;
 use dtfe_core::{
-    surface_density_with_index, DtfeField, EstimatorKind, Field2, GridSpec2, HullIndex,
-    MarchOptions, Mass, PsDtfeField, StochasticField, StochasticOptions,
+    surface_density_with_index, DtfeField, EstimatorKind, Field2, FieldEstimator, GridSpec2,
+    HullIndex, MarchOptions, Mass, PsDtfeField, StochasticField, StochasticOptions,
 };
 use dtfe_delaunay::DelaunayBuilder;
 use dtfe_geometry::{Aabb3, Vec3};
@@ -62,20 +62,22 @@ pub enum TileField {
 
 impl TileField {
     /// March the requested grid against this artifact. `opts.estimator`
-    /// picks the interpolant view (PS-DTFE density vs divergence); the
+    /// picks the interpolant table (PS-DTFE density vs divergence); the
     /// mesh, index, and marching cache are shared either way.
     pub fn render(&self, grid: &GridSpec2, opts: &MarchOptions) -> Field2 {
-        match self {
-            TileField::Dtfe(f, idx) => surface_density_with_index(f, idx, grid, opts).0,
-            TileField::PsDtfe(f, idx) => {
-                if opts.render.estimator == EstimatorKind::VelocityDivergence {
-                    surface_density_with_index(&f.divergence(), idx, grid, opts).0
-                } else {
-                    surface_density_with_index(f, idx, grid, opts).0
-                }
+        let divergence;
+        let (field, idx): (&dyn FieldEstimator, _) = match self {
+            TileField::Dtfe(f, idx) => (f, idx),
+            TileField::PsDtfe(f, idx)
+                if opts.render.estimator == EstimatorKind::VelocityDivergence =>
+            {
+                divergence = f.divergence();
+                (&divergence, idx)
             }
-            TileField::Stochastic(f, idx) => surface_density_with_index(f, idx, grid, opts).0,
-        }
+            TileField::PsDtfe(f, idx) => (f, idx),
+            TileField::Stochastic(f, idx) => (f, idx),
+        };
+        surface_density_with_index(field, idx, grid, opts).0
     }
 }
 
@@ -158,6 +160,12 @@ impl TileData {
     /// The mesh comes from the one [`DelaunayBuilder`] the batch framework's
     /// per-item path uses: given the same particle set, it — and any field
     /// rendered from it — is bit-identical with the offline pipeline.
+    ///
+    /// The hull index is built from the mesh, not through the field's view:
+    /// a view builds the 128 B/slot traversal cache, which is better
+    /// allocated by the tile's first render — after the tile cache has
+    /// evicted to make room — than here, before it (+11 % `serve_churn`
+    /// peak RSS otherwise).
     pub fn build(
         snap: &SnapshotData,
         tile: usize,
@@ -174,7 +182,7 @@ impl TileData {
         let field = match estimator.tile_kind() {
             EstimatorKind::Dtfe => DelaunayBuilder::new().build(&local).ok().map(|del| {
                 let f = DtfeField::from_delaunay_for_inputs(del, local.len(), Mass::Uniform(1.0));
-                let idx = HullIndex::build(&f);
+                let idx = HullIndex::for_mesh(f.delaunay());
                 TileField::Dtfe(f, idx)
             }),
             EstimatorKind::PsDtfe | EstimatorKind::VelocityDivergence => {
@@ -186,7 +194,7 @@ impl TileData {
                         PsDtfeField::from_delaunay(del, local.len(), &vels, Mass::Uniform(1.0)).ok()
                     })
                     .map(|f| {
-                        let idx = HullIndex::build(&f);
+                        let idx = HullIndex::for_mesh(f.delaunay());
                         TileField::PsDtfe(f, idx)
                     })
             }
@@ -197,7 +205,7 @@ impl TileData {
                 StochasticField::build(&local, Mass::Uniform(1.0), opts)
                     .ok()
                     .map(|f| {
-                        let idx = HullIndex::build(&f);
+                        let idx = HullIndex::for_mesh(f.delaunay());
                         TileField::Stochastic(f, idx)
                     })
             }

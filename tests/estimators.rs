@@ -19,11 +19,13 @@
 use dtfe_repro::core::marching::surface_density_reference;
 use dtfe_repro::core::{
     surface_density, DtfeField, EstimatorKind, FieldEstimator, GridSpec2, HullIndex, MarchOptions,
-    Mass, PsDtfeField, StochasticField, StochasticOptions, StreamField,
+    Mass, PsDtfeField, ScalarField, StochasticField, StochasticOptions, StreamField,
 };
+use dtfe_repro::geometry::tetra::linear_gradient;
 use dtfe_repro::geometry::{Aabb3, Vec2, Vec3};
 use dtfe_repro::nbody::snapshot::write_snapshot;
 use dtfe_repro::service::{Client, RenderRequest, Service, ServiceConfig, TcpServer};
+use dtfe_repro::telemetry::Recorder;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -139,6 +141,59 @@ fn stochastic_conserves_mass_and_is_seed_deterministic() {
     let b = StochasticField::build(&pts, Mass::Uniform(1.0), opts).unwrap();
     assert_eq!(a.vertex_densities(), b.vertex_densities());
     assert_eq!(a.mass_scale().to_bits(), b.mass_scale().to_bits());
+
+    // FNV-1a over the bits of every vertex density, then the mass scale,
+    // pinned at f141eb5 — when the field still embedded a whole `DtfeField`.
+    let bits = (a.vertex_densities().iter().chain([&a.mass_scale()]))
+        .fold(0xcbf29ce484222325u64, |h, v| {
+            (h ^ v.to_bits()).wrapping_mul(0x100000001b3)
+        });
+    assert_eq!(bits, 0x01a3fb92122755b6, "stochastic field moved a bit");
+}
+
+/// A tetrahedron that is valid under the exact predicates but singular in
+/// floating point: the zero-gradient fallback is counted by every backend
+/// that takes it, the strict constructor refuses, and the render is finite.
+#[test]
+fn float_singular_tetrahedron_is_counted_not_silent() {
+    let e = (2.0f64).powi(-30);
+    let pts = [
+        Vec3::ZERO,
+        Vec3::new(1.0 + 5.0 * e, 1.0 + 7.0 * e, 1.0 + 7.0 * e),
+        Vec3::new(1.0 + 2.0 * e, 1.0 + 9.0 * e, 1.0 + 12.0 * e),
+        Vec3::new(1.0 + 5.0 * e, 1.0 + 2.0 * e, 1.0 + 5.0 * e),
+    ];
+    fn counting<T>(build: impl FnOnce() -> T) -> (T, u64) {
+        let rec = Recorder::new("degenerate");
+        let guard = rec.install();
+        let built = build();
+        drop(guard);
+        let metrics = rec.snapshot().metrics;
+        (built, metrics.counter("core.degenerate_tet_zero_grad"))
+    }
+
+    let (field, counted) = counting(|| DtfeField::build(&pts, Mass::Uniform(1.0)).unwrap());
+    let del = field.delaunay();
+    del.validate().expect("exactly valid triangulation");
+    let values = field.vertex_densities().to_vec();
+    let singular = del
+        .finite_tets()
+        .filter(|&t| {
+            let f = del.tet(t).verts.map(|v| values[v as usize]);
+            linear_gradient(&del.tet_points(t), &f).is_none()
+        })
+        .count() as u64;
+    assert!(singular >= 1, "fixture is not float-singular");
+    assert_eq!(counted, singular, "DtfeField's fallback is silent");
+    assert_eq!(
+        counting(|| ScalarField::new(del, values.clone())).1,
+        singular
+    );
+    assert!(ScalarField::try_new(del, values.clone()).is_err());
+
+    let grid = GridSpec2::covering(Vec2::new(-0.1, -0.1), Vec2::new(1.1, 1.1), 9, 9);
+    let sigma = surface_density(&field, &grid, &MarchOptions::new().parallel(false));
+    assert!(sigma.data.iter().all(|v| v.is_finite()));
 }
 
 /// Serve every estimator end-to-end: PS-DTFE and stochastic cutouts

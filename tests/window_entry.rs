@@ -6,8 +6,10 @@
 //! * (a) `kernel == reference` — bits, `crossings`, `perturbations`,
 //!   `failures` — under windows, on a jittered cloud, a clustered
 //!   `dtfe_nbody` cloud and the exact 4³ lattice, for 1 and 3 samples,
-//!   serial and tiled, DTFE and PS-DTFE. The kernel walks to the entry from
-//!   a hint; the reference locates it from scratch.
+//!   serial and tiled, through every backend's view (DTFE named and as
+//!   `&dyn FieldEstimator`, PS-DTFE density and divergence, stochastic, a
+//!   linear `ScalarField`). The kernel walks to the entry from a hint; the
+//!   reference locates it from scratch.
 //! * (b) on the non-degenerate clouds the windowed render equals the
 //!   hull-entered reference bit for bit, with strictly fewer crossings (a
 //!   differential on fixed fixtures, deliberately not a theorem).
@@ -20,7 +22,8 @@ use dtfe_repro::core::marching::{
     surface_density_with_index, window_entry_with_hint, MarchStats,
 };
 use dtfe_repro::core::{
-    DtfeField, EstimatorKind, FieldEstimator, GridSpec2, HullIndex, MarchOptions, Mass, PsDtfeField,
+    DtfeField, EstimatorKind, FieldEstimator, GridSpec2, HullIndex, MarchOptions, Mass,
+    PsDtfeField, ScalarField, StochasticField, StochasticOptions,
 };
 use dtfe_repro::delaunay::{Delaunay, Located, TetId, NONE};
 use dtfe_repro::geometry::{orient3d, Vec2, Vec3};
@@ -117,7 +120,11 @@ fn strictly_contains(del: &Delaunay, t: TetId, p: Vec3) -> bool {
     })
 }
 
-fn kernel_equals_reference<E: FieldEstimator>(fx: &Fixture, field: &E, kind: EstimatorKind) {
+fn kernel_equals_reference<E: FieldEstimator + ?Sized>(
+    fx: &Fixture,
+    field: &E,
+    kind: EstimatorKind,
+) {
     let index = HullIndex::build(field);
     for (lo, hi) in fx.windows {
         for samples in [1usize, 3] {
@@ -155,9 +162,29 @@ fn windowed_kernel_equals_reference_on_every_fixture() {
     for fx in fixtures() {
         let dtfe = DtfeField::build(&fx.pts, Mass::Uniform(1.0)).unwrap();
         kernel_equals_reference(&fx, &dtfe, EstimatorKind::Dtfe);
+        kernel_equals_reference(&fx, &dtfe as &dyn FieldEstimator, EstimatorKind::Dtfe);
+        let del = dtfe.delaunay();
+        let linear = del
+            .vertices()
+            .iter()
+            .map(|p| 3.0 + 1.5 * p.x - 2.0 * p.y + 0.5 * p.z);
+        let scalar = ScalarField::new(del, linear.collect());
+        kernel_equals_reference(&fx, &scalar, EstimatorKind::Dtfe);
+
         let ps =
             PsDtfeField::build(&fx.pts, &demo_velocities(&fx.pts), Mass::Uniform(1.0)).unwrap();
         kernel_equals_reference(&fx, &ps, EstimatorKind::PsDtfe);
+        let div = ps.divergence();
+        kernel_equals_reference(&fx, &div, EstimatorKind::VelocityDivergence);
+        // Two tables, one mesh and one traversal cache.
+        let (a, b) = (ps.view(), div.view());
+        assert!(std::ptr::eq(a.del, b.del) && std::ptr::eq(a.cache, b.cache));
+        assert!(!std::ptr::eq(a.interp, b.interp));
+
+        let kind = EstimatorKind::Stochastic { realizations: 2 };
+        let opts = StochasticOptions::new().realizations(2).seed(41);
+        let stochastic = StochasticField::build(&fx.pts, Mass::Uniform(1.0), opts).unwrap();
+        kernel_equals_reference(&fx, &stochastic, kind);
     }
 }
 
