@@ -1,5 +1,5 @@
 //! Shared machinery for the experiment harnesses (one binary per paper
-//! figure) and the Criterion benches.
+//! figure).
 //!
 //! # Emulated wall clock
 //!

@@ -26,34 +26,23 @@
 //! The process binds `peers[shard]` and gossips with the rest. See the
 //! README's "Running a 3-node cluster" walkthrough.
 
-use dtfe_cluster::{ClusterConfig, ClusterNode};
-use dtfe_service::{Service, ServiceConfig, TcpServer};
+use dtfe_cluster::{ClusterConfig, LocalCluster, ShardSpec};
+use dtfe_service::DaemonArgs;
 use std::io::Write;
 use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 struct Args {
-    snapshots: PathBuf,
-    port: u16,
+    daemon: DaemonArgs,
     shards: usize,
     shard: Option<u32>,
     peers: Vec<SocketAddr>,
-    tiles: usize,
-    field_len: f64,
-    resolution: usize,
-    samples: usize,
-    workers: usize,
-    cache_mb: usize,
-    admission_s: f64,
     replication: usize,
     vnodes: usize,
     heat: u32,
     heartbeat_ms: u64,
     timeout_ms: u64,
-    demo: bool,
 }
 
 fn usage() -> ! {
@@ -66,219 +55,107 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-fn parse_args() -> Args {
+fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        snapshots: PathBuf::from("snapshots"),
-        port: 0,
+        daemon: DaemonArgs::new(0),
         shards: 3,
         shard: None,
         peers: Vec::new(),
-        tiles: 8,
-        field_len: 8.0,
-        resolution: 128,
-        samples: 1,
-        workers: 2,
-        cache_mb: 256,
-        admission_s: 30.0,
         replication: 2,
         vnodes: 128,
         heat: 8,
         heartbeat_ms: 100,
         timeout_ms: 1000,
-        demo: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut val = |name: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("missing value for {name}");
-                usage()
-            })
-        };
+        if args.daemon.accept(&flag, &mut it)? {
+            continue;
+        }
         match flag.as_str() {
-            "--snapshots" => args.snapshots = PathBuf::from(val("--snapshots")),
-            "--port" => args.port = val("--port").parse().unwrap_or_else(|_| usage()),
-            "--shards" => args.shards = val("--shards").parse().unwrap_or_else(|_| usage()),
-            "--shard" => args.shard = Some(val("--shard").parse().unwrap_or_else(|_| usage())),
+            "--shards" => args.shards = DaemonArgs::value(&flag, &mut it)?,
+            "--shard" => args.shard = Some(DaemonArgs::value(&flag, &mut it)?),
             "--peers" => {
-                args.peers = val("--peers")
+                args.peers = DaemonArgs::value::<String>(&flag, &mut it)?
                     .split(',')
-                    .map(|s| s.parse().unwrap_or_else(|_| usage()))
-                    .collect()
+                    .map(|s| s.parse().map_err(|_| format!("bad peer address {s:?}")))
+                    .collect::<Result<_, _>>()?
             }
-            "--tiles" => args.tiles = val("--tiles").parse().unwrap_or_else(|_| usage()),
-            "--field-len" => {
-                args.field_len = val("--field-len").parse().unwrap_or_else(|_| usage())
-            }
-            "--resolution" => {
-                args.resolution = val("--resolution").parse().unwrap_or_else(|_| usage())
-            }
-            "--samples" => args.samples = val("--samples").parse().unwrap_or_else(|_| usage()),
-            "--workers" => args.workers = val("--workers").parse().unwrap_or_else(|_| usage()),
-            "--cache-mb" => args.cache_mb = val("--cache-mb").parse().unwrap_or_else(|_| usage()),
-            "--admission-s" => {
-                args.admission_s = val("--admission-s").parse().unwrap_or_else(|_| usage())
-            }
-            "--replication" => {
-                args.replication = val("--replication").parse().unwrap_or_else(|_| usage())
-            }
-            "--vnodes" => args.vnodes = val("--vnodes").parse().unwrap_or_else(|_| usage()),
-            "--heat" => args.heat = val("--heat").parse().unwrap_or_else(|_| usage()),
-            "--heartbeat-ms" => {
-                args.heartbeat_ms = val("--heartbeat-ms").parse().unwrap_or_else(|_| usage())
-            }
-            "--timeout-ms" => {
-                args.timeout_ms = val("--timeout-ms").parse().unwrap_or_else(|_| usage())
-            }
-            "--demo" => args.demo = true,
+            "--replication" => args.replication = DaemonArgs::value(&flag, &mut it)?,
+            "--vnodes" => args.vnodes = DaemonArgs::value(&flag, &mut it)?,
+            "--heat" => args.heat = DaemonArgs::value(&flag, &mut it)?,
+            "--heartbeat-ms" => args.heartbeat_ms = DaemonArgs::value(&flag, &mut it)?,
+            "--timeout-ms" => args.timeout_ms = DaemonArgs::value(&flag, &mut it)?,
             "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage()
-            }
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    args
+    Ok(args)
 }
 
-fn service_config(args: &Args, telemetry: bool) -> ServiceConfig {
-    let mut cfg = ServiceConfig::new(args.field_len, args.resolution);
-    cfg.samples = args.samples;
-    cfg.tiles = args.tiles;
-    cfg.workers = args.workers;
-    cfg.cache_budget_bytes = args.cache_mb << 20;
-    cfg.admission_budget_s = args.admission_s;
-    cfg.telemetry = telemetry;
-    cfg
-}
-
-fn cluster_config(args: &Args, shard: u32) -> ClusterConfig {
-    ClusterConfig {
-        shard,
-        vnodes: args.vnodes,
-        replication: args.replication,
-        heat_threshold: args.heat,
-        heartbeat_interval: Duration::from_millis(args.heartbeat_ms),
-        heartbeat_timeout: Duration::from_millis(args.timeout_ms),
-        ..ClusterConfig::default()
+/// Shard `shard`'s spec. One process-global telemetry recorder: the
+/// process's first shard gets it, the others run with plain counters only.
+fn spec(args: &Args, shard: u32, telemetry: bool, bind: SocketAddr) -> ShardSpec {
+    ShardSpec {
+        service: args.daemon.service_config(telemetry),
+        cluster: ClusterConfig {
+            shard,
+            vnodes: args.vnodes,
+            replication: args.replication,
+            heat_threshold: args.heat,
+            heartbeat_interval: Duration::from_millis(args.heartbeat_ms),
+            heartbeat_timeout: Duration::from_millis(args.timeout_ms),
+            ..ClusterConfig::default()
+        },
+        bind,
     }
-}
-
-/// Supervisor mode: N shards in one process, ephemeral ports welcome.
-fn run_supervisor(args: &Args) -> ExitCode {
-    let mut nodes = Vec::new();
-    let mut servers = Vec::new();
-    for i in 0..args.shards {
-        // One process-global telemetry recorder: shard 0 gets it, the
-        // others run with plain counters only.
-        let cfg = service_config(args, i == 0);
-        let service = match Service::start(&args.snapshots, cfg) {
-            Ok(s) => Arc::new(s),
-            Err(e) => {
-                eprintln!("cannot start shard {i}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let node = ClusterNode::new(service, cluster_config(args, i as u32));
-        let port = if args.port == 0 {
-            0
-        } else {
-            args.port + i as u16
-        };
-        let handler: Arc<dyn dtfe_service::RequestHandler> = node.clone();
-        let server = match TcpServer::bind_with(handler, ("127.0.0.1", port)) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot bind shard {i}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        nodes.push(node);
-        servers.push(server);
-    }
-    let addrs: Vec<SocketAddr> = match servers.iter().map(|s| s.local_addr()).collect() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("cannot read bound addresses: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for node in &nodes {
-        node.configure_peers(addrs.clone());
-        node.start_gossip();
-    }
-    for addr in &addrs {
-        println!("LISTENING {addr}");
-    }
-    let _ = std::io::stdout().flush();
-    let threads: Vec<_> = servers
-        .into_iter()
-        .map(|server| std::thread::spawn(move || server.serve()))
-        .collect();
-    for t in threads {
-        let _ = t.join();
-    }
-    for node in &nodes {
-        node.stop_gossip();
-    }
-    eprintln!("drained, exiting");
-    ExitCode::SUCCESS
-}
-
-/// Single-shard mode: this process is `--shard I` of the `--peers` list.
-fn run_single(args: &Args, shard: u32) -> ExitCode {
-    if args.peers.is_empty() || (shard as usize) >= args.peers.len() {
-        eprintln!("--shard {shard} needs a --peers list that includes it");
-        return ExitCode::FAILURE;
-    }
-    let service = match Service::start(&args.snapshots, service_config(args, true)) {
-        Ok(s) => Arc::new(s),
-        Err(e) => {
-            eprintln!("cannot start service: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let node = ClusterNode::new(service, cluster_config(args, shard));
-    let handler: Arc<dyn dtfe_service::RequestHandler> = node.clone();
-    let server = match TcpServer::bind_with(handler, args.peers[shard as usize]) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot bind {}: {e}", args.peers[shard as usize]);
-            return ExitCode::FAILURE;
-        }
-    };
-    let addr = match server.local_addr() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("cannot read bound address: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    node.configure_peers(args.peers.clone());
-    node.start_gossip();
-    println!("LISTENING {addr}");
-    let _ = std::io::stdout().flush();
-    server.serve();
-    node.stop_gossip();
-    eprintln!("drained, exiting");
-    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
-    if let Err(e) = std::fs::create_dir_all(&args.snapshots) {
-        eprintln!("cannot create snapshot dir {:?}: {e}", args.snapshots);
+    let args = parse_args().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    });
+    if let Err(e) = args.daemon.prepare_snapshots() {
+        eprintln!("{e}");
         return ExitCode::FAILURE;
     }
-    if args.demo {
-        if let Err(e) = dtfe_service::tiles::write_demo_snapshot(&args.snapshots) {
-            eprintln!("cannot write demo snapshot: {e}");
+    // Supervisor mode hosts the whole cluster (ephemeral ports welcome);
+    // single-shard mode is `--shard I` of the `--peers` list.
+    let (specs, peers) = match args.shard {
+        Some(shard) => {
+            let Some(&bind) = args.peers.get(shard as usize) else {
+                eprintln!("--shard {shard} needs a --peers list that includes it");
+                return ExitCode::FAILURE;
+            };
+            (
+                vec![spec(&args, shard, true, bind)],
+                Some(args.peers.clone()),
+            )
+        }
+        None => {
+            let port = |i: usize| match args.daemon.port {
+                0 => 0,
+                base => base + i as u16,
+            };
+            let specs = (0..args.shards)
+                .map(|i| spec(&args, i as u32, i == 0, ([127, 0, 0, 1], port(i)).into()))
+                .collect();
+            (specs, None)
+        }
+    };
+    let cluster = match LocalCluster::boot(&args.daemon.snapshots, specs, peers) {
+        Ok(cluster) => cluster,
+        Err(e) => {
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
-        eprintln!("demo snapshot ready (id: demo)");
+    };
+    for addr in cluster.addrs() {
+        println!("LISTENING {addr}");
     }
-    match args.shard {
-        Some(shard) => run_single(&args, shard),
-        None => run_supervisor(&args),
-    }
+    let _ = std::io::stdout().flush();
+    cluster.wait();
+    eprintln!("drained, exiting");
+    ExitCode::SUCCESS
 }

@@ -331,13 +331,14 @@ impl ClusterNode {
         *c
     }
 
-    /// Owner set and per-candidate gauges for one tile, under the current
-    /// live view. Returns `(owners, my_index_is_owner, addrs)`.
+    /// Where one request should be served under the current live view. An
+    /// invalid request is an `Err` before anything is counted against its
+    /// tile: it fails identically on every shard, so it is nobody's to
+    /// redirect.
     fn route(&self, r: &RenderRequest) -> Result<Routing, ServiceError> {
-        let key = self.service.tile_key(r)?;
-        let ringkey = key_of(&key);
+        let resolved = self.service.resolve(r)?;
+        let ringkey = key_of(&resolved.tile);
         let heat = self.touch_heat(ringkey);
-        let n = self.service.tile_particles(&key).unwrap_or(0);
         let me = self.cfg.shard as usize;
         let topo = self.topo.lock().unwrap();
         if topo.addrs.len() <= 1 {
@@ -366,12 +367,6 @@ impl ClusterNode {
             return Ok(Routing::Local);
         }
         // Rank the owners with the cost model + gossiped gauges.
-        let model = self.service.config().model;
-        let samples = if r.samples == 0 {
-            self.service.config().samples
-        } else {
-            r.samples as usize
-        };
         let gauges: Vec<(usize, ShardGauges)> = owners
             .iter()
             .map(|&i| {
@@ -387,13 +382,9 @@ impl ClusterNode {
                 )
             })
             .collect();
-        let resolution = if r.resolution == 0 {
-            self.service.config().resolution
-        } else {
-            r.resolution as usize
-        };
-        let cells = resolution * resolution * samples;
-        let best = cheapest(&model, n, cells, &gauges).unwrap_or(owners[0]);
+        let model = self.service.config().model;
+        let best =
+            cheapest(&model, resolved.particles, resolved.cells, &gauges).unwrap_or(owners[0]);
         Ok(Routing::Remote {
             owner: topo.addrs[best],
         })

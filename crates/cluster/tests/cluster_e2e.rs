@@ -15,18 +15,15 @@
 //!    every response is either the byte-identical field or a typed error —
 //!    never corrupt bytes, never a hang.
 
-use dtfe_cluster::{ClusterClient, ClusterConfig, ClusterNode};
+use dtfe_cluster::{ClusterClient, ClusterConfig, LocalCluster, ShardSpec};
 use dtfe_geometry::{Aabb3, Vec3};
 use dtfe_nbody::snapshot::write_snapshot;
 use dtfe_service::{
-    ChaosProxy, Client, ClientConfig, RenderRequest, RequestHandler, Service, ServiceConfig,
-    SocketFaultPlan, SocketFaultRule, TcpServer,
+    ChaosProxy, Client, ClientConfig, RenderRequest, Service, ServiceConfig, SocketFaultPlan,
+    SocketFaultRule,
 };
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -83,65 +80,18 @@ fn cluster_config(shard: u32) -> ClusterConfig {
     }
 }
 
-/// One booted shard and the handles needed to kill it mid-test.
-struct Shard {
-    node: Arc<ClusterNode>,
-    stop: Arc<AtomicBool>,
-    serve: Option<JoinHandle<()>>,
-    gossip: Option<JoinHandle<()>>,
-}
-
-impl Shard {
-    /// Kill the shard: stop accepting, drain, drop the listener. After
-    /// this returns, connects to its address are refused and its gossip
-    /// goes silent — survivors must rehash its arcs.
-    fn kill(&mut self) {
-        self.node.stop_gossip();
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.serve.take() {
-            h.join().unwrap();
-        }
-        if let Some(h) = self.gossip.take() {
-            h.join().unwrap();
-        }
-    }
-}
-
-/// Boot an n-shard cluster over one snapshot directory: bind ephemeral
-/// listeners first, then install the full membership and start gossip.
-fn boot(dir: &Path, n: usize) -> (Vec<Shard>, Vec<SocketAddr>) {
-    let mut addrs = Vec::new();
-    let mut pending = Vec::new();
-    for i in 0..n {
-        let service = Arc::new(Service::start(dir, service_config()).unwrap());
-        let node = ClusterNode::new(service, cluster_config(i as u32));
-        let handler: Arc<dyn RequestHandler> = node.clone();
-        let server = TcpServer::bind_with(handler, ("127.0.0.1", 0)).unwrap();
-        addrs.push(server.local_addr().unwrap());
-        pending.push((node, server));
-    }
-    let shards = pending
-        .into_iter()
-        .map(|(node, server)| {
-            node.configure_peers(addrs.clone());
-            let gossip = node.start_gossip();
-            let stop = server.stop_handle();
-            let serve = std::thread::spawn(move || server.serve());
-            Shard {
-                node,
-                stop,
-                serve: Some(serve),
-                gossip: Some(gossip),
-            }
+/// Boot an n-shard cluster over one snapshot directory on ephemeral ports.
+fn boot(dir: &Path, n: usize) -> (LocalCluster, Vec<SocketAddr>) {
+    let specs = (0..n)
+        .map(|i| ShardSpec {
+            service: service_config(),
+            cluster: cluster_config(i as u32),
+            bind: ([127, 0, 0, 1], 0).into(),
         })
         .collect();
-    (shards, addrs)
-}
-
-fn shutdown(mut shards: Vec<Shard>) {
-    for s in &mut shards {
-        s.kill();
-    }
+    let cluster = LocalCluster::boot(dir, specs, None).unwrap();
+    let addrs = cluster.addrs().to_vec();
+    (cluster, addrs)
 }
 
 fn client_config(seed: u64) -> ClientConfig {
@@ -196,7 +146,7 @@ fn three_shards_bit_identical_to_single_node() {
         .map(|&c| reference.render(&RenderRequest::new("c", c)).unwrap())
         .collect();
 
-    let (shards, addrs) = boot(&dir, 3);
+    let (_shards, addrs) = boot(&dir, 3);
     let mut client = ring_client(&addrs, 7);
 
     // Cold pass: every tile built from scratch, spread over the ring.
@@ -231,8 +181,6 @@ fn three_shards_bit_identical_to_single_node() {
         let resp = naive.render(&RenderRequest::new("c", c)).unwrap();
         assert_bits_equal(&resp.data, &refs[i].data, &format!("naive centre {i}"));
     }
-
-    shutdown(shards);
 }
 
 /// Contract 2: kill one shard after warmup. Every later render still
@@ -269,9 +217,9 @@ fn shard_death_fails_over_and_rebalances() {
         .map(|(i, _)| i)
         .unwrap();
     let survivors: Vec<usize> = (0..3).filter(|&i| i != victim).collect();
-    let epochs_before: Vec<u64> = survivors.iter().map(|&i| shards[i].node.epoch()).collect();
+    let epochs_before: Vec<u64> = survivors.iter().map(|&i| shards.node(i).epoch()).collect();
 
-    shards[victim].kill();
+    shards.kill(victim);
 
     // Every request must still come back bit-identical: the client marks
     // the dead shard, the ring rehashes its arcs, and worst case a
@@ -289,7 +237,7 @@ fn shard_death_fails_over_and_rebalances() {
         let bumped = survivors
             .iter()
             .zip(&epochs_before)
-            .all(|(&i, &e0)| shards[i].node.epoch() > e0);
+            .all(|(&i, &e0)| shards.node(i).epoch() > e0);
         if bumped {
             break;
         }
@@ -307,8 +255,6 @@ fn shard_death_fails_over_and_rebalances() {
         assert_bits_equal(&resp.data, &refs[i].data, &format!("rebalanced centre {i}"));
         assert_ne!(shard, victim);
     }
-
-    shutdown(shards);
 }
 
 /// The serving tier's stormy rule (all seven fault kinds), identical to
@@ -375,7 +321,7 @@ fn chaos_storm_with_shard_kill() {
         proxy.stop();
 
         if seed == 33 && !killed {
-            shards[1].kill();
+            shards.kill(1);
             killed = true;
         }
     }
@@ -401,6 +347,4 @@ fn chaos_storm_with_shard_kill() {
             assert_ne!(shard, 1, "dead shard served centre {i}");
         }
     }
-
-    shutdown(shards);
 }

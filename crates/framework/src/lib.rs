@@ -15,8 +15,9 @@
 //!    schedule (paper Fig. 5) plus greedy first-fit variable-size bin
 //!    packing of work items into send buckets and local compute gaps.
 //! 4. **Execution and communication** ([`runner`]) — receivers drain their
-//!    local items then block on their `RecvList`; senders interleave local
-//!    work with scheduled sends of (particles, field positions) bundles.
+//!    local items then block on their `RecvList`; senders dispatch their
+//!    scheduled (particles, field positions) bundles up front, then run
+//!    their kept items while absorbing acks.
 //!
 //! [`eventsim`] replays the same scheduling algorithm inside a
 //! discrete-event simulator so the 4k–16k-rank regime of the paper's

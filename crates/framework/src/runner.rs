@@ -55,14 +55,6 @@ pub struct FrameworkConfig {
     pub keep_fields: bool,
     /// Monte-Carlo samples per grid cell.
     pub samples: usize,
-    /// When set, senders interleave their scheduled sends with local
-    /// computation exactly as the paper describes ("call `MPI_Send` after
-    /// iterations determined by the optimization algorithm"): bundle `i` of
-    /// `k` goes out after `(i+1)/(k+1)` of the kept items. When unset
-    /// (default), sends are dispatched up front — our transport is buffered,
-    /// so early dispatch strictly reduces receiver wait and the paper's
-    /// interleaving is a blocking-MPI artifact kept for fidelity studies.
-    pub interleave_sends: bool,
     pub seed: u64,
     /// Faults to inject into the run ([`FaultPlan::none`] by default). The
     /// plan is threaded through every rank's `Comm` by the drivers.
@@ -86,7 +78,6 @@ impl FrameworkConfig {
             balance: true,
             keep_fields: false,
             samples: 1,
-            interleave_sends: false,
             seed: 0x5EED,
             faults: FaultPlan::none(),
             reliability: ReliabilityParams::default(),
@@ -507,22 +498,19 @@ fn run_rank_inner(
     // Work reclaimed from receivers that died before acking.
     let mut reclaimed: Vec<(usize, Vec<Vec3>)> = Vec::new();
 
-    // Default mode dispatches every bundle up front (our transport is
-    // buffered, so this minimizes receiver wait); `interleave_sends`
-    // reproduces the paper's send points instead (see FrameworkConfig).
-    if !cfg.interleave_sends {
-        if let Some(ob) = outbox.as_mut() {
-            for (send, bucket) in my_sends.iter().zip(&send_buckets) {
-                let centers: Vec<Vec3> = bucket.iter().map(|&i| local_centers[i]).collect();
-                report.sent_items += centers.len();
-                ob.dispatch(
-                    comm,
-                    seq_of(me, send.to),
-                    send.to,
-                    Arc::clone(&all),
-                    centers,
-                );
-            }
+    // Every bundle is dispatched up front: the transport is buffered, so
+    // early dispatch strictly reduces receiver wait.
+    if let Some(ob) = outbox.as_mut() {
+        for (send, bucket) in my_sends.iter().zip(&send_buckets) {
+            let centers: Vec<Vec3> = bucket.iter().map(|&i| local_centers[i]).collect();
+            report.sent_items += centers.len();
+            ob.dispatch(
+                comm,
+                seq_of(me, send.to),
+                send.to,
+                Arc::clone(&all),
+                centers,
+            );
         }
     }
 
@@ -554,25 +542,7 @@ fn run_rank_inner(
     let kept: Vec<usize> = (0..local_centers.len())
         .filter(|&i| !is_sent[i] && early_pick != Some(i))
         .collect();
-    let k_sends = my_sends.len();
-    let mut next_send = 0usize;
-    for (done, &i) in kept.iter().enumerate() {
-        // Interleaved mode: dispatch bundle `b` once (b+1)/(k+1) of the kept
-        // items have executed.
-        if cfg.interleave_sends {
-            if let Some(ob) = outbox.as_mut() {
-                while next_send < k_sends && done * (k_sends + 1) >= kept.len() * (next_send + 1) {
-                    let centers: Vec<Vec3> = send_buckets[next_send]
-                        .iter()
-                        .map(|&x| local_centers[x])
-                        .collect();
-                    report.sent_items += centers.len();
-                    let to = my_sends[next_send].to;
-                    ob.dispatch(comm, seq_of(me, to), to, Arc::clone(&all), centers);
-                    next_send += 1;
-                }
-            }
-        }
+    for &i in &kept {
         let c = local_centers[i];
         record_item(&mut report, c, Some(counts[i]), execute_item(&all, c, cfg));
         // Keep the protocol responsive while computing: senders absorb acks
@@ -583,22 +553,6 @@ fn run_rank_inner(
         }
         if let Some(ib) = inbox.as_mut() {
             ib.poll(comm);
-        }
-    }
-    // Flush any sends not yet dispatched (few kept items, or interleaving
-    // fractions that never triggered).
-    if cfg.interleave_sends {
-        if let Some(ob) = outbox.as_mut() {
-            while next_send < k_sends {
-                let centers: Vec<Vec3> = send_buckets[next_send]
-                    .iter()
-                    .map(|&x| local_centers[x])
-                    .collect();
-                report.sent_items += centers.len();
-                let to = my_sends[next_send].to;
-                ob.dispatch(comm, seq_of(me, to), to, Arc::clone(&all), centers);
-                next_send += 1;
-            }
         }
     }
 
@@ -921,65 +875,6 @@ mod tests {
                 assert!(rec.predicted_tri.is_finite() && rec.predicted_interp.is_finite());
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod interleave_tests {
-    use super::*;
-    use dtfe_nbody::datasets::galaxy_box;
-
-    #[test]
-    fn interleaved_sends_deliver_all_work() {
-        let (pts, halos) = galaxy_box(16.0, 12_000, 12, 51);
-        let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(16.0));
-        let requests: Vec<FieldRequest> = halos
-            .iter()
-            .take(12)
-            .map(|h| FieldRequest { center: h.center })
-            .collect();
-        let cfg = FrameworkConfig {
-            interleave_sends: true,
-            ..FrameworkConfig::new(2.0, 16)
-        };
-        let run = run_distributed(4, &pts, bounds, &requests, &cfg).unwrap();
-        assert_eq!(run.computed, requests.len());
-        let sent: usize = run.ranks.iter().map(|r| r.sent_items).sum();
-        let recvd: usize = run.ranks.iter().map(|r| r.received_items).sum();
-        assert_eq!(sent, recvd);
-    }
-
-    #[test]
-    fn interleaved_matches_upfront_results() {
-        let (pts, halos) = galaxy_box(12.0, 8_000, 8, 53);
-        let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(12.0));
-        let requests: Vec<FieldRequest> = halos
-            .iter()
-            .take(8)
-            .map(|h| FieldRequest { center: h.center })
-            .collect();
-        let collect = |interleave| {
-            let cfg = FrameworkConfig {
-                interleave_sends: interleave,
-                keep_fields: true,
-                ..FrameworkConfig::new(2.0, 8)
-            };
-            let mut fields: Vec<(Vec3, Vec<f64>)> =
-                run_distributed(3, &pts, bounds, &requests, &cfg)
-                    .unwrap()
-                    .ranks
-                    .into_iter()
-                    .flat_map(|r| r.fields.into_iter().map(|(c, f)| (c, f.data)))
-                    .collect();
-            fields.sort_by(|a, b| {
-                a.0.x
-                    .total_cmp(&b.0.x)
-                    .then(a.0.y.total_cmp(&b.0.y))
-                    .then(a.0.z.total_cmp(&b.0.z))
-            });
-            fields
-        };
-        assert_eq!(collect(true), collect(false));
     }
 }
 

@@ -230,35 +230,6 @@ pub fn pack_bins(
     Ok((assignment, leftovers))
 }
 
-/// Naive first-fit in input order (no sorting) — the ablation baseline for
-/// the paper's FFD choice. Same interface as [`pack_bins`].
-pub fn pack_bins_naive(
-    items: &[f64],
-    bins: &[f64],
-) -> Result<(Vec<Vec<usize>>, Vec<usize>), ScheduleError> {
-    all_finite(items, |index| ScheduleError::NonFiniteItem { index })?;
-    all_finite(bins, |index| ScheduleError::NonFiniteBin { index })?;
-    let mut remaining: Vec<f64> = bins.to_vec();
-    let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); bins.len()];
-    let mut leftovers = Vec::new();
-    const SLACK: f64 = 1e-9;
-    for (it, &cost) in items.iter().enumerate() {
-        let mut placed = false;
-        for b in 0..bins.len() {
-            if cost <= remaining[b] * (1.0 + SLACK) + SLACK {
-                remaining[b] -= cost;
-                assignment[b].push(it);
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            leftovers.push(it);
-        }
-    }
-    Ok((assignment, leftovers))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,6 +370,25 @@ mod tests {
     }
 
     #[test]
+    fn pack_bins_fills_tight_bins_on_a_heavy_tail() {
+        // Heavy-tailed items into tight bins: first-fit *decreasing* places
+        // nearly all the capacity's worth of work.
+        let mut s = 5u64;
+        let mut rnd = move || {
+            s ^= s >> 12;
+            s ^= s << 25;
+            s ^= s >> 27;
+            (s.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let items: Vec<f64> = (0..200).map(|_| (1.0 - rnd()).powf(-0.4)).collect();
+        let bins: Vec<f64> = (0..12).map(|_| 5.0 + 10.0 * rnd()).collect();
+        let (assign, _left) = pack_bins(&items, &bins).unwrap();
+        let placed: f64 = assign.iter().flatten().map(|&i| items[i]).sum();
+        let fill = placed / bins.iter().sum::<f64>();
+        assert!(fill > 0.95, "FFD fill {fill}");
+    }
+
+    #[test]
     fn non_finite_inputs_are_rejected_with_typed_errors() {
         assert_eq!(
             create_schedule(&[1.0, f64::NAN, 2.0]),
@@ -415,10 +405,6 @@ mod tests {
         assert_eq!(
             pack_bins(&[1.0], &[f64::NEG_INFINITY]),
             Err(ScheduleError::NonFiniteBin { index: 0 })
-        );
-        assert_eq!(
-            pack_bins_naive(&[f64::NAN], &[1.0]),
-            Err(ScheduleError::NonFiniteItem { index: 0 })
         );
         let msg = ScheduleError::NonFiniteTime { rank: 3 }.to_string();
         assert!(msg.contains("rank 3"), "{msg}");
@@ -457,46 +443,5 @@ mod tests {
             sd(&times),
             sd(&after)
         );
-    }
-}
-
-#[cfg(test)]
-mod ablation_tests {
-    use super::*;
-
-    type PackResult = Result<(Vec<Vec<usize>>, Vec<usize>), ScheduleError>;
-
-    fn packed_fraction(pack: impl Fn(&[f64], &[f64]) -> PackResult) -> f64 {
-        // Heavy-tailed items into tight bins: measure how much work the
-        // packer manages to place.
-        let mut s = 5u64;
-        let mut rnd = move || {
-            s ^= s >> 12;
-            s ^= s << 25;
-            s ^= s >> 27;
-            (s.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let items: Vec<f64> = (0..200).map(|_| (1.0 - rnd()).powf(-0.4)).collect();
-        let bins: Vec<f64> = (0..12).map(|_| 5.0 + 10.0 * rnd()).collect();
-        let (assign, _left) = pack(&items, &bins).unwrap();
-        let placed: f64 = assign.iter().flatten().map(|&i| items[i]).sum();
-        let capacity: f64 = bins.iter().sum();
-        placed / capacity
-    }
-
-    #[test]
-    fn ffd_fills_bins_at_least_as_well_as_naive() {
-        let ffd = packed_fraction(pack_bins);
-        let naive = packed_fraction(pack_bins_naive);
-        assert!(ffd >= naive - 1e-9, "FFD {ffd} vs naive {naive}");
-        // FFD should fill the bins nearly completely on this workload.
-        assert!(ffd > 0.95, "FFD fill {ffd}");
-    }
-
-    #[test]
-    fn naive_respects_same_contract() {
-        let (assign, left) = pack_bins_naive(&[10.0, 1.0, 2.0], &[2.5]).unwrap();
-        assert_eq!(assign[0], vec![1]); // 10 skips, 1 fits, 2 no longer fits
-        assert_eq!(left, vec![0, 2]);
     }
 }

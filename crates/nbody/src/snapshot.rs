@@ -8,7 +8,7 @@
 //! can fetch any subset of blocks independently, which is what the
 //! framework's "parallel read with arbitrary block assignment" simulates.
 //!
-//! Current layout, version 2 (little-endian):
+//! Layout (little-endian):
 //!
 //! ```text
 //! magic    u64  = 0x44_54_46_45_53_4E_50_32 ("DTFESNP2")
@@ -20,22 +20,19 @@
 //! data     total × 3 × f64
 //! ```
 //!
-//! Version 1 ("DTFESNP1") lacked the checksum word; legacy files still read
-//! (with a `nbody.legacy_snapshot_reads` warning counter), but a truncated
-//! or bit-flipped v2 file surfaces as a typed
+//! A truncated or bit-flipped file surfaces as a typed
 //! [`SnapshotError::ChecksumMismatch`] instead of silently returning garbage
 //! particles — the serving layer's registry depends on this to reject
-//! corrupt uploads.
+//! corrupt uploads. The pre-checksum version 1 ("DTFESNP1", no checksum
+//! word) had no way to be verified and is a [`SnapshotError::BadMagic`].
 
 use dtfe_geometry::{Aabb3, Vec3};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-/// Version-1 magic (no checksum).
-const MAGIC_V1: u64 = 0x4454_4645_534E_5031;
-/// Version-2 magic (FNV-1a content checksum in the header).
-const MAGIC_V2: u64 = 0x4454_4645_534E_5032;
+/// "DTFESNP2": the layout with the FNV-1a content checksum in the header.
+const MAGIC: u64 = 0x4454_4645_534E_5032;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -125,10 +122,8 @@ pub struct SnapshotInfo {
     pub total: u64,
     /// Per-rank `(offset, count)` in particle units.
     pub blocks: Vec<(u64, u64)>,
-    /// Header checksum of the data section (`None` on legacy v1 files).
-    pub checksum: Option<u64>,
-    /// `true` when the file carries the pre-checksum v1 header.
-    pub legacy: bool,
+    /// Header checksum (FNV-1a 64) of the data section.
+    pub checksum: u64,
 }
 
 impl SnapshotInfo {
@@ -170,8 +165,7 @@ fn checksum_blocks(blocks: &[Vec<Vec3>]) -> u64 {
     h.finish()
 }
 
-/// Write a snapshot (current v2 layout, checksummed) with one contiguous
-/// block per writer rank.
+/// Write a snapshot with one contiguous block per writer rank.
 pub fn write_snapshot(
     path: &Path,
     blocks: &[Vec<Vec3>],
@@ -179,7 +173,7 @@ pub fn write_snapshot(
 ) -> Result<(), SnapshotError> {
     let mut w = BufWriter::new(File::create(path)?);
     let total: u64 = blocks.iter().map(|b| b.len() as u64).sum();
-    write_u64(&mut w, MAGIC_V2)?;
+    write_u64(&mut w, MAGIC)?;
     write_u64(&mut w, blocks.len() as u64)?;
     write_u64(&mut w, total)?;
     write_u64(&mut w, checksum_blocks(blocks))?;
@@ -216,31 +210,20 @@ pub fn read_info(path: &Path) -> Result<SnapshotInfo, SnapshotError> {
 
 fn read_info_from(r: &mut impl Read, file_len: u64) -> Result<SnapshotInfo, SnapshotError> {
     let magic = read_u64(r)?;
-    let legacy = match magic {
-        MAGIC_V2 => false,
-        MAGIC_V1 => true,
-        found => return Err(SnapshotError::BadMagic { found }),
-    };
+    if magic != MAGIC {
+        return Err(SnapshotError::BadMagic { found: magic });
+    }
     let nranks = read_u64(r)?;
     let total = read_u64(r)?;
-    let checksum = if legacy {
-        // Pre-checksum header: readable, but integrity is unverifiable.
-        // Surface the fact as a warning counter so operators can find and
-        // rewrite stale files.
-        dtfe_telemetry::counter_add!("nbody.legacy_snapshot_reads", 1);
-        None
-    } else {
-        Some(read_u64(r)?)
-    };
+    let checksum = read_u64(r)?;
     let lo = Vec3::new(read_f64(r)?, read_f64(r)?, read_f64(r)?);
     let hi = Vec3::new(read_f64(r)?, read_f64(r)?, read_f64(r)?);
     // `nranks` and `total` are untrusted: a table that cannot fit in the
     // file (or a size that overflows) is malformed; a data section cut
     // short is the unexpected EOF that reading it would hit.
-    let head_words: u64 = if legacy { 3 } else { 4 };
     let table_end = nranks
         .checked_mul(16)
-        .and_then(|table| table.checked_add((head_words + 6) * 8))
+        .and_then(|table| table.checked_add(HEAD_BYTES))
         .filter(|&end| end <= file_len)
         .ok_or(SnapshotError::MalformedTable)?;
     let data_end = total
@@ -276,14 +259,14 @@ fn read_info_from(r: &mut impl Read, file_len: u64) -> Result<SnapshotInfo, Snap
         total,
         blocks,
         checksum,
-        legacy,
     })
 }
 
+/// magic + nranks + total + checksum + 6 bounds.
+const HEAD_BYTES: u64 = (4 + 6) * 8;
+
 fn data_start(info: &SnapshotInfo) -> u64 {
-    // magic + nranks + total (+ checksum on v2) + 6 bounds + table.
-    let head = if info.legacy { 3 } else { 4 };
-    (head + 6 + 2 * info.blocks.len() as u64) * 8
+    HEAD_BYTES + 16 * info.blocks.len() as u64
 }
 
 /// Read one rank's block (the per-process read of the parallel ingest).
@@ -311,7 +294,7 @@ pub fn read_block(
     Ok(out)
 }
 
-/// Read the whole snapshot, verifying the data checksum (v2 files).
+/// Read the whole snapshot, verifying the data checksum.
 pub fn read_all(path: &Path) -> Result<(SnapshotInfo, Vec<Vec3>), SnapshotError> {
     let info = read_info(path)?;
     let mut f = File::open(path)?;
@@ -329,23 +312,17 @@ pub fn read_all(path: &Path) -> Result<(SnapshotInfo, Vec<Vec3>), SnapshotError>
             f64::from_le_bytes(buf[16..24].try_into().unwrap()),
         ));
     }
-    if let Some(expected) = info.checksum {
-        let actual = hash.finish();
-        if actual != expected {
-            return Err(SnapshotError::ChecksumMismatch { expected, actual });
-        }
+    let (expected, actual) = (info.checksum, hash.finish());
+    if actual != expected {
+        return Err(SnapshotError::ChecksumMismatch { expected, actual });
     }
     Ok((info, out))
 }
 
 /// Stream the data section and verify it against the header checksum
-/// without materializing the particles. Legacy v1 files (no checksum) pass
-/// vacuously — the read already bumped the legacy warning counter.
+/// without materializing the particles.
 pub fn verify(path: &Path) -> Result<SnapshotInfo, SnapshotError> {
     let info = read_info(path)?;
-    let Some(expected) = info.checksum else {
-        return Ok(info);
-    };
     let mut f = File::open(path)?;
     f.seek(SeekFrom::Start(data_start(&info)))?;
     let mut r = BufReader::new(f);
@@ -358,7 +335,7 @@ pub fn verify(path: &Path) -> Result<SnapshotInfo, SnapshotError> {
         hash.update(&buf[..want]);
         remaining -= want as u64;
     }
-    let actual = hash.finish();
+    let (expected, actual) = (info.checksum, hash.finish());
     if actual != expected {
         return Err(SnapshotError::ChecksumMismatch { expected, actual });
     }
@@ -389,34 +366,6 @@ mod tests {
         (blocks, Aabb3::new(Vec3::ZERO, Vec3::splat(2.0)))
     }
 
-    /// Write the pre-checksum v1 layout, as old files on disk have it.
-    fn write_snapshot_v1(path: &Path, blocks: &[Vec<Vec3>], bounds: Aabb3) -> io::Result<()> {
-        let mut w = BufWriter::new(File::create(path)?);
-        let total: u64 = blocks.iter().map(|b| b.len() as u64).sum();
-        write_u64(&mut w, MAGIC_V1)?;
-        write_u64(&mut w, blocks.len() as u64)?;
-        write_u64(&mut w, total)?;
-        for v in [bounds.lo, bounds.hi] {
-            write_f64(&mut w, v.x)?;
-            write_f64(&mut w, v.y)?;
-            write_f64(&mut w, v.z)?;
-        }
-        let mut offset = 0u64;
-        for b in blocks {
-            write_u64(&mut w, offset)?;
-            write_u64(&mut w, b.len() as u64)?;
-            offset += b.len() as u64;
-        }
-        for b in blocks {
-            for p in b {
-                write_f64(&mut w, p.x)?;
-                write_f64(&mut w, p.y)?;
-                write_f64(&mut w, p.z)?;
-            }
-        }
-        w.flush()
-    }
-
     #[test]
     fn roundtrip_all() {
         let p = tmp("all");
@@ -426,8 +375,6 @@ mod tests {
         assert_eq!(info.total, 6);
         assert_eq!(info.num_ranks(), 4);
         assert_eq!(info.bounds, bounds);
-        assert!(!info.legacy);
-        assert!(info.checksum.is_some());
         let expect: Vec<Vec3> = blocks.concat();
         assert_eq!(pts, expect);
         std::fs::remove_file(&p).ok();
@@ -555,41 +502,6 @@ mod tests {
                 }
             }
         }
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn legacy_v1_files_still_read() {
-        let p = tmp("v1");
-        let (blocks, bounds) = sample_blocks();
-        write_snapshot_v1(&p, &blocks, bounds).unwrap();
-        let info = read_info(&p).unwrap();
-        assert!(info.legacy);
-        assert_eq!(info.checksum, None);
-        let (info2, pts) = read_all(&p).unwrap();
-        assert_eq!(info2.total, 6);
-        assert_eq!(pts, blocks.concat());
-        for (rank, expect) in blocks.iter().enumerate() {
-            assert_eq!(&read_block(&p, &info, rank).unwrap(), expect);
-        }
-        // verify() passes vacuously: there is nothing to check against.
-        assert!(verify(&p).is_ok());
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn legacy_reads_bump_warning_counter() {
-        let p = tmp("v1warn");
-        let (blocks, bounds) = sample_blocks();
-        write_snapshot_v1(&p, &blocks, bounds).unwrap();
-        let rec = dtfe_telemetry::Recorder::new("snap-test");
-        {
-            let _g = rec.install();
-            read_info(&p).unwrap();
-            read_info(&p).unwrap();
-        }
-        let snap = rec.snapshot();
-        assert_eq!(snap.metrics.counter("nbody.legacy_snapshot_reads"), 2);
         std::fs::remove_file(&p).ok();
     }
 }

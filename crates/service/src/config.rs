@@ -1,6 +1,7 @@
 //! Service configuration.
 
 use dtfe_framework::{InterpModel, TriModel, WorkloadModel};
+use std::path::PathBuf;
 use std::time::Duration;
 
 /// Knobs of the serving layer. Mirrors the batch
@@ -45,7 +46,7 @@ pub struct ServiceConfig {
     pub model: WorkloadModel,
     /// Install a process-global telemetry recorder for the service's
     /// lifetime, so cache/queue/latency metrics appear in
-    /// [`Service::metrics_json`](crate::Service::metrics_json).
+    /// [`Service::stats_document`](crate::Service::stats_document).
     pub telemetry: bool,
     /// Socket read timeout applied to every accepted connection (slow-loris
     /// defense: a peer that connects and goes silent is disconnected, not
@@ -193,6 +194,103 @@ impl ServiceConfig {
     }
 }
 
+/// The command line `dtfe-served` and `dtfe-clusterd` share: where the
+/// snapshots live, where to listen, and the [`ServiceConfig`] overrides.
+/// Each daemon feeds its flags through [`DaemonArgs::accept`] first and
+/// matches only what is left.
+#[derive(Clone, Debug)]
+pub struct DaemonArgs {
+    pub snapshots: PathBuf,
+    pub port: u16,
+    pub tiles: usize,
+    pub field_len: f64,
+    pub resolution: usize,
+    pub samples: usize,
+    pub workers: usize,
+    pub cache_mb: usize,
+    pub admission_s: f64,
+    pub demo: bool,
+}
+
+impl DaemonArgs {
+    /// The defaults; only the port differs between the daemons.
+    pub fn new(port: u16) -> DaemonArgs {
+        DaemonArgs {
+            snapshots: PathBuf::from("snapshots"),
+            port,
+            tiles: 8,
+            field_len: 8.0,
+            resolution: 128,
+            samples: 1,
+            workers: 2,
+            cache_mb: 256,
+            admission_s: 30.0,
+            demo: false,
+        }
+    }
+
+    /// Take `flag` (and its value, the next item of `rest`) if it is one of
+    /// the shared ten. `Ok(false)` leaves `rest` untouched for the caller's
+    /// own flags; `Err` is a missing or unparseable value.
+    pub fn accept(
+        &mut self,
+        flag: &str,
+        rest: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, String> {
+        match flag {
+            "--snapshots" => self.snapshots = Self::value(flag, rest)?,
+            "--port" => self.port = Self::value(flag, rest)?,
+            "--tiles" => self.tiles = Self::value(flag, rest)?,
+            "--field-len" => self.field_len = Self::value(flag, rest)?,
+            "--resolution" => self.resolution = Self::value(flag, rest)?,
+            "--samples" => self.samples = Self::value(flag, rest)?,
+            "--workers" => self.workers = Self::value(flag, rest)?,
+            "--cache-mb" => self.cache_mb = Self::value(flag, rest)?,
+            "--admission-s" => self.admission_s = Self::value(flag, rest)?,
+            "--demo" => self.demo = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The parsed value of `flag`: the next item of `rest`. A daemon's own
+    /// flags parse through this too, so both report errors the same way.
+    pub fn value<T: std::str::FromStr>(
+        flag: &str,
+        rest: &mut impl Iterator<Item = String>,
+    ) -> Result<T, String> {
+        let raw = rest.next().ok_or(format!("missing value for {flag}"))?;
+        raw.parse()
+            .map_err(|_| format!("bad value {raw:?} for {flag}"))
+    }
+
+    /// The serving configuration these flags describe.
+    pub fn service_config(&self, telemetry: bool) -> ServiceConfig {
+        let mut cfg = ServiceConfig::new(self.field_len, self.resolution);
+        cfg.samples = self.samples;
+        cfg.tiles = self.tiles;
+        cfg.workers = self.workers;
+        cfg.cache_budget_bytes = self.cache_mb << 20;
+        cfg.admission_budget_s = self.admission_s;
+        cfg.telemetry = telemetry;
+        cfg
+    }
+
+    /// Create the snapshot directory and, under `--demo`, seed it with the
+    /// demo snapshot. The error is the line the daemon prints before
+    /// exiting.
+    pub fn prepare_snapshots(&self) -> Result<(), String> {
+        std::fs::create_dir_all(&self.snapshots)
+            .map_err(|e| format!("cannot create snapshot dir {:?}: {e}", self.snapshots))?;
+        if self.demo {
+            crate::tiles::write_demo_snapshot(&self.snapshots)
+                .map_err(|e| format!("cannot write demo snapshot: {e}"))?;
+            eprintln!("demo snapshot ready (id: demo)");
+        }
+        Ok(())
+    }
+}
+
 /// Conservative default pricing model: coefficients of the right order of
 /// magnitude for a laptop-class core (µs-scale per-point triangulation,
 /// near-linear render). Pricing only has to *rank* requests and track
@@ -237,6 +335,22 @@ mod tests {
         let mut c = ServiceConfig::new(f64::NAN, 64);
         c.ghost_margin = f64::NAN;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn daemon_args_take_the_shared_flags_and_leave_the_rest() {
+        let mut args = DaemonArgs::new(7433);
+        let mut rest = ["64", "3", "x"].map(String::from).into_iter();
+        assert_eq!(args.accept("--resolution", &mut rest), Ok(true));
+        assert_eq!(args.accept("--demo", &mut rest), Ok(true));
+        // Not one of the ten: its value stays in `rest` for the caller.
+        assert_eq!(args.accept("--shards", &mut rest), Ok(false));
+        assert_eq!(rest.next().as_deref(), Some("3"));
+        assert!(args.accept("--port", &mut rest).is_err(), "unparseable");
+        assert!(args.accept("--tiles", &mut rest).is_err(), "missing");
+        assert_eq!((args.resolution, args.demo, args.port), (64, true, 7433));
+        let cfg = args.service_config(true);
+        assert!(cfg.telemetry && cfg.resolution == 64 && cfg.cache_budget_bytes == 256 << 20);
     }
 
     #[test]

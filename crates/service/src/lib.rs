@@ -75,11 +75,11 @@ pub use api::{
 pub use cache::{QuarantinePolicy, TileCache};
 pub use chaos::{ChaosProxy, ChaosStats, Direction, SocketFaultPlan, SocketFaultRule};
 pub use client::{ClientConfig, ClientStats, ResilientClient};
-pub use config::ServiceConfig;
+pub use config::{DaemonArgs, ServiceConfig};
 pub use dtfe_core::EstimatorKind;
 pub use error::ServiceError;
 pub use registry::{SnapshotData, SnapshotRegistry};
-pub use server::{Service, ServiceStats};
+pub use server::{Resolved, Service, ServiceStats};
 pub use stats_doc::{
     CacheCounters, HistDigest, MetricsDigest, ServingCounters, StatsDocument, STATS_VERSION,
 };

@@ -284,6 +284,43 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The same v1-layout file a pre-checksum writer produced: magic
+    /// "DTFESNP1" and no checksum word, every other byte as in v2.
+    fn write_snapshot_v1(path: &std::path::Path, blocks: &[Vec<Vec3>], bounds: Aabb3) {
+        write_snapshot(path, blocks, bounds).unwrap();
+        let v2 = std::fs::read(path).unwrap();
+        let mut v1 = 0x4454_4645_534E_5031u64.to_le_bytes().to_vec();
+        v1.extend_from_slice(&v2[8..24]); // nranks, total
+        v1.extend_from_slice(&v2[32..]); // bounds, table, data
+        std::fs::write(path, v1).unwrap();
+    }
+
+    #[test]
+    fn v1_layout_file_is_bad_magic_not_a_load() {
+        // A v1 file carries nothing to verify its particles against, so it
+        // is refused outright rather than served unchecked.
+        let dir = tmpdir("v1");
+        let path = dir.join("old.snap");
+        let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(4.0));
+        write_snapshot_v1(&path, &[cloud(200, 4.0, 17)], bounds);
+        for err in [
+            snapshot::read_info(&path).err(),
+            snapshot::read_all(&path).err(),
+            snapshot::verify(&path).err(),
+        ] {
+            assert!(
+                matches!(err, Some(SnapshotError::BadMagic { .. })),
+                "{err:?}"
+            );
+        }
+        let reg = SnapshotRegistry::new(&dir, &ServiceConfig::new(1.0, 16));
+        assert!(matches!(
+            reg.get("old"),
+            Err(ServiceError::CorruptSnapshot(_))
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn hostile_header_is_corrupt_not_a_panic_or_a_parked_handler() {
         // One particle, then the header's `total` (offset 16) and the one

@@ -69,27 +69,6 @@ impl ServiceStats {
     fn get(a: &AtomicU64) -> u64 {
         a.load(Ordering::Relaxed)
     }
-
-    /// Compact JSON object of the counters (stable key order).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"admitted\":{},\"shed\":{},\"rejected\":{},\"completed\":{},",
-                "\"deadline_dropped\":{},\"failed\":{},\"hits\":{},\"misses\":{},",
-                "\"coalesced\":{},\"stale_served\":{}}}"
-            ),
-            Self::get(&self.admitted),
-            Self::get(&self.shed),
-            Self::get(&self.rejected),
-            Self::get(&self.completed),
-            Self::get(&self.deadline_dropped),
-            Self::get(&self.failed),
-            Self::get(&self.hits),
-            Self::get(&self.misses),
-            Self::get(&self.coalesced),
-            Self::get(&self.stale_served),
-        )
-    }
 }
 
 /// One admitted request waiting in (or moving through) the queue.
@@ -109,6 +88,24 @@ struct Job {
     enqueued: Instant,
     deadline: Option<Instant>,
     reply: mpsc::Sender<Result<RenderResponse, ServiceError>>,
+}
+
+/// What a request resolves to once its defaults are filled in and its
+/// caps, bounds and geometry are checked: the one normalisation
+/// [`Service::submit`] admits from and the cluster router routes on, so the
+/// two can never disagree about which tile a request lands on or whether it
+/// is valid at all.
+#[derive(Debug)]
+pub struct Resolved {
+    /// The cache key (and, hashed, the ring key) the request lands on.
+    pub tile: TileKey,
+    /// Ghost-padded particle count of that tile — the cost model's `n`.
+    pub particles: usize,
+    /// The exact render geometry the batch framework would use.
+    pub grid: GridSpec2,
+    pub opts: MarchOptions,
+    /// Lines of sight the render marches: `resolution² × samples`.
+    pub cells: usize,
 }
 
 struct QueueState {
@@ -269,88 +266,27 @@ impl Service {
         let submitted = Instant::now();
         let t0_us = clock::now_us();
 
-        let resolution = match req.resolution {
-            0 => cfg.resolution,
-            r => r as usize,
-        };
-        if resolution > ServiceConfig::MAX_RESOLUTION {
-            return Err(ServiceError::InvalidRequest(format!(
-                "resolution {resolution} exceeds cap {}",
-                ServiceConfig::MAX_RESOLUTION
-            )));
-        }
-        let samples = match req.samples {
-            0 => cfg.samples,
-            s => s as usize,
-        };
-        if samples > ServiceConfig::MAX_SAMPLES {
-            return Err(ServiceError::InvalidRequest(format!(
-                "samples {samples} exceeds cap {}",
-                ServiceConfig::MAX_SAMPLES
-            )));
-        }
-        if !req.center.is_finite() {
-            return Err(ServiceError::InvalidRequest(
-                "field center must be finite".into(),
-            ));
-        }
-        // Normalise the estimator: an unspecified stochastic realization
-        // count (0) takes the default; past the cap each realization is a
-        // full rebuild, so it is a typed refusal, not a silent clamp.
-        let estimator = req.estimator.normalized();
-        if let EstimatorKind::Stochastic { realizations } = estimator {
-            if realizations > ServiceConfig::MAX_REALIZATIONS {
-                return Err(ServiceError::InvalidRequest(format!(
-                    "stochastic realizations {realizations} exceeds cap {}",
-                    ServiceConfig::MAX_REALIZATIONS
-                )));
-            }
-        }
-
-        // Loading the snapshot is part of submission: unknown/corrupt ids
+        // Loading the snapshot is part of resolving: unknown/corrupt ids
         // fail fast, before admission charges anything. Corrupt and
         // quarantined loads are incidents the flight recorder must keep —
         // they never reach `serve_batch`, so they are recorded here.
-        let snap = match inner.registry.get(&req.snapshot) {
-            Ok(snap) => snap,
+        let Resolved {
+            tile,
+            particles,
+            grid,
+            opts,
+            ..
+        } = match self.resolve(req) {
+            Ok(resolved) => resolved,
             Err(e) => {
                 record_submit_failure(inner, req.trace, t0_us, submitted, &e);
                 return Err(e);
             }
         };
-        if !snap.bounds.contains_closed(req.center) {
-            return Err(ServiceError::InvalidRequest(format!(
-                "center {:?} outside snapshot bounds",
-                req.center
-            )));
-        }
-
-        // The exact render geometry the batch framework would use — built
-        // through the validating constructors so degenerate geometry is a
-        // typed error, not a panic in the marching kernel.
-        let grid = GridSpec2::try_square(req.center.xy(), cfg.field_len, resolution)
-            .map_err(|e| ServiceError::InvalidRequest(e.to_string()))?;
-        let opts = MarchOptions::new()
-            .samples(samples)
-            .parallel(false)
-            .estimator(estimator)
-            .z_range(
-                req.center.z - cfg.field_len * 0.5,
-                req.center.z + cfg.field_len * 0.5,
-            );
-        opts.render
-            .validate()
-            .map_err(|e| ServiceError::InvalidRequest(e.to_string()))?;
-
-        let tile = TileKey::new(
-            req.snapshot.clone(),
-            snap.decomp.rank_of(req.center),
-            estimator,
-        );
-        let n = snap.tile_counts[tile.tile];
-        let cost_s = inner
-            .admission
-            .price(n, inner.cache.is_resident(&tile), tile.estimator);
+        let cost_s =
+            inner
+                .admission
+                .price(particles, inner.cache.is_resident(&tile), tile.estimator);
 
         let deadline = match req.deadline_ms {
             0 => cfg.default_deadline.map(|d| Instant::now() + d),
@@ -408,41 +344,87 @@ impl Service {
         Ok(rx)
     }
 
-    /// The cache key a request resolves to — the same normalisation and
-    /// tile lookup `submit` performs, without admitting anything. The
-    /// cluster router hashes this key onto its ring to decide which shard
-    /// owns the request; keeping the mapping here (not re-derived in the
-    /// cluster crate) guarantees router and server can never disagree
-    /// about which tile a request lands on.
-    pub fn tile_key(&self, req: &RenderRequest) -> Result<TileKey, ServiceError> {
+    /// Normalise and validate a request without admitting anything: fill
+    /// the `resolution`/`samples`/realization defaults, enforce their caps,
+    /// load the snapshot, bounds-check the centre and build the render
+    /// geometry. Every shard of a cluster loads the same snapshots under
+    /// the same config, so a request that fails here fails identically
+    /// everywhere — which is why the cluster router calls this *before*
+    /// deciding whose tile it is.
+    pub fn resolve(&self, req: &RenderRequest) -> Result<Resolved, ServiceError> {
         let inner = &*self.inner;
-        if !req.center.is_finite() {
-            return Err(ServiceError::InvalidRequest(
-                "field center must be finite".into(),
+        let cfg = &inner.cfg;
+        let invalid = |msg: String| Err(ServiceError::InvalidRequest(msg));
+
+        let resolution = match req.resolution {
+            0 => cfg.resolution,
+            r => r as usize,
+        };
+        if resolution > ServiceConfig::MAX_RESOLUTION {
+            return invalid(format!(
+                "resolution {resolution} exceeds cap {}",
+                ServiceConfig::MAX_RESOLUTION
             ));
         }
+        let samples = match req.samples {
+            0 => cfg.samples,
+            s => s as usize,
+        };
+        if samples > ServiceConfig::MAX_SAMPLES {
+            return invalid(format!(
+                "samples {samples} exceeds cap {}",
+                ServiceConfig::MAX_SAMPLES
+            ));
+        }
+        if !req.center.is_finite() {
+            return invalid("field center must be finite".into());
+        }
+        // Normalise the estimator: an unspecified stochastic realization
+        // count (0) takes the default; past the cap each realization is a
+        // full rebuild, so it is a typed refusal, not a silent clamp.
+        let estimator = req.estimator.normalized();
+        if let EstimatorKind::Stochastic { realizations } = estimator {
+            if realizations > ServiceConfig::MAX_REALIZATIONS {
+                return invalid(format!(
+                    "stochastic realizations {realizations} exceeds cap {}",
+                    ServiceConfig::MAX_REALIZATIONS
+                ));
+            }
+        }
+
         let snap = inner.registry.get(&req.snapshot)?;
         if !snap.bounds.contains_closed(req.center) {
-            return Err(ServiceError::InvalidRequest(format!(
-                "center {:?} outside snapshot bounds",
-                req.center
-            )));
+            return invalid(format!("center {:?} outside snapshot bounds", req.center));
         }
-        Ok(TileKey::new(
+
+        // Built through the validating constructors so degenerate geometry
+        // is a typed error, not a panic in the marching kernel.
+        let grid = GridSpec2::try_square(req.center.xy(), cfg.field_len, resolution)
+            .map_err(|e| ServiceError::InvalidRequest(e.to_string()))?;
+        let opts = MarchOptions::new()
+            .samples(samples)
+            .parallel(false)
+            .estimator(estimator)
+            .z_range(
+                req.center.z - cfg.field_len * 0.5,
+                req.center.z + cfg.field_len * 0.5,
+            );
+        opts.render
+            .validate()
+            .map_err(|e| ServiceError::InvalidRequest(e.to_string()))?;
+
+        let tile = TileKey::new(
             req.snapshot.clone(),
             snap.decomp.rank_of(req.center),
-            req.estimator.normalized(),
-        ))
-    }
-
-    /// Ghost-padded particle count of a tile — the `n` the cluster router
-    /// feeds the cost model when scoring candidate shards for `key`.
-    pub fn tile_particles(&self, key: &TileKey) -> Result<usize, ServiceError> {
-        let snap = self.inner.registry.get(&key.snapshot)?;
-        snap.tile_counts
-            .get(key.tile)
-            .copied()
-            .ok_or_else(|| ServiceError::InvalidRequest(format!("tile {} out of range", key.tile)))
+            estimator,
+        );
+        Ok(Resolved {
+            particles: snap.tile_counts[tile.tile],
+            tile,
+            grid,
+            opts,
+            cells: resolution * resolution * samples,
+        })
     }
 
     /// Readiness snapshot for probes: answers from counters and brief
@@ -526,12 +508,6 @@ impl Service {
                 .as_ref()
                 .map(|(rec, _)| MetricsDigest::of(&rec.snapshot().metrics)),
         }
-    }
-
-    /// JSON rendering of [`Service::stats_document`] (what the wire
-    /// `Stats` request answers).
-    pub fn metrics_json(&self) -> String {
-        self.stats_document().to_json()
     }
 
     /// The flight recorder (recent interesting request traces).
