@@ -101,11 +101,7 @@ impl ClusterClient {
         if !req.center.is_finite() || !decomp.bounds.contains_closed(req.center) {
             return None;
         }
-        let key = TileKey::new(
-            req.snapshot.clone(),
-            decomp.rank_of(req.center),
-            req.estimator.normalized(),
-        );
+        let key = TileKey::new(req.snapshot.clone(), decomp.rank_of(req.center));
         Some(key_of(&key))
     }
 

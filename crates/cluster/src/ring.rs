@@ -31,7 +31,9 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Ring position of a tile key: FNV-1a over its canonical
-/// `"{snapshot}/{tile}/{estimator}"` rendering, then a SplitMix64 finalize.
+/// `"{snapshot}/{tile}"` rendering, then a SplitMix64 finalize. The
+/// estimator is not part of it: every estimator of a tile is a table over
+/// the tile's one mesh, so all of them belong on the shard that holds it.
 pub fn key_of(key: &TileKey) -> u64 {
     splitmix64(fnv1a64(key.to_string().as_bytes()))
 }

@@ -183,6 +183,41 @@ fn three_shards_bit_identical_to_single_node() {
     }
 }
 
+/// Placement follows the mesh, not the estimator: every estimator of a tile
+/// hashes to the tile's ring position, so a second estimator lands on the
+/// shard that already holds the triangulation and only fills a table there.
+#[test]
+fn estimators_of_one_tile_share_a_shard_and_a_mesh() {
+    use dtfe_service::EstimatorKind;
+    use std::sync::atomic::Ordering;
+    let dir = tmpdir("onemesh");
+    let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(SIDE));
+    write_snapshot(&dir.join("c.snap"), &[cloud(2000, SIDE, 45)], bounds).unwrap();
+    let reference = Service::start(&dir, service_config()).unwrap();
+    let (shards, addrs) = boot(&dir, 3);
+    let mut client = ring_client(&addrs, 10);
+
+    let center = centers()[0];
+    let kinds = [EstimatorKind::Dtfe, EstimatorKind::PsDtfe];
+    let served_by = kinds.map(|kind| {
+        let req = RenderRequest::new("c", center).estimator(kind);
+        let (resp, shard) = client.render(&req).unwrap();
+        let expect = reference.render(&req).unwrap();
+        assert_bits_equal(&resp.data, &expect.data, &format!("{kind}"));
+        assert!(!resp.meta.cache_hit, "{kind}: a mesh or a table was built");
+        shard
+    });
+    assert_eq!(served_by[0], served_by[1], "one tile, one owner");
+    // One triangulation in the whole cluster (a cache miss is a mesh
+    // build), one entry, two tables on it.
+    let caches = (0..3).map(|i| shards.node(i).service().cache());
+    let (builds, entries) = caches.fold((0, 0), |(b, e), cache| {
+        let misses = cache.stats.misses.load(Ordering::Relaxed);
+        (b + misses, e + cache.resident_entries())
+    });
+    assert_eq!((builds, entries), (1, 1));
+}
+
 /// Contract 2: kill one shard after warmup. Every later render still
 /// returns the bit-identical field (rehash + failover), and the
 /// survivors' ring epoch bumps once gossip notices the silence.

@@ -3,12 +3,11 @@
 
 use crate::estimator::{
     entry_facets_of, integrate_vertex_field, vertex_interp, vertex_masses, DegeneratePolicy,
-    FieldEstimator, FieldView,
+    FieldEstimator, FieldView, RenderMesh,
 };
 use crate::marching::MarchCache;
 use dtfe_delaunay::{BuildError, Delaunay, DelaunayBuilder, Located, TetId};
 use dtfe_geometry::{Vec2, Vec3};
-use std::sync::OnceLock;
 
 /// Particle masses for the density estimate.
 #[derive(Clone, Debug)]
@@ -28,32 +27,58 @@ pub struct TetInterp {
     pub grad: Vec3,
 }
 
-/// A DTFE density field: the triangulation, the vertex densities of Eq. 2,
-/// and precomputed per-tetrahedron gradients.
+/// The DTFE table over a [`RenderMesh`]: the vertex densities of Eq. 2 and
+/// one precomputed linear interpolant per tetrahedron slot.
 ///
 /// Densities are `ρ̂(x_i) = (d+1) m_i / Σ_j V(T_{j,i})` with `d = 3`: four
 /// times the vertex mass over the volume of its star (the contiguous Voronoi
 /// cell). This makes the piecewise-linear field conserve total mass exactly:
 /// `∫ ρ̂ dV = Σ_i m_i` over the convex hull.
-pub struct DtfeField {
-    del: Delaunay,
+pub struct DtfeTable {
     vertex_density: Vec<f64>,
     /// Indexed by tetrahedron slot id; ghost/freed slots hold zeros.
     interp: Vec<TetInterp>,
-    /// Pre-normalized per-slot tetrahedra for the coherent marching kernel,
-    /// built on first render so non-marching users pay nothing.
-    march: OnceLock<MarchCache>,
 }
 
-/// Eq. 2 over `del`'s current slot order: `ρ̂_i = (d+1) m_i / W_i`, merged
-/// duplicates accumulating their masses.
-fn vertex_densities(del: &Delaunay, n_input: usize, mass: &Mass) -> Vec<f64> {
-    let star = del.vertex_star_volumes();
-    vertex_masses(del, n_input, mass)
-        .iter()
-        .zip(&star)
-        .map(|(&m, &w)| if w > 0.0 { 4.0 * m / w } else { 0.0 })
-        .collect()
+impl DtfeTable {
+    /// Eq. 2 and Eq. 1 over `mesh`, which was triangulated from `n_input`
+    /// input points (duplicates may have merged; masses accumulate via
+    /// [`Delaunay::vertex_of_input`]). Degenerate (coplanar) tetrahedra
+    /// carry zero volume, so a zero gradient is the documented density
+    /// policy ([`DegeneratePolicy::ZeroGradient`], counted).
+    pub fn build(mesh: &RenderMesh, n_input: usize, mass: &Mass) -> DtfeTable {
+        let del = mesh.delaunay();
+        let vertex_density: Vec<f64> = vertex_masses(del, n_input, mass)
+            .iter()
+            .zip(mesh.star_volumes())
+            .map(|(&m, &w)| if w > 0.0 { 4.0 * m / w } else { 0.0 })
+            .collect();
+        let interp = vertex_interp(del, &vertex_density, DegeneratePolicy::ZeroGradient)
+            .expect("ZeroGradient policy is infallible");
+        DtfeTable {
+            vertex_density,
+            interp,
+        }
+    }
+
+    /// Vertex densities `ρ̂(x_i)` (Eq. 2), indexed by `VertexId`.
+    #[inline]
+    pub fn vertex_densities(&self) -> &[f64] {
+        &self.vertex_density
+    }
+
+    /// The per-slot interpolants: what [`RenderMesh::view`] renders.
+    #[inline]
+    pub fn interp(&self) -> &[TetInterp] {
+        &self.interp
+    }
+}
+
+/// A DTFE density field: a [`RenderMesh`] and its [`DtfeTable`] in one
+/// owner.
+pub struct DtfeField {
+    mesh: RenderMesh,
+    table: DtfeTable,
 }
 
 impl DtfeField {
@@ -68,46 +93,24 @@ impl DtfeField {
     /// [`Delaunay::vertex_of_input`]).
     ///
     /// The triangulation's tetrahedron slots are renumbered into
-    /// cache-coherent BFS order ([`Delaunay::compact_reorder`]) so marching
-    /// rays touch mostly-contiguous memory. The vertex densities are summed
-    /// over the *original* slot order first (a star volume is a float sum,
-    /// so its bits depend on that order); the per-tet interpolants depend
-    /// only on each tetrahedron's own vertices and are built straight into
-    /// the new order. Every density, gradient, and rendered field is
-    /// therefore bit-identical to the unordered construction. `TetId`s
-    /// obtained from this field's [`DtfeField::delaunay`] are consistent
-    /// with every accessor; ids retained from `del` *before* this call go
-    /// stale.
-    pub fn from_delaunay_for_inputs(mut del: Delaunay, n_input: usize, mass: Mass) -> DtfeField {
-        let vertex_density = vertex_densities(&del, n_input, &mass);
-        del.compact_reorder();
-        Self::with_densities(del, vertex_density)
+    /// cache-coherent BFS order by [`RenderMesh::new`], which keeps every
+    /// density, gradient and rendered field bit-identical to the unordered
+    /// construction. `TetId`s obtained from this field's
+    /// [`DtfeField::delaunay`] are consistent with every accessor; ids
+    /// retained from `del` *before* this call go stale.
+    pub fn from_delaunay_for_inputs(del: Delaunay, n_input: usize, mass: Mass) -> DtfeField {
+        Self::over(RenderMesh::new(del), n_input, &mass)
     }
 
-    /// Per-tet constant gradients (Eq. 1) over `del`'s current slots.
-    /// Degenerate (coplanar) tetrahedra carry zero volume, so a zero
-    /// gradient is the documented density policy
-    /// ([`DegeneratePolicy::ZeroGradient`], counted).
-    fn with_densities(del: Delaunay, vertex_density: Vec<f64>) -> DtfeField {
-        let interp = vertex_interp(&del, &vertex_density, DegeneratePolicy::ZeroGradient)
-            .expect("ZeroGradient policy is infallible");
-        DtfeField {
-            del,
-            vertex_density,
-            interp,
-            march: OnceLock::new(),
-        }
+    fn over(mesh: RenderMesh, n_input: usize, mass: &Mass) -> DtfeField {
+        let table = DtfeTable::build(&mesh, n_input, mass);
+        DtfeField { mesh, table }
     }
 
     /// The underlying triangulation.
     #[inline]
     pub fn delaunay(&self) -> &Delaunay {
-        &self.del
-    }
-
-    /// Give up the field, keep its (reordered) triangulation.
-    pub(crate) fn into_delaunay(self) -> Delaunay {
-        self.del
+        self.mesh.delaunay()
     }
 
     /// The marching kernel's pre-normalized tetrahedron cache, built on
@@ -120,20 +123,20 @@ impl DtfeField {
     /// Vertex densities `ρ̂(x_i)` (Eq. 2), indexed by `VertexId`.
     #[inline]
     pub fn vertex_densities(&self) -> &[f64] {
-        &self.vertex_density
+        self.table.vertex_densities()
     }
 
     /// The linear interpolant parameters of finite tetrahedron `t`.
     #[inline]
     pub fn tet_interp(&self, t: TetId) -> &TetInterp {
-        &self.interp[t as usize]
+        &self.table.interp[t as usize]
     }
 
     /// Evaluate `ρ̂` inside tetrahedron `t` at `p` (Eq. 1). `p` is assumed
     /// to lie in `t`; no containment check.
     #[inline]
     pub fn density_in_tet(&self, t: TetId, p: Vec3) -> f64 {
-        let ti = &self.interp[t as usize];
+        let ti = self.tet_interp(t);
         ti.rho0 + ti.grad.dot(p - ti.v0)
     }
 
@@ -141,12 +144,12 @@ impl DtfeField {
     /// containing tetrahedron for the next call's hint. `None` outside the
     /// hull. This is the walking baseline's inner loop.
     pub fn density_at_hinted(&self, p: Vec3, hint: TetId, seed: &mut u64) -> Option<(f64, TetId)> {
-        match self.del.locate_seeded(p, hint, seed) {
+        match self.delaunay().locate_seeded(p, hint, seed) {
             Located::Finite(t) => Some((self.density_in_tet(t, p), t)),
             Located::Ghost(_) => None,
             Located::Vertex(v) => {
                 // Any incident tetrahedron gives the same vertex value.
-                Some((self.vertex_density[v as usize], hint))
+                Some((self.vertex_densities()[v as usize], hint))
             }
         }
     }
@@ -161,20 +164,20 @@ impl DtfeField {
     /// Total estimated mass `∫ ρ̂ dV` over the hull — equals the input mass
     /// up to floating-point roundoff (DTFE's conservation property).
     pub fn integrated_mass(&self) -> f64 {
-        integrate_vertex_field(&self.del, &self.vertex_density)
+        integrate_vertex_field(self.delaunay(), self.vertex_densities())
     }
 
     /// Ghost tetrahedra whose hull facet faces the *negative* integration
     /// direction (`n_hull · ẑ < 0`, Eq. 14): the candidate entry facets for
     /// upward lines of sight, projected to 2D.
     pub fn entry_facets(&self) -> Vec<EntryFacet> {
-        entry_facets_of(&self.del)
+        entry_facets_of(self.delaunay())
     }
 }
 
 impl FieldEstimator for DtfeField {
     fn view(&self) -> FieldView<'_> {
-        FieldView::new(&self.del, &self.march, &self.interp)
+        self.mesh.view(&self.table.interp)
     }
 }
 
@@ -290,8 +293,7 @@ mod tests {
     /// reordering pass: the construction-order mesh the reorder is held
     /// against.
     fn from_delaunay_unordered(del: Delaunay, n_input: usize, mass: Mass) -> DtfeField {
-        let vertex_density = vertex_densities(&del, n_input, &mass);
-        DtfeField::with_densities(del, vertex_density)
+        DtfeField::over(RenderMesh::unordered(del), n_input, &mass)
     }
 
     #[test]

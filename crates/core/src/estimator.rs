@@ -7,13 +7,18 @@
 //! tetrahedron slot (Eq. 1). Both kernels in [`crate::marching`] take a
 //! `FieldView` and nothing else, so each is compiled once however many
 //! backends exist. A backend is whatever *fills the table*:
-//! [`crate::density::DtfeField`] (Eq. 2 densities),
+//! [`crate::density::DtfeTable`] (Eq. 2 densities),
 //! [`crate::fields::ScalarField`] (any per-vertex scalar),
-//! [`crate::stochastic::StochasticField`] (a jittered, mass-rescaled mean)
+//! [`crate::stochastic::StochasticTable`] (a jittered, mass-rescaled mean)
 //! — all three through the one [`vertex_interp`] loop below — and
-//! [`crate::psdtfe::PsDtfeField`] with its divergence view (two
-//! per-simplex-constant tables over one mesh and one cache).
-//! [`FieldEstimator`] is the one-method trait that hands the view out.
+//! [`crate::psdtfe::PsDtfeTable`] (two per-simplex-constant tables, density
+//! and velocity divergence). A table borrows the mesh it is built over, so
+//! any number of them share one [`RenderMesh`] — the triangulation, in
+//! render order, with its traversal cache — and `mesh.view(table)` is what
+//! renders; [`crate::density::DtfeField`], [`crate::psdtfe::PsDtfeField`]
+//! and [`crate::stochastic::StochasticField`] are a mesh and one table in
+//! one owner. [`FieldEstimator`] is the one-method trait that hands the
+//! view out.
 
 use crate::density::{EntryFacet, Mass, TetInterp};
 use crate::marching::MarchCache;
@@ -55,6 +60,73 @@ impl<'a> FieldView<'a> {
             cache: cache.get_or_init(|| MarchCache::build(del)),
             interp,
         }
+    }
+}
+
+/// A `(mesh, table)` pair renders as it is.
+impl FieldEstimator for FieldView<'_> {
+    fn view(&self) -> FieldView<'_> {
+        *self
+    }
+}
+
+/// A triangulation prepared for rendering: tetrahedron slots in
+/// cache-coherent BFS order ([`Delaunay::compact_reorder`]), the vertex star
+/// volumes of Eq. 2, and the traversal cache, built by the first render.
+/// Every estimator table over one point set is a table over this one mesh.
+///
+/// A star volume is a float sum over the incident tetrahedra, so its bits
+/// depend on the slot order it is summed in; [`RenderMesh::new`] sums over
+/// the order the builder left, *then* renumbers. Interpolants depend only
+/// on their own tetrahedron and are built straight into the new order, so
+/// every density, gradient and rendered field is bit-identical to the
+/// unordered construction.
+pub struct RenderMesh {
+    del: Delaunay,
+    star: Vec<f64>,
+    march: OnceLock<MarchCache>,
+}
+
+impl RenderMesh {
+    /// Take a triangulation as its builder left it. `TetId`s retained from
+    /// `del` before this call go stale.
+    pub fn new(mut del: Delaunay) -> RenderMesh {
+        let star = del.vertex_star_volumes();
+        del.compact_reorder();
+        RenderMesh {
+            del,
+            star,
+            march: OnceLock::new(),
+        }
+    }
+
+    /// As [`RenderMesh::new`] without the renumbering: the construction-order
+    /// mesh the reorder is held against.
+    #[cfg(test)]
+    pub(crate) fn unordered(del: Delaunay) -> RenderMesh {
+        RenderMesh {
+            star: del.vertex_star_volumes(),
+            del,
+            march: OnceLock::new(),
+        }
+    }
+
+    /// The triangulation, in render order.
+    #[inline]
+    pub fn delaunay(&self) -> &Delaunay {
+        &self.del
+    }
+
+    /// `W_i = Σ_j V(T_{j,i})` per vertex (the contiguous Voronoi cell).
+    #[inline]
+    pub(crate) fn star_volumes(&self) -> &[f64] {
+        &self.star
+    }
+
+    /// What the kernels render for one table over this mesh
+    /// (`interp.len() == self.delaunay().num_slots()`).
+    pub fn view<'a>(&'a self, interp: &'a [TetInterp]) -> FieldView<'a> {
+        FieldView::new(&self.del, &self.march, interp)
     }
 }
 
@@ -260,7 +332,7 @@ pub(crate) fn integrate_vertex_field(del: &Delaunay, values: &[f64]) -> f64 {
 
 /// Which estimator a render should integrate — the request-level selector
 /// surfaced in [`crate::render::RenderOptions`] and threaded through the
-/// serving layer's cache keys, admission pricing, and wire protocol.
+/// serving layer's table fills, admission pricing, and wire protocol.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EstimatorKind {
     /// Canonical DTFE density (Eq. 1–2); bit-identical to the pre-trait
@@ -287,7 +359,7 @@ impl EstimatorKind {
     /// request leaves it unspecified (`0`).
     pub const DEFAULT_REALIZATIONS: u16 = 4;
 
-    /// Stable lowercase tag (cache-key display, bench/loadgen reports).
+    /// Stable lowercase tag (span arguments, bench/loadgen reports).
     pub fn label(&self) -> &'static str {
         match self {
             EstimatorKind::Dtfe => "dtfe",
@@ -315,10 +387,9 @@ impl EstimatorKind {
         }
     }
 
-    /// The canonical form every tile key is built from: an unspecified
+    /// The canonical form a request is served under: an unspecified
     /// stochastic realization count (`0`) takes
-    /// [`Self::DEFAULT_REALIZATIONS`]. Server and ring-aware client both
-    /// hash this form, so they cannot disagree about a request's owner.
+    /// [`Self::DEFAULT_REALIZATIONS`].
     pub fn normalized(self) -> EstimatorKind {
         match self {
             EstimatorKind::Stochastic { realizations: 0 } => EstimatorKind::Stochastic {
@@ -328,24 +399,16 @@ impl EstimatorKind {
         }
     }
 
-    /// The estimator whose *built artifact* serves this kind: a
-    /// velocity-divergence render is a view over the PS-DTFE tile, so both
-    /// share one cache entry.
-    pub fn tile_kind(self) -> EstimatorKind {
+    /// What filling this estimator's table over an existing mesh costs, in
+    /// units of one triangulation of that mesh, for admission pricing: the
+    /// DTFE table is one pass over the slots, PS-DTFE adds three gradient
+    /// solves per tetrahedron, a stochastic table triangulates `k` jittered
+    /// realizations.
+    pub fn table_cost_factor(&self) -> f64 {
         match self {
-            EstimatorKind::VelocityDivergence => EstimatorKind::PsDtfe,
-            k => k,
-        }
-    }
-
-    /// Build-cost multiplier relative to a plain DTFE tile build, for
-    /// admission pricing: PS-DTFE adds three gradient solves per
-    /// tetrahedron; a stochastic build triangulates `k` extra realizations.
-    pub fn build_cost_factor(&self) -> f64 {
-        match self {
-            EstimatorKind::Dtfe => 1.0,
-            EstimatorKind::PsDtfe | EstimatorKind::VelocityDivergence => 1.5,
-            EstimatorKind::Stochastic { realizations } => 1.0 + *realizations as f64,
+            EstimatorKind::Dtfe => 0.0,
+            EstimatorKind::PsDtfe | EstimatorKind::VelocityDivergence => 0.5,
+            EstimatorKind::Stochastic { realizations } => *realizations as f64,
         }
     }
 
@@ -424,22 +487,15 @@ mod tests {
     }
 
     #[test]
-    fn divergence_shares_the_psdtfe_tile() {
-        assert_eq!(
-            EstimatorKind::VelocityDivergence.tile_kind(),
-            EstimatorKind::PsDtfe
-        );
-        let k = EstimatorKind::Stochastic { realizations: 2 };
-        assert_eq!(k.tile_kind(), k);
-        assert_eq!(EstimatorKind::Dtfe.tile_kind(), EstimatorKind::Dtfe);
-    }
-
-    #[test]
     fn cost_factors_scale_with_work() {
-        assert_eq!(EstimatorKind::Dtfe.build_cost_factor(), 1.0);
-        assert!(EstimatorKind::PsDtfe.build_cost_factor() > 1.0);
-        let k2 = EstimatorKind::Stochastic { realizations: 2 }.build_cost_factor();
-        let k8 = EstimatorKind::Stochastic { realizations: 8 }.build_cost_factor();
+        assert_eq!(EstimatorKind::Dtfe.table_cost_factor(), 0.0);
+        assert!(EstimatorKind::PsDtfe.table_cost_factor() > 0.0);
+        assert_eq!(
+            EstimatorKind::PsDtfe.table_cost_factor(),
+            EstimatorKind::VelocityDivergence.table_cost_factor()
+        );
+        let k2 = EstimatorKind::Stochastic { realizations: 2 }.table_cost_factor();
+        let k8 = EstimatorKind::Stochastic { realizations: 8 }.table_cost_factor();
         assert!(k8 > k2 && k2 > 1.0);
     }
 }

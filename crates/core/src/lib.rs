@@ -22,15 +22,16 @@
 //! * [`grid`] — 2D/3D grid specifications and the field containers.
 //! * [`estimator`] — [`FieldView`], the one thing the kernels render: a
 //!   mesh, its traversal cache and one linear interpolant per tetrahedron.
-//!   A backend fills that table and hands the view out through the
-//!   one-method [`FieldEstimator`] trait; the shared vertex-field loops
-//!   (gradients, vertex masses, `∫ f dV`) live there too. One kernel,
+//!   A backend fills that table — any number of tables borrow one
+//!   [`RenderMesh`] — and hands the view out through the one-method
+//!   [`FieldEstimator`] trait; the shared vertex-field loops (gradients,
+//!   vertex masses, `∫ f dV`) live there too. One kernel,
 //!   compiled once, serves DTFE density, arbitrary vertex scalars
 //!   ([`fields::ScalarField`]), phase-space estimates
 //!   ([`psdtfe::PsDtfeField`] and its velocity divergence), and smoothed
 //!   stochastic reconstructions ([`stochastic::StochasticField`]).
 //!   [`EstimatorKind`] names a backend at the request level (render
-//!   options, service cache keys, the wire protocol).
+//!   options, the service's table fills, the wire protocol).
 //!
 //! Parallelism follows the paper: the loop over grid cells is
 //! data-parallel (Rayon here, OpenMP in the paper). Per-cell entry points
@@ -78,14 +79,14 @@ pub mod render;
 pub mod stochastic;
 pub mod walking;
 
-pub use density::{DtfeField, Mass};
-pub use estimator::{DegenerateTetError, EstimatorKind, FieldEstimator, FieldView};
+pub use density::{DtfeField, DtfeTable, Mass};
+pub use estimator::{DegenerateTetError, EstimatorKind, FieldEstimator, FieldView, RenderMesh};
 pub use fields::ScalarField;
 pub use grid::{Field2, Field3, GridError, GridSpec2, GridSpec3};
 pub use marching::{
     surface_density, surface_density_reference, surface_density_with_index, HullIndex, MarchOptions,
 };
-pub use psdtfe::{PsDtfeDivergence, PsDtfeField, StreamField};
+pub use psdtfe::{PsDtfeDivergence, PsDtfeField, PsDtfeTable, StreamField};
 pub use render::{RenderOptions, RenderOptionsError};
-pub use stochastic::{StochasticField, StochasticOptions};
+pub use stochastic::{StochasticField, StochasticOptions, StochasticTable};
 pub use walking::{surface_density_walking, WalkOptions};

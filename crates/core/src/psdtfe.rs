@@ -69,49 +69,39 @@ impl From<DegenerateTetError> for PsDtfeError {
     }
 }
 
-/// The phase-space DTFE estimator: per-simplex constant density and
-/// velocity gradients over one triangulation.
-pub struct PsDtfeField {
-    del: Delaunay,
+/// The PS-DTFE tables over a triangulation, in its slot order: per-simplex
+/// constant density, velocity gradient and velocity divergence.
+pub struct PsDtfeTable {
     /// Per-slot density interpolant; PS-DTFE densities are constant per
     /// simplex, so `grad` is always zero and `rho0` is `ρ_T`.
     interp: Vec<TetInterp>,
     /// Per-slot velocity-divergence interpolant (`rho0 = tr ∇v`, constant
-    /// per simplex) — the field [`PsDtfeField::divergence`] renders.
+    /// per simplex).
     div_interp: Vec<TetInterp>,
     /// Per-slot velocity gradient rows: `dv[t][c]` is `∇v_c` (the gradient
     /// of velocity component `c`). Ghost/freed slots hold zeros.
     dv: Vec<[Vec3; 3]>,
-    march: OnceLock<MarchCache>,
 }
 
-impl PsDtfeField {
-    /// Triangulate `points` and build the phase-space estimate from the
+impl PsDtfeTable {
+    /// Build over a triangulation of `n_input` input points from the
     /// per-particle `velocities` (one per input point) and `mass`.
-    pub fn build(
-        points: &[Vec3],
-        velocities: &[Vec3],
-        mass: Mass,
-    ) -> Result<PsDtfeField, PsDtfeError> {
-        let del = DelaunayBuilder::new().build(points)?;
-        Ok(Self::from_delaunay(del, points.len(), velocities, mass)?)
-    }
-
-    /// Build over an existing triangulation of `n_input` input points.
     /// Duplicate inputs that merged into one vertex average their
-    /// velocities and accumulate their masses.
-    pub fn from_delaunay(
-        del: Delaunay,
+    /// velocities and accumulate their masses. Every entry depends on its
+    /// own tetrahedron only, so the tables over two slot orders of one
+    /// mesh hold the same values under the renumbering.
+    pub fn build(
+        del: &Delaunay,
         n_input: usize,
         velocities: &[Vec3],
-        mass: Mass,
-    ) -> Result<PsDtfeField, DegenerateTetError> {
+        mass: &Mass,
+    ) -> Result<PsDtfeTable, DegenerateTetError> {
         assert_eq!(velocities.len(), n_input, "one velocity per input particle");
         let nv = del.num_vertices();
 
         // Per-vertex mass (merged duplicates accumulate) and velocity
         // (merged duplicates average).
-        let vmass = vertex_masses(&del, n_input, &mass);
+        let vmass = vertex_masses(del, n_input, mass);
         let mut vvel = vec![Vec3::ZERO; nv];
         let mut vcount = vec![0u32; nv];
         for (i, &v) in velocities.iter().enumerate() {
@@ -200,11 +190,59 @@ impl PsDtfeField {
             };
         }
 
-        Ok(PsDtfeField {
-            del,
+        Ok(PsDtfeTable {
             interp,
             div_interp,
             dv,
+        })
+    }
+
+    /// The per-slot density interpolants.
+    #[inline]
+    pub fn density(&self) -> &[TetInterp] {
+        &self.interp
+    }
+
+    /// The per-slot velocity-divergence interpolants: rendering them
+    /// integrates `∫ ∇·v dz`.
+    #[inline]
+    pub fn divergence(&self) -> &[TetInterp] {
+        &self.div_interp
+    }
+}
+
+/// The phase-space DTFE estimator: a triangulation, in the slot order it
+/// was given in, and its [`PsDtfeTable`] in one owner.
+pub struct PsDtfeField {
+    del: Delaunay,
+    table: PsDtfeTable,
+    march: OnceLock<MarchCache>,
+}
+
+impl PsDtfeField {
+    /// Triangulate `points` and build the phase-space estimate from the
+    /// per-particle `velocities` (one per input point) and `mass`.
+    pub fn build(
+        points: &[Vec3],
+        velocities: &[Vec3],
+        mass: Mass,
+    ) -> Result<PsDtfeField, PsDtfeError> {
+        let del = DelaunayBuilder::new().build(points)?;
+        Ok(Self::from_delaunay(del, points.len(), velocities, mass)?)
+    }
+
+    /// Build over an existing triangulation of `n_input` input points,
+    /// keeping its slot order (see [`PsDtfeTable::build`]).
+    pub fn from_delaunay(
+        del: Delaunay,
+        n_input: usize,
+        velocities: &[Vec3],
+        mass: Mass,
+    ) -> Result<PsDtfeField, DegenerateTetError> {
+        let table = PsDtfeTable::build(&del, n_input, velocities, &mass)?;
+        Ok(PsDtfeField {
+            del,
+            table,
             march: OnceLock::new(),
         })
     }
@@ -218,20 +256,20 @@ impl PsDtfeField {
     /// The constant density of simplex `t`.
     #[inline]
     pub fn tet_density(&self, t: TetId) -> f64 {
-        self.interp[t as usize].rho0
+        self.table.interp[t as usize].rho0
     }
 
     /// The constant velocity-gradient rows of simplex `t`: `rows[c]` is
     /// `∇v_c`.
     #[inline]
     pub fn velocity_gradient(&self, t: TetId) -> &[Vec3; 3] {
-        &self.dv[t as usize]
+        &self.table.dv[t as usize]
     }
 
     /// The constant velocity divergence `tr ∇v` of simplex `t`.
     #[inline]
     pub fn tet_divergence(&self, t: TetId) -> f64 {
-        self.div_interp[t as usize].rho0
+        self.table.div_interp[t as usize].rho0
     }
 
     /// Total estimated mass `Σ_T ρ_T V_T` — equals the input mass exactly
@@ -241,7 +279,7 @@ impl PsDtfeField {
             .finite_tets()
             .map(|t| {
                 let p = self.del.tet_points(t);
-                volume(p[0], p[1], p[2], p[3]).abs() * self.interp[t as usize].rho0
+                volume(p[0], p[1], p[2], p[3]).abs() * self.tet_density(t)
             })
             .sum()
     }
@@ -257,7 +295,7 @@ impl PsDtfeField {
 /// PS-DTFE density: the per-simplex-constant table.
 impl FieldEstimator for PsDtfeField {
     fn view(&self) -> FieldView<'_> {
-        FieldView::new(&self.del, &self.march, &self.interp)
+        FieldView::new(&self.del, &self.march, &self.table.interp)
     }
 }
 
@@ -268,7 +306,7 @@ pub struct PsDtfeDivergence<'a>(&'a PsDtfeField);
 
 impl FieldEstimator for PsDtfeDivergence<'_> {
     fn view(&self) -> FieldView<'_> {
-        FieldView::new(&self.0.del, &self.0.march, &self.0.div_interp)
+        FieldView::new(&self.0.del, &self.0.march, &self.0.table.div_interp)
     }
 }
 

@@ -24,7 +24,7 @@ use crate::estimator::{
     integrate_vertex_field, vertex_interp, DegeneratePolicy, FieldEstimator, FieldView,
 };
 use crate::marching::MarchCache;
-use dtfe_delaunay::{BuildError, Delaunay};
+use dtfe_delaunay::{BuildError, Delaunay, DelaunayBuilder};
 use dtfe_geometry::Vec3;
 use std::sync::OnceLock;
 
@@ -73,31 +73,30 @@ impl StochasticOptions {
     }
 }
 
-/// The smoothed stochastic estimator: the base triangulation carrying the
-/// k-realization-averaged, mass-rescaled vertex densities.
-pub struct StochasticField {
-    /// The base triangulation, in the DTFE constructor's slot order.
-    del: Delaunay,
+/// The stochastic table over a base triangulation: the
+/// k-realization-averaged, mass-rescaled vertex densities and their
+/// interpolants.
+pub struct StochasticTable {
     /// Averaged and rescaled per-vertex densities.
     vertex_mean: Vec<f64>,
     /// Interpolants of the averaged field over the base mesh.
     interp: Vec<TetInterp>,
-    march: OnceLock<MarchCache>,
     /// The applied mass-conservation scale `M / ∫ ρ̄ dV`.
     scale: f64,
 }
 
-impl StochasticField {
-    /// Build the smoothed reconstruction of `points` with `mass`.
+impl StochasticTable {
+    /// Build the smoothed reconstruction of `points` with `mass` at the
+    /// vertices of `del`, the triangulation of those same `points`. The
+    /// mass integral is a float sum over `del`'s slot order, so the table
+    /// belongs to that order.
     pub fn build(
+        del: &Delaunay,
         points: &[Vec3],
-        mass: Mass,
+        mass: &Mass,
         opts: StochasticOptions,
-    ) -> Result<StochasticField, BuildError> {
+    ) -> StochasticTable {
         assert!(opts.realizations >= 1, "need at least one realization");
-        // The mesh, in the slot order the DTFE constructor gives it; the
-        // base field's own densities and table are not kept.
-        let del = DtfeField::build(points, mass.clone())?.into_delaunay();
         let _span = dtfe_telemetry::span!(
             "core.stochastic_build",
             n = points.len(),
@@ -144,8 +143,8 @@ impl StochasticField {
         let mut mean: Vec<f64> = acc.iter().map(|a| a * inv_k).collect();
 
         // Mass-conservation constraint: rescale so ∫ ρ̄ dV = M exactly.
-        let m_true = total_mass(&mass, points.len());
-        let integral = integrate_vertex_field(&del, &mean);
+        let m_true = total_mass(mass, points.len());
+        let integral = integrate_vertex_field(del, &mean);
         let scale = if integral > 0.0 {
             m_true / integral
         } else {
@@ -155,14 +154,50 @@ impl StochasticField {
             *m *= scale;
         }
 
-        let interp = vertex_interp(&del, &mean, DegeneratePolicy::ZeroGradient)
+        let interp = vertex_interp(del, &mean, DegeneratePolicy::ZeroGradient)
             .expect("ZeroGradient policy is infallible");
-        Ok(StochasticField {
-            del,
+        StochasticTable {
             vertex_mean: mean,
             interp,
-            march: OnceLock::new(),
             scale,
+        }
+    }
+
+    /// Averaged, rescaled per-vertex densities.
+    #[inline]
+    pub fn vertex_densities(&self) -> &[f64] {
+        &self.vertex_mean
+    }
+
+    /// The per-slot interpolants of the averaged field.
+    #[inline]
+    pub fn interp(&self) -> &[TetInterp] {
+        &self.interp
+    }
+}
+
+/// The smoothed stochastic estimator: the base triangulation, in the DTFE
+/// constructor's slot order, and its [`StochasticTable`] in one owner.
+pub struct StochasticField {
+    del: Delaunay,
+    table: StochasticTable,
+    march: OnceLock<MarchCache>,
+}
+
+impl StochasticField {
+    /// Build the smoothed reconstruction of `points` with `mass`.
+    pub fn build(
+        points: &[Vec3],
+        mass: Mass,
+        opts: StochasticOptions,
+    ) -> Result<StochasticField, BuildError> {
+        let mut del = DelaunayBuilder::new().build(points)?;
+        del.compact_reorder();
+        let table = StochasticTable::build(&del, points, &mass, opts);
+        Ok(StochasticField {
+            del,
+            table,
+            march: OnceLock::new(),
         })
     }
 
@@ -173,25 +208,25 @@ impl StochasticField {
 
     /// Averaged, rescaled per-vertex densities.
     pub fn vertex_densities(&self) -> &[f64] {
-        &self.vertex_mean
+        self.table.vertex_densities()
     }
 
     /// The applied mass-conservation scale `M / ∫ ρ̄ dV` (≈ 1 in the bulk;
     /// diagnostically interesting near 0 or ≫ 1).
     pub fn mass_scale(&self) -> f64 {
-        self.scale
+        self.table.scale
     }
 
     /// Total mass of the reconstruction `∫ ρ̄ dV` — equals the input mass
     /// exactly (to roundoff), by the rescaling constraint.
     pub fn integrated_mass(&self) -> f64 {
-        integrate_vertex_field(&self.del, &self.vertex_mean)
+        integrate_vertex_field(&self.del, self.vertex_densities())
     }
 }
 
 impl FieldEstimator for StochasticField {
     fn view(&self) -> FieldView<'_> {
-        FieldView::new(&self.del, &self.march, &self.interp)
+        FieldView::new(&self.del, &self.march, &self.table.interp)
     }
 }
 

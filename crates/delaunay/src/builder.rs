@@ -101,7 +101,7 @@ impl DelaunayBuilder {
     }
 
     /// Insert in the canonical BRIO order (`true`, default) or input order
-    /// (`false`, mainly for the ablation bench).
+    /// (`false`: what tests hold the canonical order against).
     pub fn spatial_sort(mut self, yes: bool) -> DelaunayBuilder {
         self.no_spatial_sort = !yes;
         self

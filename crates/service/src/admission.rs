@@ -2,8 +2,9 @@
 //!
 //! Every request is priced in *model seconds* using the paper's workload
 //! model (`framework::model`): a request on a non-resident tile pays the
-//! triangulation term `c·n·log₂n` plus the render term `α·n^β`; a request
-//! on a resident tile pays only the render term. Admission keeps a running
+//! triangulation term `c·n·log₂n`, one whose estimator table is not yet
+//! filled pays that table's multiple of it, and every request pays the
+//! render term `α·n^β`. Admission keeps a running
 //! sum of admitted-but-unfinished cost (the *priced backlog*); once it
 //! would exceed the configured budget, the request is shed with a typed
 //! [`ServiceError::Overloaded`] whose `retry_after_ms` estimates how long
@@ -53,19 +54,22 @@ impl Admission {
     }
 
     /// Price one request: `n` is the padded particle count of its tile,
-    /// `resident` whether the tile triangulation is (currently) cached,
-    /// `kind` the estimator backend. Non-DTFE builds cost more than one
-    /// triangulation (PS-DTFE adds gradient solves; stochastic pays `k+1`
-    /// triangulations), so the build term is scaled by
-    /// [`EstimatorKind::build_cost_factor`].
-    pub fn price(&self, n: usize, resident: bool, kind: EstimatorKind) -> f64 {
+    /// `mesh_resident` whether the tile's triangulation is (currently)
+    /// cached, and `table_to_fill` the estimator whose table the request
+    /// will have to fill, if it is not there yet
+    /// ([`EstimatorKind::table_cost_factor`] triangulations' worth: PS-DTFE
+    /// adds gradient solves, stochastic `k` jittered triangulations).
+    pub fn price(
+        &self,
+        n: usize,
+        mesh_resident: bool,
+        table_to_fill: Option<EstimatorKind>,
+    ) -> f64 {
         let n = n as f64;
-        let tri = if resident {
-            0.0
-        } else {
-            self.model.tri.predict(n) * kind.build_cost_factor()
-        };
-        tri + self.model.interp.predict(n)
+        let tri = self.model.tri.predict(n);
+        let mesh = if mesh_resident { 0.0 } else { tri };
+        let table = table_to_fill.map_or(0.0, |kind| tri * kind.table_cost_factor());
+        mesh + table + self.model.interp.predict(n)
     }
 
     /// Admit a request of the given priced cost, or shed it.
@@ -104,32 +108,35 @@ mod tests {
     use super::*;
     use crate::config::default_model;
 
+    const STOCHASTIC: EstimatorKind = EstimatorKind::Stochastic { realizations: 4 };
+
     #[test]
     fn resident_tiles_price_cheaper() {
         let adm = Admission::new(default_model(), 1.0, 2);
-        let cold = adm.price(100_000, false, EstimatorKind::Dtfe);
-        let warm = adm.price(100_000, true, EstimatorKind::Dtfe);
+        let cold = adm.price(100_000, false, Some(EstimatorKind::Dtfe));
+        let warm = adm.price(100_000, true, None);
         assert!(cold > warm);
         assert!(warm > 0.0);
     }
 
     #[test]
-    fn expensive_estimators_price_higher_builds() {
+    fn mesh_and_table_terms_add_up() {
         let adm = Admission::new(default_model(), 1.0, 2);
-        let dtfe = adm.price(100_000, false, EstimatorKind::Dtfe);
-        let ps = adm.price(100_000, false, EstimatorKind::PsDtfe);
-        let stoch = adm.price(
-            100_000,
-            false,
-            EstimatorKind::Stochastic { realizations: 4 },
-        );
-        assert!(ps > dtfe);
-        assert!(stoch > ps);
-        // Residency erases the build term regardless of estimator.
-        assert_eq!(
-            adm.price(100_000, true, EstimatorKind::Stochastic { realizations: 4 }),
-            adm.price(100_000, true, EstimatorKind::Dtfe)
-        );
+        let n = 100_000;
+        let tri = default_model().tri.predict(n as f64);
+        let render = adm.price(n, true, None);
+        // Cold: one triangulation for DTFE, 1.5 for PS-DTFE, k + 1 for
+        // stochastic.
+        let cold = |kind| adm.price(n, false, Some(kind)) - render;
+        assert!((cold(EstimatorKind::Dtfe) - tri).abs() < 1e-12 * tri);
+        assert!((cold(EstimatorKind::PsDtfe) - 1.5 * tri).abs() < 1e-12 * tri);
+        assert!((cold(STOCHASTIC) - 5.0 * tri).abs() < 1e-12 * tri);
+        // A resident mesh erases the mesh term only: a second estimator on
+        // a warm tile still pays for its table.
+        let warm = |kind| adm.price(n, true, Some(kind)) - render;
+        assert_eq!(warm(EstimatorKind::Dtfe), 0.0);
+        assert!((warm(EstimatorKind::VelocityDivergence) - 0.5 * tri).abs() < 1e-12 * tri);
+        assert!((warm(STOCHASTIC) - 4.0 * tri).abs() < 1e-12 * tri);
     }
 
     #[test]
@@ -137,7 +144,7 @@ mod tests {
         // Each cold 1M-point request prices ≈ 4.5 s under the default
         // model; a 10 s budget fits two of them but not three.
         let adm = Admission::new(default_model(), 10.0, 2);
-        let cost = adm.price(1_000_000, false, EstimatorKind::Dtfe);
+        let cost = adm.price(1_000_000, false, Some(EstimatorKind::Dtfe));
         assert!(cost > 3.0 && cost < 5.0, "cost {cost}");
         adm.try_admit(cost).unwrap();
         adm.try_admit(cost).unwrap();

@@ -134,8 +134,9 @@ impl RenderRequest {
 /// Serving metadata attached to every successful response.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResponseMeta {
-    /// Was the tile triangulation resident when this request's batch was
-    /// served? (`false` means this request paid — or waited out — a build.)
+    /// Neither a mesh nor an estimator table was built when this request's
+    /// batch was served. (`false` means this request paid — or waited out
+    /// — a tile's triangulation, a table fill over it, or both.)
     pub cache_hit: bool,
     /// How many requests the serving batch coalesced (≥ 1).
     pub batch_size: u32,
@@ -143,8 +144,9 @@ pub struct ResponseMeta {
     pub admission_us: u64,
     /// Microseconds spent queued before the batch was picked up.
     pub queue_us: u64,
-    /// Microseconds the batch spent building the tile triangulation
-    /// (0 on a cache hit; shared across the batch's requests).
+    /// Microseconds the batch spent resolving the tile: its triangulation
+    /// and the tables its requests needed (next to nothing on a cache hit;
+    /// shared across the batch's requests).
     pub build_us: u64,
     /// Microseconds spent marching this request's grid.
     pub render_us: u64,

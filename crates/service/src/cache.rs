@@ -1,30 +1,36 @@
 //! Byte-budgeted tile LRU with single-flight builds, panic isolation,
 //! failure quarantine, and stale retention.
 //!
-//! Invariants (the root `cache_concurrency` test hammers these):
+//! An entry is one tile's mesh, keyed `(snapshot, tile)`, and it *grows*:
+//! estimator tables are filled into it on first use ([`TileCache::fill`]).
+//! The cache therefore records what it charged for each entry and charges
+//! again after every fill; it never asks an entry its size to *subtract*.
 //!
-//! 1. **Budget** — the sum of resident entry sizes never exceeds the byte
-//!    budget at any instant the cache lock is released. Insertion and
-//!    eviction happen under one lock hold; an entry bigger than the whole
-//!    budget is returned to its requester but never retained
-//!    ("uncacheable").
+//! Invariants (the `cache_concurrency` test hammers these):
+//!
+//! 1. **Budget** — the sum of charged entry sizes never exceeds the byte
+//!    budget at any instant the cache lock is released. Insertion, growth
+//!    and eviction each happen under one lock hold; an entry bigger than
+//!    the whole budget — as built, or as grown — is left with its
+//!    requester but not retained ("uncacheable").
 //! 2. **Single-flight** — concurrent requests for an absent key run the
 //!    build closure exactly once; the rest park on a condvar and receive
 //!    the shared result. A failed build unparks everyone and the next
-//!    caller retries.
+//!    caller retries. (Concurrent fills of one table are the entry's to
+//!    serialise; [`crate::tiles::TileData::fill_table`] runs one.)
 //! 3. **LRU** — when over budget, the least-recently-*used* entry is
-//!    evicted first; the entry just inserted is evicted only as a last
-//!    resort (it is, by definition, the most recently used).
-//! 4. **Panic isolation** — a build closure that panics behaves exactly
-//!    like one that returned an error: the slot is cleaned up, every
-//!    parked waiter is woken, and the panic is converted to a typed
+//!    evicted first; the entry just inserted or grown is never its own
+//!    victim (it is, by definition, the one in use).
+//! 4. **Panic isolation** — a build or fill closure that panics behaves
+//!    exactly like one that returned an error: the slot is cleaned up,
+//!    every parked waiter is woken, and the panic is converted to a typed
 //!    [`ServiceError::Internal`]. Without this, one panicking estimator
 //!    would leave a permanent `Building` slot and deadlock every future
-//!    request for that key.
+//!    request for that key. A panicking fill leaves the mesh resident.
 //! 5. **Quarantine** — a per-key negative cache tracks consecutive build
-//!    failures. Past [`QuarantinePolicy::after`] failures the key is
-//!    quarantined with an exponentially growing retry-after window, so a
-//!    sick tile (corrupt snapshot region, panicking estimator) is not
+//!    and fill failures. Past [`QuarantinePolicy::after`] failures the key
+//!    is quarantined with an exponentially growing retry-after window, so
+//!    a sick tile (corrupt snapshot region, panicking estimator) is not
 //!    rebuilt — and does not burn a worker — on every request.
 //! 6. **Stale retention** — with a non-zero stale budget, evicted entries
 //!    are retained in a side map (their own LRU) so the server's
@@ -46,6 +52,9 @@ enum Slot {
     Building,
     Ready {
         data: SharedTile,
+        /// What `State::bytes` holds for this entry: its size when it was
+        /// last charged, not what it may have grown to since.
+        bytes: usize,
         last_used: u64,
     },
 }
@@ -53,6 +62,8 @@ enum Slot {
 /// An evicted-but-retained entry, eligible for degraded serving.
 struct StaleEntry {
     data: SharedTile,
+    /// Its share of `State::stale_bytes`.
+    bytes: usize,
     last_used: u64,
 }
 
@@ -291,11 +302,19 @@ impl TileCache {
         self.state.lock().unwrap().neg.quarantined()
     }
 
-    /// Is the key resident right now? (Racy by nature — used only for
-    /// admission pricing, where a stale answer merely misprices slightly.)
+    /// Is the key resident right now? (Racy by nature.)
     pub fn is_resident(&self, key: &TileKey) -> bool {
-        let st = self.state.lock().unwrap();
-        matches!(st.map.get(key), Some(Slot::Ready { .. }))
+        self.peek(key).is_some()
+    }
+
+    /// The resident entry, without counting a use or a hit. Admission
+    /// prices from this, where an answer gone stale merely misprices
+    /// slightly.
+    pub fn peek(&self, key: &TileKey) -> Option<SharedTile> {
+        match self.state.lock().unwrap().map.get(key) {
+            Some(Slot::Ready { data, .. }) => Some(data.clone()),
+            _ => None,
+        }
     }
 
     /// Look up an evicted-but-retained stale copy of `key`. Never builds;
@@ -338,7 +357,9 @@ impl TileCache {
         loop {
             let tick = st.tick + 1;
             match st.map.get_mut(key) {
-                Some(Slot::Ready { data, last_used }) => {
+                Some(Slot::Ready {
+                    data, last_used, ..
+                }) => {
                     *last_used = tick;
                     let data = data.clone();
                     st.tick = tick;
@@ -367,34 +388,20 @@ impl TileCache {
                 None => {
                     // Quarantine gate: a key that keeps failing is refused
                     // here, before any build is claimed.
-                    if let Some(retry_after_ms) = st.neg.gate(key) {
-                        self.stats
-                            .quarantine_rejects
-                            .fetch_add(1, Ordering::Relaxed);
-                        dtfe_telemetry::counter_add!("service.quarantine_rejects", 1);
-                        return Err(ServiceError::Quarantined { retry_after_ms });
-                    }
+                    self.gate(&st, key)?;
                     st.map.insert(key.clone(), Slot::Building);
                     drop(st);
                     let build_fn = build.take().expect(
                         "build closure consumed twice — \
                         a vacant slot can only be claimed once per call",
                     );
-                    let built = catch_panic(build_fn).unwrap_or_else(|msg| {
-                        self.stats.build_panics.fetch_add(1, Ordering::Relaxed);
-                        dtfe_telemetry::counter_add!("service.build_panics", 1);
-                        Err(ServiceError::Internal(format!(
-                            "tile build panicked: {msg}"
-                        )))
-                    });
+                    let built = catch_panic(build_fn)
+                        .unwrap_or_else(|msg| Err(self.panicked("tile build", &msg)));
                     st = self.state.lock().unwrap();
                     match built {
                         Err(e) => {
                             st.map.remove(key);
-                            self.stats.build_failures.fetch_add(1, Ordering::Relaxed);
-                            if st.neg.record_failure(key.clone()) {
-                                dtfe_telemetry::counter_add!("service.quarantined_tiles", 1);
-                            }
+                            self.book_failure(&mut st, key);
                             self.cv.notify_all();
                             return Err(e);
                         }
@@ -405,7 +412,7 @@ impl TileCache {
                             st.neg.clear(key);
                             // A fresh build supersedes any stale copy.
                             if let Some(old) = st.stale.remove(key) {
-                                st.stale_bytes -= old.data.bytes;
+                                st.stale_bytes -= old.bytes;
                             }
                             self.insert_and_evict(&mut st, key, data.clone());
                             dtfe_telemetry::gauge_set!("service.cache_bytes", st.bytes as i64);
@@ -418,11 +425,115 @@ impl TileCache {
         }
     }
 
+    /// Grow a fetched entry: run `fill`, which adds a table to `data` in
+    /// place and says whether it built anything, then charge the entry at
+    /// its new size. Call it when `data` lacks what the request needs.
+    ///
+    /// `fill` runs with no lock held and under the same isolation as a
+    /// build: a panic is a typed [`ServiceError::Internal`], counted as a
+    /// build failure and booked on the key's failure ledger, and a key
+    /// inside a quarantine window is refused without running `fill`. The
+    /// mesh stays resident either way.
+    ///
+    /// The charge evicts LRU *other* entries to make room. An entry that
+    /// alone outgrew the whole budget leaves the cache as `uncacheable`
+    /// (into the stale set, if that has room); the caller's `Arc` still
+    /// answers its request.
+    pub fn fill<F>(&self, key: &TileKey, data: &SharedTile, fill: F) -> Result<bool, ServiceError>
+    where
+        F: FnOnce() -> bool,
+    {
+        self.gate(&self.state.lock().unwrap(), key)?;
+        let filled = catch_panic(fill);
+        let mut st = self.state.lock().unwrap();
+        match filled {
+            Err(msg) => {
+                self.book_failure(&mut st, key);
+                Err(self.panicked("table fill", &msg))
+            }
+            Ok(built) => {
+                st.neg.clear(key);
+                if built {
+                    self.recharge(&mut st, key, data);
+                    dtfe_telemetry::gauge_set!("service.cache_bytes", st.bytes as i64);
+                }
+                Ok(built)
+            }
+        }
+    }
+
+    /// Quarantine gate: a key that keeps failing is refused before any
+    /// build or fill is claimed for it.
+    fn gate(&self, st: &State, key: &TileKey) -> Result<(), ServiceError> {
+        let Some(retry_after_ms) = st.neg.gate(key) else {
+            return Ok(());
+        };
+        self.stats
+            .quarantine_rejects
+            .fetch_add(1, Ordering::Relaxed);
+        dtfe_telemetry::counter_add!("service.quarantine_rejects", 1);
+        Err(ServiceError::Quarantined { retry_after_ms })
+    }
+
+    /// Count a caught panic and type it.
+    fn panicked(&self, what: &str, msg: &str) -> ServiceError {
+        self.stats.build_panics.fetch_add(1, Ordering::Relaxed);
+        dtfe_telemetry::counter_add!("service.build_panics", 1);
+        ServiceError::Internal(format!("{what} panicked: {msg}"))
+    }
+
+    /// Book a failed build or fill on the key's failure ledger.
+    fn book_failure(&self, st: &mut State, key: &TileKey) {
+        self.stats.build_failures.fetch_add(1, Ordering::Relaxed);
+        if st.neg.record_failure(key.clone()) {
+            dtfe_telemetry::counter_add!("service.quarantined_tiles", 1);
+        }
+    }
+
+    /// Charge `data` at the size it has now, wherever the cache holds it:
+    /// resident (evicting others, or itself if it alone is over budget),
+    /// stale (an in-flight batch can fill an entry evicted under it), or
+    /// nowhere (an uncacheable entry is its requester's alone).
+    fn recharge(&self, st: &mut State, key: &TileKey, data: &SharedTile) {
+        let now = data.bytes();
+        match st.map.get_mut(key) {
+            Some(Slot::Ready {
+                data: held, bytes, ..
+            }) if Arc::ptr_eq(held, data) => {
+                st.bytes = st.bytes - *bytes + now;
+                *bytes = now;
+                if now <= self.budget {
+                    self.evict_to_budget(st, key);
+                } else if let Some(Slot::Ready {
+                    data, last_used, ..
+                }) = st.map.remove(key)
+                {
+                    st.bytes -= now;
+                    self.stats.uncacheable.fetch_add(1, Ordering::Relaxed);
+                    dtfe_telemetry::counter_add!("service.cache_uncacheable", 1);
+                    self.retain_stale(st, key.clone(), data, now, last_used);
+                }
+            }
+            _ => {
+                let held = st.stale.get(key);
+                if held.is_some_and(|e| Arc::ptr_eq(&e.data, data)) {
+                    let e = st
+                        .stale
+                        .remove(key)
+                        .expect("looked up under this lock hold");
+                    st.stale_bytes -= e.bytes;
+                    self.retain_stale(st, key.clone(), e.data, now, e.last_used);
+                }
+            }
+        }
+    }
+
     /// Insert a freshly built entry and evict LRU entries until the budget
     /// holds again — all under the caller's lock hold, so the invariant
     /// `bytes ≤ budget` is true whenever the lock is free.
     fn insert_and_evict(&self, st: &mut State, key: &TileKey, data: SharedTile) {
-        if data.bytes > self.budget {
+        let bytes = data.bytes();
+        if bytes > self.budget {
             // Larger than the whole cache: hand it to the requester but
             // do not retain it (retaining would break the invariant, and
             // evicting the entire cache for one entry would thrash).
@@ -432,54 +543,75 @@ impl TileCache {
             return;
         }
         st.tick += 1;
-        let tick = st.tick;
-        st.bytes += data.bytes;
+        st.bytes += bytes;
         st.map.insert(
             key.clone(),
             Slot::Ready {
                 data,
-                last_used: tick,
+                bytes,
+                last_used: st.tick,
             },
         );
+        self.evict_to_budget(st, key);
+    }
+
+    /// Evict least-recently-used `Ready` entries other than `keep` (the one
+    /// just inserted or grown, itself within the budget) until the budget
+    /// holds.
+    fn evict_to_budget(&self, st: &mut State, keep: &TileKey) {
         while st.bytes > self.budget {
-            // Evict the least-recently-used Ready entry other than the one
-            // just inserted (it holds the max tick, so min-by-tick finds
-            // it last automatically).
             let victim = st
                 .map
                 .iter()
                 .filter_map(|(k, s)| match s {
-                    Slot::Ready { last_used, .. } if *last_used != tick => {
-                        Some((*last_used, k.clone()))
-                    }
+                    Slot::Ready { last_used, .. } if k != keep => Some((*last_used, k)),
                     _ => None,
                 })
                 .min_by_key(|(used, _)| *used)
-                .map(|(_, k)| k);
+                .map(|(_, k)| k.clone());
             let Some(victim) = victim else {
-                // Only the new entry remains and we are still over budget
-                // — impossible given the uncacheable check above, but stay
+                // Only `keep` remains and we are still over budget —
+                // impossible while it fits the budget alone, but stay
                 // defensive rather than spin.
                 break;
             };
-            if let Some(Slot::Ready { data, last_used }) = st.map.remove(&victim) {
-                st.bytes -= data.bytes;
+            if let Some(Slot::Ready {
+                data,
+                bytes,
+                last_used,
+            }) = st.map.remove(&victim)
+            {
+                st.bytes -= bytes;
                 self.stats.evictions.fetch_add(1, Ordering::Relaxed);
                 dtfe_telemetry::counter_add!("service.cache_evictions", 1);
-                self.retain_stale(st, victim, data, last_used);
+                self.retain_stale(st, victim, data, bytes, last_used);
             }
         }
     }
 
-    /// Move an evicted entry into the stale map, evicting stale-LRU
-    /// entries to hold the stale budget. With a zero budget this is a
-    /// no-op and the entry is dropped.
-    fn retain_stale(&self, st: &mut State, key: TileKey, data: SharedTile, last_used: u64) {
-        if data.bytes > self.stale_budget {
+    /// Move an evicted entry into the stale map at the size it was charged
+    /// at, evicting stale-LRU entries to hold the stale budget. With a zero
+    /// budget this is a no-op and the entry is dropped.
+    fn retain_stale(
+        &self,
+        st: &mut State,
+        key: TileKey,
+        data: SharedTile,
+        bytes: usize,
+        last_used: u64,
+    ) {
+        if bytes > self.stale_budget {
             return;
         }
-        st.stale_bytes += data.bytes;
-        st.stale.insert(key, StaleEntry { data, last_used });
+        st.stale_bytes += bytes;
+        st.stale.insert(
+            key,
+            StaleEntry {
+                data,
+                bytes,
+                last_used,
+            },
+        );
         while st.stale_bytes > self.stale_budget {
             let victim = st
                 .stale
@@ -489,7 +621,7 @@ impl TileCache {
                 .map(|(_, k)| k);
             let Some(victim) = victim else { break };
             if let Some(e) = st.stale.remove(&victim) {
-                st.stale_bytes -= e.data.bytes;
+                st.stale_bytes -= e.bytes;
             }
         }
     }
@@ -500,7 +632,7 @@ mod tests {
     use super::*;
 
     fn key(t: usize) -> TileKey {
-        TileKey::new("s", t, dtfe_core::EstimatorKind::Dtfe)
+        TileKey::new("s", t)
     }
 
     fn entry(bytes: usize) -> Result<TileData, ServiceError> {
@@ -534,7 +666,7 @@ mod tests {
         let cache = TileCache::new(100);
         let (data, hit) = cache.get_or_build(&key(0), || entry(1000)).unwrap();
         assert!(!hit);
-        assert_eq!(data.bytes, 1000);
+        assert_eq!(data.bytes(), 1000);
         assert_eq!(cache.resident_bytes(), 0);
         assert_eq!(cache.resident_entries(), 0);
         assert_eq!(cache.stats.uncacheable.load(Ordering::Relaxed), 1);
@@ -667,7 +799,7 @@ mod tests {
         cache.get_or_build(&key(2), || entry(100)).unwrap();
         assert!(!cache.is_resident(&key(0)));
         let stale = cache.get_stale(&key(0)).expect("retained after eviction");
-        assert_eq!(stale.bytes, 100);
+        assert_eq!(stale.bytes(), 100);
         assert_eq!(cache.stale_entries(), 1);
         assert_eq!(cache.stats.stale_hits.load(Ordering::Relaxed), 1);
         // Rebuilding key 0 evicts key 1; the fresh copy supersedes any

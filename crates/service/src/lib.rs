@@ -18,9 +18,13 @@
 //!   the whole field cube is covered by tile-local particles;
 //! * each tile's triangulation (plus its hull index) is built lazily via
 //!   [`dtfe_delaunay::DelaunayBuilder`] and held in a **byte-budgeted LRU**
-//!   ([`cache::TileCache`]) with **single-flight** deduplication — N
-//!   concurrent requests for a cold tile trigger exactly one build while
-//!   the rest park on a condvar;
+//!   ([`cache::TileCache`]) keyed `(snapshot, tile)`, with **single-flight**
+//!   deduplication — N concurrent requests for a cold tile trigger exactly
+//!   one build while the rest park on a condvar;
+//! * an estimator is an **interpolant table over that one mesh**
+//!   ([`tiles::TileData`]), filled by the first request that asks for it
+//!   and charged to the byte budget as it appears — a tile rendered under
+//!   three estimators is triangulated once;
 //! * requests queued for the same tile are **coalesced into one batch**:
 //!   the worker resolves the tile once and marches every field grid in the
 //!   batch against the shared triangulation
@@ -47,8 +51,9 @@
 //! testable deterministically (see `DESIGN.md` §4c).
 //!
 //! Rendering semantics match the batch framework path bit-for-bit: a tile
-//! build uses the same builder settings as the framework's per-item path
-//! (`threads(1)`) and renders with the same
+//! build uses the same [`dtfe_delaunay::DelaunayBuilder`] as the
+//! framework's per-item path, whose mesh depends only on the particle set,
+//! and renders with the same
 //! [`MarchOptions`](dtfe_core::MarchOptions), so a field served from a
 //! single whole-domain tile is identical to
 //! [`dtfe_framework::run_distributed_snapshot`] output on the same request
@@ -84,5 +89,5 @@ pub use stats_doc::{
     CacheCounters, HistDigest, MetricsDigest, ServingCounters, StatsDocument, STATS_VERSION,
 };
 pub use tcp::{Client, Handled, RequestHandler, TcpServer};
-pub use tiles::{TileData, TileField, TileKey};
+pub use tiles::{TileData, TileKey};
 pub use wire::{Request, Response, WireError, MAX_FRAME};

@@ -6,11 +6,12 @@
 //! [`Service::render`] validates the request, prices it against the
 //! workload model, admits or sheds it, then enqueues it on its tile's
 //! batch queue and blocks until a worker replies. Workers pop one tile at
-//! a time and take *every* queued request for that tile as a single batch:
-//! the tile triangulation is resolved once (cache hit, or one single-flight
-//! build) and each request's grid is marched against the shared mesh via
-//! [`dtfe_core::surface_density_with_index`] — so the marginal cost of the
-//! 2nd..Nth coalesced request is render-only.
+//! a time and take *every* queued request for that tile as a single batch,
+//! whatever estimators they name: the tile triangulation is resolved once
+//! (cache hit, or one single-flight build), each estimator's table is
+//! filled over it unless it is there, and each request's grid is marched
+//! against the shared mesh via [`dtfe_core::surface_density_with_index`] —
+//! so the marginal cost of the 2nd..Nth coalesced request is render-only.
 //!
 //! ## Drain semantics
 //!
@@ -26,8 +27,8 @@ use crate::config::ServiceConfig;
 use crate::error::ServiceError;
 use crate::registry::SnapshotRegistry;
 use crate::stats_doc::{CacheCounters, MetricsDigest, ServingCounters, StatsDocument};
-use crate::tiles::{TileData, TileKey};
-use dtfe_core::{EstimatorKind, Field2, GridSpec2, MarchOptions};
+use crate::tiles::{SharedTile, TileData, TileKey};
+use dtfe_core::{EstimatorKind, GridSpec2, MarchOptions};
 use dtfe_telemetry::{clock, FlightRecorder, RequestTrace, SpanEvent};
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
@@ -37,7 +38,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Always-on serving counters. `hits + misses == completed` — every served
-/// request is classified by whether its batch found the tile resident.
+/// request is classified by whether its batch found the tile's mesh and
+/// every table it needed resident.
 #[derive(Debug, Default)]
 pub struct ServiceStats {
     /// Requests that passed validation and admission.
@@ -52,9 +54,10 @@ pub struct ServiceStats {
     pub deadline_dropped: AtomicU64,
     /// Admitted requests that failed (tile build error and the like).
     pub failed: AtomicU64,
-    /// Served requests whose tile was resident when the batch ran.
+    /// Served requests whose batch built nothing.
     pub hits: AtomicU64,
-    /// Served requests that paid (or waited out) a tile build.
+    /// Served requests that paid (or waited out) a mesh build or a table
+    /// fill.
     pub misses: AtomicU64,
     /// Total requests coalesced into multi-request batches (batch_size − 1
     /// summed over batches).
@@ -283,10 +286,16 @@ impl Service {
                 return Err(e);
             }
         };
-        let cost_s =
-            inner
-                .admission
-                .price(particles, inner.cache.is_resident(&tile), tile.estimator);
+        let cost_s = {
+            let estimator = opts.render.estimator;
+            let resident = inner.cache.peek(&tile);
+            let has_table = resident.as_ref().is_some_and(|d| d.has_table(estimator));
+            inner.admission.price(
+                particles,
+                resident.is_some(),
+                (!has_table).then_some(estimator),
+            )
+        };
 
         let deadline = match req.deadline_ms {
             0 => cfg.default_deadline.map(|d| Instant::now() + d),
@@ -413,11 +422,7 @@ impl Service {
             .validate()
             .map_err(|e| ServiceError::InvalidRequest(e.to_string()))?;
 
-        let tile = TileKey::new(
-            req.snapshot.clone(),
-            snap.decomp.rank_of(req.center),
-            estimator,
-        );
+        let tile = TileKey::new(req.snapshot.clone(), snap.decomp.rank_of(req.center));
         Ok(Resolved {
             particles: snap.tile_counts[tile.tile],
             tile,
@@ -590,55 +595,69 @@ fn serve_batch(inner: &Inner, tile: &TileKey, mut jobs: Vec<Job>) {
     let build_t0 = Instant::now();
     let fetched = inner.cache.get_or_build(tile, || {
         let snap = inner.registry.get(&tile.snapshot)?;
-        Ok(TileData::build(
-            &snap,
-            tile.tile,
-            tile.estimator,
-            inner.cfg.ghost_margin,
-        ))
+        let data = TileData::build(&snap, tile.tile, inner.cfg.ghost_margin);
+        // A cold tile is inserted already holding the table its first
+        // request renders: one charge, and one eviction pass that makes
+        // room for both before the render allocates the traversal cache.
+        data.fill_table(&snap, jobs[0].opts.render.estimator, inner.cfg.ghost_margin);
+        Ok(data)
+    });
+    // The batch's other tables, filled by the first job that needs each: a
+    // fill that fails fails the jobs that asked for that estimator, not
+    // the batch.
+    let resolved = fetched.map(|(data, mesh_hit)| {
+        let tables: Vec<_> = jobs
+            .iter()
+            .map(|job| ensure_table(inner, tile, &data, job.opts.render.estimator))
+            .collect();
+        (data, mesh_hit, tables)
     });
     let build_us = build_t0.elapsed().as_micros() as u64;
     dtfe_telemetry::hist_record!("service.tile_resolve_us", build_us);
-    let (data, cache_hit) = match fetched {
+    // Degraded fallback: a quarantined tile with a retained stale copy is
+    // served flagged instead of failed — the tile is sick, but an older
+    // render beats no render when the operator opted into
+    // stale_while_revalidate.
+    let fail = |job: &Job, e: &ServiceError| {
+        if inner.cfg.stale_while_revalidate && matches!(e, ServiceError::Quarantined { .. }) {
+            if let Some(resp) =
+                render_stale(inner, tile, &job.grid, &job.opts, job.enqueued, job.trace)
+            {
+                let _ = job.reply.send(Ok(resp));
+                finish_job(inner, job);
+                return;
+            }
+        }
+        stats.failed.fetch_add(1, Ordering::Relaxed);
+        let queue_us = pickup.duration_since(job.enqueued).as_micros() as u64;
+        record_flight(
+            inner,
+            job,
+            &[
+                ("admission", job.admission_us),
+                ("queue", queue_us),
+                ("build", build_us),
+            ],
+            Some(e),
+        );
+        let _ = job.reply.send(Err(e.clone()));
+        finish_job(inner, job);
+    };
+    let (data, mesh_hit, tables) = match resolved {
         Ok(ok) => ok,
         Err(e) => {
-            // Degraded fallback: a quarantined tile with a retained stale
-            // copy is served flagged instead of failed — the tile is sick,
-            // but an older render beats no render when the operator opted
-            // into stale_while_revalidate.
-            let allow_stale =
-                inner.cfg.stale_while_revalidate && matches!(e, ServiceError::Quarantined { .. });
-            for job in &jobs {
-                if allow_stale {
-                    if let Some(resp) =
-                        render_stale(inner, tile, &job.grid, &job.opts, job.enqueued, job.trace)
-                    {
-                        let _ = job.reply.send(Ok(resp));
-                        finish_job(inner, job);
-                        continue;
-                    }
-                }
-                stats.failed.fetch_add(1, Ordering::Relaxed);
-                let queue_us = pickup.duration_since(job.enqueued).as_micros() as u64;
-                record_flight(
-                    inner,
-                    job,
-                    &[
-                        ("admission", job.admission_us),
-                        ("queue", queue_us),
-                        ("build", build_us),
-                    ],
-                    Some(&e),
-                );
-                let _ = job.reply.send(Err(e.clone()));
-                finish_job(inner, job);
-            }
+            jobs.iter().for_each(|job| fail(job, &e));
             return;
         }
     };
+    let cache_hit = mesh_hit && !tables.iter().any(|t| matches!(t, Ok(true)));
 
     let batch_size = jobs.len() as u32;
-    for job in &jobs {
+    for (job, table) in jobs.iter().zip(&tables) {
+        if let Err(e) = table {
+            fail(job, e);
+            continue;
+        }
         // Re-check the deadline after the (possibly long) build.
         let now = Instant::now();
         if matches!(job.deadline, Some(d) if d <= now) {
@@ -650,11 +669,9 @@ fn serve_batch(inner: &Inner, tile: &TileKey, mut jobs: Vec<Job>) {
         }
         let queue_us = pickup.duration_since(job.enqueued).as_micros() as u64;
         let t0 = Instant::now();
-        let sigma = match &data.field {
-            Some(tf) => tf.render(&job.grid, &job.opts),
-            // Degenerate tile: all-zero field, same as the batch path.
-            None => Field2::zeros(job.grid),
-        };
+        let sigma = data
+            .render(&job.grid, &job.opts)
+            .expect("ensure_table returned Ok, and tables are never removed");
         let render_us = t0.elapsed().as_micros() as u64;
         if cache_hit {
             stats.hits.fetch_add(1, Ordering::Relaxed);
@@ -695,6 +712,26 @@ fn serve_batch(inner: &Inner, tile: &TileKey, mut jobs: Vec<Job>) {
         }));
         finish_job(inner, job);
     }
+}
+
+/// Make sure `data` holds `estimator`'s table, filling it — through the
+/// cache, which isolates the fill and charges the bytes — unless it is
+/// there. `Ok(true)` when it was not: this call built it, or waited out
+/// another batch's fill of it, which is a miss either way.
+fn ensure_table(
+    inner: &Inner,
+    tile: &TileKey,
+    data: &SharedTile,
+    estimator: EstimatorKind,
+) -> Result<bool, ServiceError> {
+    if data.has_table(estimator) {
+        return Ok(false);
+    }
+    let snap = inner.registry.get(&tile.snapshot)?;
+    inner.cache.fill(tile, data, || {
+        data.fill_table(&snap, estimator, inner.cfg.ghost_margin)
+    })?;
+    Ok(true)
 }
 
 /// Record one finished request into the flight recorder, if it is
@@ -819,7 +856,9 @@ fn record_submit_failure(
 }
 
 /// Render a request from an evicted-but-retained stale tile, if one
-/// exists. Counted as a completed hit plus `stale_served`, so the
+/// exists and already holds the request's estimator table: degraded
+/// serving is for when there is no capacity to build, so it never fills
+/// one. Counted as a completed hit plus `stale_served`, so the
 /// `hits + misses == completed` invariant holds for degraded responses
 /// too.
 fn render_stale(
@@ -833,10 +872,7 @@ fn render_stale(
     let data = inner.cache.get_stale(tile)?;
     let queue_us = enqueued.elapsed().as_micros() as u64;
     let t0 = Instant::now();
-    let sigma = match &data.field {
-        Some(tf) => tf.render(grid, opts),
-        None => Field2::zeros(*grid),
-    };
+    let sigma = data.render(grid, opts)?;
     let render_us = t0.elapsed().as_micros() as u64;
     let stats = &inner.stats;
     stats.hits.fetch_add(1, Ordering::Relaxed);

@@ -129,7 +129,11 @@ pub struct MetricsDigest {
     /// `core.entry_hint_hit` / `core.entry_hint_miss` (hull entries only)
     /// and — for z-windowed renders, which is every served render —
     /// `core.window_entry_hit`, `core.window_entry_fallback` and
-    /// `core.window_walk_steps`.
+    /// `core.window_walk_steps`. The tile cache counts what it built:
+    /// `service.tile_mesh_builds` (one triangulation each, under the
+    /// `service.tile_build` span, after `service.tile_extract` cut the
+    /// padded set) and `service.tile_table_builds` (one estimator table
+    /// over a resident mesh each, under `service.table_build`).
     pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, f64>,
     pub histograms: BTreeMap<String, HistDigest>,

@@ -1,93 +1,70 @@
 //! Tile identity and the cached per-tile artifact.
 //!
-//! A tile is one cell of a snapshot's [`Decomposition`] *under one
-//! estimator backend*; the cached artifact is the estimator's field built
-//! over the tile's ghost-padded particle set plus the 2-D hull index used
-//! to locate ray entry points. Building it is the `c·n·log₂n` cost the
-//! cache amortises; rendering against it is the cheap `α·n^β` tail.
+//! A tile is one cell of a snapshot's [`Decomposition`]; the cached artifact
+//! is the *one* Delaunay mesh of the tile's ghost-padded particle set — in
+//! render order, with its traversal cache and the 2-D hull index that
+//! locates ray entry points — plus one interpolant table per estimator that
+//! has been asked for, filled on first use. Building the mesh is the
+//! `c·n·log₂n` cost the cache amortises, and it is paid once per tile
+//! however many estimators render it; a table is a pass over the mesh (DTFE,
+//! PS-DTFE) or `k` jittered triangulations evaluated at its vertices
+//! (stochastic); rendering against either is the cheap `α·n^β` tail.
 //!
-//! The estimator in the key is *normalised* via
-//! [`EstimatorKind::tile_kind`]: velocity divergence shares the PS-DTFE
-//! tile (same mesh, same gradients — only the interpolant view differs),
-//! so both request kinds hit one cache entry.
+//! Tables appear after the entry is resident, so an entry's size is not
+//! fixed: [`TileData::bytes`] is what it holds *now*, and the cache
+//! re-charges it after every fill ([`crate::cache::TileCache::fill`]).
 //!
 //! [`Decomposition`]: dtfe_framework::Decomposition
 
 use crate::registry::SnapshotData;
+use dtfe_core::density::TetInterp;
 use dtfe_core::{
-    surface_density_with_index, DtfeField, EstimatorKind, Field2, FieldEstimator, GridSpec2,
-    HullIndex, MarchOptions, Mass, PsDtfeField, StochasticField, StochasticOptions,
+    surface_density_with_index, DtfeTable, EstimatorKind, Field2, GridSpec2, HullIndex,
+    MarchOptions, Mass, PsDtfeTable, RenderMesh, StochasticOptions, StochasticTable,
 };
 use dtfe_delaunay::DelaunayBuilder;
 use dtfe_geometry::{Aabb3, Vec3};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
-/// Cache key: a tile of a snapshot under a (normalised) estimator. All
-/// requests whose field centre falls in the same decomposition cell *and*
-/// whose estimators share a tile artifact use one key (and so one build,
-/// one cache entry, and one batch queue).
+/// Cache key: a tile of a snapshot. All requests whose field centre falls
+/// in the same decomposition cell use one key — one mesh build, one cache
+/// entry, one batch queue and, hashed, one ring position — whatever their
+/// estimators.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct TileKey {
     pub snapshot: String,
     pub tile: usize,
-    /// Normalised estimator ([`EstimatorKind::tile_kind`] of the request's
-    /// estimator — e.g. `VelocityDivergence` stores as `PsDtfe`).
-    pub estimator: EstimatorKind,
 }
 
 impl TileKey {
-    pub fn new(snapshot: impl Into<String>, tile: usize, estimator: EstimatorKind) -> TileKey {
+    pub fn new(snapshot: impl Into<String>, tile: usize) -> TileKey {
         TileKey {
             snapshot: snapshot.into(),
             tile,
-            estimator: estimator.tile_kind(),
         }
     }
 }
 
 impl std::fmt::Display for TileKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}/{}/{}", self.snapshot, self.tile, self.estimator)
+        write!(f, "{}/{}", self.snapshot, self.tile)
     }
 }
 
-/// The estimator-specific triangulation artifact a tile caches.
-pub enum TileField {
-    Dtfe(DtfeField, HullIndex),
-    /// Shared by density *and* velocity-divergence requests; the gradients
-    /// are in the field, the divergence is a free view over them.
-    PsDtfe(PsDtfeField, HullIndex),
-    Stochastic(StochasticField, HullIndex),
-}
+/// The stochastic table of one realization count. The cell is in the map
+/// before it is filled, so concurrent first uses of one count run one fill.
+type StochasticCell = Arc<OnceLock<StochasticTable>>;
 
-impl TileField {
-    /// March the requested grid against this artifact. `opts.estimator`
-    /// picks the interpolant table (PS-DTFE density vs divergence); the
-    /// mesh, index, and marching cache are shared either way.
-    pub fn render(&self, grid: &GridSpec2, opts: &MarchOptions) -> Field2 {
-        let divergence;
-        let (field, idx): (&dyn FieldEstimator, _) = match self {
-            TileField::Dtfe(f, idx) => (f, idx),
-            TileField::PsDtfe(f, idx)
-                if opts.render.estimator == EstimatorKind::VelocityDivergence =>
-            {
-                divergence = f.divergence();
-                (&divergence, idx)
-            }
-            TileField::PsDtfe(f, idx) => (f, idx),
-            TileField::Stochastic(f, idx) => (f, idx),
-        };
-        surface_density_with_index(field, idx, grid, opts).0
-    }
-}
-
-/// A built tile: the reusable triangulation artifact.
+/// A built tile: the reusable mesh and the estimator tables filled so far.
 pub struct TileData {
     /// `None` when the tile's particle set was affinely degenerate (fewer
-    /// than 4 non-coplanar points) or the estimator could not be built on
-    /// it — such tiles render as all-zero fields, matching the batch
-    /// framework's degenerate-item behaviour.
-    pub field: Option<TileField>,
+    /// than 4 non-coplanar points) — such tiles render as all-zero fields,
+    /// matching the batch framework's degenerate-item behaviour.
+    mesh: Option<(RenderMesh, HullIndex)>,
+    /// Which tile of its snapshot this is (seeds the stochastic jitter and
+    /// re-extracts the padded set for a table fill).
+    tile: usize,
     /// Ghost-padded particle count the tile was built from (prices renders).
     pub n_particles: usize,
     /// How many of `n_particles` are **ghosts** — particles outside the
@@ -97,8 +74,17 @@ pub struct TileData {
     /// padding), so the byte estimate must charge them explicitly or a
     /// cluster's aggregate budget under-counts real memory.
     pub ghost_particles: usize,
-    /// Estimated resident bytes, charged against the cache budget.
-    pub bytes: usize,
+    dtfe: OnceLock<DtfeTable>,
+    /// `Some(None)` when a tetrahedron was too flat for a velocity gradient:
+    /// PS-DTFE renders of this tile are all-zero fields.
+    psdtfe: OnceLock<Option<PsDtfeTable>>,
+    /// By realization count; a handful at most (the request cap is
+    /// [`crate::ServiceConfig::MAX_REALIZATIONS`]).
+    stochastic: Mutex<Vec<(u16, StochasticCell)>>,
+    /// What the entry charges before its mesh and tables: header and ghost
+    /// padding for a built tile, the claimed size of a
+    /// [`TileData::synthetic`] one.
+    base_bytes: AtomicUsize,
 }
 
 /// Deterministic demo velocity field for PS-DTFE serving: snapshots carry
@@ -125,8 +111,8 @@ pub fn demo_velocities(points: &[Vec3], bounds: &Aabb3) -> Vec<Vec3> {
 
 /// Write the demo snapshot (`demo.snap`, id `demo`) into `dir` unless it
 /// exists: a 32³-box clustered particle set, dense enough that a cold
-/// tile build costs hundreds of milliseconds while a warm render costs
-/// ~10 ms — the cold/warm split the cache exists for stays visible over
+/// tile build costs tens of milliseconds (~35 ms) while a warm render costs
+/// ~3 ms — the cold/warm split the cache exists for stays visible over
 /// the wire round-trip floor. `dtfe-served --demo` and `dtfe-clusterd
 /// --demo` both call this, so cluster responses are comparable
 /// bit-for-bit with a single node's.
@@ -142,10 +128,38 @@ pub fn write_demo_snapshot(dir: &std::path::Path) -> std::io::Result<()> {
     Ok(())
 }
 
+/// The byte estimate, term by term. Every constant is deliberately above
+/// what it stands for — the budget must bound true RSS, so overestimating
+/// is the safe direction — and `each_byte_term_bounds_what_it_stands_for`
+/// holds each one against the allocations themselves.
+mod charge {
+    /// The entry header: the struct, its `Arc` and its cache slot.
+    pub const HEADER: usize = 64;
+    /// Per vertex of the mesh: position and input map (28 B), star volume
+    /// (8 B), and the hull index's share.
+    pub const MESH_VERTEX: usize = 96;
+    /// Per tetrahedron slot of the mesh: the `Tet` record and its mark
+    /// (36 B) and the lazily built traversal cache (128 B).
+    pub const MESH_SLOT: usize = 208;
+    /// DTFE table, per slot: one interpolant (56 B) and the vertex
+    /// densities' share.
+    pub const DTFE_SLOT: usize = 72;
+    /// PS-DTFE tables, per slot: density and divergence interpolants
+    /// (56 B each) and the 3×3 velocity gradient (72 B).
+    pub const PSDTFE_SLOT: usize = 184;
+    /// Stochastic table: one interpolant per slot, the realization mean
+    /// per vertex.
+    pub const STOCHASTIC_SLOT: usize = 72;
+    pub const STOCHASTIC_VERTEX: usize = 16;
+    /// One ghost particle's duplicated position.
+    pub const GHOST_PARTICLE: usize = 24;
+}
+
 /// FNV-1a over the snapshot id, mixed with the tile index: a stable
 /// stochastic-jitter seed so repeated builds of one tile are bit-identical
-/// while distinct tiles decorrelate.
-fn tile_seed(snapshot: &str, tile: usize) -> u64 {
+/// while distinct tiles decorrelate. (Public, like [`demo_velocities`], so
+/// an offline render can reproduce a served stochastic field.)
+pub fn tile_seed(snapshot: &str, tile: usize) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for b in snapshot.bytes() {
         h ^= b as u64;
@@ -154,128 +168,219 @@ fn tile_seed(snapshot: &str, tile: usize) -> u64 {
     h ^ ((tile as u64).wrapping_mul(0x9E3779B97F4A7C15)) | 1
 }
 
+/// The ghost-padded particle set of a tile, in file order, and how many of
+/// it lie inside the tile's own (un-inflated) cell; the rest are ghosts
+/// shared with neighbouring tiles.
+fn extract(snap: &SnapshotData, tile: usize, ghost_margin: f64) -> (Vec<Vec3>, usize) {
+    let _span = dtfe_telemetry::span!("service.tile_extract", tile = tile);
+    let local = snap.tile_particles(tile, ghost_margin);
+    let cell = snap.decomp.rank_box(tile);
+    let interior = local.iter().filter(|&&p| cell.contains_closed(p)).count();
+    (local, interior)
+}
+
 impl TileData {
-    /// Build the tile artifact from a snapshot's padded particle set.
+    /// Build the tile's mesh from a snapshot's padded particle set. No
+    /// estimator table is filled here: [`TileData::fill_table`] does that,
+    /// on the first request that needs one.
     ///
     /// The mesh comes from the one [`DelaunayBuilder`] the batch framework's
     /// per-item path uses: given the same particle set, it — and any field
     /// rendered from it — is bit-identical with the offline pipeline.
     ///
-    /// The hull index is built from the mesh, not through the field's view:
-    /// a view builds the 128 B/slot traversal cache, which is better
-    /// allocated by the tile's first render — after the tile cache has
-    /// evicted to make room — than here, before it (+11 % `serve_churn`
-    /// peak RSS otherwise).
-    pub fn build(
-        snap: &SnapshotData,
-        tile: usize,
-        estimator: EstimatorKind,
-        ghost_margin: f64,
-    ) -> TileData {
-        let local = snap.tile_particles(tile, ghost_margin);
-        let span = dtfe_telemetry::span!(
-            "service.tile_build",
-            tile = tile,
-            n = local.len(),
-            estimator = estimator.label()
-        );
-        let field = match estimator.tile_kind() {
-            EstimatorKind::Dtfe => DelaunayBuilder::new().build(&local).ok().map(|del| {
-                let f = DtfeField::from_delaunay_for_inputs(del, local.len(), Mass::Uniform(1.0));
-                let idx = HullIndex::for_mesh(f.delaunay());
-                TileField::Dtfe(f, idx)
-            }),
-            EstimatorKind::PsDtfe | EstimatorKind::VelocityDivergence => {
-                let vels = demo_velocities(&local, &snap.bounds);
-                DelaunayBuilder::new()
-                    .build(&local)
-                    .ok()
-                    .and_then(|del| {
-                        PsDtfeField::from_delaunay(del, local.len(), &vels, Mass::Uniform(1.0)).ok()
-                    })
-                    .map(|f| {
-                        let idx = HullIndex::for_mesh(f.delaunay());
-                        TileField::PsDtfe(f, idx)
-                    })
-            }
-            EstimatorKind::Stochastic { realizations } => {
-                let opts = StochasticOptions::new()
-                    .realizations(realizations.max(1))
-                    .seed(tile_seed(&snap.id, tile));
-                StochasticField::build(&local, Mass::Uniform(1.0), opts)
-                    .ok()
-                    .map(|f| {
-                        let idx = HullIndex::for_mesh(f.delaunay());
-                        TileField::Stochastic(f, idx)
-                    })
-            }
-        };
-        drop(span);
-        // Interior = particles inside the un-inflated cell (which lies
-        // inside the padded box `local` was cut from); the rest of the
-        // padded set are ghosts shared with neighbouring tiles.
-        let cell = snap.decomp.rank_box(tile);
-        let interior = local.iter().filter(|&&p| cell.contains_closed(p)).count();
-        let mut td = TileData {
-            field,
-            n_particles: local.len(),
-            ghost_particles: local.len().saturating_sub(interior),
-            bytes: 0,
-        };
-        td.bytes = td.estimate_bytes();
-        td
+    /// The hull index is built from the mesh, not through a view: a view
+    /// builds the 128 B/slot traversal cache, which is better allocated by
+    /// the tile's first render — after the tile cache has evicted to make
+    /// room — than here, before it (+11 % `serve_churn` peak RSS
+    /// otherwise).
+    pub fn build(snap: &SnapshotData, tile: usize, ghost_margin: f64) -> TileData {
+        let (local, interior) = extract(snap, tile, ghost_margin);
+        let _span = dtfe_telemetry::span!("service.tile_build", tile = tile, n = local.len());
+        dtfe_telemetry::counter_add!("service.tile_mesh_builds", 1);
+        let mesh = DelaunayBuilder::new().build(&local).ok().map(|del| {
+            let mesh = RenderMesh::new(del);
+            let hull = HullIndex::for_mesh(mesh.delaunay());
+            (mesh, hull)
+        });
+        // Ghost padding is charged explicitly: those particles' positions
+        // are re-materialised by every shard holding a replica of this
+        // tile, so they are real per-shard memory the budget must see even
+        // though they logically "belong" to a neighbouring cell.
+        let ghost_particles = local.len() - interior;
+        TileData {
+            mesh,
+            tile,
+            ghost_particles,
+            ..TileData::synthetic(
+                local.len(),
+                charge::HEADER + ghost_particles * charge::GHOST_PARTICLE,
+            )
+        }
     }
 
     /// A synthetic entry of a given claimed size — cache tests use this to
     /// exercise budget/eviction logic without paying for triangulations.
     pub fn synthetic(n_particles: usize, bytes: usize) -> TileData {
         TileData {
-            field: None,
+            mesh: None,
+            tile: 0,
             n_particles,
             ghost_particles: 0,
-            bytes,
+            dtfe: OnceLock::new(),
+            psdtfe: OnceLock::new(),
+            stochastic: Mutex::new(Vec::new()),
+            base_bytes: AtomicUsize::new(bytes),
         }
+    }
+
+    /// Grow a [`TileData::synthetic`] entry's claimed size, as a table fill
+    /// grows a real one.
+    pub fn grow_synthetic(&self, bytes: usize) {
+        self.base_bytes.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// The cell of one realization count, added empty if it is new.
+    fn stochastic_cell(&self, realizations: u16) -> StochasticCell {
+        let mut cells = self
+            .stochastic
+            .lock()
+            .expect("no fill runs under this lock");
+        if let Some((_, cell)) = cells.iter().find(|(k, _)| *k == realizations) {
+            return cell.clone();
+        }
+        cells.push((realizations, StochasticCell::default()));
+        cells[cells.len() - 1].1.clone()
+    }
+
+    /// Does a render under `estimator` find its table? (A degenerate tile
+    /// renders zeros and needs none.)
+    pub fn has_table(&self, estimator: EstimatorKind) -> bool {
+        self.mesh.is_none()
+            || match estimator {
+                EstimatorKind::Dtfe => self.dtfe.get().is_some(),
+                EstimatorKind::PsDtfe | EstimatorKind::VelocityDivergence => {
+                    self.psdtfe.get().is_some()
+                }
+                EstimatorKind::Stochastic { realizations } => {
+                    self.stochastic_cell(realizations).get().is_some()
+                }
+            }
+    }
+
+    /// Fill `estimator`'s table over the mesh unless it is there; `true`
+    /// when this call built it. Concurrent calls for one table run one
+    /// fill and the rest wait for it. The padded positions are not kept
+    /// with the mesh (its vertices are the merged set, in another order),
+    /// so a fill that needs them cuts them from `snap` again.
+    pub fn fill_table(
+        &self,
+        snap: &SnapshotData,
+        estimator: EstimatorKind,
+        ghost_margin: f64,
+    ) -> bool {
+        let Some((mesh, _)) = &self.mesh else {
+            return false;
+        };
+        let mut built = false;
+        let mut building = || {
+            built = true;
+            dtfe_telemetry::counter_add!("service.tile_table_builds", 1);
+            dtfe_telemetry::span!(
+                "service.table_build",
+                tile = self.tile,
+                estimator = estimator.label()
+            )
+        };
+        let mass = Mass::Uniform(1.0);
+        match estimator {
+            EstimatorKind::Dtfe => {
+                self.dtfe.get_or_init(|| {
+                    let _span = building();
+                    DtfeTable::build(mesh, self.n_particles, &mass)
+                });
+            }
+            EstimatorKind::PsDtfe | EstimatorKind::VelocityDivergence => {
+                self.psdtfe.get_or_init(|| {
+                    let (local, _) = extract(snap, self.tile, ghost_margin);
+                    let _span = building();
+                    let vels = demo_velocities(&local, &snap.bounds);
+                    PsDtfeTable::build(mesh.delaunay(), local.len(), &vels, &mass).ok()
+                });
+            }
+            EstimatorKind::Stochastic { realizations } => {
+                let cell = self.stochastic_cell(realizations);
+                cell.get_or_init(|| {
+                    let (local, _) = extract(snap, self.tile, ghost_margin);
+                    let _span = building();
+                    let opts = StochasticOptions::new()
+                        .realizations(realizations.max(1))
+                        .seed(tile_seed(&snap.id, self.tile));
+                    StochasticTable::build(mesh.delaunay(), &local, &mass, opts)
+                });
+            }
+        }
+        built
+    }
+
+    /// March the requested grid against the mesh under `opts.estimator`'s
+    /// table; the mesh, hull index and traversal cache are shared by every
+    /// table. `None` when that table has not been filled.
+    pub fn render(&self, grid: &GridSpec2, opts: &MarchOptions) -> Option<Field2> {
+        let Some((mesh, hull)) = &self.mesh else {
+            return Some(Field2::zeros(*grid));
+        };
+        let cell;
+        let interp: Option<&[TetInterp]> = match opts.render.estimator {
+            EstimatorKind::Dtfe => Some(self.dtfe.get()?.interp()),
+            EstimatorKind::PsDtfe => self.psdtfe.get()?.as_ref().map(PsDtfeTable::density),
+            EstimatorKind::VelocityDivergence => {
+                self.psdtfe.get()?.as_ref().map(PsDtfeTable::divergence)
+            }
+            EstimatorKind::Stochastic { realizations } => {
+                cell = self.stochastic_cell(realizations);
+                Some(cell.get()?.interp())
+            }
+        };
+        Some(match interp {
+            Some(interp) => surface_density_with_index(&mesh.view(interp), hull, grid, opts).0,
+            None => Field2::zeros(*grid),
+        })
     }
 
     /// The slice of [`TileData::bytes`] attributable to ghost padding —
     /// the bytes a replica on another shard would duplicate.
     pub fn ghost_bytes(&self) -> usize {
-        self.ghost_particles * GHOST_PARTICLE_BYTES
+        self.ghost_particles * charge::GHOST_PARTICLE
     }
 
-    fn estimate_bytes(&self) -> usize {
-        // Per-vertex: position + density + adjacency bookkeeping; per-tet
-        // slot: 4 vertex ids, 4 neighbours, the gradient interpolant
-        // (4 f64), geometry scratch, and the marching kernel's lazily-built
-        // traversal cache (4 pre-normalized positions + ids + neighbors =
-        // 128 B/slot). PS-DTFE additionally stores a 3×3 velocity gradient
-        // plus the divergence interpolant per slot; stochastic keeps the
-        // per-vertex realization mean. The constants are deliberately
-        // generous — the budget must bound true RSS, so overestimating is
-        // the safe direction.
-        fn mesh_bytes(del: &dtfe_delaunay::Delaunay, per_slot_extra: usize) -> usize {
-            let verts = del.num_vertices() * 96;
-            let tets = (del.num_tets() + del.num_ghosts()) * (280 + per_slot_extra);
-            64 + verts + tets
-        }
-        let base = match &self.field {
-            None => 64,
-            Some(TileField::Dtfe(f, _)) => mesh_bytes(f.delaunay(), 0),
-            Some(TileField::PsDtfe(f, _)) => mesh_bytes(f.delaunay(), 112),
-            Some(TileField::Stochastic(f, _)) => {
-                mesh_bytes(f.delaunay(), 0) + f.delaunay().num_vertices() * 16
-            }
+    /// Estimated resident bytes *now*: the mesh (with the traversal cache
+    /// its first render builds) plus every table filled so far. This is
+    /// what the cache charges against its budget, again after each fill.
+    pub fn bytes(&self) -> usize {
+        let base = self.base_bytes.load(Ordering::Relaxed);
+        let Some((mesh, _)) = &self.mesh else {
+            return base;
         };
-        // Ghost padding is charged explicitly: those particles' positions
-        // are re-materialised by every shard holding a replica of this
-        // tile, so they are real per-shard memory the budget must see even
-        // though they logically "belong" to a neighbouring cell.
-        base + self.ghost_bytes()
+        let del = mesh.delaunay();
+        let (verts, slots) = (del.num_vertices(), del.num_tets() + del.num_ghosts());
+        let stochastic = self
+            .stochastic
+            .lock()
+            .expect("no fill runs under this lock")
+            .iter()
+            .filter(|(_, cell)| cell.get().is_some())
+            .count();
+        let mut per_slot = charge::MESH_SLOT + stochastic * charge::STOCHASTIC_SLOT;
+        let per_vertex = charge::MESH_VERTEX + stochastic * charge::STOCHASTIC_VERTEX;
+        if self.dtfe.get().is_some() {
+            per_slot += charge::DTFE_SLOT;
+        }
+        if matches!(self.psdtfe.get(), Some(Some(_))) {
+            per_slot += charge::PSDTFE_SLOT;
+        }
+        base + verts * per_vertex + slots * per_slot
     }
 }
-
-/// Bytes one ghost particle's duplicated position costs a shard.
-const GHOST_PARTICLE_BYTES: usize = 24;
 
 /// Convenience alias used throughout the server.
 pub type SharedTile = Arc<TileData>;
@@ -316,19 +421,28 @@ mod tests {
             .collect()
     }
 
+    const DTFE: EstimatorKind = EstimatorKind::Dtfe;
+
     #[test]
-    fn build_produces_field_and_size_estimate() {
+    fn build_produces_mesh_and_size_estimate() {
         let pts = cloud(400, 42, 4.0);
         let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(4.0));
         let snap = snap_from(pts, bounds, 1, 0.5);
-        let tile = TileData::build(&snap, 0, EstimatorKind::Dtfe, 0.5);
-        let Some(TileField::Dtfe(field, _)) = &tile.field else {
-            panic!("400 random points triangulate");
-        };
+        let tile = TileData::build(&snap, 0, 0.5);
+        let (mesh, _) = tile.mesh.as_ref().expect("400 random points triangulate");
+        let del = mesh.delaunay();
         assert_eq!(tile.n_particles, 400);
-        assert!(field.delaunay().num_tets() > 0);
+        assert!(del.num_tets() > 0);
         // The estimate must at least cover the raw vertex positions.
-        assert!(tile.bytes >= field.delaunay().num_vertices() * 24);
+        assert!(tile.bytes() >= del.num_vertices() * 24);
+        // The mesh alone renders nothing; a filled table does, once.
+        let grid = GridSpec2::square(dtfe_geometry::Vec2::new(2.0, 2.0), 2.0, 8);
+        let opts = MarchOptions::new().parallel(false);
+        assert!(!tile.has_table(DTFE) && tile.render(&grid, &opts).is_none());
+        assert!(tile.fill_table(&snap, DTFE, 0.5));
+        assert!(!tile.fill_table(&snap, DTFE, 0.5), "already there");
+        assert!(tile.has_table(DTFE));
+        assert!(tile.render(&grid, &opts).unwrap().total_mass() > 0.0);
     }
 
     #[test]
@@ -339,10 +453,15 @@ mod tests {
             .collect();
         let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(2.0));
         let snap = snap_from(pts, bounds, 1, 0.5);
-        let tile = TileData::build(&snap, 0, EstimatorKind::Dtfe, 0.5);
-        assert!(tile.field.is_none());
+        let tile = TileData::build(&snap, 0, 0.5);
+        assert!(tile.mesh.is_none());
         assert_eq!(tile.n_particles, 20);
-        assert!(tile.bytes > 0);
+        // Nothing to fill, all-zero renders, and only the header charged.
+        assert!(tile.has_table(DTFE) && !tile.fill_table(&snap, DTFE, 0.5));
+        let grid = GridSpec2::square(dtfe_geometry::Vec2::new(1.0, 1.0), 1.0, 4);
+        let zeros = tile.render(&grid, &MarchOptions::new()).unwrap();
+        assert!(zeros.data.iter().all(|&v| v == 0.0));
+        assert_eq!(tile.bytes(), charge::HEADER);
     }
 
     #[test]
@@ -355,7 +474,7 @@ mod tests {
         let ghost = 1.0;
         let snap = snap_from(pts.clone(), bounds, 2, ghost);
         for tile in 0..snap.decomp.num_ranks() {
-            let built = TileData::build(&snap, tile, EstimatorKind::Dtfe, ghost);
+            let built = TileData::build(&snap, tile, ghost);
             let cell = snap.decomp.rank_box(tile);
             let interior = pts.iter().filter(|&&p| cell.contains_closed(p)).count();
             let padded = snap.tile_particles(tile, ghost).len();
@@ -364,73 +483,134 @@ mod tests {
             assert!(built.ghost_particles > 0, "margin 1.0 must pull ghosts");
             // The estimate includes the explicit ghost charge on top of
             // the mesh estimate (which itself covers all padded vertices).
-            assert!(built.bytes > built.ghost_bytes());
+            assert!(built.bytes() > built.ghost_bytes());
             assert_eq!(built.ghost_bytes(), built.ghost_particles * 24);
         }
     }
 
+    /// The byte estimate is a sum of per-component terms; each is held here
+    /// against the allocation it stands for, so a new table (or a fatter
+    /// one) cannot under-charge the budget unnoticed.
     #[test]
-    fn tile_bytes_charge_only_resident_state() {
+    fn each_byte_term_bounds_what_it_stands_for() {
+        use dtfe_delaunay::Tet;
+        use std::mem::size_of;
         let pts = cloud(400, 42, 4.0);
         let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(4.0));
         let snap = snap_from(pts, bounds, 1, 0.5);
-        let tile = TileData::build(&snap, 0, EstimatorKind::Dtfe, 0.5);
-        assert!(tile.field.is_some());
-        // A render allocates nothing per row, so the charge is the mesh
-        // estimate plus ghosts: well under 1 MiB at 400 particles.
-        assert!(tile.bytes < 1 << 20, "charged {} B", tile.bytes);
-        // A tile with no field holds only its header.
-        assert_eq!(TileData::synthetic(0, 0).estimate_bytes(), 64);
+        let tile = TileData::build(&snap, 0, 0.5);
+        let (mesh, _) = tile.mesh.as_ref().unwrap();
+        let del = mesh.delaunay();
+        let (verts, slots) = (del.num_vertices(), del.num_slots());
+        assert_eq!(
+            slots,
+            del.num_tets() + del.num_ghosts(),
+            "render order is dense"
+        );
+
+        // Mesh: the traversal cache, the tetrahedron records with their
+        // marks, and per vertex a position, an input-map entry and a star
+        // volume.
+        let cache = mesh.view(&[]).cache.bytes();
+        assert!(cache >= slots * 128, "the cache is 128 B a slot");
+        assert!(slots * charge::MESH_SLOT >= cache + slots * (size_of::<Tet>() + 4));
+        assert!(verts * charge::MESH_VERTEX >= verts * (28 + 8));
+        let mesh_only = tile.bytes();
+        assert_eq!(
+            mesh_only,
+            charge::HEADER + verts * charge::MESH_VERTEX + slots * charge::MESH_SLOT
+        );
+
+        // Tables, each charged as it appears. An interpolant is 56 B (not
+        // four f64), PS-DTFE holds two of them and nine more f64 per slot.
+        assert_eq!(size_of::<TetInterp>(), 56);
+        let interp = slots * size_of::<TetInterp>();
+        tile.fill_table(&snap, DTFE, 0.5);
+        let dtfe = tile.bytes() - mesh_only;
+        assert!(
+            dtfe >= interp + verts * 8,
+            "interpolants and vertex densities"
+        );
+        assert_eq!(dtfe, slots * charge::DTFE_SLOT);
+
+        tile.fill_table(&snap, EstimatorKind::PsDtfe, 0.5);
+        let psdtfe = tile.bytes() - mesh_only - dtfe;
+        assert_eq!(psdtfe, slots * charge::PSDTFE_SLOT);
+        assert!(psdtfe >= 2 * interp + slots * size_of::<[Vec3; 3]>());
+        assert_eq!(charge::PSDTFE_SLOT, 56 + 56 + 72);
+        // The divergence view is the same tables.
+        tile.fill_table(&snap, EstimatorKind::VelocityDivergence, 0.5);
+        assert_eq!(tile.bytes(), mesh_only + dtfe + psdtfe);
+
+        // One stochastic table per realization count.
+        for (i, k) in [2u16, 3].into_iter().enumerate() {
+            tile.fill_table(&snap, EstimatorKind::Stochastic { realizations: k }, 0.5);
+            let each = (tile.bytes() - mesh_only - dtfe - psdtfe) / (i + 1);
+            assert!(each >= interp + verts * 8);
+            assert_eq!(
+                each,
+                slots * charge::STOCHASTIC_SLOT + verts * charge::STOCHASTIC_VERTEX
+            );
+        }
+
+        // What an entry holding one estimator charged before tables were
+        // charged apart: 280 B a slot for DTFE, 392 for PS-DTFE.
+        assert_eq!(charge::MESH_SLOT + charge::DTFE_SLOT, 280);
+        assert_eq!(charge::MESH_SLOT + charge::PSDTFE_SLOT, 392);
+        assert_eq!(charge::MESH_SLOT + charge::STOCHASTIC_SLOT, 280);
     }
 
     #[test]
-    fn tile_key_normalises_divergence_to_psdtfe() {
-        let a = TileKey::new("s", 3, EstimatorKind::VelocityDivergence);
-        let b = TileKey::new("s", 3, EstimatorKind::PsDtfe);
-        assert_eq!(a, b);
-        assert_ne!(a, TileKey::new("s", 3, EstimatorKind::Dtfe));
-        assert_eq!(format!("{a}"), "s/3/psdtfe");
+    fn tile_key_is_snapshot_and_tile() {
+        let a = TileKey::new("s", 3);
+        assert_eq!(a, TileKey::new("s", 3));
+        assert_ne!(a, TileKey::new("s", 4));
+        assert_ne!(a, TileKey::new("t", 3));
+        assert_eq!(format!("{a}"), "s/3");
     }
 
     #[test]
-    fn psdtfe_tile_renders_density_and_divergence() {
+    fn one_mesh_renders_density_and_divergence() {
         let pts = cloud(300, 7, 4.0);
         let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(4.0));
         let snap = snap_from(pts, bounds, 1, 0.5);
-        let tile = TileData::build(&snap, 0, EstimatorKind::PsDtfe, 0.5);
-        let tf = tile.field.as_ref().expect("psdtfe build");
+        let tile = TileData::build(&snap, 0, 0.5);
+        // Either kind fills the tables both render from.
+        assert!(tile.fill_table(&snap, EstimatorKind::VelocityDivergence, 0.5));
+        assert!(!tile.fill_table(&snap, EstimatorKind::PsDtfe, 0.5));
         let grid = GridSpec2::square(dtfe_geometry::Vec2::new(1.0, 1.0), 2.0, 8);
-        let dens = tf.render(
-            &grid,
-            &MarchOptions::new()
-                .parallel(false)
-                .estimator(EstimatorKind::PsDtfe),
-        );
+        let render = |kind| {
+            let opts = MarchOptions::new().parallel(false).estimator(kind);
+            tile.render(&grid, &opts).expect("table filled")
+        };
+        let dens = render(EstimatorKind::PsDtfe);
         assert!(dens.total_mass() > 0.0);
-        let div = tf.render(
-            &grid,
-            &MarchOptions::new()
-                .parallel(false)
-                .estimator(EstimatorKind::VelocityDivergence),
-        );
+        let div = render(EstimatorKind::VelocityDivergence);
         // Divergence integrates signed values; it must differ from density.
         assert!(div.data.iter().all(|v| v.is_finite()));
         assert_ne!(dens.data, div.data);
     }
 
     #[test]
-    fn stochastic_tile_build_is_deterministic() {
+    fn stochastic_table_fill_is_deterministic_and_per_realization_count() {
         let pts = cloud(200, 11, 4.0);
         let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(4.0));
         let snap = snap_from(pts, bounds, 1, 0.5);
-        let kind = EstimatorKind::Stochastic { realizations: 2 };
-        let t1 = TileData::build(&snap, 0, kind, 0.5);
-        let t2 = TileData::build(&snap, 0, kind, 0.5);
-        let (Some(TileField::Stochastic(f1, _)), Some(TileField::Stochastic(f2, _))) =
-            (&t1.field, &t2.field)
-        else {
-            panic!("stochastic builds");
+        let grid = GridSpec2::square(dtfe_geometry::Vec2::new(2.0, 2.0), 2.0, 8);
+        let render = |tile: &TileData, k| {
+            let kind = EstimatorKind::Stochastic { realizations: k };
+            tile.fill_table(&snap, kind, 0.5);
+            let opts = MarchOptions::new().parallel(false).estimator(kind);
+            tile.render(&grid, &opts).expect("table filled").data
         };
-        assert_eq!(f1.vertex_densities(), f2.vertex_densities());
+        let (t1, t2) = (
+            TileData::build(&snap, 0, 0.5),
+            TileData::build(&snap, 0, 0.5),
+        );
+        assert_eq!(render(&t1, 2), render(&t2, 2));
+        // A second count is a second table beside the first.
+        assert_ne!(render(&t1, 3), render(&t1, 2));
+        assert!(t1.has_table(EstimatorKind::Stochastic { realizations: 2 }));
+        assert!(!t2.has_table(EstimatorKind::Stochastic { realizations: 3 }));
     }
 }

@@ -211,7 +211,7 @@ fn negative_cache_bounds_rebuilds_of_an_always_failing_tile() {
         max: Duration::from_secs(2),
     };
     let cache = TileCache::with_policy(1 << 20, 0, policy);
-    let key = TileKey::new("bad", 0, dtfe_service::EstimatorKind::Dtfe);
+    let key = TileKey::new("bad", 0);
     let builds = AtomicUsize::new(0);
     let mut quarantined_errors = 0usize;
     for _ in 0..40 {
@@ -242,8 +242,8 @@ fn negative_cache_bounds_rebuilds_of_an_always_failing_tile() {
     assert_eq!(cache.quarantined_entries(), 1);
 }
 
-/// Degraded-mode serving end to end: warm a tile, evict it with a second
-/// estimator's build, choke admission, and the service answers from the
+/// Degraded-mode serving end to end: warm a tile, push it out with a second
+/// estimator's tables, choke admission, and the service answers from the
 /// stale copy — bit-identical data, `degraded` flagged — then recovers to
 /// fresh serving once the budget returns.
 #[test]
@@ -275,8 +275,8 @@ fn stale_while_revalidate_serves_evicted_tile_under_overload() {
     let fresh = service.render(&req).unwrap();
     assert!(!fresh.meta.degraded);
 
-    // Same tile, different estimator: a second cache entry that evicts
-    // the first into the stale set.
+    // Same tile, second estimator: its tables grow the one entry past the
+    // budget, which moves it — both tables and all — into the stale set.
     let mut ps = req.clone();
     ps.estimator = dtfe_service::EstimatorKind::PsDtfe;
     service.render(&ps).unwrap();
@@ -296,10 +296,10 @@ fn stale_while_revalidate_serves_evicted_tile_under_overload() {
         1
     );
 
-    // A request whose tile key has no stale copy (different estimator)
-    // still sheds with a typed error.
+    // A request whose estimator the stale copy holds no table for still
+    // sheds with a typed error: degraded serving never fills one.
     let mut cold = req.clone();
-    cold.estimator = dtfe_service::EstimatorKind::VelocityDivergence;
+    cold.estimator = dtfe_service::EstimatorKind::Stochastic { realizations: 2 };
     match service.render(&cold) {
         Err(ServiceError::Overloaded { .. }) => {}
         other => panic!("expected Overloaded for stale-less shed, got {other:?}"),

@@ -19,8 +19,7 @@ use dtfe_repro::core::GridSpec2;
 use dtfe_repro::geometry::{Aabb3, Vec2, Vec3};
 use dtfe_repro::service::wire::{read_frame, write_frame};
 use dtfe_repro::service::{
-    ClientConfig, EstimatorKind, RenderRequest, RenderResponse, Request, Response, ServiceError,
-    TileKey,
+    ClientConfig, RenderRequest, RenderResponse, Request, Response, ServiceError, TileKey,
 };
 use dtfe_repro::telemetry::Recorder;
 use std::net::{SocketAddr, TcpListener};
@@ -127,7 +126,7 @@ fn snapshot_owned_by(nshards: usize, owner: usize) -> String {
     (0..)
         .map(|i| format!("s{i}"))
         .find(|s| {
-            let key = key_of(&TileKey::new(s.clone(), 0, EstimatorKind::Dtfe));
+            let key = key_of(&TileKey::new(s.clone(), 0));
             ring.replicas(key, 1, &live) == [owner]
         })
         .unwrap()

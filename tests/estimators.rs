@@ -12,9 +12,8 @@
 //! * **Stochastic** — the k-realization average is rescaled to conserve
 //!   mass (≤ 1e-12 relative) and is deterministic in its seed.
 //! * **Service** — PS-DTFE and stochastic cutouts round-trip over TCP
-//!   bit-identically to the in-process handle, and distinct estimators
-//!   occupy distinct tile-cache entries (with velocity divergence sharing
-//!   the PS-DTFE tile).
+//!   bit-identically to the in-process handle, and every estimator of a
+//!   tile is a table over the tile's one cache entry.
 
 use dtfe_repro::core::marching::surface_density_reference;
 use dtfe_repro::core::{
@@ -198,8 +197,8 @@ fn float_singular_tetrahedron_is_counted_not_silent() {
 
 /// Serve every estimator end-to-end: PS-DTFE and stochastic cutouts
 /// round-trip over TCP byte-identically to the in-process handle, the
-/// four request kinds occupy three cache entries (divergence shares the
-/// PS-DTFE tile), and all renders are finite.
+/// four request kinds occupy one cache entry (one mesh, three tables:
+/// divergence shares PS-DTFE's), and all renders are finite.
 #[test]
 fn service_round_trips_every_estimator_over_tcp() {
     let dir = std::env::temp_dir().join(format!("dtfe_estimators_e2e_{}", std::process::id()));
@@ -251,9 +250,9 @@ fn service_round_trips_every_estimator_over_tcp() {
     assert_ne!(fields[0], fields[3], "dtfe vs stochastic");
     assert_ne!(fields[1], fields[2], "psdtfe density vs divergence");
 
-    // Four request kinds, three cache entries: divergence reused the
-    // PS-DTFE tile artifact.
-    assert_eq!(service.cache().resident_entries(), 3);
+    // Four request kinds, one cache entry: each estimator is a table over
+    // the tile's one mesh.
+    assert_eq!(service.cache().resident_entries(), 1);
 
     drop(client);
     service.drain();
