@@ -131,11 +131,18 @@ impl DelaunayBuilder {
         if self.validate {
             d.validate().map_err(BuildError::Validation)?;
         }
-        // Every input either became a vertex or hit `Located::Vertex`.
-        let merged = points.len() - d.num_vertices();
-        dtfe_telemetry::counter_add!("delaunay.points_inserted", d.num_vertices() as u64);
-        dtfe_telemetry::counter_add!("delaunay.duplicates_merged", merged as u64);
-        dtfe_telemetry::counter_add!("delaunay.serial_builds", 1);
+        if dtfe_telemetry::is_enabled() {
+            // Every input either became a vertex or hit `Located::Vertex`.
+            let merged = points.len() - d.num_vertices();
+            dtfe_telemetry::counter_add!("delaunay.points_inserted", d.num_vertices() as u64);
+            dtfe_telemetry::counter_add!("delaunay.duplicates_merged", merged as u64);
+            dtfe_telemetry::counter_add!("delaunay.serial_builds", 1);
+            // The cost model's primitives, summed in plain integers by the
+            // insertion loop and published here, once.
+            dtfe_telemetry::counter_add!("delaunay.walk_steps", d.work.walk_steps);
+            dtfe_telemetry::counter_add!("delaunay.conflict_tets", d.work.conflict_tets);
+            dtfe_telemetry::counter_add!("delaunay.cavity_facets", d.work.cavity_facets);
+        }
         drop(span);
         Ok(d)
     }

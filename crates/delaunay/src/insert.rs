@@ -2,7 +2,7 @@
 //! retriangulation.
 
 use crate::locate::Located;
-use crate::mesh::{TetId, VertexId, INFINITE, NONE};
+use crate::mesh::{Tet, TetId, VertexId, INFINITE, NONE};
 use crate::{Delaunay, DelaunayError};
 use dtfe_geometry::predicates::{insphere, orient2d, orient3d, Orientation};
 use dtfe_geometry::{Vec2, Vec3};
@@ -71,6 +71,19 @@ impl EdgeTable {
     }
 }
 
+/// The cost model's primitives, summed over a triangulation's insertions in
+/// plain integers and published once per build as `delaunay.walk_steps`,
+/// `delaunay.conflict_tets` and `delaunay.cavity_facets`.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Work {
+    /// Tetrahedra visited by point location.
+    pub(crate) walk_steps: u64,
+    /// Tetrahedra deleted.
+    pub(crate) conflict_tets: u64,
+    /// Cavity boundary facets, i.e. tetrahedra created.
+    pub(crate) cavity_facets: u64,
+}
+
 /// Reusable buffers for the insertion loop.
 #[derive(Default)]
 pub(crate) struct Scratch {
@@ -91,28 +104,31 @@ fn edge_key(a: VertexId, b: VertexId) -> u64 {
     ((lo as u64) << 32) | hi as u64
 }
 
-/// Vertex/neighbor record for one star tetrahedron over the boundary facet
-/// `f` of a cavity, as seen from the outside tet `o` (i.e. `f` is
-/// outward-oriented w.r.t. `o`, its normal pointing into the cavity).
-/// Reversing two vertices makes `(f0, f2, f1, vid)` positively oriented.
-/// Ghosts are canonicalized — `INFINITE` moved to slot 3 by an even
-/// permutation (a 3-cycle), preserving orientation.
+/// Vertex/neighbor record for the star tetrahedron over a boundary facet `f`
+/// that passes through the infinite vertex, as seen from the outside tet `o`
+/// (i.e. `f` is outward-oriented w.r.t. `o`, its normal pointing into the
+/// cavity). Reversing two vertices makes `(f0, f2, f1, vid)` positively
+/// oriented; the ghost is then canonicalized — `INFINITE` moved to slot 3 by
+/// an even permutation (a 3-cycle), preserving orientation. (A finite facet
+/// needs no search: `insert_point` writes its record out.)
 #[inline]
 fn star_record(f: [VertexId; 3], vid: VertexId, o: TetId) -> ([VertexId; 4], [TetId; 4]) {
     let mut verts = [f[0], f[2], f[1], vid];
     let mut nbrs = [NONE, NONE, NONE, o];
-    if let Some(k) = verts[..3].iter().position(|&v| v == INFINITE) {
-        let m = (k + 1) % 3; // any other slot below 3
-                             // 3-cycle k -> 3 -> m -> k.
-        let (vk, v3, vm) = (verts[k], verts[3], verts[m]);
-        verts[3] = vk;
-        verts[m] = v3;
-        verts[k] = vm;
-        let (nk, n3, nm) = (nbrs[k], nbrs[3], nbrs[m]);
-        nbrs[3] = nk;
-        nbrs[m] = n3;
-        nbrs[k] = nm;
-    }
+    let k = verts[..3]
+        .iter()
+        .position(|&v| v == INFINITE)
+        .expect("ghost facet without the infinite vertex");
+    let m = (k + 1) % 3; // any other slot below 3
+                         // 3-cycle k -> 3 -> m -> k.
+    let (vk, v3, vm) = (verts[k], verts[3], verts[m]);
+    verts[3] = vk;
+    verts[m] = v3;
+    verts[k] = vm;
+    let (nk, n3, nm) = (nbrs[k], nbrs[3], nbrs[m]);
+    nbrs[3] = nk;
+    nbrs[m] = n3;
+    nbrs[k] = nm;
     (verts, nbrs)
 }
 
@@ -169,8 +185,9 @@ pub(crate) fn bootstrap(input: &[Vec3], order: &[u32]) -> Result<Delaunay, Delau
         hint: 0,
         input_vertex: vec![NONE; input.len()],
         rng_state: 0x9E3779B97F4A7C15,
-        n_finite: 0,
-        n_ghost: 0,
+        n_finite: 1,
+        n_ghost: 4,
+        work: Work::default(),
         scratch: Scratch::default(),
     };
     d.input_vertex[i0 as usize] = 0;
@@ -178,14 +195,14 @@ pub(crate) fn bootstrap(input: &[Vec3], order: &[u32]) -> Result<Delaunay, Delau
     d.input_vertex[idx12.1 as usize] = 2;
     d.input_vertex[i3 as usize] = 3;
 
-    let t0 = d.alloc_tet([0, 1, 2, 3], [NONE; 4]);
+    let t0 = d.push_tet([0, 1, 2, 3], [NONE; 4]);
     // One ghost per face. The face triple from TET_FACES is outward-oriented
     // w.r.t. t0; the ghost stores it reversed (inward) per the canonical
     // convention.
     let mut ghosts = [NONE; 4];
     for (i, slot) in ghosts.iter_mut().enumerate() {
         let [a, b, c] = d.tets[t0 as usize].face(i);
-        let g = d.alloc_tet([a, c, b, INFINITE], [NONE, NONE, NONE, t0]);
+        let g = d.push_tet([a, c, b, INFINITE], [NONE, NONE, NONE, t0]);
         d.tets[t0 as usize].neighbors[i] = g;
         *slot = g;
     }
@@ -248,10 +265,27 @@ impl Delaunay {
         }
     }
 
+    /// Offer face `l` of the new tetrahedron `t` over the cavity edge `key`;
+    /// the second offer of an edge links the two faces. Returns the links
+    /// made (0 or 1).
+    #[inline(always)]
+    fn wire(&mut self, edges: &mut EdgeTable, key: u64, t: TetId, l: usize) -> usize {
+        let Some((other, ol)) = edges.pair(key, t, l as u8) else {
+            return 0;
+        };
+        self.tets[t as usize].neighbors[l] = other;
+        self.tets[other as usize].neighbors[ol as usize] = t;
+        1
+    }
+
     /// Insert one point, returning its vertex id (an existing id for an
     /// exact duplicate).
     pub(crate) fn insert_point(&mut self, p: Vec3) -> VertexId {
-        let start = match self.locate(p) {
+        let mut seed = self.rng_state;
+        let (located, steps) = self.walk(p, self.hint, &mut seed);
+        self.rng_state = seed;
+        self.work.walk_steps += steps as u64;
+        let start = match located {
             Located::Vertex(v) => return v,
             Located::Finite(t) => t,
             Located::Ghost(g) => g,
@@ -274,8 +308,10 @@ impl Delaunay {
         debug_assert!(self.in_conflict(start, p), "located tet must conflict");
         self.mark[start as usize] = c_mark;
         scratch.stack.push(start);
+        let mut ghosts_deleted = 0usize;
         while let Some(t) = scratch.stack.pop() {
             scratch.conflict.push(t);
+            ghosts_deleted += self.tets[t as usize].is_ghost() as usize;
             for i in 0..4 {
                 let n = self.tets[t as usize].neighbors[i];
                 let m = self.mark[n as usize];
@@ -298,30 +334,51 @@ impl Delaunay {
             }
         }
 
-        // --- Delete the conflict region ---
-        for &t in &scratch.conflict {
-            self.free_tet(t);
-        }
-
         // --- Star the cavity boundary from the new point ---
-        scratch.edges.begin(scratch.boundary.len());
+        // The star is written straight over the conflict region, in the
+        // order a free list would hand those slots back (last deleted
+        // first), then over older free slots, then over fresh ones.
+        let n_conflict = scratch.conflict.len();
+        let n_facets = scratch.boundary.len();
+        scratch.edges.begin(n_facets);
         let mut paired = 0usize;
-        for &(o, j) in &scratch.boundary {
+        let mut ghosts_created = 0usize;
+        for (k, &(o, j)) in scratch.boundary.iter().enumerate() {
+            let t_new = match n_conflict.checked_sub(k + 1) {
+                Some(back) => scratch.conflict[back],
+                None => self.spare_slot(),
+            };
+            scratch.created.push(t_new);
             // Facet as seen from the outside tet: outward w.r.t. `o`, i.e.
             // its normal points into the cavity (toward p). Reversing two
             // vertices makes (f0, f2, f1, p) positively oriented.
-            let f = self.tets[o as usize].face(j as usize);
-            let (verts, nbrs) = star_record(f, vid, o);
-            let t_new = self.alloc_tet(verts, nbrs);
-            scratch.created.push(t_new);
-            // Reciprocal link to the outside tet through the boundary facet.
-            let back = self.tets[t_new as usize]
-                .index_of_neighbor(o)
-                .expect("outside link lost in canonicalization");
-            debug_assert_eq!(self.tets[t_new as usize].neighbors[back], o);
-            self.tets[o as usize].neighbors[j as usize] = t_new;
-
-            // Wire the three faces incident to the new point.
+            let outside = &mut self.tets[o as usize];
+            let f = outside.face(j as usize);
+            let finite = !outside.is_ghost() || j == 3;
+            outside.neighbors[j as usize] = t_new;
+            if finite {
+                // Nine facets in ten: the record is known slot for slot, so
+                // the new point's three faces and their edge keys are
+                // written out rather than searched for.
+                self.tets[t_new as usize] = Tet {
+                    verts: [f[0], f[2], f[1], vid],
+                    neighbors: [NONE, NONE, NONE, o],
+                };
+                let keys = [
+                    edge_key(f[2], f[1]),
+                    edge_key(f[0], f[1]),
+                    edge_key(f[0], f[2]),
+                ];
+                for (l, key) in keys.into_iter().enumerate() {
+                    paired += self.wire(&mut scratch.edges, key, t_new, l);
+                }
+                continue;
+            }
+            // A facet through the infinite vertex: the canonicalising 3-cycle
+            // decides where everything lands, so look for it.
+            ghosts_created += 1;
+            let (verts, neighbors) = star_record(f, vid, o);
+            self.tets[t_new as usize] = Tet { verts, neighbors };
             for l in 0..4usize {
                 if verts[l] == vid {
                     continue;
@@ -336,19 +393,21 @@ impl Delaunay {
                     }
                 }
                 debug_assert_eq!(n, 2);
-                let key = edge_key(uv[0], uv[1]);
-                if let Some((other, ol)) = scratch.edges.pair(key, t_new, l as u8) {
-                    self.tets[t_new as usize].neighbors[l] = other;
-                    self.tets[other as usize].neighbors[ol as usize] = t_new;
-                    paired += 1;
-                }
+                paired += self.wire(&mut scratch.edges, edge_key(uv[0], uv[1]), t_new, l);
             }
         }
-        debug_assert_eq!(
-            2 * paired,
-            3 * scratch.boundary.len(),
-            "unpaired cavity facets"
-        );
+        debug_assert_eq!(2 * paired, 3 * n_facets, "unpaired cavity facets");
+
+        // A cavity of more tetrahedra than facets (a large one can be)
+        // leaves slots over, the first deleted: those go on the free list.
+        for &t in &scratch.conflict[..n_conflict.saturating_sub(n_facets)] {
+            self.tets[t as usize] = Tet::DEAD;
+            self.free.push(t);
+        }
+        self.n_ghost = self.n_ghost + ghosts_created - ghosts_deleted;
+        self.n_finite = self.n_finite + (n_facets - ghosts_created) - (n_conflict - ghosts_deleted);
+        self.work.conflict_tets += n_conflict as u64;
+        self.work.cavity_facets += n_facets as u64;
 
         #[cfg(debug_assertions)]
         for &t in &scratch.created {

@@ -134,6 +134,8 @@ pub struct Delaunay {
     pub(crate) n_finite: usize,
     /// Number of live ghost tetrahedra.
     pub(crate) n_ghost: usize,
+    /// Walk steps, conflict tetrahedra and cavity facets so far.
+    pub(crate) work: insert::Work,
     /// Scratch buffers reused across insertions.
     pub(crate) scratch: insert::Scratch,
 }

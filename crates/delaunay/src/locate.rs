@@ -56,6 +56,12 @@ impl Delaunay {
     /// randomness comes from the caller-owned `seed`. This is what the
     /// marching/walking kernels use from worker threads.
     pub fn locate_seeded(&self, p: Vec3, start: TetId, seed: &mut u64) -> Located {
+        self.walk(p, start, seed).0
+    }
+
+    /// The walk behind every locate: where `p` landed, and how many
+    /// tetrahedra were visited on the way.
+    pub(crate) fn walk(&self, p: Vec3, start: TetId, seed: &mut u64) -> (Located, usize) {
         let mut cur = self.live_finite_start(start);
         // Bound the walk defensively: a correct visibility walk on a Delaunay
         // triangulation terminates, but an fp-filtered walk on a corrupted
@@ -93,7 +99,7 @@ impl Delaunay {
                     debug_assert_ne!(n, NONE);
                     let next = &self.tets[n as usize];
                     if next.is_ghost() {
-                        return Located::Ghost(n);
+                        return (Located::Ghost(n), steps);
                     }
                     entered = next
                         .index_of_neighbor(cur)
@@ -105,10 +111,10 @@ impl Delaunay {
             // No facet separates: p is inside or on the boundary of `cur`.
             for &v in &tet.verts {
                 if self.points[v as usize] == p {
-                    return Located::Vertex(v);
+                    return (Located::Vertex(v), steps);
                 }
             }
-            return Located::Finite(cur);
+            return (Located::Finite(cur), steps);
         }
     }
 

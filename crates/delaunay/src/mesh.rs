@@ -68,7 +68,16 @@ impl Tet {
     /// Local index (0..4) of neighbor `t`.
     #[inline]
     pub fn index_of_neighbor(&self, t: TetId) -> Option<usize> {
-        self.neighbors.iter().position(|&x| x == t)
+        // Four compares into a mask and a bit scan: the conflict search, the
+        // walk and the march's window entry all ask this about a neighbour
+        // that is equally likely to sit in any slot, which a compare-and-exit
+        // loop mispredicts about every other call.
+        let n = &self.neighbors;
+        let mask = (n[0] == t) as u32
+            | ((n[1] == t) as u32) << 1
+            | ((n[2] == t) as u32) << 2
+            | ((n[3] == t) as u32) << 3;
+        (mask != 0).then(|| mask.trailing_zeros() as usize)
     }
 
     /// The three vertices of the face opposite local vertex `i`, in the
@@ -81,37 +90,23 @@ impl Tet {
 }
 
 impl crate::Delaunay {
-    /// Allocate a tetrahedron slot (reusing freed slots).
-    pub(crate) fn alloc_tet(&mut self, verts: [VertexId; 4], neighbors: [TetId; 4]) -> TetId {
-        let tet = Tet { verts, neighbors };
-        debug_assert!(tet.is_live());
-        if tet.is_ghost() {
-            self.n_ghost += 1;
-        } else {
-            self.n_finite += 1;
-        }
-        if let Some(id) = self.free.pop() {
-            self.tets[id as usize] = tet;
-            id
-        } else {
-            let id = self.tets.len() as TetId;
-            self.tets.push(tet);
-            self.mark.push(0);
-            id
-        }
+    /// Append a live tetrahedron (bootstrap only; the caller keeps the
+    /// live counts).
+    pub(crate) fn push_tet(&mut self, verts: [VertexId; 4], neighbors: [TetId; 4]) -> TetId {
+        let id = self.spare_slot();
+        self.tets[id as usize] = Tet { verts, neighbors };
+        id
     }
 
-    /// Free a tetrahedron slot.
-    pub(crate) fn free_tet(&mut self, t: TetId) {
-        let tet = &mut self.tets[t as usize];
-        debug_assert!(tet.is_live());
-        if tet.is_ghost() {
-            self.n_ghost -= 1;
-        } else {
-            self.n_finite -= 1;
-        }
-        *tet = Tet::DEAD;
-        self.free.push(t);
+    /// A slot to write a new tetrahedron into: the most recently freed one,
+    /// or a fresh one at the end.
+    #[inline]
+    pub(crate) fn spare_slot(&mut self) -> TetId {
+        self.free.pop().unwrap_or_else(|| {
+            self.tets.push(Tet::DEAD);
+            self.mark.push(0);
+            (self.tets.len() - 1) as TetId
+        })
     }
 }
 

@@ -1,14 +1,20 @@
 //! Robust geometric predicates.
 //!
-//! Each predicate is evaluated in two stages, following Shewchuk's classic
-//! scheme:
+//! Each predicate is evaluated in up to three stages, following Shewchuk's
+//! classic scheme: the last two for the orientation tests and `incircle`,
+//! all three for `insphere`, which the triangulation builder calls forty
+//! times per inserted point:
 //!
-//! 1. **Filtered float pass** — evaluate the determinant in plain `f64` and
-//!    compare it against a static forward error bound derived from the
-//!    "permanent" (the same polynomial with every subtraction replaced by an
-//!    addition of absolute values). If the magnitude clears the bound the
-//!    sign is provably correct.
-//! 2. **Exact fallback** — recompute the determinant with the
+//! 1. **Cheap bound** (`insphere` only) — evaluate the determinant in plain
+//!    `f64` and compare it against a bound that costs a dozen flops and
+//!    dominates the next stage's term by term, so it can only certify signs
+//!    that stage would certify too. Nearly every call ends here.
+//! 2. **Filtered float pass** — compare the same determinant against a
+//!    static forward error bound derived from the "permanent" (the same
+//!    polynomial with every subtraction replaced by an addition of absolute
+//!    values). If the magnitude clears the bound the sign is provably
+//!    correct.
+//! 3. **Exact fallback** — recompute the determinant with the
 //!    [expansion arithmetic](crate::expansion), which is exact for any `f64`
 //!    inputs, and take the sign of the resulting expansion.
 //!
@@ -75,6 +81,13 @@ const O2D_BOUND: f64 = (3.0 + 16.0 * EPS) * EPS;
 const O3D_BOUND: f64 = (7.0 + 56.0 * EPS) * EPS;
 const ICC_BOUND: f64 = (10.0 + 96.0 * EPS) * EPS;
 const ISP_BOUND: f64 = (16.0 + 224.0 * EPS) * EPS;
+/// `insphere` stage 1: `ISP_BOUND · 6 · (1 + 64ε)`, see
+/// [`InsphereFloat::stage1_bound`].
+const ISP_STAGE1: f64 = ISP_BOUND * 6.0 * (1.0 + 64.0 * EPS);
+/// Stage 1 decides only when `m_x·m_y·m_z·Σlift` is above this (~2^-930) …
+const ISP_STAGE1_MIN: f64 = 1e-280;
+/// … and `Σlift` below this (< 2^400: coordinate differences below 2^200).
+const ISP_STAGE1_MAX_LIFT: f64 = 1e120;
 
 /// Orientation of the 2D triangle `(a, b, c)`: `Positive` when the triangle
 /// winds counterclockwise.
@@ -101,8 +114,7 @@ fn orient2d_exact(a: Vec2, b: Vec2, c: Vec2) -> Orientation {
 }
 
 /// Raw floating-point 3D orientation determinant (no filter, no fallback).
-/// Used by the walking search where an occasionally-wrong *hint* is harmless,
-/// and by the predicate-filter ablation bench.
+/// Used by the walking search where an occasionally-wrong *hint* is harmless.
 #[inline]
 pub fn orient3d_det(a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> f64 {
     let adx = a.x - d.x;
@@ -207,6 +219,117 @@ fn orient3d_expansion(a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> Vec<f64> {
     expansion_sum(&expansion_sum(&t_a, &t_b), &t_c)
 }
 
+/// The float pass of [`insphere`]: the four rows translated to `e`, their
+/// lifts, and the determinant evaluated in plain `f64`.
+struct InsphereFloat {
+    /// `[a-e, b-e, c-e, d-e]` as `[x, y, z]`.
+    rows: [[f64; 3]; 4],
+    lifts: [f64; 4],
+    det: f64,
+}
+
+impl InsphereFloat {
+    #[inline(always)]
+    fn new(a: Vec3, b: Vec3, c: Vec3, d: Vec3, e: Vec3) -> InsphereFloat {
+        let [aex, aey, aez] = [a.x - e.x, a.y - e.y, a.z - e.z];
+        let [bex, bey, bez] = [b.x - e.x, b.y - e.y, b.z - e.z];
+        let [cex, cey, cez] = [c.x - e.x, c.y - e.y, c.z - e.z];
+        let [dex, dey, dez] = [d.x - e.x, d.y - e.y, d.z - e.z];
+
+        // 2x2 minors in the x-y columns.
+        let ab = aex * bey - bex * aey;
+        let bc = bex * cey - cex * bey;
+        let cd = cex * dey - dex * cey;
+        let da = dex * aey - aex * dey;
+        let ac = aex * cey - cex * aey;
+        let bd = bex * dey - dex * bey;
+
+        // 3x3 minors (coordinate part).
+        let abc = aez * bc - bez * ac + cez * ab;
+        let bcd = bez * cd - cez * bd + dez * bc;
+        let cda = cez * da + dez * ac + aez * cd;
+        let dab = dez * ab + aez * bd + bez * da;
+
+        let alift = aex * aex + aey * aey + aez * aez;
+        let blift = bex * bex + bey * bey + bez * bez;
+        let clift = cex * cex + cey * cey + cez * cez;
+        let dlift = dex * dex + dey * dey + dez * dez;
+
+        InsphereFloat {
+            rows: [
+                [aex, aey, aez],
+                [bex, bey, bez],
+                [cex, cey, cez],
+                [dex, dey, dez],
+            ],
+            lifts: [alift, blift, clift, dlift],
+            det: (dlift * abc - clift * dab) + (blift * cda - alift * bcd),
+        }
+    }
+
+    /// Stage 1: `Some(bound)` with `bound >= ISP_BOUND * self.permanent()`
+    /// as stage 2 computes it, for a dozen flops instead of sixty; `None`
+    /// when the operands leave the range in which that is proved.
+    ///
+    /// With `m_k` the largest `|·|` of column `k`, every 2x2 absolute minor
+    /// of the permanent is at most `2·m_x·m_y`, so every 3x3 one is at most
+    /// `3·m_z·2·m_x·m_y`, so the permanent is at most `6·m_x·m_y·m_z·Σlift`.
+    /// Rounding is monotone, so the same chain holds term by term for the
+    /// computed values; what is left is the handful of roundings by which
+    /// the two evaluation orders differ, which `64ε` covers several times
+    /// over. Above `ISP_STAGE1_MAX_LIFT` a product could overflow in one
+    /// order and not the other, below `ISP_STAGE1_MIN` an underflow's
+    /// absolute error could outweigh the slack: both go to stage 2.
+    #[inline(always)]
+    fn stage1_bound(&self) -> Option<f64> {
+        let col = |k: usize| {
+            let [a, b, c, d] = self.rows.map(|r| r[k].abs());
+            a.max(b).max(c.max(d))
+        };
+        let lift_sum = (self.lifts[0] + self.lifts[1]) + (self.lifts[2] + self.lifts[3]);
+        let w = col(0) * col(1) * col(2) * lift_sum;
+        // NaN fails both comparisons.
+        (w > ISP_STAGE1_MIN && lift_sum < ISP_STAGE1_MAX_LIFT).then_some(ISP_STAGE1 * w)
+    }
+
+    /// Stage 2: the same polynomial as `det` with `|·|` everywhere a
+    /// cancellation can occur.
+    #[inline(always)]
+    fn permanent(&self) -> f64 {
+        let [[aex, aey, aez], [bex, bey, bez], [cex, cey, cez], [dex, dey, dez]] = self.rows;
+        let [alift, blift, clift, dlift] = self.lifts;
+        let ab_p = (aex * bey).abs() + (bex * aey).abs();
+        let bc_p = (bex * cey).abs() + (cex * bey).abs();
+        let cd_p = (cex * dey).abs() + (dex * cey).abs();
+        let da_p = (dex * aey).abs() + (aex * dey).abs();
+        let ac_p = (aex * cey).abs() + (cex * aey).abs();
+        let bd_p = (bex * dey).abs() + (dex * bey).abs();
+        let abc_p = aez.abs() * bc_p + bez.abs() * ac_p + cez.abs() * ab_p;
+        let bcd_p = bez.abs() * cd_p + cez.abs() * bd_p + dez.abs() * bc_p;
+        let cda_p = cez.abs() * da_p + dez.abs() * ac_p + aez.abs() * cd_p;
+        let dab_p = dez.abs() * ab_p + aez.abs() * bd_p + bez.abs() * da_p;
+        dlift * abc_p + clift * dab_p + blift * cda_p + alift * bcd_p
+    }
+
+    /// Does stage 1 certify the sign of `det`?
+    #[inline(always)]
+    fn stage1_certain(&self) -> bool {
+        self.stage1_bound()
+            .is_some_and(|bound| self.det.abs() > bound)
+    }
+
+    /// Does stage 2?
+    #[inline(always)]
+    fn stage2_certain(&self) -> bool {
+        self.det.abs() > ISP_BOUND * self.permanent()
+    }
+
+    #[inline(always)]
+    fn sign(&self) -> Orientation {
+        Orientation::from_sign(if self.det > 0.0 { 1 } else { -1 })
+    }
+}
+
 /// Is `e` inside the circumsphere of the positively-oriented tetrahedron
 /// `(a, b, c, d)`?
 ///
@@ -214,57 +337,25 @@ fn orient3d_expansion(a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> Vec<f64> {
 /// `orient3d(a, b, c, d)` is `Positive`; for a negatively-oriented
 /// tetrahedron the meaning flips), `Negative` when strictly outside, `Zero`
 /// when exactly cospherical.
+///
+/// Every call is booked once, on `geometry.insphere_filtered` when either
+/// float stage decided it or on `geometry.insphere_exact`.
 pub fn insphere(a: Vec3, b: Vec3, c: Vec3, d: Vec3, e: Vec3) -> Orientation {
-    let aex = a.x - e.x;
-    let aey = a.y - e.y;
-    let aez = a.z - e.z;
-    let bex = b.x - e.x;
-    let bey = b.y - e.y;
-    let bez = b.z - e.z;
-    let cex = c.x - e.x;
-    let cey = c.y - e.y;
-    let cez = c.z - e.z;
-    let dex = d.x - e.x;
-    let dey = d.y - e.y;
-    let dez = d.z - e.z;
-
-    // 2x2 minors in the x-y columns.
-    let ab = aex * bey - bex * aey;
-    let bc = bex * cey - cex * bey;
-    let cd = cex * dey - dex * cey;
-    let da = dex * aey - aex * dey;
-    let ac = aex * cey - cex * aey;
-    let bd = bex * dey - dex * bey;
-
-    // 3x3 minors (coordinate part).
-    let abc = aez * bc - bez * ac + cez * ab;
-    let bcd = bez * cd - cez * bd + dez * bc;
-    let cda = cez * da + dez * ac + aez * cd;
-    let dab = dez * ab + aez * bd + bez * da;
-
-    let alift = aex * aex + aey * aey + aez * aez;
-    let blift = bex * bex + bey * bey + bez * bez;
-    let clift = cex * cex + cey * cey + cez * cez;
-    let dlift = dex * dex + dey * dey + dez * dez;
-
-    let det = (dlift * abc - clift * dab) + (blift * cda - alift * bcd);
-
-    // Permanent: same polynomial with |.| everywhere a cancellation can occur.
-    let ab_p = (aex * bey).abs() + (bex * aey).abs();
-    let bc_p = (bex * cey).abs() + (cex * bey).abs();
-    let cd_p = (cex * dey).abs() + (dex * cey).abs();
-    let da_p = (dex * aey).abs() + (aex * dey).abs();
-    let ac_p = (aex * cey).abs() + (cex * aey).abs();
-    let bd_p = (bex * dey).abs() + (dex * bey).abs();
-    let abc_p = aez.abs() * bc_p + bez.abs() * ac_p + cez.abs() * ab_p;
-    let bcd_p = bez.abs() * cd_p + cez.abs() * bd_p + dez.abs() * bc_p;
-    let cda_p = cez.abs() * da_p + dez.abs() * ac_p + aez.abs() * cd_p;
-    let dab_p = dez.abs() * ab_p + aez.abs() * bd_p + bez.abs() * da_p;
-    let permanent = dlift * abc_p + clift * dab_p + blift * cda_p + alift * bcd_p;
-
-    if det.abs() > ISP_BOUND * permanent {
+    let float = InsphereFloat::new(a, b, c, d, e);
+    if float.stage1_certain() {
         dtfe_telemetry::counter_add!("geometry.insphere_filtered", 1);
-        return Orientation::from_sign(if det > 0.0 { 1 } else { -1 });
+        return float.sign();
+    }
+    insphere_stage2(&float, [a, b, c, d, e])
+}
+
+/// Stages 2 and 3 of [`insphere`]. Out of line: inlined, the permanent's
+/// sixty flops are hoisted above the stage-1 branch that exists to skip them.
+#[inline(never)]
+fn insphere_stage2(float: &InsphereFloat, [a, b, c, d, e]: [Vec3; 5]) -> Orientation {
+    if float.stage2_certain() {
+        dtfe_telemetry::counter_add!("geometry.insphere_filtered", 1);
+        return float.sign();
     }
     dtfe_telemetry::counter_add!("geometry.insphere_exact", 1);
     insphere_exact(a, b, c, d, e)
@@ -544,6 +635,186 @@ mod tests {
         let d = Vec3::new(0.0, 0.0, 1.0);
         let e = Vec3::new(0.1, 0.2, 0.3);
         assert_eq!(insphere(a, b, c, d, e).flipped(), insphere(b, a, c, d, e));
+    }
+
+    /// Uniform in [0, 1) from a seeded xorshift64*.
+    fn uniform(seed: u64) -> impl FnMut() -> f64 {
+        let mut s = seed;
+        move || {
+            s ^= s >> 12;
+            s ^= s << 25;
+            s ^= s >> 27;
+            (s.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// `x` moved by `k` units in the last place.
+    fn nudged(x: f64, k: i64) -> f64 {
+        f64::from_bits((x.to_bits() as i64 + k) as u64)
+    }
+
+    fn scaled(t: [Vec3; 5], by: f64) -> [Vec3; 5] {
+        t.map(|p| p * by)
+    }
+
+    /// Five-tuples the filter must not be fooled by: cube corners and lattice
+    /// sites (exactly cospherical or nearly so), points on a common sphere
+    /// with the fifth nudged off it by a few ulp or by a relative 2^-k, and
+    /// a few generic ones so every stage decides some.
+    fn near_cospherical_corpus() -> Vec<[Vec3; 5]> {
+        let mut r = uniform(0x0C05_FE2E);
+        let mut out = Vec::new();
+        let corner = |i: usize| Vec3::new((i & 1) as f64, (i >> 1 & 1) as f64, (i >> 2 & 1) as f64);
+        for _ in 0..300 {
+            let mut pick = || corner((r() * 8.0) as usize);
+            out.push([pick(), pick(), pick(), pick(), pick()]);
+        }
+        for _ in 0..300 {
+            let mut site = || {
+                Vec3::new(
+                    (r() * 5.0).floor(),
+                    (r() * 5.0).floor(),
+                    (r() * 5.0).floor(),
+                )
+            };
+            out.push([site(), site(), site(), site(), site()]);
+        }
+        // The inverse stereographic image of (u, v): on the unit sphere up
+        // to rounding.
+        let on_sphere = |u: f64, v: f64| {
+            let s = u * u + v * v;
+            Vec3::new(
+                2.0 * u / (1.0 + s),
+                2.0 * v / (1.0 + s),
+                (s - 1.0) / (1.0 + s),
+            )
+        };
+        for i in 0..600 {
+            let mut p = || on_sphere(4.0 * r() - 2.0, 4.0 * r() - 2.0);
+            let (a, b, c, d, e) = (p(), p(), p(), p(), p());
+            let e = match i % 3 {
+                0 => {
+                    let k = 1 + (i / 3) as i64 % 4;
+                    Vec3::new(nudged(e.x, k), nudged(e.y, -k), nudged(e.z, k))
+                }
+                1 => e * (1.0 + 0.5f64.powi(30 + (i / 3) % 23)),
+                _ => e * (1.0 - 0.5f64.powi(30 + (i / 3) % 23)),
+            };
+            out.push([a, b, c, d, e]);
+        }
+        for _ in 0..100 {
+            let mut p = || Vec3::new(r(), r(), r());
+            out.push([p(), p(), p(), p(), p()]);
+        }
+        out
+    }
+
+    #[test]
+    fn insphere_stage1_bound_dominates_the_permanent() {
+        // Wherever stage 1 offers a bound it is at least stage 2's, so it
+        // certifies nothing stage 2 would not: on generic clouds at every
+        // scale, on flat, needle-like and nearly coincident configurations,
+        // and on the near-cospherical corpus.
+        let mut r = uniform(0xB00D);
+        let mut tuples = near_cospherical_corpus();
+        while tuples.len() < 100_000 {
+            let scale = 2.0f64.powi((r() * 80.0) as i32 - 40);
+            // Squash each axis by its own factor now and then.
+            let squash = |x: f64| {
+                if x < 0.3 {
+                    2.0f64.powi(-(x * 200.0) as i32)
+                } else {
+                    1.0
+                }
+            };
+            let (sx, sy, sz) = (squash(r()), squash(r()), squash(r()));
+            let origin = Vec3::new(r(), r(), r()) * if r() < 0.5 { 1e6 } else { 0.0 };
+            let mut p = || origin + Vec3::new(r() * sx, r() * sy, r() * sz) * scale;
+            tuples.push([p(), p(), p(), p(), p()]);
+        }
+        let mut offered = 0usize;
+        let mut certain = 0usize;
+        for &[a, b, c, d, e] in &tuples {
+            let f = InsphereFloat::new(a, b, c, d, e);
+            if let Some(bound) = f.stage1_bound() {
+                offered += 1;
+                let stage2 = ISP_BOUND * f.permanent();
+                assert!(
+                    bound >= stage2,
+                    "stage-1 bound {bound:e} below stage 2's {stage2:e} for {a:?} {b:?} {c:?} {d:?} {e:?}"
+                );
+            }
+            certain += f.stage1_certain() as usize;
+        }
+        // Not vacuous: the bound is there (the tuples without one are the
+        // clusters that collapse to coincident points far from the origin),
+        // and loose by a small factor only.
+        assert!(offered > tuples.len() * 3 / 4, "offered on {offered}");
+        assert!(certain > tuples.len() * 2 / 3, "certain on {certain}");
+    }
+
+    #[test]
+    fn insphere_agrees_with_exact_on_the_near_cospherical_corpus() {
+        let corpus = near_cospherical_corpus();
+        let (mut by_stage1, mut by_stage2, mut by_exact) = (0, 0, 0);
+        // As is, and scaled until products overflow to inf or underflow to 0.
+        for scale in [1.0, 2.0f64.powi(500), 2.0f64.powi(-500)] {
+            for &t in &corpus {
+                let [a, b, c, d, e] = scaled(t, scale);
+                let f = InsphereFloat::new(a, b, c, d, e);
+                if f.stage1_certain() {
+                    by_stage1 += 1;
+                    let bound = f.stage1_bound().expect("certain without a bound");
+                    assert!(
+                        bound.is_finite() && bound > 0.0,
+                        "decided on bound {bound:e}"
+                    );
+                    assert!(
+                        f.det.is_finite() && f.det != 0.0,
+                        "decided on det {:e}",
+                        f.det
+                    );
+                    assert!(f.stage2_certain(), "stage 1 decided what stage 2 would not");
+                } else if f.stage2_certain() {
+                    by_stage2 += 1;
+                } else {
+                    by_exact += 1;
+                }
+                if scale != 1.0 {
+                    assert!(!f.stage1_certain(), "stage 1 decided at scale {scale:e}");
+                }
+                assert_eq!(
+                    insphere(a, b, c, d, e),
+                    insphere_exact(a, b, c, d, e),
+                    "at scale {scale:e}: {a:?} {b:?} {c:?} {d:?} {e:?}"
+                );
+            }
+        }
+        // The corpus reaches every stage.
+        assert!(by_stage1 > 100, "stage 1 decided {by_stage1}");
+        assert!(by_stage2 > 10, "stage 2 decided {by_stage2}");
+        assert!(by_exact > 1000, "exact decided {by_exact}");
+    }
+
+    #[test]
+    fn insphere_books_every_call_once() {
+        let corpus = near_cospherical_corpus();
+        let rec = dtfe_telemetry::Recorder::new("insphere");
+        let guard = rec.install();
+        for &[a, b, c, d, e] in &corpus {
+            insphere(a, b, c, d, e);
+        }
+        drop(guard);
+        let m = rec.snapshot().metrics;
+        let (filtered, exact) = (
+            m.counter("geometry.insphere_filtered"),
+            m.counter("geometry.insphere_exact"),
+        );
+        assert_eq!(filtered + exact, corpus.len() as u64);
+        assert!(
+            filtered > 0 && exact > 0,
+            "{filtered} filtered, {exact} exact"
+        );
     }
 
     #[test]

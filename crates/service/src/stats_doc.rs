@@ -133,7 +133,13 @@ pub struct MetricsDigest {
     /// `service.tile_mesh_builds` (one triangulation each, under the
     /// `service.tile_build` span, after `service.tile_extract` cut the
     /// padded set) and `service.tile_table_builds` (one estimator table
-    /// over a resident mesh each, under `service.table_build`).
+    /// over a resident mesh each, under `service.table_build`). Every
+    /// triangulation publishes the cost model's primitives once, when it is
+    /// built: `delaunay.walk_steps` (tetrahedra visited by point location),
+    /// `delaunay.conflict_tets` (tetrahedra deleted) and
+    /// `delaunay.cavity_facets` (boundary facets starred, i.e. tetrahedra
+    /// created) — divide by `delaunay.points_inserted` for the per-insert
+    /// figures.
     pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, f64>,
     pub histograms: BTreeMap<String, HistDigest>,

@@ -12,7 +12,11 @@
 //!
 //! Every accepted socket gets the config's read/write timeouts — a peer
 //! that connects and goes silent (slow-loris) or stops draining its
-//! receive buffer is disconnected, not parked forever. Connections above
+//! receive buffer is disconnected, not parked forever. Silent means silent
+//! with nothing owed: a closed-loop peer waiting for a response that takes
+//! longer than the read timeout to compute is kept, and the timeout starts
+//! over when the response is written; silence once a frame has begun is
+//! never excused. Connections above
 //! `max_connections` are refused with a typed `Overloaded` error before
 //! any request is read. Each connection is served by a reader/writer
 //! thread pair joined by a bounded channel of `max_inflight_per_conn`
@@ -25,7 +29,7 @@ use crate::api::{HealthStatus, RenderRequest, RenderResponse, ShardHeartbeat};
 use crate::error::ServiceError;
 use crate::server::Service;
 use crate::wire::{read_frame, write_frame, Request, Response, WireError};
-use std::io::{BufReader, BufWriter, ErrorKind};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -189,7 +193,13 @@ fn handle_connection(stream: TcpStream, handler: &dyn RequestHandler, stop: &Ato
     // responses are outstanding, so one connection cannot queue unbounded
     // work.
     let (tx, rx) = mpsc::sync_channel::<Handled>(cfg.max_inflight_per_conn);
+    // Slots the writer is done with — written, or given up on once the
+    // socket refused a write. The reader counts what it submitted, so the
+    // difference is what the peer is still owed.
+    let answered = Arc::new(AtomicUsize::new(0));
+    let answered_by_writer = Arc::clone(&answered);
     let writer_thread = std::thread::spawn(move || {
+        let answered = answered_by_writer;
         while let Ok(slot) = rx.recv() {
             let response = match slot {
                 Handled::Ready(r) => *r,
@@ -201,7 +211,9 @@ fn handle_connection(stream: TcpStream, handler: &dyn RequestHandler, stop: &Ato
                     }
                 },
             };
-            if write_frame(&mut writer, &response.encode()).is_err() {
+            let written = write_frame(&mut writer, &response.encode());
+            answered.fetch_add(1, Ordering::SeqCst);
+            if written.is_err() {
                 dtfe_telemetry::counter_add!("service.tcp_write_failures", 1);
                 // Keep draining pending receivers so in-flight jobs are
                 // accounted, but stop writing to the dead socket.
@@ -209,13 +221,38 @@ fn handle_connection(stream: TcpStream, handler: &dyn RequestHandler, stop: &Ato
                     if let Handled::Pending(reply) = slot {
                         let _ = reply.recv();
                     }
+                    answered.fetch_add(1, Ordering::SeqCst);
                 }
                 return;
             }
         }
     });
 
+    let mut submitted = 0usize;
+    let mut answered_at_last_timeout = 0usize;
     loop {
+        // Wait for the first byte of a frame apart from the rest of it. A
+        // closed-loop peer is rightly silent while it waits for an answer, so
+        // a timeout here closes the connection only if nothing was owed for
+        // the whole of it: no response outstanding now, none written since
+        // the last timeout. Silence once a frame has begun is the slow-loris
+        // case and times out in `read_frame`, as does an idle connection
+        // (after at most two timeouts).
+        match reader.fill_buf() {
+            Ok([]) => break, // peer closed
+            Ok(_) => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                let done = answered.load(Ordering::SeqCst);
+                if done < submitted || done != answered_at_last_timeout {
+                    answered_at_last_timeout = done;
+                    continue;
+                }
+                dtfe_telemetry::counter_add!("service.tcp_read_timeouts", 1);
+                break;
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => break,
+        }
         let payload = match read_frame(&mut reader) {
             Ok(p) => p,
             // Peer closed, timed out, or broke framing: either way this
@@ -250,6 +287,7 @@ fn handle_connection(stream: TcpStream, handler: &dyn RequestHandler, stop: &Ato
         if tx.send(slot).is_err() {
             break; // writer died (socket gone)
         }
+        submitted += 1;
     }
     drop(tx);
     let _ = writer_thread.join();
