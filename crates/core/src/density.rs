@@ -19,12 +19,27 @@ pub enum Mass {
 }
 
 /// Per-tetrahedron interpolation cache: the linear field inside tetrahedron
-/// `t` is `ρ(x) = rho0 + grad · (x - v0)` (Eq. 1, with `x0 = v0`).
+/// `t` is `ρ(x) = rho0 + grad · (x − x₀)` (Eq. 1), where `x₀` is the
+/// tetrahedron's first vertex, `del.vertex(del.tet(t).verts[0])`. `x₀` is
+/// not stored: whoever evaluates the row has the mesh, and reads it there.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TetInterp {
-    pub v0: Vec3,
     pub rho0: f64,
     pub grad: Vec3,
+}
+
+impl TetInterp {
+    /// The row of a ghost, freed or degenerate slot: zero everywhere.
+    pub const ZERO: TetInterp = TetInterp {
+        rho0: 0.0,
+        grad: Vec3::ZERO,
+    };
+
+    /// Eq. 1 at `p`, for the tetrahedron whose first vertex is `x0`.
+    #[inline]
+    pub fn eval(&self, x0: Vec3, p: Vec3) -> f64 {
+        self.rho0 + self.grad.dot(p - x0)
+    }
 }
 
 /// The DTFE table over a [`RenderMesh`]: the vertex densities of Eq. 2 and
@@ -136,8 +151,8 @@ impl DtfeField {
     /// to lie in `t`; no containment check.
     #[inline]
     pub fn density_in_tet(&self, t: TetId, p: Vec3) -> f64 {
-        let ti = self.tet_interp(t);
-        ti.rho0 + ti.grad.dot(p - ti.v0)
+        let del = self.delaunay();
+        self.tet_interp(t).eval(del.vertex(del.tet(t).verts[0]), p)
     }
 
     /// Point-located density: walk from `hint`, interpolate, and return the
@@ -299,7 +314,7 @@ mod tests {
     #[test]
     fn reorder_preserves_interpolants() {
         // The cache reorder permutes slots only: every tetrahedron's
-        // interpolant (v0, rho0, grad) must be carried over bit-for-bit,
+        // interpolant (rho0, grad) must be carried over bit-for-bit,
         // since the marching integral is computed from exactly these.
         use crate::grid::{Field2, GridSpec2};
         use crate::marching::{
@@ -323,6 +338,9 @@ mod tests {
         for (old, &new) in remap.iter().enumerate() {
             if new != u32::MAX && !fa.delaunay().tet(old as u32).is_ghost() {
                 assert_eq!(fa.tet_interp(old as u32), fb.tet_interp(new), "slot {old}");
+                // ... and so is the vertex order `x₀` is read from.
+                let verts = |f: &DtfeField, t: TetId| f.delaunay().tet(t).verts;
+                assert_eq!(verts(&fa, old as u32), verts(&fb, new), "slot {old}");
                 compared += 1;
             }
         }

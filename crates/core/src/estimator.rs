@@ -3,10 +3,11 @@
 //! The paper's pipeline — Delaunay mesh → per-simplex linear interpolant →
 //! exact line-of-sight integration (Eq. 12) — has exactly one input, and
 //! [`FieldView`] is that input: the triangulation, its pre-normalized
-//! traversal cache, and one linear interpolant `(x₀, f₀, ∇f)` per
-//! tetrahedron slot (Eq. 1). Both kernels in [`crate::marching`] take a
-//! `FieldView` and nothing else, so each is compiled once however many
-//! backends exist. A backend is whatever *fills the table*:
+//! traversal cache, and one linear interpolant `(f₀, ∇f)` per tetrahedron
+//! slot (Eq. 1, about the slot's first vertex `x₀`, which the mesh holds).
+//! Both kernels in [`crate::marching`] take a `FieldView` and nothing else,
+//! so each is compiled once however many backends exist. A backend is
+//! whatever *fills the table*:
 //! [`crate::density::DtfeTable`] (Eq. 2 densities),
 //! [`crate::fields::ScalarField`] (any per-vertex scalar),
 //! [`crate::stochastic::StochasticTable`] (a jittered, mass-rescaled mean)
@@ -42,7 +43,8 @@ pub struct FieldView<'a> {
     pub del: &'a Delaunay,
     /// The marching kernel's pre-normalized tetrahedron cache.
     pub cache: &'a MarchCache,
-    /// Per-slot linear interpolant `f(x) = rho0 + grad · (x − v0)` (Eq. 1).
+    /// Per-slot linear interpolant `f(x) = rho0 + grad · (x − x₀)` (Eq. 1),
+    /// `x₀` the slot's first vertex in `del`.
     pub interp: &'a [TetInterp],
 }
 
@@ -235,11 +237,7 @@ pub(crate) fn vertex_interp(
     let interp_of = |t: u32| {
         let tet = del.tet_slot(t);
         if !tet.is_live() || tet.is_ghost() {
-            return TetInterp {
-                v0: Vec3::ZERO,
-                rho0: 0.0,
-                grad: Vec3::ZERO,
-            };
+            return TetInterp::ZERO;
         }
         let v = [
             del.vertex(tet.verts[0]),
@@ -258,11 +256,7 @@ pub(crate) fn vertex_interp(
             first_singular.fetch_min(t, Ordering::Relaxed);
             Vec3::ZERO
         });
-        TetInterp {
-            v0: v[0],
-            rho0: f[0],
-            grad,
-        }
+        TetInterp { rho0: f[0], grad }
     };
     let slots = del.num_slots();
     let out: Vec<TetInterp> = if slots < PAR_MIN_SLOTS {

@@ -80,8 +80,8 @@ impl<'a> ScalarField<'a> {
     /// Evaluate inside tetrahedron `t` (no containment check).
     #[inline]
     pub fn value_in_tet(&self, t: TetId, p: Vec3) -> f64 {
-        let ti = &self.interp[t as usize];
-        ti.rho0 + ti.grad.dot(p - ti.v0)
+        let x0 = self.del.vertex(self.del.tet(t).verts[0]);
+        self.interp[t as usize].eval(x0, p)
     }
 
     /// Point-located evaluation; `None` outside the hull.

@@ -935,10 +935,10 @@ fn march_cell_inner(
                 b = b.min(zhi);
             }
             if b > a {
-                // Eq. 12: exact integral via the interval midpoint.
-                let ti = &ctx.interp[t as usize];
+                // Eq. 12: exact integral via the interval midpoint. `x₀` is
+                // the record's vertex 0 (the normalization swaps only 2 ↔ 3).
                 let mid = Vec3::new(xi_cur.x, xi_cur.y, 0.5 * (a + b));
-                let rho_mid = ti.rho0 + ti.grad.dot(mid - ti.v0);
+                let rho_mid = ctx.interp[t as usize].eval(ct.pts[0], mid);
                 total += rho_mid * (b - a);
             }
             if let Some((_, zhi)) = ctx.z_range {
@@ -1359,14 +1359,15 @@ mod tests {
             // Brute force: test every finite tetrahedron.
             let mut brute = 0.0;
             for t in del.finite_tets() {
-                let hit = ray_tetra(&pl, &del.tet_points(t));
+                let pts = del.tet_points(t);
+                let hit = ray_tetra(&pl, &pts);
                 if hit.is_through() && !hit.degenerate {
                     let (_, pin) = hit.enter.unwrap();
                     let (_, pout) = hit.exit.unwrap();
                     let (a, b) = (pin.z.min(pout.z), pin.z.max(pout.z));
                     let ti = field.tet_interp(t);
                     let mid = Vec3::new(x, y, 0.5 * (a + b));
-                    brute += (ti.rho0 + ti.grad.dot(mid - ti.v0)) * (b - a);
+                    brute += (ti.rho0 + ti.grad.dot(mid - pts[0])) * (b - a);
                 }
             }
             let mut seed = 5;

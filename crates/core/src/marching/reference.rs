@@ -247,9 +247,8 @@ fn reference_march_cell_inner(
                 b = b.min(zhi);
             }
             if b > a {
-                let ti = &field.interp[t as usize];
                 let mid = Vec3::new(xi_cur.x, xi_cur.y, 0.5 * (a + b));
-                let rho_mid = ti.rho0 + ti.grad.dot(mid - ti.v0);
+                let rho_mid = field.interp[t as usize].eval(verts[0], mid);
                 total += rho_mid * (b - a);
             }
             if let Some((_, zhi)) = z_range {

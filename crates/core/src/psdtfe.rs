@@ -15,11 +15,11 @@
 //! estimate conserves mass *exactly* (to floating-point roundoff) — the
 //! conformance suite asserts 1e-12 relative.
 //!
-//! Alongside the density, each simplex gets the constant **velocity
-//! gradient** `∇v` solved from the vertex velocities (the `inv(A) @ (v[1:] -
-//! v[0])` of the reference implementation); a degenerate simplex is a typed
-//! error, never a silent zero. The trace of `∇v` is the velocity
-//! divergence, rendered through the same marching kernel via
+//! Alongside the density, each simplex's constant **velocity gradient**
+//! `∇v` is solved from the vertex velocities (the `inv(A) @ (v[1:] - v[0])`
+//! of the reference implementation); a degenerate simplex is a typed error,
+//! never a silent zero. Only its trace is kept: the velocity divergence,
+//! rendered through the same marching kernel via
 //! [`PsDtfeField::divergence`].
 //!
 //! In a multi-stream region the Zel'dovich map folds the Lagrangian mesh
@@ -70,7 +70,7 @@ impl From<DegenerateTetError> for PsDtfeError {
 }
 
 /// The PS-DTFE tables over a triangulation, in its slot order: per-simplex
-/// constant density, velocity gradient and velocity divergence.
+/// constant density and velocity divergence. Ghost/freed slots hold zeros.
 pub struct PsDtfeTable {
     /// Per-slot density interpolant; PS-DTFE densities are constant per
     /// simplex, so `grad` is always zero and `rho0` is `ρ_T`.
@@ -78,9 +78,6 @@ pub struct PsDtfeTable {
     /// Per-slot velocity-divergence interpolant (`rho0 = tr ∇v`, constant
     /// per simplex).
     div_interp: Vec<TetInterp>,
-    /// Per-slot velocity gradient rows: `dv[t][c]` is `∇v_c` (the gradient
-    /// of velocity component `c`). Ghost/freed slots hold zeros.
-    dv: Vec<[Vec3; 3]>,
 }
 
 impl PsDtfeTable {
@@ -124,25 +121,14 @@ impl PsDtfeTable {
         }
 
         let slots = del.num_slots();
-        let zero = TetInterp {
-            v0: Vec3::ZERO,
-            rho0: 0.0,
-            grad: Vec3::ZERO,
-        };
-        let mut interp = vec![zero; slots];
-        let mut div_interp = vec![zero; slots];
-        let mut dv = vec![[Vec3::ZERO; 3]; slots];
+        let mut interp = vec![TetInterp::ZERO; slots];
+        let mut div_interp = vec![TetInterp::ZERO; slots];
         for t in 0..slots as u32 {
             let tet = del.tet_slot(t);
             if !tet.is_live() || tet.is_ghost() {
                 continue;
             }
-            let p = [
-                del.vertex(tet.verts[0]),
-                del.vertex(tet.verts[1]),
-                del.vertex(tet.verts[2]),
-                del.vertex(tet.verts[3]),
-            ];
+            let p = tet.verts.map(|v| del.vertex(v));
             // ρ_T = m_T / V_T with each vertex's mass split evenly over its
             // incident tetrahedra. Degenerate (zero-volume) simplices keep
             // ρ = 0: they cannot contribute to any line-of-sight integral.
@@ -161,40 +147,29 @@ impl PsDtfeTable {
                 .sum();
             if vol > 0.0 {
                 interp[t as usize] = TetInterp {
-                    v0: p[0],
                     rho0: m_t / vol,
                     grad: Vec3::ZERO,
                 };
             }
 
-            // ∇v rows: one linear solve per velocity component. Unlike the
-            // density (where a sliver's zero contribution is harmless), a
-            // silently zeroed velocity gradient would corrupt divergence
-            // output — degenerate simplices are a typed error here.
-            let vel = [
-                vvel[tet.verts[0] as usize],
-                vvel[tet.verts[1] as usize],
-                vvel[tet.verts[2] as usize],
-                vvel[tet.verts[3] as usize],
-            ];
+            // ∇v rows: one linear solve per velocity component, reduced to
+            // the trace. Unlike the density (where a sliver's zero
+            // contribution is harmless), a silently zeroed velocity gradient
+            // would corrupt divergence output — degenerate simplices are a
+            // typed error here.
+            let vel = tet.verts.map(|v| vvel[v as usize]);
             let mut rows = [Vec3::ZERO; 3];
             for (c, row) in rows.iter_mut().enumerate() {
                 let f = [vel[0][c], vel[1][c], vel[2][c], vel[3][c]];
                 *row = linear_gradient(&p, &f).ok_or(DegenerateTetError { tet: t })?;
             }
-            dv[t as usize] = rows;
             div_interp[t as usize] = TetInterp {
-                v0: p[0],
                 rho0: rows[0].x + rows[1].y + rows[2].z,
                 grad: Vec3::ZERO,
             };
         }
 
-        Ok(PsDtfeTable {
-            interp,
-            div_interp,
-            dv,
-        })
+        Ok(PsDtfeTable { interp, div_interp })
     }
 
     /// The per-slot density interpolants.
@@ -257,13 +232,6 @@ impl PsDtfeField {
     #[inline]
     pub fn tet_density(&self, t: TetId) -> f64 {
         self.table.interp[t as usize].rho0
-    }
-
-    /// The constant velocity-gradient rows of simplex `t`: `rows[c]` is
-    /// `∇v_c`.
-    #[inline]
-    pub fn velocity_gradient(&self, t: TetId) -> &[Vec3; 3] {
-        &self.table.dv[t as usize]
     }
 
     /// The constant velocity divergence `tr ∇v` of simplex `t`.
@@ -458,13 +426,15 @@ mod tests {
     fn linear_flow_gradients_are_exact() {
         // v = (2x + z, 3y, −x + 4z): constant ∇v everywhere, div = 9.
         let pts = jittered_cloud(4, 23);
-        let vel: Vec<Vec3> = pts
-            .iter()
-            .map(|p| Vec3::new(2.0 * p.x + p.z, 3.0 * p.y, -p.x + 4.0 * p.z))
-            .collect();
+        let flow = |p: Vec3| Vec3::new(2.0 * p.x + p.z, 3.0 * p.y, -p.x + 4.0 * p.z);
+        let vel: Vec<Vec3> = pts.iter().map(|&p| flow(p)).collect();
         let field = PsDtfeField::build(&pts, &vel, Mass::Uniform(1.0)).unwrap();
-        for t in field.delaunay().finite_tets() {
-            let rows = field.velocity_gradient(t);
+        let del = field.delaunay();
+        for t in del.finite_tets() {
+            // The rows the table solves, then reduces to their trace.
+            let p = del.tet_points(t);
+            let rows: [Vec3; 3] =
+                std::array::from_fn(|c| linear_gradient(&p, &p.map(|q| flow(q)[c])).unwrap());
             assert!(
                 (rows[0] - Vec3::new(2.0, 0.0, 1.0)).norm() < 1e-8,
                 "{rows:?}"

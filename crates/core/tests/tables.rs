@@ -94,9 +94,9 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-fn interp_bits(t: &[TetInterp]) -> Vec<[u64; 7]> {
+fn interp_bits(t: &[TetInterp]) -> Vec<[u64; 4]> {
     t.iter()
-        .map(|i| [i.v0.x, i.v0.y, i.v0.z, i.rho0, i.grad.x, i.grad.y, i.grad.z].map(f64::to_bits))
+        .map(|i| [i.rho0, i.grad.x, i.grad.y, i.grad.z].map(f64::to_bits))
         .collect()
 }
 

@@ -254,20 +254,25 @@ fn stale_while_revalidate_serves_evicted_tile_under_overload() {
     let pts = cloud(800, side, 99);
     write_snapshot(&dir.join("s.snap"), &[pts], bounds).unwrap();
 
-    // Phase 1: measure one resident tile so phase 2's budget can be
-    // sized to hold exactly one of the two entries.
+    // Phase 1: measure the resident tile with one estimator's table and
+    // with a second's, so phase 2's budget can be sized between the two.
     let mut probe_cfg = ServiceConfig::new(4.0, 16);
     probe_cfg.tiles = 1;
     let probe = Service::start(&dir, probe_cfg.clone()).unwrap();
     let req = RenderRequest::new("s", Vec3::new(4.0, 4.0, 4.0));
+    let mut ps = req.clone();
+    ps.estimator = dtfe_service::EstimatorKind::PsDtfe;
     probe.render(&req).unwrap();
     let tile_bytes = probe.health().resident_bytes as usize;
-    assert!(tile_bytes > 0);
+    probe.render(&ps).unwrap();
+    let grown_bytes = probe.health().resident_bytes as usize;
+    assert!(0 < tile_bytes && tile_bytes < grown_bytes);
     probe.drain();
 
-    // Phase 2: budget fits one tile, not two; stale retention on.
+    // Phase 2: budget fits the tile with one table, not with two; stale
+    // retention on.
     let mut cfg = probe_cfg;
-    cfg.cache_budget_bytes = tile_bytes + tile_bytes / 2;
+    cfg.cache_budget_bytes = (tile_bytes + grown_bytes) / 2;
     cfg.stale_while_revalidate = true;
     cfg.stale_budget_bytes = 4 * tile_bytes;
     let service = Service::start(&dir, cfg).unwrap();
@@ -277,8 +282,6 @@ fn stale_while_revalidate_serves_evicted_tile_under_overload() {
 
     // Same tile, second estimator: its tables grow the one entry past the
     // budget, which moves it — both tables and all — into the stale set.
-    let mut ps = req.clone();
-    ps.estimator = dtfe_service::EstimatorKind::PsDtfe;
     service.render(&ps).unwrap();
     let h = service.health();
     assert_eq!(h.stale_tiles, 1, "evicted tile retained stale: {h:?}");
