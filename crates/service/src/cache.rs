@@ -38,7 +38,7 @@
 //!    when the fresh path is overloaded or quarantined.
 
 use crate::error::ServiceError;
-use crate::tiles::{SharedTile, TileData, TileKey};
+use crate::tiles::{Charge, SharedTile, TileData, TileKey};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -52,9 +52,9 @@ enum Slot {
     Building,
     Ready {
         data: SharedTile,
-        /// What `State::bytes` holds for this entry: its size when it was
-        /// last charged, not what it may have grown to since.
-        bytes: usize,
+        /// What `State::bytes` holds for this entry (the total): its size
+        /// when it was last charged, not what it may have grown to since.
+        charged: Charge,
         last_used: u64,
     },
 }
@@ -263,6 +263,22 @@ impl TileCache {
     /// Bytes currently held by resident entries.
     pub fn resident_bytes(&self) -> usize {
         self.state.lock().unwrap().bytes
+    }
+
+    /// [`TileCache::resident_bytes`] by component: what each resident
+    /// entry was charged, summed term by term.
+    pub fn resident_charge(&self) -> Charge {
+        let st = self
+            .state
+            .lock()
+            .expect("builds and fills run outside this lock");
+        let mut sum = Charge::default();
+        for slot in st.map.values() {
+            if let Slot::Ready { charged, .. } = slot {
+                sum += *charged;
+            }
+        }
+        sum
     }
 
     /// The slice of [`TileCache::resident_bytes`] attributable to ghost
@@ -495,13 +511,16 @@ impl TileCache {
     /// stale (an in-flight batch can fill an entry evicted under it), or
     /// nowhere (an uncacheable entry is its requester's alone).
     fn recharge(&self, st: &mut State, key: &TileKey, data: &SharedTile) {
-        let now = data.bytes();
+        let charge = data.charge();
+        let now = charge.total();
         match st.map.get_mut(key) {
             Some(Slot::Ready {
-                data: held, bytes, ..
+                data: held,
+                charged,
+                ..
             }) if Arc::ptr_eq(held, data) => {
-                st.bytes = st.bytes - *bytes + now;
-                *bytes = now;
+                st.bytes = st.bytes - charged.total() + now;
+                *charged = charge;
                 if now <= self.budget {
                     self.evict_to_budget(st, key);
                 } else if let Some(Slot::Ready {
@@ -532,7 +551,8 @@ impl TileCache {
     /// holds again — all under the caller's lock hold, so the invariant
     /// `bytes ≤ budget` is true whenever the lock is free.
     fn insert_and_evict(&self, st: &mut State, key: &TileKey, data: SharedTile) {
-        let bytes = data.bytes();
+        let charged = data.charge();
+        let bytes = charged.total();
         if bytes > self.budget {
             // Larger than the whole cache: hand it to the requester but
             // do not retain it (retaining would break the invariant, and
@@ -548,7 +568,7 @@ impl TileCache {
             key.clone(),
             Slot::Ready {
                 data,
-                bytes,
+                charged,
                 last_used: st.tick,
             },
         );
@@ -577,10 +597,11 @@ impl TileCache {
             };
             if let Some(Slot::Ready {
                 data,
-                bytes,
+                charged,
                 last_used,
             }) = st.map.remove(&victim)
             {
+                let bytes = charged.total();
                 st.bytes -= bytes;
                 self.stats.evictions.fetch_add(1, Ordering::Relaxed);
                 dtfe_telemetry::counter_add!("service.cache_evictions", 1);

@@ -482,6 +482,8 @@ impl Service {
         let cache = &inner.cache;
         let s = &inner.stats;
         let get = ServiceStats::get;
+        // One snapshot of the charges, so the terms add up to the total.
+        let charge = cache.resident_charge();
         StatsDocument {
             version: crate::stats_doc::STATS_VERSION,
             serving: ServingCounters {
@@ -497,7 +499,7 @@ impl Service {
                 stale_served: get(&s.stale_served),
             },
             cache: CacheCounters {
-                resident_bytes: cache.resident_bytes() as u64,
+                resident_bytes: charge.total() as u64,
                 ghost_bytes: cache.resident_ghost_bytes() as u64,
                 budget_bytes: cache.budget() as u64,
                 entries: cache.resident_entries() as u64,
@@ -507,6 +509,11 @@ impl Service {
                 stale_entries: cache.stale_entries() as u64,
                 quarantined: cache.quarantined_entries() as u64,
                 build_panics: cache.stats.build_panics.load(Ordering::Relaxed),
+                header_bytes: charge.header as u64,
+                mesh_bytes: charge.mesh as u64,
+                dtfe_bytes: charge.dtfe as u64,
+                psdtfe_bytes: charge.psdtfe as u64,
+                stochastic_bytes: charge.stochastic as u64,
             },
             metrics: self
                 ._telemetry

@@ -71,10 +71,21 @@ pub struct CacheCounters {
     pub stale_entries: u64,
     pub quarantined: u64,
     pub build_panics: u64,
+    /// `resident_bytes` by component, each resident entry counted as it was
+    /// charged, so the five add up to `resident_bytes`: entry headers with
+    /// their ghost padding, meshes (with hull index and traversal cache),
+    /// and the tables filled per estimator — `veldiv` renders from
+    /// `psdtfe_bytes`, and every realization count is in
+    /// `stochastic_bytes`.
+    pub header_bytes: u64,
+    pub mesh_bytes: u64,
+    pub dtfe_bytes: u64,
+    pub psdtfe_bytes: u64,
+    pub stochastic_bytes: u64,
 }
 
 impl CacheCounters {
-    fn fields(&self) -> [(&'static str, u64); 10] {
+    fn fields(&self) -> [(&'static str, u64); 15] {
         [
             ("resident_bytes", self.resident_bytes),
             ("ghost_bytes", self.ghost_bytes),
@@ -86,6 +97,11 @@ impl CacheCounters {
             ("stale_entries", self.stale_entries),
             ("quarantined", self.quarantined),
             ("build_panics", self.build_panics),
+            ("header_bytes", self.header_bytes),
+            ("mesh_bytes", self.mesh_bytes),
+            ("dtfe_bytes", self.dtfe_bytes),
+            ("psdtfe_bytes", self.psdtfe_bytes),
+            ("stochastic_bytes", self.stochastic_bytes),
         ]
     }
 }
@@ -277,14 +293,12 @@ impl StatsDocument {
             stale_served: get_u64(serving, "serving", "stale_served")?,
         };
         let cache = doc.get("cache").ok_or("missing cache object")?;
+        // Absent from older documents (ghost bytes came with the cluster,
+        // the byte terms later); 0 keeps old artifacts parseable.
+        let optional = |key: &str| cache.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0) as u64;
         let cache = CacheCounters {
             resident_bytes: get_u64(cache, "cache", "resident_bytes")?,
-            // Absent in pre-cluster documents; default 0 keeps old
-            // artifacts parseable.
-            ghost_bytes: cache
-                .get("ghost_bytes")
-                .and_then(|v| v.as_f64())
-                .unwrap_or(0.0) as u64,
+            ghost_bytes: optional("ghost_bytes"),
             budget_bytes: get_u64(cache, "cache", "budget_bytes")?,
             entries: get_u64(cache, "cache", "entries")?,
             evictions: get_u64(cache, "cache", "evictions")?,
@@ -293,6 +307,11 @@ impl StatsDocument {
             stale_entries: get_u64(cache, "cache", "stale_entries")?,
             quarantined: get_u64(cache, "cache", "quarantined")?,
             build_panics: get_u64(cache, "cache", "build_panics")?,
+            header_bytes: optional("header_bytes"),
+            mesh_bytes: optional("mesh_bytes"),
+            dtfe_bytes: optional("dtfe_bytes"),
+            psdtfe_bytes: optional("psdtfe_bytes"),
+            stochastic_bytes: optional("stochastic_bytes"),
         };
         let metrics = match doc.get("metrics") {
             None => None,
@@ -423,6 +442,9 @@ mod tests {
                 resident_bytes: 1 << 20,
                 budget_bytes: 1 << 24,
                 entries: 4,
+                header_bytes: 1 << 10,
+                mesh_bytes: (1 << 19) + (1 << 18),
+                dtfe_bytes: (1 << 18) - (1 << 10),
                 ..Default::default()
             },
             metrics: Some(metrics),

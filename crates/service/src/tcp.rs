@@ -280,7 +280,9 @@ fn handle_connection(stream: TcpStream, handler: &dyn RequestHandler, stop: &Ato
             }
             Ok(Request::Render(r)) => handler.render(r),
             Ok(Request::Gossip(hb)) => Handled::ready(handler.gossip(hb)),
-            Ok(Request::Stats) => Handled::ready(Response::Stats(service.stats_document())),
+            Ok(Request::Stats) => {
+                Handled::ready(Response::Stats(Box::new(service.stats_document())))
+            }
             Ok(Request::Health) => Handled::ready(Response::Health(service.health())),
             Ok(Request::Dump) => Handled::ready(Response::Dump(service.dump_trace())),
         };

@@ -64,7 +64,7 @@ pub enum Response {
     Field(RenderResponse),
     Error(ServiceError),
     /// The typed, versioned stats document (travels as JSON text).
-    Stats(StatsDocument),
+    Stats(Box<StatsDocument>),
     Health(HealthStatus),
     /// Flight-recorder dump: Chrome-trace JSON, opaque to the protocol.
     Dump(String),
@@ -611,7 +611,9 @@ impl Response {
                 let n = d.u32()? as usize;
                 let bytes = d.take(n)?;
                 let json = String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)?;
-                Response::Stats(StatsDocument::parse(&json).map_err(WireError::Malformed)?)
+                Response::Stats(Box::new(
+                    StatsDocument::parse(&json).map_err(WireError::Malformed)?,
+                ))
             }
             RESP_DUMP => {
                 let n = d.u32()? as usize;
@@ -656,7 +658,7 @@ impl Response {
 
     pub fn into_stats(self) -> Result<StatsDocument, ServiceError> {
         match self {
-            Response::Stats(doc) => Ok(doc),
+            Response::Stats(doc) => Ok(*doc),
             other => Err(other.unexpected()),
         }
     }
@@ -895,7 +897,7 @@ mod tests {
         doc.serving.admitted = 7;
         doc.serving.completed = 6;
         doc.cache.entries = 2;
-        let resp = Response::Stats(doc);
+        let resp = Response::Stats(Box::new(doc));
         assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
 
         let dump = Response::Dump("{\"traceEvents\":[]}".to_string());

@@ -16,7 +16,7 @@ use dtfe_delaunay::DelaunayBuilder;
 use dtfe_framework::Decomposition;
 use dtfe_geometry::{Aabb3, Vec3};
 use dtfe_nbody::snapshot::write_snapshot;
-use dtfe_service::tiles::{demo_velocities, tile_seed};
+use dtfe_service::tiles::{demo_velocities, tile_seed, TileKey};
 use dtfe_service::{EstimatorKind, RenderRequest, Service, ServiceConfig};
 use std::sync::Mutex;
 
@@ -148,6 +148,64 @@ fn every_first_touch_order_serves_the_standalone_fields() {
         assert_eq!(service.cache().resident_entries(), 1);
         service.drain();
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The stats document splits the cache's resident bytes by component, and
+/// the split adds up: with every estimator filled on three of eight tiles
+/// (one of them at a second realization count too), header, mesh and table
+/// terms sum to `resident_bytes()` exactly, a table term is charged only
+/// once its table exists, and the total is what the entries hold now.
+#[test]
+fn resident_bytes_add_up_by_component() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("dtfe_one_mesh_terms_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(SIDE));
+    write_snapshot(&dir.join("m.snap"), &[cloud(2_500, 7)], bounds).unwrap();
+    let mut cfg = ServiceConfig::new(FIELD_LEN, RESOLUTION);
+    cfg.tiles = 8;
+    let decomp = Decomposition::new(bounds, cfg.tiles);
+    let service = Service::start(&dir, cfg).unwrap();
+    let center = |tile: usize| decomp.rank_box(tile).center();
+    let render = |tile, kind| {
+        let req = RenderRequest::new("m", center(tile)).estimator(kind);
+        service.render(&req).expect("served");
+    };
+    render(6, EstimatorKind::Dtfe);
+    let dtfe_only = service.stats_document().cache;
+    for tile in [0, 3, 6] {
+        for kind in KINDS {
+            render(tile, kind);
+        }
+    }
+    render(3, EstimatorKind::Stochastic { realizations: 3 });
+
+    let cache = service.cache();
+    let doc = service.stats_document().cache;
+    let terms = [
+        doc.header_bytes,
+        doc.mesh_bytes,
+        doc.dtfe_bytes,
+        doc.psdtfe_bytes,
+        doc.stochastic_bytes,
+    ];
+    assert_eq!(cache.resident_entries(), 3);
+    assert_eq!(terms.iter().sum::<u64>(), cache.resident_bytes() as u64);
+    assert_eq!(doc.resident_bytes, cache.resident_bytes() as u64);
+    assert_eq!(cache.resident_charge().total(), cache.resident_bytes());
+    assert!(terms.iter().all(|&t| t > 0), "{doc:?}");
+    assert!(doc.header_bytes >= doc.ghost_bytes && doc.ghost_bytes > 0);
+    // One table on one tile before: no PS-DTFE or stochastic bytes, and a
+    // DTFE term that three tiles' tables outgrow.
+    assert_eq!((dtfe_only.psdtfe_bytes, dtfe_only.stochastic_bytes), (0, 0));
+    assert!(dtfe_only.dtfe_bytes > 0 && doc.dtfe_bytes > 2 * dtfe_only.dtfe_bytes);
+    let held: usize = [0, 3, 6]
+        .map(|t| cache.peek(&TileKey::new("m", t)).expect("resident").bytes())
+        .iter()
+        .sum();
+    assert_eq!(held, cache.resident_bytes());
+    service.drain();
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -158,14 +158,14 @@ proptest! {
         queue_depth in 0u64..u64::MAX,
         // Counters stay below 2^53 so the JSON (f64) representation is
         // exact — the same invariant the server upholds.
-        c in prop::collection::vec(0u64..(1u64 << 53), 20),
+        c in prop::collection::vec(0u64..(1u64 << 53), 25),
         flags in 0u8..4,
     ) {
         for req in [Request::Stats, Request::Health, Request::Shutdown, Request::Dump] {
             let bytes = req.encode();
             prop_assert_eq!(Request::decode(&bytes).unwrap(), req);
         }
-        let resp = Response::Stats(StatsDocument {
+        let resp = Response::Stats(Box::new(StatsDocument {
             version: STATS_VERSION,
             serving: ServingCounters {
                 admitted: c[0],
@@ -190,9 +190,14 @@ proptest! {
                 quarantined: c[17],
                 build_panics: c[18],
                 ghost_bytes: c[19],
+                header_bytes: c[20],
+                mesh_bytes: c[21],
+                dtfe_bytes: c[22],
+                psdtfe_bytes: c[23],
+                stochastic_bytes: c[24],
             },
             metrics: None,
-        });
+        }));
         let bytes = resp.encode();
         prop_assert_eq!(Response::decode(&bytes).unwrap(), resp.clone());
         let dump = Response::Dump(id_from(msg_bytes));
