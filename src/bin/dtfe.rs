@@ -17,7 +17,7 @@ use dtfe_repro::nbody::datasets::{cluster_with_substructure, galaxy_box, planck_
 use dtfe_repro::nbody::fof::fof_groups;
 use dtfe_repro::nbody::snapshot;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -161,10 +161,11 @@ fn cmd_render(flags: &HashMap<String, String>) -> Result<(), String> {
                     ))
                 })?;
             let len = get_f64(flags, "len", info.bounds.extent().x / 4.0)?;
-            GridSpec2::square(Vec2::new(x, y), len, ng)
+            GridSpec2::try_square(Vec2::new(x, y), len, ng)
         }
-        None => GridSpec2::covering(info.bounds.lo.xy(), info.bounds.hi.xy(), ng, ng),
-    };
+        None => GridSpec2::try_covering(info.bounds.lo.xy(), info.bounds.hi.xy(), ng, ng),
+    }
+    .map_err(|e| e.to_string())?;
 
     eprintln!("triangulating {} particles...", pts.len());
     let field = DtfeField::build(&pts, Mass::Uniform(1.0)).map_err(|e| e.to_string())?;
@@ -214,7 +215,3 @@ fn main() -> ExitCode {
         }
     }
 }
-
-/// Keep `Path` imported for doc links even in minimal builds.
-#[allow(dead_code)]
-fn _touch(_: &Path) {}
