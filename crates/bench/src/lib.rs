@@ -172,18 +172,6 @@ impl Drop for SeriesWriter {
     }
 }
 
-/// Deterministic xorshift helper for harness-local jitter.
-pub struct XorShift(pub u64);
-
-impl XorShift {
-    pub fn next_f64(&mut self) -> f64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        (self.0.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,4 +16,3 @@ pub use client::ClusterClient;
 pub use local::{LocalCluster, ShardSpec};
 pub use node::{ClusterConfig, ClusterNode};
 pub use ring::{key_of, HashRing};
-pub use router::score_shard;

@@ -70,10 +70,6 @@ impl HashRing {
         HashRing { nshards, points }
     }
 
-    pub fn nshards(&self) -> usize {
-        self.nshards
-    }
-
     /// Index of the first ring point at or clockwise of `pos`.
     fn successor(&self, pos: u64) -> usize {
         match self.points.binary_search(&(pos, 0)) {
@@ -124,15 +120,6 @@ impl HashRing {
             }
         }
         out
-    }
-
-    /// Owner ignoring liveness — the "home" shard a redirect should name even
-    /// while it is briefly unreachable.
-    pub fn home(&self, key: u64) -> Option<usize> {
-        if self.points.is_empty() {
-            return None;
-        }
-        Some(self.points[self.winner(key)].1 as usize)
     }
 }
 

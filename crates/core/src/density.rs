@@ -2,8 +2,8 @@
 //! interpolant (paper §III-A).
 
 use crate::estimator::{
-    entry_facets_of, integrate_vertex_field, vertex_interp, vertex_masses, DegeneratePolicy,
-    FieldEstimator, FieldView, RenderMesh,
+    integrate_vertex_field, vertex_interp, vertex_masses, DegeneratePolicy, FieldEstimator,
+    FieldView, RenderMesh,
 };
 use crate::marching::MarchCache;
 use dtfe_delaunay::{BuildError, Delaunay, DelaunayBuilder, Located, TetId};
@@ -180,13 +180,6 @@ impl DtfeField {
     /// up to floating-point roundoff (DTFE's conservation property).
     pub fn integrated_mass(&self) -> f64 {
         integrate_vertex_field(self.delaunay(), self.vertex_densities())
-    }
-
-    /// Ghost tetrahedra whose hull facet faces the *negative* integration
-    /// direction (`n_hull · ẑ < 0`, Eq. 14): the candidate entry facets for
-    /// upward lines of sight, projected to 2D.
-    pub fn entry_facets(&self) -> Vec<EntryFacet> {
-        entry_facets_of(self.delaunay())
     }
 }
 
@@ -366,7 +359,7 @@ mod tests {
     fn entry_facets_cover_footprint() {
         let pts = jittered_cloud(4, 9);
         let field = DtfeField::build(&pts, Mass::Uniform(1.0)).unwrap();
-        let facets = field.entry_facets();
+        let facets = crate::estimator::entry_facets_of(field.delaunay());
         assert!(!facets.is_empty());
         // Each entry facet's ghost leads to a finite tetrahedron.
         for f in &facets {

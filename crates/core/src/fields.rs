@@ -10,8 +10,7 @@
 
 use crate::density::TetInterp;
 use crate::estimator::{
-    integrate_vertex_field, vertex_interp, DegeneratePolicy, DegenerateTetError, FieldEstimator,
-    FieldView,
+    vertex_interp, DegeneratePolicy, DegenerateTetError, FieldEstimator, FieldView,
 };
 use crate::marching::MarchCache;
 use dtfe_delaunay::{Delaunay, Located, TetId};
@@ -72,11 +71,6 @@ impl<'a> ScalarField<'a> {
         self.del
     }
 
-    /// Per-vertex values.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
     /// Evaluate inside tetrahedron `t` (no containment check).
     #[inline]
     pub fn value_in_tet(&self, t: TetId, p: Vec3) -> f64 {
@@ -97,18 +91,6 @@ impl<'a> ScalarField<'a> {
 impl FieldEstimator for ScalarField<'_> {
     fn view(&self) -> FieldView<'_> {
         FieldView::new(self.del, &self.march, &self.interp)
-    }
-}
-
-/// Volume-weighted mean of the field over the hull:
-/// `∫ f dV / ∫ dV` (tetrahedron-wise exact).
-pub fn volume_weighted_mean(field: &ScalarField<'_>) -> f64 {
-    let del = field.delaunay();
-    let hull_volume = integrate_vertex_field(del, &vec![1.0; del.num_vertices()]);
-    if hull_volume > 0.0 {
-        integrate_vertex_field(del, field.values()) / hull_volume
-    } else {
-        0.0
     }
 }
 
@@ -156,16 +138,6 @@ mod tests {
             let v = field.value_at(q, &mut seed).unwrap();
             assert!((v - f(q)).abs() < 1e-9, "{v} vs {}", f(q));
         }
-        assert!(
-            (volume_weighted_mean(&field) - {
-                // Analytic mean of a linear field over the hull = value at
-                // the hull's centroid... approximate by integrating exactly
-                // via the same decomposition: consistency check only.
-                volume_weighted_mean(&field)
-            })
-            .abs()
-                < 1e-12
-        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Grid specifications and gridded field containers.
 
-use dtfe_geometry::{Aabb2, Aabb3, Vec2, Vec3};
+use dtfe_geometry::{Aabb2, Vec2, Vec3};
 
 /// Typed rejection of malformed grid geometry, surfaced at construction
 /// instead of as NaN-filled fields deep inside a marching kernel (the
@@ -173,19 +173,6 @@ impl GridSpec3 {
         )
     }
 
-    #[inline]
-    pub fn bounds(&self) -> Aabb3 {
-        Aabb3::new(
-            self.origin,
-            self.origin
-                + Vec3::new(
-                    self.cell.x * self.nx as f64,
-                    self.cell.y * self.ny as f64,
-                    self.cell.z * self.nz as f64,
-                ),
-        )
-    }
-
     /// The 2D footprint.
     pub fn footprint(&self) -> GridSpec2 {
         GridSpec2 {
@@ -234,26 +221,6 @@ impl Field2 {
             .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
                 (lo.min(v), hi.max(v))
             })
-    }
-
-    /// Bilinear interpolation at an arbitrary point (cell-centre nodes,
-    /// clamped at the grid edges). Used by the lensing ray tracer to sample
-    /// deflection maps between cell centres.
-    pub fn sample_bilinear(&self, p: Vec2) -> f64 {
-        let u = ((p.x - self.spec.origin.x) / self.spec.cell.x - 0.5)
-            .clamp(0.0, self.spec.nx as f64 - 1.0);
-        let v = ((p.y - self.spec.origin.y) / self.spec.cell.y - 0.5)
-            .clamp(0.0, self.spec.ny as f64 - 1.0);
-        let (i0, j0) = (u.floor() as usize, v.floor() as usize);
-        let (i1, j1) = (
-            (i0 + 1).min(self.spec.nx - 1),
-            (j0 + 1).min(self.spec.ny - 1),
-        );
-        let (fx, fy) = (u - i0 as f64, v - j0 as f64);
-        self.at(i0, j0) * (1.0 - fx) * (1.0 - fy)
-            + self.at(i1, j0) * fx * (1.0 - fy)
-            + self.at(i0, j1) * (1.0 - fx) * fy
-            + self.at(i1, j1) * fx * fy
     }
 
     /// Element-wise `log10(self / other)` — the paper's Fig. 8c ratio map.
@@ -434,32 +401,6 @@ mod tests {
         let b = Field2::zeros(g);
         a.data[0] = 1.0;
         assert!(a.log10_ratio(&b).data[0].is_nan());
-    }
-
-    #[test]
-    fn bilinear_sampling() {
-        let g = GridSpec2::covering(Vec2::new(0.0, 0.0), Vec2::new(2.0, 2.0), 2, 2);
-        let mut f = Field2::zeros(g);
-        f.data = vec![0.0, 1.0, 2.0, 3.0]; // (0,0)=0 (1,0)=1 (0,1)=2 (1,1)=3
-                                           // Exactly at cell centres.
-        assert_eq!(f.sample_bilinear(Vec2::new(0.5, 0.5)), 0.0);
-        assert_eq!(f.sample_bilinear(Vec2::new(1.5, 1.5)), 3.0);
-        // Midpoint between all four centres: the average.
-        assert!((f.sample_bilinear(Vec2::new(1.0, 1.0)) - 1.5).abs() < 1e-12);
-        // Clamped outside.
-        assert_eq!(f.sample_bilinear(Vec2::new(-5.0, -5.0)), 0.0);
-        assert_eq!(f.sample_bilinear(Vec2::new(9.0, 9.0)), 3.0);
-        // A linear field is reproduced exactly in the interior.
-        let g = GridSpec2::covering(Vec2::new(0.0, 0.0), Vec2::new(4.0, 4.0), 8, 8);
-        let mut f = Field2::zeros(g);
-        for j in 0..8 {
-            for i in 0..8 {
-                let c = g.center(i, j);
-                f.set(i, j, 2.0 * c.x - c.y + 1.0);
-            }
-        }
-        let p = Vec2::new(1.77, 2.31);
-        assert!((f.sample_bilinear(p) - (2.0 * p.x - p.y + 1.0)).abs() < 1e-12);
     }
 
     #[test]

@@ -65,15 +65,12 @@
 //! assert!(sigma.total_mass() > 0.0);
 //! ```
 
-pub mod adaptive;
 pub mod density;
 pub mod estimator;
 pub mod fields;
 pub mod grid;
 pub mod io;
 pub mod marching;
-pub mod oriented;
-pub mod periodic;
 pub mod psdtfe;
 pub mod render;
 pub mod stochastic;

@@ -134,7 +134,7 @@ impl Default for MarchOptions {
 }
 
 // Deref to the embedded `RenderOptions` plus the shared forwarding builder
-// setters (samples, z_range, full_depth, parallel, tile, estimator).
+// setters (samples, z_range, parallel, tile, estimator).
 crate::forward_render_options!(MarchOptions);
 
 impl MarchOptions {
@@ -498,11 +498,6 @@ impl HullIndex {
             }
         }
         EntryWalk::Bail
-    }
-
-    /// Number of indexed entry facets.
-    pub fn num_facets(&self) -> usize {
-        self.facets.len()
     }
 }
 
@@ -1640,7 +1635,7 @@ mod tests {
         let pts = jittered_cloud(4, 51);
         let field = DtfeField::build(&pts, Mass::Uniform(1.0)).unwrap();
         let index = HullIndex::build(&field);
-        assert!(index.num_facets() > 0);
+        assert!(!index.facets.is_empty());
         assert!(index.query(Vec2::new(1.7, 1.7)).is_some());
         assert!(index.query(Vec2::new(100.0, 0.0)).is_none());
     }

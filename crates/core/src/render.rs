@@ -93,12 +93,6 @@ impl RenderOptions {
         self
     }
 
-    /// Integrate over the full extent (undo [`RenderOptions::z_range`]).
-    pub fn full_depth(mut self) -> RenderOptions {
-        self.z_range = None;
-        self
-    }
-
     /// Switch row/column parallelism on or off.
     pub fn parallel(mut self, yes: bool) -> RenderOptions {
         self.parallel = yes;
@@ -209,13 +203,6 @@ macro_rules! forward_render_options {
             /// `RenderOptions::z_range`.
             pub fn z_range(mut self, lo: f64, hi: f64) -> Self {
                 self.render = self.render.z_range(lo, hi);
-                self
-            }
-
-            /// Integrate over the full extent; forwards to
-            /// `RenderOptions::full_depth`.
-            pub fn full_depth(mut self) -> Self {
-                self.render = self.render.full_depth();
                 self
             }
 

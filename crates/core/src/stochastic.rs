@@ -62,11 +62,6 @@ impl StochasticOptions {
         self
     }
 
-    pub fn sigma(mut self, s: f64) -> StochasticOptions {
-        self.sigma = s;
-        self
-    }
-
     pub fn seed(mut self, s: u64) -> StochasticOptions {
         self.seed = s;
         self

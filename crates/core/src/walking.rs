@@ -42,7 +42,7 @@ pub struct WalkOptions {
 }
 
 // Deref to the embedded `RenderOptions` plus the shared forwarding builder
-// setters (samples, z_range, full_depth, parallel, tile, estimator). `tile`
+// setters (samples, z_range, parallel, tile, estimator). `tile`
 // is accepted but inert here: the walking baseline parallelizes whole rows.
 crate::forward_render_options!(WalkOptions);
 

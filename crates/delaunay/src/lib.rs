@@ -64,7 +64,6 @@ mod insert;
 mod locate;
 mod mesh;
 mod morton;
-mod queries;
 mod reorder;
 pub mod validate;
 
@@ -250,11 +249,6 @@ impl Delaunay {
         [tet.verts[0], tet.verts[2], tet.verts[1]]
     }
 
-    /// Hull facets as vertex triples, outward-oriented.
-    pub fn hull_facets(&self) -> Vec<[VertexId; 3]> {
-        self.ghost_tets().map(|g| self.hull_facet(g)).collect()
-    }
-
     /// Sum of incident finite-tetrahedron volumes per vertex — the `W_i`
     /// denominator of the DTFE density estimate (paper Eq. 2). Hull vertices
     /// only count interior tetrahedra, matching the DTFE convention.
@@ -268,17 +262,6 @@ impl Delaunay {
             }
         }
         w
-    }
-
-    /// Count of finite tetrahedra incident to each vertex.
-    pub fn vertex_degrees(&self) -> Vec<u32> {
-        let mut deg = vec![0u32; self.points.len()];
-        for t in self.finite_tets() {
-            for &v in &self.tets[t as usize].verts {
-                deg[v as usize] += 1;
-            }
-        }
-        deg
     }
 }
 
@@ -446,7 +429,5 @@ mod tests {
         assert!((total - 4.0 / 6.0).abs() < 1e-12);
         let interior = d.vertex_of_input(4);
         assert!((w[interior as usize] - 1.0 / 6.0).abs() < 1e-12);
-        let deg = d.vertex_degrees();
-        assert_eq!(deg[interior as usize], 4);
     }
 }

@@ -53,18 +53,6 @@ impl Tet {
         self.verts[3] == INFINITE
     }
 
-    /// Does this tetrahedron have `v` as a vertex?
-    #[inline]
-    pub fn has_vertex(&self, v: VertexId) -> bool {
-        self.verts.contains(&v)
-    }
-
-    /// Local index (0..4) of vertex `v`.
-    #[inline]
-    pub fn index_of_vertex(&self, v: VertexId) -> Option<usize> {
-        self.verts.iter().position(|&x| x == v)
-    }
-
     /// Local index (0..4) of neighbor `t`.
     #[inline]
     pub fn index_of_neighbor(&self, t: TetId) -> Option<usize> {
@@ -138,7 +126,5 @@ mod tests {
         };
         assert_eq!(t.face(3), [10, 11, 12]);
         assert_eq!(t.face(0), [11, 13, 12]);
-        assert_eq!(t.index_of_vertex(12), Some(2));
-        assert_eq!(t.index_of_vertex(99), None);
     }
 }

@@ -156,22 +156,6 @@ pub struct RankReport {
     pub telemetry: Option<TelemetrySnapshot>,
 }
 
-impl RankReport {
-    /// This rank's executed items as model-fit samples `(n, t_tri,
-    /// t_interp)` — the recorded phase metrics in the shape
-    /// [`WorkloadModel::fit`]/[`WorkloadModel::residuals`] consume.
-    pub fn timing_samples(&self) -> Vec<TimingSample> {
-        self.records
-            .iter()
-            .map(|r| TimingSample {
-                n: r.n_particles,
-                t_tri: r.actual_tri,
-                t_interp: r.actual_interp,
-            })
-            .collect()
-    }
-}
-
 /// Whole-run summary returned by the drivers.
 #[derive(Debug)]
 pub struct RunReport {
@@ -841,9 +825,6 @@ mod tests {
         assert_eq!(res.tri.n, n_records);
         assert_eq!(res.interp.n, n_records);
         assert!(res.tri.rmse.is_finite() && res.interp.rmse.is_finite());
-        let samples: Vec<TimingSample> =
-            run.ranks.iter().flat_map(|r| r.timing_samples()).collect();
-        assert_eq!(samples.len(), n_records);
     }
 
     #[test]

@@ -107,17 +107,6 @@ impl Aabb3 {
             && o.lo.z < self.hi.z
     }
 
-    /// Intersection box, `None` when disjoint.
-    pub fn intersection(&self, o: &Aabb3) -> Option<Aabb3> {
-        let lo = self.lo.max(o.lo);
-        let hi = self.hi.min(o.hi);
-        if lo.x < hi.x && lo.y < hi.y && lo.z < hi.z {
-            Some(Aabb3 { lo, hi })
-        } else {
-            None
-        }
-    }
-
     /// The 2D footprint in the x-y plane (line-of-sight projection).
     #[inline]
     pub fn footprint(&self) -> Aabb2 {
@@ -134,16 +123,6 @@ impl Aabb2 {
         Aabb2 { lo, hi }
     }
 
-    /// A square of side `side` centred on `c`.
-    #[inline]
-    pub fn square(c: Vec2, side: f64) -> Self {
-        let h = side * 0.5;
-        Aabb2 {
-            lo: c - Vec2::new(h, h),
-            hi: c + Vec2::new(h, h),
-        }
-    }
-
     #[inline]
     pub fn contains(&self, p: Vec2) -> bool {
         p.x >= self.lo.x && p.x < self.hi.x && p.y >= self.lo.y && p.y < self.hi.y
@@ -157,12 +136,6 @@ impl Aabb2 {
     #[inline]
     pub fn extent(&self) -> Vec2 {
         self.hi - self.lo
-    }
-
-    #[inline]
-    pub fn area(&self) -> f64 {
-        let e = self.extent();
-        (e.x * e.y).max(0.0)
     }
 }
 
@@ -214,9 +187,6 @@ mod tests {
         let c = Aabb3::new(Vec3::splat(5.0), Vec3::splat(6.0));
         assert!(a.intersects(&b));
         assert!(!a.intersects(&c));
-        let i = a.intersection(&b).unwrap();
-        assert_eq!(i, Aabb3::new(Vec3::splat(1.0), Vec3::splat(2.0)));
-        assert!(a.intersection(&c).is_none());
         // Touching boxes do not intersect under the half-open convention.
         let d = Aabb3::new(Vec3::new(2.0, 0.0, 0.0), Vec3::new(4.0, 2.0, 2.0));
         assert!(!a.intersects(&d));
@@ -228,6 +198,5 @@ mod tests {
         let f = b.footprint();
         assert_eq!(f.lo, Vec2::new(0.0, 1.0));
         assert_eq!(f.hi, Vec2::new(3.0, 4.0));
-        assert!((f.area() - 9.0).abs() < 1e-12);
     }
 }

@@ -55,12 +55,6 @@ pub fn two_product(a: f64, b: f64) -> (f64, f64) {
     (hi, lo)
 }
 
-/// Exact square via FMA.
-#[inline]
-pub fn two_square(a: f64) -> (f64, f64) {
-    two_product(a, a)
-}
-
 /// Add a single `f64` to an expansion. Output is zero-eliminated.
 pub fn grow_expansion(e: &[f64], b: f64) -> Vec<f64> {
     let mut out = Vec::with_capacity(e.len() + 1);
@@ -166,17 +160,6 @@ pub fn sign(e: &[f64]) -> i32 {
         Some(&c) if c > 0.0 => 1,
         Some(&c) if c < 0.0 => -1,
         _ => 0,
-    }
-}
-
-/// Build the 2-component expansion of an exact product of two doubles.
-#[inline]
-pub fn product_expansion(a: f64, b: f64) -> Vec<f64> {
-    let (hi, lo) = two_product(a, b);
-    if lo != 0.0 {
-        vec![lo, hi]
-    } else {
-        vec![hi]
     }
 }
 

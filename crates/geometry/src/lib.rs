@@ -22,14 +22,12 @@
 
 pub mod aabb;
 pub mod expansion;
-pub mod mat;
 pub mod plucker;
 pub mod predicates;
 pub mod tetra;
 pub mod vec;
 
 pub use aabb::{Aabb2, Aabb3};
-pub use mat::Mat3;
 pub use plucker::{FaceCrossing, Plucker, Ray};
 pub use predicates::{incircle, insphere, orient2d, orient3d, Orientation};
 pub use vec::{Vec2, Vec3};

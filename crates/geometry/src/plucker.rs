@@ -41,18 +41,6 @@ impl Ray {
             dir: Vec3::new(0.0, 0.0, 1.0),
         }
     }
-
-    /// Point at parameter `t`.
-    #[inline]
-    pub fn at(&self, t: f64) -> Vec3 {
-        self.origin + self.dir * t
-    }
-
-    /// Ray parameter of the (assumed on-ray) point `p`.
-    #[inline]
-    pub fn param_of(&self, p: Vec3) -> f64 {
-        (p - self.origin).dot(self.dir) / self.dir.norm_sq()
-    }
 }
 
 /// Plücker coordinates `{u : v} = {l : l × x}` of a line (Eq. 7).
@@ -138,14 +126,6 @@ pub fn classify_face(s_ab: f64, s_bc: f64, s_ca: f64) -> FaceCrossing {
     // At least one product is exactly zero and the rest do not disagree:
     // the line grazes a vertex/edge or lies in the face plane.
     FaceCrossing::Degenerate
-}
-
-/// Test the crossing of a line with a single oriented face.
-pub fn ray_face(r: &Plucker, a: Vec3, b: Vec3, c: Vec3) -> FaceCrossing {
-    let s_ab = r.side(&Plucker::from_edge(a, b));
-    let s_bc = r.side(&Plucker::from_edge(b, c));
-    let s_ca = r.side(&Plucker::from_edge(c, a));
-    classify_face(s_ab, s_bc, s_ca)
 }
 
 /// Cartesian intersection point from barycentric weights (Eq. 10).
@@ -465,6 +445,19 @@ mod tests {
         z: 0.0,
     };
 
+    /// The crossing of a line with a single oriented face.
+    fn ray_face(r: &Plucker, a: Vec3, b: Vec3, c: Vec3) -> FaceCrossing {
+        let s_ab = r.side(&Plucker::from_edge(a, b));
+        let s_bc = r.side(&Plucker::from_edge(b, c));
+        let s_ca = r.side(&Plucker::from_edge(c, a));
+        classify_face(s_ab, s_bc, s_ca)
+    }
+
+    /// Ray parameter of the (assumed on-ray) point `p`.
+    fn param_of(ray: &Ray, p: Vec3) -> f64 {
+        (p - ray.origin).dot(ray.dir) / ray.dir.norm_sq()
+    }
+
     #[test]
     fn side_zero_for_meeting_lines() {
         let r1 = Plucker::from_ray(&Ray::new(Vec3::ZERO, Vec3::new(1.0, 0.0, 0.0)));
@@ -571,7 +564,7 @@ mod tests {
         let hit = ray_tetra(&Plucker::from_ray(&ray), &verts);
         let (_, p_in) = hit.enter.unwrap();
         let (_, p_out) = hit.exit.unwrap();
-        assert!(ray.param_of(p_in) < ray.param_of(p_out));
+        assert!(param_of(&ray, p_in) < param_of(&ray, p_out));
     }
 
     fn rand_unit(s: &mut u64) -> f64 {
@@ -688,8 +681,8 @@ mod tests {
             let (_, p_out) = hit.exit.unwrap();
             // Both points must lie (approximately) on the ray.
             for p in [p_in, p_out] {
-                let t = ray.param_of(p);
-                assert!(ray.at(t).distance(p) < 1e-9, "point {p:?} not on ray");
+                let on_ray = ray.origin + ray.dir * param_of(&ray, p);
+                assert!(on_ray.distance(p) < 1e-9, "point {p:?} not on ray");
             }
         }
     }

@@ -1,6 +1,6 @@
-//! Tetrahedron helpers: volumes, barycentric coordinates, circumcenters and
-//! the constant gradient of a linear field over a tetrahedron (the
-//! `∇̂f|_Del` of DTFE, paper Eq. 1).
+//! Tetrahedron helpers: volumes, barycentric coordinates and the constant
+//! gradient of a linear field over a tetrahedron (the `∇̂f|_Del` of DTFE,
+//! paper Eq. 1).
 
 use crate::predicates::orient3d_det;
 use crate::vec::Vec3;
@@ -16,12 +16,6 @@ pub fn signed_volume6(a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> f64 {
 #[inline]
 pub fn volume(a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> f64 {
     signed_volume6(a, b, c, d).abs() / 6.0
-}
-
-/// Centroid of the tetrahedron.
-#[inline]
-pub fn centroid(v: &[Vec3; 4]) -> Vec3 {
-    (v[0] + v[1] + v[2] + v[3]) * 0.25
 }
 
 /// Barycentric coordinates of `p` with respect to tetrahedron `v`.
@@ -49,27 +43,6 @@ pub fn contains(p: Vec3, v: &[Vec3; 4], eps: f64) -> bool {
     }
 }
 
-/// Circumcenter of the tetrahedron; `None` when degenerate.
-///
-/// Solves the linear system `2 (v_i - v_0) · x = |v_i|² - |v_0|²` by Cramer's
-/// rule. Not robust for near-degenerate tetrahedra — intended for validation
-/// and tests, not for predicate decisions (those go through
-/// [`crate::predicates::insphere`]).
-pub fn circumcenter(v: &[Vec3; 4]) -> Option<Vec3> {
-    let r1 = v[1] - v[0];
-    let r2 = v[2] - v[0];
-    let r3 = v[3] - v[0];
-    let b1 = 0.5 * (v[1].norm_sq() - v[0].norm_sq());
-    let b2 = 0.5 * (v[2].norm_sq() - v[0].norm_sq());
-    let b3 = 0.5 * (v[3].norm_sq() - v[0].norm_sq());
-    solve3(r1, r2, r3, Vec3::new(b1, b2, b3))
-}
-
-/// Squared circumradius; `None` when degenerate.
-pub fn circumradius_sq(v: &[Vec3; 4]) -> Option<f64> {
-    circumcenter(v).map(|c| c.distance_sq(v[0]))
-}
-
 /// Solve the 3x3 system with rows `r1, r2, r3` and right-hand side `b` by
 /// Cramer's rule. `None` for a singular matrix.
 pub fn solve3(r1: Vec3, r2: Vec3, r3: Vec3, b: Vec3) -> Option<Vec3> {
@@ -92,12 +65,6 @@ pub fn linear_gradient(v: &[Vec3; 4], f: &[f64; 4]) -> Option<Vec3> {
         v[3] - v[0],
         Vec3::new(f[1] - f[0], f[2] - f[0], f[3] - f[0]),
     )
-}
-
-/// Evaluate the linear interpolant defined by vertex values `f` at point `p`
-/// (paper Eq. 1): `f̂(p) = f(v0) + ∇̂f · (p - v0)`.
-pub fn interpolate_linear(v: &[Vec3; 4], f: &[f64; 4], p: Vec3) -> Option<f64> {
-    linear_gradient(v, f).map(|g| f[0] + g.dot(p - v[0]))
 }
 
 #[cfg(test)]
@@ -154,28 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn circumcenter_equidistant() {
-        let v = unit_tet();
-        let c = circumcenter(&v).unwrap();
-        let r0 = c.distance(v[0]);
-        for vi in &v[1..] {
-            assert!((c.distance(*vi) - r0).abs() < 1e-12);
-        }
-        assert_eq!(c, Vec3::new(0.5, 0.5, 0.5));
-    }
-
-    #[test]
-    fn circumcenter_degenerate_none() {
-        let v = [
-            Vec3::new(0.0, 0.0, 0.0),
-            Vec3::new(1.0, 0.0, 0.0),
-            Vec3::new(2.0, 0.0, 0.0),
-            Vec3::new(3.0, 0.0, 0.0),
-        ];
-        assert!(circumcenter(&v).is_none());
-    }
-
-    #[test]
     fn gradient_recovers_linear_field() {
         let v = [
             Vec3::new(0.1, 0.0, 0.3),
@@ -190,7 +135,7 @@ mod tests {
         assert!(g.distance(g_true) < 1e-10, "g = {g:?}");
         // Interpolation is exact for a linear field anywhere in space.
         let p = Vec3::new(0.4, 0.4, 0.4);
-        assert!((interpolate_linear(&v, &f, p).unwrap() - field(p)).abs() < 1e-10);
+        assert!((f[0] + g.dot(p - v[0]) - field(p)).abs() < 1e-10);
     }
 
     #[test]

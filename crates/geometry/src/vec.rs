@@ -65,17 +65,6 @@ impl Vec3 {
         self.norm_sq().sqrt()
     }
 
-    /// Unit vector in the same direction; `None` if the norm underflows.
-    #[inline]
-    pub fn normalized(self) -> Option<Vec3> {
-        let n = self.norm();
-        if n > 0.0 && n.is_finite() {
-            Some(self / n)
-        } else {
-            None
-        }
-    }
-
     #[inline]
     pub fn distance(self, o: Vec3) -> f64 {
         (self - o).norm()
@@ -111,12 +100,6 @@ impl Vec3 {
     #[inline]
     pub fn is_finite(self) -> bool {
         self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
-    }
-
-    /// Largest absolute component.
-    #[inline]
-    pub fn max_abs(self) -> f64 {
-        self.x.abs().max(self.y.abs()).max(self.z.abs())
     }
 }
 
@@ -384,14 +367,6 @@ mod tests {
         let x = Vec3::new(1.0, 0.0, 0.0);
         let y = Vec3::new(0.0, 1.0, 0.0);
         assert_eq!(x.cross(y), Vec3::new(0.0, 0.0, 1.0));
-    }
-
-    #[test]
-    fn normalized_unit_length() {
-        let v = Vec3::new(3.0, 4.0, 12.0);
-        let n = v.normalized().unwrap();
-        assert!((n.norm() - 1.0).abs() < 1e-15);
-        assert!(Vec3::ZERO.normalized().is_none());
     }
 
     #[test]

@@ -17,11 +17,8 @@
 
 pub mod configs;
 pub mod deflection;
-pub mod raytrace;
-pub mod spectra;
 pub mod thin_lens;
 
 pub use configs::{galaxy_galaxy_centers, multiplane_los_centers};
 pub use deflection::{deflection_maps, LensMaps};
-pub use raytrace::{trace_rays, LensPlane, RayTrace};
 pub use thin_lens::{convergence_map, critical_surface_density};

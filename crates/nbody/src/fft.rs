@@ -39,14 +39,6 @@ impl C64 {
     }
 
     #[inline]
-    pub fn conj(self) -> Self {
-        C64 {
-            re: self.re,
-            im: -self.im,
-        }
-    }
-
-    #[inline]
     pub fn norm_sq(self) -> f64 {
         self.re * self.re + self.im * self.im
     }

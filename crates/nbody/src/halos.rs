@@ -3,9 +3,7 @@
 //! These produce the heavy-tailed particle concentrations the paper's
 //! galaxy-galaxy lensing experiment stresses ("fields are required in the
 //! most highly concentrated particle regions"). NFW is the standard N-body
-//! halo profile; Plummer is a softer cored alternative; Soneira–Peebles is
-//! the classic analytic model of hierarchical (power-law correlated)
-//! clustering.
+//! halo profile.
 
 use crate::rng::Sampler;
 use dtfe_geometry::{Aabb3, Vec3};
@@ -44,62 +42,6 @@ pub fn sample_nfw(center: Vec3, r_vir: f64, c: f64, n: usize, s: &mut Sampler) -
             center + Vec3::new(d[0], d[1], d[2]) * r
         })
         .collect()
-}
-
-/// `n` particles from a Plummer sphere with scale radius `a` (analytic
-/// inverse CDF), truncated at `10 a`.
-pub fn sample_plummer(center: Vec3, a: f64, n: usize, s: &mut Sampler) -> Vec<Vec3> {
-    (0..n)
-        .map(|_| {
-            let r = loop {
-                let u = s.unit().max(1e-12);
-                let r = a / (u.powf(-2.0 / 3.0) - 1.0).sqrt();
-                if r <= 10.0 * a {
-                    break r;
-                }
-            };
-            let d = s.direction();
-            center + Vec3::new(d[0], d[1], d[2]) * r
-        })
-        .collect()
-}
-
-/// Soneira–Peebles hierarchical clustering: starting from one sphere of
-/// radius `r0`, recursively place `eta` child spheres of radius `r/lambda`
-/// at random positions inside the parent, `levels` deep; leaves emit one
-/// particle each (`eta^levels` total).
-pub fn soneira_peebles(
-    center: Vec3,
-    r0: f64,
-    eta: usize,
-    lambda: f64,
-    levels: usize,
-    s: &mut Sampler,
-) -> Vec<Vec3> {
-    assert!(lambda > 1.0, "child spheres must shrink");
-    let mut out = Vec::with_capacity(eta.pow(levels as u32));
-    fn recurse(
-        c: Vec3,
-        r: f64,
-        eta: usize,
-        lambda: f64,
-        depth: usize,
-        s: &mut Sampler,
-        out: &mut Vec<Vec3>,
-    ) {
-        if depth == 0 {
-            out.push(c);
-            return;
-        }
-        for _ in 0..eta {
-            let d = s.direction();
-            let radius = r * s.unit().cbrt(); // uniform in sphere volume
-            let child = c + Vec3::new(d[0], d[1], d[2]) * radius;
-            recurse(child, r / lambda, eta, lambda, depth - 1, s, out);
-        }
-    }
-    recurse(center, r0, eta, lambda, levels, s, &mut out);
-    out
 }
 
 /// A halo in a synthetic catalog.
@@ -257,41 +199,6 @@ mod tests {
             "mean offset {:?}",
             mean - center
         );
-    }
-
-    #[test]
-    fn plummer_sampler_bounded() {
-        let mut s = Sampler::new(4);
-        let pts = sample_plummer(Vec3::ZERO, 1.0, 1000, &mut s);
-        for p in &pts {
-            assert!(p.norm() <= 10.0 + 1e-9);
-        }
-        // Half-mass radius of a Plummer sphere ≈ 1.3 a; with truncation at
-        // 10a slightly less.
-        let mut rs: Vec<f64> = pts.iter().map(|p| p.norm()).collect();
-        rs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = rs[rs.len() / 2];
-        assert!((median - 1.3).abs() < 0.15, "median r = {median}");
-    }
-
-    #[test]
-    fn soneira_peebles_counts_and_containment() {
-        let mut s = Sampler::new(5);
-        let pts = soneira_peebles(Vec3::ZERO, 8.0, 3, 2.0, 4, &mut s);
-        assert_eq!(pts.len(), 81);
-        // All leaves within r0 * (1 + 1/λ + 1/λ² + ...) < r0 λ/(λ-1) = 16.
-        for p in &pts {
-            assert!(p.norm() < 16.0, "escaped: {p:?}");
-        }
-        // Hierarchical: clustered much more than uniform.
-        let v = crate::zeldovich::count_in_cells_variance(
-            &pts.iter()
-                .map(|p| *p + Vec3::splat(16.0))
-                .collect::<Vec<_>>(),
-            32.0,
-            4,
-        );
-        assert!(v > 2.0, "variance ratio = {v}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   spectrum (via the crate's own FFT, [`fft`]) displaced by the Zel'dovich
 //!   approximation: large-scale-structure-like clustering with a tunable
 //!   growth factor.
-//! * [`halos`] — NFW / Plummer / Soneira–Peebles samplers and the
+//! * [`halos`] — the NFW sampler and the
 //!   [`halos::clustered_box`] generator: heavy-tailed halo occupations that
 //!   recreate the load imbalance driving the paper's Figs. 9–13.
 //! * [`fof`] — friends-of-friends halo finding (the "density based
@@ -23,16 +23,12 @@
 pub mod datasets;
 pub mod fft;
 pub mod fof;
-pub mod gadget;
 pub mod grf;
 pub mod halos;
-pub mod pm;
 pub mod rng;
 pub mod snapshot;
 pub mod zeldovich;
 
 pub use fof::{fof_groups, FofGroup};
-pub use grf::PowerSpectrum;
 pub use halos::{clustered_box, ClusteredBoxSpec, Halo};
 pub use rng::Sampler;
-pub use zeldovich::{zeldovich_particles, ZeldovichSpec};

@@ -28,12 +28,6 @@ impl Sampler {
         lo + (hi - lo) * self.unit()
     }
 
-    /// Uniform integer in `[0, n)`.
-    #[inline]
-    pub fn index(&mut self, n: usize) -> usize {
-        self.rng.gen_range(0..n)
-    }
-
     /// Standard normal (Box–Muller; one value per call, cached pair
     /// deliberately omitted to keep the state minimal and reproducible).
     pub fn normal(&mut self) -> f64 {

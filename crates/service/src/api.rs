@@ -52,15 +52,6 @@ pub enum Stage {
 
 impl Stage {
     pub const ALL: [Stage; 4] = [Stage::Admission, Stage::Queue, Stage::Build, Stage::Render];
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            Stage::Admission => "admission",
-            Stage::Queue => "queue",
-            Stage::Build => "build",
-            Stage::Render => "render",
-        }
-    }
 }
 
 /// One field-render request: a cube of the service's `field_len` centred on

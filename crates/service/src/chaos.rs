@@ -170,16 +170,6 @@ impl SocketFaultRule {
     fn matches(&self, conn: u64, dir: Direction) -> bool {
         self.conn.is_none_or(|c| c == conn) && self.direction.is_none_or(|d| d == dir)
     }
-
-    fn is_inert(&self) -> bool {
-        self.drop_p == 0.0
-            && self.delay_p == 0.0
-            && self.truncate_p == 0.0
-            && self.split_p == 0.0
-            && self.stall_p == 0.0
-            && self.reset_p == 0.0
-            && self.bitflip_p == 0.0
-    }
 }
 
 /// A seeded, reproducible socket fault schedule.
@@ -208,11 +198,6 @@ impl SocketFaultPlan {
     pub fn rule(mut self, rule: SocketFaultRule) -> SocketFaultPlan {
         self.rules.push(rule);
         self
-    }
-
-    /// True when the plan can never inject anything.
-    pub fn is_noop(&self) -> bool {
-        self.rules.iter().all(SocketFaultRule::is_inert)
     }
 
     /// Decide the fate of frame number `seq` on `(conn, dir)`. Pure:
@@ -652,8 +637,6 @@ mod tests {
             plan.decide(0, Direction::ToServer, 0),
             SocketAction::Deliver
         );
-        assert!(SocketFaultPlan::none().is_noop());
-        assert!(!plan.is_noop());
     }
 
     #[test]

@@ -73,7 +73,6 @@ pub mod tcp;
 pub mod tiles;
 pub mod wire;
 
-pub use admission::Admission;
 pub use api::{
     HealthStatus, RenderRequest, RenderResponse, ResponseMeta, ShardHeartbeat, Stage, TraceContext,
 };

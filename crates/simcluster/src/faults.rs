@@ -10,7 +10,7 @@
 //! OS interleaves the rank threads.
 //!
 //! Scope: only **user-tagged point-to-point** messages are injectable.
-//! Collective traffic (`allgather`, `broadcast`, `alltoallv`, `barrier`)
+//! Collective traffic (`allgather`, `alltoallv`, `barrier`)
 //! is exempt — it stands in for MPI collectives over reliable transport,
 //! and a silently lost collective deadlocks every rank by construction,
 //! which is not a recoverable failure mode. The supported way to break a

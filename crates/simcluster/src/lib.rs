@@ -4,7 +4,7 @@
 //! The paper's distributed framework is C++/MPI on Cooley and Mira. This
 //! crate preserves the *communication structure* — blocking point-to-point
 //! `send`/`recv` with tags and selective receive, `barrier`,
-//! `allgather`, `broadcast`, `alltoallv` — while the transport is
+//! `allgather`, `alltoallv` — while the transport is
 //! crossbeam channels between threads of one process. The framework code in
 //! `dtfe-framework` is written against this API exactly the way the paper
 //! describes its MPI usage (`MPI_Allgather` for the model exchange,
@@ -58,47 +58,3 @@ pub mod transport;
 
 pub use faults::{FaultPlan, FaultRule, FaultStats};
 pub use transport::{run, run_with_faults, Comm};
-
-/// Per-thread CPU time in seconds (`CLOCK_THREAD_CPUTIME_ID`).
-///
-/// Thread-ranks oversubscribe the host's cores, so wall-clock timers
-/// measured inside a rank include the time other ranks were scheduled.
-/// Phase timings in the framework therefore use this clock: it advances
-/// only while *this* thread executes, which is exactly the per-rank busy
-/// time the paper's wall-clock measurements correspond to on dedicated
-/// cores. (Std has no thread CPU clock, hence the single `libc` call.)
-pub fn thread_cpu_time() -> f64 {
-    let mut ts = libc::timespec {
-        tv_sec: 0,
-        tv_nsec: 0,
-    };
-    // Safety: plain syscall writing into a stack timespec.
-    let rc = unsafe { libc::clock_gettime(libc::CLOCK_THREAD_CPUTIME_ID, &mut ts) };
-    assert_eq!(rc, 0, "clock_gettime(CLOCK_THREAD_CPUTIME_ID) failed");
-    ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
-}
-
-#[cfg(test)]
-mod cpu_time_tests {
-    use super::thread_cpu_time;
-
-    #[test]
-    fn advances_with_work() {
-        let t0 = thread_cpu_time();
-        let mut acc = 0u64;
-        for i in 0..5_000_000u64 {
-            acc = acc.wrapping_add(i * i);
-        }
-        std::hint::black_box(acc);
-        let t1 = thread_cpu_time();
-        assert!(t1 > t0, "thread CPU clock did not advance");
-    }
-
-    #[test]
-    fn does_not_advance_while_sleeping() {
-        let t0 = thread_cpu_time();
-        std::thread::sleep(std::time::Duration::from_millis(80));
-        let t1 = thread_cpu_time();
-        assert!(t1 - t0 < 0.05, "sleep consumed {:.3}s CPU", t1 - t0);
-    }
-}

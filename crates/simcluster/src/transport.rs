@@ -288,23 +288,6 @@ impl Comm {
         out.into_iter().map(|v| v.unwrap()).collect()
     }
 
-    /// Broadcast from `root`: `value` must be `Some` on the root (ignored
-    /// elsewhere).
-    pub fn broadcast<T: Clone + Send + 'static>(&mut self, root: usize, value: Option<T>) -> T {
-        let tag = self.next_coll();
-        if self.rank == root {
-            let v = value.expect("broadcast root must supply a value");
-            for dst in 0..self.size {
-                if dst != root {
-                    self.send_tagged(dst, tag, v.clone());
-                }
-            }
-            v
-        } else {
-            self.recv_tagged::<T>(Some(root), tag).1
-        }
-    }
-
     /// Personalized all-to-all: `sends[d]` goes to rank `d`; returns what
     /// every rank sent here, in rank order (the particle-redistribution
     /// primitive).
@@ -495,21 +478,6 @@ mod tests {
         for (a, b) in out {
             assert_eq!(a, vec![0, 1, 2]);
             assert_eq!(b, vec![0, 100, 200]);
-        }
-    }
-
-    #[test]
-    fn broadcast_from_each_root() {
-        for root in 0..3 {
-            let out = run(3, move |mut comm| {
-                let v = if comm.rank() == root {
-                    Some(format!("hello-{root}"))
-                } else {
-                    None
-                };
-                comm.broadcast(root, v)
-            });
-            assert!(out.iter().all(|v| v == &format!("hello-{root}")));
         }
     }
 

@@ -30,11 +30,6 @@ pub fn thread_cpu_us() -> u64 {
     ts.tv_sec as u64 * 1_000_000 + ts.tv_nsec as u64 / 1_000
 }
 
-/// CPU time consumed by the calling thread, in seconds.
-pub fn thread_cpu_s() -> f64 {
-    thread_cpu_us() as f64 * 1e-6
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -51,11 +51,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Retention capacity in traces.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Append one trace, evicting the oldest past capacity.
     pub fn record(&self, trace: RequestTrace) {
         let mut ring = self.ring.lock().unwrap();
@@ -64,15 +59,6 @@ impl FlightRecorder {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
         ring.push_back(trace);
-    }
-
-    /// Traces currently retained.
-    pub fn len(&self) -> usize {
-        self.ring.lock().unwrap().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ring.lock().unwrap().is_empty()
     }
 
     /// Traces evicted because the ring was full.
@@ -149,9 +135,9 @@ mod tests {
         for i in 0..5 {
             fr.record(trace(&format!("{i:032x}"), i * 1000));
         }
-        assert_eq!(fr.len(), 3);
         assert_eq!(fr.dropped(), 2);
         let ids: Vec<String> = fr.snapshot().into_iter().map(|t| t.trace_id).collect();
+        assert_eq!(ids.len(), 3);
         // Oldest two evicted; insertion order preserved.
         assert_eq!(ids[0], format!("{:032x}", 2));
         assert_eq!(ids[2], format!("{:032x}", 4));

@@ -53,7 +53,6 @@ pub use recorder::{
     TelemetrySnapshot,
 };
 pub use stats::{normalized_std, LoadSummary};
-pub use window::{GaugeWindow, WindowedGauge, WindowedHistogram};
 
 /// Open a span: `span!("name")` or `span!("name", key = value, ...)`.
 /// Returns a [`SpanGuard`] that records on drop; bind it (`let sp = ...`)

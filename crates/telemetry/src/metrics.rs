@@ -185,10 +185,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
@@ -199,11 +195,6 @@ impl MetricsSnapshot {
 
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
-    }
-
-    /// Windowed histogram for `name`, if the recorder windows it.
-    pub fn window(&self, name: &str) -> Option<&Histogram> {
-        self.windows.get(name)
     }
 
     pub fn merge_from(&mut self, other: &MetricsSnapshot) {

@@ -202,15 +202,6 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// Total wall time covered by spans at the given depth, in seconds.
-    pub fn span_wall_s(&self, depth: u32) -> f64 {
-        self.spans
-            .iter()
-            .filter(|s| s.depth == depth)
-            .map(|s| s.dur_us as f64 * 1e-6)
-            .sum()
-    }
-
     /// Total thread-CPU time covered by spans at the given depth, in seconds.
     pub fn span_cpu_s(&self, depth: u32) -> f64 {
         self.spans
@@ -240,10 +231,6 @@ impl Recorder {
                 shards: Mutex::new(Vec::new()),
             }),
         }
-    }
-
-    pub fn label(&self) -> &str {
-        &self.inner.label
     }
 
     fn shard_for_current_thread(&self) -> Arc<Shard> {

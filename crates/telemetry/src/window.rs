@@ -42,11 +42,6 @@ impl WindowedHistogram {
         }
     }
 
-    /// Total time span the window covers, in microseconds.
-    pub fn window_us(&self) -> u64 {
-        self.width_us * self.slots.len() as u64
-    }
-
     /// Record one sample at an explicit timestamp.
     pub fn record_at(&mut self, now_us: u64, v: u64) {
         let epoch = now_us / self.width_us;
@@ -83,11 +78,6 @@ impl WindowedHistogram {
             }
         }
         out
-    }
-
-    /// Merge every currently-live slot into one histogram.
-    pub fn merged(&self) -> Histogram {
-        self.merged_at(clock::now_us())
     }
 }
 
@@ -190,11 +180,6 @@ impl WindowedGauge {
             });
         }
         out
-    }
-
-    /// The gauge's window digest as of now.
-    pub fn merged(&self) -> Option<GaugeWindow> {
-        self.merged_at(clock::now_us())
     }
 }
 
