@@ -185,7 +185,7 @@ impl DtfeField {
 
 impl FieldEstimator for DtfeField {
     fn view(&self) -> FieldView<'_> {
-        self.mesh.view(&self.table.interp)
+        self.mesh.view(self.table.interp())
     }
 }
 

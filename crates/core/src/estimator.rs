@@ -3,15 +3,16 @@
 //! The paper's pipeline — Delaunay mesh → per-simplex linear interpolant →
 //! exact line-of-sight integration (Eq. 12) — has exactly one input, and
 //! [`FieldView`] is that input: the triangulation, its pre-normalized
-//! traversal cache, and one linear interpolant `(f₀, ∇f)` per tetrahedron
-//! slot (Eq. 1, about the slot's first vertex `x₀`, which the mesh holds).
+//! traversal cache, and the field on each tetrahedron slot ([`SlotValues`]):
+//! a linear interpolant `(f₀, ∇f)` (Eq. 1, about the slot's first vertex
+//! `x₀`, which the mesh holds) or one constant per simplex.
 //! Both kernels in [`crate::marching`] take a `FieldView` and nothing else,
 //! so each is compiled once however many backends exist. A backend is
 //! whatever *fills the table*:
 //! [`crate::density::DtfeTable`] (Eq. 2 densities),
 //! [`crate::fields::ScalarField`] (any per-vertex scalar),
 //! [`crate::stochastic::StochasticTable`] (a jittered, mass-rescaled mean)
-//! — all three through the one [`vertex_interp`] loop below — and
+//! — all three linear, through the one [`vertex_interp`] loop below — and
 //! [`crate::psdtfe::PsDtfeTable`] (two per-simplex-constant tables, density
 //! and velocity divergence). A table borrows the mesh it is built over, so
 //! any number of them share one [`RenderMesh`] — the triangulation, in
@@ -30,11 +31,47 @@ use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
+/// A table's per-slot values, as the kernels read them.
+#[derive(Clone, Copy)]
+pub enum SlotValues<'a> {
+    /// One linear row per slot, `f(x) = rho0 + grad · (x − x₀)` (Eq. 1),
+    /// `x₀` the slot's first vertex: DTFE, stochastic and
+    /// [`crate::fields::ScalarField`] tables.
+    Linear(&'a [TetInterp]),
+    /// One number per simplex, `f(x) = c[t]`: the PS-DTFE density and
+    /// velocity divergence, whose Eq. 12 integral is that number times the
+    /// crossing length.
+    Constant(&'a [f64]),
+}
+
+impl SlotValues<'_> {
+    /// The field inside slot `t` at `p`; `x0` is the slot's first vertex.
+    #[inline]
+    pub fn eval(&self, t: TetId, x0: Vec3, p: Vec3) -> f64 {
+        match self {
+            SlotValues::Linear(rows) => rows[t as usize].eval(x0, p),
+            SlotValues::Constant(c) => c[t as usize],
+        }
+    }
+}
+
+impl<'a> From<&'a [TetInterp]> for SlotValues<'a> {
+    fn from(rows: &'a [TetInterp]) -> Self {
+        SlotValues::Linear(rows)
+    }
+}
+
+impl<'a> From<&'a [f64]> for SlotValues<'a> {
+    fn from(c: &'a [f64]) -> Self {
+        SlotValues::Constant(c)
+    }
+}
+
 /// What the kernels render: three borrows.
 ///
-/// * `interp[t]` must be valid for every *finite live* tetrahedron slot `t`
-///   of `del` (ghost/freed slots are never read by the kernel), so
-///   `interp.len() == del.num_slots()`.
+/// * `values` must be valid for every *finite live* tetrahedron slot `t`
+///   of `del` (ghost/freed slots are never read by the kernel), so it holds
+///   `del.num_slots()` entries.
 /// * `cache` must be [`MarchCache::build`] of that same `del` —
 ///   [`FieldView::new`] guarantees it.
 #[derive(Clone, Copy)]
@@ -43,9 +80,8 @@ pub struct FieldView<'a> {
     pub del: &'a Delaunay,
     /// The marching kernel's pre-normalized tetrahedron cache.
     pub cache: &'a MarchCache,
-    /// Per-slot linear interpolant `f(x) = rho0 + grad · (x − x₀)` (Eq. 1),
-    /// `x₀` the slot's first vertex in `del`.
-    pub interp: &'a [TetInterp],
+    /// The field on each slot of `del`.
+    pub values: SlotValues<'a>,
 }
 
 impl<'a> FieldView<'a> {
@@ -55,12 +91,12 @@ impl<'a> FieldView<'a> {
     pub fn new(
         del: &'a Delaunay,
         cache: &'a OnceLock<MarchCache>,
-        interp: &'a [TetInterp],
+        values: SlotValues<'a>,
     ) -> FieldView<'a> {
         FieldView {
             del,
             cache: cache.get_or_init(|| MarchCache::build(del)),
-            interp,
+            values,
         }
     }
 }
@@ -125,20 +161,20 @@ impl RenderMesh {
         &self.star
     }
 
-    /// What the kernels render for one table over this mesh
-    /// (`interp.len() == self.delaunay().num_slots()`).
-    pub fn view<'a>(&'a self, interp: &'a [TetInterp]) -> FieldView<'a> {
-        FieldView::new(&self.del, &self.march, interp)
+    /// What the kernels render for one table over this mesh — linear rows
+    /// or per-simplex constants, one per slot of [`RenderMesh::delaunay`].
+    pub fn view<'a>(&'a self, values: impl Into<SlotValues<'a>>) -> FieldView<'a> {
+        FieldView::new(&self.del, &self.march, values.into())
     }
 }
 
 /// An integrable piecewise-linear field over a Delaunay mesh. A backend
 /// implements [`FieldEstimator::view`]; everything else is derived from it.
 /// Backends sharing one triangulation (a density field and its
-/// velocity-divergence view) hand out views that differ only in `interp`,
+/// velocity-divergence view) hand out views that differ only in `values`,
 /// so a [`crate::marching::HullIndex`] built for one serves the other.
 pub trait FieldEstimator: Sync {
-    /// The (mesh, traversal cache, interpolant table) the kernels render.
+    /// The (mesh, traversal cache, per-slot values) the kernels render.
     fn view(&self) -> FieldView<'_>;
 
     /// The triangulation the field is defined over.
@@ -151,9 +187,12 @@ pub trait FieldEstimator: Sync {
         self.view().cache
     }
 
-    /// The linear interpolant of finite tetrahedron `t`.
-    fn tet_interp(&self, t: TetId) -> &TetInterp {
-        &self.view().interp[t as usize]
+    /// The field inside finite tetrahedron `t` at `p` (no containment
+    /// check).
+    fn tet_value(&self, t: TetId, p: Vec3) -> f64 {
+        let view = self.view();
+        let x0 = view.del.vertex(view.del.tet(t).verts[0]);
+        view.values.eval(t, x0, p)
     }
 }
 

@@ -10,7 +10,7 @@
 
 use crate::density::TetInterp;
 use crate::estimator::{
-    vertex_interp, DegeneratePolicy, DegenerateTetError, FieldEstimator, FieldView,
+    vertex_interp, DegeneratePolicy, DegenerateTetError, FieldEstimator, FieldView, SlotValues,
 };
 use crate::marching::MarchCache;
 use dtfe_delaunay::{Delaunay, Located, TetId};
@@ -90,7 +90,7 @@ impl<'a> ScalarField<'a> {
 
 impl FieldEstimator for ScalarField<'_> {
     fn view(&self) -> FieldView<'_> {
-        FieldView::new(self.del, &self.march, &self.interp)
+        FieldView::new(self.del, &self.march, SlotValues::Linear(&self.interp))
     }
 }
 
@@ -147,12 +147,7 @@ mod tests {
         let values: Vec<f64> = del.vertices().iter().map(|p| p.x + 2.0 * p.y).collect();
         let strict = ScalarField::try_new(&del, values.clone()).expect("no degenerate tets");
         let lax = ScalarField::new(&del, values);
-        for t in del.finite_tets() {
-            assert_eq!(
-                FieldEstimator::tet_interp(&strict, t),
-                FieldEstimator::tet_interp(&lax, t)
-            );
-        }
+        assert_eq!(strict.interp, lax.interp);
     }
 
     #[test]

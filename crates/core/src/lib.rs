@@ -21,7 +21,8 @@
 //!   the Fig. 6 experiment reproduces.
 //! * [`grid`] — 2D/3D grid specifications and the field containers.
 //! * [`estimator`] — [`FieldView`], the one thing the kernels render: a
-//!   mesh, its traversal cache and one linear interpolant per tetrahedron.
+//!   mesh, its traversal cache and the field on each tetrahedron — a linear
+//!   interpolant or, for PS-DTFE, one constant ([`SlotValues`]).
 //!   A backend fills that table — any number of tables borrow one
 //!   [`RenderMesh`] — and hands the view out through the one-method
 //!   [`FieldEstimator`] trait; the shared vertex-field loops (gradients,
@@ -77,7 +78,9 @@ pub mod stochastic;
 pub mod walking;
 
 pub use density::{DtfeField, DtfeTable, Mass};
-pub use estimator::{DegenerateTetError, EstimatorKind, FieldEstimator, FieldView, RenderMesh};
+pub use estimator::{
+    DegenerateTetError, EstimatorKind, FieldEstimator, FieldView, RenderMesh, SlotValues,
+};
 pub use fields::ScalarField;
 pub use grid::{Field2, Field3, GridError, GridSpec2, GridSpec3};
 pub use marching::{

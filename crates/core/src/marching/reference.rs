@@ -248,7 +248,7 @@ fn reference_march_cell_inner(
             }
             if b > a {
                 let mid = Vec3::new(xi_cur.x, xi_cur.y, 0.5 * (a + b));
-                let rho_mid = field.interp[t as usize].eval(verts[0], mid);
+                let rho_mid = field.values.eval(t, verts[0], mid);
                 total += rho_mid * (b - a);
             }
             if let Some((_, zhi)) = z_range {

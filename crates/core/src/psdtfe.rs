@@ -20,15 +20,16 @@
 //! of the reference implementation); a degenerate simplex is a typed error,
 //! never a silent zero. Only its trace is kept: the velocity divergence,
 //! rendered through the same marching kernel via
-//! [`PsDtfeField::divergence`].
+//! [`PsDtfeField::divergence`]. Both tables hold one number per simplex
+//! ([`SlotValues::Constant`]): Eq. 12 integrates a constant exactly from it.
 //!
 //! In a multi-stream region the Zel'dovich map folds the Lagrangian mesh
 //! over itself; [`StreamField`] counts streams at a point by counting the
 //! mapped (possibly inverted) tetrahedra containing it, with the fold
 //! detected by the **orientation sign** of each mapped tetrahedron.
 
-use crate::density::{Mass, TetInterp};
-use crate::estimator::{vertex_masses, DegenerateTetError, FieldEstimator, FieldView};
+use crate::density::Mass;
+use crate::estimator::{vertex_masses, DegenerateTetError, FieldEstimator, FieldView, SlotValues};
 use crate::marching::MarchCache;
 use dtfe_delaunay::{BuildError, Delaunay, DelaunayBuilder, TetId};
 use dtfe_geometry::tetra::{linear_gradient, signed_volume6, volume};
@@ -69,15 +70,13 @@ impl From<DegenerateTetError> for PsDtfeError {
     }
 }
 
-/// The PS-DTFE tables over a triangulation, in its slot order: per-simplex
-/// constant density and velocity divergence. Ghost/freed slots hold zeros.
+/// The PS-DTFE tables over a triangulation, in its slot order: one number
+/// per simplex, 8 B a slot each. Ghost/freed slots hold zeros.
 pub struct PsDtfeTable {
-    /// Per-slot density interpolant; PS-DTFE densities are constant per
-    /// simplex, so `grad` is always zero and `rho0` is `ρ_T`.
-    interp: Vec<TetInterp>,
-    /// Per-slot velocity-divergence interpolant (`rho0 = tr ∇v`, constant
-    /// per simplex).
-    div_interp: Vec<TetInterp>,
+    /// `ρ_T` per slot.
+    density: Vec<f64>,
+    /// `tr ∇v` per slot.
+    divergence: Vec<f64>,
 }
 
 impl PsDtfeTable {
@@ -121,8 +120,8 @@ impl PsDtfeTable {
         }
 
         let slots = del.num_slots();
-        let mut interp = vec![TetInterp::ZERO; slots];
-        let mut div_interp = vec![TetInterp::ZERO; slots];
+        let mut density = vec![0.0; slots];
+        let mut divergence = vec![0.0; slots];
         for t in 0..slots as u32 {
             let tet = del.tet_slot(t);
             if !tet.is_live() || tet.is_ghost() {
@@ -146,10 +145,7 @@ impl PsDtfeTable {
                 })
                 .sum();
             if vol > 0.0 {
-                interp[t as usize] = TetInterp {
-                    rho0: m_t / vol,
-                    grad: Vec3::ZERO,
-                };
+                density[t as usize] = m_t / vol;
             }
 
             // ∇v rows: one linear solve per velocity component, reduced to
@@ -163,26 +159,26 @@ impl PsDtfeTable {
                 let f = [vel[0][c], vel[1][c], vel[2][c], vel[3][c]];
                 *row = linear_gradient(&p, &f).ok_or(DegenerateTetError { tet: t })?;
             }
-            div_interp[t as usize] = TetInterp {
-                rho0: rows[0].x + rows[1].y + rows[2].z,
-                grad: Vec3::ZERO,
-            };
+            divergence[t as usize] = rows[0].x + rows[1].y + rows[2].z;
         }
 
-        Ok(PsDtfeTable { interp, div_interp })
+        Ok(PsDtfeTable {
+            density,
+            divergence,
+        })
     }
 
-    /// The per-slot density interpolants.
+    /// The per-slot densities `ρ_T`.
     #[inline]
-    pub fn density(&self) -> &[TetInterp] {
-        &self.interp
+    pub fn density(&self) -> &[f64] {
+        &self.density
     }
 
-    /// The per-slot velocity-divergence interpolants: rendering them
-    /// integrates `∫ ∇·v dz`.
+    /// The per-slot velocity divergences `tr ∇v`: rendering them integrates
+    /// `∫ ∇·v dz`.
     #[inline]
-    pub fn divergence(&self) -> &[TetInterp] {
-        &self.div_interp
+    pub fn divergence(&self) -> &[f64] {
+        &self.divergence
     }
 }
 
@@ -231,13 +227,13 @@ impl PsDtfeField {
     /// The constant density of simplex `t`.
     #[inline]
     pub fn tet_density(&self, t: TetId) -> f64 {
-        self.table.interp[t as usize].rho0
+        self.table.density[t as usize]
     }
 
     /// The constant velocity divergence `tr ∇v` of simplex `t`.
     #[inline]
     pub fn tet_divergence(&self, t: TetId) -> f64 {
-        self.table.div_interp[t as usize].rho0
+        self.table.divergence[t as usize]
     }
 
     /// Total estimated mass `Σ_T ρ_T V_T` — equals the input mass exactly
@@ -253,7 +249,7 @@ impl PsDtfeField {
     }
 
     /// The velocity-divergence view: a [`FieldEstimator`] over the *same*
-    /// mesh and marching cache whose interpolant is `tr ∇v` per simplex.
+    /// mesh and marching cache whose value is `tr ∇v` per simplex.
     /// Rendering it integrates `∫ ∇·v dz`.
     pub fn divergence(&self) -> PsDtfeDivergence<'_> {
         PsDtfeDivergence(self)
@@ -263,7 +259,11 @@ impl PsDtfeField {
 /// PS-DTFE density: the per-simplex-constant table.
 impl FieldEstimator for PsDtfeField {
     fn view(&self) -> FieldView<'_> {
-        FieldView::new(&self.del, &self.march, &self.table.interp)
+        FieldView::new(
+            &self.del,
+            &self.march,
+            SlotValues::Constant(&self.table.density),
+        )
     }
 }
 
@@ -274,7 +274,11 @@ pub struct PsDtfeDivergence<'a>(&'a PsDtfeField);
 
 impl FieldEstimator for PsDtfeDivergence<'_> {
     fn view(&self) -> FieldView<'_> {
-        FieldView::new(&self.0.del, &self.0.march, &self.0.table.div_interp)
+        FieldView::new(
+            &self.0.del,
+            &self.0.march,
+            SlotValues::Constant(&self.0.table.divergence),
+        )
     }
 }
 
@@ -442,6 +446,13 @@ mod tests {
             assert!((rows[1] - Vec3::new(0.0, 3.0, 0.0)).norm() < 1e-8);
             assert!((rows[2] - Vec3::new(-1.0, 0.0, 4.0)).norm() < 1e-8);
             assert!((field.tet_divergence(t) - 9.0).abs() < 1e-8);
+            // Both views read the simplex's one number anywhere inside it.
+            let mid = (p[0] + p[1] + p[2] + p[3]) * 0.25;
+            assert_eq!(
+                field.divergence().tet_value(t, mid),
+                field.tet_divergence(t)
+            );
+            assert_eq!(field.tet_value(t, mid), field.tet_density(t));
         }
     }
 

@@ -21,7 +21,7 @@
 
 use crate::density::{DtfeField, Mass, TetInterp};
 use crate::estimator::{
-    integrate_vertex_field, vertex_interp, DegeneratePolicy, FieldEstimator, FieldView,
+    integrate_vertex_field, vertex_interp, DegeneratePolicy, FieldEstimator, FieldView, SlotValues,
 };
 use crate::marching::MarchCache;
 use dtfe_delaunay::{BuildError, Delaunay, DelaunayBuilder};
@@ -221,7 +221,11 @@ impl StochasticField {
 
 impl FieldEstimator for StochasticField {
     fn view(&self) -> FieldView<'_> {
-        FieldView::new(&self.del, &self.march, &self.table.interp)
+        FieldView::new(
+            &self.del,
+            &self.march,
+            SlotValues::Linear(&self.table.interp),
+        )
     }
 }
 

@@ -11,8 +11,8 @@
 use dtfe_core::density::TetInterp;
 use dtfe_core::{
     surface_density_with_index, DtfeField, DtfeTable, FieldEstimator, GridSpec2, HullIndex,
-    MarchOptions, Mass, PsDtfeField, PsDtfeTable, RenderMesh, StochasticField, StochasticOptions,
-    StochasticTable,
+    MarchOptions, Mass, PsDtfeField, PsDtfeTable, RenderMesh, SlotValues, StochasticField,
+    StochasticOptions, StochasticTable,
 };
 use dtfe_delaunay::DelaunayBuilder;
 use dtfe_geometry::{Vec2, Vec3};
@@ -100,6 +100,13 @@ fn interp_bits(t: &[TetInterp]) -> Vec<[u64; 4]> {
         .collect()
 }
 
+fn linear(values: SlotValues<'_>) -> &[TetInterp] {
+    match values {
+        SlotValues::Linear(rows) => rows,
+        SlotValues::Constant(_) => panic!("a vertex field has linear rows"),
+    }
+}
+
 /// Full depth with two samples, and a z window: both entry paths.
 fn renders<E: FieldEstimator + ?Sized>(field: &E, idx: &HullIndex) -> Vec<Vec<u64>> {
     let grid = GridSpec2::covering(Vec2::new(0.4, 0.4), Vec2::new(5.6, 5.6), 19, 23);
@@ -127,7 +134,7 @@ fn dtfe_table_over_a_render_mesh_is_the_dtfe_field() {
         );
         assert_eq!(
             interp_bits(table.interp()),
-            interp_bits(field.view().interp),
+            interp_bits(linear(field.view().values)),
             "{name}: interpolants"
         );
         let idx = HullIndex::for_mesh(mesh.delaunay());
@@ -178,7 +185,7 @@ fn stochastic_table_over_a_render_mesh_is_the_stochastic_field() {
         );
         assert_eq!(
             interp_bits(table.interp()),
-            interp_bits(field.view().interp),
+            interp_bits(linear(field.view().values)),
             "{name}: interpolants"
         );
     }

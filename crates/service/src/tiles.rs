@@ -3,8 +3,8 @@
 //! A tile is one cell of a snapshot's [`Decomposition`]; the cached artifact
 //! is the *one* Delaunay mesh of the tile's ghost-padded particle set — in
 //! render order, with its traversal cache and the 2-D hull index that
-//! locates ray entry points — plus one interpolant table per estimator that
-//! has been asked for, filled on first use. Building the mesh is the
+//! locates ray entry points — plus one table per estimator that has been
+//! asked for, filled on first use. Building the mesh is the
 //! `c·n·log₂n` cost the cache amortises, and it is paid once per tile
 //! however many estimators render it; a table is a pass over the mesh (DTFE,
 //! PS-DTFE) or `k` jittered triangulations evaluated at its vertices
@@ -17,10 +17,9 @@
 //! [`Decomposition`]: dtfe_framework::Decomposition
 
 use crate::registry::SnapshotData;
-use dtfe_core::density::TetInterp;
 use dtfe_core::{
     surface_density_with_index, DtfeTable, EstimatorKind, Field2, GridSpec2, HullIndex,
-    MarchOptions, Mass, PsDtfeTable, RenderMesh, StochasticOptions, StochasticTable,
+    MarchOptions, Mass, PsDtfeTable, RenderMesh, SlotValues, StochasticOptions, StochasticTable,
 };
 use dtfe_delaunay::DelaunayBuilder;
 use dtfe_geometry::{Aabb3, Vec3};
@@ -144,9 +143,9 @@ mod charge {
     /// DTFE table, per slot: one interpolant (32 B) and the vertex
     /// densities' share.
     pub const DTFE_SLOT: usize = 48;
-    /// PS-DTFE tables, per slot: density and divergence interpolants
-    /// (32 B each).
-    pub const PSDTFE_SLOT: usize = 64;
+    /// PS-DTFE tables, per slot: one density and one divergence (8 B
+    /// each).
+    pub const PSDTFE_SLOT: usize = 16;
     /// Stochastic table: one interpolant per slot, the realization mean
     /// per vertex.
     pub const STOCHASTIC_SLOT: usize = 48;
@@ -365,19 +364,19 @@ impl TileData {
             return Some(Field2::zeros(*grid));
         };
         let cell;
-        let interp: Option<&[TetInterp]> = match opts.render.estimator {
-            EstimatorKind::Dtfe => Some(self.dtfe.get()?.interp()),
-            EstimatorKind::PsDtfe => self.psdtfe.get()?.as_ref().map(PsDtfeTable::density),
+        let values: Option<SlotValues<'_>> = match opts.render.estimator {
+            EstimatorKind::Dtfe => Some(self.dtfe.get()?.interp().into()),
+            EstimatorKind::PsDtfe => self.psdtfe.get()?.as_ref().map(|t| t.density().into()),
             EstimatorKind::VelocityDivergence => {
-                self.psdtfe.get()?.as_ref().map(PsDtfeTable::divergence)
+                self.psdtfe.get()?.as_ref().map(|t| t.divergence().into())
             }
             EstimatorKind::Stochastic { realizations } => {
                 cell = self.stochastic_cell(realizations);
-                Some(cell.get()?.interp())
+                Some(cell.get()?.interp().into())
             }
         };
-        Some(match interp {
-            Some(interp) => surface_density_with_index(&mesh.view(interp), hull, grid, opts).0,
+        Some(match values {
+            Some(values) => surface_density_with_index(&mesh.view(values), hull, grid, opts).0,
             None => Field2::zeros(*grid),
         })
     }
@@ -537,6 +536,7 @@ mod tests {
     /// one) cannot under-charge the budget unnoticed.
     #[test]
     fn each_byte_term_bounds_what_it_stands_for() {
+        use dtfe_core::density::TetInterp;
         use dtfe_delaunay::Tet;
         use std::mem::size_of;
         let pts = cloud(400, 42, 4.0);
@@ -555,7 +555,7 @@ mod tests {
         // Mesh: the traversal cache, the tetrahedron records with their
         // marks, and per vertex a position, an input-map entry and a star
         // volume.
-        let cache = mesh.view(&[]).cache.bytes();
+        let cache = mesh.view(&[] as &[f64]).cache.bytes();
         assert!(cache >= slots * 128, "the cache is 128 B a slot");
         assert!(slots * charge::MESH_SLOT >= cache + slots * (size_of::<Tet>() + 4));
         assert!(verts * charge::MESH_VERTEX >= verts * (28 + 8));
@@ -566,7 +566,7 @@ mod tests {
         );
 
         // Tables, each charged as it appears. An interpolant is four f64
-        // (`x₀` is the mesh's), PS-DTFE holds two of them.
+        // (`x₀` is the mesh's); PS-DTFE holds two f64 a slot.
         assert_eq!(size_of::<TetInterp>(), 32);
         let interp = slots * size_of::<TetInterp>();
         tile.fill_table(&snap, DTFE, 0.5);
@@ -580,7 +580,7 @@ mod tests {
         tile.fill_table(&snap, EstimatorKind::PsDtfe, 0.5);
         let psdtfe = tile.bytes() - mesh_only - dtfe;
         assert_eq!(psdtfe, slots * charge::PSDTFE_SLOT);
-        assert!(psdtfe >= 2 * interp);
+        assert!(psdtfe >= slots * 2 * size_of::<f64>());
         // The divergence view is the same tables.
         tile.fill_table(&snap, EstimatorKind::VelocityDivergence, 0.5);
         assert_eq!(tile.bytes(), mesh_only + dtfe + psdtfe);
@@ -596,10 +596,10 @@ mod tests {
             );
         }
 
-        // An entry holding one estimator: 256 B a slot for DTFE, 272 for
+        // An entry holding one estimator: 256 B a slot for DTFE, 224 for
         // PS-DTFE.
         assert_eq!(charge::MESH_SLOT + charge::DTFE_SLOT, 256);
-        assert_eq!(charge::MESH_SLOT + charge::PSDTFE_SLOT, 272);
+        assert_eq!(charge::MESH_SLOT + charge::PSDTFE_SLOT, 224);
         assert_eq!(charge::MESH_SLOT + charge::STOCHASTIC_SLOT, 256);
     }
 

@@ -219,17 +219,20 @@ fn every_estimator_renders_its_pinned_bits_through_both_kernels() {
 
 /// Every row is anchored where the kernels read `x₀`, the tetrahedron's
 /// first vertex in the mesh: a vertex-field row's `rho0` is that vertex's
-/// value bit for bit, and a PS-DTFE row is constant, so any anchor gives
-/// its bits.
+/// value bit for bit. (A PS-DTFE table is one number per simplex, so it
+/// has no anchor.)
 #[test]
 fn every_table_row_is_anchored_at_its_first_vertex() {
     use dtfe_repro::core::density::TetInterp;
-    use dtfe_repro::core::{FieldEstimator, ScalarField};
+    use dtfe_repro::core::{FieldEstimator, ScalarField, SlotValues};
     for (cloud, pts) in clouds() {
         let t = tables(&pts);
         let del = t.mesh.delaunay();
         let heights: Vec<f64> = del.vertices().iter().map(|p| p.z * p.x).collect();
         let scalar = ScalarField::new(del, heights.clone());
+        let SlotValues::Linear(scalar_rows) = scalar.view().values else {
+            panic!("a vertex field has linear rows");
+        };
         let vertex_fields: [(&str, &[TetInterp], &[f64]); 3] = [
             ("dtfe", t.dtfe.interp(), t.dtfe.vertex_densities()),
             (
@@ -237,7 +240,7 @@ fn every_table_row_is_anchored_at_its_first_vertex() {
                 t.stochastic.interp(),
                 t.stochastic.vertex_densities(),
             ),
-            ("scalar", scalar.view().interp, &heights),
+            ("scalar", scalar_rows, &heights),
         ];
         for (name, interp, values) in vertex_fields {
             for s in del.finite_tets() {
@@ -246,19 +249,6 @@ fn every_table_row_is_anchored_at_its_first_vertex() {
                 assert_eq!(
                     rho0.to_bits(),
                     values[v0].to_bits(),
-                    "{cloud}/{name}: slot {s}"
-                );
-            }
-        }
-        for (name, interp) in [
-            ("psdtfe", t.psdtfe.density()),
-            ("veldiv", t.psdtfe.divergence()),
-        ] {
-            for s in del.finite_tets() {
-                let g = interp[s as usize].grad;
-                assert_eq!(
-                    [g.x, g.y, g.z].map(f64::to_bits),
-                    [0; 3],
                     "{cloud}/{name}: slot {s}"
                 );
             }

@@ -23,7 +23,7 @@ use dtfe_repro::core::marching::{
 };
 use dtfe_repro::core::{
     DtfeField, EstimatorKind, FieldEstimator, GridSpec2, HullIndex, MarchOptions, Mass,
-    PsDtfeField, ScalarField, StochasticField, StochasticOptions,
+    PsDtfeField, ScalarField, SlotValues, StochasticField, StochasticOptions,
 };
 use dtfe_repro::delaunay::{Delaunay, Located, TetId, NONE};
 use dtfe_repro::geometry::{orient3d, Vec2, Vec3};
@@ -179,7 +179,10 @@ fn windowed_kernel_equals_reference_on_every_fixture() {
         // Two tables, one mesh and one traversal cache.
         let (a, b) = (ps.view(), div.view());
         assert!(std::ptr::eq(a.del, b.del) && std::ptr::eq(a.cache, b.cache));
-        assert!(!std::ptr::eq(a.interp, b.interp));
+        let (SlotValues::Constant(da), SlotValues::Constant(db)) = (a.values, b.values) else {
+            panic!("PS-DTFE tables are per-simplex constants");
+        };
+        assert!(!std::ptr::eq(da, db));
 
         let kind = EstimatorKind::Stochastic { realizations: 2 };
         let opts = StochasticOptions::new().realizations(2).seed(41);
