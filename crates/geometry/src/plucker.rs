@@ -185,13 +185,17 @@ pub fn normalize_tet(v: &mut [Vec3; 4]) -> bool {
 }
 
 /// Intersect a line with the tetrahedron `verts`. The vertex order may be
-/// either orientation; it is normalized internally.
+/// either orientation; it is normalized internally, and the returned face
+/// indices name the faces of `verts` as given (face `i` opposite
+/// `verts[i]`).
 ///
 /// Edge products shared between faces are computed once (six edges, not
 /// twelve), as the paper notes ("shared edge calculations can be reused").
 pub fn ray_tetra(r: &Plucker, verts: &[Vec3; 4]) -> RayTetraHit {
     let mut v = *verts;
-    normalize_tet(&mut v);
+    // Swapping vertices 2 and 3 swaps the faces opposite them.
+    let swapped = normalize_tet(&mut v);
+    let face = |fi: usize| if swapped && fi >= 2 { 5 - fi } else { fi };
     // The six directed edges i -> j for i < j.
     let edge = |i: usize, j: usize| Plucker::from_edge(v[i], v[j]);
     let s01 = r.side(&edge(0, 1));
@@ -223,11 +227,11 @@ pub fn ray_tetra(r: &Plucker, verts: &[Vec3; 4]) -> RayTetraHit {
             }
             FaceCrossing::Enter(w) => {
                 let [i, j, k] = TET_FACES[fi];
-                hit.enter = Some((fi, face_point(v[i], v[j], v[k], w)));
+                hit.enter = Some((face(fi), face_point(v[i], v[j], v[k], w)));
             }
             FaceCrossing::Exit(w) => {
                 let [i, j, k] = TET_FACES[fi];
-                hit.exit = Some((fi, face_point(v[i], v[j], v[k], w)));
+                hit.exit = Some((face(fi), face_point(v[i], v[j], v[k], w)));
             }
         }
     }
@@ -349,7 +353,8 @@ fn hit_from_sides(s: &[f64; 6], verts: &[Vec3; 4]) -> (RayTetraHit, Option<usize
 /// classified — the plain kernel's degeneracy flag inspects every face, so
 /// skipping the entry face would change perturbation decisions and break
 /// bit-identity. The returned hit is bit-for-bit what [`ray_tetra`] returns
-/// on the same tetrahedron; the returned seed carries the exit face's
+/// on the same tetrahedron, its face indices in the normalized order of
+/// `verts`; the returned seed carries the exit face's
 /// products for the next step (it is [`FaceSeed::EMPTY`] when the line does
 /// not exit).
 pub fn ray_tetra_seeded(
@@ -532,6 +537,21 @@ mod tests {
     }
 
     #[test]
+    fn face_indices_name_the_faces_of_the_vertices_as_given() {
+        // [A, B, C, D] is negatively oriented, so ray_tetra swaps its
+        // vertices 2 and 3 internally; [A, B, D, C] is the positive order.
+        // Either way the line enters through the floor z = 0, opposite D,
+        // and leaves through the slanted face, opposite A.
+        let d = Vec3::new(0.0, 0.0, 1.0);
+        let r = Plucker::from_ray(&Ray::vertical(0.2, 0.2));
+        for (verts, floor) in [([A, B, C, d], 3), ([A, B, d, C], 2)] {
+            let hit = ray_tetra(&r, &verts);
+            assert_eq!(hit.enter.unwrap().0, floor, "{verts:?}");
+            assert_eq!(hit.exit.unwrap().0, 0, "{verts:?}");
+        }
+    }
+
+    #[test]
     fn ray_tetra_miss() {
         let verts = [A, B, C, Vec3::new(0.0, 0.0, 1.0)];
         let ray = Plucker::from_ray(&Ray::vertical(0.9, 0.9));
@@ -587,12 +607,12 @@ mod tests {
                 *p = Vec3::new(rand_unit(&mut st), rand_unit(&mut st), rand_unit(&mut st));
             }
             let r = Plucker::from_ray(&Ray::vertical(rand_unit(&mut st), rand_unit(&mut st)));
-            let plain = ray_tetra(&r, &v);
             let mut vn = v;
             let mut ids = [7u32, 11, 13, 17];
             if normalize_tet(&mut vn) {
                 ids.swap(2, 3);
             }
+            let plain = ray_tetra(&r, &vn);
             let mut evals = 0u64;
             let (seeded, seed_out) = ray_tetra_seeded(&r, &vn, &ids, None, None, &mut evals);
             assert_eq!(plain, seeded);
