@@ -114,35 +114,38 @@ impl Decomposition {
     }
 
     /// Every rank whose box, inflated by `margin`, contains `p` — the
-    /// destinations of a ghost particle. Scans only the boxes within
-    /// `margin` of `p`'s own box.
-    pub fn ranks_within(&self, p: Vec3, margin: f64) -> Vec<usize> {
+    /// destinations of a ghost particle, in rank order.
+    ///
+    /// Containment is a test per axis, and along one axis the boxes that
+    /// pass it are a run of consecutive indices, so the ranks are the
+    /// product of three index windows. Each window is found among the boxes
+    /// within `margin` of `p`'s own, by the same float expressions
+    /// [`Decomposition::rank_box`] and [`Aabb3::inflated`] evaluate.
+    ///
+    /// [`Aabb3::inflated`]: dtfe_geometry::Aabb3::inflated
+    pub fn ranks_within(&self, p: Vec3, margin: f64) -> impl Iterator<Item = usize> + '_ {
         let s = self.box_size();
         let c = self.cell_of(p);
-        let reach = |step: f64| (margin / step).ceil() as isize + 1;
-        let (ri, rj, rk) = (reach(s.x), reach(s.y), reach(s.z));
-        let mut out = Vec::new();
-        for dk in -rk..=rk {
-            for dj in -rj..=rj {
-                for di in -ri..=ri {
-                    let (i, j, k) = (c[0] as isize + di, c[1] as isize + dj, c[2] as isize + dk);
-                    if i < 0
-                        || j < 0
-                        || k < 0
-                        || i >= self.dims[0] as isize
-                        || j >= self.dims[1] as isize
-                        || k >= self.dims[2] as isize
-                    {
-                        continue;
-                    }
-                    let rank = self.flat([i as usize, j as usize, k as usize]);
-                    if self.rank_box(rank).inflated(margin).contains_closed(p) {
-                        out.push(rank);
-                    }
-                }
-            }
-        }
-        out
+        let window = |a: usize| {
+            let (lo, step, n, v) = (self.bounds.lo[a], s[a], self.dims[a], p[a]);
+            let holds = |i: usize| {
+                let b = lo + i as f64 * step;
+                b - margin <= v && v <= b + step + margin
+            };
+            let reach = (margin / step).ceil() as usize + 1;
+            let last = (c[a] + reach).min(n - 1);
+            let start = (c[a].saturating_sub(reach)..=last)
+                .find(|&i| holds(i))
+                .unwrap_or(last + 1);
+            let end = (start..=last).find(|&i| !holds(i)).unwrap_or(last + 1);
+            start..end
+        };
+        let (wi, wj, wk) = (window(0), window(1), window(2));
+        wk.flat_map(move |k| {
+            let wi = wi.clone();
+            wj.clone()
+                .flat_map(move |j| wi.clone().map(move |i| self.flat([i, j, k])))
+        })
     }
 }
 
@@ -197,15 +200,58 @@ mod tests {
     #[test]
     fn ghost_destinations() {
         let d = Decomposition::new(Aabb3::new(Vec3::ZERO, Vec3::splat(4.0)), 8);
+        let within = |p, margin| d.ranks_within(p, margin).collect::<Vec<_>>();
         // Point deep inside a box: only its owner.
-        let inner = d.ranks_within(Vec3::new(1.0, 1.0, 1.0), 0.25);
+        let inner = within(Vec3::new(1.0, 1.0, 1.0), 0.25);
         assert_eq!(inner, vec![d.rank_of(Vec3::new(1.0, 1.0, 1.0))]);
         // Point near the centre face: several owners within margin.
-        let near = d.ranks_within(Vec3::new(1.9, 1.0, 1.0), 0.25);
+        let near = within(Vec3::new(1.9, 1.0, 1.0), 0.25);
         assert_eq!(near.len(), 2);
         // Corner point with a large margin reaches all 8.
-        let corner = d.ranks_within(Vec3::new(2.0, 2.0, 2.0), 0.5);
+        let corner = within(Vec3::new(2.0, 2.0, 2.0), 0.5);
         assert_eq!(corner.len(), 8);
+    }
+
+    /// The windowed search returns what testing every rank's inflated box
+    /// returns, in the same order: on every grid `factor3` makes for up to
+    /// 64 ranks, for margins from none to wider than two boxes, at points
+    /// on box faces and corners, exactly on inflated faces, and outside the
+    /// bounds.
+    #[test]
+    fn ranks_within_equals_every_rank_tested() {
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        let mut r = move || {
+            s ^= s >> 12;
+            s ^= s << 25;
+            s ^= s >> 27;
+            (s.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let bounds = Aabb3::new(Vec3::new(-1.5, 0.25, 2.0), Vec3::new(6.5, 4.75, 5.0));
+        for n in 1..=64 {
+            let d = Decomposition::new(bounds, n);
+            let step = d.box_size();
+            let widest = step.x.max(step.y).max(step.z);
+            for margin in [0.0, 0.3 * step.x, step.y, 2.5 * widest] {
+                for _ in 0..40 {
+                    let mut p = Vec3::ZERO;
+                    for a in 0..3 {
+                        let (lo, hi, w) = (bounds.lo[a], bounds.hi[a], step[a]);
+                        let face = lo + (r() * (d.dims[a] + 1) as f64).floor() * w;
+                        p[a] = match (r() * 5.0) as u32 {
+                            0 => face,
+                            1 => face - margin,
+                            2 => face + margin,
+                            _ => lo - w + r() * (hi - lo + 2.0 * w),
+                        };
+                    }
+                    let every: Vec<usize> = (0..d.num_ranks())
+                        .filter(|&q| d.rank_box(q).inflated(margin).contains_closed(p))
+                        .collect();
+                    let got: Vec<usize> = d.ranks_within(p, margin).collect();
+                    assert_eq!(got, every, "{n} ranks, margin {margin}, {p:?}");
+                }
+            }
+        }
     }
 
     #[test]
