@@ -13,6 +13,8 @@
 //! and `allgather`-ing `(n, t_del, t_interp)` — so with `P` ranks every
 //! rank fits the same `P`-sample model.
 
+use dtfe_geometry::{Aabb3, Vec3};
+
 /// One timing sample: particle count and the two measured phase times.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TimingSample {
@@ -273,19 +275,25 @@ impl WorkloadModel {
     }
 }
 
-/// Uniform-bin particle counter for the modeling phase's step 1: "count the
+/// Uniform-bin particle index: the modeling phase's step 1, "count the
 /// number of particles needed to complete each local work item" by centring
-/// a cube on the item (paper §IV-C-1).
-pub struct ParticleCounter {
-    lo: dtfe_geometry::Vec3,
+/// a cube on the item (paper §IV-C-1), and the execution phase's cut of
+/// each item's particles.
+pub struct ParticleCounter<'a> {
+    particles: &'a [Vec3],
+    lo: Vec3,
     inv_cell: f64,
     dims: [usize; 3],
-    counts: Vec<u32>,
+    /// Bin `b` holds the particle indices `items[off[b]..off[b + 1]]`, in
+    /// input order.
+    off: Vec<u32>,
+    items: Vec<u32>,
 }
 
-impl ParticleCounter {
-    /// Bin `particles` over `bounds` with bins of roughly `cell` size.
-    pub fn new(particles: &[dtfe_geometry::Vec3], bounds: dtfe_geometry::Aabb3, cell: f64) -> Self {
+impl<'a> ParticleCounter<'a> {
+    /// Bin `particles` over `bounds` with bins of roughly `cell` size. A
+    /// particle outside `bounds` goes to the nearest bin.
+    pub fn new(particles: &'a [Vec3], bounds: Aabb3, cell: f64) -> Self {
         assert!(cell > 0.0);
         let ext = bounds.extent();
         let dims = [
@@ -293,31 +301,69 @@ impl ParticleCounter {
             ((ext.y / cell).ceil() as usize).max(1),
             ((ext.z / cell).ceil() as usize).max(1),
         ];
-        let inv_cell = 1.0 / cell;
-        let mut counts = vec![0u32; dims[0] * dims[1] * dims[2]];
-        for p in particles {
-            let c = |v: f64, lo: f64, n: usize| {
-                (((v - lo) * inv_cell) as isize).clamp(0, n as isize - 1) as usize
-            };
-            let (i, j, k) = (
-                c(p.x, bounds.lo.x, dims[0]),
-                c(p.y, bounds.lo.y, dims[1]),
-                c(p.z, bounds.lo.z, dims[2]),
-            );
-            counts[(k * dims[1] + j) * dims[0] + i] += 1;
+        let (lo, inv_cell) = (bounds.lo, 1.0 / cell);
+        let bin_of = |p: Vec3| {
+            let b = |a: usize| bin(p[a], lo[a], inv_cell, dims[a]);
+            (b(2) * dims[1] + b(1)) * dims[0] + b(0)
+        };
+        // Count, then fill: a counting sort keeps each bin in input order.
+        let mut off = vec![0u32; dims[0] * dims[1] * dims[2] + 1];
+        for &p in particles {
+            off[bin_of(p) + 1] += 1;
+        }
+        for b in 1..off.len() {
+            off[b] += off[b - 1];
+        }
+        let mut cursor = off.clone();
+        let mut items = vec![0u32; particles.len()];
+        for (q, &p) in particles.iter().enumerate() {
+            let b = bin_of(p);
+            items[cursor[b] as usize] = q as u32;
+            cursor[b] += 1;
         }
         ParticleCounter {
-            lo: bounds.lo,
+            particles,
+            lo,
             inv_cell,
             dims,
-            counts,
+            off,
+            items,
         }
+    }
+
+    /// The particles in the closed cube of side `side` centred on `c`, in
+    /// input order: the particles `Aabb3::cube(c, side).contains_closed`
+    /// admits, testing only those in the bins the cube overlaps. The bin of
+    /// a coordinate does not decrease as the coordinate grows, so a particle
+    /// in the cube lies in a bin between those of the cube's corners.
+    pub fn particles_in_cube(&self, c: Vec3, side: f64) -> Vec<Vec3> {
+        let cube = Aabb3::cube(c, side);
+        let corner =
+            |v: Vec3| [0, 1, 2].map(|a| bin(v[a], self.lo[a], self.inv_cell, self.dims[a]));
+        let ([i0, j0, k0], [i1, j1, k1]) = (corner(cube.lo), corner(cube.hi));
+        let mut inside: Vec<u32> = Vec::new();
+        for k in k0..=k1 {
+            for j in j0..=j1 {
+                // Bins i0..=i1 of one row are consecutive in `items`.
+                let row = (k * self.dims[1] + j) * self.dims[0];
+                let run = self.off[row + i0] as usize..self.off[row + i1 + 1] as usize;
+                inside.extend(
+                    (self.items[run].iter().copied())
+                        .filter(|&q| cube.contains_closed(self.particles[q as usize])),
+                );
+            }
+        }
+        inside.sort_unstable();
+        inside
+            .into_iter()
+            .map(|q| self.particles[q as usize])
+            .collect()
     }
 
     /// Approximate count inside the cube of side `side` centred on `c`
     /// (bin-resolution accuracy — the model only needs the scale of `n`).
     /// The cube is half-open, `[c−h, c+h)` per axis.
-    pub fn count_cube(&self, c: dtfe_geometry::Vec3, side: f64) -> usize {
+    pub fn count_cube(&self, c: Vec3, side: f64) -> usize {
         let h = side * 0.5;
         let clamp_lo = |v: f64, lo: f64, n: usize| {
             (((v - lo) * self.inv_cell).floor() as isize).clamp(0, n as isize - 1) as usize
@@ -336,19 +382,25 @@ impl ParticleCounter {
         let mut total = 0usize;
         for k in k0..=k1 {
             for j in j0..=j1 {
-                for i in i0..=i1 {
-                    total += self.counts[(k * self.dims[1] + j) * self.dims[0] + i] as usize;
-                }
+                let row = (k * self.dims[1] + j) * self.dims[0];
+                total += (self.off[row + i1 + 1] - self.off[row + i0]) as usize;
             }
         }
         total
     }
 }
 
+/// The bin of coordinate `v` on an axis whose bins start at `lo`, `n` of
+/// them `1 / inv_cell` wide; a coordinate beyond either end takes the end
+/// bin.
+#[inline]
+fn bin(v: f64, lo: f64, inv_cell: f64, n: usize) -> usize {
+    (((v - lo) * inv_cell) as isize).clamp(0, n as isize - 1) as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtfe_geometry::{Aabb3, Vec3};
 
     fn synth_samples(c: f64, alpha: f64, beta: f64, noise: f64, seed: u64) -> Vec<TimingSample> {
         let mut s = seed;
@@ -508,5 +560,56 @@ mod tests {
         assert_eq!(counter.count_cube(Vec3::splat(5.0), 20.0), 1000);
         // Empty corner outside.
         assert!(counter.count_cube(Vec3::splat(100.0), 1.0) <= 1);
+    }
+
+    /// A cube's particles from the bins are the linear filter's, point for
+    /// point and in input order — for random cubes, cubes whose faces lie
+    /// on bin edges (with particles on those edges), and cubes reaching
+    /// past the binned bounds, where particles also lie.
+    #[test]
+    fn cube_particles_equal_the_linear_filter_in_order() {
+        let mut s = 0xC0FF_EE00_D15E_A5E5u64;
+        let mut r = move || {
+            s ^= s >> 12;
+            s ^= s << 25;
+            s ^= s >> 27;
+            (s.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let bounds = Aabb3::new(Vec3::new(-1.0, 0.0, 2.0), Vec3::new(7.0, 5.0, 6.0));
+        let cell = 0.5;
+        // A coordinate on a bin edge, or anywhere from a bin below the
+        // bounds to a bin above them.
+        let mut coord = |a: usize, edge: bool| {
+            let (lo, hi) = (bounds.lo[a], bounds.hi[a]);
+            if edge {
+                lo + (r() * (hi - lo) / cell).floor() * cell
+            } else {
+                lo - cell + r() * (hi - lo + 2.0 * cell)
+            }
+        };
+        let pts: Vec<Vec3> = (0..4000)
+            .map(|q| {
+                let edge = q % 3 == 0;
+                Vec3::new(coord(0, edge), coord(1, edge), coord(2, edge))
+            })
+            .collect();
+        let bins = ParticleCounter::new(&pts, bounds, cell);
+        for q in 0..400 {
+            let (c, side) = if q % 2 == 0 {
+                let side = (1.0 + (q % 7) as f64) * cell;
+                let corner = Vec3::new(coord(0, true), coord(1, true), coord(2, true));
+                (corner + Vec3::splat(0.5 * side), side)
+            } else {
+                let c = Vec3::new(coord(0, false), coord(1, false), coord(2, false));
+                (c, 0.1 + 3.0 * (q % 13) as f64 / 13.0)
+            };
+            let cube = Aabb3::cube(c, side);
+            let linear: Vec<Vec3> = pts
+                .iter()
+                .copied()
+                .filter(|&p| cube.contains_closed(p))
+                .collect();
+            assert_eq!(bins.particles_in_cube(c, side), linear, "cube {cube:?}");
+        }
     }
 }

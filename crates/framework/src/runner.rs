@@ -235,15 +235,20 @@ struct Executed {
     field: Field2,
 }
 
+/// Bin a rank's particles, which lie in `bounds`, for the item cubes cut
+/// from them: bins a quarter of a field across.
+fn item_bins<'a>(
+    particles: &'a [Vec3],
+    bounds: Aabb3,
+    cfg: &FrameworkConfig,
+) -> ParticleCounter<'a> {
+    ParticleCounter::new(particles, bounds, (cfg.field_len * 0.25).max(1e-9))
+}
+
 /// Execute one work item: triangulate the particles in the item's cube and
 /// render its field.
-fn execute_item(all_particles: &[Vec3], center: Vec3, cfg: &FrameworkConfig) -> Executed {
-    let cube = Aabb3::cube(center, cfg.field_len);
-    let local: Vec<Vec3> = all_particles
-        .iter()
-        .copied()
-        .filter(|p| cube.contains_closed(*p))
-        .collect();
+fn execute_item(particles: &ParticleCounter<'_>, center: Vec3, cfg: &FrameworkConfig) -> Executed {
+    let local = particles.particles_in_cube(center, cfg.field_len);
     let grid = GridSpec2::square(center.xy(), cfg.field_len, cfg.resolution);
 
     let sp = span!("framework.triangulate_item", n = local.len());
@@ -358,11 +363,7 @@ fn run_rank_inner(
 
     // ---- Phase 2: workload modeling ----
     let sp = span!("framework.model", items = local_centers.len());
-    let counter = ParticleCounter::new(
-        &all,
-        my_box.inflated(cfg.ghost_margin()),
-        (cfg.field_len * 0.25).max(1e-9),
-    );
+    let counter = item_bins(&all, my_box.inflated(cfg.ghost_margin()), cfg);
     let counts: Vec<f64> = local_centers
         .iter()
         .map(|&c| counter.count_cube(c, cfg.field_len) as f64)
@@ -382,7 +383,7 @@ fn run_rank_inner(
         rng ^= rng >> 7;
         rng ^= rng << 17;
         let pick = (rng % local_centers.len() as u64) as usize;
-        let done = execute_item(&all, local_centers[pick], cfg);
+        let done = execute_item(&counter, local_centers[pick], cfg);
         let sample = TimingSample {
             n: counts[pick].max(1.0),
             t_tri: done.t_tri,
@@ -528,7 +529,12 @@ fn run_rank_inner(
         .collect();
     for &i in &kept {
         let c = local_centers[i];
-        record_item(&mut report, c, Some(counts[i]), execute_item(&all, c, cfg));
+        record_item(
+            &mut report,
+            c,
+            Some(counts[i]),
+            execute_item(&counter, c, cfg),
+        );
         // Keep the protocol responsive while computing: senders absorb acks
         // (so a long local phase doesn't read as death), receivers ack
         // early-arriving bundles (so senders settle instead of retrying).
@@ -557,7 +563,12 @@ fn run_rank_inner(
                     .iter()
                     .position(|&lc| lc == c)
                     .expect("reclaimed centre is one of this rank's items");
-                record_item(&mut report, c, Some(counts[i]), execute_item(&all, c, cfg));
+                record_item(
+                    &mut report,
+                    c,
+                    Some(counts[i]),
+                    execute_item(&counter, c, cfg),
+                );
             }
         }
     }
@@ -573,11 +584,17 @@ fn run_rank_inner(
             let spw = span!("framework.wait_bundle");
             let next = ib.next(comm);
             report.timings.sharing_wait += spw.end().wall_s;
-            let Some((_src, particles, centers)) = next else {
+            let Some((src, particles, centers)) = next else {
                 break;
             };
+            // The sender's owned and ghost particles.
+            let bins = item_bins(
+                &particles,
+                decomp.rank_box(src).inflated(cfg.ghost_margin()),
+                cfg,
+            );
             for c in centers {
-                record_item(&mut report, c, None, execute_item(&particles, c, cfg));
+                record_item(&mut report, c, None, execute_item(&bins, c, cfg));
                 report.received_items += 1;
             }
         }
