@@ -10,7 +10,7 @@
 //! typed service error is a real answer (return it); a transport give-up
 //! marks the shard that was called dead locally and moves on; a
 //! [`ServiceError::NotMine`] naming one of this client's shards is followed
-//! to that shard's client, at most [`MAX_REDIRECTS`] times per request. An
+//! to that shard's client, at most `MAX_REDIRECTS` times per request. An
 //! owner that does not parse or is not one of the shards is a ring
 //! disagreement — it is not followed, and the proxy-mode tail of the plan
 //! repairs it. The shard that was called is the shard that answered (or

@@ -2,8 +2,7 @@
 //! interpolant (paper §III-A).
 
 use crate::estimator::{
-    integrate_vertex_field, vertex_interp, vertex_masses, DegeneratePolicy, FieldEstimator,
-    FieldView, RenderMesh,
+    integrate_vertex_field, vertex_interp, vertex_masses, FieldEstimator, FieldView, RenderMesh,
 };
 use crate::marching::MarchCache;
 use dtfe_delaunay::{BuildError, Delaunay, DelaunayBuilder, Located, TetId};
@@ -59,8 +58,8 @@ impl DtfeTable {
     /// Eq. 2 and Eq. 1 over `mesh`, which was triangulated from `n_input`
     /// input points (duplicates may have merged; masses accumulate via
     /// [`Delaunay::vertex_of_input`]). Degenerate (coplanar) tetrahedra
-    /// carry zero volume, so a zero gradient is the documented density
-    /// policy ([`DegeneratePolicy::ZeroGradient`], counted).
+    /// carry zero volume and get a zero gradient, counted on
+    /// `core.degenerate_tet_zero_grad`.
     pub fn build(mesh: &RenderMesh, n_input: usize, mass: &Mass) -> DtfeTable {
         let del = mesh.delaunay();
         let vertex_density: Vec<f64> = vertex_masses(del, n_input, mass)
@@ -68,8 +67,7 @@ impl DtfeTable {
             .zip(mesh.star_volumes())
             .map(|(&m, &w)| if w > 0.0 { 4.0 * m / w } else { 0.0 })
             .collect();
-        let interp = vertex_interp(del, &vertex_density, DegeneratePolicy::ZeroGradient)
-            .expect("ZeroGradient policy is infallible");
+        let interp = vertex_interp(del, &vertex_density);
         DtfeTable {
             vertex_density,
             interp,
@@ -126,6 +124,14 @@ impl DtfeField {
     #[inline]
     pub fn delaunay(&self) -> &Delaunay {
         self.mesh.delaunay()
+    }
+
+    /// The mesh this field is a table over: another table over it — a
+    /// [`crate::fields::ScalarField`] of any vertex quantity — renders with
+    /// this field's traversal cache.
+    #[inline]
+    pub fn mesh(&self) -> &RenderMesh {
+        &self.mesh
     }
 
     /// The marching kernel's pre-normalized tetrahedron cache, built on

@@ -7,20 +7,22 @@
 //! a linear interpolant `(f₀, ∇f)` (Eq. 1, about the slot's first vertex
 //! `x₀`, which the mesh holds) or one constant per simplex.
 //! Both kernels in [`crate::marching`] take a `FieldView` and nothing else,
-//! so each is compiled once however many backends exist. A backend is
-//! whatever *fills the table*:
+//! so each is compiled once however many backends exist.
+//!
+//! [`RenderMesh`] is the one owner of a triangulation for rendering: it
+//! decides the slot order (cache-coherent BFS) and holds the traversal
+//! cache, and `mesh.view(table)` is the only way a view is made from it. A
+//! backend is whatever *fills a table* over that mesh:
 //! [`crate::density::DtfeTable`] (Eq. 2 densities),
 //! [`crate::fields::ScalarField`] (any per-vertex scalar),
 //! [`crate::stochastic::StochasticTable`] (a jittered, mass-rescaled mean)
-//! — all three linear, through the one [`vertex_interp`] loop below — and
+//! — all three linear, through one shared gradient loop — and
 //! [`crate::psdtfe::PsDtfeTable`] (two per-simplex-constant tables, density
-//! and velocity divergence). A table borrows the mesh it is built over, so
-//! any number of them share one [`RenderMesh`] — the triangulation, in
-//! render order, with its traversal cache — and `mesh.view(table)` is what
-//! renders; [`crate::density::DtfeField`], [`crate::psdtfe::PsDtfeField`]
-//! and [`crate::stochastic::StochasticField`] are a mesh and one table in
-//! one owner. [`FieldEstimator`] is the one-method trait that hands the
-//! view out.
+//! and velocity divergence). Any number of tables share one mesh;
+//! [`crate::density::DtfeField`], [`crate::psdtfe::PsDtfeField`] and
+//! [`crate::stochastic::StochasticField`] are a mesh and one table in one
+//! owner. [`FieldEstimator`] is the one-method trait that hands the view
+//! out.
 
 use crate::density::{EntryFacet, Mass, TetInterp};
 use crate::marching::MarchCache;
@@ -28,7 +30,7 @@ use dtfe_delaunay::{Delaunay, TetId};
 use dtfe_geometry::tetra::{linear_gradient, volume};
 use dtfe_geometry::Vec3;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// A table's per-slot values, as the kernels read them.
@@ -73,7 +75,7 @@ impl<'a> From<&'a [f64]> for SlotValues<'a> {
 ///   of `del` (ghost/freed slots are never read by the kernel), so it holds
 ///   `del.num_slots()` entries.
 /// * `cache` must be [`MarchCache::build`] of that same `del` —
-///   [`FieldView::new`] guarantees it.
+///   [`RenderMesh::view`] guarantees it.
 #[derive(Clone, Copy)]
 pub struct FieldView<'a> {
     /// The triangulation the field is defined over.
@@ -82,23 +84,6 @@ pub struct FieldView<'a> {
     pub cache: &'a MarchCache,
     /// The field on each slot of `del`.
     pub values: SlotValues<'a>,
-}
-
-impl<'a> FieldView<'a> {
-    /// The view over a backend's own storage. The traversal cache is built
-    /// from `del` on the first call (one pass over the slots) and shared by
-    /// every later view, whichever table it pairs with.
-    pub fn new(
-        del: &'a Delaunay,
-        cache: &'a OnceLock<MarchCache>,
-        values: SlotValues<'a>,
-    ) -> FieldView<'a> {
-        FieldView {
-            del,
-            cache: cache.get_or_init(|| MarchCache::build(del)),
-            values,
-        }
-    }
 }
 
 /// A `(mesh, table)` pair renders as it is.
@@ -111,7 +96,8 @@ impl FieldEstimator for FieldView<'_> {
 /// A triangulation prepared for rendering: tetrahedron slots in
 /// cache-coherent BFS order ([`Delaunay::compact_reorder`]), the vertex star
 /// volumes of Eq. 2, and the traversal cache, built by the first render.
-/// Every estimator table over one point set is a table over this one mesh.
+/// Every estimator table over one point set is a table over this one mesh,
+/// and every rendered field — owned or served — is a view of one.
 ///
 /// A star volume is a float sum over the incident tetrahedra, so its bits
 /// depend on the slot order it is summed in; [`RenderMesh::new`] sums over
@@ -163,8 +149,14 @@ impl RenderMesh {
 
     /// What the kernels render for one table over this mesh — linear rows
     /// or per-simplex constants, one per slot of [`RenderMesh::delaunay`].
+    /// The traversal cache is built on the first call (one pass over the
+    /// slots) and shared by every later view, whichever table it pairs with.
     pub fn view<'a>(&'a self, values: impl Into<SlotValues<'a>>) -> FieldView<'a> {
-        FieldView::new(&self.del, &self.march, values.into())
+        FieldView {
+            del: &self.del,
+            cache: self.march.get_or_init(|| MarchCache::build(&self.del)),
+            values: values.into(),
+        }
     }
 }
 
@@ -217,22 +209,6 @@ pub fn entry_facets_of(del: &Delaunay) -> Vec<EntryFacet> {
     out
 }
 
-/// What to do when a tetrahedron is too flat for a well-defined gradient
-/// (the edge matrix of Eq. 1 is singular).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DegeneratePolicy {
-    /// Return a typed [`DegenerateTetError`] naming the offending slot.
-    /// Velocity-derived backends use this: a silently zeroed gradient
-    /// would corrupt PS-DTFE divergence output.
-    Error,
-    /// Use a zero gradient (the field is constant over the sliver). This
-    /// is the documented DTFE density policy: a degenerate tetrahedron has
-    /// (near-)zero volume, so its contribution to any line-of-sight
-    /// integral is negligible either way. Occurrences are counted on the
-    /// `core.degenerate_tet_zero_grad` telemetry counter.
-    ZeroGradient,
-}
-
 /// A tetrahedron whose vertices are (numerically) coplanar, so the linear
 /// gradient of Eq. 1 is undefined.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -255,24 +231,21 @@ impl std::error::Error for DegenerateTetError {}
 
 /// Per-slot interpolant table for a vertex-sampled field: `values[v]` at
 /// each vertex, constant gradient per tetrahedron (Eq. 1), over `del`'s
-/// current slot order. Ghost/freed slots hold inert zeros. Degenerate
-/// tetrahedra follow `policy`: the lowest offending slot is the error, or
-/// every zeroed gradient is counted. Parallel on large meshes; an
-/// interpolant depends only on its own tetrahedron, so the table's bits do
-/// not depend on how the pass is split.
-pub(crate) fn vertex_interp(
-    del: &Delaunay,
-    values: &[f64],
-    policy: DegeneratePolicy,
-) -> Result<Vec<TetInterp>, DegenerateTetError> {
+/// current slot order. Ghost/freed slots hold inert zeros. A degenerate
+/// (coplanar in floating point) tetrahedron gets a zero gradient, so the
+/// field is constant over the sliver: it has (near-)zero volume, so its
+/// share of any line-of-sight integral is negligible either way. Each one
+/// is counted on `core.degenerate_tet_zero_grad`. Parallel on large meshes;
+/// an interpolant depends only on its own tetrahedron, so the table's bits
+/// do not depend on how the pass is split.
+pub(crate) fn vertex_interp(del: &Delaunay, values: &[f64]) -> Vec<TetInterp> {
     /// Below this many slots the pass runs in the calling thread: the
     /// vendored rayon spawns scoped OS threads per call, which costs more
     /// than a serial pass over a batch work item's ~4k-slot mesh.
     const PAR_MIN_SLOTS: usize = 1 << 15;
 
-    // Statistics only: neither publishes other data.
+    // Statistics only: publishes no other data.
     let singular = AtomicU64::new(0);
-    let first_singular = AtomicU32::new(u32::MAX);
     let interp_of = |t: u32| {
         let tet = del.tet_slot(t);
         if !tet.is_live() || tet.is_ghost() {
@@ -292,7 +265,6 @@ pub(crate) fn vertex_interp(
         ];
         let grad = linear_gradient(&v, &f).unwrap_or_else(|| {
             singular.fetch_add(1, Ordering::Relaxed);
-            first_singular.fetch_min(t, Ordering::Relaxed);
             Vec3::ZERO
         });
         TetInterp { rho0: f[0], grad }
@@ -305,19 +277,10 @@ pub(crate) fn vertex_interp(
     };
     let zeroed = singular.into_inner();
     if zeroed > 0 {
-        match policy {
-            DegeneratePolicy::Error => {
-                return Err(DegenerateTetError {
-                    tet: first_singular.into_inner(),
-                })
-            }
-            // From the calling thread: rayon workers see no recorder.
-            DegeneratePolicy::ZeroGradient => {
-                dtfe_telemetry::counter_add!("core.degenerate_tet_zero_grad", zeroed)
-            }
-        }
+        // From the calling thread: rayon workers see no recorder.
+        dtfe_telemetry::counter_add!("core.degenerate_tet_zero_grad", zeroed);
     }
-    Ok(out)
+    out
 }
 
 /// Per-vertex mass of `n_input` input particles: merged duplicates

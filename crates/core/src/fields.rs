@@ -9,78 +9,53 @@
 //! rendering through the same marching kernel as every other backend.
 
 use crate::density::TetInterp;
-use crate::estimator::{
-    vertex_interp, DegeneratePolicy, DegenerateTetError, FieldEstimator, FieldView, SlotValues,
-};
-use crate::marching::MarchCache;
+use crate::estimator::{vertex_interp, FieldEstimator, FieldView, RenderMesh};
 use dtfe_delaunay::{Delaunay, Located, TetId};
 use dtfe_geometry::Vec3;
-use std::sync::OnceLock;
 
-/// A piecewise-linear field over an existing triangulation: one value per
-/// vertex, constant gradient per tetrahedron (paper Eq. 1).
+/// A piecewise-linear field over an existing mesh: one value per vertex,
+/// constant gradient per tetrahedron (paper Eq. 1). It is a table over the
+/// borrowed [`RenderMesh`], so it renders with that mesh's traversal cache.
 pub struct ScalarField<'a> {
-    del: &'a Delaunay,
+    mesh: &'a RenderMesh,
     values: Vec<f64>,
     interp: Vec<TetInterp>,
-    /// Marching traversal cache, built on first render through the
-    /// [`FieldEstimator`] seam.
-    march: OnceLock<MarchCache>,
 }
 
 impl<'a> ScalarField<'a> {
     /// Build from per-vertex `values` (indexed by `VertexId`).
     ///
-    /// Degenerate (coplanar) tetrahedra get a zero gradient
-    /// ([`DegeneratePolicy::ZeroGradient`]): they carry zero volume, so the
-    /// fallback cannot bias any line-of-sight integral, and occurrences are
-    /// counted on the `core.degenerate_tet_zero_grad` telemetry counter.
-    /// Use [`ScalarField::try_new`] where a silent zero gradient is not
-    /// acceptable (e.g. velocity fields feeding gradient estimates).
-    pub fn new(del: &'a Delaunay, values: Vec<f64>) -> ScalarField<'a> {
-        Self::with_policy(del, values, DegeneratePolicy::ZeroGradient)
-            .expect("ZeroGradient policy is infallible")
-    }
-
-    /// As [`ScalarField::new`], but a degenerate tetrahedron is a typed
-    /// error instead of a silent zero gradient.
-    pub fn try_new(
-        del: &'a Delaunay,
-        values: Vec<f64>,
-    ) -> Result<ScalarField<'a>, DegenerateTetError> {
-        Self::with_policy(del, values, DegeneratePolicy::Error)
-    }
-
-    fn with_policy(
-        del: &'a Delaunay,
-        values: Vec<f64>,
-        policy: DegeneratePolicy,
-    ) -> Result<ScalarField<'a>, DegenerateTetError> {
+    /// Degenerate (coplanar) tetrahedra get a zero gradient: they carry zero
+    /// volume, so the fallback cannot bias any line-of-sight integral, and
+    /// occurrences are counted on the `core.degenerate_tet_zero_grad`
+    /// telemetry counter.
+    pub fn new(mesh: &'a RenderMesh, values: Vec<f64>) -> ScalarField<'a> {
+        let del = mesh.delaunay();
         assert_eq!(values.len(), del.num_vertices(), "one value per vertex");
-        let interp = vertex_interp(del, &values, policy)?;
-        Ok(ScalarField {
-            del,
+        let interp = vertex_interp(del, &values);
+        ScalarField {
+            mesh,
             values,
             interp,
-            march: OnceLock::new(),
-        })
+        }
     }
 
     /// The underlying triangulation.
     pub fn delaunay(&self) -> &Delaunay {
-        self.del
+        self.mesh.delaunay()
     }
 
     /// Evaluate inside tetrahedron `t` (no containment check).
     #[inline]
     pub fn value_in_tet(&self, t: TetId, p: Vec3) -> f64 {
-        let x0 = self.del.vertex(self.del.tet(t).verts[0]);
+        let del = self.delaunay();
+        let x0 = del.vertex(del.tet(t).verts[0]);
         self.interp[t as usize].eval(x0, p)
     }
 
     /// Point-located evaluation; `None` outside the hull.
     pub fn value_at(&self, p: Vec3, seed: &mut u64) -> Option<f64> {
-        match self.del.locate_seeded(p, dtfe_delaunay::NONE, seed) {
+        match self.delaunay().locate_seeded(p, dtfe_delaunay::NONE, seed) {
             Located::Finite(t) => Some(self.value_in_tet(t, p)),
             Located::Vertex(v) => Some(self.values[v as usize]),
             Located::Ghost(_) => None,
@@ -90,7 +65,7 @@ impl<'a> ScalarField<'a> {
 
 impl FieldEstimator for ScalarField<'_> {
     fn view(&self) -> FieldView<'_> {
-        FieldView::new(self.del, &self.march, SlotValues::Linear(&self.interp))
+        self.mesh.view(self.interp.as_slice())
     }
 }
 
@@ -101,6 +76,10 @@ mod tests {
     use crate::marching::{march_cell, surface_density, HullIndex, MarchOptions, MarchStats};
     use dtfe_delaunay::DelaunayBuilder;
     use dtfe_geometry::Vec2;
+
+    fn mesh_of(pts: &[Vec3]) -> RenderMesh {
+        RenderMesh::new(DelaunayBuilder::new().build(pts).unwrap())
+    }
 
     fn jittered_cloud(n_side: usize, seed: u64) -> Vec<Vec3> {
         let mut s = seed;
@@ -128,11 +107,11 @@ mod tests {
     #[test]
     fn linear_field_reproduced_exactly() {
         let pts = jittered_cloud(4, 3);
-        let del = DelaunayBuilder::new().build(&pts).unwrap();
+        let mesh = mesh_of(&pts);
         let g = Vec3::new(1.5, -2.0, 0.5);
         let f = |p: Vec3| 3.0 + g.dot(p);
-        let values: Vec<f64> = del.vertices().iter().map(|&p| f(p)).collect();
-        let field = ScalarField::new(&del, values);
+        let values: Vec<f64> = mesh.delaunay().vertices().iter().map(|&p| f(p)).collect();
+        let field = ScalarField::new(&mesh, values);
         let mut seed = 1;
         for q in [Vec3::new(1.2, 1.7, 2.1), Vec3::new(0.4, 2.6, 1.0)] {
             let v = field.value_at(q, &mut seed).unwrap();
@@ -141,23 +120,14 @@ mod tests {
     }
 
     #[test]
-    fn try_new_matches_new_on_healthy_meshes() {
-        let pts = jittered_cloud(3, 5);
-        let del = DelaunayBuilder::new().build(&pts).unwrap();
-        let values: Vec<f64> = del.vertices().iter().map(|p| p.x + 2.0 * p.y).collect();
-        let strict = ScalarField::try_new(&del, values.clone()).expect("no degenerate tets");
-        let lax = ScalarField::new(&del, values);
-        assert_eq!(strict.interp, lax.interp);
-    }
-
-    #[test]
     fn los_integral_of_linear_field() {
         let pts = jittered_cloud(4, 7);
-        let del = DelaunayBuilder::new().build(&pts).unwrap();
+        let mesh = mesh_of(&pts);
+        let del = mesh.delaunay();
         // f = z: ∫ f dz over [a, b] = (b²−a²)/2 where a, b are the hull
         // entry/exit heights along the line.
         let values: Vec<f64> = del.vertices().iter().map(|p| p.z).collect();
-        let field = ScalarField::new(&del, values);
+        let field = ScalarField::new(&mesh, values);
         let index = HullIndex::build(&field);
         let xi = Vec2::new(1.7, 1.4);
         let los = |f: &ScalarField<'_>, stats: &mut MarchStats| {
@@ -169,7 +139,7 @@ mod tests {
         // Find a, b by marching the density-agnostic way: reuse the crossing
         // machinery through a constant-1 field to get the chord length and
         // first/last z.
-        let ones = ScalarField::new(&del, vec![1.0; del.num_vertices()]);
+        let ones = ScalarField::new(&mesh, vec![1.0; del.num_vertices()]);
         let chord = los(&ones, &mut MarchStats::default());
         // For f = z: integral = chord * midpoint_z; reconstruct midpoint by
         // f = z integral / chord and verify against a numeric scan.
@@ -196,8 +166,8 @@ mod tests {
     #[test]
     fn rendered_constant_field_gives_chords() {
         let pts = jittered_cloud(4, 11);
-        let del = DelaunayBuilder::new().build(&pts).unwrap();
-        let field = ScalarField::new(&del, vec![2.0; del.num_vertices()]);
+        let mesh = mesh_of(&pts);
+        let field = ScalarField::new(&mesh, vec![2.0; mesh.delaunay().num_vertices()]);
         let grid = GridSpec2::covering(Vec2::new(1.0, 1.0), Vec2::new(2.5, 2.5), 6, 6);
         let opts = MarchOptions::new().parallel(false);
         let proj = surface_density(&field, &grid, &opts);
@@ -217,7 +187,7 @@ mod tests {
         use crate::density::{DtfeField, Mass};
         let pts = jittered_cloud(3, 17);
         let dtfe = DtfeField::build(&pts, Mass::Uniform(1.0)).unwrap();
-        let vf = ScalarField::new(dtfe.delaunay(), dtfe.vertex_densities().to_vec());
+        let vf = ScalarField::new(dtfe.mesh(), dtfe.vertex_densities().to_vec());
         let mut seed = 9;
         let q = Vec3::new(1.1, 1.2, 1.3);
         let a = vf.value_at(q, &mut seed);

@@ -23,14 +23,16 @@
 //! * [`estimator`] — [`FieldView`], the one thing the kernels render: a
 //!   mesh, its traversal cache and the field on each tetrahedron — a linear
 //!   interpolant or, for PS-DTFE, one constant ([`SlotValues`]).
-//!   A backend fills that table — any number of tables borrow one
-//!   [`RenderMesh`] — and hands the view out through the one-method
-//!   [`FieldEstimator`] trait; the shared vertex-field loops (gradients,
-//!   vertex masses, `∫ f dV`) live there too. One kernel,
-//!   compiled once, serves DTFE density, arbitrary vertex scalars
-//!   ([`fields::ScalarField`]), phase-space estimates
+//!   [`RenderMesh`] is the one owner of a triangulation for rendering — its
+//!   slot order and its traversal cache — and `mesh.view(table)` makes
+//!   every view. A backend fills a table over that mesh and hands the view
+//!   out through the one-method [`FieldEstimator`] trait; the shared
+//!   vertex-field loops (gradients, vertex masses, `∫ f dV`) live there
+//!   too. One kernel, compiled once, serves DTFE density, arbitrary vertex
+//!   scalars ([`fields::ScalarField`]), phase-space estimates
 //!   ([`psdtfe::PsDtfeField`] and its velocity divergence), and smoothed
-//!   stochastic reconstructions ([`stochastic::StochasticField`]).
+//!   stochastic reconstructions ([`stochastic::StochasticField`]) — each a
+//!   table over one `RenderMesh`.
 //!   [`EstimatorKind`] names a backend at the request level (render
 //!   options, the service's table fills, the wire protocol).
 //!
@@ -86,7 +88,7 @@ pub use grid::{Field2, Field3, GridError, GridSpec2, GridSpec3};
 pub use marching::{
     surface_density, surface_density_reference, surface_density_with_index, HullIndex, MarchOptions,
 };
-pub use psdtfe::{PsDtfeDivergence, PsDtfeField, PsDtfeTable, StreamField};
+pub use psdtfe::{PsDtfeField, PsDtfeTable, StreamField};
 pub use render::{RenderOptions, RenderOptionsError};
 pub use stochastic::{StochasticField, StochasticOptions, StochasticTable};
 pub use walking::{surface_density_walking, WalkOptions};

@@ -21,7 +21,10 @@
 //! never a silent zero. Only its trace is kept: the velocity divergence,
 //! rendered through the same marching kernel via
 //! [`PsDtfeField::divergence`]. Both tables hold one number per simplex
-//! ([`SlotValues::Constant`]): Eq. 12 integrates a constant exactly from it.
+//! ([`crate::estimator::SlotValues::Constant`]): Eq. 12 integrates a
+//! constant exactly from it. A value depends on its own simplex only, never
+//! on a slot number, so [`PsDtfeField`] is a [`RenderMesh`] — the render
+//! order every other estimator uses — and its two tables.
 //!
 //! In a multi-stream region the Zel'dovich map folds the Lagrangian mesh
 //! over itself; [`StreamField`] counts streams at a point by counting the
@@ -29,12 +32,10 @@
 //! detected by the **orientation sign** of each mapped tetrahedron.
 
 use crate::density::Mass;
-use crate::estimator::{vertex_masses, DegenerateTetError, FieldEstimator, FieldView, SlotValues};
-use crate::marching::MarchCache;
+use crate::estimator::{vertex_masses, DegenerateTetError, FieldEstimator, FieldView, RenderMesh};
 use dtfe_delaunay::{BuildError, Delaunay, DelaunayBuilder, TetId};
 use dtfe_geometry::tetra::{linear_gradient, signed_volume6, volume};
 use dtfe_geometry::Vec3;
-use std::sync::OnceLock;
 
 /// Why a PS-DTFE build failed.
 #[derive(Debug)]
@@ -182,12 +183,11 @@ impl PsDtfeTable {
     }
 }
 
-/// The phase-space DTFE estimator: a triangulation, in the slot order it
-/// was given in, and its [`PsDtfeTable`] in one owner.
+/// The phase-space DTFE estimator: a [`RenderMesh`] and its
+/// [`PsDtfeTable`] in one owner.
 pub struct PsDtfeField {
-    del: Delaunay,
+    mesh: RenderMesh,
     table: PsDtfeTable,
-    march: OnceLock<MarchCache>,
 }
 
 impl PsDtfeField {
@@ -202,26 +202,25 @@ impl PsDtfeField {
         Ok(Self::from_delaunay(del, points.len(), velocities, mass)?)
     }
 
-    /// Build over an existing triangulation of `n_input` input points,
-    /// keeping its slot order (see [`PsDtfeTable::build`]).
+    /// Build over an existing triangulation of `n_input` input points. Its
+    /// slots are renumbered into render order by [`RenderMesh::new`], so
+    /// `TetId`s retained from `del` go stale; the error names a slot of that
+    /// order.
     pub fn from_delaunay(
         del: Delaunay,
         n_input: usize,
         velocities: &[Vec3],
         mass: Mass,
     ) -> Result<PsDtfeField, DegenerateTetError> {
-        let table = PsDtfeTable::build(&del, n_input, velocities, &mass)?;
-        Ok(PsDtfeField {
-            del,
-            table,
-            march: OnceLock::new(),
-        })
+        let mesh = RenderMesh::new(del);
+        let table = PsDtfeTable::build(mesh.delaunay(), n_input, velocities, &mass)?;
+        Ok(PsDtfeField { mesh, table })
     }
 
     /// The underlying triangulation.
     #[inline]
     pub fn delaunay(&self) -> &Delaunay {
-        &self.del
+        self.mesh.delaunay()
     }
 
     /// The constant density of simplex `t`.
@@ -239,46 +238,27 @@ impl PsDtfeField {
     /// Total estimated mass `Σ_T ρ_T V_T` — equals the input mass exactly
     /// (to roundoff), by construction.
     pub fn integrated_mass(&self) -> f64 {
-        self.del
-            .finite_tets()
+        let del = self.delaunay();
+        del.finite_tets()
             .map(|t| {
-                let p = self.del.tet_points(t);
+                let p = del.tet_points(t);
                 volume(p[0], p[1], p[2], p[3]).abs() * self.tet_density(t)
             })
             .sum()
     }
 
-    /// The velocity-divergence view: a [`FieldEstimator`] over the *same*
-    /// mesh and marching cache whose value is `tr ∇v` per simplex.
-    /// Rendering it integrates `∫ ∇·v dz`.
-    pub fn divergence(&self) -> PsDtfeDivergence<'_> {
-        PsDtfeDivergence(self)
+    /// The velocity-divergence view: the `tr ∇v` table over the *same* mesh
+    /// and traversal cache as the density, so a hull index built for one
+    /// serves both. Rendering it integrates `∫ ∇·v dz`.
+    pub fn divergence(&self) -> FieldView<'_> {
+        self.mesh.view(self.table.divergence())
     }
 }
 
 /// PS-DTFE density: the per-simplex-constant table.
 impl FieldEstimator for PsDtfeField {
     fn view(&self) -> FieldView<'_> {
-        FieldView::new(
-            &self.del,
-            &self.march,
-            SlotValues::Constant(&self.table.density),
-        )
-    }
-}
-
-/// Velocity-divergence view of a [`PsDtfeField`] (see
-/// [`PsDtfeField::divergence`]): the second table over the density view's
-/// mesh and marching cache — a hull index built for one serves both.
-pub struct PsDtfeDivergence<'a>(&'a PsDtfeField);
-
-impl FieldEstimator for PsDtfeDivergence<'_> {
-    fn view(&self) -> FieldView<'_> {
-        FieldView::new(
-            &self.0.del,
-            &self.0.march,
-            SlotValues::Constant(&self.0.table.divergence),
-        )
+        self.mesh.view(self.table.density())
     }
 }
 

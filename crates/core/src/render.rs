@@ -6,9 +6,9 @@
 //! integration bounds, the parallel switch, and now the estimator selector.
 //! [`RenderOptions`] is the single shared home for them; the kernel-specific
 //! option structs embed it as their `render` field, `Deref` to it for reads,
-//! and generate the forwarding builder setters with
-//! [`forward_render_options!`] so call sites read the same either way and new
-//! shared knobs are added in exactly one place.
+//! and generate the forwarding builder setters with the crate-private
+//! `forward_render_options!` macro, so call sites read the same either way
+//! and new shared knobs are added in exactly one place.
 
 use crate::estimator::EstimatorKind;
 

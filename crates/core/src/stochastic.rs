@@ -21,12 +21,10 @@
 
 use crate::density::{DtfeField, Mass, TetInterp};
 use crate::estimator::{
-    integrate_vertex_field, vertex_interp, DegeneratePolicy, FieldEstimator, FieldView, SlotValues,
+    integrate_vertex_field, vertex_interp, FieldEstimator, FieldView, RenderMesh,
 };
-use crate::marching::MarchCache;
 use dtfe_delaunay::{BuildError, Delaunay, DelaunayBuilder};
 use dtfe_geometry::Vec3;
-use std::sync::OnceLock;
 
 /// Knobs for the stochastic reconstruction.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -84,7 +82,7 @@ impl StochasticTable {
     /// Build the smoothed reconstruction of `points` with `mass` at the
     /// vertices of `del`, the triangulation of those same `points`. The
     /// mass integral is a float sum over `del`'s slot order, so the table
-    /// belongs to that order.
+    /// belongs to that order: a [`RenderMesh`]'s, for everything rendered.
     pub fn build(
         del: &Delaunay,
         points: &[Vec3],
@@ -149,8 +147,7 @@ impl StochasticTable {
             *m *= scale;
         }
 
-        let interp = vertex_interp(del, &mean, DegeneratePolicy::ZeroGradient)
-            .expect("ZeroGradient policy is infallible");
+        let interp = vertex_interp(del, &mean);
         StochasticTable {
             vertex_mean: mean,
             interp,
@@ -171,12 +168,11 @@ impl StochasticTable {
     }
 }
 
-/// The smoothed stochastic estimator: the base triangulation, in the DTFE
-/// constructor's slot order, and its [`StochasticTable`] in one owner.
+/// The smoothed stochastic estimator: the base triangulation's
+/// [`RenderMesh`] and its [`StochasticTable`] in one owner.
 pub struct StochasticField {
-    del: Delaunay,
+    mesh: RenderMesh,
     table: StochasticTable,
-    march: OnceLock<MarchCache>,
 }
 
 impl StochasticField {
@@ -186,19 +182,14 @@ impl StochasticField {
         mass: Mass,
         opts: StochasticOptions,
     ) -> Result<StochasticField, BuildError> {
-        let mut del = DelaunayBuilder::new().build(points)?;
-        del.compact_reorder();
-        let table = StochasticTable::build(&del, points, &mass, opts);
-        Ok(StochasticField {
-            del,
-            table,
-            march: OnceLock::new(),
-        })
+        let mesh = RenderMesh::new(DelaunayBuilder::new().build(points)?);
+        let table = StochasticTable::build(mesh.delaunay(), points, &mass, opts);
+        Ok(StochasticField { mesh, table })
     }
 
     /// The base triangulation.
     pub fn delaunay(&self) -> &Delaunay {
-        &self.del
+        self.mesh.delaunay()
     }
 
     /// Averaged, rescaled per-vertex densities.
@@ -215,17 +206,13 @@ impl StochasticField {
     /// Total mass of the reconstruction `∫ ρ̄ dV` — equals the input mass
     /// exactly (to roundoff), by the rescaling constraint.
     pub fn integrated_mass(&self) -> f64 {
-        integrate_vertex_field(&self.del, self.vertex_densities())
+        integrate_vertex_field(self.delaunay(), self.vertex_densities())
     }
 }
 
 impl FieldEstimator for StochasticField {
     fn view(&self) -> FieldView<'_> {
-        FieldView::new(
-            &self.del,
-            &self.march,
-            SlotValues::Linear(&self.table.interp),
-        )
+        self.mesh.view(self.table.interp())
     }
 }
 

@@ -9,10 +9,11 @@
 //! and a cloud carrying duplicates (merged vertices, accumulated masses).
 
 use dtfe_core::density::TetInterp;
+use dtfe_core::marching::MarchCache;
 use dtfe_core::{
-    surface_density_with_index, DtfeField, DtfeTable, FieldEstimator, GridSpec2, HullIndex,
-    MarchOptions, Mass, PsDtfeField, PsDtfeTable, RenderMesh, SlotValues, StochasticField,
-    StochasticOptions, StochasticTable,
+    surface_density_with_index, DtfeField, DtfeTable, FieldEstimator, FieldView, GridSpec2,
+    HullIndex, MarchOptions, Mass, PsDtfeField, PsDtfeTable, RenderMesh, SlotValues,
+    StochasticField, StochasticOptions, StochasticTable,
 };
 use dtfe_delaunay::DelaunayBuilder;
 use dtfe_geometry::{Vec2, Vec3};
@@ -146,24 +147,48 @@ fn dtfe_table_over_a_render_mesh_is_the_dtfe_field() {
     }
 }
 
+/// `PsDtfeField` renders from its own render-order mesh; the same tables
+/// built over the mesh as the builder left it, and rendered through a view
+/// assembled by hand, give the same bits.
 #[test]
-fn psdtfe_table_over_the_reordered_mesh_renders_as_the_unordered_field() {
+fn psdtfe_field_renders_as_its_tables_in_builder_order() {
     for (name, pts) in clouds() {
         let mass = masses(pts.len());
         let vel = velocities(&pts);
-        let del = DelaunayBuilder::new().build(&pts).unwrap();
-        let field = PsDtfeField::from_delaunay(del, pts.len(), &vel, mass.clone()).unwrap();
-        let mesh = mesh_of(&pts);
-        let table = PsDtfeTable::build(mesh.delaunay(), pts.len(), &vel, &mass).unwrap();
-        let idx = HullIndex::for_mesh(mesh.delaunay());
+        let build = || DelaunayBuilder::new().build(&pts).unwrap();
+        let field = PsDtfeField::from_delaunay(build(), pts.len(), &vel, mass.clone()).unwrap();
+        let del = field.delaunay();
+        assert_eq!(
+            del.num_slots(),
+            del.num_tets() + del.num_ghosts(),
+            "{name}: the field's mesh is compact"
+        );
+
+        let raw = build();
+        let table = PsDtfeTable::build(&raw, pts.len(), &vel, &mass).unwrap();
+        let SlotValues::Constant(ordered) = field.view().values else {
+            panic!("{name}: PS-DTFE tables are per-simplex constants");
+        };
+        assert_ne!(
+            bits(table.density()),
+            bits(ordered),
+            "{name}: the builder's slot order is the render order"
+        );
+        let cache = MarchCache::build(&raw);
+        let unordered = |values| FieldView {
+            del: &raw,
+            cache: &cache,
+            values: SlotValues::Constant(values),
+        };
+        let idx = HullIndex::for_mesh(&raw);
         let field_idx = HullIndex::build(&field);
         assert_eq!(
-            renders(&mesh.view(table.density()), &idx),
+            renders(&unordered(table.density()), &idx),
             renders(&field, &field_idx),
             "{name}: density"
         );
         assert_eq!(
-            renders(&mesh.view(table.divergence()), &idx),
+            renders(&unordered(table.divergence()), &idx),
             renders(&field.divergence(), &field_idx),
             "{name}: divergence"
         );

@@ -4,8 +4,10 @@
 //! objects found by a density based clustering algorithm" (paper §V-3). FOF
 //! with a linking length `b` is the standard such algorithm in cosmology:
 //! particles closer than `b` are linked, and connected components are the
-//! halos. Implemented with a union-find over a uniform cell grid of cell
-//! size `b` (only the 27 neighbouring cells can contain links).
+//! halos. Implemented with a union-find over a uniform cell grid whose
+//! cells are at least `b` on a side (so only the 27 neighbouring cells can
+//! contain links), and at most about `n^(1/3)` per axis (so a tiny `b`
+//! cannot ask for more cells than there is memory).
 
 use dtfe_geometry::{Aabb3, Vec3};
 
@@ -64,17 +66,18 @@ pub fn fof_groups(points: &[Vec3], linking_length: f64, min_members: usize) -> V
     }
     let bounds = Aabb3::from_points(points.iter().copied()).unwrap();
     let ext = bounds.extent();
+    let ext = [ext.x, ext.y, ext.z];
     let b = linking_length;
-    let dims = [
-        ((ext.x / b).floor() as usize + 1).max(1),
-        ((ext.y / b).floor() as usize + 1).max(1),
-        ((ext.z / b).floor() as usize + 1).max(1),
-    ];
+    // `ext / b + 1` cells of side `b` per axis, capped; a capped axis has
+    // cells wider than `b`, which keeps the ±1-cell stencil exact.
+    let max_dim = (points.len() as f64).cbrt().ceil();
+    let dims = ext.map(|e| ((e / b).floor() + 1.0).min(max_dim) as usize);
+    let side: [f64; 3] = std::array::from_fn(|a| (ext[a] / dims[a] as f64).max(b));
     let cell_of = |p: Vec3| -> [usize; 3] {
         [
-            (((p.x - bounds.lo.x) / b) as usize).min(dims[0] - 1),
-            (((p.y - bounds.lo.y) / b) as usize).min(dims[1] - 1),
-            (((p.z - bounds.lo.z) / b) as usize).min(dims[2] - 1),
+            (((p.x - bounds.lo.x) / side[0]) as usize).min(dims[0] - 1),
+            (((p.y - bounds.lo.y) / side[1]) as usize).min(dims[1] - 1),
+            (((p.z - bounds.lo.z) / side[2]) as usize).min(dims[2] - 1),
         ]
     };
     let flat = |c: [usize; 3]| (c[2] * dims[1] + c[1]) * dims[0] + c[0];
@@ -255,6 +258,50 @@ mod tests {
         // Sparse uniform points with a short link: essentially no big groups.
         let groups = fof_groups(&pts, 0.5, 5);
         assert!(groups.len() < 5);
+    }
+
+    /// Every pair within `b` linked by brute force, grouped and ordered as
+    /// [`fof_groups`] orders its groups.
+    fn brute_force_members(points: &[Vec3], b: f64, min_members: usize) -> Vec<Vec<u32>> {
+        let mut uf = UnionFind::new(points.len());
+        for (i, &p) in points.iter().enumerate() {
+            for (j, &q) in points.iter().enumerate().skip(i + 1) {
+                if p.distance_sq(q) <= b * b {
+                    uf.union(i as u32, j as u32);
+                }
+            }
+        }
+        let mut groups: Vec<Vec<u32>> = vec![Vec::new(); points.len()];
+        for i in 0..points.len() as u32 {
+            groups[uf.find(i) as usize].push(i);
+        }
+        groups.retain(|m| !m.is_empty() && m.len() >= min_members);
+        groups.sort_by(|a, b| b.len().cmp(&a.len()).then(a[0].cmp(&b[0])));
+        groups
+    }
+
+    #[test]
+    fn tiny_links_and_duplicates_equal_brute_force() {
+        // A link far below the spacing asks for ~1e9 cells per axis; the
+        // grid must stay small and still link exactly the duplicates.
+        let mut s = Sampler::new(5);
+        let mut pts: Vec<Vec3> = (0..300)
+            .map(|_| Vec3::new(s.unit() * 4.0, s.unit() * 4.0, s.unit() * 4.0))
+            .collect();
+        for i in (0..300).step_by(3) {
+            pts.push(pts[i]);
+        }
+        pts.push(pts[0]);
+        for b in [1e-9, 0.05, 0.3] {
+            let got: Vec<Vec<u32>> = fof_groups(&pts, b, 2)
+                .into_iter()
+                .map(|g| g.members)
+                .collect();
+            assert_eq!(got, brute_force_members(&pts, b, 2), "b = {b}");
+        }
+        let duplicates = fof_groups(&pts, 1e-9, 2);
+        assert_eq!(duplicates.len(), 100);
+        assert_eq!(duplicates[0].members, vec![0, 300, 400]);
     }
 
     #[test]

@@ -357,7 +357,7 @@ impl TileCache {
     /// [`ServiceError::Internal`]. Repeated failures (panic or error
     /// alike) quarantine the key per the cache's [`QuarantinePolicy`],
     /// after which callers receive
-    /// [`ServiceError::Quarantined`](crate::ServiceError::Quarantined)
+    /// [`ServiceError::Quarantined`]
     /// without running `build` at all.
     pub fn get_or_build<F>(
         &self,

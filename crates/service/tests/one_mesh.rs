@@ -3,10 +3,10 @@
 //! tile's padded particle set, bit for bit.
 //!
 //! The standalone fields are the ones a single-estimator entry used to
-//! hold — `DtfeField::from_delaunay_for_inputs`, `PsDtfeField::from_delaunay`
-//! over the *construction-order* mesh, `StochasticField::build` — rendered
+//! hold — `DtfeField::from_delaunay_for_inputs`, `PsDtfeField::from_delaunay`,
+//! `StochasticField::build`, each a mesh of its own and one table — rendered
 //! with `surface_density_with_index`. The service renders all of them from
-//! tables over one reordered mesh, filled in request order.
+//! tables over one mesh per tile, filled in request order.
 
 use dtfe_core::{
     surface_density_with_index, DtfeField, FieldEstimator, GridSpec2, HullIndex, MarchOptions,

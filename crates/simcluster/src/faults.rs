@@ -4,7 +4,7 @@
 //! during a run: per-edge message drops, delays, duplications and reorders,
 //! plus rank kills at named phase boundaries. The plan is threaded through
 //! every [`Comm`](crate::Comm) by [`run_with_faults`](crate::run_with_faults);
-//! each rank carries a [`FaultSession`] whose per-message decisions depend
+//! each rank carries a `FaultSession` whose per-message decisions depend
 //! only on `(seed, src, dst, tag, per-destination sequence number)`, so a
 //! given plan replays the *same* faults on every run regardless of how the
 //! OS interleaves the rank threads.

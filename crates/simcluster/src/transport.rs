@@ -2,7 +2,7 @@
 //! collectives, and the fault-injection hooks.
 //!
 //! Fault injection happens entirely on the **send path**: when a rank's
-//! [`Comm`] carries a [`FaultSession`], every user-tagged `send` consults it
+//! [`Comm`] carries a `FaultSession`, every user-tagged `send` consults it
 //! and the message may be dropped, duplicated, delayed (delivered with a
 //! `not_before` timestamp the receive paths honor), or held back past the
 //! sender's next send (reorder). Collective traffic is exempt (see the

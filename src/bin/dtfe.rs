@@ -123,6 +123,11 @@ fn cmd_halos(flags: &HashMap<String, String>) -> Result<(), String> {
     // cosmology standard.
     let spacing = (info.bounds.volume() / pts.len() as f64).cbrt();
     let link = get_f64(flags, "link", 0.2 * spacing)?;
+    if !(link.is_finite() && link > 0.0) {
+        return Err(format!(
+            "linking length must be finite and positive, got {link}"
+        ));
+    }
     let min = get_usize(flags, "min", 20)?;
     let groups = fof_groups(&pts, link, min);
     println!(

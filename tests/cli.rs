@@ -1,5 +1,6 @@
 //! The `dtfe` command-line front end, driven as a subprocess: a malformed
-//! render grid is a clean `error:` and exit status 1, never a panic.
+//! render grid or halo linking length is a clean `error:` and exit status
+//! 1, never a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -71,5 +72,43 @@ fn valid_render_grid_succeeds() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(dir.join("sigma.pgm").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn halos(dir: &Path, link: &str) -> Output {
+    let snap = dir.join("snap.bin");
+    dtfe(&[
+        "halos",
+        "--snapshot",
+        snap.to_str().unwrap(),
+        "--link",
+        link,
+    ])
+}
+
+#[test]
+fn bad_halo_links_fail_with_an_error_not_a_panic() {
+    let dir = snapshot_dir("bad_link");
+    for link in ["0", "-1", "nan"] {
+        let out = halos(&dir, link);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--link {link}: {stderr}");
+        assert!(stderr.contains("error:"), "--link {link}: {stderr}");
+        assert!(!stderr.contains("panicked"), "--link {link}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_tiny_halo_link_finds_no_halos() {
+    let dir = snapshot_dir("tiny_link");
+    let out = halos(&dir, "1e-9");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains(": 0 groups"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -229,7 +229,7 @@ fn every_table_row_is_anchored_at_its_first_vertex() {
         let t = tables(&pts);
         let del = t.mesh.delaunay();
         let heights: Vec<f64> = del.vertices().iter().map(|p| p.z * p.x).collect();
-        let scalar = ScalarField::new(del, heights.clone());
+        let scalar = ScalarField::new(&t.mesh, heights.clone());
         let SlotValues::Linear(scalar_rows) = scalar.view().values else {
             panic!("a vertex field has linear rows");
         };

@@ -163,13 +163,16 @@ fn windowed_kernel_equals_reference_on_every_fixture() {
         let dtfe = DtfeField::build(&fx.pts, Mass::Uniform(1.0)).unwrap();
         kernel_equals_reference(&fx, &dtfe, EstimatorKind::Dtfe);
         kernel_equals_reference(&fx, &dtfe as &dyn FieldEstimator, EstimatorKind::Dtfe);
-        let del = dtfe.delaunay();
-        let linear = del
+        let linear = dtfe
+            .delaunay()
             .vertices()
             .iter()
             .map(|p| 3.0 + 1.5 * p.x - 2.0 * p.y + 0.5 * p.z);
-        let scalar = ScalarField::new(del, linear.collect());
+        let scalar = ScalarField::new(dtfe.mesh(), linear.collect());
         kernel_equals_reference(&fx, &scalar, EstimatorKind::Dtfe);
+        // A vertex field over the density's mesh renders with its cache.
+        let (d, s) = (dtfe.view(), scalar.view());
+        assert!(std::ptr::eq(d.del, s.del) && std::ptr::eq(d.cache, s.cache));
 
         let ps =
             PsDtfeField::build(&fx.pts, &demo_velocities(&fx.pts), Mass::Uniform(1.0)).unwrap();
