@@ -43,11 +43,10 @@ fn main() {
     // --- Walking baseline: per-column costs (each column = ng cell locates).
     let t_all = Instant::now();
     let mut walk_costs = Vec::with_capacity(ng * ng);
-    let mut seed = 0xBEEF;
     for j in 0..ng {
         for i in 0..ng {
             let t = Instant::now();
-            let v = walk_column(&field, &g3, i, j, 1, &mut seed);
+            let v = walk_column(&field, &g3, i, j, 1);
             walk_costs.push(t.elapsed().as_secs_f64());
             std::hint::black_box(v);
         }
@@ -64,9 +63,7 @@ fn main() {
     for j in 0..ng {
         for i in 0..ng {
             let t = Instant::now();
-            let v = cell_value(
-                &field, &index, &grid, i, j, eps, &opts, &mut seed, &mut stats,
-            );
+            let v = cell_value(&field, &index, &grid, i, j, eps, &opts, &mut stats);
             march_costs.push(t.elapsed().as_secs_f64());
             std::hint::black_box(v);
         }

@@ -131,7 +131,7 @@ mod tests {
         let index = HullIndex::build(&field);
         let xi = Vec2::new(1.7, 1.4);
         let los = |f: &ScalarField<'_>, stats: &mut MarchStats| {
-            march_cell(f, &index, xi, None, 1e-9, 16, &mut 1, stats)
+            march_cell(f, &index, xi, None, 1e-9, 16, 1, stats)
         };
         let mut stats = MarchStats::default();
         let got = los(&field, &mut stats);

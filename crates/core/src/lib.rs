@@ -88,7 +88,7 @@ pub use grid::{Field2, Field3, GridError, GridSpec2, GridSpec3};
 pub use marching::{
     surface_density, surface_density_reference, surface_density_with_index, HullIndex, MarchOptions,
 };
-pub use psdtfe::{PsDtfeField, PsDtfeTable, StreamField};
+pub use psdtfe::{PsDtfeField, PsDtfeTable};
 pub use render::{RenderOptions, RenderOptionsError};
 pub use stochastic::{StochasticField, StochasticOptions, StochasticTable};
 pub use walking::{surface_density_walking, WalkOptions};

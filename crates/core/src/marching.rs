@@ -72,10 +72,11 @@
 //!   first cell at a row start), with exact predicates; the hint can only
 //!   change how many steps the walk takes, never where it ends.
 //! * **Tiled parallelism** — workers render square 2D tiles
-//!   ([`RenderOptions::tile`]) instead of whole rows. Each row's RNG stream
-//!   is fast-forwarded into the tile; rows where any tile saw a
-//!   perturbation (extra draws) are recomputed with the sequential stream,
-//!   so the output matches the serial kernel draw for draw.
+//!   ([`RenderOptions::tile`]) instead of whole rows. Every random draw of a
+//!   line of sight — its jitter and each `Perturb` restart — is a pure
+//!   function of the line's key ([`line_key`]: cell, sample, restart), so a
+//!   cell renders the same bits in any tile, on any thread, or alone
+//!   ([`cell_value`]); tiles are rendered independently and copied out.
 
 use crate::density::EntryFacet;
 use crate::estimator::{entry_facets_of, FieldEstimator, FieldView, SlotValues};
@@ -566,25 +567,76 @@ impl MarchStats {
     }
 }
 
+const GOLDEN: u64 = 0x9E3779B97F4A7C15;
+
+/// splitmix64: fold `x` into the hash `h`.
 #[inline]
-fn next_rand(seed: &mut u64) -> u64 {
-    let mut x = *seed;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *seed = x;
-    x.wrapping_mul(0x2545F4914F6CDD1D)
+fn absorb(h: u64, x: u64) -> u64 {
+    let z = h.wrapping_add(GOLDEN) ^ x;
+    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
 }
 
+/// The key of jitter sample `sample` of grid cell `(i, j)`. Every random
+/// draw of that line of sight — where it pierces the cell, and each
+/// `Perturb` restart — is a function of this key alone, never of the lines
+/// rendered before it; [`march_cell`] with this key reproduces the line
+/// as a render marches it.
 #[inline]
-fn rand_unit(seed: &mut u64) -> f64 {
-    (next_rand(seed) >> 11) as f64 / (1u64 << 53) as f64
+pub fn line_key(i: usize, j: usize, sample: usize) -> u64 {
+    absorb(absorb(absorb(0, j as u64), i as u64), sample as u64)
 }
 
-/// The deterministic per-row RNG seed every renderer derives its draws from.
+/// The draws of one line at one step: a splitmix64 stream seeded from the
+/// line's key and `n` — the `Perturb` restart for the marching kernels (0
+/// is the unperturbed line, whose only draws are its jitter), the 3D level
+/// for the walking baseline. It lives for one call.
+pub(crate) struct Draws(u64);
+
+impl Draws {
+    #[inline]
+    pub(crate) fn new(key: u64, n: u64) -> Draws {
+        Draws(absorb(key, n))
+    }
+
+    #[inline]
+    pub(crate) fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(GOLDEN);
+        absorb(self.0, 0)
+    }
+
+    /// Uniform in `[0, 1)`.
+    #[inline]
+    pub(crate) fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// Line `sample` of cell `(i, j)`: its key, and where it pierces the grid
+/// plane — the cell centre in a one-sample render, else a point uniform in
+/// the cell drawn from the key.
 #[inline]
-fn row_seed(j: usize) -> u64 {
-    0x9E3779B97F4A7C15u64 ^ ((j as u64) << 32) ^ 0xD1B54A32D192ED03
+fn line_of_sight(
+    grid: &GridSpec2,
+    i: usize,
+    j: usize,
+    sample: usize,
+    samples: usize,
+) -> (u64, Vec2) {
+    let key = line_key(i, j, sample);
+    if samples <= 1 {
+        return (key, grid.center(i, j));
+    }
+    let mut d = Draws::new(key, 0);
+    let base = Vec2::new(
+        grid.origin.x + i as f64 * grid.cell.x,
+        grid.origin.y + j as f64 * grid.cell.y,
+    );
+    (
+        key,
+        base + Vec2::new(d.unit() * grid.cell.x, d.unit() * grid.cell.y),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -645,7 +697,7 @@ fn perturb_or_fail(
     xi: Vec2,
     eps: f64,
     max_perturb: usize,
-    seed: &mut u64,
+    line: u64,
     attempts: &mut usize,
     stats: &mut MarchStats,
 ) -> Option<Vec2> {
@@ -655,14 +707,15 @@ fn perturb_or_fail(
         stats.failures += 1;
         return None;
     }
-    Some(perturb(del, t, xi, eps, seed))
+    Some(perturb(del, t, xi, eps, line, *attempts))
 }
 
 /// Integrate the estimator's field along the vertical line of sight through
 /// `xi` (paper Fig. 3, one iteration of the kernel loop).
 ///
-/// `eps` is the *absolute* perturbation magnitude. Returns the integral
-/// and updates `stats`.
+/// `eps` is the *absolute* perturbation magnitude; `line` keys the draws of
+/// any `Perturb` restart ([`line_key`]). Returns the integral and updates
+/// `stats`.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's kernel signature
 pub fn march_cell<E: FieldEstimator + ?Sized>(
     field: &E,
@@ -671,13 +724,13 @@ pub fn march_cell<E: FieldEstimator + ?Sized>(
     z_range: Option<(f64, f64)>,
     eps: f64,
     max_perturb: usize,
-    seed: &mut u64,
+    line: u64,
     stats: &mut MarchStats,
 ) -> f64 {
     march_one(
         &MarchCtx::new(field.view(), index, z_range, eps, max_perturb),
         xi,
-        seed,
+        line,
         stats,
         &mut EntryHint::cold(),
     )
@@ -697,12 +750,12 @@ pub fn march_cell<E: FieldEstimator + ?Sized>(
 fn march_one(
     ctx: &MarchCtx<'_>,
     xi: Vec2,
-    seed: &mut u64,
+    line: u64,
     stats: &mut MarchStats,
     hint: &mut EntryHint,
 ) -> f64 {
     let crossings_before = stats.crossings;
-    let v = march_cell_inner(ctx, xi, seed, stats, hint);
+    let v = march_cell_inner(ctx, xi, line, stats, hint);
     // Per-LOS traversal depth distribution; free when telemetry is off and
     // invisible on rayon workers unless a global recorder is installed.
     dtfe_telemetry::hist_record!("core.tets_per_los", stats.crossings - crossings_before);
@@ -837,7 +890,7 @@ pub fn window_entry_with_hint<E: FieldEstimator + ?Sized>(
 fn march_cell_inner(
     ctx: &MarchCtx<'_>,
     xi: Vec2,
-    seed: &mut u64,
+    line: u64,
     stats: &mut MarchStats,
     hint: &mut EntryHint,
 ) -> f64 {
@@ -877,7 +930,7 @@ fn march_cell_inner(
                     xi_cur,
                     ctx.eps,
                     ctx.max_perturb,
-                    seed,
+                    line,
                     &mut attempts,
                     stats,
                 ) {
@@ -908,7 +961,7 @@ fn march_cell_inner(
                     xi_cur,
                     ctx.eps,
                     ctx.max_perturb,
-                    seed,
+                    line,
                     &mut attempts,
                     stats,
                 ) {
@@ -958,13 +1011,15 @@ fn march_cell_inner(
 }
 
 /// The paper's `Perturb` (Fig. 2): move `ξ` by at most `eps` toward the
-/// projection of a randomly chosen vertex of the offending tetrahedron.
+/// projection of a randomly chosen vertex of the offending tetrahedron,
+/// with the draws of restart `attempt` of line `line`.
 #[cold]
 #[inline(never)]
-fn perturb(del: &Delaunay, t: TetId, xi: Vec2, eps: f64, seed: &mut u64) -> Vec2 {
+fn perturb(del: &Delaunay, t: TetId, xi: Vec2, eps: f64, line: u64, attempt: usize) -> Vec2 {
+    let mut d = Draws::new(line, attempt as u64);
     let tet = del.tet(t);
     for _ in 0..4 {
-        let v = tet.verts[(next_rand(seed) % 4) as usize];
+        let v = tet.verts[(d.next() % 4) as usize];
         if v == dtfe_delaunay::INFINITE {
             continue;
         }
@@ -978,11 +1033,11 @@ fn perturb(del: &Delaunay, t: TetId, xi: Vec2, eps: f64, seed: &mut u64) -> Vec2
         }
         // Extra deterministic jitter so repeated perturbations from the same
         // tetrahedron do not retrace the same degenerate line.
-        let jitter = Vec2::new(rand_unit(seed) - 0.5, rand_unit(seed) - 0.5) * (0.1 * eps);
+        let jitter = Vec2::new(d.unit() - 0.5, d.unit() - 0.5) * (0.1 * eps);
         return xi + delta + jitter;
     }
     // All vertices project onto ξ (pathological): random direction.
-    let ang = rand_unit(seed) * std::f64::consts::TAU;
+    let ang = d.unit() * std::f64::consts::TAU;
     xi + Vec2::new(ang.cos(), ang.sin()) * eps
 }
 
@@ -1047,11 +1102,8 @@ fn render(
     } else {
         let mut hint = EntryHint::cold();
         for (j, chunk) in out.data.chunks_mut(grid.nx).enumerate() {
-            let mut seed = row_seed(j);
             hint.facet = NO_FACET;
-            render_row_segment(
-                &ctx, grid, samples, j, 0, &mut seed, &mut stats, &mut hint, chunk,
-            );
+            render_row_segment(&ctx, grid, samples, j, 0, &mut stats, &mut hint, chunk);
         }
     }
     // Bridge the kernel-local counters into the registry from this thread,
@@ -1070,9 +1122,9 @@ fn render(
     (out, stats)
 }
 
-/// Render cells `i0..i0+out.len()` of row `j` into `out`, threading the RNG
-/// stream, stats, and the entry hint left to right. The window hint starts
-/// from the previous segment's first cell (the cell below this one's).
+/// Render cells `i0..i0+out.len()` of row `j` into `out`, threading the
+/// stats and the entry hint left to right. The window hint starts from the
+/// previous segment's first cell (the cell below this one's).
 #[allow(clippy::too_many_arguments)]
 #[inline(never)] // keeps the cell loop apart from the tile scheduling around it
 fn render_row_segment(
@@ -1081,14 +1133,13 @@ fn render_row_segment(
     samples: usize,
     j: usize,
     i0: usize,
-    seed: &mut u64,
     stats: &mut MarchStats,
     hint: &mut EntryHint,
     out: &mut [f64],
 ) {
     hint.window = hint.row_window;
     for (k, slot) in out.iter_mut().enumerate() {
-        *slot = cell_value_inner(ctx, grid, samples, i0 + k, j, seed, stats, hint);
+        *slot = cell_value_inner(ctx, grid, samples, i0 + k, j, stats, hint);
         if k == 0 {
             hint.row_window = hint.window;
         }
@@ -1096,12 +1147,10 @@ fn render_row_segment(
 }
 
 /// 2D-tiled parallel render. Each worker owns a square tile so consecutive
-/// cells keep mesh locality in x *and* y. Bit-identity with the serial
-/// kernel rests on deterministic RNG accounting: a cell consumes exactly
-/// `2·samples` draws when `samples > 1` and none otherwise — unless it
-/// perturbs. Tiles fast-forward each row's seed past the cells to their
-/// left; any row where some tile perturbed is recomputed afterwards with
-/// the true sequential stream.
+/// cells keep mesh locality in x *and* y. A cell's draws depend on its own
+/// key only and a hint never changes an entry, so each tile renders exactly
+/// what the serial kernel renders there; the tiles are copied out and their
+/// counters summed.
 fn render_tiled(
     ctx: &MarchCtx<'_>,
     grid: &GridSpec2,
@@ -1110,112 +1159,39 @@ fn render_tiled(
     out: &mut Field2,
     stats: &mut MarchStats,
 ) {
-    let (nx, ny) = (grid.nx, grid.ny);
-    if nx == 0 || ny == 0 {
-        return;
-    }
+    let nx = grid.nx;
     let tile = tile.max(1);
     let tx = nx.div_ceil(tile);
-    let ty = ny.div_ceil(tile);
-    let draws_per_cell: u64 = if samples > 1 { 2 * samples as u64 } else { 0 };
-
-    struct TileOut {
-        i0: usize,
-        i1: usize,
-        j0: usize,
-        values: Vec<f64>,
-        /// Per-row (stats, perturbed?) for the rows this tile covers.
-        rows: Vec<(MarchStats, bool)>,
-    }
-
-    let tiles: Vec<TileOut> = (0..tx * ty)
+    // Tile `ti`'s first cell and its width and height.
+    let bounds = |ti: usize| {
+        let (i0, j0) = (ti % tx * tile, ti / tx * tile);
+        (i0, j0, tile.min(nx - i0), tile.min(grid.ny - j0))
+    };
+    let tiles: Vec<(Vec<f64>, MarchStats)> = (0..tx * grid.ny.div_ceil(tile))
         .into_par_iter()
         .map(|ti| {
-            let (tj, tix) = (ti / tx, ti % tx);
-            let (i0, j0) = (tix * tile, tj * tile);
-            let (i1, j1) = ((i0 + tile).min(nx), (j0 + tile).min(ny));
-            let w = i1 - i0;
-            let mut values = vec![0.0; w * (j1 - j0)];
-            let mut rows = Vec::with_capacity(j1 - j0);
+            let (i0, j0, w, h) = bounds(ti);
+            let mut values = vec![0.0; w * h];
+            let mut s = MarchStats::default();
             let mut hint = EntryHint::cold();
-            for j in j0..j1 {
-                let mut seed = row_seed(j);
-                for _ in 0..draws_per_cell * i0 as u64 {
-                    next_rand(&mut seed);
-                }
-                let mut s = MarchStats::default();
-                let off = (j - j0) * w;
-                render_row_segment(
-                    ctx,
-                    grid,
-                    samples,
-                    j,
-                    i0,
-                    &mut seed,
-                    &mut s,
-                    &mut hint,
-                    &mut values[off..off + w],
-                );
-                let tainted = s.perturbations > 0;
-                rows.push((s, tainted));
+            for (r, row) in values.chunks_mut(w).enumerate() {
+                render_row_segment(ctx, grid, samples, j0 + r, i0, &mut s, &mut hint, row);
             }
-            TileOut {
-                i0,
-                i1,
-                j0,
-                values,
-                rows,
-            }
+            (values, s)
         })
         .collect();
-
-    // A perturbation anywhere in a row shifted the RNG stream for every
-    // cell to its right (possibly in another tile), so the whole row is
-    // recomputed sequentially; its speculative segments and their stats are
-    // discarded wholesale.
-    let mut tainted = vec![false; ny];
-    for t in &tiles {
-        for (r, &(_, tn)) in t.rows.iter().enumerate() {
-            if tn {
-                tainted[t.j0 + r] = true;
-            }
+    for (ti, (values, s)) in tiles.iter().enumerate() {
+        let (i0, j0, w, _) = bounds(ti);
+        for (r, row) in values.chunks(w).enumerate() {
+            let at = (j0 + r) * nx + i0;
+            out.data[at..at + w].copy_from_slice(row);
         }
-    }
-    for t in &tiles {
-        let w = t.i1 - t.i0;
-        for (r, (s, _)) in t.rows.iter().enumerate() {
-            let j = t.j0 + r;
-            if tainted[j] {
-                continue;
-            }
-            out.data[j * nx + t.i0..j * nx + t.i1].copy_from_slice(&t.values[r * w..(r + 1) * w]);
-            stats.merge(s);
-        }
-    }
-    if tainted.iter().any(|&t| t) {
-        let redone: Vec<MarchStats> = out
-            .data
-            .par_chunks_mut(nx)
-            .enumerate()
-            .map(|(j, chunk)| {
-                let mut s = MarchStats::default();
-                if tainted[j] {
-                    let mut seed = row_seed(j);
-                    let mut hint = EntryHint::cold();
-                    render_row_segment(
-                        ctx, grid, samples, j, 0, &mut seed, &mut s, &mut hint, chunk,
-                    );
-                }
-                s
-            })
-            .collect();
-        for s in &redone {
-            stats.merge(s);
-        }
+        stats.merge(s);
     }
 }
 
-/// One cell's value: centre sample or the jittered Monte-Carlo mean.
+/// One cell's value: centre sample or the jittered Monte-Carlo mean, the
+/// bits a render of `grid` with `opts` gives that cell.
 #[allow(clippy::too_many_arguments)]
 pub fn cell_value<E: FieldEstimator + ?Sized>(
     field: &E,
@@ -1225,7 +1201,6 @@ pub fn cell_value<E: FieldEstimator + ?Sized>(
     j: usize,
     eps: f64,
     opts: &MarchOptions,
-    seed: &mut u64,
     stats: &mut MarchStats,
 ) -> f64 {
     cell_value_inner(
@@ -1240,7 +1215,6 @@ pub fn cell_value<E: FieldEstimator + ?Sized>(
         opts.render.samples,
         i,
         j,
-        seed,
         stats,
         &mut EntryHint::cold(),
     )
@@ -1253,24 +1227,16 @@ fn cell_value_inner(
     samples: usize,
     i: usize,
     j: usize,
-    seed: &mut u64,
     stats: &mut MarchStats,
     hint: &mut EntryHint,
 ) -> f64 {
-    if samples <= 1 {
-        let xi = grid.center(i, j);
-        return march_one(ctx, xi, seed, stats, hint);
-    }
-    let base = Vec2::new(
-        grid.origin.x + i as f64 * grid.cell.x,
-        grid.origin.y + j as f64 * grid.cell.y,
-    );
+    let n = samples.max(1);
     let mut acc = 0.0;
-    for _ in 0..samples {
-        let xi = base + Vec2::new(rand_unit(seed) * grid.cell.x, rand_unit(seed) * grid.cell.y);
-        acc += march_one(ctx, xi, seed, stats, hint);
+    for sample in 0..n {
+        let (line, xi) = line_of_sight(grid, i, j, sample, samples);
+        acc += march_one(ctx, xi, line, stats, hint);
     }
-    acc / samples as f64
+    acc / n as f64
 }
 
 #[cfg(test)]
@@ -1315,7 +1281,7 @@ mod tests {
         let index = HullIndex::build(&field);
         // Inside the tet the field is constant 24 (see density tests); the
         // chord at (0.2, 0.2) runs z ∈ [0, 0.6].
-        let mut seed = 1;
+        let line = 1;
         let mut stats = MarchStats::default();
         let sigma = march_cell(
             &field,
@@ -1324,7 +1290,7 @@ mod tests {
             None,
             1e-9,
             16,
-            &mut seed,
+            line,
             &mut stats,
         );
         assert!((sigma - 24.0 * 0.6).abs() < 1e-9, "sigma = {sigma}");
@@ -1337,7 +1303,7 @@ mod tests {
             None,
             1e-9,
             16,
-            &mut seed,
+            line,
             &mut stats,
         );
         assert_eq!(z, 0.0);
@@ -1367,9 +1333,9 @@ mod tests {
                     brute += (ti.rho0 + ti.grad.dot(mid - pts[0])) * (b - a);
                 }
             }
-            let mut seed = 5;
+            let line = 5;
             let mut stats = MarchStats::default();
-            let marched = march_cell(&field, &index, xi, None, 1e-9, 16, &mut seed, &mut stats);
+            let marched = march_cell(&field, &index, xi, None, 1e-9, 16, line, &mut stats);
             assert_eq!(stats.perturbations, 0, "unexpected degeneracy at {xi:?}");
             assert!(
                 (marched - brute).abs() <= 1e-9 * (1.0 + brute.abs()),
@@ -1409,14 +1375,14 @@ mod tests {
         let field = DtfeField::build(&pts, Mass::Uniform(1.0)).unwrap();
         let index = HullIndex::build(&field);
         let mut stats = MarchStats::default();
-        let mut seed = 3;
+        let line = 3;
         // Through a vertex column and along an edge plane.
         for xi in [
             Vec2::new(1.0, 1.0),
             Vec2::new(1.0, 1.5),
             Vec2::new(2.0, 0.5),
         ] {
-            let v = march_cell(&field, &index, xi, None, 1e-7, 64, &mut seed, &mut stats);
+            let v = march_cell(&field, &index, xi, None, 1e-7, 64, line, &mut stats);
             assert!(v.is_finite());
             // The lattice interior has density ~1 and chord length 3, and the
             // perturbed ray must see approximately that.
@@ -1436,9 +1402,9 @@ mod tests {
         let index = HullIndex::build(&field);
         let xi = Vec2::new(2.2, 2.6);
         let run = |zr: Option<(f64, f64)>| {
-            let mut seed = 7;
+            let line = 7;
             let mut stats = MarchStats::default();
-            march_cell(&field, &index, xi, zr, 1e-9, 16, &mut seed, &mut stats)
+            march_cell(&field, &index, xi, zr, 1e-9, 16, line, &mut stats)
         };
         let full = run(None);
         let lo = run(Some((-10.0, 2.0)));
@@ -1455,7 +1421,7 @@ mod tests {
         let grid = GridSpec2::covering(Vec2::new(0.0, 0.0), Vec2::new(3.5, 3.5), 24, 24);
         let par = surface_density(&field, &grid, &MarchOptions::new().parallel(true));
         let ser = surface_density(&field, &grid, &MarchOptions::new().parallel(false));
-        // Deterministic per-row seeding makes these bit-identical.
+        // Per-line draws make these bit-identical.
         assert_eq!(par.data, ser.data);
     }
 
@@ -1509,8 +1475,8 @@ mod tests {
     #[test]
     fn tiled_render_identical_on_degenerate_lattice() {
         // A vertex-aligned grid over an exact lattice maximizes
-        // perturbations: the taint-and-recompute path must reproduce the
-        // serial stream exactly, including the perturbation count.
+        // perturbations: every tile must reproduce the serial render
+        // exactly, including the perturbation count.
         let pts: Vec<Vec3> = (0..4)
             .flat_map(|i| {
                 (0..4)

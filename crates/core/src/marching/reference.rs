@@ -1,6 +1,6 @@
 //! The reference kernel (the equivalence oracle).
 
-use super::{perturb_or_fail, rand_unit, row_seed, HullIndex, MarchOptions, MarchStats};
+use super::{line_of_sight, perturb_or_fail, HullIndex, MarchOptions, MarchStats};
 use crate::estimator::{FieldEstimator, FieldView};
 use crate::grid::{Field2, GridSpec2};
 use dtfe_delaunay::{Delaunay, Located, TetId, NONE};
@@ -80,20 +80,8 @@ fn reference_render(
     let window_floor = floor.filter(|&lo| seek_window_entry && lo > z_min);
     let eps = opts.epsilon * grid.cell.norm();
     let row = |j: usize, out: &mut [f64], stats: &mut MarchStats| {
-        let mut seed = row_seed(j);
         for (i, slot) in out.iter_mut().enumerate() {
-            *slot = reference_cell_value(
-                field,
-                index,
-                grid,
-                i,
-                j,
-                eps,
-                opts,
-                window_floor,
-                &mut seed,
-                stats,
-            );
+            *slot = reference_cell_value(field, index, grid, i, j, eps, opts, window_floor, stats);
         }
     };
     let mut out = Field2::zeros(*grid);
@@ -130,25 +118,15 @@ fn reference_cell_value(
     eps: f64,
     opts: &MarchOptions,
     window_floor: Option<f64>,
-    seed: &mut u64,
     stats: &mut MarchStats,
 ) -> f64 {
-    let mut march = |xi, seed: &mut u64| {
-        reference_march_one(field, index, xi, eps, opts, window_floor, seed, stats)
-    };
-    if opts.render.samples <= 1 {
-        return march(grid.center(i, j), seed);
-    }
-    let base = Vec2::new(
-        grid.origin.x + i as f64 * grid.cell.x,
-        grid.origin.y + j as f64 * grid.cell.y,
-    );
+    let n = opts.render.samples.max(1);
     let mut acc = 0.0;
-    for _ in 0..opts.render.samples {
-        let xi = base + Vec2::new(rand_unit(seed) * grid.cell.x, rand_unit(seed) * grid.cell.y);
-        acc += march(xi, seed);
+    for sample in 0..n {
+        let (line, xi) = line_of_sight(grid, i, j, sample, opts.render.samples);
+        acc += reference_march_one(field, index, xi, eps, opts, window_floor, line, stats);
     }
-    acc / opts.render.samples as f64
+    acc / n as f64
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -159,7 +137,7 @@ fn reference_march_one(
     eps: f64,
     opts: &MarchOptions,
     window_floor: Option<f64>,
-    seed: &mut u64,
+    line: u64,
     stats: &mut MarchStats,
 ) -> f64 {
     let crossings_before = stats.crossings;
@@ -171,7 +149,7 @@ fn reference_march_one(
         window_floor,
         eps,
         opts.max_perturb,
-        seed,
+        line,
         stats,
     );
     dtfe_telemetry::hist_record!("core.tets_per_los", stats.crossings - crossings_before);
@@ -187,7 +165,7 @@ fn reference_march_cell_inner(
     window_floor: Option<f64>,
     eps: f64,
     max_perturb: usize,
-    seed: &mut u64,
+    line: u64,
     stats: &mut MarchStats,
 ) -> f64 {
     let del = field.del;
@@ -212,7 +190,7 @@ fn reference_march_cell_inner(
         loop {
             steps += 1;
             if steps > max_steps {
-                match perturb_or_fail(del, t, xi_cur, eps, max_perturb, seed, &mut attempts, stats)
+                match perturb_or_fail(del, t, xi_cur, eps, max_perturb, line, &mut attempts, stats)
                 {
                     Some(x) => {
                         xi_cur = x;
@@ -225,7 +203,7 @@ fn reference_march_cell_inner(
             let hit = ray_tetra(&pl, &verts);
             stats.edge_evals += 6;
             if hit.degenerate || !hit.is_through() {
-                match perturb_or_fail(del, t, xi_cur, eps, max_perturb, seed, &mut attempts, stats)
+                match perturb_or_fail(del, t, xi_cur, eps, max_perturb, line, &mut attempts, stats)
                 {
                     Some(x) => {
                         xi_cur = x;

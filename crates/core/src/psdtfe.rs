@@ -1,5 +1,4 @@
-//! Phase-space DTFE (PS-DTFE): per-simplex density and velocity gradients,
-//! with multi-stream handling on tetrahedron orientation.
+//! Phase-space DTFE (PS-DTFE): per-simplex density and velocity gradients.
 //!
 //! Following Feldbrugge's phase-space estimator (PAPERS.md), the density is
 //! **piecewise constant per simplex** rather than interpolated from vertex
@@ -25,16 +24,11 @@
 //! constant exactly from it. A value depends on its own simplex only, never
 //! on a slot number, so [`PsDtfeField`] is a [`RenderMesh`] — the render
 //! order every other estimator uses — and its two tables.
-//!
-//! In a multi-stream region the Zel'dovich map folds the Lagrangian mesh
-//! over itself; [`StreamField`] counts streams at a point by counting the
-//! mapped (possibly inverted) tetrahedra containing it, with the fold
-//! detected by the **orientation sign** of each mapped tetrahedron.
 
 use crate::density::Mass;
 use crate::estimator::{vertex_masses, DegenerateTetError, FieldEstimator, FieldView, RenderMesh};
 use dtfe_delaunay::{BuildError, Delaunay, DelaunayBuilder, TetId};
-use dtfe_geometry::tetra::{linear_gradient, signed_volume6, volume};
+use dtfe_geometry::tetra::{linear_gradient, volume};
 use dtfe_geometry::Vec3;
 
 /// Why a PS-DTFE build failed.
@@ -262,110 +256,6 @@ impl FieldEstimator for PsDtfeField {
     }
 }
 
-/// Multi-stream diagnosis for a flow `q ↦ x(q)`: the Lagrangian-space
-/// triangulation mapped through the flow, with per-simplex orientation.
-///
-/// Where the map is single-stream the mapped tetrahedra tile space with one
-/// consistent orientation; a fold (shell crossing) inverts some tetrahedra
-/// and covers the folded region multiple times. The number of streams at a
-/// point is the number of mapped tetrahedra containing it.
-pub struct StreamField {
-    del: Delaunay,
-    /// Eulerian position of each Lagrangian vertex.
-    x: Vec<Vec3>,
-    /// Orientation sign of each mapped finite tetrahedron (+1 / −1, 0 for
-    /// degenerate or non-finite slots), in slot order.
-    orient: Vec<i8>,
-}
-
-impl StreamField {
-    /// Triangulate the Lagrangian positions `q` and map vertices to the
-    /// Eulerian positions `x` (both per input point, same length).
-    pub fn build(q: &[Vec3], x: &[Vec3]) -> Result<StreamField, BuildError> {
-        assert_eq!(q.len(), x.len(), "one Eulerian position per q");
-        let del = DelaunayBuilder::new().build(q)?;
-        let mut vx = vec![Vec3::ZERO; del.num_vertices()];
-        for (i, &p) in x.iter().enumerate() {
-            vx[del.vertex_of_input(i) as usize] = p;
-        }
-        let mut orient = vec![0i8; del.num_slots()];
-        for t in del.finite_tets() {
-            let verts = del.tet(t).verts;
-            let v = signed_volume6(
-                vx[verts[0] as usize],
-                vx[verts[1] as usize],
-                vx[verts[2] as usize],
-                vx[verts[3] as usize],
-            );
-            orient[t as usize] = if v > 0.0 {
-                1
-            } else if v < 0.0 {
-                -1
-            } else {
-                0
-            };
-        }
-        Ok(StreamField { del, x: vx, orient })
-    }
-
-    /// The Lagrangian triangulation.
-    pub fn delaunay(&self) -> &Delaunay {
-        &self.del
-    }
-
-    /// Number of streams at Eulerian point `p`: mapped tetrahedra whose
-    /// (possibly inverted) image contains `p`. ≥ 1 anywhere inside the
-    /// mapped hull; ≥ 3 inside a fold (stream counts change by 2 across a
-    /// caustic). Brute force over the mesh — a diagnosis tool, not a
-    /// render-path hot loop.
-    pub fn stream_count_at(&self, p: Vec3) -> u32 {
-        let mut n = 0u32;
-        for t in self.del.finite_tets() {
-            let verts = self.del.tet(t).verts;
-            let (a, b, c, d) = (
-                self.x[verts[0] as usize],
-                self.x[verts[1] as usize],
-                self.x[verts[2] as usize],
-                self.x[verts[3] as usize],
-            );
-            let s = self.orient[t as usize];
-            if s == 0 {
-                continue;
-            }
-            let sf = s as f64;
-            // p is inside iff every face sub-volume keeps the simplex's
-            // orientation sign (boundary counts as inside).
-            if signed_volume6(p, b, c, d) * sf >= 0.0
-                && signed_volume6(a, p, c, d) * sf >= 0.0
-                && signed_volume6(a, b, p, d) * sf >= 0.0
-                && signed_volume6(a, b, c, p) * sf >= 0.0
-            {
-                n += 1;
-            }
-        }
-        n
-    }
-
-    /// Fraction of mapped tetrahedra whose orientation is inverted relative
-    /// to the majority — 0 for a fold-free (injective) map.
-    pub fn folded_fraction(&self) -> f64 {
-        let (mut pos, mut neg) = (0usize, 0usize);
-        for &s in &self.orient {
-            match s {
-                1 => pos += 1,
-                -1 => neg += 1,
-                _ => {}
-            }
-        }
-        let total = pos + neg;
-        if total == 0 {
-            0.0
-        } else {
-            pos.min(neg) as f64 / total as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,45 +324,5 @@ mod tests {
             );
             assert_eq!(field.tet_value(t, mid), field.tet_density(t));
         }
-    }
-
-    #[test]
-    fn identity_map_is_single_stream() {
-        let q = jittered_cloud(4, 31);
-        let sf = StreamField::build(&q, &q).unwrap();
-        assert_eq!(sf.folded_fraction(), 0.0);
-        // Interior points see exactly one stream.
-        for p in [Vec3::new(1.5, 1.5, 1.5), Vec3::new(2.1, 1.2, 2.6)] {
-            assert_eq!(sf.stream_count_at(p), 1, "at {p:?}");
-        }
-        // Far outside: zero.
-        assert_eq!(sf.stream_count_at(Vec3::splat(100.0)), 0);
-    }
-
-    #[test]
-    fn fold_multiplies_streams() {
-        // 1D fold embedded in 3D: x' = x + 1.5 sin(πx/2) has x'-slope
-        // 1 + 2.36 cos(πx/2), which goes negative around x ≈ 2 — the sheet
-        // folds over itself and x' ∈ (~1.6, ~2.4) has three preimages.
-        let q = jittered_cloud(5, 47);
-        let x: Vec<Vec3> = q
-            .iter()
-            .map(|p| {
-                Vec3::new(
-                    p.x + 1.5 * (std::f64::consts::PI * p.x / 2.0).sin(),
-                    p.y,
-                    p.z,
-                )
-            })
-            .collect();
-        let sf = StreamField::build(&q, &x).unwrap();
-        assert!(sf.folded_fraction() > 0.0, "map did not fold");
-        // Somewhere in the fold there are ≥ 3 streams.
-        let mut max_streams = 0;
-        for i in 0..40 {
-            let p = Vec3::new(1.5 + i as f64 * 0.025, 2.2, 2.4);
-            max_streams = max_streams.max(sf.stream_count_at(p));
-        }
-        assert!(max_streams >= 3, "max streams {max_streams}");
     }
 }

@@ -12,6 +12,7 @@
 
 use crate::density::DtfeField;
 use crate::grid::{Field2, Field3, GridSpec2, GridSpec3};
+use crate::marching::{line_key, Draws};
 use crate::render::RenderOptions;
 use dtfe_delaunay::NONE;
 use dtfe_geometry::Vec3;
@@ -73,63 +74,40 @@ impl WalkOptions {
     }
 }
 
-#[inline]
-fn next_rand(seed: &mut u64) -> u64 {
-    let mut x = *seed;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *seed = x;
-    x.wrapping_mul(0x2545F4914F6CDD1D)
-}
-
-#[inline]
-fn rand_unit(seed: &mut u64) -> f64 {
-    (next_rand(seed) >> 11) as f64 / (1u64 << 53) as f64
-}
-
 /// Integrate one (i, j) column of the lifted 3D grid by walking cell to
 /// cell along z (the baseline's inner loop, exposed for the Fig. 6
-/// harness's per-thread timing).
-pub fn walk_column(
-    field: &DtfeField,
-    g3: &GridSpec3,
-    i: usize,
-    j: usize,
-    samples: usize,
-    seed: &mut u64,
-) -> f64 {
+/// harness's per-thread timing). Each sample point's jitter and the seed of
+/// the walk that locates it are drawn from the key of its column, level and
+/// sample, so a column is the same alone or inside a render.
+pub fn walk_column(field: &DtfeField, g3: &GridSpec3, i: usize, j: usize, samples: usize) -> f64 {
+    let n = samples.max(1);
     let dz = g3.cell.z;
     let mut hint = NONE;
     let mut acc = 0.0;
     for k in 0..g3.nz {
-        if samples <= 1 {
-            let p = g3.center(i, j, k);
-            if let Some((rho, t)) = field.density_at_hinted(p, hint, seed) {
-                acc += rho * dz;
+        let base = Vec3::new(
+            g3.origin.x + i as f64 * g3.cell.x,
+            g3.origin.y + j as f64 * g3.cell.y,
+            g3.origin.z + k as f64 * g3.cell.z,
+        );
+        let mut cell = 0.0;
+        for sample in 0..n {
+            let mut d = Draws::new(line_key(i, j, sample), k as u64);
+            let p = if samples <= 1 {
+                g3.center(i, j, k)
+            } else {
+                base + Vec3::new(
+                    d.unit() * g3.cell.x,
+                    d.unit() * g3.cell.y,
+                    d.unit() * g3.cell.z,
+                )
+            };
+            if let Some((rho, t)) = field.density_at_hinted(p, hint, &mut (d.next() | 1)) {
+                cell += rho;
                 hint = t;
             }
-        } else {
-            let base = Vec3::new(
-                g3.origin.x + i as f64 * g3.cell.x,
-                g3.origin.y + j as f64 * g3.cell.y,
-                g3.origin.z + k as f64 * g3.cell.z,
-            );
-            let mut cell = 0.0;
-            for _ in 0..samples {
-                let p = base
-                    + Vec3::new(
-                        rand_unit(seed) * g3.cell.x,
-                        rand_unit(seed) * g3.cell.y,
-                        rand_unit(seed) * g3.cell.z,
-                    );
-                if let Some((rho, t)) = field.density_at_hinted(p, hint, seed) {
-                    cell += rho;
-                    hint = t;
-                }
-            }
-            acc += cell / samples as f64 * dz;
         }
+        acc += cell / n as f64 * dz;
     }
     acc
 }
@@ -145,9 +123,8 @@ pub fn surface_density_walking(field: &DtfeField, grid: &GridSpec2, opts: &WalkO
     let mut out = Field2::zeros(*grid);
     let nx = grid.nx;
     let column = |j: usize, row: &mut [f64]| {
-        let mut seed = 0xA24BAED4963EE407u64 ^ ((j as u64) << 32);
         for (i, slot) in row.iter_mut().enumerate() {
-            *slot = walk_column(field, &g3, i, j, opts.render.samples, &mut seed);
+            *slot = walk_column(field, &g3, i, j, opts.render.samples);
         }
     };
     if opts.render.parallel {
@@ -303,8 +280,7 @@ mod tests {
             2,
             4,
         );
-        let mut seed = 1;
-        assert_eq!(walk_column(&field, &g3, 0, 0, 1, &mut seed), 0.0);
+        assert_eq!(walk_column(&field, &g3, 0, 0, 1), 0.0);
     }
 
     #[test]

@@ -9,11 +9,14 @@
 //! coherent kernel and through `surface_density_reference`; both must give
 //! the pinned checksum. The walking baseline over the DTFE field, whose
 //! point-located densities the stochastic realizations are built from, is
-//! pinned beside them.
+//! pinned beside them. A last test holds each cell to its own lines of
+//! sight: rendered alone through `cell_value`, or in any tiling on any
+//! thread count, it gives the serial render's bits.
 //!
 //! A change to how an interpolant is stored or read must pass this file
 //! unedited: the checksums are the rendered bits, not a tolerance.
 
+use dtfe_repro::core::marching::{cell_value, MarchStats};
 use dtfe_repro::core::{
     surface_density_reference, surface_density_walking, surface_density_with_index, DtfeField,
     DtfeTable, FieldView, GridSpec2, HullIndex, MarchOptions, Mass, PsDtfeTable, RenderMesh,
@@ -75,6 +78,15 @@ fn with_duplicates() -> Vec<Vec3> {
         pts.push(pts[i]);
     }
     pts
+}
+
+/// An exact 4³ lattice: on a grid whose cell centres fall on its vertex
+/// columns and cube diagonals, centre lines of sight are degenerate and
+/// perturb.
+fn exact_lattice() -> Vec<Vec3> {
+    (0..64)
+        .map(|i| Vec3::new((i % 4) as f64, (i / 4 % 4) as f64, (i / 16) as f64))
+        .collect()
 }
 
 fn clouds() -> [(&'static str, Vec<Vec3>); 3] {
@@ -175,33 +187,36 @@ fn checksums() -> Vec<(String, u64)> {
     out
 }
 
-/// Taken at the commit before interpolant tables stopped storing `x₀`.
+/// Taken at the commit before interpolant tables stopped storing `x₀`; the
+/// twelve `*/full` (two-sample) checksums re-taken at the commit after
+/// `3512e57`, where every line of sight began drawing its jitter and its
+/// `Perturb` restarts from its own key instead of its row's stream.
 const PINNED: [(&str, u64); 27] = [
-    ("clustered/dtfe/full", 0xd95c2ebf4773e888),
+    ("clustered/dtfe/full", 0xd8c471f09e98fb2c),
     ("clustered/dtfe/window", 0x2962dd6483c67e4f),
-    ("clustered/psdtfe/full", 0x7204d55bf7768ac2),
+    ("clustered/psdtfe/full", 0x091ff6427b3eaeab),
     ("clustered/psdtfe/window", 0x9ef37ccd66d5dce2),
-    ("clustered/veldiv/full", 0xd7a19bf4cc591f24),
+    ("clustered/veldiv/full", 0x1b9c7deb555fee4b),
     ("clustered/veldiv/window", 0xbdc44737a560ad7f),
-    ("clustered/stochastic:2/full", 0x794145036df5c091),
+    ("clustered/stochastic:2/full", 0xb010e9a1702dea2f),
     ("clustered/stochastic:2/window", 0x9cc0af9740e276ab),
     ("clustered/dtfe/walking", 0x1c55a0649db04f44),
-    ("lattice/dtfe/full", 0x6e41eed487486b89),
+    ("lattice/dtfe/full", 0xc9035980e7539dcf),
     ("lattice/dtfe/window", 0x59c61309db6676c5),
-    ("lattice/psdtfe/full", 0x2e4e6238e1c68abe),
+    ("lattice/psdtfe/full", 0xaeab5bc2c3e7d75c),
     ("lattice/psdtfe/window", 0x8eb6c35514795fb2),
-    ("lattice/veldiv/full", 0x47349f856f70d00a),
+    ("lattice/veldiv/full", 0xa5fc0465e69159f9),
     ("lattice/veldiv/window", 0x7c0f342becb70423),
-    ("lattice/stochastic:2/full", 0x7291bc4d1467c1f9),
+    ("lattice/stochastic:2/full", 0xf63e27ad6d2077be),
     ("lattice/stochastic:2/window", 0xbbb0093b6a97ec76),
     ("lattice/dtfe/walking", 0x95a0b005777d8890),
-    ("duplicates/dtfe/full", 0xeee8f4fcb672961e),
+    ("duplicates/dtfe/full", 0xf98f0ab3f8f51cfd),
     ("duplicates/dtfe/window", 0x1791171a8c8a8901),
-    ("duplicates/psdtfe/full", 0xf4718cae9326cb34),
+    ("duplicates/psdtfe/full", 0x19dda70f1b4b3946),
     ("duplicates/psdtfe/window", 0x473abdf26306cb2d),
-    ("duplicates/veldiv/full", 0x1688f6ec830e1207),
+    ("duplicates/veldiv/full", 0x9744e86d93a277d7),
     ("duplicates/veldiv/window", 0x5c65b58711ebe618),
-    ("duplicates/stochastic:2/full", 0xf205903274a53120),
+    ("duplicates/stochastic:2/full", 0x7d581755124966e3),
     ("duplicates/stochastic:2/window", 0xf2781180f88452a8),
     ("duplicates/dtfe/walking", 0xf8092956b4bc9af0),
 ];
@@ -252,6 +267,74 @@ fn every_table_row_is_anchored_at_its_first_vertex() {
                     "{cloud}/{name}: slot {s}"
                 );
             }
+        }
+    }
+}
+
+/// A cell's value is a function of its own lines of sight: the cell
+/// rendered alone, and every tiling of the render on any number of threads,
+/// give the serial render's bits and counters — perturbed lines included.
+#[test]
+fn every_cell_renders_the_same_bits_alone_and_in_any_tile() {
+    let fixtures = [
+        (
+            "duplicates",
+            with_duplicates(),
+            GridSpec2::covering(Vec2::new(0.4, 0.3), Vec2::new(5.6, 5.7), 17, 19),
+        ),
+        (
+            "lattice",
+            exact_lattice(),
+            GridSpec2::covering(Vec2::new(-0.125, -0.125), Vec2::new(3.125, 3.125), 13, 13),
+        ),
+    ];
+    for (cloud, pts, grid) in fixtures {
+        let field = DtfeField::build(&pts, masses(pts.len())).unwrap();
+        let idx = HullIndex::build(&field);
+        let mut perturbations = 0;
+        for samples in [1, 3] {
+            let what = format!("{cloud}/samples {samples}");
+            let opts = MarchOptions::new().samples(samples).parallel(false);
+            let (serial, ss) = surface_density_with_index(&field, &idx, &grid, &opts);
+            perturbations += ss.perturbations;
+            let eps = opts.epsilon * grid.cell.norm();
+            let mut alone_stats = MarchStats::default();
+            for j in 0..grid.ny {
+                for i in 0..grid.nx {
+                    let alone = cell_value(&field, &idx, &grid, i, j, eps, &opts, &mut alone_stats);
+                    assert_eq!(
+                        alone.to_bits(),
+                        serial.data[j * grid.nx + i].to_bits(),
+                        "{what}: cell ({i}, {j}) alone"
+                    );
+                }
+            }
+            assert_eq!(
+                alone_stats.crossings, ss.crossings,
+                "{what}: crossings alone"
+            );
+            assert_eq!(
+                alone_stats.perturbations, ss.perturbations,
+                "{what}: perturbations alone"
+            );
+            for threads in [1, 2, 8] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                for tile in [1, 5, 64] {
+                    let tiled_opts = opts.clone().parallel(true).tile(tile);
+                    let (tiled, ts) = pool
+                        .install(|| surface_density_with_index(&field, &idx, &grid, &tiled_opts));
+                    let at = format!("{what}, {threads} threads, tile {tile}");
+                    assert_eq!(fnv(&tiled.data), fnv(&serial.data), "{at}: data");
+                    assert_eq!(ts.crossings, ss.crossings, "{at}: crossings");
+                    assert_eq!(ts.perturbations, ss.perturbations, "{at}: perturbations");
+                }
+            }
+        }
+        if cloud == "lattice" {
+            assert!(perturbations > 0, "the lattice fixture did not perturb");
         }
     }
 }

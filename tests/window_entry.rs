@@ -358,7 +358,7 @@ fn sliver_window_and_additivity_across_a_shared_floor() {
     // `c`, the lower half and the whole enter through the hull.
     let run = |xi: Vec2, zr: Option<(f64, f64)>| {
         let mut stats = MarchStats::default();
-        let v = march_cell(&field, &index, xi, zr, 1e-9, 16, &mut 7, &mut stats);
+        let v = march_cell(&field, &index, xi, zr, 1e-9, 16, 7, &mut stats);
         (v, stats)
     };
     for xi in [
