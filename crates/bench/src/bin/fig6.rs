@@ -56,14 +56,13 @@ fn main() {
     // --- Marching kernel: per-cell costs.
     let index = HullIndex::build(&field);
     let opts = MarchOptions::new().parallel(false);
-    let eps = opts.epsilon * grid.cell.norm();
     let mut stats = MarchStats::default();
     let t_all = Instant::now();
     let mut march_costs = Vec::with_capacity(ng * ng);
     for j in 0..ng {
         for i in 0..ng {
             let t = Instant::now();
-            let v = cell_value(&field, &index, &grid, i, j, eps, &opts, &mut stats);
+            let v = cell_value(&field, &index, &grid, i, j, &opts, &mut stats);
             march_costs.push(t.elapsed().as_secs_f64());
             std::hint::black_box(v);
         }

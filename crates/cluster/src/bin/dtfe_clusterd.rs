@@ -105,7 +105,6 @@ fn spec(args: &Args, shard: u32, telemetry: bool, bind: SocketAddr) -> ShardSpec
             heat_threshold: args.heat,
             heartbeat_interval: Duration::from_millis(args.heartbeat_ms),
             heartbeat_timeout: Duration::from_millis(args.timeout_ms),
-            ..ClusterConfig::default()
         },
         bind,
     }

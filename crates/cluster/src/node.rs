@@ -37,6 +37,7 @@
 
 use crate::ring::{key_of, HashRing};
 use crate::router::{cheapest, ShardGauges};
+use dtfe_service::config::default_model;
 use dtfe_service::{
     Client, Handled, RenderRequest, Request, RequestHandler, Response, Service, ServiceError,
     ShardHeartbeat,
@@ -65,12 +66,15 @@ pub struct ClusterConfig {
     /// Local request count after which a tile is considered hot and its
     /// owner set widens to `replication` shards.
     pub heat_threshold: u32,
-    /// Most hot keys advertised per heartbeat (bounds frame size).
-    pub hot_cap: usize,
     /// Gossip exchange period.
     pub heartbeat_interval: Duration,
     /// Silence after which a peer is declared dead and its arcs rehash.
     pub heartbeat_timeout: Duration,
+}
+
+impl ClusterConfig {
+    /// Most hot keys advertised per heartbeat (bounds frame size).
+    pub const HOT_CAP: usize = 64;
 }
 
 impl Default for ClusterConfig {
@@ -80,7 +84,6 @@ impl Default for ClusterConfig {
             vnodes: 128,
             replication: 2,
             heat_threshold: DEFAULT_HEAT_THRESHOLD,
-            hot_cap: 64,
             heartbeat_interval: Duration::from_millis(100),
             heartbeat_timeout: Duration::from_millis(1000),
         }
@@ -200,7 +203,7 @@ impl ClusterNode {
             .map(|(&k, _)| k)
             .collect();
         hot.sort_unstable(); // deterministic frame bytes
-        hot.truncate(self.cfg.hot_cap);
+        hot.truncate(ClusterConfig::HOT_CAP);
         ShardHeartbeat {
             shard: self.cfg.shard,
             seq: self.seq.fetch_add(1, Ordering::SeqCst) + 1,
@@ -382,7 +385,7 @@ impl ClusterNode {
                 )
             })
             .collect();
-        let model = self.service.config().model;
+        let model = default_model();
         let best =
             cheapest(&model, resolved.particles, resolved.cells, &gauges).unwrap_or(owners[0]);
         Ok(Routing::Remote {

@@ -74,7 +74,6 @@ fn cluster_config(shard: u32) -> ClusterConfig {
         vnodes: 128,
         replication: 2,
         heat_threshold: 3, // low, so the warm loop crosses into replication
-        hot_cap: 64,
         heartbeat_interval: Duration::from_millis(50),
         heartbeat_timeout: Duration::from_millis(400),
     }

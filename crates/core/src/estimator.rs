@@ -327,7 +327,7 @@ pub(crate) fn integrate_vertex_field(del: &Delaunay, values: &[f64]) -> f64 {
 }
 
 /// Which estimator a render should integrate — the request-level selector
-/// surfaced in [`crate::render::RenderOptions`] and threaded through the
+/// surfaced in [`crate::MarchOptions`] and threaded through the
 /// serving layer's table fills, admission pricing, and wire protocol.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EstimatorKind {

@@ -89,6 +89,6 @@ pub use marching::{
     surface_density, surface_density_reference, surface_density_with_index, HullIndex, MarchOptions,
 };
 pub use psdtfe::{PsDtfeField, PsDtfeTable};
-pub use render::{RenderOptions, RenderOptionsError};
+pub use render::MarchOptionsError;
 pub use stochastic::{StochasticField, StochasticOptions, StochasticTable};
-pub use walking::{surface_density_walking, WalkOptions};
+pub use walking::surface_density_walking;

@@ -72,7 +72,7 @@
 //!   first cell at a row start), with exact predicates; the hint can only
 //!   change how many steps the walk takes, never where it ends.
 //! * **Tiled parallelism** — workers render square 2D tiles
-//!   ([`RenderOptions::tile`]) instead of whole rows. Every random draw of a
+//!   ([`MarchOptions::tile`]) instead of whole rows. Every random draw of a
 //!   line of sight — its jitter and each `Perturb` restart — is a pure
 //!   function of the line's key ([`line_key`]: cell, sample, restart), so a
 //!   cell renders the same bits in any tile, on any thread, or alone
@@ -81,7 +81,6 @@
 use crate::density::EntryFacet;
 use crate::estimator::{entry_facets_of, FieldEstimator, FieldView, SlotValues};
 use crate::grid::{Field2, GridSpec2};
-use crate::render::RenderOptions;
 use dtfe_delaunay::{Delaunay, TetId, NONE};
 use dtfe_geometry::plucker::{normalize_tet, ray_tetra_seeded, FaceSeed, Plucker, Ray};
 use dtfe_geometry::predicates::{orient2d, orient3d_uncounted, Orientation};
@@ -89,76 +88,18 @@ use dtfe_geometry::{Aabb2, Vec2, Vec3};
 use rayon::prelude::*;
 
 mod reference;
+pub use crate::render::MarchOptions;
 pub use reference::{surface_density_reference, surface_density_reference_hull_entry};
 
-/// Options for the marching kernel: the shared [`RenderOptions`] knobs plus
-/// the degeneracy-perturbation parameters specific to this kernel.
-///
-/// # Example
-///
-/// ```
-/// use dtfe_core::MarchOptions;
-///
-/// let opts = MarchOptions::new().samples(4).z_range(0.0, 8.0).epsilon(1e-6);
-/// assert_eq!(opts.render.samples, 4);
-/// assert_eq!(opts.epsilon, 1e-6);
-/// ```
-#[derive(Clone, Debug)]
-pub struct MarchOptions {
-    /// Shared renderer knobs (samples, z-bounds, parallelism). With one
-    /// sample the cell centre is used; more samples average deterministic
-    /// jittered lines of sight (the Monte-Carlo mean of Eq. 5, but with "one
-    /// fewer degree of freedom in the error" since z is integrated exactly).
-    /// `z_range: None` integrates the full hull chord; with a window the
-    /// line of sight is the segment `ξ × [z_lo, z_hi]`, the march enters at
-    /// the window floor (module docs, "The line of sight of a windowed
-    /// render") and [`MarchStats::crossings`] counts only the tetrahedra
-    /// that segment meets.
-    pub render: RenderOptions,
-    /// Perturbation magnitude for degeneracy resolution, *relative to the
-    /// cell diagonal* (paper Fig. 2's `ε`).
-    pub epsilon: f64,
-    /// Give up on a cell after this many perturbation restarts (the cell
-    /// keeps its best-effort value; with exact entry handling this is
-    /// practically unreachable).
-    pub max_perturb: usize,
-}
+/// Paper Fig. 2's `ε`: how far `Perturb` moves `ξ`, relative to the cell
+/// diagonal.
+const EPSILON: f64 = 1e-7;
 
-impl Default for MarchOptions {
-    fn default() -> Self {
-        MarchOptions {
-            render: RenderOptions::default(),
-            epsilon: 1e-7,
-            max_perturb: 64,
-        }
-    }
-}
+/// Perturbation restarts a line may spend before it keeps its best-effort
+/// value (with exact entry handling this is practically unreachable).
+const MAX_PERTURB: usize = 64;
 
-// Deref to the embedded `RenderOptions` plus the shared forwarding builder
-// setters (samples, z_range, parallel, tile, estimator).
-crate::forward_render_options!(MarchOptions);
-
-impl MarchOptions {
-    /// Default options (see [`RenderOptions::default`]; `epsilon = 1e-7`,
-    /// `max_perturb = 64`).
-    pub fn new() -> MarchOptions {
-        MarchOptions::default()
-    }
-
-    /// Set the relative perturbation magnitude `ε`.
-    pub fn epsilon(mut self, e: f64) -> MarchOptions {
-        self.epsilon = e;
-        self
-    }
-
-    /// Set the perturbation-restart budget per cell.
-    pub fn max_perturb(mut self, n: usize) -> MarchOptions {
-        self.max_perturb = n;
-        self
-    }
-}
-
-/// Default tile edge when [`RenderOptions::tile`] is 0.
+/// Default tile edge when [`MarchOptions::tile`] is 0.
 const DEFAULT_TILE: usize = 64;
 
 /// Sentinel facet index for "no entry hint".
@@ -524,7 +465,8 @@ fn triangle_contains(a: Vec2, b: Vec2, c: Vec2, q: Vec2) -> bool {
 pub struct MarchStats {
     /// Rays whose line of sight hit a degeneracy and were perturbed.
     pub perturbations: u64,
-    /// Rays abandoned after `max_perturb` restarts (best-effort value kept).
+    /// Rays abandoned after their last `Perturb` restart (best-effort value
+    /// kept).
     pub failures: u64,
     /// Total tetrahedron crossings: the tetrahedra the marched lines of
     /// sight examined. Under a window that is the tetrahedra the segment
@@ -1087,14 +1029,14 @@ fn render(
     opts: &MarchOptions,
 ) -> (Field2, MarchStats) {
     let span = dtfe_telemetry::span!("core.march_render", nx = grid.nx, ny = grid.ny);
-    let eps = opts.epsilon * grid.cell.norm();
-    let ctx = MarchCtx::new(view, index, opts.render.z_range, eps, opts.max_perturb);
-    let samples = opts.render.samples;
+    let eps = EPSILON * grid.cell.norm();
+    let ctx = MarchCtx::new(view, index, opts.z_range, eps, MAX_PERTURB);
+    let samples = opts.samples;
     let mut out = Field2::zeros(*grid);
     let mut stats = MarchStats::default();
-    if opts.render.parallel {
-        let tile = if opts.render.tile > 0 {
-            opts.render.tile
+    if opts.parallel {
+        let tile = if opts.tile > 0 {
+            opts.tile
         } else {
             DEFAULT_TILE
         };
@@ -1192,27 +1134,20 @@ fn render_tiled(
 
 /// One cell's value: centre sample or the jittered Monte-Carlo mean, the
 /// bits a render of `grid` with `opts` gives that cell.
-#[allow(clippy::too_many_arguments)]
 pub fn cell_value<E: FieldEstimator + ?Sized>(
     field: &E,
     index: &HullIndex,
     grid: &GridSpec2,
     i: usize,
     j: usize,
-    eps: f64,
     opts: &MarchOptions,
     stats: &mut MarchStats,
 ) -> f64 {
+    let eps = EPSILON * grid.cell.norm();
     cell_value_inner(
-        &MarchCtx::new(
-            field.view(),
-            index,
-            opts.render.z_range,
-            eps,
-            opts.max_perturb,
-        ),
+        &MarchCtx::new(field.view(), index, opts.z_range, eps, MAX_PERTURB),
         grid,
-        opts.render.samples,
+        opts.samples,
         i,
         j,
         stats,

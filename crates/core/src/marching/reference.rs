@@ -1,6 +1,8 @@
 //! The reference kernel (the equivalence oracle).
 
-use super::{line_of_sight, perturb_or_fail, HullIndex, MarchOptions, MarchStats};
+use super::{
+    line_of_sight, perturb_or_fail, HullIndex, MarchOptions, MarchStats, EPSILON, MAX_PERTURB,
+};
 use crate::estimator::{FieldEstimator, FieldView};
 use crate::grid::{Field2, GridSpec2};
 use dtfe_delaunay::{Delaunay, Located, TetId, NONE};
@@ -76,9 +78,9 @@ fn reference_render(
     seek_window_entry: bool,
 ) -> (Field2, MarchStats) {
     let z_min = (field.del.vertices().iter()).fold(f64::INFINITY, |m, v| m.min(v.z));
-    let floor = opts.render.z_range.map(|(lo, _)| lo);
+    let floor = opts.z_range.map(|(lo, _)| lo);
     let window_floor = floor.filter(|&lo| seek_window_entry && lo > z_min);
-    let eps = opts.epsilon * grid.cell.norm();
+    let eps = EPSILON * grid.cell.norm();
     let row = |j: usize, out: &mut [f64], stats: &mut MarchStats| {
         for (i, slot) in out.iter_mut().enumerate() {
             *slot = reference_cell_value(field, index, grid, i, j, eps, opts, window_floor, stats);
@@ -86,7 +88,7 @@ fn reference_render(
     };
     let mut out = Field2::zeros(*grid);
     let mut stats = MarchStats::default();
-    if opts.render.parallel {
+    if opts.parallel {
         let collected: Vec<MarchStats> = out
             .data
             .par_chunks_mut(grid.nx)
@@ -120,10 +122,10 @@ fn reference_cell_value(
     window_floor: Option<f64>,
     stats: &mut MarchStats,
 ) -> f64 {
-    let n = opts.render.samples.max(1);
+    let n = opts.samples.max(1);
     let mut acc = 0.0;
     for sample in 0..n {
-        let (line, xi) = line_of_sight(grid, i, j, sample, opts.render.samples);
+        let (line, xi) = line_of_sight(grid, i, j, sample, opts.samples);
         acc += reference_march_one(field, index, xi, eps, opts, window_floor, line, stats);
     }
     acc / n as f64
@@ -145,10 +147,10 @@ fn reference_march_one(
         field,
         index,
         xi,
-        opts.render.z_range,
+        opts.z_range,
         window_floor,
         eps,
-        opts.max_perturb,
+        MAX_PERTURB,
         line,
         stats,
     );

@@ -1,40 +1,50 @@
-//! Options shared by every surface-density renderer.
+//! The options of a surface-density render.
 //!
-//! The marching kernel ([`crate::marching::MarchOptions`]) and the walking
-//! 3D-grid baseline ([`crate::walking::WalkOptions`]) historically duplicated
-//! the same builder boilerplate — per-cell sample count, line-of-sight
-//! integration bounds, the parallel switch, and now the estimator selector.
-//! [`RenderOptions`] is the single shared home for them; the kernel-specific
-//! option structs embed it as their `render` field, `Deref` to it for reads,
-//! and generate the forwarding builder setters with the crate-private
-//! `forward_render_options!` macro, so call sites read the same either way
-//! and new shared knobs are added in exactly one place.
+//! [`MarchOptions`] holds the inputs of the paper's kernel that a caller
+//! chooses: the samples per cell (Eq. 5), the z-window of the Eq. 12
+//! integral, the parallel switch with its tile edge, and the estimator a
+//! request names. The marching kernel, its reference and the walking
+//! baseline all read it. The `Perturb` ε and the restart budget of Fig. 2
+//! are constants of the marching kernels, and the walking baseline takes
+//! its grid depth as an argument.
 
 use crate::estimator::EstimatorKind;
 
-/// Knobs common to every line-of-sight surface-density renderer.
+/// The options of a render, with builder setters.
 ///
 /// # Example
 ///
 /// ```
-/// use dtfe_core::RenderOptions;
+/// use dtfe_core::MarchOptions;
 ///
-/// let opts = RenderOptions::new().samples(4).z_range(0.0, 10.0).parallel(false);
+/// let opts = MarchOptions::new().samples(4).z_range(0.0, 10.0).parallel(false);
 /// assert_eq!(opts.samples, 4);
 /// assert_eq!(opts.z_range, Some((0.0, 10.0)));
 /// assert!(!opts.parallel);
 ///
 /// // Defaults: one centre sample, full hull depth, parallel on, auto tile,
 /// // canonical DTFE estimator.
-/// let d = RenderOptions::default();
+/// let d = MarchOptions::default();
 /// assert_eq!((d.samples, d.z_range, d.parallel, d.tile), (1, None, true, 0));
 /// assert_eq!(d.estimator, dtfe_core::EstimatorKind::Dtfe);
 /// ```
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct MarchOptions {
+    /// The five knobs, read as `opts.samples`, `opts.z_range`, … through
+    /// `Deref`. They sit one field down only because the `perf` harness's
+    /// kernel workload (`perf/src/kernel.rs`) reads `samples` through this
+    /// field.
+    pub render: MarchKnobs,
+}
+
+/// The fields of [`MarchOptions`].
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RenderOptions {
+pub struct MarchKnobs {
     /// Line-of-sight samples per cell: 1 uses the cell centre; more uses
     /// deterministic jittered samples and averages (the Monte-Carlo mean of
-    /// Eq. 5).
+    /// Eq. 5, with "one fewer degree of freedom in the error" since z is
+    /// integrated exactly). The walking baseline counts samples per **3D**
+    /// cell.
     pub samples: usize,
     /// Restrict the integral to `z ∈ [lo, hi]` (sub-volume fields). `None`
     /// uses the full extent: the marching kernel integrates the hull chord,
@@ -55,6 +65,7 @@ pub struct RenderOptions {
     /// scheduler: workers render 2D tiles instead of whole rows, so
     /// consecutive cells reuse mesh locality in both directions. `0` picks
     /// a default. The rendered field is bit-identical for every tile size.
+    /// The walking baseline parallelizes whole rows and ignores it.
     pub tile: usize,
     /// Which estimator backend a request-driven renderer should integrate.
     /// The in-process render entry points are generic over
@@ -63,9 +74,9 @@ pub struct RenderOptions {
     pub estimator: EstimatorKind,
 }
 
-impl Default for RenderOptions {
+impl Default for MarchKnobs {
     fn default() -> Self {
-        RenderOptions {
+        MarchKnobs {
             samples: 1,
             z_range: None,
             parallel: true,
@@ -75,39 +86,46 @@ impl Default for RenderOptions {
     }
 }
 
-impl RenderOptions {
+impl std::ops::Deref for MarchOptions {
+    type Target = MarchKnobs;
+    fn deref(&self) -> &MarchKnobs {
+        &self.render
+    }
+}
+
+impl MarchOptions {
     /// Default options: one centre sample, full depth, parallel on, DTFE.
-    pub fn new() -> RenderOptions {
-        RenderOptions::default()
+    pub fn new() -> MarchOptions {
+        MarchOptions::default()
     }
 
     /// Sample points per cell (clamped to at least 1).
-    pub fn samples(mut self, n: usize) -> RenderOptions {
-        self.samples = n.max(1);
+    pub fn samples(mut self, n: usize) -> MarchOptions {
+        self.render.samples = n.max(1);
         self
     }
 
     /// Integrate only over `z ∈ [lo, hi]`.
-    pub fn z_range(mut self, lo: f64, hi: f64) -> RenderOptions {
-        self.z_range = Some((lo, hi));
+    pub fn z_range(mut self, lo: f64, hi: f64) -> MarchOptions {
+        self.render.z_range = Some((lo, hi));
         self
     }
 
     /// Switch row/column parallelism on or off.
-    pub fn parallel(mut self, yes: bool) -> RenderOptions {
-        self.parallel = yes;
+    pub fn parallel(mut self, yes: bool) -> MarchOptions {
+        self.render.parallel = yes;
         self
     }
 
     /// Tile edge for the parallel marching scheduler (`0` = auto).
-    pub fn tile(mut self, n: usize) -> RenderOptions {
-        self.tile = n;
+    pub fn tile(mut self, n: usize) -> MarchOptions {
+        self.render.tile = n;
         self
     }
 
     /// Select the estimator backend for request-driven rendering.
-    pub fn estimator(mut self, kind: EstimatorKind) -> RenderOptions {
-        self.estimator = kind;
+    pub fn estimator(mut self, kind: EstimatorKind) -> MarchOptions {
+        self.render.estimator = kind;
         self
     }
 
@@ -117,29 +135,29 @@ impl RenderOptions {
     /// cannot construct most of these, but options deserialized from a wire
     /// request can — the serving layer calls this before admitting a
     /// request.
-    pub fn validate(&self) -> Result<(), RenderOptionsError> {
+    pub fn validate(&self) -> Result<(), MarchOptionsError> {
         if self.samples == 0 {
-            return Err(RenderOptionsError::ZeroSamples);
+            return Err(MarchOptionsError::ZeroSamples);
         }
         if let Some((lo, hi)) = self.z_range {
             if !lo.is_finite() || !hi.is_finite() {
-                return Err(RenderOptionsError::NonFiniteZRange);
+                return Err(MarchOptionsError::NonFiniteZRange);
             }
             if hi <= lo {
-                return Err(RenderOptionsError::InvertedZRange);
+                return Err(MarchOptionsError::InvertedZRange);
             }
         }
         if let EstimatorKind::Stochastic { realizations: 0 } = self.estimator {
-            return Err(RenderOptionsError::ZeroRealizations);
+            return Err(MarchOptionsError::ZeroRealizations);
         }
         Ok(())
     }
 }
 
-/// Typed rejection of malformed [`RenderOptions`] (see
-/// [`RenderOptions::validate`]).
+/// Typed rejection of malformed [`MarchOptions`] (see
+/// [`MarchOptions::validate`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RenderOptionsError {
+pub enum MarchOptionsError {
     /// `samples == 0`: the Monte-Carlo mean over zero samples is undefined.
     ZeroSamples,
     /// A z-integration bound is NaN or infinite.
@@ -151,84 +169,24 @@ pub enum RenderOptionsError {
     ZeroRealizations,
 }
 
-impl std::fmt::Display for RenderOptionsError {
+impl std::fmt::Display for MarchOptionsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RenderOptionsError::ZeroSamples => write!(f, "samples per cell must be at least 1"),
-            RenderOptionsError::NonFiniteZRange => {
+            MarchOptionsError::ZeroSamples => write!(f, "samples per cell must be at least 1"),
+            MarchOptionsError::NonFiniteZRange => {
                 write!(f, "z-range has a non-finite bound")
             }
-            RenderOptionsError::InvertedZRange => {
+            MarchOptionsError::InvertedZRange => {
                 write!(f, "z-range is inverted or empty (hi <= lo)")
             }
-            RenderOptionsError::ZeroRealizations => {
+            MarchOptionsError::ZeroRealizations => {
                 write!(f, "stochastic estimator needs at least 1 realization")
             }
         }
     }
 }
 
-impl std::error::Error for RenderOptionsError {}
-
-/// Generate the shared [`RenderOptions`] plumbing for a kernel-specific
-/// option struct that embeds one as its `render` field: `Deref`/`DerefMut`
-/// to the embedded options (so `opts.samples`, `opts.z_range`, … read
-/// directly) plus the by-value forwarding builder setters. Kernel-specific
-/// knobs (`epsilon`, `nz`, …) stay as inherent methods on the struct.
-#[macro_export]
-macro_rules! forward_render_options {
-    ($opts:ty) => {
-        impl std::ops::Deref for $opts {
-            type Target = $crate::RenderOptions;
-            fn deref(&self) -> &$crate::RenderOptions {
-                &self.render
-            }
-        }
-
-        impl std::ops::DerefMut for $opts {
-            fn deref_mut(&mut self) -> &mut $crate::RenderOptions {
-                &mut self.render
-            }
-        }
-
-        impl $opts {
-            /// Sample points per cell (clamped to at least 1); forwards to
-            /// `RenderOptions::samples`.
-            pub fn samples(mut self, n: usize) -> Self {
-                self.render = self.render.samples(n);
-                self
-            }
-
-            /// Integrate only over `z ∈ [lo, hi]`; forwards to
-            /// `RenderOptions::z_range`.
-            pub fn z_range(mut self, lo: f64, hi: f64) -> Self {
-                self.render = self.render.z_range(lo, hi);
-                self
-            }
-
-            /// Switch parallelism on or off; forwards to
-            /// `RenderOptions::parallel`.
-            pub fn parallel(mut self, yes: bool) -> Self {
-                self.render = self.render.parallel(yes);
-                self
-            }
-
-            /// Tile edge for the parallel scheduler (`0` = auto); forwards
-            /// to `RenderOptions::tile`.
-            pub fn tile(mut self, n: usize) -> Self {
-                self.render = self.render.tile(n);
-                self
-            }
-
-            /// Select the estimator backend; forwards to
-            /// `RenderOptions::estimator`.
-            pub fn estimator(mut self, kind: $crate::EstimatorKind) -> Self {
-                self.render = self.render.estimator(kind);
-                self
-            }
-        }
-    };
-}
+impl std::error::Error for MarchOptionsError {}
 
 #[cfg(test)]
 mod tests {
@@ -236,16 +194,13 @@ mod tests {
 
     #[test]
     fn validate_accepts_builder_output() {
-        assert_eq!(RenderOptions::new().validate(), Ok(()));
+        assert_eq!(MarchOptions::new().validate(), Ok(()));
         assert_eq!(
-            RenderOptions::new()
-                .samples(4)
-                .z_range(-1.0, 1.0)
-                .validate(),
+            MarchOptions::new().samples(4).z_range(-1.0, 1.0).validate(),
             Ok(())
         );
         assert_eq!(
-            RenderOptions::new()
+            MarchOptions::new()
                 .estimator(EstimatorKind::Stochastic { realizations: 3 })
                 .validate(),
             Ok(())
@@ -254,18 +209,18 @@ mod tests {
 
     #[test]
     fn validate_rejects_wire_shaped_garbage() {
-        let mut o = RenderOptions::new();
-        o.samples = 0;
-        assert_eq!(o.validate(), Err(RenderOptionsError::ZeroSamples));
-        let o = RenderOptions::new().z_range(f64::NAN, 1.0);
-        assert_eq!(o.validate(), Err(RenderOptionsError::NonFiniteZRange));
-        let o = RenderOptions::new().z_range(0.0, f64::INFINITY);
-        assert_eq!(o.validate(), Err(RenderOptionsError::NonFiniteZRange));
-        let o = RenderOptions::new().z_range(2.0, 2.0);
-        assert_eq!(o.validate(), Err(RenderOptionsError::InvertedZRange));
-        let o = RenderOptions::new().z_range(3.0, 1.0);
-        assert_eq!(o.validate(), Err(RenderOptionsError::InvertedZRange));
-        let o = RenderOptions::new().estimator(EstimatorKind::Stochastic { realizations: 0 });
-        assert_eq!(o.validate(), Err(RenderOptionsError::ZeroRealizations));
+        let mut o = MarchOptions::new();
+        o.render.samples = 0;
+        assert_eq!(o.validate(), Err(MarchOptionsError::ZeroSamples));
+        let o = MarchOptions::new().z_range(f64::NAN, 1.0);
+        assert_eq!(o.validate(), Err(MarchOptionsError::NonFiniteZRange));
+        let o = MarchOptions::new().z_range(0.0, f64::INFINITY);
+        assert_eq!(o.validate(), Err(MarchOptionsError::NonFiniteZRange));
+        let o = MarchOptions::new().z_range(2.0, 2.0);
+        assert_eq!(o.validate(), Err(MarchOptionsError::InvertedZRange));
+        let o = MarchOptions::new().z_range(3.0, 1.0);
+        assert_eq!(o.validate(), Err(MarchOptionsError::InvertedZRange));
+        let o = MarchOptions::new().estimator(EstimatorKind::Stochastic { realizations: 0 });
+        assert_eq!(o.validate(), Err(MarchOptionsError::ZeroRealizations));
     }
 }

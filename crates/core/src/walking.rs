@@ -13,63 +13,24 @@
 use crate::density::DtfeField;
 use crate::grid::{Field2, Field3, GridSpec2, GridSpec3};
 use crate::marching::{line_key, Draws};
-use crate::render::RenderOptions;
+use crate::render::MarchOptions;
 use dtfe_delaunay::NONE;
 use dtfe_geometry::Vec3;
 use rayon::prelude::*;
 
-/// Options for the walking renderer: the shared [`RenderOptions`] knobs plus
-/// the 3D grid depth specific to this baseline.
-///
-/// # Example
-///
-/// ```
-/// use dtfe_core::WalkOptions;
-///
-/// let opts = WalkOptions::new(128).samples(4).z_range(0.0, 8.0);
-/// assert_eq!(opts.nz, 128);
-/// assert_eq!(opts.render.z_range, Some((0.0, 8.0)));
-/// ```
-#[derive(Clone, Copy, Debug)]
-pub struct WalkOptions {
-    /// Shared renderer knobs. `samples` counts sample points per **3D** cell:
-    /// 1 = cell centre (the paper's comparison setting, "a single point for
-    /// computing the density at each grid cell"); more = jittered Monte-Carlo
-    /// mean (Eq. 5). `z_range: None` spans the triangulation's vertex
-    /// z-extent.
-    pub render: RenderOptions,
-    /// 3D cells along the line of sight (`N_z`).
-    pub nz: usize,
-}
-
-// Deref to the embedded `RenderOptions` plus the shared forwarding builder
-// setters (samples, z_range, parallel, tile, estimator). `tile`
-// is accepted but inert here: the walking baseline parallelizes whole rows.
-crate::forward_render_options!(WalkOptions);
-
-impl WalkOptions {
-    /// Options for an `nz`-deep walk with the [`RenderOptions`] defaults.
-    pub fn new(nz: usize) -> WalkOptions {
-        WalkOptions {
-            render: RenderOptions::default(),
-            nz,
-        }
-    }
-
-    /// The integration bounds actually used for `field`: the explicit
-    /// `z_range` when set, else the triangulation's vertex z-extent.
-    pub fn resolve_z_range(&self, field: &DtfeField) -> (f64, f64) {
-        match self.render.z_range {
-            Some(r) => r,
-            None => {
-                let mut lo = f64::INFINITY;
-                let mut hi = f64::NEG_INFINITY;
-                for p in field.delaunay().vertices() {
-                    lo = lo.min(p.z);
-                    hi = hi.max(p.z);
-                }
-                (lo, hi)
+/// The integration bounds of a walk over `field`: the explicit `z_range`
+/// when set, else the triangulation's vertex z-extent.
+fn resolve_z_range(opts: &MarchOptions, field: &DtfeField) -> (f64, f64) {
+    match opts.z_range {
+        Some(r) => r,
+        None => {
+            let mut lo = f64::INFINITY;
+            let mut hi = f64::NEG_INFINITY;
+            for p in field.delaunay().vertices() {
+                lo = lo.min(p.z);
+                hi = hi.max(p.z);
             }
+            (lo, hi)
         }
     }
 }
@@ -114,20 +75,30 @@ pub fn walk_column(field: &DtfeField, g3: &GridSpec3, i: usize, j: usize, sample
 
 /// Surface density through the intermediate 3D grid (Eq. 4–5): the quantity
 /// the Fig. 6/7 baselines produce, for the same grid footprint the marching
-/// kernel renders directly.
-pub fn surface_density_walking(field: &DtfeField, grid: &GridSpec2, opts: &WalkOptions) -> Field2 {
+/// kernel renders directly, lifted to `nz` cells along the line of sight
+/// (`N_z`). `opts.samples` counts sample points per **3D** cell: 1 is the
+/// cell centre (the paper's comparison setting, "a single point for
+/// computing the density at each grid cell"); more is the jittered
+/// Monte-Carlo mean (Eq. 5). `opts.tile` is inert: the walk parallelizes
+/// whole rows.
+pub fn surface_density_walking(
+    field: &DtfeField,
+    grid: &GridSpec2,
+    opts: &MarchOptions,
+    nz: usize,
+) -> Field2 {
     let _span = dtfe_telemetry::span!("core.walk_render", nx = grid.nx, ny = grid.ny);
     dtfe_telemetry::counter_add!("core.columns_walked", (grid.nx * grid.ny) as u64);
-    let (z_lo, z_hi) = opts.resolve_z_range(field);
-    let g3 = GridSpec3::lift(grid, z_lo, z_hi, opts.nz);
+    let (z_lo, z_hi) = resolve_z_range(opts, field);
+    let g3 = GridSpec3::lift(grid, z_lo, z_hi, nz);
     let mut out = Field2::zeros(*grid);
     let nx = grid.nx;
     let column = |j: usize, row: &mut [f64]| {
         for (i, slot) in row.iter_mut().enumerate() {
-            *slot = walk_column(field, &g3, i, j, opts.render.samples);
+            *slot = walk_column(field, &g3, i, j, opts.samples);
         }
     };
-    if opts.render.parallel {
+    if opts.parallel {
         out.data
             .par_chunks_mut(nx)
             .enumerate()
@@ -222,7 +193,8 @@ mod tests {
             let walked = surface_density_walking(
                 &field,
                 &grid,
-                &WalkOptions::new(nz).z_range(-0.5, 5.5).parallel(false),
+                &MarchOptions::new().z_range(-0.5, 5.5).parallel(false),
+                nz,
             );
             let err: f64 = marched
                 .data
@@ -258,8 +230,8 @@ mod tests {
         let pts = jittered_cloud(4, 19);
         let field = DtfeField::build(&pts, Mass::Uniform(1.0)).unwrap();
         let grid = GridSpec2::covering(Vec2::new(0.5, 0.5), Vec2::new(3.0, 3.0), 6, 6);
-        let opts = WalkOptions::new(32).z_range(0.0, 3.5).parallel(false);
-        let direct = surface_density_walking(&field, &grid, &opts);
+        let opts = MarchOptions::new().z_range(0.0, 3.5).parallel(false);
+        let direct = surface_density_walking(&field, &grid, &opts, 32);
         let g3 = GridSpec3::lift(&grid, 0.0, 3.5, 32);
         let projected = render_density_3d(&field, &g3, false).project_z();
         // Same cell centres, same interpolant; only walk paths (and thus
@@ -291,15 +263,17 @@ mod tests {
         let one = surface_density_walking(
             &field,
             &grid,
-            &WalkOptions::new(64).z_range(0.0, 5.0).parallel(false),
+            &MarchOptions::new().z_range(0.0, 5.0).parallel(false),
+            64,
         );
         let mc = surface_density_walking(
             &field,
             &grid,
-            &WalkOptions::new(64)
+            &MarchOptions::new()
                 .samples(4)
                 .z_range(0.0, 5.0)
                 .parallel(false),
+            64,
         );
         let rel: f64 = one
             .data

@@ -72,6 +72,10 @@ pub enum SnapshotError {
     /// The FNV-1a checksum of the data section does not match the header:
     /// the particle payload was truncated or corrupted after writing.
     ChecksumMismatch { expected: u64, actual: u64 },
+    /// The bounds are not a box: a coordinate is NaN or infinite, or
+    /// `lo > hi` on some axis. The checksum does not cover the header, so
+    /// this is the check that catches a flipped bit there.
+    BadBounds { lo: Vec3, hi: Vec3 },
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -86,6 +90,11 @@ impl std::fmt::Display for SnapshotError {
                 f,
                 "snapshot data checksum mismatch: header says {expected:#018x}, \
                  data hashes to {actual:#018x} (file truncated or corrupted)"
+            ),
+            SnapshotError::BadBounds { lo, hi } => write!(
+                f,
+                "snapshot bounds ({}, {}, {}) .. ({}, {}, {}) are not a finite box",
+                lo.x, lo.y, lo.z, hi.x, hi.y, hi.z
             ),
         }
     }
@@ -165,12 +174,28 @@ fn checksum_blocks(blocks: &[Vec<Vec3>]) -> u64 {
     h.finish()
 }
 
-/// Write a snapshot with one contiguous block per writer rank.
+/// The box `lo .. hi`, unless a coordinate is not finite or `lo > hi` on
+/// some axis.
+fn checked_bounds(lo: Vec3, hi: Vec3) -> Result<Aabb3, SnapshotError> {
+    let axes = [(lo.x, hi.x), (lo.y, hi.y), (lo.z, hi.z)];
+    if axes
+        .iter()
+        .all(|&(l, h)| l.is_finite() && h.is_finite() && l <= h)
+    {
+        Ok(Aabb3::new(lo, hi))
+    } else {
+        Err(SnapshotError::BadBounds { lo, hi })
+    }
+}
+
+/// Write a snapshot with one contiguous block per writer rank. Bounds that
+/// are not a finite box are refused before the file is created.
 pub fn write_snapshot(
     path: &Path,
     blocks: &[Vec<Vec3>],
     bounds: Aabb3,
 ) -> Result<(), SnapshotError> {
+    checked_bounds(bounds.lo, bounds.hi)?;
     let mut w = BufWriter::new(File::create(path)?);
     let total: u64 = blocks.iter().map(|b| b.len() as u64).sum();
     write_u64(&mut w, MAGIC)?;
@@ -218,6 +243,7 @@ fn read_info_from(r: &mut impl Read, file_len: u64) -> Result<SnapshotInfo, Snap
     let checksum = read_u64(r)?;
     let lo = Vec3::new(read_f64(r)?, read_f64(r)?, read_f64(r)?);
     let hi = Vec3::new(read_f64(r)?, read_f64(r)?, read_f64(r)?);
+    let bounds = checked_bounds(lo, hi)?;
     // `nranks` and `total` are untrusted: a table that cannot fit in the
     // file (or a size that overflows) is malformed; a data section cut
     // short is the unexpected EOF that reading it would hit.
@@ -255,7 +281,7 @@ fn read_info_from(r: &mut impl Read, file_len: u64) -> Result<SnapshotInfo, Snap
         return Err(SnapshotError::MalformedTable);
     }
     Ok(SnapshotInfo {
-        bounds: Aabb3::new(lo, hi),
+        bounds,
         total,
         blocks,
         checksum,
@@ -469,6 +495,40 @@ mod tests {
         bytes[80] = 7;
         std::fs::write(&p, &bytes).unwrap();
         assert!(matches!(read_info(&p), Err(SnapshotError::MalformedTable)));
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn bounds_that_are_not_a_finite_box_are_refused_both_ways() {
+        // Header bounds: lo.xyz at 32, 40, 48; hi.xyz at 56, 64, 72.
+        let p = tmp("bounds");
+        let (blocks, bounds) = sample_blocks();
+        let bad = |err: Option<SnapshotError>| matches!(err, Some(SnapshotError::BadBounds { .. }));
+        for (at, v) in [
+            (32, f64::NAN),
+            (64, f64::NAN),
+            (72, f64::INFINITY),
+            (40, 3.0),
+        ] {
+            write_snapshot(&p, &blocks, bounds).unwrap();
+            let mut bytes = std::fs::read(&p).unwrap();
+            bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            std::fs::write(&p, &bytes).unwrap();
+            assert!(bad(read_info(&p).err()), "{v} at {at}: read_info");
+            assert!(bad(read_all(&p).err()), "{v} at {at}: read_all");
+            assert!(bad(verify(&p).err()), "{v} at {at}: verify");
+        }
+        std::fs::remove_file(&p).ok();
+        let inverted = Aabb3::new(Vec3::ZERO, Vec3::new(2.0, -1.0, 2.0));
+        let nan = Aabb3::new(Vec3::ZERO, Vec3::splat(f64::NAN));
+        for bounds in [inverted, nan] {
+            assert!(bad(write_snapshot(&p, &blocks, bounds).err()), "{bounds:?}");
+            assert!(!p.exists(), "a refused snapshot writes no file");
+        }
+        // A flat box is still a box.
+        let flat = Aabb3::new(Vec3::ZERO, Vec3::new(2.0, 2.0, 0.0));
+        write_snapshot(&p, &blocks, flat).unwrap();
+        assert_eq!(read_info(&p).unwrap().bounds, flat);
         std::fs::remove_file(&p).ok();
     }
 

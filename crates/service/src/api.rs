@@ -145,8 +145,8 @@ pub struct ResponseMeta {
     pub trace: Option<TraceContext>,
     /// The response was served from an **evicted-but-retained stale tile**
     /// because the fresh path was unavailable (admission overload or a
-    /// quarantined build) and the service runs in
-    /// `stale_while_revalidate` mode. The field data is a correct render
+    /// quarantined build) and the service has a non-zero
+    /// `stale_budget_bytes`. The field data is a correct render
     /// of an older cache generation — bit-identical to what that tile
     /// served while resident — but callers with freshness requirements
     /// should treat it as best-effort.

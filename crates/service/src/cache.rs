@@ -33,9 +33,9 @@
 //!    a sick tile (corrupt snapshot region, panicking estimator) is not
 //!    rebuilt — and does not burn a worker — on every request.
 //! 6. **Stale retention** — with a non-zero stale budget, evicted entries
-//!    are retained in a side map (their own LRU) so the server's
-//!    `stale_while_revalidate` mode can serve a flagged, older render
-//!    when the fresh path is overloaded or quarantined.
+//!    are retained in a side map (their own LRU) so the server can serve
+//!    a flagged, older render when the fresh path is overloaded or
+//!    quarantined.
 
 use crate::error::ServiceError;
 use crate::tiles::{Charge, SharedTile, TileData, TileKey};

@@ -1,5 +1,6 @@
 //! Service configuration.
 
+use crate::cache::QuarantinePolicy;
 use dtfe_framework::{InterpModel, TriModel, WorkloadModel};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -24,26 +25,15 @@ pub struct ServiceConfig {
     /// ([`Decomposition`](dtfe_framework::Decomposition) factors this into
     /// a near-cubic grid).
     pub tiles: usize,
-    /// Tile ghost padding. Must be at least `field_len / 2` so any field
-    /// cube centred inside a tile is covered by the tile's padded particle
-    /// set — the same invariant as the batch framework's ghost margin.
-    pub ghost_margin: f64,
     /// Byte budget of the tile LRU (estimated resident bytes never exceed
     /// this).
     pub cache_budget_bytes: usize,
     /// Render worker threads.
     pub workers: usize,
     /// Admission budget in *priced seconds* of backlog: once the sum of
-    /// model-priced costs of queued requests exceeds this, new requests
-    /// are shed with [`Overloaded`](crate::ServiceError::Overloaded).
+    /// [`default_model`]-priced costs of queued requests exceeds this, new
+    /// requests are shed with [`Overloaded`](crate::ServiceError::Overloaded).
     pub admission_budget_s: f64,
-    /// Deadline applied to requests that do not carry their own.
-    pub default_deadline: Option<Duration>,
-    /// The cost model used to price requests (triangulation
-    /// `c·n·log₂n` + render `α·n^β`, paper Eq. 15–17). The default
-    /// coefficients are deliberately conservative; fit them from
-    /// measurements with [`WorkloadModel::fit`] for accurate pricing.
-    pub model: WorkloadModel,
     /// Install a process-global telemetry recorder for the service's
     /// lifetime, so cache/queue/latency metrics appear in
     /// [`Service::stats_document`](crate::Service::stats_document).
@@ -55,33 +45,17 @@ pub struct ServiceConfig {
     /// Socket write timeout applied to every accepted connection — a peer
     /// that stops draining its receive buffer cannot pin a handler.
     pub write_timeout: Option<Duration>,
-    /// Maximum simultaneously-served connections; connection `n+1` is
-    /// refused with a typed `Overloaded` error before its request is read.
-    pub max_connections: usize,
-    /// Pipelining depth per connection: at most this many requests may be
-    /// in flight (read but not yet answered) on one socket.
-    pub max_inflight_per_conn: usize,
-    /// Serve an evicted-but-retained *stale* tile (flagged
-    /// [`degraded`](crate::ResponseMeta::degraded)) when the fresh path is
-    /// unavailable — admission overload, or a quarantined tile build —
-    /// instead of a bare error. Off by default: freshness over
-    /// availability unless the operator opts in.
-    pub stale_while_revalidate: bool,
-    /// Byte budget for retained stale tiles (beyond the fresh-cache
-    /// budget). `0` retains nothing even when `stale_while_revalidate` is
-    /// on.
+    /// Byte budget for evicted-but-retained *stale* tiles, beyond the
+    /// fresh-cache budget. When it is positive, a request whose fresh path
+    /// is unavailable — admission overload, or a quarantined tile build —
+    /// is served from a stale copy, flagged
+    /// [`degraded`](crate::ResponseMeta::degraded), instead of a bare
+    /// error. `0` (the default) retains nothing and serves nothing stale:
+    /// freshness over availability unless the operator opts in.
     pub stale_budget_bytes: usize,
-    /// Consecutive build failures of one tile key before the negative
-    /// cache quarantines it (earlier failures retry immediately — a single
-    /// transient failure shouldn't cost a backoff window).
-    pub quarantine_after: u32,
-    /// Initial quarantine window; doubles per subsequent failure.
-    pub quarantine_base: Duration,
-    /// Quarantine window cap.
-    pub quarantine_max: Duration,
-    /// Flight-recorder retention: how many recent request traces (sampled,
-    /// slow, quarantined, panicked) the wire `Dump` request can replay.
-    pub flight_capacity: usize,
+    /// When a repeatedly failing tile build or snapshot load is
+    /// quarantined, and for how long.
+    pub quarantine: QuarantinePolicy,
     /// Completed requests slower than this are recorded in the flight
     /// recorder even untraced; `None` disables slow-request capture.
     pub slow_threshold: Option<Duration>,
@@ -103,41 +77,49 @@ impl ServiceConfig {
     /// realization is a full re-triangulation of the tile, so this bounds
     /// the worst-case build amplification a single request can demand.
     pub const MAX_REALIZATIONS: u16 = 8;
+    /// Maximum simultaneously-served connections; connection `n+1` is
+    /// refused with a typed `Overloaded` error before its request is read.
+    pub const MAX_CONNECTIONS: usize = 256;
+    /// Pipelining depth per connection: at most this many requests may be
+    /// in flight (read but not yet answered) on one socket.
+    pub const MAX_INFLIGHT_PER_CONN: usize = 32;
+    /// Flight-recorder retention: how many recent request traces (sampled,
+    /// slow, quarantined, panicked) the wire `Dump` request can replay.
+    pub const FLIGHT_CAPACITY: usize = 64;
 
     /// A config with the given field geometry and serving defaults: 8
-    /// tiles, ghost `l_F/2`, 256 MiB cache, 2 workers, a 30 s admission
-    /// budget, no default deadline.
+    /// tiles, 256 MiB cache, 2 workers, a 30 s admission budget, nothing
+    /// served stale.
     pub fn new(field_len: f64, resolution: usize) -> ServiceConfig {
         ServiceConfig {
             field_len,
             resolution,
             samples: 1,
             tiles: 8,
-            ghost_margin: field_len * 0.5,
             cache_budget_bytes: 256 << 20,
             workers: 2,
             admission_budget_s: 30.0,
-            default_deadline: None,
-            model: default_model(),
             telemetry: false,
             read_timeout: Some(Duration::from_secs(10)),
             write_timeout: Some(Duration::from_secs(10)),
-            max_connections: 256,
-            max_inflight_per_conn: 32,
-            stale_while_revalidate: false,
             stale_budget_bytes: 0,
-            quarantine_after: 2,
-            quarantine_base: Duration::from_millis(100),
-            quarantine_max: Duration::from_secs(30),
-            flight_capacity: 64,
+            quarantine: QuarantinePolicy::default(),
             slow_threshold: Some(Duration::from_millis(500)),
             window_buckets: 10,
             window_width: Duration::from_secs(1),
         }
     }
 
-    /// Validate config invariants (positive geometry, ghost margin deep
-    /// enough for the field size, at least one tile and worker).
+    /// Tile ghost padding, `l_F / 2`: any field cube centred inside a tile
+    /// is then covered by the tile's padded particle set — the same
+    /// invariant as the batch framework's
+    /// [`ghost_margin`](dtfe_framework::FrameworkConfig::ghost_margin).
+    pub fn ghost_margin(&self) -> f64 {
+        self.field_len * 0.5
+    }
+
+    /// Validate config invariants (positive geometry, at least one tile
+    /// and worker, positive timeouts and quarantine windows).
     pub fn validate(&self) -> Result<(), String> {
         if !(self.field_len.is_finite() && self.field_len > 0.0) {
             return Err("field_len must be finite and positive".into());
@@ -154,20 +136,11 @@ impl ServiceConfig {
         if self.tiles == 0 {
             return Err("need at least one tile".into());
         }
-        if self.ghost_margin < self.field_len * 0.5 {
-            return Err("ghost_margin must be at least field_len / 2".into());
-        }
         if self.workers == 0 {
             return Err("need at least one worker".into());
         }
         if !(self.admission_budget_s.is_finite() && self.admission_budget_s >= 0.0) {
             return Err("admission_budget_s must be finite and non-negative".into());
-        }
-        if self.max_connections == 0 {
-            return Err("max_connections must be at least 1".into());
-        }
-        if self.max_inflight_per_conn == 0 {
-            return Err("max_inflight_per_conn must be at least 1".into());
         }
         if self.read_timeout.is_some_and(|t| t.is_zero()) {
             return Err("read_timeout must be positive (use None to disable)".into());
@@ -175,14 +148,12 @@ impl ServiceConfig {
         if self.write_timeout.is_some_and(|t| t.is_zero()) {
             return Err("write_timeout must be positive (use None to disable)".into());
         }
-        if self.quarantine_after == 0 {
-            return Err("quarantine_after must be at least 1".into());
+        let q = &self.quarantine;
+        if q.after == 0 {
+            return Err("quarantine.after must be at least 1".into());
         }
-        if self.quarantine_base.is_zero() || self.quarantine_max < self.quarantine_base {
+        if q.base.is_zero() || q.max < q.base {
             return Err("quarantine windows must satisfy 0 < base <= max".into());
-        }
-        if self.flight_capacity == 0 {
-            return Err("flight_capacity must be at least 1".into());
         }
         if self.slow_threshold.is_some_and(|t| t.is_zero()) {
             return Err("slow_threshold must be positive (use None to disable)".into());
@@ -231,7 +202,8 @@ impl DaemonArgs {
 
     /// Take `flag` (and its value, the next item of `rest`) if it is one of
     /// the shared ten. `Ok(false)` leaves `rest` untouched for the caller's
-    /// own flags; `Err` is a missing or unparseable value.
+    /// own flags; `Err` is a missing or unparseable value, or a
+    /// `--cache-mb` whose byte count does not fit a `usize`.
     pub fn accept(
         &mut self,
         flag: &str,
@@ -245,7 +217,13 @@ impl DaemonArgs {
             "--resolution" => self.resolution = Self::value(flag, rest)?,
             "--samples" => self.samples = Self::value(flag, rest)?,
             "--workers" => self.workers = Self::value(flag, rest)?,
-            "--cache-mb" => self.cache_mb = Self::value(flag, rest)?,
+            "--cache-mb" => {
+                let mb: usize = Self::value(flag, rest)?;
+                if mb.checked_mul(1 << 20).is_none() {
+                    return Err(format!("{flag} {mb} overflows the byte budget"));
+                }
+                self.cache_mb = mb;
+            }
             "--admission-s" => self.admission_s = Self::value(flag, rest)?,
             "--demo" => self.demo = true,
             _ => return Ok(false),
@@ -318,9 +296,6 @@ mod tests {
     #[test]
     fn validation_catches_bad_configs() {
         let mut c = ServiceConfig::new(4.0, 64);
-        c.ghost_margin = 1.0; // < l_F/2
-        assert!(c.validate().is_err());
-        let mut c = ServiceConfig::new(4.0, 64);
         c.resolution = 0;
         assert!(c.validate().is_err());
         let mut c = ServiceConfig::new(4.0, 64);
@@ -332,8 +307,7 @@ mod tests {
         let mut c = ServiceConfig::new(4.0, 64);
         c.tiles = 0;
         assert!(c.validate().is_err());
-        let mut c = ServiceConfig::new(f64::NAN, 64);
-        c.ghost_margin = f64::NAN;
+        let c = ServiceConfig::new(f64::NAN, 64);
         assert!(c.validate().is_err());
     }
 
@@ -351,6 +325,20 @@ mod tests {
         assert_eq!((args.resolution, args.demo, args.port), (64, true, 7433));
         let cfg = args.service_config(true);
         assert!(cfg.telemetry && cfg.resolution == 64 && cfg.cache_budget_bytes == 256 << 20);
+    }
+
+    #[test]
+    fn daemon_args_refuse_a_cache_budget_that_overflows() {
+        let largest = usize::MAX >> 20;
+        let mut args = DaemonArgs::new(7433);
+        for mb in [largest + 1, largest + 2, usize::MAX] {
+            let mut rest = [mb.to_string()].into_iter();
+            assert!(args.accept("--cache-mb", &mut rest).is_err(), "{mb}");
+            assert_eq!(args.cache_mb, 256, "a refused value is not kept");
+        }
+        let mut rest = [largest.to_string()].into_iter();
+        assert_eq!(args.accept("--cache-mb", &mut rest), Ok(true));
+        assert_eq!(args.service_config(false).cache_budget_bytes, largest << 20);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!
 //! * the domain is cut into ghost-padded spatial **tiles** (reusing
 //!   [`dtfe_framework::Decomposition`]); a request lands on the tile that
-//!   contains its field centre, and the tile's padding (`≥ l_F/2`) ensures
-//!   the whole field cube is covered by tile-local particles;
+//!   contains its field centre, and the tile's padding
+//!   ([`ServiceConfig::ghost_margin`], `l_F/2`) ensures the whole field
+//!   cube is covered by tile-local particles;
 //! * each tile's triangulation (plus its hull index) is built lazily via
 //!   [`dtfe_delaunay::DelaunayBuilder`] and held in a **byte-budgeted LRU**
 //!   ([`cache::TileCache`]) keyed `(snapshot, tile)`, with **single-flight**
@@ -45,8 +46,8 @@
 //! frames carry checksums so corruption is rejected, not served; sockets
 //! get read/write timeouts and per-connection in-flight caps; tile builds
 //! run under panic isolation with a failure-quarantine negative cache;
-//! an optional `stale_while_revalidate` mode serves flagged degraded
-//! responses from evicted tiles under overload; and the seeded [`chaos`]
+//! a non-zero `stale_budget_bytes` serves flagged degraded responses
+//! from evicted tiles under overload; and the seeded [`chaos`]
 //! injector plus the retrying [`ResilientClient`] make all of it
 //! testable deterministically (see `DESIGN.md` §4c).
 //!

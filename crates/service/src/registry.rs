@@ -16,7 +16,7 @@
 //! *not* quarantined — checking for it is one `stat`, and the usual fix
 //! (upload the file) should take effect immediately.
 
-use crate::cache::{catch_panic, FailureLedger, QuarantinePolicy};
+use crate::cache::{catch_panic, FailureLedger};
 use crate::config::ServiceConfig;
 use crate::error::ServiceError;
 use dtfe_framework::Decomposition;
@@ -39,6 +39,9 @@ pub struct SnapshotData {
     /// Per-tile particle counts *including ghost padding* — the `n` that
     /// prices a request on that tile.
     pub tile_counts: Vec<usize>,
+    /// How far each tile's box is inflated for its ghost particles:
+    /// [`ServiceConfig::ghost_margin`] of the config it was loaded under.
+    pub ghost_margin: f64,
 }
 
 impl SnapshotData {
@@ -48,8 +51,8 @@ impl SnapshotData {
     }
 
     /// The ghost-padded particle set of one tile, in file order.
-    pub fn tile_particles(&self, tile: usize, ghost_margin: f64) -> Vec<Vec3> {
-        let bx = self.decomp.rank_box(tile).inflated(ghost_margin);
+    pub fn tile_particles(&self, tile: usize) -> Vec<Vec3> {
+        let bx = self.decomp.rank_box(tile).inflated(self.ghost_margin);
         self.particles
             .iter()
             .copied()
@@ -90,14 +93,10 @@ impl SnapshotRegistry {
         SnapshotRegistry {
             dir: dir.into(),
             tiles: cfg.tiles,
-            ghost_margin: cfg.ghost_margin,
+            ghost_margin: cfg.ghost_margin(),
             state: Mutex::new(HashMap::new()),
             cv: Condvar::new(),
-            neg: Mutex::new(FailureLedger::new(QuarantinePolicy {
-                after: cfg.quarantine_after,
-                base: cfg.quarantine_base,
-                max: cfg.quarantine_max,
-            })),
+            neg: Mutex::new(FailureLedger::new(cfg.quarantine)),
         }
     }
 
@@ -192,6 +191,7 @@ impl SnapshotRegistry {
             particles,
             decomp,
             tile_counts,
+            ghost_margin: self.ghost_margin,
         })
     }
 }
@@ -360,9 +360,9 @@ mod tests {
         let reg = SnapshotRegistry::new(&dir, &cfg);
         let snap = reg.get("t").unwrap();
         for t in 0..snap.num_tiles() {
-            let sel = snap.tile_particles(t, cfg.ghost_margin);
+            let sel = snap.tile_particles(t);
             assert_eq!(sel.len(), snap.tile_counts[t], "tile {t}");
-            let bx = snap.decomp.rank_box(t).inflated(cfg.ghost_margin);
+            let bx = snap.decomp.rank_box(t).inflated(cfg.ghost_margin());
             assert!(sel.iter().all(|&p| bx.contains_closed(p)));
         }
         std::fs::remove_dir_all(&dir).ok();

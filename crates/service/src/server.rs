@@ -22,8 +22,8 @@
 
 use crate::admission::Admission;
 use crate::api::{HealthStatus, RenderRequest, RenderResponse, ResponseMeta, TraceContext};
-use crate::cache::{QuarantinePolicy, TileCache};
-use crate::config::ServiceConfig;
+use crate::cache::TileCache;
+use crate::config::{default_model, ServiceConfig};
 use crate::error::ServiceError;
 use crate::registry::SnapshotRegistry;
 use crate::stats_doc::{CacheCounters, MetricsDigest, ServingCounters, StatsDocument};
@@ -168,20 +168,10 @@ impl Service {
             registry: SnapshotRegistry::new(snapshot_dir.as_ref(), &cfg),
             cache: TileCache::with_policy(
                 cfg.cache_budget_bytes,
-                // Stale retention costs memory; pay it only when degraded
-                // serving is actually enabled.
-                if cfg.stale_while_revalidate {
-                    cfg.stale_budget_bytes
-                } else {
-                    0
-                },
-                QuarantinePolicy {
-                    after: cfg.quarantine_after,
-                    base: cfg.quarantine_base,
-                    max: cfg.quarantine_max,
-                },
+                cfg.stale_budget_bytes,
+                cfg.quarantine,
             ),
-            admission: Admission::new(cfg.model, cfg.admission_budget_s, cfg.workers),
+            admission: Admission::new(default_model(), cfg.admission_budget_s, cfg.workers),
             queue: Mutex::new(QueueState {
                 per_tile: HashMap::new(),
                 order: VecDeque::new(),
@@ -190,7 +180,7 @@ impl Service {
             }),
             cv: Condvar::new(),
             stats: ServiceStats::default(),
-            flight: FlightRecorder::new(cfg.flight_capacity),
+            flight: FlightRecorder::new(ServiceConfig::FLIGHT_CAPACITY),
             cfg,
         });
         let workers = (0..inner.cfg.workers)
@@ -287,7 +277,7 @@ impl Service {
             }
         };
         let cost_s = {
-            let estimator = opts.render.estimator;
+            let estimator = opts.estimator;
             let resident = inner.cache.peek(&tile);
             let has_table = resident.as_ref().is_some_and(|d| d.has_table(estimator));
             inner.admission.price(
@@ -298,7 +288,7 @@ impl Service {
         };
 
         let deadline = match req.deadline_ms {
-            0 => cfg.default_deadline.map(|d| Instant::now() + d),
+            0 => None,
             ms => Some(Instant::now() + Duration::from_millis(ms)),
         };
 
@@ -309,7 +299,7 @@ impl Service {
             // the tile beats a bare `Overloaded` — render it inline on the
             // caller's thread (no queue slot, no admission charge) with
             // the response flagged.
-            if cfg.stale_while_revalidate {
+            if cfg.stale_budget_bytes > 0 {
                 if let Some(resp) =
                     render_stale(inner, &tile, &grid, &opts, Instant::now(), req.trace)
                 {
@@ -418,8 +408,7 @@ impl Service {
                 req.center.z - cfg.field_len * 0.5,
                 req.center.z + cfg.field_len * 0.5,
             );
-        opts.render
-            .validate()
+        opts.validate()
             .map_err(|e| ServiceError::InvalidRequest(e.to_string()))?;
 
         let tile = TileKey::new(req.snapshot.clone(), snap.decomp.rank_of(req.center));
@@ -602,11 +591,11 @@ fn serve_batch(inner: &Inner, tile: &TileKey, mut jobs: Vec<Job>) {
     let build_t0 = Instant::now();
     let fetched = inner.cache.get_or_build(tile, || {
         let snap = inner.registry.get(&tile.snapshot)?;
-        let data = TileData::build(&snap, tile.tile, inner.cfg.ghost_margin);
+        let data = TileData::build(&snap, tile.tile);
         // A cold tile is inserted already holding the table its first
         // request renders: one charge, and one eviction pass that makes
         // room for both before the render allocates the traversal cache.
-        data.fill_table(&snap, jobs[0].opts.render.estimator, inner.cfg.ghost_margin);
+        data.fill_table(&snap, jobs[0].opts.estimator);
         Ok(data)
     });
     // The batch's other tables, filled by the first job that needs each: a
@@ -615,7 +604,7 @@ fn serve_batch(inner: &Inner, tile: &TileKey, mut jobs: Vec<Job>) {
     let resolved = fetched.map(|(data, mesh_hit)| {
         let tables: Vec<_> = jobs
             .iter()
-            .map(|job| ensure_table(inner, tile, &data, job.opts.render.estimator))
+            .map(|job| ensure_table(inner, tile, &data, job.opts.estimator))
             .collect();
         (data, mesh_hit, tables)
     });
@@ -623,10 +612,10 @@ fn serve_batch(inner: &Inner, tile: &TileKey, mut jobs: Vec<Job>) {
     dtfe_telemetry::hist_record!("service.tile_resolve_us", build_us);
     // Degraded fallback: a quarantined tile with a retained stale copy is
     // served flagged instead of failed — the tile is sick, but an older
-    // render beats no render when the operator opted into
-    // stale_while_revalidate.
+    // render beats no render when the operator gave stale copies a
+    // budget.
     let fail = |job: &Job, e: &ServiceError| {
-        if inner.cfg.stale_while_revalidate && matches!(e, ServiceError::Quarantined { .. }) {
+        if inner.cfg.stale_budget_bytes > 0 && matches!(e, ServiceError::Quarantined { .. }) {
             if let Some(resp) =
                 render_stale(inner, tile, &job.grid, &job.opts, job.enqueued, job.trace)
             {
@@ -735,9 +724,9 @@ fn ensure_table(
         return Ok(false);
     }
     let snap = inner.registry.get(&tile.snapshot)?;
-    inner.cache.fill(tile, data, || {
-        data.fill_table(&snap, estimator, inner.cfg.ghost_margin)
-    })?;
+    inner
+        .cache
+        .fill(tile, data, || data.fill_table(&snap, estimator))?;
     Ok(true)
 }
 

@@ -16,16 +16,17 @@
 //! with nothing owed: a closed-loop peer waiting for a response that takes
 //! longer than the read timeout to compute is kept, and the timeout starts
 //! over when the response is written; silence once a frame has begun is
-//! never excused. Connections above
-//! `max_connections` are refused with a typed `Overloaded` error before
-//! any request is read. Each connection is served by a reader/writer
-//! thread pair joined by a bounded channel of `max_inflight_per_conn`
-//! slots: requests pipeline (the reader submits render jobs without
+//! never excused. Connections above [`ServiceConfig::MAX_CONNECTIONS`]
+//! are refused with a typed `Overloaded` error before any request is read.
+//! Each connection is served by a reader/writer thread pair joined by a
+//! bounded channel of [`ServiceConfig::MAX_INFLIGHT_PER_CONN`] slots:
+//! requests pipeline (the reader submits render jobs without
 //! waiting for earlier responses) but responses are written strictly in
 //! request order, and a peer that floods requests blocks at the channel
 //! bound instead of growing an unbounded queue.
 
 use crate::api::{HealthStatus, RenderRequest, RenderResponse, ShardHeartbeat};
+use crate::config::ServiceConfig;
 use crate::error::ServiceError;
 use crate::server::Service;
 use crate::wire::{read_frame, write_frame, Request, Response, WireError};
@@ -132,11 +133,10 @@ impl TcpServer {
     /// the stop handle is set, then drain the service and return.
     pub fn serve(&self) {
         let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        let max_conns = self.handler.service().config().max_connections;
         while !self.stop.load(Ordering::SeqCst) {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    if self.active.load(Ordering::SeqCst) >= max_conns {
+                    if self.active.load(Ordering::SeqCst) >= ServiceConfig::MAX_CONNECTIONS {
                         // Refuse with a typed error, never a silent close:
                         // the client learns to back off instead of
                         // retrying into the same wall.
@@ -189,10 +189,10 @@ fn handle_connection(stream: TcpStream, handler: &dyn RequestHandler, stop: &Ato
     let mut writer = BufWriter::new(stream);
     dtfe_telemetry::counter_add!("service.tcp_connections", 1);
 
-    // Bounded pipeline: the reader blocks once `max_inflight_per_conn`
+    // Bounded pipeline: the reader blocks once `MAX_INFLIGHT_PER_CONN`
     // responses are outstanding, so one connection cannot queue unbounded
     // work.
-    let (tx, rx) = mpsc::sync_channel::<Handled>(cfg.max_inflight_per_conn);
+    let (tx, rx) = mpsc::sync_channel::<Handled>(ServiceConfig::MAX_INFLIGHT_PER_CONN);
     // Slots the writer is done with — written, or given up on once the
     // socket refused a write. The reader counts what it submitted, so the
     // difference is what the peer is still owed.

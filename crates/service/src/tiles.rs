@@ -205,9 +205,9 @@ pub fn tile_seed(snapshot: &str, tile: usize) -> u64 {
 /// The ghost-padded particle set of a tile, in file order, and how many of
 /// it lie inside the tile's own (un-inflated) cell; the rest are ghosts
 /// shared with neighbouring tiles.
-fn extract(snap: &SnapshotData, tile: usize, ghost_margin: f64) -> (Vec<Vec3>, usize) {
+fn extract(snap: &SnapshotData, tile: usize) -> (Vec<Vec3>, usize) {
     let _span = dtfe_telemetry::span!("service.tile_extract", tile = tile);
-    let local = snap.tile_particles(tile, ghost_margin);
+    let local = snap.tile_particles(tile);
     let cell = snap.decomp.rank_box(tile);
     let interior = local.iter().filter(|&&p| cell.contains_closed(p)).count();
     (local, interior)
@@ -227,8 +227,8 @@ impl TileData {
     /// the tile's first render — after the tile cache has evicted to make
     /// room — than here, before it (+11 % `serve_churn` peak RSS
     /// otherwise).
-    pub fn build(snap: &SnapshotData, tile: usize, ghost_margin: f64) -> TileData {
-        let (local, interior) = extract(snap, tile, ghost_margin);
+    pub fn build(snap: &SnapshotData, tile: usize) -> TileData {
+        let (local, interior) = extract(snap, tile);
         let _span = dtfe_telemetry::span!("service.tile_build", tile = tile, n = local.len());
         dtfe_telemetry::counter_add!("service.tile_mesh_builds", 1);
         let mesh = DelaunayBuilder::new().build(&local).ok().map(|del| {
@@ -306,12 +306,7 @@ impl TileData {
     /// fill and the rest wait for it. The padded positions are not kept
     /// with the mesh (its vertices are the merged set, in another order),
     /// so a fill that needs them cuts them from `snap` again.
-    pub fn fill_table(
-        &self,
-        snap: &SnapshotData,
-        estimator: EstimatorKind,
-        ghost_margin: f64,
-    ) -> bool {
+    pub fn fill_table(&self, snap: &SnapshotData, estimator: EstimatorKind) -> bool {
         let Some((mesh, _)) = &self.mesh else {
             return false;
         };
@@ -335,7 +330,7 @@ impl TileData {
             }
             EstimatorKind::PsDtfe | EstimatorKind::VelocityDivergence => {
                 self.psdtfe.get_or_init(|| {
-                    let (local, _) = extract(snap, self.tile, ghost_margin);
+                    let (local, _) = extract(snap, self.tile);
                     let _span = building();
                     let vels = demo_velocities(&local, &snap.bounds);
                     PsDtfeTable::build(mesh.delaunay(), local.len(), &vels, &mass).ok()
@@ -344,7 +339,7 @@ impl TileData {
             EstimatorKind::Stochastic { realizations } => {
                 let cell = self.stochastic_cell(realizations);
                 cell.get_or_init(|| {
-                    let (local, _) = extract(snap, self.tile, ghost_margin);
+                    let (local, _) = extract(snap, self.tile);
                     let _span = building();
                     let opts = StochasticOptions::new()
                         .realizations(realizations.max(1))
@@ -364,7 +359,7 @@ impl TileData {
             return Some(Field2::zeros(*grid));
         };
         let cell;
-        let values: Option<SlotValues<'_>> = match opts.render.estimator {
+        let values: Option<SlotValues<'_>> = match opts.estimator {
             EstimatorKind::Dtfe => Some(self.dtfe.get()?.interp().into()),
             EstimatorKind::PsDtfe => self.psdtfe.get()?.as_ref().map(|t| t.density().into()),
             EstimatorKind::VelocityDivergence => {
@@ -448,6 +443,7 @@ mod tests {
             particles: points,
             decomp,
             tile_counts,
+            ghost_margin: ghost,
         }
     }
 
@@ -471,7 +467,7 @@ mod tests {
         let pts = cloud(400, 42, 4.0);
         let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(4.0));
         let snap = snap_from(pts, bounds, 1, 0.5);
-        let tile = TileData::build(&snap, 0, 0.5);
+        let tile = TileData::build(&snap, 0);
         let (mesh, _) = tile.mesh.as_ref().expect("400 random points triangulate");
         let del = mesh.delaunay();
         assert_eq!(tile.n_particles, 400);
@@ -482,8 +478,8 @@ mod tests {
         let grid = GridSpec2::square(dtfe_geometry::Vec2::new(2.0, 2.0), 2.0, 8);
         let opts = MarchOptions::new().parallel(false);
         assert!(!tile.has_table(DTFE) && tile.render(&grid, &opts).is_none());
-        assert!(tile.fill_table(&snap, DTFE, 0.5));
-        assert!(!tile.fill_table(&snap, DTFE, 0.5), "already there");
+        assert!(tile.fill_table(&snap, DTFE));
+        assert!(!tile.fill_table(&snap, DTFE), "already there");
         assert!(tile.has_table(DTFE));
         assert!(tile.render(&grid, &opts).unwrap().total_mass() > 0.0);
     }
@@ -496,11 +492,11 @@ mod tests {
             .collect();
         let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(2.0));
         let snap = snap_from(pts, bounds, 1, 0.5);
-        let tile = TileData::build(&snap, 0, 0.5);
+        let tile = TileData::build(&snap, 0);
         assert!(tile.mesh.is_none());
         assert_eq!(tile.n_particles, 20);
         // Nothing to fill, all-zero renders, and only the header charged.
-        assert!(tile.has_table(DTFE) && !tile.fill_table(&snap, DTFE, 0.5));
+        assert!(tile.has_table(DTFE) && !tile.fill_table(&snap, DTFE));
         let grid = GridSpec2::square(dtfe_geometry::Vec2::new(1.0, 1.0), 1.0, 4);
         let zeros = tile.render(&grid, &MarchOptions::new()).unwrap();
         assert!(zeros.data.iter().all(|&v| v == 0.0));
@@ -517,10 +513,10 @@ mod tests {
         let ghost = 1.0;
         let snap = snap_from(pts.clone(), bounds, 2, ghost);
         for tile in 0..snap.decomp.num_ranks() {
-            let built = TileData::build(&snap, tile, ghost);
+            let built = TileData::build(&snap, tile);
             let cell = snap.decomp.rank_box(tile);
             let interior = pts.iter().filter(|&&p| cell.contains_closed(p)).count();
-            let padded = snap.tile_particles(tile, ghost).len();
+            let padded = snap.tile_particles(tile).len();
             assert_eq!(built.n_particles, padded);
             assert_eq!(built.ghost_particles, padded - interior);
             assert!(built.ghost_particles > 0, "margin 1.0 must pull ghosts");
@@ -542,7 +538,7 @@ mod tests {
         let pts = cloud(400, 42, 4.0);
         let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(4.0));
         let snap = snap_from(pts, bounds, 1, 0.5);
-        let tile = TileData::build(&snap, 0, 0.5);
+        let tile = TileData::build(&snap, 0);
         let (mesh, _) = tile.mesh.as_ref().unwrap();
         let del = mesh.delaunay();
         let (verts, slots) = (del.num_vertices(), del.num_slots());
@@ -569,7 +565,7 @@ mod tests {
         // (`x₀` is the mesh's); PS-DTFE holds two f64 a slot.
         assert_eq!(size_of::<TetInterp>(), 32);
         let interp = slots * size_of::<TetInterp>();
-        tile.fill_table(&snap, DTFE, 0.5);
+        tile.fill_table(&snap, DTFE);
         let dtfe = tile.bytes() - mesh_only;
         assert!(
             dtfe >= interp + verts * 8,
@@ -577,17 +573,17 @@ mod tests {
         );
         assert_eq!(dtfe, slots * charge::DTFE_SLOT);
 
-        tile.fill_table(&snap, EstimatorKind::PsDtfe, 0.5);
+        tile.fill_table(&snap, EstimatorKind::PsDtfe);
         let psdtfe = tile.bytes() - mesh_only - dtfe;
         assert_eq!(psdtfe, slots * charge::PSDTFE_SLOT);
         assert!(psdtfe >= slots * 2 * size_of::<f64>());
         // The divergence view is the same tables.
-        tile.fill_table(&snap, EstimatorKind::VelocityDivergence, 0.5);
+        tile.fill_table(&snap, EstimatorKind::VelocityDivergence);
         assert_eq!(tile.bytes(), mesh_only + dtfe + psdtfe);
 
         // One stochastic table per realization count.
         for (i, k) in [2u16, 3].into_iter().enumerate() {
-            tile.fill_table(&snap, EstimatorKind::Stochastic { realizations: k }, 0.5);
+            tile.fill_table(&snap, EstimatorKind::Stochastic { realizations: k });
             let each = (tile.bytes() - mesh_only - dtfe - psdtfe) / (i + 1);
             assert!(each >= interp + verts * 8);
             assert_eq!(
@@ -617,10 +613,10 @@ mod tests {
         let pts = cloud(300, 7, 4.0);
         let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(4.0));
         let snap = snap_from(pts, bounds, 1, 0.5);
-        let tile = TileData::build(&snap, 0, 0.5);
+        let tile = TileData::build(&snap, 0);
         // Either kind fills the tables both render from.
-        assert!(tile.fill_table(&snap, EstimatorKind::VelocityDivergence, 0.5));
-        assert!(!tile.fill_table(&snap, EstimatorKind::PsDtfe, 0.5));
+        assert!(tile.fill_table(&snap, EstimatorKind::VelocityDivergence));
+        assert!(!tile.fill_table(&snap, EstimatorKind::PsDtfe));
         let grid = GridSpec2::square(dtfe_geometry::Vec2::new(1.0, 1.0), 2.0, 8);
         let render = |kind| {
             let opts = MarchOptions::new().parallel(false).estimator(kind);
@@ -642,14 +638,11 @@ mod tests {
         let grid = GridSpec2::square(dtfe_geometry::Vec2::new(2.0, 2.0), 2.0, 8);
         let render = |tile: &TileData, k| {
             let kind = EstimatorKind::Stochastic { realizations: k };
-            tile.fill_table(&snap, kind, 0.5);
+            tile.fill_table(&snap, kind);
             let opts = MarchOptions::new().parallel(false).estimator(kind);
             tile.render(&grid, &opts).expect("table filled").data
         };
-        let (t1, t2) = (
-            TileData::build(&snap, 0, 0.5),
-            TileData::build(&snap, 0, 0.5),
-        );
+        let (t1, t2) = (TileData::build(&snap, 0), TileData::build(&snap, 0));
         assert_eq!(render(&t1, 2), render(&t2, 2));
         // A second count is a second table beside the first.
         assert_ne!(render(&t1, 3), render(&t1, 2));

@@ -33,6 +33,7 @@ fn small_snapshot() -> SnapshotData {
         tile_counts: vec![particles.len()],
         particles,
         decomp: Decomposition::new(bounds, 1),
+        ghost_margin: GHOST,
     }
 }
 
@@ -279,7 +280,7 @@ fn two_estimators_on_a_cold_tile_build_one_mesh_and_one_table_each() {
                         mesh_builds.fetch_add(1, Ordering::SeqCst);
                         // Long enough that the other thread parks on it.
                         std::thread::sleep(Duration::from_millis(30));
-                        Ok(TileData::build(&snap, 0, GHOST))
+                        Ok(TileData::build(&snap, 0))
                     })
                     .unwrap();
                 // Each asks for its own table and, after the other is done
@@ -288,7 +289,7 @@ fn two_estimators_on_a_cold_tile_build_one_mesh_and_one_table_each() {
                 for kind in [kind, kinds[(kind == kinds[0]) as usize]] {
                     barrier.wait();
                     if !data.has_table(kind) {
-                        let fill = || data.fill_table(&snap, kind, GHOST);
+                        let fill = || data.fill_table(&snap, kind);
                         built += cache.fill(&key, &data, fill).unwrap() as usize;
                     }
                 }
@@ -312,7 +313,7 @@ fn concurrent_fills_of_one_table_run_once() {
     let cache = Arc::new(TileCache::new(64 << 20));
     let key = key("small", 0);
     let (data, _) = cache
-        .get_or_build(&key, || Ok(TileData::build(&snap, 0, GHOST)))
+        .get_or_build(&key, || Ok(TileData::build(&snap, 0)))
         .unwrap();
     let kind = EstimatorKind::Stochastic { realizations: 2 };
     let barrier = Barrier::new(2);
@@ -322,7 +323,7 @@ fn concurrent_fills_of_one_table_run_once() {
                 scope.spawn(|| {
                     assert!(!data.has_table(kind));
                     barrier.wait();
-                    let fill = || data.fill_table(&snap, kind, GHOST);
+                    let fill = || data.fill_table(&snap, kind);
                     cache.fill(&key, &data, fill).unwrap() as usize
                 })
             })
@@ -340,16 +341,16 @@ fn concurrent_fills_of_one_table_run_once() {
 fn entry_that_outgrows_the_budget_is_dropped_but_answers() {
     let snap = small_snapshot();
     let mesh_and_dtfe = {
-        let tile = TileData::build(&snap, 0, GHOST);
-        tile.fill_table(&snap, EstimatorKind::Dtfe, GHOST);
+        let tile = TileData::build(&snap, 0);
+        tile.fill_table(&snap, EstimatorKind::Dtfe);
         tile.bytes()
     };
     let cache = TileCache::new(mesh_and_dtfe + 1);
     let key = key("small", 0);
     let (data, _) = cache
-        .get_or_build(&key, || Ok(TileData::build(&snap, 0, GHOST)))
+        .get_or_build(&key, || Ok(TileData::build(&snap, 0)))
         .unwrap();
-    let fill = |kind| cache.fill(&key, &data, || data.fill_table(&snap, kind, GHOST));
+    let fill = |kind| cache.fill(&key, &data, || data.fill_table(&snap, kind));
     assert_eq!(fill(EstimatorKind::Dtfe), Ok(true));
     assert_eq!(cache.resident_bytes(), mesh_and_dtfe, "fits, to the byte");
     assert_eq!(fill(EstimatorKind::PsDtfe), Ok(true));
@@ -370,7 +371,7 @@ fn entry_that_outgrows_the_budget_is_dropped_but_answers() {
     );
     // And the next request starts over from a mesh that fits.
     let (_, hit) = cache
-        .get_or_build(&key, || Ok(TileData::build(&snap, 0, GHOST)))
+        .get_or_build(&key, || Ok(TileData::build(&snap, 0)))
         .unwrap();
     assert!(!hit);
     assert!(cache.is_resident(&key));

@@ -242,38 +242,48 @@ fn negative_cache_bounds_rebuilds_of_an_always_failing_tile() {
     assert_eq!(cache.quarantined_entries(), 1);
 }
 
-/// Degraded-mode serving end to end: warm a tile, push it out with a second
-/// estimator's tables, choke admission, and the service answers from the
-/// stale copy — bit-identical data, `degraded` flagged — then recovers to
-/// fresh serving once the budget returns.
-#[test]
-fn stale_while_revalidate_serves_evicted_tile_under_overload() {
-    let dir = tmpdir("stale");
+/// The snapshot the stale-serving tests share, in `dir`, and the resident
+/// bytes of its one tile holding one estimator's table and holding a
+/// second's, so a cache budget can be sized between the two.
+fn stale_fixture(dir: &std::path::Path) -> (ServiceConfig, usize, usize) {
     let side = 8.0;
     let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(side));
-    let pts = cloud(800, side, 99);
-    write_snapshot(&dir.join("s.snap"), &[pts], bounds).unwrap();
-
-    // Phase 1: measure the resident tile with one estimator's table and
-    // with a second's, so phase 2's budget can be sized between the two.
+    write_snapshot(&dir.join("s.snap"), &[cloud(800, side, 99)], bounds).unwrap();
     let mut probe_cfg = ServiceConfig::new(4.0, 16);
     probe_cfg.tiles = 1;
-    let probe = Service::start(&dir, probe_cfg.clone()).unwrap();
-    let req = RenderRequest::new("s", Vec3::new(4.0, 4.0, 4.0));
-    let mut ps = req.clone();
-    ps.estimator = dtfe_service::EstimatorKind::PsDtfe;
+    let probe = Service::start(dir, probe_cfg.clone()).unwrap();
+    let (req, ps) = stale_requests();
     probe.render(&req).unwrap();
     let tile_bytes = probe.health().resident_bytes as usize;
     probe.render(&ps).unwrap();
     let grown_bytes = probe.health().resident_bytes as usize;
     assert!(0 < tile_bytes && tile_bytes < grown_bytes);
     probe.drain();
+    (probe_cfg, tile_bytes, grown_bytes)
+}
+
+/// A DTFE and a PS-DTFE request for the one tile of [`stale_fixture`].
+fn stale_requests() -> (RenderRequest, RenderRequest) {
+    let req = RenderRequest::new("s", Vec3::new(4.0, 4.0, 4.0));
+    let mut ps = req.clone();
+    ps.estimator = dtfe_service::EstimatorKind::PsDtfe;
+    (req, ps)
+}
+
+/// Degraded-mode serving end to end: warm a tile, push it out with a second
+/// estimator's tables, choke admission, and the service answers from the
+/// stale copy — bit-identical data, `degraded` flagged — then recovers to
+/// fresh serving once the budget returns.
+#[test]
+fn stale_budget_serves_evicted_tile_under_overload() {
+    let dir = tmpdir("stale");
+    let (probe_cfg, tile_bytes, grown_bytes) = stale_fixture(&dir);
+    let (req, ps) = stale_requests();
 
     // Phase 2: budget fits the tile with one table, not with two; stale
     // retention on.
     let mut cfg = probe_cfg;
     cfg.cache_budget_bytes = (tile_bytes + grown_bytes) / 2;
-    cfg.stale_while_revalidate = true;
     cfg.stale_budget_bytes = 4 * tile_bytes;
     let service = Service::start(&dir, cfg).unwrap();
 
@@ -313,6 +323,35 @@ fn stale_while_revalidate_serves_evicted_tile_under_overload() {
     let rebuilt = service.render(&req).unwrap();
     assert!(!rebuilt.meta.degraded);
     assert_bits_equal(&rebuilt.data, &fresh.data, "rebuilt vs original");
+    service.drain();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The off side of the stale budget: with the default `0`, an evicted tile
+/// is not retained, and a shed request is a typed `Overloaded`, never a
+/// `degraded` response.
+#[test]
+fn zero_stale_budget_sheds_instead_of_serving_stale() {
+    let dir = tmpdir("stale_off");
+    let (probe_cfg, tile_bytes, grown_bytes) = stale_fixture(&dir);
+    let (req, ps) = stale_requests();
+    let mut cfg = probe_cfg;
+    cfg.cache_budget_bytes = (tile_bytes + grown_bytes) / 2;
+    assert_eq!(cfg.stale_budget_bytes, 0, "the default");
+    let service = Service::start(&dir, cfg).unwrap();
+
+    assert!(!service.render(&req).unwrap().meta.degraded);
+    service.render(&ps).unwrap();
+    assert_eq!(service.health().resident_bytes, 0, "the tile was evicted");
+    assert_eq!(service.cache().stale_entries(), 0, "nothing retained");
+
+    service.set_admission_budget(0.0);
+    match service.render(&req) {
+        Err(ServiceError::Overloaded { .. }) => {}
+        other => panic!("expected Overloaded with no stale budget, got {other:?}"),
+    }
+    assert_eq!(service.cache().stale_entries(), 0);
+    assert_eq!(service.stats().stale_served.load(Ordering::Relaxed), 0);
     service.drain();
     std::fs::remove_dir_all(&dir).ok();
 }

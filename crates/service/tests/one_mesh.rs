@@ -81,7 +81,7 @@ fn every_first_touch_order_serves_the_standalone_fields() {
         .map(|tile| {
             let cell = decomp.rank_box(tile);
             let center = cell.center();
-            let padded = cell.inflated(cfg.ghost_margin);
+            let padded = cell.inflated(cfg.ghost_margin());
             let local: Vec<Vec3> = pts
                 .iter()
                 .copied()

@@ -51,6 +51,15 @@ fn get_f64(flags: &HashMap<String, String>, key: &str, default: f64) -> Result<f
     }
 }
 
+/// `--box`, the side of the generated cube: finite and positive.
+fn get_box(flags: &HashMap<String, String>, default: f64) -> Result<f64, String> {
+    let side = get_f64(flags, "box", default)?;
+    if !(side.is_finite() && side > 0.0) {
+        return Err(format!("--box must be finite and positive, got {side}"));
+    }
+    Ok(side)
+}
+
 fn get_usize(flags: &HashMap<String, String>, key: &str, default: usize) -> Result<usize, String> {
     match flags.get(key) {
         None => Ok(default),
@@ -68,7 +77,7 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
             if !n.is_power_of_two() {
                 return Err("--n must be a power of two for zeldovich".into());
             }
-            let box_len = get_f64(flags, "box", n as f64)?;
+            let box_len = get_box(flags, n as f64)?;
             (
                 planck_like(n, box_len, seed),
                 Aabb3::new(Vec3::ZERO, Vec3::splat(box_len)),
@@ -81,7 +90,7 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
         }
         "galaxy-box" => {
             let n = get_usize(flags, "n", 200_000)?;
-            let box_len = get_f64(flags, "box", 48.0)?;
+            let box_len = get_box(flags, 48.0)?;
             let halos = get_usize(flags, "halos", 100)?;
             let (pts, _) = galaxy_box(box_len, n, halos, seed);
             (pts, Aabb3::new(Vec3::ZERO, Vec3::splat(box_len)))

@@ -39,8 +39,14 @@ pub use dtfe_tess as tess;
 pub mod prelude {
     pub use dtfe_core::{
         surface_density, surface_density_walking, DtfeField, Field2, Field3, GridSpec2, GridSpec3,
-        MarchOptions, Mass, RenderOptions, WalkOptions,
+        MarchOptions, Mass,
     };
     pub use dtfe_delaunay::{BuildError, DelaunayBuilder, Triangulation};
     pub use dtfe_geometry::{Vec2, Vec3};
 }
+
+/// The README's Rust examples, compiled (and, unless marked `no_run`, run)
+/// as doctests, so the README cannot name an API that does not exist.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

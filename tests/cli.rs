@@ -1,6 +1,6 @@
 //! The `dtfe` command-line front end, driven as a subprocess: a malformed
-//! render grid or halo linking length is a clean `error:` and exit status
-//! 1, never a panic.
+//! render grid, halo linking length or generated box is a clean `error:`
+//! and exit status 1, never a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -110,5 +110,34 @@ fn a_tiny_halo_link_finds_no_halos() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains(": 0 groups"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn bad_generate_boxes_fail_with_an_error_and_write_nothing() {
+    let dir = std::env::temp_dir().join(format!("dtfe_cli_{}_bad_box", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let snap = dir.join("snap.bin");
+    for (kind, side) in [
+        ("galaxy-box", "nan"),
+        ("galaxy-box", "-1"),
+        ("zeldovich", "0"),
+    ] {
+        let out = dtfe(&[
+            "generate",
+            "--kind",
+            kind,
+            "--n",
+            "16",
+            "--box",
+            side,
+            "--out",
+            snap.to_str().unwrap(),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{kind} --box {side}: {stderr}");
+        assert!(stderr.contains("error:"), "{kind} --box {side}: {stderr}");
+        assert!(!snap.exists(), "{kind} --box {side} wrote a snapshot");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

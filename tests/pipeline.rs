@@ -5,7 +5,7 @@
 use dtfe_repro::core::density::{DtfeField, Mass};
 use dtfe_repro::core::grid::GridSpec2;
 use dtfe_repro::core::marching::{surface_density_with_stats, MarchOptions};
-use dtfe_repro::core::walking::{surface_density_walking, WalkOptions};
+use dtfe_repro::core::walking::surface_density_walking;
 use dtfe_repro::framework::{run_distributed, FieldRequest, FrameworkConfig};
 use dtfe_repro::geometry::{Aabb3, Vec2, Vec3};
 use dtfe_repro::lensing::configs::galaxy_galaxy_centers;
@@ -48,8 +48,12 @@ fn three_estimators_agree_on_smooth_data() {
         &grid,
         &MarchOptions::new().z_range(0.0, box_len),
     );
-    let walked =
-        surface_density_walking(&field, &grid, &WalkOptions::new(256).z_range(0.0, box_len));
+    let walked = surface_density_walking(
+        &field,
+        &grid,
+        &MarchOptions::new().z_range(0.0, box_len),
+        256,
+    );
     let vd = VoronoiDensity::from_dtfe(&field);
     let dense = vd.surface_density(&grid, (0.0, box_len), 256, true);
 

@@ -20,7 +20,7 @@ use dtfe_repro::core::marching::{cell_value, MarchStats};
 use dtfe_repro::core::{
     surface_density_reference, surface_density_walking, surface_density_with_index, DtfeField,
     DtfeTable, FieldView, GridSpec2, HullIndex, MarchOptions, Mass, PsDtfeTable, RenderMesh,
-    StochasticOptions, StochasticTable, WalkOptions,
+    StochasticOptions, StochasticTable,
 };
 use dtfe_repro::delaunay::DelaunayBuilder;
 use dtfe_repro::geometry::{Vec2, Vec3};
@@ -181,7 +181,7 @@ fn checksums() -> Vec<(String, u64)> {
             masses(pts.len()),
         );
         let walked =
-            surface_density_walking(&field, &grid, &WalkOptions::new(24).z_range(1.8, 4.1));
+            surface_density_walking(&field, &grid, &MarchOptions::new().z_range(1.8, 4.1), 24);
         out.push((format!("{cloud}/dtfe/walking"), fnv(&walked.data)));
     }
     out
@@ -297,11 +297,10 @@ fn every_cell_renders_the_same_bits_alone_and_in_any_tile() {
             let opts = MarchOptions::new().samples(samples).parallel(false);
             let (serial, ss) = surface_density_with_index(&field, &idx, &grid, &opts);
             perturbations += ss.perturbations;
-            let eps = opts.epsilon * grid.cell.norm();
             let mut alone_stats = MarchStats::default();
             for j in 0..grid.ny {
                 for i in 0..grid.nx {
-                    let alone = cell_value(&field, &idx, &grid, i, j, eps, &opts, &mut alone_stats);
+                    let alone = cell_value(&field, &idx, &grid, i, j, &opts, &mut alone_stats);
                     assert_eq!(
                         alone.to_bits(),
                         serial.data[j * grid.nx + i].to_bits(),

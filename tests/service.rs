@@ -137,7 +137,7 @@ fn multi_tile_service_matches_offline_tile_render() {
     let decomp = dtfe_repro::framework::Decomposition::new(bounds, cfg.tiles);
     let tile_box = decomp
         .rank_box(decomp.rank_of(center))
-        .inflated(cfg.ghost_margin);
+        .inflated(cfg.ghost_margin());
     let local: Vec<Vec3> = pts
         .iter()
         .copied()
