@@ -13,6 +13,21 @@
 //! against the shared mesh via [`dtfe_core::surface_density_with_index`] —
 //! so the marginal cost of the 2nd..Nth coalesced request is render-only.
 //!
+//! ## Outcomes
+//!
+//! Every request [`Service::submit`] receives ends in one function,
+//! `finish`, exactly once — refused at submission, served stale there,
+//! dropped on its deadline, failed, or served. `finish` counts the one
+//! outcome (`shed`, `rejected`, `deadline_dropped`, `failed`, or `completed`
+//! as a hit or a miss, and `stale_served` if degraded), records the flight
+//! trace, refunds admission if the request was admitted, and replies.
+//!
+//! The flight-recording rule: a sampled request is recorded whatever its
+//! outcome (reason `sampled`, or its incident's); an unsampled one only on
+//! an incident — `quarantined`, `panic`, or `failed` (every admitted
+//! failure, and corrupt or internal refusals) — or, when served, on taking
+//! longer than the operator's slow threshold (`slow`).
+//!
 //! ## Drain semantics
 //!
 //! [`Service::drain`] flips the queue into draining mode: new submissions
@@ -22,18 +37,18 @@
 
 use crate::admission::Admission;
 use crate::api::{HealthStatus, RenderRequest, RenderResponse, ResponseMeta, TraceContext};
-use crate::cache::TileCache;
+use crate::cache::{catch_panic, TileCache};
 use crate::config::{default_model, ServiceConfig};
 use crate::error::ServiceError;
 use crate::registry::SnapshotRegistry;
 use crate::stats_doc::{CacheCounters, MetricsDigest, ServingCounters, StatsDocument};
 use crate::tiles::{SharedTile, TileData, TileKey};
-use dtfe_core::{EstimatorKind, GridSpec2, MarchOptions};
+use dtfe_core::{EstimatorKind, Field2, GridSpec2, MarchOptions};
 use dtfe_telemetry::{clock, FlightRecorder, RequestTrace, SpanEvent};
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -74,23 +89,61 @@ impl ServiceStats {
     }
 }
 
-/// One admitted request waiting in (or moving through) the queue.
-struct Job {
-    grid: GridSpec2,
-    opts: MarchOptions,
-    cost_s: f64,
-    /// Trace context the request carried (or `None` for untraced).
-    trace: Option<TraceContext>,
+/// What a request is answered with.
+type Reply = Result<RenderResponse, ServiceError>;
+
+/// A request from the moment [`Service::submit`] receives it until
+/// [`finish`] answers it.
+struct Ticket {
     /// Submission entry, microseconds on the telemetry clock — the origin
     /// for flight-recorder span offsets.
     t0_us: u64,
     /// Submission entry wall clock (request wall time = elapsed since).
     submitted: Instant,
-    /// Microseconds from submission to enqueue (validation + admission).
-    admission_us: u64,
+    /// The priced cost admission holds for the request: `Some` once it is
+    /// admitted (and so queued), refunded by [`finish`].
+    admitted: Option<f64>,
+    /// Trace context the request carried (or `None` for untraced).
+    trace: Option<TraceContext>,
+    reply: mpsc::Sender<Reply>,
+}
+
+impl Ticket {
+    /// The request's meta as of now, all of it spent in admission.
+    fn meta(&self) -> ResponseMeta {
+        ResponseMeta {
+            admission_us: self.submitted.elapsed().as_micros() as u64,
+            trace: self.trace,
+            ..ResponseMeta::default()
+        }
+    }
+}
+
+/// One admitted request waiting in (or moving through) the queue.
+struct Job {
+    ticket: Ticket,
+    grid: GridSpec2,
+    opts: MarchOptions,
+    /// The meta at enqueue: the admission stage and the trace.
+    meta: ResponseMeta,
     enqueued: Instant,
     deadline: Option<Instant>,
-    reply: mpsc::Sender<Result<RenderResponse, ServiceError>>,
+}
+
+impl Job {
+    /// The one expiry predicate: a job whose deadline has passed is not
+    /// worth a build or a render.
+    fn expired(&self, now: Instant) -> bool {
+        self.deadline.is_some_and(|d| d <= now)
+    }
+
+    /// The job's meta as of its batch's pickup: admission and queue stages.
+    fn meta(&self, pickup: Instant) -> ResponseMeta {
+        ResponseMeta {
+            queue_us: pickup.duration_since(self.enqueued).as_micros() as u64,
+            ..self.meta
+        }
+    }
 }
 
 /// What a request resolves to once its defaults are filled in and its
@@ -183,20 +236,22 @@ impl Service {
             flight: FlightRecorder::new(ServiceConfig::FLIGHT_CAPACITY),
             cfg,
         });
-        let workers = (0..inner.cfg.workers)
-            .map(|i| {
-                let inner = inner.clone();
-                std::thread::Builder::new()
-                    .name(format!("dtfe-worker-{i}"))
-                    .spawn(move || worker_loop(&inner))
-                    .expect("spawn render worker")
-            })
-            .collect();
-        Ok(Service {
+        let mut service = Service {
             inner,
-            workers: Mutex::new(workers),
+            workers: Mutex::default(),
             _telemetry: telemetry,
-        })
+        };
+        for i in 0..service.inner.cfg.workers {
+            let inner = service.inner.clone();
+            let worker = std::thread::Builder::new()
+                .name(format!("dtfe-worker-{i}"))
+                .spawn(move || worker_loop(&inner))
+                // Returning drops `service`, whose drain joins the workers
+                // already started.
+                .map_err(|e| ServiceError::Internal(format!("spawn render worker {i}: {e}")))?;
+            unpoisoned(service.workers.get_mut()).push(worker);
+        }
+        Ok(service)
     }
 
     /// Serving configuration.
@@ -225,44 +280,35 @@ impl Service {
 
     /// Validate, price, admit, and enqueue a request; the returned channel
     /// yields the result exactly once. Use [`Service::render`] unless you
-    /// are pipelining submissions yourself.
-    pub fn submit(
-        &self,
-        req: &RenderRequest,
-    ) -> Result<mpsc::Receiver<Result<RenderResponse, ServiceError>>, ServiceError> {
-        let inner = &*self.inner;
-        match self.submit_inner(req) {
-            Ok(rx) => Ok(rx),
-            Err(e) => {
-                match &e {
-                    ServiceError::Overloaded { .. } => {
-                        inner.stats.shed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    _ => {
-                        inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        dtfe_telemetry::counter_add!("service.requests_rejected", 1);
-                    }
-                }
+    /// are pipelining submissions yourself. A refusal (invalid, unknown,
+    /// shed, shutting down) is the `Err`.
+    pub fn submit(&self, req: &RenderRequest) -> Result<mpsc::Receiver<Reply>, ServiceError> {
+        let (reply, rx) = mpsc::channel();
+        // Stage-timing origin: everything from here to enqueue is the
+        // request's admission stage.
+        let ticket = Ticket {
+            t0_us: clock::now_us(),
+            submitted: Instant::now(),
+            admitted: None,
+            trace: req.trace,
+            reply,
+        };
+        match self.admit(req, ticket) {
+            Ok(()) => Ok(rx),
+            Err((ticket, e)) => {
+                finish(&self.inner, ticket.meta(), ticket, Err(e.clone()));
                 Err(e)
             }
         }
     }
 
-    fn submit_inner(
-        &self,
-        req: &RenderRequest,
-    ) -> Result<mpsc::Receiver<Result<RenderResponse, ServiceError>>, ServiceError> {
+    /// Resolve, price, admit and enqueue `req` — or, shed while a stale
+    /// copy of its tile is retained, answer it from that copy. A refusal
+    /// hands the ticket back unanswered.
+    fn admit(&self, req: &RenderRequest, ticket: Ticket) -> Result<(), (Ticket, ServiceError)> {
         let inner = &*self.inner;
-        let cfg = &inner.cfg;
-        // Stage-timing origin: everything from here to enqueue is the
-        // request's admission stage.
-        let submitted = Instant::now();
-        let t0_us = clock::now_us();
-
         // Loading the snapshot is part of resolving: unknown/corrupt ids
-        // fail fast, before admission charges anything. Corrupt and
-        // quarantined loads are incidents the flight recorder must keep —
-        // they never reach `serve_batch`, so they are recorded here.
+        // fail fast, before admission charges anything.
         let Resolved {
             tile,
             particles,
@@ -271,10 +317,7 @@ impl Service {
             ..
         } = match self.resolve(req) {
             Ok(resolved) => resolved,
-            Err(e) => {
-                record_submit_failure(inner, req.trace, t0_us, submitted, &e);
-                return Err(e);
-            }
+            Err(e) => return Err((ticket, e)),
         };
         let cost_s = {
             let estimator = opts.estimator;
@@ -292,55 +335,49 @@ impl Service {
             ms => Some(Instant::now() + Duration::from_millis(ms)),
         };
 
-        // Admission last, so every earlier error path has nothing to
-        // refund; past this point the job WILL reach `finish_job`.
+        // Admission last, and under the queue lock: a request is admitted
+        // exactly when it is queued, so no earlier exit has anything to
+        // refund.
+        let mut q = unpoisoned(inner.queue.lock());
+        if q.draining {
+            return Err((ticket, ServiceError::ShuttingDown));
+        }
         if let Err(shed) = inner.admission.try_admit(cost_s) {
+            drop(q);
             // Degraded fallback: under overload, a retained stale copy of
             // the tile beats a bare `Overloaded` — render it inline on the
             // caller's thread (no queue slot, no admission charge) with
             // the response flagged.
-            if cfg.stale_budget_bytes > 0 {
-                if let Some(resp) =
-                    render_stale(inner, &tile, &grid, &opts, Instant::now(), req.trace)
-                {
-                    let (tx, rx) = mpsc::channel();
-                    let _ = tx.send(Ok(resp));
-                    return Ok(rx);
+            let mut meta = ticket.meta();
+            return match render_stale(inner, &tile, &grid, &opts, &mut meta) {
+                Some(field) => {
+                    finish(inner, meta, ticket, field);
+                    Ok(())
                 }
-            }
-            return Err(shed);
+                None => Err((ticket, shed)),
+            };
         }
-
-        let (tx, rx) = mpsc::channel();
         let job = Job {
             grid,
             opts,
-            cost_s,
-            trace: req.trace,
-            t0_us,
-            submitted,
-            admission_us: submitted.elapsed().as_micros() as u64,
+            meta: ticket.meta(),
             enqueued: Instant::now(),
             deadline,
-            reply: tx,
+            ticket: Ticket {
+                admitted: Some(cost_s),
+                ..ticket
+            },
         };
-        {
-            let mut q = inner.queue.lock().unwrap();
-            if q.draining {
-                inner.admission.complete(cost_s);
-                return Err(ServiceError::ShuttingDown);
-            }
-            if !q.per_tile.contains_key(&tile) {
-                q.order.push_back(tile.clone());
-            }
-            q.per_tile.entry(tile).or_default().push_back(job);
-            q.in_flight += 1;
-            dtfe_telemetry::gauge_set!("service.queue_depth", q.in_flight as i64);
-            inner.cv.notify_all();
+        if !q.per_tile.contains_key(&tile) {
+            q.order.push_back(tile.clone());
         }
+        q.per_tile.entry(tile).or_default().push_back(job);
+        q.in_flight += 1;
+        dtfe_telemetry::gauge_set!("service.queue_depth", q.in_flight as i64);
         inner.stats.admitted.fetch_add(1, Ordering::Relaxed);
         dtfe_telemetry::counter_add!("service.requests_admitted", 1);
-        Ok(rx)
+        inner.cv.notify_all();
+        Ok(())
     }
 
     /// Normalise and validate a request without admitting anything: fill
@@ -426,7 +463,7 @@ impl Service {
     pub fn health(&self) -> HealthStatus {
         let inner = &*self.inner;
         let (draining, queue_depth) = {
-            let q = inner.queue.lock().unwrap();
+            let q = unpoisoned(inner.queue.lock());
             (q.draining, q.in_flight as u64)
         };
         HealthStatus {
@@ -452,11 +489,11 @@ impl Service {
     /// join the workers. Idempotent.
     pub fn drain(&self) {
         {
-            let mut q = self.inner.queue.lock().unwrap();
+            let mut q = unpoisoned(self.inner.queue.lock());
             q.draining = true;
             self.inner.cv.notify_all();
         }
-        let mut workers = self.workers.lock().unwrap();
+        let mut workers = unpoisoned(self.workers.lock());
         for h in workers.drain(..) {
             let _ = h.join();
         }
@@ -529,9 +566,15 @@ impl Drop for Service {
     }
 }
 
+/// A service lock's guard. Poison cannot occur: no service lock is held
+/// across a build, a fill or a render, and those run under [`catch_panic`].
+fn unpoisoned<G>(lock: LockResult<G>) -> G {
+    lock.unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Pop the next tile batch, or `None` when draining and empty.
 fn next_batch(inner: &Inner) -> Option<(TileKey, Vec<Job>)> {
-    let mut q = inner.queue.lock().unwrap();
+    let mut q = unpoisoned(inner.queue.lock());
     loop {
         if let Some(tile) = q.order.pop_front() {
             let jobs = q.per_tile.remove(&tile).map(Vec::from).unwrap_or_default();
@@ -540,16 +583,8 @@ fn next_batch(inner: &Inner) -> Option<(TileKey, Vec<Job>)> {
         if q.draining {
             return None;
         }
-        q = inner.cv.wait(q).unwrap();
+        q = unpoisoned(inner.cv.wait(q));
     }
-}
-
-/// Account a finished job (served, dropped, or failed).
-fn finish_job(inner: &Inner, job: &Job) {
-    inner.admission.complete(job.cost_s);
-    let mut q = inner.queue.lock().unwrap();
-    q.in_flight -= 1;
-    dtfe_telemetry::gauge_set!("service.queue_depth", q.in_flight as i64);
 }
 
 fn worker_loop(inner: &Inner) {
@@ -559,9 +594,9 @@ fn worker_loop(inner: &Inner) {
 }
 
 fn serve_batch(inner: &Inner, tile: &TileKey, mut jobs: Vec<Job>) {
-    let stats = &inner.stats;
     if jobs.len() > 1 {
-        stats
+        inner
+            .stats
             .coalesced
             .fetch_add(jobs.len() as u64 - 1, Ordering::Relaxed);
         dtfe_telemetry::counter_add!("service.requests_coalesced", jobs.len() as u64 - 1);
@@ -570,143 +605,64 @@ fn serve_batch(inner: &Inner, tile: &TileKey, mut jobs: Vec<Job>) {
     // Drop jobs whose deadline already passed — before paying for a build
     // they can no longer use.
     let now = Instant::now();
-    jobs.retain(|job| match job.deadline {
-        Some(d) if d <= now => {
-            stats.deadline_dropped.fetch_add(1, Ordering::Relaxed);
-            dtfe_telemetry::counter_add!("service.deadline_dropped", 1);
-            let _ = job.reply.send(Err(ServiceError::DeadlineExceeded));
-            finish_job(inner, job);
-            false
-        }
-        _ => true,
-    });
-    if jobs.is_empty() {
-        return;
+    for job in jobs.extract_if(.., |job| job.expired(now)) {
+        let meta = job.meta(now);
+        finish(inner, meta, job.ticket, Err(ServiceError::DeadlineExceeded));
     }
+    let Some(first) = jobs.first() else {
+        return;
+    };
 
     // Queue stage ends here for every job in the batch: the worker has
     // picked it up. What follows is build (shared) + per-job render, so
     // the per-stage intervals are disjoint and sum to at most the wall.
     let pickup = Instant::now();
-    let build_t0 = Instant::now();
     let fetched = inner.cache.get_or_build(tile, || {
         let snap = inner.registry.get(&tile.snapshot)?;
         let data = TileData::build(&snap, tile.tile);
         // A cold tile is inserted already holding the table its first
         // request renders: one charge, and one eviction pass that makes
         // room for both before the render allocates the traversal cache.
-        data.fill_table(&snap, jobs[0].opts.estimator);
+        data.fill_table(&snap, first.opts.estimator);
         Ok(data)
     });
     // The batch's other tables, filled by the first job that needs each: a
     // fill that fails fails the jobs that asked for that estimator, not
-    // the batch.
-    let resolved = fetched.map(|(data, mesh_hit)| {
-        let tables: Vec<_> = jobs
-            .iter()
-            .map(|job| ensure_table(inner, tile, &data, job.opts.estimator))
-            .collect();
-        (data, mesh_hit, tables)
-    });
-    let build_us = build_t0.elapsed().as_micros() as u64;
+    // the batch. `Ok((data, true))` when the job's table was not there.
+    let tables: Vec<Result<(&SharedTile, bool), ServiceError>> = jobs
+        .iter()
+        .map(|job| {
+            let (data, _) = fetched.as_ref().map_err(ServiceError::clone)?;
+            Ok((data, ensure_table(inner, tile, data, job.opts.estimator)?))
+        })
+        .collect();
+    let build_us = pickup.elapsed().as_micros() as u64;
     dtfe_telemetry::hist_record!("service.tile_resolve_us", build_us);
-    // Degraded fallback: a quarantined tile with a retained stale copy is
-    // served flagged instead of failed — the tile is sick, but an older
-    // render beats no render when the operator gave stale copies a
-    // budget.
-    let fail = |job: &Job, e: &ServiceError| {
-        if inner.cfg.stale_budget_bytes > 0 && matches!(e, ServiceError::Quarantined { .. }) {
-            if let Some(resp) =
-                render_stale(inner, tile, &job.grid, &job.opts, job.enqueued, job.trace)
-            {
-                let _ = job.reply.send(Ok(resp));
-                finish_job(inner, job);
-                return;
-            }
-        }
-        stats.failed.fetch_add(1, Ordering::Relaxed);
-        let queue_us = pickup.duration_since(job.enqueued).as_micros() as u64;
-        record_flight(
-            inner,
-            job,
-            &[
-                ("admission", job.admission_us),
-                ("queue", queue_us),
-                ("build", build_us),
-            ],
-            Some(e),
-        );
-        let _ = job.reply.send(Err(e.clone()));
-        finish_job(inner, job);
-    };
-    let (data, mesh_hit, tables) = match resolved {
-        Ok(ok) => ok,
-        Err(e) => {
-            jobs.iter().for_each(|job| fail(job, &e));
-            return;
-        }
-    };
-    let cache_hit = mesh_hit && !tables.iter().any(|t| matches!(t, Ok(true)));
+    let cache_hit =
+        matches!(fetched, Ok((_, true))) && !tables.iter().any(|t| matches!(t, Ok((_, true))));
 
     let batch_size = jobs.len() as u32;
-    for (job, table) in jobs.iter().zip(&tables) {
-        if let Err(e) = table {
-            fail(job, e);
-            continue;
-        }
-        // Re-check the deadline after the (possibly long) build.
-        let now = Instant::now();
-        if matches!(job.deadline, Some(d) if d <= now) {
-            stats.deadline_dropped.fetch_add(1, Ordering::Relaxed);
-            dtfe_telemetry::counter_add!("service.deadline_dropped", 1);
-            let _ = job.reply.send(Err(ServiceError::DeadlineExceeded));
-            finish_job(inner, job);
-            continue;
-        }
-        let queue_us = pickup.duration_since(job.enqueued).as_micros() as u64;
-        let t0 = Instant::now();
-        let sigma = data
-            .render(&job.grid, &job.opts)
-            .expect("ensure_table returned Ok, and tables are never removed");
-        let render_us = t0.elapsed().as_micros() as u64;
-        if cache_hit {
-            stats.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            stats.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        stats.completed.fetch_add(1, Ordering::Relaxed);
-        dtfe_telemetry::counter_add!("service.requests_completed", 1);
-        dtfe_telemetry::hist_record!(
-            "service.request_latency_us",
-            job.submitted.elapsed().as_micros() as u64
-        );
-        dtfe_telemetry::hist_record!("service.render_us", render_us);
-        record_flight(
-            inner,
-            job,
-            &[
-                ("admission", job.admission_us),
-                ("queue", queue_us),
-                ("build", build_us),
-                ("render", render_us),
-            ],
-            None,
-        );
-        let _ = job.reply.send(Ok(RenderResponse {
-            grid: sigma.spec,
-            data: sigma.data,
-            meta: ResponseMeta {
-                cache_hit,
-                batch_size,
-                admission_us: job.admission_us,
-                queue_us,
-                build_us,
-                render_us,
-                trace: job.trace,
-                degraded: false,
-            },
-        }));
-        finish_job(inner, job);
+    for (job, table) in jobs.into_iter().zip(tables) {
+        let mut meta = ResponseMeta {
+            cache_hit,
+            batch_size,
+            build_us,
+            ..job.meta(pickup)
+        };
+        let field = match table {
+            // Re-check the deadline after the (possibly long) build.
+            Ok(_) if job.expired(Instant::now()) => Err(ServiceError::DeadlineExceeded),
+            Ok((data, _)) => render(data, &job.grid, &job.opts, &mut meta),
+            // Degraded fallback: a quarantined tile with a retained stale
+            // copy is served flagged instead of failed — the tile is sick,
+            // but an older render beats no render when the operator gave
+            // stale copies a budget.
+            Err(e @ ServiceError::Quarantined { .. }) => {
+                render_stale(inner, tile, &job.grid, &job.opts, &mut meta).unwrap_or(Err(e))
+            }
+            Err(e) => Err(e),
+        };
+        finish(inner, meta, job.ticket, field);
     }
 }
 
@@ -730,164 +686,173 @@ fn ensure_table(
     Ok(true)
 }
 
-/// Record one finished request into the flight recorder, if it is
-/// interesting: carrying a sampled trace id, slower than the operator's
-/// threshold, or failed (quarantine refusals and caught build panics are
-/// always interesting). The span tree is synthesized from the stage
-/// durations: a depth-0 `request` span from the submission origin, one
-/// depth-1 span per non-empty stage laid back-to-back, and for failures a
-/// trailing `error` span carrying the message.
-fn record_flight(
-    inner: &Inner,
-    job: &Job,
-    stages: &[(&'static str, u64)],
-    error: Option<&ServiceError>,
-) {
-    let wall_us = job.submitted.elapsed().as_micros() as u64;
-    let reason = match error {
-        Some(ServiceError::Quarantined { .. }) => "quarantined",
-        Some(ServiceError::Internal(msg)) if msg.contains("panic") => "panic",
-        Some(_) => "failed",
-        None if job.trace.is_some_and(|t| t.sampled) => "sampled",
-        None if inner
-            .cfg
-            .slow_threshold
-            .is_some_and(|t| wall_us >= t.as_micros() as u64) =>
-        {
-            "slow"
-        }
-        None => return,
-    };
-    let stage_sum: u64 = stages.iter().map(|(_, d)| d).sum();
-    let mut spans = vec![SpanEvent {
-        name: "request".to_string(),
-        tid: 0,
-        depth: 0,
-        t0_us: job.t0_us,
-        dur_us: wall_us.max(stage_sum),
-        cpu_us: 0,
-        args: Vec::new(),
-    }];
-    let mut off = job.t0_us;
-    for (name, dur) in stages {
-        if *dur > 0 {
-            spans.push(SpanEvent {
-                name: (*name).to_string(),
-                tid: 0,
-                depth: 1,
-                t0_us: off,
-                dur_us: *dur,
-                cpu_us: 0,
-                args: Vec::new(),
-            });
-        }
-        off += dur;
+/// March one request against a tile holding its table, timed into `meta`
+/// and isolated like a build: a panic is a typed `Internal` error.
+fn render(
+    data: &TileData,
+    grid: &GridSpec2,
+    opts: &MarchOptions,
+    meta: &mut ResponseMeta,
+) -> Result<Field2, ServiceError> {
+    let t0 = Instant::now();
+    let field = catch_panic(|| data.render(grid, opts));
+    meta.render_us = t0.elapsed().as_micros() as u64;
+    match field {
+        Ok(Some(field)) => Ok(field),
+        Ok(None) => Err(ServiceError::Internal(format!(
+            "no {} table to render",
+            opts.estimator.label()
+        ))),
+        Err(msg) => Err(ServiceError::Internal(format!("render panicked: {msg}"))),
     }
-    if let Some(e) = error {
-        spans.push(SpanEvent {
-            name: "error".to_string(),
-            tid: 0,
-            depth: 1,
-            t0_us: off,
-            dur_us: 0,
-            cpu_us: 0,
-            args: vec![("message".to_string(), e.to_string())],
-        });
-    }
-    inner.flight.record(RequestTrace {
-        trace_id: job.trace.map(|t| t.hex()).unwrap_or_default(),
-        reason: reason.to_string(),
-        t0_us: job.t0_us,
-        spans,
-    });
-    dtfe_telemetry::counter_add!("service.flight_recorded", 1);
 }
 
-/// Flight-record a request that died at submission. Only incident-grade
-/// failures are kept (quarantine, corruption, internal errors): routine
-/// refusals — unknown ids, invalid requests, load shedding — would churn
-/// the bounded ring without telling the operator anything a counter
-/// doesn't.
-fn record_submit_failure(
-    inner: &Inner,
-    trace: Option<TraceContext>,
-    t0_us: u64,
-    submitted: Instant,
-    e: &ServiceError,
-) {
-    let reason = match e {
-        ServiceError::Quarantined { .. } => "quarantined",
-        ServiceError::Internal(msg) if msg.contains("panic") => "panic",
-        ServiceError::CorruptSnapshot(_) | ServiceError::Internal(_) => "failed",
-        _ => return,
-    };
-    let wall_us = submitted.elapsed().as_micros() as u64;
-    let spans = vec![
-        SpanEvent {
-            name: "request".to_string(),
-            tid: 0,
-            depth: 0,
-            t0_us,
-            dur_us: wall_us,
-            cpu_us: 0,
-            args: Vec::new(),
-        },
-        SpanEvent {
-            name: "error".to_string(),
-            tid: 0,
-            depth: 1,
-            t0_us: t0_us + wall_us,
-            dur_us: 0,
-            cpu_us: 0,
-            args: vec![("message".to_string(), e.to_string())],
-        },
-    ];
-    inner.flight.record(RequestTrace {
-        trace_id: trace.map(|t| t.hex()).unwrap_or_default(),
-        reason: reason.to_string(),
-        t0_us,
-        spans,
-    });
-    dtfe_telemetry::counter_add!("service.flight_recorded", 1);
-}
-
-/// Render a request from an evicted-but-retained stale tile, if one
-/// exists and already holds the request's estimator table: degraded
-/// serving is for when there is no capacity to build, so it never fills
-/// one. Counted as a completed hit plus `stale_served`, so the
-/// `hits + misses == completed` invariant holds for degraded responses
-/// too.
+/// Render from an evicted-but-retained stale copy of `tile`, if stale
+/// copies have a budget and the copy already holds the request's table:
+/// degraded serving is for when there is no capacity to build, so it never
+/// fills one. Marks `meta` as a degraded hit of a batch of one; `None`
+/// when there is no such copy.
 fn render_stale(
     inner: &Inner,
     tile: &TileKey,
     grid: &GridSpec2,
     opts: &MarchOptions,
-    enqueued: Instant,
-    trace: Option<TraceContext>,
-) -> Option<RenderResponse> {
-    let data = inner.cache.get_stale(tile)?;
-    let queue_us = enqueued.elapsed().as_micros() as u64;
-    let t0 = Instant::now();
-    let sigma = data.render(grid, opts)?;
-    let render_us = t0.elapsed().as_micros() as u64;
+    meta: &mut ResponseMeta,
+) -> Option<Result<Field2, ServiceError>> {
+    if inner.cfg.stale_budget_bytes == 0 {
+        return None;
+    }
+    let data = inner
+        .cache
+        .get_stale(tile)
+        .filter(|data| data.has_table(opts.estimator))?;
+    meta.cache_hit = true;
+    meta.batch_size = 1;
+    meta.degraded = true;
+    Some(render(&data, grid, opts, meta))
+}
+
+/// The one exit: every request [`Service::submit`] receives ends here,
+/// exactly once. It counts the request's one outcome, records its flight
+/// trace, refunds its admission if it was admitted, and replies — with
+/// `field` under `meta`, or the error.
+fn finish(inner: &Inner, meta: ResponseMeta, ticket: Ticket, field: Result<Field2, ServiceError>) {
     let stats = &inner.stats;
-    stats.hits.fetch_add(1, Ordering::Relaxed);
-    stats.completed.fetch_add(1, Ordering::Relaxed);
-    stats.stale_served.fetch_add(1, Ordering::Relaxed);
-    dtfe_telemetry::counter_add!("service.requests_completed", 1);
-    dtfe_telemetry::counter_add!("service.stale_served", 1);
-    Some(RenderResponse {
+    let count = |counter: &AtomicU64| counter.fetch_add(1, Ordering::Relaxed);
+    let wall_us = ticket.submitted.elapsed().as_micros() as u64;
+    match (&field, ticket.admitted) {
+        (Ok(_), _) => {
+            count(&stats.completed);
+            dtfe_telemetry::counter_add!("service.requests_completed", 1);
+            count(if meta.cache_hit {
+                &stats.hits
+            } else {
+                &stats.misses
+            });
+            if meta.degraded {
+                count(&stats.stale_served);
+                dtfe_telemetry::counter_add!("service.stale_served", 1);
+            }
+            dtfe_telemetry::hist_record!("service.request_latency_us", wall_us);
+            dtfe_telemetry::hist_record!("service.render_us", meta.render_us);
+        }
+        (Err(ServiceError::DeadlineExceeded), Some(_)) => {
+            count(&stats.deadline_dropped);
+            dtfe_telemetry::counter_add!("service.deadline_dropped", 1);
+        }
+        (Err(_), Some(_)) => {
+            count(&stats.failed);
+        }
+        (Err(ServiceError::Overloaded { .. }), None) => {
+            count(&stats.shed);
+        }
+        (Err(_), None) => {
+            count(&stats.rejected);
+            dtfe_telemetry::counter_add!("service.requests_rejected", 1);
+        }
+    }
+    record_flight(inner, &ticket, &meta, wall_us, field.as_ref().err());
+    if let Some(cost_s) = ticket.admitted {
+        inner.admission.complete(cost_s);
+        let mut q = unpoisoned(inner.queue.lock());
+        q.in_flight -= 1;
+        dtfe_telemetry::gauge_set!("service.queue_depth", q.in_flight as i64);
+    }
+    let _ = ticket.reply.send(field.map(|sigma| RenderResponse {
         grid: sigma.spec,
         data: sigma.data,
-        meta: ResponseMeta {
-            cache_hit: true,
-            batch_size: 1,
-            admission_us: 0,
-            queue_us,
-            build_us: 0,
-            render_us,
-            trace,
-            degraded: true,
-        },
-    })
+        meta,
+    }));
+}
+
+/// Record a finished request into the flight recorder by the one rule of
+/// the module docs: a sampled request always, an unsampled one on an
+/// incident (quarantine, a caught panic, an admitted request's failure, a
+/// corrupt or internal refusal) or when served slower than the operator's
+/// threshold. The span tree is synthesized from `meta`'s stage durations:
+/// a depth-0 `request` span from the submission origin, one depth-1 span
+/// per non-empty stage laid back-to-back, and for errors a trailing
+/// `error` span carrying the message.
+fn record_flight(
+    inner: &Inner,
+    ticket: &Ticket,
+    meta: &ResponseMeta,
+    wall_us: u64,
+    error: Option<&ServiceError>,
+) {
+    let incident = match error {
+        Some(ServiceError::Quarantined { .. }) => Some("quarantined"),
+        Some(ServiceError::Internal(msg)) if msg.contains("panic") => Some("panic"),
+        Some(ServiceError::CorruptSnapshot(_) | ServiceError::Internal(_)) => Some("failed"),
+        Some(ServiceError::DeadlineExceeded) => None,
+        Some(_) if ticket.admitted.is_some() => Some("failed"),
+        _ => None,
+    };
+    let sampled = meta.trace.is_some_and(|t| t.sampled);
+    let slow = error.is_none()
+        && inner
+            .cfg
+            .slow_threshold
+            .is_some_and(|t| wall_us >= t.as_micros() as u64);
+    let Some(reason) = incident
+        .or(sampled.then_some("sampled"))
+        .or(slow.then_some("slow"))
+    else {
+        return;
+    };
+    let span = |name: &str, depth, t0_us, dur_us, args| SpanEvent {
+        name: name.to_string(),
+        tid: 0,
+        depth,
+        t0_us,
+        dur_us,
+        cpu_us: 0,
+        args,
+    };
+    let stages = [
+        ("admission", meta.admission_us),
+        ("queue", meta.queue_us),
+        ("build", meta.build_us),
+        ("render", meta.render_us),
+    ];
+    let request_us = wall_us.max(meta.stage_sum_us());
+    let mut spans = vec![span("request", 0, ticket.t0_us, request_us, Vec::new())];
+    let mut off = ticket.t0_us;
+    for (name, dur) in stages {
+        if dur > 0 {
+            spans.push(span(name, 1, off, dur, Vec::new()));
+        }
+        off += dur;
+    }
+    if let Some(e) = error {
+        let message = vec![("message".to_string(), e.to_string())];
+        spans.push(span("error", 1, off, 0, message));
+    }
+    inner.flight.record(RequestTrace {
+        trace_id: meta.trace.map(|t| t.hex()).unwrap_or_default(),
+        reason: reason.to_string(),
+        t0_us: ticket.t0_us,
+        spans,
+    });
+    dtfe_telemetry::counter_add!("service.flight_recorded", 1);
 }

@@ -23,6 +23,7 @@ use dtfe_core::{
 };
 use dtfe_delaunay::DelaunayBuilder;
 use dtfe_geometry::{Aabb3, Vec3};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -51,9 +52,53 @@ impl std::fmt::Display for TileKey {
     }
 }
 
-/// The stochastic table of one realization count. The cell is in the map
-/// before it is filled, so concurrent first uses of one count run one fill.
-type StochasticCell = Arc<OnceLock<StochasticTable>>;
+/// The table an estimator reads. PS-DTFE's tables serve both its density
+/// and the velocity divergence; stochastic tables are one per realization
+/// count.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum TableKey {
+    Dtfe,
+    PsDtfe,
+    Stochastic(u16),
+}
+
+impl TableKey {
+    /// The one estimator → table mapping.
+    fn of(estimator: EstimatorKind) -> TableKey {
+        match estimator {
+            EstimatorKind::Dtfe => TableKey::Dtfe,
+            EstimatorKind::PsDtfe | EstimatorKind::VelocityDivergence => TableKey::PsDtfe,
+            EstimatorKind::Stochastic { realizations } => TableKey::Stochastic(realizations),
+        }
+    }
+}
+
+/// A filled estimator table.
+enum Table {
+    Dtfe(DtfeTable),
+    /// `None` when a tetrahedron was too flat for a velocity gradient:
+    /// PS-DTFE renders of this tile are all-zero fields.
+    PsDtfe(Option<PsDtfeTable>),
+    Stochastic(StochasticTable),
+}
+
+impl Table {
+    /// What a render under `estimator` marches: `None` renders zeros.
+    fn values(&self, estimator: EstimatorKind) -> Option<SlotValues<'_>> {
+        match self {
+            Table::Dtfe(t) => Some(t.interp().into()),
+            Table::Stochastic(t) => Some(t.interp().into()),
+            Table::PsDtfe(t) => t.as_ref().map(|t| match estimator {
+                EstimatorKind::PsDtfe => t.density().into(),
+                _ => t.divergence().into(),
+            }),
+        }
+    }
+}
+
+/// One table's cell. It is in the map before it is filled, so concurrent
+/// first uses of one table run one fill.
+type TableCell = Arc<OnceLock<Table>>;
 
 /// A built tile: the reusable mesh and the estimator tables filled so far.
 pub struct TileData {
@@ -73,13 +118,10 @@ pub struct TileData {
     /// padding), so the byte estimate must charge them explicitly or a
     /// cluster's aggregate budget under-counts real memory.
     pub ghost_particles: usize,
-    dtfe: OnceLock<DtfeTable>,
-    /// `Some(None)` when a tetrahedron was too flat for a velocity gradient:
-    /// PS-DTFE renders of this tile are all-zero fields.
-    psdtfe: OnceLock<Option<PsDtfeTable>>,
-    /// By realization count; a handful at most (the request cap is
+    /// The tables filled (or being filled) so far; a handful at most (the
+    /// stochastic realization cap is
     /// [`crate::ServiceConfig::MAX_REALIZATIONS`]).
-    stochastic: Mutex<Vec<(u16, StochasticCell)>>,
+    tables: Mutex<HashMap<TableKey, TableCell>>,
     /// What the entry charges before its mesh and tables: header and ghost
     /// padding for a built tile, the claimed size of a
     /// [`TileData::synthetic`] one.
@@ -260,9 +302,7 @@ impl TileData {
             tile: 0,
             n_particles,
             ghost_particles: 0,
-            dtfe: OnceLock::new(),
-            psdtfe: OnceLock::new(),
-            stochastic: Mutex::new(Vec::new()),
+            tables: Mutex::default(),
             base_bytes: AtomicUsize::new(bytes),
         }
     }
@@ -273,32 +313,23 @@ impl TileData {
         self.base_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// The cell of one realization count, added empty if it is new.
-    fn stochastic_cell(&self, realizations: u16) -> StochasticCell {
-        let mut cells = self
-            .stochastic
-            .lock()
-            .expect("no fill runs under this lock");
-        if let Some((_, cell)) = cells.iter().find(|(k, _)| *k == realizations) {
-            return cell.clone();
-        }
-        cells.push((realizations, StochasticCell::default()));
-        cells[cells.len() - 1].1.clone()
+    /// The table map. No fill runs under its lock, so it is never poisoned.
+    fn tables(&self) -> std::sync::MutexGuard<'_, HashMap<TableKey, TableCell>> {
+        self.tables.lock().expect("no fill runs under this lock")
+    }
+
+    /// The cell of `estimator`'s table, added empty if it is new.
+    fn cell(&self, estimator: EstimatorKind) -> TableCell {
+        self.tables()
+            .entry(TableKey::of(estimator))
+            .or_default()
+            .clone()
     }
 
     /// Does a render under `estimator` find its table? (A degenerate tile
     /// renders zeros and needs none.)
     pub fn has_table(&self, estimator: EstimatorKind) -> bool {
-        self.mesh.is_none()
-            || match estimator {
-                EstimatorKind::Dtfe => self.dtfe.get().is_some(),
-                EstimatorKind::PsDtfe | EstimatorKind::VelocityDivergence => {
-                    self.psdtfe.get().is_some()
-                }
-                EstimatorKind::Stochastic { realizations } => {
-                    self.stochastic_cell(realizations).get().is_some()
-                }
-            }
+        self.mesh.is_none() || self.cell(estimator).get().is_some()
     }
 
     /// Fill `estimator`'s table over the mesh unless it is there; `true`
@@ -321,33 +352,29 @@ impl TileData {
             )
         };
         let mass = Mass::Uniform(1.0);
-        match estimator {
-            EstimatorKind::Dtfe => {
-                self.dtfe.get_or_init(|| {
+        self.cell(estimator)
+            .get_or_init(|| match TableKey::of(estimator) {
+                TableKey::Dtfe => {
                     let _span = building();
-                    DtfeTable::build(mesh, self.n_particles, &mass)
-                });
-            }
-            EstimatorKind::PsDtfe | EstimatorKind::VelocityDivergence => {
-                self.psdtfe.get_or_init(|| {
+                    Table::Dtfe(DtfeTable::build(mesh, self.n_particles, &mass))
+                }
+                TableKey::PsDtfe => {
                     let (local, _) = extract(snap, self.tile);
                     let _span = building();
                     let vels = demo_velocities(&local, &snap.bounds);
-                    PsDtfeTable::build(mesh.delaunay(), local.len(), &vels, &mass).ok()
-                });
-            }
-            EstimatorKind::Stochastic { realizations } => {
-                let cell = self.stochastic_cell(realizations);
-                cell.get_or_init(|| {
+                    Table::PsDtfe(
+                        PsDtfeTable::build(mesh.delaunay(), local.len(), &vels, &mass).ok(),
+                    )
+                }
+                TableKey::Stochastic(realizations) => {
                     let (local, _) = extract(snap, self.tile);
                     let _span = building();
                     let opts = StochasticOptions::new()
                         .realizations(realizations.max(1))
                         .seed(tile_seed(&snap.id, self.tile));
-                    StochasticTable::build(mesh.delaunay(), &local, &mass, opts)
-                });
-            }
-        }
+                    Table::Stochastic(StochasticTable::build(mesh.delaunay(), &local, &mass, opts))
+                }
+            });
         built
     }
 
@@ -358,19 +385,8 @@ impl TileData {
         let Some((mesh, hull)) = &self.mesh else {
             return Some(Field2::zeros(*grid));
         };
-        let cell;
-        let values: Option<SlotValues<'_>> = match opts.estimator {
-            EstimatorKind::Dtfe => Some(self.dtfe.get()?.interp().into()),
-            EstimatorKind::PsDtfe => self.psdtfe.get()?.as_ref().map(|t| t.density().into()),
-            EstimatorKind::VelocityDivergence => {
-                self.psdtfe.get()?.as_ref().map(|t| t.divergence().into())
-            }
-            EstimatorKind::Stochastic { realizations } => {
-                cell = self.stochastic_cell(realizations);
-                Some(cell.get()?.interp().into())
-            }
-        };
-        Some(match values {
+        let cell = self.cell(opts.estimator);
+        Some(match cell.get()?.values(opts.estimator) {
             Some(values) => surface_density_with_index(&mesh.view(values), hull, grid, opts).0,
             None => Field2::zeros(*grid),
         })
@@ -400,23 +416,23 @@ impl TileData {
         };
         let del = mesh.delaunay();
         let (verts, slots) = (del.num_vertices(), del.num_tets() + del.num_ghosts());
-        let stochastic = self
-            .stochastic
-            .lock()
-            .expect("no fill runs under this lock")
-            .iter()
-            .filter(|(_, cell)| cell.get().is_some())
-            .count();
-        let dtfe = usize::from(self.dtfe.get().is_some());
-        let psdtfe = usize::from(matches!(self.psdtfe.get(), Some(Some(_))));
-        Charge {
+        let mut c = Charge {
             header,
             mesh: verts * charge::MESH_VERTEX + slots * charge::MESH_SLOT,
-            dtfe: dtfe * slots * charge::DTFE_SLOT,
-            psdtfe: psdtfe * slots * charge::PSDTFE_SLOT,
-            stochastic: stochastic
-                * (slots * charge::STOCHASTIC_SLOT + verts * charge::STOCHASTIC_VERTEX),
+            ..Charge::default()
+        };
+        for cell in self.tables().values() {
+            match cell.get() {
+                Some(Table::Dtfe(_)) => c.dtfe += slots * charge::DTFE_SLOT,
+                Some(Table::PsDtfe(Some(_))) => c.psdtfe += slots * charge::PSDTFE_SLOT,
+                Some(Table::Stochastic(_)) => {
+                    c.stochastic +=
+                        slots * charge::STOCHASTIC_SLOT + verts * charge::STOCHASTIC_VERTEX
+                }
+                Some(Table::PsDtfe(None)) | None => {}
+            }
         }
+        c
     }
 }
 

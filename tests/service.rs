@@ -242,6 +242,59 @@ fn admission_sheds_with_retry_hint_when_budget_is_zero() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A request whose deadline passes while it waits in the queue is dropped
+/// with a typed `DeadlineExceeded`, counted once, and refunded: one worker
+/// busy with a cold build of tile A holds tile B's 1 ms request past its
+/// deadline, and after drain the serving counters balance and nothing is
+/// left queued or priced. Sampled, the dropped request is flight-recorded.
+#[test]
+fn queued_request_past_its_deadline_is_dropped_counted_and_refunded() {
+    use std::sync::atomic::Ordering::Relaxed;
+    let dir = tmpdir("deadline");
+    let side = 8.0;
+    let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(side));
+    write_snapshot(&dir.join("d.snap"), &[cloud(6_000, side, 31)], bounds).unwrap();
+
+    let mut cfg = ServiceConfig::new(2.0, 16);
+    cfg.tiles = 8;
+    cfg.workers = 1;
+    let service = Service::start(&dir, cfg).unwrap();
+    let tile_a = service
+        .submit(&RenderRequest::new("d", Vec3::splat(2.0)))
+        .expect("tile A admitted");
+    let trace = TraceContext::sampled(*b"deadline-dropped");
+    let mut late = RenderRequest::new("d", Vec3::splat(6.0)).traced(trace);
+    late.deadline_ms = 1;
+    let tile_b = service.submit(&late).expect("tile B admitted");
+
+    assert_eq!(tile_b.recv().unwrap(), Err(ServiceError::DeadlineExceeded));
+    assert!(tile_a.recv().unwrap().is_ok(), "tile A is served");
+    let stats = service.stats();
+    assert_eq!(stats.deadline_dropped.load(Relaxed), 1);
+    let flights = service.flight().snapshot();
+    assert!(
+        flights.iter().any(|t| t.trace_id == trace.hex()),
+        "sampled drop recorded: {flights:?}"
+    );
+
+    service.drain();
+    let doc = service.stats_document().serving;
+    assert_eq!(doc.admitted, 2);
+    assert_eq!(
+        doc.admitted,
+        doc.completed + doc.failed + doc.deadline_dropped,
+        "{doc:?}"
+    );
+    assert_eq!(doc.hits + doc.misses, doc.completed, "{doc:?}");
+    let health = service.health();
+    assert_eq!(
+        (health.backlog_ms, health.queue_depth),
+        (0, 0),
+        "{health:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Round-trip tests cannot see an encoder and decoder drifting together;
 /// these byte vectors pin the two frames every render exchanges.
 #[test]

@@ -11,7 +11,9 @@
 //! 3. the wire `Dump` request returns Chrome-trace JSON that passes
 //!    `check_chrome_trace`;
 //! 4. the windowed `Stats` histograms surface a just-injected latency
-//!    spike that the cumulative histogram dilutes away.
+//!    spike that the cumulative histogram dilutes away;
+//! 5. a sampled request is flight-recorded whatever its outcome, served
+//!    stale or refused at submission included.
 //!
 //! Every test installs a process-global telemetry recorder (via
 //! `cfg.telemetry`), so they serialize on one lock: global install is
@@ -20,8 +22,8 @@
 use dtfe_repro::geometry::{Aabb3, Vec3};
 use dtfe_repro::nbody::snapshot::write_snapshot;
 use dtfe_repro::service::{
-    Client, ClientConfig, RenderRequest, ResilientClient, Service, ServiceConfig, ServiceError,
-    TcpServer, TraceContext,
+    Client, ClientConfig, EstimatorKind, RenderRequest, ResilientClient, Service, ServiceConfig,
+    ServiceError, TcpServer, TraceContext,
 };
 use dtfe_repro::telemetry::check::{check_chrome_trace, check_stats_json};
 use std::path::PathBuf;
@@ -201,6 +203,63 @@ fn quarantine_and_recovery_are_flight_recorded() {
     );
 
     // The whole story exports as a valid Chrome trace.
+    check_chrome_trace(&service.dump_trace()).expect("dump passes the trace checker");
+    service.drain();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Behavior 5: a sampled request is flight-recorded whatever its outcome —
+/// served stale from an evicted tile under overload, or refused by
+/// admission — not only when a worker renders it fresh.
+#[test]
+fn sampled_requests_are_flight_recorded_when_served_stale_or_refused() {
+    let _guard = telemetry_lock();
+    let dir = tmpdir("stale");
+    let side = 8.0;
+    let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(side));
+    write_snapshot(&dir.join("s.snap"), &[cloud(800, side, 44)], bounds).unwrap();
+    let dtfe = RenderRequest::new("s", bounds.center());
+    let mut psdtfe = dtfe.clone();
+    psdtfe.estimator = EstimatorKind::PsDtfe;
+
+    // Size a cache that holds the tile with one table but not with two.
+    let mut cfg = ServiceConfig::new(4.0, 16);
+    cfg.tiles = 1;
+    let probe = Service::start(&dir, cfg.clone()).unwrap();
+    probe.render(&dtfe).unwrap();
+    let one = probe.health().resident_bytes;
+    probe.render(&psdtfe).unwrap();
+    let two = probe.health().resident_bytes;
+    probe.drain();
+
+    cfg.cache_budget_bytes = ((one + two) / 2) as usize;
+    cfg.stale_budget_bytes = 4 * one as usize;
+    let service = Service::start(&dir, cfg).unwrap();
+    // Warm the tile, then evict it into the stale set with a second table.
+    service.render(&dtfe).unwrap();
+    service.render(&psdtfe).unwrap();
+    assert_eq!(service.health().stale_tiles, 1);
+    service.set_admission_budget(0.0);
+
+    let stale = TraceContext::sampled(*b"stale-served-req");
+    let resp = service.render(&dtfe.clone().traced(stale)).unwrap();
+    assert!(resp.meta.degraded, "served from the stale copy");
+
+    // The stale copy holds no stochastic table: this one is shed.
+    let refused = TraceContext::sampled(*b"shed-at-submit!!");
+    let mut cold = dtfe.clone().traced(refused);
+    cold.estimator = EstimatorKind::Stochastic { realizations: 2 };
+    let err = service.render(&cold).unwrap_err();
+    assert!(matches!(err, ServiceError::Overloaded { .. }), "{err:?}");
+
+    let flights = service.flight().snapshot();
+    for ctx in [stale, refused] {
+        let trace = flights
+            .iter()
+            .find(|t| t.trace_id == ctx.hex())
+            .unwrap_or_else(|| panic!("{} not recorded: {flights:?}", ctx.hex()));
+        assert_eq!(trace.reason, "sampled");
+    }
     check_chrome_trace(&service.dump_trace()).expect("dump passes the trace checker");
     service.drain();
     std::fs::remove_dir_all(&dir).ok();
