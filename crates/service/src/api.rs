@@ -78,13 +78,12 @@ pub struct RenderRequest {
     /// Request-scoped trace context; `None` means untraced (the resilient
     /// client mints one automatically so retries share an id).
     pub trace: Option<TraceContext>,
-    /// How a cluster shard treats this request when it does not own the
-    /// tile. `true`: answer [`NotMine`](crate::ServiceError::NotMine) with
-    /// the owner's address, so a ring-aware client goes straight to the
-    /// owner. `false`: serve anyway (proxy/failover mode — any shard can
-    /// build any tile bit-identically). A single-node server owns every
-    /// tile and ignores it.
-    pub redirect: bool,
+    /// Set by a cluster shard that forwards this request to the tile's
+    /// owner: serve it here, never forward it again (any shard builds any
+    /// tile bit-identically, so a receiver whose ring view disagrees still
+    /// answers correctly, and no request can loop). Clients leave it
+    /// clear; a single-node server owns every tile and ignores it.
+    pub forwarded: bool,
 }
 
 impl RenderRequest {
@@ -99,7 +98,7 @@ impl RenderRequest {
             deadline_ms: 0,
             estimator: EstimatorKind::Dtfe,
             trace: None,
-            redirect: false,
+            forwarded: false,
         }
     }
 
@@ -115,9 +114,10 @@ impl RenderRequest {
         self
     }
 
-    /// Ask a non-owning cluster shard to redirect instead of proxying.
-    pub fn redirect(mut self, redirect: bool) -> RenderRequest {
-        self.redirect = redirect;
+    /// Set or clear the shard-to-shard forward mark (the `forwarded`
+    /// field).
+    pub fn forwarded(mut self, forwarded: bool) -> RenderRequest {
+        self.forwarded = forwarded;
         self
     }
 }

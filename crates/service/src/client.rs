@@ -13,18 +13,17 @@
 //!   drop the connection, reconnect, and re-send. Render requests are
 //!   idempotent — the tile cache makes a repeated render of the same
 //!   request cheap and bit-identical — so blind re-send is safe.
-//! - **Typed service errors** (bad request, unknown snapshot, a
-//!   `NotMine` redirect, …): returned immediately; retrying a malformed
-//!   request is pointless.
+//! - **Typed service errors** (bad request, unknown snapshot, …):
+//!   returned immediately; retrying a malformed request is pointless.
 //!
 //! Retries are bounded by [`ClientConfig::max_retries`] with exponential,
 //! seeded-jittered backoff between transport failures.
 //!
 //! The client never picks an address: it talks to the one it was built
-//! for. Which shard a request goes to, whether a `NotMine` redirect is
-//! followed and who is to blame when an address stops answering are
-//! routing decisions, and routing belongs to the layer that owns the ring
-//! (`dtfe_cluster::ClusterClient`, one of these per shard).
+//! for. Which shard a request goes to and who is to blame when an address
+//! stops answering are routing decisions, and routing belongs to the layer
+//! that owns the ring (`dtfe_cluster::ClusterClient`, one of these per
+//! shard).
 //!
 //! Telemetry: `client.retries`, `client.reconnects`, `client.giveups`.
 
@@ -279,17 +278,15 @@ mod tests {
     }
 
     #[test]
-    fn not_mine_is_returned_as_a_typed_error_after_one_attempt() {
+    fn invalid_request_is_returned_as_a_typed_error_after_one_attempt() {
         use crate::wire::{read_frame, write_frame};
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let not_mine = Response::Error(ServiceError::NotMine {
-                owner: "127.0.0.1:9".into(),
-            });
+            let invalid = Response::Error(ServiceError::InvalidRequest("too big".into()));
             while read_frame(&mut stream).is_ok() {
-                if write_frame(&mut stream, &not_mine.encode()).is_err() {
+                if write_frame(&mut stream, &invalid.encode()).is_err() {
                     break;
                 }
             }
@@ -297,8 +294,8 @@ mod tests {
         let mut c = ResilientClient::new(addr, ClientConfig::default()).unwrap();
         let req = RenderRequest::new("s", dtfe_geometry::Vec3::ZERO);
         match c.render(&req) {
-            Err(ServiceError::NotMine { owner }) => assert_eq!(owner, "127.0.0.1:9"),
-            other => panic!("expected NotMine, got {other:?}"),
+            Err(ServiceError::InvalidRequest(msg)) => assert_eq!(msg, "too big"),
+            other => panic!("expected InvalidRequest, got {other:?}"),
         }
         assert_eq!(c.stats.retries.load(Ordering::Relaxed), 0);
         assert_eq!(c.stats.reconnects.load(Ordering::Relaxed), 1);

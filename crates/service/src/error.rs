@@ -27,11 +27,6 @@ pub enum ServiceError {
     Quarantined { retry_after_ms: u64 },
     /// The server is draining and accepts no new work.
     ShuttingDown,
-    /// Cluster mode: this shard does not own the requested tile and the
-    /// request asked for a redirect instead of proxying. `owner` is the
-    /// `host:port` of the shard the client should retry against (the
-    /// ring's current owner from this shard's live view).
-    NotMine { owner: String },
     /// Unexpected internal failure (worker died, transport error).
     Internal(String),
 }
@@ -50,9 +45,6 @@ impl std::fmt::Display for ServiceError {
                 write!(f, "tile quarantined, retry after {retry_after_ms} ms")
             }
             ServiceError::ShuttingDown => write!(f, "service is shutting down"),
-            ServiceError::NotMine { owner } => {
-                write!(f, "tile not owned by this shard, redirect to {owner}")
-            }
             ServiceError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }

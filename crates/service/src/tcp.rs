@@ -78,8 +78,8 @@ impl RequestHandler for Service {
         self
     }
 
-    /// A single-node server owns every tile: `redirect` has nothing to
-    /// redirect to.
+    /// A single-node server owns every tile, so a `forwarded` request is
+    /// served like any other.
     fn render(&self, req: RenderRequest) -> Handled {
         match self.submit(&req) {
             Ok(reply) => Handled::Pending(reply),

@@ -16,8 +16,8 @@
 //! live tags is DESIGN.md §4e "Wire protocol"). A render request carries
 //! the estimator, a trace block (flags byte + 16-byte trace id, so the
 //! retries of one logical request correlate server-side) and
-//! a routing flags byte (bit 0 = redirect, see
-//! [`RenderRequest::redirect`]); a field response carries the grid, the
+//! a routing flags byte (bit 0 = forwarded, see
+//! [`RenderRequest::forwarded`]); a field response carries the grid, the
 //! serving metadata (cache hit, batch size, per-stage timings, the
 //! `degraded` stale-serving flag, the echoed trace block) and the values.
 //! `Stats` answers the typed, versioned [`StatsDocument`]; `Dump` exports
@@ -268,9 +268,10 @@ const RESP_GOSSIP: u8 = 9;
 const TRACE_PRESENT: u8 = 1;
 const TRACE_SAMPLED: u8 = 2;
 
-/// Routing flag bits of a render request. `ROUTE_REDIRECT` asks a shard
-/// to answer `NotMine` (with the owner address) instead of proxying.
-const ROUTE_REDIRECT: u8 = 1;
+/// Routing flag bits of a render request. `ROUTE_FORWARDED` marks a
+/// shard-to-shard forward: the receiver serves it and never forwards it
+/// again.
+const ROUTE_FORWARDED: u8 = 1;
 
 fn encode_trace(e: &mut Enc, trace: &Option<TraceContext>) {
     match trace {
@@ -318,7 +319,7 @@ fn encode_render(e: &mut Enc, r: &RenderRequest) {
     e.u8(tag);
     e.u16(param);
     encode_trace(e, &r.trace);
-    e.u8(if r.redirect { ROUTE_REDIRECT } else { 0 });
+    e.u8(if r.forwarded { ROUTE_FORWARDED } else { 0 });
 }
 
 fn decode_render(d: &mut Dec) -> Result<RenderRequest, WireError> {
@@ -331,7 +332,7 @@ fn decode_render(d: &mut Dec) -> Result<RenderRequest, WireError> {
     let estimator = EstimatorKind::from_wire_code(etag, param).ok_or(WireError::BadTag(etag))?;
     let trace = decode_trace(d)?;
     let flags = d.u8()?;
-    if flags & !ROUTE_REDIRECT != 0 {
+    if flags & !ROUTE_FORWARDED != 0 {
         return Err(WireError::BadTag(flags));
     }
     Ok(RenderRequest {
@@ -342,7 +343,7 @@ fn decode_render(d: &mut Dec) -> Result<RenderRequest, WireError> {
         deadline_ms,
         estimator,
         trace,
-        redirect: flags & ROUTE_REDIRECT != 0,
+        forwarded: flags & ROUTE_FORWARDED != 0,
     })
 }
 
@@ -433,9 +434,8 @@ const ERR_CORRUPT_SNAPSHOT: u8 = 5;
 const ERR_SHUTTING_DOWN: u8 = 6;
 const ERR_INTERNAL: u8 = 7;
 const ERR_QUARANTINED: u8 = 8;
-/// Cluster redirect: this shard does not own the tile; payload is the
-/// owner's `host:port`.
-const ERR_NOT_MINE: u8 = 9;
+// Error kind 9 was a cluster redirect naming the tile's owner, retired when
+// shards took over forwarding; it decodes as `BadTag` and must not be reused.
 
 fn encode_error(e: &mut Enc, err: &ServiceError) {
     match err {
@@ -465,10 +465,6 @@ fn encode_error(e: &mut Enc, err: &ServiceError) {
             e.u8(ERR_QUARANTINED);
             e.u64(*retry_after_ms);
         }
-        ServiceError::NotMine { owner } => {
-            e.u8(ERR_NOT_MINE);
-            e.str(owner);
-        }
     }
 }
 
@@ -486,7 +482,6 @@ fn decode_error(d: &mut Dec) -> Result<ServiceError, WireError> {
         ERR_QUARANTINED => ServiceError::Quarantined {
             retry_after_ms: d.u64()?,
         },
-        ERR_NOT_MINE => ServiceError::NotMine { owner: d.str()? },
         t => return Err(WireError::BadTag(t)),
     })
 }
@@ -716,7 +711,7 @@ mod tests {
                     deadline_ms: 250,
                     estimator: est,
                     trace,
-                    redirect: false,
+                    forwarded: false,
                 }));
             }
         }
@@ -731,8 +726,8 @@ mod tests {
         let base = RenderRequest::new("demo", Vec3::new(1.0, 2.0, 3.0))
             .estimator(EstimatorKind::PsDtfe)
             .traced(TraceContext::sampled([0x3C; 16]));
-        for redirect in [true, false] {
-            let req = Request::Render(base.clone().redirect(redirect));
+        for forwarded in [true, false] {
+            let req = Request::Render(base.clone().forwarded(forwarded));
             assert_eq!(Request::decode(&req.encode()).unwrap(), req);
         }
         // Unknown route-flag bits are rejected, not silently ignored.
@@ -768,11 +763,13 @@ mod tests {
     }
 
     #[test]
-    fn not_mine_error_roundtrips() {
-        let resp = Response::Error(ServiceError::NotMine {
-            owner: "127.0.0.1:7071".into(),
-        });
-        assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+    fn retired_error_kind_is_a_bad_tag() {
+        let mut bytes = Response::Error(ServiceError::DeadlineExceeded).encode();
+        bytes[1] = 9;
+        assert!(matches!(
+            Response::decode(&bytes),
+            Err(WireError::BadTag(9))
+        ));
     }
 
     #[test]

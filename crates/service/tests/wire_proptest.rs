@@ -68,7 +68,7 @@ proptest! {
         realizations in 1u16..64,
         trace_sel in 0u8..3,
         trace_seed in 0u64..u64::MAX,
-        redirect in 0u8..2,
+        forwarded in 0u8..2,
     ) {
         let estimator = match est_sel {
             0 => EstimatorKind::Dtfe,
@@ -84,7 +84,7 @@ proptest! {
             deadline_ms,
             estimator,
             trace: trace_from(trace_sel, trace_seed),
-            redirect: redirect == 1,
+            forwarded: forwarded == 1,
         });
         let bytes = req.encode();
         prop_assert_eq!(Request::decode(&bytes).unwrap(), req);
@@ -230,7 +230,7 @@ proptest! {
             deadline_ms: 99,
             estimator: EstimatorKind::Stochastic { realizations: 3 },
             trace: trace_from(2, 0xDEADBEEF),
-            redirect: true,
+            forwarded: true,
         });
         let bytes = req.encode();
         let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;

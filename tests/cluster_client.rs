@@ -1,18 +1,15 @@
-//! `ClusterClient` owns endpoint choice: which shard a render goes to,
-//! whether a `NotMine` redirect is followed, and which shard is blamed when
-//! an address stops answering. These tests drive it against scripted
-//! shards — listeners that answer every render with one frame chosen from
-//! the request's `redirect` flag — so each routing rule is pinned without
-//! a real cluster:
+//! `ClusterClient` owns endpoint choice: which shard a render goes to and
+//! which shard is blamed when an address stops answering. These tests
+//! drive it against scripted shards — listeners that answer every render
+//! with one fixed frame and log the `forwarded` flag they were sent — so
+//! each routing rule is pinned without a real cluster:
 //!
-//! (a) a redirect naming one of the client's shards is followed, and the
-//!     returned index is the shard that answered;
-//! (b) an unparseable or foreign owner is not followed, and the request is
-//!     still served in proxy mode;
-//! (c) two shards naming each other stop after a bounded number of follows
-//!     and fall to proxy mode;
-//! (d) a redirect to a dead listener marks the *dead* shard down, not the
-//!     shard that pointed at it.
+//! (a) the first attempt goes to the tile's ring primary, with `forwarded`
+//!     clear, and the returned index is the shard that answered;
+//! (b) a dead primary is blamed and its ring successor serves;
+//! (c) a shard that answers `ShuttingDown` is skipped;
+//! (d) a typed error comes back after one attempt;
+//! (e) a request the client cannot place still reaches a live shard.
 
 use dtfe_cluster::{key_of, ClusterClient, HashRing};
 use dtfe_repro::core::GridSpec2;
@@ -42,15 +39,13 @@ fn dead_shard() -> SocketAddr {
     addr
 }
 
-/// Serve `listener` as a scripted shard: every render is answered with
-/// `reply(redirect_flag)`. Returns the log of redirect flags it was sent.
-fn scripted_shard(
-    listener: TcpListener,
-    reply: impl Fn(bool) -> Response + Send + Sync + 'static,
-) -> Arc<Mutex<Vec<bool>>> {
+/// A scripted shard answering every render with `reply`. Returns its
+/// address and the log of `forwarded` flags it was sent.
+fn scripted_shard(reply: Response) -> (SocketAddr, Arc<Mutex<Vec<bool>>>) {
+    let (listener, addr) = listen();
     let log = Arc::new(Mutex::new(Vec::new()));
     let seen = log.clone();
-    let reply = Arc::new(reply);
+    let reply = Arc::new(reply.encode());
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { break };
@@ -60,15 +55,15 @@ fn scripted_shard(
                     let Ok(Request::Render(req)) = Request::decode(&frame) else {
                         break;
                     };
-                    seen.lock().unwrap().push(req.redirect);
-                    if write_frame(&mut stream, &reply(req.redirect).encode()).is_err() {
+                    seen.lock().unwrap().push(req.forwarded);
+                    if write_frame(&mut stream, &reply).is_err() {
                         break;
                     }
                 }
             });
         }
     });
-    log
+    (addr, log)
 }
 
 /// A 1×1 field whose single value names the shard that produced it.
@@ -85,28 +80,6 @@ fn field(shard: usize) -> Response {
     })
 }
 
-fn not_mine(owner: impl ToString) -> Response {
-    Response::Error(ServiceError::NotMine {
-        owner: owner.to_string(),
-    })
-}
-
-/// A shard that redirects to `owner` when allowed to and serves the tile
-/// itself in proxy mode — what a real non-owner does.
-fn redirects_to(
-    owner: impl ToString,
-    me: usize,
-) -> impl Fn(bool) -> Response + Send + Sync + 'static {
-    let owner = owner.to_string();
-    move |redirect| {
-        if redirect {
-            not_mine(&owner)
-        } else {
-            field(me)
-        }
-    }
-}
-
 fn fast_cfg() -> ClientConfig {
     ClientConfig {
         connect_timeout: Duration::from_millis(500),
@@ -118,140 +91,127 @@ fn fast_cfg() -> ClientConfig {
     }
 }
 
-/// A snapshot id whose one whole-domain tile the ring places on shard
-/// `owner` — in the client's own view; the scripted shards may disagree.
-fn snapshot_owned_by(nshards: usize, owner: usize) -> String {
+/// A snapshot id whose one whole-domain tile the ring walks from shard
+/// `primary` to shard `successor`.
+fn snapshot_placed(nshards: usize, primary: usize, successor: usize) -> String {
     let ring = HashRing::new(nshards, VNODES);
     let live = vec![true; nshards];
     (0..)
         .map(|i| format!("s{i}"))
         .find(|s| {
             let key = key_of(&TileKey::new(s.clone(), 0));
-            ring.replicas(key, 1, &live) == [owner]
+            ring.replicas(key, 2, &live) == [primary, successor]
         })
         .unwrap()
 }
 
-/// Teach `client` a one-tile snapshot owned by shard `owner` and return a
-/// request for it.
-fn request_owned_by(client: &mut ClusterClient, nshards: usize, owner: usize) -> RenderRequest {
-    let snapshot = snapshot_owned_by(nshards, owner);
+/// A client over `addrs` that knows a one-tile snapshot the ring walks
+/// from `primary` to `successor`, plus a request for that tile.
+fn client_and_request(
+    addrs: &[SocketAddr],
+    primary: usize,
+    successor: usize,
+) -> (ClusterClient, RenderRequest) {
+    let mut client = ClusterClient::new(addrs, VNODES, fast_cfg()).unwrap();
+    let snapshot = snapshot_placed(addrs.len(), primary, successor);
     let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(1.0));
     client.register_snapshot(snapshot.clone(), bounds, 1);
-    RenderRequest::new(snapshot, bounds.center())
-}
-
-/// A client over `addrs` plus a request whose ring owner is shard `owner`.
-fn client_and_request(addrs: &[SocketAddr], owner: usize) -> (ClusterClient, RenderRequest) {
-    let mut client = ClusterClient::new(addrs, VNODES, 2, fast_cfg()).unwrap();
-    let req = request_owned_by(&mut client, addrs.len(), owner);
-    (client, req)
+    (client, RenderRequest::new(snapshot, bounds.center()))
 }
 
 /// Render once under a thread-local recorder; returns the outcome plus the
-/// `client.redirects` and `cluster.client_failovers` counters it moved.
+/// `cluster.client_failovers` counter it moved.
 fn render_counted(
     client: &mut ClusterClient,
     req: &RenderRequest,
-) -> (Result<(RenderResponse, usize), ServiceError>, u64, u64) {
+) -> (Result<(RenderResponse, usize), ServiceError>, u64) {
     let rec = Recorder::new("cluster-client-test");
     let result = {
         let _guard = rec.install();
         client.render(req)
     };
-    let metrics = rec.snapshot().metrics;
-    (
-        result,
-        metrics.counter("client.redirects"),
-        metrics.counter("cluster.client_failovers"),
-    )
+    let failovers = rec.snapshot().metrics.counter("cluster.client_failovers");
+    (result, failovers)
 }
 
 #[test]
-fn redirect_on_not_mine_follows_owner() {
-    let (l0, a0) = listen();
-    let (l1, a1) = listen();
-    let log0 = scripted_shard(l0, redirects_to(a1, 0));
-    let log1 = scripted_shard(l1, |_| field(1));
-    let (mut client, req) = client_and_request(&[a0, a1], 0);
+fn first_attempt_goes_to_the_ring_primary_with_forwarded_clear() {
+    let shards: Vec<_> = (0..3).map(|i| scripted_shard(field(i))).collect();
+    let addrs: Vec<_> = shards.iter().map(|(a, _)| *a).collect();
+    let (mut client, req) = client_and_request(&addrs, 2, 0);
 
-    let (result, redirects, failovers) = render_counted(&mut client, &req);
-    let (resp, shard) = result.expect("redirect should reach the owner");
-    assert_eq!(resp.data, vec![1.0], "answered by the owner");
-    assert_eq!(shard, 1, "the shard that answered is the shard reported");
-    assert_eq!(redirects, 1);
+    // Even a caller's request that arrives marked forwarded goes out clear:
+    // only a shard forwards.
+    let (result, failovers) = render_counted(&mut client, &req.forwarded(true));
+    let (resp, shard) = result.expect("the primary serves");
+    assert_eq!((resp.data, shard), (vec![2.0], 2));
     assert_eq!(failovers, 0);
-    assert_eq!(*log0.lock().unwrap(), [true]);
-    assert_eq!(*log1.lock().unwrap(), [true]);
-
-    // Following a redirect moves nothing: the next request still starts at
-    // the client's own ring owner, over that shard's own connection.
-    let (_, shard) = client.render(&req).unwrap();
-    assert_eq!(shard, 1);
-    assert_eq!(*log0.lock().unwrap(), [true, true]);
+    let logs: Vec<_> = shards
+        .iter()
+        .map(|(_, l)| l.lock().unwrap().clone())
+        .collect();
+    assert_eq!(logs, [vec![], vec![], vec![false]]);
 }
 
 #[test]
-fn unparseable_or_foreign_owner_is_not_followed_and_proxy_mode_serves() {
-    let (foreign_listener, foreign) = listen();
-    let foreign_log = scripted_shard(foreign_listener, |_| field(9));
-    for owner in ["not-an-addr".to_string(), foreign.to_string()] {
-        let (l0, a0) = listen();
-        let (l1, a1) = listen();
-        let log0 = scripted_shard(l0, redirects_to(&owner, 0));
-        let log1 = scripted_shard(l1, |_| field(1));
-        let (mut client, req) = client_and_request(&[a0, a1], 0);
+fn a_dead_primary_is_blamed_and_its_ring_successor_serves() {
+    let (a1, log1) = scripted_shard(field(1));
+    let (a2, log2) = scripted_shard(field(2));
+    let addrs = [dead_shard(), a1, a2];
+    let (mut client, req) = client_and_request(&addrs, 0, 2);
 
-        let (result, redirects, failovers) = render_counted(&mut client, &req);
-        let (resp, shard) = result.expect("proxy mode serves a ring disagreement");
-        assert_eq!((resp.data, shard), (vec![0.0], 0), "owner {owner}");
-        assert_eq!((redirects, failovers), (0, 0), "owner {owner}");
-        assert_eq!(*log0.lock().unwrap(), [true, false], "owner {owner}");
-        assert!(log1.lock().unwrap().is_empty(), "owner {owner}");
-    }
-    assert!(
-        foreign_log.lock().unwrap().is_empty(),
-        "an address outside the shard list is never contacted"
-    );
-}
-
-#[test]
-fn shards_naming_each_other_stop_after_bounded_follows() {
-    let (l0, a0) = listen();
-    let (l1, a1) = listen();
-    let log0 = scripted_shard(l0, redirects_to(a1, 0));
-    let log1 = scripted_shard(l1, redirects_to(a0, 1));
-    let (mut client, req) = client_and_request(&[a0, a1], 0);
-
-    let (result, redirects, failovers) = render_counted(&mut client, &req);
-    let (resp, shard) = result.expect("proxy mode ends the ping-pong");
-    assert_eq!((resp.data, shard), (vec![0.0], 0));
-    assert_eq!(redirects, 3, "bounded follows");
-    assert_eq!(failovers, 0);
-    // 0 → 1 → 0 → 1 with redirects allowed, then shard 0 in proxy mode.
-    assert_eq!(*log0.lock().unwrap(), [true, true, false]);
-    assert_eq!(*log1.lock().unwrap(), [true, true]);
-}
-
-#[test]
-fn redirect_to_a_dead_listener_blames_the_dead_shard() {
-    let (l0, a0) = listen();
-    let a1 = dead_shard();
-    let log0 = scripted_shard(l0, redirects_to(a1, 0));
-    let (mut client, req) = client_and_request(&[a0, a1], 0);
-
-    let (result, redirects, failovers) = render_counted(&mut client, &req);
-    let (resp, shard) = result.expect("the redirector serves it in proxy mode");
-    assert_eq!((resp.data, shard), (vec![0.0], 0));
-    assert_eq!(redirects, 1);
-    // Exactly one give-up, on shard 1. Had the redirector been blamed, the
-    // proxy pass would have put the corpse first and failed over twice.
+    let (result, failovers) = render_counted(&mut client, &req);
+    let (resp, shard) = result.expect("the successor serves");
+    assert_eq!((resp.data, shard), (vec![2.0], 2));
     assert_eq!(failovers, 1);
-    assert_eq!(*log0.lock().unwrap(), [true, false]);
+    assert_eq!(*log2.lock().unwrap(), [false]);
+    assert!(log1.lock().unwrap().is_empty(), "not the ring successor");
 
-    // Shard 1 is now presumed dead and shard 0 live: a request the ring
-    // places on shard 1 starts at its live successor, shard 0.
-    let dead_owned = request_owned_by(&mut client, 2, 1);
-    assert_eq!(client.render(&dead_owned).unwrap().1, 0);
-    assert_eq!(*log0.lock().unwrap(), [true, false, true, false]);
+    // Shard 0 is now presumed dead: the next request starts at the
+    // successor and blames nobody.
+    let (result, failovers) = render_counted(&mut client, &req);
+    assert_eq!(result.unwrap().1, 2);
+    assert_eq!(failovers, 0);
+}
+
+#[test]
+fn a_shard_answering_shutting_down_is_skipped() {
+    let (a0, log0) = scripted_shard(Response::Error(ServiceError::ShuttingDown));
+    let (a1, log1) = scripted_shard(field(1));
+    let (mut client, req) = client_and_request(&[a0, a1], 0, 1);
+
+    let (result, failovers) = render_counted(&mut client, &req);
+    let (resp, shard) = result.expect("the live shard serves");
+    assert_eq!((resp.data, shard), (vec![1.0], 1));
+    assert_eq!(failovers, 1);
+    assert_eq!(*log0.lock().unwrap(), [false]);
+    assert_eq!(*log1.lock().unwrap(), [false]);
+}
+
+#[test]
+fn a_typed_error_comes_back_after_one_attempt() {
+    let invalid = ServiceError::InvalidRequest("resolution over the cap".into());
+    let (a0, log0) = scripted_shard(Response::Error(invalid.clone()));
+    let (a1, log1) = scripted_shard(field(1));
+    let (mut client, req) = client_and_request(&[a0, a1], 0, 1);
+
+    let (result, failovers) = render_counted(&mut client, &req);
+    assert_eq!(result.unwrap_err(), invalid);
+    assert_eq!(failovers, 0);
+    assert_eq!(*log0.lock().unwrap(), [false]);
+    assert!(log1.lock().unwrap().is_empty(), "a typed error was retried");
+}
+
+#[test]
+fn a_request_the_client_cannot_place_reaches_a_live_shard() {
+    let unknown = ServiceError::UnknownSnapshot("nowhere".into());
+    let (a1, log1) = scripted_shard(Response::Error(unknown.clone()));
+    let mut client = ClusterClient::new(&[dead_shard(), a1], VNODES, fast_cfg()).unwrap();
+
+    // Never registered, so the client has no tile for it.
+    let req = RenderRequest::new("nowhere", Vec3::ZERO);
+    let (result, failovers) = render_counted(&mut client, &req);
+    assert_eq!(result.unwrap_err(), unknown, "shard 1's answer");
+    assert_eq!(failovers, 1, "the dead shard 0 is blamed");
+    assert_eq!(*log1.lock().unwrap(), [false]);
 }

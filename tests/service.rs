@@ -312,13 +312,13 @@ fn wire_layout_is_pinned() {
         2, 0, 0,                                        // estimator psdtfe + u16 parameter
         3,                                              // trace flags: present | sampled
         0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, // trace id
-        1,                                              // routing flags: redirect
+        1,                                              // routing flags: forwarded
     ];
     let id: [u8; 16] = std::array::from_fn(|i| i as u8);
     let mut req = RenderRequest::new("s", Vec3::new(1.0, 2.0, -0.5))
         .estimator(EstimatorKind::PsDtfe)
         .traced(TraceContext::sampled(id))
-        .redirect(true);
+        .forwarded(true);
     req.resolution = 64;
     req.samples = 2;
     req.deadline_ms = 250;
