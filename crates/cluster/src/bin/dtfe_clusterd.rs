@@ -154,7 +154,10 @@ fn main() -> ExitCode {
         println!("LISTENING {addr}");
     }
     let _ = std::io::stdout().flush();
-    cluster.wait();
+    if cluster.wait().is_err() {
+        eprintln!("error: a shard thread panicked");
+        return ExitCode::FAILURE;
+    }
     eprintln!("drained, exiting");
     ExitCode::SUCCESS
 }

@@ -41,12 +41,18 @@ impl Shard {
     }
 }
 
+impl Drop for Shard {
+    fn drop(&mut self) {
+        let _ = self.kill();
+    }
+}
+
 fn join(handle: &mut Option<JoinHandle<()>>) -> std::thread::Result<()> {
     handle.take().map_or(Ok(()), JoinHandle::join)
 }
 
 /// Shards running in this process, each behind its own TCP listener.
-/// Dropping the cluster kills whatever is still running.
+/// Dropping the cluster (or a shard) kills whatever is still running.
 pub struct LocalCluster {
     shards: Vec<Shard>,
     addrs: Vec<SocketAddr>,
@@ -81,21 +87,25 @@ impl LocalCluster {
             .map(|(_, server)| server.local_addr())
             .collect::<std::io::Result<Vec<_>>>()?;
         let peers = peers.unwrap_or_else(|| addrs.clone());
-        let shards = bound
-            .into_iter()
-            .map(|(node, server)| {
-                node.configure_peers(peers.clone());
-                let gossip = node.start_gossip();
-                let stop = server.stop_handle();
-                let serve = std::thread::spawn(move || server.serve());
-                Shard {
-                    node,
-                    stop,
-                    serve: Some(serve),
-                    gossip: Some(gossip),
-                }
-            })
-            .collect();
+        // An error part-way drops the shards started so far, which kills
+        // them.
+        let mut shards = Vec::with_capacity(bound.len());
+        for (node, server) in bound {
+            node.configure_peers(peers.clone())?;
+            let mut shard = Shard {
+                node,
+                stop: server.stop_handle(),
+                serve: None,
+                gossip: None,
+            };
+            shard.gossip = Some(shard.node.start_gossip()?);
+            shard.serve = Some(
+                std::thread::Builder::new()
+                    .name("dtfe-shard".into())
+                    .spawn(move || server.serve())?,
+            );
+            shards.push(shard);
+        }
         Ok(LocalCluster { shards, addrs })
     }
 
@@ -112,28 +122,23 @@ impl LocalCluster {
     /// Kill shard `i`: stop accepting, drain, drop the listener. After
     /// this returns, connects to its address are refused and its gossip is
     /// silent, so the survivors declare it dead and rehash its arcs.
-    /// Idempotent.
-    pub fn kill(&mut self, i: usize) {
-        self.shards[i].kill().expect("shard thread panicked");
+    /// Idempotent. `Err` carries the panic of a shard thread that died.
+    pub fn kill(&mut self, i: usize) -> std::thread::Result<()> {
+        self.shards[i].kill()
     }
 
     /// Block until every serve loop has returned — each ends on a wire
     /// `Shutdown` to its listener (or an earlier [`kill`](Self::kill)) —
-    /// then stop gossip.
-    pub fn wait(mut self) {
+    /// then stop gossip. Every thread is joined; `Err` carries the first
+    /// panic among them.
+    pub fn wait(mut self) -> std::thread::Result<()> {
+        let mut result = Ok(());
         for shard in &mut self.shards {
-            join(&mut shard.serve).expect("serve loop panicked");
+            result = result.and(join(&mut shard.serve));
         }
         for shard in &mut self.shards {
-            shard.kill().expect("gossip loop panicked");
+            result = result.and(shard.kill());
         }
-    }
-}
-
-impl Drop for LocalCluster {
-    fn drop(&mut self) {
-        for shard in &mut self.shards {
-            let _ = shard.kill();
-        }
+        result
     }
 }

@@ -566,9 +566,12 @@ impl Drop for Service {
     }
 }
 
-/// A service lock's guard. Poison cannot occur: no service lock is held
-/// across a build, a fill or a render, and those run under [`catch_panic`].
-fn unpoisoned<G>(lock: LockResult<G>) -> G {
+/// A lock's guard, poisoned or not. Poison cannot occur where this is
+/// used: no caller holds a lock across code that can panic. Here, no
+/// service lock is held across a build, a fill or a render, and those run
+/// under `catch_panic`; the cluster's locks guard map and vector updates
+/// only.
+pub fn unpoisoned<G>(lock: LockResult<G>) -> G {
     lock.unwrap_or_else(PoisonError::into_inner)
 }
 
