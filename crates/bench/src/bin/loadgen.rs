@@ -16,8 +16,7 @@
 //! snapshot renders every (tile, estimator) request once: the reference
 //! map. Every shard builds the same padded tile from the same snapshot, so
 //! any listener's answer must equal it bit for bit; one that does not is
-//! counted `corrupt` (a `degraded` response is flagged stale data — honest,
-//! not corrupt). Then a **cold sweep**, one request per tile, serially; then
+//! counted `corrupt`. Then a **cold sweep**, one request per tile, serially; then
 //! the **warm open loop**, `--requests` requests at `--rate` req/s with
 //! zipf(`--zipf`) tile popularity on a fixed arrival schedule. Request `i`
 //! uses `estimators[i % len]`. `--trace` samples every request into the
@@ -419,7 +418,6 @@ struct Tally {
     /// Served requests per `--estimators` slot.
     per_estimator: Vec<u64>,
     corrupt: u64,
-    degraded: u64,
     errors: Vec<String>,
 }
 
@@ -444,9 +442,7 @@ impl Tally {
             us,
         });
         self.per_estimator[est_slot] += 1;
-        if resp.meta.degraded {
-            self.degraded += 1; // flagged stale data is honest, not corrupt
-        } else if resp.data.len() != expect.len()
+        if resp.data.len() != expect.len()
             || resp.data.iter().zip(expect).any(|(v, &b)| v.to_bits() != b)
         {
             self.corrupt += 1;
@@ -672,7 +668,6 @@ fn main() -> ExitCode {
         served,
         per_estimator,
         corrupt,
-        degraded,
         errors,
     } = tally;
     let (nshards, tiles) = (target.direct.len(), work.decomp.num_ranks());
@@ -826,7 +821,7 @@ fn main() -> ExitCode {
          \"rate\":{},\"zipf\":{},\"completed\":{completed},\"errors\":{},\
          \"error_rate\":{},\"p50_ms\":{},\"p99_ms\":{},\
          \"hits\":{hits},\"misses\":{misses},\"accounted\":{accounted},\
-         \"estimators\":{{{est_json}}},\"corrupt\":{corrupt},\"degraded\":{degraded},\
+         \"estimators\":{{{est_json}}},\"corrupt\":{corrupt},\
          \"drain_ok\":{drain_ok},\"chaos_seed\":{},\"chaos\":{chaos_json},\
          \"client\":\"{client_label}\",\
          \"client_stats\":{{\"retries\":{},\"reconnects\":{},\"giveups\":{}}},\
@@ -862,7 +857,7 @@ fn main() -> ExitCode {
     println!("# loadgen -> {}", path.display());
     println!(
         "shards={nshards} served={served_by:?} kill_shard={:?} chaos={:?} client={client_label} | \
-         requests={completed} errors={} corrupt {corrupt} degraded {degraded} | \
+         requests={completed} errors={} corrupt {corrupt} | \
          p50 {p50_ms:.2} ms p99 {p99_ms:.2} ms | hits {hits} misses {misses} | \
          retries {} | drain_ok={drain_ok}",
         args.kill_shard,
@@ -898,47 +893,34 @@ mod tests {
     use dtfe_core::GridSpec2;
     use dtfe_service::ResponseMeta;
 
-    fn response(data: Vec<f64>, degraded: bool) -> Result<(RenderResponse, usize), String> {
+    fn response(data: Vec<f64>) -> Result<(RenderResponse, usize), String> {
         let grid = GridSpec2::try_square(Vec3::ZERO.xy(), 1.0, 2).unwrap();
-        let meta = ResponseMeta {
-            degraded,
-            ..ResponseMeta::default()
-        };
+        let meta = ResponseMeta::default();
         Ok((RenderResponse { grid, data, meta }, 0))
     }
 
     #[test]
-    fn book_counts_any_differing_bit_as_corrupt_and_degraded_as_honest() {
+    fn book_counts_any_differing_bit_as_corrupt() {
         let field = vec![1.0, 2.0, 3.0, 4.0];
         let expect: Vec<u64> = field.iter().map(|v: &f64| v.to_bits()).collect();
         let mut tally = Tally {
             per_estimator: vec![0],
             ..Tally::default()
         };
-        tally.book("same", 0, &expect, response(field.clone(), false), 10);
+        tally.book("same", 0, &expect, response(field.clone()), 10);
         assert_eq!((tally.corrupt, tally.errors.len()), (0, 0));
 
         let mut one_bit = field.clone();
         one_bit[2] = f64::from_bits(one_bit[2].to_bits() ^ 1);
-        tally.book("one bit", 0, &expect, response(one_bit.clone(), false), 10);
+        tally.book("one bit", 0, &expect, response(one_bit), 10);
         assert_eq!(tally.corrupt, 1);
 
-        tally.book(
-            "short",
-            0,
-            &expect,
-            response(field[..3].to_vec(), false),
-            10,
-        );
+        tally.book("short", 0, &expect, response(field[..3].to_vec()), 10);
         assert_eq!(tally.corrupt, 2);
         assert!(tally.errors.iter().all(|e| e.contains("CORRUPT")));
 
-        // A flagged stale render is an older generation, not a lie.
-        tally.book("stale", 0, &expect, response(one_bit, true), 10);
-        assert_eq!((tally.corrupt, tally.degraded), (2, 1));
-
         tally.book("refused", 0, &expect, Err("overloaded".into()), 10);
-        assert_eq!((tally.served.len(), tally.per_estimator[0]), (4, 4));
+        assert_eq!((tally.served.len(), tally.per_estimator[0]), (3, 3));
         assert_eq!(tally.errors.len(), 3);
     }
 }

@@ -38,9 +38,7 @@ struct Args {
     shards: usize,
     shard: Option<u32>,
     peers: Vec<SocketAddr>,
-    replication: usize,
     vnodes: usize,
-    heat: u32,
     heartbeat_ms: u64,
     timeout_ms: u64,
 }
@@ -49,8 +47,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: dtfe-clusterd --snapshots DIR [--shards N | --shard I --peers A,B,C] \
          [--port P] [--tiles N] [--field-len L] [--resolution N] [--samples N] \
-         [--workers N] [--cache-mb N] [--admission-s S] [--replication R] [--vnodes V] \
-         [--heat N] [--heartbeat-ms MS] [--timeout-ms MS] [--demo]"
+         [--workers N] [--cache-mb N] [--admission-s S] [--vnodes V] \
+         [--heartbeat-ms MS] [--timeout-ms MS] [--demo]"
     );
     std::process::exit(2)
 }
@@ -61,9 +59,7 @@ fn parse_args() -> Result<Args, String> {
         shards: 3,
         shard: None,
         peers: Vec::new(),
-        replication: 2,
         vnodes: 128,
-        heat: 8,
         heartbeat_ms: 100,
         timeout_ms: 1000,
     };
@@ -81,9 +77,7 @@ fn parse_args() -> Result<Args, String> {
                     .map(|s| s.parse().map_err(|_| format!("bad peer address {s:?}")))
                     .collect::<Result<_, _>>()?
             }
-            "--replication" => args.replication = DaemonArgs::value(&flag, &mut it)?,
             "--vnodes" => args.vnodes = DaemonArgs::value(&flag, &mut it)?,
-            "--heat" => args.heat = DaemonArgs::value(&flag, &mut it)?,
             "--heartbeat-ms" => args.heartbeat_ms = DaemonArgs::value(&flag, &mut it)?,
             "--timeout-ms" => args.timeout_ms = DaemonArgs::value(&flag, &mut it)?,
             "--help" | "-h" => usage(),
@@ -101,8 +95,6 @@ fn spec(args: &Args, shard: u32, telemetry: bool, bind: SocketAddr) -> ShardSpec
         cluster: ClusterConfig {
             shard,
             vnodes: args.vnodes,
-            replication: args.replication,
-            heat_threshold: args.heat,
             heartbeat_interval: Duration::from_millis(args.heartbeat_ms),
             heartbeat_timeout: Duration::from_millis(args.timeout_ms),
         },

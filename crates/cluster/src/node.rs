@@ -1,48 +1,48 @@
-//! One cluster shard: a [`Service`] wrapped with ring ownership, cost-aware
-//! peer routing, hot-tile replication, gossip, and failover.
+//! One cluster shard: a [`Service`] wrapped with ring ownership, gossip,
+//! and failover.
 //!
 //! ## Request flow
 //!
 //! A shard receiving a render resolves the tile key exactly like a
-//! single-node server, counts it toward the tile's heat, hashes it onto the
-//! ring, and computes the owner set against its *live view* of the cluster
-//! (dead peers are skipped by the ring walk — that is the failover rehash).
-//! Then:
+//! single-node server, hashes it onto the ring, and finds the tile's
+//! primary in its *live view* of the cluster (dead and draining peers are
+//! skipped by the ring walk — that is the failover rehash). Then:
 //!
-//! * **self is an owner** (or the node runs solo): serve locally;
+//! * **self is the primary** (or the node runs solo): serve locally;
 //! * **a peer's forward** ([`RenderRequest::forwarded`] set): serve
-//!   locally even if this shard's view names another owner — a forward is
-//!   never forwarded again, so no request can loop;
+//!   locally even if this shard's view names another primary — a forward
+//!   is never forwarded again, so no request can loop;
 //! * **otherwise** (any client's request for a tile another shard owns):
-//!   forward it to the cheapest owner with `forwarded` set and relay the
-//!   answer; on a failed hop (owner dead, mid-stream cut, `ShuttingDown`)
-//!   the shard serves the tile itself. Every shard loads the same
-//!   snapshots and builds tiles with the same single-threaded builder, so
-//!   a failover render is bit-identical to the owner's; failover costs
-//!   latency, never correctness.
+//!   forward it to the primary with `forwarded` set and relay the answer;
+//!   on a failed hop (primary dead, mid-stream cut, `ShuttingDown`) the
+//!   shard serves the tile itself. Every shard loads the same snapshots
+//!   and builds tiles with the same single-threaded builder, so a failover
+//!   render is bit-identical to the primary's; failover costs latency,
+//!   never correctness.
+//!
+//! So a tile is resident only on the shard that serves it: its primary,
+//! or the shard that rendered it on failover. No shard keeps a second copy
+//! of a tile another shard serves.
 //!
 //! ## Gossip
 //!
 //! Shards exchange [`ShardHeartbeat`]s on a fixed interval over the same
 //! wire protocol (symmetric piggyback: the request carries the sender's
-//! heartbeat, the response the receiver's). Heartbeats carry the load
-//! gauges the router scores with, plus each shard's *hot set* — ring keys
-//! whose request rate crossed [`ClusterConfig::heat_threshold`], which
-//! widens the owner set to [`ClusterConfig::replication`] shards. A peer
-//! whose heartbeat goes silent past [`ClusterConfig::heartbeat_timeout`]
-//! is marked dead: the live view changes, the ring **epoch** bumps, a
-//! `cluster.ring_rebalance` counter ticks, and a rebalance event lands in
-//! the flight recorder.
+//! heartbeat, the response the receiver's). A heartbeat carries liveness
+//! only: the sender, its per-boot sequence number, and whether it is
+//! draining. A peer whose heartbeat goes silent past
+//! [`ClusterConfig::heartbeat_timeout`] is marked dead, and one heard from
+//! again is alive; either way the live view changes, the ring **epoch**
+//! bumps, a `cluster.ring_rebalance` counter ticks, and a rebalance event
+//! lands in the flight recorder. A restarted peer counts its sequence from
+//! zero again, so a peer marked dead is taken back on any heartbeat.
 
 use crate::ring::{key_of, HashRing};
-use crate::router::{cheapest, ShardGauges};
-use dtfe_service::config::default_model;
 use dtfe_service::server::unpoisoned;
 use dtfe_service::{
     Client, Handled, RenderRequest, Request, RequestHandler, Response, Service, ServiceError,
     ShardHeartbeat,
 };
-use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -57,20 +57,10 @@ pub struct ClusterConfig {
     pub shard: u32,
     /// Virtual nodes per shard on the hash ring.
     pub vnodes: usize,
-    /// Owner-set width for hot tiles (1 = primary only).
-    pub replication: usize,
-    /// Local request count after which a tile is considered hot and its
-    /// owner set widens to `replication` shards.
-    pub heat_threshold: u32,
     /// Gossip exchange period.
     pub heartbeat_interval: Duration,
     /// Silence after which a peer is declared dead and its arcs rehash.
     pub heartbeat_timeout: Duration,
-}
-
-impl ClusterConfig {
-    /// Most hot keys advertised per heartbeat (bounds frame size).
-    pub const HOT_CAP: usize = 64;
 }
 
 impl Default for ClusterConfig {
@@ -78,8 +68,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             shard: 0,
             vnodes: 128,
-            replication: 2,
-            heat_threshold: 8,
             heartbeat_interval: Duration::from_millis(100),
             heartbeat_timeout: Duration::from_millis(1000),
         }
@@ -92,11 +80,7 @@ struct PeerState {
     alive: bool,
     last_seen: Instant,
     last_seq: u64,
-    queue_depth: u64,
-    backlog_ms: u64,
     draining: bool,
-    hot: HashSet<u64>,
-    resident_bytes: u64,
 }
 
 impl PeerState {
@@ -105,17 +89,13 @@ impl PeerState {
             alive: true,
             last_seen: now,
             last_seq: 0,
-            queue_depth: 0,
-            backlog_ms: 0,
             draining: false,
-            hot: HashSet::new(),
-            resident_bytes: 0,
         }
     }
 }
 
 /// The mutable cluster view: peer addresses (index = shard id), the ring
-/// built over them, and per-peer liveness/gauges.
+/// built over them, and per-peer liveness.
 struct Topology {
     addrs: Vec<SocketAddr>,
     ring: HashRing,
@@ -135,8 +115,6 @@ pub struct ClusterNode {
     epoch: AtomicU64,
     /// Heartbeat sequence (stale-heartbeat rejection on receivers).
     seq: AtomicU64,
-    /// Local per-ring-key request counts driving hot-tile replication.
-    heat: Mutex<HashMap<u64, u32>>,
     stop: AtomicBool,
 }
 
@@ -156,7 +134,6 @@ impl ClusterNode {
             cfg,
             epoch: AtomicU64::new(0),
             seq: AtomicU64::new(0),
-            heat: Mutex::new(HashMap::new()),
             stop: AtomicBool::new(false),
         })
     }
@@ -200,48 +177,32 @@ impl ClusterNode {
 
     /// This shard's current heartbeat (also advances the sequence).
     pub fn heartbeat(&self) -> ShardHeartbeat {
-        let h = self.service.health();
-        let heat = unpoisoned(self.heat.lock());
-        let mut hot: Vec<u64> = heat
-            .iter()
-            .filter(|(_, &c)| c >= self.cfg.heat_threshold)
-            .map(|(&k, _)| k)
-            .collect();
-        hot.sort_unstable(); // deterministic frame bytes
-        hot.truncate(ClusterConfig::HOT_CAP);
         ShardHeartbeat {
             shard: self.cfg.shard,
             seq: self.seq.fetch_add(1, Ordering::SeqCst) + 1,
-            epoch: self.epoch.load(Ordering::SeqCst),
-            queue_depth: h.queue_depth,
-            backlog_ms: h.backlog_ms,
-            resident_bytes: h.resident_bytes,
-            resident_tiles: h.resident_tiles,
-            draining: h.draining,
-            hot,
+            draining: self.service.health().draining,
         }
     }
 
     /// Fold a peer's heartbeat into the live view. Resurrections (a dead
-    /// peer heard from again) bump the epoch just like deaths.
+    /// peer heard from again) bump the epoch just like deaths. A live
+    /// peer's heartbeat that is not newer than the last one is stale and
+    /// ignored; a dead peer's is always taken, since a restarted shard
+    /// counts its sequence from zero again.
     pub fn absorb(&self, hb: &ShardHeartbeat) {
         let idx = hb.shard as usize;
         let mut topo = unpoisoned(self.topo.lock());
         let Some(peer) = topo.peers.get_mut(idx) else {
             return; // unknown shard id: ignore, membership is static
         };
-        if idx == self.cfg.shard as usize || hb.seq <= peer.last_seq {
+        if idx == self.cfg.shard as usize || (peer.alive && hb.seq <= peer.last_seq) {
             return; // self-echo or stale
         }
         let resurrected = !peer.alive;
         peer.alive = true;
         peer.last_seen = Instant::now();
         peer.last_seq = hb.seq;
-        peer.queue_depth = hb.queue_depth;
-        peer.backlog_ms = hb.backlog_ms;
         peer.draining = hb.draining;
-        peer.resident_bytes = hb.resident_bytes;
-        peer.hot = hb.hot.iter().copied().collect();
         drop(topo);
         if resurrected {
             self.note_rebalance(idx, "peer-rejoined");
@@ -315,7 +276,7 @@ impl ClusterNode {
                     for (_, addr) in peers {
                         let hb = node.heartbeat();
                         if let Some(peer_hb) =
-                            gossip_exchange(addr, &hb, node.cfg.heartbeat_interval)
+                            gossip_exchange(addr, hb, node.cfg.heartbeat_interval)
                         {
                             node.absorb(&peer_hb);
                         }
@@ -325,27 +286,12 @@ impl ClusterNode {
             })
     }
 
-    /// Count a request against a ring key's heat.
-    fn touch_heat(&self, ringkey: u64) -> u32 {
-        let mut heat = unpoisoned(self.heat.lock());
-        // Crude pressure valve: forget everything rather than grow without
-        // bound; hot tiles re-earn their heat in a few requests.
-        if heat.len() > 4096 {
-            heat.clear();
-        }
-        let c = heat.entry(ringkey).or_insert(0);
-        *c = c.saturating_add(1);
-        *c
-    }
-
-    /// Where one request should be served under the current live view. An
-    /// invalid request is an `Err` before anything is counted against its
-    /// tile: it fails identically on every shard, so it is nobody's to
-    /// forward.
+    /// Where one request should be served under the current live view:
+    /// here if this shard is the tile's live-view primary or runs solo,
+    /// otherwise at the primary. An invalid request is an `Err`: it fails
+    /// identically on every shard, so it is nobody's to forward.
     fn route(&self, r: &RenderRequest) -> Result<Routing, ServiceError> {
-        let resolved = self.service.resolve(r)?;
-        let ringkey = key_of(&resolved.tile);
-        let heat = self.touch_heat(ringkey);
+        let ringkey = key_of(&self.service.resolve(r)?.tile);
         let me = self.cfg.shard as usize;
         let topo = unpoisoned(self.topo.lock());
         if topo.addrs.len() <= 1 {
@@ -360,41 +306,12 @@ impl ClusterNode {
             .enumerate()
             .map(|(i, p)| p.alive && (i == me || !p.draining))
             .collect();
-        // A tile is hot if we see it hot locally *or* any peer advertises
-        // it — so replicas converge on the widened owner set.
-        let hot =
-            heat >= self.cfg.heat_threshold || topo.peers.iter().any(|p| p.hot.contains(&ringkey));
-        let owners = topo
-            .ring
-            .replicas(ringkey, if hot { self.cfg.replication } else { 1 }, &live);
-        if owners.is_empty() || owners.contains(&me) {
-            if hot {
-                dtfe_telemetry::counter_add!("cluster.hot_replica_serves", 1);
-            }
-            return Ok(Routing::Local);
+        match topo.ring.primary(ringkey, &live) {
+            Some(primary) if primary != me => Ok(Routing::Remote {
+                owner: topo.addrs[primary],
+            }),
+            _ => Ok(Routing::Local),
         }
-        // Rank the owners with the cost model + gossiped gauges.
-        let gauges: Vec<(usize, ShardGauges)> = owners
-            .iter()
-            .map(|&i| {
-                let p = &topo.peers[i];
-                (
-                    i,
-                    ShardGauges {
-                        resident: p.hot.contains(&ringkey),
-                        queue_depth: p.queue_depth,
-                        backlog_ms: p.backlog_ms,
-                        draining: p.draining,
-                    },
-                )
-            })
-            .collect();
-        let model = default_model();
-        let best =
-            cheapest(&model, resolved.particles, resolved.cells, &gauges).unwrap_or(owners[0]);
-        Ok(Routing::Remote {
-            owner: topo.addrs[best],
-        })
     }
 
     /// Serve `r` locally, as a pipeline slot.
@@ -491,13 +408,10 @@ fn proxy_render(
 /// One gossip exchange: send our heartbeat, return the peer's.
 fn gossip_exchange(
     addr: SocketAddr,
-    hb: &ShardHeartbeat,
+    hb: ShardHeartbeat,
     timeout: Duration,
 ) -> Option<ShardHeartbeat> {
-    match peer(addr, timeout)?
-        .call(&Request::Gossip(hb.clone()))
-        .ok()?
-    {
+    match peer(addr, timeout)?.call(&Request::Gossip(hb)).ok()? {
         Response::Gossip(peer_hb) => Some(peer_hb),
         _ => None,
     }
@@ -506,4 +420,47 @@ fn gossip_exchange(
 /// A connection to a peer shard with one deadline on every socket step.
 fn peer(addr: SocketAddr, timeout: Duration) -> Option<Client> {
     Client::connect_timeout(&addr, timeout, Some(timeout), Some(timeout)).ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dtfe_geometry::{Aabb3, Vec3};
+    use dtfe_service::ServiceConfig;
+
+    /// A draining peer leaves the live view on its heartbeat, before any
+    /// timeout: a request for a tile it is primary of is served here, not
+    /// forwarded to a shard that would refuse it.
+    #[test]
+    fn a_draining_peer_gets_no_forwards() {
+        let dir = std::env::temp_dir().join(format!("dtfe_node_{}_draining", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(8.0));
+        let points: Vec<Vec3> = (0..512)
+            .map(|i| {
+                let f = f64::from(i);
+                Vec3::new((f * 0.37) % 8.0, (f * 0.61) % 8.0, (f * 0.83) % 8.0)
+            })
+            .collect();
+        dtfe_nbody::snapshot::write_snapshot(&dir.join("c.snap"), &[points], bounds).unwrap();
+        let mut cfg = ServiceConfig::new(4.0, 16);
+        cfg.tiles = 4;
+        let service = Arc::new(Service::start(&dir, cfg).unwrap());
+        let node = ClusterNode::new(service, ClusterConfig::default());
+        let addrs = vec![([127, 0, 0, 1], 1).into(), ([127, 0, 0, 1], 2).into()];
+        node.configure_peers(addrs).unwrap();
+
+        let peer_owned = [2.0, 6.0]
+            .iter()
+            .flat_map(|&x| [2.0, 6.0].map(|y| RenderRequest::new("c", Vec3::new(x, y, 4.0))))
+            .find(|r| matches!(node.route(r), Ok(Routing::Remote { .. })))
+            .expect("shard 1 is primary of one of the four tiles");
+        node.absorb(&ShardHeartbeat {
+            shard: 1,
+            seq: 1,
+            draining: true,
+        });
+        assert!(matches!(node.route(&peer_owned), Ok(Routing::Local)));
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -102,7 +102,7 @@ impl HashRing {
     }
 
     /// The first `r` *distinct* live shards clockwise from `key`'s winning
-    /// point, in ring order: replica set for a hot tile. Fewer than `r`
+    /// point, in ring order: the order a client tries shards in. Fewer than `r`
     /// entries when fewer live shards exist.
     pub fn replicas(&self, key: u64, r: usize, live: &[bool]) -> Vec<usize> {
         let mut out = Vec::with_capacity(r.min(self.nshards));

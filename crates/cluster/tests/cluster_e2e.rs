@@ -4,9 +4,9 @@
 //! Three escalating contracts:
 //!
 //! 1. **Bit-identity**: every field served by the cluster — cold, warm,
-//!    hot-replicated, via the ring-aware client *or* a naive client whose
-//!    requests get proxied server-side — matches a single-node reference
-//!    render bit for bit.
+//!    via the ring-aware client *or* a naive client whose requests get
+//!    proxied server-side — matches a single-node reference render bit for
+//!    bit, and each tile is built once in the whole cluster.
 //! 2. **Failover**: killing one shard rehashes its arcs to the survivors;
 //!    every subsequent request still returns the bit-identical field, and
 //!    the survivors' ring epoch bumps once gossip notices the silence.
@@ -73,8 +73,6 @@ fn cluster_config(shard: u32) -> ClusterConfig {
     ClusterConfig {
         shard,
         vnodes: 128,
-        replication: 2,
-        heat_threshold: 3, // low, so the warm loop crosses into replication
         heartbeat_interval: Duration::from_millis(50),
         heartbeat_timeout: Duration::from_millis(400),
     }
@@ -167,9 +165,8 @@ fn three_shards_bit_identical_to_single_node() {
         "ring routing collapsed onto one shard: {served_by:?}"
     );
 
-    // Warm passes: repeats cross the shards' heat threshold and widen
-    // each tile's owner set, but the primary stays in it, so the client's
-    // first hop is still served there; bytes must not change.
+    // Warm passes: every repeat is served by its tile's primary again, with
+    // the same bytes.
     for round in 0..4 {
         for (i, &c) in cs.iter().enumerate() {
             let (resp, shard) = client.render(&RenderRequest::new("c", c)).unwrap();
@@ -189,6 +186,42 @@ fn three_shards_bit_identical_to_single_node() {
         let resp = naive.render(&RenderRequest::new("c", c)).unwrap();
         assert_bits_equal(&resp.data, &refs[i].data, &format!("naive centre {i}"));
     }
+}
+
+/// Repeated traffic for a tile sent to a shard that does not own it is
+/// forwarded every time: the tile is built once, on its primary, and never
+/// a second time on the shard that keeps receiving it.
+#[test]
+fn non_owner_traffic_builds_each_tile_once() {
+    use std::sync::atomic::Ordering;
+    let dir = tmpdir("onebuild");
+    let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(SIDE));
+    write_snapshot(&dir.join("c.snap"), &[cloud(2000, SIDE, 46)], bounds).unwrap();
+    let reference = Service::start(&dir, service_config()).unwrap();
+    let (shards, addrs) = boot(&dir, 3);
+
+    let center = centers()[0];
+    let tile = TileKey::new("c", Decomposition::new(bounds, TILES).rank_of(center));
+    let successor = HashRing::new(3, 128).replicas(key_of(&tile), 2, &[true; 3])[1];
+    let req = RenderRequest::new("c", center);
+    let expect = reference.render(&req).unwrap();
+    let mut to_successor = Client::connect(addrs[successor]).unwrap();
+    for i in 0..10 {
+        let resp = to_successor.render(&req).unwrap();
+        assert_bits_equal(&resp.data, &expect.data, &format!("request {i}"));
+    }
+    let builds: u64 = (0..3)
+        .map(|i| {
+            shards
+                .node(i)
+                .service()
+                .cache()
+                .stats
+                .misses
+                .load(Ordering::Relaxed)
+        })
+        .sum();
+    assert_eq!(builds, 1, "one tile, one build in the whole cluster");
 }
 
 /// Placement follows the mesh, not the estimator: every estimator of a tile

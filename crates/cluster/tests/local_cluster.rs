@@ -1,14 +1,15 @@
 //! `LocalCluster` is the one shard bring-up: its kill/wait handles behave
-//! as the daemons and drivers rely on, and a shard validates a request
-//! before it routes it.
+//! as the daemons and drivers rely on, a shard validates a request before
+//! it routes it, and a restarted shard comes back in its peers' view.
 
-use dtfe_cluster::{ClusterConfig, LocalCluster, ShardSpec};
+use dtfe_cluster::{ClusterConfig, ClusterNode, LocalCluster, ShardSpec};
 use dtfe_geometry::{Aabb3, Vec3};
 use dtfe_nbody::snapshot::write_snapshot;
 use dtfe_service::{
-    Client, EstimatorKind, RenderRequest, Request, Response, ServiceConfig, ServiceError,
+    Client, EstimatorKind, RenderRequest, Request, Response, Service, ServiceConfig, ServiceError,
 };
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -103,27 +104,14 @@ fn cloud(n: usize, side: f64, seed: u64) -> Vec<Vec3> {
 
 /// A shard forwards a valid request for a tile it does not own, serves a
 /// forwarded one itself, and answers an over-cap request `InvalidRequest`
-/// on the spot: it is invalid on every shard, so it is neither forwarded
-/// nor counted against the tile's heat.
+/// on the spot: it is invalid on every shard, so it is not forwarded.
 #[test]
 fn over_cap_request_to_a_non_owner_is_invalid_not_forwarded() {
     let dir = tmpdir("overcap");
     let side = 8.0;
     let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(side));
     write_snapshot(&dir.join("c.snap"), &[cloud(1500, side, 45)], bounds).unwrap();
-    // replication 1: a hot tile never widens its owner set to shard 0, so
-    // routing cannot hide a heat bump; threshold 3: the valid request and
-    // its forwarded twin below leave their tile one request short of hot.
-    let cluster = boot(
-        &dir,
-        2,
-        ClusterConfig {
-            replication: 1,
-            heat_threshold: 3,
-            ..ClusterConfig::default()
-        },
-        true,
-    );
+    let cluster = boot(&dir, 2, ClusterConfig::default(), true);
     let proxied = || {
         let doc = cluster.node(0).service().stats_document();
         let metrics = doc.metrics.expect("shard 0 owns the recorder");
@@ -185,8 +173,45 @@ fn over_cap_request_to_a_non_owner_is_invalid_not_forwarded() {
         }
     }
     assert_eq!(proxied(), 1, "an invalid request was forwarded");
-    assert!(
-        cluster.node(0).heartbeat().hot.is_empty(),
-        "an invalid request heated its tile"
+}
+
+/// A restarted shard counts its heartbeat sequence from zero again. Its
+/// peers must take it back on its first heartbeat, not ignore it until the
+/// new sequence passes the old one.
+#[test]
+fn a_restarted_shard_rejoins_on_its_first_heartbeat() {
+    let dir = tmpdir("restart");
+    let service = Arc::new(Service::start(&dir, ServiceConfig::new(4.0, 16)).unwrap());
+    let node = |shard: u32| {
+        let cfg = ClusterConfig {
+            shard,
+            heartbeat_timeout: Duration::from_millis(20),
+            ..ClusterConfig::default()
+        };
+        let node = ClusterNode::new(service.clone(), cfg);
+        let addrs = vec![([127, 0, 0, 1], 1).into(), ([127, 0, 0, 1], 2).into()];
+        node.configure_peers(addrs).unwrap();
+        node
+    };
+    let a = node(0);
+
+    let before_restart = node(1);
+    for _ in 0..5 {
+        a.absorb(&before_restart.heartbeat());
+    }
+    assert_eq!(a.epoch(), 0, "a live peer's heartbeats change nothing");
+
+    std::thread::sleep(Duration::from_millis(40));
+    a.sweep_liveness();
+    assert_eq!(a.epoch(), 1, "the silent peer is swept dead");
+
+    let restarted = node(1);
+    let first = restarted.heartbeat();
+    assert_eq!(first.seq, 1, "a fresh node counts from the start");
+    a.absorb(&first);
+    assert_eq!(
+        a.epoch(),
+        2,
+        "the restarted peer's first heartbeat revives it"
     );
 }

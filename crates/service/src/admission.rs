@@ -16,6 +16,7 @@
 //! retry policy needs.
 
 use crate::error::ServiceError;
+use crate::server::unpoisoned;
 use dtfe_core::EstimatorKind;
 use dtfe_framework::WorkloadModel;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,8 +47,7 @@ impl Admission {
     }
 
     /// Retune the admission budget at runtime — an operator control for
-    /// load shedding (`0.0` sheds everything, forcing degraded serving
-    /// where the service allows it).
+    /// load shedding (`0.0` sheds everything).
     pub fn set_budget(&self, budget_s: f64) {
         self.budget_bits
             .store(budget_s.max(0.0).to_bits(), Ordering::Relaxed);
@@ -75,7 +75,7 @@ impl Admission {
     /// Admit a request of the given priced cost, or shed it.
     pub fn try_admit(&self, cost_s: f64) -> Result<(), ServiceError> {
         let budget_s = self.budget_s();
-        let mut backlog = self.backlog_s.lock().unwrap();
+        let mut backlog = unpoisoned(self.backlog_s.lock());
         if *backlog + cost_s > budget_s {
             let excess = (*backlog + cost_s - budget_s).max(0.0);
             // The pool drains `workers` priced seconds per wall second;
@@ -92,14 +92,14 @@ impl Admission {
     /// Return a request's cost to the pool once it finishes (served,
     /// failed, or dropped on deadline).
     pub fn complete(&self, cost_s: f64) {
-        let mut backlog = self.backlog_s.lock().unwrap();
+        let mut backlog = unpoisoned(self.backlog_s.lock());
         *backlog = (*backlog - cost_s).max(0.0);
         dtfe_telemetry::gauge_set!("service.priced_backlog_ms", (*backlog * 1e3) as i64);
     }
 
     /// Current priced backlog in seconds.
     pub fn backlog_s(&self) -> f64 {
-        *self.backlog_s.lock().unwrap()
+        *unpoisoned(self.backlog_s.lock())
     }
 }
 

@@ -143,13 +143,9 @@ pub struct ResponseMeta {
     pub render_us: u64,
     /// The trace context the request carried, echoed back.
     pub trace: Option<TraceContext>,
-    /// The response was served from an **evicted-but-retained stale tile**
-    /// because the fresh path was unavailable (admission overload or a
-    /// quarantined build) and the service has a non-zero
-    /// `stale_budget_bytes`. The field data is a correct render
-    /// of an older cache generation — bit-identical to what that tile
-    /// served while resident — but callers with freshness requirements
-    /// should treat it as best-effort.
+    /// Always false: the service serves only fresh renders. Kept, with its
+    /// wire byte, because the benchmark reads it; both are deleted together
+    /// by the next change to the benchmark.
     pub degraded: bool,
 }
 
@@ -181,31 +177,18 @@ pub struct RenderResponse {
     pub meta: ResponseMeta,
 }
 
-/// One shard's gossip heartbeat: liveness plus the live load gauges the
-/// cost-aware router folds into its scoring, plus the shard's current set
-/// of hot ring keys (tiles above the heat threshold, eligible for
-/// replication). Piggybacked symmetrically: a gossip *request* carries the
+/// One shard's gossip heartbeat: liveness and whether the sender is
+/// draining. Piggybacked symmetrically: a gossip *request* carries the
 /// sender's heartbeat, the *response* carries the receiver's.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardHeartbeat {
     /// Sender's shard index in the cluster's peer list.
     pub shard: u32,
-    /// Monotonic per-sender sequence number (stale heartbeats are ignored).
+    /// Per-boot sequence number: receivers ignore a live peer's stale
+    /// heartbeats, and take any heartbeat from a peer they think dead.
     pub seq: u64,
-    /// Sender's ring epoch (live-view generation).
-    pub epoch: u64,
-    /// Admitted-but-unserved requests on the sender.
-    pub queue_depth: u64,
-    /// Sender's priced backlog in milliseconds.
-    pub backlog_ms: u64,
-    /// Bytes held by the sender's resident tiles.
-    pub resident_bytes: u64,
-    /// Resident tile count on the sender.
-    pub resident_tiles: u64,
     /// The sender is draining and should receive no new work.
     pub draining: bool,
-    /// Ring-key hashes of the sender's hot tiles (bounded set).
-    pub hot: Vec<u64>,
 }
 
 /// Readiness/liveness snapshot answered by the wire `Health` request —
@@ -217,12 +200,10 @@ pub struct HealthStatus {
     pub ok: bool,
     /// The service has begun its graceful drain; new work is refused.
     pub draining: bool,
-    /// Resident (fresh) tiles in the cache.
+    /// Resident tiles in the cache.
     pub resident_tiles: u64,
     /// Bytes held by resident tiles.
     pub resident_bytes: u64,
-    /// Evicted-but-retained stale tiles available for degraded serving.
-    pub stale_tiles: u64,
     /// Tile keys currently quarantined by the negative cache.
     pub quarantined_tiles: u64,
     /// Admitted-but-unserved requests.

@@ -1,5 +1,5 @@
-//! Byte-budgeted tile LRU with single-flight builds, panic isolation,
-//! failure quarantine, and stale retention.
+//! Byte-budgeted tile LRU with single-flight builds, panic isolation, and
+//! failure quarantine.
 //!
 //! An entry is one tile's mesh, keyed `(snapshot, tile)`, and it *grows*:
 //! estimator tables are filled into it on first use ([`TileCache::fill`]).
@@ -32,12 +32,13 @@
 //!    is quarantined with an exponentially growing retry-after window, so
 //!    a sick tile (corrupt snapshot region, panicking estimator) is not
 //!    rebuilt — and does not burn a worker — on every request.
-//! 6. **Stale retention** — with a non-zero stale budget, evicted entries
-//!    are retained in a side map (their own LRU) so the server can serve
-//!    a flagged, older render when the fresh path is overloaded or
-//!    quarantined.
+//!
+//! The cache holds one copy of a tile: its resident entry. An evicted or
+//! uncacheable entry is held by its requesters' `Arc`s alone, and is
+//! gone when they are.
 
 use crate::error::ServiceError;
+use crate::server::unpoisoned;
 use crate::tiles::{Charge, SharedTile, TileData, TileKey};
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -57,14 +58,6 @@ enum Slot {
         charged: Charge,
         last_used: u64,
     },
-}
-
-/// An evicted-but-retained entry, eligible for degraded serving.
-struct StaleEntry {
-    data: SharedTile,
-    /// Its share of `State::stale_bytes`.
-    bytes: usize,
-    last_used: u64,
 }
 
 /// When and for how long a repeatedly failing tile key is quarantined.
@@ -189,9 +182,6 @@ struct State {
     /// Bytes held by `Ready` entries. `Building` slots are unsized (their
     /// cost is charged on insertion).
     bytes: usize,
-    /// Evicted-but-retained entries, bounded by `stale_budget`.
-    stale: HashMap<TileKey, StaleEntry>,
-    stale_bytes: usize,
     /// Negative cache: consecutive build failures per key.
     neg: FailureLedger<TileKey>,
     /// Logical clock for LRU recency (monotonic per state mutation).
@@ -212,41 +202,30 @@ pub struct CacheStats {
     pub build_panics: AtomicU64,
     /// Requests refused because their key was quarantined.
     pub quarantine_rejects: AtomicU64,
-    /// Stale-map lookups that found a retained entry.
-    pub stale_hits: AtomicU64,
 }
 
 /// The tile cache. Cheap to share (`Arc` internally is not needed — the
 /// server holds it in an `Arc` itself).
 pub struct TileCache {
     budget: usize,
-    stale_budget: usize,
     state: Mutex<State>,
     cv: Condvar,
     pub stats: CacheStats,
 }
 
 impl TileCache {
-    /// A cache with no stale retention and the default quarantine policy.
+    /// A cache with the default quarantine policy.
     pub fn new(budget_bytes: usize) -> TileCache {
-        TileCache::with_policy(budget_bytes, 0, QuarantinePolicy::default())
+        TileCache::with_policy(budget_bytes, QuarantinePolicy::default())
     }
 
-    /// A cache with an explicit stale-retention budget and quarantine
-    /// policy.
-    pub fn with_policy(
-        budget_bytes: usize,
-        stale_budget_bytes: usize,
-        policy: QuarantinePolicy,
-    ) -> TileCache {
+    /// A cache with an explicit quarantine policy.
+    pub fn with_policy(budget_bytes: usize, policy: QuarantinePolicy) -> TileCache {
         TileCache {
             budget: budget_bytes,
-            stale_budget: stale_budget_bytes,
             state: Mutex::new(State {
                 map: HashMap::new(),
                 bytes: 0,
-                stale: HashMap::new(),
-                stale_bytes: 0,
                 neg: FailureLedger::new(policy),
                 tick: 0,
             }),
@@ -262,16 +241,13 @@ impl TileCache {
 
     /// Bytes currently held by resident entries.
     pub fn resident_bytes(&self) -> usize {
-        self.state.lock().unwrap().bytes
+        unpoisoned(self.state.lock()).bytes
     }
 
     /// [`TileCache::resident_bytes`] by component: what each resident
     /// entry was charged, summed term by term.
     pub fn resident_charge(&self) -> Charge {
-        let st = self
-            .state
-            .lock()
-            .expect("builds and fills run outside this lock");
+        let st = unpoisoned(self.state.lock());
         let mut sum = Charge::default();
         for slot in st.map.values() {
             if let Slot::Ready { charged, .. } = slot {
@@ -282,14 +258,10 @@ impl TileCache {
     }
 
     /// The slice of [`TileCache::resident_bytes`] attributable to ghost
-    /// padding. In a cluster this is the per-shard duplication cost of
-    /// replicated tiles: each shard holding a replica re-materialises the
-    /// same padding, so the padding bytes are counted *once per shard*
-    /// (inside each entry's size) rather than once per cluster — the
-    /// per-shard `Stats` document exposes them so an operator can see how
-    /// much of every shard's budget is replicated ghosts.
+    /// padding: the points each resident tile holds beyond its own box,
+    /// which its neighbouring tiles hold as their own.
     pub fn resident_ghost_bytes(&self) -> usize {
-        let st = self.state.lock().unwrap();
+        let st = unpoisoned(self.state.lock());
         st.map
             .values()
             .filter_map(|s| match s {
@@ -301,21 +273,16 @@ impl TileCache {
 
     /// Number of resident (`Ready`) entries.
     pub fn resident_entries(&self) -> usize {
-        let st = self.state.lock().unwrap();
+        let st = unpoisoned(self.state.lock());
         st.map
             .values()
             .filter(|s| matches!(s, Slot::Ready { .. }))
             .count()
     }
 
-    /// Number of retained stale entries.
-    pub fn stale_entries(&self) -> usize {
-        self.state.lock().unwrap().stale.len()
-    }
-
     /// Number of keys currently inside a quarantine window.
     pub fn quarantined_entries(&self) -> usize {
-        self.state.lock().unwrap().neg.quarantined()
+        unpoisoned(self.state.lock()).neg.quarantined()
     }
 
     /// Is the key resident right now? (Racy by nature.)
@@ -327,24 +294,10 @@ impl TileCache {
     /// prices from this, where an answer gone stale merely misprices
     /// slightly.
     pub fn peek(&self, key: &TileKey) -> Option<SharedTile> {
-        match self.state.lock().unwrap().map.get(key) {
+        match unpoisoned(self.state.lock()).map.get(key) {
             Some(Slot::Ready { data, .. }) => Some(data.clone()),
             _ => None,
         }
-    }
-
-    /// Look up an evicted-but-retained stale copy of `key`. Never builds;
-    /// never touches the fresh map. The caller is responsible for flagging
-    /// the response degraded.
-    pub fn get_stale(&self, key: &TileKey) -> Option<SharedTile> {
-        let mut st = self.state.lock().unwrap();
-        st.tick += 1;
-        let tick = st.tick;
-        let entry = st.stale.get_mut(key)?;
-        entry.last_used = tick;
-        self.stats.stale_hits.fetch_add(1, Ordering::Relaxed);
-        dtfe_telemetry::counter_add!("service.cache_stale_hits", 1);
-        Some(entry.data.clone())
     }
 
     /// Fetch `key`, running `build` on this thread if it is absent.
@@ -367,9 +320,8 @@ impl TileCache {
     where
         F: FnOnce() -> Result<TileData, ServiceError>,
     {
-        let mut build = Some(build);
         let mut parked = false;
-        let mut st = self.state.lock().unwrap();
+        let mut st = unpoisoned(self.state.lock());
         loop {
             let tick = st.tick + 1;
             match st.map.get_mut(key) {
@@ -396,49 +348,39 @@ impl TileCache {
                         .singleflight_parks
                         .fetch_add(1, Ordering::Relaxed);
                     dtfe_telemetry::counter_add!("service.singleflight_parks", 1);
-                    st = self.cv.wait(st).unwrap();
+                    st = unpoisoned(self.cv.wait(st));
                     // Loop: the slot is now Ready (use it), gone (build
                     // failed — take over the build), or Building again
                     // (another waiter took over first).
                 }
-                None => {
-                    // Quarantine gate: a key that keeps failing is refused
-                    // here, before any build is claimed.
-                    self.gate(&st, key)?;
-                    st.map.insert(key.clone(), Slot::Building);
-                    drop(st);
-                    let build_fn = build.take().expect(
-                        "build closure consumed twice — \
-                        a vacant slot can only be claimed once per call",
-                    );
-                    let built = catch_panic(build_fn)
-                        .unwrap_or_else(|msg| Err(self.panicked("tile build", &msg)));
-                    st = self.state.lock().unwrap();
-                    match built {
-                        Err(e) => {
-                            st.map.remove(key);
-                            self.book_failure(&mut st, key);
-                            self.cv.notify_all();
-                            return Err(e);
-                        }
-                        Ok(data) => {
-                            let data = Arc::new(data);
-                            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                            dtfe_telemetry::counter_add!("service.cache_misses", 1);
-                            st.neg.clear(key);
-                            // A fresh build supersedes any stale copy.
-                            if let Some(old) = st.stale.remove(key) {
-                                st.stale_bytes -= old.bytes;
-                            }
-                            self.insert_and_evict(&mut st, key, data.clone());
-                            dtfe_telemetry::gauge_set!("service.cache_bytes", st.bytes as i64);
-                            self.cv.notify_all();
-                            return Ok((data, false));
-                        }
-                    }
-                }
+                None => break,
             }
         }
+        // Quarantine gate: a key that keeps failing is refused here, before
+        // any build is claimed.
+        self.gate(&st, key)?;
+        st.map.insert(key.clone(), Slot::Building);
+        drop(st);
+        let built = catch_panic(build).unwrap_or_else(|msg| Err(self.panicked("tile build", &msg)));
+        let mut st = unpoisoned(self.state.lock());
+        let result = match built {
+            Err(e) => {
+                st.map.remove(key);
+                self.book_failure(&mut st, key);
+                Err(e)
+            }
+            Ok(data) => {
+                let data = Arc::new(data);
+                self.stats.misses.fetch_add(1, Ordering::Relaxed);
+                dtfe_telemetry::counter_add!("service.cache_misses", 1);
+                st.neg.clear(key);
+                self.insert_and_evict(&mut st, key, data.clone());
+                dtfe_telemetry::gauge_set!("service.cache_bytes", st.bytes as i64);
+                Ok((data, false))
+            }
+        };
+        self.cv.notify_all();
+        result
     }
 
     /// Grow a fetched entry: run `fill`, which adds a table to `data` in
@@ -452,16 +394,17 @@ impl TileCache {
     /// mesh stays resident either way.
     ///
     /// The charge evicts LRU *other* entries to make room. An entry that
-    /// alone outgrew the whole budget leaves the cache as `uncacheable`
-    /// (into the stale set, if that has room); the caller's `Arc` still
-    /// answers its request.
+    /// alone outgrew the whole budget leaves the cache as `uncacheable`;
+    /// the caller's `Arc` still answers its request.
     pub fn fill<F>(&self, key: &TileKey, data: &SharedTile, fill: F) -> Result<bool, ServiceError>
     where
         F: FnOnce() -> bool,
     {
-        self.gate(&self.state.lock().unwrap(), key)?;
+        let st = unpoisoned(self.state.lock());
+        self.gate(&st, key)?;
+        drop(st);
         let filled = catch_panic(fill);
-        let mut st = self.state.lock().unwrap();
+        let mut st = unpoisoned(self.state.lock());
         match filled {
             Err(msg) => {
                 self.book_failure(&mut st, key);
@@ -506,44 +449,33 @@ impl TileCache {
         }
     }
 
-    /// Charge `data` at the size it has now, wherever the cache holds it:
-    /// resident (evicting others, or itself if it alone is over budget),
-    /// stale (an in-flight batch can fill an entry evicted under it), or
-    /// nowhere (an uncacheable entry is its requester's alone).
+    /// Charge `data` at the size it has now if it is the resident entry,
+    /// evicting others, or itself if it alone is over budget. An entry the
+    /// cache no longer holds (evicted under an in-flight batch, or
+    /// uncacheable) is its requesters' alone, and charges nothing.
     fn recharge(&self, st: &mut State, key: &TileKey, data: &SharedTile) {
+        let Some(Slot::Ready {
+            data: held,
+            charged,
+            ..
+        }) = st.map.get_mut(key)
+        else {
+            return;
+        };
+        if !Arc::ptr_eq(held, data) {
+            return;
+        }
         let charge = data.charge();
         let now = charge.total();
-        match st.map.get_mut(key) {
-            Some(Slot::Ready {
-                data: held,
-                charged,
-                ..
-            }) if Arc::ptr_eq(held, data) => {
-                st.bytes = st.bytes - charged.total() + now;
-                *charged = charge;
-                if now <= self.budget {
-                    self.evict_to_budget(st, key);
-                } else if let Some(Slot::Ready {
-                    data, last_used, ..
-                }) = st.map.remove(key)
-                {
-                    st.bytes -= now;
-                    self.stats.uncacheable.fetch_add(1, Ordering::Relaxed);
-                    dtfe_telemetry::counter_add!("service.cache_uncacheable", 1);
-                    self.retain_stale(st, key.clone(), data, now, last_used);
-                }
-            }
-            _ => {
-                let held = st.stale.get(key);
-                if held.is_some_and(|e| Arc::ptr_eq(&e.data, data)) {
-                    let e = st
-                        .stale
-                        .remove(key)
-                        .expect("looked up under this lock hold");
-                    st.stale_bytes -= e.bytes;
-                    self.retain_stale(st, key.clone(), e.data, now, e.last_used);
-                }
-            }
+        st.bytes = st.bytes - charged.total() + now;
+        *charged = charge;
+        if now <= self.budget {
+            self.evict_to_budget(st, key);
+        } else {
+            st.map.remove(key);
+            st.bytes -= now;
+            self.stats.uncacheable.fetch_add(1, Ordering::Relaxed);
+            dtfe_telemetry::counter_add!("service.cache_uncacheable", 1);
         }
     }
 
@@ -595,54 +527,10 @@ impl TileCache {
                 // defensive rather than spin.
                 break;
             };
-            if let Some(Slot::Ready {
-                data,
-                charged,
-                last_used,
-            }) = st.map.remove(&victim)
-            {
-                let bytes = charged.total();
-                st.bytes -= bytes;
+            if let Some(Slot::Ready { charged, .. }) = st.map.remove(&victim) {
+                st.bytes -= charged.total();
                 self.stats.evictions.fetch_add(1, Ordering::Relaxed);
                 dtfe_telemetry::counter_add!("service.cache_evictions", 1);
-                self.retain_stale(st, victim, data, bytes, last_used);
-            }
-        }
-    }
-
-    /// Move an evicted entry into the stale map at the size it was charged
-    /// at, evicting stale-LRU entries to hold the stale budget. With a zero
-    /// budget this is a no-op and the entry is dropped.
-    fn retain_stale(
-        &self,
-        st: &mut State,
-        key: TileKey,
-        data: SharedTile,
-        bytes: usize,
-        last_used: u64,
-    ) {
-        if bytes > self.stale_budget {
-            return;
-        }
-        st.stale_bytes += bytes;
-        st.stale.insert(
-            key,
-            StaleEntry {
-                data,
-                bytes,
-                last_used,
-            },
-        );
-        while st.stale_bytes > self.stale_budget {
-            let victim = st
-                .stale
-                .iter()
-                .map(|(k, e)| (e.last_used, k.clone()))
-                .min_by_key(|(used, _)| *used)
-                .map(|(_, k)| k);
-            let Some(victim) = victim else { break };
-            if let Some(e) = st.stale.remove(&victim) {
-                st.stale_bytes -= e.bytes;
             }
         }
     }
@@ -755,7 +643,7 @@ mod tests {
             base: Duration::from_millis(40),
             max: Duration::from_millis(200),
         };
-        let cache = TileCache::with_policy(100, 0, policy);
+        let cache = TileCache::with_policy(100, policy);
         let fail = || Err::<TileData, _>(ServiceError::Internal("sick".into()));
 
         // Failure 1: below threshold, immediate retry allowed.
@@ -808,31 +696,5 @@ mod tests {
         let (_, hit) = cache.get_or_build(&key(0), || entry(10)).unwrap();
         assert!(!hit);
         assert_eq!(cache.quarantined_entries(), 0);
-    }
-
-    #[test]
-    fn evicted_entries_are_retained_stale_and_superseded_on_rebuild() {
-        let cache = TileCache::with_policy(200, 150, QuarantinePolicy::default());
-        cache.get_or_build(&key(0), || entry(100)).unwrap();
-        cache.get_or_build(&key(1), || entry(100)).unwrap();
-        assert!(cache.get_stale(&key(0)).is_none(), "still resident");
-        // Insert key 2: key 0 is the LRU victim and lands in the stale map.
-        cache.get_or_build(&key(2), || entry(100)).unwrap();
-        assert!(!cache.is_resident(&key(0)));
-        let stale = cache.get_stale(&key(0)).expect("retained after eviction");
-        assert_eq!(stale.bytes(), 100);
-        assert_eq!(cache.stale_entries(), 1);
-        assert_eq!(cache.stats.stale_hits.load(Ordering::Relaxed), 1);
-        // Rebuilding key 0 evicts key 1; the fresh copy supersedes any
-        // stale copy of key 0.
-        cache.get_or_build(&key(0), || entry(100)).unwrap();
-        assert!(cache.get_stale(&key(0)).is_none(), "superseded by rebuild");
-        assert!(cache.get_stale(&key(1)).is_some(), "newly evicted entry");
-        // The stale map honors its own budget: entries above it are
-        // dropped, not retained.
-        let zero = TileCache::with_policy(200, 0, QuarantinePolicy::default());
-        zero.get_or_build(&key(0), || entry(150)).unwrap();
-        zero.get_or_build(&key(1), || entry(150)).unwrap();
-        assert_eq!(zero.stale_entries(), 0);
     }
 }

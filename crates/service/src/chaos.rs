@@ -32,7 +32,7 @@
 //! |           | receiver MUST reject it (`ChecksumMismatch`), never    |
 //! |           | accept a silently corrupt field                        |
 
-use crate::wire::FRAME_HEADER;
+use crate::wire::{split_header, FRAME_HEADER};
 use dtfe_simcluster::faults::{checked_p, unit_draw};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -384,8 +384,7 @@ impl ChaosProxy {
                 for h in relays {
                     let _ = h.join();
                 }
-            })
-            .expect("spawn chaos proxy accept thread");
+            })?;
         Ok(ChaosProxy {
             addr,
             stop,
@@ -555,7 +554,7 @@ fn read_raw_frame(src: &mut TcpStream, stop: &AtomicBool) -> std::io::Result<Opt
             Err(e) => return Err(e),
         }
     }
-    let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
+    let (len, _) = split_header(header);
     if len > crate::wire::MAX_FRAME {
         // Not our protocol: refuse to buffer it.
         return Err(std::io::Error::new(

@@ -45,14 +45,6 @@ pub struct ServiceConfig {
     /// Socket write timeout applied to every accepted connection — a peer
     /// that stops draining its receive buffer cannot pin a handler.
     pub write_timeout: Option<Duration>,
-    /// Byte budget for evicted-but-retained *stale* tiles, beyond the
-    /// fresh-cache budget. When it is positive, a request whose fresh path
-    /// is unavailable — admission overload, or a quarantined tile build —
-    /// is served from a stale copy, flagged
-    /// [`degraded`](crate::ResponseMeta::degraded), instead of a bare
-    /// error. `0` (the default) retains nothing and serves nothing stale:
-    /// freshness over availability unless the operator opts in.
-    pub stale_budget_bytes: usize,
     /// When a repeatedly failing tile build or snapshot load is
     /// quarantined, and for how long.
     pub quarantine: QuarantinePolicy,
@@ -88,8 +80,7 @@ impl ServiceConfig {
     pub const FLIGHT_CAPACITY: usize = 64;
 
     /// A config with the given field geometry and serving defaults: 8
-    /// tiles, 256 MiB cache, 2 workers, a 30 s admission budget, nothing
-    /// served stale.
+    /// tiles, 256 MiB cache, 2 workers, a 30 s admission budget.
     pub fn new(field_len: f64, resolution: usize) -> ServiceConfig {
         ServiceConfig {
             field_len,
@@ -102,7 +93,6 @@ impl ServiceConfig {
             telemetry: false,
             read_timeout: Some(Duration::from_secs(10)),
             write_timeout: Some(Duration::from_secs(10)),
-            stale_budget_bytes: 0,
             quarantine: QuarantinePolicy::default(),
             slow_threshold: Some(Duration::from_millis(500)),
             window_buckets: 10,

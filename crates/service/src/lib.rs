@@ -46,8 +46,7 @@
 //! frames carry checksums so corruption is rejected, not served; sockets
 //! get read/write timeouts and per-connection in-flight caps; tile builds
 //! run under panic isolation with a failure-quarantine negative cache;
-//! a non-zero `stale_budget_bytes` serves flagged degraded responses
-//! from evicted tiles under overload; and the seeded [`chaos`]
+//! overload sheds with a typed `Overloaded`; and the seeded [`chaos`]
 //! injector plus the retrying [`ResilientClient`] make all of it
 //! testable deterministically (see `DESIGN.md` §4c).
 //!

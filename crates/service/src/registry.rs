@@ -19,6 +19,7 @@
 use crate::cache::{catch_panic, FailureLedger};
 use crate::config::ServiceConfig;
 use crate::error::ServiceError;
+use crate::server::unpoisoned;
 use dtfe_framework::Decomposition;
 use dtfe_geometry::{Aabb3, Vec3};
 use dtfe_nbody::snapshot::{self, SnapshotError};
@@ -117,17 +118,17 @@ impl SnapshotRegistry {
         }
         // Quarantine gate before any slot is claimed: a file that keeps
         // failing verification is refused without touching the disk.
-        if let Some(retry_after_ms) = self.neg.lock().unwrap().gate(id) {
+        if let Some(retry_after_ms) = unpoisoned(self.neg.lock()).gate(id) {
             dtfe_telemetry::counter_add!("service.snapshot_quarantine_rejects", 1);
             return Err(ServiceError::Quarantined { retry_after_ms });
         }
-        let mut st = self.state.lock().unwrap();
+        let mut st = unpoisoned(self.state.lock());
         loop {
             match st.get(id) {
                 Some(Slot::Ready(data)) => return Ok(data.clone()),
                 Some(Slot::Loading) => {
                     dtfe_telemetry::counter_add!("service.snapshot_load_parks", 1);
-                    st = self.cv.wait(st).unwrap();
+                    st = unpoisoned(self.cv.wait(st));
                     // Re-check: the loader either published Ready or removed
                     // the slot on failure (then we retry the load ourselves).
                 }
@@ -139,12 +140,12 @@ impl SnapshotRegistry {
                             "loading {id} panicked: {msg}"
                         )))
                     });
-                    st = self.state.lock().unwrap();
+                    st = unpoisoned(self.state.lock());
                     match loaded {
                         Ok(data) => {
                             let data = Arc::new(data);
                             st.insert(id.to_string(), Slot::Ready(data.clone()));
-                            self.neg.lock().unwrap().clear(id);
+                            unpoisoned(self.neg.lock()).clear(id);
                             self.cv.notify_all();
                             return Ok(data);
                         }
@@ -153,7 +154,7 @@ impl SnapshotRegistry {
                             // Missing files are cheap to re-check and fix;
                             // only actual load failures quarantine.
                             if !matches!(e, ServiceError::UnknownSnapshot(_))
-                                && self.neg.lock().unwrap().record_failure(id.to_string())
+                                && unpoisoned(self.neg.lock()).record_failure(id.to_string())
                             {
                                 dtfe_telemetry::counter_add!("service.snapshots_quarantined", 1);
                             }

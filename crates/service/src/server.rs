@@ -16,11 +16,13 @@
 //! ## Outcomes
 //!
 //! Every request [`Service::submit`] receives ends in one function,
-//! `finish`, exactly once — refused at submission, served stale there,
-//! dropped on its deadline, failed, or served. `finish` counts the one
-//! outcome (`shed`, `rejected`, `deadline_dropped`, `failed`, or `completed`
-//! as a hit or a miss, and `stale_served` if degraded), records the flight
-//! trace, refunds admission if the request was admitted, and replies.
+//! `finish`, exactly once — refused at submission, dropped on its
+//! deadline, failed, or served. `finish` counts the one outcome (`shed`,
+//! `rejected`, `deadline_dropped`, `failed`, or `completed` as a hit or a
+//! miss), records the flight trace, refunds admission if the request was
+//! admitted, and replies. Overload is always `Overloaded` and a sick tile
+//! always `Quarantined`: the service serves only fresh renders of the one
+//! copy of a tile its cache holds.
 //!
 //! The flight-recording rule: a sampled request is recorded whatever its
 //! outcome (reason `sampled`, or its incident's); an unsampled one only on
@@ -77,10 +79,6 @@ pub struct ServiceStats {
     /// Total requests coalesced into multi-request batches (batch_size − 1
     /// summed over batches).
     pub coalesced: AtomicU64,
-    /// Requests served from an evicted-but-retained stale tile (flagged
-    /// `degraded`; counted inside `completed` and `hits`, so the
-    /// `hits + misses == completed` invariant still holds).
-    pub stale_served: AtomicU64,
 }
 
 impl ServiceStats {
@@ -160,8 +158,6 @@ pub struct Resolved {
     /// The exact render geometry the batch framework would use.
     pub grid: GridSpec2,
     pub opts: MarchOptions,
-    /// Lines of sight the render marches: `resolution² × samples`.
-    pub cells: usize,
 }
 
 struct QueueState {
@@ -219,11 +215,7 @@ impl Service {
         };
         let inner = Arc::new(Inner {
             registry: SnapshotRegistry::new(snapshot_dir.as_ref(), &cfg),
-            cache: TileCache::with_policy(
-                cfg.cache_budget_bytes,
-                cfg.stale_budget_bytes,
-                cfg.quarantine,
-            ),
+            cache: TileCache::with_policy(cfg.cache_budget_bytes, cfg.quarantine),
             admission: Admission::new(default_model(), cfg.admission_budget_s, cfg.workers),
             queue: Mutex::new(QueueState {
                 per_tile: HashMap::new(),
@@ -302,9 +294,8 @@ impl Service {
         }
     }
 
-    /// Resolve, price, admit and enqueue `req` — or, shed while a stale
-    /// copy of its tile is retained, answer it from that copy. A refusal
-    /// hands the ticket back unanswered.
+    /// Resolve, price, admit and enqueue `req`. A refusal hands the ticket
+    /// back unanswered.
     fn admit(&self, req: &RenderRequest, ticket: Ticket) -> Result<(), (Ticket, ServiceError)> {
         let inner = &*self.inner;
         // Loading the snapshot is part of resolving: unknown/corrupt ids
@@ -314,7 +305,6 @@ impl Service {
             particles,
             grid,
             opts,
-            ..
         } = match self.resolve(req) {
             Ok(resolved) => resolved,
             Err(e) => return Err((ticket, e)),
@@ -343,19 +333,7 @@ impl Service {
             return Err((ticket, ServiceError::ShuttingDown));
         }
         if let Err(shed) = inner.admission.try_admit(cost_s) {
-            drop(q);
-            // Degraded fallback: under overload, a retained stale copy of
-            // the tile beats a bare `Overloaded` — render it inline on the
-            // caller's thread (no queue slot, no admission charge) with
-            // the response flagged.
-            let mut meta = ticket.meta();
-            return match render_stale(inner, &tile, &grid, &opts, &mut meta) {
-                Some(field) => {
-                    finish(inner, meta, ticket, field);
-                    Ok(())
-                }
-                None => Err((ticket, shed)),
-            };
+            return Err((ticket, shed));
         }
         let job = Job {
             grid,
@@ -454,7 +432,6 @@ impl Service {
             tile,
             grid,
             opts,
-            cells: resolution * resolution * samples,
         })
     }
 
@@ -471,7 +448,6 @@ impl Service {
             draining,
             resident_tiles: inner.cache.resident_entries() as u64,
             resident_bytes: inner.cache.resident_bytes() as u64,
-            stale_tiles: inner.cache.stale_entries() as u64,
             quarantined_tiles: inner.cache.quarantined_entries() as u64,
             queue_depth,
             backlog_ms: (inner.admission.backlog_s() * 1e3) as u64,
@@ -479,8 +455,7 @@ impl Service {
     }
 
     /// Retune the admission budget at runtime (operator load-shedding
-    /// control; `0.0` sheds all new work, forcing stale serving where
-    /// enabled).
+    /// control; `0.0` sheds all new work).
     pub fn set_admission_budget(&self, budget_s: f64) {
         self.inner.admission.set_budget(budget_s);
     }
@@ -522,7 +497,6 @@ impl Service {
                 hits: get(&s.hits),
                 misses: get(&s.misses),
                 coalesced: get(&s.coalesced),
-                stale_served: get(&s.stale_served),
             },
             cache: CacheCounters {
                 resident_bytes: charge.total() as u64,
@@ -532,7 +506,6 @@ impl Service {
                 evictions: cache.stats.evictions.load(Ordering::Relaxed),
                 uncacheable: cache.stats.uncacheable.load(Ordering::Relaxed),
                 singleflight_parks: cache.stats.singleflight_parks.load(Ordering::Relaxed),
-                stale_entries: cache.stale_entries() as u64,
                 quarantined: cache.quarantined_entries() as u64,
                 build_panics: cache.stats.build_panics.load(Ordering::Relaxed),
                 header_bytes: charge.header as u64,
@@ -567,10 +540,10 @@ impl Drop for Service {
 }
 
 /// A lock's guard, poisoned or not. Poison cannot occur where this is
-/// used: no caller holds a lock across code that can panic. Here, no
-/// service lock is held across a build, a fill or a render, and those run
-/// under `catch_panic`; the cluster's locks guard map and vector updates
-/// only.
+/// used: no caller holds a lock across code that can panic. Builds, fills,
+/// snapshot loads and renders run under `catch_panic` with no lock held;
+/// the cache, registry, admission, table-map and queue locks guard map,
+/// counter and queue updates only, as do the cluster's.
 pub fn unpoisoned<G>(lock: LockResult<G>) -> G {
     lock.unwrap_or_else(PoisonError::into_inner)
 }
@@ -656,13 +629,6 @@ fn serve_batch(inner: &Inner, tile: &TileKey, mut jobs: Vec<Job>) {
             // Re-check the deadline after the (possibly long) build.
             Ok(_) if job.expired(Instant::now()) => Err(ServiceError::DeadlineExceeded),
             Ok((data, _)) => render(data, &job.grid, &job.opts, &mut meta),
-            // Degraded fallback: a quarantined tile with a retained stale
-            // copy is served flagged instead of failed — the tile is sick,
-            // but an older render beats no render when the operator gave
-            // stale copies a budget.
-            Err(e @ ServiceError::Quarantined { .. }) => {
-                render_stale(inner, tile, &job.grid, &job.opts, &mut meta).unwrap_or(Err(e))
-            }
             Err(e) => Err(e),
         };
         finish(inner, meta, job.ticket, field);
@@ -710,31 +676,6 @@ fn render(
     }
 }
 
-/// Render from an evicted-but-retained stale copy of `tile`, if stale
-/// copies have a budget and the copy already holds the request's table:
-/// degraded serving is for when there is no capacity to build, so it never
-/// fills one. Marks `meta` as a degraded hit of a batch of one; `None`
-/// when there is no such copy.
-fn render_stale(
-    inner: &Inner,
-    tile: &TileKey,
-    grid: &GridSpec2,
-    opts: &MarchOptions,
-    meta: &mut ResponseMeta,
-) -> Option<Result<Field2, ServiceError>> {
-    if inner.cfg.stale_budget_bytes == 0 {
-        return None;
-    }
-    let data = inner
-        .cache
-        .get_stale(tile)
-        .filter(|data| data.has_table(opts.estimator))?;
-    meta.cache_hit = true;
-    meta.batch_size = 1;
-    meta.degraded = true;
-    Some(render(&data, grid, opts, meta))
-}
-
 /// The one exit: every request [`Service::submit`] receives ends here,
 /// exactly once. It counts the request's one outcome, records its flight
 /// trace, refunds its admission if it was admitted, and replies — with
@@ -752,10 +693,6 @@ fn finish(inner: &Inner, meta: ResponseMeta, ticket: Ticket, field: Result<Field
             } else {
                 &stats.misses
             });
-            if meta.degraded {
-                count(&stats.stale_served);
-                dtfe_telemetry::counter_add!("service.stale_served", 1);
-            }
             dtfe_telemetry::hist_record!("service.request_latency_us", wall_us);
             dtfe_telemetry::hist_record!("service.render_us", meta.render_us);
         }

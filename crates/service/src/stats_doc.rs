@@ -21,7 +21,7 @@ use dtfe_telemetry::json::{escape_into, number, Json};
 use dtfe_telemetry::{Histogram, MetricsSnapshot};
 
 /// Current stats document schema version.
-pub const STATS_VERSION: u32 = 1;
+pub const STATS_VERSION: u32 = 2;
 
 /// The always-on serving counters (see `ServiceStats`), snapshotted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -35,11 +35,10 @@ pub struct ServingCounters {
     pub hits: u64,
     pub misses: u64,
     pub coalesced: u64,
-    pub stale_served: u64,
 }
 
 impl ServingCounters {
-    fn fields(&self) -> [(&'static str, u64); 10] {
+    fn fields(&self) -> [(&'static str, u64); 9] {
         [
             ("admitted", self.admitted),
             ("shed", self.shed),
@@ -50,7 +49,6 @@ impl ServingCounters {
             ("hits", self.hits),
             ("misses", self.misses),
             ("coalesced", self.coalesced),
-            ("stale_served", self.stale_served),
         ]
     }
 }
@@ -59,16 +57,15 @@ impl ServingCounters {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     pub resident_bytes: u64,
-    /// The slice of `resident_bytes` that is ghost padding — duplicated
-    /// per shard when a tile is replicated across a cluster, so per-shard
-    /// documents expose it explicitly.
+    /// The slice of `resident_bytes` that is ghost padding: the points a
+    /// tile holds beyond its own box, which its neighbours hold as their
+    /// own.
     pub ghost_bytes: u64,
     pub budget_bytes: u64,
     pub entries: u64,
     pub evictions: u64,
     pub uncacheable: u64,
     pub singleflight_parks: u64,
-    pub stale_entries: u64,
     pub quarantined: u64,
     pub build_panics: u64,
     /// `resident_bytes` by component, each resident entry counted as it was
@@ -85,7 +82,7 @@ pub struct CacheCounters {
 }
 
 impl CacheCounters {
-    fn fields(&self) -> [(&'static str, u64); 15] {
+    fn fields(&self) -> [(&'static str, u64); 14] {
         [
             ("resident_bytes", self.resident_bytes),
             ("ghost_bytes", self.ghost_bytes),
@@ -94,7 +91,6 @@ impl CacheCounters {
             ("evictions", self.evictions),
             ("uncacheable", self.uncacheable),
             ("singleflight_parks", self.singleflight_parks),
-            ("stale_entries", self.stale_entries),
             ("quarantined", self.quarantined),
             ("build_panics", self.build_panics),
             ("header_bytes", self.header_bytes),
@@ -290,7 +286,6 @@ impl StatsDocument {
             hits: get_u64(serving, "serving", "hits")?,
             misses: get_u64(serving, "serving", "misses")?,
             coalesced: get_u64(serving, "serving", "coalesced")?,
-            stale_served: get_u64(serving, "serving", "stale_served")?,
         };
         let cache = doc.get("cache").ok_or("missing cache object")?;
         // Absent from older documents (ghost bytes came with the cluster,
@@ -304,7 +299,6 @@ impl StatsDocument {
             evictions: get_u64(cache, "cache", "evictions")?,
             uncacheable: get_u64(cache, "cache", "uncacheable")?,
             singleflight_parks: get_u64(cache, "cache", "singleflight_parks")?,
-            stale_entries: get_u64(cache, "cache", "stale_entries")?,
             quarantined: get_u64(cache, "cache", "quarantined")?,
             build_panics: get_u64(cache, "cache", "build_panics")?,
             header_bytes: optional("header_bytes"),
@@ -435,7 +429,7 @@ mod tests {
                 completed: 9,
                 hits: 6,
                 misses: 3,
-                stale_served: 1,
+                coalesced: 1,
                 ..Default::default()
             },
             cache: CacheCounters {

@@ -17,6 +17,7 @@
 //! [`Decomposition`]: dtfe_framework::Decomposition
 
 use crate::registry::SnapshotData;
+use crate::server::unpoisoned;
 use dtfe_core::{
     surface_density_with_index, DtfeTable, EstimatorKind, Field2, GridSpec2, HullIndex,
     MarchOptions, Mass, PsDtfeTable, RenderMesh, SlotValues, StochasticOptions, StochasticTable,
@@ -315,7 +316,7 @@ impl TileData {
 
     /// The table map. No fill runs under its lock, so it is never poisoned.
     fn tables(&self) -> std::sync::MutexGuard<'_, HashMap<TableKey, TableCell>> {
-        self.tables.lock().expect("no fill runs under this lock")
+        unpoisoned(self.tables.lock())
     }
 
     /// The cell of `estimator`'s table, added empty if it is new.

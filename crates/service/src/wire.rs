@@ -19,7 +19,7 @@
 //! a routing flags byte (bit 0 = forwarded, see
 //! [`RenderRequest::forwarded`]); a field response carries the grid, the
 //! serving metadata (cache hit, batch size, per-stage timings, the
-//! `degraded` stale-serving flag, the echoed trace block) and the values.
+//! always-zero `degraded` byte, the echoed trace block) and the values.
 //! `Stats` answers the typed, versioned [`StatsDocument`]; `Dump` exports
 //! the server's flight recorder as Chrome-trace JSON; `Health` answers
 //! readiness probes without the cost of a full `Stats` document;
@@ -142,7 +142,9 @@ pub fn payload_checksum(payload: &[u8]) -> u32 {
 
 /// Write one frame (length prefix + checksum + payload).
 pub fn write_frame(w: &mut impl IoWrite, payload: &[u8]) -> Result<(), WireError> {
-    debug_assert!(payload.len() <= MAX_FRAME);
+    if payload.len() > MAX_FRAME {
+        return Err(WireError::FrameTooLarge { len: payload.len() });
+    }
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(&payload_checksum(payload).to_le_bytes())?;
     w.write_all(payload)?;
@@ -155,8 +157,7 @@ pub fn write_frame(w: &mut impl IoWrite, payload: &[u8]) -> Result<(), WireError
 pub fn read_frame(r: &mut impl IoRead) -> Result<Vec<u8>, WireError> {
     let mut header = [0u8; FRAME_HEADER];
     r.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
-    let checksum = u32::from_le_bytes(header[4..].try_into().unwrap());
+    let (len, checksum) = split_header(header);
     if len > MAX_FRAME {
         return Err(WireError::FrameTooLarge { len });
     }
@@ -167,6 +168,15 @@ pub fn read_frame(r: &mut impl IoRead) -> Result<Vec<u8>, WireError> {
         return Err(WireError::ChecksumMismatch);
     }
     Ok(payload)
+}
+
+/// A frame header's two words: the payload length and its checksum.
+pub(crate) fn split_header(header: [u8; FRAME_HEADER]) -> (usize, u32) {
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
+    (
+        u32::from_le_bytes([l0, l1, l2, l3]) as usize,
+        u32::from_le_bytes([c0, c1, c2, c3]),
+    )
 }
 
 // --------------------------------------------------------------- encoding
@@ -216,20 +226,24 @@ impl<'a> Dec<'a> {
         self.at += n;
         Ok(s)
     }
+    /// The next `N` bytes as a fixed-width array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        <[u8; N]>::try_from(self.take(N)?).map_err(|_| WireError::Truncated)
+    }
     fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.array()?))
     }
     fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.array()?))
     }
     fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
     fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
     fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(f64::from_le_bytes(self.array()?))
     }
     fn str(&mut self) -> Result<String, WireError> {
         let n = self.u16()? as usize;
@@ -300,7 +314,7 @@ fn decode_trace(d: &mut Dec) -> Result<Option<TraceContext>, WireError> {
     if flags & !(TRACE_PRESENT | TRACE_SAMPLED) != 0 {
         return Err(WireError::BadTag(flags));
     }
-    let id: [u8; 16] = d.take(16)?.try_into().unwrap();
+    let id = d.array::<16>()?;
     Ok((flags & TRACE_PRESENT != 0).then_some(TraceContext {
         id,
         sampled: flags & TRACE_SAMPLED != 0,
@@ -350,43 +364,14 @@ fn decode_render(d: &mut Dec) -> Result<RenderRequest, WireError> {
 fn encode_heartbeat(e: &mut Enc, hb: &ShardHeartbeat) {
     e.u32(hb.shard);
     e.u64(hb.seq);
-    e.u64(hb.epoch);
-    e.u64(hb.queue_depth);
-    e.u64(hb.backlog_ms);
-    e.u64(hb.resident_bytes);
-    e.u64(hb.resident_tiles);
     e.u8(hb.draining as u8);
-    debug_assert!(hb.hot.len() <= u16::MAX as usize);
-    e.u16(hb.hot.len() as u16);
-    for &k in &hb.hot {
-        e.u64(k);
-    }
 }
 
 fn decode_heartbeat(d: &mut Dec) -> Result<ShardHeartbeat, WireError> {
-    let shard = d.u32()?;
-    let seq = d.u64()?;
-    let epoch = d.u64()?;
-    let queue_depth = d.u64()?;
-    let backlog_ms = d.u64()?;
-    let resident_bytes = d.u64()?;
-    let resident_tiles = d.u64()?;
-    let draining = decode_flag(d)?;
-    let n = d.u16()? as usize;
-    let mut hot = Vec::with_capacity(n);
-    for _ in 0..n {
-        hot.push(d.u64()?);
-    }
     Ok(ShardHeartbeat {
-        shard,
-        seq,
-        epoch,
-        queue_depth,
-        backlog_ms,
-        resident_bytes,
-        resident_tiles,
-        draining,
-        hot,
+        shard: d.u32()?,
+        seq: d.u64()?,
+        draining: decode_flag(d)?,
     })
 }
 
@@ -534,7 +519,6 @@ impl Response {
                 e.u8(h.draining as u8);
                 e.u64(h.resident_tiles);
                 e.u64(h.resident_bytes);
-                e.u64(h.stale_tiles);
                 e.u64(h.quarantined_tiles);
                 e.u64(h.queue_depth);
                 e.u64(h.backlog_ms);
@@ -620,7 +604,6 @@ impl Response {
                 draining: decode_flag(&mut d)?,
                 resident_tiles: d.u64()?,
                 resident_bytes: d.u64()?,
-                stale_tiles: d.u64()?,
                 quarantined_tiles: d.u64()?,
                 queue_depth: d.u64()?,
                 backlog_ms: d.u64()?,
@@ -745,19 +728,12 @@ mod tests {
         let hb = ShardHeartbeat {
             shard: 2,
             seq: 41,
-            epoch: 3,
-            queue_depth: 9,
-            backlog_ms: 125,
-            resident_bytes: 1 << 27,
-            resident_tiles: 6,
             draining: true,
-            hot: vec![0xDEAD_BEEF, 1, u64::MAX],
         };
-        let req = Request::Gossip(hb.clone());
+        let req = Request::Gossip(hb);
         assert_eq!(Request::decode(&req.encode()).unwrap(), req);
         let resp = Response::Gossip(hb);
         assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
-        // Empty hot set too (the common steady-state frame).
         let quiet = Request::Gossip(ShardHeartbeat::default());
         assert_eq!(Request::decode(&quiet.encode()).unwrap(), quiet);
     }
@@ -812,6 +788,17 @@ mod tests {
     }
 
     #[test]
+    fn oversized_payload_is_refused_before_writing() {
+        let mut out = Vec::new();
+        let payload = vec![0u8; MAX_FRAME + 1];
+        assert!(matches!(
+            write_frame(&mut out, &payload),
+            Err(WireError::FrameTooLarge { len }) if len == MAX_FRAME + 1
+        ));
+        assert!(out.is_empty(), "nothing reaches the peer");
+    }
+
+    #[test]
     fn frame_roundtrip_and_checksum_rejection() {
         let payload =
             Request::Render(RenderRequest::new("demo", Vec3::new(1.0, 2.0, 3.0))).encode();
@@ -844,7 +831,6 @@ mod tests {
                 draining: false,
                 resident_tiles: 12,
                 resident_bytes: 1 << 20,
-                stale_tiles: 3,
                 quarantined_tiles: 1,
                 queue_depth: 7,
                 backlog_ms: 450,

@@ -377,12 +377,13 @@ fn entry_that_outgrows_the_budget_is_dropped_but_answers() {
     assert!(cache.is_resident(&key));
 }
 
-/// Eviction, stale retention and supersession subtract what an entry was
-/// *charged*, not what it weighs when it leaves: an entry that grew since
-/// its last charge (a fill in flight) must not drift the totals.
+/// Eviction subtracts what an entry was *charged*, not what it weighs when
+/// it leaves: an entry that grew since its last charge (a fill in flight)
+/// must not drift the totals, and the late charge of an entry evicted under
+/// its fill weighs nothing — its requester's `Arc` alone holds it.
 #[test]
-fn eviction_and_stale_retention_subtract_the_charged_bytes() {
-    let cache = TileCache::with_policy(300, 250, QuarantinePolicy::default());
+fn eviction_subtracts_the_charged_bytes() {
+    let cache = TileCache::with_policy(300, QuarantinePolicy::default());
     let entry = |bytes| move || Ok(TileData::synthetic(0, bytes));
     let (a, _) = cache.get_or_build(&key("s", 0), entry(100)).unwrap();
     let grow = |by| {
@@ -403,23 +404,23 @@ fn eviction_and_stale_retention_subtract_the_charged_bytes() {
     // Inserting 2 evicts 0, the LRU entry: 150 leave, not 190.
     cache.get_or_build(&key("s", 2), entry(100)).unwrap();
     assert!(!cache.is_resident(&key("s", 0)));
-    assert_eq!((cache.resident_bytes(), cache.stale_entries()), (200, 1));
-    // The late charge finds the entry in the stale set and weighs it there
-    // (190 of 250); the resident total does not move.
+    assert_eq!((cache.resident_bytes(), cache.resident_entries()), (200, 2));
+    // The late charge finds no resident entry and charges nothing.
     assert_eq!(grow(0), Ok(true));
-    assert_eq!((cache.resident_bytes(), cache.stale_entries()), (200, 1));
-    // Inserting 3 evicts 1. Beside 150 its 100 B would fit the stale set;
-    // beside 190 they do not, and the older copy goes.
+    assert!(!cache.is_resident(&key("s", 0)));
+    assert_eq!(cache.resident_bytes(), 200);
+    assert_eq!(cache.resident_charge().total(), 200);
+    assert_eq!(Arc::strong_count(&a), 1, "only the requester holds it");
+    // Inserting 3 evicts 1, and rebuilding 1 evicts 2: every total stays
+    // exact.
     cache.get_or_build(&key("s", 3), entry(120)).unwrap();
     assert!(!cache.is_resident(&key("s", 1)));
-    assert_eq!((cache.resident_bytes(), cache.stale_entries()), (220, 1));
-    assert!(cache.get_stale(&key("s", 0)).is_none());
-    assert!(cache.get_stale(&key("s", 1)).is_some());
-    // A rebuild supersedes the stale copy; every total stays exact.
+    assert_eq!(cache.resident_bytes(), 220);
     cache.get_or_build(&key("s", 1), entry(100)).unwrap();
-    assert!(cache.get_stale(&key("s", 1)).is_none(), "superseded");
-    assert!(cache.get_stale(&key("s", 2)).is_some(), "evicted for it");
-    assert_eq!((cache.resident_bytes(), cache.stale_entries()), (220, 1));
+    assert!(!cache.is_resident(&key("s", 2)));
+    assert_eq!((cache.resident_bytes(), cache.resident_entries()), (220, 2));
+    assert_eq!(cache.resident_charge().total(), 220);
+    assert_eq!(cache.stats.evictions.load(Ordering::Relaxed), 3);
 }
 
 /// A table fill that panics is a typed `Internal`, counted and booked on
@@ -431,7 +432,7 @@ fn panicking_table_fill_is_typed_and_leaves_the_mesh_resident() {
         base: Duration::from_secs(5),
         max: Duration::from_secs(5),
     };
-    let cache = TileCache::with_policy(1 << 20, 0, policy);
+    let cache = TileCache::with_policy(1 << 20, policy);
     let key = key("s", 0);
     let (data, _) = cache
         .get_or_build(&key, || Ok(TileData::synthetic(7, 100)))

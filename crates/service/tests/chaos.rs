@@ -5,9 +5,9 @@
 //! every fault kind: a client request either yields the **byte-identical
 //! correct field** or a **typed error** — never a silently corrupt
 //! payload, and never a hang. Plus: the negative cache bounds rebuild
-//! attempts when a tile's build always fails, evicted tiles can be
-//! served stale (flagged `degraded`) under overload, and a faults-off
-//! proxy is perfectly transparent.
+//! attempts when a tile's build always fails, an evicted tile under
+//! overload sheds with a typed `Overloaded`, and a faults-off proxy is
+//! perfectly transparent.
 
 use dtfe_geometry::{Aabb3, Vec3};
 use dtfe_nbody::snapshot::write_snapshot;
@@ -116,7 +116,6 @@ fn chaos_sweep_never_corrupts_and_server_drains_clean() {
                         &references[which].data,
                         &format!("seed {seed} req {i}"),
                     );
-                    assert!(!resp.meta.degraded, "no stale mode configured");
                     oks += 1;
                 }
                 // Bounded give-up after transport chaos is a typed error,
@@ -210,7 +209,7 @@ fn negative_cache_bounds_rebuilds_of_an_always_failing_tile() {
         base: Duration::from_millis(200),
         max: Duration::from_secs(2),
     };
-    let cache = TileCache::with_policy(1 << 20, 0, policy);
+    let cache = TileCache::with_policy(1 << 20, policy);
     let key = TileKey::new("bad", 0);
     let builds = AtomicUsize::new(0);
     let mut quarantined_errors = 0usize;
@@ -242,17 +241,17 @@ fn negative_cache_bounds_rebuilds_of_an_always_failing_tile() {
     assert_eq!(cache.quarantined_entries(), 1);
 }
 
-/// The snapshot the stale-serving tests share, in `dir`, and the resident
-/// bytes of its one tile holding one estimator's table and holding a
-/// second's, so a cache budget can be sized between the two.
-fn stale_fixture(dir: &std::path::Path) -> (ServiceConfig, usize, usize) {
+/// The snapshot the eviction test uses, in `dir`, and the resident bytes of
+/// its one tile holding one estimator's table and holding a second's, so a
+/// cache budget can be sized between the two.
+fn eviction_fixture(dir: &std::path::Path) -> (ServiceConfig, usize, usize) {
     let side = 8.0;
     let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(side));
     write_snapshot(&dir.join("s.snap"), &[cloud(800, side, 99)], bounds).unwrap();
     let mut probe_cfg = ServiceConfig::new(4.0, 16);
     probe_cfg.tiles = 1;
     let probe = Service::start(dir, probe_cfg.clone()).unwrap();
-    let (req, ps) = stale_requests();
+    let (req, ps) = tile_requests();
     probe.render(&req).unwrap();
     let tile_bytes = probe.health().resident_bytes as usize;
     probe.render(&ps).unwrap();
@@ -262,96 +261,45 @@ fn stale_fixture(dir: &std::path::Path) -> (ServiceConfig, usize, usize) {
     (probe_cfg, tile_bytes, grown_bytes)
 }
 
-/// A DTFE and a PS-DTFE request for the one tile of [`stale_fixture`].
-fn stale_requests() -> (RenderRequest, RenderRequest) {
+/// A DTFE and a PS-DTFE request for the one tile of [`eviction_fixture`].
+fn tile_requests() -> (RenderRequest, RenderRequest) {
     let req = RenderRequest::new("s", Vec3::new(4.0, 4.0, 4.0));
     let mut ps = req.clone();
     ps.estimator = dtfe_service::EstimatorKind::PsDtfe;
     (req, ps)
 }
 
-/// Degraded-mode serving end to end: warm a tile, push it out with a second
-/// estimator's tables, choke admission, and the service answers from the
-/// stale copy — bit-identical data, `degraded` flagged — then recovers to
-/// fresh serving once the budget returns.
+/// An evicted tile under choked admission: the request sheds with a typed
+/// `Overloaded`, and once the budget returns the tile is rebuilt and serves
+/// the same bits as before its eviction.
 #[test]
-fn stale_budget_serves_evicted_tile_under_overload() {
-    let dir = tmpdir("stale");
-    let (probe_cfg, tile_bytes, grown_bytes) = stale_fixture(&dir);
-    let (req, ps) = stale_requests();
-
-    // Phase 2: budget fits the tile with one table, not with two; stale
-    // retention on.
+fn evicted_tile_under_choked_admission_sheds_overloaded() {
+    let dir = tmpdir("evicted");
+    let (probe_cfg, tile_bytes, grown_bytes) = eviction_fixture(&dir);
+    let (req, ps) = tile_requests();
+    // The budget fits the tile with one table, not with two.
     let mut cfg = probe_cfg;
     cfg.cache_budget_bytes = (tile_bytes + grown_bytes) / 2;
-    cfg.stale_budget_bytes = 4 * tile_bytes;
     let service = Service::start(&dir, cfg).unwrap();
 
     let fresh = service.render(&req).unwrap();
-    assert!(!fresh.meta.degraded);
-
-    // Same tile, second estimator: its tables grow the one entry past the
-    // budget, which moves it — both tables and all — into the stale set.
-    service.render(&ps).unwrap();
-    let h = service.health();
-    assert_eq!(h.stale_tiles, 1, "evicted tile retained stale: {h:?}");
-
-    // Choke admission: the shed path must fall back to the stale copy.
-    service.set_admission_budget(0.0);
-    let degraded = service.render(&req).unwrap();
-    assert!(degraded.meta.degraded, "stale serve must be flagged");
-    assert_bits_equal(&degraded.data, &fresh.data, "stale bits vs original");
-    assert_eq!(
-        service
-            .stats()
-            .stale_served
-            .load(std::sync::atomic::Ordering::Relaxed),
-        1
-    );
-
-    // A request whose estimator the stale copy holds no table for still
-    // sheds with a typed error: degraded serving never fills one.
-    let mut cold = req.clone();
-    cold.estimator = dtfe_service::EstimatorKind::Stochastic { realizations: 2 };
-    match service.render(&cold) {
-        Err(ServiceError::Overloaded { .. }) => {}
-        other => panic!("expected Overloaded for stale-less shed, got {other:?}"),
-    }
-
-    // Budget restored: the tile is rebuilt fresh and matches bit for bit.
-    service.set_admission_budget(10.0);
-    let rebuilt = service.render(&req).unwrap();
-    assert!(!rebuilt.meta.degraded);
-    assert_bits_equal(&rebuilt.data, &fresh.data, "rebuilt vs original");
-    service.drain();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// The off side of the stale budget: with the default `0`, an evicted tile
-/// is not retained, and a shed request is a typed `Overloaded`, never a
-/// `degraded` response.
-#[test]
-fn zero_stale_budget_sheds_instead_of_serving_stale() {
-    let dir = tmpdir("stale_off");
-    let (probe_cfg, tile_bytes, grown_bytes) = stale_fixture(&dir);
-    let (req, ps) = stale_requests();
-    let mut cfg = probe_cfg;
-    cfg.cache_budget_bytes = (tile_bytes + grown_bytes) / 2;
-    assert_eq!(cfg.stale_budget_bytes, 0, "the default");
-    let service = Service::start(&dir, cfg).unwrap();
-
-    assert!(!service.render(&req).unwrap().meta.degraded);
+    // Same tile, second estimator: its table grows the one entry past the
+    // budget, and the cache lets it go.
     service.render(&ps).unwrap();
     assert_eq!(service.health().resident_bytes, 0, "the tile was evicted");
-    assert_eq!(service.cache().stale_entries(), 0, "nothing retained");
 
     service.set_admission_budget(0.0);
     match service.render(&req) {
         Err(ServiceError::Overloaded { .. }) => {}
-        other => panic!("expected Overloaded with no stale budget, got {other:?}"),
+        other => panic!("expected Overloaded, got {other:?}"),
     }
-    assert_eq!(service.cache().stale_entries(), 0);
-    assert_eq!(service.stats().stale_served.load(Ordering::Relaxed), 0);
+    assert_eq!(service.stats().shed.load(Ordering::Relaxed), 1);
+
+    // Budget restored: the tile is rebuilt and matches bit for bit.
+    service.set_admission_budget(10.0);
+    let rebuilt = service.render(&req).unwrap();
+    assert!(!rebuilt.meta.cache_hit, "the evicted tile was rebuilt");
+    assert_bits_equal(&rebuilt.data, &fresh.data, "rebuilt vs original");
     service.drain();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -158,7 +158,7 @@ proptest! {
         queue_depth in 0u64..u64::MAX,
         // Counters stay below 2^53 so the JSON (f64) representation is
         // exact — the same invariant the server upholds.
-        c in prop::collection::vec(0u64..(1u64 << 53), 25),
+        c in prop::collection::vec(0u64..(1u64 << 53), 23),
         flags in 0u8..4,
     ) {
         for req in [Request::Stats, Request::Health, Request::Shutdown, Request::Dump] {
@@ -177,24 +177,22 @@ proptest! {
                 hits: c[6],
                 misses: c[7],
                 coalesced: c[8],
-                stale_served: c[9],
             },
             cache: CacheCounters {
-                resident_bytes: c[10],
-                budget_bytes: c[11],
-                entries: c[12],
-                evictions: c[13],
-                uncacheable: c[14],
-                singleflight_parks: c[15],
-                stale_entries: c[16],
-                quarantined: c[17],
-                build_panics: c[18],
-                ghost_bytes: c[19],
-                header_bytes: c[20],
-                mesh_bytes: c[21],
-                dtfe_bytes: c[22],
-                psdtfe_bytes: c[23],
-                stochastic_bytes: c[24],
+                resident_bytes: c[9],
+                budget_bytes: c[10],
+                entries: c[11],
+                evictions: c[12],
+                uncacheable: c[13],
+                singleflight_parks: c[14],
+                quarantined: c[15],
+                build_panics: c[16],
+                ghost_bytes: c[17],
+                header_bytes: c[18],
+                mesh_bytes: c[19],
+                dtfe_bytes: c[20],
+                psdtfe_bytes: c[21],
+                stochastic_bytes: c[22],
             },
             metrics: None,
         }));
@@ -207,7 +205,6 @@ proptest! {
             draining: flags & 2 == 2,
             resident_tiles,
             resident_bytes: resident_tiles.wrapping_mul(3),
-            stale_tiles: resident_tiles / 2,
             quarantined_tiles: resident_tiles % 5,
             queue_depth,
             backlog_ms: queue_depth.wrapping_mul(7),

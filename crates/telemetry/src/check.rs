@@ -173,7 +173,7 @@ pub struct StatsDocStats {
 }
 
 /// The serving counters every stats document must carry.
-pub const SERVING_COUNTER_KEYS: [&str; 10] = [
+pub const SERVING_COUNTER_KEYS: [&str; 9] = [
     "admitted",
     "shed",
     "rejected",
@@ -183,7 +183,6 @@ pub const SERVING_COUNTER_KEYS: [&str; 10] = [
     "hits",
     "misses",
     "coalesced",
-    "stale_served",
 ];
 
 /// Validate a serving-tier stats document (the typed, versioned JSON the

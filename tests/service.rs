@@ -16,8 +16,8 @@ use dtfe_repro::framework::{run_distributed_snapshot, FieldRequest, FrameworkCon
 use dtfe_repro::geometry::{Aabb3, Vec2, Vec3};
 use dtfe_repro::nbody::snapshot::write_snapshot;
 use dtfe_repro::service::{
-    Client, EstimatorKind, RenderRequest, RenderResponse, Request, Response, ResponseMeta, Service,
-    ServiceConfig, ServiceError, TcpServer, TraceContext,
+    Client, EstimatorKind, HealthStatus, RenderRequest, RenderResponse, Request, Response,
+    ResponseMeta, Service, ServiceConfig, ServiceError, ShardHeartbeat, TcpServer, TraceContext,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -372,4 +372,51 @@ fn wire_layout_is_pinned() {
     });
     assert_eq!(resp.encode(), response);
     assert_eq!(Response::decode(response).unwrap(), resp);
+}
+
+/// The two control frames the cluster and its probes exchange, pinned the
+/// same way: a gossip heartbeat (liveness only) and a health answer.
+#[test]
+fn gossip_and_health_layouts_are_pinned() {
+    #[rustfmt::skip]
+    let gossip: &[u8] = &[
+        9,                                              // tag
+        2, 0, 0, 0,                                     // shard
+        41, 0, 0, 0, 0, 0, 0, 0,                        // seq
+        1,                                              // draining
+    ];
+    let hb = ShardHeartbeat {
+        shard: 2,
+        seq: 41,
+        draining: true,
+    };
+    let req = Request::Gossip(hb);
+    assert_eq!(req.encode(), gossip);
+    assert_eq!(Request::decode(gossip).unwrap(), req);
+    let resp = Response::Gossip(hb);
+    assert_eq!(resp.encode(), gossip, "both directions share the layout");
+    assert_eq!(Response::decode(gossip).unwrap(), resp);
+
+    #[rustfmt::skip]
+    let health: &[u8] = &[
+        6,                                              // tag
+        1,                                              // ok
+        0,                                              // draining
+        3, 0, 0, 0, 0, 0, 0, 0,                         // resident_tiles
+        0, 0, 0x10, 0, 0, 0, 0, 0,                      // resident_bytes = 1 MiB
+        1, 0, 0, 0, 0, 0, 0, 0,                         // quarantined_tiles
+        7, 0, 0, 0, 0, 0, 0, 0,                         // queue_depth
+        0xC2, 1, 0, 0, 0, 0, 0, 0,                      // backlog_ms = 450
+    ];
+    let resp = Response::Health(HealthStatus {
+        ok: true,
+        draining: false,
+        resident_tiles: 3,
+        resident_bytes: 1 << 20,
+        quarantined_tiles: 1,
+        queue_depth: 7,
+        backlog_ms: 450,
+    });
+    assert_eq!(resp.encode(), health);
+    assert_eq!(Response::decode(health).unwrap(), resp);
 }
