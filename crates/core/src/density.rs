@@ -105,10 +105,10 @@ impl DtfeField {
     /// (duplicates may have merged; masses accumulate via
     /// [`Delaunay::vertex_of_input`]).
     ///
-    /// The triangulation's tetrahedron slots are renumbered into
+    /// The triangulation is laid out as one record per tetrahedron in
     /// cache-coherent BFS order by [`RenderMesh::new`], which keeps every
-    /// density, gradient and rendered field bit-identical to the unordered
-    /// construction. `TetId`s obtained from this field's
+    /// density, gradient and rendered field bit-identical to one computed
+    /// over the builder's slots. `TetId`s obtained from this field's
     /// [`DtfeField::delaunay`] are consistent with every accessor; ids
     /// retained from `del` *before* this call go stale.
     pub fn from_delaunay_for_inputs(del: Delaunay, n_input: usize, mass: Mass) -> DtfeField {
@@ -128,14 +128,14 @@ impl DtfeField {
 
     /// The mesh this field is a table over: another table over it — a
     /// [`crate::fields::ScalarField`] of any vertex quantity — renders with
-    /// this field's traversal cache.
+    /// this field's records.
     #[inline]
     pub fn mesh(&self) -> &RenderMesh {
         &self.mesh
     }
 
-    /// The marching kernel's pre-normalized tetrahedron cache, built on
-    /// first use (one parallel pass over the slots).
+    /// The mesh's records as the marching kernel steps through them,
+    /// written when the field was built.
     #[inline]
     pub fn march_cache(&self) -> &MarchCache {
         self.view().cache
@@ -163,11 +163,12 @@ impl DtfeField {
 
     /// Point-located density: walk from `hint`, interpolate, and return the
     /// containing tetrahedron for the next call's hint. `None` outside the
-    /// hull. This is the walking baseline's inner loop.
+    /// hull (or where the walk is [`Located::Lost`]). This is the walking
+    /// baseline's inner loop.
     pub fn density_at_hinted(&self, p: Vec3, hint: TetId, seed: &mut u64) -> Option<(f64, TetId)> {
         match self.delaunay().locate_seeded(p, hint, seed) {
             Located::Finite(t) => Some((self.density_in_tet(t, p), t)),
-            Located::Ghost(_) => None,
+            Located::Ghost(_) | Located::Lost => None,
             Located::Vertex(v) => {
                 // Any incident tetrahedron gives the same vertex value.
                 Some((self.vertex_densities()[v as usize], hint))
@@ -303,61 +304,30 @@ mod tests {
         assert!((field.integrated_mass() - 4.0).abs() < 1e-9);
     }
 
-    /// As [`DtfeField::from_delaunay_for_inputs`] without the cache
-    /// reordering pass: the construction-order mesh the reorder is held
-    /// against.
-    fn from_delaunay_unordered(del: Delaunay, n_input: usize, mass: Mass) -> DtfeField {
-        DtfeField::over(RenderMesh::unordered(del), n_input, &mass)
-    }
-
     #[test]
-    fn reorder_preserves_interpolants() {
-        // The cache reorder permutes slots only: every tetrahedron's
-        // interpolant (rho0, grad) must be carried over bit-for-bit,
-        // since the marching integral is computed from exactly these.
-        use crate::grid::{Field2, GridSpec2};
-        use crate::marching::{
-            surface_density_reference, surface_density_with_index, HullIndex, MarchOptions,
-        };
+    fn records_carry_the_builders_interpolants() {
+        // Laying the mesh out permutes slots only: every tetrahedron's
+        // interpolant (rho0, grad) — what the marching integral is computed
+        // from — is the one the builder's slots give, bit for bit.
+        use crate::estimator::vertex_interp;
         use dtfe_delaunay::DelaunayBuilder;
         let pts = jittered_cloud(5, 21);
-        // Three identical deterministic builds: one kept unordered, one
-        // reordered standalone to learn the (deterministic) remap, one run
-        // through the reordering constructor.
-        let d1 = DelaunayBuilder::new().build(&pts).unwrap();
-        let mut d2 = DelaunayBuilder::new().build(&pts).unwrap();
-        let d3 = DelaunayBuilder::new().build(&pts).unwrap();
-        let remap = d2.compact_reorder();
-        let fa = from_delaunay_unordered(d1, pts.len(), Mass::Uniform(1.0));
-        let fb = DtfeField::from_delaunay_for_inputs(d3, pts.len(), Mass::Uniform(1.0));
-        // Densities are estimated before the reorder, so they are bitwise
-        // equal, and the interpolants are merely permuted by the remap.
-        assert_eq!(fa.vertex_densities(), fb.vertex_densities());
-        let mut compared = 0usize;
-        for (old, &new) in remap.iter().enumerate() {
-            if new != u32::MAX && !fa.delaunay().tet(old as u32).is_ghost() {
-                assert_eq!(fa.tet_interp(old as u32), fb.tet_interp(new), "slot {old}");
-                // ... and so is the vertex order `x₀` is read from.
-                let verts = |f: &DtfeField, t: TetId| f.delaunay().tet(t).verts;
-                assert_eq!(verts(&fa, old as u32), verts(&fb, new), "slot {old}");
-                compared += 1;
-            }
-        }
-        assert_eq!(compared, fa.delaunay().num_tets());
-
-        // So the render cannot tell the two orders apart: the reference
-        // kernel on the construction-order mesh equals the coherent kernel
-        // on the cache-order mesh, full depth and under a window.
-        let grid = GridSpec2::covering(Vec2::new(-0.2, -0.2), Vec2::new(4.8, 4.8), 21, 17);
-        for opts in [
-            MarchOptions::new().samples(2).parallel(false),
-            MarchOptions::new().z_range(1.5, 3.2).parallel(false),
-        ] {
-            let (want, sr) = surface_density_reference(&fa, &HullIndex::build(&fa), &grid, &opts);
-            let (got, sk) = surface_density_with_index(&fb, &HullIndex::build(&fb), &grid, &opts);
-            let bits = |f: &Field2| f.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&want), bits(&got));
-            assert_eq!(sr.crossings, sk.crossings);
+        let raw = DelaunayBuilder::new().build(&pts).unwrap();
+        let field = DtfeField::build(&pts, Mass::Uniform(1.0)).unwrap();
+        // Densities are estimated over the builder's slots either way.
+        let w = raw.vertex_star_volumes();
+        let rho: Vec<f64> = w.iter().map(|&w| 4.0 / w).collect();
+        assert_eq!(rho, field.vertex_densities());
+        let rows = vertex_interp(&raw, &rho);
+        let by_verts: std::collections::HashMap<[u32; 4], TetId> = field
+            .delaunay()
+            .finite_tets()
+            .map(|t| (field.delaunay().tet(t).verts, t))
+            .collect();
+        assert_eq!(by_verts.len(), raw.num_tets());
+        for old in raw.finite_tets() {
+            let new = by_verts[&raw.tet(old).verts];
+            assert_eq!(&rows[old as usize], field.tet_interp(new), "slot {old}");
         }
     }
 

@@ -2,16 +2,16 @@
 //!
 //! The paper's pipeline — Delaunay mesh → per-simplex linear interpolant →
 //! exact line-of-sight integration (Eq. 12) — has exactly one input, and
-//! [`FieldView`] is that input: the triangulation, its pre-normalized
-//! traversal cache, and the field on each tetrahedron slot ([`SlotValues`]):
+//! [`FieldView`] is that input: the triangulation, its 128 B traversal
+//! records, and the field on each tetrahedron slot ([`SlotValues`]):
 //! a linear interpolant `(f₀, ∇f)` (Eq. 1, about the slot's first vertex
 //! `x₀`, which the mesh holds) or one constant per simplex.
 //! Both kernels in [`crate::marching`] take a `FieldView` and nothing else,
 //! so each is compiled once however many backends exist.
 //!
 //! [`RenderMesh`] is the one owner of a triangulation for rendering: it
-//! decides the slot order (cache-coherent BFS) and holds the traversal
-//! cache, and `mesh.view(table)` is the only way a view is made from it. A
+//! lays the mesh out as one record per tetrahedron in cache-coherent BFS
+//! order, and `mesh.view(table)` is the only way a view is made from it. A
 //! backend is whatever *fills a table* over that mesh:
 //! [`crate::density::DtfeTable`] (Eq. 2 densities),
 //! [`crate::fields::ScalarField`] (any per-vertex scalar),
@@ -31,7 +31,6 @@ use dtfe_geometry::tetra::{linear_gradient, volume};
 use dtfe_geometry::Vec3;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// A table's per-slot values, as the kernels read them.
 #[derive(Clone, Copy)]
@@ -71,16 +70,18 @@ impl<'a> From<&'a [f64]> for SlotValues<'a> {
 
 /// What the kernels render: three borrows.
 ///
-/// * `values` must be valid for every *finite live* tetrahedron slot `t`
-///   of `del` (ghost/freed slots are never read by the kernel), so it holds
+/// * `values` must be valid for every finite tetrahedron slot `t` of `del`
+///   (ghost slots are never read by the kernel), so it holds
 ///   `del.num_slots()` entries.
-/// * `cache` must be [`MarchCache::build`] of that same `del` —
+/// * `cache` must be `del`'s own records ([`Delaunay::topology`], `Some`
+///   once [`Delaunay::into_topology`] has laid it out) —
 ///   [`RenderMesh::view`] guarantees it.
 #[derive(Clone, Copy)]
 pub struct FieldView<'a> {
     /// The triangulation the field is defined over.
     pub del: &'a Delaunay,
-    /// The marching kernel's pre-normalized tetrahedron cache.
+    /// The triangulation's records, as the marching kernel steps through
+    /// them.
     pub cache: &'a MarchCache,
     /// The field on each slot of `del`.
     pub values: SlotValues<'a>,
@@ -93,45 +94,33 @@ impl FieldEstimator for FieldView<'_> {
     }
 }
 
-/// A triangulation prepared for rendering: tetrahedron slots in
-/// cache-coherent BFS order ([`Delaunay::compact_reorder`]), the vertex star
-/// volumes of Eq. 2, and the traversal cache, built by the first render.
-/// Every estimator table over one point set is a table over this one mesh,
-/// and every rendered field — owned or served — is a view of one.
+/// A triangulation prepared for rendering: the vertex star volumes of
+/// Eq. 2 and the render-time topology ([`Delaunay::into_topology`]) — one
+/// 128 B record per tetrahedron in cache-coherent BFS order, which the
+/// kernels traverse and every table fill and point location reads. Every
+/// estimator table over one point set is a table over this one mesh, and
+/// every rendered field — owned or served — is a view of one.
 ///
 /// A star volume is a float sum over the incident tetrahedra, so its bits
 /// depend on the slot order it is summed in; [`RenderMesh::new`] sums over
-/// the order the builder left, *then* renumbers. Interpolants depend only
-/// on their own tetrahedron and are built straight into the new order, so
-/// every density, gradient and rendered field is bit-identical to the
-/// unordered construction.
+/// the order the builder left, *then* writes the records. Interpolants
+/// depend only on their own tetrahedron, whose vertex order the records
+/// keep, so every density, gradient and rendered field is bit-identical to
+/// one computed over the builder's slots.
 pub struct RenderMesh {
     del: Delaunay,
     star: Vec<f64>,
-    march: OnceLock<MarchCache>,
 }
 
 impl RenderMesh {
     /// Take a triangulation as its builder left it. `TetId`s retained from
     /// `del` before this call go stale.
-    pub fn new(mut del: Delaunay) -> RenderMesh {
+    pub fn new(del: Delaunay) -> RenderMesh {
         let star = del.vertex_star_volumes();
-        del.compact_reorder();
+        let _span = dtfe_telemetry::span!("core.march_cache_build", slots = del.num_slots());
         RenderMesh {
-            del,
+            del: del.into_topology(),
             star,
-            march: OnceLock::new(),
-        }
-    }
-
-    /// As [`RenderMesh::new`] without the renumbering: the construction-order
-    /// mesh the reorder is held against.
-    #[cfg(test)]
-    pub(crate) fn unordered(del: Delaunay) -> RenderMesh {
-        RenderMesh {
-            star: del.vertex_star_volumes(),
-            del,
-            march: OnceLock::new(),
         }
     }
 
@@ -149,12 +138,11 @@ impl RenderMesh {
 
     /// What the kernels render for one table over this mesh — linear rows
     /// or per-simplex constants, one per slot of [`RenderMesh::delaunay`].
-    /// The traversal cache is built on the first call (one pass over the
-    /// slots) and shared by every later view, whichever table it pairs with.
     pub fn view<'a>(&'a self, values: impl Into<SlotValues<'a>>) -> FieldView<'a> {
         FieldView {
             del: &self.del,
-            cache: self.march.get_or_init(|| MarchCache::build(&self.del)),
+            // `RenderMesh::new` is the only constructor, and it lays out.
+            cache: self.del.topology().expect("a RenderMesh is laid out"),
             values: values.into(),
         }
     }
@@ -174,7 +162,7 @@ pub trait FieldEstimator: Sync {
         self.view().del
     }
 
-    /// The marching kernel's traversal cache.
+    /// The mesh's records, as the marching kernel steps through them.
     fn march_cache(&self) -> &MarchCache {
         self.view().cache
     }

@@ -15,7 +15,7 @@ use dtfe_geometry::Vec3;
 
 /// A piecewise-linear field over an existing mesh: one value per vertex,
 /// constant gradient per tetrahedron (paper Eq. 1). It is a table over the
-/// borrowed [`RenderMesh`], so it renders with that mesh's traversal cache.
+/// borrowed [`RenderMesh`], so it renders through that mesh's records.
 pub struct ScalarField<'a> {
     mesh: &'a RenderMesh,
     values: Vec<f64>,
@@ -53,12 +53,13 @@ impl<'a> ScalarField<'a> {
         self.interp[t as usize].eval(x0, p)
     }
 
-    /// Point-located evaluation; `None` outside the hull.
+    /// Point-located evaluation; `None` outside the hull (or where the
+    /// walk is [`Located::Lost`]).
     pub fn value_at(&self, p: Vec3, seed: &mut u64) -> Option<f64> {
         match self.delaunay().locate_seeded(p, dtfe_delaunay::NONE, seed) {
             Located::Finite(t) => Some(self.value_in_tet(t, p)),
             Located::Vertex(v) => Some(self.values[v as usize]),
-            Located::Ghost(_) => None,
+            Located::Ghost(_) | Located::Lost => None,
         }
     }
 }

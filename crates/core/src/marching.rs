@@ -61,7 +61,7 @@
 //!   direction-matched edge side-products of the face the ray just exited
 //!   through ([`dtfe_geometry::plucker::ray_tetra_seeded`]), and the
 //!   per-step orientation normalization and vertex gathers are hoisted into
-//!   a per-field [`MarchCache`].
+//!   the mesh's one record per tetrahedron ([`MarchCache`]).
 //! * **Neighbor-seeded entry** — consecutive cells seed the hull-entry
 //!   search from the previous cell's entry facet, walking the projected
 //!   hull triangulation ([`HullIndex`] adjacency) instead of paying a
@@ -82,7 +82,7 @@ use crate::density::EntryFacet;
 use crate::estimator::{entry_facets_of, FieldEstimator, FieldView, SlotValues};
 use crate::grid::{Field2, GridSpec2};
 use dtfe_delaunay::{Delaunay, TetId, NONE};
-use dtfe_geometry::plucker::{normalize_tet, ray_tetra_seeded, FaceSeed, Plucker, Ray};
+use dtfe_geometry::plucker::{ray_tetra_seeded, FaceSeed, Plucker, Ray};
 use dtfe_geometry::predicates::{orient2d, orient3d_uncounted, Orientation};
 use dtfe_geometry::{Aabb2, Vec2, Vec3};
 use rayon::prelude::*;
@@ -130,96 +130,19 @@ impl EntryHint {
 }
 
 // ---------------------------------------------------------------------------
-// Per-field traversal cache.
+// The traversal records.
 
-/// One pre-normalized tetrahedron: positions with the
-/// [`ray_tetra`](dtfe_geometry::plucker::ray_tetra)
-/// orientation swap already applied, and vertex ids (the labels the
-/// shared-edge reuse keys on) and neighbor slots in the same order, so a
-/// traversal step reads exactly one 128-byte record.
-#[derive(Clone, Copy)]
-#[repr(align(128))] // exactly two cache lines per record, never three
-struct CachedTet {
-    pts: [Vec3; 4],
-    ids: [u32; 4],
-    neighbors: [u32; 4],
-}
-
-/// Pre-normalized per-slot tetrahedra for the coherent marching kernel:
-/// one contiguous array so the hot loop does neither the `orient3d_det`
-/// sign test nor the four indirect vertex gathers per traversal step.
-/// Also holds `z_min`, the mesh's lowest vertex height: a window whose
-/// floor is not above it has no window entry (module docs), decided per
-/// render without touching the mesh. Built by a backend's first
-/// [`FieldView`].
-pub struct MarchCache {
-    tets: Vec<CachedTet>,
-    z_min: f64,
-}
-
-/// Below this many slots [`MarchCache::build`] runs in the calling thread:
-/// the vendored rayon spawns scoped OS threads per call, which costs more
-/// than a serial pass over a small mesh (the batch path builds one cache
-/// per ~4k-slot work item, on ranks that already fill the cores).
-const PAR_BUILD_MIN_SLOTS: usize = 1 << 15;
-
-impl MarchCache {
-    /// One pass over the slots of `del`, parallel on large meshes (ghost
-    /// and freed slots hold inert zeros; the kernel never reads them).
-    pub fn build(del: &Delaunay) -> MarchCache {
-        let slots = del.num_slots();
-        let _span = dtfe_telemetry::span!("core.march_cache_build", slots = slots);
-        let record = |t: u32| {
-            let tet = del.tet_slot(t);
-            if !tet.is_live() || tet.is_ghost() {
-                // `ids[3] == u32::MAX` doubles as the hot loop's
-                // "stepped out of the hull" test (a finite vertex id is
-                // never the reserved MAX).
-                return CachedTet {
-                    pts: [Vec3::ZERO; 4],
-                    ids: [u32::MAX; 4],
-                    neighbors: [u32::MAX; 4],
-                };
-            }
-            let mut pts = [
-                del.vertex(tet.verts[0]),
-                del.vertex(tet.verts[1]),
-                del.vertex(tet.verts[2]),
-                del.vertex(tet.verts[3]),
-            ];
-            let (mut ids, mut neighbors) = (tet.verts, tet.neighbors);
-            if normalize_tet(&mut pts) {
-                // Neighbor `i` lies across the face opposite vertex `i`.
-                ids.swap(2, 3);
-                neighbors.swap(2, 3);
-            }
-            CachedTet {
-                pts,
-                ids,
-                neighbors,
-            }
-        };
-        let tets: Vec<CachedTet> = if slots < PAR_BUILD_MIN_SLOTS {
-            (0..slots as u32).map(record).collect()
-        } else {
-            (0..slots as u32).into_par_iter().map(record).collect()
-        };
-        let z_min = del.vertices().iter().fold(f64::INFINITY, |m, v| m.min(v.z));
-        MarchCache { tets, z_min }
-    }
-
-    #[inline]
-    fn tet(&self, t: TetId) -> &CachedTet {
-        &self.tets[t as usize]
-    }
-
-    /// Resident bytes (the service layer's budget accounting). Counts the
-    /// allocation's *capacity*, not its length, so the estimate never
-    /// understates what the allocator is actually holding.
-    pub fn bytes(&self) -> usize {
-        std::mem::size_of::<MarchCache>() + self.tets.capacity() * std::mem::size_of::<CachedTet>()
-    }
-}
+/// The mesh's records as the kernel steps through them: one 128-byte
+/// [`dtfe_delaunay::Record`] per tetrahedron — positions with the
+/// [`ray_tetra`](dtfe_geometry::plucker::ray_tetra) orientation swap
+/// already applied, and vertex ids (the labels the shared-edge reuse keys
+/// on) and neighbour slots in the same order, so a traversal step reads one
+/// record — and `z_min`, the lowest vertex height: a window whose floor is
+/// not above it has no window entry (module docs), decided per render
+/// without touching the mesh. It is the triangulation's own topology
+/// ([`Delaunay::topology`]), written once by [`crate::RenderMesh::new`];
+/// the name is the render API's.
+pub use dtfe_delaunay::Topology as MarchCache;
 
 // ---------------------------------------------------------------------------
 // Hull entry: binned index + hinted walk.
@@ -264,16 +187,14 @@ impl HullIndex {
         Self::for_mesh(field.view().del)
     }
 
-    /// [`HullIndex::build`] for a caller that holds the mesh and does not
-    /// want the field's traversal cache built yet, as taking a view does.
+    /// [`HullIndex::build`] for a caller that holds the mesh rather than a
+    /// field. A mesh with no downward facet (none exists for a solid hull,
+    /// but the float normal test decides) gets an index every query misses.
     pub fn for_mesh(del: &Delaunay) -> HullIndex {
         let facets = entry_facets_of(del);
         let _span = dtfe_telemetry::span!("core.hull_index_build", facets = facets.len());
-        assert!(
-            !facets.is_empty(),
-            "triangulation has no downward hull facets"
-        );
-        let mut bounds = Aabb2::new(facets[0].a, facets[0].a);
+        let (inf, neg) = (f64::INFINITY, f64::NEG_INFINITY);
+        let mut bounds = Aabb2::new(Vec2::new(inf, inf), Vec2::new(neg, neg));
         for f in &facets {
             for p in [f.a, f.b, f.c] {
                 bounds.lo = Vec2::new(bounds.lo.x.min(p.x), bounds.lo.y.min(p.y));
@@ -314,7 +235,7 @@ impl HullIndex {
         }
         let off = count.clone();
         let mut cursor = count;
-        let mut items = vec![0u32; *off.last().unwrap() as usize];
+        let mut items = vec![0u32; off[nx * ny] as usize];
         for (fi, f) in facets.iter().enumerate() {
             let (i0, i1, j0, j1) = bin_range(f);
             for j in j0..=j1 {
@@ -618,7 +539,7 @@ impl<'a> MarchCtx<'a> {
             values,
             index,
             z_range,
-            window_floor: z_range.map(|(lo, _)| lo).filter(|&lo| lo > cache.z_min),
+            window_floor: z_range.map(|(lo, _)| lo).filter(|&lo| lo > cache.z_min()),
             eps,
             max_perturb,
             max_steps: del.num_tets() + del.num_ghosts() + 16,
@@ -738,13 +659,13 @@ fn entry_lookup(
 /// walk from the hinted tetrahedron to the one strictly containing
 /// `(ξ, z_lo)`, every sign from the exact `orient3d`. `None` — enter through
 /// the hull — when the render seeks no window entry, the walk leaves the
-/// hull, it ends on a tie, or it exceeds the step cap (a visibility walk on
-/// a Delaunay mesh with exact predicates cannot cycle, so the cap guards
-/// only a corrupted structure). Reads the triangulation's own records, not
-/// the [`MarchCache`]: the cache's float-normalized vertex order is not the
-/// exact orientation the face signs are defined against. Never inlined: it
-/// runs once per line, and folding it into the per-tetrahedron loop's
-/// function measurably slowed renders that have no window at all.
+/// hull, it ends on a tie, or it exceeds the step cap (which bounds a walk
+/// over corrupt adjacency). Reads each tetrahedron with the records' float
+/// normalization undone ([`MarchCache::tet`]) and its corners from the
+/// vertex array: the face signs are defined against the builder's exact
+/// orientation. Never inlined: it runs once per line, and folding it into
+/// the per-tetrahedron loop's function measurably slowed renders that have
+/// no window at all.
 #[inline(never)]
 fn window_entry(
     ctx: &MarchCtx<'_>,
@@ -753,13 +674,9 @@ fn window_entry(
     stats: &mut MarchStats,
 ) -> Option<TetId> {
     let p = Vec3::new(xi.x, xi.y, ctx.window_floor?);
-    let del = ctx.del;
-    let usable = |t: TetId| {
-        (t as usize) < del.num_slots() && {
-            let tet = del.tet_slot(t);
-            tet.is_live() && !tet.is_ghost()
-        }
-    };
+    let (del, topo) = (ctx.del, ctx.cache);
+    // A laid-out mesh has no freed slots.
+    let usable = |t: TetId| (t as usize) < topo.len() && !topo.tet(t).is_ghost();
     let mut cur = if usable(*hint) {
         *hint
     } else {
@@ -772,7 +689,7 @@ fn window_entry(
     let mut found = None;
     for _ in 0..ctx.max_steps {
         stats.window_walk_steps += 1;
-        let tet = del.tet_slot(cur);
+        let tet = topo.tet(cur);
         let mut strict = true;
         let mut beyond = None;
         for i in (0..4).filter(|&i| i != entered) {
@@ -794,13 +711,13 @@ fn window_entry(
             found = strict.then_some(cur);
             break;
         };
-        let next = del.tet_slot(tet.neighbors[i]);
+        let next = topo.tet(tet.neighbors[i]);
         if next.is_ghost() {
             break; // strictly beyond a hull facet: outside the hull
         }
-        entered = next
-            .index_of_neighbor(cur)
-            .expect("adjacency not reciprocal");
+        // Adjacency is reciprocal in a valid triangulation; were it not,
+        // skipping no face would only cost one test.
+        entered = next.index_of_neighbor(cur).unwrap_or(usize::MAX);
         cur = tet.neighbors[i];
     }
     *hint = cur;
@@ -847,7 +764,7 @@ fn march_cell_inner(
         let mut t = match window_entry(ctx, xi_cur, &mut hint.window, stats) {
             Some(t0) => t0,
             None => match entry_lookup(ctx, xi_cur, &mut hint.facet, stats) {
-                Some(ghost) => ctx.del.tet(ghost).neighbors[3],
+                Some(ghost) => ctx.cache.record(ghost).neighbors[3],
                 None => return 0.0,
             },
         };
@@ -883,7 +800,7 @@ fn march_cell_inner(
                     None => return total,
                 }
             }
-            let ct = ctx.cache.tet(t);
+            let ct = ctx.cache.record(t);
             let (entry, entry_face) = match carry.as_ref() {
                 Some((s, f)) => (Some(s), *f),
                 None => (None, None),
@@ -896,7 +813,9 @@ fn march_cell_inner(
                 entry_face,
                 &mut stats.edge_evals,
             );
-            if hit.degenerate || !hit.is_through() {
+            let (false, Some((_, p_in)), Some((exit_face, p_out))) =
+                (hit.degenerate, hit.enter, hit.exit)
+            else {
                 match perturb_or_fail(
                     ctx.del,
                     t,
@@ -913,9 +832,7 @@ fn march_cell_inner(
                     }
                     None => return total,
                 }
-            }
-            let (_, p_in) = hit.enter.unwrap();
-            let (exit_face, p_out) = hit.exit.unwrap();
+            };
             stats.crossings += 1;
 
             let (mut a, mut b) = (p_in.z, p_out.z);
@@ -940,7 +857,7 @@ fn march_cell_inner(
             }
 
             let next = ct.neighbors[exit_face];
-            let nt = ctx.cache.tet(next);
+            let nt = ctx.cache.record(next);
             if nt.ids[3] == u32::MAX {
                 return total; // left the hull (a convex body is exited once)
             }
@@ -1517,20 +1434,6 @@ mod tests {
             assert_eq!(a.data, b.data);
             assert_eq!(sa, sb);
         }
-    }
-
-    #[test]
-    fn march_cache_bytes_covers_allocation_capacity() {
-        let pts = jittered_cloud(4, 7);
-        let field = DtfeField::build(&pts, Mass::Uniform(1.0)).unwrap();
-        let cache = field.march_cache();
-        assert!(
-            cache.bytes()
-                >= std::mem::size_of::<MarchCache>()
-                    + cache.tets.capacity() * std::mem::size_of::<CachedTet>(),
-            "estimate must cover the allocation's full capacity"
-        );
-        assert!(cache.bytes() >= cache.tets.len() * std::mem::size_of::<CachedTet>());
     }
 
     #[test]

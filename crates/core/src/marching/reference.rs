@@ -57,7 +57,7 @@ pub fn surface_density_reference_hull_entry<E: FieldEstimator + ?Sized>(
 fn reference_window_entry(del: &Delaunay, xi: Vec2, z_lo: f64) -> Option<TetId> {
     let p = Vec3::new(xi.x, xi.y, z_lo);
     let Located::Finite(t) = del.locate_seeded(p, NONE, &mut 0x9E37_79B9_7F4A_7C15) else {
-        return None; // outside the hull, or exactly on a vertex
+        return None; // outside the hull, exactly on a vertex, or lost
     };
     (0..4)
         .all(|i| {
@@ -204,7 +204,9 @@ fn reference_march_cell_inner(
             let verts = del.tet_points(t);
             let hit = ray_tetra(&pl, &verts);
             stats.edge_evals += 6;
-            if hit.degenerate || !hit.is_through() {
+            let (false, Some((_, p_in)), Some((exit_face, p_out))) =
+                (hit.degenerate, hit.enter, hit.exit)
+            else {
                 match perturb_or_fail(del, t, xi_cur, eps, max_perturb, line, &mut attempts, stats)
                 {
                     Some(x) => {
@@ -213,9 +215,7 @@ fn reference_march_cell_inner(
                     }
                     None => return total,
                 }
-            }
-            let (_, p_in) = hit.enter.unwrap();
-            let (exit_face, p_out) = hit.exit.unwrap();
+            };
             stats.crossings += 1;
 
             let (mut a, mut b) = (p_in.z, p_out.z);

@@ -242,7 +242,7 @@ impl PsDtfeField {
     }
 
     /// The velocity-divergence view: the `tr ∇v` table over the *same* mesh
-    /// and traversal cache as the density, so a hull index built for one
+    /// and records as the density, so a hull index built for one
     /// serves both. Rendering it integrates `∫ ∇·v dz`.
     pub fn divergence(&self) -> FieldView<'_> {
         self.mesh.view(self.table.divergence())

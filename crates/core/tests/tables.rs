@@ -9,14 +9,14 @@
 //! and a cloud carrying duplicates (merged vertices, accumulated masses).
 
 use dtfe_core::density::TetInterp;
-use dtfe_core::marching::MarchCache;
 use dtfe_core::{
-    surface_density_with_index, DtfeField, DtfeTable, FieldEstimator, FieldView, GridSpec2,
-    HullIndex, MarchOptions, Mass, PsDtfeField, PsDtfeTable, RenderMesh, SlotValues,
-    StochasticField, StochasticOptions, StochasticTable,
+    surface_density_with_index, DtfeField, DtfeTable, FieldEstimator, GridSpec2, HullIndex,
+    MarchOptions, Mass, PsDtfeField, PsDtfeTable, RenderMesh, SlotValues, StochasticField,
+    StochasticOptions, StochasticTable,
 };
 use dtfe_delaunay::DelaunayBuilder;
 use dtfe_geometry::{Vec2, Vec3};
+use std::collections::HashMap;
 
 const SIDE: f64 = 6.0;
 
@@ -148,10 +148,11 @@ fn dtfe_table_over_a_render_mesh_is_the_dtfe_field() {
 }
 
 /// `PsDtfeField` renders from its own render-order mesh; the same tables
-/// built over the mesh as the builder left it, and rendered through a view
-/// assembled by hand, give the same bits.
+/// filled over the mesh as the builder left it hold the same number for
+/// every tetrahedron, matched by its vertex array (which the render order
+/// keeps verbatim) — so the render cannot see slot numbers.
 #[test]
-fn psdtfe_field_renders_as_its_tables_in_builder_order() {
+fn psdtfe_field_holds_its_tables_in_builder_order() {
     for (name, pts) in clouds() {
         let mass = masses(pts.len());
         let vel = velocities(&pts);
@@ -166,32 +167,33 @@ fn psdtfe_field_renders_as_its_tables_in_builder_order() {
 
         let raw = build();
         let table = PsDtfeTable::build(&raw, pts.len(), &vel, &mass).unwrap();
-        let SlotValues::Constant(ordered) = field.view().values else {
+        let (SlotValues::Constant(density), SlotValues::Constant(divergence)) =
+            (field.view().values, field.divergence().values)
+        else {
             panic!("{name}: PS-DTFE tables are per-simplex constants");
         };
         assert_ne!(
             bits(table.density()),
-            bits(ordered),
+            bits(density),
             "{name}: the builder's slot order is the render order"
         );
-        let cache = MarchCache::build(&raw);
-        let unordered = |values| FieldView {
-            del: &raw,
-            cache: &cache,
-            values: SlotValues::Constant(values),
-        };
-        let idx = HullIndex::for_mesh(&raw);
-        let field_idx = HullIndex::build(&field);
-        assert_eq!(
-            renders(&unordered(table.density()), &idx),
-            renders(&field, &field_idx),
-            "{name}: density"
-        );
-        assert_eq!(
-            renders(&unordered(table.divergence()), &idx),
-            renders(&field.divergence(), &field_idx),
-            "{name}: divergence"
-        );
+        let by_verts: HashMap<[u32; 4], u32> =
+            del.finite_tets().map(|t| (del.tet(t).verts, t)).collect();
+        assert_eq!(by_verts.len(), raw.num_tets(), "{name}: tetrahedra");
+        for old in raw.finite_tets() {
+            let new = by_verts[&raw.tet(old).verts] as usize;
+            let old = old as usize;
+            assert_eq!(
+                table.density()[old].to_bits(),
+                density[new].to_bits(),
+                "{name}: density of slot {old}"
+            );
+            assert_eq!(
+                table.divergence()[old].to_bits(),
+                divergence[new].to_bits(),
+                "{name}: divergence of slot {old}"
+            );
+        }
     }
 }
 

@@ -18,6 +18,23 @@ pub enum BuildError {
         /// Index of the first offending input point.
         index: usize,
     },
+    /// The input's scale is outside the range the exact predicates and the
+    /// DTFE interpolant are computed in: a coordinate's magnitude exceeds
+    /// `2^k`, or the bounding box's largest side is positive but below
+    /// `2^-k`, with `k` = [`DelaunayBuilder::RANGE_EXP`].
+    OutOfRange {
+        /// Index of the first point whose coordinate is too large; `0` when
+        /// the cloud is too small (every point is then at fault).
+        index: usize,
+    },
+    /// Locating input point `index` during insertion overran the walk's
+    /// step bound ([`crate::Located::Lost`]): the partial triangulation's
+    /// adjacency is corrupt. This indicates a library bug, not bad input;
+    /// please report it.
+    Lost {
+        /// Index of the input point being inserted.
+        index: usize,
+    },
     /// Post-build structural validation failed (only with
     /// [`DelaunayBuilder::validate`]). This indicates a library bug, not bad
     /// input; please report it.
@@ -35,6 +52,16 @@ impl std::fmt::Display for BuildError {
             }
             BuildError::NonFinite { index } => {
                 write!(f, "input point {index} has a non-finite coordinate")
+            }
+            BuildError::OutOfRange { index } => write!(
+                f,
+                "input point {index} is out of range: coordinates must be at most 2^{} in \
+                 magnitude and the cloud must span at least 2^-{}",
+                DelaunayBuilder::RANGE_EXP,
+                DelaunayBuilder::RANGE_EXP
+            ),
+            BuildError::Lost { index } => {
+                write!(f, "locating input point {index} did not terminate")
             }
             BuildError::Validation(e) => write!(f, "triangulation failed validation: {e}"),
         }
@@ -54,6 +81,7 @@ impl From<DelaunayError> for BuildError {
     fn from(e: DelaunayError) -> BuildError {
         match e {
             DelaunayError::Degenerate => BuildError::Degenerate,
+            DelaunayError::Lost { index } => BuildError::Lost { index },
         }
     }
 }
@@ -95,6 +123,19 @@ pub struct DelaunayBuilder {
 }
 
 impl DelaunayBuilder {
+    /// The exponent `k` of the accepted scale range `[2^-k, 2^k]`.
+    ///
+    /// `insphere` is a degree-5 polynomial in coordinate differences: for
+    /// coordinates up to `2^k` its terms reach about `2^(5k+12)`, which must
+    /// stay below `f64::MAX ≈ 2^1024`, and for a cloud spanning `2^-k` they
+    /// fall to about `2^-5k`, which must stay above the smallest normal
+    /// `2^-1022` for the filters' error bounds to hold — so `k ≤ 200`. The
+    /// DTFE gradient scales as `m / L⁴` and squares the range once more in
+    /// `linear_gradient`'s cofactors. `k = 190` keeps ten doublings of
+    /// headroom on both sides: renders at `1e±50` (`2^±166`) match scale 1,
+    /// while at `1e±70` (`2^±232`) the rendered mass is already wrong.
+    pub const RANGE_EXP: i32 = 190;
+
     /// A builder with default settings.
     pub fn new() -> DelaunayBuilder {
         DelaunayBuilder::default()
@@ -122,12 +163,15 @@ impl DelaunayBuilder {
         if let Some(index) = points.iter().position(|p| !p.is_finite()) {
             return Err(BuildError::NonFinite { index });
         }
+        check_range(points)?;
         let order: Vec<u32> = if self.no_spatial_sort {
             (0..points.len() as u32).collect()
         } else {
             morton::brio_order(points)
         };
-        let d = crate::build_serial(points, &order)?;
+        let built = crate::build_serial(points, &order)?;
+        let work = built.work;
+        let d = built.finish();
         if self.validate {
             d.validate().map_err(BuildError::Validation)?;
         }
@@ -139,13 +183,40 @@ impl DelaunayBuilder {
             dtfe_telemetry::counter_add!("delaunay.serial_builds", 1);
             // The cost model's primitives, summed in plain integers by the
             // insertion loop and published here, once.
-            dtfe_telemetry::counter_add!("delaunay.walk_steps", d.work.walk_steps);
-            dtfe_telemetry::counter_add!("delaunay.conflict_tets", d.work.conflict_tets);
-            dtfe_telemetry::counter_add!("delaunay.cavity_facets", d.work.cavity_facets);
+            dtfe_telemetry::counter_add!("delaunay.walk_steps", work.walk_steps);
+            dtfe_telemetry::counter_add!("delaunay.conflict_tets", work.conflict_tets);
+            dtfe_telemetry::counter_add!("delaunay.cavity_facets", work.cavity_facets);
         }
         drop(span);
         Ok(d)
     }
+}
+
+/// [`BuildError::OutOfRange`] unless every `|coordinate| ≤ 2^k` and the
+/// bounding box's largest side is zero (all points coincide: `Degenerate`,
+/// decided by the build) or at least `2^-k`, `k` =
+/// [`DelaunayBuilder::RANGE_EXP`].
+fn check_range(points: &[Vec3]) -> Result<(), BuildError> {
+    let k = DelaunayBuilder::RANGE_EXP;
+    let max = 2f64.powi(k);
+    let too_big = |p: &Vec3| p.x.abs() > max || p.y.abs() > max || p.z.abs() > max;
+    if let Some(index) = points.iter().position(too_big) {
+        return Err(BuildError::OutOfRange { index });
+    }
+    let Some(&first) = points.first() else {
+        return Ok(());
+    };
+    let (lo, hi) = points.iter().fold((first, first), |(lo, hi), &p| {
+        (
+            Vec3::new(lo.x.min(p.x), lo.y.min(p.y), lo.z.min(p.z)),
+            Vec3::new(hi.x.max(p.x), hi.y.max(p.y), hi.z.max(p.z)),
+        )
+    });
+    let side = (hi.x - lo.x).max(hi.y - lo.y).max(hi.z - lo.z);
+    if side > 0.0 && side < 2f64.powi(-k) {
+        return Err(BuildError::OutOfRange { index: 0 });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

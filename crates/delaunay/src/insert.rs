@@ -1,9 +1,9 @@
 //! Bowyer–Watson insertion: bootstrap, conflict region, cavity
 //! retriangulation.
 
-use crate::locate::Located;
+use crate::locate::{walk, Located};
 use crate::mesh::{Tet, TetId, VertexId, INFINITE, NONE};
-use crate::{Delaunay, DelaunayError};
+use crate::{Delaunay, DelaunayError, Slots};
 use dtfe_geometry::predicates::{insphere, orient2d, orient3d, Orientation};
 use dtfe_geometry::{Vec2, Vec3};
 
@@ -132,9 +132,48 @@ fn star_record(f: [VertexId; 3], vid: VertexId, o: TetId) -> ([VertexId; 4], [Te
     (verts, nbrs)
 }
 
+/// A triangulation under construction: the [`Tet`] slots and everything
+/// insertion keeps beside them. [`Incremental::finish`] keeps the slots and
+/// drops the rest.
+pub(crate) struct Incremental {
+    pub(crate) points: Vec<Vec3>,
+    pub(crate) tets: Vec<Tet>,
+    /// Free-list of deleted tetrahedron slots.
+    pub(crate) free: Vec<TetId>,
+    /// Epoch marks for conflict-region search (avoids clearing between
+    /// inserts).
+    pub(crate) mark: Vec<u32>,
+    pub(crate) epoch: u32,
+    /// Walk start hint: the most recently created tetrahedron.
+    pub(crate) hint: TetId,
+    /// Map from input point index to vertex id (duplicates collapse).
+    pub(crate) input_vertex: Vec<VertexId>,
+    /// Deterministic xorshift state for the stochastic walk.
+    pub(crate) rng_state: u64,
+    pub(crate) n_finite: usize,
+    pub(crate) n_ghost: usize,
+    /// Walk steps, conflict tetrahedra and cavity facets so far.
+    pub(crate) work: Work,
+    /// Scratch buffers reused across insertions.
+    pub(crate) scratch: Scratch,
+}
+
+impl Incremental {
+    /// The finished triangulation: the slots as insertion left them.
+    pub(crate) fn finish(self) -> Delaunay {
+        Delaunay {
+            points: self.points,
+            input_vertex: self.input_vertex,
+            n_finite: self.n_finite,
+            n_ghost: self.n_ghost,
+            slots: Slots::Built(self.tets),
+        }
+    }
+}
+
 /// Find four affinely independent points in `order` and build the initial
 /// tetrahedron plus its four ghosts.
-pub(crate) fn bootstrap(input: &[Vec3], order: &[u32]) -> Result<Delaunay, DelaunayError> {
+pub(crate) fn bootstrap(input: &[Vec3], order: &[u32]) -> Result<Incremental, DelaunayError> {
     // First point.
     let Some(&i0) = order.first() else {
         return Err(DelaunayError::Degenerate);
@@ -176,7 +215,7 @@ pub(crate) fn bootstrap(input: &[Vec3], order: &[u32]) -> Result<Delaunay, Delau
         (p2, p1, (i2, i1))
     };
 
-    let mut d = Delaunay {
+    let mut d = Incremental {
         points: vec![p0, p1, p2, p3],
         tets: Vec::new(),
         free: Vec::new(),
@@ -228,7 +267,7 @@ pub(crate) fn bootstrap(input: &[Vec3], order: &[u32]) -> Result<Delaunay, Delau
     Ok(d)
 }
 
-impl Delaunay {
+impl Incremental {
     /// Is tetrahedron `t` in conflict with `p` (its open circumball contains
     /// `p`; for ghosts, `p` is strictly beyond the hull facet, or coplanar
     /// with it and inside the circumball of the adjacent finite
@@ -279,16 +318,18 @@ impl Delaunay {
     }
 
     /// Insert one point, returning its vertex id (an existing id for an
-    /// exact duplicate).
-    pub(crate) fn insert_point(&mut self, p: Vec3) -> VertexId {
+    /// exact duplicate); `None`, with nothing changed, if locating it lost
+    /// its way ([`Located::Lost`]).
+    pub(crate) fn insert_point(&mut self, p: Vec3) -> Option<VertexId> {
         let mut seed = self.rng_state;
-        let (located, steps) = self.walk(p, self.hint, &mut seed);
+        let (located, steps) = walk(self.tets.as_slice(), &self.points, p, self.hint, &mut seed);
         self.rng_state = seed;
         self.work.walk_steps += steps as u64;
         let start = match located {
-            Located::Vertex(v) => return v,
+            Located::Vertex(v) => return Some(v),
             Located::Finite(t) => t,
             Located::Ghost(g) => g,
+            Located::Lost => return None,
         };
         let vid = self.points.len() as VertexId;
         self.points.push(p);
@@ -423,7 +464,7 @@ impl Delaunay {
 
         self.hint = *scratch.created.last().expect("cavity produced no tets");
         self.scratch = scratch;
-        vid
+        Some(vid)
     }
 }
 
@@ -452,7 +493,7 @@ mod tests {
             Vec3::new(0.0, 0.0, 1.0),
         ];
         let order: Vec<u32> = (0..pts.len() as u32).collect();
-        let d = bootstrap(&pts, &order).unwrap();
+        let d = bootstrap(&pts, &order).unwrap().finish();
         assert_eq!(d.num_tets(), 1);
         assert_eq!(d.num_ghosts(), 4);
         d.validate().unwrap();
@@ -493,10 +534,10 @@ mod tests {
                 pts.push(p);
             }
         }
-        let mut d = crate::DelaunayBuilder::new().build(&pts).unwrap();
+        let mut d = crate::build_serial(&pts, &crate::morton::brio_order(&pts)).unwrap();
         let before = d.scratch.edges.slots.len();
-        let ghosts = d.num_ghosts();
-        d.insert_point(Vec3::new(40.0, 30.0, 20.0));
+        let ghosts = d.n_ghost;
+        d.insert_point(Vec3::new(40.0, 30.0, 20.0)).unwrap();
         let facets = d.scratch.boundary.len();
         assert!(facets > 64, "cavity has only {facets} boundary facets");
         assert!(facets > ghosts / 3, "{facets} of {ghosts} hull facets");
@@ -504,6 +545,7 @@ mod tests {
             d.scratch.edges.slots.len() > before,
             "table of {before} slots did not grow for {facets} facets"
         );
+        let d = d.finish();
         d.validate().unwrap();
         d.validate_delaunay_global().unwrap();
     }

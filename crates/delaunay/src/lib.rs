@@ -64,24 +64,29 @@ mod insert;
 mod locate;
 mod mesh;
 mod morton;
-mod reorder;
+mod topology;
 pub mod validate;
 
 pub use builder::{BuildError, DelaunayBuilder, Triangulation};
 pub use locate::Located;
 pub use mesh::{Tet, TetId, VertexId, INFINITE, NONE};
+pub use topology::{Record, Topology};
 pub use validate::ValidationError;
 
 use dtfe_geometry::Vec3;
+use insert::Incremental;
 
 /// Insert `input` in `order`. Assumes finite coordinates (the builder
 /// checks).
-pub(crate) fn build_serial(input: &[Vec3], order: &[u32]) -> Result<Delaunay, DelaunayError> {
+pub(crate) fn build_serial(input: &[Vec3], order: &[u32]) -> Result<Incremental, DelaunayError> {
     let mut d = insert::bootstrap(input, order)?;
     for &idx in order {
-        if d.input_vertex[idx as usize] == NONE {
-            let v = d.insert_point(input[idx as usize]);
-            d.input_vertex[idx as usize] = v;
+        let index = idx as usize;
+        if d.input_vertex[index] == NONE {
+            let v = d
+                .insert_point(input[index])
+                .ok_or(DelaunayError::Lost { index })?;
+            d.input_vertex[index] = v;
         }
     }
     Ok(d)
@@ -93,6 +98,12 @@ pub enum DelaunayError {
     /// Fewer than four affinely independent points: no 3D triangulation
     /// exists (all points coincident, collinear, or coplanar).
     Degenerate,
+    /// Locating input point `index` in the partial triangulation overran
+    /// the walk's step bound ([`Located::Lost`]).
+    Lost {
+        /// Index of the input point being inserted.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for DelaunayError {
@@ -104,6 +115,9 @@ impl std::fmt::Display for DelaunayError {
                     "input points are affinely degenerate (need 4 non-coplanar points)"
                 )
             }
+            DelaunayError::Lost { index } => {
+                write!(f, "locating input point {index} did not terminate")
+            }
         }
     }
 }
@@ -114,29 +128,32 @@ impl std::error::Error for DelaunayError {}
 ///
 /// Vertex ids index [`Delaunay::vertex`]; duplicate input points are merged
 /// and [`Delaunay::vertex_of_input`] maps input indices to vertex ids.
+///
+/// Its tetrahedra are laid out one of two ways. [`DelaunayBuilder::build`]
+/// returns them as insertion left them: 32 B [`Tet`] slots in insertion
+/// order, freed slots kept. [`Delaunay::into_topology`] consumes that array
+/// and writes the render-time [`Topology`], one 128 B [`Record`] per live
+/// slot in breadth-first order, which is then the only copy. Every reader
+/// — [`Delaunay::tet`], point location, validation — reads whichever
+/// layout the triangulation has, in the builder's exact vertex order.
 pub struct Delaunay {
     pub(crate) points: Vec<Vec3>,
-    pub(crate) tets: Vec<Tet>,
-    /// Free-list of deleted tetrahedron slots.
-    pub(crate) free: Vec<TetId>,
-    /// Epoch marks for conflict-region search (avoids clearing between
-    /// inserts).
-    pub(crate) mark: Vec<u32>,
-    pub(crate) epoch: u32,
-    /// Walk start hint: the most recently created tetrahedron.
-    pub(crate) hint: TetId,
     /// Map from input point index to vertex id (duplicates collapse).
     pub(crate) input_vertex: Vec<VertexId>,
-    /// Deterministic xorshift state for the stochastic walk.
-    pub(crate) rng_state: u64,
     /// Number of live finite tetrahedra.
     pub(crate) n_finite: usize,
     /// Number of live ghost tetrahedra.
     pub(crate) n_ghost: usize,
-    /// Walk steps, conflict tetrahedra and cavity facets so far.
-    pub(crate) work: insert::Work,
-    /// Scratch buffers reused across insertions.
-    pub(crate) scratch: insert::Scratch,
+    pub(crate) slots: Slots,
+}
+
+/// Where a triangulation's tetrahedra live.
+pub(crate) enum Slots {
+    /// As insertion left them: slot order of creation, freed slots kept as
+    /// dead records.
+    Built(Vec<Tet>),
+    /// The render-time records.
+    Records(Topology),
 }
 
 impl std::fmt::Debug for Delaunay {
@@ -145,6 +162,7 @@ impl std::fmt::Debug for Delaunay {
             .field("vertices", &self.points.len())
             .field("finite_tets", &self.n_finite)
             .field("ghost_tets", &self.n_ghost)
+            .field("records", &matches!(self.slots, Slots::Records(_)))
             .finish()
     }
 }
@@ -186,10 +204,11 @@ impl Delaunay {
         self.input_vertex[i]
     }
 
-    /// Raw tetrahedron record (may be a ghost; check [`Tet::is_ghost`]).
+    /// Tetrahedron `t` (may be a ghost; check [`Tet::is_ghost`]), in the
+    /// builder's exact vertex order.
     #[inline]
-    pub fn tet(&self, t: TetId) -> &Tet {
-        let tet = &self.tets[t as usize];
+    pub fn tet(&self, t: TetId) -> Tet {
+        let tet = self.tet_slot(t);
         debug_assert!(tet.is_live(), "access to freed tet {t}");
         tet
     }
@@ -198,45 +217,81 @@ impl Delaunay {
     /// indices below this bound.
     #[inline]
     pub fn num_slots(&self) -> usize {
-        self.tets.len()
+        match &self.slots {
+            Slots::Built(tets) => tets.len(),
+            Slots::Records(topo) => topo.len(),
+        }
     }
 
-    /// Raw slot access that tolerates freed slots (check [`Tet::is_live`]).
-    /// Useful for building slot-indexed caches alongside the triangulation.
+    /// Slot access that tolerates freed slots (check [`Tet::is_live`];
+    /// the render-time layout has none).
     #[inline]
-    pub fn tet_slot(&self, t: TetId) -> &Tet {
-        &self.tets[t as usize]
+    pub fn tet_slot(&self, t: TetId) -> Tet {
+        match &self.slots {
+            Slots::Built(tets) => tets[t as usize],
+            Slots::Records(topo) => topo.tet(t),
+        }
+    }
+
+    /// The render-time records; `None` until [`Delaunay::into_topology`].
+    #[inline]
+    pub fn topology(&self) -> Option<&Topology> {
+        match &self.slots {
+            Slots::Built(_) => None,
+            Slots::Records(topo) => Some(topo),
+        }
+    }
+
+    /// Lay the triangulation out for rendering: one pass over the builder's
+    /// slots numbers the live ones breadth-first and writes one [`Record`]
+    /// per slot (see [`Topology`]); the slot array is freed. Only slot
+    /// numbers change — every tetrahedron's vertex array, as [`Delaunay::tet`]
+    /// returns it, is the builder's — so `TetId`s retained from before this
+    /// call go stale. A triangulation already laid out is returned as is.
+    pub fn into_topology(self) -> Delaunay {
+        let Delaunay {
+            points,
+            input_vertex,
+            n_finite,
+            n_ghost,
+            slots,
+        } = self;
+        let topo = match slots {
+            Slots::Built(tets) => Topology::build(&tets, &points, n_finite + n_ghost),
+            Slots::Records(topo) => topo,
+        };
+        Delaunay {
+            points,
+            input_vertex,
+            n_finite,
+            n_ghost,
+            slots: Slots::Records(topo),
+        }
     }
 
     /// Iterator over ids of live finite tetrahedra.
     pub fn finite_tets(&self) -> impl Iterator<Item = TetId> + '_ {
-        self.tets
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.is_live() && !t.is_ghost())
-            .map(|(i, _)| i as TetId)
+        (0..self.num_slots() as TetId).filter(move |&t| {
+            let tet = self.tet_slot(t);
+            tet.is_live() && !tet.is_ghost()
+        })
     }
 
     /// Iterator over ids of live ghost tetrahedra (hull facets).
     pub fn ghost_tets(&self) -> impl Iterator<Item = TetId> + '_ {
-        self.tets
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.is_live() && t.is_ghost())
-            .map(|(i, _)| i as TetId)
+        (0..self.num_slots() as TetId).filter(move |&t| {
+            let tet = self.tet_slot(t);
+            tet.is_live() && tet.is_ghost()
+        })
     }
 
-    /// The four vertex positions of a finite tetrahedron.
+    /// The four vertex positions of a finite tetrahedron, in the builder's
+    /// vertex order.
     #[inline]
     pub fn tet_points(&self, t: TetId) -> [Vec3; 4] {
         let tet = self.tet(t);
         debug_assert!(!tet.is_ghost());
-        [
-            self.points[tet.verts[0] as usize],
-            self.points[tet.verts[1] as usize],
-            self.points[tet.verts[2] as usize],
-            self.points[tet.verts[3] as usize],
-        ]
+        tet.verts.map(|v| self.points[v as usize])
     }
 
     /// The hull facet of a ghost tetrahedron, returned *outward*-oriented:
@@ -251,13 +306,15 @@ impl Delaunay {
 
     /// Sum of incident finite-tetrahedron volumes per vertex — the `W_i`
     /// denominator of the DTFE density estimate (paper Eq. 2). Hull vertices
-    /// only count interior tetrahedra, matching the DTFE convention.
+    /// only count interior tetrahedra, matching the DTFE convention. A float
+    /// sum, so its bits follow the slot order it runs in.
     pub fn vertex_star_volumes(&self) -> Vec<f64> {
         let mut w = vec![0.0; self.points.len()];
         for t in self.finite_tets() {
-            let p = self.tet_points(t);
+            let verts = self.tet(t).verts;
+            let p = verts.map(|v| self.points[v as usize]);
             let vol = dtfe_geometry::tetra::volume(p[0], p[1], p[2], p[3]);
-            for &v in &self.tets[t as usize].verts {
+            for v in verts {
                 w[v as usize] += vol;
             }
         }

@@ -77,7 +77,7 @@ impl Tet {
     }
 }
 
-impl crate::Delaunay {
+impl crate::insert::Incremental {
     /// Append a live tetrahedron (bootstrap only; the caller keeps the
     /// live counts).
     pub(crate) fn push_tet(&mut self, verts: [VertexId; 4], neighbors: [TetId; 4]) -> TetId {

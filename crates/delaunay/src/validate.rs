@@ -56,11 +56,11 @@ impl Delaunay {
     /// inside the circumball — which implies the global property for a
     /// triangulation).
     pub fn validate(&self) -> Result<(), ValidationError> {
-        for (i, tet) in self.tets.iter().enumerate() {
+        for t in 0..self.num_slots() as TetId {
+            let tet = self.tet_slot(t);
             if !tet.is_live() {
                 continue;
             }
-            let t = i as TetId;
             // Distinct vertices.
             for a in 0..4 {
                 for b in (a + 1)..4 {
@@ -75,19 +75,22 @@ impl Delaunay {
             }
             if tet.is_ghost() {
                 // Adjacent finite tet across the base facet.
-                let inner = &self.tets[tet.neighbors[3] as usize];
+                let inner = self.tet_slot(tet.neighbors[3]);
                 if inner.is_ghost() {
                     return Err(ValidationError::BadGhostLayout(t));
                 }
                 // The base must be inward-oriented: the inner tet's opposite
                 // vertex lies on the interior side (Negative), or Zero only
                 // when the base is collinear (degenerate flat hull facet).
-                let opp = inner
+                let Some(opp) = inner
                     .verts
                     .iter()
                     .copied()
                     .find(|v| !tet.verts[..3].contains(v))
-                    .expect("neighbor shares all base vertices");
+                else {
+                    // Four distinct vertices cannot all lie on the base.
+                    return Err(ValidationError::RepeatedVertex(tet.neighbors[3]));
+                };
                 let (a, b, c) = (
                     self.points[tet.verts[0] as usize],
                     self.points[tet.verts[1] as usize],
@@ -115,7 +118,7 @@ impl Delaunay {
             // Adjacency.
             for k in 0..4 {
                 let n = tet.neighbors[k];
-                let ntet = &self.tets[n as usize];
+                let ntet = self.tet_slot(n);
                 if !ntet.is_live() {
                     return Err(ValidationError::NonReciprocalAdjacency(t, n));
                 }
@@ -136,11 +139,14 @@ impl Delaunay {
                 let p = self.tet_points(t);
                 for k in 0..4 {
                     let n = tet.neighbors[k];
-                    let ntet = &self.tets[n as usize];
+                    let ntet = self.tet_slot(n);
                     if ntet.is_ghost() {
                         continue;
                     }
-                    let back = ntet.index_of_neighbor(t).unwrap();
+                    // Reciprocity was checked for every facet above.
+                    let Some(back) = ntet.index_of_neighbor(t) else {
+                        return Err(ValidationError::NonReciprocalAdjacency(t, n));
+                    };
                     let opp = ntet.verts[back];
                     let q = self.points[opp as usize];
                     if insphere(p[0], p[1], p[2], p[3], q).is_positive() {
@@ -162,7 +168,7 @@ impl Delaunay {
     pub fn validate_delaunay_global(&self) -> Result<(), ValidationError> {
         for t in self.finite_tets() {
             let p = self.tet_points(t);
-            let verts = self.tets[t as usize].verts;
+            let verts = self.tet(t).verts;
             for (vi, &q) in self.points.iter().enumerate() {
                 if verts.contains(&(vi as u32)) {
                     continue;

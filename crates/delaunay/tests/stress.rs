@@ -149,7 +149,7 @@ fn locate_after_build_is_consistent() {
     let pts: Vec<Vec3> = (0..400)
         .map(|_| Vec3::new(rng.f(), rng.f(), rng.f()))
         .collect();
-    let mut d = DelaunayBuilder::new().build(&pts).unwrap();
+    let d = DelaunayBuilder::new().build(&pts).unwrap();
     for _ in 0..100 {
         let q = Vec3::new(rng.f(), rng.f(), rng.f());
         match d.locate(q) {
@@ -162,6 +162,7 @@ fn locate_after_build_is_consistent() {
                 // (Spot check: barycentric membership over a sample of tets.)
             }
             Located::Vertex(_) => {}
+            Located::Lost => panic!("walk lost on a valid triangulation"),
         }
     }
 }

@@ -598,7 +598,7 @@ fn serve_batch(inner: &Inner, tile: &TileKey, mut jobs: Vec<Job>) {
         let data = TileData::build(&snap, tile.tile);
         // A cold tile is inserted already holding the table its first
         // request renders: one charge, and one eviction pass that makes
-        // room for both before the render allocates the traversal cache.
+        // room for the mesh and the table together.
         data.fill_table(&snap, first.opts.estimator);
         Ok(data)
     });

@@ -478,4 +478,16 @@ mod tests {
         assert!(StatsDocument::parse(&text).is_err());
         assert!(check_stats_json(&text).is_err());
     }
+
+    #[test]
+    fn byte_terms_must_add_up_within_the_budget() {
+        let mut doc = sample_doc();
+        doc.cache.mesh_bytes += 8;
+        let err = check_stats_json(&doc.to_json()).unwrap_err();
+        assert!(err.contains("sum to"), "{err}");
+        let mut doc = sample_doc();
+        doc.cache.budget_bytes = doc.cache.resident_bytes - 1;
+        let err = check_stats_json(&doc.to_json()).unwrap_err();
+        assert!(err.contains("over budget"), "{err}");
+    }
 }

@@ -1,10 +1,10 @@
 //! Tile identity and the cached per-tile artifact.
 //!
 //! A tile is one cell of a snapshot's [`Decomposition`]; the cached artifact
-//! is the *one* Delaunay mesh of the tile's ghost-padded particle set — in
-//! render order, with its traversal cache and the 2-D hull index that
-//! locates ray entry points — plus one table per estimator that has been
-//! asked for, filled on first use. Building the mesh is the
+//! is the *one* Delaunay mesh of the tile's ghost-padded particle set — laid
+//! out as one record per tetrahedron in render order, with the 2-D hull
+//! index that locates ray entry points — plus one table per estimator that
+//! has been asked for, filled on first use. Building the mesh is the
 //! `c·n·log₂n` cost the cache amortises, and it is paid once per tile
 //! however many estimators render it; a table is a pass over the mesh (DTFE,
 //! PS-DTFE) or `k` jittered triangulations evaluated at its vertices
@@ -180,9 +180,10 @@ mod charge {
     /// Per vertex of the mesh: position and input map (28 B), star volume
     /// (8 B), and the hull index's share.
     pub const MESH_VERTEX: usize = 96;
-    /// Per tetrahedron slot of the mesh: the `Tet` record and its mark
-    /// (36 B) and the lazily built traversal cache (128 B).
-    pub const MESH_SLOT: usize = 208;
+    /// Per tetrahedron slot of the mesh: its 128 B record and its swap
+    /// bit, with headroom for the builder's 32 B slot, which the pass that
+    /// writes the records reads beside them.
+    pub const MESH_SLOT: usize = 168;
     /// DTFE table, per slot: one interpolant (32 B) and the vertex
     /// densities' share.
     pub const DTFE_SLOT: usize = 48;
@@ -264,12 +265,6 @@ impl TileData {
     /// The mesh comes from the one [`DelaunayBuilder`] the batch framework's
     /// per-item path uses: given the same particle set, it — and any field
     /// rendered from it — is bit-identical with the offline pipeline.
-    ///
-    /// The hull index is built from the mesh, not through a view: a view
-    /// builds the 128 B/slot traversal cache, which is better allocated by
-    /// the tile's first render — after the tile cache has evicted to make
-    /// room — than here, before it (+11 % `serve_churn` peak RSS
-    /// otherwise).
     pub fn build(snap: &SnapshotData, tile: usize) -> TileData {
         let (local, interior) = extract(snap, tile);
         let _span = dtfe_telemetry::span!("service.tile_build", tile = tile, n = local.len());
@@ -380,8 +375,8 @@ impl TileData {
     }
 
     /// March the requested grid against the mesh under `opts.estimator`'s
-    /// table; the mesh, hull index and traversal cache are shared by every
-    /// table. `None` when that table has not been filled.
+    /// table; the mesh and hull index are shared by every table. `None`
+    /// when that table has not been filled.
     pub fn render(&self, grid: &GridSpec2, opts: &MarchOptions) -> Option<Field2> {
         let Some((mesh, hull)) = &self.mesh else {
             return Some(Field2::zeros(*grid));
@@ -565,12 +560,12 @@ mod tests {
             "render order is dense"
         );
 
-        // Mesh: the traversal cache, the tetrahedron records with their
-        // marks, and per vertex a position, an input-map entry and a star
-        // volume.
-        let cache = mesh.view(&[] as &[f64]).cache.bytes();
-        assert!(cache >= slots * 128, "the cache is 128 B a slot");
-        assert!(slots * charge::MESH_SLOT >= cache + slots * (size_of::<Tet>() + 4));
+        // Mesh: one record per tetrahedron (the builder's slots are gone
+        // once it is written, but the pass holds both), and per vertex a
+        // position, an input-map entry and a star volume.
+        let records = mesh.view(&[] as &[f64]).cache.bytes();
+        assert!(records >= slots * 128, "a record is 128 B a slot");
+        assert!(slots * charge::MESH_SLOT >= records + slots * size_of::<Tet>());
         assert!(verts * charge::MESH_VERTEX >= verts * (28 + 8));
         let mesh_only = tile.bytes();
         assert_eq!(
@@ -609,11 +604,11 @@ mod tests {
             );
         }
 
-        // An entry holding one estimator: 256 B a slot for DTFE, 224 for
+        // An entry holding one estimator: 216 B a slot for DTFE, 184 for
         // PS-DTFE.
-        assert_eq!(charge::MESH_SLOT + charge::DTFE_SLOT, 256);
-        assert_eq!(charge::MESH_SLOT + charge::PSDTFE_SLOT, 224);
-        assert_eq!(charge::MESH_SLOT + charge::STOCHASTIC_SLOT, 256);
+        assert_eq!(charge::MESH_SLOT + charge::DTFE_SLOT, 216);
+        assert_eq!(charge::MESH_SLOT + charge::PSDTFE_SLOT, 184);
+        assert_eq!(charge::MESH_SLOT + charge::STOCHASTIC_SLOT, 216);
     }
 
     #[test]

@@ -185,10 +185,22 @@ pub const SERVING_COUNTER_KEYS: [&str; 9] = [
     "coalesced",
 ];
 
+/// The cache section's resident bytes by component: when all five are
+/// present they add up to `resident_bytes`.
+const CACHE_BYTE_TERMS: [&str; 5] = [
+    "header_bytes",
+    "mesh_bytes",
+    "dtfe_bytes",
+    "psdtfe_bytes",
+    "stochastic_bytes",
+];
+
 /// Validate a serving-tier stats document (the typed, versioned JSON the
 /// wire `Stats` request answers): a `version`, the full set of serving
-/// counters, a cache section, and — when the server runs with telemetry —
-/// a metrics object whose histogram/window digests carry quantiles.
+/// counters, a cache section whose byte terms (when present) add up to a
+/// resident charge within the budget, and — when the server runs with
+/// telemetry — a metrics object whose histogram/window digests carry
+/// quantiles.
 pub fn check_stats_json(text: &str) -> Result<StatsDocStats, String> {
     let doc = Json::parse(text).map_err(|e| format!("stats not valid JSON: {e}"))?;
     let version = doc
@@ -210,11 +222,26 @@ pub fn check_stats_json(text: &str) -> Result<StatsDocStats, String> {
         .get("cache")
         .and_then(|v| v.as_obj())
         .ok_or("missing cache object")?;
+    let field = |key: &str| cache.get(key).and_then(|v| v.as_f64());
     for key in ["resident_bytes", "budget_bytes", "entries"] {
-        cache
-            .get(key)
-            .and_then(|v| v.as_f64())
-            .ok_or(format!("cache: missing field '{key}'"))?;
+        field(key).ok_or(format!("cache: missing field '{key}'"))?;
+    }
+    // The byte terms, where the document carries them, are the resident
+    // charge split by component, and the charge is held under the budget.
+    let terms = CACHE_BYTE_TERMS.map(field);
+    if terms.iter().all(Option::is_some) {
+        let sum: f64 = terms.iter().flatten().sum();
+        let (resident, budget) = (field("resident_bytes"), field("budget_bytes"));
+        if Some(sum) != resident {
+            return Err(format!(
+                "cache: byte terms sum to {sum}, resident_bytes is {resident:?}"
+            ));
+        }
+        if resident > budget {
+            return Err(format!(
+                "cache: resident_bytes {resident:?} over budget_bytes {budget:?}"
+            ));
+        }
     }
     let mut stats = StatsDocStats {
         version,

@@ -9,9 +9,15 @@
 //! * **Insertion locality**: a deterministic work-counter guard. Wall times
 //!   swing ±30 % on a shared host; predicate calls per inserted point do not
 //!   swing at all, and they are what a worse insertion order inflates.
+//! * **The render-time topology is the builder's mesh**: slot numbers from a
+//!   breadth-first search computed here, every vertex array verbatim, every
+//!   swap bit `normalize_tet`'s, and a valid Delaunay triangulation.
+//! * **Scale range**: a cloud whose scale the predicates or the DTFE
+//!   interpolant cannot carry is a typed error, not a wrong field.
 
 use dtfe_repro::core::{surface_density, DtfeField, GridSpec2, MarchOptions, Mass};
-use dtfe_repro::delaunay::{Delaunay, DelaunayBuilder};
+use dtfe_repro::delaunay::{BuildError, Delaunay, DelaunayBuilder, TetId, NONE};
+use dtfe_repro::geometry::plucker::normalize_tet;
 use dtfe_repro::geometry::{Aabb3, Vec2, Vec3};
 use dtfe_repro::nbody::halos::{clustered_box, ClusteredBoxSpec};
 use dtfe_repro::telemetry::Recorder;
@@ -188,5 +194,167 @@ fn insertion_locality_work_counters() {
         exact / calls < 1e-3,
         "exact-arithmetic fallback on {:.2e} of predicate calls",
         exact / calls
+    );
+}
+
+/// Uniform in [0, 1) from a seeded xorshift64*.
+fn uniform(seed: u64) -> impl FnMut() -> f64 {
+    let mut s = seed;
+    move || {
+        s ^= s >> 12;
+        s ^= s << 25;
+        s ^= s >> 27;
+        (s.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// The builder's live slots in breadth-first order over facet adjacency
+/// (neighbours in index order) from its first live ghost slot, stragglers
+/// appended in slot order.
+fn bfs_slots(d: &Delaunay) -> Vec<TetId> {
+    let n = d.num_slots() as TetId;
+    let live = |t: TetId| d.tet_slot(t).is_live();
+    let mut seen = vec![false; n as usize];
+    let mut order = Vec::new();
+    let start = (0..n).find(|&t| live(t) && d.tet_slot(t).is_ghost());
+    order.extend(start);
+    start.into_iter().for_each(|s| seen[s as usize] = true);
+    let mut head = 0;
+    while let Some(&t) = order.get(head) {
+        head += 1;
+        for nb in d.tet_slot(t).neighbors {
+            if nb != NONE && live(nb) && !seen[nb as usize] {
+                seen[nb as usize] = true;
+                order.push(nb);
+            }
+        }
+    }
+    order.extend((0..n).filter(|&t| live(t) && !seen[t as usize]));
+    order
+}
+
+#[test]
+fn the_render_topology_is_the_builders_mesh_renumbered() {
+    let jittered: Vec<Vec3> = {
+        let mut r = uniform(53);
+        (0..6 * 6 * 6)
+            .map(|i| {
+                let c = Vec3::new((i % 6) as f64, (i / 6 % 6) as f64, (i / 36) as f64);
+                c + Vec3::new(r(), r(), r()) * 0.3
+            })
+            .collect()
+    };
+    let duplicates: Vec<Vec3> = {
+        let mut r = uniform(29);
+        let mut pts: Vec<Vec3> = (0..300).map(|_| Vec3::new(r(), r(), r()) * 6.0).collect();
+        let copies: Vec<Vec3> = pts.iter().step_by(5).copied().collect();
+        pts.extend(copies);
+        pts
+    };
+    let lattice: Vec<Vec3> = (0..64)
+        .map(|i| Vec3::new((i % 4) as f64, (i / 4 % 4) as f64, (i / 16) as f64))
+        .collect();
+    // A tilted sheet a few ulps thick: its tetrahedra are slivers whose
+    // float orientation can disagree with the exact one, the records that
+    // carry a swap.
+    let sheet: Vec<Vec3> = {
+        let mut r = uniform(71);
+        (0..200)
+            .map(|_| {
+                let (x, y) = (r(), r());
+                Vec3::new(x, y, 1.0 - x - y + 1e-15 * r())
+            })
+            .collect()
+    };
+    let clouds = [
+        ("clustered", clustered_tile(1500, 7)),
+        ("jittered lattice", jittered),
+        ("duplicates", duplicates),
+        ("4³ lattice", lattice),
+        ("sheet", sheet),
+    ];
+    let mut total_swaps = 0;
+    for (what, pts) in clouds {
+        let raw = DelaunayBuilder::new().build(&pts).unwrap();
+        let del = DelaunayBuilder::new().build(&pts).unwrap().into_topology();
+        let topo = del.topology().expect("laid out");
+        let order = bfs_slots(&raw);
+        assert_eq!(
+            del.num_slots(),
+            order.len(),
+            "{what}: one record per live slot"
+        );
+        assert_eq!(topo.len(), order.len(), "{what}");
+        let mut new_of = vec![NONE; raw.num_slots()];
+        for (new, &old) in order.iter().enumerate() {
+            new_of[old as usize] = new as TetId;
+        }
+        let mut swaps = 0;
+        for (new, &old) in order.iter().enumerate() {
+            let (t, built) = (new as TetId, raw.tet_slot(old));
+            let tet = del.tet(t);
+            assert_eq!(tet.verts, built.verts, "{what}: slot {t} vertex array");
+            assert_eq!(
+                tet.neighbors,
+                built.neighbors.map(|n| new_of[n as usize]),
+                "{what}: slot {t} neighbours"
+            );
+            let swapped = !built.is_ghost() && normalize_tet(&mut raw.tet_points(old));
+            assert_eq!(topo.is_swapped(t), swapped, "{what}: slot {t} swap bit");
+            swaps += swapped as usize;
+            for (k, n) in tet.neighbors.into_iter().enumerate() {
+                let back = del.tet(n).index_of_neighbor(t);
+                assert!(back.is_some(), "{what}: slot {t} face {k} not reciprocal");
+            }
+        }
+        del.validate().unwrap_or_else(|e| panic!("{what}: {e}"));
+        del.validate_delaunay_global()
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        total_swaps += swaps;
+    }
+    // The sheet's slivers (11 records) keep the swap bit from being vacuous.
+    assert!(total_swaps > 0, "no record was swapped");
+}
+
+/// Grid mass of a 300-point cloud in `[0, s]³`, rendered over an 8×8 grid
+/// covering it.
+fn mass_at_scale(s: f64) -> Result<f64, BuildError> {
+    let mut r = uniform(0x5CA1E);
+    let pts: Vec<Vec3> = (0..300).map(|_| Vec3::new(r(), r(), r()) * s).collect();
+    let field = DtfeField::build(&pts, Mass::Uniform(1.0))?;
+    let grid = GridSpec2::covering(Vec2::new(0.0, 0.0), Vec2::new(s, s), 8, 8);
+    Ok(surface_density(&field, &grid, &MarchOptions::new().parallel(false)).total_mass())
+}
+
+#[test]
+fn extreme_scales_render_the_unit_field_or_are_rejected() {
+    let unit = mass_at_scale(1.0).unwrap();
+    assert!(unit.is_finite() && unit > 250.0, "mass {unit}");
+    for s in [1e50, 1e-50] {
+        let m = mass_at_scale(s).unwrap();
+        assert!(
+            ((m - unit) / unit).abs() < 1e-12,
+            "scale {s:e}: mass {m}, {unit} at scale 1"
+        );
+    }
+    for s in [1e70, 1e-70, 1e100, 1e-100, 1e150, 1e-150] {
+        assert!(
+            matches!(mass_at_scale(s), Err(BuildError::OutOfRange { .. })),
+            "scale {s:e} was not rejected"
+        );
+    }
+    // One point beyond the bound names itself; a cloud that coincides is
+    // degenerate, not out of range.
+    let mut pts = vec![Vec3::new(0.0, 0.0, 0.0); 4];
+    pts.extend([Vec3::new(1.0, 0.0, 0.0), Vec3::new(0.0, 0.0, 3e57)]);
+    assert_eq!(
+        DelaunayBuilder::new().build(&pts).unwrap_err(),
+        BuildError::OutOfRange { index: 5 }
+    );
+    assert_eq!(
+        DelaunayBuilder::new()
+            .build(&[Vec3::splat(1e-300); 5])
+            .unwrap_err(),
+        BuildError::Degenerate
     );
 }
