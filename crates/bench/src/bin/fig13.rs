@@ -47,7 +47,7 @@ fn main() {
     for &p in ranks {
         let work = partition_items(&items, p);
         let unbal = simulate_unbalanced(&work);
-        let bal = simulate_balanced(&work, &params);
+        let bal = simulate_balanced(&work, &params).expect("synthetic costs are finite");
         times.row(&format!(
             "{p},{:.1},{:.1},{:.2},{},{:.3}",
             unbal.wall,

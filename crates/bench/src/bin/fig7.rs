@@ -5,7 +5,10 @@
 //! paper plots them:
 //!
 //! * ours: Triangulation (local Delaunay over the rank's inflated
-//!   sub-volume) + Interpolation (marching the rank's sub-grid);
+//!   sub-volume) + Interpolation (marching the rank's sub-grid — always
+//!   the march, the paper's kernel: at 1–2 ranks the window holds the
+//!   whole rank mesh and a plain render would project, so the speedup
+//!   column would compare two kernels);
 //! * TESS analog: tessellation (Delaunay + Voronoi cell volumes) + DENSE
 //!   (zero-order 3D grid render collapsed along z).
 //!
@@ -20,7 +23,7 @@
 use dtfe_bench::{wall_of, Scale, SeriesWriter};
 use dtfe_core::density::{DtfeField, Mass};
 use dtfe_core::grid::GridSpec2;
-use dtfe_core::marching::{surface_density, MarchOptions};
+use dtfe_core::marching::{surface_density_by, HullIndex, Kernel, MarchOptions};
 use dtfe_framework::decomp::Decomposition;
 use dtfe_geometry::{Aabb3, Vec2, Vec3};
 use dtfe_nbody::datasets::planck_like;
@@ -91,7 +94,8 @@ fn run_at(particles: &[Vec3], bounds: Aabb3, ng: usize, nranks: usize) -> StageT
         let opts = MarchOptions::new()
             .parallel(false)
             .z_range(z_range.0, z_range.1);
-        let sigma = surface_density(&field, &sub_grid, &opts);
+        let index = HullIndex::build(&field);
+        let (sigma, _) = surface_density_by(&field, &index, &sub_grid, &opts, Kernel::March);
         out.interp.push(t0.elapsed().as_secs_f64());
         std::hint::black_box(sigma);
 

@@ -74,6 +74,7 @@ pub mod fields;
 pub mod grid;
 pub mod io;
 pub mod marching;
+pub mod projector;
 pub mod psdtfe;
 pub mod render;
 pub mod stochastic;

@@ -77,10 +77,33 @@
 //!   function of the line's key ([`line_key`]: cell, sample, restart), so a
 //!   cell renders the same bits in any tile, on any thread, or alone
 //!   ([`cell_value`]); tiles are rendered independently and copied out.
+//!
+//! # Which kernel renders
+//!
+//! [`surface_density`] and every entry point beside it end in one `render`,
+//! which picks the kernel from the render itself — there is no option for
+//! it. A render *projects* ([`crate::projector`]: each tetrahedron set up
+//! once, its footprint's cells filled row by row) when all three hold:
+//!
+//! * one centre sample per cell — jittered lines are off the lattice a
+//!   scanline walks;
+//! * no window, or one containing the mesh's whole z-extent
+//!   ([`MarchCache`]'s `z_min`, `z_max`) — a window inside the mesh is
+//!   entered at its floor, which only the march does;
+//! * [`pairs_per_tet`], the expected `(line, tetrahedron)` pairs per
+//!   finite tetrahedron (lines over the mesh's xy box times an estimated
+//!   depth), is at least [`PROJECT_MIN_PAIRS`] — below it the
+//!   per-tetrahedron set-up outweighs the per-pair saving.
+//!
+//! Everything else marches. The choice is a function of the mesh, the grid
+//! and the options, so one request renders with one kernel wherever it is
+//! served. [`surface_density_reference`] always marches: it is the march's
+//! bit-for-bit oracle and the projector's differential one.
 
 use crate::density::EntryFacet;
 use crate::estimator::{entry_facets_of, FieldEstimator, FieldView, SlotValues};
 use crate::grid::{Field2, GridSpec2};
+use crate::projector;
 use dtfe_delaunay::{Delaunay, TetId, NONE};
 use dtfe_geometry::plucker::{ray_tetra_seeded, FaceSeed, Plucker, Ray};
 use dtfe_geometry::predicates::{orient2d, orient3d_uncounted, Orientation};
@@ -101,6 +124,19 @@ const MAX_PERTURB: usize = 64;
 
 /// Default tile edge when [`MarchOptions::tile`] is 0.
 const DEFAULT_TILE: usize = 64;
+
+/// The expected `(line, tetrahedron)` pairs per finite tetrahedron at or
+/// above which a centre-sampled, full-depth render projects instead of
+/// marching: the measured crossover of the two kernels, which fell at
+/// ~1.6 estimated (~2 real) pairs on a 32k-particle clustered box and at
+/// ~4.5 estimated (~3.3 real) on a ~1.3k-tetrahedron field cube (DESIGN.md
+/// §4f, EXPERIMENTS.md "Beyond the paper — the element projector").
+pub const PROJECT_MIN_PAIRS: f64 = 3.0;
+
+/// Tetrahedra a line of sight crosses per cube root of the mesh's finite
+/// tetrahedra: 22.29 measured on the batch items (~4.2k tetrahedra, 64²
+/// centre lines), 1.4 × 4200^(1/3) = 22.6.
+const DEPTH_PER_CUBE_ROOT: f64 = 1.4;
 
 /// Sentinel facet index for "no entry hint".
 const NO_FACET: u32 = u32::MAX;
@@ -921,25 +957,123 @@ pub fn surface_density_with_stats<E: FieldEstimator + ?Sized>(
     grid: &GridSpec2,
     opts: &MarchOptions,
 ) -> (Field2, MarchStats) {
-    surface_density_with_index(field, &HullIndex::build(field), grid, opts)
+    render(field.view(), None, grid, opts)
 }
 
 /// As [`surface_density_with_stats`], but marching through a caller-supplied
 /// [`HullIndex`]. Building the index costs one pass over the hull facets, so
 /// callers rendering *several* grids against the same triangulation (the
 /// serving layer's batched tile renders) build it once and amortize it; the
-/// output is bit-identical to [`surface_density`] on the same grid.
+/// output is bit-identical to [`surface_density`] on the same grid. A
+/// render that projects does not read the index.
 pub fn surface_density_with_index<E: FieldEstimator + ?Sized>(
     field: &E,
     index: &HullIndex,
     grid: &GridSpec2,
     opts: &MarchOptions,
 ) -> (Field2, MarchStats) {
-    render(field.view(), index, grid, opts)
+    render(field.view(), Some(index), grid, opts)
 }
 
-/// The render every `surface_density*` entry point is a shim over.
+/// [`pairs_per_tet`] of a render of `grid` over `view`: the lines of sight
+/// whose centre lies over the mesh's xy box, times the depth of a line,
+/// `DEPTH_PER_CUBE_ROOT · tets^(1/3)`, over the finite tetrahedra. It
+/// assumes the mesh is about as deep as it is wide.
+fn estimate_pairs(view: &FieldView<'_>, grid: &GridSpec2, samples: usize) -> f64 {
+    let tets = view.del.num_tets() as f64;
+    let (lo, hi) = view.del.vertices().iter().fold(
+        (Vec3::splat(f64::INFINITY), Vec3::splat(f64::NEG_INFINITY)),
+        |(lo, hi), &p| (lo.min(p), hi.max(p)),
+    );
+    let over = |origin: f64, cell: f64, n: usize, lo: f64, hi: f64| {
+        // The centres `origin + (k + 0.5) · cell`, `k < n`, in `[lo, hi]`.
+        let first = ((lo - origin) / cell - 0.5).ceil().max(0.0);
+        let last = ((hi - origin) / cell - 0.5).floor().min(n as f64 - 1.0);
+        (last - first + 1.0).max(0.0)
+    };
+    let lines = over(grid.origin.x, grid.cell.x, grid.nx, lo.x, hi.x)
+        * over(grid.origin.y, grid.cell.y, grid.ny, lo.y, hi.y)
+        * samples.max(1) as f64;
+    lines * DEPTH_PER_CUBE_ROOT * tets.cbrt() / tets
+}
+
+/// The expected `(line, tetrahedron)` pairs per finite tetrahedron of a
+/// render of `grid` over `field` — the quantity [`PROJECT_MIN_PAIRS`]
+/// bounds (module docs).
+pub fn pairs_per_tet<E: FieldEstimator + ?Sized>(
+    field: &E,
+    grid: &GridSpec2,
+    opts: &MarchOptions,
+) -> f64 {
+    estimate_pairs(&field.view(), grid, opts.samples)
+}
+
+/// Whether a render of `grid` with `opts` over `field` projects rather
+/// than marches (module docs).
+pub fn projects<E: FieldEstimator + ?Sized>(
+    field: &E,
+    grid: &GridSpec2,
+    opts: &MarchOptions,
+) -> bool {
+    selects_projector(&field.view(), grid, opts)
+}
+
+fn selects_projector(view: &FieldView<'_>, grid: &GridSpec2, opts: &MarchOptions) -> bool {
+    let topo = view.cache;
+    let full_depth = opts
+        .z_range
+        .is_none_or(|(lo, hi)| lo <= topo.z_min() && topo.z_max() <= hi);
+    opts.samples <= 1
+        && full_depth
+        && view.del.num_tets() > 0
+        && estimate_pairs(view, grid, opts.samples) >= PROJECT_MIN_PAIRS
+}
+
+/// The render every `surface_density*` entry point is a shim over: project
+/// or march (module docs), building the hull index only to march.
 fn render(
+    view: FieldView<'_>,
+    index: Option<&HullIndex>,
+    grid: &GridSpec2,
+    opts: &MarchOptions,
+) -> (Field2, MarchStats) {
+    if selects_projector(&view, grid, opts) {
+        return projector::render(view, grid, opts.z_range, opts.parallel);
+    }
+    match index {
+        Some(index) => march_render(view, index, grid, opts),
+        None => march_render(view, &HullIndex::for_mesh(view.del), grid, opts),
+    }
+}
+
+/// A render kernel, named for [`surface_density_by`].
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kernel {
+    March,
+    Project,
+}
+
+/// Measurement and test support: render with `kernel` whatever the render
+/// would select (module docs), so each kernel can be priced and checked
+/// where the other is chosen. The projector draws centre lines only: asked
+/// for more samples it renders the centre-sampled field.
+#[doc(hidden)]
+pub fn surface_density_by<E: FieldEstimator + ?Sized>(
+    field: &E,
+    index: &HullIndex,
+    grid: &GridSpec2,
+    opts: &MarchOptions,
+    kernel: Kernel,
+) -> (Field2, MarchStats) {
+    match kernel {
+        Kernel::March => march_render(field.view(), index, grid, opts),
+        Kernel::Project => projector::render(field.view(), grid, opts.z_range, opts.parallel),
+    }
+}
+
+/// The marching render: every cell's lines of sight, tiled when parallel.
+fn march_render(
     view: FieldView<'_>,
     index: &HullIndex,
     grid: &GridSpec2,
@@ -1049,8 +1183,9 @@ fn render_tiled(
     }
 }
 
-/// One cell's value: centre sample or the jittered Monte-Carlo mean, the
-/// bits a render of `grid` with `opts` gives that cell.
+/// One cell marched: centre sample or the jittered Monte-Carlo mean, the
+/// bits a marched render of `grid` with `opts` gives that cell (a render
+/// that projects sums in another order; module docs).
 pub fn cell_value<E: FieldEstimator + ?Sized>(
     field: &E,
     index: &HullIndex,
@@ -1315,8 +1450,10 @@ mod tests {
             MarchOptions::new().parallel(true).tile(8),
             MarchOptions::new().samples(3).parallel(true).tile(8),
         ] {
+            // The march itself: centre lines over the whole depth of this
+            // grid would project (tests/projector.rs holds that path).
             let (a, sa) = surface_density_reference(&field, &index, &grid, &opts);
-            let (b, sb) = surface_density_with_index(&field, &index, &grid, &opts);
+            let (b, sb) = march_render(field.view(), &index, &grid, &opts);
             assert_eq!(a.data, b.data);
             assert_eq!(sa.crossings, sb.crossings);
             assert_eq!(sa.perturbations, sb.perturbations);
@@ -1367,7 +1504,7 @@ mod tests {
         let grid = GridSpec2::covering(Vec2::new(0.2, 0.2), Vec2::new(5.2, 5.2), 48, 48);
         let opts = MarchOptions::new().parallel(false);
         let (a, sr) = surface_density_reference(&field, &index, &grid, &opts);
-        let (b, sc) = surface_density_with_index(&field, &index, &grid, &opts);
+        let (b, sc) = march_render(field.view(), &index, &grid, &opts);
         assert_eq!(a.data, b.data);
         assert_eq!(
             sr.edge_evals,

@@ -4,8 +4,8 @@ use dtfe_core::density::{DtfeField, Mass};
 use dtfe_core::estimator::FieldEstimator;
 use dtfe_core::grid::GridSpec2;
 use dtfe_core::marching::{
-    march_cell, surface_density_reference, surface_density_with_index, surface_density_with_stats,
-    HullIndex, MarchOptions, MarchStats,
+    march_cell, surface_density_by, surface_density_reference, surface_density_with_index,
+    surface_density_with_stats, HullIndex, Kernel, MarchOptions, MarchStats,
 };
 use dtfe_core::psdtfe::PsDtfeField;
 use dtfe_core::stochastic::{StochasticField, StochasticOptions};
@@ -98,8 +98,10 @@ proptest! {
         samples in 1usize..3,
     ) {
         // The coherent kernel's contract: the reference kernel, the serial
-        // coherent kernel, and the tiled parallel kernel at any tile size
-        // and worker count produce bit-identical fields.
+        // coherent march, and the tiled parallel march at any tile size
+        // and worker count produce bit-identical fields; and the render —
+        // marched or projected, whichever it selects — gives its serial
+        // bits at any tile size and worker count.
         let Ok(field) = DtfeField::build(&pts, Mass::Uniform(1.0)) else {
             return Ok(());
         };
@@ -109,24 +111,30 @@ proptest! {
         if zwin.2 == 1 {
             opts = opts.z_range(zwin.0, zwin.1);
         }
+        let march = |o: &MarchOptions| surface_density_by(&field, &index, &grid, o, Kernel::March);
         let (reference, sr) = surface_density_reference(&field, &index, &grid, &opts);
-        let (serial, ss) = surface_density_with_index(&field, &index, &grid, &opts);
+        let (serial, ss) = march(&opts);
         prop_assert_eq!(&reference.data, &serial.data);
         prop_assert_eq!(sr.crossings, ss.crossings);
         prop_assert_eq!(sr.perturbations, ss.perturbations);
         prop_assert_eq!(sr.failures, ss.failures);
         prop_assert!(ss.edge_evals <= sr.edge_evals);
+        let (rendered, rs) = surface_density_with_index(&field, &index, &grid, &opts);
         let par_opts = opts.parallel(true).tile(tile);
         for threads in [1usize, 2, 8] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            let (par, sp) =
-                pool.install(|| surface_density_with_index(&field, &index, &grid, &par_opts));
+            let (par, sp) = pool.install(|| march(&par_opts));
             prop_assert_eq!(&serial.data, &par.data, "threads {} tile {}", threads, tile);
             prop_assert_eq!(ss.crossings, sp.crossings);
             prop_assert_eq!(ss.perturbations, sp.perturbations);
+            let (par, sp) =
+                pool.install(|| surface_density_with_index(&field, &index, &grid, &par_opts));
+            prop_assert_eq!(&rendered.data, &par.data, "threads {} tile {}", threads, tile);
+            prop_assert_eq!(rs.crossings, sp.crossings);
+            prop_assert_eq!(rs.perturbations, sp.perturbations);
         }
     }
 
@@ -174,13 +182,14 @@ proptest! {
     ) {
         // The kernel is generic over `FieldEstimator`: every backend named
         // by `EstimatorKind` (DTFE, PS-DTFE, its velocity divergence, and
-        // the stochastic reconstruction) must render bit-identically to the
+        // the stochastic reconstruction) must march bit-identically to the
         // reference kernel at every thread count.
         fn check<E: FieldEstimator + ?Sized>(field: &E, grid: &GridSpec2, tile: usize, label: &str) {
             let index = HullIndex::build(field);
             let opts = MarchOptions::new().parallel(false);
+            let march = |o: &MarchOptions| surface_density_by(field, &index, grid, o, Kernel::March);
             let (reference, sr) = surface_density_reference(field, &index, grid, &opts);
-            let (serial, ss) = surface_density_with_index(field, &index, grid, &opts);
+            let (serial, ss) = march(&opts);
             prop_assert_eq!(&reference.data, &serial.data, "{} serial", label);
             prop_assert_eq!(sr.crossings, ss.crossings);
             prop_assert_eq!(sr.perturbations, ss.perturbations);
@@ -190,8 +199,7 @@ proptest! {
                     .num_threads(threads)
                     .build()
                     .unwrap();
-                let (par, sp) =
-                    pool.install(|| surface_density_with_index(field, &index, grid, &par_opts));
+                let (par, sp) = pool.install(|| march(&par_opts));
                 prop_assert_eq!(
                     &reference.data,
                     &par.data,

@@ -43,14 +43,17 @@ pub struct Record {
 
 /// A triangulation's tetrahedra as the render path reads them: one
 /// [`Record`] per live slot in breadth-first order, the swap bits, and the
-/// lowest vertex height (a z-window whose floor is not above it has no
-/// window entry, decided per render without touching the mesh).
+/// lowest and highest vertex heights (a z-window whose floor is not above
+/// the lowest has no window entry, and one that contains both integrates
+/// every tetrahedron whole — decided per render without touching the
+/// mesh).
 pub struct Topology {
     records: Vec<Record>,
     /// Bit `t % 64` of word `t / 64`: slot `t`'s record has vertices 2 and
     /// 3 swapped.
     swapped: Vec<u64>,
     z_min: f64,
+    z_max: f64,
 }
 
 /// Below this many slots the records are written in the calling thread:
@@ -105,10 +108,12 @@ impl Topology {
             }
         }
         let z_min = points.iter().fold(f64::INFINITY, |m, v| m.min(v.z));
+        let z_max = points.iter().fold(f64::NEG_INFINITY, |m, v| m.max(v.z));
         Topology {
             records,
             swapped,
             z_min,
+            z_max,
         }
     }
 
@@ -155,6 +160,12 @@ impl Topology {
     #[inline]
     pub fn z_min(&self) -> f64 {
         self.z_min
+    }
+
+    /// The highest vertex height of the mesh.
+    #[inline]
+    pub fn z_max(&self) -> f64 {
+        self.z_max
     }
 
     /// Resident bytes (the service layer's budget accounting). Counts the

@@ -15,6 +15,10 @@ pub enum FrameworkError {
     /// The work-sharing scheduler rejected its input (non-finite predicted
     /// times).
     Schedule(ScheduleError),
+    /// The outbox handed rank `rank` back an item it never sent: a broken
+    /// reclaim invariant, reported by that rank alone (no collective
+    /// follows the sender epilogue, so the other ranks finish).
+    Reclaim { rank: usize },
 }
 
 impl std::fmt::Display for FrameworkError {
@@ -24,6 +28,9 @@ impl std::fmt::Display for FrameworkError {
                 write!(f, "snapshot IO error on rank {rank}: {error}")
             }
             FrameworkError::Schedule(e) => write!(f, "work-sharing schedule error: {e}"),
+            FrameworkError::Reclaim { rank } => {
+                write!(f, "rank {rank} reclaimed an item it never sent")
+            }
         }
     }
 }
@@ -33,6 +40,7 @@ impl std::error::Error for FrameworkError {
         match self {
             FrameworkError::Io { error, .. } => Some(error),
             FrameworkError::Schedule(e) => Some(e),
+            FrameworkError::Reclaim { .. } => None,
         }
     }
 }
@@ -57,5 +65,7 @@ mod tests {
         assert!(s.contains("rank 3") && s.contains("truncated block"), "{s}");
         let e: FrameworkError = ScheduleError::NonFiniteTime { rank: 1 }.into();
         assert!(matches!(e, FrameworkError::Schedule(_)));
+        let s = FrameworkError::Reclaim { rank: 2 }.to_string();
+        assert!(s.contains("rank 2") && s.contains("reclaimed"), "{s}");
     }
 }

@@ -15,6 +15,7 @@
 //! scheduled amounts and receivers blocking until their sender's bundle has
 //! been dispatched.
 
+use crate::error::FrameworkError;
 use crate::sharing::{create_schedule, pack_bins};
 
 /// A synthetic rank workload: per-item predicted and actual costs.
@@ -91,11 +92,16 @@ pub fn simulate_unbalanced(work: &[RankWork]) -> SimResult {
 /// * A **receiver** first runs its local items, then for each entry of its
 ///   `RecvList` waits (if needed) until the bundle has been dispatched,
 ///   then runs the received items.
-pub fn simulate_balanced(work: &[RankWork], params: &SimParams) -> SimResult {
+///
+/// A predicted cost that is NaN or infinite is a
+/// [`FrameworkError::Schedule`], as it is on the real runner.
+pub fn simulate_balanced(
+    work: &[RankWork],
+    params: &SimParams,
+) -> Result<SimResult, FrameworkError> {
     let p = work.len();
     let predicted_totals: Vec<f64> = work.iter().map(|w| w.total_predicted()).collect();
-    // Synthetic workloads are finite by construction.
-    let schedule = create_schedule(&predicted_totals).expect("synthetic predicted totals");
+    let schedule = create_schedule(&predicted_totals)?;
 
     struct Bundle {
         available_at: f64,
@@ -113,8 +119,7 @@ pub fn simulate_balanced(work: &[RankWork], params: &SimParams) -> SimResult {
             continue;
         }
         let bins: Vec<f64> = sends.iter().map(|t| t.amount).collect();
-        let (assign, _left) =
-            pack_bins(&work[rank].predicted, &bins).expect("synthetic item costs");
+        let (assign, _left) = pack_bins(&work[rank].predicted, &bins)?;
         let mut moved = vec![false; work[rank].actual.len()];
         let mut bundle_costs = Vec::with_capacity(sends.len());
         for items in &assign {
@@ -177,12 +182,12 @@ pub fn simulate_balanced(work: &[RankWork], params: &SimParams) -> SimResult {
         finish[rank] = t;
     }
     let wall = finish.iter().cloned().fold(0.0, f64::max);
-    SimResult {
+    Ok(SimResult {
         finish,
         wall,
         total_wait,
         transfers: schedule.transfers.len(),
-    }
+    })
 }
 
 /// Generate a synthetic heavy-tailed workload for `nranks` ranks:
@@ -335,7 +340,7 @@ mod tests {
     fn balancing_beats_unbalanced_on_skewed_load() {
         let work = synth_workload(64, 64, 0.5, 0.1, 0, 1.0, 42);
         let unbal = simulate_unbalanced(&work);
-        let bal = simulate_balanced(&work, &SimParams::default());
+        let bal = simulate_balanced(&work, &SimParams::default()).unwrap();
         assert!(
             bal.wall < 0.6 * unbal.wall,
             "expected clear speedup: {} vs {}",
@@ -363,7 +368,8 @@ mod tests {
                 per_item_comm: 0.0,
                 per_transfer_comm: 0.0,
             },
-        );
+        )
+        .unwrap();
         // Packing granularity keeps this approximate: within 2× of the mean
         // and far below the unbalanced max.
         let unbal = simulate_unbalanced(&work).wall;
@@ -389,7 +395,7 @@ mod tests {
                 actual: vec![1.0; 4],
             })
             .collect();
-        let bal = simulate_balanced(&work, &SimParams::default());
+        let bal = simulate_balanced(&work, &SimParams::default()).unwrap();
         assert_eq!(bal.transfers, 0);
         assert!((bal.wall - 4.0).abs() < 1e-9);
     }
@@ -400,8 +406,9 @@ mod tests {
         let clean = synth_workload(256, 48, 0.5, 0.15, 0, 1.0, 11);
         let dirty = synth_workload(256, 48, 0.5, 0.15, 4, 400.0, 11);
         let params = SimParams::default();
-        let speedup =
-            |w: &[RankWork]| simulate_unbalanced(w).wall / simulate_balanced(w, &params).wall;
+        let speedup = |w: &[RankWork]| {
+            simulate_unbalanced(w).wall / simulate_balanced(w, &params).unwrap().wall
+        };
         let s_clean = speedup(&clean);
         let s_dirty = speedup(&dirty);
         assert!(s_clean > 1.5, "clean speedup {s_clean}");
@@ -415,7 +422,7 @@ mod tests {
     fn imbalance_metric_drops_after_balancing() {
         let work = synth_workload(128, 48, 0.5, 0.1, 0, 1.0, 3);
         let unbal = simulate_unbalanced(&work);
-        let bal = simulate_balanced(&work, &SimParams::default());
+        let bal = simulate_balanced(&work, &SimParams::default()).unwrap();
         assert!(normalized_std(&bal.finish) < normalized_std(&unbal.finish));
     }
 
@@ -428,7 +435,7 @@ mod tests {
         // transfers than ranks and at most 9/8 events per item here.
         let (ranks, items) = (16_384, 16);
         let work = synth_workload(ranks, items, 0.5, 0.1, 8, 100.0, 99);
-        let bal = simulate_balanced(&work, &SimParams::default());
+        let bal = simulate_balanced(&work, &SimParams::default()).unwrap();
         assert!(bal.transfers < ranks, "{} transfers", bal.transfers);
         let events = ranks * items + 2 * bal.transfers;
         assert!(events <= ranks * items * 9 / 8, "{events} events");

@@ -469,14 +469,12 @@ fn run_rank_inner(
     // A bundle's sequence number is the transfer's index in the global
     // schedule — identical on every rank, so receivers can discard
     // duplicates without negotiation. (Schedule invariant: (from, to)
-    // pairs are unique, and no rank both sends and receives.)
-    let seq_of = |from: usize, to: usize| -> u64 {
-        schedule
-            .transfers
-            .iter()
-            .position(|t| t.from == from && t.to == to)
-            .expect("own transfer present in the global schedule") as u64
-    };
+    // pairs are unique, and no rank both sends and receives.) `sends_of`
+    // keeps schedule order, so this rank's sends are its transfers, and
+    // their indices, in order.
+    let send_seqs = (schedule.transfers.iter().enumerate())
+        .filter(|(_, t)| t.from == me)
+        .map(|(k, _)| k as u64);
     let mut outbox = (!my_sends.is_empty()).then(|| Outbox::new(cfg.reliability.clone()));
     let mut inbox = (!my_recvs.is_empty())
         .then(|| InboxDrain::new(cfg.reliability.clone(), my_recvs.iter().map(|t| t.from)));
@@ -486,16 +484,10 @@ fn run_rank_inner(
     // Every bundle is dispatched up front: the transport is buffered, so
     // early dispatch strictly reduces receiver wait.
     if let Some(ob) = outbox.as_mut() {
-        for (send, bucket) in my_sends.iter().zip(&send_buckets) {
+        for ((send, bucket), seq) in my_sends.iter().zip(&send_buckets).zip(send_seqs) {
             let centers: Vec<Vec3> = bucket.iter().map(|&i| local_centers[i]).collect();
             report.sent_items += centers.len();
-            ob.dispatch(
-                comm,
-                seq_of(me, send.to),
-                send.to,
-                Arc::clone(&all),
-                centers,
-            );
+            ob.dispatch(comm, seq, send.to, Arc::clone(&all), centers);
         }
     }
 
@@ -559,10 +551,12 @@ fn run_rank_inner(
             report.sent_items -= centers.len();
             report.reclaimed_items += centers.len();
             for c in centers {
-                let i = local_centers
-                    .iter()
+                // A reclaimed centre is one of this rank's items (its
+                // bundles are cut from `local_centers`), with a modelled
+                // count.
+                let i = (local_centers.iter())
                     .position(|&lc| lc == c)
-                    .expect("reclaimed centre is one of this rank's items");
+                    .ok_or(FrameworkError::Reclaim { rank: me })?;
                 record_item(
                     &mut report,
                     c,

@@ -124,7 +124,7 @@ proptest! {
         let work = partition_items(&items, nranks);
         let total_items: usize = work.iter().map(|w| w.actual.len()).sum();
         prop_assert_eq!(total_items, 256);
-        let bal = simulate_balanced(&work, &SimParams::default());
+        let bal = simulate_balanced(&work, &SimParams::default()).unwrap();
         let unbal = simulate_unbalanced(&work);
         prop_assert!(bal.wall.is_finite() && bal.wall > 0.0);
         // Receivers can idle on a sender's *interleaved* dispatch points (the

@@ -92,15 +92,26 @@ const ISP_STAGE1_MAX_LIFT: f64 = 1e120;
 /// Orientation of the 2D triangle `(a, b, c)`: `Positive` when the triangle
 /// winds counterclockwise.
 pub fn orient2d(a: Vec2, b: Vec2, c: Vec2) -> Orientation {
+    orient2d_filtered(a, b, c).unwrap_or_else(|| orient2d_exact(a, b, c))
+}
+
+/// [`orient2d`] inlined into its caller, for a hot loop (the element
+/// projector asks per footprint row): the filtered sign is a few flops, and
+/// the rare undecided case goes to the out-of-line [`orient2d`].
+#[inline]
+pub fn orient2d_inline(a: Vec2, b: Vec2, c: Vec2) -> Orientation {
+    orient2d_filtered(a, b, c).unwrap_or_else(|| orient2d(a, b, c))
+}
+
+/// The float filter: the sign when the determinant clears its error bound.
+#[inline]
+fn orient2d_filtered(a: Vec2, b: Vec2, c: Vec2) -> Option<Orientation> {
     let detleft = (a.x - c.x) * (b.y - c.y);
     let detright = (a.y - c.y) * (b.x - c.x);
     let det = detleft - detright;
 
     let detsum = detleft.abs() + detright.abs();
-    if det.abs() > O2D_BOUND * detsum {
-        return Orientation::from_sign(if det > 0.0 { 1 } else { -1 });
-    }
-    orient2d_exact(a, b, c)
+    (det.abs() > O2D_BOUND * detsum).then(|| Orientation::from_sign(if det > 0.0 { 1 } else { -1 }))
 }
 
 fn orient2d_exact(a: Vec2, b: Vec2, c: Vec2) -> Orientation {

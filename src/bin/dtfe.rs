@@ -183,7 +183,7 @@ fn cmd_render(flags: &HashMap<String, String>) -> Result<(), String> {
 
     eprintln!("triangulating {} particles...", pts.len());
     let field = DtfeField::build(&pts, Mass::Uniform(1.0)).map_err(|e| e.to_string())?;
-    eprintln!("marching {} rays...", grid.num_cells());
+    eprintln!("rendering {} lines of sight...", grid.num_cells());
     let opts = MarchOptions::new().samples(samples);
     let (sigma, stats) = surface_density_with_stats(&field, &grid, &opts);
     eprintln!(

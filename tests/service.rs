@@ -8,6 +8,7 @@
 //! (multi-tile config). Cold (triangulation built on demand) and warm
 //! (tile LRU hit) responses must match exactly too.
 
+use dtfe_repro::core::marching::projects;
 use dtfe_repro::core::{
     surface_density_with_index, DtfeField, GridSpec2, HullIndex, MarchOptions, Mass,
 };
@@ -55,18 +56,39 @@ fn assert_bits_equal(a: &[f64], b: &[f64], what: &str) {
 /// Single-tile service vs the distributed batch framework: the request
 /// cube is the whole domain, so both paths triangulate the identical
 /// particle sequence — the grids must match bit for bit, cold and warm.
+/// With one sample per cell the render is centre-sampled over the whole
+/// depth of a dense grid, so both paths project; with two, both march.
 #[test]
 fn service_matches_batch_framework_bit_for_bit() {
-    let dir = tmpdir("batch");
+    for samples in [1, 2] {
+        served_equals_batch(samples);
+    }
+}
+
+fn served_equals_batch(samples: usize) {
+    let dir = tmpdir(&format!("batch_{samples}"));
     let side = 8.0;
     let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(side));
     let pts = cloud(2_500, side, 20260805);
     let path = dir.join("box.snap");
-    write_snapshot(&path, &[pts], bounds).unwrap();
+    write_snapshot(&path, std::slice::from_ref(&pts), bounds).unwrap();
 
     let resolution = 48;
-    let samples = 2;
     let center = bounds.center();
+    let what = |s: &str| format!("{s}, {samples} samples");
+
+    // Both paths render the whole domain's mesh with these options.
+    let field = DtfeField::build(&pts, Mass::Uniform(1.0)).unwrap();
+    let grid = GridSpec2::square(center.xy(), side, resolution);
+    let opts = MarchOptions::new()
+        .samples(samples)
+        .z_range(center.z - side * 0.5, center.z + side * 0.5);
+    assert_eq!(
+        projects(&field, &grid, &opts),
+        samples == 1,
+        "{}",
+        what("kernel")
+    );
 
     // Offline reference: the batch framework on 1 rank with the field
     // cube equal to the domain.
@@ -91,11 +113,15 @@ fn service_matches_batch_framework_bit_for_bit() {
     let cold = service.render(&req).expect("cold render");
     assert!(!cold.meta.cache_hit, "first request must be a miss");
     assert_eq!((cold.grid.nx, cold.grid.ny), (resolution, resolution));
-    assert_bits_equal(&cold.data, &reference.data, "cold vs batch framework");
+    assert_bits_equal(
+        &cold.data,
+        &reference.data,
+        &what("cold vs batch framework"),
+    );
 
     let warm = service.render(&req).expect("warm render");
     assert!(warm.meta.cache_hit, "second request must hit the tile LRU");
-    assert_bits_equal(&warm.data, &cold.data, "warm vs cold");
+    assert_bits_equal(&warm.data, &cold.data, &what("warm vs cold"));
 
     let stats = service.stats();
     assert_eq!(
