@@ -53,7 +53,7 @@
 //!
 //! # Coherence (DESIGN.md §4f)
 //!
-//! The production path exploits four forms of coherence while staying
+//! The production path exploits three forms of coherence while staying
 //! **bit-identical** to the straightforward kernel (kept as
 //! [`surface_density_reference`], the equivalence oracle):
 //!
@@ -62,17 +62,12 @@
 //!   through ([`dtfe_geometry::plucker::ray_tetra_seeded`]), and the
 //!   per-step orientation normalization and vertex gathers are hoisted into
 //!   the mesh's one record per tetrahedron ([`MarchCache`]).
-//! * **Neighbor-seeded entry** — consecutive cells seed the hull-entry
-//!   search from the previous cell's entry facet, walking the projected
-//!   hull triangulation ([`HullIndex`] adjacency) instead of paying a
-//!   binned query per cell; exact-arithmetic ties bail to the binned query
-//!   so the entry facet never differs.
 //! * **Hinted window entry** — a windowed line finds its `T₀` by a
 //!   visibility walk from the previous line's `T₀` (the previous row's
 //!   first cell at a row start), with exact predicates; the hint can only
 //!   change how many steps the walk takes, never where it ends.
-//! * **Tiled parallelism** — workers render square 2D tiles
-//!   ([`MarchOptions::tile`]) instead of whole rows. Every random draw of a
+//! * **Tiled parallelism** — workers render square 2D tiles of 64 × 64
+//!   cells instead of whole rows. Every random draw of a
 //!   line of sight — its jitter and each `Perturb` restart — is a pure
 //!   function of the line's key ([`line_key`]: cell, sample, restart), so a
 //!   cell renders the same bits in any tile, on any thread, or alone
@@ -122,8 +117,8 @@ const EPSILON: f64 = 1e-7;
 /// value (with exact entry handling this is practically unreachable).
 const MAX_PERTURB: usize = 64;
 
-/// Default tile edge when [`MarchOptions::tile`] is 0.
-const DEFAULT_TILE: usize = 64;
+/// Edge, in cells, of the square tiles a parallel march renders.
+const TILE: usize = 64;
 
 /// The expected `(line, tetrahedron)` pairs per finite tetrahedron at or
 /// above which a centre-sampled, full-depth render projects instead of
@@ -138,15 +133,11 @@ pub const PROJECT_MIN_PAIRS: f64 = 3.0;
 /// centre lines), 1.4 × 4200^(1/3) = 22.6.
 const DEPTH_PER_CUBE_ROOT: f64 = 1.4;
 
-/// Sentinel facet index for "no entry hint".
-const NO_FACET: u32 = u32::MAX;
-
-/// Where the previous line of sight entered the mesh, threaded from cell to
-/// cell. Both members only shorten a search whose answer is unique, so a
-/// stale or foreign hint costs steps and never changes an entry.
+/// Where the previous line of sight's window-entry walk ended, threaded
+/// from cell to cell. Both members only shorten a search whose answer is
+/// unique, so a stale or foreign hint costs steps and never changes an
+/// entry.
 struct EntryHint {
-    /// Hull facet of the previous hull entry ([`NO_FACET`]: none yet).
-    facet: u32,
     /// Where the previous window-entry walk ended ([`NONE`]: none yet).
     window: TetId,
     /// `window` after the current row's first cell: the start for the next
@@ -158,7 +149,6 @@ struct EntryHint {
 impl EntryHint {
     fn cold() -> EntryHint {
         EntryHint {
-            facet: NO_FACET,
             window: NONE,
             row_window: NONE,
         }
@@ -181,12 +171,10 @@ impl EntryHint {
 pub use dtfe_delaunay::Topology as MarchCache;
 
 // ---------------------------------------------------------------------------
-// Hull entry: binned index + hinted walk.
+// Hull entry: binned index.
 
 /// Spatially-binned index over the projected downward hull facets — the 2D
 /// point-location structure for Eq. 14. Build once per field, query per ray.
-/// Facet adjacency is indexed too, so consecutive queries can walk from a
-/// hint instead of rescanning a bin ([`MarchStats::entry_hint_hits`]).
 pub struct HullIndex {
     facets: Vec<EntryFacet>,
     bounds: Aabb2,
@@ -197,22 +185,6 @@ pub struct HullIndex {
     /// `b`.
     off: Vec<u32>,
     items: Vec<u32>,
-    /// `adj[f][e]` is the facet across edge `e` of facet `f` (edges in
-    /// `(a,b), (b,c), (c,a)` order); `u32::MAX` on the hull silhouette.
-    adj: Vec<[u32; 3]>,
-}
-
-/// Outcome of [`HullIndex::walk_from`].
-enum EntryWalk {
-    /// `q` is strictly inside this facet (the unique containing facet, so
-    /// the binned query would return the same ghost).
-    Found(u32),
-    /// `q` is strictly beyond a silhouette edge: outside the hull footprint
-    /// (the binned query would return `None`).
-    Outside,
-    /// An exact-arithmetic tie or a degenerate facet: fall back to the
-    /// binned query so boundary cells keep its first-in-bin-order answer.
-    Bail,
 }
 
 impl HullIndex {
@@ -283,36 +255,6 @@ impl HullIndex {
             }
         }
 
-        // Facet adjacency for the hinted walk: two facets sharing an edge
-        // share its endpoint *coordinates* exactly (both copied from the
-        // same vertices), so the edge key is the bit pattern of the sorted
-        // endpoint pair. Downward facets of a convex hull share each edge
-        // at most twice.
-        let mut adj = vec![[NO_FACET; 3]; facets.len()];
-        let mut edge_map: std::collections::HashMap<[u64; 4], (u32, u8)> =
-            std::collections::HashMap::with_capacity(facets.len() * 2);
-        for (fi, f) in facets.iter().enumerate() {
-            for (e, (p, q)) in [(f.a, f.b), (f.b, f.c), (f.c, f.a)].into_iter().enumerate() {
-                let pk = [p.x.to_bits(), p.y.to_bits()];
-                let qk = [q.x.to_bits(), q.y.to_bits()];
-                let key = if pk <= qk {
-                    [pk[0], pk[1], qk[0], qk[1]]
-                } else {
-                    [qk[0], qk[1], pk[0], pk[1]]
-                };
-                match edge_map.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(o) => {
-                        let (fj, ej) = *o.get();
-                        adj[fi][e] = fj;
-                        adj[fj as usize][ej as usize] = fi as u32;
-                    }
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        v.insert((fi as u32, e as u8));
-                    }
-                }
-            }
-        }
-
         HullIndex {
             facets,
             bounds,
@@ -321,20 +263,14 @@ impl HullIndex {
             inv_cell,
             off,
             items,
-            adj,
         }
     }
 
     /// The ghost tetrahedron whose projected hull facet contains `q`
-    /// (boundary inclusive); `None` when `q` is outside the hull footprint.
-    pub fn query(&self, q: Vec2) -> Option<TetId> {
-        self.query_with_facet(q).map(|(g, _)| g)
-    }
-
-    /// As [`HullIndex::query`], also returning the facet index (the next
-    /// cell's walk hint).
+    /// (boundary inclusive; the first such facet in bin order); `None` when
+    /// `q` is outside the hull footprint.
     #[inline(never)] // once per hull-entered line; see `march_one`
-    fn query_with_facet(&self, q: Vec2) -> Option<(TetId, u32)> {
+    pub fn query(&self, q: Vec2) -> Option<TetId> {
         if q.x < self.bounds.lo.x
             || q.y < self.bounds.lo.y
             || q.x > self.bounds.hi.x
@@ -345,60 +281,11 @@ impl HullIndex {
         let i = (((q.x - self.bounds.lo.x) * self.inv_cell.x) as usize).min(self.nx - 1);
         let j = (((q.y - self.bounds.lo.y) * self.inv_cell.y) as usize).min(self.ny - 1);
         let b = j * self.nx + i;
-        for &fi in &self.items[self.off[b] as usize..self.off[b + 1] as usize] {
-            let f = &self.facets[fi as usize];
-            if triangle_contains(f.a, f.b, f.c, q) {
-                return Some((f.ghost, fi));
-            }
-        }
-        None
-    }
-
-    /// Straight-walk point location over the facet adjacency, seeded at
-    /// facet `start`. Conservative by construction: any exact-arithmetic
-    /// tie (query on an edge, degenerate facet) bails to the binned query,
-    /// so a `Found`/`Outside` verdict is always the verdict
-    /// [`HullIndex::query`] would reach — entry facets, and therefore
-    /// rendered fields, are bit-identical with hints on or off.
-    #[inline(never)] // once per hull-entered line; see `march_one`
-    fn walk_from(&self, start: u32, q: Vec2) -> EntryWalk {
-        let mut fi = start as usize;
-        if fi >= self.facets.len() {
-            return EntryWalk::Bail;
-        }
-        // A visibility walk over a projected hull terminates in practice,
-        // but cap it defensively; the fallback is merely a binned query.
-        for _ in 0..=self.facets.len() {
-            let f = &self.facets[fi];
-            let s = orient2d(f.a, f.b, f.c);
-            if s == Orientation::Zero {
-                return EntryWalk::Bail;
-            }
-            let mut cross = None;
-            for (e, (p0, p1)) in [(f.a, f.b), (f.b, f.c), (f.c, f.a)].into_iter().enumerate() {
-                let o = orient2d(p0, p1, q);
-                if o == Orientation::Zero {
-                    return EntryWalk::Bail;
-                }
-                if o != s {
-                    cross = Some(e);
-                    break;
-                }
-            }
-            match cross {
-                None => return EntryWalk::Found(fi as u32),
-                Some(e) => {
-                    let n = self.adj[fi][e];
-                    if n == NO_FACET {
-                        // Strictly beyond a silhouette edge of the convex
-                        // footprint: outside every facet.
-                        return EntryWalk::Outside;
-                    }
-                    fi = n as usize;
-                }
-            }
-        }
-        EntryWalk::Bail
+        self.items[self.off[b] as usize..self.off[b + 1] as usize]
+            .iter()
+            .map(|&fi| &self.facets[fi as usize])
+            .find(|f| triangle_contains(f.a, f.b, f.c, q))
+            .map(|f| f.ghost)
     }
 }
 
@@ -429,11 +316,11 @@ pub struct MarchStats {
     /// sight examined. Under a window that is the tetrahedra the segment
     /// `ξ × [z_lo, z_hi]` meets, not the whole hull chord.
     pub crossings: u64,
-    /// Hull-entry searches resolved by walking from the previous cell's
-    /// facet (`core.entry_hint_hit`).
+    /// Always 0: the march keeps no hull-entry hint. The field stays only
+    /// for the `perf` harness, which reads it.
     pub entry_hint_hits: u64,
-    /// Hull-entry searches that fell back to the binned hull query
-    /// (`core.entry_hint_miss`).
+    /// Hull-entry queries: lines (and `Perturb` restarts) without a window
+    /// entry that asked [`HullIndex::query`] (`core.entry_hint_miss`).
     pub entry_hint_misses: u64,
     /// Lines that entered at their window entry `T₀`
     /// (`core.window_entry_hit`).
@@ -661,36 +548,6 @@ fn march_one(
     v
 }
 
-/// Locate the entry ghost for `xi`: walk from the hinted facet when one is
-/// set, fall back to the binned query on a tie or a cold hint. Either way
-/// the hint is left on the found facet for the next cell.
-fn entry_lookup(
-    ctx: &MarchCtx<'_>,
-    q: Vec2,
-    hint: &mut u32,
-    stats: &mut MarchStats,
-) -> Option<TetId> {
-    if *hint != NO_FACET {
-        match ctx.index.walk_from(*hint, q) {
-            EntryWalk::Found(fi) => {
-                stats.entry_hint_hits += 1;
-                *hint = fi;
-                return Some(ctx.index.facets[fi as usize].ghost);
-            }
-            EntryWalk::Outside => {
-                stats.entry_hint_hits += 1;
-                return None;
-            }
-            EntryWalk::Bail => stats.entry_hint_misses += 1,
-        }
-    } else {
-        stats.entry_hint_misses += 1;
-    }
-    let (g, fi) = ctx.index.query_with_facet(q)?;
-    *hint = fi;
-    Some(g)
-}
-
 /// The window entry of the line through `xi` (module docs): a visibility
 /// walk from the hinted tetrahedron to the one strictly containing
 /// `(ξ, z_lo)`, every sign from the exact `orient3d`. `None` — enter through
@@ -799,10 +656,13 @@ fn march_cell_inner(
         // else the tetrahedron above the hull-projection facet.
         let mut t = match window_entry(ctx, xi_cur, &mut hint.window, stats) {
             Some(t0) => t0,
-            None => match entry_lookup(ctx, xi_cur, &mut hint.facet, stats) {
-                Some(ghost) => ctx.cache.record(ghost).neighbors[3],
-                None => return 0.0,
-            },
+            None => {
+                stats.entry_hint_misses += 1;
+                match ctx.index.query(xi_cur) {
+                    Some(ghost) => ctx.cache.record(ghost).neighbors[3],
+                    None => return 0.0,
+                }
+            }
         };
         let ray = Ray::vertical(xi_cur.x, xi_cur.y);
         let pl = Plucker::from_ray(&ray);
@@ -1086,16 +946,10 @@ fn march_render(
     let mut out = Field2::zeros(*grid);
     let mut stats = MarchStats::default();
     if opts.parallel {
-        let tile = if opts.tile > 0 {
-            opts.tile
-        } else {
-            DEFAULT_TILE
-        };
-        render_tiled(&ctx, grid, samples, tile, &mut out, &mut stats);
+        render_tiled(&ctx, grid, samples, TILE, &mut out, &mut stats);
     } else {
         let mut hint = EntryHint::cold();
         for (j, chunk) in out.data.chunks_mut(grid.nx).enumerate() {
-            hint.facet = NO_FACET;
             render_row_segment(&ctx, grid, samples, j, 0, &mut stats, &mut hint, chunk);
         }
     }
@@ -1105,7 +959,6 @@ fn march_render(
     dtfe_telemetry::counter_add!("core.tets_crossed", stats.crossings);
     dtfe_telemetry::counter_add!("core.degenerate_restarts", stats.perturbations);
     dtfe_telemetry::counter_add!("core.march_failures", stats.failures);
-    dtfe_telemetry::counter_add!("core.entry_hint_hit", stats.entry_hint_hits);
     dtfe_telemetry::counter_add!("core.entry_hint_miss", stats.entry_hint_misses);
     dtfe_telemetry::counter_add!("core.window_entry_hit", stats.window_entries);
     dtfe_telemetry::counter_add!("core.window_entry_fallback", stats.window_fallbacks);
@@ -1254,6 +1107,23 @@ mod tests {
             }
         }
         pts
+    }
+
+    /// The parallel march with square tiles of edge `tile` instead of
+    /// [`TILE`].
+    fn march_tiled(
+        field: &DtfeField,
+        index: &HullIndex,
+        grid: &GridSpec2,
+        opts: &MarchOptions,
+        tile: usize,
+    ) -> (Field2, MarchStats) {
+        let eps = EPSILON * grid.cell.norm();
+        let ctx = MarchCtx::new(field.view(), index, opts.z_range, eps, MAX_PERTURB);
+        let mut out = Field2::zeros(*grid);
+        let mut stats = MarchStats::default();
+        render_tiled(&ctx, grid, opts.samples, tile, &mut out, &mut stats);
+        (out, stats)
     }
 
     #[test]
@@ -1416,23 +1286,15 @@ mod tests {
     fn any_tile_size_is_bit_identical() {
         let pts = jittered_cloud(4, 43);
         let field = DtfeField::build(&pts, Mass::Uniform(1.0)).unwrap();
+        let index = HullIndex::build(&field);
         let grid = GridSpec2::covering(Vec2::new(0.0, 0.0), Vec2::new(3.5, 3.5), 23, 19);
         for samples in [1usize, 3] {
-            let base = surface_density(
-                &field,
-                &grid,
-                &MarchOptions::new().samples(samples).parallel(false),
-            );
-            for tile in [1usize, 5, 16, 1024] {
-                let tiled = surface_density(
-                    &field,
-                    &grid,
-                    &MarchOptions::new()
-                        .samples(samples)
-                        .parallel(true)
-                        .tile(tile),
-                );
+            let opts = MarchOptions::new().samples(samples).parallel(false);
+            let (base, bs) = march_render(field.view(), &index, &grid, &opts);
+            for tile in [1usize, 3, 5, 16, 1024] {
+                let (tiled, ts) = march_tiled(&field, &index, &grid, &opts, tile);
                 assert_eq!(base.data, tiled.data, "tile {tile} samples {samples}");
+                assert_eq!(bs, ts, "tile {tile} samples {samples}");
             }
         }
     }
@@ -1446,18 +1308,22 @@ mod tests {
         for opts in [
             MarchOptions::new().parallel(false),
             MarchOptions::new().samples(2).parallel(false),
+            MarchOptions::new().samples(3).parallel(false),
             MarchOptions::new().z_range(0.5, 3.5).parallel(false),
-            MarchOptions::new().parallel(true).tile(8),
-            MarchOptions::new().samples(3).parallel(true).tile(8),
         ] {
             // The march itself: centre lines over the whole depth of this
             // grid would project (tests/projector.rs holds that path).
             let (a, sa) = surface_density_reference(&field, &index, &grid, &opts);
-            let (b, sb) = march_render(field.view(), &index, &grid, &opts);
-            assert_eq!(a.data, b.data);
-            assert_eq!(sa.crossings, sb.crossings);
-            assert_eq!(sa.perturbations, sb.perturbations);
-            assert_eq!(sa.failures, sb.failures);
+            for (b, sb) in [
+                march_render(field.view(), &index, &grid, &opts),
+                march_tiled(&field, &index, &grid, &opts, 8),
+            ] {
+                assert_eq!(a.data, b.data);
+                assert_eq!(sa.crossings, sb.crossings);
+                assert_eq!(sa.perturbations, sb.perturbations);
+                assert_eq!(sa.failures, sb.failures);
+                assert_eq!(sa.entry_hint_misses, sb.entry_hint_misses);
+            }
         }
     }
 
@@ -1480,8 +1346,7 @@ mod tests {
         let (ser, ss) = surface_density_with_index(&field, &index, &grid, &opts_ser);
         assert!(ss.perturbations > 0, "scene not degenerate enough");
         for tile in [1usize, 3, 64] {
-            let opts_par = MarchOptions::new().parallel(true).tile(tile);
-            let (par, sp) = surface_density_with_index(&field, &index, &grid, &opts_par);
+            let (par, sp) = march_tiled(&field, &index, &grid, &opts_ser, tile);
             assert_eq!(ser.data, par.data, "tile {tile}");
             assert_eq!(ss.perturbations, sp.perturbations, "tile {tile}");
             assert_eq!(ss.crossings, sp.crossings, "tile {tile}");
@@ -1493,11 +1358,11 @@ mod tests {
     }
 
     #[test]
-    fn coherent_kernel_saves_edge_evals_and_queries() {
+    fn coherent_kernel_saves_edge_evals() {
         // The observability acceptance: on a fixed scene the coherent
         // kernel must evaluate strictly fewer Plücker edge products than
-        // the reference kernel's 6-per-test, and resolve most entries from
-        // the hint.
+        // the reference kernel's 6-per-test, and ask the hull index exactly
+        // as often as the reference does.
         let pts = jittered_cloud(6, 71);
         let field = DtfeField::build(&pts, Mass::Uniform(1.0)).unwrap();
         let index = HullIndex::build(&field);
@@ -1517,21 +1382,22 @@ mod tests {
             sc.edge_evals,
             sr.edge_evals
         );
-        assert!(
-            sc.entry_hint_hits > sc.entry_hint_misses,
-            "hints mostly missed: {} hits vs {} misses",
-            sc.entry_hint_hits,
-            sc.entry_hint_misses
-        );
+        assert_eq!(sc.entry_hint_misses, sr.entry_hint_misses);
+        assert_eq!(sc.entry_hint_hits, 0);
     }
 
     #[test]
-    fn hinted_walk_agrees_with_binned_query() {
-        let pts = jittered_cloud(5, 83);
-        let field = DtfeField::build(&pts, Mass::Uniform(1.0)).unwrap();
-        let index = HullIndex::build(&field);
-        // Seed a hint anywhere, then walk to scattered targets: every
-        // strict verdict must match the binned query.
+    fn hull_query_equals_brute_force_scan() {
+        // The oracle of the one hull entry: the ghost of the lowest-index
+        // facet containing `q`, boundary inclusive, or `None`. Facet
+        // vertices and edge midpoints are the ties; on the lattice the
+        // whole lower hull is coplanar, so every one of them is shared.
+        let lattice: Vec<Vec3> = (0..4)
+            .flat_map(|i| {
+                (0..4)
+                    .flat_map(move |j| (0..4).map(move |k| Vec3::new(i as f64, j as f64, k as f64)))
+            })
+            .collect();
         let mut s = 0xABCDEFu64;
         let mut r = move || {
             s ^= s >> 12;
@@ -1539,18 +1405,37 @@ mod tests {
             s ^= s >> 27;
             (s.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
         };
-        let mut hint = 0u32;
-        for _ in 0..200 {
-            let q = Vec2::new(r() * 6.0 - 0.5, r() * 6.0 - 0.5);
-            let binned = index.query(q);
-            match index.walk_from(hint, q) {
-                EntryWalk::Found(fi) => {
-                    assert_eq!(binned, Some(index.facets[fi as usize].ghost), "at {q:?}");
-                    hint = fi;
-                }
-                EntryWalk::Outside => assert_eq!(binned, None, "at {q:?}"),
-                EntryWalk::Bail => {} // ties defer to the binned query
+        for pts in [jittered_cloud(5, 83), lattice] {
+            let field = DtfeField::build(&pts, Mass::Uniform(1.0)).unwrap();
+            let index = HullIndex::build(&field);
+            let brute = |q: Vec2| {
+                index
+                    .facets
+                    .iter()
+                    .find(|f| triangle_contains(f.a, f.b, f.c, q))
+                    .map(|f| f.ghost)
+            };
+            let mut queries: Vec<Vec2> = (0..400)
+                .map(|_| Vec2::new(r() * 6.0 - 1.0, r() * 6.0 - 1.0))
+                .collect();
+            for f in &index.facets {
+                queries.extend([f.a, f.b, f.c]);
+                queries.extend([(f.a + f.b) * 0.5, (f.b + f.c) * 0.5, (f.c + f.a) * 0.5]);
             }
+            let (lo, hi) = (index.bounds.lo, index.bounds.hi);
+            queries.extend([
+                Vec2::new(lo.x - 1.0, lo.y),
+                Vec2::new(hi.x, hi.y + 1e-9),
+                Vec2::new(100.0, 0.0),
+                Vec2::new(-0.5, 2.0),
+            ]);
+            let mut inside = 0;
+            for q in queries {
+                let want = brute(q);
+                assert_eq!(index.query(q), want, "at {q:?}");
+                inside += want.is_some() as usize;
+            }
+            assert!(inside > 6 * index.facets.len(), "{inside} inside hits");
         }
     }
 

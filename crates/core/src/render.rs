@@ -2,9 +2,8 @@
 //!
 //! [`MarchOptions`] holds the inputs of the paper's kernel that a caller
 //! chooses: the samples per cell (Eq. 5), the z-window of the Eq. 12
-//! integral, the parallel switch with its tile edge, and the estimator a
-//! request names. The marching kernel, its reference and the walking
-//! baseline all read it. The `Perturb` ε and the restart budget of Fig. 2
+//! integral, the parallel switch, and the estimator a request names. The
+//! marching kernel, its reference and the walking baseline all read it. The `Perturb` ε and the restart budget of Fig. 2
 //! are constants of the marching kernels, and the walking baseline takes
 //! its grid depth as an argument.
 
@@ -22,15 +21,15 @@ use crate::estimator::EstimatorKind;
 /// assert_eq!(opts.z_range, Some((0.0, 10.0)));
 /// assert!(!opts.parallel);
 ///
-/// // Defaults: one centre sample, full hull depth, parallel on, auto tile,
-/// // canonical DTFE estimator.
+/// // Defaults: one centre sample, full hull depth, parallel on, canonical
+/// // DTFE estimator.
 /// let d = MarchOptions::default();
-/// assert_eq!((d.samples, d.z_range, d.parallel, d.tile), (1, None, true, 0));
+/// assert_eq!((d.samples, d.z_range, d.parallel), (1, None, true));
 /// assert_eq!(d.estimator, dtfe_core::EstimatorKind::Dtfe);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MarchOptions {
-    /// The five knobs, read as `opts.samples`, `opts.z_range`, … through
+    /// The four knobs, read as `opts.samples`, `opts.z_range`, … through
     /// `Deref`. They sit one field down only because the `perf` harness's
     /// kernel workload (`perf/src/kernel.rs`) reads `samples` through this
     /// field.
@@ -58,15 +57,10 @@ pub struct MarchKnobs {
     /// [`MarchStats::crossings`](crate::marching::MarchStats::crossings) counts
     /// those, not the whole hull chord.
     pub z_range: Option<(f64, f64)>,
-    /// Parallelize over grid rows/columns with Rayon (the paper's OpenMP
-    /// loop).
+    /// Parallelize with Rayon (the paper's OpenMP loop): the marching
+    /// kernel over square tiles of cells, the walking baseline over rows.
+    /// The rendered field is bit-identical either way.
     pub parallel: bool,
-    /// Square tile edge (in cells) for the marching kernel's parallel
-    /// scheduler: workers render 2D tiles instead of whole rows, so
-    /// consecutive cells reuse mesh locality in both directions. `0` picks
-    /// a default. The rendered field is bit-identical for every tile size.
-    /// The walking baseline parallelizes whole rows and ignores it.
-    pub tile: usize,
     /// Which estimator backend a request-driven renderer should integrate.
     /// The in-process render entry points are generic over
     /// [`crate::FieldEstimator`] and ignore this; the serving layer uses it
@@ -80,7 +74,6 @@ impl Default for MarchKnobs {
             samples: 1,
             z_range: None,
             parallel: true,
-            tile: 0,
             estimator: EstimatorKind::Dtfe,
         }
     }
@@ -114,12 +107,6 @@ impl MarchOptions {
     /// Switch row/column parallelism on or off.
     pub fn parallel(mut self, yes: bool) -> MarchOptions {
         self.render.parallel = yes;
-        self
-    }
-
-    /// Tile edge for the parallel marching scheduler (`0` = auto).
-    pub fn tile(mut self, n: usize) -> MarchOptions {
-        self.render.tile = n;
         self
     }
 

@@ -79,8 +79,7 @@ pub fn walk_column(field: &DtfeField, g3: &GridSpec3, i: usize, j: usize, sample
 /// (`N_z`). `opts.samples` counts sample points per **3D** cell: 1 is the
 /// cell centre (the paper's comparison setting, "a single point for
 /// computing the density at each grid cell"); more is the jittered
-/// Monte-Carlo mean (Eq. 5). `opts.tile` is inert: the walk parallelizes
-/// whole rows.
+/// Monte-Carlo mean (Eq. 5). A parallel walk renders whole rows.
 pub fn surface_density_walking(
     field: &DtfeField,
     grid: &GridSpec2,

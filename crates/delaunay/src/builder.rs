@@ -1,6 +1,6 @@
 //! The [`DelaunayBuilder`] construction API.
 
-use crate::{morton, Delaunay, DelaunayError, ValidationError};
+use crate::{morton, Delaunay, DelaunayError};
 use dtfe_geometry::Vec3;
 
 /// Alias for the triangulation the builder produces.
@@ -35,10 +35,14 @@ pub enum BuildError {
         /// Index of the input point being inserted.
         index: usize,
     },
-    /// Post-build structural validation failed (only with
-    /// [`DelaunayBuilder::validate`]). This indicates a library bug, not bad
-    /// input; please report it.
-    Validation(ValidationError),
+    /// Inserting input point `index` found the partial triangulation's
+    /// adjacency corrupt: a neighbour of the conflict region did not link
+    /// back, or the cavity had no boundary. This indicates a library bug,
+    /// not bad input; please report it.
+    Corrupt {
+        /// Index of the input point being inserted.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for BuildError {
@@ -63,25 +67,21 @@ impl std::fmt::Display for BuildError {
             BuildError::Lost { index } => {
                 write!(f, "locating input point {index} did not terminate")
             }
-            BuildError::Validation(e) => write!(f, "triangulation failed validation: {e}"),
+            BuildError::Corrupt { index } => {
+                write!(f, "inserting input point {index} met corrupt adjacency")
+            }
         }
     }
 }
 
-impl std::error::Error for BuildError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            BuildError::Validation(e) => Some(e),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for BuildError {}
 
 impl From<DelaunayError> for BuildError {
     fn from(e: DelaunayError) -> BuildError {
         match e {
             DelaunayError::Degenerate => BuildError::Degenerate,
             DelaunayError::Lost { index } => BuildError::Lost { index },
+            DelaunayError::Corrupt { index } => BuildError::Corrupt { index },
         }
     }
 }
@@ -89,9 +89,10 @@ impl From<DelaunayError> for BuildError {
 /// Builder for [`Delaunay`] triangulations — the single public construction
 /// entry point.
 ///
-/// Defaults: canonical BRIO insertion order on, no post-build validation.
-/// Construction is serial; callers parallelise across triangulations (tiles,
-/// work items), never inside one.
+/// Its one knob is the insertion order, canonical BRIO by default; the
+/// structural + local-Delaunay check is [`Delaunay::validate`] on the
+/// result. Construction is serial; callers parallelise across
+/// triangulations (tiles, work items), never inside one.
 ///
 /// # Example
 ///
@@ -109,17 +110,13 @@ impl From<DelaunayError> for BuildError {
 ///         )
 ///     })
 ///     .collect();
-/// let tri = DelaunayBuilder::new()
-///     .spatial_sort(true)
-///     .validate(true)
-///     .build(&pts)
-///     .unwrap();
+/// let tri = DelaunayBuilder::new().spatial_sort(true).build(&pts).unwrap();
 /// assert_eq!(tri.num_vertices(), 200);
+/// assert!(tri.validate().is_ok());
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct DelaunayBuilder {
     no_spatial_sort: bool,
-    validate: bool,
 }
 
 impl DelaunayBuilder {
@@ -148,13 +145,6 @@ impl DelaunayBuilder {
         self
     }
 
-    /// Run the full structural + local-Delaunay validation after
-    /// construction, surfacing any violation as [`BuildError::Validation`].
-    pub fn validate(mut self, yes: bool) -> DelaunayBuilder {
-        self.validate = yes;
-        self
-    }
-
     /// Triangulate `points`. Duplicates merge ([`Delaunay::vertex_of_input`]
     /// maps input indices to vertex ids); degenerate or non-finite input
     /// returns a typed [`BuildError`] instead of panicking.
@@ -172,9 +162,6 @@ impl DelaunayBuilder {
         let built = crate::build_serial(points, &order)?;
         let work = built.work;
         let d = built.finish();
-        if self.validate {
-            d.validate().map_err(BuildError::Validation)?;
-        }
         if dtfe_telemetry::is_enabled() {
             // Every input either became a vertex or hit `Located::Vertex`.
             let merged = points.len() - d.num_vertices();

@@ -115,6 +115,7 @@ fn edge_key(a: VertexId, b: VertexId) -> u64 {
 fn star_record(f: [VertexId; 3], vid: VertexId, o: TetId) -> ([VertexId; 4], [TetId; 4]) {
     let mut verts = [f[0], f[2], f[1], vid];
     let mut nbrs = [NONE, NONE, NONE, o];
+    // Proof: `f` is a ghost's face other than 3, so it holds slot 3, `INFINITE`.
     let k = verts[..3]
         .iter()
         .position(|&v| v == INFINITE)
@@ -317,22 +318,26 @@ impl Incremental {
         1
     }
 
-    /// Insert one point, returning its vertex id (an existing id for an
-    /// exact duplicate); `None`, with nothing changed, if locating it lost
-    /// its way ([`Located::Lost`]).
-    pub(crate) fn insert_point(&mut self, p: Vec3) -> Option<VertexId> {
+    /// Insert input point `index` at `p`, returning its vertex id (an
+    /// existing id for an exact duplicate). On corrupt adjacency — locating
+    /// `p` lost its way ([`Located::Lost`]), a neighbour of the conflict
+    /// region does not link back, or the cavity has no boundary — it
+    /// returns the typed error with no tetrahedron or vertex changed.
+    pub(crate) fn insert_point(
+        &mut self,
+        p: Vec3,
+        index: usize,
+    ) -> Result<VertexId, DelaunayError> {
         let mut seed = self.rng_state;
         let (located, steps) = walk(self.tets.as_slice(), &self.points, p, self.hint, &mut seed);
         self.rng_state = seed;
         self.work.walk_steps += steps as u64;
         let start = match located {
-            Located::Vertex(v) => return Some(v),
+            Located::Vertex(v) => return Ok(v),
             Located::Finite(t) => t,
             Located::Ghost(g) => g,
-            Located::Lost => return None,
+            Located::Lost => return Err(DelaunayError::Lost { index }),
         };
-        let vid = self.points.len() as VertexId;
-        self.points.push(p);
 
         // --- Conflict region (BFS with epoch marks) ---
         // mark = 2*epoch   : in conflict
@@ -364,9 +369,10 @@ impl Incremental {
                         self.mark[n as usize] = n_mark;
                     }
                     // Boundary facet, identified from the outside tet.
-                    let j = self.tets[n as usize]
-                        .index_of_neighbor(t)
-                        .expect("adjacency not reciprocal");
+                    let Some(j) = self.tets[n as usize].index_of_neighbor(t) else {
+                        self.scratch = scratch;
+                        return Err(DelaunayError::Corrupt { index });
+                    };
                     scratch.boundary.push((n, j as u8));
                 } else {
                     self.mark[n as usize] = c_mark;
@@ -374,6 +380,15 @@ impl Incremental {
                 }
             }
         }
+
+        // A ghost whose hull facet faces away from `p` never conflicts, so a
+        // valid triangulation's cavity always has a boundary.
+        if scratch.boundary.is_empty() {
+            self.scratch = scratch;
+            return Err(DelaunayError::Corrupt { index });
+        }
+        let vid = self.points.len() as VertexId;
+        self.points.push(p);
 
         // --- Star the cavity boundary from the new point ---
         // The star is written straight over the conflict region, in the
@@ -462,9 +477,12 @@ impl Incremental {
             }
         }
 
-        self.hint = *scratch.created.last().expect("cavity produced no tets");
+        // The boundary is not empty (checked above), so the star is not.
+        if let Some(&t) = scratch.created.last() {
+            self.hint = t;
+        }
         self.scratch = scratch;
-        Some(vid)
+        Ok(vid)
     }
 }
 
@@ -516,6 +534,47 @@ mod tests {
     }
 
     #[test]
+    fn non_reciprocal_adjacency_is_a_typed_error() {
+        // Cut the link back from a neighbour of a tetrahedron that the
+        // tetrahedron's centroid does not conflict with, then insert the
+        // centroid starting there: the conflict search meets the cut link
+        // and must return `Corrupt`, changing nothing.
+        let pts: Vec<Vec3> = (0..200)
+            .map(|i| {
+                let f = 1.0 + i as f64;
+                Vec3::new(
+                    (f * 0.618034).fract(),
+                    (f * 0.414214).fract(),
+                    (f * 0.259921).fract(),
+                )
+            })
+            .collect();
+        let mut d = crate::build_serial(&pts, &crate::morton::brio_order(&pts)).unwrap();
+        let centroid = |d: &Incremental, t: TetId| {
+            let q = |i: usize| d.points[d.tets[t as usize].verts[i] as usize];
+            (q(0) + q(1) + q(2) + q(3)) * 0.25
+        };
+        let (t, n) = (0..d.tets.len() as TetId)
+            .filter(|&t| d.tets[t as usize].is_live() && !d.tets[t as usize].is_ghost())
+            .find_map(|t| {
+                let p = centroid(&d, t);
+                let mut around = d.tets[t as usize].neighbors.into_iter();
+                around.find(|&n| !d.in_conflict(n, p)).map(|n| (t, n))
+            })
+            .unwrap();
+        let j = d.tets[n as usize].index_of_neighbor(t).unwrap();
+        d.tets[n as usize].neighbors[j] = n;
+        d.hint = t;
+        let (tets, n_points) = (format!("{:?}", d.tets), d.points.len());
+        assert_eq!(
+            d.insert_point(centroid(&d, t), 7),
+            Err(DelaunayError::Corrupt { index: 7 })
+        );
+        assert_eq!(format!("{:?}", d.tets), tets);
+        assert_eq!(d.points.len(), n_points);
+    }
+
+    #[test]
     fn far_outside_point_grows_the_edge_table() {
         // A point far outside a round cloud sees about half of its hull:
         // a cavity with far more boundary facets than any interior insertion
@@ -537,7 +596,8 @@ mod tests {
         let mut d = crate::build_serial(&pts, &crate::morton::brio_order(&pts)).unwrap();
         let before = d.scratch.edges.slots.len();
         let ghosts = d.n_ghost;
-        d.insert_point(Vec3::new(40.0, 30.0, 20.0)).unwrap();
+        d.insert_point(Vec3::new(40.0, 30.0, 20.0), pts.len())
+            .unwrap();
         let facets = d.scratch.boundary.len();
         assert!(facets > 64, "cavity has only {facets} boundary facets");
         assert!(facets > ghosts / 3, "{facets} of {ghosts} hull facets");

@@ -83,10 +83,7 @@ pub(crate) fn build_serial(input: &[Vec3], order: &[u32]) -> Result<Incremental,
     for &idx in order {
         let index = idx as usize;
         if d.input_vertex[index] == NONE {
-            let v = d
-                .insert_point(input[index])
-                .ok_or(DelaunayError::Lost { index })?;
-            d.input_vertex[index] = v;
+            d.input_vertex[index] = d.insert_point(input[index], index)?;
         }
     }
     Ok(d)
@@ -104,6 +101,13 @@ pub enum DelaunayError {
         /// Index of the input point being inserted.
         index: usize,
     },
+    /// Inserting input point `index` met a neighbour of its conflict region
+    /// that does not link back, or a cavity with no boundary: the partial
+    /// triangulation's adjacency is corrupt.
+    Corrupt {
+        /// Index of the input point being inserted.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for DelaunayError {
@@ -117,6 +121,9 @@ impl std::fmt::Display for DelaunayError {
             }
             DelaunayError::Lost { index } => {
                 write!(f, "locating input point {index} did not terminate")
+            }
+            DelaunayError::Corrupt { index } => {
+                write!(f, "inserting input point {index} met corrupt adjacency")
             }
         }
     }

@@ -138,8 +138,8 @@ pub struct MetricsDigest {
     /// per-render `MarchStats` here: `core.los_marched`,
     /// `core.tets_crossed`, `core.degenerate_restarts`,
     /// `core.march_failures`, `core.plucker_edge_evals`,
-    /// `core.entry_hint_hit` / `core.entry_hint_miss` (hull entries only)
-    /// and — for z-windowed renders, which is every served render —
+    /// `core.entry_hint_miss` (hull-index queries: lines with no window
+    /// entry) and — for z-windowed renders, which is every served render —
     /// `core.window_entry_hit`, `core.window_entry_fallback` and
     /// `core.window_walk_steps`. The tile cache counts what it built:
     /// `service.tile_mesh_builds` (one triangulation each, under the

@@ -9,7 +9,7 @@ use dtfe_repro::core::{
     PsDtfeTable, RenderMesh, SlotValues, StochasticOptions, StochasticTable,
 };
 use dtfe_repro::delaunay::DelaunayBuilder;
-use dtfe_repro::geometry::Vec3;
+use dtfe_repro::geometry::{Vec2, Vec3};
 
 pub const SIDE: f64 = 6.0;
 
@@ -20,6 +20,19 @@ pub fn rng(seed: u64) -> impl FnMut() -> f64 {
         s ^= s << 25;
         s ^= s >> 27;
         (s.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// `grid` with empty cells of the same size added below it in x and y, so
+/// the parallel march's 64-cell tile seams cross the middle of the original
+/// cells: more than one tile, the last ones partial.
+pub fn across_tile_seams(grid: &GridSpec2) -> GridSpec2 {
+    let (px, py) = (64 - grid.nx / 2, 64 - grid.ny / 2);
+    GridSpec2 {
+        origin: grid.origin - Vec2::new(px as f64 * grid.cell.x, py as f64 * grid.cell.y),
+        cell: grid.cell,
+        nx: grid.nx + px,
+        ny: grid.ny + py,
     }
 }
 

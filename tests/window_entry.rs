@@ -6,7 +6,8 @@
 //! * (a) `kernel == reference` — bits, `crossings`, `perturbations`,
 //!   `failures` — under windows, on a jittered cloud, a clustered
 //!   `dtfe_nbody` cloud and the exact 4³ lattice, for 1 and 3 samples,
-//!   serial and tiled, through every backend's view (DTFE named and as
+//!   serial and tiled on 1–3 threads over a grid the tile seams cut,
+//!   through every backend's view (DTFE named and as
 //!   `&dyn FieldEstimator`, PS-DTFE density and divergence, stochastic, a
 //!   linear `ScalarField`). The kernel walks to the entry from a hint; the
 //!   reference locates it from scratch.
@@ -28,6 +29,8 @@ use dtfe_repro::core::{
 use dtfe_repro::delaunay::{Delaunay, Located, TetId, NONE};
 use dtfe_repro::geometry::{orient3d, Vec2, Vec3};
 use dtfe_repro::nbody::datasets::galaxy_box;
+
+mod common;
 
 /// A named point set, the grid rendered over it, and the windows tried.
 struct Fixture {
@@ -126,6 +129,7 @@ fn kernel_equals_reference<E: FieldEstimator + ?Sized>(
     kind: EstimatorKind,
 ) {
     let index = HullIndex::build(field);
+    let grid = common::across_tile_seams(&fx.grid);
     for (lo, hi) in fx.windows {
         for samples in [1usize, 3] {
             let base = MarchOptions::new()
@@ -133,17 +137,24 @@ fn kernel_equals_reference<E: FieldEstimator + ?Sized>(
                 .z_range(lo, hi)
                 .estimator(kind);
             let what = format!("{} {kind:?} [{lo},{hi}] x{samples}", fx.name);
-            let (want, sr) =
-                surface_density_reference(field, &index, &fx.grid, &base.clone().parallel(false));
-            let mut runs = vec![("serial".to_string(), base.clone().parallel(false))];
-            for tile in [1usize, 5, 64] {
+            let serial = base.clone().parallel(false);
+            let (want, sr) = surface_density_reference(field, &index, &grid, &serial);
+            let parallel = base.clone().parallel(true);
+            let mut runs = vec![(
+                "serial".to_string(),
+                surface_density_with_index(field, &index, &grid, &serial),
+            )];
+            for threads in [1, 2, 3] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
                 runs.push((
-                    format!("tile {tile}"),
-                    base.clone().parallel(true).tile(tile),
+                    format!("{threads} threads"),
+                    pool.install(|| surface_density_with_index(field, &index, &grid, &parallel)),
                 ));
             }
-            for (how, opts) in runs {
-                let (got, sk) = surface_density_with_index(field, &index, &fx.grid, &opts);
+            for (how, (got, sk)) in runs {
                 assert!(same_bits(&want.data, &got.data), "{what} {how}: field");
                 assert_eq!(sr.crossings, sk.crossings, "{what} {how}: crossings");
                 assert_eq!(
