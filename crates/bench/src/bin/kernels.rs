@@ -5,11 +5,12 @@
 //!
 //! Every scene is rendered by both kernels, whichever one the render would
 //! select: the projector draws centre lines only, so on a jittered scene it
-//! is priced on the centre-sampled field of the same grid, and under a
-//! window inside the mesh it projects every tetrahedron and clips. Each
-//! kernel's time is divided by its own pair count. One thread, medians of
+//! is priced on the centre-sampled field of the same grid. Each kernel's
+//! time is divided by its own pair count. One thread, medians of
 //! alternating repeats — and, for two renders that project in parallel,
-//! on the whole Rayon pool.
+//! on the whole Rayon pool. Two sweeps follow: the full-depth crossover
+//! that sets `PROJECT_MIN_PAIRS`, and the windowed one, over served
+//! windows inside padded tiles, that sets `PROJECT_MIN_WINDOW_PAIRS`.
 //!
 //! ```text
 //! cargo run --release -p dtfe-bench --bin kernels [--scale small|medium|paper]
@@ -19,7 +20,8 @@ use dtfe_bench::{Scale, SeriesWriter};
 use dtfe_core::density::{DtfeField, Mass};
 use dtfe_core::grid::GridSpec2;
 use dtfe_core::marching::{
-    pairs_per_tet, projects, surface_density_by, HullIndex, Kernel, MarchOptions, PROJECT_MIN_PAIRS,
+    pairs_per_tet, projects, surface_density_by, HullIndex, Kernel, MarchOptions,
+    PROJECT_MIN_PAIRS, PROJECT_MIN_WINDOW_PAIRS,
 };
 use dtfe_core::{EstimatorKind, FieldEstimator, PsDtfeField};
 use dtfe_geometry::{Aabb3, Vec2, Vec3};
@@ -221,29 +223,6 @@ fn main() {
         report(scene, p.0, p.1, &p.2);
     }
 
-    // A served window: a field cube inside one of eight padded tiles.
-    let (field_len, res) = (4.0, 64);
-    let tile = Aabb3::new(
-        Vec3::splat(-0.5 * field_len),
-        Vec3::splat(8.0 + 0.5 * field_len),
-    );
-    let local: Vec<Vec3> = pts
-        .iter()
-        .copied()
-        .filter(|&p| tile.contains_closed(p))
-        .collect();
-    let tile_field = DtfeField::build(&local, Mass::Uniform(1.0)).expect("tile triangulation");
-    let c = Vec3::new(3.9, 4.1, 3.7);
-    let g = GridSpec2::square(c.xy(), field_len, res);
-    let opts = serial(1).z_range(c.z - 0.5 * field_len, c.z + 0.5 * field_len);
-    let p = Priced::of(&tile_field, &g, &opts, reps);
-    report(
-        "served window",
-        pairs_per_tet(&tile_field, &g, &opts),
-        projects(&tile_field, &g, &opts),
-        &p,
-    );
-
     // Parallel renders that project: the CLI's default `dtfe render` of a
     // 30k-particle cluster (128², 8 bands) and Fig. 1 at small scale
     // (100k particles, 256², 16 bands), both kernels on the whole pool.
@@ -308,6 +287,75 @@ fn main() {
                 p.march_s * 1e3,
                 p.project_s * 1e3,
                 p.march_s / p.project_s
+            ));
+        }
+    }
+
+    // The windowed crossover: centre lines under a served window — a
+    // 4³ field cube inside a tile padded by 2, as `serve_warm` (40k
+    // particles, 8 tiles) and `serve_churn` (120k, 27 tiles) serve it — the
+    // grid swept from sparse to dense, three windows per tile. The
+    // projector is priced twice: gathering the tetrahedra the window's box
+    // meets, as a render does, and scanning every tetrahedron of the tile.
+    println!("# windowed crossover sweep: centre lines, served windows, 3 per tile");
+    println!("# PROJECT_MIN_WINDOW_PAIRS = {PROJECT_MIN_WINDOW_PAIRS}");
+    let mut sweep = SeriesWriter::create(
+        "kernels_window_crossover",
+        "tile,cells,est_pairs_per_tet,selected,pairs_per_line,march_ms,project_ms,scan_ms,\
+         march_over_project",
+    );
+    let (box_len, field_len) = (32.0, 4.0);
+    for (tile, n, per_axis) in [("warm", 40_000, 2usize), ("churn", 120_000, 3)] {
+        let (pts, _, _) = halo_box(box_len, n, 16 * per_axis.pow(3), 1);
+        let side = box_len / per_axis as f64;
+        let padded = Aabb3::new(
+            Vec3::splat(-0.5 * field_len),
+            Vec3::splat(side + 0.5 * field_len),
+        );
+        let local: Vec<Vec3> = pts
+            .iter()
+            .copied()
+            .filter(|&p| padded.contains_closed(p))
+            .collect();
+        let field = DtfeField::build(&local, Mass::Uniform(1.0)).expect("tile triangulation");
+        let index = HullIndex::build(&field);
+        let centres = [(0.5, 0.5, 0.5), (0.3, 0.6, 0.4), (0.7, 0.35, 0.65)]
+            .map(|(x, y, z)| Vec3::new(x, y, z) * side);
+        for cells in [8usize, 12, 16, 24, 32, 48, 64] {
+            let (mut est, mut selected, mut pairs) = (0.0, true, 0u64);
+            let mut secs = [0.0; 3];
+            for c in centres {
+                let g = GridSpec2::square(c.xy(), field_len, cells);
+                let opts = serial(1).z_range(c.z - 0.5 * field_len, c.z + 0.5 * field_len);
+                est += pairs_per_tet(&field, &g, &opts) / centres.len() as f64;
+                selected &= projects(&field, &g, &opts);
+                let kernels = [Kernel::March, Kernel::Project, Kernel::ProjectScan];
+                let mut t = kernels.map(|_| Vec::new());
+                for _ in 0..reps {
+                    for (k, &kernel) in kernels.iter().enumerate() {
+                        let (s, n) = time(&field, &index, &g, &opts, kernel);
+                        t[k].push(s);
+                        if kernel == Kernel::March {
+                            pairs += n;
+                        }
+                    }
+                }
+                for (k, t) in t.into_iter().enumerate() {
+                    secs[k] += median(t);
+                }
+            }
+            let per_line = pairs as f64 / (reps * centres.len() * cells * cells) as f64;
+            let kernel = if selected { "project" } else { "march" };
+            let [m, p, q] = secs.map(|s| s * 1e3);
+            println!(
+                "{tile:<5} {cells:>3}²  est {est:>7.2} pairs/tet  selects {kernel:<7}  \
+                 {per_line:>6.2} pairs/line  march {m:>7.3} ms  project {p:>7.3} ms  \
+                 scan {q:>7.3} ms  ×{:.2}",
+                m / p
+            );
+            sweep.row(&format!(
+                "{tile},{cells},{est:.3},{kernel},{per_line:.4},{m:.4},{p:.4},{q:.4},{:.3}",
+                m / p
             ));
         }
     }

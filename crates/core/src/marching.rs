@@ -82,13 +82,17 @@
 //!
 //! * one centre sample per cell — jittered lines are off the lattice a
 //!   scanline walks;
-//! * no window, or one containing the mesh's whole z-extent
-//!   ([`MarchCache`]'s `z_min`, `z_max`) — a window inside the mesh is
-//!   entered at its floor, which only the march does;
+//! * the mesh has a finite tetrahedron;
 //! * [`pairs_per_tet`], the expected `(line, tetrahedron)` pairs per
-//!   finite tetrahedron (lines over the mesh's xy box times an estimated
-//!   depth), is at least [`PROJECT_MIN_PAIRS`] — below it the
-//!   per-tetrahedron set-up outweighs the per-pair saving.
+//!   tetrahedron the projector visits, reaches the measured crossover —
+//!   below it the per-tetrahedron set-up outweighs the per-pair saving.
+//!   With no window, or one containing the mesh's whole z-extent
+//!   ([`MarchCache`]'s `z_min`, `z_max`), the projector visits every
+//!   finite tetrahedron and the bound is [`PROJECT_MIN_PAIRS`]. Under a
+//!   window inside the mesh it visits only those whose vertex box meets
+//!   the render's box (grid × window), gathered by a flood fill from the
+//!   one holding the box's centre, and the bound is
+//!   [`PROJECT_MIN_WINDOW_PAIRS`].
 //!
 //! Everything else marches. The choice is a function of the mesh, the grid
 //! and the options, so one request renders with one kernel wherever it is
@@ -128,6 +132,16 @@ const TILE: usize = 64;
 /// §4f, EXPERIMENTS.md "Beyond the paper — the element projector").
 pub const PROJECT_MIN_PAIRS: f64 = 3.0;
 
+/// The expected `(line, tetrahedron)` pairs per gathered tetrahedron at or
+/// above which a centre-sampled render under a window inside the mesh
+/// projects: the measured windowed crossover, ~10 estimated on served
+/// windows inside both serving workloads' padded tiles (DESIGN.md §4f,
+/// EXPERIMENTS.md "Beyond the paper — the element projector"). It sits
+/// above the full-depth bound because the estimate counts the window's
+/// share of the mesh and not the shell of tetrahedra straddling its box,
+/// which the projector also sets up.
+pub const PROJECT_MIN_WINDOW_PAIRS: f64 = 10.0;
+
 /// Tetrahedra a line of sight crosses per cube root of the mesh's finite
 /// tetrahedra: 22.29 measured on the batch items (~4.2k tetrahedra, 64²
 /// centre lines), 1.4 × 4200^(1/3) = 22.6.
@@ -163,9 +177,10 @@ impl EntryHint {
 /// [`ray_tetra`](dtfe_geometry::plucker::ray_tetra) orientation swap
 /// already applied, and vertex ids (the labels the shared-edge reuse keys
 /// on) and neighbour slots in the same order, so a traversal step reads one
-/// record — and `z_min`, the lowest vertex height: a window whose floor is
-/// not above it has no window entry (module docs), decided per render
-/// without touching the mesh. It is the triangulation's own topology
+/// record — and the vertex box: a window whose floor is not above its
+/// lowest height has no window entry, and its heights and xy extent choose
+/// and price the kernel (module docs), per render without touching the
+/// mesh. It is the triangulation's own topology
 /// ([`Delaunay::topology`]), written once by [`crate::RenderMesh::new`];
 /// the name is the render API's.
 pub use dtfe_delaunay::Topology as MarchCache;
@@ -313,8 +328,12 @@ pub struct MarchStats {
     /// kept).
     pub failures: u64,
     /// Total tetrahedron crossings: the tetrahedra the marched lines of
-    /// sight examined. Under a window that is the tetrahedra the segment
-    /// `ξ × [z_lo, z_hi]` meets, not the whole hull chord.
+    /// sight examined. Under a window, on a line that enters at its window
+    /// entry, that is the tetrahedra the segment `ξ × [z_lo, z_hi]` meets,
+    /// not the whole hull chord; a line that enters through the hull also
+    /// counts those it crosses below the floor. A projected render counts
+    /// `(line, tetrahedron)` pairs here — under a window inside the mesh,
+    /// those whose clipped interval is non-empty.
     pub crossings: u64,
     /// Always 0: the march keeps no hull-entry hint. The field stays only
     /// for the `perf` harness, which reads it.
@@ -837,14 +856,15 @@ pub fn surface_density_with_index<E: FieldEstimator + ?Sized>(
 
 /// [`pairs_per_tet`] of a render of `grid` over `view`: the lines of sight
 /// whose centre lies over the mesh's xy box, times the depth of a line,
-/// `DEPTH_PER_CUBE_ROOT · tets^(1/3)`, over the finite tetrahedra. It
-/// assumes the mesh is about as deep as it is wide.
-fn estimate_pairs(view: &FieldView<'_>, grid: &GridSpec2, samples: usize) -> f64 {
+/// `DEPTH_PER_CUBE_ROOT · tets^(1/3)`, over the tetrahedra the render
+/// visits. At full depth those are the finite tetrahedra; under a window
+/// inside the mesh, the candidates the projector gathers, about the
+/// grid's share of the mesh's xy box times the window's share of its
+/// depth — which cancels against the lines' share of it. It assumes the
+/// mesh is about as deep as it is wide.
+fn estimate_pairs(view: &FieldView<'_>, grid: &GridSpec2, opts: &MarchOptions) -> f64 {
     let tets = view.del.num_tets() as f64;
-    let (lo, hi) = view.del.vertices().iter().fold(
-        (Vec3::splat(f64::INFINITY), Vec3::splat(f64::NEG_INFINITY)),
-        |(lo, hi), &p| (lo.min(p), hi.max(p)),
-    );
+    let (lo, hi) = view.cache.bounds();
     let over = |origin: f64, cell: f64, n: usize, lo: f64, hi: f64| {
         // The centres `origin + (k + 0.5) · cell`, `k < n`, in `[lo, hi]`.
         let first = ((lo - origin) / cell - 0.5).ceil().max(0.0);
@@ -853,19 +873,33 @@ fn estimate_pairs(view: &FieldView<'_>, grid: &GridSpec2, samples: usize) -> f64
     };
     let lines = over(grid.origin.x, grid.cell.x, grid.nx, lo.x, hi.x)
         * over(grid.origin.y, grid.cell.y, grid.ny, lo.y, hi.y)
-        * samples.max(1) as f64;
-    lines * DEPTH_PER_CUBE_ROOT * tets.cbrt() / tets
+        * opts.samples.max(1) as f64;
+    let per_tet = lines * DEPTH_PER_CUBE_ROOT * tets.cbrt() / tets;
+    if !projector::window_inside(view.cache, opts.z_range) {
+        return per_tet;
+    }
+    // The grid's share of the mesh's xy box.
+    let overlap = |origin: f64, cell: f64, n: usize, lo: f64, hi: f64| {
+        ((origin + n as f64 * cell).min(hi) - origin.max(lo)).max(0.0) / (hi - lo)
+    };
+    let share = overlap(grid.origin.x, grid.cell.x, grid.nx, lo.x, hi.x)
+        * overlap(grid.origin.y, grid.cell.y, grid.ny, lo.y, hi.y);
+    if share > 0.0 {
+        per_tet / share
+    } else {
+        0.0
+    }
 }
 
-/// The expected `(line, tetrahedron)` pairs per finite tetrahedron of a
-/// render of `grid` over `field` — the quantity [`PROJECT_MIN_PAIRS`]
-/// bounds (module docs).
+/// The expected `(line, tetrahedron)` pairs per tetrahedron a render of
+/// `grid` over `field` visits — the quantity [`PROJECT_MIN_PAIRS`] and
+/// [`PROJECT_MIN_WINDOW_PAIRS`] bound (module docs).
 pub fn pairs_per_tet<E: FieldEstimator + ?Sized>(
     field: &E,
     grid: &GridSpec2,
     opts: &MarchOptions,
 ) -> f64 {
-    estimate_pairs(&field.view(), grid, opts.samples)
+    estimate_pairs(&field.view(), grid, opts)
 }
 
 /// Whether a render of `grid` with `opts` over `field` projects rather
@@ -879,14 +913,12 @@ pub fn projects<E: FieldEstimator + ?Sized>(
 }
 
 fn selects_projector(view: &FieldView<'_>, grid: &GridSpec2, opts: &MarchOptions) -> bool {
-    let topo = view.cache;
-    let full_depth = opts
-        .z_range
-        .is_none_or(|(lo, hi)| lo <= topo.z_min() && topo.z_max() <= hi);
-    opts.samples <= 1
-        && full_depth
-        && view.del.num_tets() > 0
-        && estimate_pairs(view, grid, opts.samples) >= PROJECT_MIN_PAIRS
+    let min = if projector::window_inside(view.cache, opts.z_range) {
+        PROJECT_MIN_WINDOW_PAIRS
+    } else {
+        PROJECT_MIN_PAIRS
+    };
+    opts.samples <= 1 && view.del.num_tets() > 0 && estimate_pairs(view, grid, opts) >= min
 }
 
 /// The render every `surface_density*` entry point is a shim over: project
@@ -898,7 +930,7 @@ fn render(
     opts: &MarchOptions,
 ) -> (Field2, MarchStats) {
     if selects_projector(&view, grid, opts) {
-        return projector::render(view, grid, opts.z_range, opts.parallel);
+        return projector::render(view, grid, opts.z_range, opts.parallel, true);
     }
     match index {
         Some(index) => march_render(view, index, grid, opts),
@@ -911,7 +943,12 @@ fn render(
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Kernel {
     March,
+    /// The projector as a render selects it: under a window inside the
+    /// mesh it visits only the tetrahedra it gathers.
     Project,
+    /// The projector over every finite tetrahedron, whatever the window —
+    /// the bits and pairs of [`Kernel::Project`], at the price of a scan.
+    ProjectScan,
 }
 
 /// Measurement and test support: render with `kernel` whatever the render
@@ -928,7 +965,10 @@ pub fn surface_density_by<E: FieldEstimator + ?Sized>(
 ) -> (Field2, MarchStats) {
     match kernel {
         Kernel::March => march_render(field.view(), index, grid, opts),
-        Kernel::Project => projector::render(field.view(), grid, opts.z_range, opts.parallel),
+        Kernel::Project => projector::render(field.view(), grid, opts.z_range, opts.parallel, true),
+        Kernel::ProjectScan => {
+            projector::render(field.view(), grid, opts.z_range, opts.parallel, false)
+        }
     }
 }
 

@@ -39,19 +39,28 @@
 //! count equals the march's crossings wherever the march needs no
 //! `Perturb`.
 //!
+//! # Windows inside the mesh
+//!
+//! Under a window that leaves part of the mesh's z-extent out, only the
+//! tetrahedra whose vertex box meets the render's box — the grid's centres
+//! times the window — can contribute, and the projector visits only those
+//! (`gather`: a flood fill over face adjacency from the tetrahedron that
+//! holds the box's centre). A covered centre then counts as a pair only
+//! where its clipped interval is non-empty.
+//!
 //! # Order of summation
 //!
 //! Tetrahedra are visited in slot order, so each cell accumulates its
 //! contributions in slot order whatever the schedule: a serial render and
-//! a row-banded parallel render on any number of threads give the same
-//! bits. They are not the march's bits — the march sums along the line and finds
+//! a row-banded parallel render on any number of threads, gathering or
+//! scanning the mesh, give the same bits. They are not the march's bits — the march sums along the line and finds
 //! `z_in`, `z_out` from Plücker weights — but agree with them to rounding
 //! (`surface_density_reference` is the projector's differential oracle).
 
 use crate::estimator::{FieldView, SlotValues};
 use crate::grid::{Field2, GridSpec2};
 use crate::marching::MarchStats;
-use dtfe_delaunay::{Record, TetId, INFINITE};
+use dtfe_delaunay::{Located, Record, TetId, Topology, INFINITE};
 use dtfe_geometry::plucker::{TET_EDGES, TET_FACES};
 use dtfe_geometry::predicates::{orient2d_inline as orient2d, Orientation};
 use dtfe_geometry::{Vec2, Vec3};
@@ -241,13 +250,29 @@ struct Element {
     /// plane evaluated near a steep face cannot leave the tetrahedron.
     z_lo: f64,
     z_hi: f64,
+    /// [`Window::inside`]: a covered centre is a pair only where its
+    /// clipped interval is non-empty.
+    clipped: bool,
+}
+
+/// A render's integration window and whether it lies inside the mesh.
+#[derive(Clone, Copy)]
+struct Window {
+    lo: f64,
+    hi: f64,
+    /// The window leaves part of the mesh's z-extent out: a covered centre
+    /// is a pair only where its clipped interval is non-empty, so a pair is
+    /// a tetrahedron the segment `ξ × [lo, hi]` meets, as the march counts
+    /// one on a line it enters at the window's floor. At full depth every
+    /// covered centre is a pair.
+    inside: bool,
 }
 
 impl Element {
     /// Project the finite tetrahedron of record `rec`, `swapped` undoing
     /// the record's float orientation so the faces are outward under the
     /// builder's exact orientation.
-    fn new(rec: &Record, swapped: bool, window: (f64, f64)) -> Element {
+    fn new(rec: &Record, swapped: bool, window: Window) -> Element {
         let (mut p, mut ids) = (rec.pts, rec.ids);
         if swapped {
             p.swap(2, 3);
@@ -301,14 +326,16 @@ impl Element {
             n_upper,
             silhouette,
             n_silhouette,
-            z_lo: z_lo.max(window.0),
-            z_hi: z_hi.min(window.1),
+            z_lo: z_lo.max(window.lo),
+            z_hi: z_hi.min(window.hi),
+            clipped: window.inside,
         }
     }
 
     /// Add the element's integral to every covered cell of `rows × cols`;
     /// `out` holds the cells of `out_rows × out_cols` row-major. `f` is the
-    /// field inside the tetrahedron. Returns the cells covered.
+    /// field inside the tetrahedron. Returns the cells covered — under a
+    /// window inside the mesh, those whose clipped interval is non-empty.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn project(
@@ -323,7 +350,7 @@ impl Element {
         out: &mut [f64],
     ) -> u64 {
         let width = out_cols.len();
-        let mut covered = 0;
+        let (mut covered, mut nonempty) = (0, 0);
         let mut planes = None;
         for j in rows {
             let y = ys.centre(j);
@@ -368,29 +395,46 @@ impl Element {
                 let (a, b) = (z_in.max(self.z_lo), z_out.min(self.z_hi));
                 if b > a {
                     row[i - out_cols.start] += f(Vec3::new(x, y, 0.5 * (a + b))) * (b - a);
+                    nonempty += 1;
                 }
             }
         }
-        covered
+        if self.clipped {
+            nonempty
+        } else {
+            covered
+        }
     }
 }
 
+/// Finite record `rec`'s vertex box.
+#[inline]
+fn vertex_box(rec: &Record) -> (Vec3, Vec3) {
+    rec.pts[1..]
+        .iter()
+        .fold((rec.pts[0], rec.pts[0]), |(lo, hi), &p| {
+            (lo.min(p), hi.max(p))
+        })
+}
+
 /// The rows and columns whose centres lie in finite record `rec`'s vertex
-/// box, clipped to `rows × cols`; `None` if that holds no centre. The
-/// footprint lies in the box, and a centre it covers in `[min, max)` on
-/// both axes, so a tetrahedron outside reaches no centre.
+/// box, clipped to `rows × cols`; `None` if that holds no centre, or if the
+/// box's z-extent ends at or outside `window`. The footprint lies in the
+/// box, and a centre it covers in `[min, max)` on both axes, so a
+/// tetrahedron outside reaches no centre; one outside the window clips
+/// every interval to empty, so it adds nothing and counts no pair.
 fn reach(
     rec: &Record,
+    window: Window,
     xs: &Axis,
     ys: &Axis,
     rows: &Range<usize>,
     cols: &Range<usize>,
 ) -> Option<(Range<usize>, Range<usize>)> {
-    let (lo, hi) = rec.pts[1..]
-        .iter()
-        .fold((rec.pts[0], rec.pts[0]), |(lo, hi), &p| {
-            (lo.min(p), hi.max(p))
-        });
+    let (lo, hi) = vertex_box(rec);
+    if hi.z <= window.lo || lo.z >= window.hi {
+        return None;
+    }
     let r = ys.span(lo.y, hi.y);
     let r = r.start.max(rows.start)..r.end.min(rows.end);
     if r.is_empty() {
@@ -407,8 +451,8 @@ fn reach(
 fn project_into(
     view: &FieldView<'_>,
     grid: &GridSpec2,
-    window: (f64, f64),
-    tets: impl Iterator<Item = TetId>,
+    window: Window,
+    tets: &[TetId],
     rows: Range<usize>,
     cols: Range<usize>,
     out: &mut [f64],
@@ -416,9 +460,9 @@ fn project_into(
     let topo = view.cache;
     let (xs, ys) = (Axis::x(grid), Axis::y(grid));
     let mut pairs = 0;
-    for t in tets {
+    for &t in tets {
         let rec = topo.record(t);
-        let Some((reach_rows, reach_cols)) = reach(rec, &xs, &ys, &rows, &cols) else {
+        let Some((reach_rows, reach_cols)) = reach(rec, window, &xs, &ys, &rows, &cols) else {
             continue;
         };
         let el = Element::new(rec, topo.is_swapped(t), window);
@@ -443,14 +487,76 @@ fn finite<'a>(view: &FieldView<'a>) -> impl Iterator<Item = TetId> + 'a {
     (0..topo.len() as TetId).filter(move |&t| topo.record(t).ids[3] != INFINITE)
 }
 
-/// One pass over the mesh: for each band of [`BAND_ROWS`] rows, the finite
-/// tetrahedra that reach a centre of it, in slot order.
-fn bands(view: &FieldView<'_>, grid: &GridSpec2) -> Vec<Vec<TetId>> {
+/// The finite tetrahedra whose vertex box meets the render's box `B` —
+/// the box of the grid's centres times the window, cut to the mesh's
+/// vertex box — in slot order. A flood fill over face adjacency from the
+/// tetrahedron that holds `B`'s centre (`Delaunay::locate`), keeping the
+/// finite tetrahedra whose box meets `B`, one bit per slot marking those
+/// visited. A tetrahedron that contributes to a cell meets `B`, and the
+/// tetrahedra that meet `B` meet the convex set `B ∩ hull` and are
+/// face-connected through one another, so the fill reaches them all
+/// (DESIGN.md §4f has the argument, and its caveat for chords that round
+/// into the window).
+/// `None` — scan the mesh instead — when `B`'s centre is not inside a
+/// finite tetrahedron: outside the hull, on a vertex, or a lost walk.
+fn gather(view: &FieldView<'_>, grid: &GridSpec2, window: Window) -> Option<Vec<TetId>> {
+    let topo = view.cache;
+    if grid.nx == 0 || grid.ny == 0 {
+        return Some(Vec::new());
+    }
+    let (xs, ys) = (Axis::x(grid), Axis::y(grid));
+    let (mesh_lo, mesh_hi) = topo.bounds();
+    let lo = Vec3::new(xs.centre(0), ys.centre(0), window.lo).max(mesh_lo);
+    let hi = Vec3::new(xs.centre(xs.n - 1), ys.centre(ys.n - 1), window.hi).min(mesh_hi);
+    if lo.x > hi.x || lo.y > hi.y || lo.z > hi.z {
+        return Some(Vec::new()); // no tetrahedron's box meets `B`
+    }
+    let Located::Finite(seed) = view.del.locate((lo + hi) * 0.5) else {
+        return None;
+    };
+    let meets = |rec: &Record| {
+        let (a, b) = vertex_box(rec);
+        a.x <= hi.x && a.y <= hi.y && a.z <= hi.z && b.x >= lo.x && b.y >= lo.y && b.z >= lo.z
+    };
+    let mut seen = vec![0u64; topo.len().div_ceil(64)];
+    let mut first_visit = |t: TetId| {
+        let (word, bit) = (&mut seen[t as usize / 64], 1u64 << (t % 64));
+        let first = *word & bit == 0;
+        *word |= bit;
+        first
+    };
+    first_visit(seed);
+    // Breadth-first, the kept list doubling as the queue.
+    let mut kept = vec![seed];
+    let mut head = 0;
+    while let Some(&t) = kept.get(head) {
+        head += 1;
+        for &n in &topo.record(t).neighbors {
+            if first_visit(n) {
+                let rec = topo.record(n);
+                if rec.ids[3] != INFINITE && meets(rec) {
+                    kept.push(n);
+                }
+            }
+        }
+    }
+    kept.sort_unstable();
+    Some(kept)
+}
+
+/// One pass over `tets` (in slot order): for each band of [`BAND_ROWS`]
+/// rows, those that reach a centre of it, in slot order.
+fn bands(
+    view: &FieldView<'_>,
+    grid: &GridSpec2,
+    window: Window,
+    tets: &[TetId],
+) -> Vec<Vec<TetId>> {
     let (xs, ys) = (Axis::x(grid), Axis::y(grid));
     let (rows, cols) = (0..grid.ny, 0..grid.nx);
     let mut bands = vec![Vec::new(); grid.ny.div_ceil(BAND_ROWS)];
-    for t in finite(view) {
-        if let Some((r, _)) = reach(view.cache.record(t), &xs, &ys, &rows, &cols) {
+    for &t in tets {
+        if let Some((r, _)) = reach(view.cache.record(t), window, &xs, &ys, &rows, &cols) {
             for band in &mut bands[r.start / BAND_ROWS..=(r.end - 1) / BAND_ROWS] {
                 band.push(t);
             }
@@ -459,36 +565,61 @@ fn bands(view: &FieldView<'_>, grid: &GridSpec2) -> Vec<Vec<TetId>> {
     bands
 }
 
-/// Render `grid` by projecting every finite tetrahedron of `view` once:
-/// serially, or in bands of [`BAND_ROWS`] rows on the Rayon pool — the
-/// same bits either way. The stats carry the pair count as `crossings`.
+/// Whether a render under `z_range` leaves part of `topo`'s z-extent out
+/// (a window inside the mesh), rather than integrating every tetrahedron
+/// whole.
+pub(crate) fn window_inside(topo: &Topology, z_range: Option<(f64, f64)>) -> bool {
+    z_range.is_some_and(|(lo, hi)| lo > topo.z_min() || topo.z_max() > hi)
+}
+
+/// Render `grid` by projecting each finite tetrahedron of `view` that can
+/// reach it once: serially, or in bands of [`BAND_ROWS`] rows on the Rayon
+/// pool — the same bits either way. Under a window inside the mesh only
+/// the tetrahedra [`gather`] keeps are visited (every one, when `gather` is
+/// false or finds no seed); the others add nothing, so the bits are the
+/// same. The stats carry the pair count as `crossings`.
 pub(crate) fn render(
     view: FieldView<'_>,
     grid: &GridSpec2,
     z_range: Option<(f64, f64)>,
     parallel: bool,
+    gather: bool,
 ) -> (Field2, MarchStats) {
     let span = dtfe_telemetry::span!("core.project_render", nx = grid.nx, ny = grid.ny);
-    let window = z_range.unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
+    let (lo, hi) = z_range.unwrap_or((f64::NEG_INFINITY, f64::INFINITY));
+    let window = Window {
+        lo,
+        hi,
+        inside: window_inside(view.cache, z_range),
+    };
+    let gathered = if gather && window.inside {
+        let tets = self::gather(&view, grid, window);
+        if tets.is_none() {
+            dtfe_telemetry::counter_add!("core.project_scan_fallback", 1);
+        }
+        tets
+    } else {
+        None
+    };
+    let tets = gathered.unwrap_or_else(|| finite(&view).collect());
+    dtfe_telemetry::counter_add!("core.project_tets", tets.len() as u64);
     let mut out = Field2::zeros(*grid);
     let nx = grid.nx;
     let pairs = if parallel {
-        let bands = bands(&view, grid);
+        let bands = bands(&view, grid, window, &tets);
         out.data
             .par_chunks_mut(BAND_ROWS * nx)
             .enumerate()
             .map(|(b, band)| {
                 let j0 = b * BAND_ROWS;
                 let rows = j0..j0 + band.len() / nx;
-                let tets = bands[b].iter().copied();
-                project_into(&view, grid, window, tets, rows, 0..nx, band)
+                project_into(&view, grid, window, &bands[b], rows, 0..nx, band)
             })
             .collect::<Vec<u64>>()
             .iter()
             .sum()
     } else {
-        let all = finite(&view);
-        project_into(&view, grid, window, all, 0..grid.ny, 0..nx, &mut out.data)
+        project_into(&view, grid, window, &tets, 0..grid.ny, 0..nx, &mut out.data)
     };
     // The march's traversal counters, so `tets_crossed / los_marched`
     // reads the same quantity on either kernel.

@@ -152,6 +152,38 @@ proptest! {
     }
 
     #[test]
+    fn windowed_projection_gathers_what_a_scan_projects(
+        pts in cloud_strategy(16, 120),
+        win in (-1.0f64..8.0, 0.01f64..5.0),
+        corner in (-2.0f64..8.0, -2.0f64..8.0),
+        side in 0.5f64..9.0,
+        cells in 2usize..40,
+    ) {
+        // The projector under a window visits only the tetrahedra it
+        // gathers from the one holding the render box's centre, or scans
+        // when that centre is in none: the bits and pairs are the scan's
+        // over the whole mesh, serial or banded, wherever the grid and the
+        // window fall — inside the hull, across its edge, or beside it.
+        let Ok(field) = DtfeField::build(&pts, Mass::Uniform(1.0)) else {
+            return Ok(());
+        };
+        let index = HullIndex::build(&field);
+        let lo = Vec2::new(corner.0, corner.1);
+        let grid = GridSpec2::covering(lo, lo + Vec2::new(side, side), cells, cells);
+        let opts = MarchOptions::new().z_range(win.0, win.0 + win.1).parallel(false);
+        let project = |o: &MarchOptions, kernel| surface_density_by(&field, &index, &grid, o, kernel);
+        let (scanned, ss) = project(&opts, Kernel::ProjectScan);
+        let (gathered, gs) = project(&opts, Kernel::Project);
+        prop_assert_eq!(&scanned.data, &gathered.data);
+        prop_assert_eq!(ss, gs);
+        let par_opts = opts.parallel(true);
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let (banded, bs) = pool.install(|| project(&par_opts, Kernel::Project));
+        prop_assert_eq!(&scanned.data, &banded.data);
+        prop_assert_eq!(ss, bs);
+    }
+
+    #[test]
     fn degenerate_vertex_aligned_grids_bit_identical(n in 3usize..6) {
         // Exact lattice with grid cell centres landing exactly on lattice
         // vertices: every line of sight over the mesh is maximally

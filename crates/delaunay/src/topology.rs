@@ -43,17 +43,17 @@ pub struct Record {
 
 /// A triangulation's tetrahedra as the render path reads them: one
 /// [`Record`] per live slot in breadth-first order, the swap bits, and the
-/// lowest and highest vertex heights (a z-window whose floor is not above
-/// the lowest has no window entry, and one that contains both integrates
-/// every tetrahedron whole — decided per render without touching the
-/// mesh).
+/// vertex box — per render, without touching the mesh, its heights say
+/// whether a z-window has a window entry (a floor not above the lowest has
+/// none) and whether it integrates every tetrahedron whole (it contains
+/// both), and its xy extent prices a render over a grid.
 pub struct Topology {
     records: Vec<Record>,
     /// Bit `t % 64` of word `t / 64`: slot `t`'s record has vertices 2 and
     /// 3 swapped.
     swapped: Vec<u64>,
-    z_min: f64,
-    z_max: f64,
+    lo: Vec3,
+    hi: Vec3,
 }
 
 /// Below this many slots the records are written in the calling thread:
@@ -107,13 +107,15 @@ impl Topology {
                 swapped[new / 64] |= 1 << (new % 64);
             }
         }
-        let z_min = points.iter().fold(f64::INFINITY, |m, v| m.min(v.z));
-        let z_max = points.iter().fold(f64::NEG_INFINITY, |m, v| m.max(v.z));
+        let (lo, hi) = points.iter().fold(
+            (Vec3::splat(f64::INFINITY), Vec3::splat(f64::NEG_INFINITY)),
+            |(lo, hi), &p| (lo.min(p), hi.max(p)),
+        );
         Topology {
             records,
             swapped,
-            z_min,
-            z_max,
+            lo,
+            hi,
         }
     }
 
@@ -159,13 +161,20 @@ impl Topology {
     /// The lowest vertex height of the mesh.
     #[inline]
     pub fn z_min(&self) -> f64 {
-        self.z_min
+        self.lo.z
     }
 
     /// The highest vertex height of the mesh.
     #[inline]
     pub fn z_max(&self) -> f64 {
-        self.z_max
+        self.hi.z
+    }
+
+    /// The mesh's vertex box, lowest and highest corner: the box of its
+    /// hull, and of every tetrahedron in it.
+    #[inline]
+    pub fn bounds(&self) -> (Vec3, Vec3) {
+        (self.lo, self.hi)
     }
 
     /// Resident bytes (the service layer's budget accounting). Counts the
@@ -301,5 +310,15 @@ mod tests {
             }
         }
         assert!(topo.bytes() >= topo.len() * 128 + topo.len() / 8);
+        let (lo, hi) = topo.bounds();
+        for p in d.vertices() {
+            assert!(
+                lo.min(*p) == lo && hi.max(*p) == hi,
+                "{p:?} outside the box"
+            );
+        }
+        assert!(d.vertices().iter().any(|p| p.x == lo.x));
+        assert!(d.vertices().iter().any(|p| p.y == hi.y));
+        assert_eq!((topo.z_min(), topo.z_max()), (lo.z, hi.z));
     }
 }

@@ -134,13 +134,15 @@ impl HistDigest {
 /// whole, histograms (cumulative and windowed) as quantile digests.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsDigest {
-    /// Every registry counter by name. The marching kernel bridges its
-    /// per-render `MarchStats` here: `core.los_marched`,
-    /// `core.tets_crossed`, `core.degenerate_restarts`,
+    /// Every registry counter by name. Both render kernels publish
+    /// `core.los_marched` and `core.tets_crossed`. A served render is
+    /// z-windowed: with one centre sample per cell on a dense grid it
+    /// projects and adds `core.project_tets` (tetrahedra the window's box
+    /// meets) and `core.project_scan_fallback`; otherwise it marches and
+    /// bridges its per-render `MarchStats` here: `core.degenerate_restarts`,
     /// `core.march_failures`, `core.plucker_edge_evals`,
     /// `core.entry_hint_miss` (hull-index queries: lines with no window
-    /// entry) and — for z-windowed renders, which is every served render —
-    /// `core.window_entry_hit`, `core.window_entry_fallback` and
+    /// entry), `core.window_entry_hit`, `core.window_entry_fallback` and
     /// `core.window_walk_steps`. The tile cache counts what it built:
     /// `service.tile_mesh_builds` (one triangulation each, under the
     /// `service.tile_build` span, after `service.tile_extract` cut the

@@ -155,11 +155,16 @@ impl Tables {
     }
 }
 
-/// The reference render of `|f|` over `grid`: per cell, the scale a
-/// projected cell's rounding is held to. The linear tables here are
-/// positive, so for them that is the field itself.
-pub fn magnitude(view: &FieldView<'_>, index: &HullIndex, grid: &GridSpec2) -> Vec<f64> {
-    let opts = MarchOptions::new().parallel(false);
+/// The reference render of `|f|` over `grid` under `opts`' window: per
+/// cell, the scale a projected cell's rounding is held to. The linear
+/// tables here are positive, so for them that is the field itself.
+pub fn magnitude(
+    view: &FieldView<'_>,
+    index: &HullIndex,
+    grid: &GridSpec2,
+    opts: &MarchOptions,
+) -> Vec<f64> {
+    let opts = opts.clone().parallel(false);
     match view.values {
         SlotValues::Linear(_) => surface_density_reference(view, index, grid, &opts).0.data,
         SlotValues::Constant(c) => {

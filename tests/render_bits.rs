@@ -6,9 +6,10 @@
 //! mesh is rendered from it: DTFE, PS-DTFE density, PS-DTFE velocity
 //! divergence and stochastic with two realizations. Each is rendered at full
 //! depth with two samples per cell and under a z-window, through the
-//! coherent kernel and through `surface_density_reference`; both must give
-//! the pinned checksum. Each is also rendered with centre lines over the
-//! whole depth of a dense grid, which projects: that render is held to the
+//! coherent march (`surface_density_by(…, Kernel::March)`) and through
+//! `surface_density_reference`; both must give the pinned checksum. Each is
+//! also rendered with centre lines on a dense grid, over the whole depth
+//! and under the window, which projects: each render is held to the
 //! reference march within the projector's rounding bound, then pinned. The
 //! walking baseline over the DTFE field, whose point-located densities the
 //! stochastic realizations are built from, is pinned beside them. A last
@@ -19,7 +20,7 @@
 //! A change to how an interpolant is stored or read must pass this file
 //! unedited: the checksums are the rendered bits, not a tolerance.
 
-use dtfe_repro::core::marching::{cell_value, projects, MarchStats};
+use dtfe_repro::core::marching::{cell_value, projects, surface_density_by, Kernel, MarchStats};
 use dtfe_repro::core::{
     surface_density_reference, surface_density_walking, surface_density_with_index, DtfeField,
     GridSpec2, HullIndex, MarchOptions,
@@ -35,37 +36,49 @@ use common::*;
 /// kernels and required to agree bit for bit before it is summed.
 fn checksums() -> Vec<(String, u64)> {
     let grid = GridSpec2::covering(Vec2::new(0.4, 0.3), Vec2::new(5.6, 5.7), 17, 19);
+    let window = MarchOptions::new().z_range(1.8, 4.1).parallel(false);
+    // The march, named: centre lines under a window inside the mesh
+    // project once a grid is dense enough.
     let renders = [
         ("full", MarchOptions::new().samples(2).parallel(false)),
-        (
-            "window",
-            MarchOptions::new().z_range(1.8, 4.1).parallel(false),
-        ),
+        ("window", window.clone()),
     ];
-    // Centre lines over the whole depth on a grid dense enough to project.
+    // Centre lines on a grid dense enough to project, over the whole depth
+    // and under the window.
     let dense = GridSpec2::covering(Vec2::new(0.4, 0.3), Vec2::new(5.6, 5.7), 48, 48);
-    let centre = MarchOptions::new().parallel(false);
+    let projected = [
+        ("centre", MarchOptions::new().parallel(false)),
+        ("window-centre", window),
+    ];
     let mut out = Vec::new();
     for (cloud, pts) in clouds() {
         let t = tables(&pts);
         let idx = HullIndex::for_mesh(t.mesh.delaunay());
         for (estimator, view) in t.views() {
             for (render, opts) in &renders {
-                let (kernel, ks) = surface_density_with_index(&view, &idx, &grid, opts);
+                let (kernel, ks) = surface_density_by(&view, &idx, &grid, opts, Kernel::March);
                 let (reference, rs) = surface_density_reference(&view, &idx, &grid, opts);
                 let what = format!("{cloud}/{estimator}/{render}");
                 assert_eq!(fnv(&kernel.data), fnv(&reference.data), "{what}: kernels");
                 assert_eq!(ks.crossings, rs.crossings, "{what}: crossings");
                 out.push((what, fnv(&kernel.data)));
             }
-            let what = format!("{cloud}/{estimator}/centre");
-            assert!(projects(&view, &dense, &centre), "{what}: marched");
-            let (projected, ps) = surface_density_with_index(&view, &idx, &dense, &centre);
-            let (reference, rs) = surface_density_reference(&view, &idx, &dense, &centre);
-            let scale = magnitude(&view, &idx, &dense);
-            assert_within_rounding(&projected.data, &reference.data, &scale, &what);
-            assert_eq!(ps.crossings, rs.crossings, "{what}: pairs");
-            out.push((what, fnv(&projected.data)));
+            for (render, opts) in &projected {
+                let what = format!("{cloud}/{estimator}/{render}");
+                assert!(projects(&view, &dense, opts), "{what}: marched");
+                let (projected, ps) = surface_density_with_index(&view, &idx, &dense, opts);
+                let (reference, rs) = surface_density_reference(&view, &idx, &dense, opts);
+                let scale = magnitude(&view, &idx, &dense, opts);
+                assert_within_rounding(&projected.data, &reference.data, &scale, &what);
+                // Under a window, a line the march enters through the hull
+                // also crosses tetrahedra below the floor (`tests/projector.rs`
+                // holds pairs to the crossings of the lines that reach it).
+                match opts.z_range {
+                    None => assert_eq!(ps.crossings, rs.crossings, "{what}: pairs"),
+                    Some(_) => assert!(ps.crossings <= rs.crossings, "{what}: pairs"),
+                }
+                out.push((what, fnv(&projected.data)));
+            }
         }
         let field = DtfeField::from_delaunay_for_inputs(
             DelaunayBuilder::new().build(&pts).unwrap(),
@@ -84,46 +97,59 @@ fn checksums() -> Vec<(String, u64)> {
 /// `3512e57`, where every line of sight began drawing its jitter and its
 /// `Perturb` restarts from its own key instead of its row's stream. The
 /// twelve `*/centre` checksums are the element projector's, taken when it
-/// was added.
-const PINNED: [(&str, u64); 39] = [
+/// was added; the twelve `*/window-centre` ones when it began rendering
+/// windows inside the mesh from the tetrahedra the window's box meets.
+const PINNED: [(&str, u64); 51] = [
     ("clustered/dtfe/full", 0xd8c471f09e98fb2c),
     ("clustered/dtfe/window", 0x2962dd6483c67e4f),
     ("clustered/dtfe/centre", 0x8dc8d8335de4f4b1),
+    ("clustered/dtfe/window-centre", 0x2c2881496d56becb),
     ("clustered/psdtfe/full", 0x091ff6427b3eaeab),
     ("clustered/psdtfe/window", 0x9ef37ccd66d5dce2),
     ("clustered/psdtfe/centre", 0xac31a7cb2fc6e1c5),
+    ("clustered/psdtfe/window-centre", 0x55196e815e4b11b7),
     ("clustered/veldiv/full", 0x1b9c7deb555fee4b),
     ("clustered/veldiv/window", 0xbdc44737a560ad7f),
     ("clustered/veldiv/centre", 0xc9d0598cd3c1b3cc),
+    ("clustered/veldiv/window-centre", 0xd5c7f44c20f0cdee),
     ("clustered/stochastic:2/full", 0xb010e9a1702dea2f),
     ("clustered/stochastic:2/window", 0x9cc0af9740e276ab),
     ("clustered/stochastic:2/centre", 0x1a941460e74584e6),
+    ("clustered/stochastic:2/window-centre", 0x5db32ccee74a9388),
     ("clustered/dtfe/walking", 0x1c55a0649db04f44),
     ("lattice/dtfe/full", 0xc9035980e7539dcf),
     ("lattice/dtfe/window", 0x59c61309db6676c5),
     ("lattice/dtfe/centre", 0x71a5c9b676a12322),
+    ("lattice/dtfe/window-centre", 0xd60581974c50d413),
     ("lattice/psdtfe/full", 0xaeab5bc2c3e7d75c),
     ("lattice/psdtfe/window", 0x8eb6c35514795fb2),
     ("lattice/psdtfe/centre", 0x9442ac235cce2bec),
+    ("lattice/psdtfe/window-centre", 0xda646f49e47469e3),
     ("lattice/veldiv/full", 0xa5fc0465e69159f9),
     ("lattice/veldiv/window", 0x7c0f342becb70423),
     ("lattice/veldiv/centre", 0x80a261977278046c),
+    ("lattice/veldiv/window-centre", 0x03df4ebc163f7760),
     ("lattice/stochastic:2/full", 0xf63e27ad6d2077be),
     ("lattice/stochastic:2/window", 0xbbb0093b6a97ec76),
     ("lattice/stochastic:2/centre", 0x819b3291037faab6),
+    ("lattice/stochastic:2/window-centre", 0xed295acb791d4b62),
     ("lattice/dtfe/walking", 0x95a0b005777d8890),
     ("duplicates/dtfe/full", 0xf98f0ab3f8f51cfd),
     ("duplicates/dtfe/window", 0x1791171a8c8a8901),
     ("duplicates/dtfe/centre", 0x34eb67f7f605d17e),
+    ("duplicates/dtfe/window-centre", 0x643c55e9961c80f5),
     ("duplicates/psdtfe/full", 0x19dda70f1b4b3946),
     ("duplicates/psdtfe/window", 0x473abdf26306cb2d),
     ("duplicates/psdtfe/centre", 0xd2199d7cd9ae842c),
+    ("duplicates/psdtfe/window-centre", 0xe264eab100ec02bb),
     ("duplicates/veldiv/full", 0x9744e86d93a277d7),
     ("duplicates/veldiv/window", 0x5c65b58711ebe618),
     ("duplicates/veldiv/centre", 0xe480e2cf7df6d03f),
+    ("duplicates/veldiv/window-centre", 0x327f3d2cd3f6272a),
     ("duplicates/stochastic:2/full", 0x7d581755124966e3),
     ("duplicates/stochastic:2/window", 0xf2781180f88452a8),
     ("duplicates/stochastic:2/centre", 0x17b64c70079929a6),
+    ("duplicates/stochastic:2/window-centre", 0x08f07585b6721479),
     ("duplicates/dtfe/walking", 0xf8092956b4bc9af0),
 ];
 
@@ -201,8 +227,8 @@ fn every_cell_renders_the_same_bits_alone_and_in_any_tile() {
         let idx = HullIndex::build(&field);
         let mut perturbations = 0;
         // Centre lines, jittered lines, and centre lines under a window
-        // inside the mesh, which march — and perturb on the lattice —
-        // whatever the grid.
+        // inside the mesh, whichever kernel each selects; the reference
+        // march perturbs on the lattice.
         let renders = [
             ("samples 1", MarchOptions::new().parallel(false)),
             ("samples 3", MarchOptions::new().samples(3).parallel(false)),

@@ -17,10 +17,14 @@
 //! * (c) the edges of the definition: the three fallbacks, a floor at or
 //!   below the mesh, a sliver window, additivity across a shared floor.
 //! * (d) the hint cannot change an entry.
+//!
+//! A centre-sampled render under a window inside the mesh may project
+//! (`tests/projector.rs` holds that path), so every render here names the
+//! march: `surface_density_by(…, Kernel::March)`.
 
 use dtfe_repro::core::marching::{
-    march_cell, surface_density_reference, surface_density_reference_hull_entry,
-    surface_density_with_index, window_entry_with_hint, MarchStats,
+    march_cell, surface_density_by, surface_density_reference,
+    surface_density_reference_hull_entry, window_entry_with_hint, Kernel, MarchStats,
 };
 use dtfe_repro::core::{
     DtfeField, EstimatorKind, FieldEstimator, GridSpec2, HullIndex, MarchOptions, Mass,
@@ -142,7 +146,7 @@ fn kernel_equals_reference<E: FieldEstimator + ?Sized>(
             let parallel = base.clone().parallel(true);
             let mut runs = vec![(
                 "serial".to_string(),
-                surface_density_with_index(field, &index, &grid, &serial),
+                surface_density_by(field, &index, &grid, &serial, Kernel::March),
             )];
             for threads in [1, 2, 3] {
                 let pool = rayon::ThreadPoolBuilder::new()
@@ -151,7 +155,9 @@ fn kernel_equals_reference<E: FieldEstimator + ?Sized>(
                     .unwrap();
                 runs.push((
                     format!("{threads} threads"),
-                    pool.install(|| surface_density_with_index(field, &index, &grid, &parallel)),
+                    pool.install(|| {
+                        surface_density_by(field, &index, &grid, &parallel, Kernel::March)
+                    }),
                 ));
             }
             for (how, (got, sk)) in runs {
@@ -220,7 +226,7 @@ fn window_entry_equals_hull_entry_on_generic_clouds() {
                 let (hull, sh) =
                     surface_density_reference_hull_entry(&field, &index, &fx.grid, &opts);
                 assert_eq!(sh.perturbations, 0, "{what}: fixture is not generic");
-                let (got, sk) = surface_density_with_index(&field, &index, &fx.grid, &opts);
+                let (got, sk) = surface_density_by(&field, &index, &fx.grid, &opts, Kernel::March);
                 assert!(same_bits(&hull.data, &got.data), "{what}: field");
                 assert_eq!(sk.perturbations, 0, "{what}");
                 assert!(
@@ -248,7 +254,7 @@ fn render_both(
 ) -> (Vec<f64>, MarchStats) {
     let opts = MarchOptions::new().z_range(lo, hi).parallel(false);
     let (want, sr) = surface_density_reference(field, index, grid, &opts);
-    let (got, sk) = surface_density_with_index(field, index, grid, &opts);
+    let (got, sk) = surface_density_by(field, index, grid, &opts, Kernel::March);
     assert!(same_bits(&want.data, &got.data), "[{lo},{hi}]: field");
     assert_eq!(
         (sr.crossings, sr.perturbations, sr.failures),
