@@ -38,9 +38,10 @@
 //!
 //! Parallelism follows the paper: the loop over grid cells is
 //! data-parallel (Rayon here, OpenMP in the paper). Per-cell entry points
-//! ([`marching::march_cell`], [`walking::walk_column`]) are exposed so the
+//! ([`marching::cell_value`], [`walking::walk_column`]) are exposed so the
 //! benchmark harnesses can drive their own schedules and measure per-thread
-//! balance.
+//! balance (`fig6` renders every cell alone through `cell_value`);
+//! [`marching::march_cell`] marches one line of sight.
 //!
 //! # Quick start
 //!

@@ -33,12 +33,18 @@
 //! entry, and the line enters through the hull projection as above, when
 //!
 //! * a sign is zero (the floor point lies on a face, edge or vertex),
-//! * the point is outside the hull,
+//! * the point is outside the hull, below it or beside it,
 //! * the render has no window, or
 //! * `z_lo` is not above the mesh's lowest vertex ([`MarchCache`]'s
 //!   `z_min`): the definition evaluated early, since no finite tetrahedron
 //!   reaches below `z_min` — which keeps meshes cropped at the window floor
 //!   (the batch framework's) on the hull path with no added work.
+//!
+//! A floor point strictly beyond an *upward-facing* hull facet — one whose
+//! exact projected winding is the opposite of the entry facets' — is above
+//! the hull: the line still asks the hull projection, then crosses nothing
+//! and is 0. Whichever facet a search leaves the hull through gives the
+//! same verdict (DESIGN.md §4f).
 //!
 //! From `T₀` the *same* loop runs with no carried face seed, exactly as
 //! after a hull entry, so clipping, the `z_out ≥ z_hi` exit, `Perturb` and
@@ -49,7 +55,10 @@
 //! it from scratch, and the two agree on data and on every counter.
 //! `crossings` therefore counts the tetrahedra the *segment* meets;
 //! tetrahedra wholly below the window are never examined, so a degeneracy
-//! down there no longer perturbs a line it cannot contribute to.
+//! down there no longer perturbs a line it cannot contribute to. On every
+//! path a tetrahedron the line enters at or above the ceiling `z_hi` ends
+//! the line without being counted: a hull-entered line whose whole window
+//! lies below the hull crosses nothing.
 //!
 //! # Coherence (DESIGN.md §4f)
 //!
@@ -103,7 +112,7 @@ use crate::density::EntryFacet;
 use crate::estimator::{entry_facets_of, FieldEstimator, FieldView, SlotValues};
 use crate::grid::{Field2, GridSpec2};
 use crate::projector;
-use dtfe_delaunay::{Delaunay, TetId, NONE};
+use dtfe_delaunay::{Delaunay, TetId, VertexId, NONE};
 use dtfe_geometry::plucker::{ray_tetra_seeded, FaceSeed, Plucker, Ray};
 use dtfe_geometry::predicates::{orient2d, orient3d_uncounted, Orientation};
 use dtfe_geometry::{Aabb2, Vec2, Vec3};
@@ -331,7 +340,9 @@ pub struct MarchStats {
     /// sight examined. Under a window, on a line that enters at its window
     /// entry, that is the tetrahedra the segment `ξ × [z_lo, z_hi]` meets,
     /// not the whole hull chord; a line that enters through the hull also
-    /// counts those it crosses below the floor. A projected render counts
+    /// counts those it crosses below the floor. A tetrahedron entered at or
+    /// above the ceiling ends the line uncounted, and a line whose floor is
+    /// above the hull crosses nothing. A projected render counts
     /// `(line, tetrahedron)` pairs here — under a window inside the mesh,
     /// those whose clipped interval is non-empty.
     pub crossings: u64,
@@ -345,7 +356,8 @@ pub struct MarchStats {
     /// (`core.window_entry_hit`).
     pub window_entries: u64,
     /// Window-entry walks that found no `T₀` — a tie, a floor point outside
-    /// the hull, or the step cap — and entered through the hull instead
+    /// the hull, or the step cap — and entered through the hull instead, or
+    /// crossed nothing when the floor point is above the hull
     /// (`core.window_entry_fallback`). Renders without a window, or whose
     /// floor is not above the mesh, attempt no walk and count nothing here.
     pub window_fallbacks: u64,
@@ -567,38 +579,60 @@ fn march_one(
     v
 }
 
+/// Where a windowed line of sight starts (module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Start {
+    /// At its window entry `T₀`.
+    Entry(TetId),
+    /// Through the hull projection.
+    Hull,
+    /// Nowhere: the floor point is above the hull.
+    AboveHull,
+}
+
+/// Does the outward-oriented hull facet `(a, b, c)` face up? Its exact
+/// projected winding is counterclockwise — the opposite of the downward
+/// entry facets' ([`HullIndex`]) — so its outward normal has `z > 0`.
+fn faces_up(del: &Delaunay, [a, b, c]: [VertexId; 3]) -> bool {
+    let xy = |v: VertexId| del.vertex(v).xy();
+    orient2d(xy(a), xy(b), xy(c)) == Orientation::Positive
+}
+
 /// The window entry of the line through `xi` (module docs): a visibility
 /// walk from the hinted tetrahedron to the one strictly containing
-/// `(ξ, z_lo)`, every sign from the exact `orient3d`. `None` — enter through
-/// the hull — when the render seeks no window entry, the walk leaves the
-/// hull, it ends on a tie, or it exceeds the step cap (which bounds a walk
-/// over corrupt adjacency). Reads each tetrahedron with the records' float
+/// `(ξ, z_lo)`, every sign from the exact `orient3d`. [`Start::Hull`] when
+/// the render seeks no window entry, the walk leaves the hull through a
+/// facet that does not face up, it ends on a tie, or it exceeds the step
+/// cap (which bounds a walk over corrupt adjacency);
+/// [`Start::AboveHull`] when it leaves through one that does. Reads each
+/// tetrahedron with the records' float
 /// normalization undone ([`MarchCache::tet`]) and its corners from the
 /// vertex array: the face signs are defined against the builder's exact
 /// orientation. Never inlined: it runs once per line, and folding it into
 /// the per-tetrahedron loop's function measurably slowed renders that have
 /// no window at all.
 #[inline(never)]
-fn window_entry(
-    ctx: &MarchCtx<'_>,
-    xi: Vec2,
-    hint: &mut TetId,
-    stats: &mut MarchStats,
-) -> Option<TetId> {
-    let p = Vec3::new(xi.x, xi.y, ctx.window_floor?);
+fn window_entry(ctx: &MarchCtx<'_>, xi: Vec2, hint: &mut TetId, stats: &mut MarchStats) -> Start {
+    let Some(z_lo) = ctx.window_floor else {
+        return Start::Hull;
+    };
+    let p = Vec3::new(xi.x, xi.y, z_lo);
     let (del, topo) = (ctx.del, ctx.cache);
     // A laid-out mesh has no freed slots.
     let usable = |t: TetId| (t as usize) < topo.len() && !topo.tet(t).is_ghost();
     let mut cur = if usable(*hint) {
         *hint
     } else {
-        del.finite_tets().next()?
+        match del.finite_tets().next() {
+            Some(t) => t,
+            None => return Start::Hull,
+        }
     };
     // The face the walk entered `cur` through: its sign is the exact
     // negation of the one that sent the walk across it — strictly positive
     // — so it is not evaluated again.
     let mut entered = usize::MAX;
-    let mut found = None;
+    let mut found = Start::Hull;
     for _ in 0..ctx.max_steps {
         stats.window_walk_steps += 1;
         let tet = topo.tet(cur);
@@ -620,12 +654,19 @@ fn window_entry(
         let Some(i) = beyond else {
             // No face separates `cur` from `p`: it is the entry if the
             // containment is strict, and a tie otherwise.
-            found = strict.then_some(cur);
+            if strict {
+                found = Start::Entry(cur);
+            }
             break;
         };
         let next = topo.tet(tet.neighbors[i]);
         if next.is_ghost() {
-            break; // strictly beyond a hull facet: outside the hull
+            // Strictly beyond a hull facet: outside the hull, and above it
+            // when the facet faces up.
+            if faces_up(del, tet.face(i)) {
+                found = Start::AboveHull;
+            }
+            break;
         }
         // Adjacency is reciprocal in a valid triangulation; were it not,
         // skipping no face would only cost one test.
@@ -634,8 +675,8 @@ fn window_entry(
     }
     *hint = cur;
     match found {
-        Some(_) => stats.window_entries += 1,
-        None => stats.window_fallbacks += 1,
+        Start::Entry(_) => stats.window_entries += 1,
+        Start::Hull | Start::AboveHull => stats.window_fallbacks += 1,
     }
     found
 }
@@ -650,12 +691,15 @@ pub fn window_entry_with_hint<E: FieldEstimator + ?Sized>(
     z_lo: f64,
     mut hint: TetId,
 ) -> Option<TetId> {
-    window_entry(
+    match window_entry(
         &MarchCtx::new(field.view(), index, Some((z_lo, f64::INFINITY)), 0.0, 0),
         xi,
         &mut hint,
         &mut MarchStats::default(),
-    )
+    ) {
+        Start::Entry(t) => Some(t),
+        Start::Hull | Start::AboveHull => None,
+    }
 }
 
 fn march_cell_inner(
@@ -674,12 +718,14 @@ fn march_cell_inner(
         // The first tetrahedron: the window entry where the line has one,
         // else the tetrahedron above the hull-projection facet.
         let mut t = match window_entry(ctx, xi_cur, &mut hint.window, stats) {
-            Some(t0) => t0,
-            None => {
+            Start::Entry(t0) => t0,
+            start => {
                 stats.entry_hint_misses += 1;
                 match ctx.index.query(xi_cur) {
-                    Some(ghost) => ctx.cache.record(ghost).neighbors[3],
-                    None => return 0.0,
+                    Some(ghost) if start == Start::Hull => ctx.cache.record(ghost).neighbors[3],
+                    // Beside the footprint, or over it with the floor above
+                    // the hull: the segment meets no tetrahedron.
+                    _ => return 0.0,
                 }
             }
         };
@@ -748,16 +794,18 @@ fn march_cell_inner(
                     None => return total,
                 }
             };
-            stats.crossings += 1;
-
             let (mut a, mut b) = (p_in.z, p_out.z);
             if b < a {
                 (a, b) = (b, a);
             }
             if let Some((zlo, zhi)) = ctx.z_range {
+                if a >= zhi {
+                    return total; // the segment ended below this tetrahedron
+                }
                 a = a.max(zlo);
                 b = b.min(zhi);
             }
+            stats.crossings += 1;
             if b > a {
                 // Eq. 12: exact integral via the interval midpoint. `x₀` is
                 // the record's vertex 0 (the normalization swaps only 2 ↔ 3).

@@ -1,11 +1,12 @@
 //! The reference kernel (the equivalence oracle).
 
 use super::{
-    line_of_sight, perturb_or_fail, HullIndex, MarchOptions, MarchStats, EPSILON, MAX_PERTURB,
+    faces_up, line_of_sight, perturb_or_fail, HullIndex, MarchOptions, MarchStats, Start, EPSILON,
+    MAX_PERTURB,
 };
 use crate::estimator::{FieldEstimator, FieldView};
 use crate::grid::{Field2, GridSpec2};
-use dtfe_delaunay::{Delaunay, Located, TetId, NONE};
+use dtfe_delaunay::{Delaunay, Located, NONE};
 use dtfe_geometry::plucker::{ray_tetra, Plucker, Ray};
 use dtfe_geometry::predicates::orient3d;
 use dtfe_geometry::{Vec2, Vec3};
@@ -53,18 +54,27 @@ pub fn surface_density_reference_hull_entry<E: FieldEstimator + ?Sized>(
 /// The window entry of the line through `xi` for floor `z_lo`, by the
 /// definition alone: locate `(ξ, z_lo)` from scratch with the
 /// triangulation's own stochastic walk, then demand four strictly positive
-/// face signs. Shares no code with the kernel's hinted walk.
-fn reference_window_entry(del: &Delaunay, xi: Vec2, z_lo: f64) -> Option<TetId> {
+/// face signs. A point located beyond a hull facet that faces up is above
+/// the hull. Shares no code with the kernel's hinted walk but the facet
+/// test.
+fn reference_window_entry(del: &Delaunay, xi: Vec2, z_lo: f64) -> Start {
     let p = Vec3::new(xi.x, xi.y, z_lo);
-    let Located::Finite(t) = del.locate_seeded(p, NONE, &mut 0x9E37_79B9_7F4A_7C15) else {
-        return None; // outside the hull, exactly on a vertex, or lost
-    };
-    (0..4)
-        .all(|i| {
-            let [a, b, c] = del.tet(t).face(i);
-            orient3d(del.vertex(a), del.vertex(b), del.vertex(c), p).is_positive()
-        })
-        .then_some(t)
+    match del.locate_seeded(p, NONE, &mut 0x9E37_79B9_7F4A_7C15) {
+        Located::Finite(t) => {
+            let strict = (0..4).all(|i| {
+                let [a, b, c] = del.tet(t).face(i);
+                orient3d(del.vertex(a), del.vertex(b), del.vertex(c), p).is_positive()
+            });
+            if strict {
+                Start::Entry(t)
+            } else {
+                Start::Hull
+            }
+        }
+        Located::Ghost(g) if faces_up(del, del.hull_facet(g)) => Start::AboveHull,
+        // Below or beside the hull, exactly on a vertex, or lost.
+        _ => Start::Hull,
+    }
 }
 
 /// `seek_window_entry`: enter at the window entry where the definition gives
@@ -175,13 +185,17 @@ fn reference_march_cell_inner(
     let mut attempts = 0usize;
     let max_steps = del.num_tets() + del.num_ghosts() + 16;
     'restart: loop {
-        let mut t = match window_floor.and_then(|z_lo| reference_window_entry(del, xi_cur, z_lo)) {
-            Some(t0) => t0,
-            None => {
+        let start = match window_floor {
+            Some(z_lo) => reference_window_entry(del, xi_cur, z_lo),
+            None => Start::Hull,
+        };
+        let mut t = match start {
+            Start::Entry(t0) => t0,
+            start => {
                 stats.entry_hint_misses += 1;
                 match index.query(xi_cur) {
-                    Some(ghost) => del.tet(ghost).neighbors[3],
-                    None => return 0.0,
+                    Some(ghost) if start == Start::Hull => del.tet(ghost).neighbors[3],
+                    _ => return 0.0,
                 }
             }
         };
@@ -216,16 +230,18 @@ fn reference_march_cell_inner(
                     None => return total,
                 }
             };
-            stats.crossings += 1;
-
             let (mut a, mut b) = (p_in.z, p_out.z);
             if b < a {
                 (a, b) = (b, a);
             }
             if let Some((zlo, zhi)) = z_range {
+                if a >= zhi {
+                    return total;
+                }
                 a = a.max(zlo);
                 b = b.min(zhi);
             }
+            stats.crossings += 1;
             if b > a {
                 let mid = Vec3::new(xi_cur.x, xi_cur.y, 0.5 * (a + b));
                 let rho_mid = field.values.eval(t, verts[0], mid);

@@ -19,6 +19,13 @@ pub enum FrameworkError {
     /// reclaim invariant, reported by that rank alone (no collective
     /// follows the sender epilogue, so the other ranks finish).
     Reclaim { rank: usize },
+    /// A requested field cannot be rendered under the run's configuration
+    /// (see [`field_geometry`](crate::runner::field_geometry)); every rank
+    /// refuses it before the first collective.
+    Geometry {
+        center: dtfe_geometry::Vec3,
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for FrameworkError {
@@ -31,6 +38,9 @@ impl std::fmt::Display for FrameworkError {
             FrameworkError::Reclaim { rank } => {
                 write!(f, "rank {rank} reclaimed an item it never sent")
             }
+            FrameworkError::Geometry { center, reason } => {
+                write!(f, "field at {center:?} cannot be rendered: {reason}")
+            }
         }
     }
 }
@@ -40,7 +50,7 @@ impl std::error::Error for FrameworkError {
         match self {
             FrameworkError::Io { error, .. } => Some(error),
             FrameworkError::Schedule(e) => Some(e),
-            FrameworkError::Reclaim { .. } => None,
+            FrameworkError::Reclaim { .. } | FrameworkError::Geometry { .. } => None,
         }
     }
 }

@@ -1,11 +1,10 @@
-//! Phase 1: parallel read, spatial redistribution, ghost exchange
-//! (paper §IV-B).
+//! Phase 1: spatial redistribution and ghost exchange (paper §IV-B). The
+//! parallel read that feeds it is
+//! [`run_distributed_snapshot`](crate::runner::run_distributed_snapshot)'s.
 
 use crate::decomp::Decomposition;
 use dtfe_geometry::Vec3;
-use dtfe_nbody::snapshot;
 use dtfe_simcluster::Comm;
-use std::path::Path;
 
 /// A rank's particle holdings after ingest.
 #[derive(Clone, Debug)]
@@ -63,43 +62,6 @@ pub fn redistribute(
         .flatten()
         .collect();
     RankParticles { owned, ghosts }
-}
-
-/// Full ingest from a snapshot file: every rank reads a round-robin subset
-/// of the file's blocks ("a parallel read of the data using an arbitrary
-/// block assignment"), then redistributes.
-pub fn ingest_snapshot(
-    comm: &mut Comm,
-    path: &Path,
-    decomp: &Decomposition,
-    margin: f64,
-) -> std::io::Result<RankParticles> {
-    let mut mine = Vec::new();
-    let mut read_err: Option<String> = None;
-    match snapshot::read_info(path) {
-        Ok(info) => {
-            let mut block = comm.rank();
-            while block < info.num_ranks() {
-                match snapshot::read_block(path, &info, block) {
-                    Ok(pts) => mine.extend(pts),
-                    Err(e) => {
-                        read_err = Some(e.to_string());
-                        break;
-                    }
-                }
-                block += comm.size();
-            }
-        }
-        Err(e) => read_err = Some(e.to_string()),
-    }
-    // Coordinated abort: agree on read status before the redistribution
-    // collectives, so one rank's IO failure doesn't strand its peers
-    // inside an alltoallv that never completes.
-    let statuses = comm.allgather(read_err);
-    if let Some(msg) = statuses.into_iter().flatten().next() {
-        return Err(std::io::Error::other(msg));
-    }
-    Ok(redistribute(comm, mine, decomp, margin))
 }
 
 #[cfg(test)]
@@ -189,31 +151,5 @@ mod tests {
                 "rank {rank} coverage mismatch"
             );
         }
-    }
-
-    #[test]
-    fn snapshot_ingest_round_trips() {
-        let pts = cloud(1000, 13, 4.0);
-        let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(4.0));
-        // Write a snapshot with 6 writer blocks (≠ reader count).
-        let writer_decomp = Decomposition::new(bounds, 6);
-        let mut blocks: Vec<Vec<Vec3>> = vec![Vec::new(); 6];
-        for &p in &pts {
-            blocks[writer_decomp.rank_of(p)].push(p);
-        }
-        let mut path = std::env::temp_dir();
-        path.push(format!("dtfe_ingest_test_{}.bin", std::process::id()));
-        snapshot::write_snapshot(&path, &blocks, bounds).unwrap();
-
-        let nranks = 4;
-        let decomp = Decomposition::new(bounds, nranks);
-        let d2 = decomp.clone();
-        let p2 = path.clone();
-        let results = run(nranks, move |mut comm| {
-            ingest_snapshot(&mut comm, &p2, &d2, 0.3).unwrap()
-        });
-        let total: usize = results.iter().map(|rp| rp.owned.len()).sum();
-        assert_eq!(total, pts.len());
-        std::fs::remove_file(&path).ok();
     }
 }

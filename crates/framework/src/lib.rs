@@ -49,8 +49,8 @@ pub use model::{
 };
 pub use reliable::{ReliabilityParams, TAG_WORK};
 pub use runner::{
-    run_distributed, run_distributed_snapshot, FieldRequest, FrameworkConfig, PhaseTimings,
-    RankReport, RunReport, PHASE_EXEC,
+    field_geometry, run_distributed, run_distributed_snapshot, FieldRequest, FrameworkConfig,
+    PhaseTimings, RankReport, RunReport, PHASE_EXEC,
 };
 pub use sharing::{create_schedule, pack_bins, Schedule, ScheduleError, ScheduleReport, Transfer};
 

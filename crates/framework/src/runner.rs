@@ -91,6 +91,34 @@ impl FrameworkConfig {
     }
 }
 
+/// The grid and render options of the field centred at `center`: a
+/// `field_len` square of `resolution` cells a side at `center.xy`,
+/// integrated over the field cube's depth `center.z ± field_len / 2` with
+/// `samples` per cell, on the calling thread. The batch framework and the
+/// serving tier both render by this one rule (the service adds its
+/// estimator), which is what makes a served field the batch field bit for
+/// bit. Validated: malformed geometry is an error, not a panic in the
+/// kernel.
+pub fn field_geometry(
+    center: Vec3,
+    field_len: f64,
+    resolution: usize,
+    samples: usize,
+) -> Result<(GridSpec2, MarchOptions), String> {
+    let grid =
+        GridSpec2::try_square(center.xy(), field_len, resolution).map_err(|e| e.to_string())?;
+    // Batch ranks already run in parallel, and so do serving workers;
+    // nesting Rayon here would oversubscribe (the paper's per-rank OpenMP
+    // threads map onto the whole-process pool used by the shared-memory
+    // experiments instead).
+    let opts = MarchOptions::new()
+        .samples(samples)
+        .parallel(false)
+        .z_range(center.z - field_len * 0.5, center.z + field_len * 0.5);
+    opts.validate().map_err(|e| e.to_string())?;
+    Ok((grid, opts))
+}
+
 /// Busy (thread-CPU) seconds per phase, per rank (the series of Figs.
 /// 9/12/13a). Thread-CPU time is immune to the oversubscription of
 /// thread-ranks on few cores; `sharing_wait` alone is wall clock, since a
@@ -247,47 +275,50 @@ fn item_bins<'a>(
 
 /// Execute one work item: triangulate the particles in the item's cube and
 /// render its field.
-fn execute_item(particles: &ParticleCounter<'_>, center: Vec3, cfg: &FrameworkConfig) -> Executed {
+fn execute_item(
+    particles: &ParticleCounter<'_>,
+    center: Vec3,
+    cfg: &FrameworkConfig,
+) -> Result<Executed, FrameworkError> {
+    let (grid, opts) = item_geometry(center, cfg)?;
     let local = particles.particles_in_cube(center, cfg.field_len);
-    let grid = GridSpec2::square(center.xy(), cfg.field_len, cfg.resolution);
 
     let sp = span!("framework.triangulate_item", n = local.len());
     let del = match dtfe_delaunay::DelaunayBuilder::new().build(&local) {
         Ok(d) => d,
         Err(_) => {
-            return Executed {
+            return Ok(Executed {
                 n_local: local.len(),
                 t_tri: sp.end().cpu_s,
                 t_render: 0.0,
                 field: Field2::zeros(grid),
-            }
+            })
         }
     };
     let field = DtfeField::from_delaunay_for_inputs(del, local.len(), Mass::Uniform(1.0));
     let t_tri = sp.end().cpu_s;
 
     let sp = span!("framework.interpolate_item", n = local.len());
-    // Ranks already run in parallel; nesting Rayon here would
-    // oversubscribe (the paper's per-rank OpenMP threads map onto the
-    // whole-process pool used by the shared-memory experiments instead).
-    let opts = MarchOptions::new()
-        .samples(cfg.samples)
-        .parallel(false)
-        .z_range(
-            center.z - cfg.field_len * 0.5,
-            center.z + cfg.field_len * 0.5,
-        );
     let (sigma, _stats) = surface_density_with_stats(&field, &grid, &opts);
     let t_render = sp.end().cpu_s;
     counter_add!("framework.items_executed", 1);
     hist_record!("framework.item_tri_us", (t_tri * 1e6) as u64);
     hist_record!("framework.item_interp_us", (t_render * 1e6) as u64);
-    Executed {
+    Ok(Executed {
         n_local: local.len(),
         t_tri,
         t_render,
         field: sigma,
-    }
+    })
+}
+
+/// [`field_geometry`] of an item under the run's configuration.
+fn item_geometry(
+    center: Vec3,
+    cfg: &FrameworkConfig,
+) -> Result<(GridSpec2, MarchOptions), FrameworkError> {
+    field_geometry(center, cfg.field_len, cfg.resolution, cfg.samples)
+        .map_err(|reason| FrameworkError::Geometry { center, reason })
 }
 
 /// Bridge the fault-injection counters into the installed recorder, so the
@@ -341,6 +372,11 @@ fn run_rank_inner(
         rank: comm.rank(),
         ..Default::default()
     };
+    // Every rank holds the same requests and configuration, so every rank
+    // refuses a malformed field here, before its first collective.
+    for r in requests {
+        item_geometry(r.center, cfg)?;
+    }
 
     // ---- Phase 1: partition & redistribute ----
     let sp = span!("framework.partition");
@@ -383,7 +419,7 @@ fn run_rank_inner(
         rng ^= rng >> 7;
         rng ^= rng << 17;
         let pick = (rng % local_centers.len() as u64) as usize;
-        let done = execute_item(&counter, local_centers[pick], cfg);
+        let done = execute_item(&counter, local_centers[pick], cfg)?;
         let sample = TimingSample {
             n: counts[pick].max(1.0),
             t_tri: done.t_tri,
@@ -525,7 +561,7 @@ fn run_rank_inner(
             &mut report,
             c,
             Some(counts[i]),
-            execute_item(&counter, c, cfg),
+            execute_item(&counter, c, cfg)?,
         );
         // Keep the protocol responsive while computing: senders absorb acks
         // (so a long local phase doesn't read as death), receivers ack
@@ -561,7 +597,7 @@ fn run_rank_inner(
                     &mut report,
                     c,
                     Some(counts[i]),
-                    execute_item(&counter, c, cfg),
+                    execute_item(&counter, c, cfg)?,
                 );
             }
         }
@@ -588,7 +624,7 @@ fn run_rank_inner(
                 cfg,
             );
             for c in centers {
-                record_item(&mut report, c, None, execute_item(&bins, c, cfg));
+                record_item(&mut report, c, None, execute_item(&bins, c, cfg)?);
                 report.received_items += 1;
             }
         }
@@ -699,6 +735,20 @@ mod tests {
         let sent: usize = run.ranks.iter().map(|r| r.sent_items).sum();
         let recvd: usize = run.ranks.iter().map(|r| r.received_items).sum();
         assert_eq!(sent, recvd);
+    }
+
+    #[test]
+    fn a_field_the_grid_cannot_hold_is_refused_by_every_rank() {
+        let (pts, halos) = galaxy_box(8.0, 2_000, 4, 3);
+        let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(8.0));
+        let requests = requests_at_halos(&halos, 4);
+        for cfg in [
+            FrameworkConfig::new(2.0, 0),
+            FrameworkConfig::new(f64::NAN, 8),
+        ] {
+            let run = run_distributed(3, &pts, bounds, &requests, &cfg);
+            assert!(matches!(run, Err(FrameworkError::Geometry { .. })));
+        }
     }
 
     #[test]
@@ -887,36 +937,47 @@ pub fn run_distributed_snapshot(
     let results = dtfe_simcluster::run_with_faults(nranks, &cfg.faults, |mut comm| {
         // Phase 1a: the parallel read (measured into the partition phase by
         // run_rank's redistribute; the read itself happens here).
-        let mut mine = Vec::new();
-        let mut read_err: Option<String> = None;
-        let mut block = comm.rank();
-        while block < info.num_ranks() {
-            match dtfe_nbody::snapshot::read_block(snapshot, &info, block) {
-                Ok(pts) => mine.extend(pts),
-                Err(e) => {
-                    read_err = Some(e.to_string());
-                    break;
-                }
-            }
-            block += comm.size();
-        }
-        // Coordinated abort: agree on read status before entering the
-        // framework's collectives, so one rank's IO failure surfaces as the
-        // same typed error on every rank instead of a deadlock.
-        let statuses = comm.allgather(read_err);
-        if let Some((rank, msg)) = statuses
-            .iter()
-            .enumerate()
-            .find_map(|(r, s)| s.as_ref().map(|m| (r, m.clone())))
-        {
-            return Err(FrameworkError::Io {
-                rank,
-                error: std::io::Error::other(msg),
-            });
-        }
+        let mine = read_round_robin(&mut comm, snapshot, &info)?;
         run_rank(&mut comm, mine, requests, &decomp, cfg)
     });
     summarize(results, requests.len())
+}
+
+/// This rank's share of a snapshot's blocks, read round-robin ("a parallel
+/// read of the data using an arbitrary block assignment"). Every rank
+/// calls it: the ranks agree on the read status before returning, so one
+/// rank's IO failure surfaces as the same typed error on every rank
+/// instead of a deadlock in the framework's collectives.
+fn read_round_robin(
+    comm: &mut Comm,
+    snapshot: &std::path::Path,
+    info: &dtfe_nbody::snapshot::SnapshotInfo,
+) -> Result<Vec<Vec3>, FrameworkError> {
+    let mut mine = Vec::new();
+    let mut read_err: Option<String> = None;
+    let mut block = comm.rank();
+    while block < info.num_ranks() {
+        match dtfe_nbody::snapshot::read_block(snapshot, info, block) {
+            Ok(pts) => mine.extend(pts),
+            Err(e) => {
+                read_err = Some(e.to_string());
+                break;
+            }
+        }
+        block += comm.size();
+    }
+    let statuses = comm.allgather(read_err);
+    match statuses
+        .iter()
+        .enumerate()
+        .find_map(|(r, s)| s.as_ref().map(|m| (r, m.clone())))
+    {
+        Some((rank, msg)) => Err(FrameworkError::Io {
+            rank,
+            error: std::io::Error::other(msg),
+        }),
+        None => Ok(mine),
+    }
 }
 
 #[cfg(test)]
@@ -949,6 +1010,15 @@ mod snapshot_tests {
         let cfg = FrameworkConfig::new(2.0, 12);
         let run = run_distributed_snapshot(3, &path, &requests, &cfg).unwrap();
         assert_eq!(run.computed, requests.len());
+        // The round-robin read and the redistribution own every particle of
+        // the file once.
+        let info = dtfe_nbody::snapshot::read_info(&path).unwrap();
+        let decomp = Decomposition::new(bounds, 3);
+        let owned = dtfe_simcluster::run(3, |mut comm| {
+            let mine = read_round_robin(&mut comm, &path, &info).unwrap();
+            redistribute(&mut comm, mine, &decomp, 1.0).owned.len()
+        });
+        assert_eq!(owned.iter().sum::<usize>(), pts.len());
         std::fs::remove_file(&path).ok();
     }
 }

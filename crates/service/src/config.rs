@@ -1,15 +1,14 @@
 //! Service configuration.
 
-use crate::cache::QuarantinePolicy;
-use dtfe_framework::{InterpModel, TriModel, WorkloadModel};
+use dtfe_framework::{FrameworkConfig, InterpModel, TriModel, WorkloadModel};
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// Knobs of the serving layer. Mirrors the batch
-/// [`FrameworkConfig`](dtfe_framework::FrameworkConfig) where the two
-/// overlap (`field_len`, `resolution`, `samples`) so a served render is
-/// comparable to — and with matching settings, bit-identical with — the
-/// offline path.
+/// Knobs of the serving layer. Mirrors the batch [`FrameworkConfig`] where
+/// the two overlap (`field_len`, `resolution`, `samples`) so a served render
+/// is comparable to — and with matching settings, bit-identical with — the
+/// offline path: both render by
+/// [`field_geometry`](dtfe_framework::field_geometry).
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Physical field side length `l_F`: every request renders a cube of
@@ -45,9 +44,6 @@ pub struct ServiceConfig {
     /// Socket write timeout applied to every accepted connection — a peer
     /// that stops draining its receive buffer cannot pin a handler.
     pub write_timeout: Option<Duration>,
-    /// When a repeatedly failing tile build or snapshot load is
-    /// quarantined, and for how long.
-    pub quarantine: QuarantinePolicy,
     /// Completed requests slower than this are recorded in the flight
     /// recorder even untraced; `None` disables slow-request capture.
     pub slow_threshold: Option<Duration>,
@@ -93,23 +89,22 @@ impl ServiceConfig {
             telemetry: false,
             read_timeout: Some(Duration::from_secs(10)),
             write_timeout: Some(Duration::from_secs(10)),
-            quarantine: QuarantinePolicy::default(),
             slow_threshold: Some(Duration::from_millis(500)),
             window_buckets: 10,
             window_width: Duration::from_secs(1),
         }
     }
 
-    /// Tile ghost padding, `l_F / 2`: any field cube centred inside a tile
-    /// is then covered by the tile's padded particle set — the same
-    /// invariant as the batch framework's
-    /// [`ghost_margin`](dtfe_framework::FrameworkConfig::ghost_margin).
+    /// Tile ghost padding: the batch framework's
+    /// [`ghost_margin`](dtfe_framework::FrameworkConfig::ghost_margin),
+    /// `l_F / 2`, so any field cube centred inside a tile is covered by the
+    /// tile's padded particle set.
     pub fn ghost_margin(&self) -> f64 {
-        self.field_len * 0.5
+        FrameworkConfig::new(self.field_len, self.resolution).ghost_margin()
     }
 
     /// Validate config invariants (positive geometry, at least one tile
-    /// and worker, positive timeouts and quarantine windows).
+    /// and worker, positive timeouts).
     pub fn validate(&self) -> Result<(), String> {
         if !(self.field_len.is_finite() && self.field_len > 0.0) {
             return Err("field_len must be finite and positive".into());
@@ -137,13 +132,6 @@ impl ServiceConfig {
         }
         if self.write_timeout.is_some_and(|t| t.is_zero()) {
             return Err("write_timeout must be positive (use None to disable)".into());
-        }
-        let q = &self.quarantine;
-        if q.after == 0 {
-            return Err("quarantine.after must be at least 1".into());
-        }
-        if q.base.is_zero() || q.max < q.base {
-            return Err("quarantine windows must satisfy 0 < base <= max".into());
         }
         if self.slow_threshold.is_some_and(|t| t.is_zero()) {
             return Err("slow_threshold must be positive (use None to disable)".into());

@@ -16,7 +16,7 @@
 //! *not* quarantined — checking for it is one `stat`, and the usual fix
 //! (upload the file) should take effect immediately.
 
-use crate::cache::{catch_panic, FailureLedger};
+use crate::cache::{catch_panic, FailureLedger, QuarantinePolicy};
 use crate::config::ServiceConfig;
 use crate::error::ServiceError;
 use crate::server::unpoisoned;
@@ -97,7 +97,7 @@ impl SnapshotRegistry {
             ghost_margin: cfg.ghost_margin(),
             state: Mutex::new(HashMap::new()),
             cv: Condvar::new(),
-            neg: Mutex::new(FailureLedger::new(cfg.quarantine)),
+            neg: Mutex::new(FailureLedger::new(QuarantinePolicy::default())),
         }
     }
 

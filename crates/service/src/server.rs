@@ -215,7 +215,7 @@ impl Service {
         };
         let inner = Arc::new(Inner {
             registry: SnapshotRegistry::new(snapshot_dir.as_ref(), &cfg),
-            cache: TileCache::with_policy(cfg.cache_budget_bytes, cfg.quarantine),
+            cache: TileCache::new(cfg.cache_budget_bytes),
             admission: Admission::new(default_model(), cfg.admission_budget_s, cfg.workers),
             queue: Mutex::new(QueueState {
                 per_tile: HashMap::new(),
@@ -411,20 +411,12 @@ impl Service {
             return invalid(format!("center {:?} outside snapshot bounds", req.center));
         }
 
-        // Built through the validating constructors so degenerate geometry
-        // is a typed error, not a panic in the marching kernel.
-        let grid = GridSpec2::try_square(req.center.xy(), cfg.field_len, resolution)
-            .map_err(|e| ServiceError::InvalidRequest(e.to_string()))?;
-        let opts = MarchOptions::new()
-            .samples(samples)
-            .parallel(false)
-            .estimator(estimator)
-            .z_range(
-                req.center.z - cfg.field_len * 0.5,
-                req.center.z + cfg.field_len * 0.5,
-            );
-        opts.validate()
-            .map_err(|e| ServiceError::InvalidRequest(e.to_string()))?;
+        // The batch framework's field, validated: degenerate geometry is a
+        // typed error, not a panic in the marching kernel.
+        let (grid, opts) =
+            dtfe_framework::field_geometry(req.center, cfg.field_len, resolution, samples)
+                .map_err(ServiceError::InvalidRequest)?;
+        let opts = opts.estimator(estimator);
 
         let tile = TileKey::new(req.snapshot.clone(), snap.decomp.rank_of(req.center));
         Ok(Resolved {

@@ -9,11 +9,11 @@
 //! tables over one mesh per tile, filled in request order.
 
 use dtfe_core::{
-    surface_density_with_index, DtfeField, FieldEstimator, GridSpec2, HullIndex, MarchOptions,
-    Mass, PsDtfeField, StochasticField, StochasticOptions,
+    surface_density_with_index, DtfeField, FieldEstimator, HullIndex, Mass, PsDtfeField,
+    StochasticField, StochasticOptions,
 };
 use dtfe_delaunay::DelaunayBuilder;
-use dtfe_framework::Decomposition;
+use dtfe_framework::{field_geometry, Decomposition};
 use dtfe_geometry::{Aabb3, Vec3};
 use dtfe_nbody::snapshot::write_snapshot;
 use dtfe_service::tiles::{demo_velocities, tile_seed, TileKey};
@@ -87,10 +87,7 @@ fn every_first_touch_order_serves_the_standalone_fields() {
                 .copied()
                 .filter(|&p| padded.contains_closed(p))
                 .collect();
-            let grid = GridSpec2::try_square(center.xy(), FIELD_LEN, RESOLUTION).unwrap();
-            let opts = MarchOptions::new()
-                .parallel(false)
-                .z_range(center.z - FIELD_LEN * 0.5, center.z + FIELD_LEN * 0.5);
+            let (grid, opts) = field_geometry(center, FIELD_LEN, RESOLUTION, 1).unwrap();
             let render = |field: &dyn FieldEstimator| {
                 let idx = HullIndex::build(field);
                 bits(&surface_density_with_index(field, &idx, &grid, &opts).0.data)

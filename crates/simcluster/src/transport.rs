@@ -312,11 +312,6 @@ impl Comm {
         }
         out.into_iter().map(|v| v.unwrap()).collect()
     }
-
-    /// Sum-reduction visible on all ranks.
-    pub fn allreduce_sum(&mut self, value: f64) -> f64 {
-        self.allgather(value).iter().sum()
-    }
 }
 
 impl Drop for Comm {
@@ -508,12 +503,6 @@ mod tests {
         });
         assert_eq!(out[0], vec![vec![], vec![9]]);
         assert_eq!(out[1], vec![vec![1, 2, 3], vec![]]);
-    }
-
-    #[test]
-    fn allreduce_sum() {
-        let out = run(4, |mut comm| comm.allreduce_sum(comm.rank() as f64 + 1.0));
-        assert!(out.iter().all(|&v| (v - 10.0).abs() < 1e-12));
     }
 
     #[test]

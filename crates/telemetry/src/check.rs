@@ -126,7 +126,9 @@ fn check_metrics_obj(v: &Json, what: &str) -> Result<(usize, usize, usize), Stri
         .ok_or(format!("{what}: missing histograms object"))?;
     check_hist_digests(hists, what)?;
     // Window sections are optional, but when present they must carry
-    // quantile-bearing digests and a positive covered span.
+    // quantile-bearing digests and a positive covered span. A window is
+    // read from the same samples as its cumulative digest, so it never
+    // counts more of them.
     if let Some(w) = v.get("windows") {
         let w = w
             .as_obj()
@@ -136,6 +138,16 @@ fn check_metrics_obj(v: &Json, what: &str) -> Result<(usize, usize, usize), Stri
             .and_then(|s| s.as_f64())
             .filter(|s| *s > 0.0)
             .ok_or(format!("{what}: windows without positive window_seconds"))?;
+        let count = |h: &Json| h.get("count").and_then(|c| c.as_f64()).unwrap_or(0.0);
+        for (name, h) in w {
+            let cumulative = hists.get(name).map_or(0.0, count);
+            if count(h) > cumulative {
+                return Err(format!(
+                    "{what}: window '{name}' counts {} samples, its cumulative digest {cumulative}",
+                    count(h)
+                ));
+            }
+        }
     }
     Ok((counters.len(), gauges.len(), hists.len()))
 }

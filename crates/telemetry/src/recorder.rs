@@ -9,8 +9,9 @@
 //!    stay instrumented unconditionally.
 //! 2. **Enabled must stay off the lock.** Each thread resolves its shard
 //!    once and caches the `Arc` in TLS; a counter increment is then a TLS
-//!    read plus one relaxed atomic add. Histograms and spans go through an
-//!    uncontended per-shard mutex (only the snapshot reader ever competes).
+//!    read plus one relaxed atomic add. Gauges, histograms and spans go
+//!    through an uncontended per-shard mutex (only the snapshot reader ever
+//!    competes), one lock per sample.
 //! 3. **Ranks are threads.** The cluster simulator runs each rank on its own
 //!    OS thread, so `Recorder::install()` is thread-local and each rank gets
 //!    an isolated registry; `install_global()` exists for single-process
@@ -18,6 +19,12 @@
 //!
 //! Metric names are interned process-wide into dense ids (one table per
 //! metric kind) so shards can use plain slot arrays instead of hash maps.
+//!
+//! Each metric has one store per shard, and a snapshot derives both of its
+//! views from it: a histogram's is a [`WindowedHistogram`], a gauge's its
+//! last set on the shard with the time of that set — the cumulative value
+//! is the most recent set across shards, the windowed one that set when it
+//! was made inside the window.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -27,8 +34,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::clock;
-use crate::metrics::{Histogram, MetricsSnapshot};
-use crate::window::{WindowedGauge, WindowedHistogram};
+use crate::metrics::MetricsSnapshot;
+use crate::window::{self, WindowedHistogram};
 
 /// Maximum distinct metric names per kind. Interning past the cap silently
 /// drops the metric (returns an out-of-range id) rather than panicking.
@@ -151,11 +158,9 @@ struct Shard {
     /// recorder; `(0, _)` disables windowing on this shard.
     window: (usize, u64),
     counters: Box<[AtomicU64]>,
-    gauges: Mutex<Vec<Option<f64>>>,
-    hists: Mutex<Vec<Option<Histogram>>>,
-    /// Rotating-window companions of `hists`/`gauges`, same dense ids.
-    whists: Mutex<Vec<Option<WindowedHistogram>>>,
-    wgauges: Mutex<Vec<Option<WindowedGauge>>>,
+    /// Each gauge's last set on this thread: `(value, set_at_us)`.
+    gauges: Mutex<Vec<Option<(f64, u64)>>>,
+    hists: Mutex<Vec<Option<WindowedHistogram>>>,
     spans: Mutex<Vec<SpanEvent>>,
 }
 
@@ -167,8 +172,6 @@ impl Shard {
             counters: (0..COUNTER_CAP).map(|_| AtomicU64::new(0)).collect(),
             gauges: Mutex::new(vec![None; GAUGE_CAP]),
             hists: Mutex::new((0..HIST_CAP).map(|_| None).collect()),
-            whists: Mutex::new((0..HIST_CAP).map(|_| None).collect()),
-            wgauges: Mutex::new((0..GAUGE_CAP).map(|_| None).collect()),
             spans: Mutex::new(Vec::new()),
         }
     }
@@ -219,8 +222,8 @@ impl Recorder {
         Recorder::with_windows(label, 10, std::time::Duration::from_secs(1))
     }
 
-    /// A recorder whose histograms and gauges also feed a rotating window
-    /// of `buckets × width` (see [`crate::window`]). `buckets = 0`
+    /// A recorder whose histograms and gauges are also read over a rotating
+    /// window of `buckets × width` (see [`crate::window`]). `buckets = 0`
     /// disables windowing entirely.
     pub fn with_windows(label: &str, buckets: usize, width: std::time::Duration) -> Recorder {
         Recorder {
@@ -287,8 +290,8 @@ impl Recorder {
         // One read timestamp for every shard, so the merged window is a
         // consistent cut across threads.
         let now_us = clock::now_us();
-        // Most recent set per windowed gauge across shards.
-        let mut wgauge_latest: std::collections::BTreeMap<String, (u64, f64)> = Default::default();
+        // Most recent set per gauge across shards: `(set_at_us, value)`.
+        let mut gauge_latest: std::collections::BTreeMap<&str, (u64, f64)> = Default::default();
         let mut spans = Vec::new();
         let shards = self.inner.shards.lock().unwrap();
         for shard in shards.iter() {
@@ -301,51 +304,38 @@ impl Recorder {
                 }
             }
             for (id, slot) in shard.gauges.lock().unwrap().iter().enumerate() {
-                if let Some(v) = slot {
-                    if let Some(name) = gauge_names.get(id) {
-                        // Last shard writer wins within one recorder; ranks
-                        // install on exactly one thread so this is unambiguous.
-                        metrics.gauges.insert(name.clone(), *v);
+                if let (Some((v, at_us)), Some(name)) = (slot, gauge_names.get(id)) {
+                    // The later set wins; a tie goes to the later shard.
+                    let e = gauge_latest.entry(name).or_insert((*at_us, *v));
+                    if *at_us >= e.0 {
+                        *e = (*at_us, *v);
                     }
                 }
             }
             for (id, slot) in shard.hists.lock().unwrap().iter().enumerate() {
-                if let Some(h) = slot {
-                    if let Some(name) = hist_names.get(id) {
-                        metrics.histograms.entry(name.clone()).or_default().merge(h);
-                    }
-                }
-            }
-            for (id, slot) in shard.whists.lock().unwrap().iter().enumerate() {
-                if let Some(wh) = slot {
-                    if let Some(name) = hist_names.get(id) {
-                        let merged = wh.merged_at(now_us);
-                        if !merged.is_empty() {
-                            metrics
-                                .windows
-                                .entry(name.clone())
-                                .or_default()
-                                .merge(&merged);
-                        }
-                    }
-                }
-            }
-            for (id, slot) in shard.wgauges.lock().unwrap().iter().enumerate() {
-                if let Some(wg) = slot {
-                    if let Some(name) = gauge_names.get(id) {
-                        if let Some(w) = wg.merged_at(now_us) {
-                            let e = wgauge_latest.entry(name.clone()).or_insert((0, w.last));
-                            if w.last_at_us >= e.0 {
-                                *e = (w.last_at_us, w.last);
-                            }
-                        }
+                if let (Some(wh), Some(name)) = (slot, hist_names.get(id)) {
+                    metrics
+                        .histograms
+                        .entry(name.clone())
+                        .or_default()
+                        .merge(&wh.cumulative());
+                    let merged = wh.merged_at(now_us);
+                    if !merged.is_empty() {
+                        metrics
+                            .windows
+                            .entry(name.clone())
+                            .or_default()
+                            .merge(&merged);
                     }
                 }
             }
             spans.extend(shard.spans.lock().unwrap().iter().cloned());
         }
-        for (name, (_, v)) in wgauge_latest {
-            metrics.window_gauges.insert(name, v);
+        for (name, (at_us, v)) in gauge_latest {
+            if window::live(at_us / wwidth_us, now_us / wwidth_us, wbuckets as u64) {
+                metrics.window_gauges.insert(name.to_string(), v);
+            }
+            metrics.gauges.insert(name.to_string(), v);
         }
         spans.sort_by_key(|s| (s.t0_us, s.depth));
         TelemetrySnapshot {
@@ -468,15 +458,7 @@ pub fn record_gauge(id: usize, v: f64) {
     if id >= GAUGE_CAP {
         return;
     }
-    with_shard(|s| {
-        s.gauges.lock().unwrap()[id] = Some(v);
-        let (buckets, width_us) = s.window;
-        if buckets > 0 {
-            s.wgauges.lock().unwrap()[id]
-                .get_or_insert_with(|| WindowedGauge::new(buckets, width_us))
-                .set(v);
-        }
-    });
+    with_shard(|s| s.gauges.lock().unwrap()[id] = Some((v, clock::now_us())));
 }
 
 #[inline]
@@ -485,15 +467,10 @@ pub fn record_histogram(id: usize, v: u64) {
         return;
     }
     with_shard(|s| {
-        s.hists.lock().unwrap()[id]
-            .get_or_insert_with(Histogram::new)
-            .record(v);
         let (buckets, width_us) = s.window;
-        if buckets > 0 {
-            s.whists.lock().unwrap()[id]
-                .get_or_insert_with(|| WindowedHistogram::new(buckets, width_us))
-                .record(v);
-        }
+        s.hists.lock().unwrap()[id]
+            .get_or_insert_with(|| WindowedHistogram::new(buckets, width_us))
+            .record(v);
     });
 }
 

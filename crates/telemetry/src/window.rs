@@ -1,22 +1,35 @@
-//! Rotating-window metrics: histograms and gauges that answer "what was
-//! p99 over the *last N seconds*" instead of "since boot".
+//! Rotating-window histograms: the one store behind every histogram a
+//! recorder keeps, answering both "p99 since boot" and "p99 over the
+//! *last N seconds*".
 //!
 //! A window is `n` slots of `width_us` microseconds each. A slot is keyed
 //! by its *epoch* (`now_us / width_us`); recording maps the current epoch
-//! onto `epoch % n` and lazily resets a slot whose stored epoch is stale,
+//! onto `epoch % n` and lazily rotates a slot whose stored epoch is stale,
 //! so rotation costs nothing when no samples arrive and there is no timer
-//! thread. Reading merges every slot whose epoch is still inside the
-//! window — [`WindowedHistogram::merged_at`] returns a plain
-//! [`Histogram`], so all the quantile machinery (and its error bounds)
-//! carries over unchanged.
+//! thread. A rotated-out slot is merged into a `retired` histogram, so each
+//! sample is stored once: the windowed view
+//! ([`WindowedHistogram::merged_at`]) merges the slots still inside the
+//! window, and the cumulative view ([`WindowedHistogram::cumulative`]) is
+//! `retired` merged with every slot — one histogram of every sample, since
+//! [`Histogram::merge`] adds bucket counts exactly. Both are plain
+//! [`Histogram`]s, so the quantile machinery carries over unchanged. With
+//! zero slots (windowing off) a sample goes straight into `retired`, with
+//! no clock read.
 //!
-//! Every mutation and read takes an explicit `now_us` timestamp (the
-//! convenience wrappers use [`clock::now_us`]), which makes rotation
+//! Every mutation and read can take an explicit `now_us` timestamp (the
+//! convenience wrapper uses [`clock::now_us`]), which makes rotation
 //! boundaries deterministic under test: the same sequence of
-//! `(now_us, value)` pairs always yields the same merged histogram.
+//! `(now_us, value)` pairs always yields the same merged histograms.
 
 use crate::clock;
 use crate::metrics::Histogram;
+
+/// Is a sample or set made in `epoch` still inside a window of `slots`
+/// epochs that ends with (and includes) `now_epoch`? Never, when the
+/// window has no slots.
+pub fn live(epoch: u64, now_epoch: u64, slots: u64) -> bool {
+    epoch + slots > now_epoch && epoch <= now_epoch
+}
 
 /// One rotating slot: the samples recorded during a single epoch.
 #[derive(Clone, Debug, Default)]
@@ -25,40 +38,56 @@ struct Slot {
     hist: Histogram,
 }
 
-/// A histogram over the last `n × width` window of time.
+/// A histogram over all time and over the last `n × width` window of it.
 #[derive(Clone, Debug)]
 pub struct WindowedHistogram {
     width_us: u64,
+    /// Every sample of a slot that has rotated out; with no slots, every
+    /// sample.
+    retired: Histogram,
     slots: Vec<Slot>,
 }
 
 impl WindowedHistogram {
     /// A window of `buckets` rotating slots, each covering `width_us`
-    /// microseconds. Total coverage is `buckets × width_us`.
+    /// microseconds. Total coverage is `buckets × width_us`; `buckets = 0`
+    /// keeps the cumulative view only.
     pub fn new(buckets: usize, width_us: u64) -> WindowedHistogram {
         WindowedHistogram {
             width_us: width_us.max(1),
-            slots: vec![Slot::default(); buckets.max(1)],
+            retired: Histogram::new(),
+            slots: vec![Slot::default(); buckets],
         }
     }
 
     /// Record one sample at an explicit timestamp.
     pub fn record_at(&mut self, now_us: u64, v: u64) {
+        if self.slots.is_empty() {
+            self.retired.record(v);
+            return;
+        }
         let epoch = now_us / self.width_us;
         let idx = (epoch % self.slots.len() as u64) as usize;
         let slot = &mut self.slots[idx];
         if slot.epoch != epoch {
             // The slot last served an epoch a full rotation ago (or is
-            // untouched); its samples have aged out of the window.
-            slot.hist = Histogram::new();
+            // untouched); its samples have aged out of the window, not out
+            // of the cumulative view.
+            self.retired.merge(&std::mem::take(&mut slot.hist));
             slot.epoch = epoch;
         }
         slot.hist.record(v);
     }
 
-    /// Record one sample now.
+    /// Record one sample now (without reading the clock when there are no
+    /// slots).
     pub fn record(&mut self, v: u64) {
-        self.record_at(clock::now_us(), v);
+        let now_us = if self.slots.is_empty() {
+            0
+        } else {
+            clock::now_us()
+        };
+        self.record_at(now_us, v);
     }
 
     /// Merge every slot still inside the window ending at `now_us` into
@@ -69,115 +98,20 @@ impl WindowedHistogram {
         let epoch = now_us / self.width_us;
         let n = self.slots.len() as u64;
         let mut out = Histogram::new();
-        for slot in &self.slots {
-            // Live iff recorded within the last `n` epochs (inclusive of
-            // the current one). `slot.epoch == 0` with an empty histogram
-            // is the untouched initial state and merges as a no-op.
-            if slot.epoch + n > epoch && slot.epoch <= epoch {
-                out.merge(&slot.hist);
-            }
+        // `slot.epoch == 0` with an empty histogram is the untouched
+        // initial state and merges as a no-op.
+        for slot in self.slots.iter().filter(|s| live(s.epoch, epoch, n)) {
+            out.merge(&slot.hist);
         }
         out
     }
-}
 
-/// The last/min/max of a gauge over a rotating window.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct GaugeWindow {
-    /// Most recent value set inside the window.
-    pub last: f64,
-    /// Timestamp of that most recent set.
-    pub last_at_us: u64,
-    /// Smallest value set inside the window.
-    pub min: f64,
-    /// Largest value set inside the window.
-    pub max: f64,
-}
-
-#[derive(Clone, Copy, Debug, Default)]
-struct GaugeSlot {
-    epoch: u64,
-    set: bool,
-    last: f64,
-    last_at_us: u64,
-    min: f64,
-    max: f64,
-}
-
-/// A gauge whose reads cover only the last `n × width` of time — the
-/// live-routing signal (`queue_depth` right now, not its all-time last
-/// write from a quiet hour ago).
-#[derive(Clone, Debug)]
-pub struct WindowedGauge {
-    width_us: u64,
-    slots: Vec<GaugeSlot>,
-}
-
-impl WindowedGauge {
-    pub fn new(buckets: usize, width_us: u64) -> WindowedGauge {
-        WindowedGauge {
-            width_us: width_us.max(1),
-            slots: vec![GaugeSlot::default(); buckets.max(1)],
-        }
-    }
-
-    /// Set the gauge at an explicit timestamp.
-    pub fn set_at(&mut self, now_us: u64, v: f64) {
-        let epoch = now_us / self.width_us;
-        let idx = (epoch % self.slots.len() as u64) as usize;
-        let slot = &mut self.slots[idx];
-        if slot.epoch != epoch || !slot.set {
-            *slot = GaugeSlot {
-                epoch,
-                set: true,
-                last: v,
-                last_at_us: now_us,
-                min: v,
-                max: v,
-            };
-            return;
-        }
-        slot.min = slot.min.min(v);
-        slot.max = slot.max.max(v);
-        if now_us >= slot.last_at_us {
-            slot.last = v;
-            slot.last_at_us = now_us;
-        }
-    }
-
-    /// Set the gauge now.
-    pub fn set(&mut self, v: f64) {
-        self.set_at(clock::now_us(), v);
-    }
-
-    /// The gauge's last/min/max over the window ending at `now_us`, or
-    /// `None` when nothing was set inside it.
-    pub fn merged_at(&self, now_us: u64) -> Option<GaugeWindow> {
-        let epoch = now_us / self.width_us;
-        let n = self.slots.len() as u64;
-        let mut out: Option<GaugeWindow> = None;
+    /// Every sample ever recorded: the retired samples merged with every
+    /// slot, live or stale.
+    pub fn cumulative(&self) -> Histogram {
+        let mut out = self.retired.clone();
         for slot in &self.slots {
-            if !slot.set || slot.epoch + n <= epoch || slot.epoch > epoch {
-                continue;
-            }
-            out = Some(match out {
-                None => GaugeWindow {
-                    last: slot.last,
-                    last_at_us: slot.last_at_us,
-                    min: slot.min,
-                    max: slot.max,
-                },
-                Some(w) => GaugeWindow {
-                    last: if slot.last_at_us >= w.last_at_us {
-                        slot.last
-                    } else {
-                        w.last
-                    },
-                    last_at_us: w.last_at_us.max(slot.last_at_us),
-                    min: w.min.min(slot.min),
-                    max: w.max.max(slot.max),
-                },
-            });
+            out.merge(&slot.hist);
         }
         out
     }
@@ -258,21 +192,60 @@ mod tests {
         assert_eq!(a.merged_at(2 * W), a.merged_at(2 * W));
     }
 
+    /// splitmix64: a deterministic stream for the property test below.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
     #[test]
-    fn windowed_gauge_tracks_last_min_max_and_ages_out() {
-        let mut g = WindowedGauge::new(3, W);
-        assert_eq!(g.merged_at(0), None);
-        g.set_at(100, 5.0);
-        g.set_at(200, 1.0);
-        g.set_at(W + 100, 9.0);
-        let w = g.merged_at(W + 200).unwrap();
-        assert_eq!(w.last, 9.0);
-        assert_eq!(w.min, 1.0);
-        assert_eq!(w.max, 9.0);
-        // Epoch 3: epoch 0's sets are out; only the 9.0 remains.
-        let w = g.merged_at(3 * W + 1).unwrap();
-        assert_eq!((w.last, w.min, w.max), (9.0, 9.0, 9.0));
-        // Epoch 4+: nothing in the window.
-        assert_eq!(g.merged_at(4 * W + 1), None);
+    fn both_views_equal_brute_force_over_random_histories() {
+        // Random monotone histories with idle gaps longer than the whole
+        // window: the cumulative view is one histogram of every sample, and
+        // the windowed view one of the samples whose epoch is live.
+        for buckets in [0usize, 1, 4, 10] {
+            for seed in 0..200u64 {
+                let mut rng = seed.wrapping_mul(31).wrapping_add(buckets as u64);
+                let mut h = WindowedHistogram::new(buckets, W);
+                let mut samples: Vec<(u64, u64)> = Vec::new();
+                let mut now = mix(&mut rng) % (3 * W);
+                let check = |h: &WindowedHistogram, samples: &[(u64, u64)], now: u64| {
+                    let mut all = Histogram::new();
+                    let mut window = Histogram::new();
+                    for &(t, v) in samples {
+                        all.record(v);
+                        if live(t / W, now / W, buckets as u64) {
+                            window.record(v);
+                        }
+                    }
+                    assert_eq!(h.cumulative(), all, "buckets={buckets} seed={seed}");
+                    assert_eq!(
+                        h.merged_at(now),
+                        window,
+                        "buckets={buckets} seed={seed} now={now}"
+                    );
+                };
+                for _ in 0..mix(&mut rng) % 300 {
+                    now += match mix(&mut rng) % 16 {
+                        0 => (buckets as u64 + 1 + mix(&mut rng) % 4) * W,
+                        1..=3 => mix(&mut rng) % W,
+                        _ => mix(&mut rng) % (W / 20),
+                    };
+                    let r = mix(&mut rng);
+                    let v = r >> (r % 64);
+                    h.record_at(now, v);
+                    samples.push((now, v));
+                    if mix(&mut rng).is_multiple_of(16) {
+                        check(&h, &samples, now);
+                    }
+                }
+                for k in 0..2 * buckets as u64 + 2 {
+                    check(&h, &samples, now + k * W / 2);
+                }
+            }
+        }
     }
 }

@@ -3,7 +3,12 @@
 //! validity (balanced B/E, monotone timestamps), and per-thread shard
 //! merging.
 
-use dtfe_telemetry::check::{check_chrome_trace, check_metrics_json};
+use std::sync::Barrier;
+use std::time::Duration;
+
+use dtfe_telemetry::check::{
+    check_chrome_trace, check_metrics_json, check_stats_json, SERVING_COUNTER_KEYS,
+};
 use dtfe_telemetry::{
     chrome_trace, counter_add, gauge_set, hist_record, metrics_json, span, Histogram, Recorder,
 };
@@ -226,6 +231,99 @@ fn gauges_take_last_write() {
     );
 }
 
+#[test]
+fn eight_threads_cumulative_histogram_equals_one_histogram_of_every_sample() {
+    // Each sample is stored once, in its thread's rotating window (10 × 1 s,
+    // 1 × 1 ms rotating under the test, or none), and the snapshot's
+    // cumulative histogram is one histogram of every sample.
+    for (buckets, width_ms) in [(10, 1000), (1, 1), (0, 1000)] {
+        let rec = Recorder::with_windows("mt", buckets, Duration::from_millis(width_ms));
+        let samples: Vec<Vec<u64>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (1..=8u64)
+                .map(|t| {
+                    let rec = &rec;
+                    s.spawn(move || {
+                        let _g = rec.install();
+                        let mut x = t.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        (0..2_000u64)
+                            .map(|i| {
+                                x ^= x << 13;
+                                x ^= x >> 7;
+                                x ^= x << 17;
+                                if i % 500 == 0 {
+                                    std::thread::sleep(Duration::from_millis(2));
+                                }
+                                hist_record!("test.mt_us", x >> (x % 64));
+                                x >> (x % 64)
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut whole = Histogram::new();
+        samples.iter().flatten().for_each(|&v| whole.record(v));
+        let m = rec.snapshot().metrics;
+        assert_eq!(m.histogram("test.mt_us"), Some(&whole), "{buckets}");
+        let window = m.windows.get("test.mt_us").map_or(0, Histogram::count);
+        assert!(window <= whole.count() && (buckets > 0 || window == 0));
+    }
+}
+
+#[test]
+fn gauge_reads_the_latest_set_across_threads() {
+    // Thread A sets 1, thread B sets 2, then A sets 3: the recorder reads
+    // 3, not the value of whichever thread's shard it visits last.
+    let rec = Recorder::new("gx");
+    let turn = Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let _g = rec.install();
+            gauge_set!("test.cross_thread", 1.0);
+            turn.wait();
+            turn.wait();
+            std::thread::sleep(Duration::from_millis(2));
+            gauge_set!("test.cross_thread", 3.0);
+        });
+        s.spawn(|| {
+            let _g = rec.install();
+            turn.wait();
+            std::thread::sleep(Duration::from_millis(2));
+            gauge_set!("test.cross_thread", 2.0);
+            turn.wait();
+        });
+    });
+    let m = rec.snapshot().metrics;
+    assert_eq!(m.gauge("test.cross_thread"), Some(3.0));
+    assert_eq!(m.window_gauges.get("test.cross_thread"), Some(&3.0));
+}
+
+#[test]
+fn window_views_age_out_while_cumulative_ones_stay() {
+    // 10 × 50 ms: a set or sample is inside the window for at least 450 ms
+    // after it is made, and out of it 500 ms later.
+    let rec = Recorder::with_windows("age", 10, Duration::from_millis(50));
+    {
+        let _g = rec.install();
+        gauge_set!("test.aging_gauge", 7.0);
+        hist_record!("test.aging_us", 40);
+    }
+    let m = rec.snapshot().metrics;
+    assert_eq!(m.window_gauges.get("test.aging_gauge"), Some(&7.0));
+    assert_eq!(
+        m.windows.get("test.aging_us").map(Histogram::count),
+        Some(1)
+    );
+    std::thread::sleep(Duration::from_millis(700));
+    let m = rec.snapshot().metrics;
+    assert_eq!(m.window_gauges.get("test.aging_gauge"), None);
+    assert_eq!(m.windows.get("test.aging_us"), None);
+    assert_eq!(m.gauge("test.aging_gauge"), Some(7.0));
+    assert_eq!(m.histogram("test.aging_us").map(Histogram::count), Some(1));
+    assert!(m.window_seconds > 0.0);
+}
+
 // ---------------------------------------------------------------------------
 // Exporters
 // ---------------------------------------------------------------------------
@@ -286,4 +384,42 @@ fn checker_rejects_broken_traces() {
     assert!(check_chrome_trace(bad).is_err());
     // Valid empty trace.
     assert!(check_chrome_trace(r#"{"traceEvents":[]}"#).is_ok());
+}
+
+#[test]
+fn checker_rejects_a_window_counting_more_than_its_cumulative_digest() {
+    let digest = |n: u32| format!(r#"{{"count":{n},"p50":1,"p90":1,"p99":1}}"#);
+    let metrics = |window: u32| {
+        format!(
+            r#"{{"counters":{{}},"gauges":{{}},"histograms":{{"x_us":{}}},"window_seconds":10,"windows":{{"x_us":{}}}}}"#,
+            digest(3),
+            digest(window)
+        )
+    };
+    let metrics_doc = |window: u32| {
+        let m = metrics(window);
+        format!(r#"{{"ranks":[{{"label":"r0",{}],"merged":{m}}}"#, &m[1..])
+    };
+    let stats_doc = |window: u32| {
+        let counters: Vec<String> = SERVING_COUNTER_KEYS
+            .iter()
+            .map(|k| format!(r#""{k}":0"#))
+            .collect();
+        format!(
+            r#"{{"version":2,"serving":{{{}}},"cache":{{"resident_bytes":0,"budget_bytes":1,"entries":0}},"metrics":{}}}"#,
+            counters.join(","),
+            metrics(window)
+        )
+    };
+    for window in [0, 3] {
+        assert!(check_metrics_json(&metrics_doc(window)).is_ok(), "{window}");
+        assert!(check_stats_json(&stats_doc(window)).is_ok(), "{window}");
+    }
+    let err = check_metrics_json(&metrics_doc(4)).unwrap_err();
+    assert!(err.contains("window 'x_us' counts 4"), "{err}");
+    let err = check_stats_json(&stats_doc(4)).unwrap_err();
+    assert!(err.contains("window 'x_us' counts 4"), "{err}");
+    // A window with no cumulative digest at all counts more than it.
+    let orphan = metrics_doc(1).replace(r#""histograms":{"x_us""#, r#""histograms":{"y_us""#);
+    assert!(check_metrics_json(&orphan).is_err());
 }

@@ -53,10 +53,11 @@ fn dense_grid() -> GridSpec2 {
 /// (DTFE) integrates to non-zero under `opts`' window, each line marched
 /// alone. A line that enters at its window floor crosses exactly the
 /// tetrahedra its segment meets. One whose floor point is outside the hull
-/// enters through it: below the hull's bottom it too crosses only those
-/// the segment meets, but above the hull's top — where the hull is thin,
-/// near the footprint's edge — or with the whole window below the hull,
-/// it crosses tetrahedra the segment does not meet, and its integral is 0.
+/// enters through it when the point is below the hull's bottom, and then
+/// too crosses only those the segment meets — none when the whole window
+/// is below the hull. Above the hull's top — where the hull is thin, near
+/// the footprint's edge — it crosses nothing. So every line the march
+/// crosses anything on has a non-zero integral.
 fn segment_crossings(
     view: &FieldView<'_>,
     index: &HullIndex,
@@ -122,9 +123,9 @@ fn windows(pts: &[Vec3]) -> Vec<(f64, f64)> {
 }
 
 /// Under a window a pair is a tetrahedron the segment meets: the pairs are
-/// the march's crossings on every line whose window the march reaches
-/// ([`segment_crossings`]), the same for every estimator of one mesh, and
-/// at most the march's crossings in all.
+/// the march's crossings, all of them on lines whose window the march
+/// reaches ([`segment_crossings`]), the same for every estimator of one
+/// mesh.
 #[test]
 fn the_projector_is_the_reference_to_rounding_on_every_estimator() {
     let grid = dense_grid();
@@ -149,7 +150,7 @@ fn the_projector_is_the_reference_to_rounding_on_every_estimator() {
             for (estimator, view) in t.views() {
                 let what = format!("{cloud}/{estimator} [{lo}, {hi}]");
                 let (pairs, crossings) = project(&what, &view, &index, &grid, &opts);
-                assert!(pairs <= crossings, "{what}: {pairs} > {crossings}");
+                assert_eq!(pairs, crossings, "{what}");
                 assert_eq!(pairs, segments, "{what}");
             }
         }
@@ -161,8 +162,10 @@ fn the_projector_is_the_reference_to_rounding_on_every_estimator() {
 /// lattice plane is a tie for every line — the plane is a union of faces —
 /// so the march enters through the hull and crosses the tetrahedra below
 /// the floor too, and a Plücker exit height may round below a ceiling on a
-/// plane and step the march into the layer above: there the crossings
-/// exceed the pairs. The pairs themselves are exact: every tetrahedron lies
+/// plane and step the march into the layer above (under `[-1, 1]`, the
+/// lines of cells (13, 6) and (14, 7): 4 crossings for 3 pairs each):
+/// there the crossings exceed the pairs. The pairs themselves are exact:
+/// every tetrahedron lies
 /// in one layer, so the windows stacked on the planes count the full-depth
 /// render's pairs, which are the march's crossings.
 #[test]

@@ -151,8 +151,6 @@ fn quarantine_and_recovery_are_flight_recorded() {
     let mut cfg = ServiceConfig::new(4.0, 32);
     cfg.tiles = 1;
     cfg.telemetry = true;
-    cfg.quarantine.after = 2;
-    cfg.quarantine.base = Duration::from_millis(200);
     // Far below any cold build time, far above a warm render: the cold
     // recovery render must classify as slow.
     cfg.slow_threshold = Some(Duration::from_millis(1));

@@ -15,7 +15,9 @@
 //!   hull-entered reference bit for bit, with strictly fewer crossings (a
 //!   differential on fixed fixtures, deliberately not a theorem).
 //! * (c) the edges of the definition: the three fallbacks, a floor at or
-//!   below the mesh, a sliver window, additivity across a shared floor.
+//!   below the mesh, a floor above the hull's top where it lies below the
+//!   hull's highest vertex, a sliver window, additivity across a shared
+//!   floor.
 //! * (d) the hint cannot change an entry.
 //!
 //! A centre-sampled render under a window inside the mesh may project
@@ -23,7 +25,7 @@
 //! march: `surface_density_by(…, Kernel::March)`.
 
 use dtfe_repro::core::marching::{
-    march_cell, surface_density_by, surface_density_reference,
+    cell_value, march_cell, surface_density_by, surface_density_reference,
     surface_density_reference_hull_entry, window_entry_with_hint, Kernel, MarchStats,
 };
 use dtfe_repro::core::{
@@ -309,6 +311,71 @@ fn floor_above_the_hull_and_lines_outside_the_footprint_fall_back() {
     assert_eq!(
         (s.window_entries, s.window_fallbacks, s.crossings),
         (0, 16, 0)
+    );
+}
+
+/// Random points under the roof `z = 4 − x` over `[0, 4]²`, and the
+/// wedge's six corners: the hull's top is the roof, two upward-facing
+/// facets, so a floor at `z_lo` is above the hull exactly where
+/// `x > 4 − z_lo`, while the hull's highest vertices are at `z = 4`.
+fn wedge() -> Vec<Vec3> {
+    let mut s = 0x2545_F491_4F6C_DD1Du64;
+    let mut r = move || {
+        s ^= s >> 12;
+        s ^= s << 25;
+        s ^= s >> 27;
+        4.0 * ((s.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64)
+    };
+    let mut pts: Vec<Vec3> = [(0.0, 0.0, 0.0), (4.0, 0.0, 0.0), (0.0, 4.0, 0.0)]
+        .into_iter()
+        .chain([(4.0, 4.0, 0.0), (0.0, 0.0, 4.0), (0.0, 4.0, 4.0)])
+        .map(|(x, y, z)| Vec3::new(x, y, z))
+        .collect();
+    while pts.len() < 400 {
+        let p = Vec3::new(r(), r(), r());
+        if p.z < 4.0 - p.x {
+            pts.push(p);
+        }
+    }
+    pts
+}
+
+#[test]
+fn a_floor_above_the_hull_crosses_nothing() {
+    // Under the window [2, 3] a line with x > 2 has its whole segment above
+    // the roof: it asks the hull projection once and crosses nothing, in
+    // both kernels — not the tetrahedra below its floor.
+    let pts = wedge();
+    let field = DtfeField::build(&pts, Mass::Uniform(1.0)).unwrap();
+    let index = HullIndex::build(&field);
+    let grid = GridSpec2::covering(Vec2::new(0.113, 0.071), Vec2::new(3.913, 3.957), 19, 17);
+    let window = (2.0, 3.0);
+    let (data, s) = render_both(&field, &index, &grid, window);
+    let opts = MarchOptions::new()
+        .z_range(window.0, window.1)
+        .parallel(false);
+    let (mut above, mut crossings) = (0, 0);
+    for j in 0..grid.ny {
+        for i in 0..grid.nx {
+            let mut line = MarchStats::default();
+            let v = cell_value(&field, &index, &grid, i, j, &opts, &mut line);
+            assert_eq!(v.to_bits(), data[j * grid.nx + i].to_bits());
+            crossings += line.crossings;
+            if grid.center(i, j).x > 2.0 {
+                assert_eq!(
+                    (v, line.crossings, line.entry_hint_misses),
+                    (0.0, 0, 1),
+                    "cell ({i}, {j})"
+                );
+                above += 1;
+            }
+        }
+    }
+    assert!(above > 0 && s.perturbations == 0);
+    assert_eq!(crossings, s.crossings);
+    assert_eq!(
+        s.window_entries + s.window_fallbacks,
+        grid.num_cells() as u64
     );
 }
 
