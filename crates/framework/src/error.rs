@@ -1,4 +1,4 @@
-//! Typed framework errors, so faults surface as values instead of panics
+//! Typed framework errors, so failures surface as values instead of panics
 //! or deadlocks.
 
 use crate::sharing::ScheduleError;
@@ -15,10 +15,6 @@ pub enum FrameworkError {
     /// The work-sharing scheduler rejected its input (non-finite predicted
     /// times).
     Schedule(ScheduleError),
-    /// The outbox handed rank `rank` back an item it never sent: a broken
-    /// reclaim invariant, reported by that rank alone (no collective
-    /// follows the sender epilogue, so the other ranks finish).
-    Reclaim { rank: usize },
     /// A requested field cannot be rendered under the run's configuration
     /// (see [`field_geometry`](crate::runner::field_geometry)); every rank
     /// refuses it before the first collective.
@@ -35,9 +31,6 @@ impl std::fmt::Display for FrameworkError {
                 write!(f, "snapshot IO error on rank {rank}: {error}")
             }
             FrameworkError::Schedule(e) => write!(f, "work-sharing schedule error: {e}"),
-            FrameworkError::Reclaim { rank } => {
-                write!(f, "rank {rank} reclaimed an item it never sent")
-            }
             FrameworkError::Geometry { center, reason } => {
                 write!(f, "field at {center:?} cannot be rendered: {reason}")
             }
@@ -50,7 +43,7 @@ impl std::error::Error for FrameworkError {
         match self {
             FrameworkError::Io { error, .. } => Some(error),
             FrameworkError::Schedule(e) => Some(e),
-            FrameworkError::Reclaim { .. } | FrameworkError::Geometry { .. } => None,
+            FrameworkError::Geometry { .. } => None,
         }
     }
 }
@@ -75,7 +68,5 @@ mod tests {
         assert!(s.contains("rank 3") && s.contains("truncated block"), "{s}");
         let e: FrameworkError = ScheduleError::NonFiniteTime { rank: 1 }.into();
         assert!(matches!(e, FrameworkError::Schedule(_)));
-        let s = FrameworkError::Reclaim { rank: 2 }.to_string();
-        assert!(s.contains("rank 2") && s.contains("reclaimed"), "{s}");
     }
 }

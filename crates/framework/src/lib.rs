@@ -14,31 +14,27 @@
 //! 3. **Work sharing** ([`sharing`]) — the `CreateCommunicationList`
 //!    schedule (paper Fig. 5) plus greedy first-fit variable-size bin
 //!    packing of work items into send buckets and local compute gaps.
-//! 4. **Execution and communication** ([`runner`]) — receivers drain their
-//!    local items then block on their `RecvList`; senders dispatch their
+//! 4. **Execution and communication** ([`runner`]) — senders send their
 //!    scheduled (particles, field positions) bundles up front, then run
-//!    their kept items while absorbing acks.
+//!    their kept items; receivers run their local items, then block on
+//!    each sender of their `RecvList` in turn.
 //!
 //! [`eventsim`] replays the same scheduling algorithm inside a
 //! discrete-event simulator so the 4k–16k-rank regime of the paper's
 //! Fig. 13 can be evaluated without 16k OS threads (see `DESIGN.md`,
 //! substitutions).
 //!
-//! The framework is **fault-tolerant**: a [`FaultPlan`] in
-//! [`FrameworkConfig`] injects reproducible message loss, delay,
-//! duplication, reordering, and rank kills (see `dtfe-simcluster`), and
-//! the execution phase runs work sharing over a [`reliable`]
-//! ack/retry/heartbeat sublayer that survives them — lost ranks are
-//! detected, their scheduled work is reclaimed, and the drivers return a
-//! typed [`RunReport`]/[`FrameworkError`] instead of deadlocking
-//! (`DESIGN.md`, "Fault model & recovery").
+//! Like the paper, the framework assumes a reliable transport: every
+//! scheduled bundle arrives. What can fail is rank-collective — a field
+//! the grid cannot hold, an unreadable snapshot, a non-finite model
+//! prediction — and every rank returns the same typed [`FrameworkError`]
+//! instead of panicking or deadlocking its peers.
 
 pub mod decomp;
 pub mod error;
 pub mod eventsim;
 pub mod ingest;
 pub mod model;
-pub mod reliable;
 pub mod runner;
 pub mod sharing;
 
@@ -47,16 +43,12 @@ pub use error::FrameworkError;
 pub use model::{
     InterpModel, ModelResiduals, ResidualSummary, TimingSample, TriModel, WorkloadModel,
 };
-pub use reliable::{ReliabilityParams, TAG_WORK};
 pub use runner::{
     field_geometry, run_distributed, run_distributed_snapshot, FieldRequest, FrameworkConfig,
-    PhaseTimings, RankReport, RunReport, PHASE_EXEC,
+    PhaseTimings, RankReport, RunReport,
 };
 pub use sharing::{create_schedule, pack_bins, Schedule, ScheduleError, ScheduleReport, Transfer};
 
-// Re-exported so framework users can build fault scenarios without naming
-// the simcluster crate.
-pub use dtfe_simcluster::{FaultPlan, FaultRule, FaultStats};
 // Re-exported so framework users can consume RankReport telemetry
 // (snapshots, exporters, the shared load statistics) without naming the
 // telemetry crate.

@@ -1,35 +1,42 @@
 //! Phases 2–4: modeling, scheduling, and execution with work sharing
 //! (paper §IV-C/D/E) over the simulated cluster runtime.
 //!
-//! Execution-phase communication runs on the [`crate::reliable`]
-//! sublayer, so an injected [`FaultPlan`] (message loss, delay,
-//! duplication, reordering, or a rank kill) degrades the run instead of
-//! deadlocking it: bundles are retransmitted until acked, dead peers are
-//! detected by retry/heartbeat exhaustion, and work scheduled to a dead
-//! rank is reclaimed and executed locally. The drivers return a typed
-//! [`RunReport`] describing exactly what was computed, lost, and retried.
+//! Execution is the paper's Fig. 5 schedule as written, over a reliable
+//! transport: a sender sends each scheduled bundle once, up front, then
+//! runs the items it kept; a receiver runs its local items, then blocks on
+//! each sender of its receive list in turn. Failures that every rank can
+//! see (a malformed field, an unreadable snapshot, a rejected schedule) are
+//! typed [`FrameworkError`]s, returned by every rank before the collective
+//! they would have torn.
 
 use crate::decomp::Decomposition;
 use crate::error::FrameworkError;
 use crate::ingest::{redistribute, RankParticles};
 use crate::model::{ModelResiduals, ParticleCounter, ResidualSummary, TimingSample, WorkloadModel};
-use crate::reliable::{InboxDrain, Outbox, ReliabilityParams};
 use crate::sharing::{create_schedule, pack_bins};
 use dtfe_core::density::{DtfeField, Mass};
 use dtfe_core::grid::{Field2, GridSpec2};
 use dtfe_core::marching::{surface_density_with_stats, MarchOptions};
 use dtfe_geometry::{Aabb3, Vec3};
-use dtfe_simcluster::{Comm, FaultPlan, FaultStats};
+use dtfe_simcluster::Comm;
 use dtfe_telemetry::{counter_add, gauge_set, hist_record, span, Recorder, TelemetrySnapshot};
 use std::sync::Arc;
 
-/// The phase-boundary label at which a [`FaultPlan::kill`] takes effect in
-/// the framework: entry to the execution phase, immediately after the last
-/// collective (the workload-totals allgather). Killing here models a rank
-/// lost mid-schedule without modeling a torn collective — MPI collectives
-/// over a dead rank abort the job wholesale, which is outside this fault
-/// model (see `DESIGN.md`, "Fault model & recovery").
-pub const PHASE_EXEC: &str = "exec";
+/// Message tag of work-sharing bundles.
+const TAG_WORK: u32 = 0xD7FE;
+
+/// Seed of each rank's pick of its test item (paper §IV-C: "one random
+/// test problem per process").
+const SEED: u64 = 0x5EED;
+
+/// A work bundle: the sender's particle set and the field centres to render
+/// ("the process receives a copy of the sender's particle set and density
+/// field positions", paper §IV-E). The particles are shared, so a sender
+/// with several receivers copies them once.
+struct Bundle {
+    particles: Arc<Vec<Vec3>>,
+    centers: Vec<Vec3>,
+}
 
 /// One requested surface-density field: a cube of side
 /// [`FrameworkConfig::field_len`] centred here, rendered to a square grid.
@@ -55,13 +62,6 @@ pub struct FrameworkConfig {
     pub keep_fields: bool,
     /// Monte-Carlo samples per grid cell.
     pub samples: usize,
-    pub seed: u64,
-    /// Faults to inject into the run ([`FaultPlan::none`] by default). The
-    /// plan is threaded through every rank's `Comm` by the drivers.
-    pub faults: FaultPlan,
-    /// Tunables of the reliable-delivery sublayer the execution phase runs
-    /// on (ack timeouts, retry budget, heartbeat cadence).
-    pub reliability: ReliabilityParams,
     /// Collect structured telemetry: each rank runs under its own
     /// [`Recorder`] and attaches a [`TelemetrySnapshot`] (spans + metrics)
     /// to its [`RankReport`], from which [`RunReport::chrome_trace`] and
@@ -78,9 +78,6 @@ impl FrameworkConfig {
             balance: true,
             keep_fields: false,
             samples: 1,
-            seed: 0x5EED,
-            faults: FaultPlan::none(),
-            reliability: ReliabilityParams::default(),
             telemetry: false,
         }
     }
@@ -162,23 +159,6 @@ pub struct RankReport {
     /// Rendered fields, when `keep_fields` is set, with their request
     /// centres.
     pub fields: Vec<(Vec3, Field2)>,
-    /// This rank was killed by the fault plan at a phase boundary; nothing
-    /// past that boundary executed.
-    pub died: bool,
-    /// This rank observed degradation: a peer died, or a scheduled
-    /// transfer was lost.
-    pub degraded: bool,
-    /// Retransmissions performed by this rank's outbox.
-    pub retries: u64,
-    /// Work items scheduled to a dead receiver, reclaimed and executed
-    /// locally instead.
-    pub reclaimed_items: usize,
-    /// Scheduled incoming transfers whose sender died before delivering.
-    pub lost_transfers: usize,
-    /// Peers this rank declared dead (retry or heartbeat exhaustion).
-    pub dead_peers: Vec<usize>,
-    /// Fault-injection counters observed on this rank's `Comm`.
-    pub faults: FaultStats,
     /// Spans and metrics recorded on this rank, when
     /// [`FrameworkConfig::telemetry`] was set.
     pub telemetry: Option<TelemetrySnapshot>,
@@ -192,12 +172,14 @@ pub struct RunReport {
     pub requested: usize,
     /// Fields actually rendered (across all ranks, exactly-once).
     pub computed: usize,
-    /// Requested fields that were not rendered — items stranded on a killed
-    /// rank, transfers whose sender died, or requests outside the domain.
+    /// Requested fields that were not rendered: requests whose centre lies
+    /// outside the domain, so no rank owns them.
     pub lost_items: usize,
-    /// Any rank died or observed a lost transfer.
+    /// Always `false`: the transport is reliable, so no run degrades. Kept
+    /// because the `perf` batch workload reads it.
     pub degraded: bool,
-    /// Total retransmissions across all ranks.
+    /// Always `0`: the transport is reliable, so nothing is retransmitted.
+    /// Kept because the `perf` batch workload reads it.
     pub retries: u64,
 }
 
@@ -321,16 +303,6 @@ fn item_geometry(
         .map_err(|reason| FrameworkError::Geometry { center, reason })
 }
 
-/// Bridge the fault-injection counters into the installed recorder, so the
-/// metrics JSON carries the same numbers as [`RankReport::faults`].
-fn bridge_fault_stats(fs: &FaultStats) {
-    counter_add!("simcluster.faults_dropped", fs.dropped);
-    counter_add!("simcluster.faults_duplicated", fs.duplicated);
-    counter_add!("simcluster.faults_delayed", fs.delayed);
-    counter_add!("simcluster.faults_reordered", fs.reordered);
-    counter_add!("simcluster.faults_killed", fs.killed as u64);
-}
-
 /// Run the full four-phase framework on one rank. `my_block` is this rank's
 /// arbitrary slice of the input (the "parallel read"); `requests` is the
 /// full request list (every rank holds it, as after the paper's broadcast;
@@ -381,8 +353,8 @@ fn run_rank_inner(
     // ---- Phase 1: partition & redistribute ----
     let sp = span!("framework.partition");
     let rp: RankParticles = redistribute(comm, my_block, decomp, cfg.ghost_margin());
-    // Shared so work bundles can carry the particle set without deep
-    // copies per scheduled transfer (retransmissions clone the Arc only).
+    // Shared so work bundles can carry the particle set without a deep
+    // copy per scheduled transfer.
     let all: Arc<Vec<Vec3>> = Arc::new(rp.all());
 
     // Local work items: requests whose centre lies in this rank's box.
@@ -406,7 +378,7 @@ fn run_rank_inner(
         .collect();
     // Time one random local work item (skip if there is none — contribute a
     // null sample that peers filter out).
-    let mut rng = cfg.seed ^ ((me as u64) << 32) ^ 0x9E37_79B9;
+    let mut rng = SEED ^ ((me as u64) << 32) ^ 0x9E37_79B9;
     let mut executed_early: Option<(usize, Executed)> = None;
     let my_sample = if local_centers.is_empty() {
         TimingSample {
@@ -484,47 +456,16 @@ fn run_rank_inner(
     );
     drop(sp);
 
-    // The exec span opens before the kill boundary so the barrier wait is
-    // covered; a killed rank still records a (short) exec span.
-    let exec_span = span!("framework.exec");
-
-    // A fault plan may kill this rank here: past the last collective (so
-    // the survivors never block inside a torn allgather) but before any
-    // execution-phase traffic. Peers detect the death through the reliable
-    // sublayer and reclaim or write off this rank's transfers.
-    if comm.phase_boundary(PHASE_EXEC) {
-        report.died = true;
-        report.faults = comm.fault_stats();
-        bridge_fault_stats(&report.faults);
-        drop(exec_span);
-        report.timings.total = rank_span.end().cpu_s;
-        return Ok(report);
-    }
-
     // ---- Phase 4: execution & communication ----
-    // A bundle's sequence number is the transfer's index in the global
-    // schedule — identical on every rank, so receivers can discard
-    // duplicates without negotiation. (Schedule invariant: (from, to)
-    // pairs are unique, and no rank both sends and receives.) `sends_of`
-    // keeps schedule order, so this rank's sends are its transfers, and
-    // their indices, in order.
-    let send_seqs = (schedule.transfers.iter().enumerate())
-        .filter(|(_, t)| t.from == me)
-        .map(|(k, _)| k as u64);
-    let mut outbox = (!my_sends.is_empty()).then(|| Outbox::new(cfg.reliability.clone()));
-    let mut inbox = (!my_recvs.is_empty())
-        .then(|| InboxDrain::new(cfg.reliability.clone(), my_recvs.iter().map(|t| t.from)));
-    // Work reclaimed from receivers that died before acking.
-    let mut reclaimed: Vec<(usize, Vec<Vec3>)> = Vec::new();
-
-    // Every bundle is dispatched up front: the transport is buffered, so
-    // early dispatch strictly reduces receiver wait.
-    if let Some(ob) = outbox.as_mut() {
-        for ((send, bucket), seq) in my_sends.iter().zip(&send_buckets).zip(send_seqs) {
-            let centers: Vec<Vec3> = bucket.iter().map(|&i| local_centers[i]).collect();
-            report.sent_items += centers.len();
-            ob.dispatch(comm, seq, send.to, Arc::clone(&all), centers);
-        }
+    let exec_span = span!("framework.exec");
+    // Senders send every bundle up front: the transport is buffered, so
+    // early sends strictly reduce receiver wait. (Schedule invariant: no
+    // rank both sends and receives.)
+    for (send, bucket) in my_sends.iter().zip(&send_buckets) {
+        let centers: Vec<Vec3> = bucket.iter().map(|&i| local_centers[i]).collect();
+        report.sent_items += centers.len();
+        let particles = Arc::clone(&all);
+        comm.send(send.to, TAG_WORK, Bundle { particles, centers });
     }
 
     // Book one executed item: its record against the model, the phase
@@ -563,78 +504,28 @@ fn run_rank_inner(
             Some(counts[i]),
             execute_item(&counter, c, cfg)?,
         );
-        // Keep the protocol responsive while computing: senders absorb acks
-        // (so a long local phase doesn't read as death), receivers ack
-        // early-arriving bundles (so senders settle instead of retrying).
-        if let Some(ob) = outbox.as_mut() {
-            reclaimed.extend(ob.poll(comm));
-        }
-        if let Some(ib) = inbox.as_mut() {
-            ib.poll(comm);
-        }
     }
 
-    // Sender epilogue: block until every bundle is acked or its receiver
-    // declared dead; execute reclaimed work locally so no item is lost to
-    // a dead receiver.
-    if let Some(mut ob) = outbox.take() {
-        let spw = span!("framework.wait_acks");
-        reclaimed.extend(ob.drain(comm));
+    // Receivers "simply execute all their local work and listen for a
+    // message from the next sender in their list".
+    for t in &my_recvs {
+        // Wait time is wall clock by nature (the thread is blocked, not
+        // burning CPU); on an oversubscribed host it is diagnostic only.
+        let spw = span!("framework.wait_bundle");
+        let (_, bundle): (usize, Bundle) = comm.recv(Some(t.from), TAG_WORK);
         report.timings.sharing_wait += spw.end().wall_s;
-        report.retries = ob.retries;
-        report.dead_peers = ob.dead_peers;
-        for (_to, centers) in reclaimed.drain(..) {
-            report.sent_items -= centers.len();
-            report.reclaimed_items += centers.len();
-            for c in centers {
-                // A reclaimed centre is one of this rank's items (its
-                // bundles are cut from `local_centers`), with a modelled
-                // count.
-                let i = (local_centers.iter())
-                    .position(|&lc| lc == c)
-                    .ok_or(FrameworkError::Reclaim { rank: me })?;
-                record_item(
-                    &mut report,
-                    c,
-                    Some(counts[i]),
-                    execute_item(&counter, c, cfg)?,
-                );
-            }
+        // The sender's owned and ghost particles.
+        let bins = item_bins(
+            &bundle.particles,
+            decomp.rank_box(t.from).inflated(cfg.ghost_margin()),
+            cfg,
+        );
+        for c in bundle.centers {
+            record_item(&mut report, c, None, execute_item(&bins, c, cfg)?);
+            report.received_items += 1;
         }
     }
 
-    // Receiver epilogue: drain the receive list ("receivers simply execute
-    // all their local work and listen for a message from the next sender in
-    // their list") — under heartbeats instead of an unconditional block, so
-    // a dead sender is written off rather than waited on forever.
-    if let Some(mut ib) = inbox.take() {
-        loop {
-            // Wait time is wall clock by nature (the thread is blocked, not
-            // burning CPU); on an oversubscribed host it is diagnostic only.
-            let spw = span!("framework.wait_bundle");
-            let next = ib.next(comm);
-            report.timings.sharing_wait += spw.end().wall_s;
-            let Some((src, particles, centers)) = next else {
-                break;
-            };
-            // The sender's owned and ghost particles.
-            let bins = item_bins(
-                &particles,
-                decomp.rank_box(src).inflated(cfg.ghost_margin()),
-                cfg,
-            );
-            for c in centers {
-                record_item(&mut report, c, None, execute_item(&bins, c, cfg)?);
-                report.received_items += 1;
-            }
-        }
-        report.lost_transfers = ib.lost_transfers;
-        report.dead_peers = ib.dead_peers;
-    }
-
-    report.degraded = report.lost_transfers > 0 || !report.dead_peers.is_empty();
-    report.faults = comm.fault_stats();
-    bridge_fault_stats(&report.faults);
     drop(exec_span);
     report.timings.total = rank_span.end().cpu_s;
 
@@ -642,7 +533,6 @@ fn run_rank_inner(
     // the metrics JSON, one value per rank.
     counter_add!("framework.items_sent", report.sent_items as u64);
     counter_add!("framework.items_received", report.received_items as u64);
-    counter_add!("framework.items_reclaimed", report.reclaimed_items as u64);
     counter_add!("framework.fields_computed", report.fields_computed as u64);
     gauge_set!("framework.partition_s", report.timings.partition);
     gauge_set!("framework.model_s", report.timings.model);
@@ -664,14 +554,12 @@ fn summarize(
         ranks.push(r?);
     }
     let computed: usize = ranks.iter().map(|r| r.fields_computed).sum();
-    let degraded = ranks.iter().any(|r| r.died || r.degraded);
-    let retries = ranks.iter().map(|r| r.retries).sum();
     Ok(RunReport {
         requested,
         computed,
         lost_items: requested.saturating_sub(computed),
-        degraded,
-        retries,
+        degraded: false,
+        retries: 0,
         ranks,
     })
 }
@@ -687,7 +575,7 @@ pub fn run_distributed(
     cfg: &FrameworkConfig,
 ) -> Result<RunReport, FrameworkError> {
     let decomp = Decomposition::new(bounds, nranks);
-    let results = dtfe_simcluster::run_with_faults(nranks, &cfg.faults, |mut comm| {
+    let results = dtfe_simcluster::run(nranks, |mut comm| {
         let mine: Vec<Vec3> = particles
             .iter()
             .skip(comm.rank())
@@ -934,7 +822,7 @@ pub fn run_distributed_snapshot(
         error: error.into(),
     })?;
     let decomp = Decomposition::new(info.bounds, nranks);
-    let results = dtfe_simcluster::run_with_faults(nranks, &cfg.faults, |mut comm| {
+    let results = dtfe_simcluster::run(nranks, |mut comm| {
         // Phase 1a: the parallel read (measured into the partition phase by
         // run_rank's redistribute; the read itself happens here).
         let mine = read_round_robin(&mut comm, snapshot, &info)?;

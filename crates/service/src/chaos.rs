@@ -10,10 +10,10 @@
 //! [`dtfe_simcluster::faults`]: each frame's fate depends only on
 //! `(seed, connection, direction, frame sequence)`, never on wall-clock
 //! or thread interleaving, so a chaos run is replayable from its seed.
-//! Rules follow the simcluster convention: the **first** matching rule
-//! decides, probabilities within a rule are evaluated against a single
-//! draw in a fixed order (drop → delay → truncate → split → stall →
-//! reset → bit-flip), so their sum must stay ≤ 1.
+//! The **first** matching rule decides, and probabilities within a rule
+//! are evaluated against a single draw in a fixed order (drop → delay →
+//! truncate → split → stall → reset → bit-flip), so their sum must stay
+//! ≤ 1.
 //!
 //! ## Fault kinds
 //!
@@ -72,8 +72,7 @@ pub enum SocketAction {
 }
 
 /// One injection rule: an optional `(connection, direction)` scope plus
-/// per-frame fault probabilities. Built fluently like
-/// [`dtfe_simcluster::faults::FaultRule`].
+/// per-frame fault probabilities, built fluently.
 #[derive(Clone, Debug)]
 pub struct SocketFaultRule {
     conn: Option<u64>,

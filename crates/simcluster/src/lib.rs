@@ -1,5 +1,5 @@
 //! A simulated MPI-like runtime: ranks are OS threads, messages are typed
-//! values over channels — with deterministic fault injection.
+//! values over channels.
 //!
 //! The paper's distributed framework is C++/MPI on Cooley and Mira. This
 //! crate preserves the *communication structure* — blocking point-to-point
@@ -11,13 +11,10 @@
 //! `MPI_Send`/`MPI_Recv` for work sharing), so the scheduling behaviour,
 //! including blocking waits on senders, is faithfully reproduced.
 //!
-//! Beyond the happy path, [`run_with_faults`] threads a seeded
-//! [`FaultPlan`] through every rank's [`Comm`]: user-tagged messages can be
-//! dropped, delayed, duplicated, or reordered per `(src, dst, tag)`, and a
-//! rank can be killed at a named phase boundary — all reproducibly, so a
-//! failing fault scenario replays exactly. See the [`faults`] module for
-//! the model and the fair-lossy (bounded drop burst) guarantee that the
-//! framework's reliable-delivery layer builds on.
+//! The transport is reliable, as the paper assumes of MPI: every message
+//! sent to a live rank arrives once, in order per `(src, dst)` pair. The
+//! [`faults`] module keeps only the seeded draw and probability check that
+//! the socket-level chaos proxy in `dtfe-service` builds on.
 //!
 //! # Example
 //!
@@ -33,28 +30,27 @@
 //! assert_eq!(results, vec![14, 14, 14, 14]);
 //! ```
 //!
-//! With injected faults:
+//! Selective receive by source and tag, as the framework's work sharing
+//! uses it:
 //!
 //! ```
-//! use dtfe_simcluster::{run_with_faults, FaultPlan, FaultRule};
+//! use dtfe_simcluster::run;
 //!
-//! // Drop 30% of tag-5 traffic, reproducibly.
-//! let plan = FaultPlan::seeded(7).rule(FaultRule::all().on_tag(5).drop(0.3));
-//! let stats = run_with_faults(2, &plan, |mut comm| {
+//! let got = run(3, |mut comm| {
 //!     if comm.rank() == 0 {
-//!         for i in 0..100u32 {
-//!             comm.send(1, 5, i);
-//!         }
+//!         // Take rank 2's message first, whatever arrives first.
+//!         let (_, a): (usize, u32) = comm.recv(Some(2), 5);
+//!         let (_, b): (usize, u32) = comm.recv(Some(1), 5);
+//!         vec![a, b]
+//!     } else {
+//!         comm.send(0, 5, comm.rank() as u32 * 10);
+//!         Vec::new()
 //!     }
-//!     comm.barrier();
-//!     while comm.try_recv::<u32>(None, 5).is_some() {}
-//!     comm.fault_stats()
 //! });
-//! assert!(stats[0].dropped > 0);
+//! assert_eq!(got[0], vec![20, 10]);
 //! ```
 
 pub mod faults;
 pub mod transport;
 
-pub use faults::{FaultPlan, FaultRule, FaultStats};
-pub use transport::{run, run_with_faults, Comm};
+pub use transport::{run, Comm};

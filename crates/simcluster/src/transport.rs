@@ -1,20 +1,10 @@
-//! The channel-backed transport: ranks, typed messages, selective receive,
-//! collectives, and the fault-injection hooks.
-//!
-//! Fault injection happens entirely on the **send path**: when a rank's
-//! [`Comm`] carries a `FaultSession`, every user-tagged `send` consults it
-//! and the message may be dropped, duplicated, delayed (delivered with a
-//! `not_before` timestamp the receive paths honor), or held back past the
-//! sender's next send (reorder). Collective traffic is exempt (see the
-//! [`faults`](crate::faults) module docs). The receive paths treat a
-//! not-yet-due delayed message as invisible and wake up no later than its
-//! due time, so delays never cost more latency than they inject.
+//! The channel-backed transport: ranks, typed messages, selective receive
+//! and collectives. Delivery is reliable and FIFO per `(src, dst)` pair, as
+//! the paper's MPI is: a message sent is a message received.
 
-use crate::faults::{Action, FaultPlan, FaultSession, FaultStats};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::any::Any;
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
 
 /// Message tags: user tags are plain `u32`s; collectives use an internal
 /// sequence-numbered space so they never collide with user traffic or with
@@ -29,9 +19,6 @@ struct Message {
     src: usize,
     tag: Tag,
     payload: Box<dyn Any + Send>,
-    /// Injected delivery delay: the receive paths pretend the message has
-    /// not arrived until this instant.
-    not_before: Option<Instant>,
 }
 
 /// A rank's endpoint: its id, the channel mesh, and the pending-message
@@ -44,11 +31,6 @@ pub struct Comm {
     pending: Vec<Message>,
     barrier: Arc<Barrier>,
     coll_seq: u64,
-    faults: Option<FaultSession>,
-    /// Messages a reorder fault is holding back; flushed after the next
-    /// send (so later traffic overtakes them) and on drop (so they are
-    /// never silently lost).
-    held: Vec<(usize, Message)>,
 }
 
 impl Comm {
@@ -63,61 +45,21 @@ impl Comm {
     }
 
     /// Send `value` to `dst` with `tag`. Buffered (never blocks), like a
-    /// small-message `MPI_Send`. `Clone` is required so an injected
-    /// duplication fault can manufacture the second copy; the fault-free
-    /// path never clones.
+    /// small-message `MPI_Send`.
     ///
-    /// A send to a rank that has already exited is silently discarded —
-    /// with fault injection enabled, stray retransmissions and heartbeats
-    /// to completed or killed peers are routine, not errors.
-    pub fn send<T: Send + Clone + 'static>(&mut self, dst: usize, tag: u32, value: T) {
+    /// A send to a rank that has already exited is silently discarded, so
+    /// a rank that finishes early never turns a peer's late send into a
+    /// panic.
+    pub fn send<T: Send + 'static>(&mut self, dst: usize, tag: u32, value: T) {
         self.send_tagged(dst, Tag::User(tag), value);
     }
 
-    fn send_tagged<T: Send + Clone + 'static>(&mut self, dst: usize, tag: Tag, value: T) {
-        let action = match (tag, self.faults.as_mut()) {
-            (Tag::User(t), Some(f)) => f.decide(self.rank, dst, t),
-            _ => Action::Deliver,
-        };
-        // Anything a reorder fault was holding is released *after* this
-        // message, so this send overtakes it.
-        let held = std::mem::take(&mut self.held);
-        match action {
-            Action::Deliver => self.post(dst, tag, Box::new(value), None),
-            Action::Drop => {}
-            Action::Duplicate => {
-                self.post(dst, tag, Box::new(value.clone()), None);
-                self.post(dst, tag, Box::new(value), None);
-            }
-            Action::Delay(by) => self.post(dst, tag, Box::new(value), Some(Instant::now() + by)),
-            Action::Hold => self.held.push((
-                dst,
-                Message {
-                    src: self.rank,
-                    tag,
-                    payload: Box::new(value),
-                    not_before: None,
-                },
-            )),
-        }
-        for (dst, msg) in held {
-            let _ = self.senders[dst].send(msg);
-        }
-    }
-
-    fn post(
-        &self,
-        dst: usize,
-        tag: Tag,
-        payload: Box<dyn Any + Send>,
-        not_before: Option<Instant>,
-    ) {
+    fn send_tagged<T: Send + 'static>(&self, dst: usize, tag: Tag, value: T) {
         dtfe_telemetry::counter_add!("simcluster.msgs_posted", 1);
         let _ = self.senders[dst].send(Message {
             src: self.rank,
             tag,
-            payload,
-            not_before,
+            payload: Box::new(value),
         });
     }
 
@@ -130,98 +72,21 @@ impl Comm {
         self.recv_tagged(src, Tag::User(tag))
     }
 
-    /// Non-blocking probe-and-receive: `Some` if a matching message is
-    /// already available (and, if delayed, already due).
-    pub fn try_recv<T: Send + 'static>(
-        &mut self,
-        src: Option<usize>,
-        tag: u32,
-    ) -> Option<(usize, T)> {
-        while let Ok(msg) = self.inbox.try_recv() {
+    /// The one receive loop: selective match over `pending`, pulling from
+    /// the inbox until a matching message is buffered.
+    fn recv_tagged<T: Send + 'static>(&mut self, src: Option<usize>, tag: Tag) -> (usize, T) {
+        loop {
+            let matching = |m: &Message| m.tag == tag && src.is_none_or(|s| s == m.src);
+            if let Some(i) = self.pending.iter().position(matching) {
+                dtfe_telemetry::counter_add!("simcluster.msgs_received", 1);
+                return Self::unwrap_msg(self.pending.remove(i));
+            }
+            let msg = self
+                .inbox
+                .recv()
+                .expect("all senders dropped while receiving");
             self.pending.push(msg);
         }
-        let now = Instant::now();
-        let i = self.find_pending(src, Tag::User(tag), now)?;
-        dtfe_telemetry::counter_add!("simcluster.msgs_received", 1);
-        Some(Self::unwrap_msg(self.pending.remove(i)))
-    }
-
-    /// Blocking receive with a timeout. The deadline is computed once up
-    /// front and honored regardless of how many non-matching (or
-    /// not-yet-due) messages arrive in the meantime.
-    pub fn recv_timeout<T: Send + 'static>(
-        &mut self,
-        src: Option<usize>,
-        tag: u32,
-        timeout: Duration,
-    ) -> Option<(usize, T)> {
-        self.recv_deadline(src, Tag::User(tag), Some(Instant::now() + timeout))
-    }
-
-    fn recv_tagged<T: Send + 'static>(&mut self, src: Option<usize>, tag: Tag) -> (usize, T) {
-        self.recv_deadline(src, tag, None)
-            .expect("recv without deadline cannot time out")
-    }
-
-    /// The one receive loop: selective match over `pending` + inbox, with
-    /// an optional overall deadline and wake-ups no later than the due time
-    /// of the earliest matching delayed message.
-    fn recv_deadline<T: Send + 'static>(
-        &mut self,
-        src: Option<usize>,
-        tag: Tag,
-        deadline: Option<Instant>,
-    ) -> Option<(usize, T)> {
-        loop {
-            let now = Instant::now();
-            if let Some(i) = self.find_pending(src, tag, now) {
-                dtfe_telemetry::counter_add!("simcluster.msgs_received", 1);
-                return Some(Self::unwrap_msg(self.pending.remove(i)));
-            }
-            if deadline.is_some_and(|d| now >= d) {
-                return None;
-            }
-            // Wake for the deadline or for a matching delayed message
-            // coming due, whichever is sooner.
-            let next_due = self
-                .pending
-                .iter()
-                .filter(|m| Self::matches(m, src, tag))
-                .filter_map(|m| m.not_before)
-                .min();
-            let wake = match (deadline, next_due) {
-                (Some(d), Some(n)) => Some(d.min(n)),
-                (Some(d), None) => Some(d),
-                (None, due) => due,
-            };
-            match wake {
-                None => {
-                    let msg = self
-                        .inbox
-                        .recv()
-                        .expect("all senders dropped while receiving");
-                    self.pending.push(msg);
-                }
-                Some(t) => {
-                    let wait = t.saturating_duration_since(now);
-                    if let Ok(msg) = self.inbox.recv_timeout(wait) {
-                        self.pending.push(msg);
-                    }
-                    // On timeout just loop: either a delayed message is now
-                    // due or the deadline check returns None.
-                }
-            }
-        }
-    }
-
-    fn matches(msg: &Message, src: Option<usize>, tag: Tag) -> bool {
-        msg.tag == tag && src.is_none_or(|s| s == msg.src)
-    }
-
-    fn find_pending(&self, src: Option<usize>, tag: Tag, now: Instant) -> Option<usize> {
-        self.pending
-            .iter()
-            .position(|m| Self::matches(m, src, tag) && m.not_before.is_none_or(|t| t <= now))
     }
 
     fn unwrap_msg<T: Send + 'static>(msg: Message) -> (usize, T) {
@@ -233,27 +98,6 @@ impl Comm {
                 std::any::type_name::<T>()
             ),
         }
-    }
-
-    /// Declare a named phase boundary. Returns `true` if the fault plan
-    /// kills this rank here — the caller must then stop all work and
-    /// communication and return, as a crashed rank would. Kills are only
-    /// honored at these declared points, never mid-collective.
-    pub fn phase_boundary(&mut self, label: &str) -> bool {
-        let rank = self.rank;
-        match self.faults.as_mut() {
-            Some(f) if f.kills_at(rank, label) => {
-                f.stats.killed = true;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Counters of the fault events injected by this rank's sends (plus
-    /// whether the rank was killed). All zeros when no plan is attached.
-    pub fn fault_stats(&self) -> FaultStats {
-        self.faults.as_ref().map(|f| f.stats).unwrap_or_default()
     }
 
     /// Synchronize all ranks.
@@ -291,7 +135,7 @@ impl Comm {
     /// Personalized all-to-all: `sends[d]` goes to rank `d`; returns what
     /// every rank sent here, in rank order (the particle-redistribution
     /// primitive).
-    pub fn alltoallv<T: Clone + Send + 'static>(&mut self, mut sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
+    pub fn alltoallv<T: Send + 'static>(&mut self, mut sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
         assert_eq!(
             sends.len(),
             self.size,
@@ -314,38 +158,14 @@ impl Comm {
     }
 }
 
-impl Drop for Comm {
-    fn drop(&mut self) {
-        // Release anything a reorder fault was still holding: reorder means
-        // "overtaken", never "lost" — message conservation is the
-        // transport's invariant, loss is the Drop fault's job.
-        for (dst, msg) in self.held.drain(..) {
-            let _ = self.senders[dst].send(msg);
-        }
-    }
-}
-
-/// Run `f` on `nranks` thread-ranks with no fault injection; returns the
-/// per-rank results in rank order. Panics in any rank propagate
-/// (fail-fast, like an MPI abort).
+/// Run `f` on `nranks` thread-ranks; returns the per-rank results in rank
+/// order. Panics in any rank propagate (fail-fast, like an MPI abort).
 pub fn run<T, F>(nranks: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(Comm) -> T + Send + Sync,
 {
-    run_with_faults(nranks, &FaultPlan::none(), f)
-}
-
-/// Run `f` on `nranks` thread-ranks, threading `plan` through every rank's
-/// [`Comm`]. With [`FaultPlan::none`] (or any no-op plan) the ranks carry
-/// no fault state and the send path costs one extra branch.
-pub fn run_with_faults<T, F>(nranks: usize, plan: &FaultPlan, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Comm) -> T + Send + Sync,
-{
     assert!(nranks > 0);
-    let plan = (!plan.is_noop()).then(|| Arc::new(plan.clone()));
     let mut senders = Vec::with_capacity(nranks);
     let mut inboxes = Vec::with_capacity(nranks);
     for _ in 0..nranks {
@@ -367,10 +187,6 @@ where
                 pending: Vec::new(),
                 barrier: Arc::clone(&barrier),
                 coll_seq: 0,
-                faults: plan
-                    .as_ref()
-                    .map(|p| FaultSession::new(Arc::clone(p), nranks)),
-                held: Vec::new(),
             };
             let f = &f;
             handles.push(
@@ -395,7 +211,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultRule;
 
     #[test]
     fn ranks_and_sizes() {
@@ -518,73 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_nonblocking() {
-        let out = run(2, |mut comm| {
-            if comm.rank() == 0 {
-                assert!(comm.try_recv::<usize>(None, 5).is_none());
-                comm.barrier(); // let rank 1 send
-                comm.barrier(); // ensure delivery ordering via rank 1's barrier
-                let mut spins = 0;
-                loop {
-                    if let Some((src, v)) = comm.try_recv::<usize>(Some(1), 5) {
-                        return (src, v);
-                    }
-                    spins += 1;
-                    assert!(spins < 1_000_000, "message never arrived");
-                    std::hint::spin_loop();
-                }
-            } else {
-                comm.barrier();
-                comm.send(0, 5, 42usize);
-                comm.barrier();
-                (0, 0)
-            }
-        });
-        assert_eq!(out[0], (1, 42));
-    }
-
-    #[test]
-    fn recv_timeout_expires() {
-        run(2, |mut comm| {
-            if comm.rank() == 0 {
-                let r = comm.recv_timeout::<usize>(Some(1), 99, Duration::from_millis(50));
-                assert!(r.is_none());
-            }
-            comm.barrier();
-        });
-    }
-
-    /// Regression: the timeout deadline must be honest even when unrelated
-    /// messages keep arriving and churning the pending buffer.
-    #[test]
-    fn recv_timeout_honest_under_churn() {
-        run(2, |mut comm| {
-            if comm.rank() == 0 {
-                let t0 = Instant::now();
-                let r = comm.recv_timeout::<u64>(Some(1), 99, Duration::from_millis(50));
-                let elapsed = t0.elapsed();
-                assert!(r.is_none(), "no tag-99 message was ever sent");
-                assert!(
-                    elapsed >= Duration::from_millis(50),
-                    "timed out early: {elapsed:?}"
-                );
-                assert!(
-                    elapsed < Duration::from_millis(110),
-                    "50ms timeout took {elapsed:?} under churn"
-                );
-            } else {
-                // Flood rank 0 with unrelated tag-7 traffic across the
-                // whole timeout window.
-                for i in 0..60u64 {
-                    comm.send(0, 7, i);
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            }
-            comm.barrier();
-        });
-    }
-
-    #[test]
     fn large_payload_roundtrip() {
         let out = run(2, |mut comm| {
             if comm.rank() == 0 {
@@ -599,194 +347,25 @@ mod tests {
         assert_eq!(out[1], (0..100_000).map(|i| i as f64).sum::<f64>());
     }
 
-    // ----------------------------------------------------------------
-    // Fault injection.
-
-    #[test]
-    fn noop_plan_attaches_no_fault_state() {
-        let out = run_with_faults(2, &FaultPlan::none(), |mut comm| {
-            let peer = 1 - comm.rank();
-            comm.send(peer, 1, comm.rank());
-            let (_, v): (usize, usize) = comm.recv(Some(peer), 1);
-            assert_eq!(v, peer);
-            comm.fault_stats()
-        });
-        assert_eq!(out, vec![FaultStats::default(); 2]);
-    }
-
-    #[test]
-    fn dropped_messages_are_counted_and_burst_capped() {
-        // Certain drop with burst 3: exactly every 4th message survives.
-        let plan = FaultPlan::seeded(7).rule(FaultRule::all().on_tag(5).drop(1.0).burst(3));
-        let out = run_with_faults(2, &plan, |mut comm| {
-            if comm.rank() == 0 {
-                for i in 0..8u64 {
-                    comm.send(1, 5, i);
-                }
-                comm.send(1, 6, ()); // sentinel, different tag: delivered
-                comm.fault_stats().dropped
-            } else {
-                comm.recv::<()>(Some(0), 6);
-                let mut got = Vec::new();
-                while let Some((_, v)) = comm.try_recv::<u64>(Some(0), 5) {
-                    got.push(v);
-                }
-                // Sends 3 and 7 are the burst-cap forced deliveries.
-                assert_eq!(got, vec![3, 7]);
-                0
-            }
-        });
-        assert_eq!(out[0], 6);
-    }
-
-    #[test]
-    fn duplicate_delivers_two_copies() {
-        let plan = FaultPlan::seeded(3).rule(FaultRule::all().on_tag(4).duplicate(1.0));
-        let out = run_with_faults(2, &plan, |mut comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 4, 99u32);
-                comm.fault_stats().duplicated
-            } else {
-                let (_, a): (usize, u32) = comm.recv(Some(0), 4);
-                let (_, b): (usize, u32) = comm.recv(Some(0), 4);
-                assert_eq!((a, b), (99, 99));
-                0
-            }
-        });
-        assert_eq!(out[0], 1);
-    }
-
-    #[test]
-    fn delayed_message_arrives_late_but_arrives() {
-        let delay = Duration::from_millis(50);
-        let plan = FaultPlan::seeded(3).rule(FaultRule::all().on_tag(8).delay(1.0, delay));
-        run_with_faults(2, &plan, |mut comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 8, 123u32);
-                comm.barrier();
-                assert_eq!(comm.fault_stats().delayed, 1);
-            } else {
-                comm.barrier(); // the message is in flight but not yet due
-                assert!(
-                    comm.try_recv::<u32>(Some(0), 8).is_none(),
-                    "delayed message visible before its due time"
-                );
-                let t0 = Instant::now();
-                let (_, v): (usize, u32) = comm.recv(Some(0), 8);
-                assert_eq!(v, 123);
-                // The barrier itself is fast, so most of the delay is
-                // still pending when the blocking recv starts.
-                assert!(
-                    t0.elapsed() >= Duration::from_millis(20),
-                    "delayed message arrived too soon"
-                );
-            }
-        });
-    }
-
-    #[test]
-    fn reordered_message_is_overtaken_by_next_send() {
-        let plan = FaultPlan::seeded(3).rule(FaultRule::all().on_tag(1).reorder(1.0));
-        run_with_faults(2, &plan, |mut comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 1, "A".to_string()); // held at the sender
-                comm.barrier();
-                comm.barrier();
-                comm.send(1, 2, "B".to_string()); // delivered, then flushes A
-                assert_eq!(comm.fault_stats().reordered, 1);
-            } else {
-                comm.barrier();
-                // While held, A must be genuinely unobservable.
-                assert!(comm.try_recv::<String>(Some(0), 1).is_none());
-                comm.barrier();
-                let (_, b): (usize, String) = comm.recv(Some(0), 2);
-                let (_, a): (usize, String) = comm.recv(Some(0), 1);
-                assert_eq!((a.as_str(), b.as_str()), ("A", "B"));
-            }
-        });
-    }
-
-    #[test]
-    fn held_messages_flush_on_comm_drop() {
-        // Reorder with no subsequent send: the Drop impl must still
-        // release the held message (conservation).
-        let plan = FaultPlan::seeded(9).rule(FaultRule::all().on_tag(1).reorder(1.0));
-        let out = run_with_faults(2, &plan, |mut comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 1, 7u8);
-                comm.barrier();
-                0
-                // comm dropped here → held message flushed
-            } else {
-                comm.barrier();
-                let (_, v): (usize, u8) = comm.recv(Some(0), 1);
-                v
-            }
-        });
-        assert_eq!(out[1], 7);
-    }
-
-    #[test]
-    fn kill_honored_only_at_named_boundary() {
-        let plan = FaultPlan::seeded(0).kill(1, "exec");
-        let out = run_with_faults(2, &plan, |mut comm| {
-            assert!(!comm.phase_boundary("model"), "wrong phase killed a rank");
-            if comm.rank() == 1 {
-                assert!(comm.phase_boundary("exec"));
-                return comm.fault_stats().killed;
-            }
-            assert!(!comm.phase_boundary("exec"), "wrong rank killed");
-            false
-        });
-        assert_eq!(out, vec![false, true]);
-    }
-
     #[test]
     fn sends_to_exited_ranks_are_discarded() {
-        let plan = FaultPlan::seeded(0).kill(1, "exec");
-        run_with_faults(2, &plan, |mut comm| {
-            if comm.phase_boundary("exec") {
-                return; // rank 1 dies without receiving
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let exited = AtomicBool::new(false);
+        run(2, |mut comm| {
+            if comm.rank() == 1 {
+                // Exit without receiving: dropping the endpoint closes the
+                // inbox, as a returning rank does.
+                drop(comm);
+                exited.store(true, Ordering::SeqCst);
+                return;
             }
-            // Give rank 1 a moment to exit (no barrier — a killed rank
-            // never reaches one). Whether or not it has exited yet, these
-            // sends must not panic.
-            std::thread::sleep(Duration::from_millis(20));
+            // No barrier — an exited rank never reaches one.
+            while !exited.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
             for i in 0..50u32 {
                 comm.send(1, 3, i);
             }
         });
-    }
-
-    #[test]
-    fn fault_stats_are_reproducible_across_runs() {
-        let plan = FaultPlan::seeded(42).rule(
-            FaultRule::all()
-                .drop(0.15)
-                .duplicate(0.1)
-                .delay(0.05, Duration::from_micros(200)),
-        );
-        let observe = || {
-            run_with_faults(3, &plan, |mut comm| {
-                for round in 0..40u64 {
-                    for dst in 0..comm.size() {
-                        if dst != comm.rank() {
-                            comm.send(dst, 2, round);
-                        }
-                    }
-                }
-                // Drain whatever made it through before exiting.
-                std::thread::sleep(Duration::from_millis(10));
-                while comm.try_recv::<u64>(None, 2).is_some() {}
-                comm.fault_stats()
-            })
-        };
-        let a = observe();
-        let b = observe();
-        assert_eq!(a, b, "same plan must inject identical faults");
-        assert!(
-            a.iter().map(|s| s.total_events()).sum::<u64>() > 0,
-            "plan injected nothing"
-        );
     }
 }
