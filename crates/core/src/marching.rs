@@ -56,9 +56,12 @@
 //! `crossings` therefore counts the tetrahedra the *segment* meets;
 //! tetrahedra wholly below the window are never examined, so a degeneracy
 //! down there no longer perturbs a line it cannot contribute to. On every
-//! path a tetrahedron the line enters at or above the ceiling `z_hi` ends
-//! the line without being counted: a hull-entered line whose whole window
-//! lies below the hull crosses nothing.
+//! path a tetrahedron the line enters at or above the ceiling `z_hi` — by
+//! its rounded entry height, or exactly, its lowest vertex at or above
+//! `z_hi` — ends the line without being counted: a hull-entered line whose
+//! whole window lies below the hull crosses nothing, and an exit height
+//! that rounds below a ceiling on a plane of faces does not count the
+//! layer above.
 //!
 //! # Coherence (DESIGN.md §4f)
 //!
@@ -799,8 +802,11 @@ fn march_cell_inner(
                 (a, b) = (b, a);
             }
             if let Some((zlo, zhi)) = ctx.z_range {
-                if a >= zhi {
-                    return total; // the segment ended below this tetrahedron
+                if a >= zhi || ct.pts.iter().all(|p| p.z >= zhi) {
+                    // The segment ended below this tetrahedron: its entry
+                    // height, or — exactly, as the projector decides it —
+                    // its lowest vertex is at or above the ceiling.
+                    return total;
                 }
                 a = a.max(zlo);
                 b = b.min(zhi);

@@ -235,7 +235,7 @@ fn reference_march_cell_inner(
                 (a, b) = (b, a);
             }
             if let Some((zlo, zhi)) = z_range {
-                if a >= zhi {
+                if a >= zhi || verts.iter().all(|p| p.z >= zhi) {
                     return total;
                 }
                 a = a.max(zlo);

@@ -56,6 +56,14 @@
 //! scanning the mesh, give the same bits. They are not the march's bits — the march sums along the line and finds
 //! `z_in`, `z_out` from Plücker weights — but agree with them to rounding
 //! (`surface_density_reference` is the projector's differential oracle).
+//!
+//! # Two cells per step
+//!
+//! A row's span is filled two adjacent cells at a time (`fill_span`,
+//! packed SSE2 on x86-64), each lane evaluating `RowPlanes::cell`'s
+//! operations in its order, so the bits are the one-cell loop's: lanes
+//! split a tetrahedron's row, never the order of the tetrahedra a cell
+//! sums (DESIGN.md §4f, "Two cells per step").
 
 use crate::estimator::{FieldView, SlotValues};
 use crate::grid::{Field2, GridSpec2};
@@ -75,71 +83,57 @@ const BAND_ROWS: usize = 16;
 
 /// The cell centres of a grid along one axis: centre `k` is at
 /// `origin + (k + 0.5) · cell`, the expression [`GridSpec2::center`]
-/// evaluates, so the projector's lines are the march's.
-#[derive(Clone, Copy)]
+/// evaluates, so the projector's lines are the march's. A render computes
+/// each centre once, into `centres`, and every search and cell reads it
+/// there.
 struct Axis {
     origin: f64,
-    cell: f64,
     inv_cell: f64,
-    n: usize,
+    centres: Vec<f64>,
 }
 
 impl Axis {
-    fn x(grid: &GridSpec2) -> Axis {
+    fn new(origin: f64, cell: f64, n: usize) -> Axis {
         Axis {
-            origin: grid.origin.x,
-            cell: grid.cell.x,
-            inv_cell: 1.0 / grid.cell.x,
-            n: grid.nx,
+            origin,
+            inv_cell: 1.0 / cell,
+            centres: (0..n).map(|k| origin + (k as f64 + 0.5) * cell).collect(),
         }
+    }
+
+    fn x(grid: &GridSpec2) -> Axis {
+        Axis::new(grid.origin.x, grid.cell.x, grid.nx)
     }
 
     fn y(grid: &GridSpec2) -> Axis {
-        Axis {
-            origin: grid.origin.y,
-            cell: grid.cell.y,
-            inv_cell: 1.0 / grid.cell.y,
-            n: grid.ny,
-        }
+        Axis::new(grid.origin.y, grid.cell.y, grid.ny)
     }
 
     #[inline]
-    fn centre(&self, k: usize) -> f64 {
-        self.at(k as f64)
-    }
-
-    /// Centre `k` from `k` as a float. `usize → f64` is a several-instruction
-    /// conversion on x86-64, so the checks that almost always settle a
-    /// guess share one conversion (`k ± 1` is exact in f64 below `2⁵²`).
-    #[inline]
-    fn at(&self, k: f64) -> f64 {
-        self.origin + (k + 0.5) * self.cell
+    fn n(&self) -> usize {
+        self.centres.len()
     }
 
     /// An index near the first centre at or above `v`, for the settling
-    /// loops to correct (`as` truncates and saturates, NaN → 0; no `ceil`,
-    /// a libm call on baseline x86-64).
+    /// loops to correct (`as i64` truncates and saturates, NaN → 0: one
+    /// instruction where `as usize` takes several, and no `ceil`, a libm
+    /// call on baseline x86-64).
     #[inline]
     fn guess(&self, v: f64) -> usize {
         let k = (v - self.origin) * self.inv_cell + 0.5;
-        (k.max(0.0) as usize).min(self.n)
+        (k as i64).clamp(0, self.n() as i64) as usize
     }
 
     /// The first centre at or above `v` (`n` if none).
     #[inline]
     fn first_at(&self, v: f64) -> usize {
+        let c = &self.centres;
         let mut k = self.guess(v);
-        let kf = k as f64;
-        if k > 0 && self.at(kf - 1.0) >= v {
+        while k > 0 && c[k - 1] >= v {
             k -= 1;
-            while k > 0 && self.centre(k - 1) >= v {
-                k -= 1;
-            }
-        } else if k < self.n && self.at(kf) < v {
+        }
+        while k < c.len() && c[k] < v {
             k += 1;
-            while k < self.n && self.centre(k) < v {
-                k += 1;
-            }
         }
         k
     }
@@ -175,11 +169,116 @@ impl Plane {
         }
     }
 
-    /// The plane on row `y`: `z = r + gx (x − x0)`.
+    /// The plane on row `y`.
     #[inline]
-    fn on_row(&self, y: f64) -> (f64, f64, f64) {
-        (self.z0 + self.gy * (y - self.y0), self.gx, self.x0)
+    fn on_row(&self, y: f64) -> RowPlane {
+        RowPlane {
+            r: self.z0 + self.gy * (y - self.y0),
+            g: self.gx,
+            x0: self.x0,
+        }
     }
+}
+
+/// A face plane on one row: `z = r + g (x − x0)`.
+#[derive(Clone, Copy, Default, Debug)]
+struct RowPlane {
+    r: f64,
+    g: f64,
+    x0: f64,
+}
+
+impl RowPlane {
+    #[inline]
+    fn z(&self, x: f64) -> f64 {
+        self.r + self.g * (x - self.x0)
+    }
+}
+
+/// One row of a projected tetrahedron: its face planes on the row — the
+/// lower (entry) faces first, then the upper (exit) ones, each group in
+/// face order — and the heights its integral is clipped to.
+#[derive(Clone, Copy, Debug)]
+struct RowPlanes {
+    y: f64,
+    planes: [RowPlane; 4],
+    n_lower: usize,
+    n: usize,
+    z_lo: f64,
+    z_hi: f64,
+}
+
+impl RowPlanes {
+    /// Eq. 12 on the centre line at `x` of the row: `f(mid) · (b − a)`
+    /// over the clipped interval `[a, b]`, or `None` where it is empty;
+    /// `f` is the field inside the tetrahedron. The one definition of a
+    /// cell; [`fill_span`]'s lanes evaluate the same operations in the same
+    /// order.
+    #[inline]
+    fn cell(&self, f: impl Fn(Vec3) -> f64, x: f64) -> Option<f64> {
+        let (lower, upper) = self.planes[..self.n].split_at(self.n_lower);
+        let mut z_in = lower[0].z(x);
+        for p in &lower[1..] {
+            z_in = z_in.max(p.z(x));
+        }
+        let mut z_out = upper[0].z(x);
+        for p in &upper[1..] {
+            z_out = z_out.min(p.z(x));
+        }
+        let (a, b) = (z_in.max(self.z_lo), z_out.min(self.z_hi));
+        (b > a).then(|| f(Vec3::new(x, self.y, 0.5 * (a + b))) * (b - a))
+    }
+}
+
+/// Add row `planes`' cells at the centres `xs` to `out` (one cell per
+/// centre) and return how many had a non-empty interval. Two adjacent
+/// cells per step, lane by lane in [`RowPlanes::cell`]'s operation order:
+/// `f64::max`/`min` ignore a NaN in each lane as they do in one, and an
+/// empty lane adds `+0.0`, which leaves every cell as it was — a cell
+/// starts at `+0.0` and a round-to-nearest sum never makes it `−0.0`. An
+/// odd last cell takes the scalar path. Out of line so the packed code has
+/// a symbol of its own to disassemble.
+#[inline(never)]
+fn fill_span(planes: &RowPlanes, f: impl Fn(Vec3) -> f64, xs: &[f64], out: &mut [f64]) -> u64 {
+    debug_assert_eq!(xs.len(), out.len());
+    let (lower, upper) = planes.planes[..planes.n].split_at(planes.n_lower);
+    let z = |p: &RowPlane, x: [f64; 2]| [p.z(x[0]), p.z(x[1])];
+    let mut nonempty = 0;
+    let mut pairs = out.chunks_exact_mut(2);
+    for (o, x) in (&mut pairs).zip(xs.chunks_exact(2)) {
+        let x = [x[0], x[1]];
+        let mut z_in = z(&lower[0], x);
+        for p in &lower[1..] {
+            let zp = z(p, x);
+            z_in = [z_in[0].max(zp[0]), z_in[1].max(zp[1])];
+        }
+        let mut z_out = z(&upper[0], x);
+        for p in &upper[1..] {
+            let zp = z(p, x);
+            z_out = [z_out[0].min(zp[0]), z_out[1].min(zp[1])];
+        }
+        let a = [z_in[0].max(planes.z_lo), z_in[1].max(planes.z_lo)];
+        let b = [z_out[0].min(planes.z_hi), z_out[1].min(planes.z_hi)];
+        let lane = |k: usize| {
+            let v = f(Vec3::new(x[k], planes.y, 0.5 * (a[k] + b[k]))) * (b[k] - a[k]);
+            if b[k] > a[k] {
+                v
+            } else {
+                0.0
+            }
+        };
+        let v = [lane(0), lane(1)];
+        o[0] += v[0];
+        o[1] += v[1];
+        nonempty += (b[0] > a[0]) as u64 + (b[1] > a[1]) as u64;
+    }
+    if let ([o], [.., x]) = (pairs.into_remainder(), xs) {
+        if let Some(v) = planes.cell(&f, *x) {
+            *o += v;
+            nonempty += 1;
+        }
+    }
+    nonempty
 }
 
 /// A projected edge, endpoints in vertex-id order, and its inverse slope
@@ -189,36 +288,31 @@ struct Edge {
     u: Vec2,
     v: Vec2,
     dx_dy: f64,
+    /// The corners it joins, indices into [`Element::p`].
+    ends: [usize; 2],
 }
 
 impl Edge {
-    /// Whether a row of centre height `y` crosses the edge (half-open in y).
-    #[inline]
-    fn crosses(&self, y: f64) -> bool {
-        (self.u.y <= y) != (self.v.y <= y)
-    }
-
     /// The first column whose centre on row `y` lies right of the edge or
     /// on it. The float intercept `x` decides when no centre lies within
     /// its error bound; otherwise exact signs settle it. The row must cross
     /// the edge.
     #[inline]
     fn boundary(&self, y: f64, xs: &Axis) -> usize {
-        let (u, v) = (self.u, self.v);
+        let (u, v, c) = (self.u, self.v, &xs.centres);
         // `y` lies between the endpoint heights, so `|dx_dy (y − u.y)| ≤
         // |v.x − u.x|`: three roundings in the product, one in the sum,
         // bounded here with room to spare.
         let x = u.x + self.dx_dy * (y - u.y);
         let tol = 8.0 * f64::EPSILON * (x.abs() + (v.x - u.x).abs());
         let mut i = xs.guess(x);
-        let f = i as f64;
-        let clear_right = i == xs.n || xs.at(f) - x > tol;
-        let clear_left = i == 0 || x - xs.at(f - 1.0) > tol;
+        let clear_right = i == c.len() || c[i] - x > tol;
+        let clear_left = i == 0 || x - c[i - 1] > tol;
         if clear_right && clear_left {
             return i;
         }
         let up = v.y > u.y;
-        let right = |i: usize| match orient2d(u, v, Vec2::new(xs.centre(i), y)) {
+        let right = |i: usize| match orient2d(u, v, Vec2::new(c[i], y)) {
             Orientation::Zero => true,
             Orientation::Positive => !up,
             Orientation::Negative => up,
@@ -226,24 +320,24 @@ impl Edge {
         while i > 0 && right(i - 1) {
             i -= 1;
         }
-        while i < xs.n && !right(i) {
+        while i < c.len() && !right(i) {
             i += 1;
         }
         i
     }
 }
 
-/// One finite tetrahedron, projected: the planes of its lower and upper
-/// faces, its silhouette edges, and the heights its integral is clipped to.
+/// One finite tetrahedron, projected: its lower and upper faces, its
+/// silhouette edges, and the heights its integral is clipped to.
 struct Element {
     /// The corners in the builder's orientation.
     p: [Vec3; 4],
-    /// The lower and upper faces, as indices into [`TET_FACES`]; their
-    /// planes are computed once a row of the footprint covers a centre.
-    lower: [usize; 3],
+    /// The lower faces, then the upper ones, as indices into
+    /// [`TET_FACES`]; their planes are computed once a row of the
+    /// footprint covers a centre.
+    faces: [usize; 4],
     n_lower: usize,
-    upper: [usize; 3],
-    n_upper: usize,
+    n_faces: usize,
     silhouette: [Edge; 4],
     n_silhouette: usize,
     /// The window, narrowed to the tetrahedron's own z-extent: a float
@@ -280,36 +374,41 @@ impl Element {
         }
         let xy = p.map(|q| q.xy());
         // Face `f` is opposite vertex `f` and outward; its projected
-        // winding is the sign of its normal's z-component.
-        let mut lower_face = [false; 4];
-        let (mut lower, mut n_lower) = ([0; 3], 0);
-        let (mut upper, mut n_upper) = ([0; 3], 0);
-        for (f, &[i, j, k]) in TET_FACES.iter().enumerate() {
-            match orient2d(xy[i], xy[j], xy[k]) {
-                Orientation::Negative if n_lower < 3 => {
-                    lower_face[f] = true;
-                    lower[n_lower] = f;
-                    n_lower += 1;
-                }
-                Orientation::Positive if n_upper < 3 => {
-                    upper[n_upper] = f;
-                    n_upper += 1;
-                }
-                _ => {} // vertical: it projects to a segment
+        // winding is the sign of its normal's z-component (zero for a
+        // vertical face, which projects to a segment). A tetrahedron's
+        // projected faces have signed areas summing to exactly zero, so
+        // one with a lower face has an upper one too.
+        let winding = TET_FACES.map(|[i, j, k]| orient2d(xy[i], xy[j], xy[k]));
+        let (mut faces, mut n_faces) = ([0; 4], 0);
+        let mut take = |side| {
+            for f in (0..4).filter(|&f| winding[f] == side) {
+                faces[n_faces] = f;
+                n_faces += 1;
             }
-        }
+            n_faces
+        };
+        let n_lower = take(Orientation::Negative);
+        let n_faces = take(Orientation::Positive);
         let mut silhouette = [Edge::default(); 4];
         let mut n_silhouette = 0;
         for &(i, j) in &TET_EDGES {
             // The edge's two faces are the ones opposite the other two
             // vertices.
             let beside = (0..4).filter(|&f| f != i && f != j);
-            let lower_beside = beside.filter(|&f| lower_face[f]).count();
-            if lower_beside == 1 && n_silhouette < 4 {
+            let lower_beside = beside
+                .filter(|&f| winding[f] == Orientation::Negative)
+                .count();
+            // (An element with no upper face covers nothing; see above.)
+            if lower_beside == 1 && n_silhouette < 4 && n_lower < n_faces {
                 let (u, v) = if ids[i] < ids[j] { (i, j) } else { (j, i) };
-                let (u, v) = (xy[u], xy[v]);
-                let dx_dy = (v.x - u.x) / (v.y - u.y);
-                silhouette[n_silhouette] = Edge { u, v, dx_dy };
+                let (a, b) = (xy[u], xy[v]);
+                let dx_dy = (b.x - a.x) / (b.y - a.y);
+                silhouette[n_silhouette] = Edge {
+                    u: a,
+                    v: b,
+                    dx_dy,
+                    ends: [u, v],
+                };
                 n_silhouette += 1;
             }
         }
@@ -320,10 +419,9 @@ impl Element {
             });
         Element {
             p,
-            lower,
+            faces,
             n_lower,
-            upper,
-            n_upper,
+            n_faces,
             silhouette,
             n_silhouette,
             z_lo: z_lo.max(window.lo),
@@ -334,8 +432,14 @@ impl Element {
 
     /// Add the element's integral to every covered cell of `rows × cols`;
     /// `out` holds the cells of `out_rows × out_cols` row-major. `f` is the
-    /// field inside the tetrahedron. Returns the cells covered — under a
-    /// window inside the mesh, those whose clipped interval is non-empty.
+    /// field inside the tetrahedron. Returns the pairs — the cells covered
+    /// or, under a window inside the mesh, those whose clipped interval is
+    /// non-empty — and the rows set up.
+    ///
+    /// Each silhouette edge crosses the rows whose centres lie in its
+    /// half-open y-extent, the centres from its lower end's row to its
+    /// upper end's. So the rows fall into runs over which the same edges
+    /// cross, and each run looks up its two bounding edges once.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn project(
@@ -348,62 +452,74 @@ impl Element {
         out_rows: &Range<usize>,
         out_cols: &Range<usize>,
         out: &mut [f64],
-    ) -> u64 {
+    ) -> (u64, u64) {
         let width = out_cols.len();
-        let (mut covered, mut nonempty) = (0, 0);
+        let (mut covered, mut nonempty, mut set_up) = (0, 0, 0);
         let mut planes = None;
-        for j in rows {
-            let y = ys.centre(j);
-            let mut bounds = [0usize; 2];
-            let mut n = 0;
-            for e in &self.silhouette[..self.n_silhouette] {
-                if e.crosses(y) && n < 2 {
-                    bounds[n] = e.boundary(y, xs);
-                    n += 1;
+        let edges = &self.silhouette[..self.n_silhouette];
+        let first_row = self.p.map(|q| ys.first_at(q.y));
+        let crossed_rows = self.silhouette.map(|e| {
+            let [a, b] = e.ends.map(|v| first_row[v]);
+            a.min(b)..a.max(b)
+        });
+        let crossed_rows = &crossed_rows[..edges.len()];
+        let mut j = rows.start;
+        while j < rows.end {
+            // The first two edges crossing row `j`, and the next row where
+            // an edge starts or stops crossing.
+            let (mut pair, mut n, mut next) = ([0; 2], 0, rows.end);
+            for (e, r) in crossed_rows.iter().enumerate() {
+                if r.contains(&j) {
+                    if n < 2 {
+                        pair[n] = e;
+                        n += 1;
+                    }
+                    next = next.min(r.end);
+                } else if r.start > j {
+                    next = next.min(r.start);
                 }
             }
+            let run = j..next;
+            j = next;
             if n < 2 {
                 continue; // a footprint row has exactly two; guard anyway
             }
-            let lo = bounds[0].min(bounds[1]).max(cols.start);
-            let hi = bounds[0].max(bounds[1]).min(cols.end);
-            if lo >= hi {
-                continue;
-            }
-            covered += (hi - lo) as u64;
-            let (lower, upper) = planes.get_or_insert_with(|| {
-                let plane = |f: usize| {
-                    let [i, j, k] = TET_FACES[f];
-                    Plane::through(self.p[i], self.p[j], self.p[k])
+            set_up += run.len() as u64;
+            let [e0, e1] = pair.map(|e| &edges[e]);
+            for j in run {
+                let y = ys.centres[j];
+                let (b0, b1) = (e0.boundary(y, xs), e1.boundary(y, xs));
+                let lo = b0.min(b1).max(cols.start);
+                let hi = b0.max(b1).min(cols.end);
+                if lo >= hi {
+                    continue;
+                }
+                covered += (hi - lo) as u64;
+                let planes: &[Plane; 4] = planes.get_or_insert_with(|| {
+                    let mut planes = [Plane::default(); 4];
+                    for (pl, &f) in planes.iter_mut().zip(&self.faces[..self.n_faces]) {
+                        let [i, j, k] = TET_FACES[f];
+                        *pl = Plane::through(self.p[i], self.p[j], self.p[k]);
+                    }
+                    planes
+                });
+                let mut row = RowPlanes {
+                    y,
+                    planes: [RowPlane::default(); 4],
+                    n_lower: self.n_lower,
+                    n: self.n_faces,
+                    z_lo: self.z_lo,
+                    z_hi: self.z_hi,
                 };
-                (self.lower.map(plane), self.upper.map(plane))
-            });
-            let lower = lower.map(|p| p.on_row(y));
-            let upper = upper.map(|p| p.on_row(y));
-            let row = &mut out[(j - out_rows.start) * width..][..width];
-            for i in lo..hi {
-                let x = xs.centre(i);
-                let z = |(r, g, x0): (f64, f64, f64)| r + g * (x - x0);
-                let mut z_in = z(lower[0]);
-                for &pl in &lower[1..self.n_lower] {
-                    z_in = z_in.max(z(pl));
+                for (r, p) in row.planes.iter_mut().zip(&planes[..self.n_faces]) {
+                    *r = p.on_row(y);
                 }
-                let mut z_out = z(upper[0]);
-                for &pl in &upper[1..self.n_upper] {
-                    z_out = z_out.min(z(pl));
-                }
-                let (a, b) = (z_in.max(self.z_lo), z_out.min(self.z_hi));
-                if b > a {
-                    row[i - out_cols.start] += f(Vec3::new(x, y, 0.5 * (a + b))) * (b - a);
-                    nonempty += 1;
-                }
+                let cells = &mut out[(j - out_rows.start) * width..][..width];
+                let at = lo - out_cols.start..hi - out_cols.start;
+                nonempty += fill_span(&row, &f, &xs.centres[lo..hi], &mut cells[at]);
             }
         }
-        if self.clipped {
-            nonempty
-        } else {
-            covered
-        }
+        (if self.clipped { nonempty } else { covered }, set_up)
     }
 }
 
@@ -447,38 +563,42 @@ fn reach(
 
 /// Project the finite tetrahedra `tets` of `view` (in slot order) into
 /// `out`, the cells of `rows × cols` row-major, skipping those that reach
-/// no centre there. Returns the `(line, tetrahedron)` pairs.
+/// no centre there. Returns the `(line, tetrahedron)` pairs and the rows
+/// the tetrahedra set up.
+#[allow(clippy::too_many_arguments)]
 fn project_into(
     view: &FieldView<'_>,
-    grid: &GridSpec2,
+    xs: &Axis,
+    ys: &Axis,
     window: Window,
     tets: &[TetId],
     rows: Range<usize>,
     cols: Range<usize>,
     out: &mut [f64],
-) -> u64 {
+) -> (u64, u64) {
     let topo = view.cache;
-    let (xs, ys) = (Axis::x(grid), Axis::y(grid));
-    let mut pairs = 0;
+    let (mut pairs, mut set_up) = (0, 0);
     for &t in tets {
         let rec = topo.record(t);
-        let Some((reach_rows, reach_cols)) = reach(rec, window, &xs, &ys, &rows, &cols) else {
+        let Some((reach_rows, reach_cols)) = reach(rec, window, xs, ys, &rows, &cols) else {
             continue;
         };
         let el = Element::new(rec, topo.is_swapped(t), window);
-        pairs += match view.values {
+        let (p, r) = match view.values {
             SlotValues::Linear(table) => {
                 let (row, x0) = (table[t as usize], rec.pts[0]);
                 let f = |mid| row.eval(x0, mid);
-                el.project(f, &xs, &ys, reach_rows, &reach_cols, &rows, &cols, out)
+                el.project(f, xs, ys, reach_rows, &reach_cols, &rows, &cols, out)
             }
             SlotValues::Constant(c) => {
                 let c = c[t as usize];
-                el.project(|_| c, &xs, &ys, reach_rows, &reach_cols, &rows, &cols, out)
+                el.project(|_| c, xs, ys, reach_rows, &reach_cols, &rows, &cols, out)
             }
         };
+        pairs += p;
+        set_up += r;
     }
-    pairs
+    (pairs, set_up)
 }
 
 /// The finite tetrahedra, in slot order.
@@ -499,15 +619,17 @@ fn finite<'a>(view: &FieldView<'a>) -> impl Iterator<Item = TetId> + 'a {
 /// into the window).
 /// `None` — scan the mesh instead — when `B`'s centre is not inside a
 /// finite tetrahedron: outside the hull, on a vertex, or a lost walk.
-fn gather(view: &FieldView<'_>, grid: &GridSpec2, window: Window) -> Option<Vec<TetId>> {
+fn gather(view: &FieldView<'_>, xs: &Axis, ys: &Axis, window: Window) -> Option<Vec<TetId>> {
     let topo = view.cache;
-    if grid.nx == 0 || grid.ny == 0 {
+    let (Some((&x0, &x1)), Some((&y0, &y1))) = (
+        xs.centres.first().zip(xs.centres.last()),
+        ys.centres.first().zip(ys.centres.last()),
+    ) else {
         return Some(Vec::new());
-    }
-    let (xs, ys) = (Axis::x(grid), Axis::y(grid));
+    };
     let (mesh_lo, mesh_hi) = topo.bounds();
-    let lo = Vec3::new(xs.centre(0), ys.centre(0), window.lo).max(mesh_lo);
-    let hi = Vec3::new(xs.centre(xs.n - 1), ys.centre(ys.n - 1), window.hi).min(mesh_hi);
+    let lo = Vec3::new(x0, y0, window.lo).max(mesh_lo);
+    let hi = Vec3::new(x1, y1, window.hi).min(mesh_hi);
     if lo.x > hi.x || lo.y > hi.y || lo.z > hi.z {
         return Some(Vec::new()); // no tetrahedron's box meets `B`
     }
@@ -548,15 +670,15 @@ fn gather(view: &FieldView<'_>, grid: &GridSpec2, window: Window) -> Option<Vec<
 /// rows, those that reach a centre of it, in slot order.
 fn bands(
     view: &FieldView<'_>,
-    grid: &GridSpec2,
+    xs: &Axis,
+    ys: &Axis,
     window: Window,
     tets: &[TetId],
 ) -> Vec<Vec<TetId>> {
-    let (xs, ys) = (Axis::x(grid), Axis::y(grid));
-    let (rows, cols) = (0..grid.ny, 0..grid.nx);
-    let mut bands = vec![Vec::new(); grid.ny.div_ceil(BAND_ROWS)];
+    let (rows, cols) = (0..ys.n(), 0..xs.n());
+    let mut bands = vec![Vec::new(); ys.n().div_ceil(BAND_ROWS)];
     for &t in tets {
-        if let Some((r, _)) = reach(view.cache.record(t), window, &xs, &ys, &rows, &cols) {
+        if let Some((r, _)) = reach(view.cache.record(t), window, xs, ys, &rows, &cols) {
             for band in &mut bands[r.start / BAND_ROWS..=(r.end - 1) / BAND_ROWS] {
                 band.push(t);
             }
@@ -592,8 +714,9 @@ pub(crate) fn render(
         hi,
         inside: window_inside(view.cache, z_range),
     };
+    let (xs, ys) = (Axis::x(grid), Axis::y(grid));
     let gathered = if gather && window.inside {
-        let tets = self::gather(&view, grid, window);
+        let tets = self::gather(&view, &xs, &ys, window);
         if tets.is_none() {
             dtfe_telemetry::counter_add!("core.project_scan_fallback", 1);
         }
@@ -605,22 +728,24 @@ pub(crate) fn render(
     dtfe_telemetry::counter_add!("core.project_tets", tets.len() as u64);
     let mut out = Field2::zeros(*grid);
     let nx = grid.nx;
-    let pairs = if parallel {
-        let bands = bands(&view, grid, window, &tets);
+    let (pairs, rows) = if parallel {
+        let bands = bands(&view, &xs, &ys, window, &tets);
         out.data
             .par_chunks_mut(BAND_ROWS * nx)
             .enumerate()
             .map(|(b, band)| {
                 let j0 = b * BAND_ROWS;
                 let rows = j0..j0 + band.len() / nx;
-                project_into(&view, grid, window, &bands[b], rows, 0..nx, band)
+                project_into(&view, &xs, &ys, window, &bands[b], rows, 0..nx, band)
             })
-            .collect::<Vec<u64>>()
-            .iter()
-            .sum()
+            .collect::<Vec<_>>()
+            .into_iter()
+            .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
     } else {
-        project_into(&view, grid, window, &tets, 0..grid.ny, 0..nx, &mut out.data)
+        let rows = 0..grid.ny;
+        project_into(&view, &xs, &ys, window, &tets, rows, 0..nx, &mut out.data)
     };
+    dtfe_telemetry::counter_add!("core.project_rows", rows);
     // The march's traversal counters, so `tets_crossed / los_marched`
     // reads the same quantity on either kernel.
     dtfe_telemetry::counter_add!("core.los_marched", (grid.nx * grid.ny) as u64);
@@ -631,4 +756,172 @@ pub(crate) fn render(
         ..MarchStats::default()
     };
     (out, stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::density::TetInterp;
+    use crate::marching::Draws;
+
+    fn below(d: &mut Draws, n: usize) -> usize {
+        (d.next() % n as u64) as usize
+    }
+
+    /// A uniform value in `[-4, 4)`, or one of the values a near-vertical
+    /// face, a tie or a signed zero produces.
+    fn value(d: &mut Draws) -> f64 {
+        const SPECIAL: [f64; 9] = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1e300,
+            -1e-300,
+        ];
+        if below(d, 3) == 0 {
+            SPECIAL[below(d, SPECIAL.len())]
+        } else {
+            d.unit() * 8.0 - 4.0
+        }
+    }
+
+    /// As [`value`], finite: a render's centres, clip heights and slot
+    /// values are (the builder refuses points it cannot hold, and a grid is
+    /// validated), so its cells never hold a NaN, whose sign and payload
+    /// the compiler's operand order would decide.
+    fn finite(d: &mut Draws) -> f64 {
+        loop {
+            let v = value(d);
+            if v.is_finite() {
+                return v;
+            }
+        }
+    }
+
+    /// `fill_span` and [`RowPlanes::cell`] one centre at a time, from the
+    /// same cells: the same bits and the same count.
+    fn same_as_scalar(planes: &RowPlanes, f: impl Fn(Vec3) -> f64, xs: &[f64]) {
+        let start: Vec<f64> = (0..xs.len())
+            .map(|k| if k % 3 == 0 { 0.0 } else { 0.37 * k as f64 })
+            .collect();
+        let mut lanes = start.clone();
+        let n = fill_span(planes, &f, xs, &mut lanes);
+        let mut scalar = start;
+        let mut m = 0;
+        for (o, &x) in scalar.iter_mut().zip(xs) {
+            if let Some(v) = planes.cell(&f, x) {
+                *o += v;
+                m += 1;
+            }
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(n, m, "{planes:?} at {xs:?}");
+        assert_eq!(bits(&lanes), bits(&scalar), "{planes:?} at {xs:?}");
+    }
+
+    fn row(d: &mut Draws, n_lower: usize, n: usize) -> RowPlanes {
+        let mut planes = [RowPlane::default(); 4];
+        for p in &mut planes[..n] {
+            *p = RowPlane {
+                r: value(d),
+                g: value(d),
+                x0: value(d),
+            };
+        }
+        let (a, b) = (finite(d), finite(d));
+        RowPlanes {
+            y: finite(d),
+            planes,
+            n_lower,
+            n,
+            z_lo: a.min(b),
+            z_hi: a.max(b),
+        }
+    }
+
+    /// A linear slot value (Eq. 1) and its tetrahedron's first vertex, and
+    /// a constant one.
+    fn integrands(d: &mut Draws) -> (TetInterp, Vec3, f64) {
+        let row = TetInterp {
+            rho0: finite(d),
+            grad: Vec3::new(finite(d), finite(d), finite(d)),
+        };
+        (row, Vec3::new(finite(d), finite(d), finite(d)), finite(d))
+    }
+
+    #[test]
+    fn lanes_equal_the_scalar_cell_on_random_and_special_rows() {
+        let mut d = Draws::new(42, 0);
+        for case in 0..4000 {
+            let n_lower = 1 + case % 3;
+            let n = n_lower + 1 + below(&mut d, 4 - n_lower);
+            let planes = row(&mut d, n_lower, n);
+            let len = case % 10;
+            let (origin, cell) = (finite(&mut d), 0.25 + below(&mut d, 4) as f64);
+            let mut xs: Vec<f64> = (0..len).map(|k| origin + (k as f64 + 0.5) * cell).collect();
+            let anchor = planes.planes[below(&mut d, n)].x0;
+            if len > 0 && case % 4 == 0 && anchor.is_finite() {
+                // A centre on a plane's anchor: `g · 0` is NaN when `g` is
+                // infinite.
+                xs[below(&mut d, len)] = anchor;
+            }
+            let (row, x0, c) = integrands(&mut d);
+            same_as_scalar(&planes, |p| row.eval(x0, p), &xs);
+            same_as_scalar(&planes, |_| c, &xs);
+        }
+    }
+
+    #[test]
+    fn lanes_equal_the_scalar_cell_on_clip_heights_and_signed_zeros() {
+        let flat = |z: f64| RowPlane {
+            r: z,
+            g: 0.0,
+            x0: 0.0,
+        };
+        let sloped = RowPlane {
+            r: 0.0,
+            g: 1.0,
+            x0: 2.0,
+        };
+        let xs: Vec<f64> = (0..9).map(|k| k as f64 * 0.5).collect();
+        let mut d = Draws::new(7, 0);
+        let (row, x0, c) = integrands(&mut d);
+        // Floors and ceilings exactly on the clip heights, signed zeros in
+        // the planes and the clip, and a plane crossing both clip heights
+        // inside the span.
+        let heights = [
+            (-1.0, 1.0),
+            (-0.0, 0.0),
+            (0.0, -0.0),
+            (0.0, 0.0),
+            (-0.0, 1.0),
+        ];
+        for (z_lo, z_hi) in heights {
+            let lowers = [flat(z_lo), flat(-0.0), flat(0.0), sloped, flat(z_hi)];
+            let uppers = [flat(z_hi), flat(0.0), flat(-0.0), sloped, flat(z_lo)];
+            for lower in lowers {
+                for upper in uppers {
+                    let mut planes = [RowPlane::default(); 4];
+                    (planes[0], planes[1]) = (lower, upper);
+                    let planes = RowPlanes {
+                        y: -0.0,
+                        planes,
+                        n_lower: 1,
+                        n: 2,
+                        z_lo,
+                        z_hi,
+                    };
+                    for len in 0..=xs.len() {
+                        same_as_scalar(&planes, |p| row.eval(x0, p), &xs[..len]);
+                        same_as_scalar(&planes, |_| c, &xs[..len]);
+                        same_as_scalar(&planes, |_| -0.0, &xs[..len]);
+                    }
+                }
+            }
+        }
+    }
 }

@@ -32,6 +32,45 @@ fn across_tile_seams(grid: GridSpec2) -> GridSpec2 {
     }
 }
 
+/// `grid` projected serially, banded on 2 threads and scanning every
+/// tetrahedron, against one one-column render per column: the same bits and
+/// pairs. `grid`'s centres must be exact.
+fn column_by_column<E: FieldEstimator + ?Sized>(field: &E, grid: &GridSpec2, opts: &MarchOptions) {
+    let index = HullIndex::build(field);
+    let project =
+        |g: &GridSpec2, o: &MarchOptions, kernel| surface_density_by(field, &index, g, o, kernel);
+    let (serial, ss) = project(grid, opts, Kernel::Project);
+    let (scanned, sc) = project(grid, opts, Kernel::ProjectScan);
+    prop_assert_eq!(&serial.data, &scanned.data);
+    prop_assert_eq!(ss, sc);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .unwrap();
+    let (banded, sb) =
+        pool.install(|| project(grid, &opts.clone().parallel(true), Kernel::Project));
+    prop_assert_eq!(&serial.data, &banded.data);
+    prop_assert_eq!(ss, sb);
+    let mut pairs = 0;
+    for i in 0..grid.nx {
+        let column = GridSpec2 {
+            origin: Vec2::new(grid.origin.x + i as f64 * grid.cell.x, grid.origin.y),
+            nx: 1,
+            ..*grid
+        };
+        prop_assert_eq!(column.center(0, 0), grid.center(i, 0));
+        let (alone, sa) = project(&column, opts, Kernel::Project);
+        for j in 0..grid.ny {
+            prop_assert_eq!(
+                alone.data[j].to_bits(),
+                serial.data[j * grid.nx + i].to_bits()
+            );
+        }
+        pairs += sa.crossings;
+    }
+    prop_assert_eq!(pairs, ss.crossings);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -181,6 +220,41 @@ proptest! {
         let (banded, bs) = pool.install(|| project(&par_opts, Kernel::Project));
         prop_assert_eq!(&scanned.data, &banded.data);
         prop_assert_eq!(ss, bs);
+    }
+
+    #[test]
+    fn projected_rows_equal_one_column_renders(
+        pts in cloud_strategy(16, 120),
+        win in (0u8..3, -1.0f64..8.0, 0.01f64..5.0),
+        corner in (-8i32..32, -8i32..32),
+        cell in (1u32..24, 1u32..24),
+        size in (1usize..24, 1usize..24),
+    ) {
+        // The projector fills a row's covered cells two at a time, and one
+        // alone at the end of an odd span. On a dyadic grid every centre is
+        // exact, so a one-column grid's centre is its column's centre in the
+        // whole grid, and a one-column render takes the one-cell path
+        // everywhere: each column has its bits and pairs, serial, banded and
+        // scanned, for a constant and a linear field.
+        let Ok(dtfe) = DtfeField::build(&pts, Mass::Uniform(1.0)) else {
+            return Ok(());
+        };
+        let vels: Vec<Vec3> = pts.iter().map(|p| Vec3::new(p.y - 4.0, 4.0 - p.x, 0.5)).collect();
+        let Ok(psdtfe) = PsDtfeField::build(&pts, &vels, Mass::Uniform(1.0)) else {
+            return Ok(());
+        };
+        let grid = GridSpec2 {
+            origin: Vec2::new(corner.0 as f64 / 4.0, corner.1 as f64 / 4.0),
+            cell: Vec2::new(cell.0 as f64 / 16.0, cell.1 as f64 / 16.0),
+            nx: size.0,
+            ny: size.1,
+        };
+        let mut opts = MarchOptions::new().parallel(false);
+        if let (1.., lo, depth) = win {
+            opts = opts.z_range(lo, lo + depth); // full depth in one case of three
+        }
+        column_by_column(&dtfe, &grid, &opts);
+        column_by_column(&psdtfe, &grid, &opts);
     }
 
     #[test]

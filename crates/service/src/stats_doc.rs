@@ -138,7 +138,8 @@ pub struct MetricsDigest {
     /// `core.los_marched` and `core.tets_crossed`. A served render is
     /// z-windowed: with one centre sample per cell on a dense grid it
     /// projects and adds `core.project_tets` (tetrahedra the window's box
-    /// meets) and `core.project_scan_fallback`; otherwise it marches and
+    /// meets), `core.project_rows` (the footprint rows those tetrahedra set
+    /// up) and `core.project_scan_fallback`; otherwise it marches and
     /// bridges its per-render `MarchStats` here: `core.degenerate_restarts`,
     /// `core.march_failures`, `core.plucker_edge_evals`,
     /// `core.entry_hint_miss` (hull-index queries: lines with no window

@@ -111,6 +111,11 @@ fn check_hist_digests(hists: &BTreeMap<String, Json>, what: &str) -> Result<(), 
     Ok(())
 }
 
+/// Counters one call publishes together, so a document carries all of
+/// each group or none: a projected render's tetrahedra and the rows they
+/// set up.
+const PUBLISHED_TOGETHER: [[&str; 2]; 1] = [["core.project_tets", "core.project_rows"]];
+
 fn check_metrics_obj(v: &Json, what: &str) -> Result<(usize, usize, usize), String> {
     let counters = v
         .get("counters")
@@ -125,6 +130,13 @@ fn check_metrics_obj(v: &Json, what: &str) -> Result<(usize, usize, usize), Stri
         .and_then(|c| c.as_obj())
         .ok_or(format!("{what}: missing histograms object"))?;
     check_hist_digests(hists, what)?;
+    for names in PUBLISHED_TOGETHER {
+        if names.iter().any(|n| counters.contains_key(*n))
+            && !names.iter().all(|n| counters.contains_key(*n))
+        {
+            return Err(format!("{what}: counters {names:?} are published together"));
+        }
+    }
     // Window sections are optional, but when present they must carry
     // quantile-bearing digests and a positive covered span. A window is
     // read from the same samples as its cumulative digest, so it never

@@ -423,3 +423,18 @@ fn checker_rejects_a_window_counting_more_than_its_cumulative_digest() {
     let orphan = metrics_doc(1).replace(r#""histograms":{"x_us""#, r#""histograms":{"y_us""#);
     assert!(check_metrics_json(&orphan).is_err());
 }
+
+#[test]
+fn checker_rejects_a_projected_render_counter_without_its_partner() {
+    let doc = |counters: &str| {
+        let m = format!(r#"{{"counters":{{{counters}}},"gauges":{{}},"histograms":{{}}}}"#);
+        format!(r#"{{"ranks":[{{"label":"r0",{}],"merged":{m}}}"#, &m[1..])
+    };
+    for counters in ["", r#""core.project_tets":3,"core.project_rows":7"#] {
+        assert!(check_metrics_json(&doc(counters)).is_ok(), "{counters}");
+    }
+    for counters in [r#""core.project_tets":3"#, r#""core.project_rows":0"#] {
+        let err = check_metrics_json(&doc(counters)).unwrap_err();
+        assert!(err.contains("published together"), "{err}");
+    }
+}

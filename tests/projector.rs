@@ -161,13 +161,14 @@ fn the_projector_is_the_reference_to_rounding_on_every_estimator() {
 /// plane, rendered by centre lines in general position. A floor on a
 /// lattice plane is a tie for every line — the plane is a union of faces —
 /// so the march enters through the hull and crosses the tetrahedra below
-/// the floor too, and a Plücker exit height may round below a ceiling on a
-/// plane and step the march into the layer above (under `[-1, 1]`, the
-/// lines of cells (13, 6) and (14, 7): 4 crossings for 3 pairs each):
-/// there the crossings exceed the pairs. The pairs themselves are exact:
-/// every tetrahedron lies
-/// in one layer, so the windows stacked on the planes count the full-depth
-/// render's pairs, which are the march's crossings.
+/// the floor too: there the crossings exceed the pairs. A ceiling on a
+/// plane does not: a Plücker exit height that rounds below it steps the
+/// march into the layer above, whose lowest vertex is on the ceiling, and
+/// the march ends the line there uncounted, as the projector does — so
+/// under `[-1, 1]`, whose floor is below the mesh, pairs equal crossings.
+/// The pairs themselves are exact: every tetrahedron lies in one layer, so
+/// the windows stacked on the planes count the full-depth render's pairs,
+/// which are the march's crossings.
 #[test]
 fn floors_and_ceilings_on_lattice_planes() {
     let pts = exact_lattice();
@@ -189,7 +190,11 @@ fn floors_and_ceilings_on_lattice_planes() {
     let (p, c) = project("lattice", &view, &index, &grid, &full);
     assert_eq!(p, c, "full depth");
     let mut stacked = 0;
-    for (lo, hi) in [(-1.0, 1.0), (1.0, 2.0), (2.0, 4.0)] {
+    let (pairs, crossings) = render(-1.0, 1.0);
+    assert_eq!(pairs, crossings, "[-1, 1]");
+    stacked += pairs;
+    // Tie floors: the hull-entered lines cross the layers below too.
+    for (lo, hi) in [(1.0, 2.0), (2.0, 4.0)] {
         let (pairs, crossings) = render(lo, hi);
         assert!(pairs <= crossings, "[{lo}, {hi}]: {pairs} > {crossings}");
         stacked += pairs;
