@@ -105,7 +105,7 @@ impl DtfeField {
     /// (duplicates may have merged; masses accumulate via
     /// [`Delaunay::vertex_of_input`]).
     ///
-    /// The triangulation is laid out as one record per tetrahedron in
+    /// The triangulation is laid out as one link per tetrahedron in
     /// cache-coherent BFS order by [`RenderMesh::new`], which keeps every
     /// density, gradient and rendered field bit-identical to one computed
     /// over the builder's slots. `TetId`s obtained from this field's
@@ -128,17 +128,17 @@ impl DtfeField {
 
     /// The mesh this field is a table over: another table over it — a
     /// [`crate::fields::ScalarField`] of any vertex quantity — renders with
-    /// this field's records.
+    /// this field's links.
     #[inline]
     pub fn mesh(&self) -> &RenderMesh {
         &self.mesh
     }
 
-    /// The mesh's records as the marching kernel steps through them,
-    /// written when the field was built.
+    /// The mesh's links with the march's positions written beside them —
+    /// by this call, if no march has yet: what a marched render reads.
     #[inline]
     pub fn march_cache(&self) -> &MarchCache {
-        self.view().cache
+        self.mesh.march_cache()
     }
 
     /// Vertex densities `ρ̂(x_i)` (Eq. 2), indexed by `VertexId`.

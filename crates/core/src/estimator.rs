@@ -2,15 +2,15 @@
 //!
 //! The paper's pipeline — Delaunay mesh → per-simplex linear interpolant →
 //! exact line-of-sight integration (Eq. 12) — has exactly one input, and
-//! [`FieldView`] is that input: the triangulation, its 128 B traversal
-//! records, and the field on each tetrahedron slot ([`SlotValues`]):
+//! [`FieldView`] is that input: the triangulation, its 32 B traversal
+//! links, and the field on each tetrahedron slot ([`SlotValues`]):
 //! a linear interpolant `(f₀, ∇f)` (Eq. 1, about the slot's first vertex
 //! `x₀`, which the mesh holds) or one constant per simplex.
 //! Both kernels in [`crate::marching`] take a `FieldView` and nothing else,
 //! so each is compiled once however many backends exist.
 //!
 //! [`RenderMesh`] is the one owner of a triangulation for rendering: it
-//! lays the mesh out as one record per tetrahedron in cache-coherent BFS
+//! lays the mesh out as one link per tetrahedron in cache-coherent BFS
 //! order, and `mesh.view(table)` is the only way a view is made from it. A
 //! backend is whatever *fills a table* over that mesh:
 //! [`crate::density::DtfeTable`] (Eq. 2 densities),
@@ -73,15 +73,15 @@ impl<'a> From<&'a [f64]> for SlotValues<'a> {
 /// * `values` must be valid for every finite tetrahedron slot `t` of `del`
 ///   (ghost slots are never read by the kernel), so it holds
 ///   `del.num_slots()` entries.
-/// * `cache` must be `del`'s own records ([`Delaunay::topology`], `Some`
+/// * `cache` must be `del`'s own links ([`Delaunay::topology`], `Some`
 ///   once [`Delaunay::into_topology`] has laid it out) —
 ///   [`RenderMesh::view`] guarantees it.
 #[derive(Clone, Copy)]
 pub struct FieldView<'a> {
     /// The triangulation the field is defined over.
     pub del: &'a Delaunay,
-    /// The triangulation's records, as the marching kernel steps through
-    /// them.
+    /// The triangulation's links, as every kernel reads them, and the
+    /// positions the first march writes beside them.
     pub cache: &'a MarchCache,
     /// The field on each slot of `del`.
     pub values: SlotValues<'a>,
@@ -96,15 +96,16 @@ impl FieldEstimator for FieldView<'_> {
 
 /// A triangulation prepared for rendering: the vertex star volumes of
 /// Eq. 2 and the render-time topology ([`Delaunay::into_topology`]) — one
-/// 128 B record per tetrahedron in cache-coherent BFS order, which the
-/// kernels traverse and every table fill and point location reads. Every
+/// 32 B link per tetrahedron in cache-coherent BFS order, which the
+/// kernels traverse and every table fill and point location reads, and the
+/// march's positions once a march has written them. Every
 /// estimator table over one point set is a table over this one mesh, and
 /// every rendered field — owned or served — is a view of one.
 ///
 /// A star volume is a float sum over the incident tetrahedra, so its bits
 /// depend on the slot order it is summed in; [`RenderMesh::new`] sums over
-/// the order the builder left, *then* writes the records. Interpolants
-/// depend only on their own tetrahedron, whose vertex order the records
+/// the order the builder left, *then* writes the links. Interpolants
+/// depend only on their own tetrahedron, whose vertex order the links
 /// keep, so every density, gradient and rendered field is bit-identical to
 /// one computed over the builder's slots.
 pub struct RenderMesh {
@@ -130,6 +131,14 @@ impl RenderMesh {
         &self.del
     }
 
+    /// The mesh's links with the march's positions written beside them —
+    /// by this call, if no march has yet: what a marched render reads.
+    pub fn march_cache(&self) -> &MarchCache {
+        let topo = self.topology();
+        topo.march_positions(self.del.vertices());
+        topo
+    }
+
     /// `W_i = Σ_j V(T_{j,i})` per vertex (the contiguous Voronoi cell).
     #[inline]
     pub(crate) fn star_volumes(&self) -> &[f64] {
@@ -141,10 +150,14 @@ impl RenderMesh {
     pub fn view<'a>(&'a self, values: impl Into<SlotValues<'a>>) -> FieldView<'a> {
         FieldView {
             del: &self.del,
-            // `RenderMesh::new` is the only constructor, and it lays out.
-            cache: self.del.topology().expect("a RenderMesh is laid out"),
+            cache: self.topology(),
             values: values.into(),
         }
+    }
+
+    fn topology(&self) -> &MarchCache {
+        // `RenderMesh::new` is the only constructor, and it lays out.
+        self.del.topology().expect("a RenderMesh is laid out")
     }
 }
 
@@ -162,9 +175,12 @@ pub trait FieldEstimator: Sync {
         self.view().del
     }
 
-    /// The mesh's records, as the marching kernel steps through them.
+    /// The mesh's links with the march's positions written beside them —
+    /// by this call, if no march has yet: what a marched render reads.
     fn march_cache(&self) -> &MarchCache {
-        self.view().cache
+        let view = self.view();
+        view.cache.march_positions(view.del.vertices());
+        view.cache
     }
 
     /// The field inside finite tetrahedron `t` at `p` (no containment

@@ -15,7 +15,7 @@ use dtfe_geometry::Vec3;
 
 /// A piecewise-linear field over an existing mesh: one value per vertex,
 /// constant gradient per tetrahedron (paper Eq. 1). It is a table over the
-/// borrowed [`RenderMesh`], so it renders through that mesh's records.
+/// borrowed [`RenderMesh`], so it renders through that mesh's links.
 pub struct ScalarField<'a> {
     mesh: &'a RenderMesh,
     values: Vec<f64>,

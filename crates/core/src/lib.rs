@@ -21,10 +21,10 @@
 //!   the Fig. 6 experiment reproduces.
 //! * [`grid`] — 2D/3D grid specifications and the field containers.
 //! * [`estimator`] — [`FieldView`], the one thing the kernels render: a
-//!   mesh, its 128 B traversal records and the field on each tetrahedron —
+//!   mesh, its 32 B traversal links and the field on each tetrahedron —
 //!   a linear interpolant or, for PS-DTFE, one constant ([`SlotValues`]).
 //!   [`RenderMesh`] is the one owner of a triangulation for rendering — it
-//!   lays the mesh out as one record per tetrahedron — and `mesh.view(table)` makes
+//!   lays the mesh out as one link per tetrahedron — and `mesh.view(table)` makes
 //!   every view. A backend fills a table over that mesh and hands the view
 //!   out through the one-method [`FieldEstimator`] trait; the shared
 //!   vertex-field loops (gradients, vertex masses, `∫ f dV`) live there

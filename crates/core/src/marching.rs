@@ -73,7 +73,8 @@
 //!   direction-matched edge side-products of the face the ray just exited
 //!   through ([`dtfe_geometry::plucker::ray_tetra_seeded`]), and the
 //!   per-step orientation normalization and vertex gathers are hoisted into
-//!   the mesh's one record per tetrahedron ([`MarchCache`]).
+//!   the mesh's links and the positions its first march writes beside them
+//!   ([`MarchCache`]).
 //! * **Hinted window entry** — a windowed line finds its `T₀` by a
 //!   visibility walk from the previous line's `T₀` (the previous row's
 //!   first cell at a row start), with exact predicates; the hint can only
@@ -182,19 +183,20 @@ impl EntryHint {
 }
 
 // ---------------------------------------------------------------------------
-// The traversal records.
+// The traversal links and positions.
 
-/// The mesh's records as the kernel steps through them: one 128-byte
-/// [`dtfe_delaunay::Record`] per tetrahedron — positions with the
+/// The mesh's tetrahedra as the kernel steps through them: one 32-byte
+/// [`dtfe_delaunay::Link`] per tetrahedron — vertex ids (the labels the
+/// shared-edge reuse keys on) and neighbour slots with the
 /// [`ray_tetra`](dtfe_geometry::plucker::ray_tetra) orientation swap
-/// already applied, and vertex ids (the labels the shared-edge reuse keys
-/// on) and neighbour slots in the same order, so a traversal step reads one
-/// record — and the vertex box: a window whose floor is not above its
-/// lowest height has no window entry, and its heights and xy extent choose
-/// and price the kernel (module docs), per render without touching the
-/// mesh. It is the triangulation's own topology
-/// ([`Delaunay::topology`]), written once by [`crate::RenderMesh::new`];
-/// the name is the render API's.
+/// already applied — and, beside them, the positions in the same order,
+/// which the first march writes ([`MarchCache::march_positions`]), so a
+/// traversal step reads one link and one slot of positions; and the
+/// vertex box: a window whose floor is not above its lowest height has no
+/// window entry, and its heights and xy extent choose and price the kernel
+/// (module docs), per render without touching the mesh. It is the
+/// triangulation's own topology ([`Delaunay::topology`]), whose links
+/// [`crate::RenderMesh::new`] writes; the name is the render API's.
 pub use dtfe_delaunay::Topology as MarchCache;
 
 // ---------------------------------------------------------------------------
@@ -291,6 +293,14 @@ impl HullIndex {
             off,
             items,
         }
+    }
+
+    /// Resident bytes (the service layer's budget accounting), by the
+    /// allocations' capacity.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of::<HullIndex>()
+            + self.facets.capacity() * std::mem::size_of::<EntryFacet>()
+            + (self.off.capacity() + self.items.capacity()) * std::mem::size_of::<u32>()
     }
 
     /// The ghost tetrahedron whose projected hull facet contains `q`
@@ -463,7 +473,8 @@ fn line_of_sight(
 // The coherent kernel.
 
 /// Loop-invariant state of one render, hoisted out of the per-cell restart
-/// loop: the [`FieldView`]'s three borrows, the hull index, the step bound,
+/// loop: the [`FieldView`]'s three borrows, the march's positions (written
+/// here on the mesh's first march), the hull index, the step bound,
 /// the integration window, and the floor a window entry is sought at (`None`
 /// when the render has no window or its floor is not above the mesh's
 /// lowest vertex). Not generic: every backend, named or `dyn`, renders
@@ -472,6 +483,7 @@ fn line_of_sight(
 struct MarchCtx<'a> {
     del: &'a Delaunay,
     cache: &'a MarchCache,
+    pts: &'a [[Vec3; 4]],
     values: SlotValues<'a>,
     index: &'a HullIndex,
     z_range: Option<(f64, f64)>,
@@ -493,6 +505,7 @@ impl<'a> MarchCtx<'a> {
         MarchCtx {
             del,
             cache,
+            pts: cache.march_positions(del.vertices()),
             values,
             index,
             z_range,
@@ -608,7 +621,7 @@ fn faces_up(del: &Delaunay, [a, b, c]: [VertexId; 3]) -> bool {
 /// facet that does not face up, it ends on a tie, or it exceeds the step
 /// cap (which bounds a walk over corrupt adjacency);
 /// [`Start::AboveHull`] when it leaves through one that does. Reads each
-/// tetrahedron with the records' float
+/// tetrahedron with the links' float
 /// normalization undone ([`MarchCache::tet`]) and its corners from the
 /// vertex array: the face signs are defined against the builder's exact
 /// orientation. Never inlined: it runs once per line, and folding it into
@@ -725,7 +738,7 @@ fn march_cell_inner(
             start => {
                 stats.entry_hint_misses += 1;
                 match ctx.index.query(xi_cur) {
-                    Some(ghost) if start == Start::Hull => ctx.cache.record(ghost).neighbors[3],
+                    Some(ghost) if start == Start::Hull => ctx.cache.link(ghost).neighbors[3],
                     // Beside the footprint, or over it with the floor above
                     // the hull: the segment meets no tetrahedron.
                     _ => return 0.0,
@@ -764,19 +777,13 @@ fn march_cell_inner(
                     None => return total,
                 }
             }
-            let ct = ctx.cache.record(t);
+            let (ct, pts) = (ctx.cache.link(t), &ctx.pts[t as usize]);
             let (entry, entry_face) = match carry.as_ref() {
                 Some((s, f)) => (Some(s), *f),
                 None => (None, None),
             };
-            let (hit, exit_seed) = ray_tetra_seeded(
-                &pl,
-                &ct.pts,
-                &ct.ids,
-                entry,
-                entry_face,
-                &mut stats.edge_evals,
-            );
+            let (hit, exit_seed) =
+                ray_tetra_seeded(&pl, pts, &ct.ids, entry, entry_face, &mut stats.edge_evals);
             let (false, Some((_, p_in)), Some((exit_face, p_out))) =
                 (hit.degenerate, hit.enter, hit.exit)
             else {
@@ -802,7 +809,7 @@ fn march_cell_inner(
                 (a, b) = (b, a);
             }
             if let Some((zlo, zhi)) = ctx.z_range {
-                if a >= zhi || ct.pts.iter().all(|p| p.z >= zhi) {
+                if a >= zhi || pts.iter().all(|p| p.z >= zhi) {
                     // The segment ended below this tetrahedron: its entry
                     // height, or — exactly, as the projector decides it —
                     // its lowest vertex is at or above the ceiling.
@@ -814,9 +821,9 @@ fn march_cell_inner(
             stats.crossings += 1;
             if b > a {
                 // Eq. 12: exact integral via the interval midpoint. `x₀` is
-                // the record's vertex 0 (the normalization swaps only 2 ↔ 3).
+                // the slot's vertex 0 (the normalization swaps only 2 ↔ 3).
                 let mid = Vec3::new(xi_cur.x, xi_cur.y, 0.5 * (a + b));
-                let rho_mid = ctx.values.eval(t, ct.pts[0], mid);
+                let rho_mid = ctx.values.eval(t, pts[0], mid);
                 total += rho_mid * (b - a);
             }
             if let Some((_, zhi)) = ctx.z_range {
@@ -826,7 +833,7 @@ fn march_cell_inner(
             }
 
             let next = ct.neighbors[exit_face];
-            let nt = ctx.cache.record(next);
+            let nt = ctx.cache.link(next);
             if nt.ids[3] == u32::MAX {
                 return total; // left the hull (a convex body is exited once)
             }

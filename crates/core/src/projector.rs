@@ -68,7 +68,7 @@
 use crate::estimator::{FieldView, SlotValues};
 use crate::grid::{Field2, GridSpec2};
 use crate::marching::MarchStats;
-use dtfe_delaunay::{Located, Record, TetId, Topology, INFINITE};
+use dtfe_delaunay::{Link, Located, TetId, Topology, INFINITE};
 use dtfe_geometry::plucker::{TET_EDGES, TET_FACES};
 use dtfe_geometry::predicates::{orient2d_inline as orient2d, Orientation};
 use dtfe_geometry::{Vec2, Vec3};
@@ -363,11 +363,11 @@ struct Window {
 }
 
 impl Element {
-    /// Project the finite tetrahedron of record `rec`, `swapped` undoing
-    /// the record's float orientation so the faces are outward under the
-    /// builder's exact orientation.
-    fn new(rec: &Record, swapped: bool, window: Window) -> Element {
-        let (mut p, mut ids) = (rec.pts, rec.ids);
+    /// Project the finite tetrahedron of link `link` with corners `p` in
+    /// the link's order, `swapped` undoing the link's float orientation so
+    /// the faces are outward under the builder's exact orientation.
+    fn new(link: &Link, mut p: [Vec3; 4], swapped: bool, window: Window) -> Element {
+        let mut ids = link.ids;
         if swapped {
             p.swap(2, 3);
             ids.swap(2, 3);
@@ -523,31 +523,36 @@ impl Element {
     }
 }
 
-/// Finite record `rec`'s vertex box.
+/// Finite link `link`'s corners, in its order, from the vertex array.
 #[inline]
-fn vertex_box(rec: &Record) -> (Vec3, Vec3) {
-    rec.pts[1..]
-        .iter()
-        .fold((rec.pts[0], rec.pts[0]), |(lo, hi), &p| {
-            (lo.min(p), hi.max(p))
-        })
+fn corners(points: &[Vec3], link: &Link) -> [Vec3; 4] {
+    link.ids.map(|v| points[v as usize])
 }
 
-/// The rows and columns whose centres lie in finite record `rec`'s vertex
-/// box, clipped to `rows × cols`; `None` if that holds no centre, or if the
-/// box's z-extent ends at or outside `window`. The footprint lies in the
-/// box, and a centre it covers in `[min, max)` on both axes, so a
-/// tetrahedron outside reaches no centre; one outside the window clips
-/// every interval to empty, so it adds nothing and counts no pair.
+/// The vertex box of corners `p`.
+#[inline]
+fn vertex_box(p: &[Vec3; 4]) -> (Vec3, Vec3) {
+    p[1..]
+        .iter()
+        .fold((p[0], p[0]), |(lo, hi), &q| (lo.min(q), hi.max(q)))
+}
+
+/// The rows and columns whose centres lie in the vertex box of a finite
+/// tetrahedron's corners `p`, clipped to `rows × cols`; `None` if that
+/// holds no centre, or if the box's z-extent ends at or outside `window`.
+/// The footprint lies in the box, and a centre it covers in `[min, max)`
+/// on both axes, so a tetrahedron outside reaches no centre; one outside
+/// the window clips every interval to empty, so it adds nothing and counts
+/// no pair.
 fn reach(
-    rec: &Record,
+    p: &[Vec3; 4],
     window: Window,
     xs: &Axis,
     ys: &Axis,
     rows: &Range<usize>,
     cols: &Range<usize>,
 ) -> Option<(Range<usize>, Range<usize>)> {
-    let (lo, hi) = vertex_box(rec);
+    let (lo, hi) = vertex_box(p);
     if hi.z <= window.lo || lo.z >= window.hi {
         return None;
     }
@@ -576,17 +581,19 @@ fn project_into(
     cols: Range<usize>,
     out: &mut [f64],
 ) -> (u64, u64) {
-    let topo = view.cache;
+    let (topo, points) = (view.cache, view.del.vertices());
     let (mut pairs, mut set_up) = (0, 0);
     for &t in tets {
-        let rec = topo.record(t);
-        let Some((reach_rows, reach_cols)) = reach(rec, window, xs, ys, &rows, &cols) else {
+        let link = topo.link(t);
+        let p = corners(points, link);
+        let Some((reach_rows, reach_cols)) = reach(&p, window, xs, ys, &rows, &cols) else {
             continue;
         };
-        let el = Element::new(rec, topo.is_swapped(t), window);
+        let el = Element::new(link, p, topo.is_swapped(t), window);
         let (p, r) = match view.values {
             SlotValues::Linear(table) => {
-                let (row, x0) = (table[t as usize], rec.pts[0]);
+                // `x₀` is vertex 0, which the swap of 2 and 3 keeps.
+                let (row, x0) = (table[t as usize], el.p[0]);
                 let f = |mid| row.eval(x0, mid);
                 el.project(f, xs, ys, reach_rows, &reach_cols, &rows, &cols, out)
             }
@@ -604,7 +611,7 @@ fn project_into(
 /// The finite tetrahedra, in slot order.
 fn finite<'a>(view: &FieldView<'a>) -> impl Iterator<Item = TetId> + 'a {
     let topo = view.cache;
-    (0..topo.len() as TetId).filter(move |&t| topo.record(t).ids[3] != INFINITE)
+    (0..topo.len() as TetId).filter(move |&t| topo.link(t).ids[3] != INFINITE)
 }
 
 /// The finite tetrahedra whose vertex box meets the render's box `B` —
@@ -636,8 +643,9 @@ fn gather(view: &FieldView<'_>, xs: &Axis, ys: &Axis, window: Window) -> Option<
     let Located::Finite(seed) = view.del.locate((lo + hi) * 0.5) else {
         return None;
     };
-    let meets = |rec: &Record| {
-        let (a, b) = vertex_box(rec);
+    let points = view.del.vertices();
+    let meets = |link: &Link| {
+        let (a, b) = vertex_box(&corners(points, link));
         a.x <= hi.x && a.y <= hi.y && a.z <= hi.z && b.x >= lo.x && b.y >= lo.y && b.z >= lo.z
     };
     let mut seen = vec![0u64; topo.len().div_ceil(64)];
@@ -653,10 +661,10 @@ fn gather(view: &FieldView<'_>, xs: &Axis, ys: &Axis, window: Window) -> Option<
     let mut head = 0;
     while let Some(&t) = kept.get(head) {
         head += 1;
-        for &n in &topo.record(t).neighbors {
+        for &n in &topo.link(t).neighbors {
             if first_visit(n) {
-                let rec = topo.record(n);
-                if rec.ids[3] != INFINITE && meets(rec) {
+                let link = topo.link(n);
+                if link.ids[3] != INFINITE && meets(link) {
                     kept.push(n);
                 }
             }
@@ -676,9 +684,11 @@ fn bands(
     tets: &[TetId],
 ) -> Vec<Vec<TetId>> {
     let (rows, cols) = (0..ys.n(), 0..xs.n());
+    let points = view.del.vertices();
     let mut bands = vec![Vec::new(); ys.n().div_ceil(BAND_ROWS)];
     for &t in tets {
-        if let Some((r, _)) = reach(view.cache.record(t), window, xs, ys, &rows, &cols) {
+        let p = corners(points, view.cache.link(t));
+        if let Some((r, _)) = reach(&p, window, xs, ys, &rows, &cols) {
             for band in &mut bands[r.start / BAND_ROWS..=(r.end - 1) / BAND_ROWS] {
                 band.push(t);
             }

@@ -70,7 +70,7 @@ pub mod validate;
 pub use builder::{BuildError, DelaunayBuilder, Triangulation};
 pub use locate::Located;
 pub use mesh::{Tet, TetId, VertexId, INFINITE, NONE};
-pub use topology::{Record, Topology};
+pub use topology::{Link, Topology};
 pub use validate::ValidationError;
 
 use dtfe_geometry::Vec3;
@@ -139,10 +139,12 @@ impl std::error::Error for DelaunayError {}
 /// Its tetrahedra are laid out one of two ways. [`DelaunayBuilder::build`]
 /// returns them as insertion left them: 32 B [`Tet`] slots in insertion
 /// order, freed slots kept. [`Delaunay::into_topology`] consumes that array
-/// and writes the render-time [`Topology`], one 128 B [`Record`] per live
-/// slot in breadth-first order, which is then the only copy. Every reader
-/// — [`Delaunay::tet`], point location, validation — reads whichever
-/// layout the triangulation has, in the builder's exact vertex order.
+/// and writes the render-time [`Topology`], one 32 B [`Link`] per live
+/// slot in breadth-first order, which is then the only copy (a march adds
+/// its vertex positions beside the links, [`Topology::march_positions`]).
+/// Every reader — [`Delaunay::tet`], point location, validation — reads
+/// whichever layout the triangulation has, in the builder's exact vertex
+/// order.
 pub struct Delaunay {
     pub(crate) points: Vec<Vec3>,
     /// Map from input point index to vertex id (duplicates collapse).
@@ -159,8 +161,8 @@ pub(crate) enum Slots {
     /// As insertion left them: slot order of creation, freed slots kept as
     /// dead records.
     Built(Vec<Tet>),
-    /// The render-time records.
-    Records(Topology),
+    /// The render-time links.
+    Links(Topology),
 }
 
 impl std::fmt::Debug for Delaunay {
@@ -169,7 +171,7 @@ impl std::fmt::Debug for Delaunay {
             .field("vertices", &self.points.len())
             .field("finite_tets", &self.n_finite)
             .field("ghost_tets", &self.n_ghost)
-            .field("records", &matches!(self.slots, Slots::Records(_)))
+            .field("links", &matches!(self.slots, Slots::Links(_)))
             .finish()
     }
 }
@@ -226,7 +228,7 @@ impl Delaunay {
     pub fn num_slots(&self) -> usize {
         match &self.slots {
             Slots::Built(tets) => tets.len(),
-            Slots::Records(topo) => topo.len(),
+            Slots::Links(topo) => topo.len(),
         }
     }
 
@@ -236,21 +238,21 @@ impl Delaunay {
     pub fn tet_slot(&self, t: TetId) -> Tet {
         match &self.slots {
             Slots::Built(tets) => tets[t as usize],
-            Slots::Records(topo) => topo.tet(t),
+            Slots::Links(topo) => topo.tet(t),
         }
     }
 
-    /// The render-time records; `None` until [`Delaunay::into_topology`].
+    /// The render-time links; `None` until [`Delaunay::into_topology`].
     #[inline]
     pub fn topology(&self) -> Option<&Topology> {
         match &self.slots {
             Slots::Built(_) => None,
-            Slots::Records(topo) => Some(topo),
+            Slots::Links(topo) => Some(topo),
         }
     }
 
     /// Lay the triangulation out for rendering: one pass over the builder's
-    /// slots numbers the live ones breadth-first and writes one [`Record`]
+    /// slots numbers the live ones breadth-first and writes one [`Link`]
     /// per slot (see [`Topology`]); the slot array is freed. Only slot
     /// numbers change — every tetrahedron's vertex array, as [`Delaunay::tet`]
     /// returns it, is the builder's — so `TetId`s retained from before this
@@ -265,14 +267,14 @@ impl Delaunay {
         } = self;
         let topo = match slots {
             Slots::Built(tets) => Topology::build(&tets, &points, n_finite + n_ghost),
-            Slots::Records(topo) => topo,
+            Slots::Links(topo) => topo,
         };
         Delaunay {
             points,
             input_vertex,
             n_finite,
             n_ghost,
-            slots: Slots::Records(topo),
+            slots: Slots::Links(topo),
         }
     }
 

@@ -82,7 +82,7 @@ impl Delaunay {
     pub fn locate_seeded(&self, p: Vec3, start: TetId, seed: &mut u64) -> Located {
         match &self.slots {
             Slots::Built(tets) => walk(tets.as_slice(), &self.points, p, start, seed).0,
-            Slots::Records(topo) => walk(topo, &self.points, p, start, seed).0,
+            Slots::Links(topo) => walk(topo, &self.points, p, start, seed).0,
         }
     }
 }

@@ -1,109 +1,114 @@
-//! The render-time topology: one 128-byte record per tetrahedron.
+//! The render-time topology: one 32-byte link per tetrahedron, and the
+//! march's vertex positions as a cache built on first use.
 //!
-//! The marching kernel steps from tetrahedron to tetrahedron through the
-//! facet adjacency and reads, per step, the four vertex positions in the
-//! orientation [`dtfe_geometry::plucker::ray_tetra`] expects, the vertex ids
-//! the shared-edge reuse keys on, and the neighbours. [`Record`] holds
-//! exactly that in two cache lines, and once a triangulation is rendered it
-//! is the *only* copy of its tetrahedra: [`crate::Delaunay::tet`], point
-//! location, the table fills and the hull index read the same records.
+//! Every reader of a rendered triangulation — [`crate::Delaunay::tet`],
+//! point location, the element projector, the table fills and the hull
+//! index — needs a tetrahedron's vertex ids and neighbours and gathers its
+//! corners from the vertex array. [`Link`] holds exactly that in half a
+//! cache line, and once a triangulation is rendered it is the *only* copy
+//! of its tetrahedra.
+//!
+//! The marching kernel is the one reader that wants more: per step it
+//! reads the four vertex positions in the orientation
+//! [`dtfe_geometry::plucker::ray_tetra`] expects. [`Topology::march_positions`]
+//! writes them once, in parallel on a large mesh, on a mesh's first march:
+//! 96 B a slot beside the link, so a marched mesh holds what the 128 B
+//! record of one array did and a step reads the same values from two.
+//! A mesh that is only projected never holds them.
 //!
 //! [`Topology::build`] is one pass over the builder's slots. It numbers the
 //! live slots breadth-first over facet adjacency from a hull (ghost)
 //! tetrahedron, so neighbours sit in nearby slots and a line of sight
 //! touches mostly contiguous memory (the locality behind the DTFE public
-//! software's kernel), then writes each record with its neighbours
-//! renumbered. A finite record whose float orientation is negative has
+//! software's kernel), then writes each link with its neighbours
+//! renumbered. A finite link whose float orientation is negative has
 //! vertices 2 and 3 swapped (`normalize_tet`), with its ids and neighbours
 //! permuted alike; one bit a slot remembers the swap, and
 //! [`Topology::tet`] undoes it, so every exact predicate still sees the
 //! builder's vertex order. Only slot *numbers* change: every vertex array,
 //! and so every density, gradient and rendered field, is the builder's.
 
-use crate::mesh::{Tet, TetId, VertexId, NONE};
+use crate::mesh::{Tet, TetId, VertexId, INFINITE, NONE};
 use dtfe_geometry::plucker::normalize_tet;
 use dtfe_geometry::Vec3;
 use rayon::prelude::*;
+use std::sync::OnceLock;
 
-/// One tetrahedron as a traversal step reads it.
-///
-/// Finite records hold the vertex positions with the `ray_tetra`
-/// orientation swap already applied, and the ids and neighbours in the
-/// same order (`neighbors[i]` lies across the face opposite `pts[i]`).
-/// Ghost records hold the hull facet's ids with [`crate::INFINITE`] at index 3 —
-/// the kernel's "stepped out of the hull" test — its three positions and a
-/// zero fourth, and are never swapped.
-#[derive(Clone, Copy, Debug)]
-#[repr(align(128))] // exactly two cache lines per record, never three
-pub struct Record {
-    pub pts: [Vec3; 4],
+/// One tetrahedron as every reader of a rendered mesh reads it: the vertex
+/// ids and neighbours in traversal orientation — the `ray_tetra` swap
+/// already applied to finite links (`neighbors[i]` lies across the face
+/// opposite `ids[i]`). Ghost links hold the hull facet's ids with
+/// [`crate::INFINITE`] at index 3 — the kernel's "stepped out of the hull"
+/// test — and are never swapped.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(align(32))] // two links per cache line, never one straddling two
+pub struct Link {
     pub ids: [VertexId; 4],
     pub neighbors: [TetId; 4],
 }
 
 /// A triangulation's tetrahedra as the render path reads them: one
-/// [`Record`] per live slot in breadth-first order, the swap bits, and the
+/// [`Link`] per live slot in breadth-first order, the swap bits, the
 /// vertex box — per render, without touching the mesh, its heights say
 /// whether a z-window has a window entry (a floor not above the lowest has
 /// none) and whether it integrates every tetrahedron whole (it contains
-/// both), and its xy extent prices a render over a grid.
+/// both), and its xy extent prices a render over a grid — and, once a
+/// march has asked for them, the march's vertex positions.
 pub struct Topology {
-    records: Vec<Record>,
-    /// Bit `t % 64` of word `t / 64`: slot `t`'s record has vertices 2 and
-    /// 3 swapped.
+    links: Vec<Link>,
+    /// Bit `t % 64` of word `t / 64`: slot `t`'s link has vertices 2 and 3
+    /// swapped.
     swapped: Vec<u64>,
     lo: Vec3,
     hi: Vec3,
+    /// Slot `t`'s four corners in its link's order (`vertex(ids[i])`; a
+    /// ghost's fourth is zero), written by the first
+    /// [`Topology::march_positions`].
+    positions: OnceLock<Vec<[Vec3; 4]>>,
 }
 
-/// Below this many slots the records are written in the calling thread:
-/// the vendored rayon spawns scoped OS threads per call, which costs more
-/// than a serial pass over a small mesh (the batch path builds one
-/// topology per ~4k-slot work item, on ranks that already fill the cores).
+/// Below this many slots the links and positions are written in the
+/// calling thread: the vendored rayon spawns scoped OS threads per call,
+/// which costs more than a serial pass over a small mesh (the batch path
+/// builds one topology per ~4k-slot work item, on ranks that already fill
+/// the cores).
 const PAR_MIN_SLOTS: usize = 1 << 15;
 
+/// `f(0..n)` collected, on the pool when `n` is large.
+fn map_slots<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync + Send) -> Vec<T> {
+    if n < PAR_MIN_SLOTS {
+        (0..n).map(f).collect()
+    } else {
+        (0..n).into_par_iter().map(f).collect()
+    }
+}
+
 impl Topology {
-    /// Number the live slots of `tets` breadth-first and write one record
-    /// per slot. `live` is the number of live slots (a capacity hint).
+    /// Number the live slots of `tets` breadth-first and write one link per
+    /// slot. `live` is the number of live slots (a capacity hint).
     pub(crate) fn build(tets: &[Tet], points: &[Vec3], live: usize) -> Topology {
         let (order, remap) = bfs_order(tets, live);
-        let record = |new: usize| {
+        let links = map_slots(order.len(), |new| {
             let tet = tets[order[new] as usize];
             // Every neighbour of a live slot is live, so it has a number.
-            let neighbors = tet
-                .neighbors
-                .map(|n| remap.get(n as usize).copied().unwrap_or(NONE));
-            let corner = |v: VertexId| points[v as usize];
-            if tet.is_ghost() {
-                let [a, b, c, _] = tet.verts;
-                return Record {
-                    pts: [corner(a), corner(b), corner(c), Vec3::ZERO],
-                    ids: tet.verts,
-                    neighbors,
-                };
-            }
-            let mut rec = Record {
-                pts: tet.verts.map(corner),
+            let mut link = Link {
                 ids: tet.verts,
-                neighbors,
+                neighbors: tet
+                    .neighbors
+                    .map(|n| remap.get(n as usize).copied().unwrap_or(NONE)),
             };
-            if normalize_tet(&mut rec.pts) {
+            if !tet.is_ghost() && normalize_tet(&mut tet.verts.map(|v| points[v as usize])) {
                 // Neighbour `i` lies across the face opposite vertex `i`.
-                rec.ids.swap(2, 3);
-                rec.neighbors.swap(2, 3);
+                link.ids.swap(2, 3);
+                link.neighbors.swap(2, 3);
             }
-            rec
-        };
-        let records: Vec<Record> = if order.len() < PAR_MIN_SLOTS {
-            (0..order.len()).map(record).collect()
-        } else {
-            (0..order.len()).into_par_iter().map(record).collect()
-        };
-        // A finite record is swapped exactly when its id 2 is not the
+            link
+        });
+        // A finite link is swapped exactly when its id 2 is not the
         // builder's (the four ids are distinct).
-        let mut swapped = vec![0u64; records.len().div_ceil(64)];
-        for (new, rec) in records.iter().enumerate() {
-            if rec.ids[2] != tets[order[new] as usize].verts[2] {
+        let mut swapped = vec![0u64; links.len().div_ceil(64)];
+        for (new, link) in links.iter().enumerate() {
+            if link.ids[2] != tets[order[new] as usize].verts[2] {
                 swapped[new / 64] |= 1 << (new % 64);
             }
         }
@@ -112,50 +117,77 @@ impl Topology {
             |(lo, hi), &p| (lo.min(p), hi.max(p)),
         );
         Topology {
-            records,
+            links,
             swapped,
             lo,
             hi,
+            positions: OnceLock::new(),
         }
     }
 
-    /// Number of records (all live: the layout is dense).
+    /// Number of links (all live: the layout is dense).
     #[inline]
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.links.len()
     }
 
-    /// Whether the topology holds no records (a triangulation not yet laid
+    /// Whether the topology holds no links (a triangulation not yet laid
     /// out for rendering).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.links.is_empty()
     }
 
-    /// Slot `t`'s record, in the traversal orientation.
+    /// Slot `t`'s link, in the traversal orientation.
     #[inline]
-    pub fn record(&self, t: TetId) -> &Record {
-        &self.records[t as usize]
+    pub fn link(&self, t: TetId) -> &Link {
+        &self.links[t as usize]
     }
 
-    /// Whether slot `t`'s record has vertices 2 and 3 swapped relative to
+    /// Whether slot `t`'s link has vertices 2 and 3 swapped relative to
     /// the builder's order (`normalize_tet`'s decision; never for a ghost).
     #[inline]
     pub fn is_swapped(&self, t: TetId) -> bool {
         (self.swapped[t as usize / 64] >> (t % 64)) & 1 != 0
     }
 
-    /// Slot `t` in the builder's exact orientation: the record's ids and
+    /// Slot `t` in the builder's exact orientation: the link's ids and
     /// neighbours with the swap undone.
     #[inline]
     pub fn tet(&self, t: TetId) -> Tet {
-        let rec = &self.records[t as usize];
-        let (mut verts, mut neighbors) = (rec.ids, rec.neighbors);
+        let link = &self.links[t as usize];
+        let (mut verts, mut neighbors) = (link.ids, link.neighbors);
         if self.is_swapped(t) {
             verts.swap(2, 3);
             neighbors.swap(2, 3);
         }
         Tet { verts, neighbors }
+    }
+
+    /// The march's vertex positions, one `[Vec3; 4]` per slot in its
+    /// link's order — `vertex(ids[i])`, and `[a, b, c, 0]` for a ghost —
+    /// written on the first call, which every concurrent first call waits
+    /// for, and read by the marching kernel on every step. `points` is the
+    /// triangulation's vertex array ([`crate::Delaunay::vertices`]).
+    pub fn march_positions(&self, points: &[Vec3]) -> &[[Vec3; 4]] {
+        self.positions.get_or_init(|| {
+            let _span = dtfe_telemetry::span!("core.march_positions_build", slots = self.len());
+            dtfe_telemetry::counter_add!("core.march_cache_builds", 1);
+            map_slots(self.len(), |t| {
+                let ids = self.links[t].ids;
+                let corner = |v: VertexId| match v {
+                    INFINITE => Vec3::ZERO,
+                    v => points[v as usize],
+                };
+                ids.map(corner)
+            })
+        })
+    }
+
+    /// The march's vertex positions if a march has written them.
+    #[inline]
+    pub fn positions(&self) -> Option<&[[Vec3; 4]]> {
+        self.positions.get().map(Vec::as_slice)
     }
 
     /// The lowest vertex height of the mesh.
@@ -177,13 +209,18 @@ impl Topology {
         (self.lo, self.hi)
     }
 
-    /// Resident bytes (the service layer's budget accounting). Counts the
+    /// Resident bytes (the service layer's budget accounting): the links,
+    /// the swap bits and, once written, the march's positions. Counts the
     /// allocations' *capacity*, not their length, so the estimate never
     /// understates what the allocator is holding.
     pub fn bytes(&self) -> usize {
         std::mem::size_of::<Topology>()
-            + self.records.capacity() * std::mem::size_of::<Record>()
+            + self.links.capacity() * std::mem::size_of::<Link>()
             + self.swapped.capacity() * std::mem::size_of::<u64>()
+            + self
+                .positions
+                .get()
+                .map_or(0, |p| p.capacity() * std::mem::size_of::<[Vec3; 4]>())
     }
 }
 
@@ -277,39 +314,51 @@ mod tests {
     }
 
     #[test]
-    fn records_hold_what_the_kernel_reads() {
+    fn links_and_positions_hold_what_the_kernel_reads() {
         let pts = jittered_cloud(5, 77);
         let built = DelaunayBuilder::new().build(&pts).unwrap();
-        assert!(built.topology().is_none(), "no records before the pass");
+        assert!(built.topology().is_none(), "no links before the pass");
         let d = built.into_topology();
         let topo = d.topology().unwrap();
         assert_eq!(topo.len(), d.num_tets() + d.num_ghosts());
+        let links_only = topo.bytes();
+        assert!(links_only >= topo.len() * 32 + topo.len() / 8);
+        assert!(topo.positions().is_none(), "no positions before a march");
+        let positions = topo.march_positions(d.vertices());
+        assert!(std::ptr::eq(positions, topo.march_positions(d.vertices())));
+        assert_eq!(
+            topo.positions().map(<[_]>::as_ptr),
+            Some(positions.as_ptr())
+        );
+        assert_eq!(positions.len(), topo.len());
         for t in 0..topo.len() as TetId {
-            let (rec, tet) = (topo.record(t), d.tet(t));
+            let (link, tet, pos) = (topo.link(t), d.tet(t), positions[t as usize]);
             if tet.is_ghost() {
                 assert!(!topo.is_swapped(t));
-                assert_eq!(rec.ids, tet.verts);
-                assert_eq!(rec.ids[3], INFINITE);
+                assert_eq!(link.ids, tet.verts);
+                assert_eq!(link.ids[3], INFINITE);
+                let [a, b, c, _] = link.ids;
+                assert_eq!(pos, [d.vertex(a), d.vertex(b), d.vertex(c), Vec3::ZERO]);
                 continue;
             }
-            // Positive in float, and the ids and neighbours follow the
-            // positions.
+            // Positive in float, and the ids, neighbours and positions
+            // follow `normalize_tet`'s order.
             let mut p = d.tet_points(t);
             assert_eq!(normalize_tet(&mut p), topo.is_swapped(t));
-            assert_eq!(p, rec.pts);
-            for i in 0..4 {
-                assert_eq!(d.vertex(rec.ids[i]), rec.pts[i]);
+            assert_eq!(p, pos);
+            for (i, &corner) in pos.iter().enumerate() {
+                assert_eq!(d.vertex(link.ids[i]), corner);
                 let face = |ids: [u32; 4], k: usize| {
                     let mut f: Vec<u32> = (0..4).filter(|&j| j != k).map(|j| ids[j]).collect();
                     f.sort_unstable();
                     f
                 };
-                let n = d.tet(rec.neighbors[i]);
+                let n = d.tet(link.neighbors[i]);
                 let back = n.index_of_neighbor(t).unwrap();
-                assert_eq!(face(rec.ids, i), face(n.verts, back));
+                assert_eq!(face(link.ids, i), face(n.verts, back));
             }
         }
-        assert!(topo.bytes() >= topo.len() * 128 + topo.len() / 8);
+        assert_eq!(topo.bytes(), links_only + topo.len() * 96);
         let (lo, hi) = topo.bounds();
         for p in d.vertices() {
             assert!(

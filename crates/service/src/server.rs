@@ -9,9 +9,10 @@
 //! a time and take *every* queued request for that tile as a single batch,
 //! whatever estimators they name: the tile triangulation is resolved once
 //! (cache hit, or one single-flight build), each estimator's table is
-//! filled over it unless it is there, and each request's grid is marched
-//! against the shared mesh via [`dtfe_core::surface_density_with_index`] —
-//! so the marginal cost of the 2nd..Nth coalesced request is render-only.
+//! filled over it unless it is there (and, for a request whose render
+//! marches, the march's positions and hull index), and each request's grid
+//! is rendered against the shared mesh — so the marginal cost of the
+//! 2nd..Nth coalesced request is render-only.
 //!
 //! ## Outcomes
 //!
@@ -588,20 +589,24 @@ fn serve_batch(inner: &Inner, tile: &TileKey, mut jobs: Vec<Job>) {
     let fetched = inner.cache.get_or_build(tile, || {
         let snap = inner.registry.get(&tile.snapshot)?;
         let data = TileData::build(&snap, tile.tile);
-        // A cold tile is inserted already holding the table its first
-        // request renders: one charge, and one eviction pass that makes
-        // room for the mesh and the table together.
+        // A cold tile is inserted already holding what its first request
+        // renders from — its table and, if it marches, the march's state:
+        // one charge, and one eviction pass that makes room for them all.
         data.fill_table(&snap, first.opts.estimator);
+        if data.marches(&first.grid, &first.opts) {
+            data.fill_march();
+        }
         Ok(data)
     });
-    // The batch's other tables, filled by the first job that needs each: a
-    // fill that fails fails the jobs that asked for that estimator, not
-    // the batch. `Ok((data, true))` when the job's table was not there.
+    // The batch's other tables (and the march's state), filled by the
+    // first job that needs each: a fill that fails fails the jobs that
+    // asked for it, not the batch. `Ok((data, true))` when the job's table
+    // or march state was not there.
     let tables: Vec<Result<(&SharedTile, bool), ServiceError>> = jobs
         .iter()
         .map(|job| {
             let (data, _) = fetched.as_ref().map_err(ServiceError::clone)?;
-            Ok((data, ensure_table(inner, tile, data, job.opts.estimator)?))
+            Ok((data, ensure_ready(inner, tile, data, job)?))
         })
         .collect();
     let build_us = pickup.elapsed().as_micros() as u64;
@@ -627,24 +632,32 @@ fn serve_batch(inner: &Inner, tile: &TileKey, mut jobs: Vec<Job>) {
     }
 }
 
-/// Make sure `data` holds `estimator`'s table, filling it — through the
-/// cache, which isolates the fill and charges the bytes — unless it is
-/// there. `Ok(true)` when it was not: this call built it, or waited out
-/// another batch's fill of it, which is a miss either way.
-fn ensure_table(
+/// Make sure `data` holds what `job` renders from — its estimator's table
+/// and, when the render marches, the march's positions and hull index —
+/// filling each through the cache, which isolates the fill and charges
+/// the bytes, unless it is there. `Ok(true)` when one was not: this call
+/// built it, or waited out another batch's fill of it, which is a miss
+/// either way.
+fn ensure_ready(
     inner: &Inner,
     tile: &TileKey,
     data: &SharedTile,
-    estimator: EstimatorKind,
+    job: &Job,
 ) -> Result<bool, ServiceError> {
-    if data.has_table(estimator) {
-        return Ok(false);
+    let estimator = job.opts.estimator;
+    let mut missed = false;
+    if !data.has_table(estimator) {
+        let snap = inner.registry.get(&tile.snapshot)?;
+        inner
+            .cache
+            .fill(tile, data, || data.fill_table(&snap, estimator))?;
+        missed = true;
     }
-    let snap = inner.registry.get(&tile.snapshot)?;
-    inner
-        .cache
-        .fill(tile, data, || data.fill_table(&snap, estimator))?;
-    Ok(true)
+    if !data.has_march() && data.marches(&job.grid, &job.opts) {
+        inner.cache.fill(tile, data, || data.fill_march())?;
+        missed = true;
+    }
+    Ok(missed)
 }
 
 /// March one request against a tile holding its table, timed into `meta`

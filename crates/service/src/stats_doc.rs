@@ -144,7 +144,11 @@ pub struct MetricsDigest {
     /// `core.march_failures`, `core.plucker_edge_evals`,
     /// `core.entry_hint_miss` (hull-index queries: lines with no window
     /// entry), `core.window_entry_hit`, `core.window_entry_fallback` and
-    /// `core.window_walk_steps`. The tile cache counts what it built:
+    /// `core.window_walk_steps`; a tile's first marched render also writes
+    /// the march's positions beside the mesh's links,
+    /// `core.march_cache_builds` (at most one per tile mesh, under the
+    /// `core.march_positions_build` span, with the hull index's
+    /// `core.hull_index_build`). The tile cache counts what it built:
     /// `service.tile_mesh_builds` (one triangulation each, under the
     /// `service.tile_build` span, after `service.tile_extract` cut the
     /// padded set) and `service.tile_table_builds` (one estimator table

@@ -2,25 +2,30 @@
 //!
 //! A tile is one cell of a snapshot's [`Decomposition`]; the cached artifact
 //! is the *one* Delaunay mesh of the tile's ghost-padded particle set — laid
-//! out as one record per tetrahedron in render order, with the 2-D hull
-//! index that locates ray entry points — plus one table per estimator that
-//! has been asked for, filled on first use. Building the mesh is the
-//! `c·n·log₂n` cost the cache amortises, and it is paid once per tile
-//! however many estimators render it; a table is a pass over the mesh (DTFE,
-//! PS-DTFE) or `k` jittered triangulations evaluated at its vertices
-//! (stochastic); rendering against either is the cheap `α·n^β` tail.
+//! out as one 32 B link per tetrahedron in render order — plus one table
+//! per estimator that has been asked for, filled on first use, and, once a
+//! render of the tile marches, what only the march reads: its vertex
+//! positions and the 2-D hull index that locates ray entry points. Building
+//! the mesh is the `c·n·log₂n` cost the cache amortises, and it is paid once
+//! per tile however many estimators render it; a table is a pass over the
+//! mesh (DTFE, PS-DTFE) or `k` jittered triangulations evaluated at its
+//! vertices (stochastic); rendering against either is the cheap `α·n^β`
+//! tail.
 //!
-//! Tables appear after the entry is resident, so an entry's size is not
-//! fixed: [`TileData::bytes`] is what it holds *now*, and the cache
-//! re-charges it after every fill ([`crate::cache::TileCache::fill`]).
+//! Tables and the march's state appear after the entry is resident, so an
+//! entry's size is not fixed: [`TileData::bytes`] is what it holds *now*,
+//! and the cache re-charges it after every fill
+//! ([`crate::cache::TileCache::fill`]).
 //!
 //! [`Decomposition`]: dtfe_framework::Decomposition
 
 use crate::registry::SnapshotData;
 use crate::server::unpoisoned;
+use dtfe_core::marching::projects;
 use dtfe_core::{
-    surface_density_with_index, DtfeTable, EstimatorKind, Field2, GridSpec2, HullIndex,
-    MarchOptions, Mass, PsDtfeTable, RenderMesh, SlotValues, StochasticOptions, StochasticTable,
+    surface_density, surface_density_with_index, DtfeTable, EstimatorKind, Field2, GridSpec2,
+    HullIndex, MarchOptions, Mass, PsDtfeTable, RenderMesh, SlotValues, StochasticOptions,
+    StochasticTable,
 };
 use dtfe_delaunay::DelaunayBuilder;
 use dtfe_geometry::{Aabb3, Vec3};
@@ -101,12 +106,17 @@ impl Table {
 /// first uses of one table run one fill.
 type TableCell = Arc<OnceLock<Table>>;
 
-/// A built tile: the reusable mesh and the estimator tables filled so far.
+/// A built tile: the reusable mesh, the estimator tables filled so far and,
+/// once a render has marched, the march's state.
 pub struct TileData {
     /// `None` when the tile's particle set was affinely degenerate (fewer
     /// than 4 non-coplanar points) — such tiles render as all-zero fields,
     /// matching the batch framework's degenerate-item behaviour.
-    mesh: Option<(RenderMesh, HullIndex)>,
+    mesh: Option<RenderMesh>,
+    /// The hull index a marched render enters by, built together with the
+    /// march's vertex positions on the tile's first marched render
+    /// ([`TileData::fill_march`]); a tile only projected holds neither.
+    hull: OnceLock<HullIndex>,
     /// Which tile of its snapshot this is (seeds the stochastic jitter and
     /// re-extracts the padded set for a table fill).
     tile: usize,
@@ -177,13 +187,21 @@ pub fn write_demo_snapshot(dir: &std::path::Path) -> std::io::Result<()> {
 mod charge {
     /// The entry header: the struct, its `Arc` and its cache slot.
     pub const HEADER: usize = 64;
-    /// Per vertex of the mesh: position and input map (28 B), star volume
-    /// (8 B), and the hull index's share.
+    /// Per vertex of the mesh: position and input map (28 B) and star
+    /// volume (8 B).
     pub const MESH_VERTEX: usize = 96;
-    /// Per tetrahedron slot of the mesh: its 128 B record and its swap
-    /// bit, with headroom for the builder's 32 B slot, which the pass that
-    /// writes the records reads beside them.
-    pub const MESH_SLOT: usize = 168;
+    /// Per tetrahedron slot of the mesh: its 32 B link and its swap bit,
+    /// with headroom for what the pass that writes the links holds beside
+    /// them: the builder's 32 B slot and the 8 B of breadth-first order and
+    /// renumbering.
+    pub const MESH_SLOT: usize = 80;
+    /// Per tetrahedron slot, once a render of the tile has marched: the
+    /// march's four vertex positions (96 B, allocated at their length).
+    pub const MARCH_SLOT: usize = 96;
+    /// Per ghost (hull) slot, once a render of the tile has marched: the
+    /// hull index's share — a downward facet's 56 B entry, the bins its
+    /// projected box overlaps and the bin offsets.
+    pub const HULL_GHOST: usize = 128;
     /// DTFE table, per slot: one interpolant (32 B) and the vertex
     /// densities' share.
     pub const DTFE_SLOT: usize = 48;
@@ -205,8 +223,8 @@ pub struct Charge {
     /// The entry header and its ghost padding ([`TileData::ghost_bytes`]),
     /// or the claimed size of a [`TileData::synthetic`] entry.
     pub header: usize,
-    /// The mesh: vertices, star volumes, tetrahedron records, the hull
-    /// index and the traversal cache.
+    /// The mesh: vertices, star volumes, tetrahedron links and, once a
+    /// render has marched, the march's positions and the hull index.
     pub mesh: usize,
     /// The DTFE table.
     pub dtfe: usize,
@@ -269,11 +287,10 @@ impl TileData {
         let (local, interior) = extract(snap, tile);
         let _span = dtfe_telemetry::span!("service.tile_build", tile = tile, n = local.len());
         dtfe_telemetry::counter_add!("service.tile_mesh_builds", 1);
-        let mesh = DelaunayBuilder::new().build(&local).ok().map(|del| {
-            let mesh = RenderMesh::new(del);
-            let hull = HullIndex::for_mesh(mesh.delaunay());
-            (mesh, hull)
-        });
+        let mesh = DelaunayBuilder::new()
+            .build(&local)
+            .ok()
+            .map(RenderMesh::new);
         // Ghost padding is charged explicitly: those particles' positions
         // are re-materialised by every shard holding a replica of this
         // tile, so they are real per-shard memory the budget must see even
@@ -295,6 +312,7 @@ impl TileData {
     pub fn synthetic(n_particles: usize, bytes: usize) -> TileData {
         TileData {
             mesh: None,
+            hull: OnceLock::new(),
             tile: 0,
             n_particles,
             ghost_particles: 0,
@@ -334,7 +352,7 @@ impl TileData {
     /// with the mesh (its vertices are the merged set, in another order),
     /// so a fill that needs them cuts them from `snap` again.
     pub fn fill_table(&self, snap: &SnapshotData, estimator: EstimatorKind) -> bool {
-        let Some((mesh, _)) = &self.mesh else {
+        let Some(mesh) = &self.mesh else {
             return false;
         };
         let mut built = false;
@@ -374,17 +392,58 @@ impl TileData {
         built
     }
 
-    /// March the requested grid against the mesh under `opts.estimator`'s
-    /// table; the mesh and hull index are shared by every table. `None`
-    /// when that table has not been filled.
+    /// Does a render of `grid` under `opts` march, and so read the march's
+    /// positions and the hull index? `false` when it projects, renders
+    /// zeros, or has no table to render yet.
+    pub fn marches(&self, grid: &GridSpec2, opts: &MarchOptions) -> bool {
+        let Some(mesh) = &self.mesh else {
+            return false;
+        };
+        let cell = self.cell(opts.estimator);
+        let values = cell.get().and_then(|t| t.values(opts.estimator));
+        values.is_some_and(|values| !projects(&mesh.view(values), grid, opts))
+    }
+
+    /// Does a marched render find the march's state? (A degenerate tile
+    /// never marches and needs none.)
+    pub fn has_march(&self) -> bool {
+        self.mesh.is_none() || self.hull.get().is_some()
+    }
+
+    /// Write what a marched render reads beside the mesh — the march's
+    /// vertex positions and the hull index — unless it is there; `true`
+    /// when this call wrote it. Concurrent calls run one build and the
+    /// rest wait for it.
+    pub fn fill_march(&self) -> bool {
+        let Some(mesh) = &self.mesh else {
+            return false;
+        };
+        let mut built = false;
+        self.hull.get_or_init(|| {
+            built = true;
+            march_state(mesh)
+        });
+        built
+    }
+
+    /// Render the requested grid against the mesh under `opts.estimator`'s
+    /// table; the mesh and the march's state are shared by every table.
+    /// `None` when that table has not been filled. A render that marches
+    /// writes the march's state if [`TileData::fill_march`] has not.
     pub fn render(&self, grid: &GridSpec2, opts: &MarchOptions) -> Option<Field2> {
-        let Some((mesh, hull)) = &self.mesh else {
+        let Some(mesh) = &self.mesh else {
             return Some(Field2::zeros(*grid));
         };
         let cell = self.cell(opts.estimator);
-        Some(match cell.get()?.values(opts.estimator) {
-            Some(values) => surface_density_with_index(&mesh.view(values), hull, grid, opts).0,
-            None => Field2::zeros(*grid),
+        let Some(values) = cell.get()?.values(opts.estimator) else {
+            return Some(Field2::zeros(*grid));
+        };
+        let view = mesh.view(values);
+        Some(if projects(&view, grid, opts) {
+            surface_density(&view, grid, opts)
+        } else {
+            let hull = self.hull.get_or_init(|| march_state(mesh));
+            surface_density_with_index(&view, hull, grid, opts).0
         })
     }
 
@@ -394,8 +453,8 @@ impl TileData {
         self.ghost_particles * charge::GHOST_PARTICLE
     }
 
-    /// Estimated resident bytes *now*: the mesh (with the traversal cache
-    /// its first render builds) plus every table filled so far. This is
+    /// Estimated resident bytes *now*: the mesh (with the march's state
+    /// once a render has marched) plus every table filled so far. This is
     /// what the cache charges against its budget, again after each fill.
     pub fn bytes(&self) -> usize {
         self.charge().total()
@@ -404,7 +463,7 @@ impl TileData {
     /// [`TileData::bytes`] by component.
     pub fn charge(&self) -> Charge {
         let header = self.base_bytes.load(Ordering::Relaxed);
-        let Some((mesh, _)) = &self.mesh else {
+        let Some(mesh) = &self.mesh else {
             return Charge {
                 header,
                 ..Charge::default()
@@ -417,6 +476,10 @@ impl TileData {
             mesh: verts * charge::MESH_VERTEX + slots * charge::MESH_SLOT,
             ..Charge::default()
         };
+        if self.hull.get().is_some() {
+            // `march_state` wrote the positions before the index.
+            c.mesh += slots * charge::MARCH_SLOT + del.num_ghosts() * charge::HULL_GHOST;
+        }
         for cell in self.tables().values() {
             match cell.get() {
                 Some(Table::Dtfe(_)) => c.dtfe += slots * charge::DTFE_SLOT,
@@ -430,6 +493,13 @@ impl TileData {
         }
         c
     }
+}
+
+/// What a marched render of `mesh` reads beside its links: the march's
+/// vertex positions, written into the mesh, and the hull index.
+fn march_state(mesh: &RenderMesh) -> HullIndex {
+    mesh.march_cache();
+    HullIndex::for_mesh(mesh.delaunay())
 }
 
 /// Convenience alias used throughout the server.
@@ -480,7 +550,7 @@ mod tests {
         let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(4.0));
         let snap = snap_from(pts, bounds, 1, 0.5);
         let tile = TileData::build(&snap, 0);
-        let (mesh, _) = tile.mesh.as_ref().expect("400 random points triangulate");
+        let mesh = tile.mesh.as_ref().expect("400 random points triangulate");
         let del = mesh.delaunay();
         assert_eq!(tile.n_particles, 400);
         assert!(del.num_tets() > 0);
@@ -551,7 +621,7 @@ mod tests {
         let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(4.0));
         let snap = snap_from(pts, bounds, 1, 0.5);
         let tile = TileData::build(&snap, 0);
-        let (mesh, _) = tile.mesh.as_ref().unwrap();
+        let mesh = tile.mesh.as_ref().unwrap();
         let del = mesh.delaunay();
         let (verts, slots) = (del.num_vertices(), del.num_slots());
         assert_eq!(
@@ -560,12 +630,16 @@ mod tests {
             "render order is dense"
         );
 
-        // Mesh: one record per tetrahedron (the builder's slots are gone
-        // once it is written, but the pass holds both), and per vertex a
-        // position, an input-map entry and a star volume.
-        let records = mesh.view(&[] as &[f64]).cache.bytes();
-        assert!(records >= slots * 128, "a record is 128 B a slot");
-        assert!(slots * charge::MESH_SLOT >= records + slots * size_of::<Tet>());
+        // Mesh: one link per tetrahedron (the builder's slots, the
+        // breadth-first order and the renumbering are gone once it is
+        // written, but the pass holds them all), and per vertex a position,
+        // an input-map entry and a star volume.
+        let topo = del.topology().unwrap();
+        let links = topo.bytes();
+        assert!(topo.positions().is_none(), "a tile is built links-only");
+        assert!(links >= slots * 32, "a link is 32 B a slot");
+        let pass = links + slots * (size_of::<Tet>() + 2 * size_of::<u32>());
+        assert!(slots * charge::MESH_SLOT >= pass);
         assert!(verts * charge::MESH_VERTEX >= verts * (28 + 8));
         let mesh_only = tile.bytes();
         assert_eq!(
@@ -604,11 +678,65 @@ mod tests {
             );
         }
 
-        // An entry holding one estimator: 216 B a slot for DTFE, 184 for
+        // An entry holding one estimator: 128 B a slot for DTFE, 96 for
         // PS-DTFE.
-        assert_eq!(charge::MESH_SLOT + charge::DTFE_SLOT, 216);
-        assert_eq!(charge::MESH_SLOT + charge::PSDTFE_SLOT, 184);
-        assert_eq!(charge::MESH_SLOT + charge::STOCHASTIC_SLOT, 216);
+        assert_eq!(charge::MESH_SLOT + charge::DTFE_SLOT, 128);
+        assert_eq!(charge::MESH_SLOT + charge::PSDTFE_SLOT, 96);
+        assert_eq!(charge::MESH_SLOT + charge::STOCHASTIC_SLOT, 128);
+
+        // The march's state, charged once a render marches: the positions
+        // beside the links and the hull index.
+        let tables = tile.bytes();
+        let grid = GridSpec2::square(dtfe_geometry::Vec2::new(2.0, 2.0), 2.0, 8);
+        let opts = MarchOptions::new().parallel(false);
+        assert!(tile.marches(&grid, &opts) && !tile.has_march());
+        assert!(tile.fill_march());
+        assert!(!tile.fill_march(), "already there");
+        let positions = topo.bytes() - links;
+        assert_eq!(positions, slots * 96, "the positions are 96 B a slot");
+        assert!(slots * charge::MARCH_SLOT >= positions);
+        let hull = tile.hull.get().unwrap().bytes();
+        assert!(del.num_ghosts() * charge::HULL_GHOST >= hull);
+        let march = tile.bytes() - tables;
+        assert_eq!(
+            march,
+            slots * charge::MARCH_SLOT + del.num_ghosts() * charge::HULL_GHOST
+        );
+        tile.render(&grid, &opts).unwrap();
+        assert_eq!(tile.bytes(), tables + march, "a march writes them once");
+    }
+
+    /// A projected render leaves the march's state unwritten; the first
+    /// marched one writes it, once, and renders what a tile that was
+    /// filled first renders.
+    #[test]
+    fn only_a_marched_render_writes_the_march_state() {
+        let pts = cloud(3000, 5, 4.0);
+        let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(4.0));
+        let snap = snap_from(pts, bounds, 1, 0.5);
+        let tile = TileData::build(&snap, 0);
+        tile.fill_table(&snap, DTFE);
+        let positions = || {
+            let del = tile.mesh.as_ref().unwrap().delaunay();
+            del.topology().unwrap().positions().is_some()
+        };
+        let opts = MarchOptions::new().parallel(false);
+        let dense = GridSpec2::square(dtfe_geometry::Vec2::new(2.0, 2.0), 4.0, 128);
+        let windowed = opts.clone().z_range(1.0, 3.0);
+        for opts in [&opts, &windowed] {
+            assert!(!tile.marches(&dense, opts), "a dense grid projects");
+            tile.render(&dense, opts).unwrap();
+        }
+        assert!(!positions() && !tile.has_march());
+        let sparse = GridSpec2::square(dtfe_geometry::Vec2::new(2.0, 2.0), 4.0, 4);
+        assert!(tile.marches(&sparse, &opts));
+        let marched = tile.render(&sparse, &opts).unwrap();
+        assert!(positions() && tile.has_march());
+        assert!(!tile.fill_march(), "the render wrote it");
+        let filled = TileData::build(&snap, 0);
+        filled.fill_table(&snap, DTFE);
+        assert!(filled.fill_march());
+        assert_eq!(filled.render(&sparse, &opts).unwrap().data, marched.data);
     }
 
     #[test]

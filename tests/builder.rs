@@ -278,6 +278,11 @@ fn the_render_topology_is_the_builders_mesh_renumbered() {
         let raw = DelaunayBuilder::new().build(&pts).unwrap();
         let del = DelaunayBuilder::new().build(&pts).unwrap().into_topology();
         let topo = del.topology().expect("laid out");
+        assert!(
+            topo.positions().is_none(),
+            "{what}: links only until a march"
+        );
+        let positions = topo.march_positions(del.vertices());
         let order = bfs_slots(&raw);
         assert_eq!(
             del.num_slots(),
@@ -299,8 +304,18 @@ fn the_render_topology_is_the_builders_mesh_renumbered() {
                 built.neighbors.map(|n| new_of[n as usize]),
                 "{what}: slot {t} neighbours"
             );
-            let swapped = !built.is_ghost() && normalize_tet(&mut raw.tet_points(old));
+            // The march's positions are the corners in `normalize_tet`'s
+            // order, and the swap bit is its decision.
+            let (swapped, corners) = if built.is_ghost() {
+                let [a, b, c, _] = built.verts;
+                let p = [a, b, c].map(|v| raw.vertex(v));
+                (false, [p[0], p[1], p[2], Vec3::ZERO])
+            } else {
+                let mut p = raw.tet_points(old);
+                (normalize_tet(&mut p), p)
+            };
             assert_eq!(topo.is_swapped(t), swapped, "{what}: slot {t} swap bit");
+            assert_eq!(positions[new], corners, "{what}: slot {t} positions");
             swaps += swapped as usize;
             for (k, n) in tet.neighbors.into_iter().enumerate() {
                 let back = del.tet(n).index_of_neighbor(t);
