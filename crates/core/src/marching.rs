@@ -228,8 +228,8 @@ impl HullIndex {
     /// field. A mesh with no downward facet (none exists for a solid hull,
     /// but the float normal test decides) gets an index every query misses.
     pub fn for_mesh(del: &Delaunay) -> HullIndex {
+        let _span = dtfe_telemetry::span!("core.hull_index_build", slots = del.num_slots());
         let facets = entry_facets_of(del);
-        let _span = dtfe_telemetry::span!("core.hull_index_build", facets = facets.len());
         let (inf, neg) = (f64::INFINITY, f64::NEG_INFINITY);
         let mut bounds = Aabb2::new(Vec2::new(inf, inf), Vec2::new(neg, neg));
         for f in &facets {

@@ -57,13 +57,18 @@
 //! `z_in`, `z_out` from Plücker weights — but agree with them to rounding
 //! (`surface_density_reference` is the projector's differential oracle).
 //!
-//! # Two cells per step
+//! # Cells per step
 //!
-//! A row's span is filled two adjacent cells at a time (`fill_span`,
-//! packed SSE2 on x86-64), each lane evaluating `RowPlanes::cell`'s
-//! operations in its order, so the bits are the one-cell loop's: lanes
-//! split a tetrahedron's row, never the order of the tetrahedra a cell
-//! sums (DESIGN.md §4f, "Two cells per step").
+//! A row's span is filled several adjacent cells at a time by `fill_span`,
+//! one generic over the lanes and the tetrahedron's shape. The width is
+//! chosen once per render (`Lanes::host`): four lanes in AVX2 code on an
+//! x86-64 host that has AVX2, two (packed SSE2 on x86-64) otherwise. The
+//! shape — how many of the faces are lower and how many upper — is chosen
+//! once per element, so a row's plane loops have fixed counts. Each lane
+//! evaluates `RowPlanes::cell`'s operations in its order, with no fused
+//! multiply-add, so the bits are the one-cell loop's whatever the width:
+//! lanes split a tetrahedron's row, never the order of the tetrahedra a
+//! cell sums (DESIGN.md §4f, "Cells per step").
 
 use crate::estimator::{FieldView, SlotValues};
 use crate::grid::{Field2, GridSpec2};
@@ -73,6 +78,7 @@ use dtfe_geometry::plucker::{TET_EDGES, TET_FACES};
 use dtfe_geometry::predicates::{orient2d_inline as orient2d, Orientation};
 use dtfe_geometry::{Vec2, Vec3};
 use rayon::prelude::*;
+use std::array::from_fn;
 use std::ops::Range;
 
 /// Rows per band of a parallel render. A band's worker visits the
@@ -195,20 +201,19 @@ impl RowPlane {
     }
 }
 
-/// One row of a projected tetrahedron: its face planes on the row — the
-/// lower (entry) faces first, then the upper (exit) ones, each group in
-/// face order — and the heights its integral is clipped to.
+/// One row of a projected tetrahedron with `LOWER` lower (entry) faces and
+/// `UPPER` upper (exit) ones: their planes on the row, each group in face
+/// order, and the heights its integral is clipped to.
 #[derive(Clone, Copy, Debug)]
-struct RowPlanes {
+struct RowPlanes<const LOWER: usize, const UPPER: usize> {
     y: f64,
-    planes: [RowPlane; 4],
-    n_lower: usize,
-    n: usize,
+    lower: [RowPlane; LOWER],
+    upper: [RowPlane; UPPER],
     z_lo: f64,
     z_hi: f64,
 }
 
-impl RowPlanes {
+impl<const LOWER: usize, const UPPER: usize> RowPlanes<LOWER, UPPER> {
     /// Eq. 12 on the centre line at `x` of the row: `f(mid) · (b − a)`
     /// over the clipped interval `[a, b]`, or `None` where it is empty;
     /// `f` is the field inside the tetrahedron. The one definition of a
@@ -216,61 +221,84 @@ impl RowPlanes {
     /// order.
     #[inline]
     fn cell(&self, f: impl Fn(Vec3) -> f64, x: f64) -> Option<f64> {
-        let (lower, upper) = self.planes[..self.n].split_at(self.n_lower);
-        let mut z_in = lower[0].z(x);
-        for p in &lower[1..] {
+        let mut z_in = self.lower[0].z(x);
+        for p in &self.lower[1..] {
             z_in = z_in.max(p.z(x));
         }
-        let mut z_out = upper[0].z(x);
-        for p in &upper[1..] {
+        let mut z_out = self.upper[0].z(x);
+        for p in &self.upper[1..] {
             z_out = z_out.min(p.z(x));
         }
         let (a, b) = (z_in.max(self.z_lo), z_out.min(self.z_hi));
         (b > a).then(|| f(Vec3::new(x, self.y, 0.5 * (a + b))) * (b - a))
     }
-}
 
-/// Add row `planes`' cells at the centres `xs` to `out` (one cell per
-/// centre) and return how many had a non-empty interval. Two adjacent
-/// cells per step, lane by lane in [`RowPlanes::cell`]'s operation order:
-/// `f64::max`/`min` ignore a NaN in each lane as they do in one, and an
-/// empty lane adds `+0.0`, which leaves every cell as it was — a cell
-/// starts at `+0.0` and a round-to-nearest sum never makes it `−0.0`. An
-/// odd last cell takes the scalar path. Out of line so the packed code has
-/// a symbol of its own to disassemble.
-#[inline(never)]
-fn fill_span(planes: &RowPlanes, f: impl Fn(Vec3) -> f64, xs: &[f64], out: &mut [f64]) -> u64 {
-    debug_assert_eq!(xs.len(), out.len());
-    let (lower, upper) = planes.planes[..planes.n].split_at(planes.n_lower);
-    let z = |p: &RowPlane, x: [f64; 2]| [p.z(x[0]), p.z(x[1])];
-    let mut nonempty = 0;
-    let mut pairs = out.chunks_exact_mut(2);
-    for (o, x) in (&mut pairs).zip(xs.chunks_exact(2)) {
-        let x = [x[0], x[1]];
-        let mut z_in = z(&lower[0], x);
-        for p in &lower[1..] {
-            let zp = z(p, x);
-            z_in = [z_in[0].max(zp[0]), z_in[1].max(zp[1])];
+    /// [`RowPlanes::cell`] at the `N` adjacent centres `x`, one lane each,
+    /// added to `out`; returns how many had a non-empty interval. An empty
+    /// lane adds `+0.0`.
+    #[inline(always)]
+    fn cells<const N: usize>(&self, f: &impl Fn(Vec3) -> f64, x: [f64; N], out: &mut [f64]) -> u64 {
+        let z = |p: &RowPlane| -> [f64; N] { from_fn(|k| p.z(x[k])) };
+        let mut z_in = z(&self.lower[0]);
+        for p in &self.lower[1..] {
+            let zp = z(p);
+            z_in = from_fn(|k| z_in[k].max(zp[k]));
         }
-        let mut z_out = z(&upper[0], x);
-        for p in &upper[1..] {
-            let zp = z(p, x);
-            z_out = [z_out[0].min(zp[0]), z_out[1].min(zp[1])];
+        let mut z_out = z(&self.upper[0]);
+        for p in &self.upper[1..] {
+            let zp = z(p);
+            z_out = from_fn(|k| z_out[k].min(zp[k]));
         }
-        let a = [z_in[0].max(planes.z_lo), z_in[1].max(planes.z_lo)];
-        let b = [z_out[0].min(planes.z_hi), z_out[1].min(planes.z_hi)];
-        let lane = |k: usize| {
-            let v = f(Vec3::new(x[k], planes.y, 0.5 * (a[k] + b[k]))) * (b[k] - a[k]);
+        let a: [f64; N] = from_fn(|k| z_in[k].max(self.z_lo));
+        let b: [f64; N] = from_fn(|k| z_out[k].min(self.z_hi));
+        let v: [f64; N] = from_fn(|k| {
+            let v = f(Vec3::new(x[k], self.y, 0.5 * (a[k] + b[k]))) * (b[k] - a[k]);
             if b[k] > a[k] {
                 v
             } else {
                 0.0
             }
-        };
-        let v = [lane(0), lane(1)];
-        o[0] += v[0];
-        o[1] += v[1];
-        nonempty += (b[0] > a[0]) as u64 + (b[1] > a[1]) as u64;
+        });
+        for (o, v) in out.iter_mut().zip(v) {
+            *o += v;
+        }
+        (0..N).map(|k| (b[k] > a[k]) as u64).sum()
+    }
+}
+
+/// Add row `planes`' cells at the centres `xs` to `out` (one cell per
+/// centre) and return how many had a non-empty interval: `LANES` adjacent
+/// cells per step, then two, then one through [`RowPlanes::cell`]. Each
+/// lane evaluates `cell`'s operations in its order: `f64::max`/`min`
+/// ignore a NaN in each lane as they do in one, and an empty lane adds
+/// `+0.0`, which leaves every cell as it was — a cell starts at `+0.0` and
+/// a round-to-nearest sum never makes it `−0.0`. The plane counts are the
+/// tetrahedron's shape, so the plane loops unroll.
+///
+/// The width is chosen once per render ([`Lanes`]): the body is inlined
+/// into [`fill_span_x2`] and, on an x86-64 host with AVX2, into
+/// [`fill_span_x4_avx2`], compiled for 256-bit registers. Those two stay
+/// out of line, so the packed code has symbols of its own to disassemble.
+#[inline(always)]
+fn fill_span<const LANES: usize, const LOWER: usize, const UPPER: usize>(
+    planes: &RowPlanes<LOWER, UPPER>,
+    f: impl Fn(Vec3) -> f64,
+    xs: &[f64],
+    out: &mut [f64],
+) -> u64 {
+    debug_assert_eq!(xs.len(), out.len());
+    let mut nonempty = 0;
+    let mut wide = out.chunks_exact_mut(LANES);
+    for (o, x) in (&mut wide).zip(xs.chunks_exact(LANES)) {
+        nonempty += planes.cells::<LANES>(&f, from_fn(|k| x[k]), o);
+    }
+    let out = wide.into_remainder();
+    let xs = &xs[xs.len() - out.len()..];
+    let mut pairs = out.chunks_exact_mut(2);
+    if LANES > 2 {
+        for (o, x) in (&mut pairs).zip(xs.chunks_exact(2)) {
+            nonempty += planes.cells(&f, [x[0], x[1]], o);
+        }
     }
     if let ([o], [.., x]) = (pairs.into_remainder(), xs) {
         if let Some(v) = planes.cell(&f, *x) {
@@ -279,6 +307,74 @@ fn fill_span(planes: &RowPlanes, f: impl Fn(Vec3) -> f64, xs: &[f64], out: &mut 
         }
     }
     nonempty
+}
+
+/// [`fill_span`] two cells per step: packed SSE2 on x86-64.
+#[inline(never)]
+fn fill_span_x2<const LOWER: usize, const UPPER: usize>(
+    planes: &RowPlanes<LOWER, UPPER>,
+    f: impl Fn(Vec3) -> f64,
+    xs: &[f64],
+    out: &mut [f64],
+) -> u64 {
+    fill_span::<2, LOWER, UPPER>(planes, f, xs, out)
+}
+
+/// [`fill_span`] four cells per step, in 256-bit AVX registers. AVX2 adds
+/// no fused multiply-add (that is the `fma` feature, not enabled here),
+/// so every operation rounds as in [`fill_span_x2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline(never)]
+fn fill_span_x4_avx2<const LOWER: usize, const UPPER: usize>(
+    planes: &RowPlanes<LOWER, UPPER>,
+    f: impl Fn(Vec3) -> f64,
+    xs: &[f64],
+    out: &mut [f64],
+) -> u64 {
+    fill_span::<4, LOWER, UPPER>(planes, f, xs, out)
+}
+
+/// The cells a render fills per step, chosen once per render by
+/// [`Lanes::host`].
+#[derive(Clone, Copy, Debug)]
+enum Lanes {
+    /// Two: baseline SSE2 on x86-64, portable code elsewhere.
+    X2,
+    /// Four, in AVX2 code. Made only by [`Lanes::host`], on a host that
+    /// has AVX2.
+    #[cfg(target_arch = "x86_64")]
+    X4Avx2,
+}
+
+impl Lanes {
+    /// The widest fill this host runs.
+    fn host() -> Lanes {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            return Lanes::X4Avx2;
+        }
+        Lanes::X2
+    }
+
+    /// [`fill_span`] at this width.
+    #[inline(always)]
+    fn fill<const LOWER: usize, const UPPER: usize>(
+        self,
+        planes: &RowPlanes<LOWER, UPPER>,
+        f: impl Fn(Vec3) -> f64,
+        xs: &[f64],
+        out: &mut [f64],
+    ) -> u64 {
+        match self {
+            Lanes::X2 => fill_span_x2(planes, f, xs, out),
+            // SAFETY: `X4Avx2` is made only by `Lanes::host`, after
+            // `is_x86_feature_detected!("avx2")` said this host has AVX2,
+            // the one feature `fill_span_x4_avx2` enables.
+            #[cfg(target_arch = "x86_64")]
+            Lanes::X4Avx2 => unsafe { fill_span_x4_avx2(planes, f, xs, out) },
+        }
+    }
 }
 
 /// A projected edge, endpoints in vertex-id order, and its inverse slope
@@ -430,30 +526,51 @@ impl Element {
         }
     }
 
-    /// Add the element's integral to every covered cell of `rows × cols`;
-    /// `out` holds the cells of `out_rows × out_cols` row-major. `f` is the
-    /// field inside the tetrahedron. Returns the pairs — the cells covered
-    /// or, under a window inside the mesh, those whose clipped interval is
-    /// non-empty — and the rows set up.
+    /// Add the element's integral to every covered cell of `rows × cols`
+    /// in `band`. `f` is the field inside the tetrahedron. Returns the
+    /// pairs — the cells covered or, under a window inside the mesh, those
+    /// whose clipped interval is non-empty — and the rows set up.
+    ///
+    /// The element's shape, its `(lower, upper)` face counts, is chosen
+    /// here once: (1, 3), (2, 2) or (3, 1), or with one or two vertical
+    /// faces (1, 1), (1, 2) or (2, 1). One with no lower face has no upper
+    /// one either (see [`Element::new`]) and covers nothing.
+    #[inline]
+    fn project(
+        &self,
+        f: impl Fn(Vec3) -> f64,
+        rows: Range<usize>,
+        cols: &Range<usize>,
+        band: &mut Band<'_>,
+    ) -> (u64, u64) {
+        match (self.n_lower, self.n_faces - self.n_lower) {
+            (1, 3) => self.project_shaped::<1, 3>(f, rows, cols, band),
+            (2, 2) => self.project_shaped::<2, 2>(f, rows, cols, band),
+            (3, 1) => self.project_shaped::<3, 1>(f, rows, cols, band),
+            (1, 1) => self.project_shaped::<1, 1>(f, rows, cols, band),
+            (1, 2) => self.project_shaped::<1, 2>(f, rows, cols, band),
+            (2, 1) => self.project_shaped::<2, 1>(f, rows, cols, band),
+            _ => (0, 0),
+        }
+    }
+
+    /// [`Element::project`] for an element of `LOWER` lower and `UPPER`
+    /// upper faces.
     ///
     /// Each silhouette edge crosses the rows whose centres lie in its
     /// half-open y-extent, the centres from its lower end's row to its
     /// upper end's. So the rows fall into runs over which the same edges
     /// cross, and each run looks up its two bounding edges once.
-    #[allow(clippy::too_many_arguments)]
     #[inline]
-    fn project(
+    fn project_shaped<const LOWER: usize, const UPPER: usize>(
         &self,
         f: impl Fn(Vec3) -> f64,
-        xs: &Axis,
-        ys: &Axis,
         rows: Range<usize>,
         cols: &Range<usize>,
-        out_rows: &Range<usize>,
-        out_cols: &Range<usize>,
-        out: &mut [f64],
+        band: &mut Band<'_>,
     ) -> (u64, u64) {
-        let width = out_cols.len();
+        let (xs, ys) = (band.xs, band.ys);
+        let width = band.cols.len();
         let (mut covered, mut nonempty, mut set_up) = (0, 0, 0);
         let mut planes = None;
         let edges = &self.silhouette[..self.n_silhouette];
@@ -495,28 +612,26 @@ impl Element {
                     continue;
                 }
                 covered += (hi - lo) as u64;
-                let planes: &[Plane; 4] = planes.get_or_insert_with(|| {
-                    let mut planes = [Plane::default(); 4];
-                    for (pl, &f) in planes.iter_mut().zip(&self.faces[..self.n_faces]) {
-                        let [i, j, k] = TET_FACES[f];
-                        *pl = Plane::through(self.p[i], self.p[j], self.p[k]);
-                    }
-                    planes
-                });
-                let mut row = RowPlanes {
+                let (lower, upper): &([Plane; LOWER], [Plane; UPPER]) =
+                    planes.get_or_insert_with(|| {
+                        let plane = |f: usize| {
+                            let [i, j, k] = TET_FACES[self.faces[f]];
+                            Plane::through(self.p[i], self.p[j], self.p[k])
+                        };
+                        (from_fn(plane), from_fn(|k| plane(LOWER + k)))
+                    });
+                let row: RowPlanes<LOWER, UPPER> = RowPlanes {
                     y,
-                    planes: [RowPlane::default(); 4],
-                    n_lower: self.n_lower,
-                    n: self.n_faces,
+                    lower: from_fn(|k| lower[k].on_row(y)),
+                    upper: from_fn(|k| upper[k].on_row(y)),
                     z_lo: self.z_lo,
                     z_hi: self.z_hi,
                 };
-                for (r, p) in row.planes.iter_mut().zip(&planes[..self.n_faces]) {
-                    *r = p.on_row(y);
-                }
-                let cells = &mut out[(j - out_rows.start) * width..][..width];
-                let at = lo - out_cols.start..hi - out_cols.start;
-                nonempty += fill_span(&row, &f, &xs.centres[lo..hi], &mut cells[at]);
+                let cells = &mut band.out[(j - band.rows.start) * width..][..width];
+                let at = lo - band.cols.start..hi - band.cols.start;
+                nonempty += band
+                    .lanes
+                    .fill(&row, &f, &xs.centres[lo..hi], &mut cells[at]);
             }
         }
         (if self.clipped { nonempty } else { covered }, set_up)
@@ -566,27 +681,32 @@ fn reach(
     (!c.is_empty()).then_some((r, c))
 }
 
-/// Project the finite tetrahedra `tets` of `view` (in slot order) into
-/// `out`, the cells of `rows × cols` row-major, skipping those that reach
-/// no centre there. Returns the `(line, tetrahedron)` pairs and the rows
-/// the tetrahedra set up.
-#[allow(clippy::too_many_arguments)]
-fn project_into(
-    view: &FieldView<'_>,
-    xs: &Axis,
-    ys: &Axis,
-    window: Window,
-    tets: &[TetId],
+/// The cells one [`project_into`] call fills: `rows × cols` of the
+/// render's axes `xs × ys`, row-major in `out`, `lanes` cells per step.
+struct Band<'a> {
+    xs: &'a Axis,
+    ys: &'a Axis,
+    lanes: Lanes,
     rows: Range<usize>,
     cols: Range<usize>,
-    out: &mut [f64],
+    out: &'a mut [f64],
+}
+
+/// Project the finite tetrahedra `tets` of `view` (in slot order) into
+/// `band`, skipping those that reach no centre of it. Returns the
+/// `(line, tetrahedron)` pairs and the rows the tetrahedra set up.
+fn project_into(
+    view: &FieldView<'_>,
+    window: Window,
+    tets: &[TetId],
+    mut band: Band<'_>,
 ) -> (u64, u64) {
     let (topo, points) = (view.cache, view.del.vertices());
     let (mut pairs, mut set_up) = (0, 0);
     for &t in tets {
         let link = topo.link(t);
         let p = corners(points, link);
-        let Some((reach_rows, reach_cols)) = reach(&p, window, xs, ys, &rows, &cols) else {
+        let Some((rows, cols)) = reach(&p, window, band.xs, band.ys, &band.rows, &band.cols) else {
             continue;
         };
         let el = Element::new(link, p, topo.is_swapped(t), window);
@@ -594,12 +714,11 @@ fn project_into(
             SlotValues::Linear(table) => {
                 // `x₀` is vertex 0, which the swap of 2 and 3 keeps.
                 let (row, x0) = (table[t as usize], el.p[0]);
-                let f = |mid| row.eval(x0, mid);
-                el.project(f, xs, ys, reach_rows, &reach_cols, &rows, &cols, out)
+                el.project(|mid| row.eval(x0, mid), rows, &cols, &mut band)
             }
             SlotValues::Constant(c) => {
                 let c = c[t as usize];
-                el.project(|_| c, xs, ys, reach_rows, &reach_cols, &rows, &cols, out)
+                el.project(|_| c, rows, &cols, &mut band)
             }
         };
         pairs += p;
@@ -737,23 +856,40 @@ pub(crate) fn render(
     let tets = gathered.unwrap_or_else(|| finite(&view).collect());
     dtfe_telemetry::counter_add!("core.project_tets", tets.len() as u64);
     let mut out = Field2::zeros(*grid);
-    let nx = grid.nx;
+    let (nx, lanes) = (grid.nx, Lanes::host());
     let (pairs, rows) = if parallel {
         let bands = bands(&view, &xs, &ys, window, &tets);
         out.data
             .par_chunks_mut(BAND_ROWS * nx)
             .enumerate()
-            .map(|(b, band)| {
+            .map(|(b, out)| {
                 let j0 = b * BAND_ROWS;
-                let rows = j0..j0 + band.len() / nx;
-                project_into(&view, &xs, &ys, window, &bands[b], rows, 0..nx, band)
+                let rows = j0..j0 + out.len() / nx;
+                let (xs, ys, cols) = (&xs, &ys, 0..nx);
+                let band = Band {
+                    xs,
+                    ys,
+                    lanes,
+                    rows,
+                    cols,
+                    out,
+                };
+                project_into(&view, window, &bands[b], band)
             })
             .collect::<Vec<_>>()
             .into_iter()
             .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
     } else {
-        let rows = 0..grid.ny;
-        project_into(&view, &xs, &ys, window, &tets, rows, 0..nx, &mut out.data)
+        let (xs, ys, rows, cols) = (&xs, &ys, 0..grid.ny, 0..nx);
+        let band = Band {
+            xs,
+            ys,
+            lanes,
+            rows,
+            cols,
+            out: &mut out.data,
+        };
+        project_into(&view, window, &tets, band)
     };
     dtfe_telemetry::counter_add!("core.project_rows", rows);
     // The march's traversal counters, so `tets_crossed / los_marched`
@@ -812,15 +948,19 @@ mod tests {
         }
     }
 
-    /// `fill_span` and [`RowPlanes::cell`] one centre at a time, from the
-    /// same cells: the same bits and the same count.
-    fn same_as_scalar(planes: &RowPlanes, f: impl Fn(Vec3) -> f64, xs: &[f64]) {
+    /// Every width's fill and [`RowPlanes::cell`] one centre at a time,
+    /// from the same cells: the same bits and the same count. The widths
+    /// are two lanes, four lanes in baseline code, and the render's choice
+    /// on this host (four in AVX2 code where the host has AVX2).
+    fn same_as_scalar<const L: usize, const U: usize>(
+        planes: &RowPlanes<L, U>,
+        f: impl Fn(Vec3) -> f64,
+        xs: &[f64],
+    ) {
         let start: Vec<f64> = (0..xs.len())
             .map(|k| if k % 3 == 0 { 0.0 } else { 0.37 * k as f64 })
             .collect();
-        let mut lanes = start.clone();
-        let n = fill_span(planes, &f, xs, &mut lanes);
-        let mut scalar = start;
+        let mut scalar = start.clone();
         let mut m = 0;
         for (o, &x) in scalar.iter_mut().zip(xs) {
             if let Some(v) = planes.cell(&f, x) {
@@ -829,27 +969,43 @@ mod tests {
             }
         }
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(n, m, "{planes:?} at {xs:?}");
-        assert_eq!(bits(&lanes), bits(&scalar), "{planes:?} at {xs:?}");
+        for width in ["2 lanes", "4 lanes", "host"] {
+            let mut lanes = start.clone();
+            let out = &mut lanes[..];
+            let n = match width {
+                "2 lanes" => Lanes::X2.fill(planes, &f, xs, out),
+                "4 lanes" => fill_span::<4, L, U>(planes, &f, xs, out),
+                _ => Lanes::host().fill(planes, &f, xs, out),
+            };
+            assert_eq!(n, m, "{width}: {planes:?} at {xs:?}");
+            assert_eq!(bits(&lanes), bits(&scalar), "{width}: {planes:?} at {xs:?}");
+        }
     }
 
-    fn row(d: &mut Draws, n_lower: usize, n: usize) -> RowPlanes {
-        let mut planes = [RowPlane::default(); 4];
-        for p in &mut planes[..n] {
-            *p = RowPlane {
-                r: value(d),
-                g: value(d),
-                x0: value(d),
-            };
+    fn plane(d: &mut Draws) -> RowPlane {
+        RowPlane {
+            r: value(d),
+            g: value(d),
+            x0: value(d),
         }
-        let (a, b) = (finite(d), finite(d));
+    }
+
+    /// A random row: clipped (finite heights inside the planes' range) or
+    /// at full depth (heights beyond every finite plane a row draws but
+    /// the extremes).
+    fn row<const L: usize, const U: usize>(d: &mut Draws, full_depth: bool) -> RowPlanes<L, U> {
+        let (a, b) = if full_depth {
+            (-1e6, 1e6)
+        } else {
+            let (a, b) = (finite(d), finite(d));
+            (a.min(b), a.max(b))
+        };
         RowPlanes {
             y: finite(d),
-            planes,
-            n_lower,
-            n,
-            z_lo: a.min(b),
-            z_hi: a.max(b),
+            lower: from_fn(|_| plane(d)),
+            upper: from_fn(|_| plane(d)),
+            z_lo: a,
+            z_hi: b,
         }
     }
 
@@ -863,17 +1019,19 @@ mod tests {
         (row, Vec3::new(finite(d), finite(d), finite(d)), finite(d))
     }
 
-    #[test]
-    fn lanes_equal_the_scalar_cell_on_random_and_special_rows() {
-        let mut d = Draws::new(42, 0);
-        for case in 0..4000 {
-            let n_lower = 1 + case % 3;
-            let n = n_lower + 1 + below(&mut d, 4 - n_lower);
-            let planes = row(&mut d, n_lower, n);
+    fn random_rows<const L: usize, const U: usize>(seed: u64) {
+        let mut d = Draws::new(seed, 0);
+        for case in 0..1500 {
+            let planes: RowPlanes<L, U> = row(&mut d, case % 5 == 0);
             let len = case % 10;
             let (origin, cell) = (finite(&mut d), 0.25 + below(&mut d, 4) as f64);
             let mut xs: Vec<f64> = (0..len).map(|k| origin + (k as f64 + 0.5) * cell).collect();
-            let anchor = planes.planes[below(&mut d, n)].x0;
+            let k = below(&mut d, L + U);
+            let anchor = if k < L {
+                planes.lower[k].x0
+            } else {
+                planes.upper[k - L].x0
+            };
             if len > 0 && case % 4 == 0 && anchor.is_finite() {
                 // A centre on a plane's anchor: `g · 0` is NaN when `g` is
                 // infinite.
@@ -886,7 +1044,19 @@ mod tests {
     }
 
     #[test]
-    fn lanes_equal_the_scalar_cell_on_clip_heights_and_signed_zeros() {
+    fn lanes_equal_the_scalar_cell_on_random_and_special_rows() {
+        random_rows::<1, 3>(42);
+        random_rows::<2, 2>(43);
+        random_rows::<3, 1>(44);
+        random_rows::<1, 1>(45);
+        random_rows::<1, 2>(46);
+        random_rows::<2, 1>(47);
+    }
+
+    /// Floors and ceilings exactly on the clip heights, signed zeros in
+    /// the planes and the clip, and a plane crossing both clip heights
+    /// inside the span, for every shape.
+    fn clip_heights_and_signed_zeros<const L: usize, const U: usize>() {
         let flat = |z: f64| RowPlane {
             r: z,
             g: 0.0,
@@ -900,9 +1070,6 @@ mod tests {
         let xs: Vec<f64> = (0..9).map(|k| k as f64 * 0.5).collect();
         let mut d = Draws::new(7, 0);
         let (row, x0, c) = integrands(&mut d);
-        // Floors and ceilings exactly on the clip heights, signed zeros in
-        // the planes and the clip, and a plane crossing both clip heights
-        // inside the span.
         let heights = [
             (-1.0, 1.0),
             (-0.0, 0.0),
@@ -913,15 +1080,12 @@ mod tests {
         for (z_lo, z_hi) in heights {
             let lowers = [flat(z_lo), flat(-0.0), flat(0.0), sloped, flat(z_hi)];
             let uppers = [flat(z_hi), flat(0.0), flat(-0.0), sloped, flat(z_lo)];
-            for lower in lowers {
-                for upper in uppers {
-                    let mut planes = [RowPlane::default(); 4];
-                    (planes[0], planes[1]) = (lower, upper);
-                    let planes = RowPlanes {
+            for i in 0..lowers.len() {
+                for j in 0..uppers.len() {
+                    let planes = RowPlanes::<L, U> {
                         y: -0.0,
-                        planes,
-                        n_lower: 1,
-                        n: 2,
+                        lower: from_fn(|k| lowers[(i + k) % lowers.len()]),
+                        upper: from_fn(|k| uppers[(j + k) % uppers.len()]),
                         z_lo,
                         z_hi,
                     };
@@ -933,5 +1097,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn lanes_equal_the_scalar_cell_on_clip_heights_and_signed_zeros() {
+        clip_heights_and_signed_zeros::<1, 3>();
+        clip_heights_and_signed_zeros::<2, 2>();
+        clip_heights_and_signed_zeros::<3, 1>();
+        clip_heights_and_signed_zeros::<1, 1>();
+        clip_heights_and_signed_zeros::<1, 2>();
+        clip_heights_and_signed_zeros::<2, 1>();
     }
 }

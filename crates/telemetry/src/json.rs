@@ -51,6 +51,7 @@ pub enum Json {
 impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -99,7 +100,11 @@ impl Json {
     }
 }
 
+/// A parser over valid UTF-8 (`text`), stepping through its bytes: every
+/// byte it branches on is ASCII, so each `pos` it slices `text` at is a
+/// character boundary.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -159,7 +164,7 @@ impl Parser<'_> {
                 break;
             }
         }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let s = &self.text[start..self.pos];
         s.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("bad number '{s}' at byte {start}"))
@@ -187,11 +192,10 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return Err("truncated \\u escape".to_string());
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| "bad \\u escape".to_string())?;
+                            let hex = self
+                                .text
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or_else(|| "truncated \\u escape".to_string())?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| "bad \\u escape".to_string())?;
                             // Surrogate pairs are not emitted by our writer;
@@ -204,12 +208,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance over one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash (both
+                    // ASCII, so the run ends on a character boundary).
+                    let run = &self.bytes[self.pos..];
+                    let len = run
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(run.len());
+                    out.push_str(&self.text[self.pos..self.pos + len]);
+                    self.pos += len;
                 }
             }
         }

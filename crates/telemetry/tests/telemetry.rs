@@ -369,6 +369,61 @@ fn metrics_json_roundtrips_through_checker() {
     assert_eq!(merged.histogram("test.widget_us").unwrap().count(), 2);
 }
 
+/// The checker reads a trace in time linear in its size: a ~20k-span
+/// document — the size of a traced 15 s `serve_warm` run — with non-ASCII
+/// span names and escapes checks in well under a second in release, and
+/// every name comes back as written.
+#[test]
+fn a_twenty_thousand_span_trace_checks_in_linear_time() {
+    const NAMES: [&str; 4] = [
+        "core.project_render",
+        "Σ_T(ξ) 投影",
+        "ρ̂ \"quoted\" \\ tab\t",
+        "line\nbreak ✓",
+    ];
+    let spans = 20_000;
+    let mut text = String::from("{\"traceEvents\":[\n");
+    for i in 0..spans {
+        let mut name = String::new();
+        dtfe_telemetry::json::escape_into(&mut name, NAMES[i % NAMES.len()]);
+        let (b, e) = (2 * i, 2 * i + 1);
+        text.push_str(&format!(
+            "{{\"name\":{name},\"ph\":\"B\",\"ts\":{b},\"pid\":0,\"tid\":{},\
+             \"args\":{{\"cpu_us\":{i},\"note\":\"ω{i}\"}}}},\n\
+             {{\"name\":{name},\"ph\":\"E\",\"ts\":{e},\"pid\":0,\"tid\":{}}}",
+            i % 3,
+            i % 3,
+        ));
+        text.push_str(if i + 1 < spans { ",\n" } else { "\n" });
+    }
+    text.push_str("]}");
+    let start = std::time::Instant::now();
+    let stats = check_chrome_trace(&text).expect("valid trace");
+    let elapsed = start.elapsed();
+    assert_eq!(stats.spans, spans);
+    assert_eq!(stats.events, 2 * spans);
+    // Minutes while the string reader re-validated the rest of the
+    // document per character; milliseconds in release now, and a debug
+    // build still far inside this bound.
+    assert!(elapsed < Duration::from_secs(20), "checked in {elapsed:?}");
+    let doc = dtfe_telemetry::json::Json::parse(&text).unwrap();
+    let events = doc.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
+    for (i, ev) in events.iter().enumerate() {
+        let k = i / 2;
+        assert_eq!(
+            ev.get("name").and_then(|v| v.as_str()),
+            Some(NAMES[k % NAMES.len()])
+        );
+        if i % 2 == 0 {
+            let note = ev
+                .get("args")
+                .and_then(|a| a.get("note"))
+                .and_then(|v| v.as_str());
+            assert_eq!(note, Some(format!("ω{k}").as_str()));
+        }
+    }
+}
+
 #[test]
 fn checker_rejects_broken_traces() {
     // Unbalanced: B without E.
