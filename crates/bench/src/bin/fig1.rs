@@ -14,7 +14,7 @@ use dtfe_bench::{Scale, SeriesWriter};
 use dtfe_core::density::{DtfeField, Mass};
 use dtfe_core::grid::GridSpec2;
 use dtfe_core::io::{experiments_dir, write_pgm};
-use dtfe_core::marching::{surface_density_with_stats, MarchOptions};
+use dtfe_core::marching::{surface_density, MarchOptions};
 use dtfe_nbody::datasets::cluster_with_substructure;
 use std::time::Instant;
 
@@ -30,7 +30,7 @@ fn main() {
     let t_tri = t0.elapsed().as_secs_f64();
     let grid = GridSpec2::square(bounds.center().xy(), 4.0, ng);
     let t0 = Instant::now();
-    let (sigma, stats) = surface_density_with_stats(&field, &grid, &MarchOptions::default());
+    let sigma = surface_density(&field, &grid, &MarchOptions::default());
     let t_render = t0.elapsed().as_secs_f64();
 
     let out = experiments_dir().join("fig1_cluster.pgm");
@@ -52,6 +52,5 @@ fn main() {
     w.row(&format!("sigma_min_covered,{lo:.4e}"));
     w.row(&format!("sigma_max,{hi:.4e}"));
     w.row(&format!("dynamic_range_dex,{:.2}", (hi / lo).log10()));
-    w.row(&format!("perturbations,{}", stats.perturbations));
     println!("# map: {}", out.display());
 }

@@ -27,6 +27,7 @@
 use crate::density::{EntryFacet, Mass, TetInterp};
 use crate::marching::MarchCache;
 use dtfe_delaunay::{Delaunay, TetId};
+use dtfe_geometry::predicates::{orient2d, Orientation};
 use dtfe_geometry::tetra::{linear_gradient, volume};
 use dtfe_geometry::Vec3;
 use rayon::prelude::*;
@@ -194,14 +195,15 @@ pub trait FieldEstimator: Sync {
 
 /// The downward hull facets (`n_hull · ẑ < 0`, Eq. 14) of a triangulation,
 /// projected into the x-y plane: the entry candidates for vertical lines of
-/// sight.
+/// sight. A facet is downward when its exact projected winding is
+/// clockwise — the complement of the march's `faces_up`, a vertical facet
+/// being neither — so the facets tile the hull's footprint exactly.
 pub fn entry_facets_of(del: &Delaunay) -> Vec<EntryFacet> {
     let mut out = Vec::new();
     for g in del.ghost_tets() {
         let [a, b, c] = del.hull_facet(g);
         let (pa, pb, pc) = (del.vertex(a), del.vertex(b), del.vertex(c));
-        let n = (pb - pa).cross(pc - pa);
-        if n.z < 0.0 {
+        if orient2d(pa.xy(), pb.xy(), pc.xy()) == Orientation::Negative {
             out.push(EntryFacet {
                 ghost: g,
                 a: pa.xy(),

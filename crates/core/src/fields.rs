@@ -131,12 +131,11 @@ mod tests {
         let field = ScalarField::new(&mesh, values);
         let index = HullIndex::build(&field);
         let xi = Vec2::new(1.7, 1.4);
-        let los = |f: &ScalarField<'_>, stats: &mut MarchStats| {
-            march_cell(f, &index, xi, None, 1e-9, 16, 1, stats)
-        };
+        let los =
+            |f: &ScalarField<'_>, stats: &mut MarchStats| march_cell(f, &index, xi, None, stats);
         let mut stats = MarchStats::default();
         let got = los(&field, &mut stats);
-        assert_eq!(stats.perturbations, 0);
+        assert_eq!(stats.failures, 0);
         // Find a, b by marching the density-agnostic way: reuse the crossing
         // machinery through a constant-1 field to get the chord length and
         // first/last z.

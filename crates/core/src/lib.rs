@@ -13,8 +13,9 @@
 //!   the vertical line of sight with Plücker ray–tetrahedron tests, and
 //!   integrate the linear interpolant *exactly* per tetrahedron by
 //!   evaluating at the midpoint of the intersection interval (Eq. 11–13).
-//!   No intermediate 3D grid is ever built. Degenerate crossings are
-//!   resolved by the paper's `Perturb` routine (Fig. 2).
+//!   No intermediate 3D grid is ever built. Every edge side is decided
+//!   exactly, so no crossing is degenerate and the paper's `Perturb`
+//!   routine (Fig. 2) is not needed.
 //! * [`walking`] — the baseline the paper compares against (§III-C): render
 //!   a 3D grid by walking point location (Eq. 6) and collapse it along z
 //!   (Eq. 4–5). This mimics the DTFE public software's kernel and is what

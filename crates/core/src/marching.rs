@@ -18,10 +18,24 @@
 //! Entry into the mesh goes through the **hull projection** (Eq. 14): the
 //! downward-facing hull facets (`n_hull · ẑ < 0`) are projected into the x-y
 //! plane and indexed in a uniform bin grid; locating `ξ` in that 2D
-//! "triangulation" yields the first tetrahedron. Degenerate crossings
-//! (through a vertex, edge, or coplanar face) are resolved by the paper's
-//! `Perturb` routine (Fig. 2): nudge `ℓ` by at most `ε` toward a randomly
-//! chosen vertex of the offending tetrahedron and re-march.
+//! "triangulation" yields the first tetrahedron.
+//!
+//! # No degenerate line
+//!
+//! Which side of a projected edge a line passes is decided exactly, for
+//! the line moved by the symbolic offset `(ε, ε²)`, `ε → 0⁺`
+//! ([`dtfe_geometry::predicates::orient2d_sos`]) — in the Plücker edge
+//! sides of both kernels ([`dtfe_geometry::plucker`]: a float product
+//! stands where it clears one static error bound per mesh, only those
+//! inside it go to the exact rule), in the hull entry's point-in-facet
+//! test, and in the element projector's spans ([`crate::projector`]). The
+//! moved line lies on no projected edge or vertex, so it lies in exactly
+//! one tetrahedron at every height, and a line through a vertex, along an
+//! edge or in a face plane is marched like any other. The paper's
+//! `Perturb` restart (Figs. 2–3) has nothing to do and does not exist
+//! here. Two guards stay against a corrupt mesh — a tetrahedron the line
+//! neither enters nor leaves, and a step cap — which end the line and
+//! count a `failures`; neither is reached on a valid triangulation.
 //!
 //! # The line of sight of a windowed render
 //!
@@ -47,15 +61,15 @@
 //! same verdict (DESIGN.md §4f).
 //!
 //! From `T₀` the *same* loop runs with no carried face seed, exactly as
-//! after a hull entry, so clipping, the `z_out ≥ z_hi` exit, `Perturb` and
-//! every counter are one code path; a restart after `Perturb` re-enters by
-//! the same rule for the perturbed `ξ`. Strict containment is unique in a
+//! after a hull entry, so clipping, the `z_out ≥ z_hi` exit, the guards
+//! and every counter are one code path. Strict containment is unique in a
 //! valid triangulation, so `T₀` does not depend on how it is found: the
 //! kernel walks to it from the previous line's `T₀`, the reference locates
-//! it from scratch, and the two agree on data and on every counter.
-//! `crossings` therefore counts the tetrahedra the *segment* meets;
-//! tetrahedra wholly below the window are never examined, so a degeneracy
-//! down there no longer perturbs a line it cannot contribute to. On every
+//! it from scratch, and the two agree on data and on every counter. `T₀`
+//! strictly contains the floor point, so the line moved by the symbolic
+//! offset passes through it too. `crossings` therefore counts the
+//! tetrahedra the *segment* meets; tetrahedra wholly below the window are
+//! never examined. On every
 //! path a tetrahedron the line enters at or above the ceiling `z_hi` — by
 //! its rounded entry height, or exactly, its lowest vertex at or above
 //! `z_hi` — ends the line without being counted: a hull-entered line whose
@@ -72,18 +86,17 @@
 //! * **Shared-edge Plücker traversal** — each step reuses the
 //!   direction-matched edge side-products of the face the ray just exited
 //!   through ([`dtfe_geometry::plucker::ray_tetra_seeded`]), and the
-//!   per-step orientation normalization and vertex gathers are hoisted into
-//!   the mesh's links and the positions its first march writes beside them
-//!   ([`MarchCache`]).
+//!   per-step vertex gathers are hoisted into the positions the mesh's
+//!   first march writes beside its links ([`MarchCache`]).
 //! * **Hinted window entry** — a windowed line finds its `T₀` by a
 //!   visibility walk from the previous line's `T₀` (the previous row's
 //!   first cell at a row start), with exact predicates; the hint can only
 //!   change how many steps the walk takes, never where it ends.
 //! * **Tiled parallelism** — workers render square 2D tiles of 64 × 64
-//!   cells instead of whole rows. Every random draw of a
-//!   line of sight — its jitter and each `Perturb` restart — is a pure
-//!   function of the line's key ([`line_key`]: cell, sample, restart), so a
-//!   cell renders the same bits in any tile, on any thread, or alone
+//!   cells instead of whole rows. The one random draw of a line of sight,
+//!   its jitter, is a pure function of the line's key ([`line_key`]: cell
+//!   and sample), so a cell renders the same bits in any tile, on any
+//!   thread, or alone
 //!   ([`cell_value`]); tiles are rendered independently and copied out.
 //!
 //! # Which kernel renders
@@ -117,22 +130,14 @@ use crate::estimator::{entry_facets_of, FieldEstimator, FieldView, SlotValues};
 use crate::grid::{Field2, GridSpec2};
 use crate::projector;
 use dtfe_delaunay::{Delaunay, TetId, VertexId, NONE};
-use dtfe_geometry::plucker::{ray_tetra_seeded, FaceSeed, Plucker, Ray};
-use dtfe_geometry::predicates::{orient2d, orient3d_uncounted, Orientation};
+use dtfe_geometry::plucker::{ray_tetra_seeded, side_error_bound, FaceSeed};
+use dtfe_geometry::predicates::{orient2d, orient2d_sos, orient3d_uncounted, Orientation};
 use dtfe_geometry::{Aabb2, Vec2, Vec3};
 use rayon::prelude::*;
 
 mod reference;
 pub use crate::render::MarchOptions;
 pub use reference::{surface_density_reference, surface_density_reference_hull_entry};
-
-/// Paper Fig. 2's `ε`: how far `Perturb` moves `ξ`, relative to the cell
-/// diagonal.
-const EPSILON: f64 = 1e-7;
-
-/// Perturbation restarts a line may spend before it keeps its best-effort
-/// value (with exact entry handling this is practically unreachable).
-const MAX_PERTURB: usize = 64;
 
 /// Edge, in cells, of the square tiles a parallel march renders.
 const TILE: usize = 64;
@@ -187,9 +192,9 @@ impl EntryHint {
 
 /// The mesh's tetrahedra as the kernel steps through them: one 32-byte
 /// [`dtfe_delaunay::Link`] per tetrahedron — vertex ids (the labels the
-/// shared-edge reuse keys on) and neighbour slots with the
-/// [`ray_tetra`](dtfe_geometry::plucker::ray_tetra) orientation swap
-/// already applied — and, beside them, the positions in the same order,
+/// shared-edge reuse keys on) and neighbour slots in the builder's order,
+/// positive exactly as [`ray_tetra_seeded`] expects — and, beside them,
+/// the positions in the same order,
 /// which the first march writes ([`MarchCache::march_positions`]), so a
 /// traversal step reads one link and one slot of positions; and the
 /// vertex box: a window whose floor is not above its lowest height has no
@@ -225,8 +230,8 @@ impl HullIndex {
     }
 
     /// [`HullIndex::build`] for a caller that holds the mesh rather than a
-    /// field. A mesh with no downward facet (none exists for a solid hull,
-    /// but the float normal test decides) gets an index every query misses.
+    /// field. A mesh with no downward facet (none exists for a solid hull)
+    /// gets an index every query misses.
     pub fn for_mesh(del: &Delaunay) -> HullIndex {
         let _span = dtfe_telemetry::span!("core.hull_index_build", slots = del.num_slots());
         let facets = entry_facets_of(del);
@@ -303,9 +308,11 @@ impl HullIndex {
             + (self.off.capacity() + self.items.capacity()) * std::mem::size_of::<u32>()
     }
 
-    /// The ghost tetrahedron whose projected hull facet contains `q`
-    /// (boundary inclusive; the first such facet in bin order); `None` when
-    /// `q` is outside the hull footprint.
+    /// The ghost tetrahedron whose projected hull facet contains `q` moved
+    /// by the symbolic offset `(ε, ε²)` (module docs): strictly, so exactly
+    /// one facet contains a line over the hull footprint, the one whose
+    /// tetrahedron the march's edge sides then find it crossing; `None`
+    /// when the moved point is outside the footprint.
     #[inline(never)] // once per hull-entered line; see `march_one`
     pub fn query(&self, q: Vec2) -> Option<TetId> {
         if q.x < self.bounds.lo.x
@@ -326,28 +333,31 @@ impl HullIndex {
     }
 }
 
-/// Boundary-inclusive point-in-triangle via exact 2D orientations, tolerant
-/// of either winding; zero-area triangles contain nothing.
+/// Whether `q` moved by the symbolic offset `(ε, ε²)` lies strictly
+/// inside the triangle, by the exact side rule the march's edge sides use
+/// ([`orient2d_sos`]); either winding, and a zero-area triangle contains
+/// nothing.
 fn triangle_contains(a: Vec2, b: Vec2, c: Vec2, q: Vec2) -> bool {
     let s = orient2d(a, b, c);
-    if s == Orientation::Zero {
-        return false;
-    }
-    let ok = |o: Orientation| o == s || o == Orientation::Zero;
-    ok(orient2d(a, b, q)) && ok(orient2d(b, c, q)) && ok(orient2d(c, a, q))
+    s != Orientation::Zero
+        && orient2d_sos(a, b, q) == s
+        && orient2d_sos(b, c, q) == s
+        && orient2d_sos(c, a, q) == s
 }
 
 // ---------------------------------------------------------------------------
 // Stats and RNG.
 
-/// Outcome counters for a march (exposed so experiments can report
-/// degeneracy rates, which drive the paper's Fig. 13 discussion).
+/// Outcome counters for a march.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MarchStats {
-    /// Rays whose line of sight hit a degeneracy and were perturbed.
+    /// Always 0: exact edge sides leave no line degenerate, so nothing is
+    /// perturbed (module docs). The field stays only for the `perf`
+    /// harness, which reads it.
     pub perturbations: u64,
-    /// Rays abandoned after their last `Perturb` restart (best-effort value
-    /// kept).
+    /// Lines a guard against a corrupt mesh ended — a tetrahedron the line
+    /// neither enters nor leaves, or the step cap — keeping the value
+    /// summed so far. Neither is reached on a valid triangulation.
     pub failures: u64,
     /// Total tetrahedron crossings: the tetrahedra the marched lines of
     /// sight examined. Under a window, on a line that enters at its window
@@ -362,8 +372,8 @@ pub struct MarchStats {
     /// Always 0: the march keeps no hull-entry hint. The field stays only
     /// for the `perf` harness, which reads it.
     pub entry_hint_hits: u64,
-    /// Hull-entry queries: lines (and `Perturb` restarts) without a window
-    /// entry that asked [`HullIndex::query`] (`core.entry_hint_miss`).
+    /// Hull-entry queries: lines without a window entry that asked
+    /// [`HullIndex::query`] (`core.entry_hint_miss`).
     pub entry_hint_misses: u64,
     /// Lines that entered at their window entry `T₀`
     /// (`core.window_entry_hit`).
@@ -408,19 +418,17 @@ fn absorb(h: u64, x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The key of jitter sample `sample` of grid cell `(i, j)`. Every random
-/// draw of that line of sight — where it pierces the cell, and each
-/// `Perturb` restart — is a function of this key alone, never of the lines
-/// rendered before it; [`march_cell`] with this key reproduces the line
-/// as a render marches it.
+/// The key of jitter sample `sample` of grid cell `(i, j)`. Where that
+/// line of sight pierces the cell is a function of this key alone, never
+/// of the lines rendered before it, so [`march_cell`] at that point
+/// reproduces the line as a render marches it.
 #[inline]
 pub fn line_key(i: usize, j: usize, sample: usize) -> u64 {
     absorb(absorb(absorb(0, j as u64), i as u64), sample as u64)
 }
 
 /// The draws of one line at one step: a splitmix64 stream seeded from the
-/// line's key and `n` — the `Perturb` restart for the marching kernels (0
-/// is the unperturbed line, whose only draws are its jitter), the 3D level
+/// line's key and `n` — 0 for the marching kernels' jitter, the 3D level
 /// for the walking baseline. It lives for one call.
 pub(crate) struct Draws(u64);
 
@@ -443,43 +451,42 @@ impl Draws {
     }
 }
 
-/// Line `sample` of cell `(i, j)`: its key, and where it pierces the grid
-/// plane — the cell centre in a one-sample render, else a point uniform in
-/// the cell drawn from the key.
+/// Where line `sample` of cell `(i, j)` pierces the grid plane: the cell
+/// centre in a one-sample render, else a point uniform in the cell drawn
+/// from the line's key.
 #[inline]
-fn line_of_sight(
-    grid: &GridSpec2,
-    i: usize,
-    j: usize,
-    sample: usize,
-    samples: usize,
-) -> (u64, Vec2) {
-    let key = line_key(i, j, sample);
+fn line_of_sight(grid: &GridSpec2, i: usize, j: usize, sample: usize, samples: usize) -> Vec2 {
     if samples <= 1 {
-        return (key, grid.center(i, j));
+        return grid.center(i, j);
     }
-    let mut d = Draws::new(key, 0);
+    let mut d = Draws::new(line_key(i, j, sample), 0);
     let base = Vec2::new(
         grid.origin.x + i as f64 * grid.cell.x,
         grid.origin.y + j as f64 * grid.cell.y,
     );
-    (
-        key,
-        base + Vec2::new(d.unit() * grid.cell.x, d.unit() * grid.cell.y),
-    )
+    base + Vec2::new(d.unit() * grid.cell.x, d.unit() * grid.cell.y)
 }
 
 // ---------------------------------------------------------------------------
 // The coherent kernel.
 
-/// Loop-invariant state of one render, hoisted out of the per-cell restart
-/// loop: the [`FieldView`]'s three borrows, the march's positions (written
-/// here on the mesh's first march), the hull index, the step bound,
-/// the integration window, and the floor a window entry is sought at (`None`
-/// when the render has no window or its floor is not above the mesh's
-/// lowest vertex). Not generic: every backend, named or `dyn`, renders
-/// through this one kernel, so the `pub` entry points below are one-line
-/// shims over `field.view()`.
+/// The error bound of a side product over a mesh whose vertex box is
+/// `(lo, hi)` ([`side_error_bound`]), from the box's largest `|x|` or
+/// `|y|`. A line that reaches a tetrahedron lies over the hull's
+/// footprint, inside that box, so the box bounds the line's coordinates
+/// too, whatever the grid.
+pub(crate) fn mesh_side_bound(lo: Vec3, hi: Vec3) -> f64 {
+    side_error_bound(lo.x.abs().max(lo.y.abs()).max(hi.x.abs()).max(hi.y.abs()))
+}
+
+/// Loop-invariant state of one render: the [`FieldView`]'s three borrows,
+/// the march's positions (written here on the mesh's first march), the hull
+/// index, the side products' error bound, the step bound, the integration
+/// window, and the floor a window entry is sought at (`None` when the
+/// render has no window or its floor is not above the mesh's lowest
+/// vertex). Not generic: every backend, named or `dyn`, renders through
+/// this one kernel, so the `pub` entry points below are one-line shims
+/// over `field.view()`.
 struct MarchCtx<'a> {
     del: &'a Delaunay,
     cache: &'a MarchCache,
@@ -488,20 +495,14 @@ struct MarchCtx<'a> {
     index: &'a HullIndex,
     z_range: Option<(f64, f64)>,
     window_floor: Option<f64>,
-    eps: f64,
-    max_perturb: usize,
+    side_bound: f64,
     max_steps: usize,
 }
 
 impl<'a> MarchCtx<'a> {
-    fn new(
-        view: FieldView<'a>,
-        index: &'a HullIndex,
-        z_range: Option<(f64, f64)>,
-        eps: f64,
-        max_perturb: usize,
-    ) -> MarchCtx<'a> {
+    fn new(view: FieldView<'a>, index: &'a HullIndex, z_range: Option<(f64, f64)>) -> MarchCtx<'a> {
         let FieldView { del, cache, values } = view;
+        let (lo, hi) = cache.bounds();
         MarchCtx {
             del,
             cache,
@@ -510,60 +511,25 @@ impl<'a> MarchCtx<'a> {
             index,
             z_range,
             window_floor: z_range.map(|(lo, _)| lo).filter(|&lo| lo > cache.z_min()),
-            eps,
-            max_perturb,
+            side_bound: mesh_side_bound(lo, hi),
             max_steps: del.num_tets() + del.num_ghosts() + 16,
         }
     }
 }
 
-/// One degeneracy event (the paper's Fig. 2 policy, in exactly one place):
-/// count it, spend a restart attempt, and return the perturbed `ξ` — or
-/// `None` when the budget is exhausted and the caller keeps the cell's
-/// best-effort value. Both the step-count bailout and the
-/// degenerate-crossing bailout of both kernels funnel through here.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn perturb_or_fail(
-    del: &Delaunay,
-    t: TetId,
-    xi: Vec2,
-    eps: f64,
-    max_perturb: usize,
-    line: u64,
-    attempts: &mut usize,
-    stats: &mut MarchStats,
-) -> Option<Vec2> {
-    stats.perturbations += 1;
-    *attempts += 1;
-    if *attempts > max_perturb {
-        stats.failures += 1;
-        return None;
-    }
-    Some(perturb(del, t, xi, eps, line, *attempts))
-}
-
 /// Integrate the estimator's field along the vertical line of sight through
-/// `xi` (paper Fig. 3, one iteration of the kernel loop).
-///
-/// `eps` is the *absolute* perturbation magnitude; `line` keys the draws of
-/// any `Perturb` restart ([`line_key`]). Returns the integral and updates
-/// `stats`.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's kernel signature
+/// `xi` (paper Fig. 3, one iteration of the kernel loop). Returns the
+/// integral and updates `stats`.
 pub fn march_cell<E: FieldEstimator + ?Sized>(
     field: &E,
     index: &HullIndex,
     xi: Vec2,
     z_range: Option<(f64, f64)>,
-    eps: f64,
-    max_perturb: usize,
-    line: u64,
     stats: &mut MarchStats,
 ) -> f64 {
     march_one(
-        &MarchCtx::new(field.view(), index, z_range, eps, max_perturb),
+        &MarchCtx::new(field.view(), index, z_range),
         xi,
-        line,
         stats,
         &mut EntryHint::cold(),
     )
@@ -576,19 +542,13 @@ pub fn march_cell<E: FieldEstimator + ?Sized>(
 /// binary. With a single instantiation every helper it reaches has a single
 /// caller and LLVM folds them all in here (2.7 kB → 5.1 kB measured) — the
 /// effect that cost ~4 % when it happened to `window_entry` alone. So the
-/// once-per-line searches and the cold `Perturb` path are pinned out of
+/// once-per-line searches and the exact edge-side rule are pinned out of
 /// line, and this function out of the row loop: the shape the kernel had
 /// when it was compiled once per backend (DESIGN.md §4f).
 #[inline(never)]
-fn march_one(
-    ctx: &MarchCtx<'_>,
-    xi: Vec2,
-    line: u64,
-    stats: &mut MarchStats,
-    hint: &mut EntryHint,
-) -> f64 {
+fn march_one(ctx: &MarchCtx<'_>, xi: Vec2, stats: &mut MarchStats, hint: &mut EntryHint) -> f64 {
     let crossings_before = stats.crossings;
-    let v = march_cell_inner(ctx, xi, line, stats, hint);
+    let v = march_cell_inner(ctx, xi, stats, hint);
     // Per-LOS traversal depth distribution; free when telemetry is off and
     // invisible on rayon workers unless a global recorder is installed.
     dtfe_telemetry::hist_record!("core.tets_per_los", stats.crossings - crossings_before);
@@ -621,12 +581,10 @@ fn faces_up(del: &Delaunay, [a, b, c]: [VertexId; 3]) -> bool {
 /// facet that does not face up, it ends on a tie, or it exceeds the step
 /// cap (which bounds a walk over corrupt adjacency);
 /// [`Start::AboveHull`] when it leaves through one that does. Reads each
-/// tetrahedron with the links' float
-/// normalization undone ([`MarchCache::tet`]) and its corners from the
-/// vertex array: the face signs are defined against the builder's exact
-/// orientation. Never inlined: it runs once per line, and folding it into
-/// the per-tetrahedron loop's function measurably slowed renders that have
-/// no window at all.
+/// tetrahedron's ids from its link ([`MarchCache::tet`]) and its corners
+/// from the vertex array. Never inlined: it runs once per line, and folding
+/// it into the per-tetrahedron loop's function measurably slowed renders
+/// that have no window at all.
 #[inline(never)]
 fn window_entry(ctx: &MarchCtx<'_>, xi: Vec2, hint: &mut TetId, stats: &mut MarchStats) -> Start {
     let Some(z_lo) = ctx.window_floor else {
@@ -708,7 +666,7 @@ pub fn window_entry_with_hint<E: FieldEstimator + ?Sized>(
     mut hint: TetId,
 ) -> Option<TetId> {
     match window_entry(
-        &MarchCtx::new(field.view(), index, Some((z_lo, f64::INFINITY)), 0.0, 0),
+        &MarchCtx::new(field.view(), index, Some((z_lo, f64::INFINITY))),
         xi,
         &mut hint,
         &mut MarchStats::default(),
@@ -721,159 +679,92 @@ pub fn window_entry_with_hint<E: FieldEstimator + ?Sized>(
 fn march_cell_inner(
     ctx: &MarchCtx<'_>,
     xi: Vec2,
-    line: u64,
     stats: &mut MarchStats,
     hint: &mut EntryHint,
 ) -> f64 {
-    let mut xi_cur = xi;
-    let mut attempts = 0usize;
-    // Unlike the paper's Fig. 3 (which keeps partial sums across a
-    // perturbation), we restart the whole ray after Perturb so every
-    // contribution comes from one consistent line; the difference is O(ε).
-    'restart: loop {
-        // The first tetrahedron: the window entry where the line has one,
-        // else the tetrahedron above the hull-projection facet.
-        let mut t = match window_entry(ctx, xi_cur, &mut hint.window, stats) {
-            Start::Entry(t0) => t0,
-            start => {
-                stats.entry_hint_misses += 1;
-                match ctx.index.query(xi_cur) {
-                    Some(ghost) if start == Start::Hull => ctx.cache.link(ghost).neighbors[3],
-                    // Beside the footprint, or over it with the floor above
-                    // the hull: the segment meets no tetrahedron.
-                    _ => return 0.0,
-                }
+    // The first tetrahedron: the window entry where the line has one, else
+    // the tetrahedron above the hull-projection facet.
+    let mut t = match window_entry(ctx, xi, &mut hint.window, stats) {
+        Start::Entry(t0) => t0,
+        start => {
+            stats.entry_hint_misses += 1;
+            match ctx.index.query(xi) {
+                Some(ghost) if start == Start::Hull => ctx.cache.link(ghost).neighbors[3],
+                // Beside the footprint, or over it with the floor above
+                // the hull: the segment meets no tetrahedron.
+                _ => return 0.0,
             }
+        }
+    };
+    let mut total = 0.0;
+    // Exit-face side-products carried across the shared face, together
+    // with the receiving tetrahedron's local entry face (the slot whose
+    // neighbor is the tetrahedron just exited) so the seed match checks
+    // only that face's edges.
+    let mut carry: Option<(FaceSeed, Option<usize>)> = None;
+    for _ in 0..ctx.max_steps {
+        let (ct, pts) = (ctx.cache.link(t), &ctx.pts[t as usize]);
+        let (entry, entry_face) = match carry.as_ref() {
+            Some((s, f)) => (Some(s), *f),
+            None => (None, None),
         };
-        let ray = Ray::vertical(xi_cur.x, xi_cur.y);
-        let pl = Plucker::from_ray(&ray);
-        let mut total = 0.0;
-        let mut steps = 0usize;
-        // Exit-face side-products carried across the shared face, together
-        // with the receiving tetrahedron's local entry face (the slot whose
-        // neighbor is the tetrahedron just exited) so the seed match checks
-        // only that face's edges. Never carried over a restart (a perturbed
-        // line is a new ray).
-        let mut carry: Option<(FaceSeed, Option<usize>)> = None;
-        loop {
-            steps += 1;
-            if steps > ctx.max_steps {
-                // Structurally impossible on a valid triangulation; treat as
-                // a degeneracy and perturb.
-                match perturb_or_fail(
-                    ctx.del,
-                    t,
-                    xi_cur,
-                    ctx.eps,
-                    ctx.max_perturb,
-                    line,
-                    &mut attempts,
-                    stats,
-                ) {
-                    Some(x) => {
-                        xi_cur = x;
-                        continue 'restart;
-                    }
-                    None => return total,
-                }
+        let (hit, exit_seed) = ray_tetra_seeded(
+            xi,
+            ctx.side_bound,
+            pts,
+            &ct.ids,
+            entry,
+            entry_face,
+            &mut stats.edge_evals,
+        );
+        let (Some((_, p_in)), Some((exit_face, p_out))) = (hit.enter, hit.exit) else {
+            // A line reaches only tetrahedra it crosses on a valid
+            // triangulation; a corrupt one ends it here.
+            stats.failures += 1;
+            return total;
+        };
+        let (mut a, mut b) = (p_in.z, p_out.z);
+        if b < a {
+            (a, b) = (b, a);
+        }
+        if let Some((zlo, zhi)) = ctx.z_range {
+            if a >= zhi || pts.iter().all(|p| p.z >= zhi) {
+                // The segment ended below this tetrahedron: its entry
+                // height, or — exactly, as the projector decides it —
+                // its lowest vertex is at or above the ceiling.
+                return total;
             }
-            let (ct, pts) = (ctx.cache.link(t), &ctx.pts[t as usize]);
-            let (entry, entry_face) = match carry.as_ref() {
-                Some((s, f)) => (Some(s), *f),
-                None => (None, None),
-            };
-            let (hit, exit_seed) =
-                ray_tetra_seeded(&pl, pts, &ct.ids, entry, entry_face, &mut stats.edge_evals);
-            let (false, Some((_, p_in)), Some((exit_face, p_out))) =
-                (hit.degenerate, hit.enter, hit.exit)
-            else {
-                match perturb_or_fail(
-                    ctx.del,
-                    t,
-                    xi_cur,
-                    ctx.eps,
-                    ctx.max_perturb,
-                    line,
-                    &mut attempts,
-                    stats,
-                ) {
-                    Some(x) => {
-                        xi_cur = x;
-                        continue 'restart;
-                    }
-                    None => return total,
-                }
-            };
-            let (mut a, mut b) = (p_in.z, p_out.z);
-            if b < a {
-                (a, b) = (b, a);
+            a = a.max(zlo);
+            b = b.min(zhi);
+        }
+        stats.crossings += 1;
+        if b > a {
+            // Eq. 12: exact integral via the interval midpoint. `x₀` is
+            // the slot's vertex 0.
+            let mid = Vec3::new(xi.x, xi.y, 0.5 * (a + b));
+            let rho_mid = ctx.values.eval(t, pts[0], mid);
+            total += rho_mid * (b - a);
+        }
+        if let Some((_, zhi)) = ctx.z_range {
+            if p_out.z >= zhi {
+                return total; // monotone in z: nothing further contributes
             }
-            if let Some((zlo, zhi)) = ctx.z_range {
-                if a >= zhi || pts.iter().all(|p| p.z >= zhi) {
-                    // The segment ended below this tetrahedron: its entry
-                    // height, or — exactly, as the projector decides it —
-                    // its lowest vertex is at or above the ceiling.
-                    return total;
-                }
-                a = a.max(zlo);
-                b = b.min(zhi);
-            }
-            stats.crossings += 1;
-            if b > a {
-                // Eq. 12: exact integral via the interval midpoint. `x₀` is
-                // the slot's vertex 0 (the normalization swaps only 2 ↔ 3).
-                let mid = Vec3::new(xi_cur.x, xi_cur.y, 0.5 * (a + b));
-                let rho_mid = ctx.values.eval(t, pts[0], mid);
-                total += rho_mid * (b - a);
-            }
-            if let Some((_, zhi)) = ctx.z_range {
-                if p_out.z >= zhi {
-                    return total; // monotone in z: nothing further contributes
-                }
-            }
+        }
 
-            let next = ct.neighbors[exit_face];
-            let nt = ctx.cache.link(next);
-            if nt.ids[3] == u32::MAX {
-                return total; // left the hull (a convex body is exited once)
-            }
-            // The face of `next` we enter through is the one sharing the
-            // exit face, i.e. whose neighbor slot points back at `t`.
-            carry = Some((exit_seed, nt.neighbors.iter().position(|&n| n == t)));
-            t = next;
+        let next = ct.neighbors[exit_face];
+        let nt = ctx.cache.link(next);
+        if nt.ids[3] == u32::MAX {
+            return total; // left the hull (a convex body is exited once)
         }
+        // The face of `next` we enter through is the one sharing the
+        // exit face, i.e. whose neighbor slot points back at `t`.
+        carry = Some((exit_seed, nt.neighbors.iter().position(|&n| n == t)));
+        t = next;
     }
-}
-
-/// The paper's `Perturb` (Fig. 2): move `ξ` by at most `eps` toward the
-/// projection of a randomly chosen vertex of the offending tetrahedron,
-/// with the draws of restart `attempt` of line `line`.
-#[cold]
-#[inline(never)]
-fn perturb(del: &Delaunay, t: TetId, xi: Vec2, eps: f64, line: u64, attempt: usize) -> Vec2 {
-    let mut d = Draws::new(line, attempt as u64);
-    let tet = del.tet(t);
-    for _ in 0..4 {
-        let v = tet.verts[(d.next() % 4) as usize];
-        if v == dtfe_delaunay::INFINITE {
-            continue;
-        }
-        let mut delta = del.vertex(v).xy() - xi;
-        let n = delta.norm();
-        if n == 0.0 {
-            continue; // ξ sits exactly on this vertex's projection
-        }
-        if n > eps {
-            delta = delta * (eps / n);
-        }
-        // Extra deterministic jitter so repeated perturbations from the same
-        // tetrahedron do not retrace the same degenerate line.
-        let jitter = Vec2::new(d.unit() - 0.5, d.unit() - 0.5) * (0.1 * eps);
-        return xi + delta + jitter;
-    }
-    // All vertices project onto ξ (pathological): random direction.
-    let ang = d.unit() * std::f64::consts::TAU;
-    xi + Vec2::new(ang.cos(), ang.sin()) * eps
+    // The step cap: a line crosses each tetrahedron at most once, so only
+    // a corrupt mesh's cycle reaches it.
+    stats.failures += 1;
+    total
 }
 
 // ---------------------------------------------------------------------------
@@ -1041,8 +932,7 @@ fn march_render(
     opts: &MarchOptions,
 ) -> (Field2, MarchStats) {
     let span = dtfe_telemetry::span!("core.march_render", nx = grid.nx, ny = grid.ny);
-    let eps = EPSILON * grid.cell.norm();
-    let ctx = MarchCtx::new(view, index, opts.z_range, eps, MAX_PERTURB);
+    let ctx = MarchCtx::new(view, index, opts.z_range);
     let samples = opts.samples;
     let mut out = Field2::zeros(*grid);
     let mut stats = MarchStats::default();
@@ -1058,6 +948,7 @@ fn march_render(
     // which covers the parallel path too (workers only merged into `stats`).
     dtfe_telemetry::counter_add!("core.los_marched", (grid.nx * grid.ny) as u64);
     dtfe_telemetry::counter_add!("core.tets_crossed", stats.crossings);
+    // Always 0 (`MarchStats::perturbations`); the `perf` harness reads it.
     dtfe_telemetry::counter_add!("core.degenerate_restarts", stats.perturbations);
     dtfe_telemetry::counter_add!("core.march_failures", stats.failures);
     dtfe_telemetry::counter_add!("core.entry_hint_miss", stats.entry_hint_misses);
@@ -1149,9 +1040,8 @@ pub fn cell_value<E: FieldEstimator + ?Sized>(
     opts: &MarchOptions,
     stats: &mut MarchStats,
 ) -> f64 {
-    let eps = EPSILON * grid.cell.norm();
     cell_value_inner(
-        &MarchCtx::new(field.view(), index, opts.z_range, eps, MAX_PERTURB),
+        &MarchCtx::new(field.view(), index, opts.z_range),
         grid,
         opts.samples,
         i,
@@ -1174,8 +1064,7 @@ fn cell_value_inner(
     let n = samples.max(1);
     let mut acc = 0.0;
     for sample in 0..n {
-        let (line, xi) = line_of_sight(grid, i, j, sample, samples);
-        acc += march_one(ctx, xi, line, stats, hint);
+        acc += march_one(ctx, line_of_sight(grid, i, j, sample, samples), stats, hint);
     }
     acc / n as f64
 }
@@ -1219,8 +1108,7 @@ mod tests {
         opts: &MarchOptions,
         tile: usize,
     ) -> (Field2, MarchStats) {
-        let eps = EPSILON * grid.cell.norm();
-        let ctx = MarchCtx::new(field.view(), index, opts.z_range, eps, MAX_PERTURB);
+        let ctx = MarchCtx::new(field.view(), index, opts.z_range);
         let mut out = Field2::zeros(*grid);
         let mut stats = MarchStats::default();
         render_tiled(&ctx, grid, opts.samples, tile, &mut out, &mut stats);
@@ -1239,31 +1127,12 @@ mod tests {
         let index = HullIndex::build(&field);
         // Inside the tet the field is constant 24 (see density tests); the
         // chord at (0.2, 0.2) runs z ∈ [0, 0.6].
-        let line = 1;
         let mut stats = MarchStats::default();
-        let sigma = march_cell(
-            &field,
-            &index,
-            Vec2::new(0.2, 0.2),
-            None,
-            1e-9,
-            16,
-            line,
-            &mut stats,
-        );
+        let sigma = march_cell(&field, &index, Vec2::new(0.2, 0.2), None, &mut stats);
         assert!((sigma - 24.0 * 0.6).abs() < 1e-9, "sigma = {sigma}");
         assert_eq!(stats.failures, 0);
         // Outside the footprint: zero.
-        let z = march_cell(
-            &field,
-            &index,
-            Vec2::new(0.9, 0.9),
-            None,
-            1e-9,
-            16,
-            line,
-            &mut stats,
-        );
+        let z = march_cell(&field, &index, Vec2::new(0.9, 0.9), None, &mut stats);
         assert_eq!(z, 0.0);
     }
 
@@ -1275,14 +1144,12 @@ mod tests {
         let del = field.delaunay();
         for &(x, y) in &[(2.03, 2.41), (1.37, 3.12), (0.73, 0.91), (3.9, 1.1)] {
             let xi = Vec2::new(x, y);
-            let ray = Ray::vertical(x, y);
-            let pl = Plucker::from_ray(&ray);
             // Brute force: test every finite tetrahedron.
             let mut brute = 0.0;
             for t in del.finite_tets() {
                 let pts = del.tet_points(t);
-                let hit = ray_tetra(&pl, &pts);
-                if hit.is_through() && !hit.degenerate {
+                let hit = ray_tetra(xi, side_error_bound(8.0), &pts);
+                if hit.is_through() {
                     let (_, pin) = hit.enter.unwrap();
                     let (_, pout) = hit.exit.unwrap();
                     let (a, b) = (pin.z.min(pout.z), pin.z.max(pout.z));
@@ -1291,10 +1158,9 @@ mod tests {
                     brute += (ti.rho0 + ti.grad.dot(mid - pts[0])) * (b - a);
                 }
             }
-            let line = 5;
             let mut stats = MarchStats::default();
-            let marched = march_cell(&field, &index, xi, None, 1e-9, 16, line, &mut stats);
-            assert_eq!(stats.perturbations, 0, "unexpected degeneracy at {xi:?}");
+            let marched = march_cell(&field, &index, xi, None, &mut stats);
+            assert_eq!(stats.failures, 0, "at {xi:?}");
             assert!(
                 (marched - brute).abs() <= 1e-9 * (1.0 + brute.abs()),
                 "marched {marched} vs brute {brute} at {xi:?}"
@@ -1322,8 +1188,10 @@ mod tests {
 
     #[test]
     fn degenerate_rays_through_lattice() {
-        // Exact lattice: cell centres at half-integers are fine, but rays
-        // through the lattice planes / vertices are maximally degenerate.
+        // Exact lattice: rays through the lattice planes and vertices lie on
+        // projected edges and vertices everywhere. The exact edge sides march
+        // each of them as the line moved by the symbolic offset: no restart,
+        // no failure, and the tetrahedra of that one line.
         let pts: Vec<Vec3> = (0..4)
             .flat_map(|i| {
                 (0..4)
@@ -1333,24 +1201,19 @@ mod tests {
         let field = DtfeField::build(&pts, Mass::Uniform(1.0)).unwrap();
         let index = HullIndex::build(&field);
         let mut stats = MarchStats::default();
-        let line = 3;
         // Through a vertex column and along an edge plane.
         for xi in [
             Vec2::new(1.0, 1.0),
             Vec2::new(1.0, 1.5),
             Vec2::new(2.0, 0.5),
         ] {
-            let v = march_cell(&field, &index, xi, None, 1e-7, 64, line, &mut stats);
+            let v = march_cell(&field, &index, xi, None, &mut stats);
             assert!(v.is_finite());
-            // The lattice interior has density ~1 and chord length 3, and the
-            // perturbed ray must see approximately that.
+            // The lattice interior has density ~1 and chord length 3.
             assert!(v > 0.5 && v < 6.0, "sigma = {v} at {xi:?}");
         }
-        assert!(
-            stats.perturbations > 0,
-            "expected degeneracies on lattice rays"
-        );
-        assert_eq!(stats.failures, 0);
+        assert_eq!((stats.perturbations, stats.failures), (0, 0));
+        assert!(stats.crossings >= 3 * 3, "{} crossings", stats.crossings);
     }
 
     #[test]
@@ -1360,9 +1223,8 @@ mod tests {
         let index = HullIndex::build(&field);
         let xi = Vec2::new(2.2, 2.6);
         let run = |zr: Option<(f64, f64)>| {
-            let line = 7;
             let mut stats = MarchStats::default();
-            march_cell(&field, &index, xi, zr, 1e-9, 16, line, &mut stats)
+            march_cell(&field, &index, xi, zr, &mut stats)
         };
         let full = run(None);
         let lo = run(Some((-10.0, 2.0)));
@@ -1430,9 +1292,11 @@ mod tests {
 
     #[test]
     fn tiled_render_identical_on_degenerate_lattice() {
-        // A vertex-aligned grid over an exact lattice maximizes
-        // perturbations: every tile must reproduce the serial render
-        // exactly, including the perturbation count.
+        // A vertex-aligned grid over an exact lattice puts every line on
+        // projected vertices and edges: every tile must reproduce the
+        // serial render exactly, no line restarts or fails, and the march
+        // crosses exactly the projector's pairs, which follow the same
+        // moved lines.
         let pts: Vec<Vec3> = (0..4)
             .flat_map(|i| {
                 (0..4)
@@ -1444,18 +1308,20 @@ mod tests {
         // Grid whose cell centres land exactly on lattice vertices and edges.
         let grid = GridSpec2::covering(Vec2::new(-0.5, -0.5), Vec2::new(3.5, 3.5), 8, 8);
         let opts_ser = MarchOptions::new().parallel(false);
+        assert!(!projects(&field, &grid, &opts_ser));
         let (ser, ss) = surface_density_with_index(&field, &index, &grid, &opts_ser);
-        assert!(ss.perturbations > 0, "scene not degenerate enough");
+        assert_eq!((ss.perturbations, ss.failures), (0, 0));
         for tile in [1usize, 3, 64] {
             let (par, sp) = march_tiled(&field, &index, &grid, &opts_ser, tile);
             assert_eq!(ser.data, par.data, "tile {tile}");
-            assert_eq!(ss.perturbations, sp.perturbations, "tile {tile}");
-            assert_eq!(ss.crossings, sp.crossings, "tile {tile}");
+            assert_eq!(ss, sp, "tile {tile}");
         }
         // And the reference kernel agrees too.
         let (reference, sr) = surface_density_reference(&field, &index, &grid, &opts_ser);
         assert_eq!(reference.data, ser.data);
-        assert_eq!(sr.perturbations, ss.perturbations);
+        assert_eq!((sr.crossings, sr.failures), (ss.crossings, ss.failures));
+        let (_, ps) = surface_density_by(&field, &index, &grid, &opts_ser, Kernel::Project);
+        assert_eq!(ps.crossings, ss.crossings);
     }
 
     #[test]
@@ -1474,7 +1340,7 @@ mod tests {
         assert_eq!(a.data, b.data);
         assert_eq!(
             sr.edge_evals,
-            6 * sr.crossings + 6 * sr.perturbations,
+            6 * sr.crossings,
             "reference accounting drifted"
         );
         assert!(
@@ -1489,10 +1355,11 @@ mod tests {
 
     #[test]
     fn hull_query_equals_brute_force_scan() {
-        // The oracle of the one hull entry: the ghost of the lowest-index
-        // facet containing `q`, boundary inclusive, or `None`. Facet
-        // vertices and edge midpoints are the ties; on the lattice the
-        // whole lower hull is coplanar, so every one of them is shared.
+        // The oracle of the one hull entry: the ghost of the facet
+        // containing `q` moved by the symbolic offset, or `None` — and
+        // never two. Facet vertices and edge midpoints are the ties; on
+        // the lattice the whole lower hull is coplanar, so every one of
+        // them is shared.
         let lattice: Vec<Vec3> = (0..4)
             .flat_map(|i| {
                 (0..4)
@@ -1510,11 +1377,11 @@ mod tests {
             let field = DtfeField::build(&pts, Mass::Uniform(1.0)).unwrap();
             let index = HullIndex::build(&field);
             let brute = |q: Vec2| {
-                index
-                    .facets
-                    .iter()
-                    .find(|f| triangle_contains(f.a, f.b, f.c, q))
-                    .map(|f| f.ghost)
+                let mut holding =
+                    (index.facets.iter()).filter(|f| triangle_contains(f.a, f.b, f.c, q));
+                let first = holding.next().map(|f| f.ghost);
+                assert!(holding.next().is_none(), "two facets hold {q:?}");
+                first
             };
             let mut queries: Vec<Vec2> = (0..400)
                 .map(|_| Vec2::new(r() * 6.0 - 1.0, r() * 6.0 - 1.0))
@@ -1576,8 +1443,11 @@ mod tests {
         let c = Vec2::new(0.0, 2.0);
         assert!(triangle_contains(a, b, c, Vec2::new(0.5, 0.5)));
         assert!(triangle_contains(a, c, b, Vec2::new(0.5, 0.5))); // either winding
-        assert!(triangle_contains(a, b, c, Vec2::new(1.0, 0.0))); // on edge
-        assert!(triangle_contains(a, b, c, a)); // on vertex
+                                                                  // On an edge or a vertex, the offset `(ε, ε²)` decides.
+        assert!(triangle_contains(a, b, c, Vec2::new(1.0, 0.0)));
+        assert!(triangle_contains(a, c, b, a));
+        assert!(!triangle_contains(a, b, c, Vec2::new(1.0, 1.0)));
+        assert!(!triangle_contains(a, c, b, b));
         assert!(!triangle_contains(a, b, c, Vec2::new(2.0, 2.0)));
         assert!(!triangle_contains(
             a,

@@ -1,24 +1,21 @@
 //! The reference kernel (the equivalence oracle).
 
-use super::{
-    faces_up, line_of_sight, perturb_or_fail, HullIndex, MarchOptions, MarchStats, Start, EPSILON,
-    MAX_PERTURB,
-};
+use super::{faces_up, line_of_sight, mesh_side_bound, HullIndex, MarchOptions, MarchStats, Start};
 use crate::estimator::{FieldEstimator, FieldView};
 use crate::grid::{Field2, GridSpec2};
 use dtfe_delaunay::{Delaunay, Located, NONE};
-use dtfe_geometry::plucker::{ray_tetra, Plucker, Ray};
+use dtfe_geometry::plucker::ray_tetra;
 use dtfe_geometry::predicates::orient3d;
 use dtfe_geometry::{Vec2, Vec3};
 use rayon::prelude::*;
 
 /// The pre-coherence marching kernel: per-cell binned hull queries (each
 /// tallied as an entry-hint miss), per-step [`ray_tetra`] with no
-/// cross-face reuse (6 edge evaluations per test), row-parallel
-/// scheduling, and — under a window — the window entry of the module docs
-/// found from scratch for every line (`reference_window_entry`). The
-/// rendered field and the crossings/perturbations/failures counters are
-/// bit-identical to
+/// cross-face reuse (6 edge evaluations per test, each by the generic
+/// Plücker product), row-parallel scheduling, and — under a window — the
+/// window entry of the module docs found from scratch for every line
+/// (`reference_window_entry`). The rendered field and the
+/// crossings/failures counters are bit-identical to
 /// [`surface_density_with_index`](super::surface_density_with_index) on
 /// the same field and grid. That is asserted in tier-1
 /// (`tests/window_entry.rs`, `tests/estimators.rs`), by this crate's unit
@@ -40,7 +37,7 @@ pub fn surface_density_reference<E: FieldEstimator + ?Sized>(
 /// one oracle that does not depend on the window-entry definition, so it
 /// pins window-entered == hull-entered output as a differential on fixed
 /// fixtures (equal bits there; not a theorem — a floor within an ulp of a
-/// face crossing, or a degeneracy below the window, may differ).
+/// face crossing may differ).
 #[doc(hidden)]
 pub fn surface_density_reference_hull_entry<E: FieldEstimator + ?Sized>(
     field: &E,
@@ -78,8 +75,9 @@ fn reference_window_entry(del: &Delaunay, xi: Vec2, z_lo: f64) -> Start {
 }
 
 /// `seek_window_entry`: enter at the window entry where the definition gives
-/// one. Its floor test is evaluated once per render, as the kernel does, but
-/// from the vertices themselves rather than the kernel's cached `z_min`.
+/// one. Its floor test and the side products' error bound are evaluated
+/// once per render, as the kernel does, but from the vertices themselves
+/// rather than the kernel's cached box.
 fn reference_render(
     field: FieldView<'_>,
     index: &HullIndex,
@@ -87,13 +85,32 @@ fn reference_render(
     opts: &MarchOptions,
     seek_window_entry: bool,
 ) -> (Field2, MarchStats) {
-    let z_min = (field.del.vertices().iter()).fold(f64::INFINITY, |m, v| m.min(v.z));
+    let (inf, neg) = (f64::INFINITY, f64::NEG_INFINITY);
+    let (lo, hi) = (field.del.vertices().iter()).fold(
+        (Vec3::new(inf, inf, inf), Vec3::new(neg, neg, neg)),
+        |(lo, hi), v| {
+            (
+                Vec3::new(lo.x.min(v.x), lo.y.min(v.y), lo.z.min(v.z)),
+                Vec3::new(hi.x.max(v.x), hi.y.max(v.y), hi.z.max(v.z)),
+            )
+        },
+    );
     let floor = opts.z_range.map(|(lo, _)| lo);
-    let window_floor = floor.filter(|&lo| seek_window_entry && lo > z_min);
-    let eps = EPSILON * grid.cell.norm();
+    let window_floor = floor.filter(|&z_lo| seek_window_entry && z_lo > lo.z);
+    let line = Line {
+        z_range: opts.z_range,
+        window_floor,
+        side_bound: mesh_side_bound(lo, hi),
+    };
     let row = |j: usize, out: &mut [f64], stats: &mut MarchStats| {
         for (i, slot) in out.iter_mut().enumerate() {
-            *slot = reference_cell_value(field, index, grid, i, j, eps, opts, window_floor, stats);
+            let n = opts.samples.max(1);
+            let mut acc = 0.0;
+            for sample in 0..n {
+                let xi = line_of_sight(grid, i, j, sample, opts.samples);
+                acc += reference_march_one(field, index, xi, &line, stats);
+            }
+            *slot = acc / n as f64;
         }
     };
     let mut out = Field2::zeros(*grid);
@@ -120,144 +137,87 @@ fn reference_render(
     (out, stats)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn reference_cell_value(
-    field: FieldView<'_>,
-    index: &HullIndex,
-    grid: &GridSpec2,
-    i: usize,
-    j: usize,
-    eps: f64,
-    opts: &MarchOptions,
+/// What every line of a reference render shares: the window, the floor a
+/// window entry is sought at, and the side products' error bound.
+struct Line {
+    z_range: Option<(f64, f64)>,
     window_floor: Option<f64>,
-    stats: &mut MarchStats,
-) -> f64 {
-    let n = opts.samples.max(1);
-    let mut acc = 0.0;
-    for sample in 0..n {
-        let (line, xi) = line_of_sight(grid, i, j, sample, opts.samples);
-        acc += reference_march_one(field, index, xi, eps, opts, window_floor, line, stats);
-    }
-    acc / n as f64
+    side_bound: f64,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn reference_march_one(
     field: FieldView<'_>,
     index: &HullIndex,
     xi: Vec2,
-    eps: f64,
-    opts: &MarchOptions,
-    window_floor: Option<f64>,
-    line: u64,
+    line: &Line,
     stats: &mut MarchStats,
 ) -> f64 {
     let crossings_before = stats.crossings;
-    let v = reference_march_cell_inner(
-        field,
-        index,
-        xi,
-        opts.z_range,
-        window_floor,
-        eps,
-        MAX_PERTURB,
-        line,
-        stats,
-    );
+    let v = reference_march_cell_inner(field, index, xi, line, stats);
     dtfe_telemetry::hist_record!("core.tets_per_los", stats.crossings - crossings_before);
     v
 }
 
-#[allow(clippy::too_many_arguments)]
 fn reference_march_cell_inner(
     field: FieldView<'_>,
     index: &HullIndex,
     xi: Vec2,
-    z_range: Option<(f64, f64)>,
-    window_floor: Option<f64>,
-    eps: f64,
-    max_perturb: usize,
-    line: u64,
+    line: &Line,
     stats: &mut MarchStats,
 ) -> f64 {
     let del = field.del;
-    let mut xi_cur = xi;
-    let mut attempts = 0usize;
-    let max_steps = del.num_tets() + del.num_ghosts() + 16;
-    'restart: loop {
-        let start = match window_floor {
-            Some(z_lo) => reference_window_entry(del, xi_cur, z_lo),
-            None => Start::Hull,
+    let start = match line.window_floor {
+        Some(z_lo) => reference_window_entry(del, xi, z_lo),
+        None => Start::Hull,
+    };
+    let mut t = match start {
+        Start::Entry(t0) => t0,
+        start => {
+            stats.entry_hint_misses += 1;
+            match index.query(xi) {
+                Some(ghost) if start == Start::Hull => del.tet(ghost).neighbors[3],
+                _ => return 0.0,
+            }
+        }
+    };
+    let mut total = 0.0;
+    for _ in 0..del.num_tets() + del.num_ghosts() + 16 {
+        let verts = del.tet_points(t);
+        let hit = ray_tetra(xi, line.side_bound, &verts);
+        stats.edge_evals += 6;
+        let (Some((_, p_in)), Some((exit_face, p_out))) = (hit.enter, hit.exit) else {
+            stats.failures += 1;
+            return total;
         };
-        let mut t = match start {
-            Start::Entry(t0) => t0,
-            start => {
-                stats.entry_hint_misses += 1;
-                match index.query(xi_cur) {
-                    Some(ghost) if start == Start::Hull => del.tet(ghost).neighbors[3],
-                    _ => return 0.0,
-                }
-            }
-        };
-        let ray = Ray::vertical(xi_cur.x, xi_cur.y);
-        let pl = Plucker::from_ray(&ray);
-        let mut total = 0.0;
-        let mut steps = 0usize;
-        loop {
-            steps += 1;
-            if steps > max_steps {
-                match perturb_or_fail(del, t, xi_cur, eps, max_perturb, line, &mut attempts, stats)
-                {
-                    Some(x) => {
-                        xi_cur = x;
-                        continue 'restart;
-                    }
-                    None => return total,
-                }
-            }
-            let verts = del.tet_points(t);
-            let hit = ray_tetra(&pl, &verts);
-            stats.edge_evals += 6;
-            let (false, Some((_, p_in)), Some((exit_face, p_out))) =
-                (hit.degenerate, hit.enter, hit.exit)
-            else {
-                match perturb_or_fail(del, t, xi_cur, eps, max_perturb, line, &mut attempts, stats)
-                {
-                    Some(x) => {
-                        xi_cur = x;
-                        continue 'restart;
-                    }
-                    None => return total,
-                }
-            };
-            let (mut a, mut b) = (p_in.z, p_out.z);
-            if b < a {
-                (a, b) = (b, a);
-            }
-            if let Some((zlo, zhi)) = z_range {
-                if a >= zhi || verts.iter().all(|p| p.z >= zhi) {
-                    return total;
-                }
-                a = a.max(zlo);
-                b = b.min(zhi);
-            }
-            stats.crossings += 1;
-            if b > a {
-                let mid = Vec3::new(xi_cur.x, xi_cur.y, 0.5 * (a + b));
-                let rho_mid = field.values.eval(t, verts[0], mid);
-                total += rho_mid * (b - a);
-            }
-            if let Some((_, zhi)) = z_range {
-                if p_out.z >= zhi {
-                    return total;
-                }
-            }
-
-            let next = del.tet(t).neighbors[exit_face];
-            if del.tet(next).is_ghost() {
+        let (mut a, mut b) = (p_in.z, p_out.z);
+        if b < a {
+            (a, b) = (b, a);
+        }
+        if let Some((zlo, zhi)) = line.z_range {
+            if a >= zhi || verts.iter().all(|p| p.z >= zhi) {
                 return total;
             }
-            t = next;
+            a = a.max(zlo);
+            b = b.min(zhi);
         }
+        stats.crossings += 1;
+        if b > a {
+            let mid = Vec3::new(xi.x, xi.y, 0.5 * (a + b));
+            let rho_mid = field.values.eval(t, verts[0], mid);
+            total += rho_mid * (b - a);
+        }
+        if let Some((_, zhi)) = line.z_range {
+            if p_out.z >= zhi {
+                return total;
+            }
+        }
+
+        let next = del.tet(t).neighbors[exit_face];
+        if del.tet(next).is_ghost() {
+            return total;
+        }
+        t = next;
     }
+    stats.failures += 1;
+    total
 }

@@ -28,16 +28,17 @@
 //! * a row of centre height `y` crosses an edge when `y_lo ≤ y < y_hi`
 //!   (half-open, so horizontal edges cross no row);
 //! * a centre lies right of a crossing edge when the exact `orient2d` sign
-//!   says so, and a centre *on* the edge counts as right of it.
+//!   says so, and a centre *on* the edge counts as right of it — the
+//!   offset's `ε` moves it right ([`orient2d_sos`], the rule the march
+//!   decides its edge sides by).
 //!
 //! An edge's span boundary on a row is computed from its endpoints in
 //! vertex-id order, so the tetrahedra sharing the edge evaluate it the
 //! same way, and because the decisions are exact they are also
-//! consistent: the perturbed line lies in exactly one tetrahedron at every
+//! consistent: the moved line lies in exactly one tetrahedron at every
 //! height. A line through a projected edge or vertex is therefore counted
-//! once, never perturbed, and the projector's `(line, tetrahedron)` pair
-//! count equals the march's crossings wherever the march needs no
-//! `Perturb`.
+//! once, and the projector's `(line, tetrahedron)` pair count equals the
+//! march's crossings, which follow the same moved line.
 //!
 //! # Windows inside the mesh
 //!
@@ -75,7 +76,7 @@ use crate::grid::{Field2, GridSpec2};
 use crate::marching::MarchStats;
 use dtfe_delaunay::{Link, Located, TetId, Topology, INFINITE};
 use dtfe_geometry::plucker::{TET_EDGES, TET_FACES};
-use dtfe_geometry::predicates::{orient2d_inline as orient2d, Orientation};
+use dtfe_geometry::predicates::{orient2d_inline as orient2d, orient2d_sos, Orientation};
 use dtfe_geometry::{Vec2, Vec3};
 use rayon::prelude::*;
 use std::array::from_fn;
@@ -407,12 +408,15 @@ impl Edge {
         if clear_right && clear_left {
             return i;
         }
-        let up = v.y > u.y;
-        let right = |i: usize| match orient2d(u, v, Vec2::new(c[i], y)) {
-            Orientation::Zero => true,
-            Orientation::Positive => !up,
-            Orientation::Negative => up,
+        // Right of an upward edge is clockwise of it, of a downward one
+        // counterclockwise; a centre on the edge is moved right by the
+        // symbolic offset, as in the march.
+        let right_of = if v.y > u.y {
+            Orientation::Negative
+        } else {
+            Orientation::Positive
         };
+        let right = |i: usize| orient2d_sos(u, v, Vec2::new(c[i], y)) == right_of;
         while i > 0 && right(i - 1) {
             i -= 1;
         }
@@ -460,14 +464,10 @@ struct Window {
 
 impl Element {
     /// Project the finite tetrahedron of link `link` with corners `p` in
-    /// the link's order, `swapped` undoing the link's float orientation so
-    /// the faces are outward under the builder's exact orientation.
-    fn new(link: &Link, mut p: [Vec3; 4], swapped: bool, window: Window) -> Element {
-        let mut ids = link.ids;
-        if swapped {
-            p.swap(2, 3);
-            ids.swap(2, 3);
-        }
+    /// the link's order — the builder's, positive exactly, so its faces
+    /// are outward.
+    fn new(link: &Link, p: [Vec3; 4], window: Window) -> Element {
+        let ids = link.ids;
         let xy = p.map(|q| q.xy());
         // Face `f` is opposite vertex `f` and outward; its projected
         // winding is the sign of its normal's z-component (zero for a
@@ -709,10 +709,10 @@ fn project_into(
         let Some((rows, cols)) = reach(&p, window, band.xs, band.ys, &band.rows, &band.cols) else {
             continue;
         };
-        let el = Element::new(link, p, topo.is_swapped(t), window);
+        let el = Element::new(link, p, window);
         let (p, r) = match view.values {
             SlotValues::Linear(table) => {
-                // `x₀` is vertex 0, which the swap of 2 and 3 keeps.
+                // `x₀` is vertex 0.
                 let (row, x0) = (table[t as usize], el.p[0]);
                 el.project(|mid| row.eval(x0, mid), rows, &cols, &mut band)
             }

@@ -3,9 +3,10 @@
 //! [`MarchOptions`] holds the inputs of the paper's kernel that a caller
 //! chooses: the samples per cell (Eq. 5), the z-window of the Eq. 12
 //! integral, the parallel switch, and the estimator a request names. The
-//! marching kernel, its reference and the walking baseline all read it. The `Perturb` ε and the restart budget of Fig. 2
-//! are constants of the marching kernels, and the walking baseline takes
-//! its grid depth as an argument.
+//! marching kernel, its reference and the walking baseline all read it.
+//! There is no degeneracy knob (the march decides every edge side
+//! exactly), and the walking baseline takes its grid depth as an
+//! argument.
 
 use crate::estimator::EstimatorKind;
 

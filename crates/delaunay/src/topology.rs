@@ -9,8 +9,7 @@
 //! of its tetrahedra.
 //!
 //! The marching kernel is the one reader that wants more: per step it
-//! reads the four vertex positions in the orientation
-//! [`dtfe_geometry::plucker::ray_tetra`] expects. [`Topology::march_positions`]
+//! reads the four vertex positions. [`Topology::march_positions`]
 //! writes them once, in parallel on a large mesh, on a mesh's first march:
 //! 96 B a slot beside the link, so a marched mesh holds what the 128 B
 //! record of one array did and a step reads the same values from two.
@@ -21,25 +20,23 @@
 //! tetrahedron, so neighbours sit in nearby slots and a line of sight
 //! touches mostly contiguous memory (the locality behind the DTFE public
 //! software's kernel), then writes each link with its neighbours
-//! renumbered. A finite link whose float orientation is negative has
-//! vertices 2 and 3 swapped (`normalize_tet`), with its ids and neighbours
-//! permuted alike; one bit a slot remembers the swap, and
-//! [`Topology::tet`] undoes it, so every exact predicate still sees the
-//! builder's vertex order. Only slot *numbers* change: every vertex array,
-//! and so every density, gradient and rendered field, is the builder's.
+//! renumbered. A link keeps the builder's vertex order, which is
+//! positively oriented exactly — the orientation
+//! [`dtfe_geometry::plucker::ray_tetra_seeded`] expects — so every reader,
+//! exact predicate or march, reads it as is. Only slot *numbers* change:
+//! every vertex array, and so every density, gradient and rendered field,
+//! is the builder's.
 
 use crate::mesh::{Tet, TetId, VertexId, INFINITE, NONE};
-use dtfe_geometry::plucker::normalize_tet;
 use dtfe_geometry::Vec3;
 use rayon::prelude::*;
 use std::sync::OnceLock;
 
 /// One tetrahedron as every reader of a rendered mesh reads it: the vertex
-/// ids and neighbours in traversal orientation — the `ray_tetra` swap
-/// already applied to finite links (`neighbors[i]` lies across the face
-/// opposite `ids[i]`). Ghost links hold the hull facet's ids with
+/// ids and neighbours in the builder's order (`neighbors[i]` lies across
+/// the face opposite `ids[i]`). Ghost links hold the hull facet's ids with
 /// [`crate::INFINITE`] at index 3 — the kernel's "stepped out of the hull"
-/// test — and are never swapped.
+/// test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(align(32))] // two links per cache line, never one straddling two
 pub struct Link {
@@ -48,17 +45,13 @@ pub struct Link {
 }
 
 /// A triangulation's tetrahedra as the render path reads them: one
-/// [`Link`] per live slot in breadth-first order, the swap bits, the
-/// vertex box — per render, without touching the mesh, its heights say
+/// [`Link`] per live slot in breadth-first order, the vertex box — per render, without touching the mesh, its heights say
 /// whether a z-window has a window entry (a floor not above the lowest has
 /// none) and whether it integrates every tetrahedron whole (it contains
 /// both), and its xy extent prices a render over a grid — and, once a
 /// march has asked for them, the march's vertex positions.
 pub struct Topology {
     links: Vec<Link>,
-    /// Bit `t % 64` of word `t / 64`: slot `t`'s link has vertices 2 and 3
-    /// swapped.
-    swapped: Vec<u64>,
     lo: Vec3,
     hi: Vec3,
     /// Slot `t`'s four corners in its link's order (`vertex(ids[i])`; a
@@ -91,34 +84,19 @@ impl Topology {
         let links = map_slots(order.len(), |new| {
             let tet = tets[order[new] as usize];
             // Every neighbour of a live slot is live, so it has a number.
-            let mut link = Link {
+            Link {
                 ids: tet.verts,
                 neighbors: tet
                     .neighbors
                     .map(|n| remap.get(n as usize).copied().unwrap_or(NONE)),
-            };
-            if !tet.is_ghost() && normalize_tet(&mut tet.verts.map(|v| points[v as usize])) {
-                // Neighbour `i` lies across the face opposite vertex `i`.
-                link.ids.swap(2, 3);
-                link.neighbors.swap(2, 3);
             }
-            link
         });
-        // A finite link is swapped exactly when its id 2 is not the
-        // builder's (the four ids are distinct).
-        let mut swapped = vec![0u64; links.len().div_ceil(64)];
-        for (new, link) in links.iter().enumerate() {
-            if link.ids[2] != tets[order[new] as usize].verts[2] {
-                swapped[new / 64] |= 1 << (new % 64);
-            }
-        }
         let (lo, hi) = points.iter().fold(
             (Vec3::splat(f64::INFINITY), Vec3::splat(f64::NEG_INFINITY)),
             |(lo, hi), &p| (lo.min(p), hi.max(p)),
         );
         Topology {
             links,
-            swapped,
             lo,
             hi,
             positions: OnceLock::new(),
@@ -138,30 +116,20 @@ impl Topology {
         self.links.is_empty()
     }
 
-    /// Slot `t`'s link, in the traversal orientation.
+    /// Slot `t`'s link.
     #[inline]
     pub fn link(&self, t: TetId) -> &Link {
         &self.links[t as usize]
     }
 
-    /// Whether slot `t`'s link has vertices 2 and 3 swapped relative to
-    /// the builder's order (`normalize_tet`'s decision; never for a ghost).
-    #[inline]
-    pub fn is_swapped(&self, t: TetId) -> bool {
-        (self.swapped[t as usize / 64] >> (t % 64)) & 1 != 0
-    }
-
-    /// Slot `t` in the builder's exact orientation: the link's ids and
-    /// neighbours with the swap undone.
+    /// Slot `t` as a [`Tet`]: its link's ids and neighbours.
     #[inline]
     pub fn tet(&self, t: TetId) -> Tet {
         let link = &self.links[t as usize];
-        let (mut verts, mut neighbors) = (link.ids, link.neighbors);
-        if self.is_swapped(t) {
-            verts.swap(2, 3);
-            neighbors.swap(2, 3);
+        Tet {
+            verts: link.ids,
+            neighbors: link.neighbors,
         }
-        Tet { verts, neighbors }
     }
 
     /// The march's vertex positions, one `[Vec3; 4]` per slot in its
@@ -209,14 +177,13 @@ impl Topology {
         (self.lo, self.hi)
     }
 
-    /// Resident bytes (the service layer's budget accounting): the links,
-    /// the swap bits and, once written, the march's positions. Counts the
+    /// Resident bytes (the service layer's budget accounting): the links
+    /// and, once written, the march's positions. Counts the
     /// allocations' *capacity*, not their length, so the estimate never
     /// understates what the allocator is holding.
     pub fn bytes(&self) -> usize {
         std::mem::size_of::<Topology>()
             + self.links.capacity() * std::mem::size_of::<Link>()
-            + self.swapped.capacity() * std::mem::size_of::<u64>()
             + self
                 .positions
                 .get()
@@ -267,6 +234,7 @@ fn bfs_order(tets: &[Tet], live: usize) -> (Vec<TetId>, Vec<TetId>) {
 mod tests {
     use super::*;
     use crate::{DelaunayBuilder, INFINITE};
+    use dtfe_geometry::predicates::orient3d;
 
     fn jittered_cloud(n_side: usize, seed: u64) -> Vec<Vec3> {
         let mut s = seed;
@@ -322,7 +290,7 @@ mod tests {
         let topo = d.topology().unwrap();
         assert_eq!(topo.len(), d.num_tets() + d.num_ghosts());
         let links_only = topo.bytes();
-        assert!(links_only >= topo.len() * 32 + topo.len() / 8);
+        assert!(links_only >= topo.len() * 32);
         assert!(topo.positions().is_none(), "no positions before a march");
         let positions = topo.march_positions(d.vertices());
         assert!(std::ptr::eq(positions, topo.march_positions(d.vertices())));
@@ -333,18 +301,17 @@ mod tests {
         assert_eq!(positions.len(), topo.len());
         for t in 0..topo.len() as TetId {
             let (link, tet, pos) = (topo.link(t), d.tet(t), positions[t as usize]);
+            assert_eq!(link.ids, tet.verts);
             if tet.is_ghost() {
-                assert!(!topo.is_swapped(t));
-                assert_eq!(link.ids, tet.verts);
                 assert_eq!(link.ids[3], INFINITE);
                 let [a, b, c, _] = link.ids;
                 assert_eq!(pos, [d.vertex(a), d.vertex(b), d.vertex(c), Vec3::ZERO]);
                 continue;
             }
-            // Positive in float, and the ids, neighbours and positions
-            // follow `normalize_tet`'s order.
-            let mut p = d.tet_points(t);
-            assert_eq!(normalize_tet(&mut p), topo.is_swapped(t));
+            // The builder's order, positive exactly: the orientation the
+            // march's face table reads.
+            let p = d.tet_points(t);
+            assert!(orient3d(p[0], p[1], p[2], p[3]).is_positive());
             assert_eq!(p, pos);
             for (i, &corner) in pos.iter().enumerate() {
                 assert_eq!(d.vertex(link.ids[i]), corner);

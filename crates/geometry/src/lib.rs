@@ -13,8 +13,8 @@
 //!   make the Delaunay construction in `dtfe-delaunay` sound.
 //! * [`plucker`] — Plücker-coordinate ray representation and the
 //!   Platis–Theoharis ray–tetrahedron intersection test (paper §III-C-2,
-//!   Eq. 7–10), including the degeneracy reporting the marching kernel's
-//!   `Perturb` routine relies on (paper Fig. 2–3).
+//!   Eq. 7–10) for vertical lines of sight, its edge sides made exact by
+//!   [`predicates::orient2d_sos`], so no line is degenerate.
 //! * [`tetra`] — tetrahedron volume, barycentric coordinates and related
 //!   helpers used by the DTFE interpolation itself.
 //! * [`aabb`] — axis-aligned boxes used for domain decomposition and ghost

@@ -1,5 +1,6 @@
 //! Plücker-coordinate rays and the Platis–Theoharis ray–tetrahedron
-//! intersection test (paper §III-C-2, Eq. 7–10).
+//! intersection test (paper §III-C-2, Eq. 7–10), for the vertical lines of
+//! sight every render marches.
 //!
 //! A 3D ray `r` through point `x` with direction `l` has Plücker coordinates
 //! `π_r = {l : l × x}` (Eq. 7). The *permuted inner product* of two rays
@@ -14,12 +15,30 @@
 //! barycentric coordinates of the intersection point (Eq. 9–10). Shared-edge
 //! products can be reused between the faces of a tetrahedron; the
 //! [`ray_tetra`] routine below does exactly that, mirroring the paper's
-//! `RayTetra` subroutine (Fig. 3, line 7) including its degeneracy status.
+//! `RayTetra` subroutine (Fig. 3, line 7).
+//!
+//! # Exact sides
+//!
+//! For the vertical line through `ξ`, the side product with the directed
+//! edge `a → b` is `−orient2d(a_xy, b_xy, ξ)`. Its sign — which side of the
+//! projected edge the line passes — is decided exactly, and for the line
+//! moved by the symbolic offset `(ε, ε²)` ([`orient2d_sos`]), the rule the
+//! element projector decides its spans by. The float product stands
+//! wherever its magnitude exceeds [`side_error_bound`], which provably
+//! fixes its sign; only a product inside that bound asks the exact rule.
+//! So no side is zero (but a vertical edge's, whose faces every line
+//! misses), a line crosses a tetrahedron through exactly one entry and one
+//! exit face or misses it, and no line is degenerate: the paper's
+//! `Perturb` restart (Fig. 2) has nothing to do. The float products stay
+//! the crossing weights; one whose sign the exact rule overrules weighs
+//! zero, so a crossing point is always a convex combination of its face's
+//! corners.
 
-use crate::predicates::orient3d_det;
-use crate::vec::Vec3;
+use crate::predicates::{orient2d_sos, orient3d_uncounted, Orientation};
+use crate::vec::{Vec2, Vec3};
 
-/// A line in 3D given by a point and a direction (not necessarily unit).
+/// The vertical line of sight through a 2D point, integrating along `+z`
+/// — the paper's convention (§IV-A-2) and every line this crate marches.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Ray {
     pub origin: Vec3,
@@ -27,13 +46,7 @@ pub struct Ray {
 }
 
 impl Ray {
-    #[inline]
-    pub fn new(origin: Vec3, dir: Vec3) -> Self {
-        Ray { origin, dir }
-    }
-
-    /// The vertical line of sight through the 2D point `(x, y)`, integrating
-    /// along `+z` — the paper's convention (§IV-A-2).
+    /// The vertical line through `(x, y)`.
     #[inline]
     pub fn vertical(x: f64, y: f64) -> Self {
         Ray {
@@ -71,9 +84,9 @@ impl Plucker {
         }
     }
 
-    /// Permuted inner product `π_self ⊙ π_other` (Eq. 8). The sign gives the
-    /// relative orientation of the two lines; zero means they meet (or are
-    /// parallel/coplanar).
+    /// Permuted inner product `π_self ⊙ π_other` (Eq. 8) in floating
+    /// point. The sign gives the relative orientation of the two lines;
+    /// zero means they meet (or are parallel/coplanar).
     #[inline]
     pub fn side(&self, other: &Plucker) -> f64 {
         self.u.dot(other.v) + other.u.dot(self.v)
@@ -89,43 +102,43 @@ pub enum FaceCrossing {
     /// The line does not pass through the face interior.
     Miss,
     /// The line crosses against the normal (into the tetrahedron): all three
-    /// permuted inner products are strictly positive. Carries the (normalized)
-    /// barycentric weights of the intersection point w.r.t. `(a, b, c)`.
+    /// edge sides positive. Carries the (normalized) barycentric weights of
+    /// the intersection point w.r.t. `(a, b, c)`.
     Enter([f64; 3]),
     /// The line crosses along the normal (out of the tetrahedron): all three
-    /// products strictly negative. Carries barycentric weights.
+    /// sides negative. Carries barycentric weights.
     Exit([f64; 3]),
-    /// A degeneracy (Eq. 8 footnote): the line meets a vertex or an edge of
-    /// the face, or is coplanar with it. The marching kernel responds by
-    /// perturbing the line (paper Fig. 2).
-    Degenerate,
 }
 
-/// Classify the crossing of line `r` (as Plücker coordinates) with the
-/// oriented face `(a, b, c)` given the three precomputed edge products
-/// `s_ab = π_r ⊙ π_{a→b}` etc.
+/// Classify the crossing of a line with the oriented face `(a, b, c)`
+/// given its three edge side-products `s_ab = π_r ⊙ π_{a→b}` etc., each
+/// with its exact sign in its sign bit (a zero of either sign is a side;
+/// module docs). A face is crossed when its three sides agree.
 ///
 /// Barycentric weights follow Eq. 9: the weight of a vertex is the product of
-/// its *opposite* edge, so `w = [s_bc, s_ca, s_ab] / Σ`.
+/// its *opposite* edge, so `w = [s_bc, s_ca, s_ab] / Σ`. The three share a
+/// sign, so every weight lies in `[0, 1]`; where all three are zeros —
+/// a face whose projected area is below the products' rounding — the
+/// crossing is its centroid.
 #[inline]
 pub fn classify_face(s_ab: f64, s_bc: f64, s_ca: f64) -> FaceCrossing {
-    let pos = (s_ab > 0.0) as u8 + (s_bc > 0.0) as u8 + (s_ca > 0.0) as u8;
-    let neg = (s_ab < 0.0) as u8 + (s_bc < 0.0) as u8 + (s_ca < 0.0) as u8;
-    if pos > 0 && neg > 0 {
-        return FaceCrossing::Miss;
-    }
-    if pos == 3 || neg == 3 {
+    let weights = || {
         let sum = s_ab + s_bc + s_ca;
-        let w = [s_bc / sum, s_ca / sum, s_ab / sum];
-        return if pos == 3 {
-            FaceCrossing::Enter(w)
+        if sum == 0.0 {
+            [1.0 / 3.0; 3]
         } else {
-            FaceCrossing::Exit(w)
-        };
+            [s_bc / sum, s_ca / sum, s_ab / sum]
+        }
+    };
+    match (
+        s_ab.is_sign_negative(),
+        s_bc.is_sign_negative(),
+        s_ca.is_sign_negative(),
+    ) {
+        (false, false, false) => FaceCrossing::Enter(weights()),
+        (true, true, true) => FaceCrossing::Exit(weights()),
+        _ => FaceCrossing::Miss,
     }
-    // At least one product is exactly zero and the rest do not disagree:
-    // the line grazes a vertex/edge or lies in the face plane.
-    FaceCrossing::Degenerate
 }
 
 /// Cartesian intersection point from barycentric weights (Eq. 10).
@@ -142,7 +155,8 @@ pub fn face_point(a: Vec3, b: Vec3, c: Vec3, w: [f64; 3]) -> Vec3 {
 /// face `i` is opposite vertex `i` and its normal points outward.
 pub const TET_FACES: [[usize; 3]; 4] = [[1, 3, 2], [0, 2, 3], [0, 3, 1], [0, 1, 2]];
 
-/// Outcome of intersecting an (infinite) line with a tetrahedron.
+/// Outcome of intersecting a vertical line with a tetrahedron: both faces
+/// or neither.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RayTetraHit {
     /// Face index (opposite-vertex convention) the line enters through, with
@@ -150,16 +164,12 @@ pub struct RayTetraHit {
     pub enter: Option<(usize, Vec3)>,
     /// Face index the line exits through, with the intersection point.
     pub exit: Option<(usize, Vec3)>,
-    /// `true` when any face test hit a degeneracy; the caller should perturb
-    /// the line and retry (paper Fig. 2–3).
-    pub degenerate: bool,
 }
 
 impl RayTetraHit {
     pub const MISS: RayTetraHit = RayTetraHit {
         enter: None,
         exit: None,
-        degenerate: false,
     };
 
     /// The line passes through the interior (both crossings found).
@@ -170,13 +180,16 @@ impl RayTetraHit {
 }
 
 /// Normalize a tetrahedron's vertex order to positive orientation, exactly
-/// as [`ray_tetra`] does internally: swap vertices 2 and 3 when the
-/// floating-point `orient3d_det` is negative. Returns `true` if a swap
-/// happened. Callers that cache pre-normalized tetrahedra (the marching
-/// kernel's per-slot cache) use this so the hot loop skips the determinant.
+/// as [`ray_tetra`] does internally: swap vertices 2 and 3 when the exact
+/// orientation is negative. Returns `true` if a swap happened. Callers that
+/// cache pre-normalized tetrahedra (the marching kernel's per-slot cache)
+/// use this so the hot loop skips the determinant. The sign must be exact:
+/// on a sliver whose float determinant has the wrong sign, the faces'
+/// outward normals would point in, every line would read its entry face as
+/// its exit, and a march would step back out the way it came.
 #[inline]
 pub fn normalize_tet(v: &mut [Vec3; 4]) -> bool {
-    if orient3d_det(v[0], v[1], v[2], v[3]) < 0.0 {
+    if orient3d_uncounted(v[0], v[1], v[2], v[3]) == Orientation::Negative {
         v.swap(2, 3);
         true
     } else {
@@ -184,26 +197,82 @@ pub fn normalize_tet(v: &mut [Vec3; 4]) -> bool {
     }
 }
 
-/// Intersect a line with the tetrahedron `verts`. The vertex order may be
-/// either orientation; it is normalized internally, and the returned face
-/// indices name the faces of `verts` as given (face `i` opposite
-/// `verts[i]`).
+/// The static error bound of a vertical line's float side product with an
+/// edge, when every `x` and `y` coordinate of the edge's endpoints and of
+/// the line is at most `extent` in magnitude: a product larger than this
+/// has the exact sign. With `u = 2⁻⁵³`, each of the evaluation's four
+/// products carries its factor's rounded difference and its own rounding,
+/// `≤ 4·extent²·u` apiece; the two differences and the sum add `4`, `4`
+/// and `8·extent²·u`: `32·extent²·u` in all, doubled here for the
+/// higher-order terms, plus a term that covers underflow.
+#[inline]
+pub fn side_error_bound(extent: f64) -> f64 {
+    32.0 * f64::EPSILON * extent * extent + 8.0 * f64::MIN_POSITIVE
+}
+
+/// The float side product `s` of the vertical line through `xi` with the
+/// directed edge `p0 → p1`, its sign made exact: `s` itself when it clears
+/// `bound` ([`side_error_bound`]), else the exact rule's (module docs).
+#[inline]
+fn certify(s: f64, bound: f64, xi: Vec2, p0: Vec3, p1: Vec3) -> f64 {
+    if s.abs() > bound {
+        s
+    } else {
+        exact_side(s, xi, p0, p1)
+    }
+}
+
+/// [`certify`] over a tetrahedron's six canonical products (in
+/// [`TET_EDGES`] order, vertex order `verts`): one test on the hot path,
+/// and all six certified out of line when any product needs it.
+#[inline]
+fn certify_sides(s: &mut [f64; 6], bound: f64, xi: Vec2, verts: &[Vec3; 4]) {
+    if s.iter().fold(false, |any, v| any | (v.abs() <= bound)) {
+        certify_each(s, bound, xi, verts);
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn certify_each(s: &mut [f64; 6], bound: f64, xi: Vec2, verts: &[Vec3; 4]) {
+    for (e, &(i, j)) in TET_EDGES.iter().enumerate() {
+        s[e] = certify(s[e], bound, xi, verts[i], verts[j]);
+    }
+}
+
+/// [`certify`]'s exact arm: `s` when its sign is the exact one; else a zero
+/// of the exact sign, so it weighs nothing in a crossing. A vertical edge's
+/// product is a zero of either sign: every line misses its two faces,
+/// whose other two sides disagree.
+fn exact_side(s: f64, xi: Vec2, p0: Vec3, p1: Vec3) -> f64 {
+    // The side product is −orient2d(p0, p1, ξ).
+    match orient2d_sos(p0.xy(), p1.xy(), xi) {
+        Orientation::Negative if s <= 0.0 => 0.0,
+        Orientation::Positive if s >= 0.0 => -0.0,
+        _ => s,
+    }
+}
+
+/// Intersect the vertical line through `xi` with the tetrahedron `verts`,
+/// every side certified against `bound` ([`side_error_bound`]). The vertex
+/// order may be either orientation; it is normalized internally, and the
+/// returned face indices name the faces of `verts` as given (face `i`
+/// opposite `verts[i]`).
 ///
 /// Edge products shared between faces are computed once (six edges, not
-/// twelve), as the paper notes ("shared edge calculations can be reused").
-pub fn ray_tetra(r: &Plucker, verts: &[Vec3; 4]) -> RayTetraHit {
+/// twelve), as the paper notes ("shared edge calculations can be reused"),
+/// by the generic [`Plucker::side`]: this is the reference kernel's test,
+/// and its arithmetic is independent of [`ray_tetra_seeded`]'s.
+pub fn ray_tetra(xi: Vec2, bound: f64, verts: &[Vec3; 4]) -> RayTetraHit {
+    let r = Plucker::from_ray(&Ray::vertical(xi.x, xi.y));
     let mut v = *verts;
     // Swapping vertices 2 and 3 swaps the faces opposite them.
     let swapped = normalize_tet(&mut v);
     let face = |fi: usize| if swapped && fi >= 2 { 5 - fi } else { fi };
     // The six directed edges i -> j for i < j.
-    let edge = |i: usize, j: usize| Plucker::from_edge(v[i], v[j]);
-    let s01 = r.side(&edge(0, 1));
-    let s02 = r.side(&edge(0, 2));
-    let s03 = r.side(&edge(0, 3));
-    let s12 = r.side(&edge(1, 2));
-    let s13 = r.side(&edge(1, 3));
-    let s23 = r.side(&edge(2, 3));
+    let mut s = TET_EDGES.map(|(i, j)| r.side(&Plucker::from_edge(v[i], v[j])));
+    certify_sides(&mut s, bound, xi, &v);
+    let [s01, s02, s03, s12, s13, s23] = s;
 
     // Products for each outward face's directed edges, reusing edge products
     // with a sign flip when the face traverses the edge backwards.
@@ -220,23 +289,13 @@ pub fn ray_tetra(r: &Plucker, verts: &[Vec3; 4]) -> RayTetraHit {
 
     let mut hit = RayTetraHit::MISS;
     for (fi, p) in face_products.iter().enumerate() {
+        let [i, j, k] = TET_FACES[fi];
         match classify_face(p[0], p[1], p[2]) {
             FaceCrossing::Miss => {}
-            FaceCrossing::Degenerate => {
-                hit.degenerate = true;
-            }
-            FaceCrossing::Enter(w) => {
-                let [i, j, k] = TET_FACES[fi];
-                hit.enter = Some((face(fi), face_point(v[i], v[j], v[k], w)));
-            }
-            FaceCrossing::Exit(w) => {
-                let [i, j, k] = TET_FACES[fi];
-                hit.exit = Some((face(fi), face_point(v[i], v[j], v[k], w)));
-            }
+            FaceCrossing::Enter(w) => hit.enter = Some((face(fi), face_point(v[i], v[j], v[k], w))),
+            FaceCrossing::Exit(w) => hit.exit = Some((face(fi), face_point(v[i], v[j], v[k], w))),
         }
     }
-    // A line through the interior must cross exactly two faces; anything else
-    // with a zero product is already flagged degenerate above.
     hit
 }
 
@@ -261,10 +320,10 @@ const FACE_EDGES: [[(usize, bool); 3]; 4] = [
 ///
 /// The next tetrahedron along the ray shares this face, so any of its
 /// canonical edges matching one of these directed pairs reuses the value —
-/// bitwise exactly, because [`Plucker::from_edge`] depends only on the two
-/// endpoint positions and the ray is fixed. (A *reversed* edge cannot be
-/// reused: `l × p0` and `-l × p1` round differently, so only
-/// direction-matched pairs preserve bit-identity.)
+/// bitwise exactly, because the certified product depends only on the two
+/// endpoint positions and the line. (A *reversed* edge cannot be reused:
+/// `l × p0` and `-l × p1` round differently, so only direction-matched
+/// pairs preserve bit-identity.)
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaceSeed {
     /// Directed global-vertex-id pairs, in the exit face's `FACE_EDGES`
@@ -283,24 +342,20 @@ impl FaceSeed {
     };
 }
 
-/// [`Plucker::side`] against the directed edge `p0 → p1`, specialized for a
-/// ray whose direction part is exactly `(0, 0, 1)` — every marching line of
-/// sight ([`Ray::vertical`]). The generic permuted product is
-/// `u_r · v_e + u_e · v_r`; with `u_r = (0,0,1)` the first dot collapses to
-/// the edge moment's z-component, which `Vec3::cross` forms as
-/// `l.x*p0.y - l.y*p0.x` — the exact two products and subtraction evaluated
-/// here. The second dot is evaluated literally. The only way this can differ
-/// from the generic path is in the *sign* of an exactly-zero product (the
-/// generic path folds statically-zero `0 * e` terms into the sum), and
-/// [`classify_face`] cannot observe a zero's sign: a zero product routes to
-/// `Miss` or `Degenerate`, never into barycentric weights, and exit-face
-/// seeds only ever carry strictly-signed products.
+/// [`Plucker::side`] of the vertical line through `xi` against the
+/// directed edge `p0 → p1`, specialized: with `u_r = (0,0,1)` and
+/// `v_r = (−ξ_y, ξ_x, 0)` the generic permuted product is the edge
+/// moment's z-component, which `Vec3::cross` forms as
+/// `l.x*p0.y - l.y*p0.x`, plus `l.y ξ_x − l.x ξ_y` — the same products,
+/// differences and sum that [`ray_tetra`]'s generic path rounds. The two
+/// can differ only in the sign of an exactly-zero product (the generic
+/// path folds statically-zero `0 * e` terms into the sum), which is inside
+/// every error bound and so decided by the exact rule in both.
 #[inline]
-fn side_vertical(rv: Vec3, p0: Vec3, p1: Vec3) -> f64 {
+fn side_vertical(xi: Vec2, p0: Vec3, p1: Vec3) -> f64 {
     let lx = p1.x - p0.x;
     let ly = p1.y - p0.y;
-    let lz = p1.z - p0.z;
-    (lx * p0.y - ly * p0.x) + (lx * rv.x + ly * rv.y + lz * rv.z)
+    (lx * p0.y - ly * p0.x) + (ly * xi.x - lx * xi.y)
 }
 
 /// Classify a line against a tetrahedron from its six canonical edge
@@ -320,17 +375,13 @@ fn hit_from_sides(s: &[f64; 6], verts: &[Vec3; 4]) -> (RayTetraHit, Option<usize
                 s[e]
             }
         };
+        let [i, j, k] = TET_FACES[fi];
         match classify_face(p(0), p(1), p(2)) {
             FaceCrossing::Miss => {}
-            FaceCrossing::Degenerate => {
-                hit.degenerate = true;
-            }
             FaceCrossing::Enter(w) => {
-                let [i, j, k] = TET_FACES[fi];
                 hit.enter = Some((fi, face_point(verts[i], verts[j], verts[k], w)));
             }
             FaceCrossing::Exit(w) => {
-                let [i, j, k] = TET_FACES[fi];
                 hit.exit = Some((fi, face_point(verts[i], verts[j], verts[k], w)));
                 exit_face = Some(fi);
             }
@@ -350,15 +401,14 @@ fn hit_from_sides(s: &[f64; 6], verts: &[Vec3; 4]) -> (RayTetraHit, Option<usize
 /// names the local face the line entered through (the slot whose neighbor is
 /// the previous tetrahedron), confining the seed match to that face's three
 /// edges — the only ones that can match. All four faces are still
-/// classified — the plain kernel's degeneracy flag inspects every face, so
-/// skipping the entry face would change perturbation decisions and break
-/// bit-identity. The returned hit is bit-for-bit what [`ray_tetra`] returns
-/// on the same tetrahedron, its face indices in the normalized order of
-/// `verts`; the returned seed carries the exit face's
-/// products for the next step (it is [`FaceSeed::EMPTY`] when the line does
-/// not exit).
+/// classified, as [`ray_tetra`] classifies them. The returned hit is
+/// bit-for-bit what [`ray_tetra`] returns on the same tetrahedron, its
+/// face indices in the normalized order of `verts`; the returned seed
+/// carries the exit face's products for the next step (it is
+/// [`FaceSeed::EMPTY`] when the line does not exit).
 pub fn ray_tetra_seeded(
-    r: &Plucker,
+    xi: Vec2,
+    bound: f64,
     verts: &[Vec3; 4],
     ids: &[u32; 4],
     entry: Option<&FaceSeed>,
@@ -368,7 +418,6 @@ pub fn ray_tetra_seeded(
     // Pack each directed id pair into one u64 so a seed match is one
     // integer compare, no tuple/branch overhead.
     let key = |i: u32, j: u32| ((i as u64) << 32) | j as u64;
-    let vertical = r.u.x == 0.0 && r.u.y == 0.0 && r.u.z == 1.0;
     let mut s = [0.0f64; 6];
     let mut todo = [true; 6];
     if let Some(seed) = entry {
@@ -409,13 +458,11 @@ pub fn ray_tetra_seeded(
     for (e, &(i, j)) in TET_EDGES.iter().enumerate() {
         if todo[e] {
             *evals += 1;
-            s[e] = if vertical {
-                side_vertical(r.v, verts[i], verts[j])
-            } else {
-                r.side(&Plucker::from_edge(verts[i], verts[j]))
-            };
+            s[e] = side_vertical(xi, verts[i], verts[j]);
         }
     }
+    // Seeded products are certified already, and certifying is idempotent.
+    certify_sides(&mut s, bound, xi, verts);
 
     let (hit, exit_face) = hit_from_sides(&s, verts);
 
@@ -450,32 +497,40 @@ mod tests {
         z: 0.0,
     };
 
-    /// The crossing of a line with a single oriented face.
-    fn ray_face(r: &Plucker, a: Vec3, b: Vec3, c: Vec3) -> FaceCrossing {
-        let s_ab = r.side(&Plucker::from_edge(a, b));
-        let s_bc = r.side(&Plucker::from_edge(b, c));
-        let s_ca = r.side(&Plucker::from_edge(c, a));
-        classify_face(s_ab, s_bc, s_ca)
+    /// The bound for the unit-scale fixtures here.
+    fn bound() -> f64 {
+        side_error_bound(8.0)
     }
 
-    /// Ray parameter of the (assumed on-ray) point `p`.
-    fn param_of(ray: &Ray, p: Vec3) -> f64 {
-        (p - ray.origin).dot(ray.dir) / ray.dir.norm_sq()
+    fn xy(x: f64, y: f64) -> Vec2 {
+        Vec2::new(x, y)
+    }
+
+    /// The crossing of the vertical line through `xi` with a single
+    /// oriented face.
+    fn ray_face(xi: Vec2, a: Vec3, b: Vec3, c: Vec3) -> FaceCrossing {
+        let r = Plucker::from_ray(&Ray::vertical(xi.x, xi.y));
+        let side = |p: Vec3, q: Vec3| certify(r.side(&Plucker::from_edge(p, q)), bound(), xi, p, q);
+        classify_face(side(a, b), side(b, c), side(c, a))
     }
 
     #[test]
-    fn side_zero_for_meeting_lines() {
-        let r1 = Plucker::from_ray(&Ray::new(Vec3::ZERO, Vec3::new(1.0, 0.0, 0.0)));
-        let r2 = Plucker::from_ray(&Ray::new(Vec3::ZERO, Vec3::new(0.0, 1.0, 0.0)));
-        assert_eq!(r1.side(&r2), 0.0);
+    fn side_is_minus_orient2d_for_a_vertical_line() {
+        let (p0, p1) = (Vec3::new(0.3, -1.2, 4.0), Vec3::new(2.5, 0.7, -1.0));
+        for xi in [xy(0.1, 0.2), xy(3.0, -2.0), xy(-1.5, 0.9)] {
+            let generic =
+                Plucker::from_ray(&Ray::vertical(xi.x, xi.y)).side(&Plucker::from_edge(p0, p1));
+            assert_eq!(side_vertical(xi, p0, p1).to_bits(), generic.to_bits());
+            let o = crate::predicates::orient2d(p0.xy(), p1.xy(), xi);
+            assert_eq!(generic > 0.0, o == Orientation::Negative, "{xi:?}");
+        }
     }
 
     #[test]
     fn face_crossing_classification() {
         // Upward ray through the interior of triangle ABC (normal +z):
         // crossing along the normal = Exit.
-        let up = Plucker::from_ray(&Ray::vertical(0.2, 0.2));
-        match ray_face(&up, A, B, C) {
+        match ray_face(xy(0.2, 0.2), A, B, C) {
             FaceCrossing::Exit(w) => {
                 assert!((w[0] - 0.6).abs() < 1e-12);
                 assert!((w[1] - 0.2).abs() < 1e-12);
@@ -484,21 +539,72 @@ mod tests {
             other => panic!("expected Exit, got {other:?}"),
         }
         // Reversed face orientation flips Exit to Enter.
-        match ray_face(&up, A, C, B) {
+        match ray_face(xy(0.2, 0.2), A, C, B) {
             FaceCrossing::Enter(_) => {}
             other => panic!("expected Enter, got {other:?}"),
         }
         // A ray outside the triangle footprint misses.
-        let out = Plucker::from_ray(&Ray::vertical(2.0, 2.0));
-        assert_eq!(ray_face(&out, A, B, C), FaceCrossing::Miss);
+        assert_eq!(ray_face(xy(2.0, 2.0), A, B, C), FaceCrossing::Miss);
     }
 
     #[test]
-    fn face_degenerate_through_vertex_and_edge() {
-        let through_vertex = Plucker::from_ray(&Ray::vertical(0.0, 0.0));
-        assert_eq!(ray_face(&through_vertex, A, B, C), FaceCrossing::Degenerate);
-        let through_edge = Plucker::from_ray(&Ray::vertical(0.5, 0.0));
-        assert_eq!(ray_face(&through_edge, A, B, C), FaceCrossing::Degenerate);
+    fn a_line_through_a_vertex_or_an_edge_crosses_by_the_offset() {
+        // ξ + (ε, ε²) from the vertex A, or from the edges AB or CA, lies
+        // inside ABC; from B, C or the edge BC it lies outside.
+        for xi in [xy(0.0, 0.0), xy(0.5, 0.0), xy(0.0, 0.5)] {
+            assert!(
+                matches!(ray_face(xi, A, B, C), FaceCrossing::Exit(_)),
+                "{xi:?}"
+            );
+            assert!(
+                matches!(ray_face(xi, A, C, B), FaceCrossing::Enter(_)),
+                "{xi:?}"
+            );
+        }
+        for xi in [xy(1.0, 0.0), xy(0.0, 1.0), xy(0.5, 0.5)] {
+            assert_eq!(ray_face(xi, A, B, C), FaceCrossing::Miss, "{xi:?}");
+        }
+    }
+
+    #[test]
+    fn classify_face_reads_signs_and_weighs_zeros_nothing() {
+        assert_eq!(
+            classify_face(0.0, 0.0, 0.0),
+            FaceCrossing::Enter([1.0 / 3.0; 3])
+        );
+        assert_eq!(
+            classify_face(-0.0, -0.0, -0.0),
+            FaceCrossing::Exit([1.0 / 3.0; 3])
+        );
+        assert_eq!(classify_face(0.0, -0.0, 1.0), FaceCrossing::Miss);
+        assert_eq!(
+            classify_face(2.0, 0.0, 0.0),
+            FaceCrossing::Enter([0.0, 0.0, 1.0])
+        );
+        assert_eq!(
+            classify_face(-1.0, -3.0, -0.0),
+            FaceCrossing::Exit([0.75, 0.0, 0.25])
+        );
+    }
+
+    #[test]
+    fn a_product_whose_float_sign_is_wrong_weighs_zero_with_the_exact_sign() {
+        // The line through the origin passes right of B → C (side product
+        // −orient2d(B, C, 0) = −1 < 0): a float product of either sign
+        // inside the bound takes the exact sign, and its magnitude only
+        // when that sign agrees.
+        let (xi, b, c) = (xy(0.0, 0.0), B, C);
+        for (s, want) in [(1e-20, -0.0), (0.0, -0.0), (-0.0, -0.0), (-1e-20, -1e-20)] {
+            let got = certify(s, bound(), xi, b, c);
+            assert_eq!(got.to_bits(), f64::to_bits(want), "{s}");
+        }
+        // Outside the bound the float product stands as computed.
+        assert_eq!(certify(0.5, bound(), xi, b, c), 0.5);
+        // A vertical edge keeps its zero: its faces are missed anyway.
+        let top = Vec3::new(1.0, 0.0, 2.0);
+        assert_eq!(certify(0.0, bound(), xy(1.0, 0.0), B, top).to_bits(), 0);
+        assert_eq!(ray_face(xy(1.0, 0.0), A, B, top), FaceCrossing::Miss);
+        assert_eq!(ray_face(xy(0.5, 0.0), A, top, B), FaceCrossing::Miss);
     }
 
     #[test]
@@ -510,11 +616,9 @@ mod tests {
     #[test]
     fn ray_tetra_through() {
         let verts = [A, B, C, Vec3::new(0.0, 0.0, 1.0)];
-        let ray = Ray::new(Vec3::new(0.2, 0.2, -5.0), Vec3::new(0.0, 0.0, 1.0));
-        let hit = ray_tetra(&Plucker::from_ray(&ray), &verts);
+        let hit = ray_tetra(xy(0.2, 0.2), bound(), &verts);
         assert!(hit.is_through(), "hit = {hit:?}");
-        assert!(!hit.degenerate);
-        let (enter_face, p_in) = hit.enter.unwrap();
+        let (_, p_in) = hit.enter.unwrap();
         let (_, p_out) = hit.exit.unwrap();
         // Enters through the bottom z=0 face, leaves through the slanted one.
         assert!(p_in.z.abs() < 1e-12, "enter at {p_in:?}");
@@ -522,16 +626,14 @@ mod tests {
         assert!(p_out.z > p_in.z);
         // Entry point keeps the ray's x, y.
         assert!((p_in.x - 0.2).abs() < 1e-12 && (p_in.y - 0.2).abs() < 1e-12);
-        let _ = enter_face;
     }
 
     #[test]
     fn ray_tetra_vertex_order_invariant() {
         let verts_pos = [B, A, C, Vec3::new(0.0, 0.0, 1.0)];
         let verts_neg = [A, B, C, Vec3::new(0.0, 0.0, 1.0)];
-        let ray = Plucker::from_ray(&Ray::vertical(0.1, 0.3));
-        let h1 = ray_tetra(&ray, &verts_pos);
-        let h2 = ray_tetra(&ray, &verts_neg);
+        let h1 = ray_tetra(xy(0.1, 0.3), bound(), &verts_pos);
+        let h2 = ray_tetra(xy(0.1, 0.3), bound(), &verts_neg);
         assert_eq!(h1.enter.unwrap().1, h2.enter.unwrap().1);
         assert_eq!(h1.exit.unwrap().1, h2.exit.unwrap().1);
     }
@@ -543,9 +645,8 @@ mod tests {
         // Either way the line enters through the floor z = 0, opposite D,
         // and leaves through the slanted face, opposite A.
         let d = Vec3::new(0.0, 0.0, 1.0);
-        let r = Plucker::from_ray(&Ray::vertical(0.2, 0.2));
         for (verts, floor) in [([A, B, C, d], 3), ([A, B, d, C], 2)] {
-            let hit = ray_tetra(&r, &verts);
+            let hit = ray_tetra(xy(0.2, 0.2), bound(), &verts);
             assert_eq!(hit.enter.unwrap().0, floor, "{verts:?}");
             assert_eq!(hit.exit.unwrap().0, 0, "{verts:?}");
         }
@@ -554,37 +655,66 @@ mod tests {
     #[test]
     fn ray_tetra_miss() {
         let verts = [A, B, C, Vec3::new(0.0, 0.0, 1.0)];
-        let ray = Plucker::from_ray(&Ray::vertical(0.9, 0.9));
-        let hit = ray_tetra(&ray, &verts);
-        assert!(hit.enter.is_none() && hit.exit.is_none());
+        let hit = ray_tetra(xy(0.9, 0.9), bound(), &verts);
+        assert_eq!(hit, RayTetraHit::MISS);
     }
 
     #[test]
-    fn ray_tetra_degenerate_through_edge() {
-        let verts = [A, B, C, Vec3::new(0.0, 0.0, 1.0)];
-        // Vertical line through the edge from (0,0,0) to (0,0,1): x=y=0.
-        let hit = ray_tetra(&Plucker::from_ray(&Ray::vertical(0.0, 0.0)), &verts);
-        assert!(hit.degenerate);
+    fn a_line_along_an_edge_crosses_or_misses_whole() {
+        // The line x = y = 0 runs along the vertical edge from A to (0,0,1);
+        // the line x = y = 0.25 meets the edge from A to the apex
+        // (0.3, 0.3, 1). Each crosses the tetrahedron through one face pair
+        // or misses it, never half.
+        for (apex, xi) in [
+            (Vec3::new(0.0, 0.0, 1.0), xy(0.0, 0.0)),
+            (Vec3::new(0.3, 0.3, 1.0), xy(0.25, 0.25)),
+            (Vec3::new(0.3, 0.3, 1.0), xy(0.3, 0.3)),
+        ] {
+            let hit = ray_tetra(xi, bound(), &[A, B, C, apex]);
+            assert_eq!(hit.enter.is_some(), hit.exit.is_some(), "{apex:?} {xi:?}");
+        }
+        // Through the apex's projection, inside the base: crossed.
+        let hit = ray_tetra(xy(0.3, 0.3), bound(), &[A, B, C, Vec3::new(0.3, 0.3, 1.0)]);
+        assert!(hit.is_through());
     }
 
     #[test]
-    fn ray_tetra_degenerate_edge_intersection() {
-        // The vertical line x = y = 0.25 meets the edge from the origin to the
-        // apex (0.3, 0.3, 1.0) — both lie in the plane x = y.
-        let verts = [A, B, C, Vec3::new(0.3, 0.3, 1.0)];
-        let ray = Ray::new(Vec3::new(0.25, 0.25, -1.0), Vec3::new(0.0, 0.0, 2.0));
-        let hit = ray_tetra(&Plucker::from_ray(&ray), &verts);
-        assert!(hit.degenerate);
+    fn sliver_face_crossings_stay_in_the_tetrahedron() {
+        // A face whose projection is a sliver of area ~1e-300: no product
+        // of its edges clears the bound, so the exact rule decides all
+        // three, and the crossing height must still be finite and inside
+        // the tetrahedron's z-range.
+        for k in 1..=8 {
+            let c = Vec3::new(0.5, k as f64 * 1e-300, 0.5);
+            let verts = [A, Vec3::new(1.0, 0.0, 1.0), c, Vec3::new(0.5, 0.5, 3.0)];
+            for x in [0.25, 0.5, 0.75, 0.5 + 1e-17] {
+                let hit = ray_tetra(xy(x, 0.0), bound(), &verts);
+                assert!(hit.is_through(), "k {k} x {x}: {hit:?}");
+                for (_, p) in [hit.enter.unwrap(), hit.exit.unwrap()] {
+                    assert!(
+                        p.z.is_finite() && (0.0..=3.0).contains(&p.z),
+                        "k {k} x {x}: {p:?}"
+                    );
+                }
+                let mut vn = verts;
+                let mut ids = [0u32, 1, 2, 3];
+                if normalize_tet(&mut vn) {
+                    ids.swap(2, 3);
+                }
+                let (seeded, _) =
+                    ray_tetra_seeded(xy(x, 0.0), bound(), &vn, &ids, None, None, &mut 0);
+                assert_eq!(seeded, ray_tetra(xy(x, 0.0), bound(), &vn));
+            }
+        }
     }
 
     #[test]
     fn ray_param_orders_crossings() {
         let verts = [A, B, C, Vec3::new(0.3, 0.3, 1.0)];
-        let ray = Ray::new(Vec3::new(0.25, 0.2, -1.0), Vec3::new(0.0, 0.0, 2.0));
-        let hit = ray_tetra(&Plucker::from_ray(&ray), &verts);
+        let hit = ray_tetra(xy(0.25, 0.2), bound(), &verts);
         let (_, p_in) = hit.enter.unwrap();
         let (_, p_out) = hit.exit.unwrap();
-        assert!(param_of(&ray, p_in) < param_of(&ray, p_out));
+        assert!(p_in.z < p_out.z);
     }
 
     fn rand_unit(s: &mut u64) -> f64 {
@@ -606,15 +736,16 @@ mod tests {
             for p in &mut v {
                 *p = Vec3::new(rand_unit(&mut st), rand_unit(&mut st), rand_unit(&mut st));
             }
-            let r = Plucker::from_ray(&Ray::vertical(rand_unit(&mut st), rand_unit(&mut st)));
+            let xi = xy(rand_unit(&mut st), rand_unit(&mut st));
             let mut vn = v;
             let mut ids = [7u32, 11, 13, 17];
             if normalize_tet(&mut vn) {
                 ids.swap(2, 3);
             }
-            let plain = ray_tetra(&r, &vn);
+            let plain = ray_tetra(xi, bound(), &vn);
             let mut evals = 0u64;
-            let (seeded, seed_out) = ray_tetra_seeded(&r, &vn, &ids, None, None, &mut evals);
+            let (seeded, seed_out) =
+                ray_tetra_seeded(xi, bound(), &vn, &ids, None, None, &mut evals);
             assert_eq!(plain, seeded);
             assert_eq!(evals, 6);
             if let Some((fi, _)) = seeded.exit {
@@ -623,7 +754,7 @@ mod tests {
                 // match), leaving exactly 3 fresh evaluations.
                 let mut evals2 = 0u64;
                 let (again, _) =
-                    ray_tetra_seeded(&r, &vn, &ids, Some(&seed_out), None, &mut evals2);
+                    ray_tetra_seeded(xi, bound(), &vn, &ids, Some(&seed_out), None, &mut evals2);
                 assert_eq!(again, seeded);
                 assert_eq!(evals2, 3, "exit face {fi} edges not reused");
             } else {
@@ -642,7 +773,7 @@ mod tests {
         let apex_hi = Vec3::new(0.25, 0.3, 1.0);
         let lower = [A, B, C, apex_lo];
         let upper = [B, A, C, apex_hi]; // different local order on purpose
-        let r = Plucker::from_ray(&Ray::vertical(0.2, 0.25));
+        let xi = xy(0.2, 0.25);
 
         let mut lo = lower;
         let mut lo_ids = [0u32, 1, 2, 3];
@@ -650,7 +781,7 @@ mod tests {
             lo_ids.swap(2, 3);
         }
         let mut evals = 0u64;
-        let (lo_hit, seed) = ray_tetra_seeded(&r, &lo, &lo_ids, None, None, &mut evals);
+        let (lo_hit, seed) = ray_tetra_seeded(xi, bound(), &lo, &lo_ids, None, None, &mut evals);
         assert!(lo_hit.is_through());
 
         let mut up = upper;
@@ -659,8 +790,16 @@ mod tests {
             up_ids.swap(2, 3);
         }
         let mut seeded_evals = 0u64;
-        let (up_hit, _) = ray_tetra_seeded(&r, &up, &up_ids, Some(&seed), None, &mut seeded_evals);
-        assert_eq!(up_hit, ray_tetra(&r, &upper));
+        let (up_hit, _) = ray_tetra_seeded(
+            xi,
+            bound(),
+            &up,
+            &up_ids,
+            Some(&seed),
+            None,
+            &mut seeded_evals,
+        );
+        assert_eq!(up_hit, ray_tetra(xi, bound(), &upper));
         assert!(up_hit.is_through());
         assert!(seeded_evals < 6, "no shared-face reuse happened");
     }
@@ -670,10 +809,10 @@ mod tests {
         // The FACE_EDGES sign table must reproduce ray_tetra's literal
         // per-face products for every face.
         let v = [A, B, C, Vec3::new(0.1, 0.2, 1.0)];
-        let r = Plucker::from_ray(&Ray::vertical(0.21, 0.17));
+        let xi = xy(0.21, 0.17);
         let s: Vec<f64> = TET_EDGES
             .iter()
-            .map(|&(i, j)| r.side(&Plucker::from_edge(v[i], v[j])))
+            .map(|&(i, j)| side_vertical(xi, v[i], v[j]))
             .collect();
         let (s01, s02, s03, s12, s13, s23) = (s[0], s[1], s[2], s[3], s[4], s[5]);
         let expect: [[f64; 3]; 4] = [
@@ -687,22 +826,6 @@ mod tests {
                 let (e, rev) = fe[k];
                 let got = if rev { -s[e] } else { s[e] };
                 assert_eq!(got.to_bits(), expect[fi][k].to_bits(), "face {fi} slot {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn oblique_ray_tetra() {
-        let verts = [A, B, C, Vec3::new(0.2, 0.2, 1.0)];
-        let ray = Ray::new(Vec3::new(-1.0, 0.15, 0.1), Vec3::new(1.0, 0.05, 0.05));
-        let hit = ray_tetra(&Plucker::from_ray(&ray), &verts);
-        if hit.is_through() {
-            let (_, p_in) = hit.enter.unwrap();
-            let (_, p_out) = hit.exit.unwrap();
-            // Both points must lie (approximately) on the ray.
-            for p in [p_in, p_out] {
-                let on_ray = ray.origin + ray.dir * param_of(&ray, p);
-                assert!(on_ray.distance(p) < 1e-9, "point {p:?} not on ray");
             }
         }
     }

@@ -103,6 +103,29 @@ pub fn orient2d_inline(a: Vec2, b: Vec2, c: Vec2) -> Orientation {
     orient2d_filtered(a, b, c).unwrap_or_else(|| orient2d(a, b, c))
 }
 
+/// The side of the directed line `a → b` that `c` lies on, with `c` moved
+/// by the symbolic offset `(ε, ε²)`, `ε → 0⁺` (simulation of simplicity,
+/// Edelsbrunner & Mücke): the sign of `orient2d(a, b, c + (ε, ε²))`.
+/// `orient2d` is linear in `c`, so that is the exact [`orient2d`]; on a
+/// zero, `sign(a_y − b_y)`; on a zero again, `sign(b_x − a_x)`. It is
+/// `Zero` only when `a` and `b` coincide, and swapping them negates it.
+/// Every decision of which side of a projected edge a vertical line of
+/// sight passes — the march's edge sides, the hull entry, the element
+/// projector's spans — is this one rule, so the moved line lies on no
+/// projected edge or vertex and in exactly one tetrahedron at every
+/// height. Inlined: the filtered sign is a few flops, and the rare
+/// undecided case goes to the out-of-line [`orient2d`].
+#[inline]
+pub fn orient2d_sos(a: Vec2, b: Vec2, c: Vec2) -> Orientation {
+    match orient2d_inline(a, b, c) {
+        Orientation::Zero => {
+            let s = if a.y != b.y { a.y - b.y } else { b.x - a.x };
+            Orientation::from_sign((s > 0.0) as i32 - (s < 0.0) as i32)
+        }
+        o => o,
+    }
+}
+
 /// The float filter: the sign when the determinant clears its error bound.
 #[inline]
 fn orient2d_filtered(a: Vec2, b: Vec2, c: Vec2) -> Option<Orientation> {
@@ -512,6 +535,74 @@ mod tests {
         assert_eq!(orient2d(a, b, c_up), Orientation::Positive);
         let c_dn = Vec2::new(24.0, 24.0_f64.next_down());
         assert_eq!(orient2d(a, b, c_dn), Orientation::Negative);
+    }
+
+    /// The points of the 5 × 5 lattice `{0, ½, …, 2}²`: every triple of
+    /// them that is collinear is a tie the symbolic offset must break.
+    fn half_lattice() -> Vec<Vec2> {
+        (0..25)
+            .map(|k| Vec2::new((k % 5) as f64 * 0.5, (k / 5) as f64 * 0.5))
+            .collect()
+    }
+
+    #[test]
+    fn orient2d_sos_is_antisymmetric_and_never_zero() {
+        let pts = half_lattice();
+        let mut ties = 0;
+        for &a in &pts {
+            for &b in &pts {
+                for &c in &pts {
+                    let o = orient2d_sos(a, b, c);
+                    assert_eq!(orient2d_sos(b, a, c), o.flipped(), "{a:?} {b:?} {c:?}");
+                    assert_eq!(o.is_zero(), a == b, "{a:?} {b:?} {c:?}");
+                    if orient2d(a, b, c).is_zero() {
+                        ties += 1;
+                    } else {
+                        assert_eq!(o, orient2d(a, b, c), "the exact sign stands");
+                    }
+                }
+            }
+        }
+        assert!(ties > 1000, "{ties} ties");
+    }
+
+    #[test]
+    fn orient2d_sos_counts_a_point_on_an_edge_as_right_of_it() {
+        // The element projector's span rule: a centre on an edge that
+        // crosses its row lies right of it, whichever way the edge runs.
+        let pts = half_lattice();
+        for &u in &pts {
+            for &v in pts.iter().filter(|v| v.y != u.y) {
+                let up = v.y > u.y;
+                for &c in &pts {
+                    let right = match orient2d(u, v, c) {
+                        Orientation::Zero => true,
+                        Orientation::Positive => !up,
+                        Orientation::Negative => up,
+                    };
+                    let sos = orient2d_sos(u, v, c);
+                    let sos_right = sos
+                        == if up {
+                            Orientation::Negative
+                        } else {
+                            Orientation::Positive
+                        };
+                    assert_eq!(sos_right, right, "{u:?} → {v:?}, {c:?}");
+                }
+            }
+        }
+        // A horizontal edge takes the second tie-break: `c + (ε, ε²)` is
+        // above the line through it, on the left of `a → b` when `b` is
+        // right of `a`.
+        let (a, b) = (Vec2::new(0.0, 1.0), Vec2::new(2.0, 1.0));
+        assert_eq!(
+            orient2d_sos(a, b, Vec2::new(5.0, 1.0)),
+            Orientation::Positive
+        );
+        assert_eq!(
+            orient2d_sos(b, a, Vec2::new(5.0, 1.0)),
+            Orientation::Negative
+        );
     }
 
     #[test]

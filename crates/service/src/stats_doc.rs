@@ -140,8 +140,11 @@ pub struct MetricsDigest {
     /// projects and adds `core.project_tets` (tetrahedra the window's box
     /// meets), `core.project_rows` (the footprint rows those tetrahedra set
     /// up) and `core.project_scan_fallback`; otherwise it marches and
-    /// bridges its per-render `MarchStats` here: `core.degenerate_restarts`,
-    /// `core.march_failures`, `core.plucker_edge_evals`,
+    /// bridges its per-render `MarchStats` here: `core.degenerate_restarts`
+    /// (always 0: exact edge sides leave no line to restart; kept until the
+    /// benchmark harness stops reading it), `core.march_failures` (lines a
+    /// guard against a corrupt mesh ended; 0 on a valid triangulation),
+    /// `core.plucker_edge_evals`,
     /// `core.entry_hint_miss` (hull-index queries: lines with no window
     /// entry), `core.window_entry_hit`, `core.window_entry_fallback` and
     /// `core.window_walk_steps`; a tile's first marched render also writes

@@ -190,8 +190,7 @@ mod charge {
     /// Per vertex of the mesh: position and input map (28 B) and star
     /// volume (8 B).
     pub const MESH_VERTEX: usize = 96;
-    /// Per tetrahedron slot of the mesh: its 32 B link and its swap bit,
-    /// with headroom for what the pass that writes the links holds beside
+    /// Per tetrahedron slot of the mesh: its 32 B link, with headroom for what the pass that writes the links holds beside
     /// them: the builder's 32 B slot and the 8 B of breadth-first order and
     /// renumbering.
     pub const MESH_SLOT: usize = 80;

@@ -38,11 +38,10 @@ fn main() {
     let t0 = Instant::now();
     let (sigma, stats) = surface_density_with_stats(&field, &grid, &MarchOptions::default());
     println!(
-        "marched {} rays in {:.2}s ({} tetrahedron crossings, {} perturbations)",
+        "marched {} rays in {:.2}s ({} tetrahedron crossings)",
         grid.num_cells(),
         t0.elapsed().as_secs_f64(),
-        stats.crossings,
-        stats.perturbations
+        stats.crossings
     );
     let (lo, hi) = sigma.min_max();
     println!(

@@ -187,9 +187,8 @@ fn cmd_render(flags: &HashMap<String, String>) -> Result<(), String> {
     let opts = MarchOptions::new().samples(samples);
     let (sigma, stats) = surface_density_with_stats(&field, &grid, &opts);
     eprintln!(
-        "done: {} crossings, {} perturbations, grid mass {:.1}",
+        "done: {} crossings, grid mass {:.1}",
         stats.crossings,
-        stats.perturbations,
         sigma.total_mass()
     );
     match out.extension().and_then(|e| e.to_str()) {

@@ -10,14 +10,16 @@
 //!   swing ±30 % on a shared host; predicate calls per inserted point do not
 //!   swing at all, and they are what a worse insertion order inflates.
 //! * **The render-time topology is the builder's mesh**: slot numbers from a
-//!   breadth-first search computed here, every vertex array verbatim, every
-//!   swap bit `normalize_tet`'s, and a valid Delaunay triangulation.
+//!   breadth-first search computed here, every vertex array verbatim and
+//!   positively oriented exactly — as the march reads it, slivers whose
+//!   float determinant says otherwise included — and a valid Delaunay
+//!   triangulation.
 //! * **Scale range**: a cloud whose scale the predicates or the DTFE
 //!   interpolant cannot carry is a typed error, not a wrong field.
 
 use dtfe_repro::core::{surface_density, DtfeField, GridSpec2, MarchOptions, Mass};
 use dtfe_repro::delaunay::{BuildError, Delaunay, DelaunayBuilder, TetId, NONE};
-use dtfe_repro::geometry::plucker::normalize_tet;
+use dtfe_repro::geometry::predicates::{orient3d, orient3d_det};
 use dtfe_repro::geometry::{Aabb3, Vec2, Vec3};
 use dtfe_repro::nbody::halos::{clustered_box, ClusteredBoxSpec};
 use dtfe_repro::telemetry::Recorder;
@@ -255,8 +257,7 @@ fn the_render_topology_is_the_builders_mesh_renumbered() {
         .map(|i| Vec3::new((i % 4) as f64, (i / 4 % 4) as f64, (i / 16) as f64))
         .collect();
     // A tilted sheet a few ulps thick: its tetrahedra are slivers whose
-    // float orientation can disagree with the exact one, the records that
-    // carry a swap.
+    // float orientation can disagree with the exact one.
     let sheet: Vec<Vec3> = {
         let mut r = uniform(71);
         (0..200)
@@ -273,7 +274,7 @@ fn the_render_topology_is_the_builders_mesh_renumbered() {
         ("4³ lattice", lattice),
         ("sheet", sheet),
     ];
-    let mut total_swaps = 0;
+    let mut float_inverted = 0;
     for (what, pts) in clouds {
         let raw = DelaunayBuilder::new().build(&pts).unwrap();
         let del = DelaunayBuilder::new().build(&pts).unwrap().into_topology();
@@ -294,7 +295,6 @@ fn the_render_topology_is_the_builders_mesh_renumbered() {
         for (new, &old) in order.iter().enumerate() {
             new_of[old as usize] = new as TetId;
         }
-        let mut swaps = 0;
         for (new, &old) in order.iter().enumerate() {
             let (t, built) = (new as TetId, raw.tet_slot(old));
             let tet = del.tet(t);
@@ -304,19 +304,24 @@ fn the_render_topology_is_the_builders_mesh_renumbered() {
                 built.neighbors.map(|n| new_of[n as usize]),
                 "{what}: slot {t} neighbours"
             );
-            // The march's positions are the corners in `normalize_tet`'s
-            // order, and the swap bit is its decision.
-            let (swapped, corners) = if built.is_ghost() {
+            // The march's positions are the corners in the builder's
+            // order, which is positive exactly: the orientation the march's
+            // face table reads, whatever the float determinant says.
+            let corners = if built.is_ghost() {
                 let [a, b, c, _] = built.verts;
                 let p = [a, b, c].map(|v| raw.vertex(v));
-                (false, [p[0], p[1], p[2], Vec3::ZERO])
+                [p[0], p[1], p[2], Vec3::ZERO]
             } else {
-                let mut p = raw.tet_points(old);
-                (normalize_tet(&mut p), p)
+                let p = raw.tet_points(old);
+                assert!(
+                    orient3d(p[0], p[1], p[2], p[3]).is_positive(),
+                    "{what}: slot {t} orientation"
+                );
+                float_inverted += (orient3d_det(p[0], p[1], p[2], p[3]) <= 0.0) as usize;
+                p
             };
-            assert_eq!(topo.is_swapped(t), swapped, "{what}: slot {t} swap bit");
+            assert_eq!(topo.link(t).ids, built.verts, "{what}: slot {t} link");
             assert_eq!(positions[new], corners, "{what}: slot {t} positions");
-            swaps += swapped as usize;
             for (k, n) in tet.neighbors.into_iter().enumerate() {
                 let back = del.tet(n).index_of_neighbor(t);
                 assert!(back.is_some(), "{what}: slot {t} face {k} not reciprocal");
@@ -325,10 +330,10 @@ fn the_render_topology_is_the_builders_mesh_renumbered() {
         del.validate().unwrap_or_else(|e| panic!("{what}: {e}"));
         del.validate_delaunay_global()
             .unwrap_or_else(|e| panic!("{what}: {e}"));
-        total_swaps += swaps;
     }
-    // The sheet's slivers (11 records) keep the swap bit from being vacuous.
-    assert!(total_swaps > 0, "no record was swapped");
+    // The sheet's slivers keep the exact orientation from being vacuous:
+    // their float determinants disagree with it.
+    assert!(float_inverted > 0, "no float determinant was inverted");
 }
 
 /// Grid mass of a 300-point cloud in `[0, s]³`, rendered over an 8×8 grid

@@ -80,8 +80,8 @@ pub fn with_duplicates() -> Vec<Vec3> {
 }
 
 /// An exact 4³ lattice: on a grid whose cell centres fall on its vertex
-/// columns and cube diagonals, centre lines of sight are degenerate and
-/// perturb.
+/// columns and cube diagonals, centre lines of sight run along projected
+/// vertices and edges.
 pub fn exact_lattice() -> Vec<Vec3> {
     (0..64)
         .map(|i| Vec3::new((i % 4) as f64, (i / 4 % 4) as f64, (i / 16) as f64))

@@ -10,8 +10,9 @@
 //!   integral `∫ |f| dz` over the window (its value, for the positive
 //!   estimators), and the grid sums agree to `1e-12` of the absolute sum;
 //! * the projector's `(line, tetrahedron)` pairs equal the march's
-//!   crossings, the march needing no `Perturb` on these general-position
-//!   clouds; under a window a pair is a tetrahedron the segment meets;
+//!   crossings — both decide every edge side by one exact rule, so they
+//!   follow the same lines; under a window a pair is a tetrahedron the
+//!   segment meets;
 //! * serial and row-banded parallel renders are bit-identical at every
 //!   thread count;
 //! * a windowed render that gathers its tetrahedra has the bits and pairs
@@ -24,8 +25,9 @@
 //! marching — jittered samples, a sparse grid — still give the
 //! reference's bits, and so does the march under a window. The Kronecker
 //! cloud, a quasi-lattice whose centre lines graze edges everywhere, is
-//! rendered without a single perturbation, and its stacked windows sum to
-//! its full-depth render.
+//! projected, its stacked windows summing to its full-depth render, and
+//! marched — jittered and on a sparse grid — with no line restarted or
+//! failed, kernel == reference, and the projector's pairs.
 
 use dtfe_repro::core::marching::{
     cell_value, pairs_per_tet, projects, surface_density_by, surface_density_with_stats, Kernel,
@@ -77,8 +79,8 @@ fn segment_crossings(
 }
 
 /// Render `grid` as the render selects — which must project — and hold
-/// it to the reference march within the rounding bound, with no
-/// perturbation in either. Returns the pairs and the march's crossings.
+/// it to the reference march within the rounding bound, with no line
+/// restarted or failed. Returns the pairs and the march's crossings.
 fn project(
     at: &str,
     view: &FieldView<'_>,
@@ -94,7 +96,7 @@ fn project(
     );
     let (projected, ps) = surface_density_with_index(view, index, grid, opts);
     let (marched, ms) = surface_density_reference(view, index, grid, opts);
-    assert_eq!(ms.perturbations, 0, "{what}: the fixture perturbs");
+    assert_eq!((ms.perturbations, ms.failures), (0, 0), "{what}");
     assert_eq!(ps.perturbations + ps.edge_evals, 0, "{what}");
     let scale = magnitude(view, index, grid, opts);
     assert_within_rounding(&projected.data, &marched.data, &scale, &what);
@@ -332,14 +334,9 @@ fn jittered_windowed_and_sparse_renders_keep_marching() {
 }
 
 /// The Kronecker cloud `((i·0.618034) mod 1, (i·0.414214) mod 1,
-/// (i·0.259921) mod 1) × 4`: a quasi-lattice whose centre lines lie on
-/// projected edges and vertices all over the grid. The march perturbs them
-/// and reads a grid mass half again too large; the projector counts each
-/// such line in exactly one tetrahedron at every height and needs no
-/// `Perturb` — at full depth and under each of four stacked windows, which
-/// sum to the full-depth render.
-#[test]
-fn the_kronecker_lattice_projects_without_a_perturbation() {
+/// (i·0.259921) mod 1) × 4`, `i = 1..=2000`: a quasi-lattice whose centre
+/// lines lie on projected edges and vertices all over a 64² grid.
+fn kronecker() -> DtfeField {
     let pts: Vec<Vec3> = (1..=2000)
         .map(|i| {
             let i = i as f64;
@@ -352,6 +349,15 @@ fn the_kronecker_lattice_projects_without_a_perturbation() {
         .collect();
     let field = DtfeField::build(&pts, Mass::Uniform(1.0)).unwrap();
     assert_eq!(field.delaunay().num_tets(), 11_805);
+    field
+}
+
+/// The Kronecker cloud projected: the projector counts each line on an
+/// edge in exactly one tetrahedron at every height, at full depth and
+/// under each of four stacked windows, which sum to the full-depth render.
+#[test]
+fn the_kronecker_lattice_projects_without_a_perturbation() {
+    let field = kronecker();
     let grid = GridSpec2::covering(Vec2::new(0.0, 0.0), Vec2::new(4.0, 4.0), 64, 64);
     let opts = MarchOptions::new().parallel(false);
     assert!(projects(&field, &grid, &opts));
@@ -374,4 +380,47 @@ fn the_kronecker_lattice_projects_without_a_perturbation() {
         }
     }
     assert_within_rounding(&stacked, &sigma.data, &sigma.data, "stacked windows");
+}
+
+/// The Kronecker cloud marched. Its centre lines graze edges and vertices
+/// everywhere, and one of its slivers has a float orientation opposite
+/// the exact one: no line may restart or fail. Jittered lines and a
+/// sparse grid march: the kernel gives the reference's bits and counters
+/// and the grid holds the particles' mass. At full depth the reference
+/// march crosses exactly the projector's pairs.
+#[test]
+fn the_kronecker_lattice_marches_without_a_perturbation() {
+    let field = kronecker();
+    let index = HullIndex::build(&field);
+    let view = field.view();
+    let dense = GridSpec2::covering(Vec2::new(0.0, 0.0), Vec2::new(4.0, 4.0), 64, 64);
+    let sparse = GridSpec2::covering(Vec2::new(0.0, 0.0), Vec2::new(4.0, 4.0), 32, 32);
+    let full = MarchOptions::new().parallel(false);
+    for (what, grid, opts) in [
+        ("jittered", dense, full.clone().samples(2)),
+        ("sparse", sparse, full.clone()),
+    ] {
+        assert!(!projects(&view, &grid, &opts), "{what}");
+        let (kernel, ks) = surface_density_with_index(&view, &index, &grid, &opts);
+        let (reference, rs) = surface_density_reference(&view, &index, &grid, &opts);
+        assert_eq!(fnv(&kernel.data), fnv(&reference.data), "{what}");
+        let counters = |s: &MarchStats| {
+            let lines = (s.perturbations, s.failures, s.crossings);
+            (
+                lines,
+                s.entry_hint_misses,
+                s.window_entries,
+                s.window_fallbacks,
+            )
+        };
+        assert_eq!(counters(&ks), counters(&rs), "{what}");
+        assert_eq!((ks.perturbations, ks.failures), (0, 0), "{what}");
+        let mass = kernel.total_mass();
+        assert!(
+            (mass - 2000.0).abs() < 0.01 * 2000.0,
+            "{what}: grid mass {mass} of 2000 particles"
+        );
+    }
+    let (pairs, crossings) = project("kronecker", &view, &index, &dense, &full);
+    assert_eq!(pairs, crossings);
 }

@@ -4,7 +4,7 @@
 //! What is held here, all seed-deterministic:
 //!
 //! * (a) `kernel == reference` — bits, `crossings`, `perturbations`,
-//!   `failures` — under windows, on a jittered cloud, a clustered
+//!   `failures` (no restart and no failure anywhere) — under windows, on a jittered cloud, a clustered
 //!   `dtfe_nbody` cloud and the exact 4³ lattice, for 1 and 3 samples,
 //!   serial and tiled on 1–3 threads over a grid the tile seams cut,
 //!   through every backend's view (DTFE named and as
@@ -44,7 +44,8 @@ struct Fixture {
     pts: Vec<Vec3>,
     grid: GridSpec2,
     windows: [(f64, f64); 3],
-    /// Generic position: no line of sight is expected to perturb.
+    /// Generic position: no floor point is a tie, so entering at the floor
+    /// changes no bit of the hull-entered render.
     generic: bool,
 }
 
@@ -392,13 +393,27 @@ fn floor_point_on_a_vertex_is_a_tie_and_enters_by_the_hull() {
     assert_eq!(window_entry_with_hint(&field, &index, xi, 1.5, NONE), None);
 
     // The 1×1 grid whose single cell centre is exactly that column: the
-    // hull-entered line is degenerate, perturbs, and re-enters by the same
-    // rule — identically in both kernels.
+    // hull-entered line runs along lattice edges, and both kernels march it
+    // as the line moved by the symbolic offset `(ε, ε²)` — no restart, no
+    // failure — to the integral of the lines just beside it (the field is
+    // continuous).
     let grid = GridSpec2::covering(Vec2::new(0.5, 0.5), Vec2::new(1.5, 1.5), 1, 1);
     assert_eq!(grid.center(0, 0), xi);
     let (data, s) = render_both(&field, &index, &grid, (1.0, 2.0));
-    assert!(s.window_fallbacks >= 1 && s.perturbations >= 1);
-    assert!(data[0].is_finite() && data[0] > 0.0);
+    assert!(s.window_fallbacks >= 1);
+    assert_eq!((s.perturbations, s.failures), (0, 0));
+    let beside = march_cell(
+        &field,
+        &index,
+        Vec2::new(1.0 + 1e-9, 1.0 + 1e-12),
+        Some((1.0, 2.0)),
+        &mut MarchStats::default(),
+    );
+    assert!(
+        data[0] > 0.0 && (data[0] - beside).abs() < 1e-6,
+        "{} vs {beside}",
+        data[0]
+    );
 
     // A vertex of a cloud in generic position, through the hook alone.
     let fx = &fixtures()[0];
@@ -442,7 +457,7 @@ fn sliver_window_and_additivity_across_a_shared_floor() {
     // `c`, the lower half and the whole enter through the hull.
     let run = |xi: Vec2, zr: Option<(f64, f64)>| {
         let mut stats = MarchStats::default();
-        let v = march_cell(&field, &index, xi, zr, 1e-9, 16, 7, &mut stats);
+        let v = march_cell(&field, &index, xi, zr, &mut stats);
         (v, stats)
     };
     for xi in [
