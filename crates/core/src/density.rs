@@ -2,7 +2,7 @@
 //! interpolant (paper §III-A).
 
 use crate::estimator::{
-    integrate_vertex_field, vertex_interp, vertex_masses, FieldEstimator, FieldView, RenderMesh,
+    integrate_vertex_field, vertex_masses, FieldEstimator, FieldView, LinearTable, RenderMesh,
 };
 use crate::marching::MarchCache;
 use dtfe_delaunay::{BuildError, Delaunay, DelaunayBuilder, Located, TetId};
@@ -41,49 +41,46 @@ impl TetInterp {
     }
 }
 
-/// The DTFE table over a [`RenderMesh`]: the vertex densities of Eq. 2 and
-/// one precomputed linear interpolant per tetrahedron slot.
+/// The DTFE table over a [`RenderMesh`]: the vertex densities of Eq. 2, a
+/// [`LinearTable`] whose per-slot interpolants a march writes when it
+/// first needs them.
 ///
 /// Densities are `ρ̂(x_i) = (d+1) m_i / Σ_j V(T_{j,i})` with `d = 3`: four
 /// times the vertex mass over the volume of its star (the contiguous Voronoi
 /// cell). This makes the piecewise-linear field conserve total mass exactly:
 /// `∫ ρ̂ dV = Σ_i m_i` over the convex hull.
 pub struct DtfeTable {
-    vertex_density: Vec<f64>,
-    /// Indexed by tetrahedron slot id; ghost/freed slots hold zeros.
-    interp: Vec<TetInterp>,
+    linear: LinearTable,
 }
 
 impl DtfeTable {
-    /// Eq. 2 and Eq. 1 over `mesh`, which was triangulated from `n_input`
-    /// input points (duplicates may have merged; masses accumulate via
-    /// [`Delaunay::vertex_of_input`]). Degenerate (coplanar) tetrahedra
+    /// Eq. 2 over `mesh`, which was triangulated from `n_input` input
+    /// points (duplicates may have merged; masses accumulate via
+    /// [`Delaunay::vertex_of_input`]). Eq. 1's rows are derived from these
+    /// densities where they are read; degenerate (coplanar) tetrahedra
     /// carry zero volume and get a zero gradient, counted on
     /// `core.degenerate_tet_zero_grad`.
     pub fn build(mesh: &RenderMesh, n_input: usize, mass: &Mass) -> DtfeTable {
-        let del = mesh.delaunay();
-        let vertex_density: Vec<f64> = vertex_masses(del, n_input, mass)
+        let vertex_density: Vec<f64> = vertex_masses(mesh.delaunay(), n_input, mass)
             .iter()
             .zip(mesh.star_volumes())
             .map(|(&m, &w)| if w > 0.0 { 4.0 * m / w } else { 0.0 })
             .collect();
-        let interp = vertex_interp(del, &vertex_density);
         DtfeTable {
-            vertex_density,
-            interp,
+            linear: LinearTable::new(vertex_density),
         }
     }
 
     /// Vertex densities `ρ̂(x_i)` (Eq. 2), indexed by `VertexId`.
     #[inline]
     pub fn vertex_densities(&self) -> &[f64] {
-        &self.vertex_density
+        self.linear.values()
     }
 
-    /// The per-slot interpolants: what [`RenderMesh::view`] renders.
+    /// The linear table: what [`RenderMesh::view`] renders.
     #[inline]
-    pub fn interp(&self) -> &[TetInterp] {
-        &self.interp
+    pub fn linear(&self) -> &LinearTable {
+        &self.linear
     }
 }
 
@@ -134,11 +131,19 @@ impl DtfeField {
         &self.mesh
     }
 
-    /// The mesh's links with the march's positions written beside them —
-    /// by this call, if no march has yet: what a marched render reads.
+    /// The mesh's links with the march's positions written beside them,
+    /// and the interpolants — by this call, if no march has yet: what a
+    /// marched render reads.
     #[inline]
     pub fn march_cache(&self) -> &MarchCache {
-        self.mesh.march_cache()
+        FieldEstimator::march_cache(self)
+    }
+
+    /// The per-slot interpolants, written by this call if no march or walk
+    /// has yet: what the walking baseline reads.
+    #[inline]
+    pub fn rows(&self) -> &[TetInterp] {
+        self.table.linear.rows(self.delaunay())
     }
 
     /// Vertex densities `ρ̂(x_i)` (Eq. 2), indexed by `VertexId`.
@@ -147,40 +152,56 @@ impl DtfeField {
         self.table.vertex_densities()
     }
 
-    /// The linear interpolant parameters of finite tetrahedron `t`.
+    /// The linear interpolant parameters of finite tetrahedron `t`,
+    /// derived from its vertex densities (equal to [`DtfeField::rows`] at
+    /// `t`, and writing nothing).
     #[inline]
-    pub fn tet_interp(&self, t: TetId) -> &TetInterp {
-        &self.table.interp[t as usize]
+    pub fn tet_interp(&self, t: TetId) -> TetInterp {
+        self.table.linear.row(self.delaunay(), t)
     }
 
     /// Evaluate `ρ̂` inside tetrahedron `t` at `p` (Eq. 1). `p` is assumed
-    /// to lie in `t`; no containment check.
+    /// to lie in `t`; no containment check. Reads [`DtfeField::rows`].
     #[inline]
     pub fn density_in_tet(&self, t: TetId, p: Vec3) -> f64 {
         let del = self.delaunay();
-        self.tet_interp(t).eval(del.vertex(del.tet(t).verts[0]), p)
+        self.rows()[t as usize].eval(del.vertex(del.tet(t).verts[0]), p)
     }
 
     /// Point-located density: walk from `hint`, interpolate, and return the
     /// containing tetrahedron for the next call's hint. `None` outside the
     /// hull (or where the walk is [`Located::Lost`]). This is the walking
-    /// baseline's inner loop.
+    /// baseline's inner loop, and it reads [`DtfeField::rows`].
     pub fn density_at_hinted(&self, p: Vec3, hint: TetId, seed: &mut u64) -> Option<(f64, TetId)> {
+        self.located(p, hint, seed, |t| self.density_in_tet(t, p))
+    }
+
+    /// Convenience single query (fresh walk each call). The row of the
+    /// tetrahedron found is derived, so a field queried only here — a
+    /// stochastic realization — never writes its rows.
+    pub fn density_at(&self, p: Vec3) -> Option<f64> {
+        let mut seed = 0x9E3779B97F4A7C15 ^ (p.x.to_bits() ^ p.y.to_bits().rotate_left(17));
+        self.located(p, dtfe_delaunay::NONE, &mut seed, |t| self.tet_value(t, p))
+            .map(|(d, _)| d)
+    }
+
+    /// Locate `p` from `hint` and evaluate there: `in_tet(t)` inside finite
+    /// tetrahedron `t`, the vertex density on a vertex (returning `hint`).
+    fn located(
+        &self,
+        p: Vec3,
+        hint: TetId,
+        seed: &mut u64,
+        in_tet: impl FnOnce(TetId) -> f64,
+    ) -> Option<(f64, TetId)> {
         match self.delaunay().locate_seeded(p, hint, seed) {
-            Located::Finite(t) => Some((self.density_in_tet(t, p), t)),
+            Located::Finite(t) => Some((in_tet(t), t)),
             Located::Ghost(_) | Located::Lost => None,
             Located::Vertex(v) => {
                 // Any incident tetrahedron gives the same vertex value.
                 Some((self.vertex_densities()[v as usize], hint))
             }
         }
-    }
-
-    /// Convenience single query (fresh walk each call).
-    pub fn density_at(&self, p: Vec3) -> Option<f64> {
-        let mut seed = 0x9E3779B97F4A7C15 ^ (p.x.to_bits() ^ p.y.to_bits().rotate_left(17));
-        self.density_at_hinted(p, dtfe_delaunay::NONE, &mut seed)
-            .map(|(d, _)| d)
     }
 
     /// Total estimated mass `∫ ρ̂ dV` over the hull — equals the input mass
@@ -192,7 +213,7 @@ impl DtfeField {
 
 impl FieldEstimator for DtfeField {
     fn view(&self) -> FieldView<'_> {
-        self.mesh.view(self.table.interp())
+        self.mesh.view(self.table.linear())
     }
 }
 
@@ -309,7 +330,6 @@ mod tests {
         // Laying the mesh out permutes slots only: every tetrahedron's
         // interpolant (rho0, grad) — what the marching integral is computed
         // from — is the one the builder's slots give, bit for bit.
-        use crate::estimator::vertex_interp;
         use dtfe_delaunay::DelaunayBuilder;
         let pts = jittered_cloud(5, 21);
         let raw = DelaunayBuilder::new().build(&pts).unwrap();
@@ -318,7 +338,8 @@ mod tests {
         let w = raw.vertex_star_volumes();
         let rho: Vec<f64> = w.iter().map(|&w| 4.0 / w).collect();
         assert_eq!(rho, field.vertex_densities());
-        let rows = vertex_interp(&raw, &rho);
+        let rows = LinearTable::new(rho.clone());
+        let rows = rows.rows(&raw);
         let by_verts: std::collections::HashMap<[u32; 4], TetId> = field
             .delaunay()
             .finite_tets()
@@ -327,7 +348,8 @@ mod tests {
         assert_eq!(by_verts.len(), raw.num_tets());
         for old in raw.finite_tets() {
             let new = by_verts[&raw.tet(old).verts];
-            assert_eq!(&rows[old as usize], field.tet_interp(new), "slot {old}");
+            assert_eq!(rows[old as usize], field.rows()[new as usize], "slot {old}");
+            assert_eq!(rows[old as usize], field.tet_interp(new), "slot {old}");
         }
     }
 

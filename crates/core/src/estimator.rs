@@ -4,8 +4,9 @@
 //! exact line-of-sight integration (Eq. 12) — has exactly one input, and
 //! [`FieldView`] is that input: the triangulation, its 32 B traversal
 //! links, and the field on each tetrahedron slot ([`SlotValues`]):
-//! a linear interpolant `(f₀, ∇f)` (Eq. 1, about the slot's first vertex
-//! `x₀`, which the mesh holds) or one constant per simplex.
+//! a vertex-sampled field, linear in each slot ([`LinearTable`]: its
+//! interpolant `(f₀, ∇f)`, Eq. 1 about the slot's first vertex `x₀`, is
+//! derived from the four vertex values), or one constant per simplex.
 //! Both kernels in [`crate::marching`] take a `FieldView` and nothing else,
 //! so each is compiled once however many backends exist.
 //!
@@ -16,7 +17,7 @@
 //! [`crate::density::DtfeTable`] (Eq. 2 densities),
 //! [`crate::fields::ScalarField`] (any per-vertex scalar),
 //! [`crate::stochastic::StochasticTable`] (a jittered, mass-rescaled mean)
-//! — all three linear, through one shared gradient loop — and
+//! — all three a [`LinearTable`], whose rows come from one function — and
 //! [`crate::psdtfe::PsDtfeTable`] (two per-simplex-constant tables, density
 //! and velocity divergence). Any number of tables share one mesh;
 //! [`crate::density::DtfeField`], [`crate::psdtfe::PsDtfeField`] and
@@ -26,40 +27,105 @@
 
 use crate::density::{EntryFacet, Mass, TetInterp};
 use crate::marching::MarchCache;
-use dtfe_delaunay::{Delaunay, TetId};
+use dtfe_delaunay::{Delaunay, TetId, VertexId};
 use dtfe_geometry::predicates::{orient2d, Orientation};
 use dtfe_geometry::tetra::{linear_gradient, volume};
 use dtfe_geometry::Vec3;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
+
+/// A linear table: one value per vertex, `f(x_i)`, which fixes the field
+/// inside every tetrahedron (Eq. 1), and the per-slot rows `(f₀, ∇f)`
+/// derived from them, written only when a march or a walk asks.
+///
+/// The element projector sets every tetrahedron up once per render, so it
+/// derives the row there ([`LinearTable::row`], one 3×3 solve) and never
+/// reads the stored rows; the marching kernels and the walking baseline
+/// read a tetrahedron's row once per line crossing it, so the first of them
+/// writes all rows ([`LinearTable::rows`]) and the rest read them. Both go
+/// through one function, so a derived row equals the written one bit for
+/// bit. A table that is only projected holds 8 B a vertex.
+pub struct LinearTable {
+    values: Vec<f64>,
+    rows: OnceLock<Vec<TetInterp>>,
+}
+
+impl LinearTable {
+    /// A table of `values`, one per vertex (indexed by `VertexId`).
+    pub fn new(values: Vec<f64>) -> LinearTable {
+        LinearTable {
+            values,
+            rows: OnceLock::new(),
+        }
+    }
+
+    /// The vertex values.
+    #[inline]
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// The row of finite tetrahedron `t` of `del`, derived from its vertex
+    /// values — what [`LinearTable::rows`] holds at `t`, bit for bit.
+    #[inline]
+    pub fn row(&self, del: &Delaunay, t: TetId) -> TetInterp {
+        let ids = del.tet(t).verts;
+        self.row_at(&ids.map(|v| del.vertex(v)), ids).0
+    }
+
+    /// The row of the tetrahedron with vertices `ids` at `corners`, and
+    /// whether its gradient fell back to zero (a float-singular
+    /// tetrahedron).
+    #[inline]
+    pub(crate) fn row_at(&self, corners: &[Vec3; 4], ids: [VertexId; 4]) -> (TetInterp, bool) {
+        linear_row(corners, ids.map(|v| self.values[v as usize]))
+    }
+
+    /// One row per slot of `del` — the triangulation the values are over —
+    /// written by the first call, which every concurrent first call waits
+    /// for, and counted on `core.interp_rows_builds`. Ghost slots hold
+    /// [`TetInterp::ZERO`].
+    pub fn rows(&self, del: &Delaunay) -> &[TetInterp] {
+        self.rows.get_or_init(|| {
+            dtfe_telemetry::counter_add!("core.interp_rows_builds", 1);
+            vertex_interp(del, &self.values)
+        })
+    }
+
+    /// The rows if a march or a walk has written them.
+    #[inline]
+    pub fn written_rows(&self) -> Option<&[TetInterp]> {
+        self.rows.get().map(Vec::as_slice)
+    }
+}
 
 /// A table's per-slot values, as the kernels read them.
 #[derive(Clone, Copy)]
 pub enum SlotValues<'a> {
-    /// One linear row per slot, `f(x) = rho0 + grad · (x − x₀)` (Eq. 1),
-    /// `x₀` the slot's first vertex: DTFE, stochastic and
+    /// A vertex-sampled field, linear in each slot: DTFE, stochastic and
     /// [`crate::fields::ScalarField`] tables.
-    Linear(&'a [TetInterp]),
+    Linear(&'a LinearTable),
     /// One number per simplex, `f(x) = c[t]`: the PS-DTFE density and
     /// velocity divergence, whose Eq. 12 integral is that number times the
     /// crossing length.
     Constant(&'a [f64]),
 }
 
-impl SlotValues<'_> {
-    /// The field inside slot `t` at `p`; `x0` is the slot's first vertex.
-    #[inline]
-    pub fn eval(&self, t: TetId, x0: Vec3, p: Vec3) -> f64 {
+impl<'a> SlotValues<'a> {
+    /// What a march reads: a linear table's rows — written by this call if
+    /// no march has yet — or the constants.
+    pub(crate) fn rows(self, del: &Delaunay) -> SlotRows<'a> {
         match self {
-            SlotValues::Linear(rows) => rows[t as usize].eval(x0, p),
-            SlotValues::Constant(c) => c[t as usize],
+            SlotValues::Linear(table) => SlotRows::Linear(table.rows(del)),
+            SlotValues::Constant(c) => SlotRows::Constant(c),
         }
     }
 }
 
-impl<'a> From<&'a [TetInterp]> for SlotValues<'a> {
-    fn from(rows: &'a [TetInterp]) -> Self {
-        SlotValues::Linear(rows)
+impl<'a> From<&'a LinearTable> for SlotValues<'a> {
+    fn from(table: &'a LinearTable) -> Self {
+        SlotValues::Linear(table)
     }
 }
 
@@ -69,11 +135,33 @@ impl<'a> From<&'a [f64]> for SlotValues<'a> {
     }
 }
 
+/// A table's per-slot values as a march reads them on every crossing.
+#[derive(Clone, Copy)]
+pub(crate) enum SlotRows<'a> {
+    /// One row per slot, `f(x) = rho0 + grad · (x − x₀)` (Eq. 1), `x₀` the
+    /// slot's first vertex.
+    Linear(&'a [TetInterp]),
+    /// One number per simplex.
+    Constant(&'a [f64]),
+}
+
+impl SlotRows<'_> {
+    /// The field inside slot `t` at `p`; `x0` is the slot's first vertex.
+    #[inline]
+    pub(crate) fn eval(&self, t: TetId, x0: Vec3, p: Vec3) -> f64 {
+        match self {
+            SlotRows::Linear(rows) => rows[t as usize].eval(x0, p),
+            SlotRows::Constant(c) => c[t as usize],
+        }
+    }
+}
+
 /// What the kernels render: three borrows.
 ///
 /// * `values` must be valid for every finite tetrahedron slot `t` of `del`
-///   (ghost slots are never read by the kernel), so it holds
-///   `del.num_slots()` entries.
+///   (ghost slots are never read by the kernel): a linear table holds one
+///   value per vertex of `del`, a constant table `del.num_slots()`
+///   entries.
 /// * `cache` must be `del`'s own links ([`Delaunay::topology`], `Some`
 ///   once [`Delaunay::into_topology`] has laid it out) —
 ///   [`RenderMesh::view`] guarantees it.
@@ -176,20 +264,26 @@ pub trait FieldEstimator: Sync {
         self.view().del
     }
 
-    /// The mesh's links with the march's positions written beside them —
-    /// by this call, if no march has yet: what a marched render reads.
+    /// The mesh's links with the march's positions written beside them,
+    /// and a linear table's rows — by this call, if no march has yet: what
+    /// a marched render reads.
     fn march_cache(&self) -> &MarchCache {
         let view = self.view();
+        view.values.rows(view.del);
         view.cache.march_positions(view.del.vertices());
         view.cache
     }
 
     /// The field inside finite tetrahedron `t` at `p` (no containment
-    /// check).
+    /// check). A linear table's row is derived, not read, so this writes
+    /// nothing.
     fn tet_value(&self, t: TetId, p: Vec3) -> f64 {
         let view = self.view();
         let x0 = view.del.vertex(view.del.tet(t).verts[0]);
-        view.values.eval(t, x0, p)
+        match view.values {
+            SlotValues::Linear(table) => table.row(view.del, t).eval(x0, p),
+            SlotValues::Constant(c) => c[t as usize],
+        }
     }
 }
 
@@ -235,16 +329,30 @@ impl std::fmt::Display for DegenerateTetError {
 
 impl std::error::Error for DegenerateTetError {}
 
-/// Per-slot interpolant table for a vertex-sampled field: `values[v]` at
-/// each vertex, constant gradient per tetrahedron (Eq. 1), over `del`'s
-/// current slot order. Ghost/freed slots hold inert zeros. A degenerate
-/// (coplanar in floating point) tetrahedron gets a zero gradient, so the
-/// field is constant over the sliver: it has (near-)zero volume, so its
-/// share of any line-of-sight integral is negligible either way. Each one
-/// is counted on `core.degenerate_tet_zero_grad`. Parallel on large meshes;
-/// an interpolant depends only on its own tetrahedron, so the table's bits
-/// do not depend on how the pass is split.
-pub(crate) fn vertex_interp(del: &Delaunay, values: &[f64]) -> Vec<TetInterp> {
+/// Eq. 1's row of a tetrahedron with corners `p` and vertex values `f`:
+/// `rho0 = f[0]` and the constant gradient, or a zero gradient — and
+/// `true` — where `p` is coplanar in floating point, so the field is
+/// constant over the sliver: it has (near-)zero volume, so its share of any
+/// line-of-sight integral is negligible either way. The one definition of
+/// a row: [`vertex_interp`] writes it per slot and the element projector
+/// derives it per tetrahedron.
+#[inline]
+pub(crate) fn linear_row(p: &[Vec3; 4], f: [f64; 4]) -> (TetInterp, bool) {
+    let grad = linear_gradient(p, &f);
+    let row = TetInterp {
+        rho0: f[0],
+        grad: grad.unwrap_or(Vec3::ZERO),
+    };
+    (row, grad.is_none())
+}
+
+/// Per-slot interpolant table for a vertex-sampled field: [`linear_row`]
+/// of every finite slot of `del`, in its current slot order. Ghost/freed
+/// slots hold inert zeros. Each zero-gradient fallback is counted on
+/// `core.degenerate_tet_zero_grad`. Parallel on large meshes; a row
+/// depends only on its own tetrahedron, so the table's bits do not depend
+/// on how the pass is split.
+fn vertex_interp(del: &Delaunay, values: &[f64]) -> Vec<TetInterp> {
     /// Below this many slots the pass runs in the calling thread: the
     /// vendored rayon spawns scoped OS threads per call, which costs more
     /// than a serial pass over a batch work item's ~4k-slot mesh.
@@ -257,23 +365,14 @@ pub(crate) fn vertex_interp(del: &Delaunay, values: &[f64]) -> Vec<TetInterp> {
         if !tet.is_live() || tet.is_ghost() {
             return TetInterp::ZERO;
         }
-        let v = [
-            del.vertex(tet.verts[0]),
-            del.vertex(tet.verts[1]),
-            del.vertex(tet.verts[2]),
-            del.vertex(tet.verts[3]),
-        ];
-        let f = [
-            values[tet.verts[0] as usize],
-            values[tet.verts[1] as usize],
-            values[tet.verts[2] as usize],
-            values[tet.verts[3] as usize],
-        ];
-        let grad = linear_gradient(&v, &f).unwrap_or_else(|| {
+        let (row, zeroed) = linear_row(
+            &tet.verts.map(|v| del.vertex(v)),
+            tet.verts.map(|v| values[v as usize]),
+        );
+        if zeroed {
             singular.fetch_add(1, Ordering::Relaxed);
-            Vec3::ZERO
-        });
-        TetInterp { rho0: f[0], grad }
+        }
+        row
     };
     let slots = del.num_slots();
     let out: Vec<TetInterp> = if slots < PAR_MIN_SLOTS {

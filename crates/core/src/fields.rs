@@ -8,8 +8,7 @@
 //! densities [`DtfeField`](crate::density::DtfeField) special cases —
 //! rendering through the same marching kernel as every other backend.
 
-use crate::density::TetInterp;
-use crate::estimator::{vertex_interp, FieldEstimator, FieldView, RenderMesh};
+use crate::estimator::{FieldEstimator, FieldView, LinearTable, RenderMesh};
 use dtfe_delaunay::{Delaunay, Located, TetId};
 use dtfe_geometry::Vec3;
 
@@ -18,25 +17,25 @@ use dtfe_geometry::Vec3;
 /// borrowed [`RenderMesh`], so it renders through that mesh's links.
 pub struct ScalarField<'a> {
     mesh: &'a RenderMesh,
-    values: Vec<f64>,
-    interp: Vec<TetInterp>,
+    table: LinearTable,
 }
 
 impl<'a> ScalarField<'a> {
     /// Build from per-vertex `values` (indexed by `VertexId`).
     ///
-    /// Degenerate (coplanar) tetrahedra get a zero gradient: they carry zero
-    /// volume, so the fallback cannot bias any line-of-sight integral, and
-    /// occurrences are counted on the `core.degenerate_tet_zero_grad`
-    /// telemetry counter.
+    /// Degenerate (coplanar) tetrahedra get a zero gradient where a row is
+    /// derived: they carry zero volume, so the fallback cannot bias any
+    /// line-of-sight integral, and occurrences are counted on the
+    /// `core.degenerate_tet_zero_grad` telemetry counter.
     pub fn new(mesh: &'a RenderMesh, values: Vec<f64>) -> ScalarField<'a> {
-        let del = mesh.delaunay();
-        assert_eq!(values.len(), del.num_vertices(), "one value per vertex");
-        let interp = vertex_interp(del, &values);
+        assert_eq!(
+            values.len(),
+            mesh.delaunay().num_vertices(),
+            "one value per vertex"
+        );
         ScalarField {
             mesh,
-            values,
-            interp,
+            table: LinearTable::new(values),
         }
     }
 
@@ -45,12 +44,11 @@ impl<'a> ScalarField<'a> {
         self.mesh.delaunay()
     }
 
-    /// Evaluate inside tetrahedron `t` (no containment check).
+    /// Evaluate inside tetrahedron `t` (no containment check), by its
+    /// derived row.
     #[inline]
     pub fn value_in_tet(&self, t: TetId, p: Vec3) -> f64 {
-        let del = self.delaunay();
-        let x0 = del.vertex(del.tet(t).verts[0]);
-        self.interp[t as usize].eval(x0, p)
+        self.tet_value(t, p)
     }
 
     /// Point-located evaluation; `None` outside the hull (or where the
@@ -58,7 +56,7 @@ impl<'a> ScalarField<'a> {
     pub fn value_at(&self, p: Vec3, seed: &mut u64) -> Option<f64> {
         match self.delaunay().locate_seeded(p, dtfe_delaunay::NONE, seed) {
             Located::Finite(t) => Some(self.value_in_tet(t, p)),
-            Located::Vertex(v) => Some(self.values[v as usize]),
+            Located::Vertex(v) => Some(self.table.values()[v as usize]),
             Located::Ghost(_) | Located::Lost => None,
         }
     }
@@ -66,7 +64,7 @@ impl<'a> ScalarField<'a> {
 
 impl FieldEstimator for ScalarField<'_> {
     fn view(&self) -> FieldView<'_> {
-        self.mesh.view(self.interp.as_slice())
+        self.mesh.view(&self.table)
     }
 }
 

@@ -23,7 +23,9 @@
 //! * [`grid`] — 2D/3D grid specifications and the field containers.
 //! * [`estimator`] — [`FieldView`], the one thing the kernels render: a
 //!   mesh, its 32 B traversal links and the field on each tetrahedron —
-//!   a linear interpolant or, for PS-DTFE, one constant ([`SlotValues`]).
+//!   linear, from its four vertex values ([`LinearTable`], whose rows a
+//!   march writes and the projector derives), or, for PS-DTFE, one
+//!   constant ([`SlotValues`]).
 //!   [`RenderMesh`] is the one owner of a triangulation for rendering — it
 //!   lays the mesh out as one link per tetrahedron — and `mesh.view(table)` makes
 //!   every view. A backend fills a table over that mesh and hands the view
@@ -84,7 +86,8 @@ pub mod walking;
 
 pub use density::{DtfeField, DtfeTable, Mass};
 pub use estimator::{
-    DegenerateTetError, EstimatorKind, FieldEstimator, FieldView, RenderMesh, SlotValues,
+    DegenerateTetError, EstimatorKind, FieldEstimator, FieldView, LinearTable, RenderMesh,
+    SlotValues,
 };
 pub use fields::ScalarField;
 pub use grid::{Field2, Field3, GridError, GridSpec2, GridSpec3};

@@ -126,7 +126,7 @@
 //! bit-for-bit oracle and the projector's differential one.
 
 use crate::density::EntryFacet;
-use crate::estimator::{entry_facets_of, FieldEstimator, FieldView, SlotValues};
+use crate::estimator::{entry_facets_of, FieldEstimator, FieldView, SlotRows};
 use crate::grid::{Field2, GridSpec2};
 use crate::projector;
 use dtfe_delaunay::{Delaunay, TetId, VertexId, NONE};
@@ -191,7 +191,7 @@ impl EntryHint {
 // The traversal links and positions.
 
 /// The mesh's tetrahedra as the kernel steps through them: one 32-byte
-/// [`dtfe_delaunay::Link`] per tetrahedron — vertex ids (the labels the
+/// [`dtfe_delaunay::Tet`] link per tetrahedron — vertex ids (the labels the
 /// shared-edge reuse keys on) and neighbour slots in the builder's order,
 /// positive exactly as [`ray_tetra_seeded`] expects — and, beside them,
 /// the positions in the same order,
@@ -479,8 +479,9 @@ pub(crate) fn mesh_side_bound(lo: Vec3, hi: Vec3) -> f64 {
     side_error_bound(lo.x.abs().max(lo.y.abs()).max(hi.x.abs()).max(hi.y.abs()))
 }
 
-/// Loop-invariant state of one render: the [`FieldView`]'s three borrows,
-/// the march's positions (written here on the mesh's first march), the hull
+/// Loop-invariant state of one render: the [`FieldView`]'s mesh and links,
+/// the march's positions and a linear table's rows (each written here on
+/// its first march), the hull
 /// index, the side products' error bound, the step bound, the integration
 /// window, and the floor a window entry is sought at (`None` when the
 /// render has no window or its floor is not above the mesh's lowest
@@ -491,7 +492,7 @@ struct MarchCtx<'a> {
     del: &'a Delaunay,
     cache: &'a MarchCache,
     pts: &'a [[Vec3; 4]],
-    values: SlotValues<'a>,
+    values: SlotRows<'a>,
     index: &'a HullIndex,
     z_range: Option<(f64, f64)>,
     window_floor: Option<f64>,
@@ -507,7 +508,7 @@ impl<'a> MarchCtx<'a> {
             del,
             cache,
             pts: cache.march_positions(del.vertices()),
-            values,
+            values: values.rows(del),
             index,
             z_range,
             window_floor: z_range.map(|(lo, _)| lo).filter(|&lo| lo > cache.z_min()),
@@ -689,7 +690,7 @@ fn march_cell_inner(
         start => {
             stats.entry_hint_misses += 1;
             match ctx.index.query(xi) {
-                Some(ghost) if start == Start::Hull => ctx.cache.link(ghost).neighbors[3],
+                Some(ghost) if start == Start::Hull => ctx.cache.tet(ghost).neighbors[3],
                 // Beside the footprint, or over it with the floor above
                 // the hull: the segment meets no tetrahedron.
                 _ => return 0.0,
@@ -703,7 +704,7 @@ fn march_cell_inner(
     // only that face's edges.
     let mut carry: Option<(FaceSeed, Option<usize>)> = None;
     for _ in 0..ctx.max_steps {
-        let (ct, pts) = (ctx.cache.link(t), &ctx.pts[t as usize]);
+        let (ct, pts) = (ctx.cache.tet(t), &ctx.pts[t as usize]);
         let (entry, entry_face) = match carry.as_ref() {
             Some((s, f)) => (Some(s), *f),
             None => (None, None),
@@ -712,7 +713,7 @@ fn march_cell_inner(
             xi,
             ctx.side_bound,
             pts,
-            &ct.ids,
+            &ct.verts,
             entry,
             entry_face,
             &mut stats.edge_evals,
@@ -752,8 +753,8 @@ fn march_cell_inner(
         }
 
         let next = ct.neighbors[exit_face];
-        let nt = ctx.cache.link(next);
-        if nt.ids[3] == u32::MAX {
+        let nt = ctx.cache.tet(next);
+        if nt.verts[3] == u32::MAX {
             return total; // left the hull (a convex body is exited once)
         }
         // The face of `next` we enter through is the one sharing the

@@ -1,7 +1,7 @@
 //! The reference kernel (the equivalence oracle).
 
 use super::{faces_up, line_of_sight, mesh_side_bound, HullIndex, MarchOptions, MarchStats, Start};
-use crate::estimator::{FieldEstimator, FieldView};
+use crate::estimator::{FieldEstimator, FieldView, SlotRows};
 use crate::grid::{Field2, GridSpec2};
 use dtfe_delaunay::{Delaunay, Located, NONE};
 use dtfe_geometry::plucker::ray_tetra;
@@ -98,6 +98,7 @@ fn reference_render(
     let floor = opts.z_range.map(|(lo, _)| lo);
     let window_floor = floor.filter(|&z_lo| seek_window_entry && z_lo > lo.z);
     let line = Line {
+        values: field.values.rows(field.del),
         z_range: opts.z_range,
         window_floor,
         side_bound: mesh_side_bound(lo, hi),
@@ -137,9 +138,11 @@ fn reference_render(
     (out, stats)
 }
 
-/// What every line of a reference render shares: the window, the floor a
-/// window entry is sought at, and the side products' error bound.
-struct Line {
+/// What every line of a reference render shares: the values it integrates
+/// (a linear table's rows, written on its first march), the window, the
+/// floor a window entry is sought at, and the side products' error bound.
+struct Line<'a> {
+    values: SlotRows<'a>,
     z_range: Option<(f64, f64)>,
     window_floor: Option<f64>,
     side_bound: f64,
@@ -149,7 +152,7 @@ fn reference_march_one(
     field: FieldView<'_>,
     index: &HullIndex,
     xi: Vec2,
-    line: &Line,
+    line: &Line<'_>,
     stats: &mut MarchStats,
 ) -> f64 {
     let crossings_before = stats.crossings;
@@ -162,7 +165,7 @@ fn reference_march_cell_inner(
     field: FieldView<'_>,
     index: &HullIndex,
     xi: Vec2,
-    line: &Line,
+    line: &Line<'_>,
     stats: &mut MarchStats,
 ) -> f64 {
     let del = field.del;
@@ -203,7 +206,7 @@ fn reference_march_cell_inner(
         stats.crossings += 1;
         if b > a {
             let mid = Vec3::new(xi.x, xi.y, 0.5 * (a + b));
-            let rho_mid = field.values.eval(t, verts[0], mid);
+            let rho_mid = line.values.eval(t, verts[0], mid);
             total += rho_mid * (b - a);
         }
         if let Some((_, zhi)) = line.z_range {

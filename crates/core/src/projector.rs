@@ -74,7 +74,7 @@
 use crate::estimator::{FieldView, SlotValues};
 use crate::grid::{Field2, GridSpec2};
 use crate::marching::MarchStats;
-use dtfe_delaunay::{Link, Located, TetId, Topology, INFINITE};
+use dtfe_delaunay::{Located, Tet, TetId, Topology, INFINITE};
 use dtfe_geometry::plucker::{TET_EDGES, TET_FACES};
 use dtfe_geometry::predicates::{orient2d_inline as orient2d, orient2d_sos, Orientation};
 use dtfe_geometry::{Vec2, Vec3};
@@ -463,11 +463,10 @@ struct Window {
 }
 
 impl Element {
-    /// Project the finite tetrahedron of link `link` with corners `p` in
-    /// the link's order — the builder's, positive exactly, so its faces
-    /// are outward.
-    fn new(link: &Link, p: [Vec3; 4], window: Window) -> Element {
-        let ids = link.ids;
+    /// Project the finite tetrahedron `tet` with corners `p` in its order
+    /// — the builder's, positive exactly, so its faces are outward.
+    fn new(tet: &Tet, p: [Vec3; 4], window: Window) -> Element {
+        let ids = tet.verts;
         let xy = p.map(|q| q.xy());
         // Face `f` is opposite vertex `f` and outward; its projected
         // winding is the sign of its normal's z-component (zero for a
@@ -638,10 +637,10 @@ impl Element {
     }
 }
 
-/// Finite link `link`'s corners, in its order, from the vertex array.
+/// Finite tetrahedron `tet`'s corners, in its order, from the vertex array.
 #[inline]
-fn corners(points: &[Vec3], link: &Link) -> [Vec3; 4] {
-    link.ids.map(|v| points[v as usize])
+fn corners(points: &[Vec3], tet: &Tet) -> [Vec3; 4] {
+    tet.verts.map(|v| points[v as usize])
 }
 
 /// The vertex box of corners `p`.
@@ -692,28 +691,54 @@ struct Band<'a> {
     out: &'a mut [f64],
 }
 
+/// What [`project_into`] counts.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    /// `(line, tetrahedron)` pairs.
+    pairs: u64,
+    /// Rows set up.
+    rows: u64,
+    /// Tetrahedra set up: those that reach a centre of the band.
+    elements: u64,
+    /// Linear rows derived with a zero gradient (float-singular
+    /// tetrahedra).
+    zero_grad: u64,
+}
+
+impl std::ops::Add for Tally {
+    type Output = Tally;
+    fn add(self, o: Tally) -> Tally {
+        Tally {
+            pairs: self.pairs + o.pairs,
+            rows: self.rows + o.rows,
+            elements: self.elements + o.elements,
+            zero_grad: self.zero_grad + o.zero_grad,
+        }
+    }
+}
+
 /// Project the finite tetrahedra `tets` of `view` (in slot order) into
-/// `band`, skipping those that reach no centre of it. Returns the
-/// `(line, tetrahedron)` pairs and the rows the tetrahedra set up.
-fn project_into(
-    view: &FieldView<'_>,
-    window: Window,
-    tets: &[TetId],
-    mut band: Band<'_>,
-) -> (u64, u64) {
+/// `band`, skipping those that reach no centre of it. A linear table's row
+/// is derived here, at set-up, from the four vertex values — through the
+/// one function its stored rows are written by, so the bits are the
+/// stored table's — and the stored rows are never read.
+fn project_into(view: &FieldView<'_>, window: Window, tets: &[TetId], mut band: Band<'_>) -> Tally {
     let (topo, points) = (view.cache, view.del.vertices());
-    let (mut pairs, mut set_up) = (0, 0);
+    let mut tally = Tally::default();
     for &t in tets {
-        let link = topo.link(t);
-        let p = corners(points, link);
+        let tet = topo.tet(t);
+        let p = corners(points, tet);
         let Some((rows, cols)) = reach(&p, window, band.xs, band.ys, &band.rows, &band.cols) else {
             continue;
         };
-        let el = Element::new(link, p, window);
+        tally.elements += 1;
+        let el = Element::new(tet, p, window);
         let (p, r) = match view.values {
             SlotValues::Linear(table) => {
+                let (row, zeroed) = table.row_at(&el.p, tet.verts);
+                tally.zero_grad += zeroed as u64;
                 // `x₀` is vertex 0.
-                let (row, x0) = (table[t as usize], el.p[0]);
+                let x0 = el.p[0];
                 el.project(|mid| row.eval(x0, mid), rows, &cols, &mut band)
             }
             SlotValues::Constant(c) => {
@@ -721,16 +746,16 @@ fn project_into(
                 el.project(|_| c, rows, &cols, &mut band)
             }
         };
-        pairs += p;
-        set_up += r;
+        tally.pairs += p;
+        tally.rows += r;
     }
-    (pairs, set_up)
+    tally
 }
 
 /// The finite tetrahedra, in slot order.
 fn finite<'a>(view: &FieldView<'a>) -> impl Iterator<Item = TetId> + 'a {
     let topo = view.cache;
-    (0..topo.len() as TetId).filter(move |&t| topo.link(t).ids[3] != INFINITE)
+    (0..topo.len() as TetId).filter(move |&t| topo.tet(t).verts[3] != INFINITE)
 }
 
 /// The finite tetrahedra whose vertex box meets the render's box `B` —
@@ -763,8 +788,8 @@ fn gather(view: &FieldView<'_>, xs: &Axis, ys: &Axis, window: Window) -> Option<
         return None;
     };
     let points = view.del.vertices();
-    let meets = |link: &Link| {
-        let (a, b) = vertex_box(&corners(points, link));
+    let meets = |tet: &Tet| {
+        let (a, b) = vertex_box(&corners(points, tet));
         a.x <= hi.x && a.y <= hi.y && a.z <= hi.z && b.x >= lo.x && b.y >= lo.y && b.z >= lo.z
     };
     let mut seen = vec![0u64; topo.len().div_ceil(64)];
@@ -780,10 +805,10 @@ fn gather(view: &FieldView<'_>, xs: &Axis, ys: &Axis, window: Window) -> Option<
     let mut head = 0;
     while let Some(&t) = kept.get(head) {
         head += 1;
-        for &n in &topo.link(t).neighbors {
+        for &n in &topo.tet(t).neighbors {
             if first_visit(n) {
-                let link = topo.link(n);
-                if link.ids[3] != INFINITE && meets(link) {
+                let tet = topo.tet(n);
+                if tet.verts[3] != INFINITE && meets(tet) {
                     kept.push(n);
                 }
             }
@@ -794,26 +819,29 @@ fn gather(view: &FieldView<'_>, xs: &Axis, ys: &Axis, window: Window) -> Option<
 }
 
 /// One pass over `tets` (in slot order): for each band of [`BAND_ROWS`]
-/// rows, those that reach a centre of it, in slot order.
+/// rows, those that reach a centre of it, in slot order; and how many
+/// reach a centre of the grid.
 fn bands(
     view: &FieldView<'_>,
     xs: &Axis,
     ys: &Axis,
     window: Window,
     tets: &[TetId],
-) -> Vec<Vec<TetId>> {
+) -> (Vec<Vec<TetId>>, u64) {
     let (rows, cols) = (0..ys.n(), 0..xs.n());
     let points = view.del.vertices();
     let mut bands = vec![Vec::new(); ys.n().div_ceil(BAND_ROWS)];
+    let mut reached = 0;
     for &t in tets {
-        let p = corners(points, view.cache.link(t));
+        let p = corners(points, view.cache.tet(t));
         if let Some((r, _)) = reach(&p, window, xs, ys, &rows, &cols) {
+            reached += 1;
             for band in &mut bands[r.start / BAND_ROWS..=(r.end - 1) / BAND_ROWS] {
                 band.push(t);
             }
         }
     }
-    bands
+    (bands, reached)
 }
 
 /// Whether a render under `z_range` leaves part of `topo`'s z-extent out
@@ -846,8 +874,9 @@ pub(crate) fn render(
     let (xs, ys) = (Axis::x(grid), Axis::y(grid));
     let gathered = if gather && window.inside {
         let tets = self::gather(&view, &xs, &ys, window);
-        if tets.is_none() {
-            dtfe_telemetry::counter_add!("core.project_scan_fallback", 1);
+        match &tets {
+            Some(kept) => dtfe_telemetry::counter_add!("core.project_gathered", kept.len() as u64),
+            None => dtfe_telemetry::counter_add!("core.project_scan_fallback", 1),
         }
         tets
     } else {
@@ -857,9 +886,10 @@ pub(crate) fn render(
     dtfe_telemetry::counter_add!("core.project_tets", tets.len() as u64);
     let mut out = Field2::zeros(*grid);
     let (nx, lanes) = (grid.nx, Lanes::host());
-    let (pairs, rows) = if parallel {
-        let bands = bands(&view, &xs, &ys, window, &tets);
-        out.data
+    let (tally, reached) = if parallel {
+        let (bands, reached) = bands(&view, &xs, &ys, window, &tets);
+        let tally = out
+            .data
             .par_chunks_mut(BAND_ROWS * nx)
             .enumerate()
             .map(|(b, out)| {
@@ -878,7 +908,8 @@ pub(crate) fn render(
             })
             .collect::<Vec<_>>()
             .into_iter()
-            .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+            .fold(Tally::default(), |a, b| a + b);
+        (tally, reached)
     } else {
         let (xs, ys, rows, cols) = (&xs, &ys, 0..grid.ny, 0..nx);
         let band = Band {
@@ -889,9 +920,20 @@ pub(crate) fn render(
             cols,
             out: &mut out.data,
         };
-        project_into(&view, window, &tets, band)
+        let tally = project_into(&view, window, &tets, band);
+        (tally, tally.elements)
     };
+    let Tally {
+        pairs,
+        rows,
+        zero_grad,
+        ..
+    } = tally;
     dtfe_telemetry::counter_add!("core.project_rows", rows);
+    dtfe_telemetry::counter_add!("core.project_reach_rejects", tets.len() as u64 - reached);
+    if zero_grad > 0 {
+        dtfe_telemetry::counter_add!("core.degenerate_tet_zero_grad", zero_grad);
+    }
     // The march's traversal counters, so `tets_crossed / los_marched`
     // reads the same quantity on either kernel.
     dtfe_telemetry::counter_add!("core.los_marched", (grid.nx * grid.ny) as u64);

@@ -19,9 +19,9 @@
 //! [`StochasticOptions::seed`], so the same inputs reproduce the same field
 //! bit for bit — on one thread or many, locally or in the serving layer.
 
-use crate::density::{DtfeField, Mass, TetInterp};
+use crate::density::{DtfeField, Mass};
 use crate::estimator::{
-    integrate_vertex_field, vertex_interp, FieldEstimator, FieldView, RenderMesh,
+    integrate_vertex_field, FieldEstimator, FieldView, LinearTable, RenderMesh,
 };
 use dtfe_delaunay::{BuildError, Delaunay, DelaunayBuilder};
 use dtfe_geometry::Vec3;
@@ -67,13 +67,11 @@ impl StochasticOptions {
 }
 
 /// The stochastic table over a base triangulation: the
-/// k-realization-averaged, mass-rescaled vertex densities and their
-/// interpolants.
+/// k-realization-averaged, mass-rescaled vertex densities, a
+/// [`LinearTable`] over the base mesh.
 pub struct StochasticTable {
     /// Averaged and rescaled per-vertex densities.
-    vertex_mean: Vec<f64>,
-    /// Interpolants of the averaged field over the base mesh.
-    interp: Vec<TetInterp>,
+    linear: LinearTable,
     /// The applied mass-conservation scale `M / ∫ ρ̄ dV`.
     scale: f64,
 }
@@ -105,7 +103,8 @@ impl StochasticTable {
         // Accumulate each realization's density at the base vertices. A
         // vertex falling outside a jittered realization's hull contributes
         // zero for that realization — the global rescale absorbs the
-        // resulting edge bias.
+        // resulting edge bias. `density_at` derives the one row it reads,
+        // so a realization writes no rows.
         let mut acc = vec![0.0f64; del.num_vertices()];
         let mut jittered = Vec::with_capacity(points.len());
         for r in 0..opts.realizations {
@@ -147,10 +146,8 @@ impl StochasticTable {
             *m *= scale;
         }
 
-        let interp = vertex_interp(del, &mean);
         StochasticTable {
-            vertex_mean: mean,
-            interp,
+            linear: LinearTable::new(mean),
             scale,
         }
     }
@@ -158,13 +155,14 @@ impl StochasticTable {
     /// Averaged, rescaled per-vertex densities.
     #[inline]
     pub fn vertex_densities(&self) -> &[f64] {
-        &self.vertex_mean
+        self.linear.values()
     }
 
-    /// The per-slot interpolants of the averaged field.
+    /// The averaged field's linear table: what [`RenderMesh::view`]
+    /// renders.
     #[inline]
-    pub fn interp(&self) -> &[TetInterp] {
-        &self.interp
+    pub fn linear(&self) -> &LinearTable {
+        &self.linear
     }
 }
 
@@ -212,7 +210,7 @@ impl StochasticField {
 
 impl FieldEstimator for StochasticField {
     fn view(&self) -> FieldView<'_> {
-        self.mesh.view(self.table.interp())
+        self.mesh.view(self.table.linear())
     }
 }
 

@@ -39,7 +39,9 @@ fn resolve_z_range(opts: &MarchOptions, field: &DtfeField) -> (f64, f64) {
 /// cell along z (the baseline's inner loop, exposed for the Fig. 6
 /// harness's per-thread timing). Each sample point's jitter and the seed of
 /// the walk that locates it are drawn from the key of its column, level and
-/// sample, so a column is the same alone or inside a render.
+/// sample, so a column is the same alone or inside a render. It reads the
+/// field's interpolants ([`DtfeField::rows`]), and the first column of a
+/// field writes them.
 pub fn walk_column(field: &DtfeField, g3: &GridSpec3, i: usize, j: usize, samples: usize) -> f64 {
     let n = samples.max(1);
     let dz = g3.cell.z;
@@ -88,6 +90,8 @@ pub fn surface_density_walking(
 ) -> Field2 {
     let _span = dtfe_telemetry::span!("core.walk_render", nx = grid.nx, ny = grid.ny);
     dtfe_telemetry::counter_add!("core.columns_walked", (grid.nx * grid.ny) as u64);
+    // Written here, before the workers start, as the march writes them.
+    field.rows();
     let (z_lo, z_hi) = resolve_z_range(opts, field);
     let g3 = GridSpec3::lift(grid, z_lo, z_hi, nz);
     let mut out = Field2::zeros(*grid);
@@ -116,6 +120,7 @@ pub fn surface_density_walking(
 /// tests and the TESS analog).
 pub fn render_density_3d(field: &DtfeField, g3: &GridSpec3, parallel: bool) -> Field3 {
     let _span = dtfe_telemetry::span!("core.render_3d", nx = g3.nx, ny = g3.ny, nz = g3.nz);
+    field.rows();
     let mut out = Field3::zeros(*g3);
     let (nx, ny) = (g3.nx, g3.ny);
     let plane = |k: usize, data: &mut [f64]| {

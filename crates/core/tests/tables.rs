@@ -10,9 +10,9 @@
 
 use dtfe_core::density::TetInterp;
 use dtfe_core::{
-    surface_density_with_index, DtfeField, DtfeTable, FieldEstimator, GridSpec2, HullIndex,
-    MarchOptions, Mass, PsDtfeField, PsDtfeTable, RenderMesh, SlotValues, StochasticField,
-    StochasticOptions, StochasticTable,
+    surface_density_with_index, DtfeField, DtfeTable, FieldEstimator, FieldView, GridSpec2,
+    HullIndex, MarchOptions, Mass, PsDtfeField, PsDtfeTable, RenderMesh, SlotValues,
+    StochasticField, StochasticOptions, StochasticTable,
 };
 use dtfe_delaunay::DelaunayBuilder;
 use dtfe_geometry::{Vec2, Vec3};
@@ -101,9 +101,9 @@ fn interp_bits(t: &[TetInterp]) -> Vec<[u64; 4]> {
         .collect()
 }
 
-fn linear(values: SlotValues<'_>) -> &[TetInterp] {
-    match values {
-        SlotValues::Linear(rows) => rows,
+fn linear(view: FieldView<'_>) -> &[TetInterp] {
+    match view.values {
+        SlotValues::Linear(table) => table.rows(view.del),
         SlotValues::Constant(_) => panic!("a vertex field has linear rows"),
     }
 }
@@ -134,13 +134,13 @@ fn dtfe_table_over_a_render_mesh_is_the_dtfe_field() {
             "{name}: vertex densities"
         );
         assert_eq!(
-            interp_bits(table.interp()),
-            interp_bits(linear(field.view().values)),
+            interp_bits(table.linear().rows(mesh.delaunay())),
+            interp_bits(linear(field.view())),
             "{name}: interpolants"
         );
         let idx = HullIndex::for_mesh(mesh.delaunay());
         assert_eq!(
-            renders(&mesh.view(table.interp()), &idx),
+            renders(&mesh.view(table.linear()), &idx),
             renders(&field, &HullIndex::build(&field)),
             "{name}: renders"
         );
@@ -211,8 +211,8 @@ fn stochastic_table_over_a_render_mesh_is_the_stochastic_field() {
             "{name}: vertex means"
         );
         assert_eq!(
-            interp_bits(table.interp()),
-            interp_bits(linear(field.view().values)),
+            interp_bits(table.linear().rows(mesh.delaunay())),
+            interp_bits(linear(field.view())),
             "{name}: interpolants"
         );
     }

@@ -172,6 +172,10 @@ impl Incremental {
     }
 }
 
+/// Tetrahedron slots reserved per input point: above the ~6.7 a
+/// triangulation uses, ghosts and free slots included.
+const TETS_PER_POINT: usize = 8;
+
 /// Find four affinely independent points in `order` and build the initial
 /// tetrahedron plus its four ghosts.
 pub(crate) fn bootstrap(input: &[Vec3], order: &[u32]) -> Result<Incremental, DelaunayError> {
@@ -218,7 +222,12 @@ pub(crate) fn bootstrap(input: &[Vec3], order: &[u32]) -> Result<Incremental, De
 
     let mut d = Incremental {
         points: vec![p0, p1, p2, p3],
-        tets: Vec::new(),
+        // A `Tet` is 32-byte aligned, and the system allocator grows an
+        // over-aligned buffer by copying it whole, with the old one still
+        // held; the slots a point set needs are reserved up front instead
+        // (~6.7 a point with ghosts and free slots; pages are touched only
+        // as slots are written).
+        tets: Vec::with_capacity(TETS_PER_POINT * input.len() + 16),
         free: Vec::new(),
         mark: Vec::new(),
         epoch: 0,

@@ -70,7 +70,7 @@ pub mod validate;
 pub use builder::{BuildError, DelaunayBuilder, Triangulation};
 pub use locate::Located;
 pub use mesh::{Tet, TetId, VertexId, INFINITE, NONE};
-pub use topology::{Link, Topology};
+pub use topology::Topology;
 pub use validate::ValidationError;
 
 use dtfe_geometry::Vec3;
@@ -139,7 +139,7 @@ impl std::error::Error for DelaunayError {}
 /// Its tetrahedra are laid out one of two ways. [`DelaunayBuilder::build`]
 /// returns them as insertion left them: 32 B [`Tet`] slots in insertion
 /// order, freed slots kept. [`Delaunay::into_topology`] consumes that array
-/// and writes the render-time [`Topology`], one 32 B [`Link`] per live
+/// and writes the render-time [`Topology`], one 32 B [`Tet`] link per live
 /// slot in breadth-first order, which is then the only copy (a march adds
 /// its vertex positions beside the links, [`Topology::march_positions`]).
 /// Every reader — [`Delaunay::tet`], point location, validation — reads
@@ -163,6 +163,17 @@ pub(crate) enum Slots {
     Built(Vec<Tet>),
     /// The render-time links.
     Links(Topology),
+}
+
+impl Slots {
+    /// Every slot, in order, whichever the layout.
+    #[inline]
+    pub(crate) fn tets(&self) -> &[Tet] {
+        match self {
+            Slots::Built(tets) => tets,
+            Slots::Links(topo) => topo.tets(),
+        }
+    }
 }
 
 impl std::fmt::Debug for Delaunay {
@@ -216,7 +227,7 @@ impl Delaunay {
     /// Tetrahedron `t` (may be a ghost; check [`Tet::is_ghost`]), in the
     /// builder's exact vertex order.
     #[inline]
-    pub fn tet(&self, t: TetId) -> Tet {
+    pub fn tet(&self, t: TetId) -> &Tet {
         let tet = self.tet_slot(t);
         debug_assert!(tet.is_live(), "access to freed tet {t}");
         tet
@@ -226,20 +237,14 @@ impl Delaunay {
     /// indices below this bound.
     #[inline]
     pub fn num_slots(&self) -> usize {
-        match &self.slots {
-            Slots::Built(tets) => tets.len(),
-            Slots::Links(topo) => topo.len(),
-        }
+        self.slots.tets().len()
     }
 
     /// Slot access that tolerates freed slots (check [`Tet::is_live`];
     /// the render-time layout has none).
     #[inline]
-    pub fn tet_slot(&self, t: TetId) -> Tet {
-        match &self.slots {
-            Slots::Built(tets) => tets[t as usize],
-            Slots::Links(topo) => topo.tet(t),
-        }
+    pub fn tet_slot(&self, t: TetId) -> &Tet {
+        &self.slots.tets()[t as usize]
     }
 
     /// The render-time links; `None` until [`Delaunay::into_topology`].
@@ -252,7 +257,7 @@ impl Delaunay {
     }
 
     /// Lay the triangulation out for rendering: one pass over the builder's
-    /// slots numbers the live ones breadth-first and writes one [`Link`]
+    /// slots numbers the live ones breadth-first and writes one link
     /// per slot (see [`Topology`]); the slot array is freed. Only slot
     /// numbers change — every tetrahedron's vertex array, as [`Delaunay::tet`]
     /// returns it, is the builder's — so `TetId`s retained from before this

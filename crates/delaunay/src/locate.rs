@@ -8,8 +8,7 @@
 //! termination on a Delaunay triangulation even for degenerate queries.
 
 use crate::mesh::{Tet, TetId, VertexId, NONE};
-use crate::topology::Topology;
-use crate::{Delaunay, Slots};
+use crate::Delaunay;
 use dtfe_geometry::predicates::orient3d;
 use dtfe_geometry::Vec3;
 
@@ -40,35 +39,6 @@ fn next_rand(state: &mut u64) -> u64 {
     x.wrapping_mul(0x2545F4914F6CDD1D)
 }
 
-/// What a walk reads: the slots of one layout, each in the builder's exact
-/// vertex order.
-pub(crate) trait SlotRead {
-    fn count(&self) -> usize;
-    fn at(&self, t: TetId) -> Tet;
-}
-
-impl SlotRead for [Tet] {
-    #[inline]
-    fn count(&self) -> usize {
-        self.len()
-    }
-    #[inline]
-    fn at(&self, t: TetId) -> Tet {
-        self[t as usize]
-    }
-}
-
-impl SlotRead for Topology {
-    #[inline]
-    fn count(&self) -> usize {
-        self.len()
-    }
-    #[inline]
-    fn at(&self, t: TetId) -> Tet {
-        self.tet(t)
-    }
-}
-
 impl Delaunay {
     /// Locate `p` with a fresh walk from an arbitrary finite tetrahedron.
     pub fn locate(&self, p: Vec3) -> Located {
@@ -80,10 +50,7 @@ impl Delaunay {
     /// walk's randomness from the caller-owned `seed`. This is what the
     /// marching/walking kernels use from worker threads.
     pub fn locate_seeded(&self, p: Vec3, start: TetId, seed: &mut u64) -> Located {
-        match &self.slots {
-            Slots::Built(tets) => walk(tets.as_slice(), &self.points, p, start, seed).0,
-            Slots::Links(topo) => walk(topo, &self.points, p, start, seed).0,
-        }
+        walk(self.slots.tets(), &self.points, p, start, seed).0
     }
 }
 
@@ -94,8 +61,8 @@ impl Delaunay {
 /// triangulation, degenerate ones included, but only with probability one,
 /// and not at all on corrupt adjacency; so it is bounded, and an overrun
 /// is [`Located::Lost`].
-pub(crate) fn walk<S: SlotRead + ?Sized>(
-    slots: &S,
+pub(crate) fn walk(
+    slots: &[Tet],
     points: &[Vec3],
     p: Vec3,
     start: TetId,
@@ -103,7 +70,7 @@ pub(crate) fn walk<S: SlotRead + ?Sized>(
 ) -> (Located, usize) {
     let mut cur = live_finite_start(slots, start);
     let mut steps = 0usize;
-    let max_steps = 8 * (slots.count() + 16);
+    let max_steps = 8 * (slots.len() + 16);
     // The face the walk entered `cur` through. Its orientation test is the
     // exact negation of the one that just sent the walk across it, so it can
     // never separate `cur` from `p` and is not evaluated.
@@ -113,7 +80,7 @@ pub(crate) fn walk<S: SlotRead + ?Sized>(
         if steps > max_steps {
             return (Located::Lost, steps);
         }
-        let tet = slots.at(cur);
+        let tet = slots[cur as usize];
         // Exact-vertex check: the walk can stop at any tetrahedron whose
         // closure contains p; if p coincides with a vertex it is one of the
         // current tet's vertices once the walk converges.
@@ -135,7 +102,7 @@ pub(crate) fn walk<S: SlotRead + ?Sized>(
             if orient3d(a, b, c, p).is_negative() {
                 let n = tet.neighbors[i];
                 debug_assert_ne!(n, NONE);
-                let next = slots.at(n);
+                let next = slots[n as usize];
                 if next.is_ghost() {
                     return (Located::Ghost(n), steps);
                 }
@@ -160,23 +127,23 @@ pub(crate) fn walk<S: SlotRead + ?Sized>(
 /// has one: `bootstrap` fails with `Degenerate` unless it made one, and an
 /// insertion replaces what it deletes by a star around a finite apex, which
 /// holds a finite tetrahedron — so the fallback scan finds a slot.
-fn live_finite_start<S: SlotRead + ?Sized>(slots: &S, start: TetId) -> TetId {
-    let usable = |t: TetId| (t as usize) < slots.count() && slots.at(t).is_live();
+fn live_finite_start(slots: &[Tet], start: TetId) -> TetId {
+    let usable = |t: TetId| (t as usize) < slots.len() && slots[t as usize].is_live();
     let s = if usable(start) {
         start
     } else {
-        (0..slots.count() as TetId)
+        (0..slots.len() as TetId)
             .find(|&t| {
-                let tet = slots.at(t);
+                let tet = slots[t as usize];
                 tet.is_live() && !tet.is_ghost()
             })
             .unwrap_or(0)
     };
-    let tet = slots.at(s);
+    let tet = slots[s as usize];
     if tet.is_ghost() {
         // Step inside: the facet-neighbor of a ghost is finite.
         let inner = tet.neighbors[3];
-        debug_assert!(!slots.at(inner).is_ghost());
+        debug_assert!(!slots[inner as usize].is_ghost());
         return inner;
     }
     s
@@ -185,6 +152,7 @@ fn live_finite_start<S: SlotRead + ?Sized>(slots: &S, start: TetId) -> TetId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Slots;
     use dtfe_geometry::tetra::contains;
 
     fn build_cloud(n: usize, seed: u64) -> (Delaunay, Vec<Vec3>) {

@@ -29,7 +29,12 @@ pub const NONE: u32 = u32::MAX;
 ///   valid for ghosts too.
 /// * `neighbors[i]` is the tetrahedron sharing the facet opposite
 ///   `verts[i]`, and the relation is reciprocal.
-#[derive(Clone, Copy, Debug)]
+///
+/// The builder's slots and the render-time [`crate::Topology`] both hold
+/// this record: 32 B, aligned so that two share a cache line and none
+/// straddles two.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(align(32))]
 pub struct Tet {
     pub verts: [VertexId; 4],
     pub neighbors: [TetId; 4],

@@ -4,9 +4,10 @@
 //! Every reader of a rendered triangulation — [`crate::Delaunay::tet`],
 //! point location, the element projector, the table fills and the hull
 //! index — needs a tetrahedron's vertex ids and neighbours and gathers its
-//! corners from the vertex array. [`Link`] holds exactly that in half a
-//! cache line, and once a triangulation is rendered it is the *only* copy
-//! of its tetrahedra.
+//! corners from the vertex array. A link is the builder's own [`Tet`]
+//! record, which holds exactly that in half a cache line, with its
+//! neighbours renumbered; once a triangulation is rendered it is the
+//! *only* copy of its tetrahedra.
 //!
 //! The marching kernel is the one reader that wants more: per step it
 //! reads the four vertex positions. [`Topology::march_positions`]
@@ -32,26 +33,16 @@ use dtfe_geometry::Vec3;
 use rayon::prelude::*;
 use std::sync::OnceLock;
 
-/// One tetrahedron as every reader of a rendered mesh reads it: the vertex
-/// ids and neighbours in the builder's order (`neighbors[i]` lies across
-/// the face opposite `ids[i]`). Ghost links hold the hull facet's ids with
-/// [`crate::INFINITE`] at index 3 — the kernel's "stepped out of the hull"
-/// test.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(align(32))] // two links per cache line, never one straddling two
-pub struct Link {
-    pub ids: [VertexId; 4],
-    pub neighbors: [TetId; 4],
-}
-
-/// A triangulation's tetrahedra as the render path reads them: one
-/// [`Link`] per live slot in breadth-first order, the vertex box — per render, without touching the mesh, its heights say
+/// A triangulation's tetrahedra as the render path reads them: one link —
+/// a [`Tet`], vertex ids and neighbours in the builder's order, ghosts
+/// holding [`crate::INFINITE`] at index 3 — per live slot in breadth-first
+/// order, the vertex box — per render, without touching the mesh, its heights say
 /// whether a z-window has a window entry (a floor not above the lowest has
 /// none) and whether it integrates every tetrahedron whole (it contains
 /// both), and its xy extent prices a render over a grid — and, once a
 /// march has asked for them, the march's vertex positions.
 pub struct Topology {
-    links: Vec<Link>,
+    links: Vec<Tet>,
     lo: Vec3,
     hi: Vec3,
     /// Slot `t`'s four corners in its link's order (`vertex(ids[i])`; a
@@ -84,8 +75,8 @@ impl Topology {
         let links = map_slots(order.len(), |new| {
             let tet = tets[order[new] as usize];
             // Every neighbour of a live slot is live, so it has a number.
-            Link {
-                ids: tet.verts,
+            Tet {
+                verts: tet.verts,
                 neighbors: tet
                     .neighbors
                     .map(|n| remap.get(n as usize).copied().unwrap_or(NONE)),
@@ -118,18 +109,14 @@ impl Topology {
 
     /// Slot `t`'s link.
     #[inline]
-    pub fn link(&self, t: TetId) -> &Link {
+    pub fn tet(&self, t: TetId) -> &Tet {
         &self.links[t as usize]
     }
 
-    /// Slot `t` as a [`Tet`]: its link's ids and neighbours.
+    /// Every link, in slot order.
     #[inline]
-    pub fn tet(&self, t: TetId) -> Tet {
-        let link = &self.links[t as usize];
-        Tet {
-            verts: link.ids,
-            neighbors: link.neighbors,
-        }
+    pub fn tets(&self) -> &[Tet] {
+        &self.links
     }
 
     /// The march's vertex positions, one `[Vec3; 4]` per slot in its
@@ -142,7 +129,7 @@ impl Topology {
             let _span = dtfe_telemetry::span!("core.march_positions_build", slots = self.len());
             dtfe_telemetry::counter_add!("core.march_cache_builds", 1);
             map_slots(self.len(), |t| {
-                let ids = self.links[t].ids;
+                let ids = self.links[t].verts;
                 let corner = |v: VertexId| match v {
                     INFINITE => Vec3::ZERO,
                     v => points[v as usize],
@@ -183,7 +170,7 @@ impl Topology {
     /// understates what the allocator is holding.
     pub fn bytes(&self) -> usize {
         std::mem::size_of::<Topology>()
-            + self.links.capacity() * std::mem::size_of::<Link>()
+            + self.links.capacity() * std::mem::size_of::<Tet>()
             + self
                 .positions
                 .get()
@@ -300,11 +287,11 @@ mod tests {
         );
         assert_eq!(positions.len(), topo.len());
         for t in 0..topo.len() as TetId {
-            let (link, tet, pos) = (topo.link(t), d.tet(t), positions[t as usize]);
-            assert_eq!(link.ids, tet.verts);
+            let (link, tet, pos) = (topo.tet(t), d.tet(t), positions[t as usize]);
+            assert!(std::ptr::eq(link, tet), "the mesh hands out its link");
             if tet.is_ghost() {
-                assert_eq!(link.ids[3], INFINITE);
-                let [a, b, c, _] = link.ids;
+                assert_eq!(link.verts[3], INFINITE);
+                let [a, b, c, _] = link.verts;
                 assert_eq!(pos, [d.vertex(a), d.vertex(b), d.vertex(c), Vec3::ZERO]);
                 continue;
             }
@@ -314,7 +301,7 @@ mod tests {
             assert!(orient3d(p[0], p[1], p[2], p[3]).is_positive());
             assert_eq!(p, pos);
             for (i, &corner) in pos.iter().enumerate() {
-                assert_eq!(d.vertex(link.ids[i]), corner);
+                assert_eq!(d.vertex(link.verts[i]), corner);
                 let face = |ids: [u32; 4], k: usize| {
                     let mut f: Vec<u32> = (0..4).filter(|&j| j != k).map(|j| ids[j]).collect();
                     f.sort_unstable();
@@ -322,7 +309,7 @@ mod tests {
                 };
                 let n = d.tet(link.neighbors[i]);
                 let back = n.index_of_neighbor(t).unwrap();
-                assert_eq!(face(link.ids, i), face(n.verts, back));
+                assert_eq!(face(link.verts, i), face(n.verts, back));
             }
         }
         assert_eq!(topo.bytes(), links_only + topo.len() * 96);

@@ -355,7 +355,10 @@ impl Service {
         dtfe_telemetry::gauge_set!("service.queue_depth", q.in_flight as i64);
         inner.stats.admitted.fetch_add(1, Ordering::Relaxed);
         dtfe_telemetry::counter_add!("service.requests_admitted", 1);
-        inner.cv.notify_all();
+        // One job wakes one idle worker: `next_batch` checks the queue
+        // before it waits, so a worker that is busy now finds the job when
+        // it is done, and `drain` wakes them all.
+        inner.cv.notify_one();
         Ok(())
     }
 
@@ -594,7 +597,7 @@ fn serve_batch(inner: &Inner, tile: &TileKey, mut jobs: Vec<Job>) {
         // one charge, and one eviction pass that makes room for them all.
         data.fill_table(&snap, first.opts.estimator);
         if data.marches(&first.grid, &first.opts) {
-            data.fill_march();
+            data.fill_march(first.opts.estimator);
         }
         Ok(data)
     });
@@ -653,8 +656,10 @@ fn ensure_ready(
             .fill(tile, data, || data.fill_table(&snap, estimator))?;
         missed = true;
     }
-    if !data.has_march() && data.marches(&job.grid, &job.opts) {
-        inner.cache.fill(tile, data, || data.fill_march())?;
+    if !data.has_march(estimator) && data.marches(&job.grid, &job.opts) {
+        inner
+            .cache
+            .fill(tile, data, || data.fill_march(estimator))?;
         missed = true;
     }
     Ok(missed)

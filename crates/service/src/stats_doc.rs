@@ -73,7 +73,10 @@ pub struct CacheCounters {
     /// their ghost padding, meshes (with hull index and traversal cache),
     /// and the tables filled per estimator — `veldiv` renders from
     /// `psdtfe_bytes`, and every realization count is in
-    /// `stochastic_bytes`.
+    /// `stochastic_bytes`. A DTFE or stochastic table is a linear table:
+    /// 8 B a vertex, plus 32 B a tetrahedron slot for its interpolant rows
+    /// once a render of it has marched (a projected render derives each
+    /// row where it sets the tetrahedron up and stores none).
     pub header_bytes: u64,
     pub mesh_bytes: u64,
     pub dtfe_bytes: u64,
@@ -139,7 +142,10 @@ pub struct MetricsDigest {
     /// z-windowed: with one centre sample per cell on a dense grid it
     /// projects and adds `core.project_tets` (tetrahedra the window's box
     /// meets), `core.project_rows` (the footprint rows those tetrahedra set
-    /// up) and `core.project_scan_fallback`; otherwise it marches and
+    /// up), `core.project_gathered` (the tetrahedra the window's flood fill
+    /// kept, when it found a seed), `core.project_reach_rejects` (visited
+    /// tetrahedra whose vertex box reaches no centre of the grid, so they
+    /// were not set up) and `core.project_scan_fallback`; otherwise it marches and
     /// bridges its per-render `MarchStats` here: `core.degenerate_restarts`
     /// (always 0: exact edge sides leave no line to restart; kept until the
     /// benchmark harness stops reading it), `core.march_failures` (lines a
@@ -151,7 +157,11 @@ pub struct MetricsDigest {
     /// the march's positions beside the mesh's links,
     /// `core.march_cache_builds` (at most one per tile mesh, under the
     /// `core.march_positions_build` span, with the hull index's
-    /// `core.hull_index_build`). The tile cache counts what it built:
+    /// `core.hull_index_build`), and the first marched render of a linear
+    /// table writes its interpolant rows, `core.interp_rows_builds` (at
+    /// most one per DTFE or stochastic table, so never more than
+    /// `service.tile_table_builds`, and 0 while no render marches). The
+    /// tile cache counts what it built:
     /// `service.tile_mesh_builds` (one triangulation each, under the
     /// `service.tile_build` span, after `service.tile_extract` cut the
     /// padded set) and `service.tile_table_builds` (one estimator table

@@ -5,7 +5,10 @@
 //! out as one 32 B link per tetrahedron in render order — plus one table
 //! per estimator that has been asked for, filled on first use, and, once a
 //! render of the tile marches, what only the march reads: its vertex
-//! positions and the 2-D hull index that locates ray entry points. Building
+//! positions, the 2-D hull index that locates ray entry points and the
+//! marched table's interpolant rows (a linear table is otherwise its vertex
+//! values alone; the projector derives each row where it sets a
+//! tetrahedron up). Building
 //! the mesh is the `c·n·log₂n` cost the cache amortises, and it is paid once
 //! per tile however many estimators render it; a table is a pass over the
 //! mesh (DTFE, PS-DTFE) or `k` jittered triangulations evaluated at its
@@ -24,8 +27,8 @@ use crate::server::unpoisoned;
 use dtfe_core::marching::projects;
 use dtfe_core::{
     surface_density, surface_density_with_index, DtfeTable, EstimatorKind, Field2, GridSpec2,
-    HullIndex, MarchOptions, Mass, PsDtfeTable, RenderMesh, SlotValues, StochasticOptions,
-    StochasticTable,
+    HullIndex, LinearTable, MarchOptions, Mass, PsDtfeTable, RenderMesh, SlotValues,
+    StochasticOptions, StochasticTable,
 };
 use dtfe_delaunay::DelaunayBuilder;
 use dtfe_geometry::{Aabb3, Vec3};
@@ -92,12 +95,20 @@ impl Table {
     /// What a render under `estimator` marches: `None` renders zeros.
     fn values(&self, estimator: EstimatorKind) -> Option<SlotValues<'_>> {
         match self {
-            Table::Dtfe(t) => Some(t.interp().into()),
-            Table::Stochastic(t) => Some(t.interp().into()),
+            Table::Dtfe(_) | Table::Stochastic(_) => self.linear().map(SlotValues::from),
             Table::PsDtfe(t) => t.as_ref().map(|t| match estimator {
                 EstimatorKind::PsDtfe => t.density().into(),
                 _ => t.divergence().into(),
             }),
+        }
+    }
+
+    /// The table's vertex values and rows, if it is linear.
+    fn linear(&self) -> Option<&LinearTable> {
+        match self {
+            Table::Dtfe(t) => Some(t.linear()),
+            Table::Stochastic(t) => Some(t.linear()),
+            Table::PsDtfe(_) => None,
         }
     }
 }
@@ -115,7 +126,8 @@ pub struct TileData {
     mesh: Option<RenderMesh>,
     /// The hull index a marched render enters by, built together with the
     /// march's vertex positions on the tile's first marched render
-    /// ([`TileData::fill_march`]); a tile only projected holds neither.
+    /// ([`TileData::fill_march`]); a tile only projected holds neither,
+    /// nor any interpolant rows.
     hull: OnceLock<HullIndex>,
     /// Which tile of its snapshot this is (seeds the stochastic jitter and
     /// re-extracts the padded set for a table fill).
@@ -201,16 +213,14 @@ mod charge {
     /// hull index's share — a downward facet's 56 B entry, the bins its
     /// projected box overlaps and the bin offsets.
     pub const HULL_GHOST: usize = 128;
-    /// DTFE table, per slot: one interpolant (32 B) and the vertex
-    /// densities' share.
-    pub const DTFE_SLOT: usize = 48;
+    /// A linear table (DTFE, stochastic), per vertex: its value.
+    pub const LINEAR_VERTEX: usize = 8;
+    /// A linear table, per tetrahedron slot, once a render of it has
+    /// marched: one interpolant row (32 B, allocated at its length).
+    pub const LINEAR_ROW: usize = 32;
     /// PS-DTFE tables, per slot: one density and one divergence (8 B
     /// each).
     pub const PSDTFE_SLOT: usize = 16;
-    /// Stochastic table: one interpolant per slot, the realization mean
-    /// per vertex.
-    pub const STOCHASTIC_SLOT: usize = 48;
-    pub const STOCHASTIC_VERTEX: usize = 16;
     /// One ghost particle's duplicated position.
     pub const GHOST_PARTICLE: usize = 24;
 }
@@ -225,11 +235,13 @@ pub struct Charge {
     /// The mesh: vertices, star volumes, tetrahedron links and, once a
     /// render has marched, the march's positions and the hull index.
     pub mesh: usize,
-    /// The DTFE table.
+    /// The DTFE table: its vertex densities and, once a render of it has
+    /// marched, its rows.
     pub dtfe: usize,
     /// The PS-DTFE tables (density and divergence).
     pub psdtfe: usize,
-    /// Every stochastic table, whatever its realization count.
+    /// Every stochastic table, whatever its realization count: vertex
+    /// values and, once marched, rows.
     pub stochastic: usize,
 }
 
@@ -392,8 +404,8 @@ impl TileData {
     }
 
     /// Does a render of `grid` under `opts` march, and so read the march's
-    /// positions and the hull index? `false` when it projects, renders
-    /// zeros, or has no table to render yet.
+    /// positions, the hull index and its table's rows? `false` when it
+    /// projects, renders zeros, or has no table to render yet.
     pub fn marches(&self, grid: &GridSpec2, opts: &MarchOptions) -> bool {
         let Some(mesh) = &self.mesh else {
             return false;
@@ -403,17 +415,23 @@ impl TileData {
         values.is_some_and(|values| !projects(&mesh.view(values), grid, opts))
     }
 
-    /// Does a marched render find the march's state? (A degenerate tile
-    /// never marches and needs none.)
-    pub fn has_march(&self) -> bool {
-        self.mesh.is_none() || self.hull.get().is_some()
+    /// Does a marched render under `estimator` find the march's state and
+    /// its table's rows? (A degenerate tile never marches and needs none.)
+    pub fn has_march(&self, estimator: EstimatorKind) -> bool {
+        let rows = || {
+            let cell = self.cell(estimator);
+            let linear = cell.get().and_then(Table::linear);
+            linear.is_none_or(|table| table.written_rows().is_some())
+        };
+        self.mesh.is_none() || (self.hull.get().is_some() && rows())
     }
 
-    /// Write what a marched render reads beside the mesh — the march's
-    /// vertex positions and the hull index — unless it is there; `true`
-    /// when this call wrote it. Concurrent calls run one build and the
-    /// rest wait for it.
-    pub fn fill_march(&self) -> bool {
+    /// Write what a marched render under `estimator` reads beside the mesh
+    /// — the march's vertex positions, the hull index and the rows of
+    /// `estimator`'s table, if it is linear and filled — unless it is
+    /// there; `true` when this call wrote some of it. Concurrent calls run
+    /// one build and the rest wait for it.
+    pub fn fill_march(&self, estimator: EstimatorKind) -> bool {
         let Some(mesh) = &self.mesh else {
             return false;
         };
@@ -422,13 +440,19 @@ impl TileData {
             built = true;
             march_state(mesh)
         });
+        let cell = self.cell(estimator);
+        if let Some(table) = cell.get().and_then(Table::linear) {
+            built |= table.written_rows().is_none();
+            table.rows(mesh.delaunay());
+        }
         built
     }
 
     /// Render the requested grid against the mesh under `opts.estimator`'s
-    /// table; the mesh and the march's state are shared by every table.
-    /// `None` when that table has not been filled. A render that marches
-    /// writes the march's state if [`TileData::fill_march`] has not.
+    /// table; the mesh and the march's positions and hull index are shared
+    /// by every table. `None` when that table has not been filled. A render
+    /// that marches writes the march's state if [`TileData::fill_march`]
+    /// has not.
     pub fn render(&self, grid: &GridSpec2, opts: &MarchOptions) -> Option<Field2> {
         let Some(mesh) = &self.mesh else {
             return Some(Field2::zeros(*grid));
@@ -479,14 +503,17 @@ impl TileData {
             // `march_state` wrote the positions before the index.
             c.mesh += slots * charge::MARCH_SLOT + del.num_ghosts() * charge::HULL_GHOST;
         }
+        let linear = |table: &LinearTable| {
+            let rows = table
+                .written_rows()
+                .map_or(0, |_| slots * charge::LINEAR_ROW);
+            verts * charge::LINEAR_VERTEX + rows
+        };
         for cell in self.tables().values() {
             match cell.get() {
-                Some(Table::Dtfe(_)) => c.dtfe += slots * charge::DTFE_SLOT,
+                Some(Table::Dtfe(t)) => c.dtfe += linear(t.linear()),
                 Some(Table::PsDtfe(Some(_))) => c.psdtfe += slots * charge::PSDTFE_SLOT,
-                Some(Table::Stochastic(_)) => {
-                    c.stochastic +=
-                        slots * charge::STOCHASTIC_SLOT + verts * charge::STOCHASTIC_VERTEX
-                }
+                Some(Table::Stochastic(t)) => c.stochastic += linear(t.linear()),
                 Some(Table::PsDtfe(None)) | None => {}
             }
         }
@@ -608,6 +635,13 @@ mod tests {
         }
     }
 
+    /// The rows of `estimator`'s table if a march has written them.
+    fn written_rows(tile: &TileData, estimator: EstimatorKind) -> Option<usize> {
+        let cell = tile.cell(estimator);
+        let table = cell.get()?.linear()?;
+        table.written_rows().map(<[_]>::len)
+    }
+
     /// The byte estimate is a sum of per-component terms; each is held here
     /// against the allocation it stands for, so a new table (or a fatter
     /// one) cannot under-charge the budget unnoticed.
@@ -646,17 +680,14 @@ mod tests {
             charge::HEADER + verts * charge::MESH_VERTEX + slots * charge::MESH_SLOT
         );
 
-        // Tables, each charged as it appears. An interpolant is four f64
-        // (`x₀` is the mesh's); PS-DTFE holds two f64 a slot.
-        assert_eq!(size_of::<TetInterp>(), 32);
-        let interp = slots * size_of::<TetInterp>();
+        // Tables, each charged as it appears. A linear table is one f64 a
+        // vertex until a march writes its rows; PS-DTFE holds two f64 a
+        // slot.
         tile.fill_table(&snap, DTFE);
         let dtfe = tile.bytes() - mesh_only;
-        assert!(
-            dtfe >= interp + verts * 8,
-            "interpolants and vertex densities"
-        );
-        assert_eq!(dtfe, slots * charge::DTFE_SLOT);
+        assert_eq!(written_rows(&tile, DTFE), None, "a fill writes no rows");
+        assert!(dtfe >= verts * size_of::<f64>(), "vertex densities");
+        assert_eq!(dtfe, verts * charge::LINEAR_VERTEX);
 
         tile.fill_table(&snap, EstimatorKind::PsDtfe);
         let psdtfe = tile.bytes() - mesh_only - dtfe;
@@ -667,42 +698,60 @@ mod tests {
         assert_eq!(tile.bytes(), mesh_only + dtfe + psdtfe);
 
         // One stochastic table per realization count.
+        let stochastic = |k| EstimatorKind::Stochastic { realizations: k };
         for (i, k) in [2u16, 3].into_iter().enumerate() {
-            tile.fill_table(&snap, EstimatorKind::Stochastic { realizations: k });
+            tile.fill_table(&snap, stochastic(k));
             let each = (tile.bytes() - mesh_only - dtfe - psdtfe) / (i + 1);
-            assert!(each >= interp + verts * 8);
-            assert_eq!(
-                each,
-                slots * charge::STOCHASTIC_SLOT + verts * charge::STOCHASTIC_VERTEX
-            );
+            assert!(each >= verts * size_of::<f64>());
+            assert_eq!(each, verts * charge::LINEAR_VERTEX);
         }
 
-        // An entry holding one estimator: 128 B a slot for DTFE, 96 for
-        // PS-DTFE.
-        assert_eq!(charge::MESH_SLOT + charge::DTFE_SLOT, 128);
+        // An entry holding one estimator, only projected: 80 B a slot and
+        // 8 B a vertex for DTFE (128 B a slot while every table stored its
+        // rows), 96 B a slot for PS-DTFE.
+        assert_eq!(charge::MESH_SLOT, 80);
+        assert_eq!(charge::LINEAR_VERTEX, 8);
         assert_eq!(charge::MESH_SLOT + charge::PSDTFE_SLOT, 96);
-        assert_eq!(charge::MESH_SLOT + charge::STOCHASTIC_SLOT, 128);
 
         // The march's state, charged once a render marches: the positions
-        // beside the links and the hull index.
+        // beside the links, the hull index and the marched table's rows.
         let tables = tile.bytes();
         let grid = GridSpec2::square(dtfe_geometry::Vec2::new(2.0, 2.0), 2.0, 8);
         let opts = MarchOptions::new().parallel(false);
-        assert!(tile.marches(&grid, &opts) && !tile.has_march());
-        assert!(tile.fill_march());
-        assert!(!tile.fill_march(), "already there");
+        assert!(tile.marches(&grid, &opts) && !tile.has_march(DTFE));
+        assert!(tile.fill_march(DTFE));
+        assert!(!tile.fill_march(DTFE), "already there");
+        assert!(tile.has_march(DTFE) && tile.has_march(EstimatorKind::PsDtfe));
         let positions = topo.bytes() - links;
         assert_eq!(positions, slots * 96, "the positions are 96 B a slot");
         assert!(slots * charge::MARCH_SLOT >= positions);
         let hull = tile.hull.get().unwrap().bytes();
         assert!(del.num_ghosts() * charge::HULL_GHOST >= hull);
+        assert_eq!(size_of::<TetInterp>(), 32, "`x₀` is the mesh's");
+        assert_eq!(written_rows(&tile, DTFE), Some(slots));
+        let rows = slots * size_of::<TetInterp>();
+        assert!(slots * charge::LINEAR_ROW >= rows);
         let march = tile.bytes() - tables;
         assert_eq!(
             march,
-            slots * charge::MARCH_SLOT + del.num_ghosts() * charge::HULL_GHOST
+            slots * (charge::MARCH_SLOT + charge::LINEAR_ROW)
+                + del.num_ghosts() * charge::HULL_GHOST
+        );
+        // A marched DTFE entry: 208 B a slot.
+        assert_eq!(
+            charge::MESH_SLOT + charge::MARCH_SLOT + charge::LINEAR_ROW,
+            208
         );
         tile.render(&grid, &opts).unwrap();
         assert_eq!(tile.bytes(), tables + march, "a march writes them once");
+
+        // Another linear table marched over the same mesh adds only its
+        // rows.
+        let k2 = stochastic(2);
+        assert!(!tile.has_march(k2) && written_rows(&tile, k2).is_none());
+        assert!(tile.fill_march(k2));
+        assert_eq!(written_rows(&tile, k2), Some(slots));
+        assert_eq!(tile.bytes(), tables + march + slots * charge::LINEAR_ROW);
     }
 
     /// A projected render leaves the march's state unwritten; the first
@@ -719,6 +768,7 @@ mod tests {
             let del = tile.mesh.as_ref().unwrap().delaunay();
             del.topology().unwrap().positions().is_some()
         };
+        let rows = || written_rows(&tile, DTFE).is_some();
         let opts = MarchOptions::new().parallel(false);
         let dense = GridSpec2::square(dtfe_geometry::Vec2::new(2.0, 2.0), 4.0, 128);
         let windowed = opts.clone().z_range(1.0, 3.0);
@@ -726,15 +776,17 @@ mod tests {
             assert!(!tile.marches(&dense, opts), "a dense grid projects");
             tile.render(&dense, opts).unwrap();
         }
-        assert!(!positions() && !tile.has_march());
+        assert!(!positions() && !rows() && !tile.has_march(DTFE));
+        let projected = tile.bytes();
         let sparse = GridSpec2::square(dtfe_geometry::Vec2::new(2.0, 2.0), 4.0, 4);
         assert!(tile.marches(&sparse, &opts));
         let marched = tile.render(&sparse, &opts).unwrap();
-        assert!(positions() && tile.has_march());
-        assert!(!tile.fill_march(), "the render wrote it");
+        assert!(positions() && rows() && tile.has_march(DTFE));
+        assert!(!tile.fill_march(DTFE), "the render wrote it");
+        assert!(tile.bytes() > projected);
         let filled = TileData::build(&snap, 0);
         filled.fill_table(&snap, DTFE);
-        assert!(filled.fill_march());
+        assert!(filled.fill_march(DTFE));
         assert_eq!(filled.render(&sparse, &opts).unwrap().data, marched.data);
     }
 

@@ -112,9 +112,13 @@ fn check_hist_digests(hists: &BTreeMap<String, Json>, what: &str) -> Result<(), 
 }
 
 /// Counters one call publishes together, so a document carries all of
-/// each group or none: a projected render's tetrahedra and the rows they
-/// set up.
-const PUBLISHED_TOGETHER: [[&str; 2]; 1] = [["core.project_tets", "core.project_rows"]];
+/// each group or none: a projected render's tetrahedra, the rows they set
+/// up and the tetrahedra whose box reached no centre.
+const PUBLISHED_TOGETHER: [[&str; 3]; 1] = [[
+    "core.project_tets",
+    "core.project_rows",
+    "core.project_reach_rejects",
+]];
 
 fn check_metrics_obj(v: &Json, what: &str) -> Result<(usize, usize, usize), String> {
     let counters = v

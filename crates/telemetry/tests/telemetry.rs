@@ -485,10 +485,16 @@ fn checker_rejects_a_projected_render_counter_without_its_partner() {
         let m = format!(r#"{{"counters":{{{counters}}},"gauges":{{}},"histograms":{{}}}}"#);
         format!(r#"{{"ranks":[{{"label":"r0",{}],"merged":{m}}}"#, &m[1..])
     };
-    for counters in ["", r#""core.project_tets":3,"core.project_rows":7"#] {
+    let all = r#""core.project_tets":3,"core.project_rows":7,"core.project_reach_rejects":1"#;
+    for counters in ["", all] {
         assert!(check_metrics_json(&doc(counters)).is_ok(), "{counters}");
     }
-    for counters in [r#""core.project_tets":3"#, r#""core.project_rows":0"#] {
+    for counters in [
+        r#""core.project_tets":3"#,
+        r#""core.project_rows":0"#,
+        r#""core.project_tets":3,"core.project_rows":7"#,
+        r#""core.project_reach_rejects":0"#,
+    ] {
         let err = check_metrics_json(&doc(counters)).unwrap_err();
         assert!(err.contains("published together"), "{err}");
     }

@@ -320,7 +320,7 @@ fn the_render_topology_is_the_builders_mesh_renumbered() {
                 float_inverted += (orient3d_det(p[0], p[1], p[2], p[3]) <= 0.0) as usize;
                 p
             };
-            assert_eq!(topo.link(t).ids, built.verts, "{what}: slot {t} link");
+            assert_eq!(topo.tet(t).verts, built.verts, "{what}: slot {t} link");
             assert_eq!(positions[new], corners, "{what}: slot {t} positions");
             for (k, n) in tet.neighbors.into_iter().enumerate() {
                 let back = del.tet(n).index_of_neighbor(t);

@@ -147,10 +147,10 @@ impl Tables {
     /// The four estimators a tile serves, as the kernels render them.
     pub fn views(&self) -> [(&'static str, FieldView<'_>); 4] {
         [
-            ("dtfe", self.mesh.view(self.dtfe.interp())),
+            ("dtfe", self.mesh.view(self.dtfe.linear())),
             ("psdtfe", self.mesh.view(self.psdtfe.density())),
             ("veldiv", self.mesh.view(self.psdtfe.divergence())),
-            ("stochastic:2", self.mesh.view(self.stochastic.interp())),
+            ("stochastic:2", self.mesh.view(self.stochastic.linear())),
         ]
     }
 }

@@ -14,7 +14,7 @@
 //!   bit-identically to the in-process handle, and every estimator of a
 //!   tile is a table over the tile's one cache entry.
 
-use dtfe_repro::core::marching::surface_density_reference;
+use dtfe_repro::core::marching::{surface_density_by, surface_density_reference, Kernel};
 use dtfe_repro::core::{
     surface_density, DtfeField, EstimatorKind, FieldEstimator, GridSpec2, HullIndex, MarchOptions,
     Mass, PsDtfeField, ScalarField, StochasticField, StochasticOptions,
@@ -155,7 +155,10 @@ fn float_singular_tetrahedron_is_counted_not_silent() {
         (built, metrics.counter("core.degenerate_tet_zero_grad"))
     }
 
+    // A table is its vertex values: filling one derives no row, and so
+    // meets no fallback.
     let (field, counted) = counting(|| DtfeField::build(&pts, Mass::Uniform(1.0)).unwrap());
+    assert_eq!(counted, 0, "a fill derives no row");
     let del = field.delaunay();
     del.validate().expect("exactly valid triangulation");
     let values = field.vertex_densities().to_vec();
@@ -167,15 +170,29 @@ fn float_singular_tetrahedron_is_counted_not_silent() {
         })
         .count() as u64;
     assert!(singular >= 1, "fixture is not float-singular");
-    assert_eq!(counted, singular, "DtfeField's fallback is silent");
+    // The rows a march writes count each fallback once, for every linear
+    // table; a second march writes nothing.
+    let written = counting(|| field.march_cache()).1;
+    assert_eq!(written, singular, "DtfeField's fallback is silent");
     assert_eq!(
-        counting(|| ScalarField::new(field.mesh(), values)).1,
-        singular
+        counting(|| field.march_cache()).1,
+        0,
+        "rows are written once"
     );
+    let scalar = ScalarField::new(field.mesh(), values);
+    assert_eq!(counting(|| scalar.march_cache()).1, singular);
 
+    // The projector derives each row it sets up, and counts the fallbacks
+    // it meets there, render by render.
     let grid = GridSpec2::covering(Vec2::new(-0.1, -0.1), Vec2::new(1.1, 1.1), 9, 9);
-    let sigma = surface_density(&field, &grid, &MarchOptions::new().parallel(false));
+    let opts = MarchOptions::new().parallel(false);
+    let index = HullIndex::build(&field);
+    let (projected, counted) =
+        counting(|| surface_density_by(&field, &index, &grid, &opts, Kernel::ProjectScan).0);
+    assert_eq!(counted, singular, "the projector's fallback is silent");
+    let sigma = surface_density(&field, &grid, &opts);
     assert!(sigma.data.iter().all(|v| v.is_finite()));
+    assert!(projected.data.iter().all(|v| v.is_finite()));
 }
 
 /// Serve every estimator end-to-end: PS-DTFE and stochastic cutouts

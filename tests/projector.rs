@@ -145,7 +145,7 @@ fn the_projector_is_the_reference_to_rounding_on_every_estimator() {
             let (pairs, crossings) = project(&at, &view, &index, &grid, &whole);
             assert_eq!(pairs, crossings, "{at}: whole window");
         }
-        let dtfe = t.mesh.view(t.dtfe.interp());
+        let dtfe = t.mesh.view(t.dtfe.linear());
         for (lo, hi) in windows(&pts) {
             let opts = full.clone().z_range(lo, hi);
             let segments = segment_crossings(&dtfe, &index, &grid, &opts);

@@ -181,13 +181,13 @@ fn every_table_row_is_anchored_at_its_first_vertex() {
             panic!("a vertex field has linear rows");
         };
         let vertex_fields: [(&str, &[TetInterp], &[f64]); 3] = [
-            ("dtfe", t.dtfe.interp(), t.dtfe.vertex_densities()),
+            ("dtfe", t.dtfe.linear().rows(del), t.dtfe.vertex_densities()),
             (
                 "stochastic",
-                t.stochastic.interp(),
+                t.stochastic.linear().rows(del),
                 t.stochastic.vertex_densities(),
             ),
-            ("scalar", scalar_rows, &heights),
+            ("scalar", scalar_rows.rows(del), &heights),
         ];
         for (name, interp, values) in vertex_fields {
             for s in del.finite_tets() {

@@ -321,6 +321,56 @@ fn queued_request_past_its_deadline_is_dropped_counted_and_refunded() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Admission wakes one idle worker per job. With more closed-loop clients
+/// than workers, a worker busy when its wake-up came finds the job when it
+/// next looks at the queue, so every request is answered and none waits
+/// for a wake-up that went to another worker.
+#[test]
+fn more_closed_loop_clients_than_workers_all_complete() {
+    use std::sync::atomic::Ordering::Relaxed;
+    use std::time::Duration;
+    const CLIENTS: usize = 6;
+    const REQUESTS: usize = 8;
+    let dir = tmpdir("closed_loop");
+    let side = 8.0;
+    let bounds = Aabb3::new(Vec3::ZERO, Vec3::splat(side));
+    write_snapshot(&dir.join("c.snap"), &[cloud(3_000, side, 47)], bounds).unwrap();
+
+    let mut cfg = ServiceConfig::new(2.0, 16);
+    cfg.tiles = 8;
+    cfg.workers = 2;
+    let service = Arc::new(Service::start(&dir, cfg).unwrap());
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let service = service.clone();
+            std::thread::spawn(move || {
+                for r in 0..REQUESTS {
+                    // Two tiles per client, alternating: hits and misses mix.
+                    let corner = ((c + r) % 2) as f64 * 4.0 + 2.0;
+                    let centre = Vec3::new(corner, 2.0 + (c % 2) as f64 * 4.0, 2.0);
+                    let reply = service
+                        .submit(&RenderRequest::new("c", centre))
+                        .expect("admitted")
+                        .recv_timeout(Duration::from_secs(120))
+                        .expect("every admitted request is answered");
+                    reply.expect("rendered");
+                }
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().unwrap();
+    }
+    let stats = service.stats();
+    let total = (CLIENTS * REQUESTS) as u64;
+    assert_eq!(stats.admitted.load(Relaxed), total);
+    assert_eq!(stats.completed.load(Relaxed), total);
+    service.drain();
+    let health = service.health();
+    assert_eq!((health.backlog_ms, health.queue_depth), (0, 0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Round-trip tests cannot see an encoder and decoder drifting together;
 /// these byte vectors pin the two frames every render exchanges.
 #[test]
